@@ -20,7 +20,9 @@
 //!   fig10 fig11 fig12 steady       steady state (Section 4.2.3)
 //!   fig13                          binder IPC (Section 4.2.4)
 //!   ablations                      Section 3.1.3/3.2.3 design choices
-//!   scalability grouped extensions
+//!   scalability grouped pollution smaps
+//!                                  extension studies, one at a time
+//!   extensions                     all four extension studies
 //!   reach                          translation reach: 4KB vs shared vs 64KB promotion
 //!   timeshare                      N apps timesharing 4 cores (sat-sched)
 //!   fleet                          fork/timeshare/reap fleets to 4096 apps
@@ -36,8 +38,8 @@
 //! watermark trigger LRU reclaim, which evicts file page-cache frames
 //! and tears the PTEs mapping them — through the shared PTP when one
 //! exists — so the working set refaults under pressure. The serve
-//! table grows reclaim columns and the snapshot records carry
-//! `"mem_frames"` and `"reclaim"` totals. The `pressure` experiment
+//! table grows reclaim columns and the snapshot records carry a
+//! `"mem_frames"` param and `reclaim.*` metrics. The `pressure` experiment
 //! runs the whole stock-vs-shared grid over budgets it derives itself
 //! (`inf`/`tight`/`starved` from the uncapped peak footprint).
 //!
@@ -67,10 +69,9 @@
 //! `Flow*`/`CycleCharge` stream of a traced serve run and prints the
 //! `--top K` slowest requests with their blame broken down by cause
 //! (exact on lossless traces: every request's charges sum to its
-//! wall). `repro diff` compares two snapshots and exits non-zero on
-//! above-threshold regressions (wall time, counters, and gauge
-//! high-water marks) — the perf gate the verify skill runs against
-//! the committed `BENCH_baseline.json`.
+//! wall). `repro diff` compares two snapshots metric by metric and
+//! exits non-zero on above-threshold regressions — the perf gate the
+//! verify skill runs against the committed `BENCH_baseline.json`.
 //!
 //! Independent sweep cells fan out across cores (see
 //! `sat_bench::pool`); `SAT_BENCH_THREADS=1` forces a serial run. The
@@ -78,13 +79,20 @@
 //! are wall-clock and naturally vary).
 //!
 //! Besides the tables on stdout, every run writes the
-//! `sat-bench/repro-v7` snapshot: per-experiment wall time, scale,
-//! worker count, sweep cell counts, per-experiment observability
-//! counter deltas, gauge high-water marks, serve latency percentiles,
-//! frame budgets and reclaim totals for budgeted cells, translation
-//! totals (promotions/demotions/splits/waste) for the reach cells,
-//! and the run-wide counter/histogram/gauge registry.
+//! `sat-bench/repro-v8` snapshot (see `sat_bench::snapshot`): one
+//! record per timed experiment — worker-pool cell count, a `params`
+//! object (the frame budget of a budgeted cell), one flat `metrics`
+//! map (`wall_ms`, `gauge.*` high-water marks, `latency.*`,
+//! `reclaim.*`, `translation.*`), and the observability counters the
+//! experiment moved — plus the run-wide counter/histogram/gauge
+//! registry.
+//!
+//! Every experiment is one row of [`VERBS`]: its record name, figure
+//! aliases, whether `all` runs it, its cell count, its runner, and the
+//! subsystems its trace must cover. Dispatch, `all`, the unknown-verb
+//! hint and `repro check`'s coverage floor all read that table.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -92,51 +100,33 @@ use sat_bench::{
     ablation, extensions, fleetbench, ipcbench, launchbench, motivation, pool, pressurebench,
     reachbench, servebench, snapshot, steadybench, timesharebench, zygotebench, Scale,
 };
-use sat_obs::json::Json;
 use sat_obs::report::ReportFormat;
+use sat_types::SatResult;
 
-/// One timed experiment: name, wall time, how many independent cells
-/// its sweep fanned out to the worker pool (1 = no fan-out), and the
-/// observability counters it moved (empty without `--trace`).
+/// One timed experiment, as the snapshot records it.
 struct Record {
     name: String,
-    wall_ms: f64,
+    /// Independent cells the sweep fanned out to the worker pool
+    /// (1 = no fan-out).
     cells: usize,
-    events: std::collections::BTreeMap<String, u64>,
-    /// Per-gauge high-water marks over the experiment's sampling
-    /// window (empty without `--trace`).
-    gauges: std::collections::BTreeMap<String, u64>,
-    /// Request-latency percentiles in simulated cycles (serve cells
-    /// only) — deterministic, so `repro diff` gates the p99 tail.
-    latency: Option<(u64, u64, u64)>,
-    /// Frame budget the cell ran under (budgeted serve / pressure
-    /// cells only).
-    mem_frames: Option<u64>,
-    /// Reclaim totals of a budgeted cell — deterministic, so `repro
-    /// diff` gates eviction volume like any counter.
-    reclaim: Option<ReclaimTotals>,
-    /// Promotion/demotion totals of a reach cell — deterministic, so
-    /// `repro diff` gates the large-page machinery like any counter.
-    translation: Option<reachbench::TranslationTotals>,
+    /// What the metrics were measured under (`mem_frames` of a
+    /// budgeted cell); `repro diff` only compares equal params.
+    params: BTreeMap<&'static str, u64>,
+    /// Everything `repro diff` gates: `wall_ms`, `gauge.<name>`
+    /// high-water marks over the experiment's sampling window (traced
+    /// runs), and whatever the experiment itself reports
+    /// (`latency.*`, `reclaim.*`, `translation.*` — simulated, hence
+    /// deterministic).
+    metrics: BTreeMap<String, f64>,
+    /// Observability counters the experiment moved (traced runs).
+    events: BTreeMap<String, u64>,
 }
 
-/// What a budgeted cell's reclaim did, for the snapshot.
-struct ReclaimTotals {
-    passes: u64,
-    pages: u64,
-    pte_tears: u64,
-    shared_tears: u64,
-    refaults: u64,
-}
-
-impl ReclaimTotals {
-    fn of(r: &sat_sched::ServeReport) -> ReclaimTotals {
-        ReclaimTotals {
-            passes: r.reclaims,
-            pages: r.reclaimed_pages,
-            pte_tears: r.reclaim_pte_tears,
-            shared_tears: r.reclaim_shared_tears,
-            refaults: r.refaults,
+impl Record {
+    /// Adds what an experiment measured itself (simulated, integral).
+    fn add_metrics(&mut self, metrics: impl IntoIterator<Item = (&'static str, u64)>) {
+        for (key, v) in metrics {
+            self.metrics.insert(key.to_string(), v as f64);
         }
     }
 }
@@ -161,95 +151,69 @@ struct Cli {
     mem_frames: Option<u64>,
 }
 
+/// Parses a numeric flag value: `bad <flag> '<raw>' (want <want>)`
+/// unless it parses and is at least `min`.
+fn number<T: std::str::FromStr + PartialOrd>(
+    flag: &str,
+    raw: &str,
+    min: T,
+    want: &str,
+) -> Result<T, String> {
+    raw.parse::<T>()
+        .ok()
+        .filter(|n| *n >= min)
+        .ok_or_else(|| format!("bad {flag} '{raw}' (want {want})"))
+}
+
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cmd: Option<String> = None;
-    let mut rest = Vec::new();
-    let mut trace = None;
+    let mut cli = Cli {
+        cmd: String::new(),
+        rest: Vec::new(),
+        scale: Scale::Paper,
+        trace: None,
+        out: String::new(),
+        format: ReportFormat::Text,
+        threshold_pct: 25.0,
+        window: 0,
+        experiment: None,
+        top: 10,
+        mem_frames: None,
+    };
+    let mut positionals = Vec::new();
     let mut out = None;
-    let mut quick = false;
-    let mut format = ReportFormat::Text;
-    let mut threshold_pct = 25.0;
-    let mut window = 0u64;
-    let mut experiment = None;
-    let mut top = 10usize;
-    let mut mem_frames = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--trace" => {
-                i += 1;
-                let path = args.get(i).ok_or("--trace requires a path argument")?;
-                trace = Some(path.clone());
-            }
-            "--out" => {
-                i += 1;
-                let path = args.get(i).ok_or("--out requires a path argument")?;
-                out = Some(path.clone());
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let mut value = |what: &str| rest.next().ok_or_else(|| format!("{arg} requires {what}"));
+        const INT: &str = "an integer >= 1";
+        match arg.as_str() {
+            "--quick" => cli.scale = Scale::Quick,
+            "--trace" => cli.trace = Some(value("a path argument")?.clone()),
+            "--out" => out = Some(value("a path argument")?.clone()),
             "--format" => {
-                i += 1;
-                let name = args.get(i).ok_or("--format requires text|json|folded")?;
-                format = ReportFormat::parse(name)
+                let name = value("text|json|folded")?;
+                cli.format = ReportFormat::parse(name)
                     .ok_or_else(|| format!("unknown format '{name}' (want text|json|folded)"))?;
             }
             "--threshold-pct" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--threshold-pct requires a number")?;
-                threshold_pct = raw
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| *t >= 0.0)
-                    .ok_or_else(|| format!("bad --threshold-pct '{raw}' (want a number >= 0)"))?;
+                cli.threshold_pct = number(arg, value("a number")?, 0.0, "a number >= 0")?
             }
-            "--window" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--window requires a tick count")?;
-                window = raw
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|w| *w >= 1)
-                    .ok_or_else(|| format!("bad --window '{raw}' (want an integer >= 1)"))?;
-            }
-            "--experiment" => {
-                i += 1;
-                let name = args.get(i).ok_or("--experiment requires a name")?;
-                experiment = Some(name.clone());
-            }
-            "--top" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--top requires a count")?;
-                top = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|t| *t >= 1)
-                    .ok_or_else(|| format!("bad --top '{raw}' (want an integer >= 1)"))?;
-            }
-            "--mem-frames" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--mem-frames requires a frame count")?;
-                mem_frames =
-                    Some(raw.parse::<u64>().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                        format!("bad --mem-frames '{raw}' (want an integer >= 1)")
-                    })?);
-            }
+            "--window" => cli.window = number(arg, value("a tick count")?, 1, INT)?,
+            "--experiment" => cli.experiment = Some(value("a name")?.clone()),
+            "--top" => cli.top = number(arg, value("a count")?, 1, INT)?,
+            "--mem-frames" => cli.mem_frames = Some(number(arg, value("a frame count")?, 1, INT)?),
             flag if flag.starts_with("--") => {
                 return Err(format!(
                     "unknown flag '{flag}' (known: --quick --trace --out --format \
                      --threshold-pct --window --experiment --top --mem-frames)"
                 ));
             }
-            positional => {
-                if cmd.is_none() {
-                    cmd = Some(positional.to_string());
-                } else {
-                    rest.push(positional.to_string());
-                }
-            }
+            _ => positionals.push(arg.clone()),
         }
-        i += 1;
     }
-    let cmd = cmd.unwrap_or_else(|| "all".to_string());
+    let mut positionals = positionals.into_iter();
+    cli.cmd = positionals.next().unwrap_or_else(|| "all".to_string());
+    cli.rest = positionals.collect();
+    let (cmd, rest) = (&cli.cmd, &cli.rest);
     match cmd.as_str() {
         "diff" if rest.len() != 2 => {
             return Err(format!(
@@ -266,32 +230,20 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
         _ => {}
     }
-    if mem_frames.is_some() && cmd != "serve" {
+    if cli.mem_frames.is_some() && cmd != "serve" {
         return Err(format!(
             "--mem-frames only applies to the serve experiment (got '{cmd}'; \
              the pressure grid derives its own budgets)"
         ));
     }
-    let out = out
+    cli.out = out
         .or_else(|| {
             std::env::var("SAT_BENCH_OUT")
                 .ok()
                 .filter(|s| !s.is_empty())
         })
         .unwrap_or_else(|| "BENCH_repro.json".to_string());
-    Ok(Cli {
-        cmd,
-        rest,
-        scale: if quick { Scale::Quick } else { Scale::Paper },
-        trace,
-        out,
-        format,
-        threshold_pct,
-        window,
-        experiment,
-        top,
-        mem_frames,
-    })
+    Ok(cli)
 }
 
 fn main() -> ExitCode {
@@ -303,97 +255,43 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if cli.cmd == "check" {
-        return match snapshot::check(cli.trace.as_deref(), &cli.out) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("repro check: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if cli.cmd == "report" || cli.cmd == "timeline" || cli.cmd == "tails" {
-        // The trace may arrive as `--trace <path>` or a positional.
-        let path = cli
-            .trace
-            .as_deref()
-            .or(cli.rest.first().map(String::as_str));
-        let Some(path) = path else {
-            eprintln!(
-                "repro {0}: no trace given (repro {0} <trace.json>)",
-                cli.cmd
-            );
-            return ExitCode::FAILURE;
-        };
-        let result = match cli.cmd.as_str() {
-            "timeline" => timeline(path, cli.window, cli.experiment.as_deref()),
-            "tails" => tails(path, cli.top, cli.experiment.as_deref()),
-            _ => report(path, cli.format, cli.experiment.as_deref()),
-        };
-        return match result {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("repro {}: {e}", cli.cmd);
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if cli.cmd == "diff" {
-        return match diff_snapshots(&cli.rest[0], &cli.rest[1], cli.threshold_pct) {
-            Ok(report) => {
-                print!("{}", report.render(cli.threshold_pct));
-                if report.regressions() > 0 {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
+    // Every verb yields text for stdout and an exit code, or an error.
+    let experiment = cli.experiment.as_deref();
+    let outcome: Fallible<(String, ExitCode)> = match cli.cmd.as_str() {
+        "check" => {
+            let coverage = |cmd: &str| lookup(cmd).map_or(STANDARD, |v| v.coverage);
+            snapshot::check(cli.trace.as_deref(), &cli.out, coverage)
+                .map(|report| (report, ExitCode::SUCCESS))
+                .map_err(Into::into)
+        }
+        tool @ ("report" | "timeline" | "tails") => {
+            // The trace may arrive as `--trace <path>` or a positional.
+            match cli.trace.as_ref().or(cli.rest.first()) {
+                None => Err(format!("no trace given (repro {tool} <trace.json>)").into()),
+                Some(path) => match tool {
+                    "timeline" => timeline(path, cli.window, experiment),
+                    "tails" => tails(path, cli.top, experiment),
+                    _ => report(path, cli.format, experiment),
                 }
+                .map(|text| (text, ExitCode::SUCCESS)),
             }
-            Err(e) => {
-                eprintln!("repro diff: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if cli.trace.is_some() {
-        sat_obs::install(sat_obs::env_ring_capacity());
-    }
-
-    let mut records = Vec::new();
-    let started = Instant::now();
-    match run(&cli.cmd, cli.scale, cli.mem_frames, &mut records) {
-        Ok(output) => {
-            let recording = if cli.trace.is_some() {
-                sat_obs::uninstall()
-            } else {
-                None
+        }
+        "diff" => (|| {
+            let old = snapshot::Snapshot::load(&cli.rest[0])?;
+            let new = snapshot::Snapshot::load(&cli.rest[1])?;
+            let report = snapshot::diff(&old, &new, cli.threshold_pct);
+            let gate = match report.regressions() {
+                0 => ExitCode::SUCCESS,
+                _ => ExitCode::FAILURE,
             };
-            print!("{output}");
-            if let (Some(path), Some(rec)) = (&cli.trace, &recording) {
-                if let Err(e) = std::fs::write(path, sat_obs::chrome_trace_json(rec)) {
-                    eprintln!("repro: could not write trace {path}: {e}");
-                }
-            }
-            let json = render_json(
-                &cli.cmd,
-                cli.scale,
-                &records,
-                started.elapsed().as_secs_f64() * 1e3,
-                recording.as_ref(),
-            );
-            if let Err(e) = std::fs::write(&cli.out, json) {
-                eprintln!("repro: could not write {}: {e}", cli.out);
-            }
-            ExitCode::SUCCESS
+            Ok((report.render(cli.threshold_pct), gate))
+        })(),
+        _ => run_and_record(&cli).map(|text| (text, ExitCode::SUCCESS)),
+    };
+    match outcome {
+        Ok((text, code)) => {
+            print!("{text}");
+            code
         }
         Err(e) => {
             eprintln!("repro {}: {e}", cli.cmd);
@@ -402,265 +300,397 @@ fn main() -> ExitCode {
     }
 }
 
-type Fallible = Result<String, Box<dyn std::error::Error>>;
+/// Runs the experiment verb `cli.cmd` (under the recorder with
+/// `--trace`), writes the trace and the snapshot, and returns the
+/// rendered tables.
+fn run_and_record(cli: &Cli) -> Fallible {
+    if cli.trace.is_some() {
+        sat_obs::install(sat_obs::env_ring_capacity());
+    }
+    let mut records = Vec::new();
+    let started = Instant::now();
+    let output = run(&cli.cmd, cli.scale, cli.mem_frames, &mut records)?;
+    let recording = cli.trace.as_ref().and_then(|_| sat_obs::uninstall());
+    if let (Some(path), Some(rec)) = (&cli.trace, &recording) {
+        if let Err(e) = std::fs::write(path, sat_obs::chrome_trace_json(rec)) {
+            eprintln!("repro: could not write trace {path}: {e}");
+        }
+    }
+    let json = render_json(
+        &cli.cmd,
+        cli.scale,
+        &records,
+        started.elapsed().as_secs_f64() * 1e3,
+        recording.as_ref(),
+    );
+    if let Err(e) = std::fs::write(&cli.out, json) {
+        eprintln!("repro: could not write {}: {e}", cli.out);
+    }
+    Ok(output)
+}
 
-/// Runs `body`, appending a timing record on success. With a recorder
-/// installed, the record also carries the observability counters the
-/// experiment moved (snapshot delta), so the snapshot attributes event
-/// volume per experiment.
-fn timed(
+type Fallible<T = String> = Result<T, Box<dyn std::error::Error>>;
+
+/// Runs `body` as one timed experiment, appending its record on
+/// success. `body` returns the rendered text plus whatever the caller
+/// wants back, and may add params and metrics of its own to the
+/// record. With a recorder installed, the record also carries the
+/// observability counters the experiment moved (snapshot delta), so
+/// the snapshot attributes event volume per experiment.
+fn timed<T>(
     records: &mut Vec<Record>,
     name: &str,
     cells: usize,
-    body: impl FnOnce() -> Fallible,
-) -> Fallible {
+    body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
+) -> Fallible<(String, T)> {
+    let mut rec = Record {
+        name: name.to_string(),
+        cells,
+        params: BTreeMap::new(),
+        metrics: BTreeMap::new(),
+        events: BTreeMap::new(),
+    };
     let before = sat_obs::counters_snapshot().unwrap_or_default();
     // Bracket the experiment with an `exp.<name>` span (machine-level:
     // pid 0) so `repro report/timeline --experiment <name>` can slice
     // the trace, and open a fresh gauge window so the snapshot carries
-    // this experiment's own high-water marks.
-    if sat_obs::enabled() {
-        sat_obs::begin_gauge_window();
-        sat_obs::emit(
-            sat_obs::Subsystem::Bench,
-            0,
-            0,
-            sat_obs::Payload::SpanBegin {
-                name: format!("exp.{name}"),
-            },
-        );
-    }
+    // this experiment's own high-water marks (all no-ops untraced).
+    let span = format!("exp.{name}");
+    let bracket = |payload| sat_obs::emit(sat_obs::Subsystem::Bench, 0, 0, payload);
+    sat_obs::begin_gauge_window();
+    bracket(sat_obs::Payload::SpanBegin { name: span.clone() });
     let t = Instant::now();
-    let out = body()?;
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    if sat_obs::enabled() {
-        sat_obs::emit(
-            sat_obs::Subsystem::Bench,
-            0,
-            0,
-            sat_obs::Payload::SpanEnd {
-                name: format!("exp.{name}"),
-                value: t.elapsed().as_micros() as u64,
-                unit: sat_obs::SpanUnit::Micros,
-            },
-        );
+    let out = body(&mut rec)?;
+    // Millisecond wall with microsecond resolution, as it is printed.
+    let wall_ms = t.elapsed().as_micros() as f64 / 1e3;
+    bracket(sat_obs::Payload::SpanEnd {
+        name: span,
+        value: t.elapsed().as_micros() as u64,
+        unit: sat_obs::SpanUnit::Micros,
+    });
+    rec.metrics.insert("wall_ms".to_string(), wall_ms);
+    for (gauge, high_water) in sat_obs::window_gauge_high_waters().unwrap_or_default() {
+        rec.metrics
+            .insert(format!("gauge.{gauge}"), high_water as f64);
     }
-    let gauges = sat_obs::window_gauge_high_waters().unwrap_or_default();
-    let mut events = std::collections::BTreeMap::new();
     if let Some(after) = sat_obs::counters_snapshot() {
         for (key, v) in after {
             let delta = v - before.get(&key).copied().unwrap_or(0);
             if delta > 0 {
-                events.insert(key, delta);
+                rec.events.insert(key, delta);
             }
         }
     }
-    records.push(Record {
-        name: name.to_string(),
-        wall_ms,
-        cells,
-        events,
-        gauges,
-        latency: None,
-        mem_frames: None,
-        reclaim: None,
-        translation: None,
-    });
+    records.push(rec);
     Ok(out)
 }
 
-/// Worker-pool cells of each sweep (1 for serial experiments).
-fn launch_cells() -> usize {
-    launchbench::launch_configs().len()
+/// A grid verb's run: the records its table row names, timed one by
+/// one in run order.
+struct Cells<'a> {
+    scale: Scale,
+    /// `--mem-frames` (`serve` only).
+    mem_frames: Option<u64>,
+    /// Worker-pool cells per record (the verb's `cells` column).
+    fanout: usize,
+    names: std::vec::IntoIter<String>,
+    records: &'a mut Vec<Record>,
 }
 
-fn steady_cells() -> usize {
-    4 // suite configurations
+impl Cells<'_> {
+    /// Runs `body` as the grid's next timed record.
+    fn timed<T>(
+        &mut self,
+        body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
+    ) -> Fallible<(String, T)> {
+        let name = self.names.next();
+        let name = name.ok_or("the grid runs more cells than its verb row names")?;
+        timed(self.records, &name, self.fanout, body)
+    }
+}
+
+/// How a verb produces its snapshot records.
+enum Runner {
+    /// One timed record named after the verb.
+    Single(fn(Scale) -> SatResult<String>),
+    /// One timed record per grid cell (static names, so `repro diff`
+    /// gates each kernel / fleet size / budget on its own): the names
+    /// in run order, and the runner that times each cell and renders
+    /// the combined tables.
+    Grid {
+        records: fn(Scale) -> Vec<String>,
+        run: fn(&mut Cells) -> Fallible,
+    },
+}
+use Runner::{Grid, Single};
+
+/// One experiment: a row of [`VERBS`].
+struct Verb {
+    /// The verb, and the record name of a [`Runner::Single`].
+    name: &'static str,
+    runner: Runner,
+    /// Figures that come out of the same sweep.
+    aliases: &'static [&'static str],
+    /// Whether `repro all` runs it.
+    in_all: bool,
+    /// Worker-pool cells of each record's sweep (1 = serial).
+    cells: fn(Scale) -> usize,
+    /// Subsystems a traced run of the verb must cover for `repro check`
+    /// (the acceptance floor; `sim` and `bench` ride along).
+    coverage: &'static [&'static str],
+}
+
+/// Coverage floor of `all` and of every verb that walks the app-launch
+/// sequence.
+const STANDARD: &[&str] = &["kernel", "share", "vm-fault", "tlb", "android"];
+
+/// A serial verb that `all` runs, under the standard coverage floor;
+/// the other rows override columns with `Verb { .., ..verb(..) }`.
+const fn verb(name: &'static str, runner: Runner) -> Verb {
+    Verb {
+        name,
+        runner,
+        aliases: &[],
+        in_all: true,
+        cells: |_| 1,
+        coverage: STANDARD,
+    }
 }
 
 fn scalability_cells(scale: Scale) -> usize {
     2 * extensions::scalability_counts(scale).len()
 }
 
-fn timeshare_cells(scale: Scale) -> usize {
-    3 * timesharebench::timeshare_counts(scale).len()
+/// Every experiment, in paper order (the order `all` runs them).
+static VERBS: [Verb; 22] = [
+    // Motivation study (Section 2.3).
+    verb("table1", Single(|_| Ok(motivation::table1()))),
+    verb("fig2", Single(|_| Ok(motivation::fig2()))),
+    verb("fig3", Single(|_| Ok(motivation::fig3()))),
+    verb("table2", Single(|_| Ok(motivation::table2()))),
+    verb("fig4", Single(|_| Ok(motivation::fig4()))),
+    // Zygote fork (Section 4.2.1) and its soft-fault latency anchor.
+    verb("latfault", Single(zygotebench::latfault)),
+    verb("table3", Single(zygotebench::table3)),
+    verb("table4", Single(zygotebench::table4)),
+    // Figures 7-9 come from one launch sweep (Section 4.2.2).
+    Verb {
+        aliases: &["fig7", "fig8", "fig9"],
+        cells: |_| launchbench::launch_configs().len(),
+        ..verb("launch", Single(launchbench::launch_experiment))
+    },
+    // Figures 10-12 come from one steady-state sweep (Section 4.2.3)
+    // over the four suite configurations.
+    Verb {
+        aliases: &["fig10", "fig11", "fig12", "ptecopies"],
+        cells: |_| 4,
+        ..verb("steady", Single(steadybench::steady_experiment))
+    },
+    verb("fig13", Single(ipcbench::fig13)),
+    verb("ablations", Single(ablation::all)),
+    // The extension studies, one at a time and (in `all`) together.
+    Verb {
+        in_all: false,
+        cells: scalability_cells,
+        ..verb("scalability", Single(extensions::scalability))
+    },
+    Verb {
+        in_all: false,
+        ..verb("grouped", Single(extensions::grouped_layout))
+    },
+    Verb {
+        in_all: false,
+        ..verb("pollution", Single(extensions::pte_pollution))
+    },
+    Verb {
+        in_all: false,
+        ..verb("smaps", Single(extensions::memory_accounting))
+    },
+    Verb {
+        cells: |s| scalability_cells(s) + 3,
+        ..verb("extensions", Single(extensions::all))
+    },
+    // The reach grid drives demand faults, the promotion scanner, fork
+    // sharing and size-tagged flushes, but never the app-launch
+    // sequence: no `android` or `sched` events.
+    Verb {
+        coverage: &["kernel", "share", "vm-fault", "tlb"],
+        ..verb(
+            "reach",
+            Grid {
+                records: |_| reachbench::reach_kernels().map(|k| k.0.to_string()).into(),
+                run: run_reach,
+            },
+        )
+    },
+    Verb {
+        cells: |s| 3 * timesharebench::timeshare_counts(s).len(),
+        ..verb("timeshare", Single(timesharebench::timeshare))
+    },
+    // The fleet (stock and shared cells per N) drives fork/timeshare/
+    // reap through the scheduler and never walks the app-launch
+    // sequence: no `android` events.
+    Verb {
+        cells: |_| 2,
+        coverage: &["kernel", "share", "tlb", "sched", "bench"],
+        ..verb(
+            "fleet",
+            Grid {
+                records: fleetbench::record_names,
+                run: run_fleet_grid,
+            },
+        )
+    },
+    // Request flows arrive through the scheduler (`sched`), every
+    // charge site is machine-level (`sim`), and the servers boot from
+    // the zygote (`android`, `kernel`, `share`, `tlb`).
+    Verb {
+        cells: |s| servebench::serve_counts(s).len(),
+        coverage: &["kernel", "share", "tlb", "sched", "sim", "android"],
+        ..verb(
+            "serve",
+            Grid {
+                records: |_| servebench::serve_kernels().map(|k| k.0.to_string()).into(),
+                run: run_serve_pair,
+            },
+        )
+    },
+    Verb {
+        in_all: false,
+        ..verb(
+            "pressure",
+            Grid {
+                records: |_| pressurebench::record_names(),
+                run: run_pressure_grid,
+            },
+        )
+    },
+];
+
+/// The table row for `cmd`, by name or figure alias.
+fn lookup(cmd: &str) -> Option<&'static Verb> {
+    VERBS
+        .iter()
+        .find(|v| v.name == cmd || v.aliases.contains(&cmd))
 }
 
-/// Runs both serve kernels as separate timed records (static names:
-/// `repro diff` gates each kernel's p99 tail on its own), then the
-/// cross-kernel summary line. A budgeted run (`--mem-frames N`) gets
-/// `_mem`-suffixed record names so diffing against an uncapped
-/// baseline never pits capped tails against uncapped ones.
-fn run_serve_pair(records: &mut Vec<Record>, scale: Scale, mem_frames: Option<u64>) -> Fallible {
+impl Verb {
+    /// Snapshot record names of an unbudgeted run, in run order. The
+    /// table is their one source: `repro diff` keys on them, and the
+    /// grid runners are handed them, never spell them.
+    fn records(&self, scale: Scale) -> Vec<String> {
+        match self.runner {
+            Single(_) => vec![self.name.to_string()],
+            Grid { records, .. } => records(scale),
+        }
+    }
+
+    /// Runs the verb, appending its records.
+    fn run(&self, records: &mut Vec<Record>, scale: Scale, mem_frames: Option<u64>) -> Fallible {
+        let fanout = (self.cells)(scale);
+        match self.runner {
+            Single(body) => Ok(timed(records, self.name, fanout, |_| Ok((body(scale)?, ())))?.0),
+            Grid { run, .. } => {
+                // Budgeted runs get `_mem`-suffixed record names, so
+                // diffing against an uncapped baseline never pits
+                // capped tails against uncapped ones.
+                let suffix = mem_frames.map_or("", |_| "_mem");
+                let names = self.records(scale).into_iter().map(|n| n + suffix);
+                run(&mut Cells {
+                    scale,
+                    mem_frames,
+                    fanout,
+                    names: names.collect::<Vec<_>>().into_iter(),
+                    records,
+                })
+            }
+        }
+    }
+}
+
+/// Runs both serve kernels as separate timed records, then the
+/// cross-kernel summary line.
+fn run_serve_pair(cells: &mut Cells) -> Fallible {
+    let (scale, budget) = (cells.scale, cells.mem_frames);
     let mut s = String::new();
     let mut reports = Vec::new();
-    for (name, label, config) in servebench::serve_kernels() {
-        let record = match mem_frames {
-            Some(_) => format!("{name}_mem"),
-            None => name.to_string(),
-        };
-        let cells = servebench::serve_counts(scale).len();
-        let mut rep = None;
-        s.push_str(&timed(records, &record, cells, || {
-            let (text, r) = servebench::serve_kernel(scale, label, config, mem_frames)?;
-            rep = Some(r);
-            Ok(text)
-        })?);
-        let r = rep.expect("serve_kernel returns a report on success");
-        let rec = records.last_mut().expect("timed pushed a record");
-        rec.latency = Some((r.p50, r.p95, r.p99));
-        if mem_frames.is_some() {
-            rec.mem_frames = mem_frames;
-            rec.reclaim = Some(ReclaimTotals::of(&r));
-        }
-        reports.push(r);
+    for (_, label, config) in servebench::serve_kernels() {
+        let (text, report) = cells.timed(|rec| {
+            let (text, r) = servebench::serve_kernel(scale, label, config, budget)?;
+            rec.params.extend(budget.map(|n| ("mem_frames", n)));
+            rec.add_metrics(servebench::snapshot_metrics(&r, budget.is_some()));
+            Ok((text, r))
+        })?;
+        s.push_str(&text);
+        reports.push(report);
     }
     s.push_str(&servebench::serve_summary(scale, &reports[0], &reports[1]));
     Ok(s)
 }
 
-/// Runs the sharing-under-pressure grid: one timed record per cell
-/// (static names from `pressurebench::record_names`), each carrying
-/// latency percentiles and — for the finite-budget cells — the frame
-/// budget and reclaim totals `repro diff` gates.
-fn run_pressure_grid(records: &mut Vec<Record>, scale: Scale) -> Fallible {
-    let (text, _) = pressurebench::grid(scale, |name, opts, config| {
+/// Runs the sharing-under-pressure grid: one timed record per cell,
+/// each carrying latency percentiles and — for the finite-budget
+/// cells — the frame budget and reclaim totals.
+fn run_pressure_grid(cells: &mut Cells) -> Fallible {
+    let (text, _) = pressurebench::grid(cells.scale, |_, opts, config| {
         let budget = opts.mem_frames;
-        let mut rep = None;
-        timed(records, name, 1, || {
+        let (_, report) = cells.timed(|rec| {
             let r = sat_sched::run_serve(config, opts)?;
-            rep = Some(r);
-            Ok(String::new())
+            rec.params.extend(budget.map(|n| ("mem_frames", n)));
+            rec.add_metrics(servebench::snapshot_metrics(&r, budget.is_some()));
+            Ok((String::new(), r))
         })?;
-        let r = rep.expect("run_serve returns a report on success");
-        let rec = records.last_mut().expect("timed pushed a record");
-        rec.latency = Some((r.p50, r.p95, r.p99));
-        if budget.is_some() {
-            rec.mem_frames = budget;
-            rec.reclaim = Some(ReclaimTotals::of(&r));
-        }
-        Ok::<_, Box<dyn std::error::Error>>(r)
+        Ok::<_, Box<dyn std::error::Error>>(report)
     })?;
     Ok(text)
 }
 
 /// Runs the three translation-reach strategies as separate timed
-/// records (static names: `repro diff` gates each strategy's
-/// promotion/demotion totals on its own), then the combined table.
-fn run_reach(records: &mut Vec<Record>, scale: Scale) -> Fallible {
-    let mut cells = Vec::new();
-    for (name, label, config) in reachbench::reach_kernels() {
-        let mut cell = None;
-        timed(records, name, 1, || {
-            cell = Some(reachbench::reach_cell(name, label, config, scale)?);
-            Ok(String::new())
+/// records, then the combined table.
+fn run_reach(cells: &mut Cells) -> Fallible {
+    let scale = cells.scale;
+    let mut grid = Vec::new();
+    for (_, label, config) in reachbench::reach_kernels() {
+        let (_, cell) = cells.timed(|rec| {
+            let cell = reachbench::reach_cell(label, config, scale)?;
+            rec.add_metrics(cell.metrics());
+            Ok((String::new(), cell))
         })?;
-        let c = cell.expect("reach_cell returns a cell on success");
-        let rec = records.last_mut().expect("timed pushed a record");
-        rec.translation = Some(c.translation);
-        cells.push(c);
+        grid.push(cell);
     }
-    Ok(reachbench::reach_render(scale, &cells))
+    Ok(reachbench::reach_render(scale, &grid))
 }
 
-/// Runs every fleet size of the scale's grid, one timed record per N
-/// (static names: `repro diff` gates each fleet size on its own).
-fn run_fleet_grid(records: &mut Vec<Record>, scale: Scale) -> Fallible {
+/// Runs every fleet size of the scale's grid, one timed record per N.
+fn run_fleet_grid(cells: &mut Cells) -> Fallible {
     let mut s = String::new();
-    for &(apps, cores) in fleetbench::fleet_counts(scale) {
-        s.push_str(&timed(records, fleetbench::record_name(apps), 2, || {
-            Ok(fleetbench::fleet_n(apps, cores)?)
-        })?);
+    for &(apps, cores) in fleetbench::fleet_counts(cells.scale) {
+        s.push_str(
+            &cells
+                .timed(|_| Ok((fleetbench::fleet_n(apps, cores)?, ())))?
+                .0,
+        );
     }
     Ok(s)
 }
 
 fn run(cmd: &str, scale: Scale, mem_frames: Option<u64>, records: &mut Vec<Record>) -> Fallible {
-    let r = records;
-    let out = match cmd {
-        "table1" => timed(r, "table1", 1, || Ok(motivation::table1()))?,
-        "fig2" => timed(r, "fig2", 1, || Ok(motivation::fig2()))?,
-        "fig3" => timed(r, "fig3", 1, || Ok(motivation::fig3()))?,
-        "table2" => timed(r, "table2", 1, || Ok(motivation::table2()))?,
-        "fig4" => timed(r, "fig4", 1, || Ok(motivation::fig4()))?,
-        "latfault" => timed(r, "latfault", 1, || Ok(zygotebench::latfault(scale)?))?,
-        "table3" => timed(r, "table3", 1, || Ok(zygotebench::table3(scale)?))?,
-        "table4" => timed(r, "table4", 1, || Ok(zygotebench::table4(scale)?))?,
-        // Figures 7-9 come from one launch sweep.
-        "fig7" | "fig8" | "fig9" | "launch" => timed(r, "launch", launch_cells(), || {
-            Ok(launchbench::launch_experiment(scale)?)
-        })?,
-        // Figures 10-12 come from one steady-state sweep.
-        "fig10" | "fig11" | "fig12" | "ptecopies" | "steady" => {
-            timed(r, "steady", steady_cells(), || {
-                Ok(steadybench::steady_experiment(scale)?)
-            })?
+    if cmd == "all" {
+        let mut s = format!(
+            "# Shared Address Translation Revisited — experiment suite ({scale:?} scale)\n\n"
+        );
+        for verb in VERBS.iter().filter(|v| v.in_all) {
+            s.push_str(&verb.run(records, scale, None)?);
         }
-        "fig13" => timed(r, "fig13", 1, || Ok(ipcbench::fig13(scale)?))?,
-        "ablations" => timed(r, "ablations", 1, || Ok(ablation::all(scale)?))?,
-        "scalability" => timed(r, "scalability", scalability_cells(scale), || {
-            Ok(extensions::scalability(scale)?)
-        })?,
-        "grouped" => timed(r, "grouped", 1, || Ok(extensions::grouped_layout(scale)?))?,
-        "pollution" => timed(r, "pollution", 1, || Ok(extensions::pte_pollution(scale)?))?,
-        "smaps" => timed(r, "smaps", 1, || Ok(extensions::memory_accounting(scale)?))?,
-        "extensions" => timed(r, "extensions", scalability_cells(scale) + 3, || {
-            Ok(extensions::all(scale)?)
-        })?,
-        "reach" => run_reach(r, scale)?,
-        "timeshare" => timed(r, "timeshare", timeshare_cells(scale), || {
-            Ok(timesharebench::timeshare(scale)?)
-        })?,
-        "fleet" => run_fleet_grid(r, scale)?,
-        "serve" => run_serve_pair(r, scale, mem_frames)?,
-        "pressure" => run_pressure_grid(r, scale)?,
-        "all" => {
-            let mut s = String::new();
-            s.push_str(&format!(
-                "# Shared Address Translation Revisited — experiment suite ({scale:?} scale)\n\n"
-            ));
-            s.push_str(&timed(r, "table1", 1, || Ok(motivation::table1()))?);
-            s.push_str(&timed(r, "fig2", 1, || Ok(motivation::fig2()))?);
-            s.push_str(&timed(r, "fig3", 1, || Ok(motivation::fig3()))?);
-            s.push_str(&timed(r, "table2", 1, || Ok(motivation::table2()))?);
-            s.push_str(&timed(r, "fig4", 1, || Ok(motivation::fig4()))?);
-            s.push_str(&timed(r, "latfault", 1, || {
-                Ok(zygotebench::latfault(scale)?)
-            })?);
-            s.push_str(&timed(r, "table3", 1, || Ok(zygotebench::table3(scale)?))?);
-            s.push_str(&timed(r, "table4", 1, || Ok(zygotebench::table4(scale)?))?);
-            s.push_str(&timed(r, "launch", launch_cells(), || {
-                Ok(launchbench::launch_experiment(scale)?)
-            })?);
-            s.push_str(&timed(r, "steady", steady_cells(), || {
-                Ok(steadybench::steady_experiment(scale)?)
-            })?);
-            s.push_str(&timed(r, "fig13", 1, || Ok(ipcbench::fig13(scale)?))?);
-            s.push_str(&timed(r, "ablations", 1, || Ok(ablation::all(scale)?))?);
-            s.push_str(&timed(
-                r,
-                "extensions",
-                scalability_cells(scale) + 3,
-                || Ok(extensions::all(scale)?),
-            )?);
-            s.push_str(&run_reach(r, scale)?);
-            s.push_str(&timed(r, "timeshare", timeshare_cells(scale), || {
-                Ok(timesharebench::timeshare(scale)?)
-            })?);
-            s.push_str(&run_fleet_grid(r, scale)?);
-            s.push_str(&run_serve_pair(r, scale, None)?);
-            s
+        return Ok(s);
+    }
+    match lookup(cmd) {
+        Some(verb) => verb.run(records, scale, mem_frames),
+        None => {
+            let verbs: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+            Err(format!("unknown experiment '{cmd}' (try: {} all)", verbs.join(" ")).into())
         }
-        other => {
-            return Err(format!(
-                "unknown experiment '{other}' (try: table1 fig2 fig3 table2 fig4 latfault \
-                 table3 table4 launch steady fig13 ablations scalability grouped \
-                 pollution smaps extensions reach timeshare fleet serve pressure all)"
-            )
-            .into())
-        }
-    };
-    Ok(out)
+    }
 }
 
 /// Hand-rolled JSON (the workspace vendors no serializer): flat,
@@ -672,83 +702,47 @@ fn render_json(
     total_ms: f64,
     recording: Option<&sat_obs::Recording>,
 ) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", snapshot::SCHEMA));
-    s.push_str(&format!("  \"command\": \"{cmd}\",\n"));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
+    // `{"k": v, ...}` — the one shape of every per-record map.
+    fn object<K: std::fmt::Display, V: std::fmt::Display>(
+        pairs: impl IntoIterator<Item = (K, V)>,
+    ) -> String {
+        let body: Vec<String> = pairs
+            .into_iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", body.join(", "))
+    }
+    let experiments: Vec<String> = records
+        .iter()
+        .map(|rec| {
+            format!(
+                "    {{\"name\": \"{}\", \"cells\": {}, \"params\": {}, \"metrics\": {}, \
+                 \"events\": {}}}",
+                rec.name,
+                rec.cells,
+                object(&rec.params),
+                object(&rec.metrics),
+                object(&rec.events),
+            )
+        })
+        .collect();
+    let empty = sat_obs::MetricsRegistry::default();
+    let obs = match recording {
+        Some(rec) => sat_obs::metrics_json(&rec.metrics, true, rec.dropped, "  "),
+        None => sat_obs::metrics_json(&empty, false, 0, "  "),
+    };
+    format!(
+        "{{\n  \"schema\": \"{}\",\n  \"command\": \"{cmd}\",\n  \"scale\": \"{}\",\n  \
+         \"threads\": {},\n  \"experiments\": [\n{}\n  ],\n  \"total_wall_ms\": {total_ms:.3},\n  \
+         \"obs\": {obs}\n}}\n",
+        snapshot::SCHEMA,
         match scale {
             Scale::Paper => "paper",
             Scale::Quick => "quick",
-        }
-    ));
-    s.push_str(&format!("  \"threads\": {},\n", pool::thread_count()));
-    s.push_str("  \"experiments\": [\n");
-    for (i, rec) in records.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"cells\": {}, ",
-            rec.name, rec.wall_ms, rec.cells,
-        ));
-        if let Some((p50, p95, p99)) = rec.latency {
-            s.push_str(&format!(
-                "\"latency\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}, "
-            ));
-        }
-        if let Some(frames) = rec.mem_frames {
-            s.push_str(&format!("\"mem_frames\": {frames}, "));
-        }
-        if let Some(rc) = &rec.reclaim {
-            s.push_str(&format!(
-                "\"reclaim\": {{\"passes\": {}, \"pages\": {}, \"pte_tears\": {}, \
-                 \"shared_tears\": {}, \"refaults\": {}}}, ",
-                rc.passes, rc.pages, rc.pte_tears, rc.shared_tears, rc.refaults
-            ));
-        }
-        if let Some(tr) = &rec.translation {
-            s.push_str(&format!(
-                "\"translation\": {{\"promotions\": {}, \"demotions\": {}, \
-                 \"splits\": {}, \"waste_frames\": {}}}, ",
-                tr.promotions, tr.demotions, tr.splits, tr.waste_frames
-            ));
-        }
-        s.push_str("\"events\": {");
-        for (j, (key, v)) in rec.events.iter().enumerate() {
-            s.push_str(&format!(
-                "\"{key}\": {v}{}",
-                if j + 1 < rec.events.len() { ", " } else { "" }
-            ));
-        }
-        s.push_str("}, \"gauges\": {");
-        for (j, (key, v)) in rec.gauges.iter().enumerate() {
-            s.push_str(&format!(
-                "\"{key}\": {v}{}",
-                if j + 1 < rec.gauges.len() { ", " } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "}}}}{}\n",
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"total_wall_ms\": {total_ms:.3},\n"));
-    s.push_str("  \"obs\": ");
-    match recording {
-        Some(rec) => s.push_str(&sat_obs::metrics_json(
-            &rec.metrics,
-            true,
-            rec.dropped,
-            "  ",
-        )),
-        None => {
-            let empty = sat_obs::MetricsRegistry::default();
-            s.push_str(&sat_obs::metrics_json(&empty, false, 0, "  "));
-        }
-    }
-    s.push('\n');
-    s.push_str("}\n");
-    s
+        },
+        pool::thread_count(),
+        experiments.join(",\n"),
+    )
 }
 
 /// Re-ingests a Chrome trace, optionally sliced to one experiment's
@@ -757,10 +751,7 @@ fn load_trace(
     trace_path: &str,
     experiment: Option<&str>,
 ) -> Result<(Vec<sat_obs::Event>, u64), Box<dyn std::error::Error>> {
-    let text =
-        std::fs::read_to_string(trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{trace_path}: {e}"))?;
-    let parsed = sat_obs::parse_chrome_trace(&doc).map_err(|e| format!("{trace_path}: {e}"))?;
+    let parsed = snapshot::read_trace(trace_path)?;
     match experiment {
         Some(name) => {
             let events = sat_obs::analyze::filter_experiment(&parsed.events, name)?;
@@ -844,17 +835,38 @@ fn tails(trace_path: &str, top: usize, experiment: Option<&str>) -> Fallible {
     Ok(out)
 }
 
-/// Loads and compares two snapshots (see `sat_bench::snapshot::diff`).
-fn diff_snapshots(
-    old_path: &str,
-    new_path: &str,
-    threshold_pct: f64,
-) -> Result<snapshot::DiffReport, Box<dyn std::error::Error>> {
-    let old_text =
-        std::fs::read_to_string(old_path).map_err(|e| format!("read {old_path}: {e}"))?;
-    let new_text =
-        std::fs::read_to_string(new_path).map_err(|e| format!("read {new_path}: {e}"))?;
-    let old = snapshot::Snapshot::parse(&old_text, old_path)?;
-    let new = snapshot::Snapshot::parse(&new_text, new_path)?;
-    Ok(snapshot::diff(&old, &new, threshold_pct))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verb_names_and_aliases_are_unique() {
+        let mut seen = std::collections::BTreeSet::new();
+        for verb in &VERBS {
+            for name in std::iter::once(&verb.name).chain(verb.aliases) {
+                assert!(seen.insert(*name), "verb '{name}' is in the table twice");
+            }
+        }
+        for tool in ["all", "check", "report", "timeline", "tails", "diff"] {
+            assert!(!seen.contains(tool), "'{tool}' is not an experiment");
+        }
+    }
+
+    #[test]
+    fn all_writes_exactly_the_baseline_experiments() {
+        let baseline = snapshot::Snapshot::parse(
+            include_str!("../../../../BENCH_baseline.json"),
+            "BENCH_baseline.json",
+        )
+        .unwrap();
+        assert_eq!(baseline.command(), "all");
+        let mut in_all: Vec<String> = VERBS
+            .iter()
+            .filter(|v| v.in_all)
+            .flat_map(|v| v.records(Scale::Quick))
+            .collect();
+        in_all.sort();
+        let recorded: Vec<String> = baseline.experiments.keys().cloned().collect();
+        assert_eq!(recorded, in_all);
+    }
 }

@@ -43,6 +43,13 @@ pub fn record_name(apps: usize) -> &'static str {
     }
 }
 
+/// The record names of the scale's whole grid, in run order.
+pub fn record_names(scale: Scale) -> Vec<String> {
+    let grid = fleet_counts(scale).iter();
+    grid.map(|&(apps, _)| record_name(apps).to_string())
+        .collect()
+}
+
 /// The two kernels under comparison. The ASID/no-ASID ablation adds
 /// nothing here — the fleet measures fork/teardown cost, not TLB
 /// reach — so the grid stays two cells per N.

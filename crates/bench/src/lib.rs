@@ -33,14 +33,3 @@ pub enum Scale {
     /// Scaled-down sizing for smoke tests and CI.
     Quick,
 }
-
-impl Scale {
-    /// Parses `--quick` style flags.
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
-        }
-    }
-}

@@ -23,8 +23,8 @@
 //! (fewer entries → fewer stalls) lands in the same row as its
 //! fragmentation cost. The promoted cell finishes by demoting: a
 //! partial munmap and a partial mprotect each split a large group
-//! back to 4KB PTEs, so the `translation` snapshot block carries
-//! nonzero demotions/splits and `repro check` can see the whole
+//! back to 4KB PTEs, so the record's `translation.*` snapshot metrics
+//! carry nonzero demotions/splits and `repro check` can see the whole
 //! promote/demote cycle ran.
 
 use sat_core::{Kernel, KernelConfig, NoTlb, PromotePolicy};
@@ -49,10 +49,18 @@ pub fn touched_pages(scale: Scale) -> u32 {
 /// Alternating two-process sweeps the stall measurement runs.
 const SWEEPS: usize = 4;
 
-/// What one cell's promotion/demotion machinery did — the snapshot's
-/// per-experiment `"translation"` block (schema v7).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TranslationTotals {
+/// One measured cell of the reach grid.
+#[derive(Clone, Debug)]
+pub struct ReachCell {
+    /// Table label.
+    pub label: &'static str,
+    /// Resident bytes of the image region in the zygote after the
+    /// working set settled (smaps, so large pages count per-frame).
+    pub image_rss_kb: u64,
+    /// Main-TLB entries the per-process working set needs.
+    pub tlb_entries: u64,
+    /// Instruction main-TLB stall cycles over the alternating sweeps.
+    pub stalls: u64,
     /// 64KB groups + 1MB sections the scanner collapsed.
     pub promotions: u64,
     /// Large mappings split back to 4KB (munmap/mprotect/COW/...).
@@ -64,23 +72,17 @@ pub struct TranslationTotals {
     pub waste_frames: u64,
 }
 
-/// One measured cell of the reach grid.
-#[derive(Clone, Debug)]
-pub struct ReachCell {
-    /// Snapshot record name (`reach_stock` / `reach_shared` /
-    /// `reach_promoted`).
-    pub record: &'static str,
-    /// Table label.
-    pub label: &'static str,
-    /// Resident bytes of the image region in the zygote after the
-    /// working set settled (smaps, so large pages count per-frame).
-    pub image_rss_kb: u64,
-    /// Main-TLB entries the per-process working set needs.
-    pub tlb_entries: u64,
-    /// Instruction main-TLB stall cycles over the alternating sweeps.
-    pub stalls: u64,
-    /// Promotion/demotion counters after the cell completed.
-    pub translation: TranslationTotals,
+impl ReachCell {
+    /// The cell's `translation.*` snapshot metrics (`repro diff` gates
+    /// each strategy's promotion machinery on its own).
+    pub fn metrics(&self) -> [(&'static str, u64); 4] {
+        [
+            ("translation.promotions", self.promotions),
+            ("translation.demotions", self.demotions),
+            ("translation.splits", self.splits),
+            ("translation.waste_frames", self.waste_frames),
+        ]
+    }
 }
 
 /// The three strategies: record name, label, kernel config. The
@@ -112,7 +114,6 @@ pub fn reach_kernels() -> [(&'static str, &'static str, KernelConfig); 3] {
 
 /// Runs one strategy end to end and measures it.
 pub fn reach_cell(
-    record: &'static str,
     label: &'static str,
     config: KernelConfig,
     scale: Scale,
@@ -211,7 +212,6 @@ pub fn reach_cell(
 
     let stats = &m.kernel.stats;
     Ok(ReachCell {
-        record,
         label,
         image_rss_kb,
         tlb_entries: if promoted {
@@ -220,12 +220,10 @@ pub fn reach_cell(
             u64::from(touched)
         },
         stalls,
-        translation: TranslationTotals {
-            promotions: stats.promotions + stats.section_promotions,
-            demotions: stats.demotions,
-            splits: stats.split_ptes,
-            waste_frames: stats.waste_frames,
-        },
+        promotions: stats.promotions + stats.section_promotions,
+        demotions: stats.demotions,
+        splits: stats.split_ptes,
+        waste_frames: stats.waste_frames,
     })
 }
 
@@ -248,10 +246,10 @@ pub fn reach_render(scale: Scale, cells: &[ReachCell]) -> String {
         t.row(vec![
             c.label.into(),
             count(c.image_rss_kb),
-            count(c.translation.waste_frames),
+            count(c.waste_frames),
             count(c.tlb_entries),
             count(c.stalls),
-            format!("{}/{}", c.translation.promotions, c.translation.demotions),
+            format!("{}/{}", c.promotions, c.demotions),
         ]);
     }
     let stock = &cells[0];
@@ -269,9 +267,8 @@ pub fn reach_render(scale: Scale, cells: &[ReachCell]) -> String {
         stock.tlb_entries / promoted.tlb_entries,
         pct(1.0 - promoted.stalls as f64 / stock.stalls as f64),
         waste_ratio,
-        count(promoted.translation.waste_frames),
-        pct(promoted.translation.waste_frames as f64
-            / (promoted.translation.waste_frames as f64 + f64::from(touched))),
+        count(promoted.waste_frames),
+        pct(promoted.waste_frames as f64 / (promoted.waste_frames as f64 + f64::from(touched))),
         count(u64::from(touched)),
         pct(1.0 - shared.stalls as f64 / stock.stalls as f64),
     ));
@@ -286,31 +283,28 @@ mod tests {
     fn promoted_cell_reaches_further_and_wastes_memory() {
         let cells: Vec<ReachCell> = reach_kernels()
             .into_iter()
-            .map(|(record, label, config)| reach_cell(record, label, config, Scale::Quick).unwrap())
+            .map(|(_, label, config)| reach_cell(label, config, Scale::Quick).unwrap())
             .collect();
         let (stock, shared, promoted) = (&cells[0], &cells[1], &cells[2]);
         // 4KB cells: resident = touched, no promotion machinery.
         assert_eq!(stock.image_rss_kb, 192 * 4);
-        assert_eq!(stock.translation.promotions, 0);
-        assert_eq!(stock.translation.waste_frames, 0);
+        assert_eq!(stock.promotions, 0);
+        assert_eq!(stock.waste_frames, 0);
         assert_eq!(shared.image_rss_kb, stock.image_rss_kb);
         // The promoted cell collapses every group in the zygote and
         // both apps, and each pays its own waste: the paper's >=2x
         // claim, measured (16/6 ~ 2.67x here, per process).
-        assert_eq!(promoted.translation.promotions, 3 * 512 / 16);
+        assert_eq!(promoted.promotions, 3 * 512 / 16);
         assert!(promoted.image_rss_kb >= 2 * stock.image_rss_kb);
-        assert_eq!(
-            promoted.translation.waste_frames,
-            3 * (promoted.image_rss_kb / 4 - 192)
-        );
+        assert_eq!(promoted.waste_frames, 3 * (promoted.image_rss_kb / 4 - 192));
         // Reach: one entry per group instead of one per touched page
         // (6x fewer at the Figure 4 density), fewer stalls than stock.
         assert_eq!(promoted.tlb_entries, 512 / 16);
         assert_eq!(stock.tlb_entries, 192);
         assert!(promoted.stalls < stock.stalls);
         // The demote tail ran: both partial ops split a group.
-        assert_eq!(promoted.translation.demotions, 2);
-        assert!(promoted.translation.splits > 0);
+        assert_eq!(promoted.demotions, 2);
+        assert!(promoted.splits > 0);
         let text = reach_render(Scale::Quick, &cells);
         assert!(text.contains("translation reach"));
         assert!(text.contains("paper Section 2.3.3"));
@@ -321,9 +315,7 @@ mod tests {
         let run = || {
             let cells: Vec<ReachCell> = reach_kernels()
                 .into_iter()
-                .map(|(record, label, config)| {
-                    reach_cell(record, label, config, Scale::Quick).unwrap()
-                })
+                .map(|(_, label, config)| reach_cell(label, config, Scale::Quick).unwrap())
                 .collect();
             reach_render(Scale::Quick, &cells)
         };

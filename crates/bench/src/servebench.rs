@@ -137,6 +137,27 @@ pub fn serve_kernel(
     Ok((t.render(), largest.expect("serve_counts is never empty")))
 }
 
+/// The snapshot metrics of one serve cell: request-latency percentiles
+/// in simulated cycles (deterministic, so `repro diff` gates the p99
+/// tail) and — under a frame budget — what reclaim did.
+pub fn snapshot_metrics(r: &ServeReport, budgeted: bool) -> Vec<(&'static str, u64)> {
+    let mut m = vec![
+        ("latency.p50", r.p50),
+        ("latency.p95", r.p95),
+        ("latency.p99", r.p99),
+    ];
+    if budgeted {
+        m.extend([
+            ("reclaim.passes", r.reclaims),
+            ("reclaim.pages", r.reclaimed_pages),
+            ("reclaim.pte_tears", r.reclaim_pte_tears),
+            ("reclaim.shared_tears", r.reclaim_shared_tears),
+            ("reclaim.refaults", r.refaults),
+        ]);
+    }
+    m
+}
+
 /// The cross-kernel closing line: how the tail moved, in cycles.
 pub fn serve_summary(scale: Scale, stock: &ServeReport, shared: &ServeReport) -> String {
     let largest = *serve_counts(scale).last().unwrap();

@@ -1,239 +1,178 @@
 //! The `BENCH_repro.json` snapshot: schema, validation (`repro
 //! check`), and metric-by-metric comparison (`repro diff`).
 //!
+//! A snapshot is a list of records, one per timed experiment, plus one
+//! run-wide record. Every record has the same shape: a `params` object
+//! (what the numbers were measured *under* — a frame budget, the
+//! command and scale) and one flat `metrics` map (what was measured —
+//! `wall_ms`, `latency.p99`, `reclaim.pages`,
+//! `translation.waste_frames`, `gauge.<name>`, `counter.<name>`, ...).
+//! Two records are comparable when their params are equal; comparable
+//! records are compared key by key, under the floors in [`RULES`]. A
+//! new metric family is one map insert where it is measured and, if it
+//! wants a noise floor, one [`RULES`] row — never a schema bump.
+//!
 //! `repro diff old.json new.json` is the perf-regression gate: the
 //! verify smoke compares a fresh `repro all --quick` snapshot against
-//! the committed `BENCH_baseline.json` and fails loudly when wall
-//! times or event-counter volumes move past the threshold. Counters
-//! are deterministic for a given command and scale, so *any*
-//! above-threshold counter growth means the simulator started doing
-//! more work — that is either a bug or an intentional change that
-//! must refresh the baseline.
+//! the committed `BENCH_baseline.json` and fails loudly when a metric
+//! grows past the threshold. Everything but `wall_ms` is deterministic
+//! for a given command and scale, so *any* above-threshold growth
+//! there means the simulator started doing more work — that is either
+//! a bug or an intentional change that must refresh the baseline.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use sat_obs::json::Json;
 
-/// The snapshot schema written (and required by `repro check`).
-///
-/// History: `repro-v1` carried command/scale/threads/experiments/
-/// total_wall_ms; `repro-v2` added per-experiment `"events"` counter
-/// deltas and the run-wide `"obs"` section; `repro-v3` added `"p50"`/
-/// `"p95"` summaries to every exported histogram; `repro-v4` added
-/// `"p99"`, per-experiment `"gauges"` high-water marks, and the
-/// run-wide `"gauges"` section; `repro-v5` added per-experiment
-/// `"latency"` request percentiles (serve cells) — in simulated
-/// cycles, deterministic, and gated by the diff like wall times;
-/// `repro-v6` added per-experiment `"mem_frames"` budgets and
-/// `"reclaim"` totals (passes/pages/pte_tears/shared_tears/refaults)
-/// for budgeted serve and pressure cells, gated like counters;
-/// `repro-v7` adds per-experiment `"translation"` totals (promotions/
-/// demotions/splits/waste_frames) for the reach cells, gated the same
-/// way.
-pub const SCHEMA: &str = "sat-bench/repro-v7";
+/// The one snapshot schema this build writes and reads. Only the
+/// committed baseline is ever read back, so there is no compatibility
+/// code: an older file is refreshed, not parsed.
+pub const SCHEMA: &str = "sat-bench/repro-v8";
 
-/// Schemas `repro diff` can compare (the diff reads only fields that
-/// exist since v2; gauge gating engages from v4, latency from v5,
-/// reclaim from v6, translation from v7).
-const DIFFABLE_SCHEMAS: [&str; 6] = [
-    "sat-bench/repro-v2",
-    "sat-bench/repro-v3",
-    "sat-bench/repro-v4",
-    "sat-bench/repro-v5",
-    "sat-bench/repro-v6",
-    "sat-bench/repro-v7",
+/// Label of the run-wide record in diff output (`total.wall_ms`,
+/// `total.counter.tlb.flush`).
+const RUN: &str = "total";
+
+/// The gate rules: a metric whose key starts with the prefix never
+/// gates while both snapshots are below the floor (first match wins;
+/// a metric no row matches gates at any magnitude).
+const RULES: [(&str, f64); 6] = [
+    // Scheduler noise dominates short cells: a 25% swing of 10ms
+    // means nothing.
+    ("wall_ms", 25.0),
+    // A handful of events swinging 25% is noise, not a signal.
+    ("counter.", 100.0),
+    // A tiny occupancy doubling is noise, a big one is a leak.
+    ("gauge.", 64.0),
+    // Simulated cycles: a sub-floor percentile moving is a few kernel
+    // lines, not a tail regression.
+    ("latency.", 10_000.0),
+    // A budgeted cell evicting a handful more pages is quantisation.
+    ("reclaim.", 50.0),
+    // Deliberately low: even the quick reach grid promotes ~96 groups,
+    // and a silent halving of promotions or doubling of waste is
+    // exactly what this family exists to catch.
+    ("translation.", 8.0),
 ];
 
-/// Subsystems `repro all --trace` must cover for the trace to count as
-/// healthy (the acceptance floor; `sim` and `bench` ride along).
-pub const REQUIRED_SUBSYSTEMS: [&str; 5] = ["kernel", "share", "vm-fault", "tlb", "android"];
-
-/// Coverage floor for a `repro fleet --trace` run: the fleet drives
-/// fork/timeshare/reap through the scheduler and never walks the
-/// app-launch sequence, so no `android` events are expected.
-pub const FLEET_REQUIRED_SUBSYSTEMS: [&str; 5] = ["kernel", "share", "tlb", "sched", "bench"];
-
-/// Coverage floor for a `repro serve --trace` run: request flows
-/// arrive through the scheduler (`sched`), every charge site is
-/// machine-level (`sim`), and the servers boot from the zygote
-/// (`android`, `kernel`, `share`, `tlb`).
-pub const SERVE_REQUIRED_SUBSYSTEMS: [&str; 6] =
-    ["kernel", "share", "tlb", "sched", "sim", "android"];
-
-/// Coverage floor for a `repro reach --trace` run: the reach grid
-/// drives demand faults, the promotion scanner, fork sharing, and
-/// size-tagged flushes — but never walks the app-launch sequence, so
-/// no `android` or `sched` events are expected.
-pub const REACH_REQUIRED_SUBSYSTEMS: [&str; 4] = ["kernel", "share", "vm-fault", "tlb"];
-
-/// Experiments whose wall time is too small to gate on: below this
-/// floor, scheduler noise dominates and a 25% swing means nothing.
-const WALL_FLOOR_MS: f64 = 25.0;
-
-/// Counters below this volume (in both snapshots) are ignored by the
-/// diff — a handful of events swinging 25% is noise, not a signal.
-const COUNTER_FLOOR: u64 = 100;
-
-/// Gauge high-water marks below this level (in both snapshots) never
-/// gate: a tiny occupancy doubling is noise, a big one is a leak.
-const GAUGE_FLOOR: u64 = 64;
-
-/// Latency percentiles below this many cycles (in both snapshots)
-/// never gate. Request walls are deterministic, but a sub-floor
-/// percentile swinging past the threshold is a few kernel lines, not
-/// a tail regression.
-const LATENCY_FLOOR_CYCLES: u64 = 10_000;
-
-/// Reclaim totals below this volume (in both snapshots) never gate:
-/// a budgeted cell evicting a handful more pages is quantisation, a
-/// big swing means the pressure the workload faces actually changed.
-const RECLAIM_FLOOR: u64 = 50;
-
-/// Translation totals below this volume (in both snapshots) never
-/// gate. The floor is deliberately low: even the quick reach grid
-/// promotes ~96 groups, and a silent halving of promotions or a
-/// doubling of waste is exactly the regression this block exists to
-/// catch.
-const TRANSLATION_FLOOR: u64 = 8;
-
-/// One parsed experiment record.
-#[derive(Clone, Debug, Default)]
-pub struct Experiment {
-    pub wall_ms: f64,
-    pub cells: u64,
-    /// Per-gauge high-water marks over the experiment's sampling
-    /// window (v4 traced runs; empty otherwise).
-    pub gauges: BTreeMap<String, u64>,
-    /// Request-latency percentiles `(p50, p95, p99)` in simulated
-    /// cycles (v5 serve cells; absent otherwise).
-    pub latency: Option<(u64, u64, u64)>,
-    /// Physical-frame budget the cell ran under (v6 budgeted serve /
-    /// pressure cells; absent otherwise).
-    pub mem_frames: Option<u64>,
-    /// Reclaim totals (v6 budgeted cells; empty otherwise):
-    /// passes, pages, pte_tears, shared_tears, refaults.
-    pub reclaim: BTreeMap<String, u64>,
-    /// Translation totals (v7 reach cells; empty otherwise):
-    /// promotions, demotions, splits, waste_frames.
-    pub translation: BTreeMap<String, u64>,
+fn floor_of(key: &str) -> f64 {
+    RULES
+        .iter()
+        .find(|(prefix, _)| key.starts_with(prefix))
+        .map_or(0.0, |&(_, floor)| floor)
 }
 
-/// The parts of a snapshot the diff compares.
+/// One parsed record: an experiment, or the run as a whole.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Record {
+    /// Worker-pool cells the experiment fanned out to (0 run-wide).
+    pub cells: u64,
+    /// What the metrics were measured under. Records with different
+    /// params are not comparable.
+    pub params: BTreeMap<String, String>,
+    pub metrics: BTreeMap<String, f64>,
+}
+
+/// A parsed snapshot.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    pub schema: String,
-    pub command: String,
-    pub scale: String,
-    pub experiments: BTreeMap<String, Experiment>,
-    pub total_wall_ms: f64,
-    pub obs_enabled: bool,
-    pub counters: BTreeMap<String, u64>,
+    pub experiments: BTreeMap<String, Record>,
+    /// The run-wide record: params `command`/`scale`/`traced`, metrics
+    /// `wall_ms` (the total) and one `counter.<name>` per event counter
+    /// of a traced run.
+    pub run: Record,
 }
 
 impl Snapshot {
-    /// Parses a snapshot document, validating the schema is diffable.
+    /// Reads and parses the snapshot file at `path`.
+    pub fn load(path: &str) -> Result<Snapshot, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+        Snapshot::parse(&text, path)
+    }
+
+    /// Parses a snapshot document of the current schema.
     pub fn parse(text: &str, label: &str) -> Result<Snapshot, String> {
         let doc = Json::parse(text).map_err(|e| format!("{label}: {e}"))?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{label}: missing \"schema\""))?;
-        if !DIFFABLE_SCHEMAS.contains(&schema) {
+        let field = |key: &str| {
+            doc.get(key)
+                .ok_or_else(|| format!("{label}: missing \"{key}\""))
+        };
+        let schema = field("schema")?.as_str().unwrap_or("?");
+        if schema != SCHEMA {
             return Err(format!(
-                "{label}: schema \"{schema}\" (expected one of {DIFFABLE_SCHEMAS:?})"
+                "{label}: schema \"{schema}\" (this build reads only \"{SCHEMA}\"; refresh the \
+                 file with: repro all --quick --trace <trace.json> --out {label})"
             ));
         }
+        // One loop reads every number there is: a record's metrics and
+        // the run's counters are the same kind of map.
+        let numbers = |map: Option<&Json>, prefix: &str| -> BTreeMap<String, f64> {
+            let mut out = BTreeMap::new();
+            for (key, v) in map.and_then(Json::as_object).into_iter().flatten() {
+                if let Some(n) = v.as_f64() {
+                    out.insert(format!("{prefix}{key}"), n);
+                }
+            }
+            out
+        };
+        let text_of = |v: &Json| match v {
+            Json::Str(s) => s.clone(),
+            Json::Num(n) => n.to_string(),
+            other => format!("{other:?}"),
+        };
         let mut experiments = BTreeMap::new();
-        for exp in doc
-            .get("experiments")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{label}: missing \"experiments\" array"))?
+        for exp in field("experiments")?
+            .as_array()
+            .ok_or_else(|| format!("{label}: \"experiments\" is not an array"))?
         {
             let name = exp
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("{label}: experiment without \"name\""))?;
-            let mut gauges = BTreeMap::new();
-            if let Some(map) = exp.get("gauges").and_then(Json::as_object) {
-                for (k, v) in map {
-                    if let Some(n) = v.as_u64() {
-                        gauges.insert(k.clone(), n);
-                    }
-                }
-            }
-            let latency = exp.get("latency").and_then(|l| {
-                Some((
-                    l.get("p50").and_then(Json::as_u64)?,
-                    l.get("p95").and_then(Json::as_u64)?,
-                    l.get("p99").and_then(Json::as_u64)?,
-                ))
-            });
-            let mut reclaim = BTreeMap::new();
-            if let Some(map) = exp.get("reclaim").and_then(Json::as_object) {
-                for (k, v) in map {
-                    if let Some(n) = v.as_u64() {
-                        reclaim.insert(k.clone(), n);
-                    }
-                }
-            }
-            let mut translation = BTreeMap::new();
-            if let Some(map) = exp.get("translation").and_then(Json::as_object) {
-                for (k, v) in map {
-                    if let Some(n) = v.as_u64() {
-                        translation.insert(k.clone(), n);
-                    }
-                }
-            }
+            let params = exp.get("params").and_then(Json::as_object);
             experiments.insert(
                 name.to_string(),
-                Experiment {
-                    wall_ms: exp.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+                Record {
                     cells: exp.get("cells").and_then(Json::as_u64).unwrap_or(0),
-                    gauges,
-                    latency,
-                    mem_frames: exp.get("mem_frames").and_then(Json::as_u64),
-                    reclaim,
-                    translation,
+                    params: params
+                        .into_iter()
+                        .flatten()
+                        .map(|(k, v)| (k.clone(), text_of(v)))
+                        .collect(),
+                    metrics: numbers(exp.get("metrics"), ""),
                 },
             );
         }
-        let obs = doc.get("obs");
-        let obs_enabled = obs
-            .and_then(|o| o.get("enabled"))
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        let mut counters = BTreeMap::new();
-        if let Some(map) = obs
-            .and_then(|o| o.get("counters"))
-            .and_then(Json::as_object)
-        {
-            for (k, v) in map {
-                if let Some(n) = v.as_u64() {
-                    counters.insert(k.clone(), n);
-                }
-            }
+        let obs = field("obs")?;
+        let traced = obs.get("enabled").and_then(Json::as_bool).unwrap_or(false);
+        let mut run = Record {
+            cells: 0,
+            params: BTreeMap::from([("traced".to_string(), traced.to_string())]),
+            metrics: numbers(obs.get("counters"), "counter."),
+        };
+        for key in ["command", "scale"] {
+            run.params.insert(key.to_string(), text_of(field(key)?));
         }
-        Ok(Snapshot {
-            schema: schema.to_string(),
-            command: doc
-                .get("command")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            scale: doc
-                .get("scale")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            experiments,
-            total_wall_ms: doc
-                .get("total_wall_ms")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            obs_enabled,
-            counters,
-        })
+        run.metrics.insert(
+            "wall_ms".to_string(),
+            field("total_wall_ms")?.as_f64().unwrap_or(0.0),
+        );
+        Ok(Snapshot { experiments, run })
+    }
+
+    fn param(&self, key: &str) -> &str {
+        self.run.params.get(key).map_or("?", String::as_str)
+    }
+
+    /// The `repro` verb that produced the snapshot.
+    pub fn command(&self) -> &str {
+        self.param("command")
+    }
+
+    /// Whether a recorder was installed for the run.
+    pub fn traced(&self) -> bool {
+        self.param("traced") == "true"
     }
 }
 
@@ -252,7 +191,7 @@ pub enum DiffClass {
 #[derive(Clone, Debug, Default)]
 pub struct DiffReport {
     pub lines: Vec<(DiffClass, String)>,
-    /// Metrics compared (regardless of outcome).
+    /// Records and metrics compared (regardless of outcome).
     pub compared: usize,
 }
 
@@ -297,291 +236,158 @@ fn pct_change(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Compares two snapshots metric by metric. A wall-time or counter
-/// increase beyond `threshold_pct` is a regression; decreases are
-/// reported as improvements; an experiment that vanished between runs
-/// of the *same* command is a regression (when the commands differ the
-/// experiment lists are expected to differ, so it is informational).
-/// Sub-floor metrics (see [`WALL_FLOOR_MS`], [`COUNTER_FLOOR`]) are
-/// compared but never gate.
+/// Compares two snapshots record by record, metric by metric.
+///
+/// An experiment that vanished between runs of the *same* command is a
+/// regression (when the commands differ the experiment lists are
+/// expected to differ, so it is informational). Records whose params
+/// differ — another frame budget, another command or scale, traced vs
+/// untraced — are noted and not compared. Within comparable records
+/// one rule covers every metric, `wall_ms` and the run-wide counters
+/// included: growth beyond `threshold_pct` is a regression, shrinkage
+/// an improvement, unless both sides sit below the family's floor in
+/// [`RULES`], where growth is only noted. A metric the new record lost
+/// is a note, never silent.
 pub fn diff(old: &Snapshot, new: &Snapshot, threshold_pct: f64) -> DiffReport {
     let mut report = DiffReport::default();
+    let mut emit = |class, line: String| report.lines.push((class, line));
 
-    if old.command != new.command || old.scale != new.scale {
-        report.lines.push((
-            DiffClass::Note,
-            format!(
-                "comparing different runs: {} ({}) vs {} ({})",
-                old.command, old.scale, new.command, new.scale
+    let mut pairs: Vec<(&str, &Record, &Record)> = Vec::new();
+    for (name, old_rec) in &old.experiments {
+        match new.experiments.get(name) {
+            Some(new_rec) => pairs.push((name, old_rec, new_rec)),
+            None if old.command() == new.command() => emit(
+                DiffClass::Regression,
+                format!("experiment \"{name}\" missing from the new snapshot"),
             ),
-        ));
-    }
-
-    for (name, old_exp) in &old.experiments {
-        report.compared += 1;
-        let Some(new_exp) = new.experiments.get(name) else {
-            if old.command == new.command {
-                report.lines.push((
-                    DiffClass::Regression,
-                    format!("experiment \"{name}\" missing from the new snapshot"),
-                ));
-            } else {
-                report.lines.push((
-                    DiffClass::Note,
-                    format!("experiment \"{name}\" not in the new snapshot (different command)"),
-                ));
-            }
-            continue;
-        };
-        let change = pct_change(old_exp.wall_ms, new_exp.wall_ms);
-        let line = format!(
-            "{name}.wall_ms: {:.1} -> {:.1} ({change:+.1}%)",
-            old_exp.wall_ms, new_exp.wall_ms
-        );
-        if change > threshold_pct {
-            if old_exp.wall_ms >= WALL_FLOOR_MS {
-                report.lines.push((DiffClass::Regression, line));
-            } else {
-                report.lines.push((
-                    DiffClass::Note,
-                    format!("{line} — below {WALL_FLOOR_MS}ms floor"),
-                ));
-            }
-        } else if change < -threshold_pct && old_exp.wall_ms >= WALL_FLOOR_MS {
-            report.lines.push((DiffClass::Improvement, line));
-        }
-        if old_exp.cells != new_exp.cells {
-            report.lines.push((
+            None => emit(
                 DiffClass::Note,
-                format!("{name}.cells: {} -> {}", old_exp.cells, new_exp.cells),
-            ));
-        }
-        // Gauge high-water marks gate peak occupancy the same way
-        // counters gate volume: above-threshold growth in peak frame /
-        // slab / registry population is a leak or a regression.
-        for (key, &old_hw) in &old_exp.gauges {
-            let Some(&new_hw) = new_exp.gauges.get(key) else {
-                continue;
-            };
-            report.compared += 1;
-            if old_hw.max(new_hw) < GAUGE_FLOOR {
-                continue;
-            }
-            let change = pct_change(old_hw as f64, new_hw as f64);
-            let line =
-                format!("{name}.gauge {key} high water: {old_hw} -> {new_hw} ({change:+.1}%)");
-            if change > threshold_pct {
-                report.lines.push((DiffClass::Regression, line));
-            } else if change < -threshold_pct {
-                report.lines.push((DiffClass::Improvement, line));
-            }
-        }
-        // Reclaim totals of budgeted cells are deterministic, so they
-        // gate like counters: above-threshold eviction growth under
-        // the *same* frame budget means reclaim got hungrier. A budget
-        // change makes old and new incomparable — note it instead.
-        if old_exp.mem_frames != new_exp.mem_frames {
-            if old_exp.mem_frames.is_some() || new_exp.mem_frames.is_some() {
-                report.lines.push((
-                    DiffClass::Note,
-                    format!(
-                        "{name}.mem_frames: {:?} -> {:?} (budget changed; reclaim not compared)",
-                        old_exp.mem_frames, new_exp.mem_frames
-                    ),
-                ));
-            }
-        } else {
-            for (key, &old_n) in &old_exp.reclaim {
-                let Some(&new_n) = new_exp.reclaim.get(key) else {
-                    continue;
-                };
-                report.compared += 1;
-                if old_n.max(new_n) < RECLAIM_FLOOR {
-                    continue;
-                }
-                let change = pct_change(old_n as f64, new_n as f64);
-                let line = format!("{name}.reclaim {key}: {old_n} -> {new_n} ({change:+.1}%)");
-                if change > threshold_pct {
-                    report.lines.push((DiffClass::Regression, line));
-                } else if change < -threshold_pct {
-                    report.lines.push((DiffClass::Improvement, line));
-                }
-            }
-        }
-        // Translation totals of the reach cells are deterministic, so
-        // they gate like counters: waste or splits growing past the
-        // threshold fails on its own, and any above-threshold movement
-        // (a promotion drop included) is surfaced. A scanner that
-        // never fires at all is `repro check`'s warning.
-        for (key, &old_n) in &old_exp.translation {
-            let Some(&new_n) = new_exp.translation.get(key) else {
-                continue;
-            };
-            report.compared += 1;
-            if old_n.max(new_n) < TRANSLATION_FLOOR {
-                continue;
-            }
-            let change = pct_change(old_n as f64, new_n as f64);
-            let line = format!("{name}.translation {key}: {old_n} -> {new_n} ({change:+.1}%)");
-            if change > threshold_pct {
-                report.lines.push((DiffClass::Regression, line));
-            } else if change < -threshold_pct {
-                report.lines.push((DiffClass::Improvement, line));
-            }
-        }
-        // Serve latency percentiles are deterministic simulated
-        // cycles: an above-threshold p99 (or p95/p50) growth means the
-        // critical path of the tail actually got longer.
-        if let (Some(old_lat), Some(new_lat)) = (old_exp.latency, new_exp.latency) {
-            let olds = [old_lat.0, old_lat.1, old_lat.2];
-            let news = [new_lat.0, new_lat.1, new_lat.2];
-            for (pname, (o, n)) in ["p50", "p95", "p99"].iter().zip(olds.into_iter().zip(news)) {
-                report.compared += 1;
-                if o.max(n) < LATENCY_FLOOR_CYCLES {
-                    continue;
-                }
-                let change = pct_change(o as f64, n as f64);
-                let line = format!("{name}.latency {pname}: {o} -> {n} cycles ({change:+.1}%)");
-                if change > threshold_pct {
-                    report.lines.push((DiffClass::Regression, line));
-                } else if change < -threshold_pct {
-                    report.lines.push((DiffClass::Improvement, line));
-                }
-            }
+                format!("experiment \"{name}\" not in the new snapshot (different command)"),
+            ),
         }
     }
     for name in new.experiments.keys() {
         if !old.experiments.contains_key(name) {
-            report.lines.push((
+            emit(
                 DiffClass::Note,
                 format!("new experiment \"{name}\" (not in the baseline)"),
-            ));
+            );
         }
     }
+    pairs.push((RUN, &old.run, &new.run));
 
-    report.compared += 1;
-    let total_change = pct_change(old.total_wall_ms, new.total_wall_ms);
-    let total_line = format!(
-        "total_wall_ms: {:.1} -> {:.1} ({total_change:+.1}%)",
-        old.total_wall_ms, new.total_wall_ms
-    );
-    if total_change > threshold_pct && old.total_wall_ms >= WALL_FLOOR_MS {
-        report.lines.push((DiffClass::Regression, total_line));
-    } else if total_change < -threshold_pct && old.total_wall_ms >= WALL_FLOOR_MS {
-        report.lines.push((DiffClass::Improvement, total_line));
-    }
-
-    // Event counters only compare when both runs recorded them (an
-    // untraced run has an empty, disabled registry).
-    if old.obs_enabled && new.obs_enabled {
-        for (key, &old_n) in &old.counters {
-            let new_n = new.counters.get(key).copied().unwrap_or(0);
-            report.compared += 1;
-            if old_n.max(new_n) < COUNTER_FLOOR {
-                continue;
-            }
-            let change = pct_change(old_n as f64, new_n as f64);
-            let line = format!("counter {key}: {old_n} -> {new_n} ({change:+.1}%)");
-            if change > threshold_pct {
-                report.lines.push((DiffClass::Regression, line));
-            } else if change < -threshold_pct {
-                report.lines.push((DiffClass::Improvement, line));
-            }
+    let mut compared = old.experiments.len();
+    for (name, old_rec, new_rec) in pairs {
+        if old_rec.cells != new_rec.cells {
+            emit(
+                DiffClass::Note,
+                format!("{name}.cells: {} -> {}", old_rec.cells, new_rec.cells),
+            );
         }
-        for (key, &new_n) in &new.counters {
-            if !old.counters.contains_key(key) && new_n >= COUNTER_FLOOR {
-                report.lines.push((
+        if old_rec.params != new_rec.params {
+            emit(
+                DiffClass::Note,
+                format!(
+                    "{name}.params: {:?} -> {:?} (params changed; metrics not compared)",
+                    old_rec.params, new_rec.params
+                ),
+            );
+            continue;
+        }
+        for (key, &old_v) in &old_rec.metrics {
+            let Some(&new_v) = new_rec.metrics.get(key) else {
+                emit(
                     DiffClass::Note,
-                    format!("new counter {key}: {new_n} (not in the baseline)"),
-                ));
+                    format!("{name}.{key}: {old_v} -> missing from the new snapshot"),
+                );
+                continue;
+            };
+            compared += 1;
+            let floor = floor_of(key);
+            let gates = old_v.max(new_v) >= floor;
+            let change = pct_change(old_v, new_v);
+            let line = format!("{name}.{key}: {old_v} -> {new_v} ({change:+.1}%)");
+            if change > threshold_pct && gates {
+                emit(DiffClass::Regression, line);
+            } else if change > threshold_pct {
+                emit(DiffClass::Note, format!("{line} — below the {floor} floor"));
+            } else if change < -threshold_pct && gates {
+                emit(DiffClass::Improvement, line);
+            }
+        }
+        for (key, &new_v) in &new_rec.metrics {
+            if !old_rec.metrics.contains_key(key) && new_v >= floor_of(key) {
+                emit(
+                    DiffClass::Note,
+                    format!("new metric {name}.{key}: {new_v} (not in the baseline)"),
+                );
             }
         }
     }
-
+    report.compared = compared;
     report
+}
+
+/// Re-ingests the Chrome trace file at `path`.
+pub fn read_trace(path: &str) -> Result<sat_obs::ParsedTrace, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    sat_obs::parse_chrome_trace(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Validates the artifacts a traced run wrote: the snapshot's schema
 /// and experiment list, and — when `trace` names the trace file — a
 /// re-ingest of the full event stream with subsystem coverage, tick
-/// monotonicity, and span begin/end pairing enforced.
-pub fn check(trace: Option<&str>, out: &str) -> Result<String, String> {
+/// monotonicity, and span begin/end pairing enforced. `coverage` maps
+/// the snapshot's command to the subsystems its trace must contain
+/// (the `repro` verb table owns that choice).
+pub fn check(
+    trace: Option<&str>,
+    out: &str,
+    coverage: impl Fn(&str) -> &'static [&'static str],
+) -> Result<String, String> {
     let mut report = String::new();
 
-    let text = std::fs::read_to_string(out).map_err(|e| format!("read {out}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{out}: missing \"schema\""))?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "{out}: schema \"{schema}\" (expected \"{SCHEMA}\")"
-        ));
-    }
-    let experiments = doc
-        .get("experiments")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{out}: missing \"experiments\" array"))?;
-    if experiments.is_empty() {
+    let snap = Snapshot::load(out)?;
+    if snap.experiments.is_empty() {
         return Err(format!("{out}: empty \"experiments\" array"));
     }
-    let command = doc
-        .get("command")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    let obs = doc
-        .get("obs")
-        .and_then(Json::as_object)
-        .ok_or_else(|| format!("{out}: missing \"obs\" section"))?;
-    let obs_enabled = obs.get("enabled").and_then(Json::as_bool).unwrap_or(false);
     let _ = writeln!(
         report,
         "repro check: {out} ok ({} experiments, obs {})",
-        experiments.len(),
-        if obs_enabled { "enabled" } else { "disabled" }
+        snap.experiments.len(),
+        if snap.traced() { "enabled" } else { "disabled" }
     );
+    let metric = |rec: &Record, key: &str| rec.metrics.get(key).copied().unwrap_or(0.0);
 
     // A run under a frame budget that never reclaimed proves nothing
     // about behaviour under pressure: the budget sat above the peak
     // footprint the whole time. Warn, mirroring the partial-blame
     // warning (works untraced — the totals live in the snapshot).
-    let budgeted: Vec<&Json> = experiments
-        .iter()
-        .filter(|e| e.get("mem_frames").and_then(Json::as_u64).is_some())
+    let budgeted: Vec<&Record> = snap
+        .experiments
+        .values()
+        .filter(|r| r.params.contains_key("mem_frames"))
         .collect();
-    if !budgeted.is_empty() {
-        let pages: u64 = budgeted
-            .iter()
-            .filter_map(|e| e.get("reclaim"))
-            .filter_map(|r| r.get("pages"))
-            .filter_map(Json::as_u64)
-            .sum();
-        if pages == 0 {
-            let _ = writeln!(
-                report,
-                "repro check: warning: the frame budget never bit ({} budgeted \
-                 experiment(s) reclaimed zero pages; lower --mem-frames below the \
-                 uncapped peak for real pressure)",
-                budgeted.len()
-            );
-        }
+    if !budgeted.is_empty() && budgeted.iter().all(|r| metric(r, "reclaim.pages") == 0.0) {
+        let _ = writeln!(
+            report,
+            "repro check: warning: the frame budget never bit ({} budgeted \
+             experiment(s) reclaimed zero pages; lower --mem-frames below the \
+             uncapped peak for real pressure)",
+            budgeted.len()
+        );
     }
 
     // A reach run whose promoted cell collapsed nothing measured only
     // 4KB paging three times: the waste-vs-reach trade the experiment
     // exists for never happened. Warn, mirroring the budget warning
     // (works untraced — the totals live in the snapshot).
-    if command == "reach" {
-        let promoted_fired = experiments.iter().any(|e| {
-            e.get("name").and_then(Json::as_str) == Some("reach_promoted")
-                && e.get("translation")
-                    .and_then(|t| t.get("promotions"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-                    > 0
-        });
+    if snap.command() == "reach" {
+        let promoted_fired = snap
+            .experiments
+            .get("reach_promoted")
+            .is_some_and(|r| metric(r, "translation.promotions") > 0.0);
         if !promoted_fired {
             let _ = writeln!(
                 report,
@@ -593,10 +399,7 @@ pub fn check(trace: Option<&str>, out: &str) -> Result<String, String> {
     }
 
     if let Some(trace_path) = trace {
-        let text =
-            std::fs::read_to_string(trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{trace_path}: {e}"))?;
-        let parsed = sat_obs::parse_chrome_trace(&doc).map_err(|e| format!("{trace_path}: {e}"))?;
+        let parsed = read_trace(trace_path)?;
         if parsed.events.is_empty() {
             return Err(format!("{trace_path}: empty event stream"));
         }
@@ -633,13 +436,7 @@ pub fn check(trace: Option<&str>, out: &str) -> Result<String, String> {
         }
         let cats: std::collections::BTreeSet<&str> =
             parsed.events.iter().map(|e| e.subsystem.as_str()).collect();
-        let required: &[&str] = match command.as_str() {
-            "fleet" => &FLEET_REQUIRED_SUBSYSTEMS,
-            "serve" => &SERVE_REQUIRED_SUBSYSTEMS,
-            "reach" => &REACH_REQUIRED_SUBSYSTEMS,
-            _ => &REQUIRED_SUBSYSTEMS,
-        };
-        let missing: Vec<&str> = required
+        let missing: Vec<&str> = coverage(snap.command())
             .iter()
             .filter(|s| !cats.contains(**s))
             .copied()
@@ -651,7 +448,7 @@ pub fn check(trace: Option<&str>, out: &str) -> Result<String, String> {
                 cats.into_iter().collect::<Vec<_>>().join(", ")
             ));
         }
-        if !obs_enabled {
+        if !snap.traced() {
             return Err(format!(
                 "{out}: obs section disabled although a trace was produced"
             ));
@@ -683,33 +480,130 @@ pub fn check(trace: Option<&str>, out: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn snapshot_json(wall_a: f64, total: f64, flushes: u64) -> String {
-        format!(
-            r#"{{
-  "schema": "sat-bench/repro-v3",
-  "command": "all",
-  "scale": "quick",
-  "threads": 4,
-  "experiments": [
-    {{"name": "launch", "wall_ms": {wall_a:.3}, "cells": 6, "events": {{}}}},
-    {{"name": "steady", "wall_ms": 40.000, "cells": 4, "events": {{}}}}
-  ],
-  "total_wall_ms": {total:.3},
-  "obs": {{"enabled": true, "dropped_events": 0,
-           "counters": {{"tlb.flush": {flushes}, "tiny.counter": 3}},
-           "histograms": {{}}}}
-}}
-"#
+    type Rec<'a> = (&'a str, &'a [(&'a str, u64)], &'a [(&'a str, f64)]);
+
+    /// The one fixture builder: a traced `all --quick` snapshot with
+    /// the given `(name, params, metrics)` records, run-wide counters,
+    /// and total wall time — rendered as JSON and parsed back, so every
+    /// test also exercises `Snapshot::parse`.
+    fn snap(records: &[Rec], counters: &[(&str, f64)], total_wall_ms: f64) -> Snapshot {
+        fn map<V: std::fmt::Display>(pairs: &[(&str, V)]) -> String {
+            let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("{{{}}}", body.join(", "))
+        }
+        let records: Vec<String> = records
+            .iter()
+            .map(|(name, params, metrics)| {
+                format!(
+                    "{{\"name\": \"{name}\", \"cells\": 1, \"params\": {}, \"metrics\": {}, \
+                     \"events\": {{}}}}",
+                    map(params),
+                    map(metrics)
+                )
+            })
+            .collect();
+        let text = format!(
+            "{{\"schema\": \"{SCHEMA}\", \"command\": \"all\", \"scale\": \"quick\", \
+             \"threads\": 4, \"experiments\": [{}], \"total_wall_ms\": {total_wall_ms}, \
+             \"obs\": {{\"enabled\": true, \"dropped_events\": 0, \"counters\": {}, \
+             \"histograms\": {{}}}}}}",
+            records.join(", "),
+            map(counters)
+        );
+        Snapshot::parse(&text, "test").unwrap()
+    }
+
+    /// Two experiments and one big, one tiny counter.
+    fn suite(launch_wall: f64, total: f64, flushes: f64) -> Snapshot {
+        snap(
+            &[
+                ("launch", &[], &[("wall_ms", launch_wall)]),
+                ("steady", &[], &[("wall_ms", 40.0)]),
+            ],
+            &[("tlb.flush", flushes), ("tiny.counter", 3.0)],
+            total,
         )
     }
 
-    fn parse(text: &str) -> Snapshot {
-        Snapshot::parse(text, "test").unwrap()
+    fn has(report: &DiffReport, class: DiffClass, needles: &[&str]) -> bool {
+        report
+            .lines
+            .iter()
+            .any(|(c, l)| *c == class && needles.iter().all(|n| l.contains(n)))
+    }
+
+    /// A metric, a value that gates, a value under its floor, and the
+    /// record's params.
+    type Case = (&'static str, f64, f64, &'static [(&'static str, u64)]);
+
+    /// One case per [`RULES`] row.
+    const CASES: [Case; 6] = [
+        ("wall_ms", 100.0, 10.0, &[]),
+        ("counter.tlb.flush", 5000.0, 3.0, &[]),
+        ("gauge.phys.slab.live", 1000.0, 3.0, &[]),
+        ("latency.p99", 120_000.0, 500.0, &[]),
+        ("reclaim.pages", 400.0, 20.0, &[("mem_frames", 900)]),
+        ("translation.waste_frames", 960.0, 2.0, &[]),
+    ];
+
+    /// Drives one [`CASES`] row through the single gate rule: +50%
+    /// regresses, -50% improves, sub-floor movement is only noted, and
+    /// a sub-floor baseline does not excuse growth past the floor.
+    fn gate_case(family: &str) {
+        let &(key, big, small, params) = CASES
+            .iter()
+            .find(|(k, ..)| k.starts_with(family))
+            .expect("a case per rule row");
+        let with = |v: f64| match key.strip_prefix("counter.") {
+            Some(counter) => snap(&[("cell", params, &[])], &[(counter, v)], 100.0),
+            None => snap(&[("cell", params, &[(key, v)])], &[], 100.0),
+        };
+        let label = match key.strip_prefix("counter.") {
+            Some(_) => format!("{RUN}.{key}"),
+            None => format!("cell.{key}"),
+        };
+        let old = with(big);
+
+        let report = diff(&old, &old, 25.0);
+        assert!(report.lines.is_empty(), "{key}: {:?}", report.lines);
+
+        let report = diff(&old, &with(big * 1.5), 25.0);
+        assert_eq!(report.regressions(), 1, "{key}: {:?}", report.lines);
+        let movement = format!("{big} -> {}", big * 1.5);
+        assert!(
+            has(&report, DiffClass::Regression, &[&label, &movement]),
+            "{key}: {:?}",
+            report.lines
+        );
+        assert!(report.render(25.0).contains("REGRESSION"));
+
+        let report = diff(&old, &with(big * 0.5), 25.0);
+        assert_eq!(report.regressions(), 0, "{key}: {:?}", report.lines);
+        assert!(has(&report, DiffClass::Improvement, &[&label]));
+
+        // Doubling under the floor is a note; growing from under the
+        // floor to far above it is a regression like any other.
+        let report = diff(&with(small), &with(small * 2.0), 25.0);
+        assert_eq!(report.regressions(), 0, "{key}: {:?}", report.lines);
+        assert!(has(&report, DiffClass::Note, &[&label, "floor"]));
+        let report = diff(&with(small), &with(big), 25.0);
+        assert_eq!(report.regressions(), 1, "{key}: {:?}", report.lines);
+    }
+
+    #[test]
+    fn every_rule_row_has_exactly_one_case() {
+        for (prefix, _) in RULES {
+            let n = CASES.iter().filter(|(k, ..)| k.starts_with(prefix)).count();
+            assert_eq!(n, 1, "rule row {prefix}");
+        }
+        assert_eq!(CASES.len(), RULES.len());
+        // A metric no row names gates at any magnitude.
+        assert_eq!(floor_of("brand.new"), 0.0);
     }
 
     #[test]
     fn identical_snapshots_produce_no_regressions() {
-        let a = parse(&snapshot_json(100.0, 150.0, 5000));
+        let a = suite(100.0, 150.0, 5000.0);
         let report = diff(&a, &a, 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
         assert!(report.compared >= 4);
@@ -717,55 +611,97 @@ mod tests {
 
     #[test]
     fn doctored_wall_time_regresses() {
-        let old = parse(&snapshot_json(100.0, 150.0, 5000));
-        let new = parse(&snapshot_json(150.0, 210.0, 5000));
-        let report = diff(&old, &new, 25.0);
+        gate_case("wall_ms");
+        // The total gates under the same rule as every record.
+        let report = diff(
+            &suite(100.0, 150.0, 5000.0),
+            &suite(150.0, 210.0, 5000.0),
+            25.0,
+        );
         assert_eq!(report.regressions(), 2, "{:?}", report.lines);
-        let text = report.render(25.0);
-        assert!(text.contains("REGRESSION"), "{text}");
-        assert!(text.contains("launch.wall_ms"), "{text}");
-        assert!(text.contains("total_wall_ms"), "{text}");
+        assert!(has(&report, DiffClass::Regression, &["launch.wall_ms"]));
+        assert!(has(&report, DiffClass::Regression, &["total.wall_ms"]));
+    }
+
+    #[test]
+    fn sub_floor_wall_growing_past_the_floor_regresses() {
+        // A floor excuses movement only while *both* sides sit under
+        // it: a 20ms cell growing to 400ms is no longer noise.
+        let report = diff(
+            &suite(20.0, 150.0, 5000.0),
+            &suite(400.0, 150.0, 5000.0),
+            25.0,
+        );
+        assert_eq!(report.regressions(), 1, "{:?}", report.lines);
+        assert!(has(
+            &report,
+            DiffClass::Regression,
+            &["launch.wall_ms: 20 -> 400"]
+        ));
     }
 
     #[test]
     fn counter_growth_regresses_and_shrinkage_improves() {
-        let old = parse(&snapshot_json(100.0, 150.0, 5000));
-        let grown = parse(&snapshot_json(100.0, 150.0, 8000));
-        let report = diff(&old, &grown, 25.0);
-        assert_eq!(report.regressions(), 1, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, l)| *c == DiffClass::Regression && l.contains("tlb.flush")));
-
-        let shrunk = parse(&snapshot_json(100.0, 150.0, 1000));
-        let report = diff(&old, &shrunk, 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, _)| *c == DiffClass::Improvement));
+        gate_case("counter.");
     }
 
     #[test]
     fn sub_floor_metrics_never_gate() {
         // launch at 10ms (below the 25ms floor) doubling is a note,
-        // and tiny.counter (3 -> 6) stays ignored.
-        let old = parse(&snapshot_json(10.0, 150.0, 5000));
-        let mut new = parse(&snapshot_json(20.0, 150.0, 5000));
-        new.counters.insert("tiny.counter".to_string(), 6);
+        // and so is tiny.counter (3 -> 6).
+        let old = suite(10.0, 150.0, 5000.0);
+        let mut new = suite(20.0, 150.0, 5000.0);
+        new.run
+            .metrics
+            .insert("counter.tiny.counter".to_string(), 6.0);
         let report = diff(&old, &new, 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, l)| *c == DiffClass::Note && l.contains("floor")));
+        assert!(has(&report, DiffClass::Note, &["launch.wall_ms", "floor"]));
+        assert!(has(&report, DiffClass::Note, &["tiny.counter", "floor"]));
+    }
+
+    #[test]
+    fn missing_metric_is_a_note_never_silent() {
+        // One rule for every family: a metric the new record lost —
+        // a gauge, a reclaim total, a run-wide counter — is a note.
+        let rec = |metrics: &[(&str, f64)], counters: &[(&str, f64)]| {
+            snap(
+                &[("cell", &[("mem_frames", 900)], metrics)],
+                counters,
+                100.0,
+            )
+        };
+        let old = rec(
+            &[("gauge.phys.slab.live", 1000.0), ("reclaim.pages", 400.0)],
+            &[("tlb.flush", 5000.0)],
+        );
+        let report = diff(&old, &rec(&[], &[]), 25.0);
+        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        for key in [
+            "cell.gauge.phys.slab.live",
+            "cell.reclaim.pages",
+            "total.counter.tlb.flush",
+        ] {
+            assert!(
+                has(&report, DiffClass::Note, &[key, "missing"]),
+                "{key}: {:?}",
+                report.lines
+            );
+        }
+        // The other direction is a note too (above the floor).
+        let report = diff(&rec(&[], &[]), &old, 25.0);
+        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        assert!(has(
+            &report,
+            DiffClass::Note,
+            &["new metric", "reclaim.pages"]
+        ));
     }
 
     #[test]
     fn missing_experiment_is_a_regression() {
-        let old = parse(&snapshot_json(100.0, 150.0, 5000));
-        let mut new = parse(&snapshot_json(100.0, 150.0, 5000));
+        let old = suite(100.0, 150.0, 5000.0);
+        let mut new = old.clone();
         new.experiments.remove("steady");
         let report = diff(&old, &new, 25.0);
         assert_eq!(report.regressions(), 1);
@@ -775,258 +711,107 @@ mod tests {
     #[test]
     fn cross_command_missing_experiment_is_informational() {
         // Diffing a full-suite baseline against a single-experiment
-        // run: the absent experiments are expected, not regressions.
-        let old = parse(&snapshot_json(100.0, 150.0, 5000));
-        let mut new = parse(&snapshot_json(100.0, 150.0, 5000));
-        new.command = "launch".to_string();
+        // run: the absent experiments are expected, not regressions,
+        // and the run-wide totals are not comparable at all.
+        let old = suite(100.0, 150.0, 5000.0);
+        let mut new = suite(100.0, 900.0, 5000.0);
+        new.run
+            .params
+            .insert("command".to_string(), "launch".to_string());
         new.experiments.remove("steady");
         let report = diff(&old, &new, 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report.lines.iter().any(|(c, l)| *c == DiffClass::Note
-            && l.contains("steady")
-            && l.contains("different command")));
+        assert!(has(
+            &report,
+            DiffClass::Note,
+            &["steady", "different command"]
+        ));
+        assert!(has(&report, DiffClass::Note, &["total.params", "launch"]));
     }
 
     #[test]
     fn fleet_regression_at_one_n_is_not_masked_by_the_aggregate() {
-        // The fleet grid writes one record per N. A 3x wall-time blowup
+        // The fleet grid writes one record per N. A 2x wall-time blowup
         // at N=4096 with every other cell *faster* keeps the aggregate
         // total inside the threshold — the per-N record must still fail
         // the gate on its own.
-        let fleet = |n256: f64, n4096: f64, total: f64| -> Snapshot {
-            parse(&format!(
-                r#"{{
-  "schema": "sat-bench/repro-v3",
-  "command": "fleet",
-  "scale": "paper",
-  "threads": 4,
-  "experiments": [
-    {{"name": "fleet_n256", "wall_ms": {n256:.3}, "cells": 2, "events": {{}}}},
-    {{"name": "fleet_n4096", "wall_ms": {n4096:.3}, "cells": 2, "events": {{}}}}
-  ],
-  "total_wall_ms": {total:.3},
-  "obs": {{"enabled": false, "dropped_events": 0, "counters": {{}}, "histograms": {{}}}}
-}}
-"#
-            ))
+        let fleet = |n256: f64, n4096: f64, total: f64| {
+            snap(
+                &[
+                    ("fleet_n256", &[], &[("wall_ms", n256)]),
+                    ("fleet_n4096", &[], &[("wall_ms", n4096)]),
+                ],
+                &[],
+                total,
+            )
         };
         let old = fleet(400.0, 400.0, 800.0);
         let new = fleet(100.0, 800.0, 900.0);
-        let total_change = pct_change(old.total_wall_ms, new.total_wall_ms);
-        assert!(total_change < 25.0, "aggregate must stay inside threshold");
         let report = diff(&old, &new, 25.0);
         assert_eq!(report.regressions(), 1, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, l)| *c == DiffClass::Regression && l.contains("fleet_n4096")));
+        assert!(has(&report, DiffClass::Regression, &["fleet_n4096"]));
     }
 
     #[test]
     fn doctored_gauge_high_water_regresses_and_tiny_gauges_never_gate() {
-        let v4 = |slab_hw: u64, runq_hw: u64| -> Snapshot {
-            parse(&format!(
-                r#"{{
-  "schema": "sat-bench/repro-v4",
-  "command": "fleet",
-  "scale": "quick",
-  "threads": 4,
-  "experiments": [
-    {{"name": "fleet_n256", "wall_ms": 100.000, "cells": 2, "events": {{}},
-      "gauges": {{"phys.slab.live": {slab_hw}, "sched.runq.c0": {runq_hw}}}}}
-  ],
-  "total_wall_ms": 100.000,
-  "obs": {{"enabled": true, "dropped_events": 0, "counters": {{}}, "histograms": {{}}}}
-}}
-"#
-            ))
-        };
-        let old = v4(1000, 3);
-        assert_eq!(old.experiments["fleet_n256"].gauges["phys.slab.live"], 1000);
-
-        // A +50% slab high-water mark fails the 25% gate.
-        let doctored = v4(1500, 3);
-        let report = diff(&old, &doctored, 25.0);
-        assert_eq!(report.regressions(), 1, "{:?}", report.lines);
-        assert!(report.lines.iter().any(|(c, l)| *c == DiffClass::Regression
-            && l.contains("phys.slab.live")
-            && l.contains("1000 -> 1500")));
-
-        // A sub-floor gauge doubling (3 -> 6 run-queue peak) is noise.
-        let report = diff(&old, &v4(1000, 6), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-
-        // Shrinkage is an improvement, not a failure.
-        let report = diff(&old, &v4(600, 3), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, _)| *c == DiffClass::Improvement));
+        gate_case("gauge.");
     }
 
     #[test]
     fn doctored_serve_p99_regresses_and_sub_floor_latency_never_gates() {
-        let v5 = |p99: u64, p50: u64| -> Snapshot {
-            parse(&format!(
-                r#"{{
-  "schema": "sat-bench/repro-v5",
-  "command": "serve",
-  "scale": "quick",
-  "threads": 4,
-  "experiments": [
-    {{"name": "serve_shared", "wall_ms": 100.000, "cells": 1,
-      "latency": {{"p50": {p50}, "p95": 90000, "p99": {p99}}}, "events": {{}}, "gauges": {{}}}}
-  ],
-  "total_wall_ms": 100.000,
-  "obs": {{"enabled": false, "dropped_events": 0, "counters": {{}}, "histograms": {{}}}}
-}}
-"#
-            ))
-        };
-        let old = v5(120_000, 500);
-        assert_eq!(
-            old.experiments["serve_shared"].latency,
-            Some((500, 90_000, 120_000))
-        );
-
-        // A +50% p99 tail fails the 25% gate on its own.
-        let report = diff(&old, &v5(180_000, 500), 25.0);
-        assert_eq!(report.regressions(), 1, "{:?}", report.lines);
-        assert!(report.lines.iter().any(|(c, l)| *c == DiffClass::Regression
-            && l.contains("serve_shared.latency p99")
-            && l.contains("120000 -> 180000")));
-
-        // A sub-floor p50 doubling (500 -> 1000 cycles) is noise.
-        let report = diff(&old, &v5(120_000, 1000), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-
-        // A shrinking tail is an improvement, not a failure.
-        let report = diff(&old, &v5(60_000, 500), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, l)| *c == DiffClass::Improvement && l.contains("p99")));
-    }
-
-    fn v6(budget: u64, pages: u64, shared_tears: u64) -> Snapshot {
-        parse(&format!(
-            r#"{{
-  "schema": "sat-bench/repro-v6",
-  "command": "pressure",
-  "scale": "quick",
-  "threads": 4,
-  "experiments": [
-    {{"name": "pressure_shared_starved", "wall_ms": 100.000, "cells": 1,
-      "latency": {{"p50": 20000, "p95": 90000, "p99": 120000}},
-      "mem_frames": {budget},
-      "reclaim": {{"passes": 40, "pages": {pages}, "pte_tears": 30,
-                   "shared_tears": {shared_tears}, "refaults": {pages}}},
-      "events": {{}}, "gauges": {{}}}}
-  ],
-  "total_wall_ms": 100.000,
-  "obs": {{"enabled": false, "dropped_events": 0, "counters": {{}}, "histograms": {{}}}}
-}}
-"#
-        ))
+        gate_case("latency.");
     }
 
     #[test]
     fn doctored_reclaim_totals_regress_under_the_same_budget() {
-        let old = v6(900, 400, 120);
-        let exp = &old.experiments["pressure_shared_starved"];
-        assert_eq!(exp.mem_frames, Some(900));
-        assert_eq!(exp.reclaim["pages"], 400);
-
-        // +50% eviction volume under the same budget fails the gate.
-        let report = diff(&old, &v6(900, 600, 120), 25.0);
-        assert_eq!(report.regressions(), 2, "{:?}", report.lines);
-        assert!(report.lines.iter().any(|(c, l)| *c == DiffClass::Regression
-            && l.contains("pressure_shared_starved.reclaim pages")
-            && l.contains("400 -> 600")));
-        // (refaults mirror pages in this fixture, hence the second.)
-
-        // Shrinking shared tears is an improvement, not a failure.
-        let report = diff(&old, &v6(900, 400, 60), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, l)| *c == DiffClass::Improvement && l.contains("shared_tears")));
-
-        // Sub-floor totals never gate (passes 40 stays under 50).
-        let report = diff(&old, &v6(900, 400, 120), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        gate_case("reclaim.");
     }
 
     #[test]
     fn changed_budget_notes_instead_of_comparing_reclaim() {
-        let old = v6(900, 400, 120);
-        let new = v6(600, 4000, 1200);
-        let report = diff(&old, &new, 25.0);
+        let cell = |budget: u64, pages: f64| {
+            snap(
+                &[(
+                    "pressure_shared_starved",
+                    &[("mem_frames", budget)],
+                    &[("reclaim.pages", pages), ("latency.p99", pages * 300.0)],
+                )],
+                &[],
+                100.0,
+            )
+        };
+        let old = cell(900, 400.0);
+        assert_eq!(
+            old.experiments["pressure_shared_starved"].params["mem_frames"],
+            "900"
+        );
+        let report = diff(&old, &cell(600, 4000.0), 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report.lines.iter().any(|(c, l)| *c == DiffClass::Note
-            && l.contains("mem_frames")
-            && l.contains("budget changed")));
-    }
-
-    fn v7(promotions: u64, waste: u64) -> Snapshot {
-        parse(&format!(
-            r#"{{
-  "schema": "sat-bench/repro-v7",
-  "command": "reach",
-  "scale": "quick",
-  "threads": 4,
-  "experiments": [
-    {{"name": "reach_promoted", "wall_ms": 100.000, "cells": 1,
-      "translation": {{"promotions": {promotions}, "demotions": 2,
-                       "splits": 32, "waste_frames": {waste}}},
-      "events": {{}}, "gauges": {{}}}}
-  ],
-  "total_wall_ms": 100.000,
-  "obs": {{"enabled": false, "dropped_events": 0, "counters": {{}}, "histograms": {{}}}}
-}}
-"#
-        ))
+        assert!(has(
+            &report,
+            DiffClass::Note,
+            &["pressure_shared_starved.params", "mem_frames", "900", "600"]
+        ));
+        assert!(!report.lines.iter().any(|(_, l)| l.contains("reclaim")));
     }
 
     #[test]
     fn doctored_translation_totals_gate_like_counters() {
-        let old = v7(96, 960);
-        let exp = &old.experiments["reach_promoted"];
-        assert_eq!(exp.translation["promotions"], 96);
-        assert_eq!(exp.translation["waste_frames"], 960);
-
-        // +50% promotion fill waste fails the 25% gate on its own.
-        let report = diff(&old, &v7(96, 1440), 25.0);
-        assert_eq!(report.regressions(), 1, "{:?}", report.lines);
-        assert!(report.lines.iter().any(|(c, l)| *c == DiffClass::Regression
-            && l.contains("reach_promoted.translation waste_frames")
-            && l.contains("960 -> 1440")));
-
-        // The scanner halving its collapses is surfaced (improvement
-        // direction — `repro check` owns the never-fired warning).
-        let report = diff(&old, &v7(48, 960), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report
-            .lines
-            .iter()
-            .any(|(c, l)| *c == DiffClass::Improvement && l.contains("promotions")));
-
-        // Sub-floor totals never gate (demotions 2 stays under 8).
-        let report = diff(&old, &v7(96, 960), 25.0);
-        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        gate_case("translation.");
     }
 
     #[test]
-    fn old_v2_snapshots_remain_diffable() {
-        let v2 = snapshot_json(100.0, 150.0, 5000).replace("repro-v3", "repro-v2");
-        let old = Snapshot::parse(&v2, "old").unwrap();
-        assert_eq!(old.schema, "sat-bench/repro-v2");
-        let new = parse(&snapshot_json(100.0, 150.0, 5000));
-        assert_eq!(diff(&old, &new, 25.0).regressions(), 0);
-        let v1 = snapshot_json(100.0, 150.0, 5000).replace("repro-v3", "repro-v1");
-        assert!(Snapshot::parse(&v1, "old").is_err());
+    fn v7_snapshots_are_rejected_with_the_refresh_hint() {
+        let v7 = r#"{"schema": "sat-bench/repro-v7", "command": "all", "scale": "quick",
+            "threads": 1, "experiments": [], "total_wall_ms": 1.0,
+            "obs": {"enabled": false, "dropped_events": 0, "counters": {}, "histograms": {}}}"#;
+        let err = Snapshot::parse(v7, "BENCH_baseline.json").unwrap_err();
+        assert!(err.contains("repro-v7"), "{err}");
+        assert!(err.contains(SCHEMA), "{err}");
+        assert!(
+            err.contains("repro all --quick --trace <trace.json> --out BENCH_baseline.json"),
+            "{err}"
+        );
+        assert!(Snapshot::parse(&v7.replace("repro-v7", "repro-v8"), "ok").is_ok());
     }
 }

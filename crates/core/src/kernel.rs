@@ -699,81 +699,6 @@ impl Kernel {
         populate(mm, &mut self.ptps, &mut self.phys, range, ctx)
     }
 
-    /// Maps an anonymous region with 64KB large pages (the
-    /// hugetlbfs-like path), eagerly populating it. Large-page
-    /// regions compose with PTP sharing: their sixteen-slot groups
-    /// live in ordinary PTPs, which fork can share.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mmap_large(
-        &mut self,
-        pid: Pid,
-        at: VirtAddr,
-        len: u32,
-        perms: Perms,
-        tag: sat_types::RegionTag,
-        name: &str,
-        tlb: &mut dyn TlbMaintenance,
-    ) -> SatResult<sat_vm::LargeMapReport> {
-        // Eager population allocates the whole region up front; check
-        // pressure first (no-op without a frame budget).
-        self.maybe_reclaim(tlb);
-        let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
-        let zygote_like = mm.is_zygote_like();
-        let domain = if config.share_tlb && zygote_like {
-            Domain::ZYGOTE
-        } else {
-            Domain::USER
-        };
-        // Section 3.1.2 case 3 applies here exactly as in `mmap`: a
-        // new region in the range of a shared PTP must unshare it
-        // eagerly, or the eager PTE installs below would leak into the
-        // other sharers' address spaces.
-        let range = sat_vm::round_to_large(sat_types::VaRange::from_len(at, len));
-        let asid = mm.asid.raw();
-        let mut batch = FlushBatch::new(pid, mm.asid);
-        let mut unshared = 0;
-        if config.share_ptp {
-            unshared = unshare_range(
-                mm,
-                &mut self.ptps,
-                &mut self.phys,
-                &mut self.registry,
-                range,
-                &config,
-                &mut batch,
-                UnshareTrigger::NewRegion,
-            )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
-        }
-        let report = sat_vm::mmap_large(
-            mm,
-            &mut self.ptps,
-            &mut self.phys,
-            at,
-            len,
-            perms,
-            tag,
-            name,
-            domain,
-        )?;
-        batch.apply(tlb);
-        if sat_obs::enabled() {
-            sat_obs::emit(
-                sat_obs::Subsystem::Kernel,
-                pid.raw(),
-                asid,
-                sat_obs::Payload::RegionOp {
-                    op: sat_obs::RegionOpKind::MmapLarge,
-                    va: at.raw(),
-                    pages: len.div_ceil(sat_types::PAGE_SIZE),
-                    unshared,
-                },
-            );
-        }
-        Ok(report)
-    }
-
     /// `fork(2)`: shares PTPs when enabled, else copies per the
     /// configured policy.
     ///

@@ -689,7 +689,7 @@ mod tests {
     /// Maps a 64KB group the way the promotion engine does: sixteen
     /// replicated large descriptors over contiguous frames, one
     /// reference per slot on its own frame.
-    fn map_large_group(fx: &mut Fx, group: VirtAddr) -> Pfn {
+    fn install_large_group(fx: &mut Fx, group: VirtAddr) -> Pfn {
         // Materialize the PTP first so it does not land mid-run and
         // break frame contiguity across consecutive groups.
         fx.mapper().ensure_ptp(group, Domain::USER).unwrap();
@@ -716,7 +716,7 @@ mod tests {
     fn split_large_rewrites_slots_without_moving_refs() {
         let mut fx = Fx::new();
         let group = VirtAddr::new(0x0070_0000);
-        let base = map_large_group(&mut fx, group);
+        let base = install_large_group(&mut fx, group);
         let probe = Pfn::new(base.raw() + 5);
         assert_eq!(fx.phys.page(probe).refcount, 1);
         assert_eq!(fx.phys.mapcount(probe), 1);
@@ -742,7 +742,7 @@ mod tests {
         let mb = VirtAddr::new(0x0060_0000);
         let mut bases = Vec::new();
         for g in 0..16u32 {
-            bases.push(map_large_group(
+            bases.push(install_large_group(
                 &mut fx,
                 VirtAddr::new(mb.raw() + g * 0x1_0000),
             ));
@@ -787,7 +787,7 @@ mod tests {
         let mut fx = Fx::new();
         let mb = VirtAddr::new(0x0060_0000);
         for g in 0..16u32 {
-            map_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
+            install_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
         }
         let before_ptes = fx.phys.frames_in_use();
         let mut m = fx.mapper();
@@ -804,7 +804,7 @@ mod tests {
         let mut fx = Fx::new();
         let mb = VirtAddr::new(0x0060_0000);
         for g in 0..15u32 {
-            map_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
+            install_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
         }
         let mut m = fx.mapper();
         // Last 64KB missing: not fully populated.
@@ -817,7 +817,7 @@ mod tests {
         // Section in the Lower half of pair (6, 7); Upper half Fault.
         let mb = VirtAddr::new(0x0060_0000);
         for g in 0..16u32 {
-            map_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
+            install_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
         }
         let mut m = fx.mapper();
         m.collapse_section(mb).unwrap();

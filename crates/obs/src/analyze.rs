@@ -280,7 +280,7 @@ impl Rollup {
                     let set = pages.entry(event.pid).or_default();
                     let first = va / PAGE_BYTES;
                     match op {
-                        crate::RegionOpKind::Mmap | crate::RegionOpKind::MmapLarge => {
+                        crate::RegionOpKind::Mmap => {
                             set.extend(first..first.saturating_add(*n));
                         }
                         crate::RegionOpKind::Munmap => {

@@ -439,7 +439,6 @@ impl FaultClass {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RegionOpKind {
     Mmap,
-    MmapLarge,
     Munmap,
     Mprotect,
 }
@@ -448,7 +447,6 @@ impl RegionOpKind {
     pub fn as_str(self) -> &'static str {
         match self {
             RegionOpKind::Mmap => "mmap",
-            RegionOpKind::MmapLarge => "mmap_large",
             RegionOpKind::Munmap => "munmap",
             RegionOpKind::Mprotect => "mprotect",
         }
@@ -457,16 +455,14 @@ impl RegionOpKind {
     pub fn counter_key(self) -> &'static str {
         match self {
             RegionOpKind::Mmap => "kernel.mmap",
-            RegionOpKind::MmapLarge => "kernel.mmap_large",
             RegionOpKind::Munmap => "kernel.munmap",
             RegionOpKind::Mprotect => "kernel.mprotect",
         }
     }
 
     /// Every kind, in `as_str` order.
-    pub const ALL: [RegionOpKind; 4] = [
+    pub const ALL: [RegionOpKind; 3] = [
         RegionOpKind::Mmap,
-        RegionOpKind::MmapLarge,
         RegionOpKind::Munmap,
         RegionOpKind::Mprotect,
     ];
@@ -606,7 +602,7 @@ pub enum Payload {
     },
     /// `Kernel::exit` tore down the address space.
     Exit,
-    /// A region syscall (mmap/munmap/mprotect/mmap_large).
+    /// A region syscall (mmap/munmap/mprotect).
     RegionOp {
         op: RegionOpKind,
         va: u32,

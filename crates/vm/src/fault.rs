@@ -585,21 +585,10 @@ mod tests {
 
     #[test]
     fn write_fault_on_protected_large_page_splits_group() {
-        use crate::largepage::{mmap_large, LARGE_PAGE_BYTES};
+        use crate::largepage::{promoted_region, LARGE_PAGE_BYTES};
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            LARGE_PAGE_BYTES,
-            Perms::RW,
-            sat_types::RegionTag::Heap,
-            "huge",
-            Domain::USER,
-        )
-        .unwrap();
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 1, Perms::RW);
         // Write-protect the whole group, as fork's COW arming does —
         // uniform across the sixteen replicated descriptors, so the
         // mapping legitimately stays large.

@@ -4,16 +4,13 @@
 //! shared translation for zygote-preloaded code and finds them
 //! wasteful (≈2.6× the physical memory); Section 3.1.3 notes the two
 //! compose — a shared PTP can hold 64KB mappings, since a large page
-//! is just sixteen consecutive, aligned second-level entries. This
-//! module provides the two ways a large page comes to exist:
-//!
-//! * [`map_large`] — the eager, hugetlbfs-like path: a 64KB-aligned
-//!   region is mapped up-front, all frames allocated immediately.
-//! * [`collapse_group`] — the khugepaged-like path driven by
-//!   `sat-core`'s promotion scanner: an already fault-populated 64KB
-//!   run migrates onto a fresh physically contiguous frame group, and
-//!   never-touched hole pages get frames allocated just to let the
-//!   run go wide — the *measured* memory waste of Section 2.3.3.
+//! is just sixteen consecutive, aligned second-level entries. A large
+//! page comes to exist one way: [`collapse_group`], the khugepaged-like
+//! path driven by `sat-core`'s promotion scanner. An already
+//! fault-populated 64KB run migrates onto a fresh physically contiguous
+//! frame group, and never-touched hole pages get frames allocated just
+//! to let the run go wide — the *measured* memory waste of Section
+//! 2.3.3.
 //!
 //! Demotion (splitting a large mapping back to 4KB PTEs) lives in
 //! `sat_mmu::Mapper::split_large`; the syscall and fault paths invoke
@@ -26,147 +23,10 @@ use sat_types::{
 };
 
 use crate::mm::Mm;
-use crate::vma::{Backing, Vma};
+use crate::vma::Backing;
 
 /// Bytes in a 64KB large page.
 pub const LARGE_PAGE_BYTES: u32 = 64 * 1024;
-
-/// Statistics from a large-page mapping operation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LargeMapReport {
-    /// 64KB pages established.
-    pub large_pages: u64,
-    /// 4KB frames consumed (16 per large page).
-    pub frames: u64,
-    /// PTPs allocated.
-    pub ptps_allocated: u64,
-}
-
-/// Eagerly maps `vma`'s range with 64KB pages.
-///
-/// The range must be 64KB-aligned at both ends. For file-backed
-/// regions, all sixteen frames of each large page are read through the
-/// page cache; because the hardware requires the sixteen frames to be
-/// *physically contiguous and aligned*, file pages are copied into
-/// fresh anonymous 16-frame groups (matching Linux's requirement that
-/// hugepage-backed code be staged into huge pages rather than mapped
-/// from the ordinary page cache).
-///
-/// Returns the mapping statistics; the paper's memory-waste argument
-/// is `report.frames * 4KB` versus the 4KB-page footprint.
-pub fn map_large(
-    mm: &mut Mm,
-    ptps: &mut PtpStore,
-    phys: &mut PhysMem,
-    vma: &Vma,
-    domain: Domain,
-) -> SatResult<LargeMapReport> {
-    let range = vma.range;
-    if !range.start.raw().is_multiple_of(LARGE_PAGE_BYTES)
-        || !range.end.raw().is_multiple_of(LARGE_PAGE_BYTES)
-    {
-        return Err(SatError::InvalidArgument);
-    }
-    let mut report = LargeMapReport::default();
-    let mut mapper = Mapper::new(&mut mm.root, ptps, phys, mm.pid);
-    // Pre-check every target slot: a large page must never overwrite
-    // an existing translation (the caller would leak its frames).
-    for page in range.pages() {
-        if mapper.get_pte(page).is_some() {
-            return Err(SatError::MappingOverlap);
-        }
-    }
-    let mut va = range.start;
-    while va < range.end {
-        // Allocate sixteen frames; a fresh allocator hands out
-        // ascending PFNs, giving us the contiguous group the hardware
-        // descriptor encodes as a single base. After free-list churn
-        // that stops being true, so verify and fall back to the
-        // explicit contiguous-run allocator. On exhaustion mid-group,
-        // roll the group back so no frame leaks (already established
-        // pages of the range stay mapped; the caller sees ENOMEM, as
-        // Linux's hugetlb reservation failure would).
-        let mut group = Vec::with_capacity(PAGES_PER_64K);
-        for _ in 0..PAGES_PER_64K {
-            match mapper.phys.alloc(FrameKind::Anon) {
-                Ok(f) => group.push(f),
-                Err(e) => {
-                    for g in group {
-                        mapper.phys.put_page(g);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        if group.windows(2).any(|w| w[1].raw() != w[0].raw() + 1) {
-            for g in group.drain(..) {
-                mapper.phys.put_page(g);
-            }
-            let base = mapper
-                .phys
-                .alloc_run(FrameKind::Anon, PAGES_PER_64K as u32)?;
-            group.extend((0..PAGES_PER_64K as u32).map(|i| sat_types::Pfn::new(base.raw() + i)));
-        }
-        report.frames += PAGES_PER_64K as u64;
-        let base = group[0];
-        // When file-backed, charge the page-cache reads (a hard fault
-        // per resident 4KB page of content being staged in).
-        if let Backing::File { .. } = vma.backing {
-            for i in 0..PAGES_PER_64K as u32 {
-                let page = VirtAddr::new(va.raw() + i * PAGE_SIZE);
-                if let Some((file, index)) = vma.file_page_index(page) {
-                    let _ = mapper.phys.file_page(file, index)?;
-                }
-            }
-        }
-        // Sixteen consecutive second-level slots, all pointing into
-        // the contiguous frame group, marked as one 64KB page.
-        let hw = HwPte::large(base, vma.perms, vma.global);
-        let sw = SwPte {
-            young: true,
-            dirty: vma.perms.write(),
-            writable: vma.perms.write(),
-            shared: vma.shared,
-            file_backed: false, // staged copies are anonymous
-        };
-        for i in 0..PAGES_PER_64K as u32 {
-            let page = VirtAddr::new(va.raw() + i * PAGE_SIZE);
-            let (ptp, allocated) = mapper.ensure_ptp(page, domain)?;
-            if allocated {
-                report.ptps_allocated += 1;
-            }
-            let half = sat_mmu::TableHalf::of(page);
-            let prev = mapper
-                .ptps
-                .get_mut(ptp)
-                .ok_or(SatError::Internal("PTP vanished"))?
-                .set(
-                    half,
-                    page.l2_index(),
-                    HwPte {
-                        size: PageSize::Large64K,
-                        ..hw
-                    },
-                    sw,
-                );
-            debug_assert!(prev.is_none(), "pre-checked: no existing PTE");
-            // Reference counting: each slot holds a reference on its
-            // own 4KB frame of the group.
-            let frame = sat_types::Pfn::new(base.raw() + i);
-            mapper.phys.get_page(frame);
-            mapper.phys.map_inc(frame);
-            mapper.phys.rmap_add(frame, mapper.pid, page);
-        }
-        // Drop the allocation references: the PTEs now own the frames.
-        for i in 0..PAGES_PER_64K as u32 {
-            mapper.phys.put_page(sat_types::Pfn::new(base.raw() + i));
-        }
-        report.large_pages += 1;
-        va = VirtAddr::new(va.raw() + LARGE_PAGE_BYTES);
-    }
-    mm.counters.ptps_allocated += report.ptps_allocated;
-    Ok(report)
-}
 
 /// Outcome of promoting one 64KB group of 4KB PTEs into a large page.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -310,43 +170,52 @@ pub fn collapse_group(
     Ok(outcome)
 }
 
-/// Rounds a range outward to 64KB boundaries (what a large-page
-/// mapping of `range` must actually cover).
-pub fn round_to_large(range: VaRange) -> VaRange {
-    let start = range.start.raw() & !(LARGE_PAGE_BYTES - 1);
-    let end = range
-        .end
-        .raw()
-        .div_ceil(LARGE_PAGE_BYTES)
-        .saturating_mul(LARGE_PAGE_BYTES);
-    VaRange::new(VirtAddr::new(start), VirtAddr::new(end))
-}
-
-/// Convenience: inserts a 64KB-aligned anonymous region and maps it
-/// with large pages.
-#[allow(clippy::too_many_arguments)]
-pub fn mmap_large(
+/// Test fixture shared by this crate's unit tests: an anonymous region
+/// of `groups` 64KB groups at `at`, each group fully faulted in and
+/// then collapsed — map, fault, promote, the way every large page
+/// comes to exist. Faulting and collapsing one group at a time hands
+/// consecutive groups consecutive frame runs (each collapse frees the
+/// sixteen frames the next group's faults reuse), so a 16-group region
+/// is also section-eligible.
+#[cfg(test)]
+pub(crate) fn promoted_region(
     mm: &mut Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     at: VirtAddr,
-    len: u32,
+    groups: u32,
     perms: Perms,
-    tag: sat_types::RegionTag,
-    name: &str,
-    domain: Domain,
-) -> SatResult<LargeMapReport> {
-    let range = round_to_large(VaRange::from_len(at, len));
-    let vma = Vma::anon(range, perms, tag, name);
-    mm.insert_vma(vma.clone())?;
-    map_large(mm, ptps, phys, &vma, domain)
+) {
+    use crate::fault::{handle_fault, FaultCtx};
+    use crate::vma::Vma;
+    use sat_types::{AccessType, RegionTag};
+    let range = VaRange::from_len(at, groups * LARGE_PAGE_BYTES);
+    mm.insert_vma(Vma::anon(range, perms, RegionTag::Heap, "promoted"))
+        .unwrap();
+    // A settled slot needs the access the region's intent allows:
+    // a read fault on a writable page leaves it write-protected.
+    let access = if perms.write() {
+        AccessType::Write
+    } else {
+        AccessType::Read
+    };
+    for g in 0..groups {
+        let group = VirtAddr::new(at.raw() + g * LARGE_PAGE_BYTES);
+        for page in VaRange::from_len(group, LARGE_PAGE_BYTES).pages() {
+            handle_fault(mm, ptps, phys, page, access, FaultCtx::default()).unwrap();
+        }
+        let out = collapse_group(mm, ptps, phys, group, Domain::USER).unwrap();
+        assert_eq!((out.migrated, out.filled), (16, 0));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{handle_fault, FaultCtx};
+    use crate::vma::Vma;
     use sat_mmu::walk;
-    use sat_types::{Asid, Pid, RegionTag};
+    use sat_types::{AccessType, Asid, PageSize, Pid, RegionTag};
 
     struct Fx {
         phys: PhysMem,
@@ -364,62 +233,56 @@ mod tests {
         }
     }
 
+    /// Inserts an anonymous RW heap of `groups` 64KB groups at `at`.
+    fn heap(mm: &mut Mm, at: VirtAddr, groups: u32) {
+        let range = VaRange::from_len(at, groups * LARGE_PAGE_BYTES);
+        mm.insert_vma(Vma::anon(range, Perms::RW, RegionTag::Heap, "promo"))
+            .unwrap();
+    }
+
+    fn write_fault(f: &mut Fx, va: VirtAddr) {
+        handle_fault(
+            &mut f.mm,
+            &mut f.ptps,
+            &mut f.phys,
+            va,
+            AccessType::Write,
+            FaultCtx::default(),
+        )
+        .unwrap();
+    }
+
+    /// Every page of the group at `at` translates large, and VA offsets
+    /// map linearly onto one contiguous frame run.
+    fn assert_one_linear_large_page(f: &Fx, at: VirtAddr) {
+        let pa0 = walk(&f.mm.root, &f.ptps, at)
+            .translation()
+            .unwrap()
+            .translate(at);
+        for i in 0..16u32 {
+            let va = VirtAddr::new(at.raw() + i * PAGE_SIZE);
+            let t = walk(&f.mm.root, &f.ptps, va).translation().unwrap();
+            assert_eq!(t.size, PageSize::Large64K);
+            assert_eq!(t.translate(va).raw(), pa0.raw() + i * PAGE_SIZE);
+        }
+    }
+
     #[test]
     fn maps_one_large_page_as_16_slots() {
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        let r = mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            LARGE_PAGE_BYTES,
-            Perms::RX,
-            RegionTag::ZygoteNativeCode,
-            "huge",
-            Domain::USER,
-        )
-        .unwrap();
-        assert_eq!(r.large_pages, 1);
-        assert_eq!(r.frames, 16);
-        assert_eq!(r.ptps_allocated, 1);
-        // Every 4KB page of the range translates, with the large size.
-        for i in 0..16u32 {
-            let res = walk(&f.mm.root, &f.ptps, VirtAddr::new(at.raw() + i * PAGE_SIZE));
-            let t = res.translation().unwrap();
-            assert_eq!(t.size, PageSize::Large64K);
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 1, Perms::R);
+        assert_eq!(f.ptps.len(), 1);
+        assert_one_linear_large_page(&f, at);
+        // Sixteen replicated descriptors, one per second-level slot.
+        let m = Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid);
+        let base = m.get_pte(at).unwrap().hw.pfn;
+        for page in VaRange::from_len(at, LARGE_PAGE_BYTES).pages() {
+            let slot = m.get_pte(page).unwrap();
+            assert_eq!(slot.hw.size, PageSize::Large64K);
+            assert_eq!(slot.hw.pfn, base);
+            assert_eq!(slot.hw.perms, Perms::R);
         }
-        // And translations are consistent: VA offset maps linearly.
-        let t0 = walk(&f.mm.root, &f.ptps, at).translation().unwrap();
-        let pa0 = t0.translate(at);
-        let pa9 = walk(&f.mm.root, &f.ptps, VirtAddr::new(at.raw() + 9 * PAGE_SIZE))
-            .translation()
-            .unwrap()
-            .translate(VirtAddr::new(at.raw() + 9 * PAGE_SIZE));
-        assert_eq!(pa9.raw() - pa0.raw(), 9 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn unaligned_large_map_rejected() {
-        let mut f = fx();
-        let vma = Vma::anon(
-            VaRange::from_len(VirtAddr::new(0x4000_1000), LARGE_PAGE_BYTES),
-            Perms::RW,
-            RegionTag::Heap,
-            "x",
-        );
-        f.mm.insert_vma(vma.clone()).unwrap();
-        assert_eq!(
-            map_large(&mut f.mm, &mut f.ptps, &mut f.phys, &vma, Domain::USER).unwrap_err(),
-            SatError::InvalidArgument
-        );
-    }
-
-    #[test]
-    fn round_to_large_covers_range() {
-        let r = round_to_large(VaRange::from_len(VirtAddr::new(0x4000_3000), 0x5000));
-        assert_eq!(r.start.raw(), 0x4000_0000);
-        assert_eq!(r.end.raw(), 0x4001_0000);
     }
 
     #[test]
@@ -427,65 +290,65 @@ mod tests {
         // The Figure 4 memory-waste argument in miniature: 1 touched
         // 4KB page out of 64KB costs 16 frames under large pages.
         let mut f = fx();
+        let at = VirtAddr::new(0x5000_0000);
         let before = f.phys.frames_in_use();
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            VirtAddr::new(0x5000_0000),
-            LARGE_PAGE_BYTES,
-            Perms::RX,
-            RegionTag::ZygoteNativeCode,
-            "waste",
-            Domain::USER,
-        )
-        .unwrap();
-        // 16 data frames + 1 PTP.
+        heap(&mut f.mm, at, 1);
+        write_fault(&mut f, at);
+        // 1 data frame + 1 PTP under 4KB paging...
+        assert_eq!(f.phys.frames_in_use(), before + 2);
+        let out = collapse_group(&mut f.mm, &mut f.ptps, &mut f.phys, at, Domain::USER).unwrap();
+        assert_eq!((out.migrated, out.filled), (1, 15));
+        // ...16 data frames + 1 PTP once the group goes wide.
         assert_eq!(f.phys.frames_in_use(), before + 17);
     }
 
     #[test]
     fn enomem_mid_group_rolls_back_without_leaking() {
-        // Satellite: a mid-group allocation failure must leave no
-        // leaked frames and keep already-established large pages
-        // intact. Size physical memory so the *second* group runs out
-        // partway: Mm::new takes 4 frames for the root, the first
-        // large page takes 16 data frames + 1 PTP, and the remainder
-        // is too small for another 16-frame group.
-        let mut phys = PhysMem::new(4 + 16 + 1 + 7);
-        let mut mm = Mm::new(&mut phys, Pid::new(1), Asid::new(1)).unwrap();
-        let mut ptps = PtpStore::new();
-        let err = mmap_large(
-            &mut mm,
-            &mut ptps,
-            &mut phys,
-            VirtAddr::new(0x4000_0000),
-            2 * LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "oom",
-            Domain::USER,
-        )
-        .unwrap_err();
+        // A collapse that cannot get its 16-frame run must change
+        // nothing and keep already-established large pages intact.
+        // Size physical memory so the *second* group runs out: Mm::new
+        // takes 4 frames for the root, the PTP 1, the first large page
+        // 16, the second group's one touched page 1, and the remaining
+        // 7 are too few for another 16-frame run.
+        let mut phys = PhysMem::new(4 + 1 + 16 + 1 + 7);
+        let mm = Mm::new(&mut phys, Pid::new(1), Asid::new(1)).unwrap();
+        let mut f = Fx {
+            phys,
+            ptps: PtpStore::new(),
+            mm,
+        };
+        let at = VirtAddr::new(0x4000_0000);
+        let second = VirtAddr::new(at.raw() + LARGE_PAGE_BYTES);
+        heap(&mut f.mm, at, 2);
+        write_fault(&mut f, at);
+        collapse_group(&mut f.mm, &mut f.ptps, &mut f.phys, at, Domain::USER).unwrap();
+        write_fault(&mut f, second);
+        assert_eq!(f.phys.frames_in_use(), 4 + 1 + 16 + 1);
+        let err =
+            collapse_group(&mut f.mm, &mut f.ptps, &mut f.phys, second, Domain::USER).unwrap_err();
         assert_eq!(err, SatError::OutOfMemory);
-        // The first group's 16 frames + 1 PTP are the only survivors;
-        // the failed group's partial allocation was fully returned.
-        assert_eq!(phys.frames_in_use(), 4 + 16 + 1);
+        // Nothing leaked, and the failed group is exactly as it was:
+        // one small PTE, fifteen holes.
+        assert_eq!(f.phys.frames_in_use(), 4 + 1 + 16 + 1);
+        let m = Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid);
+        assert_eq!(m.get_pte(second).unwrap().hw.size, PageSize::Small4K);
+        assert_eq!(
+            m.iter_range(VaRange::from_len(second, LARGE_PAGE_BYTES))
+                .len(),
+            1
+        );
+        let _ = m;
         // The established large page still translates end to end.
-        for i in 0..16u32 {
-            let va = VirtAddr::new(0x4000_0000 + i * PAGE_SIZE);
-            let t = walk(&mm.root, &ptps, va).translation().unwrap();
-            assert_eq!(t.size, PageSize::Large64K);
-        }
+        assert_one_linear_large_page(&f, at);
         // And tearing the space down leaks nothing.
-        crate::syscalls::exit_mmap(&mut mm, &mut ptps, &mut phys);
-        assert_eq!(phys.frames_in_use(), 4);
+        crate::syscalls::exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
+        assert_eq!(f.phys.frames_in_use(), 4);
     }
 
     #[test]
-    fn map_large_survives_fragmented_free_list() {
-        // Free-list churn makes sequential alloc() non-contiguous;
-        // map_large must detect that and fall back to alloc_run.
+    fn collapse_survives_fragmented_free_list() {
+        // Free-list churn makes sequential alloc() non-contiguous; the
+        // collapse must still land on one contiguous run.
         let mut f = fx();
         let churn: Vec<_> = (0..33)
             .map(|_| f.phys.alloc(sat_phys::FrameKind::Anon).unwrap())
@@ -498,54 +361,18 @@ mod tests {
             }
         }
         let at = VirtAddr::new(0x4000_0000);
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "frag",
-            Domain::USER,
-        )
-        .unwrap();
-        // Consecutive pages translate to consecutive frames.
-        let t0 = walk(&f.mm.root, &f.ptps, at).translation().unwrap();
-        for i in 0..16u32 {
-            let va = VirtAddr::new(at.raw() + i * PAGE_SIZE);
-            let t = walk(&f.mm.root, &f.ptps, va).translation().unwrap();
-            assert_eq!(
-                t.translate(va).raw(),
-                t0.translate(at).raw() + i * PAGE_SIZE
-            );
-        }
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 1, Perms::RW);
+        assert_one_linear_large_page(&f, at);
     }
 
     #[test]
     fn collapse_migrates_populated_and_fills_holes() {
-        use crate::fault::{handle_fault, FaultCtx};
-        use sat_types::AccessType;
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        let vma = Vma::anon(
-            VaRange::from_len(at, LARGE_PAGE_BYTES),
-            Perms::RW,
-            RegionTag::Heap,
-            "promo",
-        );
-        f.mm.insert_vma(vma).unwrap();
+        heap(&mut f.mm, at, 1);
         // Fault 6 of 16 pages by writes (the Figure 4 density).
         for i in [0u32, 2, 5, 7, 11, 13] {
-            handle_fault(
-                &mut f.mm,
-                &mut f.ptps,
-                &mut f.phys,
-                VirtAddr::new(at.raw() + i * PAGE_SIZE),
-                AccessType::Write,
-                FaultCtx::default(),
-            )
-            .unwrap();
+            write_fault(&mut f, VirtAddr::new(at.raw() + i * PAGE_SIZE));
         }
         let before = f.phys.frames_in_use();
         let out = collapse_group(&mut f.mm, &mut f.ptps, &mut f.phys, at, Domain::USER).unwrap();
@@ -554,17 +381,7 @@ mod tests {
         // 16 new frames in, 6 old frames out: net +10 — the waste.
         assert_eq!(f.phys.frames_in_use(), before + 10);
         // All sixteen pages now translate large and linearly.
-        let t0 = walk(&f.mm.root, &f.ptps, at).translation().unwrap();
-        assert_eq!(t0.size, PageSize::Large64K);
-        for i in 0..16u32 {
-            let va = VirtAddr::new(at.raw() + i * PAGE_SIZE);
-            let t = walk(&f.mm.root, &f.ptps, va).translation().unwrap();
-            assert_eq!(t.size, PageSize::Large64K);
-            assert_eq!(
-                t.translate(va).raw(),
-                t0.translate(at).raw() + i * PAGE_SIZE
-            );
-        }
+        assert_one_linear_large_page(&f, at);
         // Migrated pages kept their touched state; holes are cold.
         let m = Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid);
         assert!(m.get_pte(at).unwrap().sw.young);
@@ -581,17 +398,9 @@ mod tests {
 
     #[test]
     fn collapse_rejects_empty_unaligned_and_mixed_groups() {
-        use crate::fault::{handle_fault, FaultCtx};
-        use sat_types::AccessType;
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        let vma = Vma::anon(
-            VaRange::from_len(at, 2 * LARGE_PAGE_BYTES),
-            Perms::RW,
-            RegionTag::Heap,
-            "promo",
-        );
-        f.mm.insert_vma(vma).unwrap();
+        heap(&mut f.mm, at, 2);
         // Unaligned group address.
         assert_eq!(
             collapse_group(
@@ -630,18 +439,8 @@ mod tests {
     fn large_mapped_region_survives_exit_teardown() {
         let mut f = fx();
         let baseline = f.phys.frames_in_use();
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            VirtAddr::new(0x5000_0000),
-            2 * LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge-heap",
-            Domain::USER,
-        )
-        .unwrap();
+        let at = VirtAddr::new(0x5000_0000);
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 2, Perms::RW);
         crate::syscalls::exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
         assert_eq!(f.phys.frames_in_use(), baseline);
         assert!(f.ptps.is_empty());

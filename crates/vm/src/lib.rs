@@ -27,10 +27,7 @@ pub mod vma;
 
 pub use fault::{handle_fault, FaultCtx, FaultKind, FaultOutcome};
 pub use fork::{copies_ptes, copy_vma_ptes_in_range, fork_mm, ForkPtePolicy, ForkReport};
-pub use largepage::{
-    collapse_group, map_large, mmap_large, round_to_large, CollapseOutcome, LargeMapReport,
-    LARGE_PAGE_BYTES,
-};
+pub use largepage::{collapse_group, CollapseOutcome, LARGE_PAGE_BYTES};
 pub use mm::{Mm, MmCounters};
 pub use smaps::{smaps, smaps_rollup, SmapsEntry};
 pub use syscalls::{

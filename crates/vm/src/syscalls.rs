@@ -474,21 +474,10 @@ mod tests {
 
     #[test]
     fn partial_munmap_splits_large_page() {
-        use crate::largepage::{mmap_large, LARGE_PAGE_BYTES};
+        use crate::largepage::promoted_region;
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge",
-            sat_types::Domain::USER,
-        )
-        .unwrap();
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 1, Perms::RW);
         // Unmap the first 4KB only: the group must demote, the other
         // fifteen pages must survive as small PTEs.
         let cleared = munmap(
@@ -511,21 +500,10 @@ mod tests {
 
     #[test]
     fn demote_range_reports_boundary_splits_only() {
-        use crate::largepage::{mmap_large, LARGE_PAGE_BYTES};
+        use crate::largepage::{promoted_region, LARGE_PAGE_BYTES};
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            2 * LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge",
-            sat_types::Domain::USER,
-        )
-        .unwrap();
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 2, Perms::RW);
         // A range cutting into the second group splits only that one;
         // the first group is wholly inside and stays large.
         let range = VaRange::new(
@@ -558,21 +536,10 @@ mod tests {
 
     #[test]
     fn whole_group_mprotect_keeps_large_partial_splits() {
-        use crate::largepage::{mmap_large, LARGE_PAGE_BYTES};
+        use crate::largepage::{promoted_region, LARGE_PAGE_BYTES};
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            2 * LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge",
-            sat_types::Domain::USER,
-        )
-        .unwrap();
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 2, Perms::RW);
         // Whole-group re-protection keeps the replicated descriptors
         // uniform: the first group stays large.
         mprotect(
@@ -609,26 +576,12 @@ mod tests {
 
     #[test]
     fn munmap_splits_section_at_boundary() {
-        use crate::largepage::mmap_large;
+        use crate::largepage::promoted_region;
         let mut f = fx();
-        let at = VirtAddr::new(0x4000_0000); // 1MB-aligned
-                                             // Pre-allocate the PTP so the 256 data frames form one
-                                             // contiguous run, then build the section from 16 large pages.
-        Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
-            .ensure_ptp(at, sat_types::Domain::USER)
-            .unwrap();
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            0x10_0000,
-            Perms::RW,
-            RegionTag::Heap,
-            "sect",
-            sat_types::Domain::USER,
-        )
-        .unwrap();
+        // 1MB-aligned; sixteen groups promoted one after another land
+        // on one contiguous 256-frame run, which the section needs.
+        let at = VirtAddr::new(0x4000_0000);
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 16, Perms::RW);
         Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
             .collapse_section(at)
             .unwrap();
@@ -655,24 +608,10 @@ mod tests {
 
     #[test]
     fn exit_mmap_tears_down_sections() {
-        use crate::largepage::mmap_large;
+        use crate::largepage::promoted_region;
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
-            .ensure_ptp(at, sat_types::Domain::USER)
-            .unwrap();
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            0x10_0000,
-            Perms::RW,
-            RegionTag::Heap,
-            "sect",
-            sat_types::Domain::USER,
-        )
-        .unwrap();
+        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 16, Perms::RW);
         Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
             .collapse_section(at)
             .unwrap();
