@@ -771,10 +771,9 @@ fn report(trace_path: &str, format: ReportFormat, experiment: Option<&str>) -> F
 /// Re-ingests a Chrome trace and renders the windowed timeline
 /// (per-window event rates plus gauge series).
 fn timeline(trace_path: &str, window: u64, experiment: Option<&str>) -> Fallible {
-    let (events, dropped) = load_trace(trace_path, experiment)?;
-    let rollup = sat_obs::analyze::Rollup::from_events(&events, dropped);
+    let (events, _) = load_trace(trace_path, experiment)?;
     let tl = sat_obs::analyze::Timeline::from_events(&events, window)?;
-    Ok(sat_obs::report::render_timeline(&rollup, &tl))
+    Ok(sat_obs::report::render_timeline(&tl))
 }
 
 /// Re-ingests a trace and renders per-request tail blame. Defaults to

@@ -8,9 +8,9 @@
 //! `wall_ms`, `latency.p99`, `reclaim.pages`,
 //! `translation.waste_frames`, `gauge.<name>`, `counter.<name>`, ...).
 //! Two records are comparable when their params are equal; comparable
-//! records are compared key by key, under the floors in [`RULES`]. A
+//! records are compared key by key, under the floors in `RULES`. A
 //! new metric family is one map insert where it is measured and, if it
-//! wants a noise floor, one [`RULES`] row — never a schema bump.
+//! wants a noise floor, one `RULES` row — never a schema bump.
 //!
 //! `repro diff old.json new.json` is the perf-regression gate: the
 //! verify smoke compares a fresh `repro all --quick` snapshot against
@@ -246,7 +246,7 @@ fn pct_change(old: f64, new: f64) -> f64 {
 /// one rule covers every metric, `wall_ms` and the run-wide counters
 /// included: growth beyond `threshold_pct` is a regression, shrinkage
 /// an improvement, unless both sides sit below the family's floor in
-/// [`RULES`], where growth is only noted. A metric the new record lost
+/// `RULES`, where growth is only noted. A metric the new record lost
 /// is a note, never silent.
 pub fn diff(old: &Snapshot, new: &Snapshot, threshold_pct: f64) -> DiffReport {
     let mut report = DiffReport::default();

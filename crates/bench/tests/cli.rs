@@ -116,6 +116,22 @@ fn write_trace(name: &str, breakage: Option<&str>) -> PathBuf {
             },
         );
     }
+    if breakage == Some("negative_ipis") {
+        // One flushing core, two of them "local": the exporter writes
+        // whatever it is handed, the re-ingester must refuse it.
+        sat_obs::emit(
+            Subsystem::Sim,
+            0,
+            2,
+            Payload::TlbShootdown {
+                asid: 2,
+                scope: FlushScope::Asid,
+                cores_targeted: 1,
+                cores_local: 2,
+                cores_skipped: 0,
+            },
+        );
+    }
     sat_obs::gauge_set("phys.frames.free", 850);
     sat_obs::gauge_set("phys.slab.live", 120);
     sat_obs::sample_gauges();
@@ -331,6 +347,32 @@ fn timeline_renders_windows_and_gauge_series_from_a_trace() {
 
     let out = repro(&["timeline", path, "--window", "0"]);
     assert!(!out.status.success(), "--window 0 must be rejected");
+}
+
+/// Corrupt traces fail `timeline` with the reason, not a panic or a
+/// wrapped count: an out-of-order stream (its span would underflow)
+/// and a shootdown whose IPI count would go negative.
+#[test]
+fn timeline_rejects_unsorted_and_impossible_traces() {
+    for (breakage, want) in [
+        (
+            "tick_rewind",
+            "event stream is not tick-sorted (tick 0 after tick",
+        ),
+        (
+            "negative_ipis",
+            "\"cores_local\" 2 exceeds \"cores_targeted\" 1",
+        ),
+    ] {
+        let trace = write_trace(&format!("timeline-{breakage}.json"), Some(breakage));
+        for window in [&[][..], &["--window", "3"]] {
+            let out = repro(&[&["timeline", trace.to_str().unwrap()], window].concat());
+            assert!(!out.status.success(), "{breakage}: must exit non-zero");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(want), "{breakage}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{breakage}: {stderr}");
+        }
+    }
 }
 
 #[test]

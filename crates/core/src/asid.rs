@@ -9,7 +9,7 @@
 //! invariants are pinned where the state lives:
 //!
 //! - `generation() == 1 + rollovers()` — the generation counter moves
-//!   only through [`AsidAllocator::rollover`].
+//!   only through `AsidAllocator::rollover`.
 //! - A process *running on a core* at rollover time keeps its value:
 //!   the value is reserved for the whole new generation and the
 //!   process's generation is bumped in place, so a recycled value can

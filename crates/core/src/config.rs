@@ -34,9 +34,8 @@ pub enum TlbProtection {
 /// promotion-free run byte-identical to a build without the engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PromotePolicy {
-    /// Master switch for [`Kernel::promote_scan`]
-    /// (`crate::kernel::Kernel`); when off the scan is a no-op and the
-    /// promotion gauges are not published.
+    /// Master switch for [`crate::Kernel::promote_scan`]; when off
+    /// the scan is a no-op and the promotion gauges are not published.
     pub enabled: bool,
     /// Minimum populated 4KB slots (of 16) a group needs before the
     /// scanner collapses it — khugepaged's

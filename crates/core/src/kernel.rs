@@ -707,7 +707,7 @@ impl Kernel {
     /// the parent's cached translations for the *protected* ranges
     /// afterwards, as Linux's `dup_mmap`/`flush_tlb_mm` does — use
     /// [`Kernel::fork_with_flush`] to learn which ranges those are
-    /// ([`sat_sim::Machine::fork`] gathers them into a
+    /// (`sat_sim::Machine::fork` gathers them into a
     /// [`FlushBatch`]); direct kernel users with no TLB have nothing
     /// to go stale.
     pub fn fork(&mut self, parent: Pid) -> SatResult<ForkOutcome> {

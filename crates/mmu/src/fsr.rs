@@ -3,7 +3,7 @@
 //! On a memory abort the ARMv7 MMU latches the cause into the FSR and
 //! the faulting virtual address into the FAR. The paper's TLB-sharing
 //! protection depends on this being *precise*: the domain-fault
-//! handler "checks the FSR [and] when it finds that the reason for the
+//! handler "checks the FSR \[and\] when it finds that the reason for the
 //! exception is a domain fault, it flushes all TLB entries that match
 //! the faulting address" (Section 3.2.3). This module provides the
 //! short-descriptor FSR encodings for the fault classes the simulator
@@ -34,7 +34,7 @@ pub enum FaultStatus {
 }
 
 impl FaultStatus {
-    /// The five-bit FS field value ({FS[4], FS[3:0]}).
+    /// The five-bit FS field value (`{FS[4], FS[3:0]}`).
     pub const fn fs(self) -> u32 {
         match self {
             FaultStatus::TranslationSection => 0b00101,
@@ -80,8 +80,8 @@ impl FaultStatus {
 /// A latched abort: the (data or prefetch) FSR plus the FAR.
 ///
 /// The data FSR layout in the short-descriptor format:
-/// `[12]` ExT, `[11]` WnR, `[10]` FS[4], `[7:4]` domain, `[3:0]`
-/// FS[3:0].
+/// `[12]` ExT, `[11]` WnR, `[10]` `FS[4]`, `[7:4]` domain, `[3:0]`
+/// `FS[3:0]`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Fault classification.

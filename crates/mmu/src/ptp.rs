@@ -48,7 +48,7 @@ impl TableHalf {
 /// accesses for the cache model.
 ///
 /// Slots are stored packed — a 4-byte word per hardware entry (see
-/// [`pack_hw`]) and one byte per shadow entry ([`SwPte::pack`]) — so
+/// `pack_hw`) and one byte per shadow entry ([`SwPte::pack`]) — so
 /// a `Ptp` costs ~2.5KB of host memory instead of the ~6.6KB the
 /// unpacked `Option<HwPte>`/`SwPte` arrays took. Fleet-scale fork
 /// churn allocates tens of thousands of these; the zeroing of fresh

@@ -97,7 +97,9 @@ impl GaugeSeries {
     }
 }
 
-/// Everything the analyzer derives from one event stream.
+/// Everything the analyzer derives from one event stream. Any number
+/// the registry already counts is read from [`Rollup::metrics`]; the
+/// other fields hold only what a counter cannot express.
 #[derive(Clone, Debug, Default)]
 pub struct Rollup {
     pub event_count: u64,
@@ -106,72 +108,10 @@ pub struct Rollup {
     pub dropped: u64,
     pub subsystems: BTreeMap<&'static str, u64>,
     pub pids: BTreeMap<u32, u64>,
-    /// Figure 6: unshare events per cause.
-    pub unshare_causes: BTreeMap<&'static str, u64>,
-    pub unshare_ptes_copied: u64,
-    pub unshare_last_sharer: u64,
     /// Main-TLB flush volume per attributed reason.
     pub main_flush_reasons: BTreeMap<&'static str, FlushAgg>,
     /// Micro-TLB flush volume per attributed reason.
     pub micro_flush_reasons: BTreeMap<&'static str, FlushAgg>,
-    pub flush_scopes: BTreeMap<&'static str, u64>,
-    pub fault_classes: BTreeMap<&'static str, u64>,
-    pub faults_file_backed: u64,
-    pub region_ops: BTreeMap<&'static str, u64>,
-    pub forks: u64,
-    pub shared_forks: u64,
-    pub exits: u64,
-    pub domain_faults: u64,
-    /// ASID generation rollovers (8-bit space exhausted).
-    pub asid_rollovers: u64,
-    /// Precise shootdowns resolved against the residency map, with how
-    /// many cores took the flush, did it locally (no IPI), or avoided
-    /// it entirely.
-    pub shootdowns: u64,
-    pub shootdown_cores_targeted: u64,
-    pub shootdown_cores_local: u64,
-    pub shootdown_cores_skipped: u64,
-    /// Shootdowns delivered at range/page granularity (the rest were
-    /// whole-ASID).
-    pub shootdowns_ranged: u64,
-    /// `FlushBatch` applications and their accumulated op statistics.
-    pub batches: u64,
-    pub batch_ops: u64,
-    pub batch_coalesced: u64,
-    pub batch_escalated: u64,
-    /// Scheduler timeslice preemptions.
-    pub preemptions: u64,
-    /// Reclaim passes that evicted at least one page.
-    pub reclaims: u64,
-    /// Pages evicted across all reclaim passes.
-    pub reclaim_pages: u64,
-    /// Private PTEs torn by reclaim (one mapping each).
-    pub reclaim_pte_tears: u64,
-    /// Shared-PTP slots torn by reclaim (all sharers repaired at once).
-    pub reclaim_shared_tears: u64,
-    /// Large-page / section collapses performed by the promotion
-    /// scanner.
-    pub promotions: u64,
-    /// 4KB pages now covered by wider translations.
-    pub promote_pages: u64,
-    /// Never-touched hole pages the scanner allocated frames for so a
-    /// run could go wide — the measured memory-waste numerator.
-    pub promote_filled: u64,
-    /// Large mappings split back to 4KB PTEs, per cause.
-    pub demotions: u64,
-    pub demote_pages: u64,
-    pub demote_causes: BTreeMap<&'static str, u64>,
-    /// Cycle-charge volume per blame cause (flow 0 included — the
-    /// unattributed bucket).
-    pub charge_causes: BTreeMap<&'static str, u64>,
-    /// `CycleCharge` events in the stream.
-    pub charges: u64,
-    /// Request-flow lifecycle counts.
-    pub flow_arrivals: u64,
-    pub flow_begins: u64,
-    pub flow_ends: u64,
-    /// Gauge sample points in the stream.
-    pub samples: u64,
     /// Per-gauge time-series summaries (first/last/min/max over the
     /// sampled values, in key order).
     pub gauges: BTreeMap<String, GaugeSeries>,
@@ -205,78 +145,13 @@ impl Rollup {
             *r.pids.entry(event.pid).or_default() += 1;
             r.metrics.apply_event(event.subsystem, &event.payload);
             match &event.payload {
-                Payload::Fork { child, shared, .. } => {
-                    r.forks += 1;
-                    if *shared {
-                        r.shared_forks += 1;
-                    }
+                Payload::Fork { child, .. } => {
                     let inherited = pages.get(&event.pid).cloned().unwrap_or_default();
                     pages.insert(*child, inherited);
-                }
-                Payload::Exit => r.exits += 1,
-                Payload::DomainFault { .. } => r.domain_faults += 1,
-                Payload::AsidRollover { .. } => r.asid_rollovers += 1,
-                Payload::TlbShootdown {
-                    scope,
-                    cores_targeted,
-                    cores_local,
-                    cores_skipped,
-                    ..
-                } => {
-                    r.shootdowns += 1;
-                    r.shootdown_cores_targeted += u64::from(*cores_targeted);
-                    r.shootdown_cores_local += u64::from(*cores_local);
-                    r.shootdown_cores_skipped += u64::from(*cores_skipped);
-                    if matches!(scope, crate::FlushScope::Range | crate::FlushScope::Page) {
-                        r.shootdowns_ranged += 1;
-                    }
-                }
-                Payload::FlushBatch {
-                    ops,
-                    coalesced,
-                    escalated,
-                } => {
-                    r.batches += 1;
-                    r.batch_ops += ops;
-                    r.batch_coalesced += coalesced;
-                    r.batch_escalated += escalated;
-                }
-                Payload::Preempt { .. } => r.preemptions += 1,
-                Payload::Reclaim {
-                    pages,
-                    pte_tears,
-                    shared_tears,
-                } => {
-                    r.reclaims += 1;
-                    r.reclaim_pages += pages;
-                    r.reclaim_pte_tears += pte_tears;
-                    r.reclaim_shared_tears += shared_tears;
-                }
-                Payload::Promote { pages, filled, .. } => {
-                    r.promotions += 1;
-                    r.promote_pages += pages;
-                    r.promote_filled += filled;
-                }
-                Payload::Demote { pages, cause, .. } => {
-                    r.demotions += 1;
-                    r.demote_pages += pages;
-                    *r.demote_causes.entry(cause.as_str()).or_default() += 1;
-                }
-                Payload::CycleCharge { cause, cycles, .. } => {
-                    r.charges += 1;
-                    *r.charge_causes.entry(cause.as_str()).or_default() += cycles;
-                }
-                Payload::FlowArrive { .. } => r.flow_arrivals += 1,
-                Payload::FlowBegin { .. } => r.flow_begins += 1,
-                Payload::FlowEnd { .. } => r.flow_ends += 1,
-                Payload::Sample { gauge, value } => {
-                    r.samples += 1;
-                    r.gauges.entry(gauge.clone()).or_default().observe(*value);
                 }
                 Payload::RegionOp {
                     op, va, pages: n, ..
                 } => {
-                    *r.region_ops.entry(op.as_str()).or_default() += 1;
                     let set = pages.entry(event.pid).or_default();
                     let first = va / PAGE_BYTES;
                     match op {
@@ -291,33 +166,11 @@ impl Rollup {
                         crate::RegionOpKind::Mprotect => {}
                     }
                 }
-                Payload::PtpShare { .. } => {}
-                Payload::PtpUnshare {
-                    cause,
-                    ptes_copied,
-                    last_sharer,
-                    ..
-                } => {
-                    *r.unshare_causes.entry(cause.as_str()).or_default() += 1;
-                    r.unshare_ptes_copied += ptes_copied;
-                    if *last_sharer {
-                        r.unshare_last_sharer += 1;
-                    }
-                }
-                Payload::PageFault {
-                    class, file_backed, ..
-                } => {
-                    *r.fault_classes.entry(class.as_str()).or_default() += 1;
-                    if *file_backed {
-                        r.faults_file_backed += 1;
-                    }
-                }
                 Payload::TlbFlush {
                     scope,
                     reason,
                     entries,
                 } => {
-                    *r.flush_scopes.entry(scope.as_str()).or_default() += 1;
                     let table = if scope.is_main() {
                         &mut r.main_flush_reasons
                     } else {
@@ -326,6 +179,9 @@ impl Rollup {
                     let agg = table.entry(reason.as_str()).or_default();
                     agg.flushes += 1;
                     agg.entries += entries;
+                }
+                Payload::Sample { gauge, value } => {
+                    r.gauges.entry(gauge.clone()).or_default().observe(*value);
                 }
                 Payload::SpanBegin { name } => {
                     stacks
@@ -365,6 +221,7 @@ impl Rollup {
                         }
                     }
                 }
+                _ => {}
             }
         }
 
@@ -397,15 +254,11 @@ impl Rollup {
     /// Figure-6 rows: (cause, unshares, percent of all unshares), in
     /// the paper's cause order, zero-count causes included.
     pub fn fig6_breakdown(&self) -> Vec<(&'static str, u64, f64)> {
-        let total: u64 = self.unshare_causes.values().sum();
+        let total = self.metrics.counter("share.unshare");
         UnshareCause::ALL
             .into_iter()
             .map(|cause| {
-                let n = self
-                    .unshare_causes
-                    .get(cause.as_str())
-                    .copied()
-                    .unwrap_or(0);
+                let n = self.metrics.counter(cause.counter_key());
                 let pct = if total == 0 {
                     0.0
                 } else {
@@ -489,16 +342,24 @@ pub struct Timeline {
 
 impl Timeline {
     /// Buckets `events` into windows of `window` ticks; `window == 0`
-    /// picks a width dividing the span into about
-    /// [`TIMELINE_DEFAULT_WINDOWS`] windows. Errors when the explicit
-    /// width would produce more than [`TIMELINE_MAX_WINDOWS`] rows.
+    /// picks a width dividing the span into about 20 windows. Errors
+    /// when the stream is not in tick order, or when the explicit width
+    /// would produce more than [`TIMELINE_MAX_WINDOWS`] rows.
     pub fn from_events(events: &[Event], window: u64) -> Result<Timeline, String> {
         let Some(first) = events.first() else {
             return Ok(Timeline::default());
         };
+        // Everything below (the span, the row index) assumes recorder
+        // order, so establish it before any arithmetic on the ticks.
+        if let Some(w) = events.windows(2).find(|w| w[1].tick < w[0].tick) {
+            return Err(format!(
+                "event stream is not tick-sorted (tick {} after tick {})",
+                w[1].tick, w[0].tick
+            ));
+        }
         let start = first.tick;
         let end = events.last().map_or(start, |e| e.tick);
-        let span = end - start + 1;
+        let span = (end - start).saturating_add(1);
         let window = if window == 0 {
             span.div_ceil(TIMELINE_DEFAULT_WINDOWS).max(1)
         } else {
@@ -524,20 +385,7 @@ impl Timeline {
             gauges: BTreeMap::new(),
         };
         for event in events {
-            if event.tick < start {
-                return Err(format!(
-                    "event stream is not tick-sorted (tick {} before start {start})",
-                    event.tick
-                ));
-            }
-            let idx = ((event.tick - start) / window) as usize;
-            let Some(row) = t.rows.get_mut(idx) else {
-                return Err(format!(
-                    "event stream is not tick-sorted (tick {} after the last event's {end})",
-                    event.tick
-                ));
-            };
-            row.add(&event.payload);
+            t.rows[((event.tick - start) / window) as usize].add(&event.payload);
             if let Payload::Sample { gauge, value } = &event.payload {
                 t.gauges.entry(gauge.clone()).or_default().observe(*value);
             }
@@ -1133,8 +981,8 @@ mod tests {
             sample(2, "phys.frames.free", 70),
         ];
         let r = Rollup::from_events(&events, 0);
-        assert_eq!(r.samples, 3);
         let s = r.gauges["phys.frames.free"];
+        assert_eq!(s.samples, 3);
         assert_eq!((s.first, s.last, s.min, s.max), (100, 70, 40, 100));
         // The replayed registry carries the same high-water mark.
         assert_eq!(r.metrics.gauge("phys.frames.free").unwrap().high_water, 100);
@@ -1183,7 +1031,7 @@ mod tests {
         assert_eq!(totals.events, r.event_count);
         assert_eq!(
             totals.flush_ipis,
-            r.shootdown_cores_targeted - r.shootdown_cores_local
+            r.metrics.counter("tlb.shootdown.cores") - r.metrics.counter("tlb.shootdown.local")
         );
         assert_eq!(t.gauges["sched.runq.c0"].max, 2);
     }
@@ -1200,6 +1048,25 @@ mod tests {
         assert!(err.contains("pick a wider window"), "{err}");
         // Empty stream: an empty timeline, not an error.
         assert!(Timeline::from_events(&[], 0).unwrap().rows.is_empty());
+    }
+
+    #[test]
+    fn timeline_rejects_an_unsorted_stream_before_measuring_its_span() {
+        // Last tick below the first: `end - start` must never be
+        // computed (it underflows), whatever the window.
+        let events = vec![fault(10, 1), fault(3, 1)];
+        for window in [0, 1, 5] {
+            let err = Timeline::from_events(&events, window).unwrap_err();
+            assert_eq!(
+                err,
+                "event stream is not tick-sorted (tick 3 after tick 10)"
+            );
+        }
+        // A dip in the middle is out of order too, even though the
+        // endpoints look sane.
+        let events = vec![fault(0, 1), fault(9, 1), fault(4, 1), fault(12, 1)];
+        let err = Timeline::from_events(&events, 0).unwrap_err();
+        assert!(err.contains("tick 4 after tick 9"), "{err}");
     }
 
     #[test]
@@ -1311,11 +1178,13 @@ mod tests {
         assert_eq!(t.unattributed(ChargeCause::Ipi), 2000);
         assert_eq!(t.total(ChargeCause::Ipi), 2000);
         assert_eq!(t.total(ChargeCause::Exec), 50);
-        // The rollup sees the same per-cause volume.
+        // The rollup's replayed registry sees the same per-cause volume.
         let r = Rollup::from_events(&events, 0);
-        assert_eq!(r.charge_causes["ipi"], 2000);
-        assert_eq!(r.charges, 4);
-        assert_eq!((r.flow_arrivals, r.flow_begins, r.flow_ends), (1, 1, 1));
+        assert_eq!(r.metrics.counter("flow.cycles.ipi"), 2000);
+        assert_eq!(r.metrics.counter("flow.charges"), 4);
+        for lifecycle in ["flow.arrive", "flow.begin", "flow.end"] {
+            assert_eq!(r.metrics.counter(lifecycle), 1, "{lifecycle}");
+        }
         assert_eq!(r.metrics.counter("flow.cycles.exec"), 50);
         assert_eq!(r.metrics.counter("flow.cycles.unattributed"), 2000);
     }

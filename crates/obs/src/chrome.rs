@@ -4,227 +4,60 @@
 //! (`{"traceEvents": [...], ...}`), loadable in `chrome://tracing` and
 //! Perfetto. `ts` carries the recorder tick (logical order — the
 //! simulator has no wall clock), `pid`/`tid` carry the simulated
-//! pid/ASID, and `dur` on span events is modeled cycles (Android
-//! phases) or wall-clock µs (bench cells), as noted per event in
-//! `args`.
+//! pid/ASID, and a span's measured quantity (modeled cycles for
+//! Android phases, wall-clock µs for bench cells) rides in its end
+//! event's `args`. What each payload is called on the wire and which
+//! `args` it carries is declared once, with the payload, in `event.rs`;
+//! this module owns the envelope and the value codecs.
 
-use crate::event::{Event, Payload};
-use crate::json::escape_into;
+use crate::event::{Event, Payload, Subsystem};
+use crate::json::{escape_into, Json};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::sink::Recording;
 
-fn push_kv_str(out: &mut String, key: &str, value: &str, comma: bool) {
-    if comma {
+/// Starts member `key` of the object under construction in `out`.
+fn put_key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
         out.push_str(", ");
     }
     out.push('"');
     escape_into(out, key);
-    out.push_str("\": \"");
+    out.push_str("\": ");
+}
+
+pub(crate) fn put_str(out: &mut String, key: &str, value: &str) {
+    put_key(out, key);
+    out.push('"');
     escape_into(out, value);
     out.push('"');
 }
 
-fn push_kv_num(out: &mut String, key: &str, value: u64, comma: bool) {
-    if comma {
-        out.push_str(", ");
-    }
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\": ");
-    out.push_str(&value.to_string());
+pub(crate) fn put_num(out: &mut String, key: &str, value: impl Into<u64>) {
+    put_key(out, key);
+    out.push_str(&value.into().to_string());
 }
 
-fn push_kv_bool(out: &mut String, key: &str, value: bool, comma: bool) {
-    if comma {
-        out.push_str(", ");
-    }
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\": ");
+pub(crate) fn put_bool(out: &mut String, key: &str, value: bool) {
+    put_key(out, key);
     out.push_str(if value { "true" } else { "false" });
-}
-
-/// Renders one event's `args` object.
-fn args_json(payload: &Payload) -> String {
-    let mut o = String::from("{");
-    match payload {
-        Payload::Fork {
-            child,
-            ptps_shared,
-            ptes_copied,
-            shared,
-        } => {
-            push_kv_num(&mut o, "child", u64::from(*child), false);
-            push_kv_num(&mut o, "ptps_shared", *ptps_shared, true);
-            push_kv_num(&mut o, "ptes_copied", *ptes_copied, true);
-            push_kv_bool(&mut o, "shared", *shared, true);
-        }
-        Payload::Exit => {}
-        Payload::RegionOp {
-            op,
-            va,
-            pages,
-            unshared,
-        } => {
-            push_kv_str(&mut o, "op", op.as_str(), false);
-            push_kv_num(&mut o, "va", u64::from(*va), true);
-            push_kv_num(&mut o, "pages", u64::from(*pages), true);
-            push_kv_num(&mut o, "unshared", *unshared, true);
-        }
-        Payload::DomainFault { va } => {
-            push_kv_num(&mut o, "va", u64::from(*va), false);
-        }
-        Payload::PtpShare {
-            ptps,
-            write_protect_ops,
-        } => {
-            push_kv_num(&mut o, "ptps", *ptps, false);
-            push_kv_num(&mut o, "write_protect_ops", *write_protect_ops, true);
-        }
-        Payload::PtpUnshare {
-            cause,
-            ptes_copied,
-            last_sharer,
-            va,
-        } => {
-            push_kv_str(&mut o, "cause", cause.as_str(), false);
-            push_kv_num(&mut o, "ptes_copied", *ptes_copied, true);
-            push_kv_bool(&mut o, "last_sharer", *last_sharer, true);
-            push_kv_num(&mut o, "va", u64::from(*va), true);
-        }
-        Payload::PageFault {
-            class,
-            va,
-            file_backed,
-        } => {
-            push_kv_str(&mut o, "class", class.as_str(), false);
-            push_kv_num(&mut o, "va", u64::from(*va), true);
-            push_kv_bool(&mut o, "file_backed", *file_backed, true);
-        }
-        Payload::TlbFlush {
-            scope,
-            reason,
-            entries,
-        } => {
-            push_kv_str(&mut o, "scope", scope.as_str(), false);
-            push_kv_str(&mut o, "reason", reason.as_str(), true);
-            push_kv_num(&mut o, "entries", *entries, true);
-        }
-        Payload::AsidRollover { generation } => {
-            push_kv_num(&mut o, "generation", *generation, false);
-        }
-        Payload::TlbShootdown {
-            asid,
-            scope,
-            cores_targeted,
-            cores_local,
-            cores_skipped,
-        } => {
-            push_kv_num(&mut o, "asid", u64::from(*asid), false);
-            push_kv_str(&mut o, "scope", scope.as_str(), true);
-            push_kv_num(&mut o, "cores_targeted", u64::from(*cores_targeted), true);
-            push_kv_num(&mut o, "cores_local", u64::from(*cores_local), true);
-            push_kv_num(&mut o, "cores_skipped", u64::from(*cores_skipped), true);
-        }
-        Payload::FlushBatch {
-            ops,
-            coalesced,
-            escalated,
-        } => {
-            push_kv_num(&mut o, "ops", *ops, false);
-            push_kv_num(&mut o, "coalesced", *coalesced, true);
-            push_kv_num(&mut o, "escalated", *escalated, true);
-        }
-        Payload::Preempt { core, next } => {
-            push_kv_num(&mut o, "core", u64::from(*core), false);
-            push_kv_num(&mut o, "next", u64::from(*next), true);
-        }
-        // Counter tracks plot args.value; Perfetto keys the track on
-        // the event name (the gauge key).
-        Payload::Sample { value, .. } => {
-            push_kv_num(&mut o, "value", *value, false);
-        }
-        Payload::SpanBegin { .. } => {}
-        Payload::SpanEnd { value, unit, .. } => {
-            push_kv_num(&mut o, "value", *value, false);
-            push_kv_str(&mut o, "unit", unit.as_str(), true);
-        }
-        Payload::CycleCharge {
-            flow,
-            cause,
-            cycles,
-        } => {
-            push_kv_num(&mut o, "flow", u64::from(*flow), false);
-            push_kv_str(&mut o, "cause", cause.as_str(), true);
-            push_kv_num(&mut o, "cycles", *cycles, true);
-        }
-        Payload::FlowArrive { flow } | Payload::FlowBegin { flow } => {
-            push_kv_num(&mut o, "flow", u64::from(*flow), false);
-        }
-        Payload::FlowEnd { flow, wall } => {
-            push_kv_num(&mut o, "flow", u64::from(*flow), false);
-            push_kv_num(&mut o, "wall", *wall, true);
-        }
-        Payload::Reclaim {
-            pages,
-            pte_tears,
-            shared_tears,
-        } => {
-            push_kv_num(&mut o, "pages", *pages, false);
-            push_kv_num(&mut o, "pte_tears", *pte_tears, true);
-            push_kv_num(&mut o, "shared_tears", *shared_tears, true);
-        }
-        Payload::Promote {
-            va,
-            bytes,
-            pages,
-            filled,
-        } => {
-            push_kv_num(&mut o, "va", u64::from(*va), false);
-            push_kv_num(&mut o, "bytes", u64::from(*bytes), true);
-            push_kv_num(&mut o, "pages", *pages, true);
-            push_kv_num(&mut o, "filled", *filled, true);
-        }
-        Payload::Demote {
-            va,
-            bytes,
-            pages,
-            cause,
-        } => {
-            push_kv_num(&mut o, "va", u64::from(*va), false);
-            push_kv_num(&mut o, "bytes", u64::from(*bytes), true);
-            push_kv_num(&mut o, "pages", *pages, true);
-            push_kv_str(&mut o, "cause", cause.as_str(), true);
-        }
-    }
-    o.push('}');
-    o
 }
 
 fn event_json(event: &Event) -> String {
     let mut o = String::from("{");
-    push_kv_str(&mut o, "name", event.payload.name(), false);
-    push_kv_str(&mut o, "cat", event.subsystem.as_str(), true);
-    match &event.payload {
-        // Begin/end pairs: the viewer nests the events a span
-        // encloses under it; `ts` deltas are logical ticks, the
-        // measured quantity rides in the end event's args.
-        Payload::SpanBegin { .. } => push_kv_str(&mut o, "ph", "B", true),
-        Payload::SpanEnd { .. } => push_kv_str(&mut o, "ph", "E", true),
-        // Gauge samples are counter events: Perfetto renders each
-        // distinct name as its own counter track, stacked over time.
-        Payload::Sample { .. } => push_kv_str(&mut o, "ph", "C", true),
-        _ => {
-            push_kv_str(&mut o, "ph", "i", true);
-            push_kv_str(&mut o, "s", "t", true);
-        }
+    put_str(&mut o, "name", event.payload.name());
+    put_str(&mut o, "cat", event.subsystem.as_str());
+    let ph = event.payload.phase();
+    put_str(&mut o, "ph", ph);
+    if ph == "i" {
+        // Instant events are thread-scoped.
+        put_str(&mut o, "s", "t");
     }
-    push_kv_num(&mut o, "ts", event.tick, true);
-    push_kv_num(&mut o, "pid", u64::from(event.pid), true);
-    push_kv_num(&mut o, "tid", u64::from(event.asid), true);
-    o.push_str(", \"args\": ");
-    o.push_str(&args_json(&event.payload));
-    o.push('}');
+    put_num(&mut o, "ts", event.tick);
+    put_num(&mut o, "pid", event.pid);
+    put_num(&mut o, "tid", event.asid);
+    o.push_str(", \"args\": {");
+    event.payload.write_args(&mut o);
+    o.push_str("}}");
     o
 }
 
@@ -279,185 +112,80 @@ pub struct ParsedTrace {
     pub dropped: u64,
 }
 
-fn field_u64(obj: &crate::json::Json, key: &str, ctx: &str) -> Result<u64, String> {
+fn get_str<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j str, String> {
     obj.get(key)
-        .and_then(crate::json::Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer \"{key}\""))
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("{ctx}: missing or non-string \"{key}\""))
 }
 
-fn arg_str<'j>(args: &'j crate::json::Json, key: &str, ctx: &str) -> Result<&'j str, String> {
-    args.get(key)
-        .and_then(crate::json::Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing or non-string arg \"{key}\""))
+pub(crate) fn get_bool(obj: &Json, key: &str, ctx: &str) -> Result<bool, String> {
+    obj.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| format!("{ctx}: missing or non-bool \"{key}\""))
 }
 
-fn arg_bool(args: &crate::json::Json, key: &str, ctx: &str) -> Result<bool, String> {
-    args.get(key)
-        .and_then(crate::json::Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing or non-bool arg \"{key}\""))
+/// Reads integer member `key`, range-checked into the field's own
+/// width: a `"tid": 300` is an error, never ASID 44.
+pub(crate) fn get_num<T: TryFrom<u64>>(obj: &Json, key: &str, ctx: &str) -> Result<T, String> {
+    let wide = obj
+        .get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{ctx}: missing or non-integer \"{key}\""))?;
+    T::try_from(wide).map_err(|_| {
+        format!(
+            "{ctx}: \"{key}\" is {wide}, out of range for a {}-bit field",
+            8 * std::mem::size_of::<T>()
+        )
+    })
+}
+
+pub(crate) fn get_label<T>(
+    obj: &Json,
+    key: &str,
+    ctx: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let label = get_str(obj, key, ctx)?;
+    parse(label).ok_or_else(|| format!("{ctx}: unknown {key} \"{label}\""))
 }
 
 /// Parses one exported trace event back into a typed [`Event`].
-fn parse_event(obj: &crate::json::Json, index: usize) -> Result<Event, String> {
-    use crate::event::*;
+fn parse_event(obj: &Json, index: usize) -> Result<Event, String> {
     let ctx = format!("traceEvents[{index}]");
-    let name = obj
-        .get("name")
-        .and_then(crate::json::Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing \"name\""))?;
-    let cat = obj
-        .get("cat")
-        .and_then(crate::json::Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing \"cat\""))?;
-    let subsystem = Subsystem::parse(cat).ok_or_else(|| format!("{ctx}: unknown cat \"{cat}\""))?;
-    let ph = obj
-        .get("ph")
-        .and_then(crate::json::Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing \"ph\""))?;
-    let tick = field_u64(obj, "ts", &ctx)?;
-    let pid = field_u64(obj, "pid", &ctx)? as u32;
-    let asid = field_u64(obj, "tid", &ctx)? as u8;
-    let empty = crate::json::Json::Obj(Default::default());
+    let name = get_str(obj, "name", &ctx)?;
+    let subsystem = get_label(obj, "cat", &ctx, Subsystem::parse)?;
+    let ph = get_str(obj, "ph", &ctx)?;
+    let tick = get_num(obj, "ts", &ctx)?;
+    let pid = get_num(obj, "pid", &ctx)?;
+    let asid = get_num(obj, "tid", &ctx)?;
+    let empty = Json::Obj(Default::default());
     let args = obj.get("args").unwrap_or(&empty);
     let ctx = format!("{ctx} ({name})");
 
-    let payload = match ph {
-        "B" => Payload::SpanBegin {
-            name: name.to_string(),
-        },
-        // A counter-track point round-trips into the gauge sample it
-        // was exported from; the event name is the gauge key.
-        "C" => Payload::Sample {
-            gauge: name.to_string(),
-            value: field_u64(args, "value", &ctx)?,
-        },
-        "E" => {
-            let unit_s = arg_str(args, "unit", &ctx)?;
-            Payload::SpanEnd {
-                name: name.to_string(),
-                value: field_u64(args, "value", &ctx)?,
-                unit: SpanUnit::parse(unit_s)
-                    .ok_or_else(|| format!("{ctx}: unknown span unit \"{unit_s}\""))?,
-            }
+    let payload = Payload::from_wire(ph, name, args, &ctx)?
+        .ok_or_else(|| format!("{ctx}: unknown event \"{name}\" in phase \"{ph}\""))?;
+    // Decoding alone cannot rule these out, yet the exporter could not
+    // have written them: an event named after one label carrying
+    // another in its args, and a shootdown with more local flushes
+    // than flushing cores (the IPI count is their difference).
+    if payload.name() != name {
+        return Err(format!(
+            "{ctx}: args describe a \"{}\" event",
+            payload.name()
+        ));
+    }
+    if let Payload::TlbShootdown {
+        cores_targeted,
+        cores_local,
+        ..
+    } = payload
+    {
+        if cores_local > cores_targeted {
+            return Err(format!(
+                "{ctx}: \"cores_local\" {cores_local} exceeds \"cores_targeted\" {cores_targeted}"
+            ));
         }
-        "i" => match name {
-            "fork" => Payload::Fork {
-                child: field_u64(args, "child", &ctx)? as u32,
-                ptps_shared: field_u64(args, "ptps_shared", &ctx)?,
-                ptes_copied: field_u64(args, "ptes_copied", &ctx)?,
-                shared: arg_bool(args, "shared", &ctx)?,
-            },
-            "exit" => Payload::Exit,
-            "domain_fault" => Payload::DomainFault {
-                va: field_u64(args, "va", &ctx)? as u32,
-            },
-            "ptp_share" => Payload::PtpShare {
-                ptps: field_u64(args, "ptps", &ctx)?,
-                write_protect_ops: field_u64(args, "write_protect_ops", &ctx)?,
-            },
-            "ptp_unshare" => {
-                let cause_s = arg_str(args, "cause", &ctx)?;
-                Payload::PtpUnshare {
-                    cause: UnshareCause::parse(cause_s)
-                        .ok_or_else(|| format!("{ctx}: unknown cause \"{cause_s}\""))?,
-                    ptes_copied: field_u64(args, "ptes_copied", &ctx)?,
-                    last_sharer: arg_bool(args, "last_sharer", &ctx)?,
-                    va: field_u64(args, "va", &ctx)? as u32,
-                }
-            }
-            "page_fault" => {
-                let class_s = arg_str(args, "class", &ctx)?;
-                Payload::PageFault {
-                    class: FaultClass::parse(class_s)
-                        .ok_or_else(|| format!("{ctx}: unknown fault class \"{class_s}\""))?,
-                    va: field_u64(args, "va", &ctx)? as u32,
-                    file_backed: arg_bool(args, "file_backed", &ctx)?,
-                }
-            }
-            "tlb_flush" => {
-                let scope_s = arg_str(args, "scope", &ctx)?;
-                let reason_s = arg_str(args, "reason", &ctx)?;
-                Payload::TlbFlush {
-                    scope: FlushScope::parse(scope_s)
-                        .ok_or_else(|| format!("{ctx}: unknown flush scope \"{scope_s}\""))?,
-                    reason: FlushReason::parse(reason_s)
-                        .ok_or_else(|| format!("{ctx}: unknown flush reason \"{reason_s}\""))?,
-                    entries: field_u64(args, "entries", &ctx)?,
-                }
-            }
-            "asid_rollover" => Payload::AsidRollover {
-                generation: field_u64(args, "generation", &ctx)?,
-            },
-            "tlb_shootdown" => {
-                let scope_s = arg_str(args, "scope", &ctx)?;
-                Payload::TlbShootdown {
-                    asid: field_u64(args, "asid", &ctx)? as u8,
-                    scope: FlushScope::parse(scope_s)
-                        .ok_or_else(|| format!("{ctx}: unknown flush scope \"{scope_s}\""))?,
-                    cores_targeted: field_u64(args, "cores_targeted", &ctx)? as u32,
-                    cores_local: field_u64(args, "cores_local", &ctx)? as u32,
-                    cores_skipped: field_u64(args, "cores_skipped", &ctx)? as u32,
-                }
-            }
-            "flush_batch" => Payload::FlushBatch {
-                ops: field_u64(args, "ops", &ctx)?,
-                coalesced: field_u64(args, "coalesced", &ctx)?,
-                escalated: field_u64(args, "escalated", &ctx)?,
-            },
-            "preempt" => Payload::Preempt {
-                core: field_u64(args, "core", &ctx)? as u32,
-                next: field_u64(args, "next", &ctx)? as u32,
-            },
-            "cycle_charge" => {
-                let cause_s = arg_str(args, "cause", &ctx)?;
-                Payload::CycleCharge {
-                    flow: field_u64(args, "flow", &ctx)? as u32,
-                    cause: ChargeCause::parse(cause_s)
-                        .ok_or_else(|| format!("{ctx}: unknown charge cause \"{cause_s}\""))?,
-                    cycles: field_u64(args, "cycles", &ctx)?,
-                }
-            }
-            "flow_arrive" => Payload::FlowArrive {
-                flow: field_u64(args, "flow", &ctx)? as u32,
-            },
-            "flow_begin" => Payload::FlowBegin {
-                flow: field_u64(args, "flow", &ctx)? as u32,
-            },
-            "flow_end" => Payload::FlowEnd {
-                flow: field_u64(args, "flow", &ctx)? as u32,
-                wall: field_u64(args, "wall", &ctx)?,
-            },
-            "reclaim" => Payload::Reclaim {
-                pages: field_u64(args, "pages", &ctx)?,
-                pte_tears: field_u64(args, "pte_tears", &ctx)?,
-                shared_tears: field_u64(args, "shared_tears", &ctx)?,
-            },
-            "promote" => Payload::Promote {
-                va: field_u64(args, "va", &ctx)? as u32,
-                bytes: field_u64(args, "bytes", &ctx)? as u32,
-                pages: field_u64(args, "pages", &ctx)?,
-                filled: field_u64(args, "filled", &ctx)?,
-            },
-            "demote" => {
-                let cause_s = arg_str(args, "cause", &ctx)?;
-                Payload::Demote {
-                    va: field_u64(args, "va", &ctx)? as u32,
-                    bytes: field_u64(args, "bytes", &ctx)? as u32,
-                    pages: field_u64(args, "pages", &ctx)?,
-                    cause: DemoteCause::parse(cause_s)
-                        .ok_or_else(|| format!("{ctx}: unknown demote cause \"{cause_s}\""))?,
-                }
-            }
-            op if RegionOpKind::parse(op).is_some() => Payload::RegionOp {
-                op: RegionOpKind::parse(op).unwrap(),
-                va: field_u64(args, "va", &ctx)? as u32,
-                pages: field_u64(args, "pages", &ctx)? as u32,
-                unshared: field_u64(args, "unshared", &ctx)?,
-            },
-            other => return Err(format!("{ctx}: unknown instant event \"{other}\"")),
-        },
-        other => return Err(format!("{ctx}: unknown phase \"{other}\"")),
-    };
+    }
     Ok(Event {
         tick,
         pid,
@@ -471,10 +199,10 @@ fn parse_event(obj: &crate::json::Json, index: usize) -> Result<Event, String> {
 /// [`chrome_trace_json`] into typed events. Strict: an event the
 /// exporter could not have written is an error, not a skip — `repro
 /// check` and `repro report` both want corruption surfaced.
-pub fn parse_chrome_trace(doc: &crate::json::Json) -> Result<ParsedTrace, String> {
+pub fn parse_chrome_trace(doc: &Json) -> Result<ParsedTrace, String> {
     let events_json = doc
         .get("traceEvents")
-        .and_then(crate::json::Json::as_array)
+        .and_then(Json::as_array)
         .ok_or("missing \"traceEvents\" array")?;
     let mut events = Vec::with_capacity(events_json.len());
     for (i, obj) in events_json.iter().enumerate() {
@@ -483,13 +211,13 @@ pub fn parse_chrome_trace(doc: &crate::json::Json) -> Result<ParsedTrace, String
     let dropped = doc
         .get("otherData")
         .and_then(|o| o.get("dropped_events"))
-        .and_then(crate::json::Json::as_u64)
+        .and_then(Json::as_u64)
         .unwrap_or(0);
     Ok(ParsedTrace { events, dropped })
 }
 
 /// Serializes the metrics registry (plus the ring's drop counter) as a
-/// JSON object — the `obs` section of `BENCH_repro.json` v2. `indent`
+/// JSON object — the `obs` section of `BENCH_repro.json`. `indent`
 /// is the base indentation applied to every line after the first.
 pub fn metrics_json(
     metrics: &MetricsRegistry,
@@ -497,73 +225,51 @@ pub fn metrics_json(
     dropped: u64,
     indent: &str,
 ) -> String {
-    let mut out = String::from("{\n");
-    let field = |out: &mut String, name: &str| {
-        out.push_str(indent);
-        out.push_str("  \"");
-        out.push_str(name);
-        out.push_str("\": ");
+    let mut out = format!(
+        "{{\n{indent}  \"enabled\": {enabled},\n{indent}  \"dropped_events\": {dropped},\n"
+    );
+    // One `"name": {"key": value, ..}` member per metric kind, a row
+    // per key; `rows` carries each value already rendered as JSON.
+    let mut section = |name: &str, rows: Vec<(&str, String)>, sep: &str| {
+        out.push_str(&format!("{indent}  \"{name}\": {{\n"));
+        for (i, (key, value)) in rows.iter().enumerate() {
+            out.push_str(&format!("{indent}    \""));
+            escape_into(&mut out, key);
+            out.push_str(&format!("\": {value}"));
+            out.push_str(if i + 1 != rows.len() { ",\n" } else { "\n" });
+        }
+        out.push_str(&format!("{indent}  }}{sep}\n"));
     };
-    field(&mut out, "enabled");
-    out.push_str(if enabled { "true" } else { "false" });
-    out.push_str(",\n");
-    field(&mut out, "dropped_events");
-    out.push_str(&dropped.to_string());
-    out.push_str(",\n");
-
-    field(&mut out, "counters");
-    out.push_str("{\n");
-    let counters: Vec<(&str, u64)> = metrics.counters().collect();
-    for (i, (k, v)) in counters.iter().enumerate() {
-        out.push_str(indent);
-        out.push_str("    \"");
-        escape_into(&mut out, k);
-        out.push_str("\": ");
-        out.push_str(&v.to_string());
-        if i + 1 != counters.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(indent);
-    out.push_str("  },\n");
-
-    field(&mut out, "histograms");
-    out.push_str("{\n");
-    let hists: Vec<(&str, &Histogram)> = metrics.histograms().collect();
-    for (i, (k, h)) in hists.iter().enumerate() {
-        out.push_str(indent);
-        out.push_str("    \"");
-        escape_into(&mut out, k);
-        out.push_str("\": ");
-        out.push_str(&histogram_json(h));
-        if i + 1 != hists.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(indent);
-    out.push_str("  },\n");
-
-    field(&mut out, "gauges");
-    out.push_str("{\n");
-    let gauges: Vec<(&str, crate::metrics::Gauge)> = metrics.gauges().collect();
-    for (i, (k, g)) in gauges.iter().enumerate() {
-        out.push_str(indent);
-        out.push_str("    \"");
-        escape_into(&mut out, k);
-        out.push_str("\": ");
-        out.push_str(&format!(
-            "{{\"value\": {}, \"high_water\": {}}}",
-            g.value, g.high_water
-        ));
-        if i + 1 != gauges.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(indent);
-    out.push_str("  }\n");
+    section(
+        "counters",
+        metrics
+            .counters()
+            .map(|(k, v)| (k, v.to_string()))
+            .collect(),
+        ",",
+    );
+    section(
+        "histograms",
+        metrics
+            .histograms()
+            .map(|(k, h)| (k, histogram_json(h)))
+            .collect(),
+        ",",
+    );
+    section(
+        "gauges",
+        metrics
+            .gauges()
+            .map(|(k, g)| {
+                let value = format!(
+                    "{{\"value\": {}, \"high_water\": {}}}",
+                    g.value, g.high_water
+                );
+                (k, value)
+            })
+            .collect(),
+        "",
+    );
     out.push_str(indent);
     out.push('}');
     out

@@ -9,43 +9,93 @@
 //! `FaultKind`): `sat-obs` sits below every instrumented crate in the
 //! dependency graph.
 
-/// The layer an event originated from. Becomes the Chrome-trace `cat`
-/// field, so Perfetto can filter per subsystem.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Subsystem {
-    /// `sat-core` kernel entry points (fork/exit/region ops/faults).
-    Kernel,
-    /// `sat-core` PTP share/unshare mechanism.
-    Share,
-    /// `sat-vm` page-fault handling.
-    VmFault,
-    /// `sat-tlb` flush primitives (main and micro TLBs).
-    Tlb,
-    /// `sat-android` launch/IPC phases.
-    Android,
-    /// `sat-bench` sweep cells.
-    Bench,
-    /// `sat-sim` modeled-cost sampling.
-    Sim,
-    /// `sat-sched` scheduling decisions (preemptions, migrations).
-    Sched,
+/// Declares a label enum: every variant's label is written once, and
+/// `as_str`, `parse`, `ALL` and any counter-key tables listed after
+/// the enum (`name = "prefix";` or `name = "prefix" + "suffix";`, the
+/// label goes between) all derive from that one list. Keys are
+/// `concat!`ed at compile time, so they stay `&'static str` — nothing
+/// allocates on the flush/fault paths.
+macro_rules! label_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $label:literal ),+ $(,)?
+        }
+        $($keys:tt)*
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant ),+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order (reporting iterates
+            /// these, so the order is part of the output).
+            pub const ALL: [$name; [$($label),+].len()] = [$($name::$variant),+];
+
+            /// Stable lowercase label: the Chrome-trace spelling and
+            /// the report row name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label),+
+                }
+            }
+
+            /// Inverse of `as_str` (trace re-ingestion).
+            pub fn parse(s: &str) -> Option<$name> {
+                Self::ALL.into_iter().find(|v| v.as_str() == s)
+            }
+        }
+
+        label_enum!(@keys $name [$($variant = $label),+] $($keys)*);
+    };
+    (@keys $name:ident $variants:tt) => {};
+    (@keys $name:ident $variants:tt
+        $(#[$meta:meta])* $key_fn:ident = $prefix:literal; $($rest:tt)*
+    ) => {
+        label_enum!(@keys $name $variants $(#[$meta])* $key_fn = $prefix + ""; $($rest)*);
+    };
+    (@keys $name:ident [$($variant:ident = $label:literal),+]
+        $(#[$meta:meta])* $key_fn:ident = $prefix:literal + $suffix:literal; $($rest:tt)*
+    ) => {
+        impl $name {
+            $(#[$meta])*
+            pub fn $key_fn(self) -> &'static str {
+                match self {
+                    $($name::$variant => concat!($prefix, $label, $suffix)),+
+                }
+            }
+        }
+
+        label_enum!(@keys $name [$($variant = $label),+] $($rest)*);
+    };
+}
+
+label_enum! {
+    /// The layer an event originated from. Becomes the Chrome-trace `cat`
+    /// field, so Perfetto can filter per subsystem.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+    pub enum Subsystem {
+        /// `sat-core` kernel entry points (fork/exit/region ops/faults).
+        Kernel = "kernel",
+        /// `sat-core` PTP share/unshare mechanism.
+        Share = "share",
+        /// `sat-vm` page-fault handling.
+        VmFault = "vm-fault",
+        /// `sat-tlb` flush primitives (main and micro TLBs).
+        Tlb = "tlb",
+        /// `sat-android` launch/IPC phases.
+        Android = "android",
+        /// `sat-bench` sweep cells.
+        Bench = "bench",
+        /// `sat-sim` modeled-cost sampling.
+        Sim = "sim",
+        /// `sat-sched` scheduling decisions (preemptions, migrations).
+        Sched = "sched",
+    }
 }
 
 impl Subsystem {
-    /// Stable lowercase name (the Chrome-trace category).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Subsystem::Kernel => "kernel",
-            Subsystem::Share => "share",
-            Subsystem::VmFault => "vm-fault",
-            Subsystem::Tlb => "tlb",
-            Subsystem::Android => "android",
-            Subsystem::Bench => "bench",
-            Subsystem::Sim => "sim",
-            Subsystem::Sched => "sched",
-        }
-    }
-
     /// The subsystem owning a dotted gauge key, by its first segment.
     /// The gauge taxonomy (DESIGN.md §12) is rooted at the layer that
     /// publishes the value: `phys.*` and `kernel.*` → [`Kernel`],
@@ -66,534 +116,314 @@ impl Subsystem {
             _ => Subsystem::Sim,
         }
     }
-
-    /// Inverse of [`Subsystem::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<Subsystem> {
-        Some(match s {
-            "kernel" => Subsystem::Kernel,
-            "share" => Subsystem::Share,
-            "vm-fault" => Subsystem::VmFault,
-            "tlb" => Subsystem::Tlb,
-            "android" => Subsystem::Android,
-            "bench" => Subsystem::Bench,
-            "sim" => Subsystem::Sim,
-            "sched" => Subsystem::Sched,
-            _ => return None,
-        })
-    }
 }
 
-/// Why a PTP was unshared. Mirrors `sat-core`'s `UnshareTrigger`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum UnshareCause {
-    /// COW write fault into a shared chunk.
-    WriteFault,
-    /// A new region was mapped into a shared chunk.
-    NewRegion,
-    /// A region in the shared chunk was freed.
-    RegionFree,
-    /// mprotect (or similar in-place op) on a shared chunk.
-    RegionOp,
-    /// Address-space teardown.
-    Exit,
-    /// Memory-pressure reclaim tore a PTE out of the shared PTP (the
-    /// table stays shared; every sharer is repaired at once and
-    /// refaults through the page cache).
-    Reclaim,
-}
-
-impl UnshareCause {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            UnshareCause::WriteFault => "write_fault",
-            UnshareCause::NewRegion => "new_region",
-            UnshareCause::RegionFree => "region_free",
-            UnshareCause::RegionOp => "region_op",
-            UnshareCause::Exit => "exit",
-            UnshareCause::Reclaim => "reclaim",
-        }
+label_enum! {
+    /// Why a PTP was unshared, in Figure-6 order. Mirrors `sat-core`'s
+    /// `UnshareTrigger`.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum UnshareCause {
+        /// COW write fault into a shared chunk.
+        WriteFault = "write_fault",
+        /// A new region was mapped into a shared chunk.
+        NewRegion = "new_region",
+        /// A region in the shared chunk was freed.
+        RegionFree = "region_free",
+        /// mprotect (or similar in-place op) on a shared chunk.
+        RegionOp = "region_op",
+        /// Address-space teardown.
+        Exit = "exit",
+        /// Memory-pressure reclaim tore a PTE out of the shared PTP (the
+        /// table stays shared; every sharer is repaired at once and
+        /// refaults through the page cache).
+        Reclaim = "reclaim",
     }
-
     /// The per-cause counter bumped for every unshare event.
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            UnshareCause::WriteFault => "share.unshare.write_fault",
-            UnshareCause::NewRegion => "share.unshare.new_region",
-            UnshareCause::RegionFree => "share.unshare.region_free",
-            UnshareCause::RegionOp => "share.unshare.region_op",
-            UnshareCause::Exit => "share.unshare.exit",
-            UnshareCause::Reclaim => "share.unshare.reclaim",
-        }
-    }
-
-    /// Every live cause, in Figure-6 order.
-    pub const ALL: [UnshareCause; 6] = [
-        UnshareCause::WriteFault,
-        UnshareCause::NewRegion,
-        UnshareCause::RegionFree,
-        UnshareCause::RegionOp,
-        UnshareCause::Exit,
-        UnshareCause::Reclaim,
-    ];
-
-    /// Inverse of [`UnshareCause::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<UnshareCause> {
-        UnshareCause::ALL.into_iter().find(|c| c.as_str() == s)
-    }
+    counter_key = "share.unshare.";
 }
 
-/// Which kernel path forced a large mapping back to 4KB PTEs
-/// (Figure-6-style cause attribution for the demotion side).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DemoteCause {
-    /// Partial `munmap` cut through a large group / section.
-    Munmap,
-    /// `mprotect` changed permissions over part of a large mapping.
-    Mprotect,
-    /// A write-protect (COW / write-enable) fault landed on one slot
-    /// of a large group; the slot must diverge, so the group splits.
-    Cow,
-    /// PTP unshare copied a large group; the copy is split so partial
-    /// copies can never leave a stale wide translation behind.
-    Unshare,
-    /// Memory-pressure reclaim needed to tear a single PTE inside a
-    /// large group.
-    Reclaim,
-    /// `fork` demotes parent sections so child page tables stay
-    /// two-level and the share path never sees an L1 leaf.
-    Fork,
-}
-
-impl DemoteCause {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DemoteCause::Munmap => "munmap",
-            DemoteCause::Mprotect => "mprotect",
-            DemoteCause::Cow => "cow",
-            DemoteCause::Unshare => "unshare",
-            DemoteCause::Reclaim => "reclaim",
-            DemoteCause::Fork => "fork",
-        }
+label_enum! {
+    /// Which kernel path forced a large mapping back to 4KB PTEs
+    /// (Figure-6-style cause attribution for the demotion side).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum DemoteCause {
+        /// Partial `munmap` cut through a large group / section.
+        Munmap = "munmap",
+        /// `mprotect` changed permissions over part of a large mapping.
+        Mprotect = "mprotect",
+        /// A write-protect (COW / write-enable) fault landed on one slot
+        /// of a large group; the slot must diverge, so the group splits.
+        Cow = "cow",
+        /// PTP unshare copied a large group; the copy is split so partial
+        /// copies can never leave a stale wide translation behind.
+        Unshare = "unshare",
+        /// Memory-pressure reclaim needed to tear a single PTE inside a
+        /// large group.
+        Reclaim = "reclaim",
+        /// `fork` demotes parent sections so child page tables stay
+        /// two-level and the share path never sees an L1 leaf.
+        Fork = "fork",
     }
-
     /// Per-cause demotion counter.
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            DemoteCause::Munmap => "mmu.demote.cause.munmap",
-            DemoteCause::Mprotect => "mmu.demote.cause.mprotect",
-            DemoteCause::Cow => "mmu.demote.cause.cow",
-            DemoteCause::Unshare => "mmu.demote.cause.unshare",
-            DemoteCause::Reclaim => "mmu.demote.cause.reclaim",
-            DemoteCause::Fork => "mmu.demote.cause.fork",
-        }
-    }
-
-    /// Every live cause, in reporting order.
-    pub const ALL: [DemoteCause; 6] = [
-        DemoteCause::Munmap,
-        DemoteCause::Mprotect,
-        DemoteCause::Cow,
-        DemoteCause::Unshare,
-        DemoteCause::Reclaim,
-        DemoteCause::Fork,
-    ];
-
-    /// Inverse of [`DemoteCause::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<DemoteCause> {
-        DemoteCause::ALL.into_iter().find(|c| c.as_str() == s)
-    }
+    counter_key = "mmu.demote.cause.";
 }
 
-/// Which kernel path issued a TLB flush. Set as a scoped thread-local
-/// by the caller (see [`crate::with_flush_reason`]) and read by the
-/// flush primitives, so the TLB crate needs no signature changes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FlushReason {
-    /// No kernel path claimed the flush (e.g. a unit test poking the
-    /// TLB directly).
-    Unattributed,
-    ContextSwitch,
-    Fork,
-    Exit,
-    /// PTP unshare repair (the unshare path flushes the ASID).
-    Unshare,
-    /// Post-munmap/mprotect VA invalidation.
-    RegionOp,
-    /// Per-fault repair after the kernel rewrites a PTE.
-    FaultRepair,
-    DomainFault,
-    AsidRecycle,
-    /// Memory-pressure reclaim tore PTEs and must evict their cached
-    /// translations before the frame is reused.
-    Reclaim,
-    /// Large-page/section promotion migrated pages to contiguous
-    /// frames; stale small-page translations must go before the old
-    /// frames are reused.
-    Promote,
-    /// A large mapping was split back to 4KB PTEs; the cached
-    /// large/section entry spans every page of the group, so the whole
-    /// span is invalidated.
-    Demote,
-}
-
-impl FlushReason {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FlushReason::Unattributed => "unattributed",
-            FlushReason::ContextSwitch => "context_switch",
-            FlushReason::Fork => "fork",
-            FlushReason::Exit => "exit",
-            FlushReason::Unshare => "unshare",
-            FlushReason::RegionOp => "region_op",
-            FlushReason::FaultRepair => "fault_repair",
-            FlushReason::DomainFault => "domain_fault",
-            FlushReason::AsidRecycle => "asid_recycle",
-            FlushReason::Reclaim => "reclaim",
-            FlushReason::Promote => "promote",
-            FlushReason::Demote => "demote",
-        }
+label_enum! {
+    /// Which kernel path issued a TLB flush. Set as a scoped thread-local
+    /// by the caller (see [`crate::with_flush_reason`]) and read by the
+    /// flush primitives, so the TLB crate needs no signature changes.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum FlushReason {
+        ContextSwitch = "context_switch",
+        Fork = "fork",
+        Exit = "exit",
+        /// PTP unshare repair (the unshare path flushes the ASID).
+        Unshare = "unshare",
+        /// Post-munmap/mprotect VA invalidation.
+        RegionOp = "region_op",
+        /// Per-fault repair after the kernel rewrites a PTE.
+        FaultRepair = "fault_repair",
+        DomainFault = "domain_fault",
+        AsidRecycle = "asid_recycle",
+        /// Memory-pressure reclaim tore PTEs and must evict their cached
+        /// translations before the frame is reused.
+        Reclaim = "reclaim",
+        /// Large-page/section promotion migrated pages to contiguous
+        /// frames; stale small-page translations must go before the old
+        /// frames are reused.
+        Promote = "promote",
+        /// A large mapping was split back to 4KB PTEs; the cached
+        /// large/section entry spans every page of the group, so the whole
+        /// span is invalidated.
+        Demote = "demote",
+        /// No kernel path claimed the flush (e.g. a unit test poking the
+        /// TLB directly).
+        Unattributed = "unattributed",
     }
-
     /// Per-reason flush-event counter.
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            FlushReason::Unattributed => "tlb.flush.reason.unattributed",
-            FlushReason::ContextSwitch => "tlb.flush.reason.context_switch",
-            FlushReason::Fork => "tlb.flush.reason.fork",
-            FlushReason::Exit => "tlb.flush.reason.exit",
-            FlushReason::Unshare => "tlb.flush.reason.unshare",
-            FlushReason::RegionOp => "tlb.flush.reason.region_op",
-            FlushReason::FaultRepair => "tlb.flush.reason.fault_repair",
-            FlushReason::DomainFault => "tlb.flush.reason.domain_fault",
-            FlushReason::AsidRecycle => "tlb.flush.reason.asid_recycle",
-            FlushReason::Reclaim => "tlb.flush.reason.reclaim",
-            FlushReason::Promote => "tlb.flush.reason.promote",
-            FlushReason::Demote => "tlb.flush.reason.demote",
-        }
-    }
-
-    /// Every reason (reporting iterates these in a stable order).
-    pub const ALL: [FlushReason; 12] = [
-        FlushReason::ContextSwitch,
-        FlushReason::Fork,
-        FlushReason::Exit,
-        FlushReason::Unshare,
-        FlushReason::RegionOp,
-        FlushReason::FaultRepair,
-        FlushReason::DomainFault,
-        FlushReason::AsidRecycle,
-        FlushReason::Reclaim,
-        FlushReason::Promote,
-        FlushReason::Demote,
-        FlushReason::Unattributed,
-    ];
-
-    /// Inverse of [`FlushReason::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<FlushReason> {
-        FlushReason::ALL.into_iter().find(|r| r.as_str() == s)
-    }
-
+    counter_key = "tlb.flush.reason.";
     /// Per-reason invalidated-entry accumulator (main TLB only).
-    pub fn entries_key(self) -> &'static str {
-        match self {
-            FlushReason::Unattributed => "tlb.flush.reason.unattributed.entries",
-            FlushReason::ContextSwitch => "tlb.flush.reason.context_switch.entries",
-            FlushReason::Fork => "tlb.flush.reason.fork.entries",
-            FlushReason::Exit => "tlb.flush.reason.exit.entries",
-            FlushReason::Unshare => "tlb.flush.reason.unshare.entries",
-            FlushReason::RegionOp => "tlb.flush.reason.region_op.entries",
-            FlushReason::FaultRepair => "tlb.flush.reason.fault_repair.entries",
-            FlushReason::DomainFault => "tlb.flush.reason.domain_fault.entries",
-            FlushReason::AsidRecycle => "tlb.flush.reason.asid_recycle.entries",
-            FlushReason::Reclaim => "tlb.flush.reason.reclaim.entries",
-            FlushReason::Promote => "tlb.flush.reason.promote.entries",
-            FlushReason::Demote => "tlb.flush.reason.demote.entries",
-        }
-    }
+    entries_key = "tlb.flush.reason." + ".entries";
 }
 
-/// Which flush primitive fired.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FlushScope {
-    /// `MainTlb::flush_all` — counted against `TlbStats::full_flushes`.
-    All,
-    /// `MainTlb::flush_asid`.
-    Asid,
-    /// `MainTlb::flush_va_all_asids`.
-    VaAllAsids,
-    /// `MainTlb::flush_va`.
-    Va,
-    /// `MainTlb::flush_page` — one ASID-tagged page, globals survive.
-    Page,
-    /// `MainTlb::flush_range` — a VPN range within one ASID, globals
-    /// survive (the gather escalates to `Asid` past the ceiling).
-    Range,
-    /// `MainTlb::flush_non_global`.
-    NonGlobal,
-    /// `MicroTlb::flush` (context-switch full clear).
-    MicroAll,
-    /// `MicroTlb::flush_va`.
-    MicroVa,
+label_enum! {
+    /// Which flush primitive fired.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum FlushScope {
+        /// `MainTlb::flush_all` — counted against `TlbStats::full_flushes`.
+        All = "all",
+        /// `MainTlb::flush_asid`.
+        Asid = "asid",
+        /// `MainTlb::flush_va_all_asids`.
+        VaAllAsids = "va_all_asids",
+        /// `MainTlb::flush_va`.
+        Va = "va",
+        /// `MainTlb::flush_page` — one ASID-tagged page, globals survive.
+        Page = "page",
+        /// `MainTlb::flush_range` — a VPN range within one ASID, globals
+        /// survive (the gather escalates to `Asid` past the ceiling).
+        Range = "range",
+        /// `MainTlb::flush_non_global`.
+        NonGlobal = "non_global",
+        /// `MicroTlb::flush` (context-switch full clear).
+        MicroAll = "micro_all",
+        /// `MicroTlb::flush_va`.
+        MicroVa = "micro_va",
+    }
+    /// Per-scope flush-event counter.
+    counter_key = "tlb.flush.scope.";
 }
 
 impl FlushScope {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FlushScope::All => "all",
-            FlushScope::Asid => "asid",
-            FlushScope::VaAllAsids => "va_all_asids",
-            FlushScope::Va => "va",
-            FlushScope::Page => "page",
-            FlushScope::Range => "range",
-            FlushScope::NonGlobal => "non_global",
-            FlushScope::MicroAll => "micro_all",
-            FlushScope::MicroVa => "micro_va",
-        }
-    }
-
     /// True for the main (ASID-tagged, `TlbStats`-counted) TLB scopes.
     pub fn is_main(self) -> bool {
         !matches!(self, FlushScope::MicroAll | FlushScope::MicroVa)
     }
+}
 
-    /// Every scope, in `as_str` order.
-    pub const ALL: [FlushScope; 9] = [
-        FlushScope::All,
-        FlushScope::Asid,
-        FlushScope::VaAllAsids,
-        FlushScope::Va,
-        FlushScope::Page,
-        FlushScope::Range,
-        FlushScope::NonGlobal,
-        FlushScope::MicroAll,
-        FlushScope::MicroVa,
-    ];
-
-    /// Inverse of [`FlushScope::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<FlushScope> {
-        FlushScope::ALL.into_iter().find(|c| c.as_str() == s)
+label_enum! {
+    /// How a page fault resolved. Mirrors `sat-vm`'s `FaultKind`.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum FaultClass {
+        Minor = "minor",
+        Major = "major",
+        Cow = "cow",
+        WriteEnable = "write_enable",
+        Spurious = "spurious",
     }
+    /// Per-class fault counter.
+    counter_key = "vm.fault.";
+}
 
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            FlushScope::All => "tlb.flush.scope.all",
-            FlushScope::Asid => "tlb.flush.scope.asid",
-            FlushScope::VaAllAsids => "tlb.flush.scope.va_all_asids",
-            FlushScope::Va => "tlb.flush.scope.va",
-            FlushScope::Page => "tlb.flush.scope.page",
-            FlushScope::Range => "tlb.flush.scope.range",
-            FlushScope::NonGlobal => "tlb.flush.scope.non_global",
-            FlushScope::MicroAll => "tlb.flush.scope.micro_all",
-            FlushScope::MicroVa => "tlb.flush.scope.micro_va",
-        }
+label_enum! {
+    /// Which region syscall ran.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum RegionOpKind {
+        Mmap = "mmap",
+        Munmap = "munmap",
+        Mprotect = "mprotect",
+    }
+    /// Per-syscall counter.
+    counter_key = "kernel.";
+}
+
+label_enum! {
+    /// The unit a duration span's `value` is measured in.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum SpanUnit {
+        /// Modeled cycles (Android launch/IPC phases).
+        Cycles = "cycles",
+        /// Wall-clock microseconds (bench cells).
+        Micros = "us",
     }
 }
 
-/// How a page fault resolved. Mirrors `sat-vm`'s `FaultKind`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultClass {
-    Minor,
-    Major,
-    Cow,
-    WriteEnable,
-    Spurious,
-}
-
-impl FaultClass {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultClass::Minor => "minor",
-            FaultClass::Major => "major",
-            FaultClass::Cow => "cow",
-            FaultClass::WriteEnable => "write_enable",
-            FaultClass::Spurious => "spurious",
-        }
+label_enum! {
+    /// Why simulated cycles were charged to a request flow. A closed
+    /// enum: every point where the machine adds to a core's cycle counter
+    /// tags the charge with exactly one cause, so a flow's critical path
+    /// decomposes without residue — [`crate::analyze::FlowTable`] asserts
+    /// that the per-cause sums reconcile exactly with the request's wall
+    /// ticks on lossless streams.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+    pub enum ChargeCause {
+        /// Useful work: instruction CPI plus cache stalls on hits.
+        Exec = "exec",
+        /// Main-TLB miss walk stall (the page tables were walked but no
+        /// fault was taken).
+        TlbStall = "tlb_stall",
+        /// Page-fault handling: walk, repair, and the handler's kernel
+        /// instruction fetches.
+        Fault = "fault",
+        /// ARM domain fault (shared-entry protection check).
+        DomainFault = "domain_fault",
+        /// PTP unshare work inside a fault (base cost + per-PTE copies),
+        /// split out of [`ChargeCause::Fault`].
+        Unshare = "unshare",
+        /// Cross-core shootdown IPI receipt.
+        Ipi = "ipi",
+        /// Pending ASID-rollover non-global flush.
+        RolloverFlush = "rollover_flush",
+        /// Context-switch cost (register/TTBR swap + scheduler kernel
+        /// path).
+        ContextSwitch = "context_switch",
+        /// Fork cost (PTP alloc/share, PTE copies, write-protect ops).
+        Fork = "fork",
+        /// Run-queue wait: wall ticks a request spent preempted or queued,
+        /// not executing. Charged by `sat-sched`, not the machine — it is
+        /// elapsed time on the core's clock, not cycles the flow consumed.
+        RunqWait = "runq_wait",
     }
-
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            FaultClass::Minor => "vm.fault.minor",
-            FaultClass::Major => "vm.fault.major",
-            FaultClass::Cow => "vm.fault.cow",
-            FaultClass::WriteEnable => "vm.fault.write_enable",
-            FaultClass::Spurious => "vm.fault.spurious",
-        }
-    }
-
-    /// Every class, in `as_str` order.
-    pub const ALL: [FaultClass; 5] = [
-        FaultClass::Minor,
-        FaultClass::Major,
-        FaultClass::Cow,
-        FaultClass::WriteEnable,
-        FaultClass::Spurious,
-    ];
-
-    /// Inverse of [`FaultClass::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<FaultClass> {
-        FaultClass::ALL.into_iter().find(|c| c.as_str() == s)
-    }
-}
-
-/// Which region syscall ran.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RegionOpKind {
-    Mmap,
-    Munmap,
-    Mprotect,
-}
-
-impl RegionOpKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RegionOpKind::Mmap => "mmap",
-            RegionOpKind::Munmap => "munmap",
-            RegionOpKind::Mprotect => "mprotect",
-        }
-    }
-
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            RegionOpKind::Mmap => "kernel.mmap",
-            RegionOpKind::Munmap => "kernel.munmap",
-            RegionOpKind::Mprotect => "kernel.mprotect",
-        }
-    }
-
-    /// Every kind, in `as_str` order.
-    pub const ALL: [RegionOpKind; 3] = [
-        RegionOpKind::Mmap,
-        RegionOpKind::Munmap,
-        RegionOpKind::Mprotect,
-    ];
-
-    /// Inverse of [`RegionOpKind::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<RegionOpKind> {
-        RegionOpKind::ALL.into_iter().find(|c| c.as_str() == s)
-    }
-}
-
-/// The unit a duration span's `value` is measured in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SpanUnit {
-    /// Modeled cycles (Android launch/IPC phases).
-    Cycles,
-    /// Wall-clock microseconds (bench cells).
-    Micros,
-}
-
-impl SpanUnit {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SpanUnit::Cycles => "cycles",
-            SpanUnit::Micros => "us",
-        }
-    }
-
-    /// Inverse of [`SpanUnit::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<SpanUnit> {
-        match s {
-            "cycles" => Some(SpanUnit::Cycles),
-            "us" => Some(SpanUnit::Micros),
-            _ => None,
-        }
-    }
-}
-
-/// Why simulated cycles were charged to a request flow. A closed
-/// enum: every point where the machine adds to a core's cycle counter
-/// tags the charge with exactly one cause, so a flow's critical path
-/// decomposes without residue — [`crate::analyze::FlowTable`] asserts
-/// that the per-cause sums reconcile exactly with the request's wall
-/// ticks on lossless streams.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum ChargeCause {
-    /// Useful work: instruction CPI plus cache stalls on hits.
-    Exec,
-    /// Main-TLB miss walk stall (the page tables were walked but no
-    /// fault was taken).
-    TlbStall,
-    /// Page-fault handling: walk, repair, and the handler's kernel
-    /// instruction fetches.
-    Fault,
-    /// ARM domain fault (shared-entry protection check).
-    DomainFault,
-    /// PTP unshare work inside a fault (base cost + per-PTE copies),
-    /// split out of [`ChargeCause::Fault`].
-    Unshare,
-    /// Cross-core shootdown IPI receipt.
-    Ipi,
-    /// Pending ASID-rollover non-global flush.
-    RolloverFlush,
-    /// Context-switch cost (register/TTBR swap + scheduler kernel
-    /// path).
-    ContextSwitch,
-    /// Fork cost (PTP alloc/share, PTE copies, write-protect ops).
-    Fork,
-    /// Run-queue wait: wall ticks a request spent preempted or queued,
-    /// not executing. Charged by `sat-sched`, not the machine — it is
-    /// elapsed time on the core's clock, not cycles the flow consumed.
-    RunqWait,
-}
-
-impl ChargeCause {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChargeCause::Exec => "exec",
-            ChargeCause::TlbStall => "tlb_stall",
-            ChargeCause::Fault => "fault",
-            ChargeCause::DomainFault => "domain_fault",
-            ChargeCause::Unshare => "unshare",
-            ChargeCause::Ipi => "ipi",
-            ChargeCause::RolloverFlush => "rollover_flush",
-            ChargeCause::ContextSwitch => "context_switch",
-            ChargeCause::Fork => "fork",
-            ChargeCause::RunqWait => "runq_wait",
-        }
-    }
-
     /// The per-cause charged-cycles accumulator.
-    pub fn counter_key(self) -> &'static str {
-        match self {
-            ChargeCause::Exec => "flow.cycles.exec",
-            ChargeCause::TlbStall => "flow.cycles.tlb_stall",
-            ChargeCause::Fault => "flow.cycles.fault",
-            ChargeCause::DomainFault => "flow.cycles.domain_fault",
-            ChargeCause::Unshare => "flow.cycles.unshare",
-            ChargeCause::Ipi => "flow.cycles.ipi",
-            ChargeCause::RolloverFlush => "flow.cycles.rollover_flush",
-            ChargeCause::ContextSwitch => "flow.cycles.context_switch",
-            ChargeCause::Fork => "flow.cycles.fork",
-            ChargeCause::RunqWait => "flow.cycles.runq_wait",
-        }
-    }
-
-    /// Every cause, in `as_str` order (reporting iterates these).
-    pub const ALL: [ChargeCause; 10] = [
-        ChargeCause::Exec,
-        ChargeCause::TlbStall,
-        ChargeCause::Fault,
-        ChargeCause::DomainFault,
-        ChargeCause::Unshare,
-        ChargeCause::Ipi,
-        ChargeCause::RolloverFlush,
-        ChargeCause::ContextSwitch,
-        ChargeCause::Fork,
-        ChargeCause::RunqWait,
-    ];
-
-    /// Inverse of [`ChargeCause::as_str`] (trace re-ingestion).
-    pub fn parse(s: &str) -> Option<ChargeCause> {
-        ChargeCause::ALL.into_iter().find(|c| c.as_str() == s)
-    }
+    counter_key = "flow.cycles.";
 }
 
-/// The typed body of an event. Numeric fields are the quantities the
-/// paper's evaluation attributes per cause.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Payload {
+/// Declares [`Payload`] together with its wire schema, one line per
+/// fact: `Variant = "<phase>" <name> { field: Type, .. }`. The phase is
+/// the Chrome-trace `ph`; the name is either the event-name literal or
+/// `field: Type`, meaning the event is named by that field's `as_str()`
+/// (a free-form `String`, or a label enum whose labels are the names).
+/// Every other field travels in `args` under its own identifier, coded
+/// by its type — so [`Payload::name`], the exporter
+/// ([`Payload::write_args`]) and the re-ingester
+/// ([`Payload::from_wire`]) cannot drift apart.
+macro_rules! payloads {
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident = $ph:literal $($lit:literal)? $($named_by:ident : $name_ty:ident)?
+        $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ident ),+ $(,)? })?
+    ),+ $(,)?) => {
+        /// The typed body of an event. Numeric fields are the quantities the
+        /// paper's evaluation attributes per cause.
+        #[derive(Clone, PartialEq, Debug)]
+        pub enum Payload {
+            $( $(#[$meta])* $variant $({ $( $(#[$fmeta])* $field: $ty ),+ })? ),+
+        }
+
+        impl Payload {
+            /// The Chrome-trace event name.
+            pub fn name(&self) -> &str {
+                match self {
+                    $( Payload::$variant { $($named_by,)? .. } => {
+                        $($lit)? $($named_by.as_str())?
+                    } )+
+                }
+            }
+
+            /// The Chrome-trace phase (`ph`): `i` instant, `B`/`E` span
+            /// begin/end, `C` counter-track point.
+            pub(crate) fn phase(&self) -> &'static str {
+                match self {
+                    $( Payload::$variant { .. } => $ph ),+
+                }
+            }
+
+            /// Appends this payload's `"key": value` pairs to an `args`
+            /// object under construction.
+            pub(crate) fn write_args(&self, out: &mut String) {
+                match self {
+                    $( Payload::$variant { $($($field),+)? } => {
+                        $($( payloads!(@put out, $field: $ty); )+)?
+                    } )+
+                }
+            }
+
+            /// Rebuilds the payload an exported event carried; `Ok(None)`
+            /// when no variant is written under (`ph`, `name`).
+            pub(crate) fn from_wire(
+                ph: &str,
+                name: &str,
+                args: &crate::json::Json,
+                ctx: &str,
+            ) -> Result<Option<Payload>, String> {
+                $(
+                    if ph == $ph
+                        $(&& name == $lit)?
+                        $(&& payloads!(@names $name_ty, name))?
+                    {
+                        return Ok(Some(Payload::$variant {
+                            $($( $field: payloads!(@get $field: $ty, name, args, ctx), )+)?
+                        }));
+                    }
+                )+
+                Ok(None)
+            }
+        }
+    };
+    // Field codecs, picked by the field's declared type. A `String` is
+    // the event name itself, never an arg.
+    (@put $out:ident, $v:ident: String) => { let _ = $v; };
+    (@put $out:ident, $v:ident: bool) => { crate::chrome::put_bool($out, stringify!($v), *$v) };
+    (@put $out:ident, $v:ident: u8) => { crate::chrome::put_num($out, stringify!($v), *$v) };
+    (@put $out:ident, $v:ident: u32) => { crate::chrome::put_num($out, stringify!($v), *$v) };
+    (@put $out:ident, $v:ident: u64) => { crate::chrome::put_num($out, stringify!($v), *$v) };
+    (@put $out:ident, $v:ident: $label:ident) => {
+        crate::chrome::put_str($out, stringify!($v), $v.as_str())
+    };
+    (@get $v:ident: String, $name:ident, $args:ident, $ctx:ident) => { $name.to_string() };
+    (@get $v:ident: bool, $name:ident, $args:ident, $ctx:ident) => {
+        crate::chrome::get_bool($args, stringify!($v), $ctx)?
+    };
+    (@get $v:ident: u8, $name:ident, $args:ident, $ctx:ident) => {
+        crate::chrome::get_num($args, stringify!($v), $ctx)?
+    };
+    (@get $v:ident: u32, $name:ident, $args:ident, $ctx:ident) => {
+        crate::chrome::get_num($args, stringify!($v), $ctx)?
+    };
+    (@get $v:ident: u64, $name:ident, $args:ident, $ctx:ident) => {
+        crate::chrome::get_num($args, stringify!($v), $ctx)?
+    };
+    (@get $v:ident: $label:ident, $name:ident, $args:ident, $ctx:ident) => {
+        crate::chrome::get_label($args, stringify!($v), $ctx, $label::parse)?
+    };
+    // Whether an event name can name this variant.
+    (@names String, $name:ident) => { true };
+    (@names $label:ident, $name:ident) => { $label::parse($name).is_some() };
+}
+
+payloads! {
     /// `Kernel::fork` completed; `pid` is the parent.
-    Fork {
+    Fork = "i" "fork" {
         child: u32,
         ptps_shared: u64,
         ptes_copied: u64,
@@ -601,9 +431,10 @@ pub enum Payload {
         shared: bool,
     },
     /// `Kernel::exit` tore down the address space.
-    Exit,
-    /// A region syscall (mmap/munmap/mprotect).
-    RegionOp {
+    Exit = "i" "exit",
+    /// A region syscall (mmap/munmap/mprotect); the event is named
+    /// after the syscall.
+    RegionOp = "i" op: RegionOpKind {
         op: RegionOpKind,
         va: u32,
         pages: u32,
@@ -611,11 +442,11 @@ pub enum Payload {
         unshared: u64,
     },
     /// ARM domain fault (global-entry protection check failed).
-    DomainFault { va: u32 },
+    DomainFault = "i" "domain_fault" { va: u32 },
     /// Fork-time PTP sharing summary (one per shared fork).
-    PtpShare { ptps: u64, write_protect_ops: u64 },
+    PtpShare = "i" "ptp_share" { ptps: u64, write_protect_ops: u64 },
     /// One PTP left the shared state.
-    PtpUnshare {
+    PtpUnshare = "i" "ptp_unshare" {
         cause: UnshareCause,
         ptes_copied: u64,
         /// Last-sharer fast path: no copy, only NEED_COPY cleared.
@@ -623,13 +454,13 @@ pub enum Payload {
         va: u32,
     },
     /// `sat-vm` resolved a page fault.
-    PageFault {
+    PageFault = "i" "page_fault" {
         class: FaultClass,
         va: u32,
         file_backed: bool,
     },
     /// A TLB flush primitive ran and invalidated `entries` entries.
-    TlbFlush {
+    TlbFlush = "i" "tlb_flush" {
         scope: FlushScope,
         reason: FlushReason,
         entries: u64,
@@ -637,7 +468,7 @@ pub enum Payload {
     /// The 8-bit ASID space was exhausted; the allocator bumped the
     /// generation. Live ASIDs are reassigned lazily at switch-in and
     /// one non-global flush follows (global entries survive).
-    AsidRollover { generation: u64 },
+    AsidRollover = "i" "asid_rollover" { generation: u64 },
     /// A precise shootdown was resolved against the per-core residency
     /// map. `scope` is the invalidation granularity the resident cores
     /// flushed at (`Asid`, `Range`, or `Page`); `cores_targeted` cores
@@ -645,7 +476,7 @@ pub enum Payload {
     /// initiating core itself (a local TLBI, no IPI — the IPI count is
     /// `cores_targeted - cores_local`); `cores_skipped` never held the
     /// ASID and were left alone.
-    TlbShootdown {
+    TlbShootdown = "i" "tlb_shootdown" {
         asid: u8,
         scope: FlushScope,
         cores_targeted: u32,
@@ -656,28 +487,30 @@ pub enum Payload {
     /// invalidations: `ops` as enqueued by call sites, `coalesced`
     /// merges of adjacent/overlapping pages and ranges, `escalated`
     /// per-ASID widenings past the page-count ceiling.
-    FlushBatch {
+    FlushBatch = "i" "flush_batch" {
         ops: u64,
         coalesced: u64,
         escalated: u64,
     },
     /// The scheduler preempted `pid` on `core` in favour of `next`
     /// (end of timeslice).
-    Preempt { core: u32, next: u32 },
+    Preempt = "i" "preempt" { core: u32, next: u32 },
     /// One gauge's value at a sample point, snapshotted by
     /// [`crate::sample_gauges`]. Exported as a Chrome counter-track
-    /// point (`"ph":"C"`), so Perfetto renders the gauge as a live
-    /// timeline next to the event spans. Samples are stamped (pid 0,
-    /// asid 0): gauges describe whole-machine state, not one process.
-    Sample { gauge: String, value: u64 },
+    /// point named after the gauge, so Perfetto renders the gauge as a
+    /// live timeline (it plots `args.value`) next to the event spans.
+    /// Samples are stamped (pid 0, asid 0): gauges describe
+    /// whole-machine state, not one process.
+    Sample = "C" gauge: String { gauge: String, value: u64 },
     /// A duration span opened (an Android phase, a bench cell). Must
     /// be closed by a [`Payload::SpanEnd`] with the same name on the
-    /// same (pid, asid) — `repro check` enforces the pairing.
-    SpanBegin { name: String },
+    /// same (pid, asid) — `repro check` enforces the pairing. The
+    /// viewer nests the events a span encloses under it.
+    SpanBegin = "B" name: String { name: String },
     /// A duration span closed, carrying the measured quantity (cycles
     /// or wall-clock µs — logical ticks only order the span against
     /// the events it contains).
-    SpanEnd {
+    SpanEnd = "E" name: String {
         name: String,
         value: u64,
         unit: SpanUnit,
@@ -685,26 +518,26 @@ pub enum Payload {
     /// Simulated cycles charged to a request flow, tagged with the
     /// cause. `flow` 0 is the unattributed bucket (work done while no
     /// request was bound to the charging core).
-    CycleCharge {
+    CycleCharge = "i" "cycle_charge" {
         flow: u32,
         cause: ChargeCause,
         cycles: u64,
     },
     /// A request arrived at its server's queue (open-loop arrival; the
     /// flow may wait before its first instruction runs).
-    FlowArrive { flow: u32 },
+    FlowArrive = "i" "flow_arrive" { flow: u32 },
     /// The flow was bound at binder-request ingress and started
     /// executing.
-    FlowBegin { flow: u32 },
+    FlowBegin = "i" "flow_begin" { flow: u32 },
     /// The flow's reply left; `wall` is completion minus arrival on
     /// the serving core's cycle clock — the quantity the per-cause
     /// charges must reconcile to exactly.
-    FlowEnd { flow: u32, wall: u64 },
+    FlowEnd = "i" "flow_end" { flow: u32, wall: u64 },
     /// One memory-pressure reclaim pass completed: `pages` file frames
     /// were evicted back to the free pool, tearing `pte_tears` PTEs,
     /// of which `shared_tears` lived in shared PTPs (torn in place —
     /// one tear repairs every sharer, who refault via the page cache).
-    Reclaim {
+    Reclaim = "i" "reclaim" {
         pages: u64,
         pte_tears: u64,
         shared_tears: u64,
@@ -714,7 +547,7 @@ pub enum Payload {
     /// section), `pages` the 4KB pages it now spans, and `filled` the
     /// hole pages that had never been touched but got frames allocated
     /// so the run could go wide — the memory-waste numerator.
-    Promote {
+    Promote = "i" "promote" {
         va: u32,
         bytes: u32,
         pages: u64,
@@ -723,41 +556,12 @@ pub enum Payload {
     /// A large mapping at `va` split back to 4KB PTEs: `bytes` is the
     /// span invalidated (the whole group/section, since one cached
     /// wide entry serves every page in it), `pages` the PTEs restored.
-    Demote {
+    Demote = "i" "demote" {
         va: u32,
         bytes: u32,
         pages: u64,
         cause: DemoteCause,
     },
-}
-
-impl Payload {
-    /// The Chrome-trace event name.
-    pub fn name(&self) -> &str {
-        match self {
-            Payload::Fork { .. } => "fork",
-            Payload::Exit => "exit",
-            Payload::RegionOp { op, .. } => op.as_str(),
-            Payload::DomainFault { .. } => "domain_fault",
-            Payload::PtpShare { .. } => "ptp_share",
-            Payload::PtpUnshare { .. } => "ptp_unshare",
-            Payload::PageFault { .. } => "page_fault",
-            Payload::TlbFlush { .. } => "tlb_flush",
-            Payload::AsidRollover { .. } => "asid_rollover",
-            Payload::TlbShootdown { .. } => "tlb_shootdown",
-            Payload::FlushBatch { .. } => "flush_batch",
-            Payload::Preempt { .. } => "preempt",
-            Payload::Sample { gauge, .. } => gauge,
-            Payload::SpanBegin { name } | Payload::SpanEnd { name, .. } => name,
-            Payload::CycleCharge { .. } => "cycle_charge",
-            Payload::FlowArrive { .. } => "flow_arrive",
-            Payload::FlowBegin { .. } => "flow_begin",
-            Payload::FlowEnd { .. } => "flow_end",
-            Payload::Reclaim { .. } => "reclaim",
-            Payload::Promote { .. } => "promote",
-            Payload::Demote { .. } => "demote",
-        }
-    }
 }
 
 /// One recorded event. `tick` is a recorder-local monotonic sequence

@@ -92,8 +92,10 @@ impl Histogram {
     }
 
     pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
+        // Saturate like `record`: two workers' clamped sums must merge
+        // to a clamped sum, not a panic in the pool's absorb path.
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -191,18 +193,6 @@ impl MetricsRegistry {
             g.publish(value);
             self.gauges.insert(key.to_string(), g);
         }
-    }
-
-    /// Moves a gauge up by `n` (saturating).
-    pub fn gauge_add(&mut self, key: &str, n: u64) {
-        let current = self.gauges.get(key).map_or(0, |g| g.value);
-        self.gauge_set(key, current.saturating_add(n));
-    }
-
-    /// Moves a gauge down by `n` (saturating at zero).
-    pub fn gauge_sub(&mut self, key: &str, n: u64) {
-        let current = self.gauges.get(key).map_or(0, |g| g.value);
-        self.gauge_set(key, current.saturating_sub(n));
     }
 
     /// The gauge registered under `key`, if any.
@@ -448,6 +438,22 @@ mod tests {
     }
 
     #[test]
+    fn merging_two_saturated_histograms_saturates() {
+        // Each side's sum already clamped at u64::MAX; a worker that
+        // somehow counted to the limit must not wrap the total either.
+        let mut a = Histogram::default();
+        a.record(u64::MAX);
+        a.record(u64::MAX);
+        let mut b = a.clone();
+        b.count = u64::MAX;
+        a.merge(&b);
+        assert_eq!(a.sum, u64::MAX);
+        assert_eq!(a.count, u64::MAX);
+        assert_eq!(a.buckets[63], 4);
+        assert_eq!(a.mean(), 1.0);
+    }
+
+    #[test]
     fn histogram_stats_and_merge() {
         let mut a = Histogram::default();
         for v in [1u64, 2, 4, 100] {
@@ -534,13 +540,12 @@ mod tests {
     fn gauge_tracks_value_and_high_water() {
         let mut m = MetricsRegistry::default();
         m.gauge_set("phys.frames.free", 100);
-        m.gauge_sub("phys.frames.free", 30);
-        m.gauge_add("phys.frames.free", 10);
+        m.gauge_set("phys.frames.free", 70);
+        m.gauge_set("phys.frames.free", 80);
         let g = m.gauge("phys.frames.free").unwrap();
         assert_eq!(g.value, 80);
         assert_eq!(g.high_water, 100);
-        // Saturating at zero, never wrapping.
-        m.gauge_sub("phys.frames.free", u64::MAX);
+        m.gauge_set("phys.frames.free", 0);
         assert_eq!(m.gauge("phys.frames.free").unwrap().value, 0);
         assert_eq!(m.gauge("phys.frames.free").unwrap().high_water, 100);
         assert_eq!(m.gauge("missing"), None);

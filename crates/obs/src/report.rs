@@ -8,8 +8,9 @@
 use std::fmt::Write as _;
 
 use crate::analyze::{Rollup, Timeline};
+use crate::event::{ChargeCause, FaultClass, RegionOpKind};
 use crate::json::escape_into;
-use crate::metrics::Histogram;
+use crate::metrics::{Histogram, MetricsRegistry};
 
 /// Output format for `repro report`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,6 +49,30 @@ fn rule(out: &mut String, widths: &[usize]) {
     let _ = writeln!(out, "{}", line.join("  "));
 }
 
+/// One label enum's counters as `(label, count)` rows in label order,
+/// keeping only the labels the stream bumped at all — the per-class /
+/// per-syscall / per-cause tables, read straight off the registry.
+/// `keys` pairs each label with its counter key.
+fn bumped(
+    metrics: &MetricsRegistry,
+    keys: impl IntoIterator<Item = (&'static str, &'static str)>,
+) -> Vec<(&'static str, u64)> {
+    let counters = metrics.counters_map();
+    let mut rows: Vec<(&'static str, u64)> = keys
+        .into_iter()
+        .filter_map(|(label, key)| counters.get(key).map(|&n| (label, n)))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+fn fault_classes(metrics: &MetricsRegistry) -> Vec<(&'static str, u64)> {
+    bumped(
+        metrics,
+        FaultClass::ALL.map(|c| (c.as_str(), c.counter_key())),
+    )
+}
+
 /// Human tables. Counts are exact (derived from the event stream);
 /// span latencies come from log2-bucket histograms, so p50/p95 are
 /// upper-bound estimates while min/max are exact.
@@ -75,10 +100,12 @@ pub fn render_text(r: &Rollup) -> String {
     for (cause, n, pct) in r.fig6_breakdown() {
         let _ = writeln!(out, "{cause:<12}  {n:>9}  {pct:>5.1}%");
     }
+    let count = |key: &str| r.metrics.counter(key);
     let _ = writeln!(
         out,
         "PTEs copied by unshares: {}; last-sharer fast path: {}",
-        r.unshare_ptes_copied, r.unshare_last_sharer
+        count("share.unshare.ptes_copied"),
+        count("share.unshare.last_sharer")
     );
 
     for (title, table) in [
@@ -100,39 +127,46 @@ pub fn render_text(r: &Rollup) -> String {
         }
     }
 
-    if !r.fault_classes.is_empty() {
+    if count("vm.fault") > 0 {
         heading(&mut out, "Page faults by class");
         let _ = writeln!(out, "{:<14}  {:>8}", "class", "faults");
         rule(&mut out, &[14, 8]);
-        for (class, n) in &r.fault_classes {
+        for (class, n) in fault_classes(&r.metrics) {
             let _ = writeln!(out, "{class:<14}  {n:>8}");
         }
-        let _ = writeln!(out, "file-backed: {}", r.faults_file_backed);
+        let _ = writeln!(out, "file-backed: {}", count("vm.fault.file_backed"));
     }
 
-    if r.shootdowns + r.asid_rollovers + r.preemptions > 0 {
+    if count("tlb.shootdown") + count("kernel.asid.rollover") + count("sched.preempt") > 0 {
         heading(&mut out, "Scheduling and shootdowns");
-        let _ = writeln!(out, "preemptions:            {}", r.preemptions);
-        let _ = writeln!(out, "asid rollovers:         {}", r.asid_rollovers);
+        let _ = writeln!(out, "preemptions:            {}", count("sched.preempt"));
+        let _ = writeln!(
+            out,
+            "asid rollovers:         {}",
+            count("kernel.asid.rollover")
+        );
         let _ = writeln!(
             out,
             "precise shootdowns:     {} (cores flushed: {}, local no-IPI: {}, cores skipped: {}, \
              range-granular: {})",
-            r.shootdowns,
-            r.shootdown_cores_targeted,
-            r.shootdown_cores_local,
-            r.shootdown_cores_skipped,
-            r.shootdowns_ranged
+            count("tlb.shootdown"),
+            count("tlb.shootdown.cores"),
+            count("tlb.shootdown.local"),
+            count("tlb.shootdown.skipped"),
+            count("tlb.shootdown.scope.range")
         );
     }
 
-    if r.charges > 0 {
+    if count("flow.charges") > 0 {
         heading(&mut out, "Cycle charges by blame cause");
-        let total: u64 = r.charge_causes.values().sum();
+        let total: u64 = ChargeCause::ALL
+            .iter()
+            .map(|c| count(c.counter_key()))
+            .sum();
         let _ = writeln!(out, "{:<16}  {:>14}  {:>6}", "cause", "cycles", "pct");
         rule(&mut out, &[16, 14, 6]);
-        for cause in crate::ChargeCause::ALL {
-            let n = r.charge_causes.get(cause.as_str()).copied().unwrap_or(0);
+        for cause in ChargeCause::ALL {
+            let n = count(cause.counter_key());
             if n == 0 {
                 continue;
             }
@@ -147,24 +181,35 @@ pub fn render_text(r: &Rollup) -> String {
         let _ = writeln!(
             out,
             "charges: {}; flows arrived/begun/completed: {}/{}/{}",
-            r.charges, r.flow_arrivals, r.flow_begins, r.flow_ends
+            count("flow.charges"),
+            count("flow.arrive"),
+            count("flow.begin"),
+            count("flow.end")
         );
     }
 
-    if r.reclaims > 0 {
+    if count("kernel.reclaim") > 0 {
         heading(&mut out, "Memory reclaim");
-        let _ = writeln!(out, "reclaim passes:         {}", r.reclaims);
-        let _ = writeln!(out, "pages evicted:          {}", r.reclaim_pages);
-        let _ = writeln!(out, "private PTEs torn:      {}", r.reclaim_pte_tears);
-        let _ = writeln!(out, "shared-PTP slots torn:  {}", r.reclaim_shared_tears);
+        for (label, key) in [
+            ("reclaim passes:       ", "kernel.reclaim"),
+            ("pages evicted:        ", "kernel.reclaim.pages"),
+            ("private PTEs torn:    ", "kernel.reclaim.pte_tears"),
+            ("shared-PTP slots torn:", "kernel.reclaim.shared_tears"),
+        ] {
+            let _ = writeln!(out, "{label}  {}", count(key));
+        }
     }
 
-    if r.batches > 0 {
+    if count("tlb.batch") > 0 {
         heading(&mut out, "Flush batching (mmu_gather)");
-        let _ = writeln!(out, "batches applied:        {}", r.batches);
-        let _ = writeln!(out, "ops gathered:           {}", r.batch_ops);
-        let _ = writeln!(out, "ops coalesced away:     {}", r.batch_coalesced);
-        let _ = writeln!(out, "escalated to asid:      {}", r.batch_escalated);
+        for (label, key) in [
+            ("batches applied:      ", "tlb.batch"),
+            ("ops gathered:         ", "tlb.batch.ops"),
+            ("ops coalesced away:   ", "tlb.batch.coalesced"),
+            ("escalated to asid:    ", "tlb.batch.escalated"),
+        ] {
+            let _ = writeln!(out, "{label}  {}", count(key));
+        }
     }
 
     if !r.spans.is_empty() {
@@ -240,14 +285,15 @@ pub fn render_text(r: &Rollup) -> String {
 /// windows (absolute counts plus per-kilotick rates — logical ticks
 /// are the simulator's only clock) and the per-gauge series
 /// summaries. The totals row is the reconciliation surface: it must
-/// match the whole-stream rollup (and therefore `KernelStats`)
-/// exactly.
-pub fn render_timeline(r: &Rollup, t: &Timeline) -> String {
+/// match the whole-stream registry counters (and therefore
+/// `KernelStats`) exactly.
+pub fn render_timeline(t: &Timeline) -> String {
     let mut out = String::new();
+    let totals = t.totals();
     let _ = writeln!(
         out,
         "# repro timeline — {} events over ticks {}..{}, window {} ticks, {} samples",
-        r.event_count, t.start, t.end, t.window, r.samples
+        totals.events, t.start, t.end, t.window, totals.samples
     );
     if t.rows.is_empty() {
         let _ = writeln!(out, "\n(empty trace)");
@@ -277,7 +323,6 @@ pub fn render_timeline(r: &Rollup, t: &Timeline) -> String {
         );
     }
     rule(&mut out, &[10, 8, 6, 7, 8, 8, 6, 8, 7]);
-    let totals = t.totals();
     let _ = writeln!(
         out,
         "{:>10}  {:>8}  {:>6}  {:>7}  {:>8}  {:>8}  {:>6}  {:>8}  {:>7}",
@@ -341,28 +386,18 @@ pub fn render_timeline(r: &Rollup, t: &Timeline) -> String {
     out
 }
 
+/// `"name": {"key": count, ..}` — keys here are labels and pids, which
+/// need no escaping.
 fn json_counter_map<K: std::fmt::Display, V: std::fmt::Display>(
     out: &mut String,
     name: &str,
-    entries: impl Iterator<Item = (K, V)>,
-    quote_keys_raw: bool,
+    entries: impl IntoIterator<Item = (K, V)>,
 ) {
-    let _ = write!(out, "  \"{name}\": {{");
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        if quote_keys_raw {
-            let _ = write!(out, "\"{k}\": {v}");
-        } else {
-            out.push('"');
-            escape_into(out, &k.to_string());
-            let _ = write!(out, "\": {v}");
-        }
-    }
-    out.push_str("},\n");
+    let body: Vec<String> = entries
+        .into_iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    let _ = writeln!(out, "  \"{name}\": {{{}}},", body.join(", "));
 }
 
 fn hist_summary_json(h: &Histogram) -> String {
@@ -416,7 +451,7 @@ pub fn render_tails(label: &str, table: &crate::analyze::FlowTable, top: usize) 
         "cause", "p50", "p95", "p99", "total cycles"
     );
     rule(&mut out, &[16, 12, 12, 12, 14]);
-    for cause in crate::ChargeCause::ALL {
+    for cause in ChargeCause::ALL {
         let Some((c50, c95, c99)) = table.cause_percentiles(cause) else {
             continue;
         };
@@ -441,7 +476,7 @@ pub fn render_tails(label: &str, table: &crate::analyze::FlowTable, top: usize) 
     );
     for f in table.slowest(top) {
         let wall = f.wall.unwrap_or(0);
-        let mut causes: Vec<(crate::ChargeCause, u64)> = crate::ChargeCause::ALL
+        let mut causes: Vec<(ChargeCause, u64)> = ChargeCause::ALL
             .into_iter()
             .map(|c| (c, f.cycles(c)))
             .filter(|&(_, n)| n > 0)
@@ -468,14 +503,44 @@ pub fn render_tails(label: &str, table: &crate::analyze::FlowTable, top: usize) 
     out
 }
 
+/// The JSON report's `totals` members, in output order, with the
+/// registry counter each one reads.
+const TOTALS: [(&str, &str); 25] = [
+    ("forks", "kernel.fork"),
+    ("shared_forks", "kernel.fork.shared"),
+    ("exits", "kernel.exit"),
+    ("domain_faults", "kernel.domain_fault"),
+    ("unshare_ptes_copied", "share.unshare.ptes_copied"),
+    ("faults_file_backed", "vm.fault.file_backed"),
+    ("asid_rollovers", "kernel.asid.rollover"),
+    ("shootdowns", "tlb.shootdown"),
+    ("shootdown_cores_targeted", "tlb.shootdown.cores"),
+    ("shootdown_cores_local", "tlb.shootdown.local"),
+    ("shootdown_cores_skipped", "tlb.shootdown.skipped"),
+    ("shootdowns_ranged", "tlb.shootdown.scope.range"),
+    ("preemptions", "sched.preempt"),
+    ("flush_batches", "tlb.batch"),
+    ("flush_batch_ops", "tlb.batch.ops"),
+    ("flush_batch_coalesced", "tlb.batch.coalesced"),
+    ("flush_batch_escalated", "tlb.batch.escalated"),
+    ("cycle_charges", "flow.charges"),
+    ("flow_arrivals", "flow.arrive"),
+    ("flow_begins", "flow.begin"),
+    ("flow_ends", "flow.end"),
+    ("reclaims", "kernel.reclaim"),
+    ("reclaim_pages", "kernel.reclaim.pages"),
+    ("reclaim_pte_tears", "kernel.reclaim.pte_tears"),
+    ("reclaim_shared_tears", "kernel.reclaim.shared_tears"),
+];
+
 /// Machine-readable rollup.
 pub fn render_json(r: &Rollup) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"sat-obs/report-v1\",");
     let _ = writeln!(out, "  \"event_count\": {},", r.event_count);
     let _ = writeln!(out, "  \"dropped_events\": {},", r.dropped);
-    json_counter_map(&mut out, "subsystems", r.subsystems.iter(), true);
-    json_counter_map(&mut out, "pids", r.pids.iter(), true);
+    json_counter_map(&mut out, "subsystems", &r.subsystems);
+    json_counter_map(&mut out, "pids", &r.pids);
 
     out.push_str("  \"unshare_causes\": {");
     for (i, (cause, n, pct)) in r.fig6_breakdown().into_iter().enumerate() {
@@ -504,9 +569,23 @@ pub fn render_json(r: &Rollup) -> String {
         out.push_str("},\n");
     }
 
-    json_counter_map(&mut out, "fault_classes", r.fault_classes.iter(), true);
-    json_counter_map(&mut out, "region_ops", r.region_ops.iter(), true);
-    json_counter_map(&mut out, "cycle_charges", r.charge_causes.iter(), true);
+    json_counter_map(&mut out, "fault_classes", fault_classes(&r.metrics));
+    json_counter_map(
+        &mut out,
+        "region_ops",
+        bumped(
+            &r.metrics,
+            RegionOpKind::ALL.map(|op| (op.as_str(), op.counter_key())),
+        ),
+    );
+    json_counter_map(
+        &mut out,
+        "cycle_charges",
+        bumped(
+            &r.metrics,
+            ChargeCause::ALL.map(|c| (c.as_str(), c.counter_key())),
+        ),
+    );
 
     out.push_str("  \"spans\": {");
     for (i, (name, agg)) in r.spans.iter().enumerate() {
@@ -571,43 +650,11 @@ pub fn render_json(r: &Rollup) -> String {
     }
     out.push_str("]},\n");
 
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"forks\": {}, \"shared_forks\": {}, \"exits\": {}, \
-         \"domain_faults\": {}, \"unshare_ptes_copied\": {}, \"faults_file_backed\": {}, \
-         \"asid_rollovers\": {}, \"shootdowns\": {}, \"shootdown_cores_targeted\": {}, \
-         \"shootdown_cores_local\": {}, \"shootdown_cores_skipped\": {}, \
-         \"shootdowns_ranged\": {}, \"preemptions\": {}, \"flush_batches\": {}, \
-         \"flush_batch_ops\": {}, \"flush_batch_coalesced\": {}, \"flush_batch_escalated\": {}, \
-         \"cycle_charges\": {}, \"flow_arrivals\": {}, \"flow_begins\": {}, \"flow_ends\": {}, \
-         \"reclaims\": {}, \"reclaim_pages\": {}, \"reclaim_pte_tears\": {}, \
-         \"reclaim_shared_tears\": {}}}",
-        r.forks,
-        r.shared_forks,
-        r.exits,
-        r.domain_faults,
-        r.unshare_ptes_copied,
-        r.faults_file_backed,
-        r.asid_rollovers,
-        r.shootdowns,
-        r.shootdown_cores_targeted,
-        r.shootdown_cores_local,
-        r.shootdown_cores_skipped,
-        r.shootdowns_ranged,
-        r.preemptions,
-        r.batches,
-        r.batch_ops,
-        r.batch_coalesced,
-        r.batch_escalated,
-        r.charges,
-        r.flow_arrivals,
-        r.flow_begins,
-        r.flow_ends,
-        r.reclaims,
-        r.reclaim_pages,
-        r.reclaim_pte_tears,
-        r.reclaim_shared_tears
-    );
+    let totals: Vec<String> = TOTALS
+        .iter()
+        .map(|(name, key)| format!("\"{name}\": {}", r.metrics.counter(key)))
+        .collect();
+    let _ = writeln!(out, "  \"totals\": {{{}}}", totals.join(", "));
     out.push_str("}\n");
     out
 }

@@ -1,8 +1,8 @@
-//! Event sinks: where emitted events go.
+//! The recorder: a bounded event ring next to an exact registry.
 //!
-//! The recorder API in [`crate`] dispatches through `dyn EventSink`,
-//! but only after a thread-local boolean says a sink is installed —
-//! the disabled path is one predictable branch and touches no heap.
+//! The recorder API in [`crate`] reaches the thread's [`RingSink`] only
+//! after a thread-local boolean says one is installed — the disabled
+//! path is one predictable branch and touches no heap.
 
 use std::collections::VecDeque;
 
@@ -20,90 +20,16 @@ pub struct Recording {
     pub metrics: MetricsRegistry,
 }
 
-/// A destination for events. Implementations own their storage; the
-/// thread-local recorder owns the box.
-pub trait EventSink {
-    /// Whether [`crate::emit`] should bother constructing payloads.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event (counters first, then the ring).
-    fn record(&mut self, pid: u32, asid: u8, subsystem: Subsystem, payload: Payload);
-
-    /// Records a histogram sample.
-    fn record_value(&mut self, name: &str, value: u64);
-
-    /// Publishes a gauge's current value (no-op for metrics-less
-    /// sinks).
-    fn gauge_set(&mut self, _key: &str, _value: u64) {}
-
-    /// Moves a gauge up by `n` (saturating).
-    fn gauge_add(&mut self, _key: &str, _n: u64) {}
-
-    /// Moves a gauge down by `n` (saturating at zero).
-    fn gauge_sub(&mut self, _key: &str, _n: u64) {}
-
-    /// Snapshots every registered gauge into the event stream as one
-    /// [`Payload::Sample`] each (a Chrome counter-track point). The
-    /// sink owns both the registry and the ring, so this is the one
-    /// place a consistent multi-gauge snapshot can be cut.
-    fn sample_gauges(&mut self) {}
-
-    /// Starts a fresh per-experiment gauge window (see
-    /// [`MetricsRegistry::begin_gauge_window`]).
-    fn begin_gauge_window(&mut self) {}
-
-    /// Read-only view of the live metrics, if the sink keeps any.
-    fn metrics(&self) -> Option<&MetricsRegistry> {
-        None
-    }
-
-    /// Ring capacity, if bounded (workers mirror the parent's).
-    fn capacity(&self) -> Option<usize> {
-        None
-    }
-
-    /// Merges a recording harvested on another thread: events are
-    /// re-stamped onto this sink's tick sequence in order, metrics and
-    /// drop counts accumulate.
-    fn absorb(&mut self, rec: Recording);
-
-    /// Consumes the sink and returns everything it captured.
-    fn finish(self: Box<Self>) -> Recording;
-}
-
-/// Discards everything. Installing it is equivalent to (and reported
-/// as) tracing being disabled.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _pid: u32, _asid: u8, _subsystem: Subsystem, _payload: Payload) {}
-
-    fn record_value(&mut self, _name: &str, _value: u64) {}
-
-    fn absorb(&mut self, _rec: Recording) {}
-
-    fn finish(self: Box<Self>) -> Recording {
-        Recording::default()
-    }
-}
-
 /// Fixed-capacity ring of events plus an exact [`MetricsRegistry`].
 /// When full, the oldest event is dropped and counted.
 #[derive(Clone, Debug)]
 pub struct RingSink {
-    capacity: usize,
+    pub(crate) capacity: usize,
     events: VecDeque<Event>,
     /// Monotonic per-recorder tick; stamps every event.
     seq: u64,
     dropped: u64,
-    metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry,
 }
 
 impl RingSink {
@@ -125,10 +51,9 @@ impl RingSink {
         }
         self.events.push_back(event);
     }
-}
 
-impl EventSink for RingSink {
-    fn record(&mut self, pid: u32, asid: u8, subsystem: Subsystem, payload: Payload) {
+    /// Records one event (counters first, then the ring).
+    pub fn record(&mut self, pid: u32, asid: u8, subsystem: Subsystem, payload: Payload) {
         self.metrics.apply_event(subsystem, &payload);
         let tick = self.seq;
         self.seq += 1;
@@ -141,23 +66,11 @@ impl EventSink for RingSink {
         });
     }
 
-    fn record_value(&mut self, name: &str, value: u64) {
-        self.metrics.record(name, value);
-    }
-
-    fn gauge_set(&mut self, key: &str, value: u64) {
-        self.metrics.gauge_set(key, value);
-    }
-
-    fn gauge_add(&mut self, key: &str, n: u64) {
-        self.metrics.gauge_add(key, n);
-    }
-
-    fn gauge_sub(&mut self, key: &str, n: u64) {
-        self.metrics.gauge_sub(key, n);
-    }
-
-    fn sample_gauges(&mut self) {
+    /// Snapshots every registered gauge into the event stream as one
+    /// [`Payload::Sample`] each (a Chrome counter-track point). The
+    /// sink owns both the registry and the ring, so this is the one
+    /// place a consistent multi-gauge snapshot can be cut.
+    pub fn sample_gauges(&mut self) {
         // Samples carry (pid 0, asid 0): gauges are machine state, not
         // per-process. Recording a Sample re-applies it to the
         // registry, which is idempotent (same value written back).
@@ -172,19 +85,10 @@ impl EventSink for RingSink {
         }
     }
 
-    fn begin_gauge_window(&mut self) {
-        self.metrics.begin_gauge_window();
-    }
-
-    fn metrics(&self) -> Option<&MetricsRegistry> {
-        Some(&self.metrics)
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.capacity)
-    }
-
-    fn absorb(&mut self, rec: Recording) {
+    /// Merges a recording harvested on another thread: events are
+    /// re-stamped onto this sink's tick sequence in order, metrics and
+    /// drop counts accumulate.
+    pub fn absorb(&mut self, rec: Recording) {
         // The worker already applied its events to its own metrics;
         // merge those wholesale rather than re-deriving.
         self.metrics.merge(&rec.metrics);
@@ -196,9 +100,10 @@ impl EventSink for RingSink {
         }
     }
 
-    fn finish(self: Box<Self>) -> Recording {
+    /// Consumes the sink and returns everything it captured.
+    pub fn finish(self) -> Recording {
         Recording {
-            events: self.events.into_iter().collect(),
+            events: self.events.into(),
             dropped: self.dropped,
             metrics: self.metrics,
         }
@@ -224,7 +129,7 @@ mod tests {
         for i in 0..10u64 {
             sink.record(1, 1, Subsystem::Tlb, flush_payload(i));
         }
-        let rec = Box::new(sink).finish();
+        let rec = sink.finish();
         assert_eq!(rec.events.len(), 4);
         assert_eq!(rec.dropped, 6);
         // The survivors are the newest four, ticks intact.
@@ -239,12 +144,12 @@ mod tests {
     #[test]
     fn sample_gauges_snapshots_every_gauge_into_the_ring() {
         let mut sink = RingSink::new(16);
-        sink.gauge_set("phys.frames.free", 900);
-        sink.gauge_set("sched.runq.c0", 3);
+        sink.metrics.gauge_set("phys.frames.free", 900);
+        sink.metrics.gauge_set("sched.runq.c0", 3);
         sink.sample_gauges();
-        sink.gauge_sub("phys.frames.free", 100);
+        sink.metrics.gauge_set("phys.frames.free", 800);
         sink.sample_gauges();
-        let rec = Box::new(sink).finish();
+        let rec = sink.finish();
         let samples: Vec<(&str, u64)> = rec
             .events
             .iter()
@@ -284,19 +189,19 @@ mod tests {
     fn absorb_keeps_gauge_high_water_across_workers() {
         let run_worker = |peak: u64, last: u64| -> Recording {
             let mut w = RingSink::new(16);
-            w.gauge_set("phys.slab.live", peak);
+            w.metrics.gauge_set("phys.slab.live", peak);
             w.sample_gauges();
-            w.gauge_set("phys.slab.live", last);
+            w.metrics.gauge_set("phys.slab.live", last);
             w.sample_gauges();
-            Box::new(w).finish()
+            w.finish()
         };
         let mut parent = RingSink::new(64);
-        parent.gauge_set("phys.slab.live", 5);
+        parent.metrics.gauge_set("phys.slab.live", 5);
         // Submission order is deterministic; the peak (700, from the
         // second worker) must survive both absorptions.
         parent.absorb(run_worker(300, 120));
         parent.absorb(run_worker(700, 80));
-        let rec = Box::new(parent).finish();
+        let rec = parent.finish();
         let g = rec.metrics.gauge("phys.slab.live").unwrap();
         assert_eq!(g.high_water, 700);
         assert_eq!(g.value, 120);
@@ -320,12 +225,12 @@ mod tests {
                 va: 0x1000,
             },
         );
-        let worker_rec = Box::new(worker).finish();
+        let worker_rec = worker.finish();
 
         let mut parent = RingSink::new(16);
         parent.record(1, 1, Subsystem::Tlb, flush_payload(2));
         parent.absorb(worker_rec);
-        let rec = Box::new(parent).finish();
+        let rec = parent.finish();
         assert_eq!(rec.events.len(), 2);
         assert_eq!(rec.events[0].tick, 0);
         assert_eq!(rec.events[1].tick, 1);

@@ -10,6 +10,19 @@ use sat_obs::{
 
 /// One event of every payload shape, exercising every arg type.
 fn emit_one_of_each() {
+    // Mapped before the fork, so the child inherits the pages and the
+    // report's footprint matrix has a pair to compare.
+    sat_obs::emit(
+        Subsystem::Kernel,
+        1,
+        1,
+        Payload::RegionOp {
+            op: RegionOpKind::Mmap,
+            va: 0x4000_0000,
+            pages: 8,
+            unshared: 0,
+        },
+    );
     sat_obs::emit(
         Subsystem::Kernel,
         1,
@@ -31,6 +44,17 @@ fn emit_one_of_each() {
             va: 0x4000_0000,
             pages: 8,
             unshared: 1,
+        },
+    );
+    sat_obs::emit(
+        Subsystem::Kernel,
+        2,
+        2,
+        Payload::RegionOp {
+            op: RegionOpKind::Munmap,
+            va: 0x4000_6000,
+            pages: 2,
+            unshared: 0,
         },
     );
     sat_obs::emit(
@@ -70,6 +94,16 @@ fn emit_one_of_each() {
         },
     );
     sat_obs::emit(
+        Subsystem::VmFault,
+        3,
+        3,
+        Payload::PageFault {
+            class: FaultClass::Minor,
+            va: 0x4000_1000,
+            file_backed: true,
+        },
+    );
+    sat_obs::emit(
         Subsystem::Tlb,
         0,
         2,
@@ -77,6 +111,16 @@ fn emit_one_of_each() {
             scope: FlushScope::Asid,
             reason: FlushReason::Unshare,
             entries: 4,
+        },
+    );
+    sat_obs::emit(
+        Subsystem::Tlb,
+        0,
+        2,
+        Payload::TlbFlush {
+            scope: FlushScope::MicroAll,
+            reason: FlushReason::ContextSwitch,
+            entries: 6,
         },
     );
     sat_obs::emit(
@@ -150,7 +194,7 @@ fn emit_one_of_each() {
     sat_obs::gauge_set("phys.frames.free", 1000);
     sat_obs::gauge_set("sched.runq.c1", 3);
     sat_obs::sample_gauges();
-    sat_obs::gauge_sub("phys.frames.free", 137);
+    sat_obs::gauge_set("phys.frames.free", 863);
     sat_obs::sample_gauges();
     sat_obs::emit(
         Subsystem::Android,
@@ -200,6 +244,18 @@ fn emit_one_of_each() {
             cycles: 4_321,
         },
     );
+    // The run-queue wait fills the request's preempted gap, so flow 7
+    // reconciles exactly (4,321 + 94,444 == its 98,765-cycle wall).
+    sat_obs::emit(
+        Subsystem::Sim,
+        0,
+        0,
+        Payload::CycleCharge {
+            flow: 7,
+            cause: ChargeCause::RunqWait,
+            cycles: 94_444,
+        },
+    );
     sat_obs::emit(
         Subsystem::Sched,
         11,
@@ -207,6 +263,34 @@ fn emit_one_of_each() {
         Payload::FlowEnd {
             flow: 7,
             wall: 98_765,
+        },
+    );
+    // A second, faster request plus an idle-core charge (flow 0), so
+    // `tails` ranks two rows and keeps an unattributed bucket.
+    sat_obs::emit(Subsystem::Sched, 12, 0, Payload::FlowBegin { flow: 8 });
+    for (flow, cause, cycles) in [
+        (8, ChargeCause::Exec, 2_000),
+        (0, ChargeCause::Ipi, 500),
+        (8, ChargeCause::Fault, 345),
+    ] {
+        sat_obs::emit(
+            Subsystem::Sim,
+            0,
+            0,
+            Payload::CycleCharge {
+                flow,
+                cause,
+                cycles,
+            },
+        );
+    }
+    sat_obs::emit(
+        Subsystem::Sched,
+        12,
+        0,
+        Payload::FlowEnd {
+            flow: 8,
+            wall: 2_345,
         },
     );
     sat_obs::emit(
@@ -481,6 +565,116 @@ fn parsed_trace_reproduces_the_recording_exactly() {
     }
 }
 
+/// The parser is strict about widths: a hand-edited field that does
+/// not fit its payload type is an error naming the field, never a
+/// silent wrap (`"tid": 300` used to re-ingest as ASID 44).
+#[test]
+fn out_of_range_fields_fail_to_re_ingest_by_name() {
+    sat_obs::install(64);
+    emit_one_of_each();
+    let trace = chrome_trace_json(&sat_obs::uninstall().unwrap());
+    let reingest_edited = |from: &str, to: &str| -> String {
+        assert!(trace.contains(from), "fixture no longer carries {from}");
+        let doc = Json::parse(&trace.replacen(from, to, 1)).unwrap();
+        parse_chrome_trace(&doc).unwrap_err()
+    };
+    for (field, from, to) in [
+        ("tid", "\"tid\": 2,", "\"tid\": 300,"),
+        ("pid", "\"pid\": 7,", "\"pid\": 4294967296,"),
+        ("va", "\"va\": 1073750016}", "\"va\": 4294967296}"),
+        ("core", "\"core\": 2,", "\"core\": 4294967296,"),
+        ("asid", "\"asid\": 5,", "\"asid\": 256,"),
+        ("pages", "\"pages\": 8,", "\"pages\": 99999999999,"),
+    ] {
+        let err = reingest_edited(from, to);
+        assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
+        assert!(err.contains("out of range"), "{field}: {err}");
+    }
+    // In range still re-ingests: the edges are the types' own.
+    let doc = Json::parse(&trace.replacen("\"tid\": 2,", "\"tid\": 255,", 1)).unwrap();
+    assert_eq!(parse_chrome_trace(&doc).unwrap().events[2].asid, 255);
+}
+
+/// Events that decode field by field yet that the exporter could not
+/// have written: more local flushes than flushing cores (the IPI count
+/// `cores_targeted - cores_local` would go negative downstream), and a
+/// region op whose `args` name a different syscall than the event.
+#[test]
+fn impossible_events_fail_to_re_ingest() {
+    sat_obs::install(64);
+    emit_one_of_each();
+    let trace = chrome_trace_json(&sat_obs::uninstall().unwrap());
+    for (from, to, want) in [
+        (
+            "\"cores_local\": 1,",
+            "\"cores_local\": 3,",
+            "\"cores_local\" 3 exceeds \"cores_targeted\" 2",
+        ),
+        (
+            "\"op\": \"mprotect\"",
+            "\"op\": \"munmap\"",
+            "(mprotect): args describe a \"munmap\" event",
+        ),
+    ] {
+        assert!(trace.contains(from), "fixture no longer carries {from}");
+        let doc = Json::parse(&trace.replacen(from, to, 1)).unwrap();
+        let err = parse_chrome_trace(&doc).unwrap_err();
+        assert!(err.contains(want), "{err}");
+    }
+}
+
+/// Every renderer's output for the `emit_one_of_each` recording, byte
+/// for byte: the files under `tests/golden/` were captured from the
+/// renderers as they stood before `Rollup` lost its shadow counters,
+/// so a number that moves here moved for `repro report` / `timeline` /
+/// `tails` users too. The trace itself is pinned as well — the wire
+/// format is what every saved trace file depends on.
+#[test]
+fn renderers_match_the_goldens() {
+    use sat_obs::analyze::{FlowTable, Rollup, Timeline};
+    use sat_obs::report::{render, render_tails, render_timeline, ReportFormat};
+
+    sat_obs::install(64);
+    emit_one_of_each();
+    let rec = sat_obs::uninstall().unwrap();
+    let trace = chrome_trace_json(&rec);
+    let parsed = parse_chrome_trace(&Json::parse(&trace).unwrap()).unwrap();
+    let rollup = Rollup::from_events(&parsed.events, parsed.dropped);
+    let timeline = Timeline::from_events(&parsed.events, 0).unwrap();
+    let flows = FlowTable::from_events(&parsed.events);
+
+    for (name, got, want) in [
+        ("trace.json", trace, include_str!("golden/trace.json")),
+        (
+            "report.txt",
+            render(&rollup, ReportFormat::Text),
+            include_str!("golden/report.txt"),
+        ),
+        (
+            "report.json",
+            render(&rollup, ReportFormat::Json),
+            include_str!("golden/report.json"),
+        ),
+        (
+            "report.folded",
+            render(&rollup, ReportFormat::Folded),
+            include_str!("golden/report.folded"),
+        ),
+        (
+            "timeline.txt",
+            render_timeline(&timeline),
+            include_str!("golden/timeline.txt"),
+        ),
+        (
+            "tails.txt",
+            render_tails("whole trace", &flows, 5),
+            include_str!("golden/tails.txt"),
+        ),
+    ] {
+        assert_eq!(got, want, "{name} differs from its golden");
+    }
+}
+
 /// The counter-track round trip in isolation: every sample exported as
 /// a `"ph":"C"` event re-ingests into the identical `Payload::Sample`
 /// series, and the replayed registry reconstructs the same gauges
@@ -521,7 +715,7 @@ fn counter_tracks_round_trip_to_identical_samples() {
         4096
     );
     assert_eq!(rollup.gauges["sched.runq.c0"].max, 9);
-    assert_eq!(rollup.samples, 8);
+    assert_eq!(rollup.gauges.values().map(|g| g.samples).sum::<u64>(), 8);
 }
 
 #[test]

@@ -406,9 +406,12 @@ fn repro_report_rollup_reconstructs_fig6_from_events_alone() {
     // kernel's total.
     assert_eq!(by_cause["exit"], 0);
     assert_eq!(by_cause.values().sum::<u64>(), stats.ptp_unshares);
-    assert_eq!(rollup.forks, stats.forks);
-    assert_eq!(rollup.shared_forks, stats.share_forks);
-    assert_eq!(rollup.exits, stats.exits);
+    assert_eq!(rollup.metrics.counter("kernel.fork"), stats.forks);
+    assert_eq!(
+        rollup.metrics.counter("kernel.fork.shared"),
+        stats.share_forks
+    );
+    assert_eq!(rollup.metrics.counter("kernel.exit"), stats.exits);
     // The replayed metrics registry matches the live one the recorder
     // kept — the rollup is lossless for an un-dropped stream.
     assert_eq!(
