@@ -22,6 +22,8 @@
 pub mod file;
 pub mod frame;
 pub mod page;
+#[cfg(test)]
+mod reference;
 pub mod slab;
 
 pub use file::{FileId, FileRegistry};

@@ -41,10 +41,11 @@ impl PageInfo {
         }
     }
 
-    /// Creates metadata for an unallocated frame.
-    pub fn free() -> Self {
+    /// Creates metadata for an unallocated frame sitting between
+    /// `prev` and `next` on the allocator's free list.
+    pub(crate) fn free(prev: u32, next: u32) -> Self {
         PageInfo {
-            kind: FrameKind::Free,
+            kind: FrameKind::Free { prev, next },
             refcount: 0,
             mapcount: 0,
             dirty: false,
@@ -54,7 +55,7 @@ impl PageInfo {
 
     /// Returns `true` if the frame is currently unallocated.
     pub fn is_free(&self) -> bool {
-        matches!(self.kind, FrameKind::Free)
+        matches!(self.kind, FrameKind::Free { .. })
     }
 }
 
@@ -68,6 +69,14 @@ mod tests {
         assert_eq!(p.refcount, 1);
         assert_eq!(p.mapcount, 0);
         assert!(!p.is_free());
-        assert!(PageInfo::free().is_free());
+        assert!(PageInfo::free(0, 1).is_free());
+    }
+
+    #[test]
+    fn free_list_links_cost_no_space() {
+        // The links ride in the variant payload `File { file, index }`
+        // already pays for: `struct page` stays 24 bytes per frame.
+        assert_eq!(std::mem::size_of::<FrameKind>(), 12);
+        assert_eq!(std::mem::size_of::<PageInfo>(), 24);
     }
 }
