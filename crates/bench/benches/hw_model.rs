@@ -1,11 +1,15 @@
 //! Criterion microbenchmarks for the hardware models: main-TLB lookup
-//! and flush, set-associative cache access, and the two-level table
-//! walk — the hot loops under every simulated instruction.
+//! and flush, set-associative cache access, a fault handler's run of
+//! kernel text, and the two-level table walk — the hot loops under
+//! every simulated instruction.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sat_cache::{Cache, CacheConfig};
+use sat_core::{Kernel, KernelConfig};
 use sat_mmu::{walk, HwPte, Mapper, PtpStore, RootTable, SwPte};
 use sat_phys::{FrameKind, PhysMem};
+use sat_sim::machine::{FAULT_HANDLER_PAGE, FAULT_PATH_PAGES};
+use sat_sim::Machine;
 use sat_tlb::{MainTlb, TlbEntry};
 use sat_types::{Asid, Domain, PageSize, Perms, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
 
@@ -71,6 +75,21 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             addr = addr.wrapping_add(4096);
             cache.access(PhysAddr::new(addr))
+        });
+    });
+    // One iteration is one soft fault's worth of handler text — 300
+    // lines through micro-TLB, L1-I and L2 — so ns per line is the
+    // row ÷ 300. The start rotates through the handler's 16 pages by
+    // `page_fault_path`'s stride (page-granular here: the public
+    // entry point takes a page), which keeps the L1-I missing on
+    // about half the lines as it does under a fault-heavy run.
+    g.bench_function("fault_handler_run_300", |b| {
+        let mut m = Machine::single_core(Kernel::new(KernelConfig::stock(), 1024));
+        let mut seq = 0u32;
+        b.iter(|| {
+            let start = (seq * 149) % (FAULT_PATH_PAGES * 128);
+            seq = seq.wrapping_add(1);
+            m.run_kernel_lines(0, FAULT_HANDLER_PAGE + start / 128, 300)
         });
     });
     g.finish();

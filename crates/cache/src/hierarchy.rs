@@ -89,6 +89,7 @@ impl CacheHierarchy {
 
     /// Performs an access, updating the appropriate L1, the shared
     /// `l2`, and the stall counters. Returns the stall cycles charged.
+    #[inline]
     pub fn access(&mut self, kind: AccessKind, pa: PhysAddr, l2: &mut Cache) -> u64 {
         let l1 = match kind {
             AccessKind::Instruction => &mut self.l1i,

@@ -21,6 +21,8 @@
 #![forbid(unsafe_code)]
 
 pub mod hierarchy;
+#[cfg(test)]
+mod reference;
 pub mod set_assoc;
 
 pub use hierarchy::{AccessKind, CacheHierarchy, HierarchyStats, LatencyModel};

@@ -57,19 +57,34 @@ impl CacheStats {
     }
 }
 
+/// One way of one set: 8 bytes, so an 8-way L2 set is one host cache
+/// line and a 4-way L1 set half of one.
 #[derive(Clone, Copy)]
 struct Line {
     tag: u32,
-    last_use: u64,
+    /// The tick of the last use; 0 marks the way invalid (the tick is
+    /// incremented before it is ever stamped, so no use carries 0).
+    stamp: u32,
 }
 
+const INVALID: Line = Line { tag: 0, stamp: 0 };
+
 /// A set-associative cache with true-LRU replacement.
+///
+/// All lines live in one flat array, set-major: set `s` is
+/// `lines[s * ways..][..ways]`. Recency is a 32-bit stamp from one
+/// cache-wide tick; only the order of stamps *within a set* ever
+/// decides anything, so when the tick is about to wrap every set's
+/// stamps are re-ranked to `1..=valid` (order kept) and the tick
+/// restarts above them.
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
-    tick: u64,
+    lines: Vec<Line>,
+    ways: usize,
+    tick: u32,
     stats: CacheStats,
     line_shift: u32,
+    set_bits: u32,
     set_mask: u32,
 }
 
@@ -88,10 +103,12 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             config,
-            sets: vec![vec![None; config.ways as usize]; sets as usize],
+            lines: vec![INVALID; (sets * config.ways) as usize],
+            ways: config.ways as usize,
             tick: 0,
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
         }
     }
@@ -111,65 +128,84 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Splits `pa` into (first index of its set in `lines`, tag).
+    #[inline]
+    fn locate(&self, pa: PhysAddr) -> (usize, u32) {
+        let line_addr = pa.raw() >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        (set * self.ways, line_addr >> self.set_bits)
+    }
+
     /// Accesses the line containing `pa`, allocating it on a miss.
     /// Returns `true` on a hit.
+    #[inline]
     pub fn access(&mut self, pa: PhysAddr) -> bool {
+        if self.tick == u32::MAX {
+            self.rerank();
+        }
         self.tick += 1;
-        let line_addr = pa.raw() >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
+        let (base, tag) = self.locate(pa);
+        let set = &mut self.lines[base..base + self.ways];
 
-        for line in set.iter_mut().flatten() {
-            if line.tag == tag {
-                line.last_use = self.tick;
+        for line in set.iter_mut() {
+            if line.tag == tag && line.stamp != 0 {
+                line.stamp = self.tick;
                 self.stats.hits += 1;
                 return true;
             }
         }
         self.stats.misses += 1;
 
-        // Fill: empty way first, else evict the LRU way.
-        let victim = match set.iter().position(|w| w.is_none()) {
-            Some(idx) => idx,
-            None => {
-                self.stats.evictions += 1;
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.as_ref().map(|l| l.last_use).unwrap_or(0))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            }
-        };
-        set[victim] = Some(Line {
+        // Fill the way with the smallest stamp, the lowest such way on
+        // a tie: invalid ways (stamp 0) sort below every valid one, so
+        // this is "lowest empty way first, else the LRU way".
+        let victim = set
+            .iter_mut()
+            .min_by_key(|line| line.stamp)
+            .expect("a set has at least one way");
+        if victim.stamp != 0 {
+            self.stats.evictions += 1;
+        }
+        *victim = Line {
             tag,
-            last_use: self.tick,
-        });
+            stamp: self.tick,
+        };
         false
+    }
+
+    /// Rewrites every set's stamps as ranks `1..=valid` in the same
+    /// order and restarts the tick at `ways`, above every rank.
+    #[cold]
+    fn rerank(&mut self) {
+        for set in self.lines.chunks_exact_mut(self.ways) {
+            // A line's new stamp is one more than the number of valid
+            // lines in its set older than it.
+            let old: Vec<u32> = set.iter().map(|l| l.stamp).collect();
+            for line in set.iter_mut().filter(|l| l.stamp != 0) {
+                let older = old.iter().filter(|&&s| s != 0 && s < line.stamp).count();
+                line.stamp = older as u32 + 1;
+            }
+        }
+        self.tick = self.ways as u32;
     }
 
     /// Probes whether `pa`'s line is resident without touching LRU
     /// state or statistics.
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let line_addr = pa.raw() >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        self.sets[set_idx].iter().flatten().any(|l| l.tag == tag)
+        let (base, tag) = self.locate(pa);
+        self.lines[base..base + self.ways]
+            .iter()
+            .any(|l| l.tag == tag && l.stamp != 0)
     }
 
     /// Invalidates everything.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.iter_mut().for_each(|w| *w = None);
-        }
+        self.lines.fill(INVALID);
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.is_some()).count())
-            .sum()
+        self.lines.iter().filter(|l| l.stamp != 0).count()
     }
 }
 
@@ -238,6 +274,51 @@ mod tests {
         c.flush();
         assert_eq!(c.occupancy(), 0);
         assert!(!c.probe(PhysAddr::new(0x1000)));
+    }
+
+    #[test]
+    fn rerank_keeps_the_victim_order() {
+        use crate::reference::RefCache;
+        // One set of four ways, so every access contends; a second
+        // set holds one line and an empty way across the re-rank.
+        let config = CacheConfig {
+            size_bytes: 256,
+            ways: 4,
+            line_bytes: 32,
+        };
+        let set0 = |i: u32| PhysAddr::new(i * 64);
+        let mut c = Cache::new(config);
+        let mut reference = RefCache::new(config);
+        let mut both = |c: &mut Cache, pa: PhysAddr| {
+            assert_eq!(c.access(pa), reference.access(pa), "{pa:?}");
+        };
+        both(&mut c, PhysAddr::new(0x20)); // set 1
+        for i in [0, 1, 2, 1, 0] {
+            both(&mut c, set0(i)); // recency: 2 < 1 < 0, way 3 empty
+        }
+        // Two more uses land just under the wrap, the third re-ranks.
+        c.tick = u32::MAX - 2;
+        both(&mut c, set0(2)); // recency: 1 < 0 < 2
+        both(&mut c, set0(3)); // fills the empty way
+        assert_eq!(c.tick, u32::MAX);
+        both(&mut c, set0(4)); // re-rank, then evicts 1
+        assert_eq!(c.tick, config.ways + 1, "the tick restarted");
+        assert!(!c.probe(set0(1)));
+        // The rest leave oldest first: 0, 2, 3 — the pre-wrap order.
+        for i in [5, 6, 7] {
+            both(&mut c, set0(i));
+        }
+        for i in [0, 1, 2, 3] {
+            assert!(!c.probe(set0(i)), "line {i} was evicted");
+        }
+        for i in [4, 5, 6, 7] {
+            both(&mut c, set0(i)); // all hits
+        }
+        // Set 1 kept its line and still fills its lowest empty way.
+        both(&mut c, PhysAddr::new(0x20));
+        both(&mut c, PhysAddr::new(0x60));
+        assert_eq!(c.occupancy(), 6);
+        assert_eq!(c.stats().evictions, 4);
     }
 
     #[test]

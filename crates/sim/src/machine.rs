@@ -28,6 +28,12 @@ pub const SCHED_PATH_PAGE: u32 = 0x320;
 /// Cache lines per 4KB page.
 const LINES_PER_PAGE: u32 = 128;
 
+/// Bytes per cache line.
+const LINE_BYTES: u32 = 32;
+
+/// 4KB pages in kernel space (2³² − `KERNEL_SPACE_START` bytes).
+const KERNEL_PAGES: u32 = KERNEL_SPACE_START.wrapping_neg() / 4096;
+
 /// Per-core hardware counters (the PMU analogue).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct CoreStats {
@@ -263,6 +269,11 @@ pub struct Machine {
     /// the exception handler reads to classify the fault.
     pub last_fault: Option<FaultRecord>,
     fault_seq: u64,
+    /// Fetch every kernel-text run one line at a time, as before runs
+    /// became one operation — the twin the differential test compares
+    /// [`Machine::kernel_run`] with.
+    #[cfg(test)]
+    line_by_line: bool,
 }
 
 impl Machine {
@@ -275,6 +286,8 @@ impl Machine {
             model: CycleModel::default(),
             last_fault: None,
             fault_seq: 0,
+            #[cfg(test)]
+            line_by_line: false,
         }
     }
 
@@ -453,7 +466,11 @@ impl Machine {
         let mut cycles: u64 = 0;
 
         for _attempt in 0..8 {
-            let asid = self.kernel.mm(pid)?.asid;
+            // Every path below that can change either (a page fault, a
+            // domain fault, a faulting walk) ends in `continue`, so
+            // what is read here holds for the rest of the attempt.
+            let mm = self.kernel.mm(pid)?;
+            let (asid, dacr) = (mm.asid, mm.dacr);
             // 1. Micro-TLB.
             let micro_hit = {
                 let c = &mut self.cores[core];
@@ -493,7 +510,6 @@ impl Machine {
             };
 
             // 4. Domain check against the current DACR.
-            let dacr = self.kernel.mm(pid)?.dacr;
             match dacr.access(entry.domain) {
                 DomainAccess::NoAccess => {
                     cycles += self.domain_fault_path(core, va, access, entry.domain)?;
@@ -598,17 +614,17 @@ impl Machine {
     /// Runs `lines` sequential kernel-text cache lines starting at
     /// kernel page `base_page` through the instruction path (TLB +
     /// caches). This is how kernel execution pollutes the L1-I cache.
+    /// A run whose last line would lie beyond the end of kernel space
+    /// is refused with [`SatError::InvalidArgument`] before anything
+    /// is fetched.
     pub fn run_kernel_lines(&mut self, core: usize, base_page: u32, lines: u32) -> SatResult<u64> {
-        let mut cycles = 0;
-        for i in 0..lines {
-            let va = VirtAddr::new(
-                KERNEL_SPACE_START
-                    + base_page * 4096
-                    + (i % LINES_PER_PAGE) * 32
-                    + (i / LINES_PER_PAGE) * 4096,
-            );
-            cycles += self.kernel_fetch(core, va)?;
+        let last_page = u64::from(base_page) + u64::from(lines.saturating_sub(1) / LINES_PER_PAGE);
+        if last_page >= u64::from(KERNEL_PAGES) {
+            return Err(SatError::InvalidArgument);
         }
+        let base = VirtAddr::new(KERNEL_SPACE_START + base_page * 4096);
+        // A window of the run's own length never wraps.
+        let cycles = self.kernel_run(core, base, 0, lines, lines);
         // One aggregate charge for the whole stretch of kernel text —
         // per-line events would drown the ring. The scoped cause lets
         // the issuing path (context switch, binder, fault handler)
@@ -617,42 +633,102 @@ impl Machine {
         Ok(cycles)
     }
 
-    /// Fetches one kernel-text line: kernel mappings are global 1MB
-    /// sections present in every address space.
-    fn kernel_fetch(&mut self, core: usize, va: VirtAddr) -> SatResult<u64> {
-        debug_assert!(va.is_kernel());
+    /// Fetches `lines` kernel-text lines as one operation: the `i`-th
+    /// is line `(start + i) % window` of the text at `base` (page
+    /// aligned, `start < window`, the whole window inside kernel
+    /// space). Returns the cycles, already added to the core's.
+    ///
+    /// Only the first line of each stretch inside one 1MB section takes
+    /// the translation path; the rest count a micro-TLB hit and go
+    /// straight to the caches. That is exact: a cache access touches no
+    /// TLB, so the section entry the first line hit or filled is still
+    /// in the micro-TLB for every later line, and a hit there has no
+    /// effect but its counter (replacement is round-robin on fills).
+    fn kernel_run(
+        &mut self,
+        core: usize,
+        base: VirtAddr,
+        start: u32,
+        lines: u32,
+        window: u32,
+    ) -> u64 {
+        #[cfg(test)]
+        if self.line_by_line {
+            return (0..lines)
+                .map(|i| {
+                    let line = (start + i) % window;
+                    self.kernel_fetch(core, VirtAddr::new(base.raw() + line * LINE_BYTES))
+                })
+                .sum();
+        }
+        let section_lines = PageSize::Section1M.bytes() / LINE_BYTES;
+        let cpi = self.model.cpi;
         let mut cycles = 0;
-        let entry = match self.cores[core].micro_i.lookup(va) {
-            Some(e) => e,
-            None => {
-                let asid = Asid::new(0); // kernel entries are global
-                match self.cores[core].main_tlb.lookup(va, asid) {
-                    TlbLookup::Hit(e) => {
-                        self.cores[core].micro_i.insert(e);
-                        cycles += 1;
-                        e
-                    }
-                    TlbLookup::Miss => {
-                        // One-level section walk through the caches.
-                        let e = kernel_section_entry(va);
-                        // The level-1 descriptor fetch (synthetic
-                        // address inside the kernel's own tables).
-                        let desc = sat_types::PhysAddr::new(
-                            KERNEL_PHYS_BASE + 0x0FF0_0000 + (va.l1_index() as u32) * 4,
-                        );
-                        let stall = self.cores[core].caches.access(
-                            AccessKind::PageWalk,
-                            desc,
-                            &mut self.l2,
-                        );
-                        cycles += 8 + stall;
-                        self.cores[core].main_tlb.insert(e, asid);
-                        self.cores[core].micro_i.insert(e);
-                        e
-                    }
-                }
+        let (mut next, mut left) = (start, lines);
+        while left > 0 {
+            let va = VirtAddr::new(base.raw() + next * LINE_BYTES);
+            let line_in_section = (va.raw() / LINE_BYTES) % section_lines;
+            let n = left.min(window - next).min(section_lines - line_in_section);
+            let (entry, translation) = self.kernel_translate(core, va);
+            cycles += translation;
+            let c = &mut self.cores[core];
+            c.micro_i.note_hits(u64::from(n - 1));
+            let pa = entry.translate(va).raw();
+            for i in 0..n {
+                let pa = sat_types::PhysAddr::new(pa + i * LINE_BYTES);
+                cycles += cpi + c.caches.access(AccessKind::Instruction, pa, &mut self.l2);
             }
-        };
+            left -= n;
+            next = (next + n) % window;
+        }
+        let stats = &mut self.cores[core].stats;
+        stats.inst_fetches += u64::from(lines);
+        stats.cycles += cycles;
+        cycles
+    }
+
+    /// Translates one kernel-text fetch — kernel mappings are global
+    /// 1MB sections present in every address space — and returns the
+    /// entry with the cycles the translation cost.
+    fn kernel_translate(&mut self, core: usize, va: VirtAddr) -> (TlbEntry, u64) {
+        debug_assert!(va.is_kernel());
+        if let Some(e) = self.cores[core].micro_i.lookup(va) {
+            return (e, 0);
+        }
+        let asid = Asid::new(0); // kernel entries are global
+        match self.cores[core].main_tlb.lookup(va, asid) {
+            TlbLookup::Hit(e) => {
+                self.cores[core].micro_i.insert(e);
+                (e, 1)
+            }
+            TlbLookup::Miss => {
+                let e = kernel_section_entry(va);
+                let walk = self.kernel_section_walk(core, va);
+                self.cores[core].main_tlb.insert(e, asid);
+                self.cores[core].micro_i.insert(e);
+                (e, walk)
+            }
+        }
+    }
+
+    /// The one-level section walk for a kernel VA: the level-1
+    /// descriptor fetch (synthetic address inside the kernel's own
+    /// tables) through the caches. Returns the walk's cycles.
+    fn kernel_section_walk(&mut self, core: usize, va: VirtAddr) -> u64 {
+        let desc =
+            sat_types::PhysAddr::new(KERNEL_PHYS_BASE + 0x0FF0_0000 + (va.l1_index() as u32) * 4);
+        let stall = self.cores[core]
+            .caches
+            .access(AccessKind::PageWalk, desc, &mut self.l2);
+        8 + stall
+    }
+
+    /// One kernel-text line the way every line was fetched before runs
+    /// became one operation: the line-by-line specification
+    /// [`Machine::kernel_run`] is tested against.
+    #[cfg(test)]
+    fn kernel_fetch(&mut self, core: usize, va: VirtAddr) -> u64 {
+        let (entry, mut cycles) = self.kernel_translate(core, va);
         let pa = entry.translate(va);
         let stall = self.cores[core]
             .caches
@@ -661,7 +737,7 @@ impl Machine {
         let stats = &mut self.cores[core].stats;
         stats.inst_fetches += 1;
         stats.cycles += cycles;
-        Ok(cycles)
+        cycles
     }
 
     fn fill_micro(&mut self, core: usize, access: AccessType, e: TlbEntry) {
@@ -685,17 +761,12 @@ impl Machine {
         if va.is_kernel() {
             // Kernel space: synthetic global section mapping.
             let e = kernel_section_entry(va);
-            let desc = sat_types::PhysAddr::new(
-                KERNEL_PHYS_BASE + 0x0FF0_0000 + (va.l1_index() as u32) * 4,
-            );
-            let stall = self.cores[core]
-                .caches
-                .access(AccessKind::PageWalk, desc, &mut self.l2);
+            let walk = self.kernel_section_walk(core, va);
             let asid = self.kernel.mm(pid)?.asid;
             self.cores[core].main_tlb.insert(e, asid);
             self.fill_micro(core, access, e);
-            self.charge_tlb_stall(core, access, 8 + stall);
-            return Ok(WalkFill::Entry(e, 8 + stall));
+            self.charge_tlb_stall(core, access, walk);
+            return Ok(WalkFill::Entry(e, walk));
         }
         let mm = self.kernel.mm(pid)?;
         let asid = mm.asid;
@@ -833,16 +904,8 @@ impl Machine {
         let window = FAULT_PATH_PAGES * LINES_PER_PAGE;
         let start = ((self.fault_seq * 149) % window as u64) as u32;
         self.fault_seq += 1;
-        let mut handler_cycles = 0u64;
-        for i in 0..lines {
-            let line = (start + i) % window;
-            let va = VirtAddr::new(
-                KERNEL_SPACE_START
-                    + (FAULT_HANDLER_PAGE + line / LINES_PER_PAGE) * 4096
-                    + (line % LINES_PER_PAGE) * 32,
-            );
-            handler_cycles += self.kernel_fetch(core, va)?;
-        }
+        let handler = VirtAddr::new(KERNEL_SPACE_START + FAULT_HANDLER_PAGE * 4096);
+        let handler_cycles = self.kernel_run(core, handler, start, lines, window);
         // The handler's instruction-fetch footprint is fault time too;
         // one aggregate charge (see `run_kernel_lines`).
         sat_obs::charge(core, sat_obs::ChargeCause::Fault, handler_cycles);
@@ -1238,6 +1301,36 @@ mod tests {
     }
 
     #[test]
+    fn kernel_run_past_the_end_of_kernel_space_is_refused() {
+        let (mut m, _z) = machine(KernelConfig::stock());
+        let before = m.cores[0].stats;
+        // The last page of kernel space holds 128 lines; one more
+        // would wrap the 32-bit VA into user space.
+        for (base_page, lines) in [
+            (KERNEL_PAGES - 1, LINES_PER_PAGE + 1),
+            (KERNEL_PAGES - 2, 3 * LINES_PER_PAGE),
+            (KERNEL_PAGES, 1),
+            (KERNEL_PAGES, 0),
+            (u32::MAX, 80),
+            (0, u32::MAX),
+        ] {
+            assert_eq!(
+                m.run_kernel_lines(0, base_page, lines),
+                Err(SatError::InvalidArgument),
+                "{base_page:#x} + {lines} lines"
+            );
+        }
+        assert_eq!(m.cores[0].stats, before, "nothing was fetched");
+        // Right up to the end is fine.
+        m.run_kernel_lines(0, KERNEL_PAGES - 1, LINES_PER_PAGE)
+            .unwrap();
+        assert_eq!(
+            m.cores[0].stats.inst_fetches,
+            before.inst_fetches + u64::from(LINES_PER_PAGE)
+        );
+    }
+
+    #[test]
     fn main_tlb_stall_cycles_accumulate_on_fetch_misses() {
         let (mut m, _z) = machine(KernelConfig::stock());
         for i in 0..16u32 {
@@ -1250,5 +1343,182 @@ mod tests {
         }
         assert!(m.cores[0].stats.inst_main_tlb_stall_cycles > 0);
         assert_eq!(m.cores[0].stats.data_main_tlb_stall_cycles, 0);
+    }
+
+    /// The run routine against the line-by-line loop it replaced, on
+    /// twin machines.
+    mod run_vs_line_by_line {
+        use proptest::prelude::*;
+        use sat_cache::{CacheStats, HierarchyStats};
+        use sat_tlb::TlbStats;
+
+        use super::*;
+
+        const CORES: usize = 2;
+
+        /// One randomized step: `(opcode, a, b)`, decoded in [`step`].
+        type Op = (u8, u32, u32);
+
+        /// Everything a kernel-text run may move on one core.
+        #[derive(Debug, PartialEq)]
+        struct CoreSnapshot {
+            stats: CoreStats,
+            main_tlb: TlbStats,
+            micro_i: (u64, u64),
+            micro_d: (u64, u64),
+            l1: (CacheStats, CacheStats),
+            hierarchy: HierarchyStats,
+        }
+
+        /// The machine after a step, plus what the step returned.
+        #[derive(Debug, PartialEq)]
+        struct Snapshot {
+            returned: SatResult<u64>,
+            cores: Vec<CoreSnapshot>,
+            l2: CacheStats,
+        }
+
+        fn snapshot(m: &Machine, returned: SatResult<u64>) -> Snapshot {
+            Snapshot {
+                returned,
+                cores: m
+                    .cores
+                    .iter()
+                    .map(|c| CoreSnapshot {
+                        stats: c.stats,
+                        main_tlb: c.main_tlb.stats(),
+                        micro_i: c.micro_i.stats(),
+                        micro_d: c.micro_d.stats(),
+                        l1: c.caches.l1_stats(),
+                        hierarchy: c.caches.stats(),
+                    })
+                    .collect(),
+                l2: m.l2.stats(),
+            }
+        }
+
+        /// Two cores; the zygote, a child of it, and an outsider with
+        /// a mapping of its own over the zygote's library (under TLB
+        /// sharing it takes domain faults on the global entries).
+        fn twin(config: KernelConfig, line_by_line: bool) -> (Machine, [Pid; 3]) {
+            let (mut m, zygote) = machine(config);
+            m.cores.push(Core::default());
+            m.line_by_line = line_by_line;
+            let child = m.fork(0, zygote).unwrap().0.child;
+            let outsider = m.kernel.create_process().unwrap();
+            let lib = m.kernel.files.register("other.so", 16 * PAGE_SIZE);
+            let req = MmapRequest::file(
+                16 * PAGE_SIZE,
+                Perms::RX,
+                lib,
+                0,
+                RegionTag::OtherLibCode,
+                "other.so",
+            )
+            .at(VirtAddr::new(0x4000_0000));
+            m.syscall(|k, tlb| k.mmap(outsider, &req, tlb)).unwrap();
+            m.context_switch(1, child).unwrap();
+            (m, [zygote, child, outsider])
+        }
+
+        fn step(m: &mut Machine, pids: &[Pid; 3], (code, a, b): Op) -> SatResult<u64> {
+            let core = a as usize % CORES;
+            match code {
+                // User accesses: the faults behind them run the
+                // handler's rotating window, wrap included.
+                0..=5 => {
+                    let (base, pages, access) = match code {
+                        // Mostly the 16 pages the outsider maps too,
+                        // so it meets the zygote's global entries.
+                        0 | 1 => (0x4000_0000, 16, AccessType::Execute),
+                        2 => (0x4000_0000, 64, AccessType::Execute),
+                        3 => (0x4000_0000, 64, AccessType::Read),
+                        4 => (0x0900_0000, 8, AccessType::Write),
+                        _ => (0x0900_0000, 8, AccessType::Read),
+                    };
+                    let va = VirtAddr::new(base + (b % pages) * PAGE_SIZE + (b >> 8) % PAGE_SIZE);
+                    // The outsider maps 16 library pages and no heap:
+                    // its other accesses fail alike on both twins.
+                    m.access(core, va, access)
+                }
+                6 | 7 => {
+                    let pid = pids[b as usize % pids.len()];
+                    if m.cores[1 - core].current == Some(pid) {
+                        return Ok(0);
+                    }
+                    m.context_switch(core, pid).map(|()| 0)
+                }
+                // The callers' runs.
+                8 => m.run_kernel_lines(core, SCHED_PATH_PAGE, 80),
+                9 => m.run_kernel_lines(core, BINDER_PATH_PAGE, 100 + b % 61),
+                // Runs laid across the 1MB boundaries at pages 0x100
+                // and 0x200, from a few pages short of one: mostly
+                // short, now and then long enough to cross both.
+                10 | 11 => {
+                    let base_page = 0x100 * (1 + a % 2) - 1 - b % 4;
+                    let pages = if code == 10 { 8 } else { 300 };
+                    m.run_kernel_lines(core, base_page, (b >> 2) % (pages * LINES_PER_PAGE))
+                }
+                // Refused alike.
+                12 => m.run_kernel_lines(core, KERNEL_PAGES - 1, LINES_PER_PAGE + 1 + b % 500),
+                // Kernel VAs through `access`: the same section
+                // entries enter by `walk_and_fill`, data side too.
+                13 => {
+                    let va = VirtAddr::new(
+                        KERNEL_SPACE_START + (b % 4) * 0x10_0000 + (b >> 2) % 0x10_0000,
+                    );
+                    let access = if a % 4 < 2 {
+                        AccessType::Execute
+                    } else {
+                        AccessType::Read
+                    };
+                    m.access(core, va, access)
+                }
+                _ => {
+                    m.reset_hw_stats();
+                    Ok(0)
+                }
+            }
+        }
+
+        /// Runs `ops` on one twin with a recorder installed.
+        fn drive(
+            config: KernelConfig,
+            line_by_line: bool,
+            ops: &[Op],
+        ) -> (Vec<Snapshot>, Vec<sat_obs::Event>) {
+            let (mut m, pids) = twin(config, line_by_line);
+            sat_obs::install(1 << 20);
+            let snapshots = ops
+                .iter()
+                .map(|&op| {
+                    let returned = step(&mut m, &pids, op);
+                    snapshot(&m, returned)
+                })
+                .collect();
+            let rec = sat_obs::uninstall().expect("recorder installed");
+            assert_eq!(rec.dropped, 0);
+            (snapshots, rec.events)
+        }
+
+        proptest! {
+            #[test]
+            fn equal_statistics_and_events_after_every_step(
+                shared in any::<bool>(),
+                ops in prop::collection::vec((0u8..15, 0u32..1 << 16, 0u32..1 << 24), 1..120),
+            ) {
+                let config = if shared {
+                    KernelConfig::shared_ptp_tlb()
+                } else {
+                    KernelConfig::stock()
+                };
+                let (runs, run_events) = drive(config, false, &ops);
+                let (lines, line_events) = drive(config, true, &ops);
+                for (i, (run, line)) in runs.iter().zip(&lines).enumerate() {
+                    prop_assert_eq!(run, line, "step {} = {:?}", i, ops[i]);
+                }
+                prop_assert_eq!(run_events, line_events);
+            }
+        }
     }
 }

@@ -100,6 +100,16 @@ impl MicroTlb {
         }
     }
 
+    /// Counts `n` lookups that hit without performing them. For a
+    /// caller that knows the outcome — the entry its previous lookup
+    /// hit or its previous insert filled still covers the address,
+    /// nothing having touched this TLB in between — this is all a hit
+    /// does: replacement is round-robin on fills, so a hit moves no
+    /// state but the counter.
+    pub fn note_hits(&mut self, n: u64) {
+        self.hits += n;
+    }
+
     /// Inserts an entry (round-robin replacement). Unlike the main
     /// TLB, there is no duplicate scan: the micro-TLB only ever
     /// receives entries that just missed.
