@@ -210,6 +210,11 @@ pub struct Kernel {
 
 impl Kernel {
     /// Creates a kernel over `frames` 4KB frames of physical memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` exceeds [`sat_types::MAX_FRAMES`], like
+    /// [`PhysMem::new`].
     pub fn new(config: KernelConfig, frames: u32) -> Kernel {
         Kernel {
             config,
@@ -990,6 +995,12 @@ mod tests {
             "libtest.so",
         )
         .at(VirtAddr::new(at))
+    }
+
+    #[test]
+    #[should_panic(expected = "frames exceed")]
+    fn a_kernel_past_the_32_bit_physical_space_is_refused() {
+        Kernel::new(KernelConfig::stock(), sat_types::MAX_FRAMES + 1);
     }
 
     /// Boots a minimal zygote: one library (8 pages code) preloaded

@@ -140,10 +140,12 @@ pub fn fork_share(
     let mut child = Mm::new(phys, child_pid, child_asid)?;
     child.dacr = parent.dacr;
     child.is_zygote_child = parent.is_zygote_like();
-    child.set_vmas(parent.clone_vmas());
-
+    // The child's copy of the regions doubles as the list the stock
+    // fallback walks — it borrows the parent mutably — and is installed
+    // once the loop is done with it.
+    let vmas = parent.clone_vmas();
     let mut report = ShareForkReport {
-        vmas: child.vma_count(),
+        vmas: vmas.len(),
         ..ShareForkReport::default()
     };
 
@@ -235,9 +237,8 @@ pub fn fork_share(
             child.counters.ptps_shared_at_fork += 1;
         } else {
             // Unsharable chunk (stack): stock copy, clamped to it.
-            let vmas: Vec<sat_vm::Vma> = parent.vmas_overlapping(span).cloned().collect();
             let mut fr = ForkReport::default();
-            for vma in &vmas {
+            for vma in vmas.values().filter(|v| v.range.overlaps(&span)) {
                 if !copies_ptes(config.fork_policy, vma) {
                     continue;
                 }
@@ -266,6 +267,7 @@ pub fn fork_share(
             report.ptps_allocated += fr.ptps_allocated;
         }
     }
+    child.set_vmas(vmas);
     child.counters.ptes_copied_fork = report.ptes_copied;
     child.counters.ptps_allocated = report.ptps_allocated;
     if sat_obs::enabled() {

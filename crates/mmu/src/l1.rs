@@ -3,7 +3,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use sat_phys::{FrameKind, PhysMem};
-use sat_types::{Dacr, Domain, PageSize, Perms, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES};
+use sat_types::{
+    Dacr, Domain, PageSize, Perms, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES, MAX_FRAMES,
+};
 
 use crate::ptp::TableHalf;
 
@@ -47,7 +49,108 @@ pub enum L1Entry {
     },
 }
 
+/// Entry word, bits 0-1: `L1_FAULT` (so a zeroed table is all
+/// faults), `L1_TABLE` or `L1_SECTION`.
+const L1_TAG_MASK: u32 = 0b11;
+const L1_FAULT: u32 = 0;
+const L1_TABLE: u32 = 1;
+const L1_SECTION: u32 = 2;
+/// Entry word, bit 2: the upper half of the PTP (table) or a 16MB
+/// supersection (section).
+const L1_UPPER_OR_SUPER: u32 = 1 << 2;
+/// Entry word, bit 3: NEED_COPY (table) or the global bit (section).
+const L1_NEED_COPY_OR_GLOBAL: u32 = 1 << 3;
+/// Entry word, bits 4-7: the domain.
+const L1_DOMAIN_SHIFT: u32 = 4;
+/// Entry word, bits 8-10: [`Perms::bits`] (section only).
+const L1_PERMS_SHIFT: u32 = 8;
+/// Entry word, the top bits down to here: the PTP frame or the
+/// section's base frame, as wide as [`MAX_FRAMES`] needs (bits 12-31;
+/// bit 11 is spare).
+const L1_FRAME_SHIFT: u32 = 32 - MAX_FRAMES.trailing_zeros();
+
+const _: () = assert!(7 << L1_PERMS_SHIFT < 1 << L1_FRAME_SHIFT);
+
 impl L1Entry {
+    /// Packs the entry into its word of the root table. Like the PTP's
+    /// slot word this is a private lossless encoding (the architectural
+    /// section descriptor has no room for an unaligned base), resting
+    /// on `PhysMem` holding no frame past [`MAX_FRAMES`].
+    fn pack(self) -> u32 {
+        let flag = |on: bool, bit: u32| if on { bit } else { 0 };
+        let (tag, frame, domain, rest) = match self {
+            L1Entry::Fault => return L1_FAULT,
+            L1Entry::Table {
+                ptp,
+                half,
+                domain,
+                need_copy,
+            } => (
+                L1_TABLE,
+                ptp,
+                domain,
+                flag(half == TableHalf::Upper, L1_UPPER_OR_SUPER)
+                    | flag(need_copy, L1_NEED_COPY_OR_GLOBAL),
+            ),
+            L1Entry::Section {
+                base,
+                size,
+                perms,
+                domain,
+                global,
+            } => {
+                let supersection = match size {
+                    PageSize::Section1M => false,
+                    PageSize::Super16M => true,
+                    _ => unreachable!("level-1 mappings are 1MB or 16MB"),
+                };
+                (
+                    L1_SECTION,
+                    base,
+                    domain,
+                    flag(supersection, L1_UPPER_OR_SUPER)
+                        | flag(global, L1_NEED_COPY_OR_GLOBAL)
+                        | u32::from(perms.bits()) << L1_PERMS_SHIFT,
+                )
+            }
+        };
+        debug_assert!(
+            frame.raw() < MAX_FRAMES,
+            "{frame:?} is past the entry word's frame field"
+        );
+        tag | rest | u32::from(domain.raw()) << L1_DOMAIN_SHIFT | frame.raw() << L1_FRAME_SHIFT
+    }
+
+    /// Unpacks a word written by [`L1Entry::pack`].
+    fn unpack(word: u32) -> L1Entry {
+        let frame = Pfn::new(word >> L1_FRAME_SHIFT);
+        let domain = Domain::new((word >> L1_DOMAIN_SHIFT & 0xF) as u8);
+        match word & L1_TAG_MASK {
+            L1_TABLE => L1Entry::Table {
+                ptp: frame,
+                half: if word & L1_UPPER_OR_SUPER != 0 {
+                    TableHalf::Upper
+                } else {
+                    TableHalf::Lower
+                },
+                domain,
+                need_copy: word & L1_NEED_COPY_OR_GLOBAL != 0,
+            },
+            L1_SECTION => L1Entry::Section {
+                base: frame,
+                size: if word & L1_UPPER_OR_SUPER != 0 {
+                    PageSize::Super16M
+                } else {
+                    PageSize::Section1M
+                },
+                perms: Perms::from_bits((word >> L1_PERMS_SHIFT) as u8),
+                domain,
+                global: word & L1_NEED_COPY_OR_GLOBAL != 0,
+            },
+            _ => L1Entry::Fault,
+        }
+    }
+
     /// Returns the PTP frame if this is a table entry.
     pub fn ptp(&self) -> Option<Pfn> {
         match self {
@@ -76,13 +179,21 @@ impl L1Entry {
     }
 }
 
+/// The entry words of one root table.
+type L1Words = [u32; L1_ENTRIES];
+
+const _: () = assert!(std::mem::size_of::<L1Words>() == 4 * L1_ENTRIES);
+
 /// A process's first-level translation table (4096 entries, 16KB).
 ///
 /// The real table occupies four contiguous 4KB frames; the simulator
 /// allocates four frames so level-1 walk accesses have physical
-/// addresses for the cache model.
+/// addresses for the cache model. On the host it is the same 16KB: one
+/// word per entry, of which [`L1Entry`] is the decoded view
+/// [`RootTable::entry`] returns and [`RootTable::set_entry`] takes —
+/// every live process carries one, so its size is per-process cost.
 pub struct RootTable {
-    entries: Vec<L1Entry>,
+    entries: Box<L1Words>,
     frames: [Pfn; 4],
     /// Even indices of pairs holding table entries, mapped to their
     /// PTP frame. Kept in sync by the mutators so [`RootTable::iter_ptps`]
@@ -106,8 +217,13 @@ impl RootTable {
             phys.alloc(FrameKind::RootTable)?,
             phys.alloc(FrameKind::RootTable)?,
         ];
+        // Zeroed on the heap, never on the stack.
+        let entries: Box<L1Words> = vec![L1_FAULT; L1_ENTRIES]
+            .into_boxed_slice()
+            .try_into()
+            .expect("L1_ENTRIES words");
         Ok(RootTable {
-            entries: vec![L1Entry::Fault; L1_ENTRIES],
+            entries,
             frames,
             pairs: BTreeMap::new(),
             sections: BTreeSet::new(),
@@ -123,26 +239,26 @@ impl RootTable {
 
     /// Returns the entry for index `idx`.
     pub fn entry(&self, idx: usize) -> L1Entry {
-        self.entries[idx]
+        L1Entry::unpack(self.entries[idx])
     }
 
     /// Returns the entry covering `va`.
     pub fn entry_for(&self, va: VirtAddr) -> L1Entry {
-        self.entries[va.l1_index()]
+        self.entry(va.l1_index())
     }
 
     /// Sets the entry at index `idx`, keeping the pair and section
     /// indices honest for any mix of table/section/fault entries in
     /// the two halves.
     pub fn set_entry(&mut self, idx: usize, e: L1Entry) {
-        self.entries[idx] = e;
+        self.entries[idx] = e.pack();
         if matches!(e, L1Entry::Section { .. }) {
             self.sections.insert(idx as u16);
         } else {
             self.sections.remove(&(idx as u16));
         }
         let even = idx & !1;
-        match self.entries[even].ptp().or(self.entries[even + 1].ptp()) {
+        match self.entry(even).ptp().or(self.entry(even + 1).ptp()) {
             Some(ptp) => {
                 self.pairs.insert(even as u16, ptp);
             }
@@ -162,7 +278,7 @@ impl RootTable {
         for (idx, half) in [(even, TableHalf::Lower), (even + 1, TableHalf::Upper)] {
             // A section in one half survives: its 1MB is a leaf here,
             // the PTP only serves the other half.
-            if matches!(self.entries[idx], L1Entry::Section { .. }) {
+            if matches!(self.entry(idx), L1Entry::Section { .. }) {
                 continue;
             }
             self.set_entry(
@@ -182,9 +298,9 @@ impl RootTable {
     /// (if any).
     pub fn clear_table_pair(&mut self, va: VirtAddr) -> Option<Pfn> {
         let even = va.l1_index() & !1;
-        let ptp = self.entries[even].ptp().or(self.entries[even + 1].ptp());
+        let ptp = self.entry(even).ptp().or(self.entry(even + 1).ptp());
         for idx in [even, even + 1] {
-            if self.entries[idx].ptp().is_some() {
+            if self.entry(idx).ptp().is_some() {
                 self.set_entry(idx, L1Entry::Fault);
             }
         }
@@ -200,9 +316,16 @@ impl RootTable {
     pub fn set_need_copy(&mut self, va: VirtAddr, value: bool) {
         let even = va.l1_index() & !1;
         for idx in [even, even + 1] {
-            match &mut self.entries[idx] {
-                L1Entry::Table { need_copy, .. } => *need_copy = value,
-                other => panic!("set_need_copy on non-table entry {other:?}"),
+            let word = &mut self.entries[idx];
+            assert!(
+                *word & L1_TAG_MASK == L1_TABLE,
+                "set_need_copy on non-table entry {:?}",
+                L1Entry::unpack(*word)
+            );
+            if value {
+                *word |= L1_NEED_COPY_OR_GLOBAL;
+            } else {
+                *word &= !L1_NEED_COPY_OR_GLOBAL;
             }
         }
     }
@@ -264,6 +387,91 @@ mod tests {
         assert_eq!(rt.entry(0), L1Entry::Fault);
         assert_eq!(rt.entry(4095), L1Entry::Fault);
         assert_eq!(rt.ptp_count(), 0);
+    }
+
+    /// Every variant × 16 domains × half or size × NEED_COPY or
+    /// global × all eight permission sets × frames at both ends of the
+    /// field and one that is not 16-aligned.
+    #[test]
+    fn entry_word_round_trips_every_entry() {
+        assert_eq!(L1Entry::Fault.pack(), 0);
+        assert_eq!(L1Entry::unpack(0), L1Entry::Fault);
+        let mut seen = 0;
+        for frame in [0, 1, 0x5431, MAX_FRAMES - 1].map(Pfn::new) {
+            for domain in (0..16).map(Domain::new) {
+                for flag in [false, true] {
+                    for half in [TableHalf::Lower, TableHalf::Upper] {
+                        let e = L1Entry::Table {
+                            ptp: frame,
+                            half,
+                            domain,
+                            need_copy: flag,
+                        };
+                        assert_eq!(L1Entry::unpack(e.pack()), e, "{:#010x}", e.pack());
+                        seen += 1;
+                    }
+                    for size in [PageSize::Section1M, PageSize::Super16M] {
+                        for perms in (0..8).map(Perms::from_bits) {
+                            let e = L1Entry::Section {
+                                base: frame,
+                                size,
+                                perms,
+                                domain,
+                                global: flag,
+                            };
+                            assert_eq!(L1Entry::unpack(e.pack()), e, "{:#010x}", e.pack());
+                            seen += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, 4 * 16 * 2 * (2 + 16));
+    }
+
+    #[test]
+    fn set_need_copy_flips_one_bit_of_the_word() {
+        let (_p, mut rt) = root();
+        let va = VirtAddr::new(0xFFE0_0000); // the last pair
+        rt.set_table_pair(va, Pfn::new(MAX_FRAMES - 1), Domain::new(15), false);
+        let before = [rt.entry(4094), rt.entry(4095)];
+        rt.set_need_copy(va, true);
+        for (idx, was) in [4094, 4095].into_iter().zip(before) {
+            let L1Entry::Table {
+                ptp, half, domain, ..
+            } = was
+            else {
+                panic!("unexpected {was:?}");
+            };
+            assert_eq!(
+                rt.entry(idx),
+                L1Entry::Table {
+                    ptp,
+                    half,
+                    domain,
+                    need_copy: true
+                }
+            );
+        }
+        rt.set_need_copy(va, false);
+        assert_eq!([rt.entry(4094), rt.entry(4095)], before);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_need_copy on non-table entry")]
+    fn set_need_copy_refuses_a_section() {
+        let (_p, mut rt) = root();
+        rt.set_entry(
+            6,
+            L1Entry::Section {
+                base: Pfn::new(0x100),
+                size: PageSize::Section1M,
+                perms: Perms::RW,
+                domain: Domain::USER,
+                global: false,
+            },
+        );
+        rt.set_need_copy(VirtAddr::new(0x0060_0000), true);
     }
 
     #[test]

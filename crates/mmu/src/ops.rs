@@ -14,12 +14,17 @@
 //! the `NEED_COPY` invariant via debug assertions (a process must not
 //! modify a PTP it shares).
 
+use std::ops::Range;
+
 use sat_phys::{FrameKind, PhysMem};
-use sat_types::{Domain, PageSize, Pfn, Pid, SatError, SatResult, VaRange, VirtAddr, PAGE_SIZE};
+use sat_types::{
+    Domain, PageSize, Pfn, Pid, SatError, SatResult, VaRange, VirtAddr, L2_ENTRIES, L2_TABLE_SPAN,
+    PAGE_SHIFT, PAGE_SIZE,
+};
 
 use crate::l1::{L1Entry, RootTable};
 use crate::pte::{HwPte, PteSlot, SwPte};
-use crate::ptp::{PtpStore, TableHalf};
+use crate::ptp::{Ptp, PtpStore, TableHalf};
 
 /// Result of [`Mapper::set_pte`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +33,70 @@ pub struct SetPte {
     pub ptp_allocated: bool,
     /// The PTE replaced an existing one.
     pub replaced: bool,
+}
+
+/// The part of a range walk that falls in one table half.
+struct HalfSpan {
+    /// Frame of the PTP the level-1 entry points at.
+    ptp: Pfn,
+    /// Which of the PTP's two tables the entry uses.
+    half: TableHalf,
+    /// The entry's NEED_COPY bit.
+    need_copy: bool,
+    /// The second-level slots the range covers, ascending.
+    slots: Range<usize>,
+    /// The address slot 0 of the half maps.
+    base: VirtAddr,
+}
+
+impl HalfSpan {
+    /// The virtual address slot `idx` maps.
+    fn va(&self, idx: usize) -> VirtAddr {
+        VirtAddr::new(self.base.raw() + ((idx as u32) << PAGE_SHIFT))
+    }
+
+    /// The table the span lies in, unless its half holds no PTE.
+    fn populated<'p>(&self, ptps: &'p mut PtpStore) -> Option<&'p mut Ptp> {
+        ptps.get_mut(self.ptp)
+            .filter(|table| table.valid_count(self.half) > 0)
+    }
+}
+
+/// The range walker: steps `range` one level-1 entry at a time, in
+/// ascending address order, and yields the slots it covers of every
+/// entry that points at a table — so a range operation costs its
+/// tables, not its pages. Sections and faults hold no slots and are
+/// stepped over.
+///
+/// The pages covered are those [`VaRange::pages`] visits: from the one
+/// holding `start` to the last whose base lies below `end`.
+fn half_spans(root: &RootTable, range: VaRange) -> impl Iterator<Item = HalfSpan> + '_ {
+    // In u64: a range that reaches the top of the address space ends
+    // one past the last 32-bit page number.
+    let per_table = L2_ENTRIES as u64;
+    let first = u64::from(range.start.vpn());
+    let end = ((u64::from(range.end.raw()) + u64::from(PAGE_SIZE - 1)) >> PAGE_SHIFT).max(first);
+    (first / per_table..end.div_ceil(per_table)).filter_map(move |l1| {
+        let L1Entry::Table {
+            ptp,
+            half,
+            need_copy,
+            ..
+        } = root.entry(l1 as usize)
+        else {
+            return None;
+        };
+        let table_first = l1 * per_table;
+        let lo = first.max(table_first) - table_first;
+        let hi = end.min(table_first + per_table) - table_first;
+        Some(HalfSpan {
+            ptp,
+            half,
+            need_copy,
+            slots: lo as usize..hi as usize,
+            base: VirtAddr::new(l1 as u32 * L2_TABLE_SPAN),
+        })
+    })
 }
 
 /// Mutable view over the structures a page-table operation touches.
@@ -131,7 +200,7 @@ impl<'a> Mapper<'a> {
         let data_frame = hw.frame_for_slot(va.l2_index());
         self.phys.get_page(data_frame);
         self.phys.map_inc(data_frame);
-        if self.is_data_frame(data_frame) {
+        if is_data_frame(self.phys, data_frame) {
             // A PTE populated into a shared (NEED_COPY) PTP belongs to
             // no single process — the populating sharer may exit while
             // the PTE lives on — so it is recorded under the sentinel
@@ -150,7 +219,7 @@ impl<'a> Mapper<'a> {
             .expect("PTP in store")
             .set(half, va.l2_index(), hw, sw);
         if let Some(old) = prev {
-            self.drop_frame_ref(old, va);
+            drop_frame_ref(self.phys, self.pid, old, va);
         }
         Ok(SetPte {
             ptp_allocated: allocated,
@@ -171,7 +240,7 @@ impl<'a> Mapper<'a> {
         };
         let prev = self.ptps.get_mut(ptp)?.clear(half, va.l2_index());
         if let Some(old) = prev {
-            self.drop_frame_ref(old, va);
+            drop_frame_ref(self.phys, self.pid, old, va);
         }
         prev
     }
@@ -191,7 +260,7 @@ impl<'a> Mapper<'a> {
         };
         let prev = self.ptps.get_mut(ptp)?.clear(half, va.l2_index());
         if let Some(old) = prev {
-            self.drop_frame_ref(old, va);
+            drop_frame_ref(self.phys, self.pid, old, va);
         }
         prev
     }
@@ -224,9 +293,20 @@ impl<'a> Mapper<'a> {
     /// dropping frame references. Returns the number cleared.
     pub fn clear_range(&mut self, range: VaRange) -> usize {
         let mut cleared = 0;
-        for page in range.pages() {
-            if self.clear_pte(page).is_some() {
-                cleared += 1;
+        for span in half_spans(self.root, range) {
+            debug_assert!(
+                !span.need_copy,
+                "clear_range in a NEED_COPY (shared) PTP at {:?}",
+                span.base
+            );
+            let Some(table) = span.populated(self.ptps) else {
+                continue;
+            };
+            for idx in span.slots.clone() {
+                if let Some(old) = table.clear(span.half, idx) {
+                    drop_frame_ref(self.phys, self.pid, old, span.va(idx));
+                    cleared += 1;
+                }
             }
         }
         cleared
@@ -241,19 +321,16 @@ impl<'a> Mapper<'a> {
     /// so it does not assert on `NEED_COPY`.
     pub fn write_protect_range(&mut self, range: VaRange) -> usize {
         let mut protected = 0;
-        for page in range.pages() {
-            let (ptp, half) = match self.root.entry_for(page) {
-                L1Entry::Table { ptp, half, .. } => (ptp, half),
-                _ => continue,
-            };
-            let idx = page.l2_index();
-            let Some(table) = self.ptps.get_mut(ptp) else {
+        for span in half_spans(self.root, range) {
+            let Some(table) = span.populated(self.ptps) else {
                 continue;
             };
-            if let Some(slot) = table.get(half, idx) {
-                if slot.hw.perms.write() {
-                    table.replace_hw(half, idx, slot.hw.write_protected());
-                    protected += 1;
+            for idx in span.slots.clone() {
+                if let Some(slot) = table.get(span.half, idx) {
+                    if slot.hw.perms.write() {
+                        table.replace_hw(span.half, idx, slot.hw.write_protected());
+                        protected += 1;
+                    }
                 }
             }
         }
@@ -272,12 +349,15 @@ impl<'a> Mapper<'a> {
         if self.phys.map_dec(frame) > 0 {
             return false; // other processes still reference it
         }
+        // Torn down where it lies: read through a borrow, then the
+        // slot is freed — no 2KB table moves out of the arena.
         let chunk = va.ptp_base();
-        let table = self.ptps.remove(frame).expect("PTP in store");
+        let table = self.ptps.get(frame).expect("PTP in store");
         for (half, idx, slot) in table.iter() {
             let slot_va = Mapper::slot_va(chunk, half, idx);
-            self.drop_frame_ref(slot.hw, slot_va);
+            drop_frame_ref(self.phys, self.pid, slot.hw, slot_va);
         }
+        self.ptps.free(frame);
         self.phys.put_page(frame);
         true
     }
@@ -470,7 +550,7 @@ impl<'a> Mapper<'a> {
         for i in 0..pages {
             let page_va = VirtAddr::new(sect.raw() + i * PAGE_SIZE);
             let frame = Pfn::new(base.raw() + i);
-            if self.is_data_frame(frame) {
+            if is_data_frame(self.phys, frame) {
                 self.phys.rmap_remove(frame, self.pid, page_va);
             }
             self.phys.map_dec(frame);
@@ -480,34 +560,43 @@ impl<'a> Mapper<'a> {
         Some(pages)
     }
 
-    /// Iterates populated PTEs in `range` as `(va, slot)`.
+    /// Collects the populated PTEs in `range` as `(va, slot)`, in
+    /// ascending address order.
     pub fn iter_range(&self, range: VaRange) -> Vec<(VirtAddr, PteSlot)> {
-        range
-            .pages()
-            .filter_map(|va| self.get_pte(va).map(|s| (va, s)))
-            .collect()
-    }
-
-    /// Drops the frame reference held by the PTE at `va`. A 64KB
-    /// large-page slot references its own 4KB frame of the
-    /// sixteen-frame group (`base + slot-within-group`).
-    fn drop_frame_ref(&mut self, hw: HwPte, va: VirtAddr) {
-        let frame = hw.frame_for_slot(va.l2_index());
-        if self.is_data_frame(frame) {
-            self.phys.rmap_remove(frame, self.pid, va);
+        let mut found = Vec::new();
+        for span in half_spans(self.root, range) {
+            let Some(table) = self.ptps.get(span.ptp) else {
+                continue;
+            };
+            found.extend(
+                table
+                    .iter_slots(span.half, span.slots.clone())
+                    .map(|(idx, slot)| (span.va(idx), slot)),
+            );
         }
-        self.phys.map_dec(frame);
-        self.phys.put_page(frame);
+        found
     }
+}
 
-    /// Returns `true` for frames tracked in the reverse map: user data
-    /// frames, not page tables or kernel-identity frames.
-    fn is_data_frame(&self, pfn: Pfn) -> bool {
-        matches!(
-            self.phys.page(pfn).kind,
-            FrameKind::Anon | FrameKind::File { .. }
-        )
+/// Drops the frame reference held by the PTE `hw` that `pid` maps at
+/// `va`. A 64KB large-page slot references its own 4KB frame of the
+/// sixteen-frame group (`base + slot-within-group`).
+fn drop_frame_ref(phys: &mut PhysMem, pid: Pid, hw: HwPte, va: VirtAddr) {
+    let frame = hw.frame_for_slot(va.l2_index());
+    if is_data_frame(phys, frame) {
+        phys.rmap_remove(frame, pid, va);
     }
+    phys.map_dec(frame);
+    phys.put_page(frame);
+}
+
+/// Returns `true` for frames tracked in the reverse map: user data
+/// frames, not page tables or kernel-identity frames.
+fn is_data_frame(phys: &PhysMem, pfn: Pfn) -> bool {
+    matches!(
+        phys.page(pfn).kind,
+        FrameKind::Anon | FrameKind::File { .. }
+    )
 }
 
 #[cfg(test)]

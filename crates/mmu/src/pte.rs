@@ -167,8 +167,9 @@ pub struct SwPte {
 }
 
 impl SwPte {
-    /// Packs the flags into the byte the PTP's shadow table stores
-    /// (bit 0 young, 1 dirty, 2 writable, 3 shared, 4 file-backed).
+    /// Packs the flags into the five bits the PTP's slot word keeps
+    /// them in (bit 0 young, 1 dirty, 2 writable, 3 shared, 4
+    /// file-backed).
     pub fn pack(self) -> u8 {
         (self.young as u8)
             | (self.dirty as u8) << 1
@@ -177,7 +178,8 @@ impl SwPte {
             | (self.file_backed as u8) << 4
     }
 
-    /// Unpacks a shadow-table byte written by [`SwPte::pack`].
+    /// Unpacks the low five bits of `b`, as written by
+    /// [`SwPte::pack`].
     pub fn unpack(b: u8) -> SwPte {
         SwPte {
             young: b & 1 != 0,

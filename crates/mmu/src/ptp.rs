@@ -1,9 +1,9 @@
 //! Page-table pages: the shared unit of the paper's mechanism.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use sat_phys::{Slab, SlabItem};
-use sat_types::{PageSize, Perms, Pfn, PhysAddr, VirtAddr, L2_ENTRIES};
+use sat_types::{PageSize, Perms, Pfn, PhysAddr, VirtAddr, L2_ENTRIES, MAX_FRAMES};
 
 use crate::pte::{HwPte, PteSlot, SwPte};
 
@@ -47,76 +47,83 @@ impl TableHalf {
 /// follows that layout when computing the physical addresses of PTE
 /// accesses for the cache model.
 ///
-/// Slots are stored packed — a 4-byte word per hardware entry (see
-/// `pack_hw`) and one byte per shadow entry ([`SwPte::pack`]) — so
-/// a `Ptp` costs ~2.5KB of host memory instead of the ~6.6KB the
-/// unpacked `Option<HwPte>`/`SwPte` arrays took. Fleet-scale fork
-/// churn allocates tens of thousands of these; the zeroing of fresh
-/// tables was the top non-registry hot spot of the 4096-app fleet
-/// profile before packing.
+/// On the host a slot is one word holding both entries — the hardware
+/// descriptor and the five software flags (see `pack_slot`) — so a
+/// `Ptp` is 2,052 bytes, half the 4KB it stands for. Fleet-scale fork
+/// churn keeps tens of thousands of them live.
 #[derive(Clone)]
 pub struct Ptp {
-    hw: [[u32; L2_ENTRIES]; 2],
-    sw: [[u8; L2_ENTRIES]; 2],
+    slots: [[u32; L2_ENTRIES]; 2],
     valid_count: [u16; 2],
 }
+
+const _: () = assert!(std::mem::size_of::<Ptp>() <= 2052);
 
 /// Byte offset of hardware table `half` within the PTP frame.
 const HW_TABLE_OFF: [u32; 2] = [2048, 3072];
 
-/// Packs a hardware PTE into the PTP's 4-byte slot word: bit 0 valid,
-/// bit 1 page size (set = 64KB), bits 2-4 perms r/w/x, bit 5 global,
-/// bits 8-31 the frame number.
+/// Slot word, bit 0: the slot holds a PTE.
+const SLOT_VALID: u32 = 1;
+/// Slot word, bit 1: a 64KB descriptor (clear = 4KB).
+const SLOT_LARGE: u32 = 1 << 1;
+/// Slot word, bits 2-4: [`Perms::bits`].
+const SLOT_PERMS_SHIFT: u32 = 2;
+/// Slot word, bit 5: the global bit.
+const SLOT_GLOBAL: u32 = 1 << 5;
+/// Slot word, bits 6-10: [`SwPte::pack`].
+const SLOT_SW_SHIFT: u32 = 6;
+const SLOT_SW_MASK: u32 = 0x1F << SLOT_SW_SHIFT;
+/// Slot word, the top bits down to here: the frame number, as wide as
+/// [`MAX_FRAMES`] needs (bits 12-31; bit 11 is spare).
+const SLOT_FRAME_SHIFT: u32 = 32 - MAX_FRAMES.trailing_zeros();
+
+const _: () = assert!(SLOT_SW_MASK < 1 << SLOT_FRAME_SHIFT);
+
+/// Packs a PTE into the PTP's slot word.
 ///
 /// This is a lossless private encoding, not the architectural one
 /// ([`HwPte::encode`] stays the faithful ARMv7 layout): the large-page
 /// descriptor's 16-frame-aligned base field cannot represent the
 /// unaligned group bases the simulator's allocator can produce, and
 /// slot words must round-trip every `HwPte` the kernel paths store.
-fn pack_hw(hw: HwPte) -> u32 {
+/// Frames come from a `PhysMem`, which holds none past [`MAX_FRAMES`].
+fn pack_slot(hw: HwPte, sw: SwPte) -> u32 {
     debug_assert!(
-        hw.pfn.raw() < (1 << 24),
-        "pfn {} exceeds the slot word's 24-bit frame field",
-        hw.pfn.raw()
+        hw.pfn.raw() < MAX_FRAMES,
+        "{:?} is past the slot word's frame field",
+        hw.pfn
     );
     let large = match hw.size {
-        PageSize::Small4K => 0u32,
-        PageSize::Large64K => 1,
+        PageSize::Small4K => 0,
+        PageSize::Large64K => SLOT_LARGE,
         _ => unreachable!("level-2 slots are 4KB or 64KB"),
     };
-    1 | (large << 1)
-        | (hw.perms.read() as u32) << 2
-        | (hw.perms.write() as u32) << 3
-        | (hw.perms.execute() as u32) << 4
-        | (hw.global as u32) << 5
-        | (hw.pfn.raw() << 8)
+    SLOT_VALID
+        | large
+        | u32::from(hw.perms.bits()) << SLOT_PERMS_SHIFT
+        | if hw.global { SLOT_GLOBAL } else { 0 }
+        | u32::from(sw.pack()) << SLOT_SW_SHIFT
+        | hw.pfn.raw() << SLOT_FRAME_SHIFT
 }
 
-/// Unpacks a slot word written by [`pack_hw`]; 0 (and any word with
+/// Unpacks a slot word written by [`pack_slot`]; 0 (and any word with
 /// the valid bit clear) is an empty slot.
-fn unpack_hw(word: u32) -> Option<HwPte> {
-    if word & 1 == 0 {
+fn unpack_slot(word: u32) -> Option<PteSlot> {
+    if word & SLOT_VALID == 0 {
         return None;
     }
-    let mut perms = Perms::NONE;
-    if word & (1 << 2) != 0 {
-        perms |= Perms::R;
-    }
-    if word & (1 << 3) != 0 {
-        perms |= Perms::W;
-    }
-    if word & (1 << 4) != 0 {
-        perms |= Perms::X;
-    }
-    Some(HwPte {
-        pfn: Pfn::new(word >> 8),
-        size: if word & (1 << 1) != 0 {
-            PageSize::Large64K
-        } else {
-            PageSize::Small4K
+    Some(PteSlot {
+        hw: HwPte {
+            pfn: Pfn::new(word >> SLOT_FRAME_SHIFT),
+            size: if word & SLOT_LARGE != 0 {
+                PageSize::Large64K
+            } else {
+                PageSize::Small4K
+            },
+            perms: Perms::from_bits((word >> SLOT_PERMS_SHIFT) as u8),
+            global: word & SLOT_GLOBAL != 0,
         },
-        perms,
-        global: word & (1 << 5) != 0,
+        sw: SwPte::unpack((word >> SLOT_SW_SHIFT) as u8),
     })
 }
 
@@ -130,65 +137,58 @@ impl Ptp {
     /// Creates an empty PTP (all descriptors fault).
     pub fn new() -> Self {
         Ptp {
-            hw: [[0; L2_ENTRIES]; 2],
-            sw: [[0; L2_ENTRIES]; 2],
+            slots: [[0; L2_ENTRIES]; 2],
             valid_count: [0; 2],
         }
     }
 
     /// Reads the slot at (`half`, `idx`); `None` if not present.
     pub fn get(&self, half: TableHalf, idx: usize) -> Option<PteSlot> {
-        let h = half.index();
-        unpack_hw(self.hw[h][idx]).map(|hw| PteSlot {
-            hw,
-            sw: SwPte::unpack(self.sw[h][idx]),
-        })
+        unpack_slot(self.slots[half.index()][idx])
     }
 
     /// Installs a PTE in the slot, returning the previous hardware
     /// entry if one was present.
     pub fn set(&mut self, half: TableHalf, idx: usize, hw: HwPte, sw: SwPte) -> Option<HwPte> {
         let h = half.index();
-        let prev = unpack_hw(self.hw[h][idx]);
-        self.hw[h][idx] = pack_hw(hw);
-        self.sw[h][idx] = sw.pack();
+        let prev = unpack_slot(self.slots[h][idx]);
+        self.slots[h][idx] = pack_slot(hw, sw);
         if prev.is_none() {
             self.valid_count[h] += 1;
         }
-        prev
+        prev.map(|slot| slot.hw)
     }
 
     /// Clears the slot, returning the previous hardware entry.
     pub fn clear(&mut self, half: TableHalf, idx: usize) -> Option<HwPte> {
         let h = half.index();
-        let prev = unpack_hw(self.hw[h][idx]);
-        self.hw[h][idx] = 0;
-        self.sw[h][idx] = 0;
+        let prev = unpack_slot(self.slots[h][idx]);
+        self.slots[h][idx] = 0;
         if prev.is_some() {
             self.valid_count[h] -= 1;
         }
-        prev
+        prev.map(|slot| slot.hw)
     }
 
     /// Mutates the software entry of a populated slot; returns `false`
     /// (without calling `f`) when the slot is empty.
     pub fn update_sw(&mut self, half: TableHalf, idx: usize, f: impl FnOnce(&mut SwPte)) -> bool {
-        let h = half.index();
-        if self.hw[h][idx] & 1 == 0 {
+        let word = &mut self.slots[half.index()][idx];
+        if *word & SLOT_VALID == 0 {
             return false;
         }
-        let mut sw = SwPte::unpack(self.sw[h][idx]);
+        let mut sw = SwPte::unpack((*word >> SLOT_SW_SHIFT) as u8);
         f(&mut sw);
-        self.sw[h][idx] = sw.pack();
+        *word = *word & !SLOT_SW_MASK | u32::from(sw.pack()) << SLOT_SW_SHIFT;
         true
     }
 
     /// Replaces the hardware entry of a populated slot (e.g. to
     /// write-protect it), keeping the software entry.
     pub fn replace_hw(&mut self, half: TableHalf, idx: usize, hw: HwPte) {
-        let h = half.index();
-        debug_assert!(self.hw[h][idx] & 1 != 0, "replace_hw on empty slot");
-        self.hw[h][idx] = pack_hw(hw);
+        let word = &mut self.slots[half.index()][idx];
+        debug_assert!(*word & SLOT_VALID != 0, "replace_hw on empty slot");
+        *word = pack_slot(hw, SwPte::default()) | *word & SLOT_SW_MASK;
     }
 
     /// Number of valid entries in `half`.
@@ -203,18 +203,28 @@ impl Ptp {
 
     /// Iterates over populated slots in `half` as `(idx, slot)`.
     pub fn iter_half(&self, half: TableHalf) -> impl Iterator<Item = (usize, PteSlot)> + '_ {
+        self.iter_slots(half, 0..L2_ENTRIES)
+    }
+
+    /// Iterates over the populated slots among `slots` of `half` as
+    /// `(idx, slot)`, in ascending order; a half that holds no PTE is
+    /// not scanned.
+    pub(crate) fn iter_slots(
+        &self,
+        half: TableHalf,
+        slots: Range<usize>,
+    ) -> impl Iterator<Item = (usize, PteSlot)> + '_ {
         let h = half.index();
-        self.hw[h].iter().enumerate().filter_map(move |(i, &word)| {
-            unpack_hw(word).map(|hw| {
-                (
-                    i,
-                    PteSlot {
-                        hw,
-                        sw: SwPte::unpack(self.sw[h][i]),
-                    },
-                )
-            })
-        })
+        let slots = if self.valid_count[h] == 0 {
+            0..0
+        } else {
+            slots
+        };
+        let first = slots.start;
+        self.slots[h][slots]
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, &word)| unpack_slot(word).map(|slot| (first + i, slot)))
     }
 
     /// Iterates over populated slots in both halves as
@@ -238,18 +248,20 @@ impl SlabItem for Ptp {
     /// Clears the PTP in place so its slab slot can be recycled.
     /// Halves that were never populated (tracked by `valid_count`) are
     /// skipped, so tearing down a sparse table does not rewrite all
-    /// 4KB of descriptor state.
+    /// 2KB of descriptor state.
     fn reset(&mut self) {
         for h in 0..2 {
             if self.valid_count[h] == 0 {
                 continue;
             }
-            self.hw[h] = [0; L2_ENTRIES];
-            self.sw[h] = [0; L2_ENTRIES];
+            self.slots[h] = [0; L2_ENTRIES];
             self.valid_count[h] = 0;
         }
     }
 }
+
+/// No table lives in this frame (an [`PtpStore`] index entry).
+const NO_SLOT: u32 = u32::MAX;
 
 /// Arena of page-table pages, keyed by the physical frame that holds
 /// them.
@@ -258,16 +270,18 @@ impl SlabItem for Ptp {
 /// is what lets several processes' level-1 entries reference the same
 /// PTP — the substrate for the paper's sharing mechanism.
 ///
-/// Storage is a [`Slab`]: a `Ptp` is ~2.5KB of inline packed
-/// descriptor state, and fork/exit churn at fleet scale allocates and
-/// frees thousands of them. The slab recycles freed slots in place, so
-/// the steady state costs no global-allocator traffic and no bucket
-/// rehashing moves the tables around; only the small `Pfn → slot`
-/// index lives in a map.
+/// Storage is a [`Slab`]: a `Ptp` is 2KB of inline packed descriptor
+/// state, and fork/exit churn at fleet scale allocates and frees
+/// thousands of them. The slab recycles freed slots in place and grows
+/// a chunk at a time, so the steady state costs no global-allocator
+/// traffic and nothing ever moves a table. Every table walk resolves
+/// its PTP frame here, so the `frame → slot` index is a flat array by
+/// frame number, grown only as far as the highest frame that has held
+/// a table.
 #[derive(Default)]
 pub struct PtpStore {
     tables: Slab<Ptp>,
-    index: HashMap<Pfn, u32>,
+    index: Vec<u32>,
 }
 
 impl PtpStore {
@@ -276,49 +290,85 @@ impl PtpStore {
         PtpStore::default()
     }
 
+    /// The slab slot of the table in `frame`.
+    fn slot_of(&self, frame: Pfn) -> Option<u32> {
+        self.index
+            .get(frame.raw() as usize)
+            .copied()
+            .filter(|&slot| slot != NO_SLOT)
+    }
+
+    /// Allocates a clean table and indexes it under `frame`.
+    fn alloc_slot(&mut self, frame: Pfn) -> u32 {
+        let at = frame.raw() as usize;
+        if at >= self.index.len() {
+            self.index.resize(at + 1, NO_SLOT);
+        }
+        debug_assert!(
+            self.index[at] == NO_SLOT,
+            "PTP frame {frame:?} already present"
+        );
+        let slot = self.tables.alloc();
+        self.index[at] = slot;
+        slot
+    }
+
+    /// Drops `frame` from the index, returning the slab slot it held.
+    fn unindex(&mut self, frame: Pfn) -> Option<u32> {
+        let slot = self.slot_of(frame)?;
+        self.index[frame.raw() as usize] = NO_SLOT;
+        Some(slot)
+    }
+
     /// Registers a freshly allocated PTP frame.
     pub fn insert(&mut self, frame: Pfn) {
-        let slot = self.tables.alloc();
-        let prev = self.index.insert(frame, slot);
-        debug_assert!(prev.is_none(), "PTP frame {frame:?} already present");
+        self.alloc_slot(frame);
     }
 
     /// Registers a PTP frame holding a copy of an existing PTP.
     pub fn insert_clone(&mut self, frame: Pfn, contents: Ptp) {
-        let slot = self.tables.alloc();
+        let slot = self.alloc_slot(frame);
         *self.tables.get_mut(slot) = contents;
-        let prev = self.index.insert(frame, slot);
-        debug_assert!(prev.is_none(), "PTP frame {frame:?} already present");
     }
 
     /// Removes a PTP (its frame is being freed), returning its
     /// contents and recycling the slab slot.
     pub fn remove(&mut self, frame: Pfn) -> Option<Ptp> {
-        let slot = self.index.remove(&frame)?;
+        let slot = self.unindex(frame)?;
         let contents = std::mem::take(self.tables.get_mut(slot));
         self.tables.free(slot);
         Some(contents)
     }
 
+    /// Drops a PTP in place (its frame is being freed) and recycles the
+    /// slab slot — [`PtpStore::remove`] without the 2KB move for a
+    /// caller that has already read what it needs through
+    /// [`PtpStore::get`]. Returns `false` if `frame` holds no PTP.
+    pub(crate) fn free(&mut self, frame: Pfn) -> bool {
+        self.unindex(frame)
+            .map(|slot| self.tables.free(slot))
+            .is_some()
+    }
+
     /// Borrows the PTP in `frame`.
     pub fn get(&self, frame: Pfn) -> Option<&Ptp> {
-        self.index.get(&frame).map(|&slot| self.tables.get(slot))
+        self.slot_of(frame).map(|slot| self.tables.get(slot))
     }
 
     /// Mutably borrows the PTP in `frame`.
     pub fn get_mut(&mut self, frame: Pfn) -> Option<&mut Ptp> {
-        let slot = *self.index.get(&frame)?;
+        let slot = self.slot_of(frame)?;
         Some(self.tables.get_mut(slot))
     }
 
     /// Number of live PTPs.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.tables.live()
     }
 
     /// Returns `true` if no PTPs are live.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Slab allocation counters (recycling effectiveness).
@@ -339,24 +389,99 @@ mod tests {
     use super::*;
     use sat_types::Perms;
 
-    #[test]
-    fn slot_word_round_trips_unaligned_large_pages() {
-        // The packed slot word must be exact for every HwPte the
-        // kernel stores — including 64KB groups whose base frame is
-        // not 16-aligned, which the architectural encoding truncates.
-        for pfn in [0, 1, 0x5431, (1 << 24) - 1] {
-            for perms in [Perms::NONE, Perms::R, Perms::RW, Perms::RX, Perms::RWX] {
-                for global in [false, true] {
-                    for hw in [
+    /// Every `HwPte` the kernel can store — both sizes, all eight
+    /// permission sets, global or not, frames at both ends of the
+    /// field and a 64KB base that is not 16-aligned (which the
+    /// architectural encoding truncates).
+    fn every_hw() -> impl Iterator<Item = HwPte> {
+        [0, 1, 0x5431, MAX_FRAMES - 1].into_iter().flat_map(|pfn| {
+            (0u8..8).flat_map(move |perms| {
+                [false, true].into_iter().flat_map(move |global| {
+                    let perms = Perms::from_bits(perms);
+                    [
                         HwPte::small(Pfn::new(pfn), perms, global),
                         HwPte::large(Pfn::new(pfn), perms, global),
-                    ] {
-                        assert_eq!(unpack_hw(pack_hw(hw)), Some(hw));
-                    }
-                }
+                    ]
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn slot_word_round_trips_unaligned_large_pages() {
+        for hw in every_hw() {
+            for sw in (0u8..32).map(SwPte::unpack) {
+                let word = pack_slot(hw, sw);
+                assert_eq!(unpack_slot(word), Some(PteSlot { hw, sw }), "{word:#010x}");
             }
         }
-        assert_eq!(unpack_hw(0), None);
+        assert_eq!(unpack_slot(0), None);
+        // A cleared valid bit empties the slot whatever else is set.
+        assert_eq!(unpack_slot(!SLOT_VALID), None);
+    }
+
+    #[test]
+    fn update_sw_and_replace_hw_leave_the_other_entry_alone() {
+        let (half, idx) = (TableHalf::Upper, 200);
+        let mut ptp = Ptp::new();
+        for hw in every_hw() {
+            for bits in 0u8..32 {
+                ptp.set(half, idx, hw, SwPte::unpack(bits));
+                // Flip every software flag: the hardware entry stays.
+                assert!(ptp.update_sw(half, idx, |sw| *sw = SwPte::unpack(!bits & 31)));
+                let slot = ptp.get(half, idx).unwrap();
+                assert_eq!((slot.hw, slot.sw.pack()), (hw, !bits & 31));
+                // Swap the hardware entry for one that differs in every
+                // field: the software entry stays.
+                let other = HwPte {
+                    pfn: Pfn::new(hw.pfn.raw() ^ (MAX_FRAMES - 1)),
+                    size: match hw.size {
+                        PageSize::Small4K => PageSize::Large64K,
+                        _ => PageSize::Small4K,
+                    },
+                    perms: Perms::from_bits(!hw.perms.bits()),
+                    global: !hw.global,
+                };
+                ptp.replace_hw(half, idx, other);
+                let slot = ptp.get(half, idx).unwrap();
+                assert_eq!((slot.hw, slot.sw.pack()), (other, !bits & 31));
+            }
+        }
+        assert_eq!(ptp.valid_count(half), 1);
+    }
+
+    #[test]
+    fn iter_slots_visits_a_sub_range_in_ascending_order() {
+        let mut ptp = Ptp::new();
+        let hw = HwPte::small(Pfn::new(1), Perms::R, false);
+        for idx in [0, 9, 10, 19, 20, 255] {
+            ptp.set(TableHalf::Lower, idx, hw, SwPte::default());
+        }
+        let seen =
+            |half, slots| -> Vec<usize> { ptp.iter_slots(half, slots).map(|(i, _)| i).collect() };
+        assert_eq!(seen(TableHalf::Lower, 10..20), vec![10, 19]);
+        assert_eq!(seen(TableHalf::Lower, 0..256), vec![0, 9, 10, 19, 20, 255]);
+        assert_eq!(seen(TableHalf::Lower, 21..255), Vec::<usize>::new());
+        assert_eq!(seen(TableHalf::Upper, 0..256), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn store_index_grows_to_the_highest_table_frame_only() {
+        let mut store = PtpStore::new();
+        store.insert(Pfn::new(300));
+        assert_eq!(store.index.len(), 301);
+        store.insert(Pfn::new(7));
+        assert_eq!(store.index.len(), 301);
+        assert!(store.get(Pfn::new(6)).is_none());
+        assert!(store.get(Pfn::new(MAX_FRAMES - 1)).is_none());
+        assert!(store.free(Pfn::new(300)));
+        assert!(!store.free(Pfn::new(300)));
+        assert!(store.remove(Pfn::new(300)).is_none());
+        assert_eq!(store.len(), 1);
+        // A freed frame's slot is recycled clean for the next frame.
+        store.insert(Pfn::new(300));
+        assert_eq!(store.get(Pfn::new(300)).unwrap().total_valid(), 0);
+        assert_eq!(store.slab_stats().recycled, 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The frame allocator and page cache.
 
+use std::collections::btree_map::{Entry, OccupiedEntry};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use sat_types::{Pfn, Pid, SatError, SatResult, VirtAddr};
+use sat_types::{Pfn, Pid, SatError, SatResult, VirtAddr, MAX_FRAMES};
 
 use crate::file::FileId;
 use crate::page::PageInfo;
@@ -147,7 +148,17 @@ pub struct PhysMem {
 
 impl PhysMem {
     /// Creates a physical memory of `frames` 4KB frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` exceeds [`MAX_FRAMES`]: a frame past it has
+    /// no 32-bit physical address, and the page-table words keep
+    /// exactly the frame numbers below it.
     pub fn new(frames: u32) -> Self {
+        assert!(
+            frames <= MAX_FRAMES,
+            "{frames} frames exceed the {MAX_FRAMES} a 32-bit physical address reaches"
+        );
         // Allocate low frames first: link the free list in ascending
         // PFN order, which makes tests and traces deterministic and
         // readable.
@@ -547,27 +558,30 @@ impl PhysMem {
     /// the sentinel, or vice versa), any entry at the same `va` is
     /// decremented instead.
     pub fn rmap_remove(&mut self, pfn: Pfn, pid: Pid, va: VirtAddr) {
-        let Some(set) = self.rmap.get_mut(&pfn) else {
+        let Entry::Occupied(mut set) = self.rmap.entry(pfn) else {
             debug_assert!(false, "rmap_remove on unmapped frame {pfn:?}");
             return;
         };
-        let key = if set.contains_key(&(pid, va)) {
-            Some((pid, va))
-        } else {
-            set.keys().find(|(_, v)| *v == va).copied()
+        let drop_one = |mut count: OccupiedEntry<'_, (Pid, VirtAddr), u32>| {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
         };
-        match key {
-            Some(key) => {
-                let count = set.get_mut(&key).unwrap();
-                *count -= 1;
-                if *count == 0 {
-                    set.remove(&key);
+        // One descent when the tearing process is the recorded owner —
+        // every private PTE — and the scan only for the rest.
+        match set.get_mut().entry((pid, va)) {
+            Entry::Occupied(count) => drop_one(count),
+            Entry::Vacant(_) => {
+                let other = set.get().keys().find(|(_, v)| *v == va).copied();
+                match other.map(|key| set.get_mut().entry(key)) {
+                    Some(Entry::Occupied(count)) => drop_one(count),
+                    _ => debug_assert!(false, "no rmap entry for {pfn:?} at {va:?}"),
                 }
             }
-            None => debug_assert!(false, "no rmap entry for {pfn:?} at {va:?}"),
         }
-        if set.is_empty() {
-            self.rmap.remove(&pfn);
+        if set.get().is_empty() {
+            set.remove();
         }
     }
 
@@ -755,6 +769,20 @@ mod tests {
         assert_eq!(pm.frames_in_use(), 0);
         assert_eq!(pm.stats().total_allocs, 2);
         assert_eq!(pm.stats().total_frees, 2);
+    }
+
+    /// Holds in release builds too: the page-table words drop frame
+    /// bits past `MAX_FRAMES` without a check of their own.
+    #[test]
+    #[should_panic(expected = "frames exceed")]
+    fn a_pool_past_the_32_bit_physical_space_is_refused() {
+        PhysMem::new(MAX_FRAMES + 1);
+    }
+
+    #[test]
+    fn a_pool_of_exactly_the_32_bit_physical_space_is_accepted() {
+        let pm = PhysMem::new(MAX_FRAMES);
+        assert_eq!(pm.frame_count(), 1 << 20);
     }
 
     #[test]

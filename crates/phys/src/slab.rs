@@ -1,6 +1,6 @@
 //! A slab arena for fixed-shape table objects.
 //!
-//! Page-table pages are large by value (~20KB of descriptor state in
+//! Page-table pages are large by value (2 KiB of descriptor state in
 //! the simulator) and churn hard under fork/exit workloads: a fleet
 //! run creates and tears down thousands of processes, each allocating
 //! and freeing a handful of PTPs. Backing them with a plain
@@ -8,6 +8,11 @@
 //! global allocator. [`Slab`] keeps freed slots on a free list and
 //! recycles them in LIFO order, so steady-state alloc/free is O(1)
 //! with no allocator traffic — the `kmem_cache` idiom.
+//!
+//! Storage is a list of fixed-size chunks, so growth allocates one
+//! chunk and never moves a live object: a single doubling `Vec` holds
+//! the old and the new buffer together while it copies, which at
+//! 65,536 tables was most of the fleet workload's peak heap.
 //!
 //! The slab is deliberately dumb: it hands out dense `u32` slot ids
 //! and never shrinks. Keying (e.g. by physical frame) is the caller's
@@ -36,9 +41,17 @@ pub struct SlabStats {
     pub recycled: u64,
 }
 
+/// Slots per chunk: large enough that chunk bookkeeping is noise,
+/// small enough (128 KiB of PTPs) that a nearly empty last chunk is
+/// too.
+const CHUNK_SLOTS: usize = 64;
+
 /// A grow-only arena of `T` with LIFO slot recycling.
 pub struct Slab<T: SlabItem> {
-    slots: Vec<T>,
+    /// Slot `id` lives at `chunks[id / CHUNK_SLOTS][id % CHUNK_SLOTS]`.
+    chunks: Vec<Box<[T; CHUNK_SLOTS]>>,
+    /// Slots ever handed out; the rest of the last chunk is spare.
+    len: usize,
     free: Vec<u32>,
     stats: SlabStats,
 }
@@ -53,17 +66,8 @@ impl<T: SlabItem> Slab<T> {
     /// An empty slab.
     pub fn new() -> Slab<T> {
         Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            stats: SlabStats::default(),
-        }
-    }
-
-    /// A slab with backing capacity for `n` live objects before the
-    /// first growth.
-    pub fn with_capacity(n: usize) -> Slab<T> {
-        Slab {
-            slots: Vec::with_capacity(n),
+            chunks: Vec::new(),
+            len: 0,
             free: Vec::new(),
             stats: SlabStats::default(),
         }
@@ -77,8 +81,17 @@ impl<T: SlabItem> Slab<T> {
             self.stats.recycled += 1;
             return id;
         }
-        let id = u32::try_from(self.slots.len()).expect("slab exceeds u32 slots");
-        self.slots.push(T::default());
+        let id = u32::try_from(self.len).expect("slab exceeds u32 slots");
+        if self.len == self.chunks.len() * CHUNK_SLOTS {
+            // Built on the heap: a chunk of PTPs is 128 KiB.
+            let chunk: Box<[T]> = (0..CHUNK_SLOTS).map(|_| T::default()).collect();
+            self.chunks.push(
+                chunk
+                    .try_into()
+                    .unwrap_or_else(|_| unreachable!("collected exactly CHUNK_SLOTS items")),
+            );
+        }
+        self.len += 1;
         id
     }
 
@@ -93,29 +106,33 @@ impl<T: SlabItem> Slab<T> {
             !self.free.contains(&id),
             "slab slot {id} double-freed (free list already holds it)"
         );
-        self.slots[id as usize].reset();
+        self.get_mut(id).reset();
         self.free.push(id);
         self.stats.frees += 1;
     }
 
     /// Borrows the object in slot `id`.
     pub fn get(&self, id: u32) -> &T {
-        &self.slots[id as usize]
+        let id = id as usize;
+        assert!(id < self.len, "slab slot {id} was never handed out");
+        &self.chunks[id / CHUNK_SLOTS][id % CHUNK_SLOTS]
     }
 
     /// Mutably borrows the object in slot `id`.
     pub fn get_mut(&mut self, id: u32) -> &mut T {
-        &mut self.slots[id as usize]
+        let id = id as usize;
+        assert!(id < self.len, "slab slot {id} was never handed out");
+        &mut self.chunks[id / CHUNK_SLOTS][id % CHUNK_SLOTS]
     }
 
     /// Live (allocated, not freed) slots.
     pub fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.len - self.free.len()
     }
 
-    /// Backing slots ever created (the arena's high-water mark).
+    /// Slots ever handed out (the arena's high-water mark).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Allocation counters.
@@ -177,14 +194,52 @@ mod tests {
         s.free(a);
     }
 
+    /// The id sequence, recycle order, counters and `capacity()` of
+    /// the single-`Vec` slab this one replaced, replayed across several
+    /// chunk boundaries.
     #[test]
-    fn with_capacity_preallocates_backing() {
-        let mut s: Slab<Obj> = Slab::with_capacity(8);
-        for _ in 0..8 {
-            s.alloc();
+    fn chunked_growth_keeps_the_dense_id_sequence() {
+        let n = 3 * CHUNK_SLOTS as u32 + 5;
+        let mut s: Slab<Obj> = Slab::new();
+        for want in 0..n {
+            assert_eq!(s.alloc(), want);
+            s.get_mut(want).val = want + 1;
         }
-        assert_eq!(s.capacity(), 8);
-        assert_eq!(s.stats().allocs, 8);
-        assert_eq!(s.stats().frees, 0);
+        assert_eq!((s.capacity(), s.live()), (n as usize, n as usize));
+        // Growth moved nothing: every object is where it was written.
+        for id in 0..n {
+            assert_eq!(s.get(id).val, id + 1);
+        }
+        // Free one slot either side of each chunk boundary and a few
+        // in the middle, then take them back newest first.
+        let freed = [0, 63, 64, 65, 100, 127, 128, 191, 192, n - 1];
+        for id in freed {
+            s.free(id);
+        }
+        assert_eq!(s.live(), n as usize - freed.len());
+        for &id in freed.iter().rev() {
+            assert_eq!(s.alloc(), id);
+            assert_eq!(s.get(id).val, 0);
+        }
+        // The free list is drained: the next ids are fresh again.
+        assert_eq!(s.alloc(), n);
+        assert_eq!(s.alloc(), n + 1);
+        assert_eq!(s.capacity(), n as usize + 2);
+        assert_eq!(
+            s.stats(),
+            SlabStats {
+                allocs: u64::from(n) + freed.len() as u64 + 2,
+                frees: freed.len() as u64,
+                recycled: freed.len() as u64,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "never handed out")]
+    fn spare_slots_of_the_last_chunk_are_out_of_bounds() {
+        let mut s: Slab<Obj> = Slab::new();
+        s.alloc();
+        s.get(1);
     }
 }

@@ -35,6 +35,14 @@ pub const PAGE_SHIFT: u32 = 12;
 /// Size in bytes of a base (small) page.
 pub const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
 
+/// Frames a 32-bit [`PhysAddr`] can address: no frame number reaches
+/// `1 << 20`.
+///
+/// Physical memory refuses to be built larger, and the frame fields of
+/// the packed level-1 and level-2 descriptor words take their width
+/// from this constant.
+pub const MAX_FRAMES: u32 = 1 << (32 - PAGE_SHIFT);
+
 /// Number of entries in an ARMv7 first-level (root) translation table.
 ///
 /// Each entry maps 1MB of virtual address space, so 4096 entries cover
@@ -77,5 +85,6 @@ mod tests {
         assert_eq!(PTP_SPAN, 2 << 20);
         assert_eq!((L1_ENTRIES as u64) * (L2_TABLE_SPAN as u64), 1 << 32);
         assert_eq!(PAGES_PER_64K as u32 * PAGE_SIZE, 64 * 1024);
+        assert_eq!(Pfn::new(MAX_FRAMES - 1).base().raw(), 0xFFFF_F000);
     }
 }

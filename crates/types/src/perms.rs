@@ -49,6 +49,17 @@ impl Perms {
     /// Read + write + execute.
     pub const RWX: Perms = Perms(1 | 2 | 4);
 
+    /// The set as three bits: bit 0 read, bit 1 write, bit 2 execute.
+    pub const fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The set [`Perms::bits`] encodes; bits above the third are
+    /// ignored.
+    pub const fn from_bits(bits: u8) -> Perms {
+        Perms(bits & 7)
+    }
+
     /// Returns `true` if read access is permitted.
     pub const fn read(self) -> bool {
         self.0 & 1 != 0
@@ -141,6 +152,15 @@ mod tests {
         assert!(!Perms::RX.allows(AccessType::Write));
         assert!(Perms::RW.allows(AccessType::Write));
         assert!(!Perms::NONE.allows(AccessType::Read));
+    }
+
+    #[test]
+    fn bits_round_trip_every_set() {
+        for bits in 0u8..8 {
+            assert_eq!(Perms::from_bits(bits).bits(), bits);
+        }
+        assert_eq!(Perms::from_bits(Perms::RX.bits()), Perms::RX);
+        assert_eq!(Perms::from_bits(0xF8 | 2), Perms::W);
     }
 
     #[test]

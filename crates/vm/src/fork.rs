@@ -81,15 +81,16 @@ pub fn fork_mm(
     let mut child = Mm::new(phys, child_pid, child_asid)?;
     child.dacr = parent.dacr;
     child.is_zygote_child = parent.is_zygote_like();
-    child.set_vmas(parent.clone_vmas());
-
+    // The child's copy of the regions doubles as the list to walk —
+    // the copy loop borrows the parent mutably — and is installed once
+    // the loop is done with it.
+    let vmas = parent.clone_vmas();
     let mut report = ForkReport {
-        vmas: child.vma_count(),
+        vmas: vmas.len(),
         ..ForkReport::default()
     };
 
-    let vmas: Vec<Vma> = parent.vmas().cloned().collect();
-    for vma in &vmas {
+    for vma in vmas.values() {
         if !copies_ptes(policy, vma) {
             continue;
         }
@@ -103,6 +104,7 @@ pub fn fork_mm(
             &mut report,
         )?;
     }
+    child.set_vmas(vmas);
     child.counters.ptes_copied_fork = report.ptes_copied;
     child.counters.ptps_allocated = report.ptps_allocated;
     Ok((child, report))
