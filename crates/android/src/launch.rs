@@ -11,10 +11,12 @@
 //! fault), writes library data (global initialization, the writes that
 //! cost shared PTPs), and touches fresh heap pages.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sat_trace::{zygote_preload_pages, CodePage, LibId};
+use sat_trace::{CodePage, LibId};
 use sat_types::{AccessType, Perms, SatResult, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
@@ -102,7 +104,7 @@ pub struct LaunchReport {
 /// Deterministic in the catalog and seed, so every kernel
 /// configuration replays exactly the same workload.
 pub fn launch_page_set(sys: &AndroidSystem, opts: &LaunchOptions, seq: u64) -> Vec<CodePage> {
-    let preload = zygote_preload_pages(&sys.catalog, sys.opts().preload_pages);
+    let preload = &sys.preload;
     let mut rng = SmallRng::seed_from_u64(sys.seed ^ 0x1A07C4);
     let inherited_target = ((opts.code_pages as f64) * opts.inherited_fraction) as usize;
     let mut set: Vec<CodePage> = preload
@@ -115,17 +117,24 @@ pub fn launch_page_set(sys: &AndroidSystem, opts: &LaunchOptions, seq: u64) -> V
     // every kernel (the paper's residual ~110 launch faults).
     let mut tail_rng = SmallRng::seed_from_u64(sys.seed ^ 0x7A11 ^ seq.wrapping_mul(0x9E37));
     let extra_needed = (opts.code_pages as usize).saturating_sub(set.len());
-    let preload_lookup: std::collections::BTreeSet<CodePage> = preload.into_iter().collect();
-    let mut pool: Vec<CodePage> = Vec::new();
-    for &lib in &sys.catalog.zygote_preloaded() {
-        let pages = sys.catalog.lib(lib).code_pages;
-        for page in 0..pages {
-            let cp = CodePage::Lib { lib, page };
-            if !preload_lookup.contains(&cp) {
-                pool.push(cp);
-            }
+    // The pool depends on neither `seq` nor `opts`: built by the
+    // system's first launch, in library then page order.
+    let pool = sys.launch_tail_pool.get_or_init(|| {
+        let preloaded: BTreeSet<CodePage> = preload.iter().copied().collect();
+        let libs = sys.catalog.zygote_preloaded();
+        let code_pages = |lib: LibId| sys.catalog.lib(lib).code_pages;
+        // Sized exactly: the pool lives as long as the system.
+        let total: usize = libs.iter().map(|&lib| code_pages(lib) as usize).sum();
+        let mut pool = Vec::with_capacity(total.saturating_sub(preloaded.len()));
+        for lib in libs {
+            pool.extend(
+                (0..code_pages(lib))
+                    .map(|page| CodePage::Lib { lib, page })
+                    .filter(|cp| !preloaded.contains(cp)),
+            );
         }
-    }
+        pool
+    });
     set.extend(pool.choose_multiple(&mut tail_rng, extra_needed.min(pool.len())));
     set.shuffle(&mut rng);
     set
@@ -333,9 +342,69 @@ mod tests {
     use crate::layout::LibraryLayout;
     use crate::system::BootOptions;
     use sat_core::KernelConfig;
+    use sat_trace::zygote_preload_pages;
 
     fn boot(config: KernelConfig, layout: LibraryLayout) -> AndroidSystem {
         AndroidSystem::boot(config, layout, 1, 1, BootOptions::small()).unwrap()
+    }
+
+    /// [`launch_page_set`] as it was when every launch rebuilt the
+    /// preload list, its set and the tail pool: the specification the
+    /// cached form must match element for element.
+    fn launch_page_set_uncached(
+        sys: &AndroidSystem,
+        opts: &LaunchOptions,
+        seq: u64,
+    ) -> Vec<CodePage> {
+        let preload = zygote_preload_pages(&sys.catalog, sys.opts().preload_pages);
+        let mut rng = SmallRng::seed_from_u64(sys.seed ^ 0x1A07C4);
+        let inherited_target = ((opts.code_pages as f64) * opts.inherited_fraction) as usize;
+        let mut set: Vec<CodePage> = preload
+            .choose_multiple(&mut rng, inherited_target.min(preload.len()))
+            .copied()
+            .collect();
+        let mut tail_rng = SmallRng::seed_from_u64(sys.seed ^ 0x7A11 ^ seq.wrapping_mul(0x9E37));
+        let extra_needed = (opts.code_pages as usize).saturating_sub(set.len());
+        let preload_lookup: BTreeSet<CodePage> = preload.into_iter().collect();
+        let mut pool: Vec<CodePage> = Vec::new();
+        for &lib in &sys.catalog.zygote_preloaded() {
+            let pages = sys.catalog.lib(lib).code_pages;
+            for page in 0..pages {
+                let cp = CodePage::Lib { lib, page };
+                if !preload_lookup.contains(&cp) {
+                    pool.push(cp);
+                }
+            }
+        }
+        set.extend(pool.choose_multiple(&mut tail_rng, extra_needed.min(pool.len())));
+        set.shuffle(&mut rng);
+        set
+    }
+
+    #[test]
+    fn cached_launch_set_matches_the_per_launch_rebuild() {
+        for seed in [1, 7] {
+            let sys = AndroidSystem::boot(
+                KernelConfig::stock(),
+                LibraryLayout::Original,
+                seed,
+                3,
+                BootOptions::small(),
+            )
+            .unwrap();
+            // Both sizings, interleaved: the cached pool serves every
+            // `opts`, not just the first launch's.
+            for seq in 0..8 {
+                for opts in [LaunchOptions::small(), LaunchOptions::paper()] {
+                    assert_eq!(
+                        launch_page_set(&sys, &opts, seq),
+                        launch_page_set_uncached(&sys, &opts, seq),
+                        "seed {seed} seq {seq} code_pages {}",
+                        opts.code_pages
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -346,7 +415,7 @@ mod tests {
         let b = launch_page_set(&sys, &opts, 0);
         assert_eq!(a, b);
         assert_eq!(a.len(), opts.code_pages as usize);
-        let preload: std::collections::BTreeSet<CodePage> =
+        let preload: BTreeSet<CodePage> =
             zygote_preload_pages(&sys.catalog, sys.opts().preload_pages)
                 .into_iter()
                 .collect();

@@ -1,6 +1,7 @@
 //! The simulated Android system: zygote boot, application spawning,
 //! and steady-state execution.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
@@ -112,6 +113,14 @@ pub struct AndroidSystem {
     pub seed: u64,
     opts: BootOptions,
     launch_seq: u64,
+    /// The code pages the zygote touched during preload, in touch
+    /// order ([`zygote_preload_pages`] at `opts.preload_pages`).
+    pub(crate) preload: Vec<CodePage>,
+    /// Every other code page of the preloaded libraries — what a
+    /// launch's divergent tail is drawn from. Filled by the first
+    /// launch: only a system that launches needs it, and it is most of
+    /// the catalog (≈0.5 MiB).
+    pub(crate) launch_tail_pool: OnceCell<Vec<CodePage>>,
 }
 
 /// Base address for anonymous zygote regions (ART heaps etc.).
@@ -155,6 +164,7 @@ impl AndroidSystem {
 
         let preloaded = catalog.zygote_preloaded();
         let map = LibraryMap::place(&catalog, &preloaded, layout);
+        let preload = zygote_preload_pages(&catalog, opts.preload_pages);
 
         let mut machine = Machine::single_core(kernel);
         machine.context_switch(0, zygote)?;
@@ -169,6 +179,8 @@ impl AndroidSystem {
             seed,
             opts,
             launch_seq: 0,
+            preload,
+            launch_tail_pool: OnceCell::new(),
         };
 
         // Map every preloaded library's code and data segments.
@@ -177,7 +189,7 @@ impl AndroidSystem {
         }
 
         // Preload: touch the hot pages, populating ≈5,900 PTEs.
-        for page in zygote_preload_pages(&sys.catalog, opts.preload_pages) {
+        for &page in &sys.preload {
             let va = sys
                 .map
                 .code_page_va(page, VirtAddr::new(0))

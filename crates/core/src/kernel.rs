@@ -17,8 +17,12 @@
 //!   processes still share (case 5);
 //! - `domain_fault` → flush the TLB entries matching the faulting
 //!   address (Section 3.2.3).
-
-use std::collections::HashMap;
+//!
+//! The process table is a pid-indexed vector (pids are handed out
+//! densely from 1 and never reused): the simulated hardware looks its
+//! current process up on every access, so [`Kernel::mm`] is a bounds
+//! check and a load, and [`Kernel::processes`] walks live processes in
+//! ascending pid order.
 
 use sat_mmu::pte::PteSlot;
 use sat_mmu::{Mapper, PtpStore};
@@ -186,6 +190,60 @@ pub struct ProcFaultOutcome {
     pub unshare_ptes_copied: u64,
 }
 
+/// The process table: slot `pid` holds that process's address space
+/// while it lives. Pids are handed out densely from 1 and never
+/// reused, so the vector is as long as the highest pid created and an
+/// exited process leaves an empty slot behind (slot 0 is never used).
+/// Iteration is in ascending pid order.
+#[derive(Default)]
+pub(crate) struct ProcTable {
+    slots: Vec<Option<Mm>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl ProcTable {
+    pub(crate) fn get(&self, pid: Pid) -> Option<&Mm> {
+        self.slots.get(pid.raw() as usize)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut Mm> {
+        self.slots.get_mut(pid.raw() as usize)?.as_mut()
+    }
+
+    /// Files `mm` under its own pid, which must not be live.
+    fn insert(&mut self, mm: Mm) {
+        let idx = mm.pid.raw() as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        let old = self.slots[idx].replace(mm);
+        assert!(old.is_none(), "pid {idx} is already live");
+        self.live += 1;
+    }
+
+    fn remove(&mut self, pid: Pid) -> Option<Mm> {
+        let mm = self.slots.get_mut(pid.raw() as usize)?.take()?;
+        self.live -= 1;
+        Some(mm)
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// One past the highest pid ever filed: every live pid is in
+    /// `1..pid_bound()`.
+    pub(crate) fn pid_bound(&self) -> u32 {
+        self.slots.len() as u32
+    }
+
+    /// Live address spaces, lowest pid first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Mm> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// The simulated (patched or stock) kernel.
 pub struct Kernel {
     /// Active configuration.
@@ -202,7 +260,7 @@ pub struct Kernel {
     pub files: FileRegistry,
     /// Kernel-global statistics.
     pub stats: KernelStats,
-    pub(crate) procs: HashMap<Pid, Mm>,
+    pub(crate) procs: ProcTable,
     next_pid: u32,
     /// The generational 8-bit ASID allocator (see [`crate::asid`]).
     asids: AsidAllocator,
@@ -223,7 +281,7 @@ impl Kernel {
             registry: SharedPtpRegistry::new(),
             files: FileRegistry::new(),
             stats: KernelStats::default(),
-            procs: HashMap::new(),
+            procs: ProcTable::default(),
             next_pid: 1,
             asids: AsidAllocator::new(),
         }
@@ -240,7 +298,7 @@ impl Kernel {
         self.next_pid += 1;
         let asid = self.alloc_asid();
         let mm = Mm::new(&mut self.phys, pid, asid)?;
-        self.procs.insert(pid, mm);
+        self.procs.insert(mm);
         self.asids.assign_current(pid);
         Ok(pid)
     }
@@ -250,7 +308,7 @@ impl Kernel {
     /// into [`KernelStats::asid_rollovers`].
     fn alloc_asid(&mut self) -> Asid {
         let procs = &self.procs;
-        let asid = self.asids.alloc(|pid| procs.get(&pid).map(|mm| mm.asid));
+        let asid = self.asids.alloc(|pid| procs.get(pid).map(|mm| mm.asid));
         self.stats.asid_rollovers = self.asids.rollovers();
         asid
     }
@@ -296,9 +354,7 @@ impl Kernel {
         pid: Pid,
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<Asid> {
-        if !self.procs.contains_key(&pid) {
-            return Err(SatError::NoSuchProcess);
-        }
+        self.mm(pid)?;
         if self.asid_is_stale(pid) {
             // No entry tagged with the old value can outlive this
             // reassignment: the pid has not run since the rollover
@@ -306,7 +362,7 @@ impl Kernel {
             // predate the rollover flush — already issued, or issued
             // just below before the pid executes.
             let asid = self.alloc_asid();
-            let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+            let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
             mm.asid = asid;
             self.asids.assign_current(pid);
         }
@@ -315,7 +371,7 @@ impl Kernel {
                 tlb.flush_non_global();
             });
         }
-        Ok(self.procs[&pid].asid)
+        self.mm(pid).map(|mm| mm.asid)
     }
 
     /// Marks `pid` as the zygote (the paper's `exec`-time zygote
@@ -333,17 +389,17 @@ impl Kernel {
 
     /// Borrows a process's address space.
     pub fn mm(&self, pid: Pid) -> SatResult<&Mm> {
-        self.procs.get(&pid).ok_or(SatError::NoSuchProcess)
+        self.procs.get(pid).ok_or(SatError::NoSuchProcess)
     }
 
     /// Mutably borrows a process's address space.
     pub fn mm_mut(&mut self, pid: Pid) -> SatResult<&mut Mm> {
-        self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)
+        self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)
     }
 
-    /// Iterates over live processes.
+    /// Iterates over live processes in ascending pid order.
     pub fn processes(&self) -> impl Iterator<Item = (&Pid, &Mm)> {
-        self.procs.iter()
+        self.procs.iter().map(|mm| (&mm.pid, mm))
     }
 
     /// Number of live processes.
@@ -374,7 +430,7 @@ impl Kernel {
         if self.config.promote.enabled {
             let mut large_slots: u64 = 0;
             let mut sections: u64 = 0;
-            for mm in self.procs.values() {
+            for mm in self.procs.iter() {
                 sections += mm.root.section_count() as u64;
                 for (_, frame) in mm.root.iter_ptps() {
                     if let Some(table) = self.ptps.get(frame) {
@@ -419,7 +475,7 @@ impl Kernel {
         // anything (no-op without a frame budget).
         self.maybe_reclaim(tlb);
         let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid.raw();
         let addr = vm_mmap(mm, req)?;
         let len = req.len.div_ceil(sat_types::PAGE_SIZE) * sat_types::PAGE_SIZE;
@@ -477,7 +533,7 @@ impl Kernel {
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<usize> {
         let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid;
         let mut batch = FlushBatch::new(pid, asid);
         // Checked before vm_munmap removes the VMAs: a region carrying
@@ -556,7 +612,7 @@ impl Kernel {
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<()> {
         let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid;
         let mut batch = FlushBatch::new(pid, asid);
         let any_global = mm.vmas_overlapping(range).any(|v| v.global);
@@ -634,7 +690,7 @@ impl Kernel {
         // (no-op without a frame budget).
         self.maybe_reclaim(tlb);
         let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let mut batch = FlushBatch::new(pid, mm.asid);
         let mut unshared = false;
         let mut unshare_ptes_copied = 0;
@@ -691,7 +747,7 @@ impl Kernel {
     /// Pre-faults `range` in `pid` (used by the zygote preload).
     pub fn populate(&mut self, pid: Pid, range: VaRange) -> SatResult<usize> {
         let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let zygote_like = mm.is_zygote_like();
         let ctx = FaultCtx {
             mark_global: config.share_tlb && zygote_like,
@@ -728,7 +784,7 @@ impl Kernel {
         let child_pid = Pid::new(self.next_pid);
         self.next_pid += 1;
         let child_asid = self.alloc_asid();
-        let parent_mm = self.procs.get_mut(&parent).ok_or(SatError::NoSuchProcess)?;
+        let parent_mm = self.procs.get_mut(parent).ok_or(SatError::NoSuchProcess)?;
         let parent_asid = parent_mm.asid.raw();
         self.stats.forks += 1;
 
@@ -822,7 +878,7 @@ impl Kernel {
             (child_mm, outcome, protected)
         };
         protected.extend(demoted_spans);
-        self.procs.insert(child_pid, child_mm);
+        self.procs.insert(child_mm);
         self.asids.assign_current(child_pid);
         if sat_obs::enabled() {
             sat_obs::emit(
@@ -845,7 +901,7 @@ impl Kernel {
     /// 5).
     pub fn exit(&mut self, pid: Pid, tlb: &mut dyn TlbMaintenance) -> SatResult<()> {
         let stale = self.asid_is_stale(pid);
-        let mut mm = self.procs.remove(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mut mm = self.procs.remove(pid).ok_or(SatError::NoSuchProcess)?;
         // Drop this process's shared-PTP references from the registry
         // before teardown releases the frames (case 5: exit
         // dereferences without copying, so this is a detach, not an
@@ -904,7 +960,7 @@ impl Kernel {
 
     /// Reads the PTE slot serving `va` in `pid`, if populated.
     pub fn pte(&mut self, pid: Pid, va: VirtAddr) -> SatResult<Option<PteSlot>> {
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let mapper = Mapper::new(&mut mm.root, &mut self.ptps, &mut self.phys, pid);
         Ok(mapper.get_pte(va))
     }
@@ -936,7 +992,7 @@ impl Kernel {
     pub fn verify_share_accounting(&self) -> Result<(), String> {
         let mut refs: std::collections::BTreeMap<sat_types::Pfn, u32> =
             std::collections::BTreeMap::new();
-        for mm in self.procs.values() {
+        for mm in self.procs.iter() {
             for (idx, frame) in mm.root.iter_ptps() {
                 if mm.root.entry(idx).need_copy() {
                     *refs.entry(frame).or_insert(0) += 1;
@@ -1001,6 +1057,37 @@ mod tests {
     #[should_panic(expected = "frames exceed")]
     fn a_kernel_past_the_32_bit_physical_space_is_refused() {
         Kernel::new(KernelConfig::stock(), sat_types::MAX_FRAMES + 1);
+    }
+
+    #[test]
+    fn processes_iterate_in_pid_order_and_skip_exited() {
+        let mut k = Kernel::new(KernelConfig::stock(), 1024);
+        for raw in 1..=5 {
+            assert_eq!(k.create_process().unwrap(), Pid::new(raw));
+        }
+        assert_eq!(k.process_count(), 5);
+        k.exit(Pid::new(2), &mut NoTlb).unwrap();
+        k.exit(Pid::new(4), &mut NoTlb).unwrap();
+        let live: Vec<u32> = k
+            .processes()
+            .map(|(pid, mm)| {
+                assert_eq!(*pid, mm.pid);
+                pid.raw()
+            })
+            .collect();
+        assert_eq!(live, [1, 3, 5]);
+        assert_eq!(k.process_count(), 3);
+        for gone in [0, 2, 99, u32::MAX] {
+            let pid = Pid::new(gone);
+            assert_eq!(k.mm(pid).err(), Some(SatError::NoSuchProcess), "{pid}");
+            assert_eq!(k.mm_mut(pid).err(), Some(SatError::NoSuchProcess));
+            assert_eq!(k.exit(pid, &mut NoTlb), Err(SatError::NoSuchProcess));
+        }
+        assert_eq!(k.process_count(), 3);
+        // Pids are never reused: the next one is 6, not 2.
+        assert_eq!(k.create_process().unwrap(), Pid::new(6));
+        assert_eq!(k.process_count(), 4);
+        assert_eq!(k.processes().last().unwrap().0.raw(), 6);
     }
 
     /// Boots a minimal zygote: one library (8 pages code) preloaded

@@ -81,7 +81,7 @@ impl Kernel {
             return Ok(report);
         }
         let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid;
         let zygote_like = mm.is_zygote_like();
         let domain = if config.share_tlb && zygote_like {

@@ -241,7 +241,7 @@ impl Kernel {
         batch: &mut FlushBatch,
         out: &mut ReclaimOutcome,
     ) -> bool {
-        let Some(mm) = self.procs.get_mut(&pid) else {
+        let Some(mm) = self.procs.get_mut(pid) else {
             return false;
         };
         let asid = mm.asid;
@@ -319,10 +319,10 @@ impl Kernel {
         batch: &mut FlushBatch,
         out: &mut ReclaimOutcome,
     ) -> bool {
-        let mut pids: Vec<Pid> = self.procs.keys().copied().collect();
-        pids.sort_unstable();
-        pids.into_iter()
-            .any(|pid| self.tear_exact_private(victim, pid, va, batch, out))
+        // An exited pid's slot is empty: `tear_exact_private` passes
+        // over it.
+        (1..self.procs.pid_bound())
+            .any(|pid| self.tear_exact_private(victim, Pid::new(pid), va, batch, out))
     }
 }
 

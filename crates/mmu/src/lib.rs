@@ -45,4 +45,4 @@ pub use l1::{L1Entry, RootTable};
 pub use ops::Mapper;
 pub use pte::{HwPte, PteSlot, SwPte};
 pub use ptp::{Ptp, PtpStore, TableHalf};
-pub use walk::{walk, Translation, WalkFault, WalkOutcome, WalkResult};
+pub use walk::{walk, Translation, WalkAccesses, WalkFault, WalkOutcome, WalkResult};

@@ -7,6 +7,10 @@
 //! physical addresses fetched so the cache model can account for this
 //! traffic; duplicated private page tables mean duplicated PTE cache
 //! lines, which is one of the inefficiencies the paper eliminates.
+//!
+//! A walk runs on every main-TLB miss, so it allocates nothing: the
+//! one or two fetch addresses sit inline in the result
+//! ([`WalkAccesses`]), which is plain `Copy` data.
 
 use sat_types::{Domain, PageSize, Perms, Pfn, PhysAddr, VirtAddr};
 
@@ -63,15 +67,63 @@ pub enum WalkOutcome {
     Fault(WalkFault),
 }
 
+/// The descriptor fetches of one walk, in fetch order: the level-1
+/// word and, when the walk went on to a PTP, the level-2 word. Two
+/// inline slots and a length; reads as the `&[PhysAddr]` it derefs to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct WalkAccesses {
+    addrs: [PhysAddr; 2],
+    len: u8,
+}
+
+impl WalkAccesses {
+    fn one(l1: PhysAddr) -> WalkAccesses {
+        WalkAccesses {
+            addrs: [l1, PhysAddr::new(0)],
+            len: 1,
+        }
+    }
+
+    fn two(l1: PhysAddr, l2: PhysAddr) -> WalkAccesses {
+        WalkAccesses {
+            addrs: [l1, l2],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for WalkAccesses {
+    type Target = [PhysAddr];
+
+    fn deref(&self) -> &[PhysAddr] {
+        &self.addrs[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a WalkAccesses {
+    type Item = &'a PhysAddr;
+    type IntoIter = std::slice::Iter<'a, PhysAddr>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for WalkAccesses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Result of a page-table walk: the outcome plus the physical
 /// addresses of the descriptor words the walker fetched.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct WalkResult {
     /// Translation or fault.
     pub outcome: WalkOutcome,
     /// Descriptor fetches performed (1 for sections or level-1 faults,
     /// 2 for page mappings and level-2 faults).
-    pub accesses: Vec<PhysAddr>,
+    pub accesses: WalkAccesses,
 }
 
 impl WalkResult {
@@ -87,7 +139,8 @@ impl WalkResult {
 /// Walks the two-level table for `va`.
 pub fn walk(root: &RootTable, ptps: &PtpStore, va: VirtAddr) -> WalkResult {
     let l1_idx = va.l1_index();
-    let mut accesses = vec![root.l1_entry_addr(l1_idx)];
+    let l1_addr = root.l1_entry_addr(l1_idx);
+    let mut accesses = WalkAccesses::one(l1_addr);
     let outcome = match root.entry(l1_idx) {
         L1Entry::Fault => WalkOutcome::Fault(WalkFault::SectionTranslation),
         L1Entry::Section {
@@ -110,7 +163,7 @@ pub fn walk(root: &RootTable, ptps: &PtpStore, va: VirtAddr) -> WalkResult {
             need_copy: _,
         } => {
             let l2_idx = va.l2_index();
-            accesses.push(Ptp::hw_pte_addr(ptp, half, l2_idx));
+            accesses = WalkAccesses::two(l1_addr, Ptp::hw_pte_addr(ptp, half, l2_idx));
             let table = ptps
                 .get(ptp)
                 .expect("L1 entry references a PTP frame not in the store");
@@ -171,12 +224,29 @@ mod tests {
         );
     }
 
+    /// The level-1 and level-2 descriptor addresses a two-level walk
+    /// of `va` fetches, derived from the tables rather than the walk.
+    fn descriptor_addrs(fx: &Fixture, va: VirtAddr) -> [PhysAddr; 2] {
+        let ptp = fx.root.entry_for(va).ptp().expect("va is table-mapped");
+        [
+            fx.root.l1_entry_addr(va.l1_index()),
+            Ptp::hw_pte_addr(ptp, TableHalf::of(va), va.l2_index()),
+        ]
+    }
+
+    #[test]
+    fn walk_result_is_copy() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<WalkResult>();
+    }
+
     #[test]
     fn unmapped_address_is_section_fault() {
         let fx = fixture();
-        let r = walk(&fx.root, &fx.ptps, VirtAddr::new(0x1000_0000));
+        let va = VirtAddr::new(0x1000_0000);
+        let r = walk(&fx.root, &fx.ptps, va);
         assert_eq!(r.outcome, WalkOutcome::Fault(WalkFault::SectionTranslation));
-        assert_eq!(r.accesses.len(), 1);
+        assert_eq!(*r.accesses, [fx.root.l1_entry_addr(va.l1_index())]);
     }
 
     #[test]
@@ -190,7 +260,7 @@ mod tests {
         assert!(t.global);
         assert_eq!(t.perms, Perms::RX);
         assert_eq!(t.translate(VirtAddr::new(0x1234_5678)).raw(), 0x77_678);
-        assert_eq!(r.accesses.len(), 2);
+        assert_eq!(*r.accesses, descriptor_addrs(&fx, va));
     }
 
     #[test]
@@ -198,9 +268,10 @@ mod tests {
         let mut fx = fixture();
         let va = VirtAddr::new(0x1234_5000);
         map_page(&mut fx, va, Pfn::new(0x77), Perms::RX, false);
-        let r = walk(&fx.root, &fx.ptps, VirtAddr::new(0x1234_6000));
+        let hole = VirtAddr::new(0x1234_6000);
+        let r = walk(&fx.root, &fx.ptps, hole);
         assert_eq!(r.outcome, WalkOutcome::Fault(WalkFault::PageTranslation));
-        assert_eq!(r.accesses.len(), 2);
+        assert_eq!(*r.accesses, descriptor_addrs(&fx, hole));
     }
 
     #[test]
@@ -219,7 +290,7 @@ mod tests {
         let va = VirtAddr::new(0xC00A_BCDE);
         let r = walk(&fx.root, &fx.ptps, va);
         let t = r.translation().unwrap();
-        assert_eq!(r.accesses.len(), 1);
+        assert_eq!(*r.accesses, [fx.root.l1_entry_addr(0xC00)]);
         assert_eq!(t.size, PageSize::Section1M);
         // Section base 0x0010_0000 plus the 1MB offset from the VA.
         assert_eq!(t.translate(va).raw(), 0x001A_BCDE);

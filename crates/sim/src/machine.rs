@@ -2,13 +2,13 @@
 
 use sat_cache::{AccessKind, Cache, CacheConfig, CacheHierarchy};
 use sat_core::{Kernel, TlbMaintenance, TlbProtection};
-use sat_mmu::{walk, FaultRecord, FaultStatus};
+use sat_mmu::{walk, FaultRecord, FaultStatus, WalkOutcome};
 use sat_tlb::{MainTlb, MicroTlb, TlbEntry, TlbLookup};
 use sat_types::{
     AccessType, Asid, Domain, DomainAccess, PageSize, Perms, Pfn, Pid, SatError, SatResult,
     VirtAddr, KERNEL_SPACE_START,
 };
-use sat_vm::FaultKind;
+use sat_vm::{FaultKind, Mm};
 
 use crate::model::CycleModel;
 
@@ -494,7 +494,7 @@ impl Machine {
                         }
                         TlbLookup::Miss => {
                             // 3. Hardware table walk.
-                            match self.walk_and_fill(core, pid, va, access)? {
+                            match self.walk_and_fill(core, pid, asid, va, access)? {
                                 WalkFill::Entry(e, stall) => {
                                     cycles += stall;
                                     e
@@ -517,7 +517,17 @@ impl Machine {
                 }
                 DomainAccess::Client => {
                     if !entry.perms.allows(access) {
-                        cycles += self.page_fault_path(core, pid, va, access)?;
+                        // A missing descriptor is a translation fault,
+                        // a present-but-insufficient one a permission
+                        // fault: the tables decide, not the cached
+                        // entry.
+                        let mm = self.kernel.mm(pid)?;
+                        let status = match walk(&mm.root, &self.kernel.ptps, va).outcome {
+                            WalkOutcome::Fault(_) => FaultStatus::TranslationPage,
+                            WalkOutcome::Translated(_) => FaultStatus::PermissionPage,
+                        };
+                        let abort = page_abort(mm, status, va, access);
+                        cycles += self.page_fault_path(core, pid, asid, access, abort)?;
                         continue; // retry with the repaired PTE
                     }
                 }
@@ -749,12 +759,14 @@ impl Machine {
         }
     }
 
-    /// Walks the page table for a user access, filling the TLBs on
-    /// success or invoking the kernel's fault handler.
+    /// Walks the page table for a user access by `pid` (whose ASID is
+    /// `asid`), filling the TLBs on success or invoking the kernel's
+    /// fault handler.
     fn walk_and_fill(
         &mut self,
         core: usize,
         pid: Pid,
+        asid: Asid,
         va: VirtAddr,
         access: AccessType,
     ) -> SatResult<WalkFill> {
@@ -762,19 +774,12 @@ impl Machine {
             // Kernel space: synthetic global section mapping.
             let e = kernel_section_entry(va);
             let walk = self.kernel_section_walk(core, va);
-            let asid = self.kernel.mm(pid)?.asid;
             self.cores[core].main_tlb.insert(e, asid);
             self.fill_micro(core, access, e);
             self.charge_tlb_stall(core, access, walk);
             return Ok(WalkFill::Entry(e, walk));
         }
         let mm = self.kernel.mm(pid)?;
-        let asid = mm.asid;
-        // The hypothetical level-1 write-protect assist (Section
-        // 3.1.3 "Hardware Support"): a NEED_COPY level-1 entry denies
-        // write access to its whole range, standing in for the
-        // per-PTE write-protect pass the paper performs on ARM.
-        let l1_wp = self.kernel.config.l1_write_protect && mm.root.entry_for(va).need_copy();
         let result = walk(&mm.root, &self.kernel.ptps, va);
         // Charge the descriptor fetches through the cache hierarchy —
         // this is where private page tables pollute the shared L2.
@@ -784,8 +789,15 @@ impl Machine {
                 .caches
                 .access(AccessKind::PageWalk, *pa, &mut self.l2);
         }
-        match result.translation() {
-            Some(t) => {
+        match result.outcome {
+            WalkOutcome::Translated(t) => {
+                // The hypothetical level-1 write-protect assist
+                // (Section 3.1.3 "Hardware Support"): a NEED_COPY
+                // level-1 entry denies write access to its whole
+                // range, standing in for the per-PTE write-protect
+                // pass the paper performs on ARM.
+                let l1_wp =
+                    self.kernel.config.l1_write_protect && mm.root.entry_for(va).need_copy();
                 let perms = if l1_wp {
                     t.perms.without_write()
                 } else {
@@ -807,12 +819,15 @@ impl Machine {
                 self.charge_tlb_stall(core, access, stall);
                 Ok(WalkFill::Entry(e, stall))
             }
-            None => {
+            WalkOutcome::Fault(_) => {
+                // The walk just failed, so the abort is a translation
+                // fault: no second walk to classify it.
+                let abort = page_abort(mm, FaultStatus::TranslationPage, va, access);
                 // The failed walk's descriptor fetches are part of the
                 // fault path, not TLB-stall time: `charge_tlb_stall`
                 // never sees them, so they blame the fault.
                 sat_obs::charge(core, sat_obs::ChargeCause::Fault, stall);
-                let fault_cycles = self.page_fault_path(core, pid, va, access)?;
+                let fault_cycles = self.page_fault_path(core, pid, asid, access, abort)?;
                 Ok(WalkFill::Faulted(stall + fault_cycles))
             }
         }
@@ -828,36 +843,21 @@ impl Machine {
         sat_obs::charge(core, sat_obs::ChargeCause::TlbStall, stall);
     }
 
-    /// The software page-fault path: kernel handler plus its
+    /// The software page-fault path for `abort`, taken by `pid`
+    /// (running under `asid`): kernel handler plus its
     /// instruction-cache footprint, PTE repair, and TLB maintenance
     /// for the repaired address.
     fn page_fault_path(
         &mut self,
         core: usize,
         pid: Pid,
-        va: VirtAddr,
+        asid: Asid,
         access: AccessType,
+        abort: FaultRecord,
     ) -> SatResult<u64> {
-        // Latch the abort into the FSR/FAR: a missing descriptor is a
-        // translation fault, a present-but-insufficient one a
-        // permission fault.
-        {
-            let mm = self.kernel.mm(pid)?;
-            let translated = walk(&mm.root, &self.kernel.ptps, va).translation();
-            self.last_fault = Some(FaultRecord {
-                status: match translated {
-                    None => FaultStatus::TranslationPage,
-                    Some(_) => FaultStatus::PermissionPage,
-                },
-                domain: mm
-                    .root
-                    .entry_for(va)
-                    .domain()
-                    .unwrap_or(sat_types::Domain::USER),
-                write: access.is_write(),
-                far: va,
-            });
-        }
+        // Latch the abort into the FSR/FAR.
+        self.last_fault = Some(abort);
+        let va = abort.far;
         let ipi_cost = self.model.ipi;
         let (cores, kernel) = (&mut self.cores, &mut self.kernel);
         let mut view = MachineTlbView {
@@ -883,16 +883,14 @@ impl Machine {
             // PTPs specifically, and the tail analysis wants it named.
             sat_obs::charge(core, sat_obs::ChargeCause::Unshare, unshare);
         }
-        // The PTE serving `va` changed: invalidate stale entries.
-        {
-            let asid = self.kernel.mm(pid)?.asid;
-            let c = &mut self.cores[core];
-            sat_obs::with_flush_reason(sat_obs::FlushReason::FaultRepair, || {
-                c.main_tlb.flush_va(va, asid);
-                c.micro_i.flush_va(va);
-                c.micro_d.flush_va(va);
-            });
-        }
+        // The PTE serving `va` changed: invalidate stale entries (the
+        // handler reassigns no ASID, so `asid` still names `pid`).
+        let c = &mut self.cores[core];
+        sat_obs::with_flush_reason(sat_obs::FlushReason::FaultRepair, || {
+            c.main_tlb.flush_va(va, asid);
+            c.micro_i.flush_va(va);
+            c.micro_d.flush_va(va);
+        });
         // The handler's kernel instructions run through the caches.
         // Each fault exercises a different slice of the handler's
         // 64KB of text (rotating start), so fault-heavy runs thrash
@@ -969,6 +967,17 @@ impl Machine {
 enum WalkFill {
     Entry(TlbEntry, u64),
     Faulted(u64),
+}
+
+/// The FSR/FAR contents for a page abort of class `status` taken by an
+/// `access` to `va` in `mm`.
+fn page_abort(mm: &Mm, status: FaultStatus, va: VirtAddr, access: AccessType) -> FaultRecord {
+    FaultRecord {
+        status,
+        domain: mm.root.entry_for(va).domain().unwrap_or(Domain::USER),
+        write: access.is_write(),
+        far: va,
+    }
 }
 
 /// Synthesizes the global kernel section mapping for a kernel VA

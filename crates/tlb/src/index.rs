@@ -8,10 +8,14 @@
 //!   size-aligned VA base to the slots holding an entry for that page,
 //!   so `lookup`/`probe` and the by-address flushes visit only a
 //!   handful of candidate slots (at most one table probe per page
-//!   size) instead of scanning every slot.
+//!   size) instead of scanning every slot. The main TLB's `insert`
+//!   finds the duplicates of a 4KB entry the same way: every entry
+//!   overlapping a 4KB page covers its base (the argument is in
+//!   [`crate::main_tlb`]'s module docs).
 //! * [`TagIndex`]: a flat ASID-tag table chaining the slots that carry
-//!   each tag, bounding `insert`'s duplicate scan, `flush_asid`, and
-//!   `flush_non_global` to candidate slots.
+//!   each tag, bounding `flush_asid`, `flush_range`,
+//!   `flush_non_global`, and the duplicate scan of an insert larger
+//!   than 4KB to that tag's slots.
 //! * [`FreeSlots`]: a bitmask of invalid slots, so the "lowest free
 //!   slot" fill rule is a trailing-zeros scan over a couple of words.
 //!
@@ -68,6 +72,65 @@ const NIL: usize = usize::MAX;
 
 /// 32-bit NIL used inside packed buckets.
 const NIL32: u32 = u32::MAX;
+
+/// The chain links of a slot index, as its `verify` walks them.
+struct Chains<'a> {
+    /// `"va index"` or `"tag index"`, for the messages.
+    index: &'static str,
+    next: &'a [u32],
+    prev: &'a [u32],
+    /// Slots met so far, across every chain of the index.
+    chained: Vec<bool>,
+}
+
+impl<'a> Chains<'a> {
+    fn new(index: &'static str, next: &'a [u32], prev: &'a [u32]) -> Self {
+        Chains {
+            index,
+            next,
+            prev,
+            chained: vec![false; next.len()],
+        }
+    }
+
+    /// Walks the chain hanging from `head`: every slot on it is in
+    /// bounds, on no chain walked before, linked back to its
+    /// predecessor, and accepted by `belongs` (whether this is the
+    /// chain the slot's entry should be on). Returns the chain length.
+    fn walk(
+        &mut self,
+        head: u32,
+        mut belongs: impl FnMut(usize) -> Result<(), String>,
+    ) -> Result<usize, String> {
+        let index = self.index;
+        let (mut back, mut at, mut len) = (NIL32, head, 0);
+        while at != NIL32 {
+            let slot = at as usize;
+            if slot >= self.chained.len() {
+                return Err(format!("{index}: a chain reaches slot {slot}"));
+            }
+            if std::mem::replace(&mut self.chained[slot], true) {
+                return Err(format!("{index}: slot {slot} is chained twice"));
+            }
+            belongs(slot).map_err(|why| format!("{index}: slot {slot} {why}"))?;
+            if self.prev[slot] != back {
+                return Err(format!("{index}: slot {slot} has a wrong back link"));
+            }
+            len += 1;
+            (back, at) = (at, self.next[slot]);
+        }
+        Ok(len)
+    }
+
+    /// After every chain was walked: no slot that `valid` holds an
+    /// entry for was left out.
+    fn cover(&self, valid: impl Fn(usize) -> bool) -> Result<(), String> {
+        match (0..self.chained.len()).find(|&s| valid(s) && !self.chained[s]) {
+            Some(slot) => Err(format!("{}: valid slot {slot} is not chained", self.index)),
+            None => Ok(()),
+        }
+    }
+}
 
 /// A direct-mapped, epoch-validated bucket table. Each bucket packs
 /// the epoch it was last written in (high 32 bits) and a chain head
@@ -241,6 +304,41 @@ impl VaIndex {
         }
         self.counts = [0; 4];
     }
+
+    /// Checks the index against the slot array it accelerates
+    /// (`entry_at(slot)` = the entry a valid slot holds): every valid
+    /// slot is chained exactly once, in the bucket of its own
+    /// `(size, base)`, with consistent back links; no invalid slot is
+    /// chained; the per-size counts match. Returns the first violation.
+    pub fn verify(&self, entry_at: impl Fn(usize) -> Option<TlbEntry>) -> Result<(), String> {
+        let mut chains = Chains::new("va index", &self.next, &self.prev);
+        let mut counts = [0usize; 4];
+        for (i, map) in self.maps.iter().enumerate() {
+            for (b, &bucket) in map.buckets.iter().enumerate() {
+                if (bucket >> 32) as u32 != self.epoch {
+                    continue;
+                }
+                counts[i] += chains.walk(bucket as u32, |slot| match entry_at(slot) {
+                    None => Err("is invalid but chained".into()),
+                    Some(e) if size_idx(e.size) != i || map.idx(key(e.va_base, e.size)) != b => {
+                        Err(format!(
+                            "({:?} at {:?}) is chained in bucket {b} of size class {i}",
+                            e.size, e.va_base
+                        ))
+                    }
+                    Some(_) => Ok(()),
+                })?;
+            }
+        }
+        chains.cover(|slot| entry_at(slot).is_some())?;
+        if counts != self.counts {
+            return Err(format!(
+                "va index: per-size counts {:?}, chains hold {counts:?}",
+                self.counts
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Map from entry tag (`asid` field, `None` = global) to the slots
@@ -372,6 +470,27 @@ impl TagIndex {
             self.heads.fill(NIL32 as u64);
         }
     }
+
+    /// Checks the index against the slot array (`tag_at(slot)` = the
+    /// `asid` field of the entry a valid slot holds): every valid slot
+    /// is chained exactly once, under its own tag, with consistent
+    /// back links, and no invalid slot is chained. Returns the first
+    /// violation.
+    pub fn verify(&self, tag_at: impl Fn(usize) -> Option<Option<Asid>>) -> Result<(), String> {
+        let mut chains = Chains::new("tag index", &self.next, &self.prev);
+        for tag in 0..=GLOBAL_TAG {
+            let head = self.head(tag);
+            let head = if head == NIL { NIL32 } else { head as u32 };
+            chains.walk(head, |slot| match tag_at(slot) {
+                None => Err("is invalid but chained".into()),
+                Some(asid) if tag_of(asid) != tag => {
+                    Err(format!("(tag {asid:?}) is chained under tag {tag}"))
+                }
+                Some(_) => Ok(()),
+            })?;
+        }
+        chains.cover(|slot| tag_at(slot).is_some())
+    }
 }
 
 /// The set of invalid slots as a bitmask, so that the architectural
@@ -406,6 +525,11 @@ impl FreeSlots {
     /// Marks `slot` free.
     pub fn release(&mut self, slot: usize) {
         self.words[slot / 64] |= 1u64 << (slot % 64);
+    }
+
+    /// Whether `slot` is marked free.
+    pub fn is_free(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1u64 << (slot % 64)) != 0
     }
 
     /// Claims the lowest free slot, if any.

@@ -5,16 +5,39 @@
 //! simulated fetch and data access funnels through [`MainTlb::lookup`],
 //! the model keeps acceleration indexes next to the slot array — a
 //! per-page-size VA map, per-tag slot lists, and a free-slot set — so
-//! lookups and selective flushes touch only candidate slots instead of
-//! scanning the whole array. The indexes never change *which* slot
-//! wins: every path resolves ties by minimum slot number, which is the
-//! entry a linear first-match scan returns, so observable behaviour
-//! (hits, misses, evictions, flush counts, statistics) is identical to
-//! the linear reference model in [`crate::reference`]. The
-//! differential proptests in `tests/differential.rs` enforce that
-//! equivalence.
+//! lookups, fills and selective flushes touch only candidate slots
+//! instead of scanning the whole array. The indexes never change
+//! *which* slot wins: every path resolves ties by minimum slot number,
+//! which is the entry a linear first-match scan returns, so observable
+//! behaviour (hits, misses, evictions, flush counts, statistics) is
+//! identical to the linear reference model in [`crate::reference`].
+//! The differential proptests in `tests/differential.rs` enforce that
+//! equivalence, and check [`MainTlb::verify`] after every operation.
+//!
+//! Which index serves which operation:
+//!
+//! * the VA map: `lookup`/`probe`, the by-address flushes
+//!   (`flush_va`, `flush_va_all_asids`, `flush_page`), and the
+//!   duplicate check of a 4KB `insert` — one bucket probe per page
+//!   size in use, whatever the ASID's residency;
+//! * the tag chains: `flush_asid`, `flush_range`, `flush_non_global`,
+//!   and the duplicate check of an insert *larger* than 4KB (kernel
+//!   sections, promoted groups — rare);
+//! * the free set: the fill slot of an `insert` that replaced nothing.
+//!
+//! **Why the 4KB duplicate check is exact.** `insert` must drop every
+//! same-tag entry `e` that overlaps the new entry `n`:
+//! `e.covers(n.va_base) || n.covers(e.va_base)`. When `n` is a 4KB
+//! page the second clause implies the first — `e`'s page is at least
+//! 4KB and size-aligned, so if `e`'s base lies in `n`'s page then
+//! `e`'s page contains all of `n`'s, `n.va_base` included (also for a
+//! large entry whose recorded base is not size-aligned: `covers`
+//! masks both sides). "Covers `n.va_base`" is therefore the whole
+//! overlap set, and it is what the VA map enumerates. A larger `n` can
+//! also swallow small entries whose pages do not reach its base; only
+//! the tag chain finds those.
 
-use sat_types::{Asid, Domain, VirtAddr};
+use sat_types::{Asid, Domain, PageSize, VirtAddr};
 
 use crate::entry::TlbEntry;
 use crate::index::{FreeSlots, TagIndex, VaIndex};
@@ -110,9 +133,10 @@ pub struct MainTlb {
     global_valid: usize,
     /// VA page → candidate slots.
     va_index: VaIndex,
-    /// Entry tag (`asid` field, `None` = global) → slots. Bounds the
-    /// `insert` duplicate scan, `flush_asid`, and `flush_non_global`
-    /// to candidate slots.
+    /// Entry tag (`asid` field, `None` = global) → slots. Bounds
+    /// `flush_asid`, `flush_range`, `flush_non_global`, and the
+    /// duplicate scan of an insert larger than 4KB to that tag's
+    /// slots.
     tag_index: TagIndex,
     /// Invalid slots, lowest first (the architectural fill order).
     free: FreeSlots,
@@ -224,17 +248,29 @@ impl MainTlb {
         // entries matching the same VA+ASID). Coverage is checked in
         // both directions so a large entry evicts the small entries
         // inside its range and vice versa. Only same-tag entries can
-        // collide, so the scan is bounded to that tag's chain.
+        // collide. For a 4KB entry every overlapping entry covers its
+        // base (module docs), so the VA map's candidates are the whole
+        // set; a larger entry scans its tag's chain.
         let mut overlaps = std::mem::take(&mut self.scratch);
         overlaps.clear();
         {
             let entries = &self.entries;
-            self.tag_index.for_tag(entry.asid, |slot| {
-                let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
-                if e.covers(entry.va_base) || entry.covers(e.va_base) {
-                    overlaps.push(slot);
-                }
-            });
+            if entry.size == PageSize::Small4K {
+                self.va_index.for_covering(entry.va_base, |slot| {
+                    let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
+                    // Candidates may be hash-collision neighbours.
+                    if e.asid == entry.asid && e.covers(entry.va_base) {
+                        overlaps.push(slot);
+                    }
+                });
+            } else {
+                self.tag_index.for_tag(entry.asid, |slot| {
+                    let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
+                    if e.covers(entry.va_base) || entry.covers(e.va_base) {
+                        overlaps.push(slot);
+                    }
+                });
+            }
         }
         if !overlaps.is_empty() {
             // The linear scan replaces the first overlapping slot in
@@ -420,6 +456,54 @@ impl MainTlb {
         n as usize
     }
 
+    /// Checks the acceleration state against the slot array, and the
+    /// slot array against the hardware invariant [`MainTlb::insert`]
+    /// exists to keep: every valid slot is registered exactly once in
+    /// the VA map (in the bucket of its own size and base) and in its
+    /// tag's chain, and nowhere else; the free set is exactly the
+    /// invalid slots; the occupancy counters equal a recount; no two
+    /// valid entries with the same tag overlap. Returns a description
+    /// of the first violation found. O(capacity²) — for tests and
+    /// audits, not for the access path.
+    pub fn verify(&self) -> Result<(), String> {
+        let entry_at = |slot: usize| self.entries[slot].map(|(e, _)| e);
+        self.va_index.verify(entry_at)?;
+        self.tag_index
+            .verify(|slot| entry_at(slot).map(|e| e.asid))?;
+        if let Some(slot) =
+            (0..self.entries.len()).find(|&s| self.free.is_free(s) != self.entries[s].is_none())
+        {
+            return Err(format!(
+                "slot {slot}: the free set disagrees with the slot array (valid: {})",
+                self.entries[slot].is_some()
+            ));
+        }
+        let valid: Vec<(usize, TlbEntry)> = (0..self.entries.len())
+            .filter_map(|s| entry_at(s).map(|e| (s, e)))
+            .collect();
+        let globals = valid.iter().filter(|(_, e)| e.is_global()).count();
+        if (self.valid, self.global_valid) != (valid.len(), globals) {
+            return Err(format!(
+                "occupancy counters say {} valid / {} global, a recount {} / {globals}",
+                self.valid,
+                self.global_valid,
+                valid.len()
+            ));
+        }
+        for (i, (sa, a)) in valid.iter().enumerate() {
+            for (sb, b) in &valid[i + 1..] {
+                if a.asid == b.asid && (a.covers(b.va_base) || b.covers(a.va_base)) {
+                    return Err(format!(
+                        "slots {sa} and {sb} hold overlapping entries with tag {:?}: \
+                         {:?} at {:?} and {:?} at {:?}",
+                        a.asid, a.size, a.va_base, b.size, b.va_base
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Invalidates `slot`, unregistering it everywhere.
     fn clear_slot(&mut self, slot: usize) {
         let (entry, _) = self.entries[slot].take().expect("cleared slot is valid");
@@ -453,6 +537,13 @@ mod tests {
             pfn: Pfn::new(va >> 12),
             perms: Perms::RX,
             domain: Domain::USER,
+        }
+    }
+
+    fn sized(va: u32, asid: Option<u8>, size: PageSize) -> TlbEntry {
+        TlbEntry {
+            size,
+            ..entry(va, asid)
         }
     }
 
@@ -682,5 +773,165 @@ mod tests {
         assert_eq!((tlb.occupancy(), tlb.global_occupancy()), (1, 1));
         tlb.flush_all();
         assert_eq!((tlb.occupancy(), tlb.global_occupancy()), (0, 0));
+    }
+
+    #[test]
+    fn small_insert_replaces_the_large_entry_covering_it() {
+        for base in [0x0001_0000, 0x0001_3000] {
+            // Aligned, then a 64KB entry whose recorded base is not.
+            let mut tlb = MainTlb::new(8);
+            tlb.insert(entry(0x0009_0000, Some(1)), Asid::new(1));
+            tlb.insert(sized(base, Some(1), PageSize::Large64K), Asid::new(1));
+            tlb.insert(sized(base, Some(2), PageSize::Large64K), Asid::new(2));
+            tlb.insert(sized(base, None, PageSize::Large64K), Asid::new(1));
+            // A 4KB page in the middle of the group, far from its base:
+            // the same-tag 64KB entry goes, in place (slot 1).
+            tlb.insert(entry(0x0001_8000, Some(1)), Asid::new(1));
+            tlb.verify().unwrap();
+            assert_eq!(tlb.occupancy(), 4);
+            assert_eq!(tlb.entries[1].unwrap().0, entry(0x0001_8000, Some(1)));
+            // The other tag's entry and the global one still serve the
+            // rest of the group; for ASID 1 only the global one does.
+            let probe = |asid: u8| tlb.probe(VirtAddr::new(0x0001_F000), Asid::new(asid));
+            assert_eq!(probe(2).unwrap().asid, Some(Asid::new(2)));
+            assert_eq!(probe(1).unwrap().asid, None);
+        }
+    }
+
+    #[test]
+    fn large_insert_clears_every_small_entry_inside_it() {
+        for base in [0x0002_0000, 0x0002_5000] {
+            for tag in [Some(1), None] {
+                let mut tlb = MainTlb::new(16);
+                tlb.insert(entry(0x0001_F000, tag), Asid::new(1)); // below
+                for page in [0x0002_0000, 0x0002_7000, 0x0002_F000] {
+                    tlb.insert(entry(page, tag), Asid::new(1));
+                    tlb.insert(entry(page, Some(2)), Asid::new(2));
+                }
+                tlb.insert(entry(0x0003_0000, tag), Asid::new(1)); // above
+                let other = if tag.is_some() { None } else { Some(1) };
+                tlb.insert(entry(0x0002_7000, other), Asid::new(1));
+                assert_eq!(tlb.occupancy(), 9);
+                // None of the three small pages covers the large
+                // entry's base when that base is 0x25000.
+                tlb.insert(sized(base, tag, PageSize::Large64K), Asid::new(1));
+                tlb.verify().unwrap();
+                // Three same-tag pages inside → one slot (the first,
+                // slot 1, replaced in place); neighbours, ASID 2 and
+                // the other tag class untouched.
+                assert_eq!(tlb.occupancy(), 7, "base {base:#x} tag {tag:?}");
+                assert_eq!(tlb.entries[1].unwrap().0.size, PageSize::Large64K);
+                assert_eq!(tlb.entries[3], None);
+                assert_eq!(tlb.entries[5], None);
+                for va in [0x0001_F000, 0x0003_0000] {
+                    let hit = tlb.probe(VirtAddr::new(va), Asid::new(1)).unwrap();
+                    assert_eq!(
+                        (hit.size, hit.asid),
+                        (PageSize::Small4K, tag.map(Asid::new))
+                    );
+                }
+                for (slot, page) in [(2, 0x0002_0000), (4, 0x0002_7000), (6, 0x0002_F000)] {
+                    assert_eq!(tlb.entries[slot].unwrap().0, entry(page, Some(2)));
+                }
+                assert_eq!(tlb.entries[8].unwrap().0, entry(0x0002_7000, other));
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_scan_ignores_bucket_collisions() {
+        // Two 4KB pages of one tag that share a direct-map bucket: the
+        // second is a candidate when the first is re-inserted, and
+        // must survive it.
+        let candidates = |tlb: &MainTlb, va: u32| {
+            let mut n = 0;
+            tlb.va_index.for_covering(VirtAddr::new(va), |_| n += 1);
+            n
+        };
+        let a = 0x0000_1000;
+        let mut tlb = MainTlb::new(4);
+        tlb.insert(entry(a, Some(1)), Asid::new(1));
+        let b = (2..64u32)
+            .map(|page| page << 12)
+            .find(|&b| {
+                let mut both = tlb.clone();
+                both.insert(entry(b, Some(1)), Asid::new(1));
+                candidates(&both, a) == 2
+            })
+            .expect("eight buckets collide within a few pages");
+        tlb.insert(entry(b, Some(1)), Asid::new(1));
+        let mut updated = entry(a, Some(1));
+        updated.perms = Perms::R;
+        tlb.insert(updated, Asid::new(1));
+        tlb.verify().unwrap();
+        assert_eq!(tlb.occupancy(), 2);
+        assert_eq!(tlb.entries[0].unwrap().0, updated);
+        assert_eq!(tlb.entries[1].unwrap().0, entry(b, Some(1)));
+    }
+
+    /// A TLB with some of everything, passing `verify`.
+    fn populated() -> MainTlb {
+        let mut tlb = MainTlb::new(8);
+        tlb.insert(entry(0x1000, Some(1)), Asid::new(1));
+        tlb.insert(entry(0x2000, Some(1)), Asid::new(1));
+        tlb.insert(entry(0x3000, None), Asid::new(1));
+        tlb.insert(
+            sized(0x0004_0000, Some(2), PageSize::Large64K),
+            Asid::new(2),
+        );
+        tlb.flush_page(Asid::new(1), 0x1);
+        tlb.verify().unwrap();
+        tlb
+    }
+
+    #[test]
+    fn verify_catches_a_corrupted_link() {
+        // A valid slot missing from its tag chain.
+        let mut tlb = populated();
+        tlb.tag_index.remove(Some(Asid::new(1)), 1);
+        assert!(tlb.verify().unwrap_err().contains("tag index"));
+        // A valid slot chained in the VA map under another page.
+        let mut tlb = populated();
+        let held = tlb.entries[1].unwrap().0;
+        tlb.va_index.remove(&held, 1);
+        tlb.va_index.add(&entry(0x7000, Some(1)), 1);
+        assert!(tlb.verify().unwrap_err().contains("va index"));
+        // An invalid slot still chained.
+        let mut tlb = populated();
+        tlb.entries[2] = None;
+        assert!(tlb.verify().is_err());
+        // A valid slot the free set would hand out again.
+        let mut tlb = populated();
+        tlb.free.release(1);
+        assert!(tlb.verify().unwrap_err().contains("free set"));
+    }
+
+    #[test]
+    fn verify_catches_a_drifted_counter() {
+        let mut tlb = populated();
+        tlb.valid += 1;
+        assert!(tlb.verify().unwrap_err().contains("recount"));
+        let mut tlb = populated();
+        tlb.global_valid -= 1;
+        assert!(tlb.verify().unwrap_err().contains("recount"));
+    }
+
+    #[test]
+    fn verify_catches_a_planted_duplicate() {
+        // A same-tag 4KB entry inside the resident 64KB one, fully
+        // registered: only the overlap clause can object.
+        let mut tlb = populated();
+        let dup = entry(0x0004_5000, Some(2));
+        let slot = tlb.free.claim_lowest().unwrap();
+        tlb.entries[slot] = Some((dup, Asid::new(2)));
+        tlb.va_index.add(&dup, slot);
+        tlb.tag_index.add(dup.asid, slot);
+        tlb.valid += 1;
+        assert!(tlb.verify().unwrap_err().contains("overlapping"));
+        // The same page under another tag is no duplicate.
+        let mut tlb = populated();
+        tlb.insert(entry(0x0004_5000, Some(3)), Asid::new(3));
+        tlb.insert(entry(0x0004_5000, None), Asid::new(3));
+        tlb.verify().unwrap();
     }
 }

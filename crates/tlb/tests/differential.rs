@@ -9,6 +9,9 @@
 //! counters, and a full probe sweep must agree — i.e. the indexes are
 //! pure acceleration with zero observable behaviour change, including
 //! round-robin victim choice and first-match (minimum-slot) winners.
+//! The main TLB's own consistency check (`MainTlb::verify`) runs after
+//! every operation too, so an index that drifts from the slot array is
+//! caught at the step that broke it, not when a lookup first notices.
 
 use proptest::prelude::*;
 use sat_tlb::{MainTlb, MicroTlb, RefMainTlb, RefMicroTlb, TlbEntry};
@@ -109,6 +112,9 @@ proptest! {
             }
             prop_assert_eq!(idx.occupancy(), reference.occupancy());
             prop_assert_eq!(idx.global_occupancy(), reference.global_occupancy());
+            // The indexes, the free set and the counters agree with
+            // the slot array, and no tag holds two overlapping entries.
+            prop_assert_eq!(idx.verify(), Ok(()));
         }
         prop_assert_eq!(idx.stats(), reference.stats());
         // Full probe sweep: every (page, asid) cell agrees, so the
