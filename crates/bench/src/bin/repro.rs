@@ -70,8 +70,11 @@
 //! `--top K` slowest requests with their blame broken down by cause
 //! (exact on lossless traces: every request's charges sum to its
 //! wall). `repro diff` compares two snapshots metric by metric and
-//! exits non-zero on above-threshold regressions — the perf gate the
-//! verify skill runs against the committed `BENCH_baseline.json`.
+//! exits non-zero when a simulated metric regressed past the threshold
+//! — the gate the verify skill runs against the committed
+//! `BENCH_baseline.json`. `wall_ms` is host time: recorded and
+//! reported, never judged (host-time claims go through `satbench
+//! compare`).
 //!
 //! Independent sweep cells fan out across cores (see
 //! `sat_bench::pool`); `SAT_BENCH_THREADS=1` forces a serial run. The
@@ -112,11 +115,12 @@ struct Record {
     /// What the metrics were measured under (`mem_frames` of a
     /// budgeted cell); `repro diff` only compares equal params.
     params: BTreeMap<&'static str, u64>,
-    /// Everything `repro diff` gates: `wall_ms`, `gauge.<name>`
-    /// high-water marks over the experiment's sampling window (traced
-    /// runs), and whatever the experiment itself reports
-    /// (`latency.*`, `reclaim.*`, `translation.*` — simulated, hence
-    /// deterministic).
+    /// Everything measured: `wall_ms` (host time — `repro diff`
+    /// reports it, never judges it) and what the diff gates:
+    /// `gauge.<name>` high-water marks over the experiment's sampling
+    /// window (traced runs) and whatever the experiment itself
+    /// reports (`latency.*`, `reclaim.*`, `translation.*` — simulated,
+    /// hence deterministic).
     metrics: BTreeMap<String, f64>,
     /// Observability counters the experiment moved (traced runs).
     events: BTreeMap<String, u64>,

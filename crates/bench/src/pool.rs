@@ -15,7 +15,7 @@
 //!
 //! [`AndroidSystem`]: sat_android::AndroidSystem
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Parses a `SAT_BENCH_THREADS` value. `Ok(None)` means unset (use
 /// the machine's available parallelism); `Err` carries the warning
@@ -59,7 +59,7 @@ pub fn thread_count() -> usize {
 /// order. Otherwise workers pull jobs from a shared queue and write
 /// results back by index, so the returned `Vec` is identical to the
 /// serial run's regardless of completion order. A panicking job
-/// propagates after the scope joins, as `std::thread::scope` does.
+/// propagates, with its own message, once every worker has joined.
 pub fn run_cells<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -103,24 +103,37 @@ where
     let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().collect());
     type CellResult<T> = (T, Option<sat_obs::Recording>, std::time::Duration);
     let results: Mutex<Vec<Option<CellResult<T>>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = queue.lock().pop();
-                let Some((i, job)) = job else { break };
-                if tracing {
-                    sat_obs::install(capacity);
-                }
-                let t0 = std::time::Instant::now();
-                let out = job();
-                let elapsed = t0.elapsed();
-                let rec = if tracing { sat_obs::uninstall() } else { None };
-                results.lock()[i] = Some((out, rec, elapsed));
-            });
-        }
+    // No lock is held while a job runs, so a panicking job poisons
+    // neither mutex.
+    const UNPOISONED: &str = "no worker panics while holding a pool lock";
+    let panicked = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let job = queue.lock().expect(UNPOISONED).pop();
+                    let Some((i, job)) = job else { break };
+                    if tracing {
+                        sat_obs::install(capacity);
+                    }
+                    let t0 = std::time::Instant::now();
+                    let out = job();
+                    let elapsed = t0.elapsed();
+                    let rec = if tracing { sat_obs::uninstall() } else { None };
+                    results.lock().expect(UNPOISONED)[i] = Some((out, rec, elapsed));
+                })
+            })
+            .collect();
+        // Every worker is joined by hand (`last` drains the iterator):
+        // the scope's implicit join would replace a job's panic
+        // message with "a scoped thread panicked".
+        handles.into_iter().filter_map(|h| h.join().err()).last()
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     results
         .into_inner()
+        .expect(UNPOISONED)
         .into_iter()
         .enumerate()
         .map(|(i, r)| {
@@ -186,6 +199,18 @@ mod tests {
             .collect();
         let got = run_cells_with(4, jobs);
         assert_eq!(got, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    /// A panicking cell surfaces its own message on the threaded path —
+    /// not a `PoisonError` from a pool lock, not the scope's generic
+    /// "a scoped thread panicked" — while the other cells still run.
+    #[test]
+    #[should_panic(expected = "cell 5 exploded")]
+    fn panicking_cell_surfaces_its_own_message() {
+        let jobs: Vec<_> = (0..16)
+            .map(|i| move || assert!(i != 5, "cell {i} exploded"))
+            .collect();
+        run_cells_with(4, jobs);
     }
 
     #[test]

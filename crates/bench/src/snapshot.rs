@@ -3,22 +3,26 @@
 //!
 //! A snapshot is a list of records, one per timed experiment, plus one
 //! run-wide record. Every record has the same shape: a `params` object
-//! (what the numbers were measured *under* — a frame budget, the
-//! command and scale) and one flat `metrics` map (what was measured —
-//! `wall_ms`, `latency.p99`, `reclaim.pages`,
+//! (what the numbers were measured *under* — a frame budget, the run's
+//! scale and worker count) and one flat `metrics` map (what was
+//! measured — `wall_ms`, `latency.p99`, `reclaim.pages`,
 //! `translation.waste_frames`, `gauge.<name>`, `counter.<name>`, ...).
 //! Two records are comparable when their params are equal; comparable
 //! records are compared key by key, under the floors in `RULES`. A
 //! new metric family is one map insert where it is measured and, if it
 //! wants a noise floor, one `RULES` row — never a schema bump.
 //!
-//! `repro diff old.json new.json` is the perf-regression gate: the
-//! verify smoke compares a fresh `repro all --quick` snapshot against
-//! the committed `BENCH_baseline.json` and fails loudly when a metric
-//! grows past the threshold. Everything but `wall_ms` is deterministic
-//! for a given command and scale, so *any* above-threshold growth
-//! there means the simulator started doing more work — that is either
-//! a bug or an intentional change that must refresh the baseline.
+//! `repro diff old.json new.json` is the regression gate for
+//! *simulated* behaviour: the verify smoke compares a fresh `repro all
+//! --quick` snapshot against the committed `BENCH_baseline.json` and
+//! fails loudly when a metric grows past the threshold. Every gated
+//! metric is deterministic for a given command, scale and worker
+//! count, so *any* growth there means the simulator started doing more
+//! work — that is either a bug or an intentional change that must
+//! refresh the baseline. `wall_ms` is host time: the snapshot records
+//! it and the diff reports its movement as a note, but it never
+//! decides the verdict — host-time claims go through `satbench
+//! compare` (`benchmark/`) and its pairs rule.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -37,10 +41,7 @@ const RUN: &str = "total";
 /// The gate rules: a metric whose key starts with the prefix never
 /// gates while both snapshots are below the floor (first match wins;
 /// a metric no row matches gates at any magnitude).
-const RULES: [(&str, f64); 6] = [
-    // Scheduler noise dominates short cells: a 25% swing of 10ms
-    // means nothing.
-    ("wall_ms", 25.0),
+const RULES: [(&str, f64); 5] = [
     // A handful of events swinging 25% is noise, not a signal.
     ("counter.", 100.0),
     // A tiny occupancy doubling is noise, a big one is a leak.
@@ -55,6 +56,10 @@ const RULES: [(&str, f64); 6] = [
     // exactly what this family exists to catch.
     ("translation.", 8.0),
 ];
+
+/// The one host-time metric: wall clock swings with the machine, not
+/// with the program, so its movement is reported and never judged.
+const HOST_TIME: &str = "wall_ms";
 
 fn floor_of(key: &str) -> f64 {
     RULES
@@ -78,9 +83,9 @@ pub struct Record {
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub experiments: BTreeMap<String, Record>,
-    /// The run-wide record: params `command`/`scale`/`traced`, metrics
-    /// `wall_ms` (the total) and one `counter.<name>` per event counter
-    /// of a traced run.
+    /// The run-wide record: params `command`/`scale`/`threads`/`traced`,
+    /// metrics `wall_ms` (the total) and one `counter.<name>` per event
+    /// counter of a traced run.
     pub run: Record,
 }
 
@@ -121,6 +126,15 @@ impl Snapshot {
             Json::Num(n) => n.to_string(),
             other => format!("{other:?}"),
         };
+        // What every number of the run was measured under: workload
+        // sizes follow the scale and gauge high-waters the worker
+        // count, so both go into each record's params and decide its
+        // comparability. (The command does not: `table4` is the same
+        // experiment under `all` and on its own.)
+        let mut run_params = BTreeMap::new();
+        for key in ["scale", "threads"] {
+            run_params.insert(key.to_string(), text_of(field(key)?));
+        }
         let mut experiments = BTreeMap::new();
         for exp in field("experiments")?
             .as_array()
@@ -139,6 +153,7 @@ impl Snapshot {
                         .into_iter()
                         .flatten()
                         .map(|(k, v)| (k.clone(), text_of(v)))
+                        .chain(run_params.clone())
                         .collect(),
                     metrics: numbers(exp.get("metrics"), ""),
                 },
@@ -148,12 +163,12 @@ impl Snapshot {
         let traced = obs.get("enabled").and_then(Json::as_bool).unwrap_or(false);
         let mut run = Record {
             cells: 0,
-            params: BTreeMap::from([("traced".to_string(), traced.to_string())]),
+            params: run_params,
             metrics: numbers(obs.get("counters"), "counter."),
         };
-        for key in ["command", "scale"] {
-            run.params.insert(key.to_string(), text_of(field(key)?));
-        }
+        run.params.insert("traced".to_string(), traced.to_string());
+        run.params
+            .insert("command".to_string(), text_of(field("command")?));
         run.metrics.insert(
             "wall_ms".to_string(),
             field("total_wall_ms")?.as_f64().unwrap_or(0.0),
@@ -191,7 +206,9 @@ pub enum DiffClass {
 #[derive(Clone, Debug, Default)]
 pub struct DiffReport {
     pub lines: Vec<(DiffClass, String)>,
-    /// Records and metrics compared (regardless of outcome).
+    /// Metrics found on both sides of a comparable record pair,
+    /// whatever the outcome (`wall_ms` included: compared and
+    /// reported, never judged). Zero when every record was skipped.
     pub compared: usize,
 }
 
@@ -238,31 +255,38 @@ fn pct_change(old: f64, new: f64) -> f64 {
 
 /// Compares two snapshots record by record, metric by metric.
 ///
-/// An experiment that vanished between runs of the *same* command is a
-/// regression (when the commands differ the experiment lists are
+/// An experiment that vanished between runs of the *same* command and
+/// scale is a regression (when either differs the experiment lists are
 /// expected to differ, so it is informational). Records whose params
-/// differ — another frame budget, another command or scale, traced vs
-/// untraced — are noted and not compared. Within comparable records
-/// one rule covers every metric, `wall_ms` and the run-wide counters
-/// included: growth beyond `threshold_pct` is a regression, shrinkage
-/// an improvement, unless both sides sit below the family's floor in
-/// `RULES`, where growth is only noted. A metric the new record lost
-/// is a note, never silent.
+/// differ — another frame budget, scale or worker count; for the
+/// run-wide record also another command, or traced vs untraced — are
+/// noted and not compared. Within comparable records one rule covers
+/// every simulated metric, the run-wide counters included: growth
+/// beyond `threshold_pct` is a regression, shrinkage an improvement,
+/// unless both sides sit below the family's floor in `RULES`, where
+/// growth is only noted. `wall_ms` moving beyond the threshold, either
+/// way, is a note marked as host time. A metric the new record lost is
+/// a note, never silent.
 pub fn diff(old: &Snapshot, new: &Snapshot, threshold_pct: f64) -> DiffReport {
     let mut report = DiffReport::default();
     let mut emit = |class, line: String| report.lines.push((class, line));
 
+    let same_list = ["command", "scale"]
+        .iter()
+        .all(|key| old.param(key) == new.param(key));
     let mut pairs: Vec<(&str, &Record, &Record)> = Vec::new();
     for (name, old_rec) in &old.experiments {
         match new.experiments.get(name) {
             Some(new_rec) => pairs.push((name, old_rec, new_rec)),
-            None if old.command() == new.command() => emit(
+            None if same_list => emit(
                 DiffClass::Regression,
                 format!("experiment \"{name}\" missing from the new snapshot"),
             ),
             None => emit(
                 DiffClass::Note,
-                format!("experiment \"{name}\" not in the new snapshot (different command)"),
+                format!(
+                    "experiment \"{name}\" not in the new snapshot (different command or scale)"
+                ),
             ),
         }
     }
@@ -276,7 +300,7 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold_pct: f64) -> DiffReport {
     }
     pairs.push((RUN, &old.run, &new.run));
 
-    let mut compared = old.experiments.len();
+    let mut compared = 0;
     for (name, old_rec, new_rec) in pairs {
         if old_rec.cells != new_rec.cells {
             emit(
@@ -303,10 +327,19 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold_pct: f64) -> DiffReport {
                 continue;
             };
             compared += 1;
-            let floor = floor_of(key);
-            let gates = old_v.max(new_v) >= floor;
             let change = pct_change(old_v, new_v);
             let line = format!("{name}.{key}: {old_v} -> {new_v} ({change:+.1}%)");
+            if key == HOST_TIME {
+                if change.abs() > threshold_pct {
+                    emit(
+                        DiffClass::Note,
+                        format!("{line} — host time, reported not judged"),
+                    );
+                }
+                continue;
+            }
+            let floor = floor_of(key);
+            let gates = old_v.max(new_v) >= floor;
             if change > threshold_pct && gates {
                 emit(DiffClass::Regression, line);
             } else if change > threshold_pct {
@@ -482,11 +515,10 @@ mod tests {
 
     type Rec<'a> = (&'a str, &'a [(&'a str, u64)], &'a [(&'a str, f64)]);
 
-    /// The one fixture builder: a traced `all --quick` snapshot with
-    /// the given `(name, params, metrics)` records, run-wide counters,
-    /// and total wall time — rendered as JSON and parsed back, so every
-    /// test also exercises `Snapshot::parse`.
-    fn snap(records: &[Rec], counters: &[(&str, f64)], total_wall_ms: f64) -> Snapshot {
+    /// The one fixture builder: a traced 4-thread `all --quick`
+    /// snapshot with the given `(name, params, metrics)` records,
+    /// run-wide counters, and total wall time, as JSON.
+    fn snap_json(records: &[Rec], counters: &[(&str, f64)], total_wall_ms: f64) -> String {
         fn map<V: std::fmt::Display>(pairs: &[(&str, V)]) -> String {
             let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
             format!("{{{}}}", body.join(", "))
@@ -502,15 +534,20 @@ mod tests {
                 )
             })
             .collect();
-        let text = format!(
+        format!(
             "{{\"schema\": \"{SCHEMA}\", \"command\": \"all\", \"scale\": \"quick\", \
              \"threads\": 4, \"experiments\": [{}], \"total_wall_ms\": {total_wall_ms}, \
              \"obs\": {{\"enabled\": true, \"dropped_events\": 0, \"counters\": {}, \
              \"histograms\": {{}}}}}}",
             records.join(", "),
             map(counters)
-        );
-        Snapshot::parse(&text, "test").unwrap()
+        )
+    }
+
+    /// [`snap_json`] parsed back, so every test also exercises
+    /// `Snapshot::parse`.
+    fn snap(records: &[Rec], counters: &[(&str, f64)], total_wall_ms: f64) -> Snapshot {
+        Snapshot::parse(&snap_json(records, counters, total_wall_ms), "test").unwrap()
     }
 
     /// Two experiments and one big, one tiny counter.
@@ -537,8 +574,7 @@ mod tests {
     type Case = (&'static str, f64, f64, &'static [(&'static str, u64)]);
 
     /// One case per [`RULES`] row.
-    const CASES: [Case; 6] = [
-        ("wall_ms", 100.0, 10.0, &[]),
+    const CASES: [Case; 5] = [
         ("counter.tlb.flush", 5000.0, 3.0, &[]),
         ("gauge.phys.slab.live", 1000.0, 3.0, &[]),
         ("latency.p99", 120_000.0, 500.0, &[]),
@@ -606,37 +642,49 @@ mod tests {
         let a = suite(100.0, 150.0, 5000.0);
         let report = diff(&a, &a, 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(report.compared >= 4);
+        // Two records' `wall_ms`, the total's, and two counters.
+        assert_eq!(report.compared, 5);
     }
 
+    /// Host time is reported, never judged: `wall_ms` doctored past
+    /// the threshold, up or down, on a record and on the total, is a
+    /// note and no verdict. (The name dates from when it gated.)
     #[test]
     fn doctored_wall_time_regresses() {
-        gate_case("wall_ms");
-        // The total gates under the same rule as every record.
-        let report = diff(
-            &suite(100.0, 150.0, 5000.0),
-            &suite(150.0, 210.0, 5000.0),
-            25.0,
-        );
-        assert_eq!(report.regressions(), 2, "{:?}", report.lines);
-        assert!(has(&report, DiffClass::Regression, &["launch.wall_ms"]));
-        assert!(has(&report, DiffClass::Regression, &["total.wall_ms"]));
+        let fast = suite(100.0, 150.0, 5000.0);
+        let slow = suite(150.0, 210.0, 5000.0);
+        for (old, new, lines) in [(&fast, &slow, 2), (&slow, &fast, 2), (&fast, &fast, 0)] {
+            let report = diff(old, new, 25.0);
+            assert_eq!(report.lines.len(), lines, "{:?}", report.lines);
+            for (class, line) in &report.lines {
+                assert_eq!(*class, DiffClass::Note, "{line}");
+                assert!(line.contains(".wall_ms: "), "{line}");
+                assert!(line.contains("host time"), "{line}");
+            }
+            assert_eq!(report.compared, 5);
+        }
+        let rendered = diff(&fast, &slow, 25.0).render(25.0);
+        assert!(!rendered.contains("REGRESSION"), "{rendered}");
+        assert!(!rendered.contains("improvement"), "{rendered}");
+        assert!(rendered.contains("5 metrics compared, 0 regression(s)"));
     }
 
+    /// `wall_ms` has no floor because it has no verdict: a 20ms cell
+    /// growing to 400ms is a host-time note like any other movement.
+    /// (The name dates from when it gated.)
     #[test]
     fn sub_floor_wall_growing_past_the_floor_regresses() {
-        // A floor excuses movement only while *both* sides sit under
-        // it: a 20ms cell growing to 400ms is no longer noise.
         let report = diff(
             &suite(20.0, 150.0, 5000.0),
             &suite(400.0, 150.0, 5000.0),
             25.0,
         );
-        assert_eq!(report.regressions(), 1, "{:?}", report.lines);
+        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        assert_eq!(report.lines.len(), 1, "{:?}", report.lines);
         assert!(has(
             &report,
-            DiffClass::Regression,
-            &["launch.wall_ms: 20 -> 400"]
+            DiffClass::Note,
+            &["launch.wall_ms: 20 -> 400", "host time"]
         ));
     }
 
@@ -647,16 +695,15 @@ mod tests {
 
     #[test]
     fn sub_floor_metrics_never_gate() {
-        // launch at 10ms (below the 25ms floor) doubling is a note,
-        // and so is tiny.counter (3 -> 6).
-        let old = suite(10.0, 150.0, 5000.0);
-        let mut new = suite(20.0, 150.0, 5000.0);
+        // tiny.counter doubling (3 -> 6, under the 100-event floor) is
+        // a note.
+        let old = suite(100.0, 150.0, 5000.0);
+        let mut new = old.clone();
         new.run
             .metrics
             .insert("counter.tiny.counter".to_string(), 6.0);
         let report = diff(&old, &new, 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-        assert!(has(&report, DiffClass::Note, &["launch.wall_ms", "floor"]));
         assert!(has(&report, DiffClass::Note, &["tiny.counter", "floor"]));
     }
 
@@ -677,6 +724,8 @@ mod tests {
         );
         let report = diff(&old, &rec(&[], &[]), 25.0);
         assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        // Only the total's `wall_ms` is on both sides.
+        assert_eq!(report.compared, 1);
         for key in [
             "cell.gauge.phys.slab.live",
             "cell.reclaim.pages",
@@ -731,18 +780,18 @@ mod tests {
 
     #[test]
     fn fleet_regression_at_one_n_is_not_masked_by_the_aggregate() {
-        // The fleet grid writes one record per N. A 2x wall-time blowup
-        // at N=4096 with every other cell *faster* keeps the aggregate
-        // total inside the threshold — the per-N record must still fail
-        // the gate on its own.
+        // The fleet grid writes one record per N. A 2x blowup of the
+        // PTP high-water at N=4096 with every other cell *smaller*
+        // keeps the run-wide allocation counter inside the threshold —
+        // the per-N record must still fail the gate on its own.
         let fleet = |n256: f64, n4096: f64, total: f64| {
             snap(
                 &[
-                    ("fleet_n256", &[], &[("wall_ms", n256)]),
-                    ("fleet_n4096", &[], &[("wall_ms", n4096)]),
+                    ("fleet_n256", &[], &[("gauge.phys.slab.live", n256)]),
+                    ("fleet_n4096", &[], &[("gauge.phys.slab.live", n4096)]),
                 ],
-                &[],
-                total,
+                &[("mmu.ptp_alloc", total)],
+                100.0,
             )
         };
         let old = fleet(400.0, 400.0, 800.0);
@@ -793,6 +842,75 @@ mod tests {
             &["pressure_shared_starved.params", "mem_frames", "900", "600"]
         ));
         assert!(!report.lines.iter().any(|(_, l)| l.contains("reclaim")));
+        // The skipped record's metrics are not counted as work done.
+        assert_eq!(report.compared, 1);
+    }
+
+    #[test]
+    fn scale_and_threads_decide_comparability_for_every_record() {
+        // `scale` and `threads` are written once per run, but sizes
+        // follow the one and gauge high-waters the other: a snapshot
+        // that differs in either compares nothing — not the records,
+        // not the total — says why per record, and passes.
+        let text = snap_json(
+            &[
+                ("table4", &[], &[("wall_ms", 50.0)]),
+                (
+                    "serve_stock",
+                    &[],
+                    &[("gauge.registry.sharers", 53.0), ("latency.p99", 2e5)],
+                ),
+            ],
+            &[("tlb.flush", 5000.0)],
+            100.0,
+        );
+        let doctored = text
+            .replace("\"wall_ms\": 50", "\"wall_ms\": 160")
+            .replace(
+                "\"gauge.registry.sharers\": 53",
+                "\"gauge.registry.sharers\": 901",
+            )
+            .replace("\"tlb.flush\": 5000", "\"tlb.flush\": 9000");
+        let old = Snapshot::parse(&text, "old").unwrap();
+        assert_eq!(old.experiments["table4"].params["scale"], "quick");
+        assert_eq!(old.experiments["table4"].params["threads"], "4");
+        for (field, other, shown) in [
+            ("\"scale\": \"quick\"", "\"scale\": \"paper\"", "paper"),
+            ("\"threads\": 4", "\"threads\": 2", "\"2\""),
+        ] {
+            let new = Snapshot::parse(&doctored.replace(field, other), "new").unwrap();
+            let report = diff(&old, &new, 25.0);
+            assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+            assert_eq!(report.compared, 0, "{:?}", report.lines);
+            assert_eq!(report.lines.len(), 3, "{:?}", report.lines);
+            for name in ["table4", "serve_stock", RUN] {
+                let params = format!("{name}.params");
+                assert!(
+                    has(&report, DiffClass::Note, &[&params, shown, "not compared"]),
+                    "{name}: {:?}",
+                    report.lines
+                );
+            }
+            assert!(report.render(25.0).contains("0 metrics compared"));
+        }
+        // The same doctoring at equal scale and threads does gate.
+        let new = Snapshot::parse(&doctored, "new").unwrap();
+        assert_eq!(diff(&old, &new, 25.0).regressions(), 2);
+    }
+
+    #[test]
+    fn another_scale_excuses_a_missing_experiment() {
+        // The fleet grid names its records per N and the Ns follow the
+        // scale: quick's `fleet_n64` is absent from a paper run.
+        let old = suite(100.0, 150.0, 5000.0);
+        let mut new = old.clone();
+        new.experiments.remove("steady");
+        new.run
+            .params
+            .insert("scale".to_string(), "paper".to_string());
+        let report = diff(&old, &new, 25.0);
+        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        assert!(has(&report, DiffClass::Note, &["steady", "or scale"]));
     }
 
     #[test]

@@ -149,6 +149,50 @@ fn note_demote(
     }
 }
 
+/// The fault-handling context of `mm` under `config`: with TLB sharing
+/// on, a zygote-like process's PTEs are global and live in the zygote
+/// domain (Section 3.2.2).
+fn fault_ctx(config: &KernelConfig, mm: &Mm) -> FaultCtx {
+    let shared = config.share_tlb && mm.is_zygote_like();
+    FaultCtx {
+        mark_global: shared,
+        domain: if shared { Domain::ZYGOTE } else { Domain::USER },
+    }
+}
+
+/// Emits a region operation's [`sat_obs::Payload::RegionOp`] event.
+fn emit_region_op(
+    pid: Pid,
+    asid: Asid,
+    op: sat_obs::RegionOpKind,
+    va: VirtAddr,
+    pages: u32,
+    unshared: u64,
+) {
+    if sat_obs::enabled() {
+        sat_obs::emit(
+            sat_obs::Subsystem::Kernel,
+            pid.raw(),
+            asid.raw(),
+            sat_obs::Payload::RegionOp {
+                op,
+                va: va.raw(),
+                pages,
+                unshared,
+            },
+        );
+    }
+}
+
+/// What [`Kernel::change_region`] does to the range once its shared
+/// PTPs are private.
+enum RegionChange {
+    /// `munmap(2)` (Section 3.1.2 case 4).
+    Unmap,
+    /// `mprotect(2)` to these permissions (case 2).
+    Protect(Perms),
+}
+
 /// What a fork did, merged across the sharing and copying paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ForkOutcome {
@@ -447,20 +491,6 @@ impl Kernel {
         }
     }
 
-    /// The fault-handling context for a process under the current
-    /// configuration.
-    pub fn fault_ctx(&self, mm: &Mm) -> FaultCtx {
-        let zygote_like = mm.is_zygote_like();
-        FaultCtx {
-            mark_global: self.config.share_tlb && zygote_like,
-            domain: if self.config.share_tlb && zygote_like {
-                Domain::ZYGOTE
-            } else {
-                Domain::USER
-            },
-        }
-    }
-
     /// `mmap(2)`: maps a region, eagerly unsharing any shared PTP in
     /// its range (Section 3.1.2 case 3) and — for the zygote mapping
     /// library code under TLB sharing — marking the region global
@@ -474,31 +504,18 @@ impl Kernel {
         // Allocation pressure check before the map materializes
         // anything (no-op without a frame budget).
         self.maybe_reclaim(tlb);
-        let config = self.config;
         let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
-        let asid = mm.asid.raw();
+        let asid = mm.asid;
         let addr = vm_mmap(mm, req)?;
         let len = req.len.div_ceil(sat_types::PAGE_SIZE) * sat_types::PAGE_SIZE;
-        let range = VaRange::from_len(addr, len);
         // Gather the operation's TLB maintenance (the freshly mapped
         // pages held no translations, so only unsharing contributes)
         // and resolve it once at the end.
-        let mut batch = FlushBatch::new(pid, mm.asid);
-        let mut unshared = 0;
-        if config.share_ptp {
-            unshared = unshare_range(
-                mm,
-                &mut self.ptps,
-                &mut self.phys,
-                &mut self.registry,
-                range,
-                &config,
-                &mut batch,
-                UnshareTrigger::NewRegion,
-            )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
-        }
-        if config.share_tlb
+        let mut batch = FlushBatch::new(pid, asid);
+        let range = VaRange::from_len(addr, len);
+        let unshared = self.unshare_region(pid, range, UnshareTrigger::NewRegion, &mut batch)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+        if self.config.share_tlb
             && mm.is_zygote
             && matches!(req.backing, Backing::File { .. })
             && req.perms.execute()
@@ -508,19 +525,8 @@ impl Kernel {
             }
         }
         batch.apply(tlb);
-        if sat_obs::enabled() {
-            sat_obs::emit(
-                sat_obs::Subsystem::Kernel,
-                pid.raw(),
-                asid,
-                sat_obs::Payload::RegionOp {
-                    op: sat_obs::RegionOpKind::Mmap,
-                    va: addr.raw(),
-                    pages: len / sat_types::PAGE_SIZE,
-                    unshared,
-                },
-            );
-        }
+        let op = sat_obs::RegionOpKind::Mmap;
+        emit_region_op(pid, asid, op, addr, len / sat_types::PAGE_SIZE, unshared);
         Ok(addr)
     }
 
@@ -532,74 +538,7 @@ impl Kernel {
         range: VaRange,
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<usize> {
-        let config = self.config;
-        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
-        let asid = mm.asid;
-        let mut batch = FlushBatch::new(pid, asid);
-        // Checked before vm_munmap removes the VMAs: a region carrying
-        // global (zygote library) translations needs a machine-wide
-        // flush — ASID-scoped maintenance cannot evict global entries.
-        let any_global = mm.vmas_overlapping(range).any(|v| v.global);
-        let mut unshared = 0;
-        if config.share_ptp {
-            unshared = unshare_range(
-                mm,
-                &mut self.ptps,
-                &mut self.phys,
-                &mut self.registry,
-                range,
-                &config,
-                &mut batch,
-                UnshareTrigger::RegionFree,
-            )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
-        }
-        // A partial unmap cutting through a large page or section must
-        // split it first (the vm layer repeats this defensively, but
-        // splitting here attributes the event and the size-tagged
-        // flush). Wholly covered large mappings stay intact — the zap
-        // below releases them exactly.
-        for (va, size) in demote_range(mm, &mut self.ptps, &mut self.phys, range)? {
-            note_demote(
-                &mut self.stats,
-                pid,
-                asid,
-                va,
-                size,
-                sat_obs::DemoteCause::Munmap,
-                &mut batch,
-            );
-        }
-        let cleared = vm_munmap(mm, &mut self.ptps, &mut self.phys, range)?;
-        // The unmapped translations must not survive (Linux's
-        // flush_tlb_range on the munmap path). Eager unsharing means
-        // no other address space holds a PTE that this unmap changed,
-        // so the flush is scoped to the operating ASID — except when
-        // the region was global.
-        if any_global {
-            batch.global(sat_obs::FlushReason::RegionOp);
-        } else {
-            batch.range(
-                asid,
-                VpnRange::from_va_range(&range),
-                sat_obs::FlushReason::RegionOp,
-            );
-        }
-        batch.apply(tlb);
-        if sat_obs::enabled() {
-            sat_obs::emit(
-                sat_obs::Subsystem::Kernel,
-                pid.raw(),
-                asid.raw(),
-                sat_obs::Payload::RegionOp {
-                    op: sat_obs::RegionOpKind::Munmap,
-                    va: range.start.raw(),
-                    pages: range.pages().count() as u32,
-                    unshared,
-                },
-            );
-        }
-        Ok(cleared)
+        self.change_region(pid, range, RegionChange::Unmap, tlb)
     }
 
     /// `mprotect(2)`: unshares affected PTPs (case 2), then applies
@@ -611,44 +550,94 @@ impl Kernel {
         perms: Perms,
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<()> {
+        self.change_region(pid, range, RegionChange::Protect(perms), tlb)
+            .map(|_| ())
+    }
+
+    /// The eager unshare every region operation starts with (Section
+    /// 3.1.2 cases 2-4): no PTP that `range` touches stays shared, so
+    /// the operation that follows changes only `pid`'s own tables.
+    /// Returns the PTPs unshared (0 without PTP sharing) and mirrors
+    /// the registry's by-cause counters.
+    fn unshare_region(
+        &mut self,
+        pid: Pid,
+        range: VaRange,
+        trigger: UnshareTrigger,
+        batch: &mut FlushBatch,
+    ) -> SatResult<u64> {
         let config = self.config;
+        if !config.share_ptp {
+            return Ok(0);
+        }
         let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
-        let asid = mm.asid;
-        let mut batch = FlushBatch::new(pid, asid);
-        let any_global = mm.vmas_overlapping(range).any(|v| v.global);
-        let mut unshared = 0;
-        if config.share_ptp {
-            unshared = unshare_range(
-                mm,
-                &mut self.ptps,
-                &mut self.phys,
-                &mut self.registry,
-                range,
-                &config,
-                &mut batch,
+        let unshared = unshare_range(
+            mm,
+            &mut self.ptps,
+            &mut self.phys,
+            &mut self.registry,
+            range,
+            &config,
+            batch,
+            trigger,
+        )?;
+        self.stats.mirror_share(&self.registry.stats);
+        Ok(unshared as u64)
+    }
+
+    /// The one path of `munmap` and `mprotect`: unshare, split the
+    /// large mappings the range cuts through, apply the stock
+    /// operation, flush. Returns the PTEs an unmap cleared (0 for a
+    /// protection change).
+    fn change_region(
+        &mut self,
+        pid: Pid,
+        range: VaRange,
+        change: RegionChange,
+        tlb: &mut dyn TlbMaintenance,
+    ) -> SatResult<usize> {
+        let (trigger, cause, op) = match change {
+            RegionChange::Unmap => (
+                UnshareTrigger::RegionFree,
+                sat_obs::DemoteCause::Munmap,
+                sat_obs::RegionOpKind::Munmap,
+            ),
+            RegionChange::Protect(_) => (
                 UnshareTrigger::RegionOp,
-            )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
-        }
-        // As for munmap: a protection change over *part* of a large
-        // mapping splits it (a whole-group change stays uniform and
-        // keeps the wide descriptor).
-        for (va, size) in demote_range(mm, &mut self.ptps, &mut self.phys, range)? {
-            note_demote(
-                &mut self.stats,
-                pid,
-                asid,
-                va,
-                size,
                 sat_obs::DemoteCause::Mprotect,
-                &mut batch,
-            );
+                sat_obs::RegionOpKind::Mprotect,
+            ),
+        };
+        let mm = self.mm(pid)?;
+        let asid = mm.asid;
+        // Checked before an unmap removes the VMAs: a region carrying
+        // global (zygote library) translations needs a machine-wide
+        // flush — ASID-scoped maintenance cannot evict global entries.
+        let any_global = mm.vmas_overlapping(range).any(|v| v.global);
+        let mut batch = FlushBatch::new(pid, asid);
+        let unshared = self.unshare_region(pid, range, trigger, &mut batch)?;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+        // An operation over *part* of a large page or section must
+        // split it first (the vm layer repeats this defensively, but
+        // splitting here attributes the event and the size-tagged
+        // flush). Wholly covered large mappings stay intact: an unmap
+        // releases them exactly, a protection change stays uniform and
+        // keeps the wide descriptor.
+        for (va, size) in demote_range(mm, &mut self.ptps, &mut self.phys, range)? {
+            note_demote(&mut self.stats, pid, asid, va, size, cause, &mut batch);
         }
-        vm_mprotect(mm, &mut self.ptps, &mut self.phys, range, perms)?;
-        // Old (possibly more-permissive) translations must be evicted
-        // (Linux's flush_tlb_range on the mprotect path); as for
-        // munmap, unsharing is eager so only the operating ASID — and
-        // globals, when the region is global — can be stale.
+        let cleared = match change {
+            RegionChange::Unmap => vm_munmap(mm, &mut self.ptps, &mut self.phys, range)?,
+            RegionChange::Protect(perms) => {
+                vm_mprotect(mm, &mut self.ptps, &mut self.phys, range, perms)?;
+                0
+            }
+        };
+        // The unmapped or (possibly more-permissive) old translations
+        // must not survive (Linux's flush_tlb_range on both paths).
+        // Eager unsharing means no other address space holds a PTE
+        // that this operation changed, so the flush is scoped to the
+        // operating ASID — except when the region was global.
         if any_global {
             batch.global(sat_obs::FlushReason::RegionOp);
         } else {
@@ -659,20 +648,9 @@ impl Kernel {
             );
         }
         batch.apply(tlb);
-        if sat_obs::enabled() {
-            sat_obs::emit(
-                sat_obs::Subsystem::Kernel,
-                pid.raw(),
-                asid.raw(),
-                sat_obs::Payload::RegionOp {
-                    op: sat_obs::RegionOpKind::Mprotect,
-                    va: range.start.raw(),
-                    pages: range.pages().count() as u32,
-                    unshared,
-                },
-            );
-        }
-        Ok(())
+        let pages = range.page_count() as u32;
+        emit_region_op(pid, asid, op, range.start, pages, unshared);
+        Ok(cleared)
     }
 
     /// Handles a page fault. A *write* fault whose address falls in a
@@ -710,15 +688,7 @@ impl Kernel {
             unshare_ptes_copied = r.ptes_copied;
             self.stats.mirror_share(&self.registry.stats);
         }
-        let zygote_like = mm.is_zygote_like();
-        let ctx = FaultCtx {
-            mark_global: config.share_tlb && zygote_like,
-            domain: if config.share_tlb && zygote_like {
-                Domain::ZYGOTE
-            } else {
-                Domain::USER
-            },
-        };
+        let ctx = fault_ctx(&config, mm);
         let asid = mm.asid;
         let vm = handle_fault(mm, &mut self.ptps, &mut self.phys, va, access, ctx)?;
         // A write-protect fault that landed on one slot of a large
@@ -746,17 +716,8 @@ impl Kernel {
 
     /// Pre-faults `range` in `pid` (used by the zygote preload).
     pub fn populate(&mut self, pid: Pid, range: VaRange) -> SatResult<usize> {
-        let config = self.config;
         let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
-        let zygote_like = mm.is_zygote_like();
-        let ctx = FaultCtx {
-            mark_global: config.share_tlb && zygote_like,
-            domain: if config.share_tlb && zygote_like {
-                Domain::ZYGOTE
-            } else {
-                Domain::USER
-            },
-        };
+        let ctx = fault_ctx(&self.config, mm);
         populate(mm, &mut self.ptps, &mut self.phys, range, ctx)
     }
 

@@ -20,7 +20,8 @@
 //! With no recorder installed — the default on every thread —
 //! [`enabled`] is a single thread-local `Cell<bool>` read: one
 //! branch-predictable test, no allocation, no payload construction.
-//! The `tlb_hot_path` bench's `obs_overhead` groups measure this.
+//! `satbench`'s probes time instrumented code with no recorder
+//! installed, and `probe.obs.emit_disabled_ns` prices the test alone.
 //!
 //! # Threads
 //!

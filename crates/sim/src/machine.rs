@@ -360,6 +360,14 @@ impl Machine {
         f(&mut self.kernel, &mut view)
     }
 
+    /// Charges `core` for the machine-wide non-global flush an ASID
+    /// rollover deferred to it.
+    fn charge_rollover_flush(&mut self, core: usize) {
+        let cycles = self.model.asid_rollover;
+        self.cores[core].stats.cycles += cycles;
+        sat_obs::charge(core, sat_obs::ChargeCause::RolloverFlush, cycles);
+    }
+
     /// Schedules `pid` on `core`, performing the architectural
     /// context-switch work: micro-TLB flush, DACR/ASID reload, and —
     /// per configuration — a full main-TLB flush (no ASIDs, or the
@@ -382,23 +390,9 @@ impl Machine {
         // again.
         let rollovers_before = self.kernel.stats.asid_rollovers;
         let flush_was_pending = self.kernel.rollover_flush_pending();
-        {
-            let ipi_cost = self.model.ipi;
-            let (cores, kernel) = (&mut self.cores, &mut self.kernel);
-            let mut view = MachineTlbView {
-                cores,
-                ipi_cost,
-                initiator: Some(core),
-            };
-            kernel.ensure_current_asid(pid, &mut view)?;
-        }
+        self.syscall_on(core, |kernel, tlb| kernel.ensure_current_asid(pid, tlb))?;
         if flush_was_pending || self.kernel.stats.asid_rollovers > rollovers_before {
-            self.cores[core].stats.cycles += self.model.asid_rollover;
-            sat_obs::charge(
-                core,
-                sat_obs::ChargeCause::RolloverFlush,
-                self.model.asid_rollover,
-            );
+            self.charge_rollover_flush(core);
         }
         // The allocator reserves the ASIDs of on-core processes at
         // rollover time.
@@ -570,7 +564,6 @@ impl Machine {
         // stale (possibly rolled over by this very fork), the
         // rollover flush covers its entries — flushing the raw value
         // would only hit a same-valued new-generation process.
-        let ipi_cost = self.model.ipi;
         if !protected.is_empty() && !self.kernel.asid_is_stale(parent) {
             let parent_asid = self.kernel.mm(parent)?.asid;
             // No escalation ceiling here: the spans are exactly the
@@ -582,31 +575,15 @@ impl Machine {
             for r in protected {
                 batch.range(parent_asid, r, sat_obs::FlushReason::Fork);
             }
-            let mut view = MachineTlbView {
-                cores: &mut self.cores,
-                ipi_cost,
-                initiator: Some(core),
-            };
-            batch.apply(&mut view);
+            self.syscall_on(core, |_, tlb| batch.apply(tlb));
         }
         // The child's allocation may have exhausted the ASID space:
         // apply the deferred rollover flush now (and refresh the
         // parent's own ASID) rather than leaving it pending while the
         // parent keeps running.
         if self.kernel.rollover_flush_pending() {
-            let (cores, kernel) = (&mut self.cores, &mut self.kernel);
-            let mut view = MachineTlbView {
-                cores,
-                ipi_cost,
-                initiator: Some(core),
-            };
-            kernel.ensure_current_asid(parent, &mut view)?;
-            self.cores[core].stats.cycles += self.model.asid_rollover;
-            sat_obs::charge(
-                core,
-                sat_obs::ChargeCause::RolloverFlush,
-                self.model.asid_rollover,
-            );
+            self.syscall_on(core, |kernel, tlb| kernel.ensure_current_asid(parent, tlb))?;
+            self.charge_rollover_flush(core);
         }
         let anon = outcome.ptes_copied - outcome.ptes_copied_file;
         let cycles = self.model.fork_cycles(
@@ -858,14 +835,8 @@ impl Machine {
         // Latch the abort into the FSR/FAR.
         self.last_fault = Some(abort);
         let va = abort.far;
-        let ipi_cost = self.model.ipi;
-        let (cores, kernel) = (&mut self.cores, &mut self.kernel);
-        let mut view = MachineTlbView {
-            cores,
-            ipi_cost,
-            initiator: Some(core),
-        };
-        let outcome = kernel.page_fault(pid, va, access, &mut view)?;
+        let outcome =
+            self.syscall_on(core, |kernel, tlb| kernel.page_fault(pid, va, access, tlb))?;
         let model = self.model;
         let mut cycles = match outcome.vm.kind {
             FaultKind::Minor => model.soft_fault,
@@ -935,14 +906,7 @@ impl Machine {
         // TLB entries that match the faulting address" (§3.2.3).
         let record = self.last_fault.expect("just latched");
         debug_assert!(record.status.is_domain_fault());
-        let ipi_cost = self.model.ipi;
-        let (cores, kernel) = (&mut self.cores, &mut self.kernel);
-        let mut view = MachineTlbView {
-            cores,
-            ipi_cost,
-            initiator: Some(core),
-        };
-        kernel.domain_fault(record.far, &mut view);
+        self.syscall_on(core, |kernel, tlb| kernel.domain_fault(record.far, tlb));
         let cycles = self.model.exception;
         sat_obs::charge(core, sat_obs::ChargeCause::DomainFault, cycles);
         sat_obs::with_charge_cause(sat_obs::ChargeCause::DomainFault, || {

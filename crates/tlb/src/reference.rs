@@ -8,7 +8,7 @@
 //! match bit-for-bit — the differential proptests in
 //! `tests/differential.rs` drive both models with identical operation
 //! sequences and assert identical lookup results, statistics, and
-//! occupancy — and as the baseline for the `tlb_hot_path` benchmark.
+//! occupancy.
 //!
 //! Do not "optimise" this file; its value is being obviously correct.
 

@@ -129,16 +129,6 @@ impl PhysAddr {
         self.0
     }
 
-    /// Returns the physical frame number (address >> 12).
-    pub const fn pfn_raw(self) -> u32 {
-        self.0 >> PAGE_SHIFT
-    }
-
-    /// Returns the byte offset within the 4KB frame.
-    pub const fn frame_offset(self) -> u32 {
-        self.0 & (PAGE_SIZE - 1)
-    }
-
     /// Rounds down to the containing 4KB frame boundary.
     pub const fn frame_base(self) -> PhysAddr {
         PhysAddr(self.0 & !(PAGE_SIZE - 1))

@@ -130,11 +130,6 @@ impl Dacr {
         d
     }
 
-    /// Creates a DACR from its raw register value.
-    pub const fn from_raw(raw: u32) -> Self {
-        Dacr(raw)
-    }
-
     /// Returns the raw register value.
     pub const fn raw(self) -> u32 {
         self.0

@@ -52,12 +52,6 @@ impl PageSize {
         }
     }
 
-    /// Returns `true` if the mapping is established at the second
-    /// (leaf) level.
-    pub const fn is_leaf_level(self) -> bool {
-        matches!(self, PageSize::Small4K | PageSize::Large64K)
-    }
-
     /// Number of 4KB frames the page occupies.
     pub const fn frames(self) -> u32 {
         self.bytes() >> PAGE_SHIFT

@@ -33,13 +33,6 @@ pub enum FaultKind {
     Spurious,
 }
 
-impl FaultKind {
-    /// Returns `true` if the fault required no I/O.
-    pub fn is_soft(self) -> bool {
-        !matches!(self, FaultKind::Major)
-    }
-}
-
 /// Resolution details returned by [`handle_fault`].
 #[derive(Clone, Copy, Debug)]
 pub struct FaultOutcome {
