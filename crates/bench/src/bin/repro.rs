@@ -49,9 +49,8 @@
 //! `SAT_OBS_RING` (default 65,536 events; overflow drops the oldest
 //! and is reported, never silent).
 //!
-//! `--out <path>` (or `SAT_BENCH_OUT`) overrides where the metrics
-//! snapshot is written; the default remains `BENCH_repro.json` in the
-//! working directory.
+//! `--out <path>` overrides where the metrics snapshot is written; the
+//! default remains `BENCH_repro.json` in the working directory.
 //!
 //! `repro check` re-opens both artifacts and validates them: schema
 //! string, non-empty event stream, subsystem coverage, per-thread
@@ -76,32 +75,31 @@
 //! reported, never judged (host-time claims go through `satbench
 //! compare`).
 //!
-//! Independent sweep cells fan out across cores (see
-//! `sat_bench::pool`); `SAT_BENCH_THREADS=1` forces a serial run. The
-//! rendered tables are byte-identical either way (trace timing fields
-//! are wall-clock and naturally vary).
+//! Every experiment runs on the calling thread, one cell after the
+//! other, so a record is a function of its verb and scale alone
+//! (`wall_ms` and the trace's timing fields are wall-clock and
+//! naturally vary).
 //!
 //! Besides the tables on stdout, every run writes the
 //! `sat-bench/repro-v8` snapshot (see `sat_bench::snapshot`): one
-//! record per timed experiment — worker-pool cell count, a `params`
-//! object (the frame budget of a budgeted cell), one flat `metrics`
-//! map (`wall_ms`, `gauge.*` high-water marks, `latency.*`,
-//! `reclaim.*`, `translation.*`), and the observability counters the
-//! experiment moved — plus the run-wide counter/histogram/gauge
-//! registry.
+//! record per timed experiment — a `params` object (the frame budget
+//! of a budgeted cell), one flat `metrics` map (`wall_ms`, `gauge.*`
+//! high-water marks, `latency.*`, `reclaim.*`, `translation.*`), and
+//! the observability counters the experiment moved — plus the run-wide
+//! counter/histogram/gauge registry.
 //!
 //! Every experiment is one row of [`VERBS`]: its record name, figure
-//! aliases, whether `all` runs it, its cell count, its runner, and the
-//! subsystems its trace must cover. Dispatch, `all`, the unknown-verb
-//! hint and `repro check`'s coverage floor all read that table.
+//! aliases, whether `all` runs it, its runner, and the subsystems its
+//! trace must cover. Dispatch, `all`, the unknown-verb hint and `repro
+//! check`'s coverage floor all read that table.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use sat_bench::{
-    ablation, extensions, fleetbench, ipcbench, launchbench, motivation, pool, pressurebench,
-    reachbench, servebench, snapshot, steadybench, timesharebench, zygotebench, Scale,
+    ablation, extensions, fleetbench, ipcbench, launchbench, motivation, pressurebench, reachbench,
+    servebench, snapshot, steadybench, timesharebench, zygotebench, Scale,
 };
 use sat_obs::report::ReportFormat;
 use sat_types::SatResult;
@@ -109,9 +107,6 @@ use sat_types::SatResult;
 /// One timed experiment, as the snapshot records it.
 struct Record {
     name: String,
-    /// Independent cells the sweep fanned out to the worker pool
-    /// (1 = no fan-out).
-    cells: usize,
     /// What the metrics were measured under (`mem_frames` of a
     /// budgeted cell); `repro diff` only compares equal params.
     params: BTreeMap<&'static str, u64>,
@@ -240,13 +235,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
              the pressure grid derives its own budgets)"
         ));
     }
-    cli.out = out
-        .or_else(|| {
-            std::env::var("SAT_BENCH_OUT")
-                .ok()
-                .filter(|s| !s.is_empty())
-        })
-        .unwrap_or_else(|| "BENCH_repro.json".to_string());
+    cli.out = out.unwrap_or_else(|| "BENCH_repro.json".to_string());
     Ok(cli)
 }
 
@@ -344,12 +333,10 @@ type Fallible<T = String> = Result<T, Box<dyn std::error::Error>>;
 fn timed<T>(
     records: &mut Vec<Record>,
     name: &str,
-    cells: usize,
     body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
 ) -> Fallible<(String, T)> {
     let mut rec = Record {
         name: name.to_string(),
-        cells,
         params: BTreeMap::new(),
         metrics: BTreeMap::new(),
         events: BTreeMap::new(),
@@ -395,8 +382,6 @@ struct Cells<'a> {
     scale: Scale,
     /// `--mem-frames` (`serve` only).
     mem_frames: Option<u64>,
-    /// Worker-pool cells per record (the verb's `cells` column).
-    fanout: usize,
     names: std::vec::IntoIter<String>,
     records: &'a mut Vec<Record>,
 }
@@ -409,7 +394,7 @@ impl Cells<'_> {
     ) -> Fallible<(String, T)> {
         let name = self.names.next();
         let name = name.ok_or("the grid runs more cells than its verb row names")?;
-        timed(self.records, &name, self.fanout, body)
+        timed(self.records, &name, body)
     }
 }
 
@@ -437,8 +422,6 @@ struct Verb {
     aliases: &'static [&'static str],
     /// Whether `repro all` runs it.
     in_all: bool,
-    /// Worker-pool cells of each record's sweep (1 = serial).
-    cells: fn(Scale) -> usize,
     /// Subsystems a traced run of the verb must cover for `repro check`
     /// (the acceptance floor; `sim` and `bench` ride along).
     coverage: &'static [&'static str],
@@ -448,21 +431,16 @@ struct Verb {
 /// sequence.
 const STANDARD: &[&str] = &["kernel", "share", "vm-fault", "tlb", "android"];
 
-/// A serial verb that `all` runs, under the standard coverage floor;
-/// the other rows override columns with `Verb { .., ..verb(..) }`.
+/// A verb that `all` runs, under the standard coverage floor; the
+/// other rows override columns with `Verb { .., ..verb(..) }`.
 const fn verb(name: &'static str, runner: Runner) -> Verb {
     Verb {
         name,
         runner,
         aliases: &[],
         in_all: true,
-        cells: |_| 1,
         coverage: STANDARD,
     }
-}
-
-fn scalability_cells(scale: Scale) -> usize {
-    2 * extensions::scalability_counts(scale).len()
 }
 
 /// Every experiment, in paper order (the order `all` runs them).
@@ -480,14 +458,12 @@ static VERBS: [Verb; 22] = [
     // Figures 7-9 come from one launch sweep (Section 4.2.2).
     Verb {
         aliases: &["fig7", "fig8", "fig9"],
-        cells: |_| launchbench::launch_configs().len(),
         ..verb("launch", Single(launchbench::launch_experiment))
     },
     // Figures 10-12 come from one steady-state sweep (Section 4.2.3)
     // over the four suite configurations.
     Verb {
         aliases: &["fig10", "fig11", "fig12", "ptecopies"],
-        cells: |_| 4,
         ..verb("steady", Single(steadybench::steady_experiment))
     },
     verb("fig13", Single(ipcbench::fig13)),
@@ -495,7 +471,6 @@ static VERBS: [Verb; 22] = [
     // The extension studies, one at a time and (in `all`) together.
     Verb {
         in_all: false,
-        cells: scalability_cells,
         ..verb("scalability", Single(extensions::scalability))
     },
     Verb {
@@ -510,10 +485,7 @@ static VERBS: [Verb; 22] = [
         in_all: false,
         ..verb("smaps", Single(extensions::memory_accounting))
     },
-    Verb {
-        cells: |s| scalability_cells(s) + 3,
-        ..verb("extensions", Single(extensions::all))
-    },
+    verb("extensions", Single(extensions::all)),
     // The reach grid drives demand faults, the promotion scanner, fork
     // sharing and size-tagged flushes, but never the app-launch
     // sequence: no `android` or `sched` events.
@@ -527,15 +499,11 @@ static VERBS: [Verb; 22] = [
             },
         )
     },
-    Verb {
-        cells: |s| 3 * timesharebench::timeshare_counts(s).len(),
-        ..verb("timeshare", Single(timesharebench::timeshare))
-    },
+    verb("timeshare", Single(timesharebench::timeshare)),
     // The fleet (stock and shared cells per N) drives fork/timeshare/
     // reap through the scheduler and never walks the app-launch
     // sequence: no `android` events.
     Verb {
-        cells: |_| 2,
         coverage: &["kernel", "share", "tlb", "sched", "bench"],
         ..verb(
             "fleet",
@@ -549,7 +517,6 @@ static VERBS: [Verb; 22] = [
     // charge site is machine-level (`sim`), and the servers boot from
     // the zygote (`android`, `kernel`, `share`, `tlb`).
     Verb {
-        cells: |s| servebench::serve_counts(s).len(),
         coverage: &["kernel", "share", "tlb", "sched", "sim", "android"],
         ..verb(
             "serve",
@@ -591,9 +558,8 @@ impl Verb {
 
     /// Runs the verb, appending its records.
     fn run(&self, records: &mut Vec<Record>, scale: Scale, mem_frames: Option<u64>) -> Fallible {
-        let fanout = (self.cells)(scale);
         match self.runner {
-            Single(body) => Ok(timed(records, self.name, fanout, |_| Ok((body(scale)?, ())))?.0),
+            Single(body) => Ok(timed(records, self.name, |_| Ok((body(scale)?, ())))?.0),
             Grid { run, .. } => {
                 // Budgeted runs get `_mem`-suffixed record names, so
                 // diffing against an uncapped baseline never pits
@@ -603,7 +569,6 @@ impl Verb {
                 run(&mut Cells {
                     scale,
                     mem_frames,
-                    fanout,
                     names: names.collect::<Vec<_>>().into_iter(),
                     records,
                 })
@@ -720,10 +685,8 @@ fn render_json(
         .iter()
         .map(|rec| {
             format!(
-                "    {{\"name\": \"{}\", \"cells\": {}, \"params\": {}, \"metrics\": {}, \
-                 \"events\": {}}}",
+                "    {{\"name\": \"{}\", \"params\": {}, \"metrics\": {}, \"events\": {}}}",
                 rec.name,
-                rec.cells,
                 object(&rec.params),
                 object(&rec.metrics),
                 object(&rec.events),
@@ -737,14 +700,12 @@ fn render_json(
     };
     format!(
         "{{\n  \"schema\": \"{}\",\n  \"command\": \"{cmd}\",\n  \"scale\": \"{}\",\n  \
-         \"threads\": {},\n  \"experiments\": [\n{}\n  ],\n  \"total_wall_ms\": {total_ms:.3},\n  \
-         \"obs\": {obs}\n}}\n",
+         \"experiments\": [\n{}\n  ],\n  \"total_wall_ms\": {total_ms:.3},\n  \"obs\": {obs}\n}}\n",
         snapshot::SCHEMA,
         match scale {
             Scale::Paper => "paper",
             Scale::Quick => "quick",
         },
-        pool::thread_count(),
         experiments.join(",\n"),
     )
 }

@@ -13,9 +13,9 @@ use crate::render::{count, pct, Table};
 use crate::zygotebench::boot_opts;
 use crate::Scale;
 
-/// Process counts of the scalability sweep per scale (the sweep's
-/// worker-pool grid is one cell per count per kernel config).
-pub fn scalability_counts(scale: Scale) -> &'static [usize] {
+/// Process counts of the scalability sweep per scale (the grid is one
+/// cell per count per kernel config).
+fn scalability_counts(scale: Scale) -> &'static [usize] {
     match scale {
         Scale::Paper => &[1, 2, 4, 8, 16, 32, 64],
         Scale::Quick => &[1, 4, 16],
@@ -41,9 +41,7 @@ pub fn scalability(scale: Scale) -> sat_types::SatResult<String> {
             "duplication factor",
         ],
     );
-    // Every (process count, kernel config) cell boots its own system,
-    // so the grid fans out on the worker pool; reassembly in grid
-    // order keeps the table byte-identical to a serial run.
+    // Every (process count, kernel config) cell boots its own system.
     let cell = |n: usize, config: KernelConfig| -> sat_types::SatResult<usize> {
         let mut sys =
             AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
@@ -69,17 +67,9 @@ pub fn scalability(scale: Scale) -> sat_types::SatResult<String> {
         }
         Ok(sys.machine.kernel.ptps.len())
     };
-    let jobs: Vec<_> = counts
-        .iter()
-        .flat_map(|&n| {
-            [KernelConfig::stock(), KernelConfig::shared_ptp()]
-                .map(|config| move || cell(n, config))
-        })
-        .collect();
-    let mut results = crate::pool::run_cells(jobs).into_iter();
     for &n in counts {
-        let stock = results.next().expect("one cell per grid point")?;
-        let shared = results.next().expect("one cell per grid point")?;
+        let stock = cell(n, KernelConfig::stock())?;
+        let shared = cell(n, KernelConfig::shared_ptp())?;
         t.row(vec![
             n.to_string(),
             count(stock as u64),

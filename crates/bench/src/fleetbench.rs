@@ -29,25 +29,18 @@ pub fn fleet_counts(scale: Scale) -> &'static [(usize, usize)] {
     }
 }
 
-/// The snapshot record name for one fleet size. Static per-N names
-/// make every fleet size its own experiment in `BENCH_repro.json`,
-/// so the `repro diff` wall-clock gate fires per N — a regression at
-/// N=4096 is not masked by an in-threshold aggregate.
-pub fn record_name(apps: usize) -> &'static str {
-    match apps {
-        64 => "fleet_n64",
-        256 => "fleet_n256",
-        1024 => "fleet_n1024",
-        4096 => "fleet_n4096",
-        _ => "fleet",
-    }
+/// The snapshot record name for one fleet size. Per-N names make
+/// every fleet size its own experiment in `BENCH_repro.json`, so the
+/// `repro diff` gate fires per N — a regression at N=4096 is not
+/// masked by an in-threshold aggregate.
+pub fn record_name(apps: usize) -> String {
+    format!("fleet_n{apps}")
 }
 
 /// The record names of the scale's whole grid, in run order.
 pub fn record_names(scale: Scale) -> Vec<String> {
     let grid = fleet_counts(scale).iter();
-    grid.map(|&(apps, _)| record_name(apps).to_string())
-        .collect()
+    grid.map(|&(apps, _)| record_name(apps)).collect()
 }
 
 /// The two kernels under comparison. The ASID/no-ASID ablation adds
@@ -60,15 +53,9 @@ fn configs() -> [(&'static str, KernelConfig); 2] {
     ]
 }
 
-/// One fleet size: the stock and shared cells fan out on the worker
-/// pool; the table prints only deterministic counters (wall times go
-/// to the snapshot, where `repro diff` gates them per N).
+/// One fleet size, stock then shared; the table prints only
+/// deterministic counters (wall times go to the snapshot).
 pub fn fleet_n(apps: usize, cores: usize) -> sat_types::SatResult<String> {
-    let jobs: Vec<_> = configs()
-        .map(|(_, config)| move || run_fleet(config, FleetOptions::new(apps, cores)))
-        .into_iter()
-        .collect();
-    let mut results = crate::pool::run_cells(jobs).into_iter();
     let mut t = Table::new(
         &format!("Fleet: {apps} apps on {cores} cores (fork, timeshare, reap all)"),
         &[
@@ -83,8 +70,8 @@ pub fn fleet_n(apps: usize, cores: usize) -> sat_types::SatResult<String> {
     );
     let mut stock: Option<FleetReport> = None;
     let mut shared: Option<FleetReport> = None;
-    for (label, _) in configs() {
-        let r: FleetReport = results.next().expect("one cell per kernel")?;
+    for (label, config) in configs() {
+        let r = run_fleet(config, FleetOptions::new(apps, cores))?;
         // Every cell must create and reap the full fleet, and
         // teardown must leave nothing shared and only the zygote
         // alive — the registry/arena leak witnesses.
@@ -156,14 +143,5 @@ mod tests {
         assert_eq!(cell_value(&a, "Stock Android", 2), 0);
         assert_eq!(cell_value(&a, "Stock Android", 7), 1);
         assert_eq!(cell_value(&a, "Shared PTP & TLB", 7), 1);
-    }
-
-    #[test]
-    fn every_grid_size_has_a_static_record_name() {
-        for scale in [Scale::Paper, Scale::Quick] {
-            for &(apps, _) in fleet_counts(scale) {
-                assert_ne!(record_name(apps), "fleet", "no per-N name for {apps}");
-            }
-        }
     }
 }

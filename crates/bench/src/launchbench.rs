@@ -11,7 +11,7 @@ use crate::zygotebench::boot_opts;
 use crate::Scale;
 
 /// The four launch configurations of Figures 7-9.
-pub fn launch_configs() -> [(&'static str, KernelConfig, LibraryLayout); 4] {
+fn launch_configs() -> [(&'static str, KernelConfig, LibraryLayout); 4] {
     [
         (
             "Stock Android",
@@ -71,20 +71,13 @@ pub fn repetitions(scale: Scale) -> usize {
     }
 }
 
-/// Figures 7-9 plus the per-launch fork cost, in one sweep. The four
-/// configuration cells are independent (each boots its own system
-/// from [`SEED`]) and run on the worker pool; results are reassembled
-/// in grid order, so the rendered tables are byte-identical to a
-/// serial run.
+/// Figures 7-9 plus the per-launch fork cost, in one sweep: each of
+/// the four configuration cells boots its own system from [`SEED`].
 pub fn launch_experiment(scale: Scale) -> SatResult<String> {
     let n = repetitions(scale);
-    let jobs: Vec<_> = launch_configs()
-        .into_iter()
-        .map(|(label, config, layout)| move || (label, run_launches(config, layout, scale, n)))
-        .collect();
     let mut all: Vec<(&str, Vec<LaunchReport>)> = Vec::new();
-    for (label, reports) in crate::pool::run_cells(jobs) {
-        all.push((label, reports?));
+    for (label, config, layout) in launch_configs() {
+        all.push((label, run_launches(config, layout, scale, n)?));
     }
 
     let mut out = String::new();

@@ -15,7 +15,6 @@ pub mod fleetbench;
 pub mod ipcbench;
 pub mod launchbench;
 pub mod motivation;
-pub mod pool;
 pub mod pressurebench;
 pub mod reachbench;
 pub mod render;

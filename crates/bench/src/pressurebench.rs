@@ -219,9 +219,8 @@ mod tests {
 
     #[test]
     fn pressure_grid_is_deterministic() {
-        // The grid is serial by construction (budgets depend on the
-        // uncapped wave), so thread-count cannot perturb it; repeated
-        // runs must be byte-identical.
+        // Budgets derive from the uncapped wave and the wave from the
+        // seed; repeated runs must be byte-identical.
         let run = || grid(Scale::Quick, |_, opts, config| run_serve(config, opts)).unwrap();
         let (a, ar) = run();
         let (b, br) = run();

@@ -56,10 +56,10 @@ pub fn serve_opts(servers: usize, scale: Scale) -> ServeOptions {
     }
 }
 
-/// Runs the serve sweep for one kernel (one worker-pool cell per
-/// server count) and renders its table. Returns the report at the
-/// largest count alongside, so the caller can record latency
-/// percentiles and compare kernels.
+/// Runs the serve sweep for one kernel (one cell per server count)
+/// and renders its table. Returns the report at the largest count
+/// alongside, so the caller can record latency percentiles and compare
+/// kernels.
 ///
 /// With `mem_frames` set (`repro serve --mem-frames N`), every cell
 /// runs under that physical-frame budget and the table grows reclaim
@@ -94,23 +94,15 @@ pub fn serve_kernel(
         header.extend(["reclaims", "evicted", "refaults"]);
     }
     let mut t = Table::new(&title, &header);
-    let jobs: Vec<_> = counts
-        .iter()
-        .map(|&servers| {
-            move || {
-                let mut opts = serve_opts(servers, scale);
-                opts.mem_frames = mem_frames;
-                run_serve(config, opts)
-            }
-        })
-        .collect();
-    let mut results = crate::pool::run_cells(jobs).into_iter();
     let mut largest: Option<ServeReport> = None;
     for &servers in counts {
-        let r: ServeReport = results.next().expect("one cell per server count")?;
+        let opts = ServeOptions {
+            mem_frames,
+            ..serve_opts(servers, scale)
+        };
+        let r = run_serve(config, opts)?;
         assert_eq!(
-            r.requests,
-            serve_opts(servers, scale).requests as u64,
+            r.requests, opts.requests as u64,
             "serve run must drain every request"
         );
         let mut row = vec![
@@ -194,6 +186,7 @@ mod tests {
         assert!(summary.contains("p99"), "{summary}");
     }
 
+    /// (The name dates from the worker pool; it compares two runs.)
     #[test]
     fn serve_cells_are_deterministic_across_pool_runs() {
         let (_, a) =

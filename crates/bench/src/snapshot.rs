@@ -4,9 +4,9 @@
 //! A snapshot is a list of records, one per timed experiment, plus one
 //! run-wide record. Every record has the same shape: a `params` object
 //! (what the numbers were measured *under* — a frame budget, the run's
-//! scale and worker count) and one flat `metrics` map (what was
-//! measured — `wall_ms`, `latency.p99`, `reclaim.pages`,
-//! `translation.waste_frames`, `gauge.<name>`, `counter.<name>`, ...).
+//! scale) and one flat `metrics` map (what was measured — `wall_ms`,
+//! `latency.p99`, `reclaim.pages`, `translation.waste_frames`,
+//! `gauge.<name>`, `counter.<name>`, ...).
 //! Two records are comparable when their params are equal; comparable
 //! records are compared key by key, under the floors in `RULES`. A
 //! new metric family is one map insert where it is measured and, if it
@@ -16,10 +16,10 @@
 //! *simulated* behaviour: the verify smoke compares a fresh `repro all
 //! --quick` snapshot against the committed `BENCH_baseline.json` and
 //! fails loudly when a metric grows past the threshold. Every gated
-//! metric is deterministic for a given command, scale and worker
-//! count, so *any* growth there means the simulator started doing more
-//! work — that is either a bug or an intentional change that must
-//! refresh the baseline. `wall_ms` is host time: the snapshot records
+//! metric is a function of its experiment and scale, so *any* growth
+//! there means the simulator started doing more work — that is either
+//! a bug or an intentional change that must refresh the baseline.
+//! `wall_ms` is host time: the snapshot records
 //! it and the diff reports its movement as a note, but it never
 //! decides the verdict — host-time claims go through `satbench
 //! compare` (`benchmark/`) and its pairs rule.
@@ -71,8 +71,6 @@ fn floor_of(key: &str) -> f64 {
 /// One parsed record: an experiment, or the run as a whole.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
-    /// Worker-pool cells the experiment fanned out to (0 run-wide).
-    pub cells: u64,
     /// What the metrics were measured under. Records with different
     /// params are not comparable.
     pub params: BTreeMap<String, String>,
@@ -83,7 +81,7 @@ pub struct Record {
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub experiments: BTreeMap<String, Record>,
-    /// The run-wide record: params `command`/`scale`/`threads`/`traced`,
+    /// The run-wide record: params `command`/`scale`/`traced`,
     /// metrics `wall_ms` (the total) and one `counter.<name>` per event
     /// counter of a traced run.
     pub run: Record,
@@ -127,14 +125,10 @@ impl Snapshot {
             other => format!("{other:?}"),
         };
         // What every number of the run was measured under: workload
-        // sizes follow the scale and gauge high-waters the worker
-        // count, so both go into each record's params and decide its
-        // comparability. (The command does not: `table4` is the same
-        // experiment under `all` and on its own.)
-        let mut run_params = BTreeMap::new();
-        for key in ["scale", "threads"] {
-            run_params.insert(key.to_string(), text_of(field(key)?));
-        }
+        // sizes follow the scale, so it goes into each record's params
+        // and decides its comparability. (The command does not:
+        // `table4` is the same experiment under `all` and on its own.)
+        let scale = ("scale".to_string(), text_of(field("scale")?));
         let mut experiments = BTreeMap::new();
         for exp in field("experiments")?
             .as_array()
@@ -148,12 +142,11 @@ impl Snapshot {
             experiments.insert(
                 name.to_string(),
                 Record {
-                    cells: exp.get("cells").and_then(Json::as_u64).unwrap_or(0),
                     params: params
                         .into_iter()
                         .flatten()
                         .map(|(k, v)| (k.clone(), text_of(v)))
-                        .chain(run_params.clone())
+                        .chain([scale.clone()])
                         .collect(),
                     metrics: numbers(exp.get("metrics"), ""),
                 },
@@ -162,8 +155,7 @@ impl Snapshot {
         let obs = field("obs")?;
         let traced = obs.get("enabled").and_then(Json::as_bool).unwrap_or(false);
         let mut run = Record {
-            cells: 0,
-            params: run_params,
+            params: BTreeMap::from([scale]),
             metrics: numbers(obs.get("counters"), "counter."),
         };
         run.params.insert("traced".to_string(), traced.to_string());
@@ -258,9 +250,9 @@ fn pct_change(old: f64, new: f64) -> f64 {
 /// An experiment that vanished between runs of the *same* command and
 /// scale is a regression (when either differs the experiment lists are
 /// expected to differ, so it is informational). Records whose params
-/// differ — another frame budget, scale or worker count; for the
-/// run-wide record also another command, or traced vs untraced — are
-/// noted and not compared. Within comparable records one rule covers
+/// differ — another frame budget or scale; for the run-wide record
+/// also another command, or traced vs untraced — are noted and not
+/// compared. Within comparable records one rule covers
 /// every simulated metric, the run-wide counters included: growth
 /// beyond `threshold_pct` is a regression, shrinkage an improvement,
 /// unless both sides sit below the family's floor in `RULES`, where
@@ -302,12 +294,6 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold_pct: f64) -> DiffReport {
 
     let mut compared = 0;
     for (name, old_rec, new_rec) in pairs {
-        if old_rec.cells != new_rec.cells {
-            emit(
-                DiffClass::Note,
-                format!("{name}.cells: {} -> {}", old_rec.cells, new_rec.cells),
-            );
-        }
         if old_rec.params != new_rec.params {
             emit(
                 DiffClass::Note,
@@ -515,9 +501,9 @@ mod tests {
 
     type Rec<'a> = (&'a str, &'a [(&'a str, u64)], &'a [(&'a str, f64)]);
 
-    /// The one fixture builder: a traced 4-thread `all --quick`
-    /// snapshot with the given `(name, params, metrics)` records,
-    /// run-wide counters, and total wall time, as JSON.
+    /// The one fixture builder: a traced `all --quick` snapshot with
+    /// the given `(name, params, metrics)` records, run-wide counters,
+    /// and total wall time, as JSON.
     fn snap_json(records: &[Rec], counters: &[(&str, f64)], total_wall_ms: f64) -> String {
         fn map<V: std::fmt::Display>(pairs: &[(&str, V)]) -> String {
             let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
@@ -527,7 +513,7 @@ mod tests {
             .iter()
             .map(|(name, params, metrics)| {
                 format!(
-                    "{{\"name\": \"{name}\", \"cells\": 1, \"params\": {}, \"metrics\": {}, \
+                    "{{\"name\": \"{name}\", \"params\": {}, \"metrics\": {}, \
                      \"events\": {{}}}}",
                     map(params),
                     map(metrics)
@@ -536,7 +522,7 @@ mod tests {
             .collect();
         format!(
             "{{\"schema\": \"{SCHEMA}\", \"command\": \"all\", \"scale\": \"quick\", \
-             \"threads\": 4, \"experiments\": [{}], \"total_wall_ms\": {total_wall_ms}, \
+             \"experiments\": [{}], \"total_wall_ms\": {total_wall_ms}, \
              \"obs\": {{\"enabled\": true, \"dropped_events\": 0, \"counters\": {}, \
              \"histograms\": {{}}}}}}",
             records.join(", "),
@@ -846,19 +832,21 @@ mod tests {
         assert_eq!(report.compared, 1);
     }
 
+    /// (The name dates from the worker pool, when the thread count was
+    /// a param too.)
     #[test]
     fn scale_and_threads_decide_comparability_for_every_record() {
-        // `scale` and `threads` are written once per run, but sizes
-        // follow the one and gauge high-waters the other: a snapshot
-        // that differs in either compares nothing — not the records,
-        // not the total — says why per record, and passes.
+        // `scale` is written once per run, but every workload size
+        // follows it: a snapshot at another scale compares nothing —
+        // not the records, not the total — says why per record, and
+        // passes.
         let text = snap_json(
             &[
                 ("table4", &[], &[("wall_ms", 50.0)]),
                 (
                     "serve_stock",
                     &[],
-                    &[("gauge.registry.sharers", 53.0), ("latency.p99", 2e5)],
+                    &[("gauge.kernel.processes", 90.0), ("latency.p99", 2e5)],
                 ),
             ],
             &[("tlb.flush", 5000.0)],
@@ -867,35 +855,41 @@ mod tests {
         let doctored = text
             .replace("\"wall_ms\": 50", "\"wall_ms\": 160")
             .replace(
-                "\"gauge.registry.sharers\": 53",
-                "\"gauge.registry.sharers\": 901",
+                "\"gauge.kernel.processes\": 90",
+                "\"gauge.kernel.processes\": 901",
             )
             .replace("\"tlb.flush\": 5000", "\"tlb.flush\": 9000");
         let old = Snapshot::parse(&text, "old").unwrap();
         assert_eq!(old.experiments["table4"].params["scale"], "quick");
-        assert_eq!(old.experiments["table4"].params["threads"], "4");
-        for (field, other, shown) in [
-            ("\"scale\": \"quick\"", "\"scale\": \"paper\"", "paper"),
-            ("\"threads\": 4", "\"threads\": 2", "\"2\""),
-        ] {
-            let new = Snapshot::parse(&doctored.replace(field, other), "new").unwrap();
-            let report = diff(&old, &new, 25.0);
-            assert_eq!(report.regressions(), 0, "{:?}", report.lines);
-            assert_eq!(report.compared, 0, "{:?}", report.lines);
-            assert_eq!(report.lines.len(), 3, "{:?}", report.lines);
-            for name in ["table4", "serve_stock", RUN] {
-                let params = format!("{name}.params");
-                assert!(
-                    has(&report, DiffClass::Note, &[&params, shown, "not compared"]),
-                    "{name}: {:?}",
-                    report.lines
-                );
-            }
-            assert!(report.render(25.0).contains("0 metrics compared"));
+        let paper = doctored.replace("\"scale\": \"quick\"", "\"scale\": \"paper\"");
+        let report = diff(&old, &Snapshot::parse(&paper, "new").unwrap(), 25.0);
+        assert_eq!(report.regressions(), 0, "{:?}", report.lines);
+        assert_eq!(report.compared, 0, "{:?}", report.lines);
+        assert_eq!(report.lines.len(), 3, "{:?}", report.lines);
+        for name in ["table4", "serve_stock", RUN] {
+            let params = format!("{name}.params");
+            assert!(
+                has(
+                    &report,
+                    DiffClass::Note,
+                    &[&params, "paper", "not compared"]
+                ),
+                "{name}: {:?}",
+                report.lines
+            );
         }
-        // The same doctoring at equal scale and threads does gate.
+        assert!(report.render(25.0).contains("0 metrics compared"));
+        // The same doctoring at equal scale does gate — and against a
+        // file that still carries the keys older builds wrote, which
+        // are not read.
         let new = Snapshot::parse(&doctored, "new").unwrap();
         assert_eq!(diff(&old, &new, 25.0).regressions(), 2);
+        let keyed = text
+            .replace("\"scale\"", "\"threads\": 1, \"scale\"")
+            .replace("\"params\"", "\"cells\": 2, \"params\"");
+        let report = diff(&Snapshot::parse(&keyed, "keyed").unwrap(), &new, 25.0);
+        assert_eq!(report.regressions(), 2, "{:?}", report.lines);
+        assert_eq!(report.compared, 5, "{:?}", report.lines);
     }
 
     #[test]
@@ -921,7 +915,7 @@ mod tests {
     #[test]
     fn v7_snapshots_are_rejected_with_the_refresh_hint() {
         let v7 = r#"{"schema": "sat-bench/repro-v7", "command": "all", "scale": "quick",
-            "threads": 1, "experiments": [], "total_wall_ms": 1.0,
+            "experiments": [], "total_wall_ms": 1.0,
             "obs": {"enabled": false, "dropped_events": 0, "counters": {}, "histograms": {}}}"#;
         let err = Snapshot::parse(v7, "BENCH_baseline.json").unwrap_err();
         assert!(err.contains("repro-v7"), "{err}");

@@ -69,19 +69,13 @@ fn suite_configs() -> [(&'static str, KernelConfig, LibraryLayout); 4] {
     ]
 }
 
-/// Figures 10-12 plus the Section 4.2.3 PTE-copy cost, in one sweep.
-/// The four suite cells are independent (each boots its own system
-/// from [`SEED`]) and run on the worker pool; reassembly in grid
-/// order keeps the rendered tables byte-identical to a serial run.
+/// Figures 10-12 plus the Section 4.2.3 PTE-copy cost, in one sweep:
+/// each of the four suite cells boots its own system from [`SEED`].
 pub fn steady_experiment(scale: Scale) -> SatResult<String> {
     let names: Vec<&str> = sat_trace::APP_NAMES.to_vec();
-    let jobs: Vec<_> = suite_configs()
-        .into_iter()
-        .map(|(label, config, layout)| move || (label, run_suite(config, layout, scale)))
-        .collect();
     let mut results = Vec::new();
-    for (label, reports) in crate::pool::run_cells(jobs) {
-        results.push((label, reports?));
+    for (label, config, layout) in suite_configs() {
+        results.push((label, run_suite(config, layout, scale)?));
     }
     let (stock, shared, _stock2, shared2) =
         (&results[0].1, &results[1].1, &results[2].1, &results[3].1);

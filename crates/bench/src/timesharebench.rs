@@ -12,9 +12,9 @@ use crate::motivation::SEED;
 use crate::render::{count, pct, Table};
 use crate::Scale;
 
-/// App counts of the timesharing sweep per scale (the sweep's
-/// worker-pool grid is one cell per count per kernel config).
-pub fn timeshare_counts(scale: Scale) -> &'static [usize] {
+/// App counts of the timesharing sweep per scale (the grid is one
+/// cell per count per kernel config).
+fn timeshare_counts(scale: Scale) -> &'static [usize] {
     match scale {
         Scale::Paper => &[4, 16, 64],
         Scale::Quick => &[4, 16],
@@ -55,9 +55,7 @@ fn cell_opts(apps: usize, scale: Scale) -> TimeshareOptions {
 }
 
 /// The timesharing sweep: every (app count, kernel) cell boots its own
-/// system and runs the identical seeded schedule, fanned out on the
-/// worker pool; reassembly in grid order keeps the table byte-identical
-/// to a serial run.
+/// system and runs the identical seeded schedule.
 pub fn timeshare(scale: Scale) -> sat_types::SatResult<String> {
     let counts = timeshare_counts(scale);
     let mut t = Table::new(
@@ -73,19 +71,11 @@ pub fn timeshare(scale: Scale) -> sat_types::SatResult<String> {
             "procs created",
         ],
     );
-    let cell = |apps: usize, config: KernelConfig, scale: Scale| {
-        run_timeshare(config, cell_opts(apps, scale))
-    };
-    let jobs: Vec<_> = counts
-        .iter()
-        .flat_map(|&apps| configs().map(|(_, config)| move || cell(apps, config, scale)))
-        .collect();
-    let mut results = crate::pool::run_cells(jobs).into_iter();
     let mut stock_stalls_at_largest = 0u64;
     let mut shared_at_largest: Option<TimeshareReport> = None;
     for &apps in counts {
-        for (label, _) in configs() {
-            let r: TimeshareReport = results.next().expect("one cell per grid point")?;
+        for (label, config) in configs() {
+            let r = run_timeshare(config, cell_opts(apps, scale))?;
             // The rollover bookkeeping must reconcile in every cell.
             assert_eq!(r.asid_generation, 1 + r.asid_rollovers);
             if apps == *counts.last().unwrap() {

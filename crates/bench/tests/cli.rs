@@ -169,7 +169,7 @@ fn write_snapshot_of(name: &str, records: &[Rec], counters: &str, total_wall_ms:
         .iter()
         .map(|(name, params, metrics)| {
             format!(
-                r#"    {{"name": "{name}", "cells": 1, "params": {params}, "metrics": {metrics}, "events": {{}}}}"#
+                r#"    {{"name": "{name}", "params": {params}, "metrics": {metrics}, "events": {{}}}}"#
             )
         })
         .collect();
@@ -181,7 +181,6 @@ fn write_snapshot_of(name: &str, records: &[Rec], counters: &str, total_wall_ms:
   "schema": "sat-bench/repro-v8",
   "command": "all",
   "scale": "quick",
-  "threads": 2,
   "experiments": [
 {}
   ],
@@ -211,31 +210,28 @@ fn write_snapshot(name: &str, launch_wall_ms: f64, total_wall_ms: f64) -> PathBu
 }
 
 /// Every experiment's stdout is byte-pinned: `all --quick` must print
-/// exactly the golden, serial or fanned out over the worker pool. (A
-/// change that means to move a table regenerates it: see SKILL.md.)
+/// exactly the golden. (A change that means to move a table
+/// regenerates it: see SKILL.md.)
 #[test]
 fn all_quick_stdout_matches_the_golden() {
     let golden = include_str!("golden/all_quick.txt");
-    for threads in ["1", "4"] {
-        let out_path = tmp(&format!("golden-{threads}.json"));
-        let stdout = repro_ok(
-            &["all", "--quick", "--out", out_path.to_str().unwrap()],
-            &[("SAT_BENCH_THREADS", threads)],
+    let out_path = tmp("golden.json");
+    let stdout = repro_ok(
+        &["all", "--quick", "--out", out_path.to_str().unwrap()],
+        &[],
+    );
+    if stdout != golden {
+        let line = stdout
+            .lines()
+            .zip(golden.lines())
+            .position(|(got, want)| got != want)
+            .unwrap_or_else(|| stdout.lines().count().min(golden.lines().count()));
+        panic!(
+            "stdout differs from the golden at line {}:\n  got:  {:?}\n  want: {:?}",
+            line + 1,
+            stdout.lines().nth(line),
+            golden.lines().nth(line)
         );
-        if stdout != golden {
-            let line = stdout
-                .lines()
-                .zip(golden.lines())
-                .position(|(got, want)| got != want)
-                .unwrap_or_else(|| stdout.lines().count().min(golden.lines().count()));
-            panic!(
-                "SAT_BENCH_THREADS={threads}: stdout differs from the golden at line {}:\n  \
-                 got:  {:?}\n  want: {:?}",
-                line + 1,
-                stdout.lines().nth(line),
-                golden.lines().nth(line)
-            );
-        }
     }
 }
 
@@ -500,10 +496,11 @@ fn diff_gates_on_wall_time_regressions() {
     assert!(!out.status.success(), "diff requires two snapshots");
 }
 
-/// `scale` and `threads` are written once per run but decide what
-/// every record means (sizes; gauge high-waters): snapshots differing
-/// in either compare nothing, say why, and exit 0 — however far the
-/// numbers moved.
+/// `scale` is written once per run but decides what every record
+/// means (every workload size follows it): snapshots at different
+/// scales compare nothing, say why, and exit 0 — however far the
+/// numbers moved. (The name dates from the worker pool, when the thread
+/// count decided it too.)
 #[test]
 fn diff_compares_nothing_across_scales_or_thread_counts() {
     let old = write_snapshot_of(
@@ -511,7 +508,7 @@ fn diff_compares_nothing_across_scales_or_thread_counts() {
         &[(
             "serve_stock",
             "{}",
-            r#"{"wall_ms": 50, "gauge.registry.sharers": 53, "latency.p99": 200000}"#,
+            r#"{"wall_ms": 50, "gauge.kernel.processes": 90, "latency.p99": 200000}"#,
         )],
         r#"{"share.unshare": 400}"#,
         100.0,
@@ -521,7 +518,7 @@ fn diff_compares_nothing_across_scales_or_thread_counts() {
         &[(
             "serve_stock",
             "{}",
-            r#"{"wall_ms": 160, "gauge.registry.sharers": 901, "latency.p99": 900000}"#,
+            r#"{"wall_ms": 160, "gauge.kernel.processes": 901, "latency.p99": 900000}"#,
         )],
         r#"{"share.unshare": 4000}"#,
         400.0,
@@ -529,25 +526,21 @@ fn diff_compares_nothing_across_scales_or_thread_counts() {
     let text = std::fs::read_to_string(&moved).unwrap();
     let out = repro(&["diff", old.to_str().unwrap(), moved.to_str().unwrap()]);
     assert!(!out.status.success(), "like for like, the doctoring gates");
-    for (field, other) in [
-        (r#""scale": "quick""#, r#""scale": "paper""#),
-        (r#""threads": 2"#, r#""threads": 1"#),
-    ] {
-        assert!(text.contains(field));
-        let new = tmp("scale-new.json");
-        std::fs::write(&new, text.replace(field, other)).unwrap();
-        let out = repro(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "{stdout}");
-        for record in ["serve_stock", "total"] {
-            let note = format!("note         {record}.params: ");
-            assert!(stdout.contains(&note), "{stdout}");
-        }
-        assert!(stdout.contains("params changed; metrics not compared"));
-        assert!(!stdout.contains("wall_ms: "), "{stdout}");
-        assert!(!stdout.contains("latency"), "{stdout}");
-        assert!(stdout.contains("repro diff: 0 metrics compared, 0 regression(s)"));
+    let (quick, paper) = (r#""scale": "quick""#, r#""scale": "paper""#);
+    assert!(text.contains(quick));
+    let new = tmp("scale-new.json");
+    std::fs::write(&new, text.replace(quick, paper)).unwrap();
+    let out = repro(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for record in ["serve_stock", "total"] {
+        let note = format!("note         {record}.params: ");
+        assert!(stdout.contains(&note), "{stdout}");
     }
+    assert!(stdout.contains("params changed; metrics not compared"));
+    assert!(!stdout.contains("wall_ms: "), "{stdout}");
+    assert!(!stdout.contains("latency"), "{stdout}");
+    assert!(stdout.contains("repro diff: 0 metrics compared, 0 regression(s)"));
 }
 
 /// Inflated reclaim volume fails `repro diff` on the reclaim gate
@@ -640,17 +633,40 @@ fn malformed_threshold_pct_exits_nonzero_with_a_message() {
     assert!(stderr.contains("requires a number"), "{stderr}");
 }
 
-/// Runs `repro serve --quick` with a trace, returning stdout and the
+/// Runs `repro <verb> --quick` with a trace, returning stdout and the
 /// artifact paths.
-fn run_serve_traced(tag: &str, ring: &str) -> (String, PathBuf, PathBuf) {
-    let trace = tmp(&format!("serve-trace-{tag}.json"));
-    let snap = tmp(&format!("serve-snap-{tag}.json"));
+fn run_traced(verb: &str, tag: &str, ring: &str) -> (String, PathBuf, PathBuf) {
+    let trace = tmp(&format!("{verb}-trace-{tag}.json"));
+    let snap = tmp(&format!("{verb}-snap-{tag}.json"));
     let (trace_arg, snap_arg) = (trace.to_str().unwrap(), snap.to_str().unwrap());
     let stdout = repro_ok(
-        &["serve", "--quick", "--trace", trace_arg, "--out", snap_arg],
+        &[verb, "--quick", "--trace", trace_arg, "--out", snap_arg],
         &[("SAT_OBS_RING", ring)],
     );
     (stdout, trace, snap)
+}
+
+/// A record is a function of its verb and scale: the serve records of
+/// a traced `serve --quick` equal the ones inside a traced `all
+/// --quick` — gauge peaks included, whatever machines the experiments
+/// before them left behind — but for host time. (The registry is exact
+/// under ring overflow, so the default ring will do.)
+#[test]
+fn serve_records_are_the_same_alone_and_inside_all() {
+    let records = |verb: &str| {
+        let (_, _, snap) = run_traced(verb, "alone-vs-all", "65536");
+        let mut snap = sat_bench::snapshot::Snapshot::load(snap.to_str().unwrap()).unwrap();
+        assert!(snap.traced());
+        ["serve_stock", "serve_shared"].map(|name| {
+            let mut rec = snap.experiments.remove(name).expect(name);
+            rec.metrics
+                .remove("wall_ms")
+                .expect("host time is recorded");
+            assert!(rec.metrics.contains_key("gauge.phys.frames.in_use"));
+            rec
+        })
+    };
+    assert_eq!(records("serve"), records("all"));
 }
 
 /// The serve workload is seeded and cycle-clocked: repeated runs must
@@ -688,7 +704,7 @@ fn serve_is_deterministic_and_snapshots_latency() {
 /// honors `--top K`.
 #[test]
 fn tails_breaks_down_slowest_requests_from_a_serve_trace() {
-    let (_, trace, snap) = run_serve_traced("tails", "2097152");
+    let (_, trace, snap) = run_traced("serve", "tails", "2097152");
     let path = trace.to_str().unwrap();
 
     let stdout = repro_ok(
@@ -741,7 +757,7 @@ fn tails_breaks_down_slowest_requests_from_a_serve_trace() {
 /// the stream itself is valid).
 #[test]
 fn check_warns_on_partial_blame_attribution() {
-    let (_, trace, snap) = run_serve_traced("partial", "65536");
+    let (_, trace, snap) = run_traced("serve", "partial", "65536");
     let stdout = repro_ok(
         &[
             "check",
@@ -912,28 +928,26 @@ fn reach_snapshots_translation_and_check_covers_the_scanner() {
 }
 
 /// The pressure grid derives its budgets from the uncapped wave, so
-/// the whole run is a pure function of the seed: byte-identical
-/// across repeats and worker-pool thread counts.
+/// the whole run is a pure function of the seed: byte-identical across
+/// repeats. (The name dates from the worker pool.)
 #[test]
 fn pressure_is_deterministic_across_runs_and_thread_counts() {
-    let run = |threads: &str, out_name: &str| -> String {
+    let run = |out_name: &str| -> String {
         let out_path = tmp(out_name);
         repro_ok(
             &["pressure", "--quick", "--out", out_path.to_str().unwrap()],
-            &[("SAT_BENCH_THREADS", threads)],
+            &[],
         )
     };
-    let serial = run("1", "pr-serial.json");
-    let parallel = run("4", "pr-parallel.json");
-    let repeat = run("4", "pr-repeat.json");
-    assert!(serial.contains("serving under memory pressure"), "{serial}");
-    assert!(serial.contains("starved"), "{serial}");
-    assert_eq!(serial, parallel, "thread count changed the pressure grid");
-    assert_eq!(parallel, repeat, "repeated run changed the pressure grid");
+    let first = run("pr-a.json");
+    let second = run("pr-b.json");
+    assert!(first.contains("serving under memory pressure"), "{first}");
+    assert!(first.contains("starved"), "{first}");
+    assert_eq!(first, second, "repeated run changed the pressure grid");
 
     // The snapshot carries every cell; finite cells carry budgets and
     // reclaim totals for the diff gate.
-    let snap = std::fs::read_to_string(tmp("pr-serial.json")).unwrap();
+    let snap = std::fs::read_to_string(tmp("pr-a.json")).unwrap();
     for name in sat_bench::pressurebench::record_names() {
         assert!(snap.contains(&format!("\"name\": \"{name}\"")), "{snap}");
     }
@@ -942,21 +956,19 @@ fn pressure_is_deterministic_across_runs_and_thread_counts() {
 }
 
 /// The sat-sched experiment is a pure function of its seed: the same
-/// run repeated, serial or fanned out over the worker pool, must
-/// produce byte-identical tables.
+/// run repeated must produce byte-identical tables. (The name dates
+/// from the worker pool.)
 #[test]
 fn timeshare_is_deterministic_across_runs_and_thread_counts() {
-    let run = |threads: &str, out_name: &str| -> String {
+    let run = |out_name: &str| -> String {
         let out_path = tmp(out_name);
         repro_ok(
             &["timeshare", "--quick", "--out", out_path.to_str().unwrap()],
-            &[("SAT_BENCH_THREADS", threads)],
+            &[],
         )
     };
-    let serial = run("1", "ts-serial.json");
-    let parallel = run("4", "ts-parallel.json");
-    let repeat = run("4", "ts-repeat.json");
-    assert!(serial.contains("timesharing N apps"), "{serial}");
-    assert_eq!(serial, parallel, "thread count changed the table");
-    assert_eq!(parallel, repeat, "repeated run changed the table");
+    let first = run("ts-a.json");
+    let second = run("ts-b.json");
+    assert!(first.contains("timesharing N apps"), "{first}");
+    assert_eq!(first, second, "repeated run changed the table");
 }

@@ -26,11 +26,9 @@
 //! # Threads
 //!
 //! The recorder is deliberately thread-local (no global mutex on the
-//! simulator's hot paths; `cargo test` runs tests concurrently). The
-//! bench pool's worker threads install their own recorder per cell and
-//! the submitting thread merges the harvests back, in submission
-//! order, via [`absorb`] — so a traced parallel sweep reports the same
-//! events (and metrics) as a serial one.
+//! simulator's hot paths; `cargo test` runs tests concurrently). A
+//! recording never leaves the thread that made it: `repro` runs every
+//! experiment on the thread that installed the recorder.
 
 #![forbid(unsafe_code)]
 
@@ -180,10 +178,10 @@ pub fn gauge_set(key: &str, value: u64) {
     with_sink(|s| s.metrics.gauge_set(key, value));
 }
 
-/// Snapshots every registered gauge into the event ring as
-/// [`Payload::Sample`] events — one consistent cut across the whole
-/// gauge set. Drive this from a [`Sampler`] rather than calling it
-/// directly, so the cadence is explicit.
+/// Snapshots every gauge published in the current gauge window into
+/// the event ring as [`Payload::Sample`] events — one consistent cut
+/// across the window's gauge set. Drive this from a [`Sampler`] rather
+/// than calling it directly, so the cadence is explicit.
 pub fn sample_gauges() {
     with_sink(RingSink::sample_gauges);
 }
@@ -405,18 +403,6 @@ pub fn charge_scoped(core: usize, cycles: u64) {
     charge(core, current_charge_cause(), cycles);
 }
 
-/// Merges a recording harvested on another thread into this thread's
-/// recorder (no-op when disabled). Events are re-stamped in order.
-pub fn absorb(rec: Recording) {
-    with_sink(|s| s.absorb(rec));
-}
-
-/// This thread's ring capacity, if a recorder is installed. The bench
-/// pool sizes worker recorders to match the parent's.
-pub fn ring_capacity() -> Option<usize> {
-    with_sink(|s| s.capacity)
-}
-
 /// Runs `f` against the live metrics registry, if a recorder is
 /// installed. Used by conservation tests and `repro`'s per-experiment
 /// deltas without tearing the recorder down.
@@ -446,7 +432,6 @@ mod tests {
     fn install_emit_uninstall_round_trip() {
         install(8);
         assert!(enabled());
-        assert_eq!(ring_capacity(), Some(8));
         emit(Subsystem::Kernel, 3, 2, Payload::Exit);
         record_value("sim.soft_fault_cycles", 250);
         let snap = counters_snapshot().unwrap();

@@ -90,18 +90,6 @@ impl Histogram {
         }
         self.max
     }
-
-    pub fn merge(&mut self, other: &Histogram) {
-        // Saturate like `record`: two workers' clamped sums must merge
-        // to a clamped sum, not a panic in the pool's absorb path.
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-    }
 }
 
 /// An instantaneous level (free frames, run-queue depth, TLB
@@ -116,16 +104,17 @@ pub struct Gauge {
     pub value: u64,
     /// Run-wide peak of every published value.
     pub high_water: u64,
-    /// Peak since the last window reset (the snapshot's per-experiment
-    /// `gauges` section reads this).
-    pub window_high_water: u64,
+    /// Peak of the values published since the last window reset (the
+    /// snapshot's per-experiment `gauge.*` metrics read this); `None`
+    /// until the gauge is published in the window.
+    pub window_high_water: Option<u64>,
 }
 
 impl Gauge {
     fn publish(&mut self, value: u64) {
         self.value = value;
         self.high_water = self.high_water.max(value);
-        self.window_high_water = self.window_high_water.max(value);
+        self.window_high_water = Some(self.window_high_water.map_or(value, |w| w.max(value)));
     }
 }
 
@@ -204,23 +193,34 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, &g)| (k.as_str(), g))
     }
 
-    /// Starts a fresh per-experiment window: every gauge's window
-    /// high-water restarts from its *current* value (the level carried
-    /// into the window is part of the window's peak).
+    /// Starts a fresh per-experiment window, empty: a gauge joins it
+    /// when it is next published. The level a gauge was left at
+    /// belongs to whatever published it — an earlier experiment's
+    /// machines, dropped since — not to the window being opened. The
+    /// run-wide `high_water` is untouched.
     pub fn begin_gauge_window(&mut self) {
         for g in self.gauges.values_mut() {
-            g.window_high_water = g.value;
+            g.window_high_water = None;
         }
     }
 
+    /// The gauges published since the last window reset, with their
+    /// current values — what a sample of the window cuts.
+    pub(crate) fn window_gauges(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.gauges
+            .iter()
+            .filter(|(_, g)| g.window_high_water.is_some())
+            .map(|(k, g)| (k.as_str(), g.value))
+    }
+
     /// The per-gauge peaks since the last window reset. Gauges that
-    /// never rose above zero are omitted (mirrors the per-experiment
-    /// event-delta convention: absent means untouched).
+    /// were not published in the window, or never rose above zero, are
+    /// omitted (mirrors the per-experiment event-delta convention:
+    /// absent means untouched).
     pub fn window_gauge_high_waters(&self) -> BTreeMap<String, u64> {
         self.gauges
             .iter()
-            .filter(|(_, g)| g.window_high_water > 0)
-            .map(|(k, g)| (k.clone(), g.window_high_water))
+            .filter_map(|(k, g)| Some((k.clone(), g.window_high_water.filter(|&w| w > 0)?)))
             .collect()
     }
 
@@ -394,31 +394,6 @@ impl MetricsRegistry {
             }
         }
     }
-
-    /// Accumulates another registry (used when the bench pool merges
-    /// worker-thread recordings back into the submitting thread).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, &v) in &other.counters {
-            self.inc(k, v);
-        }
-        for (k, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
-            }
-        }
-        // Gauges merge by max: worker cells are independent simulated
-        // machines, so "current value" has no single meaning across
-        // them — the peak does. All three fields take the maximum,
-        // which keeps high-water exact under parallel absorption.
-        for (k, g) in &other.gauges {
-            let mine = self.gauges.entry(k.clone()).or_default();
-            mine.value = mine.value.max(g.value);
-            mine.high_water = mine.high_water.max(g.high_water);
-            mine.window_high_water = mine.window_high_water.max(g.window_high_water);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -437,22 +412,8 @@ mod tests {
         assert_eq!(Histogram::bucket_of(u64::MAX), 63);
     }
 
-    #[test]
-    fn merging_two_saturated_histograms_saturates() {
-        // Each side's sum already clamped at u64::MAX; a worker that
-        // somehow counted to the limit must not wrap the total either.
-        let mut a = Histogram::default();
-        a.record(u64::MAX);
-        a.record(u64::MAX);
-        let mut b = a.clone();
-        b.count = u64::MAX;
-        a.merge(&b);
-        assert_eq!(a.sum, u64::MAX);
-        assert_eq!(a.count, u64::MAX);
-        assert_eq!(a.buckets[63], 4);
-        assert_eq!(a.mean(), 1.0);
-    }
-
+    /// (The name dates from `Histogram::merge`, deleted with the worker
+    /// pool.)
     #[test]
     fn histogram_stats_and_merge() {
         let mut a = Histogram::default();
@@ -463,12 +424,7 @@ mod tests {
         assert_eq!(a.sum, 107);
         assert_eq!(a.min, 1);
         assert_eq!(a.max, 100);
-        let mut b = Histogram::default();
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count, 5);
-        assert_eq!(a.max, 1000);
-        assert_eq!(a.buckets[9], 1);
+        assert_eq!(a.buckets[6], 1);
     }
 
     #[test]
@@ -552,19 +508,40 @@ mod tests {
     }
 
     #[test]
-    fn gauge_window_restarts_from_current_value() {
-        let mut m = MetricsRegistry::default();
+    fn gauge_window_forgets_levels_not_published_in_it() {
+        let mut sink = crate::RingSink::new(16);
+        let m = &mut sink.metrics;
         m.gauge_set("phys.slab.live", 50);
         m.gauge_set("phys.slab.live", 10);
-        assert_eq!(m.gauge("phys.slab.live").unwrap().window_high_water, 50);
+        m.gauge_set("registry.sharers", 53);
+        assert_eq!(m.window_gauge_high_waters()["phys.slab.live"], 50);
         m.begin_gauge_window();
-        // The level carried into the window (10) is the new floor.
-        assert_eq!(m.gauge("phys.slab.live").unwrap().window_high_water, 10);
-        m.gauge_set("phys.slab.live", 30);
-        let windows = m.window_gauge_high_waters();
-        assert_eq!(windows.get("phys.slab.live"), Some(&30));
-        // Run-wide high-water is untouched by window resets.
-        assert_eq!(m.gauge("phys.slab.live").unwrap().high_water, 50);
+        // The levels left behind (10 and 53) belong to whoever
+        // published them, not to the new window.
+        assert!(m.window_gauge_high_waters().is_empty());
+        for v in [5, 30, 7] {
+            m.gauge_set("phys.slab.live", v);
+        }
+        // A sample cuts the window's gauges only, so it cannot
+        // republish the stale one into the window.
+        sink.sample_gauges();
+        let rec = sink.finish();
+        assert_eq!(rec.events.len(), 1);
+        assert_eq!(
+            rec.events[0].payload,
+            Payload::Sample {
+                gauge: "phys.slab.live".to_string(),
+                value: 7
+            }
+        );
+        assert_eq!(
+            rec.metrics.window_gauge_high_waters(),
+            BTreeMap::from([("phys.slab.live".to_string(), 30)])
+        );
+        // Run-wide values and peaks are untouched by window resets.
+        assert_eq!(rec.metrics.gauge("phys.slab.live").unwrap().high_water, 50);
+        let sharers = rec.metrics.gauge("registry.sharers").unwrap();
+        assert_eq!((sharers.value, sharers.high_water), (53, 53));
     }
 
     #[test]
@@ -594,37 +571,5 @@ mod tests {
             replay.gauge("registry.sharers")
         );
         assert_eq!(replay.gauge("registry.sharers").unwrap().high_water, 12);
-    }
-
-    #[test]
-    fn registry_merge_takes_gauge_maxima() {
-        let mut a = MetricsRegistry::default();
-        a.gauge_set("g", 40);
-        a.gauge_set("g", 5);
-        let mut b = MetricsRegistry::default();
-        b.gauge_set("g", 90);
-        b.gauge_set("g", 7);
-        b.gauge_set("other", 3);
-        a.merge(&b);
-        let g = a.gauge("g").unwrap();
-        assert_eq!(g.value, 7, "merge keeps the max of current values");
-        assert_eq!(g.high_water, 90);
-        assert_eq!(a.gauge("other").unwrap().value, 3);
-    }
-
-    #[test]
-    fn registry_merge_adds_counters() {
-        let mut a = MetricsRegistry::default();
-        a.inc("x", 2);
-        a.record("h", 7);
-        let mut b = MetricsRegistry::default();
-        b.inc("x", 3);
-        b.inc("y", 1);
-        b.record("h", 9);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 5);
-        assert_eq!(a.counter("y"), 1);
-        let h = a.histogram("h").unwrap();
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 16, 7, 9));
     }
 }

@@ -24,7 +24,7 @@ pub struct Recording {
 /// When full, the oldest event is dropped and counted.
 #[derive(Clone, Debug)]
 pub struct RingSink {
-    pub(crate) capacity: usize,
+    capacity: usize,
     events: VecDeque<Event>,
     /// Monotonic per-recorder tick; stamps every event.
     seq: u64,
@@ -66,37 +66,25 @@ impl RingSink {
         });
     }
 
-    /// Snapshots every registered gauge into the event stream as one
-    /// [`Payload::Sample`] each (a Chrome counter-track point). The
-    /// sink owns both the registry and the ring, so this is the one
-    /// place a consistent multi-gauge snapshot can be cut.
+    /// Snapshots every gauge published in the current gauge window
+    /// into the event stream as one [`Payload::Sample`] each (a Chrome
+    /// counter-track point). The sink owns both the registry and the
+    /// ring, so this is the one place a consistent multi-gauge snapshot
+    /// can be cut. A gauge last published before the window opened is
+    /// some earlier experiment's machine state and stays out of this
+    /// one's samples.
     pub fn sample_gauges(&mut self) {
         // Samples carry (pid 0, asid 0): gauges are machine state, not
         // per-process. Recording a Sample re-applies it to the
         // registry, which is idempotent (same value written back).
         let snapshot: Vec<(String, u64)> = self
             .metrics
-            .gauges()
-            .map(|(k, g)| (k.to_string(), g.value))
+            .window_gauges()
+            .map(|(k, v)| (k.to_string(), v))
             .collect();
         for (gauge, value) in snapshot {
             let subsystem = Subsystem::for_gauge(&gauge);
             self.record(0, 0, subsystem, Payload::Sample { gauge, value });
-        }
-    }
-
-    /// Merges a recording harvested on another thread: events are
-    /// re-stamped onto this sink's tick sequence in order, metrics and
-    /// drop counts accumulate.
-    pub fn absorb(&mut self, rec: Recording) {
-        // The worker already applied its events to its own metrics;
-        // merge those wholesale rather than re-deriving.
-        self.metrics.merge(&rec.metrics);
-        self.dropped += rec.dropped;
-        for mut event in rec.events {
-            event.tick = self.seq;
-            self.seq += 1;
-            self.push(event);
         }
     }
 
@@ -113,7 +101,7 @@ impl RingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FlushReason, FlushScope, UnshareCause};
+    use crate::event::{FlushReason, FlushScope};
 
     fn flush_payload(entries: u64) -> Payload {
         Payload::TlbFlush {
@@ -178,64 +166,5 @@ mod tests {
             rec.metrics.gauge("phys.frames.free").unwrap().high_water,
             900
         );
-    }
-
-    /// The required absorb-correctness property: when worker-thread
-    /// recordings merge back into the parent sink, every gauge's
-    /// high-water mark is the true maximum over all workers — a
-    /// worker's transient peak survives even if its final value was
-    /// lower and even if another worker never touched the gauge.
-    #[test]
-    fn absorb_keeps_gauge_high_water_across_workers() {
-        let run_worker = |peak: u64, last: u64| -> Recording {
-            let mut w = RingSink::new(16);
-            w.metrics.gauge_set("phys.slab.live", peak);
-            w.sample_gauges();
-            w.metrics.gauge_set("phys.slab.live", last);
-            w.sample_gauges();
-            w.finish()
-        };
-        let mut parent = RingSink::new(64);
-        parent.metrics.gauge_set("phys.slab.live", 5);
-        // Submission order is deterministic; the peak (700, from the
-        // second worker) must survive both absorptions.
-        parent.absorb(run_worker(300, 120));
-        parent.absorb(run_worker(700, 80));
-        let rec = parent.finish();
-        let g = rec.metrics.gauge("phys.slab.live").unwrap();
-        assert_eq!(g.high_water, 700);
-        assert_eq!(g.value, 120);
-        // Absorbed sample events were re-stamped onto one strictly
-        // increasing tick sequence.
-        let ticks: Vec<u64> = rec.events.iter().map(|e| e.tick).collect();
-        assert!(ticks.windows(2).all(|w| w[1] > w[0]), "{ticks:?}");
-    }
-
-    #[test]
-    fn absorb_restamps_in_order_and_merges() {
-        let mut worker = RingSink::new(16);
-        worker.record(
-            7,
-            3,
-            Subsystem::Share,
-            Payload::PtpUnshare {
-                cause: UnshareCause::WriteFault,
-                ptes_copied: 5,
-                last_sharer: false,
-                va: 0x1000,
-            },
-        );
-        let worker_rec = worker.finish();
-
-        let mut parent = RingSink::new(16);
-        parent.record(1, 1, Subsystem::Tlb, flush_payload(2));
-        parent.absorb(worker_rec);
-        let rec = parent.finish();
-        assert_eq!(rec.events.len(), 2);
-        assert_eq!(rec.events[0].tick, 0);
-        assert_eq!(rec.events[1].tick, 1);
-        assert_eq!(rec.events[1].pid, 7);
-        assert_eq!(rec.metrics.counter("share.unshare.write_fault"), 1);
-        assert_eq!(rec.metrics.counter("tlb.flush.main"), 1);
     }
 }

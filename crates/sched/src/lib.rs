@@ -11,7 +11,7 @@
 //! everything (queue order, workload mix, churn victims) derives from
 //! one seed, so a run is a pure function of its options — the
 //! `repro timeshare` experiment and the determinism tests rely on
-//! byte-identical behaviour across runs and thread counts.
+//! byte-identical behaviour across runs.
 
 #![forbid(unsafe_code)]
 
@@ -280,6 +280,15 @@ pub struct TimeshareSim {
     sampler: sat_obs::Sampler,
 }
 
+/// A [`TimeshareSim`]'s gauges: the machine's (kernel frame allocator,
+/// PTP slab, shared-PTP registry, per-core TLBs) plus the scheduler's
+/// run-queue depths. A function of the two fields, so the sampler can
+/// be borrowed beside them.
+fn publish_gauges(sys: &AndroidSystem, sched: &Scheduler) {
+    sys.machine.publish_gauges();
+    sched.publish_gauges();
+}
+
 impl TimeshareSim {
     /// Boots a system under `config` and admits `opts.apps` zygote
     /// children to the scheduler.
@@ -319,45 +328,11 @@ impl TimeshareSim {
         Ok(sim)
     }
 
-    /// Publishes every layer's gauges: the machine's (kernel frame
-    /// allocator, PTP slab, shared-PTP registry, per-core TLBs) plus
-    /// the scheduler's run-queue depths.
-    pub fn publish_gauges(&self) {
-        if !sat_obs::enabled() {
-            return;
-        }
-        self.sys.machine.publish_gauges();
-        self.sched.publish_gauges();
-    }
-
     /// Emits one off-clock gauge sample (boot/teardown edges) without
     /// advancing the per-round sampling clock.
     pub fn sample_now(&mut self) {
-        let TimeshareSim {
-            sampler,
-            sys,
-            sched,
-            ..
-        } = self;
-        sampler.sample_now(|| {
-            sys.machine.publish_gauges();
-            sched.publish_gauges();
-        });
-    }
-
-    /// Advances the sampling clock by one round, snapshotting every
-    /// gauge into the event ring when a sample is due.
-    fn sample_tick(&mut self) {
-        let TimeshareSim {
-            sampler,
-            sys,
-            sched,
-            ..
-        } = self;
-        sampler.tick(|| {
-            sys.machine.publish_gauges();
-            sched.publish_gauges();
-        });
+        self.sampler
+            .sample_now(|| publish_gauges(&self.sys, &self.sched));
     }
 
     /// Forks one process from the zygote, builds its working set, and
@@ -447,7 +422,8 @@ impl TimeshareSim {
             }
             self.sched.requeue(core, pid, events);
         }
-        self.sample_tick();
+        // One tick of the sampling clock per round.
+        self.sampler.tick(|| publish_gauges(&self.sys, &self.sched));
         Ok(())
     }
 

@@ -191,6 +191,16 @@ pub struct ServeSim {
     sampler: sat_obs::Sampler,
 }
 
+/// A [`ServeSim`]'s gauges: every layer's plus per-slot queue depths.
+/// A function of the two fields, so the sampler can be borrowed beside
+/// them.
+fn publish_gauges(sys: &AndroidSystem, slots: &[Slot]) {
+    sys.machine.publish_gauges();
+    for (i, slot) in slots.iter().enumerate() {
+        sat_obs::gauge_set(&format!("serve.queue.s{i}"), slot.queue.len() as u64);
+    }
+}
+
 impl ServeSim {
     /// Boots a system under `config` and forks `opts.servers` servers,
     /// pinned round-robin to cores.
@@ -300,31 +310,10 @@ impl ServeSim {
         ))
     }
 
-    /// Publishes every layer's gauges plus per-slot queue depths.
-    pub fn publish_gauges(&self) {
-        if !sat_obs::enabled() {
-            return;
-        }
-        self.sys.machine.publish_gauges();
-        for (i, slot) in self.slots.iter().enumerate() {
-            sat_obs::gauge_set(&format!("serve.queue.s{i}"), slot.queue.len() as u64);
-        }
-    }
-
     /// Emits one off-clock gauge sample.
     pub fn sample_now(&mut self) {
-        let ServeSim {
-            sampler,
-            sys,
-            slots,
-            ..
-        } = self;
-        sampler.sample_now(|| {
-            sys.machine.publish_gauges();
-            for (i, slot) in slots.iter().enumerate() {
-                sat_obs::gauge_set(&format!("serve.queue.s{i}"), slot.queue.len() as u64);
-            }
-        });
+        self.sampler
+            .sample_now(|| publish_gauges(&self.sys, &self.slots));
     }
 
     /// Issues this round's burst, if one is due: requests are assigned
@@ -519,18 +508,7 @@ impl ServeSim {
             if self.opts.churn > self.churned && round.is_multiple_of(3) {
                 self.churn_once()?;
             }
-            let ServeSim {
-                sampler,
-                sys,
-                slots,
-                ..
-            } = self;
-            sampler.tick(|| {
-                sys.machine.publish_gauges();
-                for (i, slot) in slots.iter().enumerate() {
-                    sat_obs::gauge_set(&format!("serve.queue.s{i}"), slot.queue.len() as u64);
-                }
-            });
+            self.sampler.tick(|| publish_gauges(&self.sys, &self.slots));
             round += 1;
             let drained = self.arrivals_issued >= self.opts.requests
                 && self.slots.iter().all(|s| s.queue.is_empty());
