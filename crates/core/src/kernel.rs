@@ -40,7 +40,7 @@ use crate::asid::AsidAllocator;
 use crate::config::KernelConfig;
 use crate::flush::FlushBatch;
 use crate::registry::{RegistryStats, SharedPtpRegistry};
-use crate::share::{fork_share, unshare, unshare_range, UnshareTrigger};
+use crate::share::{detach_shared, fork_share, unshare, unshare_range, UnshareTrigger};
 use crate::TlbMaintenance;
 
 /// Kernel-global statistics.
@@ -747,7 +747,6 @@ impl Kernel {
         let child_asid = self.alloc_asid();
         let parent_mm = self.procs.get_mut(parent).ok_or(SatError::NoSuchProcess)?;
         let parent_asid = parent_mm.asid.raw();
-        self.stats.forks += 1;
 
         // Sections are invisible to both fork paths (they walk PTPs; a
         // section lives directly in the level-1 entry), so the
@@ -786,7 +785,6 @@ impl Kernel {
         }
 
         let (child_mm, outcome, mut protected) = if config.share_ptp {
-            self.stats.share_forks += 1;
             let (child_mm, r) = fork_share(
                 parent_mm,
                 &mut self.ptps,
@@ -839,6 +837,10 @@ impl Kernel {
             (child_mm, outcome, protected)
         };
         protected.extend(demoted_spans);
+        // Counted once the fork has happened: one that ran out of
+        // frames leaves only a skipped pid and ASID value behind.
+        self.stats.forks += 1;
+        self.stats.share_forks += u64::from(config.share_ptp);
         self.procs.insert(child_mm);
         self.asids.assign_current(child_pid);
         if sat_obs::enabled() {
@@ -863,15 +865,7 @@ impl Kernel {
     pub fn exit(&mut self, pid: Pid, tlb: &mut dyn TlbMaintenance) -> SatResult<()> {
         let stale = self.asid_is_stale(pid);
         let mut mm = self.procs.remove(pid).ok_or(SatError::NoSuchProcess)?;
-        // Drop this process's shared-PTP references from the registry
-        // before teardown releases the frames (case 5: exit
-        // dereferences without copying, so this is a detach, not an
-        // unshare).
-        for (idx, frame) in mm.root.iter_ptps() {
-            if mm.root.entry(idx).need_copy() {
-                self.registry.exit_detach(frame);
-            }
-        }
+        detach_shared(&mm, &mut self.registry);
         exit_mmap(&mut mm, &mut self.ptps, &mut self.phys);
         if !stale {
             let mut batch = FlushBatch::new(pid, mm.asid);
@@ -950,6 +944,12 @@ impl Kernel {
     /// outside the registry. Also checks that the four by-cause
     /// unshare counters sum to `ptp_unshares`. Returns a description
     /// of the first violation found.
+    ///
+    /// A `NEED_COPY` pair whose entry counts one sharer is legal — it
+    /// is what the exit of every other sharer leaves, and what a fork
+    /// that ran out of frames after sharing a chunk leaves in the
+    /// parent, write-protected PTEs included; the lone sharer takes the
+    /// last-sharer path at its next unshare.
     pub fn verify_share_accounting(&self) -> Result<(), String> {
         let mut refs: std::collections::BTreeMap<sat_types::Pfn, u32> =
             std::collections::BTreeMap::new();

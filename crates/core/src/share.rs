@@ -3,7 +3,7 @@
 use sat_mmu::{Mapper, Ptp, PtpStore, TableHalf};
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{Asid, Domain, Pid, SatError, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN};
-use sat_vm::{copies_ptes, copy_vma_ptes_in_range, ForkReport, Mm};
+use sat_vm::{copies_ptes, copy_vma_ptes_in_range, exit_mmap, ForkReport, Mm};
 
 use crate::config::{CopyOnUnshare, KernelConfig};
 use crate::flush::FlushBatch;
@@ -106,6 +106,17 @@ pub fn chunk_sharable(mm: &Mm, chunk: VirtAddr, config: &KernelConfig) -> bool {
         .all(|vma| config.share_stack || !vma.dont_share_ptp)
 }
 
+/// Drops `mm`'s shared-PTP references from the registry ahead of the
+/// teardown that releases the frames (case 5: an exiting address space
+/// dereferences without copying, so this is a detach, not an unshare).
+pub(crate) fn detach_shared(mm: &Mm, registry: &mut SharedPtpRegistry) {
+    for (idx, frame) in mm.root.iter_ptps() {
+        if mm.root.entry(idx).need_copy() {
+            registry.exit_detach(frame);
+        }
+    }
+}
+
 /// Forks `parent` sharing its PTPs with the child (Section 3.1.1).
 ///
 /// For every PTP in the parent's address space whose chunk is
@@ -127,6 +138,16 @@ pub fn chunk_sharable(mm: &Mm, chunk: VirtAddr, config: &KernelConfig) -> bool {
 /// the child attaches with one refcount bump and no VMA-overlap scan,
 /// write-protect pass, or aging walk. This is what makes fork of a
 /// fully-shared image O(shared regions).
+///
+/// A fork that runs out of frames in the stock fallback takes the
+/// half-built child down as an exit would — registry detach for the
+/// pairs already attached, then the address space and the root — before
+/// it returns the error. The parent keeps the write protection and the
+/// `NEED_COPY` bits of the chunks shared so far, each with a registry
+/// entry of one sharer: the state every sharer's exit leaves behind,
+/// which [`crate::Kernel::verify_share_accounting`] accepts. As after
+/// [`sat_vm::fork_mm`], the parent's cached translations for them are
+/// stale and the caller owes the flush.
 #[allow(clippy::too_many_arguments)]
 pub fn fork_share(
     parent: &mut Mm,
@@ -243,7 +264,7 @@ pub fn fork_share(
                     continue;
                 }
                 let cow_before = fr.cow_protected;
-                copy_vma_ptes_in_range(
+                if let Err(e) = copy_vma_ptes_in_range(
                     parent,
                     &mut child,
                     ptps,
@@ -252,7 +273,12 @@ pub fn fork_share(
                     span,
                     Domain::USER,
                     &mut fr,
-                )?;
+                ) {
+                    detach_shared(&child, registry);
+                    exit_mmap(&mut child, ptps, phys);
+                    child.free_root(phys);
+                    return Err(e);
+                }
                 // The stock copy COW-protected parent PTEs here: any
                 // writable translation cached for them is stale and
                 // must be in the fork flush.

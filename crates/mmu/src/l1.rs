@@ -1,12 +1,11 @@
 //! The first-level (root) translation table.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{
     Dacr, Domain, PageSize, Perms, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES, MAX_FRAMES,
 };
 
+use crate::groups::{Groups, GROUP_WORDS};
 use crate::ptp::TableHalf;
 
 /// A first-level descriptor.
@@ -51,15 +50,15 @@ pub enum L1Entry {
 
 /// Entry word, bits 0-1: `L1_FAULT` (so a zeroed table is all
 /// faults), `L1_TABLE` or `L1_SECTION`.
-const L1_TAG_MASK: u32 = 0b11;
-const L1_FAULT: u32 = 0;
-const L1_TABLE: u32 = 1;
+pub(crate) const L1_TAG_MASK: u32 = 0b11;
+pub(crate) const L1_FAULT: u32 = 0;
+pub(crate) const L1_TABLE: u32 = 1;
 const L1_SECTION: u32 = 2;
 /// Entry word, bit 2: the upper half of the PTP (table) or a 16MB
 /// supersection (section).
 const L1_UPPER_OR_SUPER: u32 = 1 << 2;
 /// Entry word, bit 3: NEED_COPY (table) or the global bit (section).
-const L1_NEED_COPY_OR_GLOBAL: u32 = 1 << 3;
+pub(crate) const L1_NEED_COPY_OR_GLOBAL: u32 = 1 << 3;
 /// Entry word, bits 4-7: the domain.
 const L1_DOMAIN_SHIFT: u32 = 4;
 /// Entry word, bits 8-10: [`Perms::bits`] (section only).
@@ -76,7 +75,7 @@ impl L1Entry {
     /// slot word this is a private lossless encoding (the architectural
     /// section descriptor has no room for an unaligned base), resting
     /// on `PhysMem` holding no frame past [`MAX_FRAMES`].
-    fn pack(self) -> u32 {
+    pub(crate) fn pack(self) -> u32 {
         let flag = |on: bool, bit: u32| if on { bit } else { 0 };
         let (tag, frame, domain, rest) = match self {
             L1Entry::Fault => return L1_FAULT,
@@ -122,7 +121,7 @@ impl L1Entry {
     }
 
     /// Unpacks a word written by [`L1Entry::pack`].
-    fn unpack(word: u32) -> L1Entry {
+    pub(crate) fn unpack(word: u32) -> L1Entry {
         let frame = Pfn::new(word >> L1_FRAME_SHIFT);
         let domain = Domain::new((word >> L1_DOMAIN_SHIFT & 0xF) as u8);
         match word & L1_TAG_MASK {
@@ -179,54 +178,51 @@ impl L1Entry {
     }
 }
 
-/// The entry words of one root table.
-type L1Words = [u32; L1_ENTRIES];
+/// Groups in a root table's 4096 entry words.
+const ROOT_GROUPS: usize = L1_ENTRIES / GROUP_WORDS;
 
-const _: () = assert!(std::mem::size_of::<L1Words>() == 4 * L1_ENTRIES);
+/// `true` if `word` packs a table entry.
+fn is_table(word: u32) -> bool {
+    word & L1_TAG_MASK == L1_TABLE
+}
 
 /// A process's first-level translation table (4096 entries, 16KB).
 ///
 /// The real table occupies four contiguous 4KB frames; the simulator
 /// allocates four frames so level-1 walk accesses have physical
-/// addresses for the cache model. On the host it is the same 16KB: one
-/// word per entry, of which [`L1Entry`] is the decoded view
-/// [`RootTable::entry`] returns and [`RootTable::set_entry`] takes —
-/// every live process carries one, so its size is per-process cost.
+/// addresses for the cache model. On the host it is one word per entry
+/// — of which [`L1Entry`] is the decoded view [`RootTable::entry`]
+/// returns and [`RootTable::set_entry`] takes — stored by populated
+/// 64-entry group (see `groups.rs`): a zygote child's 77 entries sit in
+/// five or six groups, so the table every live process carries costs
+/// ≈ 2 KiB, not 16. The groups are also the index: the PTPs and the
+/// sections a table references are found by scanning the populated
+/// groups, which is O(populated) where a scan of all 4096 words was
+/// not.
 pub struct RootTable {
-    entries: Box<L1Words>,
+    entries: Groups<ROOT_GROUPS>,
     frames: [Pfn; 4],
-    /// Even indices of pairs holding table entries, mapped to their
-    /// PTP frame. Kept in sync by the mutators so [`RootTable::iter_ptps`]
-    /// walks the populated pairs instead of scanning all 4096 entries
-    /// — the difference between O(address-space size) and O(#PTPs) on
-    /// every fork and exit. A pair stays indexed while *either* half
-    /// holds a table entry, so a section promoted into one half never
-    /// hides the PTP still referenced by the other.
-    pairs: BTreeMap<u16, Pfn>,
-    /// Indices holding section entries, so teardown and the demotion
-    /// paths walk O(#sections) instead of scanning all 4096 entries.
-    sections: BTreeSet<u16>,
 }
 
 impl RootTable {
     /// Allocates a root table (four frames) with all entries invalid.
+    /// On failure the frames already taken go back to `phys`.
     pub fn alloc(phys: &mut PhysMem) -> SatResult<RootTable> {
-        let frames = [
-            phys.alloc(FrameKind::RootTable)?,
-            phys.alloc(FrameKind::RootTable)?,
-            phys.alloc(FrameKind::RootTable)?,
-            phys.alloc(FrameKind::RootTable)?,
-        ];
-        // Zeroed on the heap, never on the stack.
-        let entries: Box<L1Words> = vec![L1_FAULT; L1_ENTRIES]
-            .into_boxed_slice()
-            .try_into()
-            .expect("L1_ENTRIES words");
+        let mut frames = [Pfn::new(0); 4];
+        for taken in 0..frames.len() {
+            match phys.alloc(FrameKind::RootTable) {
+                Ok(frame) => frames[taken] = frame,
+                Err(e) => {
+                    for &frame in &frames[..taken] {
+                        phys.put_page(frame);
+                    }
+                    return Err(e);
+                }
+            }
+        }
         Ok(RootTable {
-            entries,
+            entries: Groups::new(),
             frames,
-            pairs: BTreeMap::new(),
-            sections: BTreeSet::new(),
         })
     }
 
@@ -239,7 +235,7 @@ impl RootTable {
 
     /// Returns the entry for index `idx`.
     pub fn entry(&self, idx: usize) -> L1Entry {
-        L1Entry::unpack(self.entries[idx])
+        L1Entry::unpack(self.entries.get(idx))
     }
 
     /// Returns the entry covering `va`.
@@ -247,25 +243,9 @@ impl RootTable {
         self.entry(va.l1_index())
     }
 
-    /// Sets the entry at index `idx`, keeping the pair and section
-    /// indices honest for any mix of table/section/fault entries in
-    /// the two halves.
+    /// Sets the entry at index `idx`.
     pub fn set_entry(&mut self, idx: usize, e: L1Entry) {
-        self.entries[idx] = e.pack();
-        if matches!(e, L1Entry::Section { .. }) {
-            self.sections.insert(idx as u16);
-        } else {
-            self.sections.remove(&(idx as u16));
-        }
-        let even = idx & !1;
-        match self.entry(even).ptp().or(self.entry(even + 1).ptp()) {
-            Some(ptp) => {
-                self.pairs.insert(even as u16, ptp);
-            }
-            None => {
-                self.pairs.remove(&(even as u16));
-            }
-        }
+        self.entries.set(idx, e.pack());
     }
 
     /// Installs both entries of the pair covering `va` to point at the
@@ -316,17 +296,20 @@ impl RootTable {
     pub fn set_need_copy(&mut self, va: VirtAddr, value: bool) {
         let even = va.l1_index() & !1;
         for idx in [even, even + 1] {
-            let word = &mut self.entries[idx];
+            let word = self.entries.get(idx);
             assert!(
-                *word & L1_TAG_MASK == L1_TABLE,
+                is_table(word),
                 "set_need_copy on non-table entry {:?}",
-                L1Entry::unpack(*word)
+                L1Entry::unpack(word)
             );
-            if value {
-                *word |= L1_NEED_COPY_OR_GLOBAL;
-            } else {
-                *word &= !L1_NEED_COPY_OR_GLOBAL;
-            }
+            self.entries.set(
+                idx,
+                if value {
+                    word | L1_NEED_COPY_OR_GLOBAL
+                } else {
+                    word & !L1_NEED_COPY_OR_GLOBAL
+                },
+            );
         }
     }
 
@@ -338,27 +321,60 @@ impl RootTable {
     }
 
     /// Iterates over `(pair_base_index, ptp_frame)` for every distinct
-    /// PTP referenced by this table, in ascending pair order.
+    /// PTP referenced by this table, in ascending pair order. A pair is
+    /// listed while *either* half holds a table entry — the even half's
+    /// frame if it holds one, else the odd half's — so a section
+    /// promoted into one half never hides the PTP still referenced by
+    /// the other.
     ///
-    /// Served from the populated-pair index: O(#PTPs), not O(4096).
+    /// Served from the populated groups: O(#entries), not O(4096).
     pub fn iter_ptps(&self) -> impl Iterator<Item = (usize, Pfn)> + '_ {
-        self.pairs.iter().map(|(&i, &p)| (i as usize, p))
+        self.entries
+            .iter(0..L1_ENTRIES)
+            .filter(|&(_, word)| is_table(word))
+            .filter_map(|(idx, word)| {
+                // The odd half speaks for the pair only when the even
+                // half (just visited, if populated) holds no table.
+                let listed = idx % 2 == 1 && is_table(self.entries.get(idx - 1));
+                (!listed).then(|| (idx & !1, Pfn::new(word >> L1_FRAME_SHIFT)))
+            })
     }
 
     /// Counts distinct PTPs referenced by this table.
     pub fn ptp_count(&self) -> usize {
-        self.pairs.len()
+        self.iter_ptps().count()
     }
 
     /// Iterates over the L1 indices holding section entries, in
-    /// ascending order — O(#sections), not O(4096).
+    /// ascending order — O(#entries), not O(4096).
     pub fn iter_sections(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sections.iter().map(|&i| i as usize)
+        self.entries
+            .iter(0..L1_ENTRIES)
+            .filter(|&(_, word)| word & L1_TAG_MASK == L1_SECTION)
+            .map(|(idx, _)| idx)
     }
 
     /// Counts section entries in this table.
     pub fn section_count(&self) -> usize {
-        self.sections.len()
+        self.iter_sections().count()
+    }
+
+    /// Consistency check of the host-side storage, for tests and the
+    /// whole-system auditor: every allocated group holds at least one
+    /// entry and counts its own correctly, and every stored word is one
+    /// [`RootTable::set_entry`] writes. Returns a description of the
+    /// first violation found.
+    pub fn verify(&self) -> Result<(), String> {
+        self.entries.verify()?;
+        for (idx, word) in self.entries.iter(0..L1_ENTRIES) {
+            let entry = L1Entry::unpack(word);
+            if entry == L1Entry::Fault || entry.pack() != word {
+                return Err(format!(
+                    "entry {idx} stores {word:#010x}, which packs no entry ({entry:?})"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -387,6 +403,48 @@ mod tests {
         assert_eq!(rt.entry(0), L1Entry::Fault);
         assert_eq!(rt.entry(4095), L1Entry::Fault);
         assert_eq!(rt.ptp_count(), 0);
+    }
+
+    /// The footprint: a root table owns the groups that hold its
+    /// entries and no other — a fresh one none at all.
+    #[test]
+    fn a_fresh_root_table_owns_no_group() {
+        let (_p, mut rt) = root();
+        assert_eq!(rt.entries.populated(), 0);
+        // Writing faults over faults allocates nothing.
+        rt.set_entry(70, L1Entry::Fault);
+        assert_eq!(rt.clear_table_pair(VirtAddr::new(0x0460_0000)), None);
+        assert_eq!(rt.entries.populated(), 0);
+        // One pair is one group; the pair across the boundary another.
+        rt.set_table_pair(VirtAddr::new(0x03E0_0000), Pfn::new(7), Domain::USER, false);
+        assert_eq!(rt.entries.populated(), 1);
+        rt.set_table_pair(VirtAddr::new(0x0400_0000), Pfn::new(8), Domain::USER, true);
+        assert_eq!(rt.entries.populated(), 2);
+        rt.set_need_copy(VirtAddr::new(0x0400_0000), false);
+        rt.verify().unwrap();
+        assert_eq!(
+            rt.clear_table_pair(VirtAddr::new(0x03F0_0000)),
+            Some(Pfn::new(7))
+        );
+        assert_eq!(rt.entries.populated(), 1);
+        assert_eq!(
+            rt.clear_table_pair(VirtAddr::new(0x0400_0000)),
+            Some(Pfn::new(8))
+        );
+        assert_eq!(rt.entries.populated(), 0);
+        rt.verify().unwrap();
+    }
+
+    #[test]
+    fn a_failed_alloc_returns_the_frames_it_took() {
+        for frames in 0..4 {
+            let mut phys = PhysMem::new(frames);
+            assert_eq!(
+                RootTable::alloc(&mut phys).err(),
+                Some(sat_types::SatError::OutOfMemory)
+            );
+            assert_eq!(phys.frames_in_use(), 0, "a pool of {frames}");
+        }
     }
 
     /// Every variant × 16 domains × half or size × NEED_COPY or
@@ -560,7 +618,7 @@ mod tests {
         );
         assert_eq!(rt.iter_ptps().collect::<Vec<_>>(), vec![(4, Pfn::new(7))]);
         assert_eq!(rt.iter_sections().collect::<Vec<_>>(), vec![4]);
-        // Dropping the surviving table half empties the pair index; the
+        // Dropping the surviving table half delists the pair; the
         // section stays.
         rt.set_entry(5, L1Entry::Fault);
         assert_eq!(rt.ptp_count(), 0);

@@ -34,10 +34,13 @@
 #![forbid(unsafe_code)]
 
 pub mod fsr;
+mod groups;
 pub mod l1;
 pub mod ops;
 pub mod pte;
 pub mod ptp;
+#[cfg(test)]
+mod reference;
 pub mod walk;
 
 pub use fsr::{FaultRecord, FaultStatus};

@@ -350,7 +350,7 @@ impl<'a> Mapper<'a> {
             return false; // other processes still reference it
         }
         // Torn down where it lies: read through a borrow, then the
-        // slot is freed — no 2KB table moves out of the arena.
+        // slot is freed — nothing moves out of the arena.
         let chunk = va.ptp_base();
         let table = self.ptps.get(frame).expect("PTP in store");
         for (half, idx, slot) in table.iter() {

@@ -5,6 +5,7 @@ use std::ops::Range;
 use sat_phys::{Slab, SlabItem};
 use sat_types::{PageSize, Perms, Pfn, PhysAddr, VirtAddr, L2_ENTRIES, MAX_FRAMES};
 
+use crate::groups::{Groups, GROUP_WORDS};
 use crate::pte::{HwPte, PteSlot, SwPte};
 
 /// Which of the two 1KB hardware tables within a PTP a level-1 entry
@@ -48,22 +49,29 @@ impl TableHalf {
 /// accesses for the cache model.
 ///
 /// On the host a slot is one word holding both entries — the hardware
-/// descriptor and the five software flags (see `pack_slot`) — so a
-/// `Ptp` is 2,052 bytes, half the 4KB it stands for. Fleet-scale fork
-/// churn keeps tens of thousands of them live.
+/// descriptor and the five software flags (see `pack_slot`) — and the
+/// 512 words are stored by populated 64-slot group (four groups a
+/// half, see `groups.rs`): the struct that lives in the slab is
+/// 72 bytes and a table costs 264 more for each group that holds a
+/// PTE. Fleet-scale fork churn keeps tens of thousands of tables live,
+/// most of them holding a handful of PTEs in one group.
 #[derive(Clone)]
 pub struct Ptp {
-    slots: [[u32; L2_ENTRIES]; 2],
+    /// Slot (`half`, `idx`) is word `half * L2_ENTRIES + idx`.
+    slots: Groups<PTP_GROUPS>,
     valid_count: [u16; 2],
 }
 
-const _: () = assert!(std::mem::size_of::<Ptp>() <= 2052);
+/// Groups in a PTP's 512 slots.
+const PTP_GROUPS: usize = 2 * L2_ENTRIES / GROUP_WORDS;
+
+const _: () = assert!(std::mem::size_of::<Ptp>() <= 72);
 
 /// Byte offset of hardware table `half` within the PTP frame.
 const HW_TABLE_OFF: [u32; 2] = [2048, 3072];
 
 /// Slot word, bit 0: the slot holds a PTE.
-const SLOT_VALID: u32 = 1;
+pub(crate) const SLOT_VALID: u32 = 1;
 /// Slot word, bit 1: a 64KB descriptor (clear = 4KB).
 const SLOT_LARGE: u32 = 1 << 1;
 /// Slot word, bits 2-4: [`Perms::bits`].
@@ -71,8 +79,8 @@ const SLOT_PERMS_SHIFT: u32 = 2;
 /// Slot word, bit 5: the global bit.
 const SLOT_GLOBAL: u32 = 1 << 5;
 /// Slot word, bits 6-10: [`SwPte::pack`].
-const SLOT_SW_SHIFT: u32 = 6;
-const SLOT_SW_MASK: u32 = 0x1F << SLOT_SW_SHIFT;
+pub(crate) const SLOT_SW_SHIFT: u32 = 6;
+pub(crate) const SLOT_SW_MASK: u32 = 0x1F << SLOT_SW_SHIFT;
 /// Slot word, the top bits down to here: the frame number, as wide as
 /// [`MAX_FRAMES`] needs (bits 12-31; bit 11 is spare).
 const SLOT_FRAME_SHIFT: u32 = 32 - MAX_FRAMES.trailing_zeros();
@@ -87,7 +95,7 @@ const _: () = assert!(SLOT_SW_MASK < 1 << SLOT_FRAME_SHIFT);
 /// unaligned group bases the simulator's allocator can produce, and
 /// slot words must round-trip every `HwPte` the kernel paths store.
 /// Frames come from a `PhysMem`, which holds none past [`MAX_FRAMES`].
-fn pack_slot(hw: HwPte, sw: SwPte) -> u32 {
+pub(crate) fn pack_slot(hw: HwPte, sw: SwPte) -> u32 {
     debug_assert!(
         hw.pfn.raw() < MAX_FRAMES,
         "{:?} is past the slot word's frame field",
@@ -108,7 +116,7 @@ fn pack_slot(hw: HwPte, sw: SwPte) -> u32 {
 
 /// Unpacks a slot word written by [`pack_slot`]; 0 (and any word with
 /// the valid bit clear) is an empty slot.
-fn unpack_slot(word: u32) -> Option<PteSlot> {
+pub(crate) fn unpack_slot(word: u32) -> Option<PteSlot> {
     if word & SLOT_VALID == 0 {
         return None;
     }
@@ -137,35 +145,37 @@ impl Ptp {
     /// Creates an empty PTP (all descriptors fault).
     pub fn new() -> Self {
         Ptp {
-            slots: [[0; L2_ENTRIES]; 2],
+            slots: Groups::new(),
             valid_count: [0; 2],
         }
     }
 
+    /// The word index of slot (`half`, `idx`).
+    fn at(half: TableHalf, idx: usize) -> usize {
+        assert!(idx < L2_ENTRIES, "slot {idx} is past the table half");
+        half.index() * L2_ENTRIES + idx
+    }
+
     /// Reads the slot at (`half`, `idx`); `None` if not present.
     pub fn get(&self, half: TableHalf, idx: usize) -> Option<PteSlot> {
-        unpack_slot(self.slots[half.index()][idx])
+        unpack_slot(self.slots.get(Ptp::at(half, idx)))
     }
 
     /// Installs a PTE in the slot, returning the previous hardware
     /// entry if one was present.
     pub fn set(&mut self, half: TableHalf, idx: usize, hw: HwPte, sw: SwPte) -> Option<HwPte> {
-        let h = half.index();
-        let prev = unpack_slot(self.slots[h][idx]);
-        self.slots[h][idx] = pack_slot(hw, sw);
+        let prev = unpack_slot(self.slots.set(Ptp::at(half, idx), pack_slot(hw, sw)));
         if prev.is_none() {
-            self.valid_count[h] += 1;
+            self.valid_count[half.index()] += 1;
         }
         prev.map(|slot| slot.hw)
     }
 
     /// Clears the slot, returning the previous hardware entry.
     pub fn clear(&mut self, half: TableHalf, idx: usize) -> Option<HwPte> {
-        let h = half.index();
-        let prev = unpack_slot(self.slots[h][idx]);
-        self.slots[h][idx] = 0;
+        let prev = unpack_slot(self.slots.set(Ptp::at(half, idx), 0));
         if prev.is_some() {
-            self.valid_count[h] -= 1;
+            self.valid_count[half.index()] -= 1;
         }
         prev.map(|slot| slot.hw)
     }
@@ -173,22 +183,28 @@ impl Ptp {
     /// Mutates the software entry of a populated slot; returns `false`
     /// (without calling `f`) when the slot is empty.
     pub fn update_sw(&mut self, half: TableHalf, idx: usize, f: impl FnOnce(&mut SwPte)) -> bool {
-        let word = &mut self.slots[half.index()][idx];
-        if *word & SLOT_VALID == 0 {
+        let at = Ptp::at(half, idx);
+        let word = self.slots.get(at);
+        if word & SLOT_VALID == 0 {
             return false;
         }
-        let mut sw = SwPte::unpack((*word >> SLOT_SW_SHIFT) as u8);
+        let mut sw = SwPte::unpack((word >> SLOT_SW_SHIFT) as u8);
         f(&mut sw);
-        *word = *word & !SLOT_SW_MASK | u32::from(sw.pack()) << SLOT_SW_SHIFT;
+        self.slots.set(
+            at,
+            word & !SLOT_SW_MASK | u32::from(sw.pack()) << SLOT_SW_SHIFT,
+        );
         true
     }
 
     /// Replaces the hardware entry of a populated slot (e.g. to
     /// write-protect it), keeping the software entry.
     pub fn replace_hw(&mut self, half: TableHalf, idx: usize, hw: HwPte) {
-        let word = &mut self.slots[half.index()][idx];
-        debug_assert!(*word & SLOT_VALID != 0, "replace_hw on empty slot");
-        *word = pack_slot(hw, SwPte::default()) | *word & SLOT_SW_MASK;
+        let at = Ptp::at(half, idx);
+        let word = self.slots.get(at);
+        debug_assert!(word & SLOT_VALID != 0, "replace_hw on empty slot");
+        self.slots
+            .set(at, pack_slot(hw, SwPte::default()) | word & SLOT_SW_MASK);
     }
 
     /// Number of valid entries in `half`.
@@ -207,24 +223,21 @@ impl Ptp {
     }
 
     /// Iterates over the populated slots among `slots` of `half` as
-    /// `(idx, slot)`, in ascending order; a half that holds no PTE is
-    /// not scanned.
+    /// `(idx, slot)`, in ascending order; only the groups that hold a
+    /// PTE are scanned.
     pub(crate) fn iter_slots(
         &self,
         half: TableHalf,
         slots: Range<usize>,
     ) -> impl Iterator<Item = (usize, PteSlot)> + '_ {
-        let h = half.index();
-        let slots = if self.valid_count[h] == 0 {
-            0..0
-        } else {
-            slots
-        };
-        let first = slots.start;
-        self.slots[h][slots]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, &word)| unpack_slot(word).map(|slot| (first + i, slot)))
+        assert!(
+            slots.end <= L2_ENTRIES,
+            "slots {slots:?} leave the table half"
+        );
+        let first = Ptp::at(half, 0);
+        self.slots
+            .iter(first + slots.start..first + slots.end)
+            .filter_map(move |(at, word)| unpack_slot(word).map(|slot| (at - first, slot)))
     }
 
     /// Iterates over populated slots in both halves as
@@ -233,6 +246,32 @@ impl Ptp {
         [TableHalf::Lower, TableHalf::Upper]
             .into_iter()
             .flat_map(move |half| self.iter_half(half).map(move |(i, s)| (half, i, s)))
+    }
+
+    /// Consistency check of the host-side storage, for tests and the
+    /// whole-system auditor: every allocated group holds at least one
+    /// PTE and counts its own correctly, every stored word is a PTE,
+    /// and `valid_count` equals a recount of each half. Returns a
+    /// description of the first violation found.
+    pub fn verify(&self) -> Result<(), String> {
+        self.slots.verify()?;
+        for half in [TableHalf::Lower, TableHalf::Upper] {
+            let first = Ptp::at(half, 0);
+            let stored = self.slots.iter(first..first + L2_ENTRIES).count();
+            let valid = self.iter_half(half).count();
+            if stored != valid {
+                return Err(format!(
+                    "{half:?} stores {stored} words but {valid} are PTEs"
+                ));
+            }
+            if valid != self.valid_count(half) {
+                return Err(format!(
+                    "{half:?} counts {} valid PTEs but holds {valid}",
+                    self.valid_count(half)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Physical address of the *hardware* PTE word for (`half`,
@@ -245,18 +284,11 @@ impl Ptp {
 }
 
 impl SlabItem for Ptp {
-    /// Clears the PTP in place so its slab slot can be recycled.
-    /// Halves that were never populated (tracked by `valid_count`) are
-    /// skipped, so tearing down a sparse table does not rewrite all
-    /// 2KB of descriptor state.
+    /// Empties the PTP so its slab slot can be recycled: every group
+    /// goes back to the allocator, and the slot waits on the free list
+    /// owning none.
     fn reset(&mut self) {
-        for h in 0..2 {
-            if self.valid_count[h] == 0 {
-                continue;
-            }
-            self.slots[h] = [0; L2_ENTRIES];
-            self.valid_count[h] = 0;
-        }
+        *self = Ptp::new();
     }
 }
 
@@ -270,14 +302,15 @@ const NO_SLOT: u32 = u32::MAX;
 /// is what lets several processes' level-1 entries reference the same
 /// PTP — the substrate for the paper's sharing mechanism.
 ///
-/// Storage is a [`Slab`]: a `Ptp` is 2KB of inline packed descriptor
-/// state, and fork/exit churn at fleet scale allocates and frees
-/// thousands of them. The slab recycles freed slots in place and grows
-/// a chunk at a time, so the steady state costs no global-allocator
-/// traffic and nothing ever moves a table. Every table walk resolves
-/// its PTP frame here, so the `frame → slot` index is a flat array by
-/// frame number, grown only as far as the highest frame that has held
-/// a table.
+/// Storage is a [`Slab`] of 72-byte [`Ptp`] headers, each owning the
+/// groups that hold its PTEs: fork/exit churn at fleet scale allocates
+/// and frees thousands of tables, the slab recycles freed slots in
+/// place and grows a chunk at a time, and nothing ever moves a live
+/// header. What the global allocator sees is one allocation per
+/// populated group, released when the group empties or the table is
+/// freed. Every table walk resolves its PTP frame here, so the
+/// `frame → slot` index is a flat array by frame number, grown only as
+/// far as the highest frame that has held a table.
 #[derive(Default)]
 pub struct PtpStore {
     tables: Slab<Ptp>,
@@ -341,9 +374,9 @@ impl PtpStore {
     }
 
     /// Drops a PTP in place (its frame is being freed) and recycles the
-    /// slab slot — [`PtpStore::remove`] without the 2KB move for a
-    /// caller that has already read what it needs through
-    /// [`PtpStore::get`]. Returns `false` if `frame` holds no PTP.
+    /// slab slot — [`PtpStore::remove`] for a caller that has already
+    /// read what it needs through [`PtpStore::get`]. Returns `false` if
+    /// `frame` holds no PTP.
     pub(crate) fn free(&mut self, frame: Pfn) -> bool {
         self.unindex(frame)
             .map(|slot| self.tables.free(slot))
@@ -374,6 +407,51 @@ impl PtpStore {
     /// Slab allocation counters (recycling effectiveness).
     pub fn slab_stats(&self) -> sat_phys::SlabStats {
         self.tables.stats()
+    }
+
+    /// Consistency check of the arena, for tests and the whole-system
+    /// auditor: the frame index names exactly the slab's live slots,
+    /// each once; every live table passes [`Ptp::verify`]; and a slot
+    /// waiting on the free list is empty and owns no group. Returns a
+    /// description of the first violation found.
+    pub fn verify(&self) -> Result<(), String> {
+        let mut frame_of = vec![None; self.tables.capacity()];
+        for (frame, &slot) in self.index.iter().enumerate() {
+            if slot == NO_SLOT {
+                continue;
+            }
+            match frame_of.get_mut(slot as usize) {
+                None => return Err(format!("frame {frame} indexes unallocated slot {slot}")),
+                Some(Some(other)) => {
+                    return Err(format!("frames {other} and {frame} both index slot {slot}"))
+                }
+                Some(owner) => *owner = Some(frame),
+            }
+        }
+        let indexed = frame_of.iter().flatten().count();
+        if indexed != self.tables.live() {
+            return Err(format!(
+                "{indexed} frames are indexed but the slab has {} live slots",
+                self.tables.live()
+            ));
+        }
+        for (slot, owner) in frame_of.iter().enumerate() {
+            let table = self.tables.get(slot as u32);
+            match owner {
+                Some(frame) => table
+                    .verify()
+                    .map_err(|e| format!("PTP in frame {frame}: {e}"))?,
+                None if table.slots.populated() > 0 || table.total_valid() > 0 => {
+                    return Err(format!(
+                        "free slot {slot} still owns {} groups and counts {} PTEs",
+                        table.slots.populated(),
+                        table.total_valid()
+                    ));
+                }
+                None => {}
+            }
+        }
+        Ok(())
     }
 
     /// Publishes slab occupancy gauges to the installed obs sink.
@@ -482,6 +560,79 @@ mod tests {
         store.insert(Pfn::new(300));
         assert_eq!(store.get(Pfn::new(300)).unwrap().total_valid(), 0);
         assert_eq!(store.slab_stats().recycled, 1);
+    }
+
+    /// The footprint: a table owns the groups that hold its PTEs and
+    /// no other.
+    #[test]
+    fn one_pte_costs_one_group_and_clearing_it_none() {
+        let mut ptp = Ptp::new();
+        assert_eq!(ptp.slots.populated(), 0);
+        let hw = HwPte::small(Pfn::new(1), Perms::RW, false);
+        ptp.set(TableHalf::Upper, 77, hw, SwPte::anon(true));
+        assert_eq!(ptp.slots.populated(), 1);
+        // Rewriting the PTE in place neither adds nor drops a group.
+        ptp.update_sw(TableHalf::Upper, 77, |sw| sw.young = false);
+        ptp.replace_hw(TableHalf::Upper, 77, hw.write_protected());
+        ptp.set(TableHalf::Upper, 77, hw, SwPte::default());
+        assert_eq!(ptp.slots.populated(), 1);
+        // A neighbour in the same group shares it; one over the
+        // boundary takes its own.
+        ptp.set(TableHalf::Upper, 64, hw, SwPte::default());
+        assert_eq!(ptp.slots.populated(), 1);
+        ptp.set(TableHalf::Upper, 63, hw, SwPte::default());
+        assert_eq!(ptp.slots.populated(), 2);
+        ptp.verify().unwrap();
+        for idx in [63, 64, 77] {
+            assert_eq!(ptp.clear(TableHalf::Upper, idx), Some(hw));
+        }
+        assert_eq!(ptp.slots.populated(), 0);
+        assert_eq!(ptp.clear(TableHalf::Upper, 77), None);
+        ptp.verify().unwrap();
+    }
+
+    #[test]
+    fn a_recycled_ptp_owns_no_group() {
+        let mut store = PtpStore::new();
+        let hw = HwPte::small(Pfn::new(9), Perms::RW, false);
+        for frame in [Pfn::new(5), Pfn::new(6)] {
+            store.insert(frame);
+            let table = store.get_mut(frame).unwrap();
+            for idx in [0, 100, 200] {
+                table.set(TableHalf::Lower, idx, hw, SwPte::anon(true));
+                table.set(TableHalf::Upper, idx, hw, SwPte::anon(true));
+            }
+            assert_eq!(table.slots.populated(), 6);
+        }
+        store.verify().unwrap();
+        // Freed in place and removed by value: both slots wait on the
+        // free list empty, and what `remove` hands back owns the groups.
+        assert!(store.free(Pfn::new(5)));
+        let removed = store.remove(Pfn::new(6)).unwrap();
+        assert_eq!((removed.slots.populated(), removed.total_valid()), (6, 6));
+        for slot in 0..2 {
+            assert_eq!(store.tables.get(slot).slots.populated(), 0);
+        }
+        store.verify().unwrap();
+        store.insert(Pfn::new(7));
+        let recycled = store.get(Pfn::new(7)).unwrap();
+        assert_eq!((recycled.slots.populated(), recycled.total_valid()), (0, 0));
+        assert_eq!(store.slab_stats().recycled, 1);
+        store.verify().unwrap();
+    }
+
+    #[test]
+    fn store_verify_names_a_broken_index() {
+        let mut store = PtpStore::new();
+        store.insert(Pfn::new(3));
+        store.insert(Pfn::new(4));
+        store.verify().unwrap();
+        // Two frames naming one slot.
+        store.index[4] = store.index[3];
+        assert!(store.verify().unwrap_err().contains("both index slot"));
+        // A live slot no frame names.
+        store.index[4] = NO_SLOT;
+        assert!(store.verify().unwrap_err().contains("live slots"));
     }
 
     #[test]

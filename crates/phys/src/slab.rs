@@ -1,18 +1,20 @@
 //! A slab arena for fixed-shape table objects.
 //!
-//! Page-table pages are large by value (2 KiB of descriptor state in
-//! the simulator) and churn hard under fork/exit workloads: a fleet
-//! run creates and tears down thousands of processes, each allocating
-//! and freeing a handful of PTPs. Backing them with a plain
+//! Page-table pages churn hard under fork/exit workloads: a fleet run
+//! creates and tears down thousands of processes, each allocating and
+//! freeing a handful of PTPs. Backing them with a plain
 //! `HashMap<Pfn, Ptp>` sends every insert and remove through the
-//! global allocator. [`Slab`] keeps freed slots on a free list and
-//! recycles them in LIFO order, so steady-state alloc/free is O(1)
-//! with no allocator traffic — the `kmem_cache` idiom.
+//! global allocator and hashes a frame number on every table walk.
+//! [`Slab`] keeps freed slots on a free list and recycles them in LIFO
+//! order, so steady-state alloc/free of the slot itself is O(1) with no
+//! allocator traffic — the `kmem_cache` idiom. What an item owns
+//! beyond its slot (a 72-byte PTP owns one small allocation per
+//! populated group of entries) is its own business, given back in
+//! `reset`.
 //!
 //! Storage is a list of fixed-size chunks, so growth allocates one
 //! chunk and never moves a live object: a single doubling `Vec` holds
-//! the old and the new buffer together while it copies, which at
-//! 65,536 tables was most of the fleet workload's peak heap.
+//! the old and the new buffer together while it copies.
 //!
 //! The slab is deliberately dumb: it hands out dense `u32` slot ids
 //! and never shrinks. Keying (e.g. by physical frame) is the caller's
@@ -42,7 +44,7 @@ pub struct SlabStats {
 }
 
 /// Slots per chunk: large enough that chunk bookkeeping is noise,
-/// small enough (128 KiB of PTPs) that a nearly empty last chunk is
+/// small enough (4.5 KiB of PTPs) that a nearly empty last chunk is
 /// too.
 const CHUNK_SLOTS: usize = 64;
 
@@ -83,7 +85,7 @@ impl<T: SlabItem> Slab<T> {
         }
         let id = u32::try_from(self.len).expect("slab exceeds u32 slots");
         if self.len == self.chunks.len() * CHUNK_SLOTS {
-            // Built on the heap: a chunk of PTPs is 128 KiB.
+            // Built on the heap, whatever `T`'s size.
             let chunk: Box<[T]> = (0..CHUNK_SLOTS).map(|_| T::default()).collect();
             self.chunks.push(
                 chunk

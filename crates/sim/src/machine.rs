@@ -553,7 +553,26 @@ impl Machine {
     /// Charges a fork to `core` and returns the kernel's outcome plus
     /// the cycles consumed (the Table 4 measurement).
     pub fn fork(&mut self, core: usize, parent: Pid) -> SatResult<(sat_core::ForkOutcome, u64)> {
-        let (outcome, protected) = self.kernel.fork_with_flush(parent)?;
+        let (outcome, protected) = match self.kernel.fork_with_flush(parent) {
+            Ok(forked) => forked,
+            Err(e) => {
+                // A fork that ran out of frames part-way has already
+                // write-protected parent PTEs, and the error carries no
+                // spans: drop everything cached under the parent's
+                // ASID, or a writable entry outlives the protection and
+                // the child of a later fork — which finds nothing left
+                // to protect and owes no flush — sees the parent's
+                // writes.
+                if let Ok(parent_asid) = self.kernel.mm(parent).map(|mm| mm.asid) {
+                    if !self.kernel.asid_is_stale(parent) {
+                        let mut batch = sat_core::FlushBatch::new(parent, parent_asid);
+                        batch.asid(parent_asid, sat_obs::FlushReason::Fork);
+                        self.syscall_on(core, |_, tlb| batch.apply(tlb));
+                    }
+                }
+                return Err(e);
+            }
+        };
         // Fork write-protects parent PTEs (for COW and/or shared
         // PTPs); stale *writable* translations cached before the fork
         // must not survive it (Linux: flush_tlb_mm in dup_mmap). The

@@ -19,6 +19,7 @@ use sat_phys::PhysMem;
 use sat_types::{Asid, Domain, Pid, SatResult, VaRange};
 
 use crate::mm::Mm;
+use crate::syscalls::exit_mmap;
 use crate::vma::{Backing, Vma};
 
 /// Which PTEs `fork` copies eagerly.
@@ -69,6 +70,14 @@ pub fn copies_ptes(policy: ForkPtePolicy, vma: &Vma) -> bool {
 /// `child_domain` is the domain used for the child's level-1 entries
 /// (the zygote domain for zygote-like children under the paper's TLB
 /// sharing, the user domain otherwise).
+///
+/// A fork that runs out of frames part-way takes the half-built child
+/// down before it returns the error, so every frame, reference and
+/// reverse-map entry the copy took is given back. What stays is the COW
+/// write protection already applied to parent PTEs: a legal state (the
+/// parent's next write re-enables the page), but one its cached
+/// translations do not reflect — a caller that models a TLB flushes
+/// the parent after a failed fork as after a successful one.
 pub fn fork_mm(
     parent: &mut Mm,
     ptps: &mut PtpStore,
@@ -94,7 +103,7 @@ pub fn fork_mm(
         if !copies_ptes(policy, vma) {
             continue;
         }
-        copy_vma_ptes(
+        if let Err(e) = copy_vma_ptes(
             parent,
             &mut child,
             ptps,
@@ -102,7 +111,11 @@ pub fn fork_mm(
             vma,
             child_domain,
             &mut report,
-        )?;
+        ) {
+            exit_mmap(&mut child, ptps, phys);
+            child.free_root(phys);
+            return Err(e);
+        }
     }
     child.set_vmas(vmas);
     child.counters.ptes_copied_fork = report.ptes_copied;
@@ -428,6 +441,60 @@ mod tests {
         )
         .unwrap();
         assert_eq!(o2.kind, FaultKind::WriteEnable);
+    }
+
+    #[test]
+    fn fork_that_runs_out_of_frames_takes_the_child_down() {
+        // Heap pages in three 2MB chunks: a fork needs four root frames
+        // and three tables. Leave room for the root and 0, 1 or 2
+        // tables, so the copy fails with that many tables — and their
+        // PTEs' references and reverse-map entries — already in place.
+        for tables_that_fit in 0..3 {
+            let mut f = fx();
+            for chunk in 0..3 {
+                let at = 0x0800_0000 + chunk * 0x20_0000;
+                add_heap(&mut f, at, 2);
+                touch(&mut f.mm, &mut f.ptps, &mut f.phys, at, AccessType::Write);
+            }
+            let free = f.phys.frame_count() as u64 - f.phys.frames_in_use();
+            let spare = free - (4 + tables_that_fit);
+            let hoard: Vec<_> = (0..spare)
+                .map(|_| f.phys.alloc(sat_phys::FrameKind::Anon).unwrap())
+                .collect();
+            let before = (f.phys.frames_in_use(), f.phys.rmap_total(), f.ptps.len());
+            let failed = fork_mm(
+                &mut f.mm,
+                &mut f.ptps,
+                &mut f.phys,
+                Pid::new(2),
+                Asid::new(2),
+                ForkPtePolicy::Stock,
+                Domain::USER,
+            );
+            assert_eq!(failed.err(), Some(sat_types::SatError::OutOfMemory));
+            assert_eq!(
+                (f.phys.frames_in_use(), f.phys.rmap_total(), f.ptps.len()),
+                before,
+                "{tables_that_fit} tables fit"
+            );
+            f.phys.rmap_verify().unwrap();
+            // With room again the same fork goes through.
+            for frame in hoard {
+                f.phys.put_page(frame);
+            }
+            let (_, report) = fork_mm(
+                &mut f.mm,
+                &mut f.ptps,
+                &mut f.phys,
+                Pid::new(3),
+                Asid::new(3),
+                ForkPtePolicy::Stock,
+                Domain::USER,
+            )
+            .unwrap();
+            assert_eq!((report.ptes_copied, report.ptps_allocated), (3, 3));
+            f.phys.rmap_verify().unwrap();
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use sat_android::{launch_app_seq, AndroidSystem, BootOptions, LaunchOptions, LibraryLayout};
 use sat_core::{Kernel, KernelConfig};
 use sat_sim::Machine;
-use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
+use sat_types::{AccessType, Perms, Pid, RegionTag, SatError, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
 fn machine(config: KernelConfig) -> (Machine, Pid) {
@@ -316,6 +316,70 @@ fn fork_flushes_stale_writable_parent_entries() {
     let child_frame = m.kernel.pte(fork.child, heap).unwrap().unwrap().hw.pfn;
     assert_eq!(child_frame, child_frame_before);
     assert_ne!(parent_frame, child_frame, "COW isolation broken");
+}
+
+#[test]
+fn failed_fork_flushes_the_parent_like_a_successful_one() {
+    // A fork that runs out of frames after it has write-protected the
+    // parent's heap leaves that protection in place. The writable TLB
+    // entry cached before it must go too: the next fork finds nothing
+    // left to protect, reports no span to flush, and its child would
+    // see every write the parent makes through the stale entry.
+    for (config, frames_that_fit) in [
+        // Root and the heap's table fit; the stack's table does not.
+        (KernelConfig::stock(), 5),
+        // Root fits and the heap's table is shared; the stack's, which
+        // is never shared, does not fit.
+        (KernelConfig::shared_ptp(), 4),
+    ] {
+        let heap = VirtAddr::new(0x0800_0000);
+        let stack = VirtAddr::new(0x0900_0000);
+        // The zygote (root, two tables, two pages) and a second process
+        // whose exit makes room (root, one table, four pages).
+        let mut kernel = Kernel::new(config, 8 + 9 + frames_that_fit);
+        let zygote = kernel.create_process().unwrap();
+        kernel.exec_zygote(zygote).unwrap();
+        let filler = kernel.create_process().unwrap();
+        let mut m = Machine::single_core(kernel);
+        for (pid, pages, tag, at) in [
+            (zygote, 1, RegionTag::Heap, heap),
+            (zygote, 1, RegionTag::Stack, stack),
+            (filler, 4, RegionTag::Heap, heap),
+        ] {
+            let req = MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, tag, "[anon]").at(at);
+            m.syscall(|k, tlb| k.mmap(pid, &req, tlb)).unwrap();
+        }
+        m.context_switch(0, filler).unwrap();
+        for page in 0..4 {
+            let va = VirtAddr::new(heap.raw() + page * PAGE_SIZE);
+            m.access(0, va, AccessType::Write).unwrap();
+        }
+        m.context_switch(0, zygote).unwrap();
+        m.access(0, stack, AccessType::Write).unwrap();
+        m.access(0, heap, AccessType::Write).unwrap(); // caches a writable entry
+        let in_use = m.kernel.phys.frames_in_use();
+        assert_eq!(in_use, 8 + 9);
+
+        assert_eq!(m.fork(0, zygote).err(), Some(SatError::OutOfMemory));
+        assert_eq!(m.kernel.phys.frames_in_use(), in_use);
+        let parent_pte = m.kernel.pte(zygote, heap).unwrap().unwrap();
+        assert!(!parent_pte.hw.perms.write(), "the fork got as far as COW");
+
+        m.syscall(|k, tlb| k.exit(filler, tlb)).unwrap();
+        let (fork, _) = m.fork(0, zygote).unwrap();
+        let child_frame_before = m.kernel.pte(fork.child, heap).unwrap().unwrap().hw.pfn;
+        assert_eq!(child_frame_before, parent_pte.hw.pfn);
+        let faults_before = m.cores[0].stats.page_faults;
+        m.access(0, heap, AccessType::Write).unwrap();
+        assert!(
+            m.cores[0].stats.page_faults > faults_before,
+            "parent write after the failed fork bypassed the fault path"
+        );
+        let parent_frame = m.kernel.pte(zygote, heap).unwrap().unwrap().hw.pfn;
+        let child_frame = m.kernel.pte(fork.child, heap).unwrap().unwrap().hw.pfn;
+        assert_eq!(child_frame, child_frame_before);
+        assert_ne!(parent_frame, child_frame, "COW isolation broken");
+    }
 }
 
 /// Kernel config `base` with the promotion scanner on (any populated
