@@ -97,8 +97,8 @@ impl FlushBatch {
         }
     }
 
-    /// Overrides the escalation ceiling (tests and experiments).
-    pub fn with_ceiling(mut self, pages: u32) -> FlushBatch {
+    /// Overrides the escalation ceiling (the fork flush has none).
+    pub(crate) fn with_ceiling(mut self, pages: u32) -> FlushBatch {
         self.ceiling = pages;
         self
     }
@@ -129,11 +129,6 @@ impl FlushBatch {
     /// Gathers a machine-wide invalidation (globals included).
     pub fn global(&mut self, reason: FlushReason) {
         self.ops.push((FlushOp::Global, reason));
-    }
-
-    /// Whether anything has been gathered.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Resolves the gathered ops and issues the surviving maintenance

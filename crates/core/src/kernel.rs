@@ -6,8 +6,9 @@
 //! experiments drive. Each entry point applies the paper's logic in
 //! exactly the place the patch hooks Linux:
 //!
-//! - `fork` → share PTPs ([`fork_share`]) when enabled, else the stock
-//!   copy ([`sat_vm::fork_mm`]);
+//! - `fork` → the one fork (`fork.rs`): per 2MB chunk, share the PTP
+//!   where the chunk allows it (Section 3.1.1), copy as stock where it
+//!   does not — the stock kernel being the one with nothing to share;
 //! - `page_fault` → unshare on a write fault into a shared PTP
 //!   (Section 3.1.2 case 1), then the stock handler;
 //! - `mmap`/`munmap`/`mprotect` → eagerly unshare affected PTPs
@@ -32,16 +33,17 @@ use sat_types::{
     VpnRange,
 };
 use sat_vm::{
-    demote_range, exit_mmap, fork_mm, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect,
-    munmap as vm_munmap, populate, Backing, FaultCtx, FaultOutcome, Mm, MmapRequest,
+    demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect, munmap as vm_munmap,
+    populate, Backing, FaultCtx, FaultOutcome, Mm, MmapRequest,
 };
 
 use crate::asid::AsidAllocator;
 use crate::config::KernelConfig;
 use crate::flush::FlushBatch;
+use crate::fork::{dup_mm, ForkOutcome};
 use crate::registry::{RegistryStats, SharedPtpRegistry};
-use crate::share::{detach_shared, fork_share, unshare, unshare_range, UnshareTrigger};
-use crate::TlbMaintenance;
+use crate::share::{teardown, unshare, unshare_range, UnshareTrigger};
+use crate::{NoTlb, TlbMaintenance};
 
 /// Kernel-global statistics.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -114,8 +116,9 @@ impl KernelStats {
 /// emits the [`sat_obs::Payload::Demote`] event, and gathers the
 /// span's invalidation into `batch` — one cached wide TLB entry
 /// served the whole span, so the whole span must be flushed, tagged
-/// [`sat_obs::FlushReason::Demote`] for blame attribution.
-fn note_demote(
+/// [`sat_obs::FlushReason::Demote`] for blame attribution (a fork's
+/// split is part of the fork flush and is tagged as the rest of it).
+pub(crate) fn note_demote(
     stats: &mut KernelStats,
     pid: Pid,
     asid: Asid,
@@ -129,11 +132,11 @@ fn note_demote(
     stats.demotions += 1;
     stats.split_ptes += u64::from(pages);
     let span = VaRange::from_len(va, bytes);
-    batch.range(
-        asid,
-        VpnRange::from_va_range(&span),
-        sat_obs::FlushReason::Demote,
-    );
+    let reason = match cause {
+        sat_obs::DemoteCause::Fork => sat_obs::FlushReason::Fork,
+        _ => sat_obs::FlushReason::Demote,
+    };
+    batch.range(asid, VpnRange::from_va_range(&span), reason);
     if sat_obs::enabled() {
         sat_obs::emit(
             sat_obs::Subsystem::Kernel,
@@ -191,36 +194,6 @@ enum RegionChange {
     Unmap,
     /// `mprotect(2)` to these permissions (case 2).
     Protect(Perms),
-}
-
-/// What a fork did, merged across the sharing and copying paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ForkOutcome {
-    /// The new process.
-    pub child: Pid,
-    /// PTEs copied into the child.
-    pub ptes_copied: u64,
-    /// Of those, PTEs of file-backed mappings.
-    pub ptes_copied_file: u64,
-    /// PTPs allocated for the child.
-    pub ptps_allocated: u64,
-    /// PTPs shared with the child (zero on the stock paths).
-    pub ptps_shared: u64,
-    /// PTEs write-protected to establish PTP-level COW.
-    pub write_protect_ops: u64,
-}
-
-impl Default for ForkOutcome {
-    fn default() -> Self {
-        ForkOutcome {
-            child: Pid::new(0),
-            ptes_copied: 0,
-            ptes_copied_file: 0,
-            ptps_allocated: 0,
-            ptps_shared: 0,
-            write_protect_ops: 0,
-        }
-    }
 }
 
 /// Combined result of [`Kernel::page_fault`].
@@ -513,8 +486,20 @@ impl Kernel {
         // and resolve it once at the end.
         let mut batch = FlushBatch::new(pid, asid);
         let range = VaRange::from_len(addr, len);
-        let unshared = self.unshare_region(pid, range, UnshareTrigger::NewRegion, &mut batch)?;
+        let unshared = self.unshare_region(pid, range, UnshareTrigger::NewRegion, &mut batch);
         let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+        let unshared = match unshared {
+            Ok(unshared) => unshared,
+            Err(e) => {
+                // A region exists only in chunks that are private (the
+                // eager-unshare invariant), so the one just inserted
+                // goes again. The chunks unshared before the one that
+                // found no frame stay private: their flush is owed.
+                mm.carve(range);
+                batch.apply(tlb);
+                return Err(e);
+            }
+        };
         if self.config.share_tlb
             && mm.is_zygote
             && matches!(req.backing, Backing::File { .. })
@@ -580,9 +565,11 @@ impl Kernel {
             &config,
             batch,
             trigger,
-        )?;
+        );
+        // Mirrored on failure too: the chunks before the one that
+        // found no frame were unshared.
         self.stats.mirror_share(&self.registry.stats);
-        Ok(unshared as u64)
+        Ok(unshared? as u64)
     }
 
     /// The one path of `munmap` and `mprotect`: unshare, split the
@@ -615,39 +602,49 @@ impl Kernel {
         // flush — ASID-scoped maintenance cannot evict global entries.
         let any_global = mm.vmas_overlapping(range).any(|v| v.global);
         let mut batch = FlushBatch::new(pid, asid);
-        let unshared = self.unshare_region(pid, range, trigger, &mut batch)?;
-        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
-        // An operation over *part* of a large page or section must
-        // split it first (the vm layer repeats this defensively, but
-        // splitting here attributes the event and the size-tagged
-        // flush). Wholly covered large mappings stay intact: an unmap
-        // releases them exactly, a protection change stays uniform and
-        // keeps the wide descriptor.
-        for (va, size) in demote_range(mm, &mut self.ptps, &mut self.phys, range)? {
-            note_demote(&mut self.stats, pid, asid, va, size, cause, &mut batch);
-        }
-        let cleared = match change {
-            RegionChange::Unmap => vm_munmap(mm, &mut self.ptps, &mut self.phys, range)?,
-            RegionChange::Protect(perms) => {
-                vm_mprotect(mm, &mut self.ptps, &mut self.phys, range, perms)?;
-                0
-            }
-        };
-        // The unmapped or (possibly more-permissive) old translations
-        // must not survive (Linux's flush_tlb_range on both paths).
-        // Eager unsharing means no other address space holds a PTE
-        // that this operation changed, so the flush is scoped to the
-        // operating ASID — except when the region was global.
-        if any_global {
-            batch.global(sat_obs::FlushReason::RegionOp);
-        } else {
-            batch.range(
-                asid,
-                VpnRange::from_va_range(&range),
-                sat_obs::FlushReason::RegionOp,
-            );
-        }
+        let changed = self
+            .unshare_region(pid, range, trigger, &mut batch)
+            .and_then(|unshared| {
+                let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+                // An operation over *part* of a large page or section
+                // must split it first (the vm layer repeats this
+                // defensively, but splitting here attributes the event
+                // and the size-tagged flush). Wholly covered large
+                // mappings stay intact: an unmap releases them exactly,
+                // a protection change stays uniform and keeps the wide
+                // descriptor.
+                for (va, size) in demote_range(mm, &mut self.ptps, &mut self.phys, range)? {
+                    note_demote(&mut self.stats, pid, asid, va, size, cause, &mut batch);
+                }
+                let cleared = match change {
+                    RegionChange::Unmap => vm_munmap(mm, &mut self.ptps, &mut self.phys, range)?,
+                    RegionChange::Protect(perms) => {
+                        vm_mprotect(mm, &mut self.ptps, &mut self.phys, range, perms)?;
+                        0
+                    }
+                };
+                // The unmapped or (possibly more-permissive) old
+                // translations must not survive (Linux's
+                // flush_tlb_range on both paths). Eager unsharing means
+                // no other address space holds a PTE that this
+                // operation changed, so the flush is scoped to the
+                // operating ASID — except when the region was global.
+                if any_global {
+                    batch.global(sat_obs::FlushReason::RegionOp);
+                } else {
+                    batch.range(
+                        asid,
+                        VpnRange::from_va_range(&range),
+                        sat_obs::FlushReason::RegionOp,
+                    );
+                }
+                Ok((unshared, cleared))
+            });
+        // What the steps that ran gathered is owed even when a later
+        // one found no frame: the chunks unshared and the mappings
+        // split so far stay that way.
         batch.apply(tlb);
+        let (unshared, cleared) = changed?;
         let pages = range.page_count() as u32;
         emit_region_op(pid, asid, op, range.start, pages, unshared);
         Ok(cleared)
@@ -673,6 +670,8 @@ impl Kernel {
         let mut unshared = false;
         let mut unshare_ptes_copied = 0;
         if access.is_write() && mm.root.entry_for(va).need_copy() {
+            // An unshare that finds no frame has changed and gathered
+            // nothing: `?` drops an empty batch.
             let r = unshare(
                 mm,
                 &mut self.ptps,
@@ -690,12 +689,12 @@ impl Kernel {
         }
         let ctx = fault_ctx(&config, mm);
         let asid = mm.asid;
-        let vm = handle_fault(mm, &mut self.ptps, &mut self.phys, va, access, ctx)?;
+        let vm = handle_fault(mm, &mut self.ptps, &mut self.phys, va, access, ctx);
         // A write-protect fault that landed on one slot of a large
         // group had to split the group before the slot could diverge
         // (COW at 4KB granularity); attribute the demotion and flush
         // the group span the stale wide entry covered.
-        if let Some(group) = vm.demoted {
+        if let Some(group) = vm.as_ref().ok().and_then(|outcome| outcome.demoted) {
             note_demote(
                 &mut self.stats,
                 pid,
@@ -706,9 +705,11 @@ impl Kernel {
                 &mut batch,
             );
         }
+        // Owed even when the handler found no frame: the unshare before
+        // it may have dropped or write-stripped PTEs.
         batch.apply(tlb);
         Ok(ProcFaultOutcome {
-            vm,
+            vm: vm?,
             unshared,
             unshare_ptes_copied,
         })
@@ -721,142 +722,82 @@ impl Kernel {
         populate(mm, &mut self.ptps, &mut self.phys, range, ctx)
     }
 
-    /// `fork(2)`: shares PTPs when enabled, else copies per the
-    /// configured policy.
-    ///
-    /// Both paths may write-protect parent PTEs (COW and/or
-    /// PTP-sharing protection). Callers that model a TLB must flush
-    /// the parent's cached translations for the *protected* ranges
-    /// afterwards, as Linux's `dup_mmap`/`flush_tlb_mm` does — use
-    /// [`Kernel::fork_with_flush`] to learn which ranges those are
-    /// (`sat_sim::Machine::fork` gathers them into a
-    /// [`FlushBatch`]); direct kernel users with no TLB have nothing
-    /// to go stale.
+    /// `fork(2)` for callers that model no TLB:
+    /// [`Kernel::fork_with_flush`] under [`NoTlb`], with nothing to go
+    /// stale.
     pub fn fork(&mut self, parent: Pid) -> SatResult<ForkOutcome> {
-        self.fork_with_flush(parent).map(|(outcome, _)| outcome)
+        self.fork_with_flush(parent, &mut NoTlb)
     }
 
-    /// [`Kernel::fork`] plus the VPN ranges of parent PTEs the fork
-    /// write-protected (empty when nothing changed — e.g. every chunk
-    /// was already `NEED_COPY` from an earlier fork). Only entries in
-    /// these ranges can have gone stale in the parent's TLB.
-    pub fn fork_with_flush(&mut self, parent: Pid) -> SatResult<(ForkOutcome, Vec<VpnRange>)> {
+    /// `fork(2)`: builds the child's address space (`fork.rs`) —
+    /// sharing the parent's PTPs where enabled and allowed, copying per
+    /// the configured policy elsewhere — and flushes from `tlb` what it
+    /// made stale.
+    ///
+    /// The flush is exactly the spans the fork gathered, on success
+    /// *and* when it ran out of frames part-way: the write protection
+    /// applied up to that point stays, and the child of a later fork —
+    /// which finds nothing left to protect and owes no flush — would
+    /// otherwise see the parent's writes through a stale entry.
+    pub fn fork_with_flush(
+        &mut self,
+        parent: Pid,
+        tlb: &mut dyn TlbMaintenance,
+    ) -> SatResult<ForkOutcome> {
         let config = self.config;
+        // Looked up before anything is taken: a fork of a pid that
+        // does not exist costs neither a pid nor an ASID.
+        let parent_asid = self.mm(parent)?.asid;
         let child_pid = Pid::new(self.next_pid);
         self.next_pid += 1;
         let child_asid = self.alloc_asid();
-        let parent_mm = self.procs.get_mut(parent).ok_or(SatError::NoSuchProcess)?;
-        let parent_asid = parent_mm.asid.raw();
-
-        // Sections are invisible to both fork paths (they walk PTPs; a
-        // section lives directly in the level-1 entry), so the
-        // parent's sections must split back to PTEs before the copy or
-        // share pass — otherwise the child would silently lose those
-        // anonymous mappings. The split itself preserves every
-        // translation, but the COW protection that follows rewrites
-        // per-PTE permissions a cached 1MB entry cannot reflect, so
-        // each span joins the parent's to-flush set.
-        let section_idxs: Vec<usize> = parent_mm.root.iter_sections().collect();
-        let mut demoted_spans: Vec<VpnRange> = Vec::new();
-        for idx in section_idxs {
-            let va = VirtAddr::new((idx as u32) << 20);
-            let ptes = {
-                let mut mapper =
-                    Mapper::new(&mut parent_mm.root, &mut self.ptps, &mut self.phys, parent);
-                mapper.split_section(va)?
-            };
-            self.stats.demotions += 1;
-            self.stats.split_ptes += u64::from(ptes);
-            let bytes = PageSize::Section1M.bytes();
-            demoted_spans.push(VpnRange::from_va_range(&VaRange::from_len(va, bytes)));
+        let parent_mm = self.procs.get_mut(parent).expect("looked up above");
+        // No escalation ceiling: the spans are exactly the
+        // write-protected pages, and widening to a full ASID flush
+        // would also discard the parent's read-only translations — the
+        // zygote code entries sharing exists to keep warm.
+        let mut batch = FlushBatch::new(parent, parent_asid).with_ceiling(u32::MAX);
+        let forked = dup_mm(
+            parent_mm,
+            &mut self.ptps,
+            &mut self.phys,
+            &mut self.registry,
+            &mut self.stats,
+            child_pid,
+            child_asid,
+            &config,
+            &mut batch,
+        )
+        .map(|(child_mm, outcome)| {
+            // Counted once the fork has happened: one that ran out of
+            // frames leaves only a skipped pid and ASID value behind.
+            self.stats.forks += 1;
+            self.stats.share_forks += u64::from(config.share_ptp);
+            self.procs.insert(child_mm);
+            self.asids.assign_current(child_pid);
             if sat_obs::enabled() {
                 sat_obs::emit(
                     sat_obs::Subsystem::Kernel,
                     parent.raw(),
-                    parent_asid,
-                    sat_obs::Payload::Demote {
-                        va: va.raw(),
-                        bytes,
-                        pages: u64::from(ptes),
-                        cause: sat_obs::DemoteCause::Fork,
+                    parent_asid.raw(),
+                    sat_obs::Payload::Fork {
+                        child: child_pid.raw(),
+                        ptps_shared: outcome.ptps_shared,
+                        ptes_copied: outcome.ptes_copied,
+                        shared: config.share_ptp,
                     },
                 );
             }
+            outcome
+        });
+        // If the parent's generation is stale (possibly rolled over by
+        // the child's allocation just above), the rollover flush covers
+        // its entries — flushing the raw value would only hit a
+        // same-valued new-generation process.
+        if !self.asid_is_stale(parent) {
+            batch.apply(tlb);
         }
-
-        let (child_mm, outcome, mut protected) = if config.share_ptp {
-            let (child_mm, r) = fork_share(
-                parent_mm,
-                &mut self.ptps,
-                &mut self.phys,
-                &mut self.registry,
-                child_pid,
-                child_asid,
-                &config,
-            )?;
-            let outcome = ForkOutcome {
-                child: child_pid,
-                ptes_copied: r.ptes_copied,
-                ptes_copied_file: r.ptes_copied_file,
-                ptps_allocated: r.ptps_allocated,
-                ptps_shared: r.ptps_shared,
-                write_protect_ops: r.write_protect_ops,
-            };
-            (child_mm, outcome, r.protected)
-        } else {
-            let (child_mm, r) = fork_mm(
-                parent_mm,
-                &mut self.ptps,
-                &mut self.phys,
-                child_pid,
-                child_asid,
-                config.fork_policy,
-                Domain::USER,
-            )?;
-            // The stock COW pass write-protects across every writable
-            // region; their spans are the Linux `flush_tlb_mm`
-            // equivalent (a wide enough total escalates to a full
-            // per-ASID flush at the gather's ceiling).
-            let protected: Vec<VpnRange> = if r.cow_protected > 0 {
-                parent_mm
-                    .vmas()
-                    .filter(|v| v.perms.write())
-                    .map(|v| VpnRange::from_va_range(&v.range))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let outcome = ForkOutcome {
-                child: child_pid,
-                ptes_copied: r.ptes_copied,
-                ptes_copied_file: r.ptes_copied_file,
-                ptps_allocated: r.ptps_allocated,
-                ptps_shared: 0,
-                write_protect_ops: r.cow_protected,
-            };
-            (child_mm, outcome, protected)
-        };
-        protected.extend(demoted_spans);
-        // Counted once the fork has happened: one that ran out of
-        // frames leaves only a skipped pid and ASID value behind.
-        self.stats.forks += 1;
-        self.stats.share_forks += u64::from(config.share_ptp);
-        self.procs.insert(child_mm);
-        self.asids.assign_current(child_pid);
-        if sat_obs::enabled() {
-            sat_obs::emit(
-                sat_obs::Subsystem::Kernel,
-                parent.raw(),
-                parent_asid,
-                sat_obs::Payload::Fork {
-                    child: child_pid.raw(),
-                    ptps_shared: outcome.ptps_shared,
-                    ptes_copied: outcome.ptes_copied,
-                    shared: config.share_ptp,
-                },
-            );
-        }
-        Ok((outcome, protected))
+        forked
     }
 
     /// Process exit: tears down the address space. Shared PTPs are
@@ -864,12 +805,12 @@ impl Kernel {
     /// 5).
     pub fn exit(&mut self, pid: Pid, tlb: &mut dyn TlbMaintenance) -> SatResult<()> {
         let stale = self.asid_is_stale(pid);
-        let mut mm = self.procs.remove(pid).ok_or(SatError::NoSuchProcess)?;
-        detach_shared(&mm, &mut self.registry);
-        exit_mmap(&mut mm, &mut self.ptps, &mut self.phys);
+        let mm = self.procs.remove(pid).ok_or(SatError::NoSuchProcess)?;
+        let asid = mm.asid;
+        teardown(mm, &mut self.ptps, &mut self.phys, &mut self.registry);
         if !stale {
-            let mut batch = FlushBatch::new(pid, mm.asid);
-            batch.asid(mm.asid, sat_obs::FlushReason::Exit);
+            let mut batch = FlushBatch::new(pid, asid);
+            batch.asid(asid, sat_obs::FlushReason::Exit);
             batch.apply(tlb);
         }
         // A stale generation's entries are covered by the rollover
@@ -877,14 +818,12 @@ impl Kernel {
         // charge shootdown IPIs to — a new-generation process that
         // was reissued the same value.
         self.asids.forget(pid);
-        let asid = mm.asid.raw();
-        mm.free_root(&mut self.phys);
         self.stats.exits += 1;
         if sat_obs::enabled() {
             sat_obs::emit(
                 sat_obs::Subsystem::Kernel,
                 pid.raw(),
-                asid,
+                asid.raw(),
                 sat_obs::Payload::Exit,
             );
         }
@@ -1049,6 +988,32 @@ mod tests {
         assert_eq!(k.create_process().unwrap(), Pid::new(6));
         assert_eq!(k.process_count(), 4);
         assert_eq!(k.processes().last().unwrap().0.raw(), 6);
+    }
+
+    #[test]
+    fn fork_of_a_pid_that_does_not_exist_takes_no_pid_and_no_asid() {
+        let mut k = Kernel::new(KernelConfig::stock(), 1024);
+        let parent = k.create_process().unwrap();
+        let exited = k.fork(parent).unwrap().child;
+        k.exit(exited, &mut NoTlb).unwrap();
+        // More bad calls than there are ASIDs: were each to take one,
+        // the generation would roll and owe a machine-wide flush.
+        for _ in 0..300 {
+            for gone in [Pid::new(9999), exited] {
+                assert_eq!(k.fork(gone).err(), Some(SatError::NoSuchProcess));
+            }
+        }
+        assert_eq!(k.asid_generation(), 1);
+        assert_eq!(k.stats.asid_rollovers, 0);
+        assert!(!k.rollover_flush_pending());
+        assert_eq!(k.stats.forks, 1);
+        // The next real child is numbered as if they never happened.
+        let child = k.fork(parent).unwrap().child;
+        assert_eq!(child, Pid::new(exited.raw() + 1));
+        assert_eq!(
+            k.mm(child).unwrap().asid.raw(),
+            k.mm(parent).unwrap().asid.raw() + 2
+        );
     }
 
     /// Boots a minimal zygote: one library (8 pages code) preloaded

@@ -4,13 +4,14 @@
 //! EuroSys 2016) deduplicates virtual-address-translation state across
 //! the processes forked from Android's zygote:
 //!
-//! 1. **Page-table-page (PTP) sharing** ([`fork_share`],
+//! 1. **Page-table-page (PTP) sharing** ([`Kernel::fork`],
 //!    [`unshare`]): at fork, level-1 entry pairs in the child are
 //!    pointed at the parent's PTPs instead of copying or refaulting
-//!    PTEs. Shared PTPs are managed copy-on-write via a `NEED_COPY`
-//!    spare bit in the level-1 PTE and a sharer count in the PTP's
-//!    `struct page` mapcount. Unlike prior work, a shared PTP may
-//!    contain multiple regions, including *private writable* ones —
+//!    PTEs (`fork.rs` decides per 2MB chunk and copies as stock where
+//!    it cannot share). Shared PTPs are managed copy-on-write via a
+//!    `NEED_COPY` spare bit in the level-1 PTE and a sharer count in
+//!    the PTP's `struct page` mapcount. Unlike prior work, a shared PTP
+//!    may contain multiple regions, including *private writable* ones —
 //!    any modification (write fault, mmap/munmap/mprotect, region
 //!    creation or teardown) triggers an unshare of the affected PTP.
 //! 2. **TLB-entry sharing**: PTEs for zygote-preloaded shared code are
@@ -59,6 +60,7 @@
 pub mod asid;
 pub mod config;
 pub mod flush;
+mod fork;
 pub mod kernel;
 pub mod promote;
 pub mod reclaim;
@@ -68,11 +70,12 @@ pub mod share;
 pub use asid::AsidAllocator;
 pub use config::{CopyOnUnshare, KernelConfig, PromotePolicy, TlbProtection};
 pub use flush::{BatchOutcome, FlushBatch, FlushOp, FLUSH_CEILING_PAGES};
-pub use kernel::{ForkOutcome, Kernel, KernelStats, ProcFaultOutcome};
+pub use fork::ForkOutcome;
+pub use kernel::{Kernel, KernelStats, ProcFaultOutcome};
 pub use promote::PromoteReport;
 pub use reclaim::ReclaimOutcome;
 pub use registry::{RegistryStats, SharedPtpEntry, SharedPtpRegistry};
-pub use share::{fork_share, unshare, unshare_range, ShareForkReport, UnshareTrigger};
+pub use share::{unshare, unshare_range, UnshareTrigger};
 
 /// TLB maintenance requests issued by kernel MM operations.
 ///

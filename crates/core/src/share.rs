@@ -2,8 +2,8 @@
 
 use sat_mmu::{Mapper, Ptp, PtpStore, TableHalf};
 use sat_phys::{FrameKind, PhysMem};
-use sat_types::{Asid, Domain, Pid, SatError, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN};
-use sat_vm::{copies_ptes, copy_vma_ptes_in_range, exit_mmap, ForkReport, Mm};
+use sat_types::{Domain, Pfn, Pid, SatError, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN};
+use sat_vm::{exit_mmap, Mm};
 
 use crate::config::{CopyOnUnshare, KernelConfig};
 use crate::flush::FlushBatch;
@@ -58,31 +58,6 @@ fn emit_unshare(mm: &Mm, chunk: VirtAddr, trigger: UnshareTrigger, report: &Unsh
     }
 }
 
-/// Accounting from a shared-PTP fork (the Table 4 row).
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct ShareForkReport {
-    /// PTPs the child attached to as shared.
-    pub ptps_shared: u64,
-    /// PTEs copied for chunks that could not be shared (e.g. stack).
-    pub ptes_copied: u64,
-    /// Of those, PTEs of file-backed mappings.
-    pub ptes_copied_file: u64,
-    /// PTPs allocated for the child (again: unsharable chunks only).
-    pub ptps_allocated: u64,
-    /// PTEs write-protected to establish COW over newly-shared PTPs.
-    pub write_protect_ops: u64,
-    /// Regions inherited.
-    pub vmas: usize,
-    /// VPN ranges of parent PTEs this fork made *less permissive*:
-    /// the write-protected spans (or, under the `l1_write_protect`
-    /// ablation, the whole span of each first-shared chunk — the
-    /// hardware assist strips write permission with no per-PTE pass).
-    /// Cached parent translations for these ranges are stale; the
-    /// caller gathers them into a [`FlushBatch`] (Linux's
-    /// `flush_tlb_mm` on `dup_mmap`, narrowed to what changed).
-    pub protected: Vec<VpnRange>,
-}
-
 /// Result of one [`unshare`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnshareReport {
@@ -106,208 +81,110 @@ pub fn chunk_sharable(mm: &Mm, chunk: VirtAddr, config: &KernelConfig) -> bool {
         .all(|vma| config.share_stack || !vma.dont_share_ptp)
 }
 
-/// Drops `mm`'s shared-PTP references from the registry ahead of the
-/// teardown that releases the frames (case 5: an exiting address space
-/// dereferences without copying, so this is a detach, not an unshare).
-pub(crate) fn detach_shared(mm: &Mm, registry: &mut SharedPtpRegistry) {
+/// Tears `mm` down: its shared-PTP references leave the registry
+/// (case 5: an exiting address space dereferences without copying, so
+/// this is a detach, not an unshare), then its tables, their mappings
+/// and its root are released. This is what `exit` does to a process
+/// and what a fork that ran out of frames does to its half-built child.
+pub(crate) fn teardown(
+    mut mm: Mm,
+    ptps: &mut PtpStore,
+    phys: &mut PhysMem,
+    registry: &mut SharedPtpRegistry,
+) {
     for (idx, frame) in mm.root.iter_ptps() {
         if mm.root.entry(idx).need_copy() {
             registry.exit_detach(frame);
         }
     }
+    exit_mmap(&mut mm, ptps, phys);
+    mm.free_root(phys);
 }
 
-/// Forks `parent` sharing its PTPs with the child (Section 3.1.1).
-///
-/// For every PTP in the parent's address space whose chunk is
-/// sharable:
-///
-/// 1. If `NEED_COPY` is not yet set, every writable PTE in the PTP is
-///    write-protected (establishing COW for the data pages), and the
-///    parent's level-1 pair is marked `NEED_COPY`.
-/// 2. The child's level-1 pair is pointed at the same PTP with
-///    `NEED_COPY` set, and the PTP's sharer count is incremented.
-///
-/// Unsharable chunks fall back to the stock copy (per
-/// `config.fork_policy`).
-///
-/// A chunk whose parent pair already carries `NEED_COPY` takes the
-/// registry fast path: the eager-unshare invariant (any region op on
-/// the chunk unshares — and so clears the bit — before proceeding)
-/// guarantees the chunk has stayed sharable since its first share, so
-/// the child attaches with one refcount bump and no VMA-overlap scan,
-/// write-protect pass, or aging walk. This is what makes fork of a
-/// fully-shared image O(shared regions).
-///
-/// A fork that runs out of frames in the stock fallback takes the
-/// half-built child down as an exit would — registry detach for the
-/// pairs already attached, then the address space and the root — before
-/// it returns the error. The parent keeps the write protection and the
-/// `NEED_COPY` bits of the chunks shared so far, each with a registry
-/// entry of one sharer: the state every sharer's exit leaves behind,
-/// which [`crate::Kernel::verify_share_accounting`] accepts. As after
-/// [`sat_vm::fork_mm`], the parent's cached translations for them are
-/// stale and the caller owes the flush.
-#[allow(clippy::too_many_arguments)]
-pub fn fork_share(
+/// The first share of the PTP at `ptp_frame`, which translates
+/// `parent`'s sharable `chunk` (Section 3.1.1, step 1): every writable
+/// PTE in it is write-protected — establishing COW for the data pages
+/// — and the parent's level-1 pair is marked `NEED_COPY`. Returns the
+/// PTEs write-protected; their spans are gathered into `batch`, cached
+/// writable translations for them being stale from here on. Later
+/// forks find `NEED_COPY` set and owe none of this (see
+/// [`crate::registry`]).
+pub(crate) fn first_share(
     parent: &mut Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
-    registry: &mut SharedPtpRegistry,
-    child_pid: Pid,
-    child_asid: Asid,
+    chunk: VirtAddr,
+    ptp_frame: Pfn,
     config: &KernelConfig,
-) -> SatResult<(Mm, ShareForkReport)> {
-    let mut child = Mm::new(phys, child_pid, child_asid)?;
-    child.dacr = parent.dacr;
-    child.is_zygote_child = parent.is_zygote_like();
-    // The child's copy of the regions doubles as the list the stock
-    // fallback walks — it borrows the parent mutably — and is installed
-    // once the loop is done with it.
-    let vmas = parent.clone_vmas();
-    let mut report = ShareForkReport {
-        vmas: vmas.len(),
-        ..ShareForkReport::default()
-    };
-
-    let parent_ptps: Vec<(usize, sat_types::Pfn)> = parent.root.iter_ptps().collect();
-    for (pair_idx, ptp_frame) in parent_ptps {
-        let chunk = VirtAddr::new((pair_idx as u32) << 20);
-        debug_assert!(chunk.is_ptp_aligned());
-        let span = VaRange::from_len(chunk, PTP_SPAN);
-
-        let entry = parent.root.entry(pair_idx);
-        if entry.need_copy() {
-            // Fast path: the PTP is already shared and registered —
-            // eager unsharing keeps NEED_COPY truthful, so no scan or
-            // protection work is owed. One refcount bump attaches the
-            // child.
-            let domain = entry.domain().unwrap_or(Domain::USER);
-            registry.share(ptp_frame, chunk, domain);
-            child.root.set_table_pair(chunk, ptp_frame, domain, true);
-            phys.map_inc(ptp_frame);
-            report.ptps_shared += 1;
-            child.counters.ptps_shared_at_fork += 1;
-        } else if chunk_sharable(parent, chunk, config) {
-            let domain = entry.domain().unwrap_or(Domain::USER);
-            // First share of this PTP: establish COW protection.
-            // (With the hypothetical level-1 write-protect
-            // hardware assist, the per-PTE pass is unnecessary —
-            // the cost the paper attributes to ARM's lack of it.)
-            if !config.l1_write_protect {
-                let vma_ranges: Vec<VaRange> = parent
-                    .vmas_overlapping(span)
-                    .filter(|v| v.perms.write())
-                    .filter_map(|v| v.range.intersect(&span))
-                    .collect();
-                let mut mapper = Mapper::new(&mut parent.root, ptps, phys, parent.pid);
-                for r in vma_ranges {
-                    let protected = mapper.write_protect_range(r) as u64;
-                    report.write_protect_ops += protected;
-                    if protected > 0 {
-                        report.protected.push(VpnRange::from_va_range(&r));
-                    }
-                }
-            } else {
-                // The assist demotes the whole chunk at walk time;
-                // anything cached writable for it is now stale.
-                report.protected.push(VpnRange::from_va_range(&span));
+    batch: &mut FlushBatch,
+) -> u64 {
+    let span = VaRange::from_len(chunk, PTP_SPAN);
+    let mut write_protect_ops = 0;
+    // (With the hypothetical level-1 write-protect hardware assist,
+    // the per-PTE pass is unnecessary — the cost the paper attributes
+    // to ARM's lack of it.)
+    if !config.l1_write_protect {
+        let vma_ranges: Vec<VaRange> = parent
+            .vmas_overlapping(span)
+            .filter(|v| v.perms.write())
+            .filter_map(|v| v.range.intersect(&span))
+            .collect();
+        let mut mapper = Mapper::new(&mut parent.root, ptps, phys, parent.pid);
+        for r in vma_ranges {
+            let protected = mapper.write_protect_range(r) as u64;
+            write_protect_ops += protected;
+            if protected > 0 {
+                batch.range(
+                    parent.asid,
+                    VpnRange::from_va_range(&r),
+                    sat_obs::FlushReason::Fork,
+                );
             }
-            // Age the referenced bits: the child has touched
-            // nothing yet, and on ARM the "referenced" bit is
-            // software-maintained anyway. This is what gives the
-            // copy-only-referenced unshare policy (Section 3.1.3)
-            // something to distinguish: only PTEs used since the
-            // share are copied.
-            if let Some(table) = ptps.get_mut(ptp_frame) {
-                for half in [TableHalf::Lower, TableHalf::Upper] {
-                    let idxs: Vec<usize> = table.iter_half(half).map(|(i, _)| i).collect();
-                    for i in idxs {
-                        table.update_sw(half, i, |sw| sw.young = false);
-                    }
-                }
-            }
-            parent.root.set_need_copy(chunk, true);
-            registry.share(ptp_frame, chunk, domain);
-            child.root.set_table_pair(chunk, ptp_frame, domain, true);
-            phys.map_inc(ptp_frame);
-            // The PTP's PTEs now serve every sharer, so their rmap
-            // entries move from the parent to the sentinel owner:
-            // reclaim must tear each physical PTE exactly once,
-            // through the shared path, not once per recorded owner.
-            if let Some(table) = ptps.get(ptp_frame) {
-                let slots: Vec<(TableHalf, usize, sat_types::Pfn)> = table
-                    .iter()
-                    .map(|(half, idx, slot)| (half, idx, slot.hw.frame_for_slot(idx)))
-                    .collect();
-                for (half, idx, frame) in slots {
-                    if matches!(
-                        phys.page(frame).kind,
-                        FrameKind::Anon | FrameKind::File { .. }
-                    ) {
-                        phys.rmap_reown(
-                            frame,
-                            parent.pid,
-                            Pid::new(0),
-                            Mapper::slot_va(chunk, half, idx),
-                        );
-                    }
-                }
-            }
-            report.ptps_shared += 1;
-            child.counters.ptps_shared_at_fork += 1;
-        } else {
-            // Unsharable chunk (stack): stock copy, clamped to it.
-            let mut fr = ForkReport::default();
-            for vma in vmas.values().filter(|v| v.range.overlaps(&span)) {
-                if !copies_ptes(config.fork_policy, vma) {
-                    continue;
-                }
-                let cow_before = fr.cow_protected;
-                if let Err(e) = copy_vma_ptes_in_range(
-                    parent,
-                    &mut child,
-                    ptps,
-                    phys,
-                    vma,
-                    span,
-                    Domain::USER,
-                    &mut fr,
-                ) {
-                    detach_shared(&child, registry);
-                    exit_mmap(&mut child, ptps, phys);
-                    child.free_root(phys);
-                    return Err(e);
-                }
-                // The stock copy COW-protected parent PTEs here: any
-                // writable translation cached for them is stale and
-                // must be in the fork flush.
-                if fr.cow_protected > cow_before {
-                    if let Some(r) = vma.range.intersect(&span) {
-                        report.protected.push(VpnRange::from_va_range(&r));
-                    }
-                }
-            }
-            report.ptes_copied += fr.ptes_copied;
-            report.ptes_copied_file += fr.ptes_copied_file;
-            report.ptps_allocated += fr.ptps_allocated;
         }
-    }
-    child.set_vmas(vmas);
-    child.counters.ptes_copied_fork = report.ptes_copied;
-    child.counters.ptps_allocated = report.ptps_allocated;
-    if sat_obs::enabled() {
-        sat_obs::emit(
-            sat_obs::Subsystem::Share,
-            child_pid.raw(),
-            child_asid.raw(),
-            sat_obs::Payload::PtpShare {
-                ptps: report.ptps_shared,
-                write_protect_ops: report.write_protect_ops,
-            },
+    } else {
+        // The assist demotes the whole chunk at walk time; anything
+        // cached writable for it is now stale.
+        batch.range(
+            parent.asid,
+            VpnRange::from_va_range(&span),
+            sat_obs::FlushReason::Fork,
         );
     }
-    Ok((child, report))
+    // Age the referenced bits: the child has touched nothing yet, and
+    // on ARM the "referenced" bit is software-maintained anyway. This
+    // is what gives the copy-only-referenced unshare policy (Section
+    // 3.1.3) something to distinguish: only PTEs used since the share
+    // are copied.
+    if let Some(table) = ptps.get_mut(ptp_frame) {
+        for half in [TableHalf::Lower, TableHalf::Upper] {
+            let idxs: Vec<usize> = table.iter_half(half).map(|(i, _)| i).collect();
+            for i in idxs {
+                table.update_sw(half, i, |sw| sw.young = false);
+            }
+        }
+    }
+    parent.root.set_need_copy(chunk, true);
+    // The PTP's PTEs now serve every sharer, so their rmap entries
+    // move from the parent to the sentinel owner: reclaim must tear
+    // each physical PTE exactly once, through the shared path, not
+    // once per recorded owner.
+    if let Some(table) = ptps.get(ptp_frame) {
+        for (half, idx, slot) in table.iter() {
+            let frame = slot.hw.frame_for_slot(idx);
+            if matches!(
+                phys.page(frame).kind,
+                FrameKind::Anon | FrameKind::File { .. }
+            ) {
+                phys.rmap_reown(
+                    frame,
+                    parent.pid,
+                    Pid::new(0),
+                    Mapper::slot_va(chunk, half, idx),
+                );
+            }
+        }
+    }
+    write_protect_ops
 }
 
 /// Unshares the PTP covering `va` in `mm`, if it is marked
@@ -315,12 +192,18 @@ pub fn fork_share(
 /// chunk is not shared.
 ///
 /// The last-sharer decision and the cause attribution both come from
-/// the registry: [`SharedPtpRegistry::detach`] decrements the entry's
-/// refcount, records the Figure-6 trigger, and reports whether the
-/// caller was the last sharer. If so, only the `NEED_COPY` flag is
-/// cleared. Otherwise: the level-1 pair is cleared, a new PTP is
-/// allocated, and the valid PTEs are copied into it (all of them, or
-/// only referenced ones, per `config.copy_on_unshare`).
+/// the registry: [`SharedPtpRegistry::sharers`] says whether the caller
+/// is the last sharer, and [`SharedPtpRegistry::detach`] decrements the
+/// entry's refcount and records the Figure-6 trigger. The last sharer
+/// only has its `NEED_COPY` flag cleared. Otherwise: a new PTP is
+/// allocated, the level-1 pair is cleared, and the valid PTEs are
+/// copied into it (all of them, or only referenced ones, per
+/// `config.copy_on_unshare`).
+///
+/// The allocation is the one step that can fail, and it comes before
+/// anything is changed: `OutOfMemory` leaves the chunk shared, the
+/// registry and every counter untouched and `batch` as it was, so the
+/// caller can make room and retry.
 ///
 /// TLB maintenance is *gathered* into `batch`, not issued: the copied
 /// PTEs are normally bit-identical to the shared originals, so cached
@@ -350,17 +233,27 @@ pub fn unshare(
     let domain = entry.domain().unwrap_or(Domain::USER);
     let span = VaRange::from_len(chunk, PTP_SPAN);
 
-    mm.counters.ptps_unshared += 1;
-    if !matches!(trigger, UnshareTrigger::WriteFault) {
-        mm.counters.unshares_by_region_op += 1;
-    }
-
     debug_assert_eq!(
         registry.sharers(shared_frame),
         Some(phys.mapcount(shared_frame)),
         "registry sharer count out of sync with frame mapcount"
     );
-    if registry.detach(shared_frame, trigger) {
+    // Everything that can fail comes first: an unshare that finds no
+    // frame for the private copy returns with the process, the registry
+    // and the counters exactly as they were.
+    let last_sharer = registry.sharers(shared_frame) == Some(1);
+    let new_frame = if last_sharer {
+        None
+    } else {
+        Some(phys.alloc(FrameKind::PageTable)?)
+    };
+
+    mm.counters.ptps_unshared += 1;
+    if !matches!(trigger, UnshareTrigger::WriteFault) {
+        mm.counters.unshares_by_region_op += 1;
+    }
+    registry.detach(shared_frame, trigger);
+    let Some(new_frame) = new_frame else {
         // Last sharer: just clear NEED_COPY.
         mm.root.set_need_copy(chunk, false);
         if config.l1_write_protect {
@@ -385,14 +278,13 @@ pub fn unshare(
         };
         emit_unshare(mm, chunk, trigger, &report);
         return Ok(Some(report));
-    }
+    };
 
     // Clear our level-1 pair; the TLB maintenance the copy owes is
     // decided below, once we know whether the copy diverges.
     mm.root.clear_table_pair(chunk);
 
-    // Allocate and populate the private copy.
-    let new_frame = phys.alloc(FrameKind::PageTable)?;
+    // Populate the private copy.
     let shared = ptps
         .get(shared_frame)
         .ok_or(SatError::Internal("shared PTP missing from store"))?;
@@ -517,8 +409,10 @@ fn protect_multiply_mapped(mm: &mut Mm, ptps: &mut PtpStore, phys: &mut PhysMem,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fork::{dup_mm, ForkOutcome};
+    use crate::KernelStats;
     use sat_phys::FileId;
-    use sat_types::{AccessType, Perms, RegionTag, PAGE_SIZE};
+    use sat_types::{AccessType, Asid, Perms, RegionTag, PAGE_SIZE};
     use sat_vm::{handle_fault, FaultCtx, MmapRequest};
 
     /// A throwaway gather for tests that don't assert on flushes.
@@ -596,15 +490,21 @@ mod tests {
         }
     }
 
-    fn share_fork(f: &mut Fx, pid: u32) -> (Mm, ShareForkReport) {
-        fork_share(
+    fn share_fork(f: &mut Fx, pid: u32) -> (Mm, ForkOutcome) {
+        share_fork_under(f, pid, &KernelConfig::shared_ptp())
+    }
+
+    fn share_fork_under(f: &mut Fx, pid: u32, config: &KernelConfig) -> (Mm, ForkOutcome) {
+        dup_mm(
             &mut f.mm,
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             Pid::new(pid),
             Asid::new(pid as u8),
-            &KernelConfig::shared_ptp(),
+            config,
+            &mut batch(),
         )
         .unwrap()
     }
@@ -713,16 +613,7 @@ mod tests {
             share_stack: true,
             ..KernelConfig::shared_ptp()
         };
-        let (_child, report) = fork_share(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            &mut f.reg,
-            Pid::new(2),
-            Asid::new(2),
-            &config,
-        )
-        .unwrap();
+        let (_child, report) = share_fork_under(&mut f, 2, &config);
         assert_eq!(report.ptps_shared, 1);
         assert_eq!(report.ptes_copied, 0);
     }
@@ -1012,16 +903,7 @@ mod tests {
             ..KernelConfig::shared_ptp()
         };
         let va = VirtAddr::new(0x4010_0000);
-        let (mut child, report) = fork_share(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            &mut f.reg,
-            Pid::new(2),
-            Asid::new(2),
-            &config,
-        )
-        .unwrap();
+        let (mut child, report) = share_fork_under(&mut f, 2, &config);
         assert_eq!(report.write_protect_ops, 0); // hw assist: no pass
                                                  // Child "writes": the L1 protection faults, child unshares.
         unshare(

@@ -1,5 +1,5 @@
-//! The failed-fork sweep: a fork that runs out of frames must leave
-//! nothing behind.
+//! The failed-fork sweep and the failed-unshare rows: an operation
+//! that runs out of frames must leave nothing behind.
 //!
 //! A fork takes four root frames and then one frame per page-table
 //! page it allocates — twelve frames for the zygote below under the
@@ -13,12 +13,21 @@
 //! `OutOfMemory` with the machine exactly as it was, and a retry to
 //! succeed once an exit has made room.
 //!
+//! An unshare takes one frame, for the private copy of the table. The
+//! rows below fill the pool to the last frame and then drive each of
+//! Section 3.1.2's triggers a child can pull — a write fault, an
+//! `mmap`, a `munmap` and an `mprotect` into a shared chunk — on the
+//! sharing kernel and its two unshare ablations, under the same
+//! requirements.
+//!
 //! CI runs this file in the release profile too, where `debug_assert!`
 //! is compiled out and integer overflow wraps.
 
-use sat_core::{Kernel, KernelConfig, NoTlb};
-use sat_types::{AccessType, Perms, Pid, RegionTag, SatError, VirtAddr, PAGE_SIZE};
-use sat_vm::MmapRequest;
+use sat_core::{CopyOnUnshare, Kernel, KernelConfig, NoTlb, RegistryStats};
+use sat_types::{
+    AccessType, Perms, Pfn, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, PAGE_SIZE,
+};
+use sat_vm::{MmCounters, MmapRequest};
 
 /// Eight two-page anonymous regions, one per 2MB chunk.
 const CHUNKS: u32 = 8;
@@ -215,5 +224,118 @@ fn forking_until_the_pool_is_empty_stops_at_a_clean_error() {
         assert_eq!(footprint(&k), before);
         assert_eq!(before.processes, forks_that_fit + 1);
         audit(&k, "pool of 96");
+    }
+}
+
+/// What a failed unshare must leave as it found it, beyond the
+/// [`Footprint`]: who shares which table, what the registry and every
+/// process have counted, and every process's regions.
+#[derive(Debug, PartialEq, Eq)]
+struct ShareFootprint {
+    footprint: Footprint,
+    sharers: Vec<(Pfn, u32)>,
+    registry: RegistryStats,
+    processes: Vec<(Pid, MmCounters, usize)>,
+}
+
+fn share_footprint(k: &Kernel) -> ShareFootprint {
+    ShareFootprint {
+        footprint: footprint(k),
+        sharers: k.registry.iter().map(|(f, e)| (f, e.sharers)).collect(),
+        registry: k.registry.stats,
+        processes: k
+            .processes()
+            .map(|(pid, mm)| (*pid, mm.counters, mm.vma_count()))
+            .collect(),
+    }
+}
+
+/// The operations of a child that unshare the table of chunk 0.
+#[derive(Clone, Copy, Debug)]
+enum Trigger {
+    WriteFault,
+    Mmap,
+    Munmap,
+    Mprotect,
+}
+
+fn pull(k: &mut Kernel, pid: Pid, trigger: Trigger) -> SatResult<()> {
+    let page = VaRange::from_len(chunk_va(0), PAGE_SIZE);
+    match trigger {
+        Trigger::WriteFault => k
+            .page_fault(pid, page.start, AccessType::Write, &mut NoTlb)
+            .map(drop),
+        Trigger::Mmap => {
+            let at = VirtAddr::new(page.start.raw() + (1 << 20));
+            k.mmap(pid, &anon(1, RegionTag::Heap, at), &mut NoTlb)
+                .map(drop)
+        }
+        Trigger::Munmap => k.munmap(pid, page, &mut NoTlb).map(drop),
+        Trigger::Mprotect => k.mprotect(pid, page, Perms::R, &mut NoTlb),
+    }
+}
+
+#[test]
+fn unshare_that_finds_no_frame_leaves_nothing_behind() {
+    let shared = KernelConfig::shared_ptp_tlb();
+    let configs = [
+        ("shared_ptp_tlb", shared),
+        (
+            "ReferencedOnly",
+            KernelConfig {
+                copy_on_unshare: CopyOnUnshare::ReferencedOnly,
+                ..shared
+            },
+        ),
+        (
+            "l1_write_protect",
+            KernelConfig {
+                l1_write_protect: true,
+                ..shared
+            },
+        ),
+    ];
+    let triggers = [
+        Trigger::WriteFault,
+        Trigger::Mmap,
+        Trigger::Munmap,
+        Trigger::Mprotect,
+    ];
+    for (name, config) in configs {
+        // The pool that the zygote, the ballast process and one child
+        // fill to the last frame.
+        let (mut roomy, zygote, _) = boot(config, 1024, CHUNKS - 1, 4);
+        roomy.fork(zygote).unwrap();
+        let frames = roomy.phys.frames_in_use() as u32;
+        for trigger in triggers {
+            let what = format!("{name}, {trigger:?}");
+            let (mut k, zygote, filler) = boot(config, frames, CHUNKS - 1, 4);
+            let child = k.fork(zygote).unwrap().child;
+            assert_eq!(k.phys.frames_in_use(), u64::from(frames), "{what}");
+            audit(&k, &what);
+            let before = share_footprint(&k);
+
+            for attempt in 1..=2 {
+                assert_eq!(
+                    pull(&mut k, child, trigger),
+                    Err(SatError::OutOfMemory),
+                    "{what}"
+                );
+                assert_eq!(share_footprint(&k), before, "{what}: attempt {attempt}");
+                audit(&k, &what);
+            }
+
+            // One exit makes room and the retry goes through: the child
+            // has its own table for the chunk, the zygote keeps the
+            // shared one.
+            k.exit(filler, &mut NoTlb).unwrap();
+            pull(&mut k, child, trigger).expect(&what);
+            audit(&k, &what);
+            assert_eq!(k.stats.ptp_unshares, 1, "{what}");
+            let table = |pid| k.mm(pid).unwrap().root.entry_for(chunk_va(0));
+            assert!(!table(child).need_copy(), "{what}");
+            assert!(table(zygote).need_copy(), "{what}");
+            assert_ne!(table(child).ptp(), table(zygote).ptp(), "{what}");
+        }
     }
 }

@@ -260,6 +260,57 @@ struct Task {
     heap_cursor: u32,
 }
 
+/// Forks a zygote child on `core` and builds its workload state: a
+/// working set of `ws_pages` pages drawn from the preloaded libraries
+/// — code every zygote child has identical translations for, the
+/// target of the paper's sharing — and a private heap named
+/// `heap_name` in the driver's heap slot for spawn number `spawned`
+/// (slots cycle; see [`SCHED_HEAP_SLOTS`]). Returns the child, its task
+/// and, per working-set page in draw order, the library the page came
+/// from, as its index in `catalog.zygote_preloaded()`.
+fn spawn_zygote_child(
+    sys: &mut AndroidSystem,
+    rng: &mut Rng64,
+    ws_pages: usize,
+    spawned: u64,
+    core: usize,
+    heap_name: &str,
+) -> SatResult<(Pid, Task, Vec<usize>)> {
+    let (outcome, _) = sys.machine.fork(core, sys.zygote)?;
+    let pid = outcome.child;
+
+    let preloaded = sys.catalog.zygote_preloaded();
+    let mut code = Vec::with_capacity(ws_pages);
+    let mut drawn = Vec::with_capacity(ws_pages);
+    for _ in 0..ws_pages {
+        let idx = rng.below(preloaded.len() as u64) as usize;
+        let lib = preloaded[idx];
+        let base = sys.map.code_base(lib).ok_or(SatError::InvalidArgument)?;
+        let page = rng.below(u64::from(sys.catalog.lib(lib).code_pages)) as u32;
+        code.push(VirtAddr::new(base.raw() + page * PAGE_SIZE));
+        drawn.push(idx);
+    }
+
+    let slot = (spawned % u64::from(SCHED_HEAP_SLOTS)) as u32;
+    let heap = VirtAddr::new(SCHED_HEAP_BASE + slot * SCHED_HEAP_STRIDE);
+    let req = MmapRequest::anon(
+        SCHED_HEAP_PAGES * PAGE_SIZE,
+        Perms::RW,
+        sat_types::RegionTag::Heap,
+        heap_name,
+    )
+    .at(heap);
+    sys.machine.syscall(|k, tlb| k.mmap(pid, &req, tlb))?;
+
+    let task = Task {
+        code,
+        cursor: 0,
+        heap,
+        heap_cursor: 0,
+    };
+    Ok((pid, task, drawn))
+}
+
 /// The timesharing simulation: an [`AndroidSystem`] grown to
 /// `opts.cores` cores, a [`Scheduler`], and per-process workload
 /// state.
@@ -271,8 +322,6 @@ pub struct TimeshareSim {
     opts: TimeshareOptions,
     /// Processes created so far (spawns, not counting the zygote).
     pub processes_created: u64,
-    /// Monotonic heap-slot counter (slots are never reused).
-    next_heap_slot: u32,
     /// Timeslices run so far (drives the IPC cadence).
     slices: u64,
     /// Gauge sampling clock: one sample per scheduling round, plus
@@ -311,7 +360,6 @@ impl TimeshareSim {
             rng: Rng64::new(opts.seed),
             opts,
             processes_created: 0,
-            next_heap_slot: 0,
             slices: 0,
             sampler: sat_obs::Sampler::new(1),
         };
@@ -338,53 +386,16 @@ impl TimeshareSim {
     /// Forks one process from the zygote, builds its working set, and
     /// admits it.
     pub fn spawn(&mut self) -> SatResult<Pid> {
-        let zygote = self.sys.zygote;
-        let (outcome, _) = self.sys.machine.fork(0, zygote)?;
-        let pid = outcome.child;
-        self.processes_created += 1;
-
-        // Working set: `ws_pages` pages drawn from the preloaded
-        // libraries — code every timeshared app has identical
-        // translations for, the target of the paper's sharing.
-        let preloaded = self.sys.catalog.zygote_preloaded();
-        let mut code = Vec::with_capacity(self.opts.ws_pages);
-        for _ in 0..self.opts.ws_pages {
-            let lib = preloaded[self.rng.below(preloaded.len() as u64) as usize];
-            let base = self
-                .sys
-                .map
-                .code_base(lib)
-                .ok_or(SatError::InvalidArgument)?;
-            let page =
-                self.rng
-                    .below(u64::from(self.sys.catalog.lib(lib).code_pages)) as u32;
-            code.push(VirtAddr::new(base.raw() + page * PAGE_SIZE));
-        }
-
-        // A private heap in the driver's own range (slots cycle after
-        // [`SCHED_HEAP_SLOTS`] spawns; see the const's docs for why
-        // reuse across address spaces is safe).
-        let slot = self.next_heap_slot % SCHED_HEAP_SLOTS;
-        self.next_heap_slot += 1;
-        let heap = VirtAddr::new(SCHED_HEAP_BASE + slot * SCHED_HEAP_STRIDE);
-        let req = MmapRequest::anon(
-            SCHED_HEAP_PAGES * PAGE_SIZE,
-            Perms::RW,
-            sat_types::RegionTag::Heap,
+        let (pid, task, _) = spawn_zygote_child(
+            &mut self.sys,
+            &mut self.rng,
+            self.opts.ws_pages,
+            self.processes_created,
+            0,
             "[anon:sched-heap]",
-        )
-        .at(heap);
-        self.sys.machine.syscall(|k, tlb| k.mmap(pid, &req, tlb))?;
-
-        self.tasks.insert(
-            pid,
-            Task {
-                code,
-                cursor: 0,
-                heap,
-                heap_cursor: 0,
-            },
-        );
+        )?;
+        self.processes_created += 1;
+        self.tasks.insert(pid, task);
         self.sched.admit(pid);
         Ok(pid)
     }

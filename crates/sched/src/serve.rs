@@ -21,10 +21,9 @@ use std::collections::VecDeque;
 use sat_android::{AndroidSystem, BootOptions, LibraryLayout};
 use sat_core::KernelConfig;
 use sat_sim::machine::Core;
-use sat_types::{AccessType, Perms, Pid, SatError, SatResult, VirtAddr, PAGE_SIZE};
-use sat_vm::MmapRequest;
+use sat_types::{AccessType, Pid, SatError, SatResult, VirtAddr, PAGE_SIZE};
 
-use crate::{Rng64, Task, SCHED_HEAP_BASE, SCHED_HEAP_PAGES, SCHED_HEAP_SLOTS, SCHED_HEAP_STRIDE};
+use crate::{spawn_zygote_child, Rng64, Task, SCHED_HEAP_PAGES};
 
 /// Sizing for one serve run.
 #[derive(Clone, Copy, Debug)]
@@ -178,7 +177,6 @@ pub struct ServeSim {
     opts: ServeOptions,
     /// Processes created so far (spawns, not counting the zygote).
     pub processes_created: u64,
-    next_heap_slot: u32,
     next_flow: u32,
     arrivals_issued: usize,
     /// Arrival round-robin over slots.
@@ -228,7 +226,6 @@ impl ServeSim {
             rng: Rng64::new(opts.seed ^ 0x5E57),
             opts,
             processes_created: 0,
-            next_heap_slot: 0,
             next_flow: 1,
             arrivals_issued: 0,
             next_arrival_slot: 0,
@@ -256,58 +253,25 @@ impl ServeSim {
 
     /// Forks one server from the zygote on `core` and builds its
     /// working set (preloaded-library code pages plus a private heap).
+    /// Its data pages are each drawn library's first data page — the
+    /// one the zygote relocated, so children inherit it copy-on-write.
     fn spawn_server(&mut self, core: usize) -> SatResult<(Pid, Task, Vec<VirtAddr>)> {
-        let zygote = self.sys.zygote;
-        let (outcome, _) = self.sys.machine.fork(core, zygote)?;
-        let pid = outcome.child;
-        self.processes_created += 1;
-
-        let preloaded = self.sys.catalog.zygote_preloaded();
-        let mut code = Vec::with_capacity(self.opts.ws_pages);
-        let mut data = Vec::with_capacity(self.opts.ws_pages);
-        for _ in 0..self.opts.ws_pages {
-            let lib = preloaded[self.rng.below(preloaded.len() as u64) as usize];
-            let base = self
-                .sys
-                .map
-                .code_base(lib)
-                .ok_or(SatError::InvalidArgument)?;
-            let page =
-                self.rng
-                    .below(u64::from(self.sys.catalog.lib(lib).code_pages)) as u32;
-            code.push(VirtAddr::new(base.raw() + page * PAGE_SIZE));
-            // Each library's first data page — the one the zygote
-            // relocated, so children inherit it copy-on-write.
-            let dbase = self
-                .sys
-                .map
-                .data_base(lib)
-                .ok_or(SatError::InvalidArgument)?;
-            data.push(dbase);
-        }
-
-        let slot = self.next_heap_slot % SCHED_HEAP_SLOTS;
-        self.next_heap_slot += 1;
-        let heap = VirtAddr::new(SCHED_HEAP_BASE + slot * SCHED_HEAP_STRIDE);
-        let req = MmapRequest::anon(
-            SCHED_HEAP_PAGES * PAGE_SIZE,
-            Perms::RW,
-            sat_types::RegionTag::Heap,
+        let (pid, task, drawn) = spawn_zygote_child(
+            &mut self.sys,
+            &mut self.rng,
+            self.opts.ws_pages,
+            self.processes_created,
+            core,
             "[anon:serve-heap]",
-        )
-        .at(heap);
-        self.sys.machine.syscall(|k, tlb| k.mmap(pid, &req, tlb))?;
-
-        Ok((
-            pid,
-            Task {
-                code,
-                cursor: 0,
-                heap,
-                heap_cursor: 0,
-            },
-            data,
-        ))
+        )?;
+        self.processes_created += 1;
+        let preloaded = self.sys.catalog.zygote_preloaded();
+        let data = drawn
+            .into_iter()
+            .map(|idx| self.sys.map.data_base(preloaded[idx]))
+            .collect::<Option<_>>()
+            .ok_or(SatError::InvalidArgument)?;
+        Ok((pid, task, data))
     }
 
     /// Emits one off-clock gauge sample.

@@ -319,16 +319,6 @@ impl Machine {
         }
     }
 
-    /// A TLB-maintenance view over all cores (pass to kernel
-    /// operations).
-    pub fn tlb_view(&mut self) -> MachineTlbView<'_> {
-        MachineTlbView {
-            cores: &mut self.cores,
-            ipi_cost: self.model.ipi,
-            initiator: None,
-        }
-    }
-
     /// Runs a kernel operation with a TLB-shootdown view over this
     /// machine's cores, splitting the borrow so the closure can use
     /// both the kernel and the TLBs. No initiating core is known, so
@@ -550,52 +540,12 @@ impl Machine {
         Err(SatError::Internal("memory access did not converge"))
     }
 
-    /// Charges a fork to `core` and returns the kernel's outcome plus
-    /// the cycles consumed (the Table 4 measurement).
+    /// Forks `parent` on `core` — the kernel flushes what the fork made
+    /// stale ([`Kernel::fork_with_flush`]) — charges the fork to the
+    /// core and returns the kernel's outcome plus the cycles consumed
+    /// (the Table 4 measurement).
     pub fn fork(&mut self, core: usize, parent: Pid) -> SatResult<(sat_core::ForkOutcome, u64)> {
-        let (outcome, protected) = match self.kernel.fork_with_flush(parent) {
-            Ok(forked) => forked,
-            Err(e) => {
-                // A fork that ran out of frames part-way has already
-                // write-protected parent PTEs, and the error carries no
-                // spans: drop everything cached under the parent's
-                // ASID, or a writable entry outlives the protection and
-                // the child of a later fork — which finds nothing left
-                // to protect and owes no flush — sees the parent's
-                // writes.
-                if let Ok(parent_asid) = self.kernel.mm(parent).map(|mm| mm.asid) {
-                    if !self.kernel.asid_is_stale(parent) {
-                        let mut batch = sat_core::FlushBatch::new(parent, parent_asid);
-                        batch.asid(parent_asid, sat_obs::FlushReason::Fork);
-                        self.syscall_on(core, |_, tlb| batch.apply(tlb));
-                    }
-                }
-                return Err(e);
-            }
-        };
-        // Fork write-protects parent PTEs (for COW and/or shared
-        // PTPs); stale *writable* translations cached before the fork
-        // must not survive it (Linux: flush_tlb_mm in dup_mmap). The
-        // kernel reports exactly the spans it write-protected, so the
-        // flush is ranged — a fork that protected nothing (every
-        // chunk already NEED_COPY, or nothing writable populated)
-        // owes no maintenance at all. If the parent's generation is
-        // stale (possibly rolled over by this very fork), the
-        // rollover flush covers its entries — flushing the raw value
-        // would only hit a same-valued new-generation process.
-        if !protected.is_empty() && !self.kernel.asid_is_stale(parent) {
-            let parent_asid = self.kernel.mm(parent)?.asid;
-            // No escalation ceiling here: the spans are exactly the
-            // write-protected pages, and widening to a full ASID
-            // flush would also discard the parent's read-only
-            // translations — the zygote code entries sharing exists
-            // to keep warm.
-            let mut batch = sat_core::FlushBatch::new(parent, parent_asid).with_ceiling(u32::MAX);
-            for r in protected {
-                batch.range(parent_asid, r, sat_obs::FlushReason::Fork);
-            }
-            self.syscall_on(core, |_, tlb| batch.apply(tlb));
-        }
+        let outcome = self.syscall_on(core, |kernel, tlb| kernel.fork_with_flush(parent, tlb))?;
         // The child's allocation may have exhausted the ASID space:
         // apply the deferred rollover flush now (and refresh the
         // parent's own ASID) rather than leaving it pending while the
@@ -1238,7 +1188,7 @@ mod tests {
         assert!(!m.cores[1].asid_resident(asid));
         let ipi = m.model.ipi;
         let cycles_before: Vec<u64> = m.cores.iter().map(|c| c.stats.cycles).collect();
-        m.tlb_view().flush_asid(asid);
+        m.syscall(|_, tlb| tlb.flush_asid(asid));
         // Core 0 took the IPI and lost the entry...
         assert!(m.cores[0].main_tlb.probe(va, asid).is_none());
         assert!(!m.cores[0].asid_resident(asid));

@@ -5,11 +5,12 @@
 //! per-process address spaces ([`Mm`], the `mm_struct` analogue), the
 //! region system calls (`mmap`/`munmap`/`mprotect`), demand paging
 //! with soft (minor) and hard (major) fault classification, COW write
-//! faults, and the stock `fork` implementation — which copies PTEs for
+//! faults, and the stock `fork` page-table copy — which copies PTEs for
 //! anonymous memory but skips the PTEs of file-backed mappings,
 //! letting soft page faults refill them in the child. That skipped
 //! work is exactly what Android pays for on every zygote fork, and
-//! what the paper's shared-PTP fork (in `sat-core`) eliminates.
+//! what sharing the PTP instead (the one fork, in `sat-core`, decides
+//! chunk by chunk) eliminates.
 //!
 //! Everything here is policy-free with respect to PTP sharing: the
 //! paper's mechanism wraps these operations (unsharing before
@@ -26,7 +27,7 @@ pub mod syscalls;
 pub mod vma;
 
 pub use fault::{handle_fault, FaultCtx, FaultKind, FaultOutcome};
-pub use fork::{copies_ptes, copy_vma_ptes_in_range, fork_mm, ForkPtePolicy, ForkReport};
+pub use fork::{copies_ptes, copy_vma_ptes_in_range, ForkPtePolicy, ForkReport};
 pub use largepage::{collapse_group, CollapseOutcome, LARGE_PAGE_BYTES};
 pub use mm::{Mm, MmCounters};
 pub use smaps::{smaps, smaps_rollup, SmapsEntry};

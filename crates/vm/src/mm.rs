@@ -117,9 +117,20 @@ impl Mm {
             .filter(|v| v.range.contains(va))
     }
 
-    /// Returns regions overlapping `range`.
+    /// Returns regions overlapping `range`, in address order.
+    ///
+    /// A range query on the sorted map: regions are disjoint, so the
+    /// only one that starts before `range` and still reaches into it is
+    /// the one containing `range.start`.
     pub fn vmas_overlapping(&self, range: VaRange) -> impl Iterator<Item = &Vma> {
-        self.vmas.values().filter(move |v| v.range.overlaps(&range))
+        let first = self
+            .vma_at(range.start)
+            .map_or(range.start, |v| v.range.start);
+        self.vmas
+            .range(first.raw()..)
+            .map(|(_, v)| v)
+            .take_while(move |v| v.range.start < range.end)
+            .filter(move |v| v.range.overlaps(&range))
     }
 
     /// Returns `true` if any region overlaps `range`.
@@ -344,6 +355,53 @@ mod tests {
             mm.find_free(2 * PAGE_SIZE, PAGE_SIZE).unwrap().raw(),
             0x4000_3000
         );
+    }
+
+    #[test]
+    fn overlap_query_equals_the_filter_over_every_region() {
+        // xorshift: the region sets and queries repeat exactly.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(n)) as u32
+        };
+        for regions in [0u32, 1, 2, 7, 40] {
+            let (_p, mut mm) = mm();
+            let mut at = 0x4000_0000 + below(4) * PAGE_SIZE;
+            for _ in 0..regions {
+                let pages = 1 + below(6);
+                mm.insert_vma(anon(at, pages)).unwrap();
+                // Abutting regions and gaps both occur.
+                at += (pages + below(4)) * PAGE_SIZE;
+            }
+            let top = at + 8 * PAGE_SIZE;
+            for _ in 0..400 {
+                // Unaligned bounds, so queries start and end inside
+                // regions; empty and inverted ranges included.
+                let a = 0x3FFF_C000 + below(top - 0x3FFF_C000);
+                let b = 0x3FFF_C000 + below(top - 0x3FFF_C000);
+                let query = match below(4) {
+                    0 => VaRange {
+                        start: VirtAddr::new(a),
+                        end: VirtAddr::new(b),
+                    },
+                    1 => VaRange::new(VirtAddr::new(a), VirtAddr::new(a)),
+                    _ => VaRange::new(VirtAddr::new(a.min(b)), VirtAddr::new(a.max(b))),
+                };
+                let scanned: Vec<u32> = mm
+                    .vmas()
+                    .filter(|v| v.range.overlaps(&query))
+                    .map(|v| v.range.start.raw())
+                    .collect();
+                let queried: Vec<u32> = mm
+                    .vmas_overlapping(query)
+                    .map(|v| v.range.start.raw())
+                    .collect();
+                assert_eq!(queried, scanned, "{regions} regions, {query:?}");
+            }
+        }
     }
 
     #[test]

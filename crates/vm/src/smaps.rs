@@ -120,10 +120,9 @@ pub fn smaps_rollup(mm: &Mm, ptps: &PtpStore, phys: &PhysMem) -> SmapsEntry {
 mod tests {
     use super::*;
     use crate::fault::{handle_fault, FaultCtx};
-    use crate::fork::{fork_mm, ForkPtePolicy};
     use crate::vma::Vma;
     use sat_phys::FileId;
-    use sat_types::{AccessType, Asid, Domain, Perms, Pid, VirtAddr};
+    use sat_types::{AccessType, Asid, Perms, Pid, VirtAddr};
 
     struct Fx {
         phys: PhysMem,
@@ -242,37 +241,5 @@ mod tests {
         f.phys.map_inc(ptp);
         let after = smaps_rollup(&f.mm, &f.ptps, &f.phys).page_table_pss;
         assert_eq!(after, PAGE_SIZE as u64 / 2);
-    }
-
-    #[test]
-    fn stock_fork_doubles_pagetable_pss_shared_fork_does_not() {
-        let mut f = fx();
-        f.mm.insert_vma(Vma::anon(
-            VaRange::from_len(VirtAddr::new(0x0800_0000), 4 * PAGE_SIZE),
-            Perms::RW,
-            RegionTag::Heap,
-            "[heap]",
-        ))
-        .unwrap();
-        for i in 0..4 {
-            touch(&mut f, 0x0800_0000 + i * PAGE_SIZE, AccessType::Write);
-        }
-        let (child, _) = fork_mm(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            Pid::new(2),
-            Asid::new(2),
-            ForkPtePolicy::Stock,
-            Domain::USER,
-        )
-        .unwrap();
-        // Stock: parent and child each have a whole private PTP.
-        let p = smaps_rollup(&f.mm, &f.ptps, &f.phys);
-        let c = smaps_rollup(&child, &f.ptps, &f.phys);
-        assert_eq!(p.page_table_pss, PAGE_SIZE as u64);
-        assert_eq!(c.page_table_pss, PAGE_SIZE as u64);
-        // Data PSS halves: pages are COW-shared between the two.
-        assert_eq!(p.pss, 4 * PAGE_SIZE as u64 / 2);
     }
 }

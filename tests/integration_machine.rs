@@ -334,13 +334,25 @@ fn failed_fork_flushes_the_parent_like_a_successful_one() {
     ] {
         let heap = VirtAddr::new(0x0800_0000);
         let stack = VirtAddr::new(0x0900_0000);
-        // The zygote (root, two tables, two pages) and a second process
-        // whose exit makes room (root, one table, four pages).
-        let mut kernel = Kernel::new(config, 8 + 9 + frames_that_fit);
+        let code = VirtAddr::new(0x4000_0000);
+        // The zygote (root, three tables, three pages) and a second
+        // process whose exit makes room (root, one table, four pages).
+        let mut kernel = Kernel::new(config, 10 + 9 + frames_that_fit);
         let zygote = kernel.create_process().unwrap();
         kernel.exec_zygote(zygote).unwrap();
         let filler = kernel.create_process().unwrap();
+        let lib = kernel.files.register("libc.so", PAGE_SIZE);
         let mut m = Machine::single_core(kernel);
+        let text = MmapRequest::file(
+            PAGE_SIZE,
+            Perms::RX,
+            lib,
+            0,
+            RegionTag::ZygoteNativeCode,
+            "libc.so",
+        )
+        .at(code);
+        m.syscall(|k, tlb| k.mmap(zygote, &text, tlb)).unwrap();
         for (pid, pages, tag, at) in [
             (zygote, 1, RegionTag::Heap, heap),
             (zygote, 1, RegionTag::Stack, stack),
@@ -355,15 +367,23 @@ fn failed_fork_flushes_the_parent_like_a_successful_one() {
             m.access(0, va, AccessType::Write).unwrap();
         }
         m.context_switch(0, zygote).unwrap();
+        m.access(0, code, AccessType::Execute).unwrap(); // a warm read-only entry
         m.access(0, stack, AccessType::Write).unwrap();
         m.access(0, heap, AccessType::Write).unwrap(); // caches a writable entry
         let in_use = m.kernel.phys.frames_in_use();
-        assert_eq!(in_use, 8 + 9);
+        assert_eq!(in_use, 10 + 9);
+        let asid = m.kernel.mm(zygote).unwrap().asid;
+        assert!(m.cores[0].main_tlb.probe(heap, asid).is_some());
 
         assert_eq!(m.fork(0, zygote).err(), Some(SatError::OutOfMemory));
         assert_eq!(m.kernel.phys.frames_in_use(), in_use);
         let parent_pte = m.kernel.pte(zygote, heap).unwrap().unwrap();
         assert!(!parent_pte.hw.perms.write(), "the fork got as far as COW");
+        // The flush is the spans the fork write-protected, not the
+        // parent's ASID: the stale writable entry is gone, the code
+        // entry stays warm.
+        assert!(m.cores[0].main_tlb.probe(heap, asid).is_none());
+        assert!(m.cores[0].main_tlb.probe(code, asid).is_some());
 
         m.syscall(|k, tlb| k.exit(filler, tlb)).unwrap();
         let (fork, _) = m.fork(0, zygote).unwrap();
