@@ -49,10 +49,21 @@ cargo test -q
 # failed-unshare rows — a write fault, mmap, munmap and mprotect into a
 # shared chunk with no frame left), and so the fork / unshare / reclaim
 # tests also run in this profile: three of four perf PRs in a row found
-# a release-only bug by accident.
-step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core)"
+# a release-only bug by accident. With them run the reverse map's
+# ownership rows (crates/core/src/reclaim.rs: the last-sharer collapse,
+# the lone-sharer exit, two sharing groups at one va) and its checker,
+# `Kernel::verify_rmap_ownership`, after every op of the core proptests
+# and the promote differential — here the exact-key `debug_assert!` in
+# `rmap_remove` is compiled out, so the checker is what vouches for the
+# owner — and the `mmap` boundary-argument table
+# (crates/core/tests/mmap_args.rs: a length that used to panic in debug
+# and wrap in release). sat-sched rides along for the budgeted-serve
+# reclaim tests (crates/sched/src/serve.rs), which end on the same
+# checker.
+step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"
 PROPTEST_CASES=2048 cargo test --release -q \
-    -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core
+    -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core \
+    -p sat-sched
 
 step "clippy"
 cargo clippy --workspace --all-targets -- -D warnings

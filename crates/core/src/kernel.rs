@@ -25,12 +25,14 @@
 //! check and a load, and [`Kernel::processes`] walks live processes in
 //! ascending pid order.
 
+use std::collections::BTreeMap;
+
 use sat_mmu::pte::PteSlot;
-use sat_mmu::{Mapper, PtpStore};
-use sat_phys::{FileRegistry, PhysMem};
+use sat_mmu::{L1Entry, Mapper, PtpStore};
+use sat_phys::{FileRegistry, FrameKind, PhysMem};
 use sat_types::{
-    AccessType, Asid, Dacr, Domain, PageSize, Perms, Pid, SatError, SatResult, VaRange, VirtAddr,
-    VpnRange,
+    AccessType, Asid, Dacr, Domain, PageSize, Perms, Pfn, Pid, SatError, SatResult, VaRange,
+    VirtAddr, VpnRange, L2_ENTRIES, PAGE_SIZE,
 };
 use sat_vm::{
     demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect, munmap as vm_munmap,
@@ -247,12 +249,6 @@ impl ProcTable {
 
     fn len(&self) -> usize {
         self.live
-    }
-
-    /// One past the highest pid ever filed: every live pid is in
-    /// `1..pid_bound()`.
-    pub(crate) fn pid_bound(&self) -> u32 {
-        self.slots.len() as u32
     }
 
     /// Live address spaces, lowest pid first.
@@ -480,12 +476,11 @@ impl Kernel {
         let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid;
         let addr = vm_mmap(mm, req)?;
-        let len = req.len.div_ceil(sat_types::PAGE_SIZE) * sat_types::PAGE_SIZE;
+        let range = mm.vma_at(addr).expect("just inserted").range;
         // Gather the operation's TLB maintenance (the freshly mapped
         // pages held no translations, so only unsharing contributes)
         // and resolve it once at the end.
         let mut batch = FlushBatch::new(pid, asid);
-        let range = VaRange::from_len(addr, len);
         let unshared = self.unshare_region(pid, range, UnshareTrigger::NewRegion, &mut batch);
         let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let unshared = match unshared {
@@ -511,7 +506,7 @@ impl Kernel {
         }
         batch.apply(tlb);
         let op = sat_obs::RegionOpKind::Mmap;
-        emit_region_op(pid, asid, op, addr, len / sat_types::PAGE_SIZE, unshared);
+        emit_region_op(pid, asid, op, addr, range.len() / PAGE_SIZE, unshared);
         Ok(addr)
     }
 
@@ -929,6 +924,90 @@ impl Kernel {
             return Err(format!(
                 "by-cause unshare counters sum to {by_cause}, ptp_unshares is {}",
                 s.ptp_unshares
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks the reverse map's ownership rule in both directions
+    /// (DESIGN.md §14): the entries filed for a frame are exactly the
+    /// PTEs that map it, each under the owner the rule names — the pid
+    /// of a process whose level-1 entry reaches the PTE *without*
+    /// `NEED_COPY` (a section is 256 such PTEs), or
+    /// [`Pid::SHARED_TABLE`], with multiplicity, for a slot of a
+    /// registry-listed table. Returns a description of the first frame
+    /// whose entries and PTEs differ.
+    pub fn verify_rmap_ownership(&self) -> Result<(), String> {
+        // What the page tables say the reverse map should hold.
+        let mut held: BTreeMap<Pfn, Vec<(Pid, VirtAddr)>> = BTreeMap::new();
+        let mut hold = |frame: Pfn, owner: Pid, va: VirtAddr| {
+            let kind = self.phys.page(frame).kind;
+            if matches!(kind, FrameKind::Anon | FrameKind::File { .. }) {
+                held.entry(frame).or_default().push((owner, va));
+            }
+        };
+        for mm in self.procs.iter() {
+            for l1 in mm.root.iter_sections() {
+                let L1Entry::Section { base, .. } = mm.root.entry(l1) else {
+                    continue;
+                };
+                for i in 0..L2_ENTRIES as u32 {
+                    let va = VirtAddr::new(((l1 as u32) << 20) + i * PAGE_SIZE);
+                    hold(Pfn::new(base.raw() + i), mm.pid, va);
+                }
+            }
+            let halves = mm.root.iter_ptps().flat_map(|(pair, _)| [pair, pair + 1]);
+            for l1 in halves {
+                let L1Entry::Table {
+                    ptp,
+                    half,
+                    need_copy,
+                    ..
+                } = mm.root.entry(l1)
+                else {
+                    continue;
+                };
+                if need_copy {
+                    // Its slots are held once, through the registry.
+                    if self.registry.entry(ptp).is_none() {
+                        return Err(format!(
+                            "{:?} reaches {ptp:?} with NEED_COPY but the registry does not list it",
+                            mm.pid
+                        ));
+                    }
+                    continue;
+                }
+                let table = self.ptps.get(ptp).ok_or("level-1 entry names no PTP")?;
+                for (idx, slot) in table.iter_half(half) {
+                    let va = VirtAddr::new(((l1 as u32) << 20) + idx as u32 * PAGE_SIZE);
+                    hold(slot.hw.frame_for_slot(idx), mm.pid, va);
+                }
+            }
+        }
+        for (ptp, e) in self.registry.iter() {
+            let table = self.ptps.get(ptp).ok_or("registry lists no PTP")?;
+            for (half, idx, slot) in table.iter() {
+                let va = Mapper::slot_va(e.chunk, half, idx);
+                hold(slot.hw.frame_for_slot(idx), Pid::SHARED_TABLE, va);
+            }
+        }
+        let mut ptes = 0;
+        for (frame, mut ptes_of) in held {
+            ptes_of.sort_unstable();
+            ptes += ptes_of.len();
+            let filed = self.phys.rmap_entries(frame);
+            if filed != ptes_of {
+                return Err(format!(
+                    "{frame:?}: the rmap files {filed:?} but the PTEs mapping it are {ptes_of:?}"
+                ));
+            }
+        }
+        // Every mapped frame's entries matched, so any surplus sits on
+        // a frame no PTE maps.
+        if ptes != self.phys.rmap_total() {
+            return Err(format!(
+                "the rmap files {} entries but live tables hold {ptes} data PTEs",
+                self.phys.rmap_total()
             ));
         }
         Ok(())

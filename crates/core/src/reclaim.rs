@@ -25,6 +25,13 @@
 //!   [`FlushBatch`] tagged [`FlushReason::Reclaim`], evicts the frame,
 //!   and emits one [`sat_obs::Payload::Reclaim`] event per pass.
 //!
+//! A reverse-map entry names whoever holds the PTE's table (DESIGN.md
+//! §14): [`Pid::SHARED_TABLE`] iff the level-1 pair the PTE hangs from
+//! carries `NEED_COPY`, else the pid whose root points at the table.
+//! The owner is exact, so a pass reads a victim's entries once and one
+//! function tears them all, by one lookup each — the registry's table
+//! for the chunk, or that process's table.
+//!
 //! A torn PTE whose home PTP is shared is invalidated with a
 //! one-page-all-ASIDs op (`TLBIMVAA` — the same instrument the
 //! domain-fault handler uses), because every sharer may have cached
@@ -37,10 +44,10 @@
 
 use sat_mmu::{Mapper, TableHalf};
 use sat_obs::FlushReason;
-use sat_types::{Asid, Pfn, Pid, VirtAddr};
+use sat_types::{Asid, PageSize, Pfn, Pid, VirtAddr};
 
 use crate::flush::FlushBatch;
-use crate::kernel::Kernel;
+use crate::kernel::{note_demote, Kernel};
 use crate::TlbMaintenance;
 
 /// What one reclaim pass did.
@@ -88,19 +95,10 @@ impl Kernel {
             let Some(victim) = self.phys.clock_next_victim() else {
                 break;
             };
-            // Drain the *live* rmap rather than a snapshot: rmap
-            // entries at one va are interchangeable across owners (a
-            // fork re-owns private entries to the sentinel, a
-            // last-sharer collapse strands sentinel entries on a
-            // private table), so one tear may consume the PTE another
-            // entry was recorded for. Each tear removes exactly one
-            // entry, so this terminates.
-            while let Some(&(pid, va)) = self.phys.rmap_entries(victim).first() {
-                if pid.raw() == 0 {
-                    self.tear_shared_slot(victim, va, &mut batch, &mut out);
-                } else {
-                    self.tear_private_pte(victim, pid, va, &mut batch, &mut out);
-                }
+            // Owners are exact, so every entry names a PTE of its own
+            // and no tear consumes another entry's: one snapshot.
+            for (owner, va) in self.phys.rmap_entries(victim) {
+                self.tear(victim, owner, va, &mut batch, &mut out);
             }
             debug_assert_eq!(
                 self.phys.mapcount(victim),
@@ -131,198 +129,87 @@ impl Kernel {
         out
     }
 
-    /// Tears one sentinel-owned PTE (a PTE living in a shared PTP) for
-    /// `victim` at `va`. The share registry locates the PTP: the entry
-    /// whose chunk covers `va` and whose table actually maps the
-    /// victim (two disjoint sharing groups can cover the same chunk).
-    /// The slot is cleared in place — the PTP stays shared, nothing is
+    /// Tears the one PTE that `victim`'s reverse-map entry
+    /// `(owner, va)` names. The owner says whose table holds it:
+    /// [`Pid::SHARED_TABLE`] — the registry-listed table of `va`'s
+    /// chunk that maps the victim there (two disjoint sharing groups
+    /// can cover one chunk); a pid — that process's table. The slot is
+    /// cleared in place, which for a shared table is the sanctioned
+    /// mutation of the module docs: the PTP stays shared, nothing is
     /// copied, and the one tear repairs every sharer.
-    fn tear_shared_slot(
+    fn tear(
         &mut self,
         victim: Pfn,
+        owner: Pid,
         va: VirtAddr,
         batch: &mut FlushBatch,
         out: &mut ReclaimOutcome,
     ) {
-        let half = TableHalf::of(va);
-        let idx = va.l2_index();
-        let candidates: Vec<Pfn> = self
-            .registry
-            .iter()
-            .filter(|(_, e)| e.chunk == va.ptp_base())
-            .map(|(f, _)| f)
-            .collect();
-        for ptp_frame in candidates {
-            let maps_victim = self
-                .ptps
-                .get(ptp_frame)
-                .and_then(|t| t.get(half, idx))
-                .is_some_and(|s| s.hw.frame_for_slot(idx) == victim);
-            if !maps_victim {
-                continue;
-            }
+        let (half, idx) = (TableHalf::of(va), va.l2_index());
+        let pte_in = |ptp: Pfn| {
+            let slot = self.ptps.get(ptp)?.get(half, idx)?;
+            (slot.hw.frame_for_slot(idx) == victim).then_some(slot.hw)
+        };
+        // The table, its PTE, and the one ASID that walks the table
+        // (a shared table has none).
+        let found = if owner == Pid::SHARED_TABLE {
+            let listed = self.registry.iter();
+            let mut of_chunk = listed.filter(|(_, e)| e.chunk == va.ptp_base());
+            of_chunk.find_map(|(ptp, _)| Some((ptp, pte_in(ptp)?, None)))
+        } else {
+            self.procs.get(owner).and_then(|mm| {
+                let ptp = mm.root.entry_for(va).ptp()?;
+                Some((ptp, pte_in(ptp)?, Some(mm.asid)))
+            })
+        };
+        let Some((ptp, hw, asid)) = found else {
             debug_assert!(
-                self.ptps
-                    .get(ptp_frame)
-                    .and_then(|t| t.get(half, idx))
-                    .is_some_and(|s| s.hw.size == sat_types::PageSize::Small4K),
-                "file page-cache victim mapped by a wide descriptor at {va:?} — \
-                 large slots are anonymous and must never reach the shared tear"
+                false,
+                "rmap entry ({owner:?}, {va:?}) of {victim:?} names no PTE"
             );
-            self.ptps
-                .get_mut(ptp_frame)
-                .expect("checked above")
-                .clear(half, idx);
-            self.phys.rmap_remove(victim, Pid::new(0), va);
-            self.phys.map_dec(victim);
-            self.phys.put_page(victim);
-            // Every sharer may have cached the translation; TLBIMVAA
-            // hits the page in all address spaces, globals included.
-            batch.va_all_asids(va, FlushReason::Reclaim);
-            out.shared_tears += 1;
-            emit_reclaim_unshare(va);
+            // Keep release builds making forward progress; the
+            // divergence surfaces at the next rmap_verify.
+            self.phys.rmap_remove(victim, owner, va);
             return;
-        }
-        // The PTP went private since the PTE was recorded: a
-        // last-sharer unshare cleared NEED_COPY in place without
-        // rewriting rmap ownership. Some live process still maps the
-        // victim at `va` through a walkable table; find it and tear
-        // through the ordinary per-process path.
-        if self.tear_any_private(victim, va, batch, out) {
-            return;
-        }
-        debug_assert!(
-            false,
-            "sentinel rmap entry for {victim:?} at {va:?} matches no shared or private PTP"
-        );
-        // Keep release builds making forward progress; the divergence
-        // surfaces at the next rmap_verify.
-        self.phys.rmap_remove(victim, Pid::new(0), va);
-    }
-
-    /// Tears one privately-owned PTE for `victim` at `va` in `pid`.
-    /// When the home PTP has since been *shared* (the PTE predates a
-    /// fork), the tear still goes through the owner's table — which is
-    /// the table every sharer walks — so it is flushed and accounted
-    /// as a shared tear. When the recorded owner no longer maps the
-    /// victim (an earlier same-va tear consumed its PTE under another
-    /// entry's name, or the owner exited after an attribution swap),
-    /// whichever live process still maps it is torn instead.
-    fn tear_private_pte(
-        &mut self,
-        victim: Pfn,
-        pid: Pid,
-        va: VirtAddr,
-        batch: &mut FlushBatch,
-        out: &mut ReclaimOutcome,
-    ) {
-        if self.tear_exact_private(victim, pid, va, batch, out) {
-            return;
-        }
-        if self.tear_any_private(victim, va, batch, out) {
-            return;
-        }
-        debug_assert!(
-            false,
-            "rmap entry for {victim:?} at {va:?} matches no live PTE"
-        );
-        // Keep release builds making forward progress; the divergence
-        // surfaces at the next rmap_verify.
-        self.phys.rmap_remove(victim, pid, va);
-    }
-
-    /// Tears `pid`'s PTE for `victim` at `va` if it exists; returns
-    /// whether a PTE was torn (and one rmap entry at `va` consumed).
-    fn tear_exact_private(
-        &mut self,
-        victim: Pfn,
-        pid: Pid,
-        va: VirtAddr,
-        batch: &mut FlushBatch,
-        out: &mut ReclaimOutcome,
-    ) -> bool {
-        let Some(mm) = self.procs.get_mut(pid) else {
-            return false;
         };
-        let asid = mm.asid;
-        let shared = mm.root.entry_for(va).need_copy();
-        let mut mapper = Mapper::new(&mut mm.root, &mut self.ptps, &mut self.phys, pid);
-        let Some(slot) = mapper.get_pte(va) else {
-            return false;
-        };
-        if slot.hw.frame_for_slot(va.l2_index()) != victim {
-            return false;
-        }
-        let global = slot.hw.global;
-        // Tearing one slot of a sixteen-slot replicated large group
-        // would leave fifteen stale descriptors, so the group splits
-        // to 4KB PTEs first. Unreachable with today's victim policy —
-        // large frames are anonymous and the clock only sweeps the
-        // file page cache — but the split-before-tear discipline must
-        // not depend on that.
-        let mut demoted = None;
-        if slot.hw.size == sat_types::PageSize::Large64K {
-            let group = VirtAddr::new(va.raw() & !(sat_types::PageSize::Large64K.bytes() - 1));
-            let split = mapper.split_large(va).unwrap_or(0);
-            demoted = Some((group, split));
-        }
-        mapper.reclaim_pte(va);
-        if let Some((group, split)) = demoted {
-            self.stats.demotions += 1;
-            self.stats.split_ptes += u64::from(split);
-            let bytes = sat_types::PageSize::Large64K.bytes();
-            let span = sat_types::VaRange::from_len(group, bytes);
-            batch.range(
-                asid,
-                sat_types::VpnRange::from_va_range(&span),
-                FlushReason::Demote,
+        if hw.size == PageSize::Large64K {
+            // Tearing one slot of a sixteen-slot replicated large group
+            // would leave fifteen stale descriptors, so the group splits
+            // to 4KB PTEs first. Unreachable with today's victim policy
+            // — large frames are anonymous and the clock only sweeps
+            // the file page cache — but the split-before-tear
+            // discipline must not depend on that.
+            debug_assert!(
+                asid.is_some(),
+                "wide descriptor in a shared table at {va:?}: it cannot be split in place"
             );
-            if sat_obs::enabled() {
-                sat_obs::emit(
-                    sat_obs::Subsystem::Kernel,
-                    pid.raw(),
-                    asid.raw(),
-                    sat_obs::Payload::Demote {
-                        va: group.raw(),
-                        bytes,
-                        pages: u64::from(split),
-                        cause: sat_obs::DemoteCause::Reclaim,
-                    },
-                );
+            if let Some(mm) = self.procs.get_mut(owner) {
+                Mapper::new(&mut mm.root, &mut self.ptps, &mut self.phys, owner).split_large(va);
+                let size = PageSize::Large64K;
+                let group = VirtAddr::new(va.raw() & !(size.bytes() - 1));
+                let cause = sat_obs::DemoteCause::Reclaim;
+                note_demote(&mut self.stats, owner, mm.asid, group, size, cause, batch);
             }
         }
-        if shared {
-            batch.va_all_asids(va, FlushReason::Reclaim);
-            out.shared_tears += 1;
-            emit_reclaim_unshare(va);
-        } else if global {
-            // A global translation survives ASID-scoped maintenance.
-            batch.va_all_asids(va, FlushReason::Reclaim);
+        let table = self.ptps.get_mut(ptp).expect("looked up above");
+        table.clear(half, idx);
+        self.phys.rmap_remove(victim, owner, va);
+        self.phys.map_dec(victim);
+        self.phys.put_page(victim);
+        match asid {
+            Some(asid) if !hw.global => batch.page(asid, va.vpn(), FlushReason::Reclaim),
+            // Every sharer may have cached a shared table's
+            // translation, and a global one survives ASID-scoped
+            // maintenance: TLBIMVAA hits the page in all address
+            // spaces, globals included.
+            _ => batch.va_all_asids(va, FlushReason::Reclaim),
+        }
+        if asid.is_some() {
             out.pte_tears += 1;
         } else {
-            batch.page(asid, va.vpn(), FlushReason::Reclaim);
-            out.pte_tears += 1;
+            out.shared_tears += 1;
+            emit_reclaim_unshare(va);
         }
-        true
-    }
-
-    /// Scans live processes in pid order for any PTE mapping `victim`
-    /// at `va` and tears the first one found. Attribution fallback:
-    /// which process a same-va rmap entry names is advisory (entries
-    /// are interchangeable at one va), so after exits, collapses, and
-    /// earlier tears the surviving PTE may belong to a different pid
-    /// than the entry being drained.
-    fn tear_any_private(
-        &mut self,
-        victim: Pfn,
-        va: VirtAddr,
-        batch: &mut FlushBatch,
-        out: &mut ReclaimOutcome,
-    ) -> bool {
-        // An exited pid's slot is empty: `tear_exact_private` passes
-        // over it.
-        (1..self.procs.pid_bound())
-            .any(|pid| self.tear_exact_private(victim, Pid::new(pid), va, batch, out))
     }
 }
 
@@ -485,35 +372,122 @@ mod tests {
         k.phys.rmap_verify().unwrap();
     }
 
-    #[test]
-    fn sentinel_entry_survives_ptp_going_private() {
-        // A PTE faulted into a shared PTP is recorded under the
-        // sentinel; when the sharing group collapses back to one
-        // process (last-sharer unshare), reclaim must still find and
-        // tear it through the now-private table.
+    const LIB: u32 = 0x4000_0000;
+    const LIB2: u32 = 0x4010_0000;
+
+    /// [`boot`] under PTP sharing plus a two-page library in the same
+    /// chunk that the zygote never touches, a child forked from it,
+    /// and the child's fault of the first of those pages: a PTE
+    /// populated into the shared table, filed under the shared-table
+    /// owner. Returns the kernel, the zygote, the child and the
+    /// faulted page's frame.
+    fn boot_with_child_populated_pte() -> (Kernel, Pid, Pid, Pfn) {
         let (mut k, zygote) = boot(KernelConfig::shared_ptp());
         let lib2 = k.files.register("libextra.so", 2 * PAGE_SIZE);
-        k.mmap(zygote, &code_req(lib2, 2, 0x4010_0000), &mut NoTlb)
+        k.mmap(zygote, &code_req(lib2, 2, LIB2), &mut NoTlb)
             .unwrap();
         let child = k.fork(zygote).unwrap().child;
-        // Child faults a page the zygote never touched: the PTE goes
-        // into the shared PTP under the sentinel owner.
-        let va = VirtAddr::new(0x4010_0000);
+        let va = VirtAddr::new(LIB2);
         k.page_fault(child, va, AccessType::Execute, &mut NoTlb)
             .unwrap();
-        // The child exits: the zygote becomes the last sharer, and its
-        // next modification clears NEED_COPY in place.
-        k.exit(child, &mut NoTlb).unwrap();
+        let frame = k.pte(zygote, va).unwrap().expect("visible to all").hw.pfn;
+        assert_eq!(k.phys.rmap_entries(frame), [(Pid::SHARED_TABLE, va)]);
+        k.verify_rmap_ownership().unwrap();
+        (k, zygote, child, frame)
+    }
+
+    /// Maps one anonymous page into the libraries' chunk: a region op
+    /// that unshares it.
+    fn mmap_into_lib_chunk(k: &mut Kernel, pid: Pid) {
         let heap = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
             .at(VirtAddr::new(0x4018_0000));
-        k.mmap(zygote, &heap, &mut NoTlb).unwrap();
+        k.mmap(pid, &heap, &mut NoTlb).unwrap();
+    }
+
+    #[test]
+    fn sentinel_entry_survives_ptp_going_private() {
+        // Transition 1, the last-sharer collapse: the child exits, the
+        // zygote's next region op clears NEED_COPY in place, and the
+        // table's entries — the one the child populated included —
+        // come back to the zygote's pid.
+        let (mut k, zygote, child, frame) = boot_with_child_populated_pte();
+        let va = VirtAddr::new(LIB2);
+        k.exit(child, &mut NoTlb).unwrap();
+        mmap_into_lib_chunk(&mut k, zygote);
         assert!(!k.mm(zygote).unwrap().root.entry_for(va).need_copy());
+        assert!(k.registry.is_empty());
+        assert_eq!(k.phys.rmap_entries(frame), [(zygote, va)]);
+        k.verify_rmap_ownership().unwrap();
+        // Reclaim tears them as what they are: private PTEs.
         let out = k.reclaim(16, &mut NoTlb);
-        assert!(out.pages >= 1);
-        // The sentinel-owned PTE was torn through the fallback path.
+        assert_eq!((out.pages, out.pte_tears, out.shared_tears), (9, 9, 0));
         assert!(k.pte(zygote, va).unwrap().is_none());
+        k.verify_rmap_ownership().unwrap();
         k.verify_share_accounting().unwrap();
         k.phys.rmap_verify().unwrap();
+    }
+
+    #[test]
+    fn lone_sharer_exit_removes_shared_table_entries() {
+        // Transition 2: the zygote exits while its pair still carries
+        // NEED_COPY with itself the one sharer left. The table goes
+        // with it, and its entries go under the owner they were filed
+        // under (a debug build asserts on any other key).
+        let (mut k, zygote, child, _) = boot_with_child_populated_pte();
+        k.exit(child, &mut NoTlb).unwrap();
+        let root = &k.mm(zygote).unwrap().root;
+        assert!(root.entry_for(VirtAddr::new(LIB2)).need_copy());
+        k.exit(zygote, &mut NoTlb).unwrap();
+        assert!(k.phys.rmap_is_empty());
+        assert!(k.registry.is_empty() && k.ptps.is_empty());
+        assert_eq!(k.phys.frames_in_use(), k.phys.page_cache_len() as u64);
+        k.verify_rmap_ownership().unwrap();
+        k.phys.rmap_verify().unwrap();
+    }
+
+    #[test]
+    fn two_sharing_groups_at_one_va_are_torn_in_one_pass() {
+        // The child unshares the chunk (a private copy of the table),
+        // then forks: two disjoint sharing groups, each with its own
+        // shared table mapping the same file pages at the same
+        // addresses — two shared-table entries per page.
+        let (mut k, zygote, child, frame) = boot_with_child_populated_pte();
+        let va = VirtAddr::new(LIB2);
+        mmap_into_lib_chunk(&mut k, child);
+        let grandchild = k.fork(child).unwrap().child;
+        assert_eq!(k.registry.len(), 2);
+        assert_eq!(k.phys.rmap_entries(frame), [(Pid::SHARED_TABLE, va); 2]);
+        k.verify_rmap_ownership().unwrap();
+        let out = k.reclaim(16, &mut NoTlb);
+        assert_eq!((out.pages, out.pte_tears, out.shared_tears), (9, 0, 18));
+        for pid in [zygote, child, grandchild] {
+            let lib_ptes = (0..8).map(|i| VirtAddr::new(LIB + i * PAGE_SIZE));
+            for page in lib_ptes.chain([va]) {
+                assert!(k.pte(pid, page).unwrap().is_none(), "{pid:?} at {page:?}");
+            }
+        }
+        assert_eq!(k.registry.len(), 2, "both tables stay shared");
+        k.verify_rmap_ownership().unwrap();
+        k.verify_share_accounting().unwrap();
+        k.phys.rmap_verify().unwrap();
+    }
+
+    #[test]
+    fn ownership_checker_names_an_entry_under_the_wrong_owner() {
+        let (mut k, zygote) = boot(KernelConfig::stock());
+        let va = VirtAddr::new(LIB);
+        let frame = k.pte(zygote, va).unwrap().unwrap().hw.pfn;
+        k.verify_rmap_ownership().unwrap();
+        // Counts still reconcile, so `rmap_verify` cannot see it.
+        k.phys.rmap_reown(frame, zygote, Pid::SHARED_TABLE, va);
+        k.phys.rmap_verify().unwrap();
+        let err = k.verify_rmap_ownership().unwrap_err();
+        let named = format!(
+            "the rmap files [(Pid(0), {va:?})] but the PTEs mapping it are [({zygote:?}, {va:?})]"
+        );
+        assert!(err.contains(&named), "{err}");
+        k.phys.rmap_reown(frame, Pid::SHARED_TABLE, zygote, va);
+        k.verify_rmap_ownership().unwrap();
     }
 
     #[test]

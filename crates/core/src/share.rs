@@ -164,27 +164,37 @@ pub(crate) fn first_share(
         }
     }
     parent.root.set_need_copy(chunk, true);
-    // The PTP's PTEs now serve every sharer, so their rmap entries
-    // move from the parent to the sentinel owner: reclaim must tear
-    // each physical PTE exactly once, through the shared path, not
-    // once per recorded owner.
-    if let Some(table) = ptps.get(ptp_frame) {
-        for (half, idx, slot) in table.iter() {
-            let frame = slot.hw.frame_for_slot(idx);
-            if matches!(
-                phys.page(frame).kind,
-                FrameKind::Anon | FrameKind::File { .. }
-            ) {
-                phys.rmap_reown(
-                    frame,
-                    parent.pid,
-                    Pid::new(0),
-                    Mapper::slot_va(chunk, half, idx),
-                );
-            }
+    // The PTP's PTEs now serve every sharer: reclaim tears each
+    // physical PTE once, through the shared path.
+    reown_table(ptps, phys, chunk, ptp_frame, parent.pid, Pid::SHARED_TABLE);
+    write_protect_ops
+}
+
+/// Moves the reverse-map entry of every data PTE in the table at
+/// `ptp_frame` (translating `chunk`) from owner `from` to owner `to`:
+/// what keeps the filed owner exact at the two places `NEED_COPY` flips
+/// on a live table — [`first_share`] (pid → [`Pid::SHARED_TABLE`]) and
+/// the last-sharer branch of [`unshare`] (back to that sharer's pid).
+fn reown_table(
+    ptps: &PtpStore,
+    phys: &mut PhysMem,
+    chunk: VirtAddr,
+    ptp_frame: Pfn,
+    from: Pid,
+    to: Pid,
+) {
+    let Some(table) = ptps.get(ptp_frame) else {
+        return;
+    };
+    for (half, idx, slot) in table.iter() {
+        let frame = slot.hw.frame_for_slot(idx);
+        if matches!(
+            phys.page(frame).kind,
+            FrameKind::Anon | FrameKind::File { .. }
+        ) {
+            phys.rmap_reown(frame, from, to, Mapper::slot_va(chunk, half, idx));
         }
     }
-    write_protect_ops
 }
 
 /// Unshares the PTP covering `va` in `mm`, if it is marked
@@ -254,8 +264,10 @@ pub fn unshare(
     }
     registry.detach(shared_frame, trigger);
     let Some(new_frame) = new_frame else {
-        // Last sharer: just clear NEED_COPY.
+        // Last sharer: clear NEED_COPY in place. The table is private
+        // from here on, so its PTEs' entries come back to this pid.
         mm.root.set_need_copy(chunk, false);
+        reown_table(ptps, phys, chunk, shared_frame, Pid::SHARED_TABLE, mm.pid);
         if config.l1_write_protect {
             // Ablation fix-up: without the share-time write-protect
             // pass, data frames that other (now departed or unshared)
@@ -332,9 +344,10 @@ pub fn unshare(
     }
     // The copied PTEs are new mappings of their frames (slot-aware:
     // each replicated 64KB descriptor references its own 4KB frame of
-    // the group, matching the teardown accounting). Each copy is a
-    // private PTE of `mm`, so it gets its own rmap entry under `mm`'s
-    // pid (the shared original stays recorded under the sentinel).
+    // the group, matching the teardown accounting). The copy is
+    // installed without NEED_COPY, so by the ownership rule each entry
+    // is filed under `mm`'s pid (the shared originals stay under
+    // `Pid::SHARED_TABLE`).
     for (half, idx, slot) in copy.iter() {
         let frame = slot.hw.frame_for_slot(idx);
         phys.get_page(frame);

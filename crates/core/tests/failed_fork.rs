@@ -67,6 +67,8 @@ fn audit(k: &Kernel, what: &str) {
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     k.verify_share_accounting()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
+    k.verify_rmap_ownership()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
     k.ptps.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
     for (pid, mm) in k.processes() {
         mm.root

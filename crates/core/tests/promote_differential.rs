@@ -245,6 +245,10 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
         a.phys
             .rmap_verify()
             .unwrap_or_else(|e| panic!("promoted kernel rmap after {op:?}: {e}"));
+        for k in [&a, &b] {
+            k.verify_rmap_ownership()
+                .unwrap_or_else(|e| panic!("rmap ownership after {op:?}: {e}"));
+        }
     }
 
     // Event streams reconcile with the counters.

@@ -188,6 +188,8 @@ fn run_sequence(config: KernelConfig, ops: &[Op]) {
         k.phys
             .rmap_verify()
             .unwrap_or_else(|e| panic!("rmap broken after {op:?}: {e}"));
+        k.verify_rmap_ownership()
+            .unwrap_or_else(|e| panic!("rmap ownership broken after {op:?}: {e}"));
         let s = k.phys.stats();
         assert_eq!(
             s.evictions,

@@ -107,9 +107,10 @@ pub struct Mapper<'a> {
     pub ptps: &'a mut PtpStore,
     /// Physical memory.
     pub phys: &'a mut PhysMem,
-    /// The process whose address space this mapper mutates; recorded
-    /// in the reverse map so reclaim can find every PTE mapping a
-    /// victim frame.
+    /// The process whose address space this mapper mutates: the
+    /// reverse-map owner of every PTE it installs or drops in a table
+    /// only this process walks (a PTE in a `NEED_COPY` table is filed
+    /// under [`Pid::SHARED_TABLE`] instead — see `Mapper::owner`).
     pub pid: Pid,
 }
 
@@ -126,6 +127,22 @@ impl<'a> Mapper<'a> {
             ptps,
             phys,
             pid,
+        }
+    }
+
+    /// The reverse-map owner of the PTE at `va` — the one ownership
+    /// rule, applied at every add and remove: the entry is filed under
+    /// [`Pid::SHARED_TABLE`] iff the level-1 entry the PTE hangs from
+    /// carries `NEED_COPY` (the table serves every sharer, and whoever
+    /// populated the PTE may exit while it lives on), else under the
+    /// process whose root points at the table. `sat-core` keeps the
+    /// filed owner true at the two places the bit flips on a live
+    /// table (DESIGN.md §14).
+    fn owner(&self, va: VirtAddr) -> Pid {
+        if self.root.entry_for(va).need_copy() {
+            Pid::SHARED_TABLE
+        } else {
+            self.pid
         }
     }
 
@@ -196,20 +213,12 @@ impl<'a> Mapper<'a> {
             "set_pte replacing a PTE in a NEED_COPY (shared) PTP at {va:?}"
         );
         let (frame, allocated) = self.ensure_ptp(va, domain)?;
+        let owner = self.owner(va);
         // A 64KB slot references its own 4KB frame of the group.
         let data_frame = hw.frame_for_slot(va.l2_index());
         self.phys.get_page(data_frame);
         self.phys.map_inc(data_frame);
         if is_data_frame(self.phys, data_frame) {
-            // A PTE populated into a shared (NEED_COPY) PTP belongs to
-            // no single process — the populating sharer may exit while
-            // the PTE lives on — so it is recorded under the sentinel
-            // pid 0; reclaim resolves it through the share registry.
-            let owner = if self.root.entry_for(va).need_copy() {
-                Pid::new(0)
-            } else {
-                self.pid
-            };
             self.phys.rmap_add(data_frame, owner, va);
         }
         let half = TableHalf::of(va);
@@ -219,7 +228,7 @@ impl<'a> Mapper<'a> {
             .expect("PTP in store")
             .set(half, va.l2_index(), hw, sw);
         if let Some(old) = prev {
-            drop_frame_ref(self.phys, self.pid, old, va);
+            drop_frame_ref(self.phys, owner, old, va);
         }
         Ok(SetPte {
             ptp_allocated: allocated,
@@ -238,29 +247,10 @@ impl<'a> Mapper<'a> {
             L1Entry::Table { ptp, half, .. } => (ptp, half),
             _ => return None,
         };
+        let owner = self.owner(va);
         let prev = self.ptps.get_mut(ptp)?.clear(half, va.l2_index());
         if let Some(old) = prev {
-            drop_frame_ref(self.phys, self.pid, old, va);
-        }
-        prev
-    }
-
-    /// Tears the PTE for `va` out of the page table on behalf of
-    /// reclaim, dropping the mapped frame's references. Unlike
-    /// [`Mapper::clear_pte`] this is *permitted* on a `NEED_COPY`
-    /// (shared) PTP: eviction removes the entry from the single
-    /// physical table, repairing every sharer at once — each sharer
-    /// simply refaults the page through the page cache, exactly as the
-    /// paper's shared-PTP populate path works in reverse. Returns the
-    /// removed hardware entry.
-    pub fn reclaim_pte(&mut self, va: VirtAddr) -> Option<HwPte> {
-        let (ptp, half) = match self.root.entry_for(va) {
-            L1Entry::Table { ptp, half, .. } => (ptp, half),
-            _ => return None,
-        };
-        let prev = self.ptps.get_mut(ptp)?.clear(half, va.l2_index());
-        if let Some(old) = prev {
-            drop_frame_ref(self.phys, self.pid, old, va);
+            drop_frame_ref(self.phys, owner, old, va);
         }
         prev
     }
@@ -299,12 +289,13 @@ impl<'a> Mapper<'a> {
                 "clear_range in a NEED_COPY (shared) PTP at {:?}",
                 span.base
             );
+            let owner = self.owner(span.base);
             let Some(table) = span.populated(self.ptps) else {
                 continue;
             };
             for idx in span.slots.clone() {
                 if let Some(old) = table.clear(span.half, idx) {
-                    drop_frame_ref(self.phys, self.pid, old, span.va(idx));
+                    drop_frame_ref(self.phys, owner, old, span.va(idx));
                     cleared += 1;
                 }
             }
@@ -343,6 +334,12 @@ impl<'a> Mapper<'a> {
     /// torn down (dropping their frames' references) and the PTP frame
     /// is freed. Returns `true` if the PTP was freed.
     pub fn release_ptp_pair(&mut self, va: VirtAddr) -> bool {
+        let chunk = va.ptp_base();
+        // Read before the pair goes: a lone sharer that exits while
+        // still `NEED_COPY` frees a table whose entries are filed
+        // under the shared-table owner, not under its pid.
+        let owners = [TableHalf::Lower, TableHalf::Upper]
+            .map(|half| self.owner(Mapper::slot_va(chunk, half, 0)));
         let Some(frame) = self.root.clear_table_pair(va) else {
             return false;
         };
@@ -351,11 +348,10 @@ impl<'a> Mapper<'a> {
         }
         // Torn down where it lies: read through a borrow, then the
         // slot is freed — nothing moves out of the arena.
-        let chunk = va.ptp_base();
         let table = self.ptps.get(frame).expect("PTP in store");
         for (half, idx, slot) in table.iter() {
             let slot_va = Mapper::slot_va(chunk, half, idx);
-            drop_frame_ref(self.phys, self.pid, slot.hw, slot_va);
+            drop_frame_ref(self.phys, owners[half.index()], slot.hw, slot_va);
         }
         self.ptps.free(frame);
         self.phys.put_page(frame);
@@ -547,11 +543,12 @@ impl<'a> Mapper<'a> {
         };
         let sect = VirtAddr::new(va.raw() & !(size.bytes() - 1));
         let pages = size.bytes() / PAGE_SIZE;
+        let owner = self.owner(sect);
         for i in 0..pages {
             let page_va = VirtAddr::new(sect.raw() + i * PAGE_SIZE);
             let frame = Pfn::new(base.raw() + i);
             if is_data_frame(self.phys, frame) {
-                self.phys.rmap_remove(frame, self.pid, page_va);
+                self.phys.rmap_remove(frame, owner, page_va);
             }
             self.phys.map_dec(frame);
             self.phys.put_page(frame);
@@ -578,13 +575,14 @@ impl<'a> Mapper<'a> {
     }
 }
 
-/// Drops the frame reference held by the PTE `hw` that `pid` maps at
-/// `va`. A 64KB large-page slot references its own 4KB frame of the
-/// sixteen-frame group (`base + slot-within-group`).
-fn drop_frame_ref(phys: &mut PhysMem, pid: Pid, hw: HwPte, va: VirtAddr) {
+/// Drops the frame reference held by the PTE `hw` at `va`, whose
+/// reverse-map entry is filed under `owner`. A 64KB large-page slot
+/// references its own 4KB frame of the sixteen-frame group
+/// (`base + slot-within-group`).
+fn drop_frame_ref(phys: &mut PhysMem, owner: Pid, hw: HwPte, va: VirtAddr) {
     let frame = hw.frame_for_slot(va.l2_index());
     if is_data_frame(phys, frame) {
-        phys.rmap_remove(frame, pid, va);
+        phys.rmap_remove(frame, owner, va);
     }
     phys.map_dec(frame);
     phys.put_page(frame);

@@ -1,6 +1,6 @@
 //! The frame allocator and page cache.
 
-use std::collections::btree_map::{Entry, OccupiedEntry};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use sat_types::{Pfn, Pid, SatError, SatResult, VirtAddr, MAX_FRAMES};
@@ -135,14 +135,15 @@ pub struct PhysMem {
     /// File pages evicted by reclaim and not yet refaulted, for the
     /// conservation invariant `evictions == refaults + evicted.len()`.
     evicted: HashSet<(FileId, u32)>,
-    /// Reverse map: data frame -> every (pid, va) PTE mapping it, with
-    /// multiplicity, so eviction can find and tear all PTEs pointing
-    /// at a victim. A PTE living in a *shared* PTP is keyed under the
-    /// sentinel `Pid::new(0)` (no single process owns it — sharers
-    /// come and go while the physical PTE lives on); private PTEs are
-    /// keyed by their owning pid. The count handles two disjoint
-    /// sharing groups mapping the same file page at the same va. BTree
-    /// containers keep reclaim's iteration order deterministic.
+    /// Reverse map: data frame -> one `(owner, va)` entry per physical
+    /// PTE mapping it, so eviction tears each by one lookup. The owner
+    /// is exact: [`Pid::SHARED_TABLE`] iff the PTE hangs from a
+    /// level-1 pair carrying `NEED_COPY` (the table serves every
+    /// sharer), else the pid whose root points at the table. A pid
+    /// entry's count is therefore always 1; only shared-table entries
+    /// are a multiset (two disjoint sharing groups mapping the same
+    /// file page at the same va). BTree containers keep reclaim's
+    /// iteration order deterministic.
     rmap: BTreeMap<Pfn, BTreeMap<(Pid, VirtAddr), u32>>,
 }
 
@@ -539,70 +540,46 @@ impl PhysMem {
         self.evicted.len()
     }
 
-    /// Records that `pid` maps `pfn` at `va` through a PTE, one entry
-    /// per *physical* PTE. A PTE in a shared PTP is recorded once,
-    /// under the sentinel `Pid::new(0)`; the multiset count rises when
-    /// two disjoint sharing groups map the same page at the same va.
-    pub fn rmap_add(&mut self, pfn: Pfn, pid: Pid, va: VirtAddr) {
+    /// Files one physical PTE mapping `pfn` at `va` under `owner`: the
+    /// pid whose private table holds it, or [`Pid::SHARED_TABLE`] for
+    /// a PTE in a shared PTP (whose count rises when two disjoint
+    /// sharing groups map the same page at the same va).
+    pub fn rmap_add(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
         *self
             .rmap
             .entry(pfn)
             .or_default()
-            .entry((pid, va))
+            .entry((owner, va))
             .or_insert(0) += 1;
     }
 
-    /// Removes one rmap entry for a torn PTE. The exact `(pid, va)`
-    /// pair is preferred; if the tearing process is not the recorded
-    /// owner (a sharer tearing down a shared-PTP PTE recorded under
-    /// the sentinel, or vice versa), any entry at the same `va` is
-    /// decremented instead.
-    pub fn rmap_remove(&mut self, pfn: Pfn, pid: Pid, va: VirtAddr) {
-        let Entry::Occupied(mut set) = self.rmap.entry(pfn) else {
-            debug_assert!(false, "rmap_remove on unmapped frame {pfn:?}");
-            return;
-        };
-        let drop_one = |mut count: OccupiedEntry<'_, (Pid, VirtAddr), u32>| {
-            *count.get_mut() -= 1;
-            if *count.get() == 0 {
-                count.remove();
-            }
-        };
-        // One descent when the tearing process is the recorded owner —
-        // every private PTE — and the scan only for the rest.
-        match set.get_mut().entry((pid, va)) {
-            Entry::Occupied(count) => drop_one(count),
-            Entry::Vacant(_) => {
-                let other = set.get().keys().find(|(_, v)| *v == va).copied();
-                match other.map(|key| set.get_mut().entry(key)) {
-                    Some(Entry::Occupied(count)) => drop_one(count),
-                    _ => debug_assert!(false, "no rmap entry for {pfn:?} at {va:?}"),
+    /// Removes the entry of one torn PTE: exactly the `(owner, va)`
+    /// key it was filed under. The owner is kept true by whoever flips
+    /// `NEED_COPY` on a live table ([`PhysMem::rmap_reown`]), so a
+    /// missing key is a bug in the caller.
+    pub fn rmap_remove(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
+        if let Entry::Occupied(mut set) = self.rmap.entry(pfn) {
+            if let Entry::Occupied(mut count) = set.get_mut().entry((owner, va)) {
+                *count.get_mut() -= 1;
+                if *count.get() == 0 {
+                    count.remove();
+                    if set.get().is_empty() {
+                        set.remove();
+                    }
                 }
+                return;
             }
         }
-        if set.get().is_empty() {
-            set.remove();
-        }
+        debug_assert!(false, "no rmap entry for {pfn:?} at {va:?} under {owner:?}");
     }
 
-    /// Transfers one rmap entry at `va` from `from` to `to`. Used when
-    /// a private PTP becomes shared at fork: its PTEs now serve every
-    /// sharer, so their entries move to the sentinel owner and reclaim
-    /// tears them through the shared path. No-op when `from` holds no
-    /// entry at `va` (the PTE was faulted while already shared, or was
-    /// already re-owned by an earlier share of the same table).
+    /// Moves one entry at `va` from owner `from` to owner `to` — the
+    /// call of the two transitions that flip `NEED_COPY` on a live
+    /// table: the first share (its pid → [`Pid::SHARED_TABLE`]) and
+    /// the last sharer's unshare (back to that sharer's pid).
     pub fn rmap_reown(&mut self, pfn: Pfn, from: Pid, to: Pid, va: VirtAddr) {
-        let Some(set) = self.rmap.get_mut(&pfn) else {
-            return;
-        };
-        let Some(count) = set.get_mut(&(from, va)) else {
-            return;
-        };
-        *count -= 1;
-        if *count == 0 {
-            set.remove(&(from, va));
-        }
-        *set.entry((to, va)).or_insert(0) += 1;
+        self.rmap_remove(pfn, from, va);
+        self.rmap_add(pfn, to, va);
     }
 
     /// Returns the recorded PTE mappings for `pfn` with multiplicity,
@@ -1111,9 +1088,7 @@ mod tests {
         pm.rmap_add(p, pid2, va2);
         assert_eq!(pm.rmap_len(p), 2);
         pm.rmap_verify().unwrap();
-        // Tearing by a non-owner at the same va falls back to the
-        // recorded entry (shared-PTP teardown by a different sharer).
-        pm.rmap_remove(p, Pid::new(9), va1);
+        pm.rmap_remove(p, pid1, va1);
         pm.map_dec(p);
         pm.put_page(p);
         pm.rmap_verify().unwrap();
@@ -1133,7 +1108,7 @@ mod tests {
         let mut pm = PhysMem::new(8);
         let f = FileId(0);
         let (p, _) = pm.file_page(f, 0).unwrap();
-        let sentinel = Pid::new(0);
+        let sentinel = Pid::SHARED_TABLE;
         let va = VirtAddr::new(0x4000_0000);
         pm.get_page(p);
         pm.map_inc(p);

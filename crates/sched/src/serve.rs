@@ -607,7 +607,10 @@ mod tests {
         assert!(uncapped.frames_peak > 0);
 
         opts.mem_frames = Some(uncapped.frames_peak * 3 / 4);
-        let a = run_serve(KernelConfig::shared_ptp_tlb(), opts).unwrap();
+        let mut sim = ServeSim::boot(KernelConfig::shared_ptp_tlb(), opts).unwrap();
+        sim.sys.machine.reset_hw_stats();
+        sim.run().unwrap();
+        let a = sim.report();
         let b = run_serve(KernelConfig::shared_ptp_tlb(), opts).unwrap();
         assert_eq!(a, b, "budgeted serve must stay deterministic");
         assert_eq!(a.requests, opts.requests as u64, "run must drain");
@@ -627,6 +630,11 @@ mod tests {
             a.p99 >= uncapped.p99,
             "pressure cannot make the tail faster"
         );
+        // Every tear took the entry it was filed under, and what the
+        // run left behind is still filed under its true owner.
+        let kernel = &sim.sys.machine.kernel;
+        kernel.phys.rmap_verify().unwrap();
+        kernel.verify_rmap_ownership().unwrap();
     }
 
     #[test]

@@ -82,6 +82,12 @@ impl fmt::Display for Pid {
 }
 
 impl Pid {
+    /// The reverse-map owner of a PTE in a *shared* page-table page:
+    /// no process owns such a PTE (sharers come and go while it lives
+    /// on), so its entry is filed under this value, which no process
+    /// is ever given — pids are handed out from 1.
+    pub const SHARED_TABLE: Pid = Pid(0);
+
     /// Creates a PID from its raw value.
     pub const fn new(raw: u32) -> Self {
         Pid(raw)

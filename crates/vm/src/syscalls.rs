@@ -9,8 +9,8 @@
 use sat_mmu::{L1Entry, Mapper, PtpStore};
 use sat_phys::{FileId, PhysMem};
 use sat_types::{
-    AccessType, PageSize, Perms, RegionTag, SatError, SatResult, VaRange, VirtAddr, PAGE_SIZE,
-    PTP_SPAN,
+    AccessType, PageSize, Perms, RegionTag, SatError, SatResult, VaRange, VirtAddr,
+    KERNEL_SPACE_START, PAGE_SIZE, PTP_SPAN,
 };
 
 use crate::fault::{handle_fault, FaultCtx};
@@ -20,8 +20,9 @@ use crate::vma::{Backing, Vma};
 /// Parameters for [`mmap`].
 #[derive(Clone, Debug)]
 pub struct MmapRequest {
-    /// Fixed address (must be page-aligned and free), or `None` to let
-    /// the kernel choose.
+    /// Fixed address (must be page-aligned and free, and the region
+    /// must end at or below `KERNEL_SPACE_START`), or `None` to let the
+    /// kernel choose.
     pub addr: Option<VirtAddr>,
     /// Length in bytes (rounded up to whole pages).
     pub len: u32,
@@ -96,10 +97,17 @@ impl MmapRequest {
 /// `sat-core`), and mapping into the range of a shared PTP triggers an
 /// eager unshare (also done by the caller).
 pub fn mmap(mm: &mut Mm, req: &MmapRequest) -> SatResult<VirtAddr> {
-    if req.len == 0 {
+    // The range is checked once, here, before anything is inserted.
+    // In u64: in u32, rounding up a length within a page of 2³² wraps,
+    // and so does the end of a high fixed range. User space ends at
+    // `KERNEL_SPACE_START` for a fixed address as it does for a chosen
+    // one ([`Mm::find_free`]).
+    let len = u64::from(req.len).div_ceil(u64::from(PAGE_SIZE)) * u64::from(PAGE_SIZE);
+    let fixed = req.addr.map_or(0, |addr| u64::from(addr.raw()));
+    if len == 0 || fixed + len > u64::from(KERNEL_SPACE_START) {
         return Err(SatError::InvalidArgument);
     }
-    let len = req.len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+    let len = len as u32;
     let start = match req.addr {
         Some(addr) => {
             if !addr.is_page_aligned() {

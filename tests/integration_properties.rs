@@ -171,6 +171,7 @@ fn observe(k: &mut Kernel, live: &[Pid]) -> Vec<Vec<usize>> {
 
 /// Kernel-wide invariants that must hold at any quiescent point.
 fn check_invariants(k: &Kernel, live: &[Pid]) {
+    k.verify_rmap_ownership().unwrap();
     // Under the level-1 write-protect ablation, writable PTEs inside a
     // NEED_COPY PTP are guarded by the (hypothetical) level-1
     // protection rather than by per-PTE write protection.
