@@ -57,8 +57,16 @@ cargo test -q
 # `rmap_remove` is compiled out, so the checker is what vouches for the
 # owner — and the `mmap` boundary-argument table
 # (crates/core/tests/mmap_args.rs: a length that used to panic in debug
-# and wrap in release). sat-sched rides along for the budgeted-serve
-# reclaim tests (crates/sched/src/serve.rs), which end on the same
+# and wrap in release). The region list rides in the same packages:
+# crates/vm/tests/region_map.rs (the sorted list of shared regions vs
+# the `BTreeMap<u32, Vma>` map kept there as the specification, over a
+# family of forked maps — after every op each member equals its twin
+# and no other member has changed) and crates/core/tests/region_args.rs
+# (the refused `munmap` / `mprotect` table: an unaligned end inside a
+# region used to reach `Vma::split_at`'s assertion, and every refusal
+# on the sharing kernel used to unshare the chunk first), beside the
+# host-allocation pin crates/core/tests/fork_allocations.rs. sat-sched
+# rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on the same
 # checker.
 step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"
 PROPTEST_CASES=2048 cargo test --release -q \

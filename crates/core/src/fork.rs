@@ -95,13 +95,14 @@ pub(crate) fn dup_mm(
     let mut child = Mm::new(phys, child_pid, child_asid)?;
     child.dacr = parent.dacr;
     child.is_zygote_child = parent.is_zygote_like();
-    // The child's copy of the regions doubles as the list the copies
-    // walk — they borrow the parent mutably — and is installed once the
-    // loop is done with it. Chunks and regions both ascend, so the
-    // regions the policy copies are walked once, beside the chunks.
-    let vmas = parent.clone_vmas();
-    let mut regions = vmas
-        .values()
+    // The child's pointers to the parent's regions double as the list
+    // the copies walk — they borrow the parent mutably — and are
+    // installed once the loop is done with them. Chunks and regions both
+    // ascend, so the regions the policy copies are walked once, beside
+    // the chunks.
+    let inherited = parent.fork_regions();
+    let mut regions = inherited
+        .iter()
         .filter(|vma| copies_ptes(config.fork_policy, vma))
         .peekable();
     let (mut ptps_shared, mut write_protect_ops) = (0, 0);
@@ -162,6 +163,8 @@ pub(crate) fn dup_mm(
             regions.next();
         }
     }
+    // The walk is over; its borrow of `inherited` ends here.
+    drop(regions);
     if !config.share_ptp {
         // Kept difference (ii): the stock kernel counts its COW
         // protections as write-protect ops (which `fork_cycles` prices);
@@ -182,7 +185,7 @@ pub(crate) fn dup_mm(
         return Err(e);
     }
 
-    child.set_vmas(vmas);
+    child.adopt_regions(inherited);
     child.counters.ptps_shared_at_fork = ptps_shared;
     child.counters.ptes_copied_fork = copied.ptes_copied;
     child.counters.ptps_allocated = copied.ptps_allocated;

@@ -35,8 +35,8 @@ use sat_types::{
     VirtAddr, VpnRange, L2_ENTRIES, PAGE_SIZE,
 };
 use sat_vm::{
-    demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect, munmap as vm_munmap,
-    populate, Backing, FaultCtx, FaultOutcome, Mm, MmapRequest,
+    check_region_op, demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect,
+    munmap as vm_munmap, populate, Backing, FaultCtx, FaultOutcome, Mm, MmapRequest,
 };
 
 use crate::asid::AsidAllocator;
@@ -500,9 +500,7 @@ impl Kernel {
             && matches!(req.backing, Backing::File { .. })
             && req.perms.execute()
         {
-            if let Some(vma) = mm.vma_at_mut(addr) {
-                vma.global = true;
-            }
+            mm.mark_global(addr);
         }
         batch.apply(tlb);
         let op = sat_obs::RegionOpKind::Mmap;
@@ -591,6 +589,9 @@ impl Kernel {
             ),
         };
         let mm = self.mm(pid)?;
+        // The arguments are checked once, here, before anything is
+        // unshared or split: a refused call changes nothing.
+        check_region_op(mm, range, matches!(change, RegionChange::Protect(_)))?;
         let asid = mm.asid;
         // Checked before an unmap removes the VMAs: a region carrying
         // global (zygote library) translations needs a machine-wide

@@ -52,13 +52,13 @@ fn fork_mm(
     let mut child = Mm::new(phys, child_pid, child_asid)?;
     child.dacr = parent.dacr;
     child.is_zygote_child = parent.is_zygote_like();
-    // The child's copy of the regions doubles as the list to walk —
+    // The child's list of the regions doubles as the list to walk —
     // the copy loop borrows the parent mutably — and is installed once
     // the loop is done with it.
-    let vmas = parent.clone_vmas();
+    let vmas = parent.fork_regions();
     let mut report = ForkReport::default();
 
-    for vma in vmas.values() {
+    for vma in vmas.iter() {
         if !copies_ptes(policy, vma) {
             continue;
         }
@@ -77,7 +77,7 @@ fn fork_mm(
             return Err(e);
         }
     }
-    child.set_vmas(vmas);
+    child.adopt_regions(vmas);
     child.counters.ptes_copied_fork = report.ptes_copied;
     child.counters.ptps_allocated = report.ptps_allocated;
     Ok((child, report))

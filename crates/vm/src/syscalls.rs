@@ -207,6 +207,21 @@ pub fn demote_range(
     Ok(demoted)
 }
 
+/// The argument check of [`munmap`] and [`mprotect`], which both start
+/// with it — as does the `sat-core` wrapper, *before* it unshares, so a
+/// refused call changes nothing. Both ends of `range` must be
+/// page-aligned (a region is split at them) and it must not be empty;
+/// `must_be_mapped` is `mprotect`'s rule that the range touch a region.
+pub fn check_region_op(mm: &Mm, range: VaRange, must_be_mapped: bool) -> SatResult<()> {
+    if !range.start.is_page_aligned() || !range.end.is_page_aligned() || range.is_empty() {
+        return Err(SatError::InvalidArgument);
+    }
+    if must_be_mapped && !mm.any_vma_overlaps(range) {
+        return Err(SatError::NotMapped(range.start));
+    }
+    Ok(())
+}
+
 /// Unmaps `range`: removes the covered region pieces, demotes large
 /// mappings cut by the boundaries, clears their PTEs, and frees
 /// page-table pages whose 2MB span no longer contains any region.
@@ -218,9 +233,7 @@ pub fn munmap(
     phys: &mut PhysMem,
     range: VaRange,
 ) -> SatResult<usize> {
-    if !range.start.is_page_aligned() || range.is_empty() {
-        return Err(SatError::InvalidArgument);
-    }
+    check_region_op(mm, range, false)?;
     demote_range(mm, ptps, phys, range)?;
     let removed = mm.carve(range);
     let mut cleared = 0;
@@ -262,12 +275,7 @@ pub fn mprotect(
     range: VaRange,
     perms: Perms,
 ) -> SatResult<()> {
-    if !range.start.is_page_aligned() || !range.end.is_page_aligned() || range.is_empty() {
-        return Err(SatError::InvalidArgument);
-    }
-    if !mm.any_vma_overlaps(range) {
-        return Err(SatError::NotMapped(range.start));
-    }
+    check_region_op(mm, range, true)?;
     // A partial re-protection would leave a large page's sixteen
     // replicated descriptors disagreeing, and the TLB could serve the
     // stale permission from any of them — demote at the boundaries

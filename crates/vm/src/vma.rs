@@ -21,6 +21,12 @@ pub enum Backing {
 }
 
 /// A memory region (`vm_area_struct`).
+///
+/// An address space holds its regions by shared pointer: a fork hands
+/// the child the parent's, and whoever changes one copies it first
+/// ([`crate::Mm`]). Nothing here is interiorly mutable, so a region
+/// reached through `&Vma` is the same for every process that points at
+/// it.
 #[derive(Clone, Debug)]
 pub struct Vma {
     /// The region's address range (page-aligned).
@@ -40,8 +46,9 @@ pub struct Vma {
     pub dont_share_ptp: bool,
     /// Classification for analytics and sharing policy.
     pub tag: RegionTag,
-    /// Human-readable name (library or mapping name), shared to make
-    /// fork-time clones cheap.
+    /// Human-readable name (library or mapping name), shared so that
+    /// copying a region — a split, or the first change to one a fork
+    /// handed down — copies no string.
     pub name: Arc<str>,
 }
 
