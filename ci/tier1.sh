@@ -38,7 +38,12 @@ cargo test -q
 # `MainTlb::insert`'s duplicate rule, and runs `MainTlb::verify` after
 # every op), and the grouped page tables vs the dense `RefPtp` /
 # `RefRootTable` (crates/mmu/src/reference.rs, with `Ptp::verify` /
-# `RootTable::verify` after every op) — plus the exhaustive round trips
+# `RootTable::verify` after every op) — one table alone, and the
+# isolation differential: a family of tables sharing groups
+# copy-on-write, built from one another by clone, by word-by-word copy
+# and by adopting equal groups, each member against its own dense twin
+# after every op, so no write is seen through a shared group — plus the
+# exhaustive round trips
 # of the packed level-1 and slot words, whose frame bound is a
 # `debug_assert!` resting on `PhysMem::new`'s `assert!`. sat-vm and
 # sat-core ride along for the fork differential
@@ -53,7 +58,8 @@ cargo test -q
 # ownership rows (crates/core/src/reclaim.rs: the last-sharer collapse,
 # the lone-sharer exit, two sharing groups at one va) and its checker,
 # `Kernel::verify_rmap_ownership`, after every op of the core proptests
-# and the promote differential — here the exact-key `debug_assert!` in
+# (inside `Kernel::audit`) and the promote differential — here the
+# exact-key `debug_assert!` in
 # `rmap_remove` is compiled out, so the checker is what vouches for the
 # owner — and the `mmap` boundary-argument table
 # (crates/core/tests/mmap_args.rs: a length that used to panic in debug
@@ -63,9 +69,12 @@ cargo test -q
 # family of forked maps — after every op each member equals its twin
 # and no other member has changed) and crates/core/tests/region_args.rs
 # (the refused `munmap` / `mprotect` table: an unaligned end inside a
-# region used to reach `Vma::split_at`'s assertion, and every refusal
-# on the sharing kernel used to unshare the chunk first), beside the
-# host-allocation pin crates/core/tests/fork_allocations.rs. sat-sched
+# region used to reach `Vma::split_at`'s assertion, every refusal on
+# the sharing kernel used to unshare the chunk first, and ranges
+# reaching into kernel space used to be accepted), beside the
+# host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
+# region list, and a stock child holding its parent's page-table
+# groups). sat-sched
 # rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on the same
 # checker.
 step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"

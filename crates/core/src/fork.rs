@@ -12,7 +12,9 @@
 //!    `config.share_ptp`) — [`first_share`], then attach;
 //! 3. otherwise — **copy as stock**: [`copy_vma_ptes_in_range`],
 //!    clamped to the chunk, for every region `config.fork_policy`
-//!    copies.
+//!    copies; then the child's table adopts the parent's host-side
+//!    groups wherever the two came out word for word
+//!    ([`PtpStore::adopt_equal`]), which nothing simulated can see.
 //!
 //! The stock and copied-PTEs kernels are the case where no chunk is
 //! sharable. Chunks and the regions inside them are both visited in
@@ -161,6 +163,12 @@ pub(crate) fn dup_mm(
                 break;
             }
             regions.next();
+        }
+        // Host memory only: wherever the copy came out word for word,
+        // the child holds the parent's groups until either side writes
+        // them (`sat_mmu`'s `groups.rs`).
+        if let Some(copy) = child.root.entry(pair_idx).ptp() {
+            ptps.adopt_equal(copy, ptp_frame);
         }
     }
     // The walk is over; its borrow of `inherited` ends here.

@@ -872,6 +872,27 @@ impl Kernel {
         Ok((shared, total))
     }
 
+    /// Every consistency check the kernel has, in one call: the reverse
+    /// map and free list against the frame table
+    /// ([`PhysMem::rmap_verify`]), the share accounting
+    /// ([`Kernel::verify_share_accounting`]), reverse-map ownership
+    /// ([`Kernel::verify_rmap_ownership`]), the page-table arena
+    /// ([`PtpStore::verify`]) and every live process's root table
+    /// ([`sat_mmu::RootTable::verify`]). Returns a description of the
+    /// first violation found. Tests call it after the operations they
+    /// drive; it reads and never changes anything.
+    pub fn audit(&self) -> Result<(), String> {
+        self.phys.rmap_verify()?;
+        self.verify_share_accounting()?;
+        self.verify_rmap_ownership()?;
+        self.ptps.verify()?;
+        for mm in self.procs.iter() {
+            let root = mm.root.verify();
+            root.map_err(|e| format!("root of {:?}: {e}", mm.pid))?;
+        }
+        Ok(())
+    }
+
     /// Reconciliation check used by the property tests: every registry
     /// entry's sharer count must equal both the frame's mapcount and
     /// the number of live processes whose level-1 pair references the

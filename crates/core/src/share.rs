@@ -1,6 +1,6 @@
 //! PTP sharing and unsharing: Sections 3.1.1 and 3.1.2 of the paper.
 
-use sat_mmu::{Mapper, Ptp, PtpStore, TableHalf};
+use sat_mmu::{Mapper, PtpStore, TableHalf};
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{Domain, Pfn, Pid, SatError, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN};
 use sat_vm::{exit_mmap, Mm};
@@ -296,11 +296,14 @@ pub fn unshare(
     // decided below, once we know whether the copy diverges.
     mm.root.clear_table_pair(chunk);
 
-    // Populate the private copy.
+    // Populate the private copy: the shared table's words, less what
+    // the policy drops or rewrites below. On the host the copy starts
+    // as pointers to the shared table's groups, and only a group it
+    // rewrites is copied (`sat_mmu`'s `groups.rs`).
     let shared = ptps
         .get(shared_frame)
         .ok_or(SatError::Internal("shared PTP missing from store"))?;
-    let mut copy = Ptp::new();
+    let mut copy = shared.clone();
     let mut copied = 0u64;
     let mut diverged = false;
     for (half, idx, slot) in shared.iter() {
@@ -317,18 +320,17 @@ pub fn unshare(
         };
         if !keep {
             // A dropped PTE must not keep serving from the TLB.
+            copy.clear(half, idx);
             diverged = true;
             continue;
         }
-        let mut hw = slot.hw;
-        if config.l1_write_protect && hw.perms.write() && !slot.sw.shared {
+        if config.l1_write_protect && slot.hw.perms.write() && !slot.sw.shared {
             // Ablation fix-up (see above): the copy maps frames still
             // mapped by the shared PTP, so private-writable entries
             // must be COW-protected.
-            hw = hw.write_protected();
+            copy.replace_hw(half, idx, slot.hw.write_protected());
             diverged = true;
         }
-        copy.set(half, idx, hw, slot.sw);
         copied += 1;
     }
     if diverged {

@@ -61,22 +61,6 @@ fn footprint(k: &Kernel) -> Footprint {
     }
 }
 
-fn audit(k: &Kernel, what: &str) {
-    k.phys
-        .rmap_verify()
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    k.verify_share_accounting()
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    k.verify_rmap_ownership()
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    k.ptps.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
-    for (pid, mm) in k.processes() {
-        mm.root
-            .verify()
-            .unwrap_or_else(|e| panic!("{what}: root of {pid}: {e}"));
-    }
-}
-
 fn anon(pages: u32, tag: RegionTag, at: VirtAddr) -> MmapRequest {
     MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, tag, "[anon]").at(at)
 }
@@ -134,13 +118,13 @@ fn sweep(config: KernelConfig, stack_chunk: u32, fork_frames: u64) {
         let what = format!("stack in chunk {stack_chunk}, {short} frames short");
         let frames = (booted + fork_frames - short) as u32;
         let (mut k, zygote, filler) = boot(config, frames, stack_chunk, ballast);
-        audit(&k, &what);
+        k.audit().expect(&what);
         let before = footprint(&k);
         assert_eq!(before.frames_in_use, booted, "{what}");
 
         assert_eq!(k.fork(zygote).err(), Some(SatError::OutOfMemory), "{what}");
         assert_eq!(footprint(&k), before, "{what}: after the failed fork");
-        audit(&k, &what);
+        k.audit().expect(&what);
         // Failing again changes nothing either.
         assert_eq!(k.fork(zygote).err(), Some(SatError::OutOfMemory), "{what}");
         assert_eq!(
@@ -152,7 +136,7 @@ fn sweep(config: KernelConfig, stack_chunk: u32, fork_frames: u64) {
         // One exit makes room and the retry goes through.
         k.exit(filler, &mut NoTlb).unwrap();
         let child = k.fork(zygote).expect(&what).child;
-        audit(&k, &what);
+        k.audit().expect(&what);
         assert_eq!(k.process_count(), 2, "{what}");
         assert_eq!((k.stats.forks, k.stats.exits), (1, 1), "{what}");
         // Parent and child map the written pages copy-on-write: same
@@ -175,12 +159,12 @@ fn sweep(config: KernelConfig, stack_chunk: u32, fork_frames: u64) {
         let parent_pfn = k.pte(zygote, chunk_va(0)).unwrap().unwrap().hw.pfn;
         let child_pfn = k.pte(child, chunk_va(0)).unwrap().unwrap().hw.pfn;
         assert_ne!(parent_pfn, child_pfn, "{what}");
-        audit(&k, &what);
+        k.audit().expect(&what);
 
         // And everything goes back: the child's exit returns the pool
         // to the zygote alone.
         k.exit(child, &mut NoTlb).unwrap();
-        audit(&k, &what);
+        k.audit().expect(&what);
         let zygote_alone = 4 + u64::from(CHUNKS) * 2;
         assert_eq!(k.phys.frames_in_use(), zygote_alone, "{what}");
         assert_eq!(k.ptps.len(), CHUNKS as usize, "{what}");
@@ -225,7 +209,7 @@ fn forking_until_the_pool_is_empty_stops_at_a_clean_error() {
         assert_eq!(k.fork(zygote).err(), Some(SatError::OutOfMemory));
         assert_eq!(footprint(&k), before);
         assert_eq!(before.processes, forks_that_fit + 1);
-        audit(&k, "pool of 96");
+        k.audit().expect("pool of 96");
     }
 }
 
@@ -314,7 +298,7 @@ fn unshare_that_finds_no_frame_leaves_nothing_behind() {
             let (mut k, zygote, filler) = boot(config, frames, CHUNKS - 1, 4);
             let child = k.fork(zygote).unwrap().child;
             assert_eq!(k.phys.frames_in_use(), u64::from(frames), "{what}");
-            audit(&k, &what);
+            k.audit().expect(&what);
             let before = share_footprint(&k);
 
             for attempt in 1..=2 {
@@ -324,7 +308,7 @@ fn unshare_that_finds_no_frame_leaves_nothing_behind() {
                     "{what}"
                 );
                 assert_eq!(share_footprint(&k), before, "{what}: attempt {attempt}");
-                audit(&k, &what);
+                k.audit().expect(&what);
             }
 
             // One exit makes room and the retry goes through: the child
@@ -332,7 +316,7 @@ fn unshare_that_finds_no_frame_leaves_nothing_behind() {
             // shared one.
             k.exit(filler, &mut NoTlb).unwrap();
             pull(&mut k, child, trigger).expect(&what);
-            audit(&k, &what);
+            k.audit().expect(&what);
             assert_eq!(k.stats.ptp_unshares, 1, "{what}");
             let table = |pid| k.mm(pid).unwrap().root.entry_for(chunk_va(0));
             assert!(!table(child).need_copy(), "{what}");

@@ -1,6 +1,7 @@
 //! A fork pays for the child's region list with one allocation of one
 //! pointer a region, whatever the regions hold; an exit pays nothing a
-//! region.
+//! region. And a stock fork keeps nothing for the page-table groups it
+//! copied word for word.
 //!
 //! A child holds pointers to its parent's regions, not copies
 //! (DESIGN.md §17). Pinned here on the host allocator: forking a parent
@@ -10,6 +11,11 @@
 //! fork with a little headroom, so the first region the child maps (a
 //! fleet child maps its heap at once) does not reallocate it.
 //!
+//! A child also holds its parent's page-table groups until it writes
+//! them (`sat_mmu`'s `groups.rs`): a stock fork of a parent with 64 and
+//! with 512 COW-protected pages in one chunk — one group and eight —
+//! leaves the same bytes allocated.
+//!
 //! A test binary of its own, because it installs a counting
 //! `#[global_allocator]`; the counts are per thread, so the test
 //! harness's own threads stay out of them.
@@ -18,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sat_core::{Kernel, KernelConfig, NoTlb};
-use sat_types::{Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
+use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
 /// The system allocator, counting allocation calls (a `realloc` is
@@ -28,6 +34,8 @@ struct CountingAlloc;
 thread_local! {
     /// Allocation calls made by this thread, and bytes requested.
     static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Bytes this thread holds: allocated less freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_alloc(bytes: usize) {
@@ -36,6 +44,17 @@ fn count_alloc(bytes: usize) {
         let (calls, total) = n.get();
         n.set((calls + 1, total + bytes as u64));
     });
+}
+
+fn count_live(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
+
+/// The bytes `f` left allocated.
+fn retained(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    f();
+    LIVE.with(Cell::get) - before
 }
 
 /// The calls and bytes `f` allocated.
@@ -52,17 +71,20 @@ fn allocated(f: impl FnOnce()) -> (u64, u64) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc(layout.size());
+        count_live(layout.size() as i64);
         // SAFETY: the caller's layout is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_alloc(new_size);
+        count_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with this `layout`; the
         // caller guarantees `new_size` is valid for its alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -127,4 +149,40 @@ fn a_fork_allocates_one_pointer_a_region_and_an_exit_nothing() {
             assert_eq!(map, map_0, "{regions} regions: the first mmap");
         }
     }
+}
+
+/// What a stock fork of a parent with `pages` written anonymous pages
+/// from the start of one 2MB chunk leaves allocated, once an earlier
+/// fork has COW-protected them.
+fn later_fork_retains(pages: u32) -> i64 {
+    let mut k = Kernel::new(KernelConfig::stock(), 4096);
+    let parent = k.create_process().unwrap();
+    let heap = MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
+        .at(VirtAddr::new(BASE));
+    k.mmap(parent, &heap, &mut NoTlb).unwrap();
+    for page in 0..pages {
+        let va = VirtAddr::new(BASE + page * PAGE_SIZE);
+        k.page_fault(parent, va, AccessType::Write, &mut NoTlb)
+            .unwrap();
+    }
+    // The first fork COW-protects the parent's pages; its child lives
+    // on, as a zygote's do. A fork and an exit then bring every table
+    // and map to its working size — the table arena's frame index
+    // included, which reaches the child's table frame, above the
+    // parent's pages.
+    k.fork(parent).unwrap();
+    let warm = k.fork(parent).unwrap().child;
+    k.exit(warm, &mut NoTlb).unwrap();
+    retained(|| {
+        k.fork(parent).unwrap();
+    })
+}
+
+#[test]
+fn a_stock_child_holds_the_groups_its_copy_matched() {
+    // One group of PTEs and eight: without adoption the second would
+    // keep seven more groups.
+    let (one, eight) = (later_fork_retains(64), later_fork_retains(512));
+    assert!(one > 0, "the counter saw the fork's allocations");
+    assert_eq!(one, eight, "bytes a child keeps for 64 and for 512 pages");
 }

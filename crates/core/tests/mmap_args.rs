@@ -75,8 +75,7 @@ fn boundary_arguments_are_refused_and_leave_nothing_behind() {
                 k.stats.ptp_unshares,
             );
             assert_eq!(before, after, "{what}");
-            k.verify_share_accounting().expect(what);
-            k.verify_rmap_ownership().expect(what);
+            k.audit().expect(what);
         }
         // The last user page is still mappable: the bound is inclusive.
         let top = anon(PAGE_SIZE).at(VirtAddr::new(KERNEL_SPACE_START - PAGE_SIZE));

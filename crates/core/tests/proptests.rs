@@ -6,7 +6,7 @@
 //! `NEED_COPY`, and the four Figure-6 by-cause unshare counters sum to
 //! `ptp_unshares`. These tests drive random fork / write / mmap /
 //! munmap / exit sequences against a zygote image and reconcile after
-//! every step via [`Kernel::verify_share_accounting`], then tear the
+//! every step via [`Kernel::audit`], then tear the
 //! whole system down and check nothing leaked: no registry entries, no
 //! PTPs in the arena (a double-free would underflow the slab first),
 //! and every physical frame back on the free list.
@@ -15,8 +15,8 @@
 //! budget (so allocation pressure fires organic reclaim through the
 //! mmap/fault hooks), explicit `Reclaim` ops force extra passes, and
 //! `Refault` ops fault evicted code pages back in. After every op the
-//! reverse map must reconcile against live PTEs
-//! ([`sat_phys::PhysMem::rmap_verify`]) and the eviction ledger must
+//! reverse map must reconcile against live PTEs (`audit` includes
+//! [`sat_phys::PhysMem::rmap_verify`]) and the eviction ledger must
 //! conserve (`evictions == refaults + still_evicted`); at teardown
 //! the rmap must be empty and the cache deficit must equal the
 //! still-evicted count exactly.
@@ -179,17 +179,11 @@ fn run_sequence(config: KernelConfig, ops: &[Op]) {
                 }
             }
         }
-        k.verify_share_accounting()
-            .unwrap_or_else(|e| panic!("after {op:?}: {e}"));
+        k.audit().unwrap_or_else(|e| panic!("after {op:?}: {e}"));
         assert_eq!(
             k.stats.ptp_unshares, k.registry.stats.ptp_unshares,
             "KernelStats out of sync with the registry after {op:?}"
         );
-        k.phys
-            .rmap_verify()
-            .unwrap_or_else(|e| panic!("rmap broken after {op:?}: {e}"));
-        k.verify_rmap_ownership()
-            .unwrap_or_else(|e| panic!("rmap ownership broken after {op:?}: {e}"));
         let s = k.phys.stats();
         assert_eq!(
             s.evictions,
@@ -202,7 +196,7 @@ fn run_sequence(config: KernelConfig, ops: &[Op]) {
     while live.len() > 1 {
         let pid = live.pop().unwrap();
         k.exit(pid, &mut NoTlb).unwrap();
-        k.verify_share_accounting().unwrap();
+        k.audit().unwrap();
     }
     k.exit(zygote, &mut NoTlb).unwrap();
     assert_eq!(

@@ -11,10 +11,15 @@
 //! chunk had been unshared and its large pages split — and every
 //! refused call on the sharing kernel unshared the chunk first, because
 //! the checks sat in `sat_vm::{munmap, mprotect}`, after the unshare.
+//! Three more found that a range reaching into kernel space was
+//! accepted — an `mprotect` from the top user region up, a `munmap` of
+//! kernel space alone and one straddling its start — where `mmap` has
+//! refused one since it checked its range.
 
 use sat_core::{Kernel, KernelConfig, TlbMaintenance};
 use sat_types::{
-    AccessType, Asid, Perms, RegionTag, SatError, VaRange, VirtAddr, PAGE_SIZE, PTP_SPAN,
+    AccessType, Asid, Perms, RegionTag, SatError, VaRange, VirtAddr, KERNEL_SPACE_START, PAGE_SIZE,
+    PTP_SPAN,
 };
 use sat_vm::MmapRequest;
 
@@ -23,6 +28,8 @@ use sat_vm::MmapRequest;
 const HEAP: u32 = 0x0800_0000;
 const HOLE: u32 = HEAP + 8 * PAGE_SIZE;
 const SECOND: u32 = HEAP + 16 * PAGE_SIZE;
+/// An unpopulated region ending where kernel space starts.
+const TOP: u32 = KERNEL_SPACE_START - 4 * PAGE_SIZE;
 
 /// Counts every maintenance operation asked of it.
 #[derive(Default)]
@@ -57,7 +64,7 @@ fn range(start: u32, end: u32) -> VaRange {
 fn refused_region_calls_change_nothing() {
     use Call::{Mprotect, Munmap};
     let invalid = SatError::InvalidArgument;
-    let refused: [(&str, Call, VaRange, SatError); 10] = [
+    let refused: [(&str, Call, VaRange, SatError); 13] = [
         (
             "aligned start, unaligned end inside a region (panicked)",
             Munmap,
@@ -108,6 +115,24 @@ fn refused_region_calls_change_nothing() {
             range(HEAP + PTP_SPAN, HEAP + PTP_SPAN + PAGE_SIZE),
             SatError::NotMapped(VirtAddr::new(HEAP + PTP_SPAN)),
         ),
+        (
+            "the top region and on into kernel space (was accepted)",
+            Mprotect,
+            range(TOP, KERNEL_SPACE_START + PTP_SPAN / 2),
+            invalid,
+        ),
+        (
+            "kernel space alone (was accepted)",
+            Munmap,
+            range(KERNEL_SPACE_START, KERNEL_SPACE_START + PTP_SPAN / 2),
+            invalid,
+        ),
+        (
+            "the top region and on into kernel space (was accepted)",
+            Munmap,
+            range(TOP, KERNEL_SPACE_START + PTP_SPAN / 2),
+            invalid,
+        ),
     ];
     for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
         let mut tlb = CountingTlb::default();
@@ -120,6 +145,9 @@ fn refused_region_calls_change_nothing() {
             k.page_fault(parent, VirtAddr::new(start), AccessType::Write, &mut tlb)
                 .unwrap();
         }
+        let top = MmapRequest::anon(4 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[top]")
+            .at(VirtAddr::new(TOP));
+        k.mmap(parent, &top, &mut tlb).unwrap();
         let child = k.fork_with_flush(parent, &mut tlb).unwrap().child;
         let shares = u64::from(config.share_ptp);
         assert_eq!(k.registry.len() as u64, shares);
@@ -145,8 +173,7 @@ fn refused_region_calls_change_nothing() {
             };
             assert_eq!(got, Err(*error), "{what}");
             assert_eq!(state(&k, &tlb), before, "{what}");
-            k.verify_share_accounting().expect(&what);
-            k.verify_rmap_ownership().expect(&what);
+            k.audit().expect(&what);
         }
 
         // The table ran inside a chunk that was shared all along: the
@@ -156,8 +183,7 @@ fn refused_region_calls_change_nothing() {
         assert_eq!(k.mprotect(child, page, Perms::R, &mut tlb), Ok(()));
         assert_eq!(k.stats.ptp_unshares, shares);
         assert_eq!(k.munmap(child, page, &mut tlb), Ok(1));
-        assert_eq!(k.mm(child).unwrap().vma_count(), 2);
-        k.verify_share_accounting().unwrap();
-        k.verify_rmap_ownership().unwrap();
+        assert_eq!(k.mm(child).unwrap().vma_count(), 3);
+        k.audit().unwrap();
     }
 }

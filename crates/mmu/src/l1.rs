@@ -378,6 +378,23 @@ impl RootTable {
     }
 }
 
+/// Families of root tables that share groups, for the isolation
+/// differential in `reference.rs`. No kernel path shares a root
+/// table's groups — a stock child's entries name its own tables — but
+/// the storage is the page tables', and is held to the same proof.
+#[cfg(test)]
+impl RootTable {
+    /// Makes this table's entries `other`'s, every group shared.
+    pub(crate) fn clone_entries_of(&mut self, other: &RootTable) {
+        self.entries = other.entries.clone();
+    }
+
+    /// [`crate::Ptp`]'s `adopt_equal`, for root tables.
+    pub(crate) fn adopt_equal(&mut self, other: &RootTable) {
+        self.entries.adopt_equal(&other.entries);
+    }
+}
+
 /// The per-process MMU context: the root table plus the process's
 /// domain access rights. Loaded into the "hardware" on context switch.
 pub struct MmuContext {

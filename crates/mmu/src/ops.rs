@@ -58,7 +58,7 @@ impl HalfSpan {
     /// The table the span lies in, unless its half holds no PTE.
     fn populated<'p>(&self, ptps: &'p mut PtpStore) -> Option<&'p mut Ptp> {
         ptps.get_mut(self.ptp)
-            .filter(|table| table.valid_count(self.half) > 0)
+            .filter(|table| table.half_populated(self.half))
     }
 }
 

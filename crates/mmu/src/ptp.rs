@@ -52,20 +52,21 @@ impl TableHalf {
 /// descriptor and the five software flags (see `pack_slot`) — and the
 /// 512 words are stored by populated 64-slot group (four groups a
 /// half, see `groups.rs`): the struct that lives in the slab is
-/// 72 bytes and a table costs 264 more for each group that holds a
-/// PTE. Fleet-scale fork churn keeps tens of thousands of tables live,
-/// most of them holding a handful of PTEs in one group.
+/// 64 bytes, one pointer a group, and a table costs 280 more for each
+/// group that holds a PTE and that no other table holds word for word.
+/// Fleet-scale fork churn keeps tens of thousands of tables live, most
+/// of them holding a handful of PTEs in one group, most of those the
+/// group their parent holds. `Clone` copies the pointers.
 #[derive(Clone)]
 pub struct Ptp {
     /// Slot (`half`, `idx`) is word `half * L2_ENTRIES + idx`.
     slots: Groups<PTP_GROUPS>,
-    valid_count: [u16; 2],
 }
 
 /// Groups in a PTP's 512 slots.
 const PTP_GROUPS: usize = 2 * L2_ENTRIES / GROUP_WORDS;
 
-const _: () = assert!(std::mem::size_of::<Ptp>() <= 72);
+const _: () = assert!(std::mem::size_of::<Ptp>() <= 64);
 
 /// Byte offset of hardware table `half` within the PTP frame.
 const HW_TABLE_OFF: [u32; 2] = [2048, 3072];
@@ -146,7 +147,6 @@ impl Ptp {
     pub fn new() -> Self {
         Ptp {
             slots: Groups::new(),
-            valid_count: [0; 2],
         }
     }
 
@@ -154,6 +154,12 @@ impl Ptp {
     fn at(half: TableHalf, idx: usize) -> usize {
         assert!(idx < L2_ENTRIES, "slot {idx} is past the table half");
         half.index() * L2_ENTRIES + idx
+    }
+
+    /// The word indices of `half`.
+    fn words_of(half: TableHalf) -> Range<usize> {
+        let first = half.index() * L2_ENTRIES;
+        first..first + L2_ENTRIES
     }
 
     /// Reads the slot at (`half`, `idx`); `None` if not present.
@@ -164,20 +170,13 @@ impl Ptp {
     /// Installs a PTE in the slot, returning the previous hardware
     /// entry if one was present.
     pub fn set(&mut self, half: TableHalf, idx: usize, hw: HwPte, sw: SwPte) -> Option<HwPte> {
-        let prev = unpack_slot(self.slots.set(Ptp::at(half, idx), pack_slot(hw, sw)));
-        if prev.is_none() {
-            self.valid_count[half.index()] += 1;
-        }
-        prev.map(|slot| slot.hw)
+        let prev = self.slots.set(Ptp::at(half, idx), pack_slot(hw, sw));
+        unpack_slot(prev).map(|slot| slot.hw)
     }
 
     /// Clears the slot, returning the previous hardware entry.
     pub fn clear(&mut self, half: TableHalf, idx: usize) -> Option<HwPte> {
-        let prev = unpack_slot(self.slots.set(Ptp::at(half, idx), 0));
-        if prev.is_some() {
-            self.valid_count[half.index()] -= 1;
-        }
-        prev.map(|slot| slot.hw)
+        unpack_slot(self.slots.set(Ptp::at(half, idx), 0)).map(|slot| slot.hw)
     }
 
     /// Mutates the software entry of a populated slot; returns `false`
@@ -207,14 +206,28 @@ impl Ptp {
             .set(at, pack_slot(hw, SwPte::default()) | word & SLOT_SW_MASK);
     }
 
-    /// Number of valid entries in `half`.
+    /// Number of valid entries in `half`: every stored word is a PTE
+    /// ([`Ptp::verify`]), so a popcount of the half's groups.
     pub fn valid_count(&self, half: TableHalf) -> usize {
-        self.valid_count[half.index()] as usize
+        self.slots.count(Ptp::words_of(half))
     }
 
     /// Total valid entries across both halves.
     pub fn total_valid(&self) -> usize {
-        self.valid_count.iter().map(|&c| c as usize).sum()
+        self.slots.count(0..2 * L2_ENTRIES)
+    }
+
+    /// `true` if `half` holds a PTE: whether any of its groups exists.
+    pub(crate) fn half_populated(&self, half: TableHalf) -> bool {
+        self.slots.any(Ptp::words_of(half))
+    }
+
+    /// Makes this table hold `other`'s group wherever the two tables'
+    /// groups at one place hold the same words, dropping its own:
+    /// nothing either table reads changes, and a later write to either
+    /// copies the group first (`groups.rs`).
+    pub(crate) fn adopt_equal(&mut self, other: &Ptp) {
+        self.slots.adopt_equal(&other.slots);
     }
 
     /// Iterates over populated slots in `half` as `(idx, slot)`.
@@ -250,24 +263,17 @@ impl Ptp {
 
     /// Consistency check of the host-side storage, for tests and the
     /// whole-system auditor: every allocated group holds at least one
-    /// PTE and counts its own correctly, every stored word is a PTE,
-    /// and `valid_count` equals a recount of each half. Returns a
+    /// PTE and counts its own correctly, and every stored word is a PTE
+    /// — what makes [`Ptp::valid_count`] a popcount. Returns a
     /// description of the first violation found.
     pub fn verify(&self) -> Result<(), String> {
         self.slots.verify()?;
         for half in [TableHalf::Lower, TableHalf::Upper] {
-            let first = Ptp::at(half, 0);
-            let stored = self.slots.iter(first..first + L2_ENTRIES).count();
+            let stored = self.slots.iter(Ptp::words_of(half)).count();
             let valid = self.iter_half(half).count();
             if stored != valid {
                 return Err(format!(
                     "{half:?} stores {stored} words but {valid} are PTEs"
-                ));
-            }
-            if valid != self.valid_count(half) {
-                return Err(format!(
-                    "{half:?} counts {} valid PTEs but holds {valid}",
-                    self.valid_count(half)
                 ));
             }
         }
@@ -302,15 +308,16 @@ const NO_SLOT: u32 = u32::MAX;
 /// is what lets several processes' level-1 entries reference the same
 /// PTP — the substrate for the paper's sharing mechanism.
 ///
-/// Storage is a [`Slab`] of 72-byte [`Ptp`] headers, each owning the
+/// Storage is a [`Slab`] of 64-byte [`Ptp`] headers, each holding the
 /// groups that hold its PTEs: fork/exit churn at fleet scale allocates
 /// and frees thousands of tables, the slab recycles freed slots in
 /// place and grows a chunk at a time, and nothing ever moves a live
 /// header. What the global allocator sees is one allocation per
-/// populated group, released when the group empties or the table is
-/// freed. Every table walk resolves its PTP frame here, so the
-/// `frame → slot` index is a flat array by frame number, grown only as
-/// far as the highest frame that has held a table.
+/// populated group that no other table holds word for word
+/// ([`PtpStore::adopt_equal`]), released when the last table holding
+/// it empties it or is freed. Every table walk resolves its PTP frame
+/// here, so the `frame → slot` index is a flat array by frame number,
+/// grown only as far as the highest frame that has held a table.
 #[derive(Default)]
 pub struct PtpStore {
     tables: Slab<Ptp>,
@@ -394,6 +401,22 @@ impl PtpStore {
         Some(self.tables.get_mut(slot))
     }
 
+    /// Lets the table in `frame` hold the groups of the table in `from`
+    /// wherever the two tables' words are equal (`groups.rs`): a host
+    /// memory saving that nothing reading either table can see. A fork
+    /// calls it once per copied chunk, child from parent. Does nothing
+    /// if either frame holds no table.
+    pub fn adopt_equal(&mut self, frame: Pfn, from: Pfn) {
+        let (Some(slot), Some(donor)) = (self.slot_of(frame), self.slot_of(from)) else {
+            return;
+        };
+        // Out of the slab for the moment both tables are borrowed; an
+        // empty `Ptp` owns no group, so the swap allocates nothing.
+        let mut table = std::mem::take(self.tables.get_mut(slot));
+        table.adopt_equal(self.tables.get(donor));
+        *self.tables.get_mut(slot) = table;
+    }
+
     /// Number of live PTPs.
     pub fn len(&self) -> usize {
         self.tables.live()
@@ -441,11 +464,10 @@ impl PtpStore {
                 Some(frame) => table
                     .verify()
                     .map_err(|e| format!("PTP in frame {frame}: {e}"))?,
-                None if table.slots.populated() > 0 || table.total_valid() > 0 => {
+                None if table.slots.populated() > 0 => {
                     return Err(format!(
-                        "free slot {slot} still owns {} groups and counts {} PTEs",
-                        table.slots.populated(),
-                        table.total_valid()
+                        "free slot {slot} still holds {} groups",
+                        table.slots.populated()
                     ));
                 }
                 None => {}
@@ -589,6 +611,52 @@ mod tests {
         assert_eq!(ptp.slots.populated(), 0);
         assert_eq!(ptp.clear(TableHalf::Upper, 77), None);
         ptp.verify().unwrap();
+    }
+
+    /// A child's table copied word for word from its parent's holds the
+    /// parent's groups once it adopts them, and each side's next write
+    /// to a group is its own.
+    #[test]
+    fn an_adopted_table_shares_its_parents_groups_until_written() {
+        let mut store = PtpStore::new();
+        let (parent, child) = (Pfn::new(5), Pfn::new(6));
+        let hw = HwPte::small(Pfn::new(9), Perms::R, false);
+        for frame in [parent, child] {
+            store.insert(frame);
+            for idx in [1, 70, 200] {
+                let table = store.get_mut(frame).unwrap();
+                table.set(TableHalf::Lower, idx, hw, SwPte::anon(true));
+            }
+        }
+        // The child's private heap: a group the parent does not hold.
+        let table = store.get_mut(child).unwrap();
+        table.set(TableHalf::Upper, 0, hw, SwPte::anon(true));
+        store.adopt_equal(child, parent);
+        let shared = |store: &PtpStore, frame| store.get(frame).unwrap().slots.shared();
+        assert_eq!((shared(&store, parent), shared(&store, child)), (3, 3));
+        // Neither an unchanged rewrite nor an unknown frame moves a thing.
+        let table = store.get_mut(child).unwrap();
+        table.update_sw(TableHalf::Lower, 1, |sw| sw.young = false);
+        table.replace_hw(TableHalf::Lower, 70, hw);
+        store.adopt_equal(child, Pfn::new(7));
+        assert_eq!(shared(&store, child), 3);
+        // The child references a page: its group is copied, the
+        // parent's stays as it was.
+        let table = store.get_mut(child).unwrap();
+        table.update_sw(TableHalf::Lower, 1, |sw| sw.young = true);
+        let young = |store: &PtpStore, frame| {
+            let slot = store.get(frame).unwrap().get(TableHalf::Lower, 1);
+            slot.unwrap().sw.young
+        };
+        assert_eq!((young(&store, parent), young(&store, child)), (false, true));
+        assert_eq!((shared(&store, parent), shared(&store, child)), (2, 2));
+        assert_eq!(store.get(child).unwrap().total_valid(), 4);
+        store.verify().unwrap();
+        // Freeing the parent leaves the child every word it had.
+        assert!(store.free(parent));
+        assert_eq!(store.get(child).unwrap().total_valid(), 4);
+        assert_eq!(shared(&store, child), 0);
+        store.verify().unwrap();
     }
 
     #[test]

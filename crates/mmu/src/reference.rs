@@ -11,6 +11,15 @@
 //! operation sequences, comparing everything observable — and running
 //! the grouped form's `verify` — after every operation.
 //!
+//! Two more drive *families* of grouped tables — members built from
+//! one another by `clone` (every group shared), by a word-by-word copy
+//! (fork's copy: every group fresh) and by adopting another member's
+//! equal groups — through the same operations on random members, each
+//! member beside its own dense twin. After every operation every member
+//! must equal its twin and pass `verify`: the member operated on reads
+//! what it wrote, and no other member's view has moved, so a group one
+//! table holds with another is never written through (`groups.rs`).
+//!
 //! Do not "optimise" this file; its value is being obviously correct.
 //! What is not storage is left out: the root's four frames and
 //! `l1_entry_addr` (frame arithmetic) and `Ptp::hw_pte_addr`.
@@ -163,6 +172,7 @@ impl RefPtp {
 }
 
 /// The dense root table: 16 KiB of entry words and two side indices.
+#[derive(Clone)]
 pub(crate) struct RefRootTable {
     entries: Box<[u32; L1_ENTRIES]>,
     /// Even indices of pairs holding table entries, mapped to their
@@ -310,6 +320,8 @@ impl RefRootTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
+
     use crate::l1::RootTable;
     use crate::ptp::Ptp;
     use proptest::prelude::*;
@@ -380,6 +392,63 @@ mod tests {
         (index(L2_ENTRIES + 1), index(L2_ENTRIES + 1)).prop_map(|(a, b)| a.min(b)..a.max(b))
     }
 
+    /// Applies `op` to the grouped PTP and its dense twin, comparing
+    /// what each returns.
+    fn apply_ptp(op: &PtpOp, new: &mut Ptp, old: &mut RefPtp) -> Result<(), TestCaseError> {
+        match *op {
+            PtpOp::Set(h, i, hw, sw) => {
+                let sw = SwPte::unpack(sw);
+                prop_assert_eq!(new.set(h, i, hw, sw), old.set(h, i, hw, sw));
+            }
+            PtpOp::Clear(h, i) => prop_assert_eq!(new.clear(h, i), old.clear(h, i)),
+            PtpOp::UpdateSw(h, i, sw) => prop_assert_eq!(
+                new.update_sw(h, i, |s| *s = SwPte::unpack(sw)),
+                old.update_sw(h, i, |s| *s = SwPte::unpack(sw))
+            ),
+            // Only a populated slot may have its entry replaced.
+            PtpOp::ReplaceHw(h, i, hw) => {
+                if old.get(h, i).is_some() {
+                    new.replace_hw(h, i, hw);
+                    old.replace_hw(h, i, hw);
+                }
+            }
+            // The copy lives on; the original is dropped.
+            PtpOp::Clone => {
+                *new = new.clone();
+                *old = old.clone();
+            }
+            PtpOp::Reset => {
+                new.reset();
+                old.reset();
+            }
+        }
+        Ok(())
+    }
+
+    /// Everything the grouped PTP shows against its dense twin, after
+    /// `what`; and the grouped form's `verify`.
+    fn same_ptp(what: &dyn Debug, new: &Ptp, old: &RefPtp) -> Result<(), TestCaseError> {
+        if let Err(e) = new.verify() {
+            return Err(TestCaseError::fail(format!("{what:?}: {e}")));
+        }
+        for h in [TableHalf::Lower, TableHalf::Upper] {
+            for i in 0..L2_ENTRIES {
+                prop_assert_eq!(new.get(h, i), old.get(h, i), "{:?}: {:?} {}", what, h, i);
+            }
+            prop_assert_eq!(new.valid_count(h), old.valid_count(h), "{:?}", what);
+            prop_assert_eq!(
+                new.iter_half(h).collect::<Vec<_>>(),
+                old.iter_half(h).collect::<Vec<_>>()
+            );
+        }
+        prop_assert_eq!(new.total_valid(), old.total_valid(), "{:?}", what);
+        prop_assert_eq!(
+            new.iter().collect::<Vec<_>>(),
+            old.iter().collect::<Vec<_>>()
+        );
+        Ok(())
+    }
+
     proptest! {
         /// Every accessor of the grouped PTP against the dense one,
         /// after every operation.
@@ -390,43 +459,9 @@ mod tests {
             let mut new = Ptp::new();
             let mut old = RefPtp::new();
             for (op, probe) in ops {
-                match op.clone() {
-                    PtpOp::Set(h, i, hw, sw) => {
-                        let sw = SwPte::unpack(sw);
-                        prop_assert_eq!(new.set(h, i, hw, sw), old.set(h, i, hw, sw));
-                    }
-                    PtpOp::Clear(h, i) => prop_assert_eq!(new.clear(h, i), old.clear(h, i)),
-                    PtpOp::UpdateSw(h, i, sw) => prop_assert_eq!(
-                        new.update_sw(h, i, |s| *s = SwPte::unpack(sw)),
-                        old.update_sw(h, i, |s| *s = SwPte::unpack(sw))
-                    ),
-                    // Only a populated slot may have its entry replaced.
-                    PtpOp::ReplaceHw(h, i, hw) => if old.get(h, i).is_some() {
-                        new.replace_hw(h, i, hw);
-                        old.replace_hw(h, i, hw);
-                    },
-                    // The copy lives on; the original is dropped.
-                    PtpOp::Clone => {
-                        new = new.clone();
-                        old = old.clone();
-                    }
-                    PtpOp::Reset => {
-                        new.reset();
-                        old.reset();
-                    }
-                }
-                if let Err(e) = new.verify() {
-                    return Err(TestCaseError::fail(format!("{op:?}: {e}")));
-                }
+                apply_ptp(&op, &mut new, &mut old)?;
+                same_ptp(&op, &new, &old)?;
                 for h in [TableHalf::Lower, TableHalf::Upper] {
-                    for i in 0..L2_ENTRIES {
-                        prop_assert_eq!(new.get(h, i), old.get(h, i), "{:?} {}", h, i);
-                    }
-                    prop_assert_eq!(new.valid_count(h), old.valid_count(h));
-                    prop_assert_eq!(
-                        new.iter_half(h).collect::<Vec<_>>(),
-                        old.iter_half(h).collect::<Vec<_>>()
-                    );
                     for range in [probe.clone(), 0..0, 63..65, 64..128, 1..255] {
                         prop_assert_eq!(
                             new.iter_slots(h, range.clone()).collect::<Vec<_>>(),
@@ -435,8 +470,87 @@ mod tests {
                         );
                     }
                 }
-                prop_assert_eq!(new.total_valid(), old.total_valid());
-                prop_assert_eq!(new.iter().collect::<Vec<_>>(), old.iter().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// Members of the families the isolation differentials drive.
+    const FAMILY: usize = 3;
+
+    /// An operation on a family of tables.
+    #[derive(Clone, Debug)]
+    enum Kin<Op> {
+        /// Member `m`'s own operation.
+        On(usize, Op),
+        /// Member `d` becomes a `clone` of member `s`: every group
+        /// shared.
+        Clone(usize, usize),
+        /// Member `d` becomes a word-by-word copy of member `s`, as a
+        /// fork copies: every group its own.
+        Copy(usize, usize),
+        /// Member `d` adopts member `s`'s equal groups.
+        Adopt(usize, usize),
+    }
+
+    /// Mostly operations on members, so shared groups get written;
+    /// adoption after copies, so there is something to adopt.
+    fn kin<Op: Clone + Debug>(op: impl Strategy<Value = Op>) -> impl Strategy<Value = Kin<Op>> {
+        (0u8..18, 0..FAMILY, 0..FAMILY, op).prop_map(|(kind, d, s, op)| match kind {
+            0..=11 => Kin::On(d, op),
+            12 => Kin::Clone(d, s),
+            13..=14 => Kin::Copy(d, s),
+            _ => Kin::Adopt(d, s),
+        })
+    }
+
+    /// Member `d`, mutably, and member `s` beside it; `None` when they
+    /// are one.
+    fn pair_mut<T>(family: &mut [T], d: usize, s: usize) -> Option<(&mut T, &T)> {
+        if d < s {
+            let (lo, hi) = family.split_at_mut(s);
+            Some((&mut lo[d], &hi[0]))
+        } else if d > s {
+            let (lo, hi) = family.split_at_mut(d);
+            Some((&mut hi[0], &lo[s]))
+        } else {
+            None
+        }
+    }
+
+    proptest! {
+        /// A family of grouped PTPs that share groups, each member
+        /// against its dense twin after every operation: no write to one
+        /// member is seen through another.
+        #[test]
+        fn ptps_sharing_groups_stay_isolated(
+            ops in prop::collection::vec(kin(ptp_op()), 1..64),
+        ) {
+            let mut new: Vec<Ptp> = (0..FAMILY).map(|_| Ptp::new()).collect();
+            let mut old: Vec<RefPtp> = (0..FAMILY).map(|_| RefPtp::new()).collect();
+            for op in ops {
+                match &op {
+                    Kin::On(m, op) => apply_ptp(op, &mut new[*m], &mut old[*m])?,
+                    &Kin::Clone(d, s) => {
+                        new[d] = new[s].clone();
+                        old[d] = old[s].clone();
+                    }
+                    &Kin::Copy(d, s) => {
+                        let mut copy = Ptp::new();
+                        for (h, i, slot) in new[s].iter() {
+                            copy.set(h, i, slot.hw, slot.sw);
+                        }
+                        new[d] = copy;
+                        old[d] = old[s].clone();
+                    }
+                    &Kin::Adopt(d, s) => {
+                        if let Some((member, donor)) = pair_mut(&mut new, d, s) {
+                            member.adopt_equal(donor);
+                        }
+                    }
+                }
+                for (new, old) in new.iter().zip(&old) {
+                    same_ptp(&op, new, old)?;
+                }
             }
         }
     }
@@ -511,6 +625,62 @@ mod tests {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
     }
 
+    /// Applies `op` to the grouped root table and its dense twin,
+    /// comparing what each returns.
+    fn apply_root(
+        op: &RootOp,
+        new: &mut RootTable,
+        old: &mut RefRootTable,
+    ) -> Result<(), TestCaseError> {
+        let va = |idx: usize| VirtAddr::new((idx as u32) << 20);
+        match *op {
+            RootOp::SetEntry(i, e) => {
+                new.set_entry(i, e);
+                old.set_entry(i, e);
+            }
+            RootOp::SetTablePair(i, ptp, domain, need_copy) => {
+                new.set_table_pair(va(i), ptp, domain, need_copy);
+                old.set_table_pair(va(i), ptp, domain, need_copy);
+            }
+            RootOp::ClearTablePair(i) => {
+                prop_assert_eq!(new.clear_table_pair(va(i)), old.clear_table_pair(va(i)));
+            }
+            RootOp::SetNeedCopy(i, value) => prop_assert_eq!(
+                panics(|| new.set_need_copy(va(i), value)),
+                panics(|| old.set_need_copy(va(i), value)),
+                "{:?}",
+                op
+            ),
+        }
+        Ok(())
+    }
+
+    /// Everything the grouped root table shows against its dense twin,
+    /// after `what`; and the grouped form's `verify`.
+    fn same_root(
+        what: &dyn Debug,
+        new: &RootTable,
+        old: &RefRootTable,
+    ) -> Result<(), TestCaseError> {
+        if let Err(e) = new.verify() {
+            return Err(TestCaseError::fail(format!("{what:?}: {e}")));
+        }
+        for i in 0..L1_ENTRIES {
+            prop_assert_eq!(new.entry(i), old.entry(i), "{:?}: entry {}", what, i);
+        }
+        prop_assert_eq!(
+            new.iter_ptps().collect::<Vec<_>>(),
+            old.iter_ptps().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(new.ptp_count(), old.ptp_count());
+        prop_assert_eq!(
+            new.iter_sections().collect::<Vec<_>>(),
+            old.iter_sections().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(new.section_count(), old.section_count());
+        Ok(())
+    }
+
     proptest! {
         /// Every accessor of the grouped root table against the dense,
         /// side-indexed one, after every operation.
@@ -521,42 +691,48 @@ mod tests {
             let mut phys = PhysMem::new(4);
             let mut new = RootTable::alloc(&mut phys).unwrap();
             let mut old = RefRootTable::new();
-            let va = |idx: usize| VirtAddr::new((idx as u32) << 20);
             for op in ops {
-                match op.clone() {
-                    RootOp::SetEntry(i, e) => {
-                        new.set_entry(i, e);
-                        old.set_entry(i, e);
+                apply_root(&op, &mut new, &mut old)?;
+                same_root(&op, &new, &old)?;
+            }
+        }
+
+        /// A family of grouped root tables that share groups, each
+        /// member against its dense twin after every operation.
+        #[test]
+        fn root_tables_sharing_groups_stay_isolated(
+            ops in prop::collection::vec(kin(root_op()), 1..48),
+        ) {
+            let mut phys = PhysMem::new(4 * FAMILY as u32);
+            let mut new: Vec<RootTable> =
+                (0..FAMILY).map(|_| RootTable::alloc(&mut phys).unwrap()).collect();
+            let mut old: Vec<RefRootTable> = (0..FAMILY).map(|_| RefRootTable::new()).collect();
+            for op in ops {
+                match &op {
+                    Kin::On(m, op) => apply_root(op, &mut new[*m], &mut old[*m])?,
+                    &Kin::Clone(d, s) => {
+                        if let Some((member, donor)) = pair_mut(&mut new, d, s) {
+                            member.clone_entries_of(donor);
+                        }
+                        old[d] = old[s].clone();
                     }
-                    RootOp::SetTablePair(i, ptp, domain, need_copy) => {
-                        new.set_table_pair(va(i), ptp, domain, need_copy);
-                        old.set_table_pair(va(i), ptp, domain, need_copy);
+                    &Kin::Copy(d, s) => {
+                        let entries: Vec<L1Entry> = (0..L1_ENTRIES).map(|i| new[s].entry(i)).collect();
+                        for (i, e) in entries.into_iter().enumerate() {
+                            new[d].set_entry(i, L1Entry::Fault);
+                            new[d].set_entry(i, e);
+                        }
+                        old[d] = old[s].clone();
                     }
-                    RootOp::ClearTablePair(i) => {
-                        prop_assert_eq!(new.clear_table_pair(va(i)), old.clear_table_pair(va(i)));
+                    &Kin::Adopt(d, s) => {
+                        if let Some((member, donor)) = pair_mut(&mut new, d, s) {
+                            member.adopt_equal(donor);
+                        }
                     }
-                    RootOp::SetNeedCopy(i, value) => prop_assert_eq!(
-                        panics(|| new.set_need_copy(va(i), value)),
-                        panics(|| old.set_need_copy(va(i), value)),
-                        "{:?}", op
-                    ),
                 }
-                if let Err(e) = new.verify() {
-                    return Err(TestCaseError::fail(format!("{op:?}: {e}")));
+                for (new, old) in new.iter().zip(&old) {
+                    same_root(&op, new, old)?;
                 }
-                for i in 0..L1_ENTRIES {
-                    prop_assert_eq!(new.entry(i), old.entry(i), "entry {}", i);
-                }
-                prop_assert_eq!(
-                    new.iter_ptps().collect::<Vec<_>>(),
-                    old.iter_ptps().collect::<Vec<_>>()
-                );
-                prop_assert_eq!(new.ptp_count(), old.ptp_count());
-                prop_assert_eq!(
-                    new.iter_sections().collect::<Vec<_>>(),
-                    old.iter_sections().collect::<Vec<_>>()
-                );
-                prop_assert_eq!(new.section_count(), old.section_count());
             }
         }
     }

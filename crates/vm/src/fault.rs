@@ -8,6 +8,8 @@
 //! eliminates most of them by making PTEs populated in a *shared* PTP
 //! visible to every sharer.
 
+use std::sync::Arc;
+
 use sat_mmu::{HwPte, L1Entry, Mapper, PtpStore, SwPte};
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{AccessType, Domain, PageSize, Perms, SatError, SatResult, VirtAddr};
@@ -88,7 +90,7 @@ pub fn handle_fault(
     access: AccessType,
     ctx: FaultCtx,
 ) -> SatResult<FaultOutcome> {
-    let vma = mm.vma_at(va).ok_or(SatError::NotMapped(va))?.clone();
+    let vma = Arc::clone(mm.shared_vma_at(va).ok_or(SatError::NotMapped(va))?);
     if !vma.perms.allows(access) {
         return Err(SatError::PermissionDenied(va));
     }

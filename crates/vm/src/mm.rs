@@ -127,9 +127,15 @@ impl Mm {
 
     /// Returns the region containing `va`, if any.
     pub fn vma_at(&self, va: VirtAddr) -> Option<&Vma> {
+        self.shared_vma_at(va).map(Arc::as_ref)
+    }
+
+    /// The pointer to the region containing `va`: what a caller that
+    /// keeps the region across a mutable borrow of the address space
+    /// clones, instead of the region.
+    pub(crate) fn shared_vma_at(&self, va: VirtAddr) -> Option<&Arc<Vma>> {
         self.vmas
             .get(self.first_ending_above(va))
-            .map(Arc::as_ref)
             .filter(|v| v.range.contains(va))
     }
 

@@ -210,10 +210,15 @@ pub fn demote_range(
 /// The argument check of [`munmap`] and [`mprotect`], which both start
 /// with it — as does the `sat-core` wrapper, *before* it unshares, so a
 /// refused call changes nothing. Both ends of `range` must be
-/// page-aligned (a region is split at them) and it must not be empty;
+/// page-aligned (a region is split at them), it must not be empty, and
+/// it must end at or below `KERNEL_SPACE_START`, as [`mmap`]'s must;
 /// `must_be_mapped` is `mprotect`'s rule that the range touch a region.
 pub fn check_region_op(mm: &Mm, range: VaRange, must_be_mapped: bool) -> SatResult<()> {
-    if !range.start.is_page_aligned() || !range.end.is_page_aligned() || range.is_empty() {
+    if !range.start.is_page_aligned()
+        || !range.end.is_page_aligned()
+        || range.is_empty()
+        || range.end.raw() > KERNEL_SPACE_START
+    {
         return Err(SatError::InvalidArgument);
     }
     if must_be_mapped && !mm.any_vma_overlaps(range) {
