@@ -28,7 +28,11 @@ cargo test -q
 # The differential proptests against the kept reference models at
 # release speed (`debug_assert!` compiled out, overflow wraps; 2048
 # cases, about a minute in all): the frame allocator vs the Vec<Pfn>
-# one (crates/phys/src/reference.rs), the flat cache vs the
+# one and the frame-indexed reverse map vs the nested BTreeMap one
+# (crates/phys/src/reference.rs: adds, removes near either end or in
+# the middle, re-owns and drains, every answer compared after every op;
+# frame.rs pins its nearer-end search to `partition_point`), the flat
+# cache vs the
 # nested-Option one (crates/cache/src/reference.rs), kernel-text runs vs
 # the line-by-line loop on twin machines (machine.rs,
 # `run_vs_line_by_line`), the range walker vs the page-by-page
@@ -73,8 +77,11 @@ cargo test -q
 # the sharing kernel used to unshare the chunk first, and ranges
 # reaching into kernel space used to be accepted), beside the
 # host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
-# region list, and a stock child holding its parent's page-table
-# groups). sat-sched
+# region list, a stock child holding its parent's page-table groups,
+# and a write fault into a populated table allocating nothing: the
+# reverse map's inline slot), and the dead-pid rows
+# crates/core/tests/pid_args.rs (every call naming pid 0, an exited pid
+# or u32::MAX is `NoSuchProcess` and changes nothing). sat-sched
 # rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on the same
 # checker.
 step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"

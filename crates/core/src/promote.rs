@@ -61,7 +61,8 @@ pub struct PromoteReport {
 
 impl Kernel {
     /// Runs one promotion pass over `pid`'s address space (a no-op
-    /// returning zeros unless `config.promote.enabled`).
+    /// returning zeros unless `config.promote.enabled`; a pid that is
+    /// not live is [`SatError::NoSuchProcess`] either way).
     ///
     /// Every 64KB-aligned group lying wholly inside one region is
     /// offered for collapse when it has at least
@@ -75,13 +76,13 @@ impl Kernel {
         pid: Pid,
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<PromoteReport> {
-        let policy = self.config.promote;
+        let config = self.config;
+        let policy = config.promote;
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let mut report = PromoteReport::default();
         if !policy.enabled {
             return Ok(report);
         }
-        let config = self.config;
-        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid;
         let zygote_like = mm.is_zygote_like();
         let domain = if config.share_tlb && zygote_like {

@@ -16,6 +16,10 @@
 //! with 512 COW-protected pages in one chunk — one group and eight —
 //! leaves the same bytes allocated.
 //!
+//! And a write fault into a populated table allocates nothing: the
+//! reverse map holds a frame's one entry inline, in a slot indexed by
+//! frame number, once the index has reached the frame.
+//!
 //! A test binary of its own, because it installs a counting
 //! `#[global_allocator]`; the counts are per thread, so the test
 //! harness's own threads stay out of them.
@@ -156,15 +160,7 @@ fn a_fork_allocates_one_pointer_a_region_and_an_exit_nothing() {
 /// fork has COW-protected them.
 fn later_fork_retains(pages: u32) -> i64 {
     let mut k = Kernel::new(KernelConfig::stock(), 4096);
-    let parent = k.create_process().unwrap();
-    let heap = MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
-        .at(VirtAddr::new(BASE));
-    k.mmap(parent, &heap, &mut NoTlb).unwrap();
-    for page in 0..pages {
-        let va = VirtAddr::new(BASE + page * PAGE_SIZE);
-        k.page_fault(parent, va, AccessType::Write, &mut NoTlb)
-            .unwrap();
-    }
+    let parent = process_with_heap(&mut k, pages, 0..pages);
     // The first fork COW-protects the parent's pages; its child lives
     // on, as a zygote's do. A fork and an exit then bring every table
     // and map to its working size — the table arena's frame index
@@ -176,6 +172,48 @@ fn later_fork_retains(pages: u32) -> i64 {
     retained(|| {
         k.fork(parent).unwrap();
     })
+}
+
+/// A fresh process with a `pages`-page anonymous heap at [`BASE`], of
+/// which pages `written` are written.
+fn process_with_heap(k: &mut Kernel, pages: u32, written: std::ops::Range<u32>) -> Pid {
+    let pid = k.create_process().unwrap();
+    let heap = MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
+        .at(VirtAddr::new(BASE));
+    k.mmap(pid, &heap, &mut NoTlb).unwrap();
+    for page in written {
+        write_page(k, pid, page);
+    }
+    pid
+}
+
+fn write_page(k: &mut Kernel, pid: Pid, page: u32) {
+    let va = VirtAddr::new(BASE + page * PAGE_SIZE);
+    k.page_fault(pid, va, AccessType::Write, &mut NoTlb)
+        .unwrap();
+}
+
+#[test]
+fn a_write_fault_into_a_populated_table_allocates_nothing() {
+    let kernels = [
+        ("stock", KernelConfig::stock()),
+        ("sharing", KernelConfig::shared_ptp_tlb()),
+    ];
+    for (name, config) in kernels {
+        let mut k = Kernel::new(config, 4096);
+        // A process that writes 256 pages and exits runs the reverse
+        // map's index up past every frame the next one is handed.
+        let warm = process_with_heap(&mut k, 256, 0..256);
+        k.exit(warm, &mut NoTlb).unwrap();
+        // Page 0 allocates the table group that pages 1..64 fall in.
+        let pid = process_with_heap(&mut k, 64, 0..1);
+        let faults = allocated(|| {
+            for page in 1..64 {
+                write_page(&mut k, pid, page);
+            }
+        });
+        assert_eq!(faults, (0, 0), "{name}: calls and bytes");
+    }
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! The frame allocator and page cache.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use sat_types::{Pfn, Pid, SatError, SatResult, VirtAddr, MAX_FRAMES};
 
@@ -11,6 +10,94 @@ use crate::page::PageInfo;
 /// End-of-list marker in [`FrameKind::Free`] links. No frame can have
 /// this PFN: a pool of `u32::MAX` frames ends at `u32::MAX - 1`.
 const NIL: u32 = u32::MAX;
+
+/// One reverse-map entry: the owner of a PTE and the va it maps.
+type RmapKey = (Pid, VirtAddr);
+
+/// One frame's reverse-map entries, in `(owner, va)` order. A key filed
+/// twice (two sharing groups' tables mapping the frame at one va, both
+/// under [`Pid::SHARED_TABLE`]) is stored twice, next to its twin, so
+/// the multiset needs no count.
+#[derive(Debug, Default)]
+enum RmapSlot {
+    /// No PTE maps the frame.
+    #[default]
+    Empty,
+    /// One PTE maps it — most frames — held inline.
+    One(RmapKey),
+    /// Two or more, sorted. Boxed so a slot stays 16 bytes: a deque's
+    /// own header is 32.
+    #[allow(clippy::box_collection)]
+    Many(Box<VecDeque<RmapKey>>),
+}
+
+const _: () = assert!(std::mem::size_of::<RmapSlot>() == 16);
+
+impl RmapSlot {
+    fn len(&self) -> usize {
+        match self {
+            RmapSlot::Empty => 0,
+            RmapSlot::One(_) => 1,
+            RmapSlot::Many(keys) => keys.len(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = RmapKey> + '_ {
+        let (one, many) = match self {
+            RmapSlot::Empty => (None, None),
+            RmapSlot::One(key) => (Some(*key), None),
+            RmapSlot::Many(keys) => (None, Some(keys.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+}
+
+/// The index of the first of the sorted `keys` not less than `key` —
+/// `keys.partition_point(|k| k < key)` — found from whichever end is
+/// nearer: probes step outward from both ends at once (offsets 0, 1,
+/// 3, 7, … from the front, 1, 2, 4, 8, … from the back) until one
+/// brackets the answer, then a binary search runs inside the bracket.
+/// O(log d) for an answer d from the nearer end, so a fork appending
+/// the newest pid and an exit taking the oldest touch a line or two of
+/// a long deque, where a plain binary search would miss all the way
+/// down.
+fn nearer_end_bound<T: Ord>(keys: &VecDeque<T>, key: &T) -> usize {
+    let n = keys.len();
+    // The answer lies in `lo..=hi`.
+    let (mut lo, mut hi) = (0, n);
+    let mut step = 1;
+    loop {
+        let front = step - 1;
+        if front >= hi {
+            break;
+        }
+        if keys[front] >= *key {
+            hi = front;
+            break;
+        }
+        lo = front + 1;
+        // `front < hi <= n`, so `step <= n`.
+        let back = n - step;
+        if back < lo {
+            break;
+        }
+        if keys[back] < *key {
+            lo = back + 1;
+            break;
+        }
+        hi = back;
+        step *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if keys[mid] < *key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
 
 /// What a physical frame currently holds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -135,16 +222,19 @@ pub struct PhysMem {
     /// File pages evicted by reclaim and not yet refaulted, for the
     /// conservation invariant `evictions == refaults + evicted.len()`.
     evicted: HashSet<(FileId, u32)>,
-    /// Reverse map: data frame -> one `(owner, va)` entry per physical
-    /// PTE mapping it, so eviction tears each by one lookup. The owner
-    /// is exact: [`Pid::SHARED_TABLE`] iff the PTE hangs from a
-    /// level-1 pair carrying `NEED_COPY` (the table serves every
-    /// sharer), else the pid whose root points at the table. A pid
-    /// entry's count is therefore always 1; only shared-table entries
-    /// are a multiset (two disjoint sharing groups mapping the same
-    /// file page at the same va). BTree containers keep reclaim's
-    /// iteration order deterministic.
-    rmap: BTreeMap<Pfn, BTreeMap<(Pid, VirtAddr), u32>>,
+    /// Reverse map, indexed by raw PFN: one `(owner, va)` entry per
+    /// physical PTE mapping the frame, so eviction tears each by one
+    /// lookup. The owner is exact: [`Pid::SHARED_TABLE`] iff the PTE
+    /// hangs from a level-1 pair carrying `NEED_COPY` (the table serves
+    /// every sharer), else the pid whose root points at the table. A
+    /// pid key is therefore filed once; only shared-table keys repeat
+    /// (two disjoint sharing groups mapping the same file page at the
+    /// same va). A slot holds one entry inline and spills to a sorted
+    /// deque, so reclaim reads entries in `(owner, va)` order. The
+    /// vector reaches only the highest frame that has ever held an
+    /// entry: sized to the pool it would cost 16 bytes a frame up
+    /// front.
+    rmap: Vec<RmapSlot>,
 }
 
 impl PhysMem {
@@ -187,7 +277,7 @@ impl PhysMem {
             clock: Vec::new(),
             clock_hand: 0,
             evicted: HashSet::new(),
-            rmap: BTreeMap::new(),
+            rmap: Vec::new(),
         }
     }
 
@@ -542,15 +632,23 @@ impl PhysMem {
 
     /// Files one physical PTE mapping `pfn` at `va` under `owner`: the
     /// pid whose private table holds it, or [`Pid::SHARED_TABLE`] for
-    /// a PTE in a shared PTP (whose count rises when two disjoint
-    /// sharing groups map the same page at the same va).
+    /// a PTE in a shared PTP (filed again when two disjoint sharing
+    /// groups map the same page at the same va).
     pub fn rmap_add(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
-        *self
-            .rmap
-            .entry(pfn)
-            .or_default()
-            .entry((owner, va))
-            .or_insert(0) += 1;
+        let idx = pfn.raw() as usize;
+        if idx >= self.rmap.len() {
+            self.rmap.resize_with(idx + 1, RmapSlot::default);
+        }
+        let key = (owner, va);
+        let slot = &mut self.rmap[idx];
+        match slot {
+            RmapSlot::Empty => *slot = RmapSlot::One(key),
+            RmapSlot::One(first) => {
+                let pair = [key.min(*first), key.max(*first)];
+                *slot = RmapSlot::Many(Box::new(VecDeque::from(pair)));
+            }
+            RmapSlot::Many(keys) => keys.insert(nearer_end_bound(keys, &key), key),
+        }
     }
 
     /// Removes the entry of one torn PTE: exactly the `(owner, va)`
@@ -558,16 +656,24 @@ impl PhysMem {
     /// `NEED_COPY` on a live table ([`PhysMem::rmap_reown`]), so a
     /// missing key is a bug in the caller.
     pub fn rmap_remove(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
-        if let Entry::Occupied(mut set) = self.rmap.entry(pfn) {
-            if let Entry::Occupied(mut count) = set.get_mut().entry((owner, va)) {
-                *count.get_mut() -= 1;
-                if *count.get() == 0 {
-                    count.remove();
-                    if set.get().is_empty() {
-                        set.remove();
+        let key = (owner, va);
+        if let Some(slot) = self.rmap.get_mut(pfn.raw() as usize) {
+            match slot {
+                RmapSlot::One(only) if *only == key => {
+                    *slot = RmapSlot::Empty;
+                    return;
+                }
+                RmapSlot::Many(keys) => {
+                    let at = nearer_end_bound(keys, &key);
+                    if keys.get(at) == Some(&key) {
+                        keys.remove(at);
+                        if keys.len() == 1 {
+                            *slot = RmapSlot::One(keys[0]);
+                        }
+                        return;
                     }
                 }
-                return;
+                _ => {}
             }
         }
         debug_assert!(false, "no rmap entry for {pfn:?} at {va:?} under {owner:?}");
@@ -583,37 +689,27 @@ impl PhysMem {
     }
 
     /// Returns the recorded PTE mappings for `pfn` with multiplicity,
-    /// in deterministic order.
+    /// in `(owner, va)` order.
     pub fn rmap_entries(&self, pfn: Pfn) -> Vec<(Pid, VirtAddr)> {
         self.rmap
-            .get(&pfn)
-            .map(|s| {
-                s.iter()
-                    .flat_map(|(&key, &n)| std::iter::repeat_n(key, n as usize))
-                    .collect()
-            })
+            .get(pfn.raw() as usize)
+            .map(|s| s.iter().collect())
             .unwrap_or_default()
     }
 
     /// Number of rmap entries (with multiplicity) recorded for `pfn`.
     pub fn rmap_len(&self, pfn: Pfn) -> usize {
-        self.rmap
-            .get(&pfn)
-            .map_or(0, |s| s.values().map(|&n| n as usize).sum())
+        self.rmap.get(pfn.raw() as usize).map_or(0, RmapSlot::len)
     }
 
     /// Total rmap entries (with multiplicity) across all frames.
     pub fn rmap_total(&self) -> usize {
-        self.rmap
-            .values()
-            .flat_map(|s| s.values())
-            .map(|&n| n as usize)
-            .sum()
+        self.rmap.iter().map(RmapSlot::len).sum()
     }
 
     /// Returns `true` if the rmap records no mappings at all.
     pub fn rmap_is_empty(&self) -> bool {
-        self.rmap.is_empty()
+        self.rmap.iter().all(|s| matches!(s, RmapSlot::Empty))
     }
 
     /// Checks "frames in = frames out": walking the free list from its
@@ -683,9 +779,13 @@ impl PhysMem {
     /// the first mismatch.
     pub fn rmap_verify(&self) -> Result<(), String> {
         self.free_list_verify()?;
-        for (pfn, set) in &self.rmap {
-            let p = self.page(*pfn);
-            let entries: usize = set.values().map(|&n| n as usize).sum();
+        for (raw, slot) in self.rmap.iter().enumerate() {
+            let entries = slot.len();
+            if entries == 0 {
+                continue;
+            }
+            let pfn = Pfn::new(raw as u32);
+            let p = self.page(pfn);
             if p.is_free() {
                 return Err(format!(
                     "rmap holds {entries} entries for free frame {pfn:?}"
@@ -702,7 +802,7 @@ impl PhysMem {
             let pfn = Pfn::new(raw as u32);
             if matches!(p.kind, FrameKind::Anon | FrameKind::File { .. })
                 && p.mapcount > 0
-                && !self.rmap.contains_key(&pfn)
+                && self.rmap_len(pfn) == 0
             {
                 return Err(format!(
                     "frame {pfn:?}: mapcount {} but no rmap entries",
@@ -1103,7 +1203,7 @@ mod tests {
     #[test]
     fn rmap_counts_duplicate_sentinel_entries() {
         // Two disjoint sharing groups mapping the same file page at
-        // the same va both record the sentinel key; the multiset count
+        // the same va both record the sentinel key; storing it twice
         // keeps rmap totals reconciled with mapcount.
         let mut pm = PhysMem::new(8);
         let f = FileId(0);
@@ -1129,5 +1229,59 @@ mod tests {
         pm.put_page(p);
         assert!(pm.rmap_is_empty());
         pm.rmap_verify().unwrap();
+    }
+
+    /// The nearer-end search is `partition_point` for every length up
+    /// to 70 and every key, present or absent, over runs of duplicates
+    /// of every width — and over deques whose ring has wrapped.
+    #[test]
+    fn nearer_end_bound_is_partition_point() {
+        for n in 0..=70u32 {
+            for width in [1, 2, 3, n.max(1)] {
+                let sorted: Vec<u32> = (0..n).map(|i| 2 * (i / width)).collect();
+                // The back half from the start of the buffer, the front
+                // half pushed in before it from the buffer's end.
+                let (front, back) = sorted.split_at(sorted.len() / 2);
+                let mut wrapped = VecDeque::with_capacity(n as usize);
+                wrapped.extend(back);
+                for &k in front.iter().rev() {
+                    wrapped.push_front(k);
+                }
+                if !front.is_empty() {
+                    assert_eq!(wrapped.as_slices().1, back);
+                }
+                for keys in [VecDeque::from(sorted.clone()), wrapped] {
+                    for key in 0..=2 * n + 1 {
+                        let want = sorted.partition_point(|&k| k < key);
+                        let got = nearer_end_bound(&keys, &key);
+                        assert_eq!(got, want, "n {n}, width {width}, key {key}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A deque of entries grows and shrinks through every slot state:
+    /// one inline, spilled, and back to one when the rest are gone.
+    #[test]
+    fn rmap_slot_spills_and_returns_inline() {
+        let mut pm = PhysMem::new(8);
+        let p = Pfn::new(7);
+        let va = VirtAddr::new(0x4000_0000);
+        let pids: Vec<Pid> = (1..=5).map(Pid::new).collect();
+        for &pid in pids.iter().rev() {
+            pm.rmap_add(p, pid, va);
+        }
+        assert!(matches!(pm.rmap[7], RmapSlot::Many(_)));
+        let want: Vec<_> = pids.iter().map(|&pid| (pid, va)).collect();
+        assert_eq!(pm.rmap_entries(p), want);
+        for &pid in &pids[..4] {
+            pm.rmap_remove(p, pid, va);
+        }
+        assert!(matches!(pm.rmap[7], RmapSlot::One((pid, _)) if pid == pids[4]));
+        pm.rmap_remove(p, pids[4], va);
+        assert!(matches!(pm.rmap[7], RmapSlot::Empty));
+        assert!(pm.rmap_is_empty());
+        assert_eq!(pm.rmap_total(), 0);
     }
 }

@@ -1,22 +1,90 @@
-//! The `Vec<Pfn>` reference frame allocator.
+//! The `Vec<Pfn>` reference frame allocator and the nested-`BTreeMap`
+//! reference reverse map.
 //!
-//! This is the allocator [`crate::PhysMem`] had before its free list
+//! The allocator is the one [`crate::PhysMem`] had before its free list
 //! moved into the frames' own metadata: a `Vec` popped from the back,
 //! and an `alloc_run` that copies the list, sorts it, scans for the
 //! lowest run and `retain`s the list through a `HashSet` of it. It is
 //! kept as the executable specification of the *allocation order* —
-//! which PFN every call returns is part of the simulated machine —
-//! and the differential proptest below drives both allocators with
-//! identical operation sequences.
+//! which PFN every call returns is part of the simulated machine.
+//!
+//! The reverse map is the one [`crate::PhysMem`] had before it was
+//! indexed by frame number: a map of frames to maps of `(owner, va)`
+//! keys to counts. It is kept as the specification of what the rmap
+//! answers, and in which order — reclaim tears a victim's entries in
+//! the order `rmap_entries` lists them.
+//!
+//! The differential proptests below drive each model and its subject
+//! with identical operation sequences.
 //!
 //! Do not "optimise" this file; its value is being obviously correct.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-use sat_types::{Pfn, SatError, SatResult};
+use sat_types::{Pfn, Pid, SatError, SatResult, VirtAddr};
 
 use crate::file::FileId;
 use crate::frame::{FrameKind, PhysMemStats, Watermarks};
+
+/// Reference model of [`crate::PhysMem`]'s reverse map: per frame, a
+/// count per `(owner, va)` key.
+#[derive(Default)]
+pub(crate) struct RefRmap(BTreeMap<Pfn, BTreeMap<(Pid, VirtAddr), u32>>);
+
+impl RefRmap {
+    pub(crate) fn add(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
+        *self
+            .0
+            .entry(pfn)
+            .or_default()
+            .entry((owner, va))
+            .or_insert(0) += 1;
+    }
+
+    pub(crate) fn remove(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
+        let set = self.0.get_mut(&pfn).expect("a frame with entries");
+        let count = set.get_mut(&(owner, va)).expect("a filed key");
+        *count -= 1;
+        if *count == 0 {
+            set.remove(&(owner, va));
+            if set.is_empty() {
+                self.0.remove(&pfn);
+            }
+        }
+    }
+
+    pub(crate) fn reown(&mut self, pfn: Pfn, from: Pid, to: Pid, va: VirtAddr) {
+        self.remove(pfn, from, va);
+        self.add(pfn, to, va);
+    }
+
+    pub(crate) fn entries(&self, pfn: Pfn) -> Vec<(Pid, VirtAddr)> {
+        self.0
+            .get(&pfn)
+            .map(|s| {
+                s.iter()
+                    .flat_map(|(&key, &n)| std::iter::repeat_n(key, n as usize))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    pub(crate) fn len(&self, pfn: Pfn) -> usize {
+        self.entries(pfn).len()
+    }
+
+    pub(crate) fn total(&self) -> usize {
+        self.0
+            .values()
+            .flat_map(|s| s.values())
+            .map(|&n| n as usize)
+            .sum()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
 
 /// Reference model of [`crate::PhysMem`]'s allocator, page cache and
 /// statistics.
@@ -171,6 +239,8 @@ impl RefPhysMem {
 }
 
 mod tests {
+    use std::collections::BTreeSet;
+
     use proptest::prelude::*;
 
     use super::*;
@@ -285,6 +355,109 @@ mod tests {
             }
             prop_assert_eq!(new.stats(), old.stats());
             new.rmap_verify().map_err(TestCaseError::fail)?;
+        }
+    }
+
+    /// One randomized reverse-map operation: `(opcode, frame, owner,
+    /// va, position)`, decoded in [`apply_rmap`].
+    type RmapOp = (u8, u32, u32, u32, u32);
+
+    fn rmap_ops_strategy() -> impl Strategy<Value = Vec<RmapOp>> {
+        let op = (0u8..100, any::<u32>(), 0u32..48, 0u32..6, any::<u32>());
+        prop::collection::vec(op, 1..800)
+    }
+
+    /// Applies `op` to both reverse maps over a pool of `frames`, then
+    /// checks that they answer alike for every frame in `touched`.
+    /// Half the operations land on the pool's last frame, so its
+    /// entries run to deques a hundred long, like a zygote page's in a
+    /// fleet; a quarter on the first and the middle frame; the rest
+    /// anywhere in the pool.
+    fn apply_rmap(
+        new: &mut PhysMem,
+        old: &mut RefRmap,
+        frames: u32,
+        touched: &mut BTreeSet<u32>,
+        (code, a, owner, va, at): RmapOp,
+    ) -> Result<(), TestCaseError> {
+        let pfn = Pfn::new(match a % 8 {
+            0..=3 => frames - 1,
+            4 => 0,
+            5 => frames / 2,
+            _ => (a >> 3) % frames,
+        });
+        touched.insert(pfn.raw());
+        // Pid 0 is `Pid::SHARED_TABLE`, whose keys repeat.
+        let owner = Pid::new(owner);
+        let va = VirtAddr::new(0x4000_0000 + va * 0x1000);
+        let filed = old.entries(pfn);
+        // A filed key near the front, near the back, or anywhere.
+        let pick = |code: u8| {
+            let n = filed.len();
+            let i = match code % 3 {
+                0 => (at as usize % 4).min(n - 1),
+                1 => n - 1 - (at as usize % 4).min(n - 1),
+                _ => at as usize % n,
+            };
+            filed[i]
+        };
+        match code {
+            0..=59 => {
+                new.rmap_add(pfn, owner, va);
+                old.add(pfn, owner, va);
+            }
+            60..=79 if !filed.is_empty() => {
+                let (owner, va) = pick(code);
+                new.rmap_remove(pfn, owner, va);
+                old.remove(pfn, owner, va);
+            }
+            80..=97 if !filed.is_empty() => {
+                let (from, va) = pick(code);
+                new.rmap_reown(pfn, from, owner, va);
+                old.reown(pfn, from, owner, va);
+            }
+            // Empty the frame from alternate ends, through every slot
+            // state on the way down.
+            98 | 99 => {
+                let mut keys = std::collections::VecDeque::from(filed);
+                while let Some((owner, va)) = if keys.len() % 2 == 0 {
+                    keys.pop_front()
+                } else {
+                    keys.pop_back()
+                } {
+                    new.rmap_remove(pfn, owner, va);
+                    old.remove(pfn, owner, va);
+                }
+            }
+            _ => {}
+        }
+        for &raw in touched.iter() {
+            let pfn = Pfn::new(raw);
+            prop_assert_eq!(new.rmap_entries(pfn), old.entries(pfn), "{:?}", pfn);
+            prop_assert_eq!(new.rmap_len(pfn), old.len(pfn), "{:?}", pfn);
+        }
+        prop_assert_eq!(new.rmap_total(), old.total());
+        prop_assert_eq!(new.rmap_is_empty(), old.is_empty());
+        Ok(())
+    }
+
+    proptest! {
+        /// The frame-indexed reverse map answers exactly as the nested
+        /// `BTreeMap` did — entries in the same order, with the same
+        /// multiplicity — through random adds, removes taken near
+        /// either end or in the middle, re-owns and drains, on pools
+        /// of one frame up.
+        #[test]
+        fn rmap_matches_the_nested_btree_map(
+            frames in frames_strategy(),
+            ops in rmap_ops_strategy(),
+        ) {
+            let mut new = PhysMem::new(frames);
+            let mut old = RefRmap::default();
+            let mut touched = BTreeSet::new();
+            for op in ops {
+                apply_rmap(&mut new, &mut old, frames, &mut touched, op)?;
+            }
         }
     }
 }
