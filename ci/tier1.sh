@@ -31,8 +31,8 @@ cargo test -q
 # one and the frame-indexed reverse map vs the nested BTreeMap one
 # (crates/phys/src/reference.rs: adds, removes near either end or in
 # the middle, re-owns and drains, every answer compared after every op;
-# frame.rs pins its nearer-end search to `partition_point`), the flat
-# cache vs the
+# frame.rs pins its nearer-end search to `partition_point` and its
+# cost at either end to one or two comparisons), the flat cache vs the
 # nested-Option one (crates/cache/src/reference.rs), kernel-text runs vs
 # the line-by-line loop on twin machines (machine.rs,
 # `run_vs_line_by_line`), the range walker vs the page-by-page
