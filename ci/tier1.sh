@@ -62,7 +62,9 @@ cargo test -q
 # ownership rows (crates/core/src/reclaim.rs: the last-sharer collapse,
 # the lone-sharer exit, two sharing groups at one va) and its checker,
 # `Kernel::verify_rmap_ownership`, after every op of the core proptests
-# (inside `Kernel::audit`) and the promote differential — here the
+# (inside `Kernel::audit`, whose COW clause — no private writable PTE
+# maps a frame mapped twice — fails them if a first share skips its
+# write-protect pass) and the promote differential — here the
 # exact-key `debug_assert!` in
 # `rmap_remove` is compiled out, so the checker is what vouches for the
 # owner — and the `mmap` boundary-argument table
@@ -81,9 +83,11 @@ cargo test -q
 # and a write fault into a populated table allocating nothing: the
 # reverse map's inline slot), and the dead-pid rows
 # crates/core/tests/pid_args.rs (every call naming pid 0, an exited pid
-# or u32::MAX is `NoSuchProcess` and changes nothing). sat-sched
-# rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on the same
-# checker.
+# or u32::MAX is `NoSuchProcess` and changes nothing — on a budgeted
+# kernel too, whose `page_fault` and `mmap` rows used to run a reclaim
+# pass before the lookup). sat-sched
+# rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on
+# `Kernel::audit`.
 step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"
 PROPTEST_CASES=2048 cargo test --release -q \
     -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core \

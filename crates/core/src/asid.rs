@@ -3,83 +3,64 @@
 //! ARMv7 tags TLB entries with an 8-bit ASID, so at most 255 address
 //! spaces can be distinguished at once. Linux's ARM port hands values
 //! out sequentially within a *generation*; exhausting the space bumps
-//! the generation, flushes every non-global TLB entry once, and
-//! reassigns live processes lazily at their next switch-in. This
-//! module is that allocator, extracted from `Kernel` so its
-//! invariants are pinned where the state lives:
-//!
-//! - `generation() == 1 + rollovers()` — the generation counter moves
-//!   only through `AsidAllocator::rollover`.
-//! - A process *running on a core* at rollover time keeps its value:
-//!   the value is reserved for the whole new generation and the
-//!   process's generation is bumped in place, so a recycled value can
-//!   never alias a translation the still-running owner inserts after
-//!   the rollover flush.
-//! - The deferred non-global flush fires exactly once, at the first
-//!   switch-in after the rollover (allocation sites have no TLB
-//!   handle, as in Linux).
+//! the generation, flushes every non-global TLB entry exactly once (at
+//! the first switch-in after it: allocation sites have no TLB handle), and
+//! reassigns live processes lazily at their next switch-in. This module
+//! is that allocator: the generation, the next value, the reserved
+//! values and the pending flush. The generation a process's ASID was
+//! issued in is the process table's, as Linux keeps it in the `mm`; a
+//! rollover moves it forward for the processes it lets keep their
+//! value. The generation moves only in [`AsidAllocator::rollover`], so
+//! `KernelStats::asid_rollovers` is `generation − 1`, set where the
+//! kernel allocates.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use sat_types::{Asid, Pid};
 
+use crate::kernel::ProcTable;
+
 /// Generational allocator for the 8-bit ASID space.
-pub struct AsidAllocator {
+pub(crate) struct AsidAllocator {
     /// Current generation (starts at 1, bumped on rollover).
     generation: u64,
     /// Next value within the current generation; `> 255` means the
     /// space is exhausted and the next allocation rolls over.
     next: u16,
-    /// Which generation each live process's ASID belongs to. A
-    /// process whose recorded generation is older than `generation`
-    /// carries a stale ASID that must be reassigned before it runs
-    /// again.
-    gens: HashMap<Pid, u64>,
     /// A rollover happened but the non-global TLB flush it requires
-    /// has not been issued yet.
-    flush_pending: bool,
+    /// has not been issued yet; the switch-in that issues it takes it.
+    pub(crate) flush_pending: bool,
     /// Which process is current on each core, as reported by the
     /// machine layer. A process on a core keeps executing — and keeps
     /// inserting TLB entries tagged with its ASID — without ever
     /// re-entering the allocator, so a rollover must reserve these
     /// values.
-    running: BTreeMap<usize, Pid>,
+    pub(crate) running: BTreeMap<usize, Pid>,
     /// Values reserved for the whole current generation (one bit per
     /// 8-bit value): those held by processes that were running at the
     /// last rollover.
     reserved: [u64; 4],
-    /// Rollovers performed.
-    rollovers: u64,
-}
-
-impl Default for AsidAllocator {
-    fn default() -> Self {
-        AsidAllocator::new()
-    }
 }
 
 impl AsidAllocator {
     /// A fresh allocator in generation 1 with the full value space.
-    pub fn new() -> AsidAllocator {
+    pub(crate) fn new() -> AsidAllocator {
         AsidAllocator {
             generation: 1,
             next: 1,
-            gens: HashMap::new(),
             flush_pending: false,
             running: BTreeMap::new(),
             reserved: [0; 4],
-            rollovers: 0,
         }
     }
 
-    /// Allocates a value, rolling the generation over when the space
-    /// is exhausted. `asid_of` resolves a running process to its
-    /// current value (the allocator does not own the process table);
-    /// rollover reserves those values.
-    pub fn alloc(&mut self, asid_of: impl Fn(Pid) -> Option<Asid>) -> Asid {
+    /// Allocates a value of the current generation, rolling the
+    /// generation over when the space is exhausted; a rollover reserves
+    /// the values of the running processes in `procs`.
+    pub(crate) fn alloc(&mut self, procs: &mut ProcTable) -> Asid {
         loop {
             if self.next > 255 {
-                self.rollover(&asid_of);
+                self.rollover(procs);
             }
             let value = self.next as u8;
             self.next += 1;
@@ -91,14 +72,8 @@ impl AsidAllocator {
         }
     }
 
-    /// Records that `pid` holds a value of the *current* generation
-    /// (call right after assigning it an allocated value).
-    pub fn assign_current(&mut self, pid: Pid) {
-        self.gens.insert(pid, self.generation);
-    }
-
     /// Whether `value` is reserved for the current generation.
-    pub fn is_reserved(&self, value: u8) -> bool {
+    fn is_reserved(&self, value: u8) -> bool {
         let v = value as usize;
         self.reserved[v / 64] & (1 << (v % 64)) != 0
     }
@@ -106,8 +81,8 @@ impl AsidAllocator {
     /// The space is exhausted: bump the generation and schedule the
     /// deferred non-global flush. Mirroring Linux's ARM rollover,
     /// every process currently on a core keeps its ASID: its value is
-    /// reserved (skipped for the whole new generation) and its
-    /// generation is bumped in place, so it is never treated as
+    /// reserved (skipped for the whole new generation) and its stored
+    /// generation is moved forward in place, so it is never treated as
     /// stale. The aliasing argument: a *running* process may insert
     /// entries tagged with its value even after the rollover flush,
     /// but that value is never reissued; a *non-running* process
@@ -115,22 +90,20 @@ impl AsidAllocator {
     /// reassigns it first — so everything tagged with a recycled
     /// value predates the rollover and is removed by the flush before
     /// the new owner can run.
-    fn rollover(&mut self, asid_of: &impl Fn(Pid) -> Option<Asid>) {
+    fn rollover(&mut self, procs: &mut ProcTable) {
         self.generation += 1;
         self.next = 1;
         self.flush_pending = true;
-        self.rollovers += 1;
         self.reserved = [0; 4];
         assert!(
             self.running.len() < 255,
             "more running processes than ASID values"
         );
-        let running: Vec<Pid> = self.running.values().copied().collect();
-        for pid in running {
-            if let Some(asid) = asid_of(pid) {
-                let v = asid.raw() as usize;
+        for &pid in self.running.values() {
+            if let Some((mm, asid_generation)) = procs.entry_mut(pid) {
+                let v = mm.asid.raw() as usize;
                 self.reserved[v / 64] |= 1 << (v % 64);
-                self.gens.insert(pid, self.generation);
+                *asid_generation = self.generation;
             }
         }
         if sat_obs::enabled() {
@@ -145,46 +118,9 @@ impl AsidAllocator {
         }
     }
 
-    /// Reports that `pid` is now current on `core` (called by the
-    /// machine layer on every context switch).
-    pub fn note_running(&mut self, core: usize, pid: Pid) {
-        self.running.insert(core, pid);
-    }
-
-    /// True when `pid`'s ASID predates the current generation. Every
-    /// TLB entry tagged with a stale value predates the rollover (the
-    /// owner has not run since — running processes are re-generationed
-    /// in place), so the rollover flush covers them.
-    pub fn is_stale(&self, pid: Pid) -> bool {
-        self.gens.get(&pid).copied().unwrap_or(0) != self.generation
-    }
-
     /// The current generation (starts at 1).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Rollovers performed since boot.
-    pub fn rollovers(&self) -> u64 {
-        self.rollovers
-    }
-
-    /// True when a rollover's deferred non-global flush has not been
-    /// issued yet.
-    pub fn flush_pending(&self) -> bool {
-        self.flush_pending
-    }
-
-    /// Claims the deferred rollover flush: returns true exactly once
-    /// per rollover; the caller must then issue the non-global flush.
-    pub fn take_flush_pending(&mut self) -> bool {
-        std::mem::take(&mut self.flush_pending)
-    }
-
-    /// Drops a dead process from the generation and running tables.
-    pub fn forget(&mut self, pid: Pid) {
-        self.gens.remove(&pid);
-        self.running.retain(|_, p| *p != pid);
     }
 }
 
@@ -195,35 +131,30 @@ mod tests {
     use crate::{KernelConfig, NoTlb, TlbMaintenance};
     use sat_types::VirtAddr;
 
-    /// The pure invariant, no kernel involved: the generation counter
-    /// is driven only by rollovers.
-    #[test]
-    fn generation_is_one_plus_rollovers() {
-        let mut a = AsidAllocator::new();
-        assert_eq!(a.generation(), 1 + a.rollovers());
-        for _ in 0..600 {
-            a.alloc(|_| None);
-            assert_eq!(a.generation(), 1 + a.rollovers());
-        }
-        assert_eq!(a.rollovers(), 2); // 600 allocations / 255 per gen
-    }
-
     /// A running process's value is skipped by the allocator for the
-    /// whole generation after a rollover.
+    /// whole of every generation it stays running through: each
+    /// rollover reserves it again.
     #[test]
     fn reserved_value_is_never_reissued() {
-        let mut a = AsidAllocator::new();
-        let p = Pid::new(42);
-        let held = a.alloc(|_| None);
-        a.assign_current(p);
-        a.note_running(0, p);
+        let mut k = Kernel::new(KernelConfig::stock(), 16_384);
+        let parent = k.create_process().unwrap();
+        let p = k.create_process().unwrap();
+        let held = k.mm(p).unwrap().asid;
+        k.note_running(0, p);
         for _ in 0..600 {
-            let v = a.alloc(|pid| (pid == p).then_some(held));
-            if a.rollovers() > 0 {
+            let child = k.fork(parent).unwrap().child;
+            if k.asid_generation() > 1 {
+                let v = k.mm(child).unwrap().asid;
                 assert_ne!(v, held, "reserved value reissued after rollover");
             }
+            k.exit(child, &mut NoTlb).unwrap();
         }
-        assert!(!a.is_stale(p), "running process re-generationed in place");
+        assert_eq!(k.stats.asid_rollovers, 2);
+        assert!(
+            !k.asid_is_stale(p),
+            "running process re-generationed in place"
+        );
+        assert_eq!(k.mm(p).unwrap().asid, held);
     }
 
     /// A [`TlbMaintenance`] sink counting maintenance operations.
@@ -254,13 +185,23 @@ mod tests {
         // 600 fork/exit cycles exhaust the 8-bit space twice over; the
         // old free-list allocator would have coped only by recycling,
         // the generation allocator instead rolls over.
+        let mut exited = parent;
         for _ in 0..600 {
-            let child = k.fork(parent).unwrap().child;
-            k.exit(child, &mut NoTlb).unwrap();
+            exited = k.fork(parent).unwrap().child;
+            k.exit(exited, &mut NoTlb).unwrap();
         }
         // 601 allocations at 255 per generation = 2 rollovers.
         assert_eq!(k.stats.asid_rollovers, 2);
         assert_eq!(k.asid_generation(), 3);
+        // A pid with no process — exited, or never created — has no
+        // generation, so it is stale; so is the parent, which has not
+        // run since the rollovers, until its switch-in reassigns it.
+        for pid in [exited, Pid::new(9_999)] {
+            assert!(k.asid_is_stale(pid), "{pid:?}");
+        }
+        assert!(k.asid_is_stale(parent));
+        k.ensure_current_asid(parent, &mut NoTlb).unwrap();
+        assert!(!k.asid_is_stale(parent));
     }
 
     #[test]

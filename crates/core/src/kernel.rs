@@ -43,11 +43,13 @@ use crate::asid::AsidAllocator;
 use crate::config::KernelConfig;
 use crate::flush::FlushBatch;
 use crate::fork::{dup_mm, ForkOutcome};
-use crate::registry::{RegistryStats, SharedPtpRegistry};
+use crate::registry::SharedPtpRegistry;
 use crate::share::{teardown, unshare, unshare_range, UnshareTrigger};
 use crate::{NoTlb, TlbMaintenance};
 
-/// Kernel-global statistics.
+/// Kernel-global statistics. The five Figure-6 unshare counters are
+/// twins of [`RegistryStats`](crate::RegistryStats)' fields of the same
+/// names, both written by [`SharedPtpRegistry::detach`] alone.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct KernelStats {
     /// Forks performed.
@@ -72,7 +74,8 @@ pub struct KernelStats {
     /// Unshares triggered by a protection change (case 2).
     pub unshares_region_op: u64,
     /// ASID generation rollovers (8-bit space exhausted; non-global
-    /// TLB entries flushed, live ASIDs reassigned lazily).
+    /// TLB entries flushed, live ASIDs reassigned lazily): always
+    /// [`Kernel::asid_generation`] − 1.
     pub asid_rollovers: u64,
     /// Reclaim passes run ([`Kernel::reclaim`]).
     pub reclaims: u64,
@@ -97,21 +100,6 @@ pub struct KernelStats {
     /// — memory *mapped* but never *touched*, the waste side of the
     /// paper's reach-vs-footprint trade (Section 2's ≈2.6× figure).
     pub waste_frames: u64,
-}
-
-impl KernelStats {
-    /// Mirrors the registry's authoritative share/unshare counters
-    /// into this kernel-global stats block. The registry owns the
-    /// Figure-6 cause attribution; `KernelStats` keeps its public
-    /// shape so every consumer (experiments, conservation checks)
-    /// reads the same fields as before.
-    fn mirror_share(&mut self, r: &RegistryStats) {
-        self.ptp_unshares = r.ptp_unshares;
-        self.unshares_write_fault = r.unshares_write_fault;
-        self.unshares_new_region = r.unshares_new_region;
-        self.unshares_region_free = r.unshares_region_free;
-        self.unshares_region_op = r.unshares_region_op;
-    }
 }
 
 /// Records one large-mapping split: bumps the demotion counters,
@@ -235,13 +223,19 @@ pub struct ProcFaultOutcome {
 }
 
 /// The process table: slot `pid` holds that process's address space
-/// while it lives. Pids are handed out densely from 1 and never
-/// reused, so the vector is as long as the highest pid created and an
-/// exited process leaves an empty slot behind (slot 0 is never used).
-/// Iteration is in ascending pid order.
+/// and the ASID generation its `mm.asid` was issued in (Linux keeps the
+/// generation in the `mm`) while it lives. Pids are handed out densely
+/// from 1 and never reused, so the vectors are as long as the highest
+/// pid created and an exited process leaves an empty slot behind (slot
+/// 0 is never used). Iteration is in ascending pid order.
 #[derive(Default)]
 pub(crate) struct ProcTable {
     slots: Vec<Option<Mm>>,
+    /// Slot `pid`'s ASID generation, meaningful while the slot is live.
+    /// Beside the address spaces rather than in their slots: slots
+    /// eight bytes wider made `serve_pressure` 3–6% slower on the host
+    /// (2-core KVM guest, alternating pairs), the layout alone.
+    asid_generations: Vec<u64>,
     /// Occupied slots.
     live: usize,
 }
@@ -255,14 +249,29 @@ impl ProcTable {
         self.slots.get_mut(pid.raw() as usize)?.as_mut()
     }
 
-    /// Files `mm` under its own pid, which must not be live.
-    fn insert(&mut self, mm: Mm) {
+    /// `pid`'s address space and its ASID generation.
+    pub(crate) fn entry_mut(&mut self, pid: Pid) -> Option<(&mut Mm, &mut u64)> {
+        let idx = pid.raw() as usize;
+        let mm = self.slots.get_mut(idx)?.as_mut()?;
+        Some((mm, &mut self.asid_generations[idx]))
+    }
+
+    fn asid_generation(&self, pid: Pid) -> Option<u64> {
+        self.get(pid)?;
+        Some(self.asid_generations[pid.raw() as usize])
+    }
+
+    /// Files `mm`, whose ASID was issued in `asid_generation`, under its
+    /// own pid, which must not be live.
+    fn insert(&mut self, mm: Mm, asid_generation: u64) {
         let idx = mm.pid.raw() as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
+            self.asid_generations.resize(idx + 1, 0);
         }
         let old = self.slots[idx].replace(mm);
         assert!(old.is_none(), "pid {idx} is already live");
+        self.asid_generations[idx] = asid_generation;
         self.live += 1;
     }
 
@@ -300,7 +309,8 @@ pub struct Kernel {
     pub stats: KernelStats,
     pub(crate) procs: ProcTable,
     next_pid: u32,
-    /// The generational 8-bit ASID allocator (see [`crate::asid`]).
+    /// The generational 8-bit ASID allocator (`asid.rs`); each
+    /// process's generation is in `procs`.
     asids: AsidAllocator,
 }
 
@@ -336,18 +346,16 @@ impl Kernel {
         self.next_pid += 1;
         let asid = self.alloc_asid();
         let mm = Mm::new(&mut self.phys, pid, asid)?;
-        self.procs.insert(mm);
-        self.asids.assign_current(pid);
+        self.procs.insert(mm, self.asids.generation());
         Ok(pid)
     }
 
     /// Allocates an 8-bit ASID through the generational allocator
-    /// ([`crate::asid::AsidAllocator`]) and mirrors its rollover count
-    /// into [`KernelStats::asid_rollovers`].
+    /// (`asid.rs`), the one place the generation moves, and sets
+    /// [`KernelStats::asid_rollovers`] from it.
     fn alloc_asid(&mut self) -> Asid {
-        let procs = &self.procs;
-        let asid = self.asids.alloc(|pid| procs.get(pid).map(|mm| mm.asid));
-        self.stats.asid_rollovers = self.asids.rollovers();
+        let asid = self.asids.alloc(&mut self.procs);
+        self.stats.asid_rollovers = self.asids.generation() - 1;
         asid
     }
 
@@ -358,17 +366,18 @@ impl Kernel {
     /// allocator, so the value must not be reissued until a flush
     /// separates the two owners.
     pub fn note_running(&mut self, core: usize, pid: Pid) {
-        self.asids.note_running(core, pid);
+        self.asids.running.insert(core, pid);
     }
 
-    /// True when `pid`'s ASID predates the current generation. Every
-    /// TLB entry tagged with a stale value predates the rollover (the
-    /// owner has not run since — running processes are re-generationed
-    /// in place), so the rollover flush covers them: already issued,
-    /// or pending and guaranteed to fire at the next switch-in before
-    /// the recycled value can be consumed.
+    /// True when `pid`'s ASID predates the current generation, or
+    /// `pid` is no live process. Every TLB entry tagged with a stale
+    /// value predates the rollover (the owner has not run since —
+    /// running processes are re-generationed in place), so the
+    /// rollover flush covers them: already issued, or pending and
+    /// guaranteed to fire at the next switch-in before the recycled
+    /// value can be consumed.
     pub fn asid_is_stale(&self, pid: Pid) -> bool {
-        self.asids.is_stale(pid)
+        self.procs.asid_generation(pid) != Some(self.asids.generation())
     }
 
     /// The current ASID generation (starts at 1).
@@ -379,7 +388,7 @@ impl Kernel {
     /// True when a rollover's deferred non-global flush has not been
     /// issued yet.
     pub fn rollover_flush_pending(&self) -> bool {
-        self.asids.flush_pending()
+        self.asids.flush_pending
     }
 
     /// Switch-in hook: returns `pid`'s valid ASID for the current
@@ -400,11 +409,12 @@ impl Kernel {
             // predate the rollover flush — already issued, or issued
             // just below before the pid executes.
             let asid = self.alloc_asid();
-            let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+            let generation = self.asids.generation();
+            let (mm, asid_generation) = self.procs.entry_mut(pid).expect("looked up above");
             mm.asid = asid;
-            self.asids.assign_current(pid);
+            *asid_generation = generation;
         }
-        if self.asids.take_flush_pending() {
+        if std::mem::take(&mut self.asids.flush_pending) {
             sat_obs::with_flush_reason(sat_obs::FlushReason::AsidRecycle, || {
                 tlb.flush_non_global();
             });
@@ -495,10 +505,12 @@ impl Kernel {
         req: &MmapRequest,
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<VirtAddr> {
-        // Allocation pressure check before the map materializes
+        // Looked up first: a call on a dead pid reclaims nothing. Then
+        // the allocation pressure check, before the map materializes
         // anything (no-op without a frame budget).
+        self.mm(pid)?;
         self.maybe_reclaim(tlb);
-        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).expect("looked up above");
         let asid = mm.asid;
         let addr = vm_mmap(mm, req)?;
         let range = mm.vma_at(addr).expect("just inserted").range;
@@ -560,8 +572,7 @@ impl Kernel {
     /// The eager unshare every region operation starts with (Section
     /// 3.1.2 cases 2-4): no PTP that `range` touches stays shared, so
     /// the operation that follows changes only `pid`'s own tables.
-    /// Returns the PTPs unshared (0 without PTP sharing) and mirrors
-    /// the registry's by-cause counters.
+    /// Returns the PTPs unshared (0 without PTP sharing).
     fn unshare_region(
         &mut self,
         pid: Pid,
@@ -579,15 +590,13 @@ impl Kernel {
             &mut self.ptps,
             &mut self.phys,
             &mut self.registry,
+            &mut self.stats,
             range,
             &config,
             batch,
             trigger,
-        );
-        // Mirrored on failure too: the chunks before the one that
-        // found no frame were unshared.
-        self.stats.mirror_share(&self.registry.stats);
-        Ok(unshared? as u64)
+        )?;
+        Ok(unshared as u64)
     }
 
     /// The one path of `munmap` and `mprotect`: unshare, split the
@@ -683,10 +692,12 @@ impl Kernel {
     ) -> SatResult<ProcFaultOutcome> {
         // The fault path is where frames are actually allocated;
         // crossing the low watermark triggers a reclaim pass first
-        // (no-op without a frame budget).
+        // (no-op without a frame budget) — once the pid is known live,
+        // so a call on a dead one reclaims nothing.
+        self.mm(pid)?;
         self.maybe_reclaim(tlb);
         let config = self.config;
-        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
+        let mm = self.procs.get_mut(pid).expect("looked up above");
         let mut batch = FlushBatch::new(pid, mm.asid);
         let mut unshared = false;
         let mut unshare_ptes_copied = 0;
@@ -698,6 +709,7 @@ impl Kernel {
                 &mut self.ptps,
                 &mut self.phys,
                 &mut self.registry,
+                &mut self.stats,
                 va,
                 &config,
                 &mut batch,
@@ -706,7 +718,6 @@ impl Kernel {
             .expect("NEED_COPY checked above");
             unshared = true;
             unshare_ptes_copied = r.ptes_copied;
-            self.stats.mirror_share(&self.registry.stats);
         }
         let ctx = fault_ctx(&config, mm);
         let asid = mm.asid;
@@ -794,8 +805,7 @@ impl Kernel {
             // frames leaves only a skipped pid and ASID value behind.
             self.stats.forks += 1;
             self.stats.share_forks += u64::from(config.share_ptp);
-            self.procs.insert(child_mm);
-            self.asids.assign_current(child_pid);
+            self.procs.insert(child_mm, self.asids.generation());
             if sat_obs::enabled() {
                 sat_obs::emit(
                     sat_obs::Subsystem::Kernel,
@@ -838,7 +848,7 @@ impl Kernel {
         // flush; flushing the raw value here would only hit — and
         // charge shootdown IPIs to — a new-generation process that
         // was reissued the same value.
-        self.asids.forget(pid);
+        self.asids.running.retain(|_, p| *p != pid);
         self.stats.exits += 1;
         if sat_obs::enabled() {
             sat_obs::emit(
@@ -902,21 +912,48 @@ impl Kernel {
     /// ([`PhysMem::rmap_verify`]), the share accounting
     /// ([`Kernel::verify_share_accounting`]), reverse-map ownership
     /// ([`Kernel::verify_rmap_ownership`]), the page-table arena
-    /// ([`PtpStore::verify`]), and every live process's root table
-    /// ([`sat_mmu::RootTable::verify`]) and region list (each region
-    /// non-empty, page-aligned and below kernel space; the list sorted
-    /// and disjoint). Returns a description of the first violation
-    /// found. Tests call it after the operations they drive; it reads
-    /// and never changes anything.
+    /// ([`PtpStore::verify`]), COW soundness (no private writable PTE
+    /// maps a frame mapped more than once), and every live process's
+    /// root table ([`sat_mmu::RootTable::verify`]) and region list
+    /// (each region non-empty, page-aligned and below kernel space; the
+    /// list sorted and disjoint). Returns a description of the first
+    /// violation found. Tests call it after the operations they drive;
+    /// it reads and never changes anything.
     pub fn audit(&self) -> Result<(), String> {
         self.phys.rmap_verify()?;
         self.verify_share_accounting()?;
         self.verify_rmap_ownership()?;
         self.ptps.verify()?;
+        self.verify_cow()?;
         for mm in self.procs.iter() {
             let root = mm.root.verify();
             root.map_err(|e| format!("root of {:?}: {e}", mm.pid))?;
             verify_regions(mm).map_err(|e| format!("regions of {:?}: {e}", mm.pid))?;
+        }
+        Ok(())
+    }
+
+    /// COW soundness, for [`Kernel::audit`]: no valid, writable,
+    /// non-`shared` PTE maps a frame whose mapcount is above 1, each
+    /// slot checked against its own frame (a 64KB page frame by frame).
+    /// Private tables are read through their process, shared ones once
+    /// through the registry — unless `l1_write_protect` guards them.
+    fn verify_cow(&self) -> Result<(), String> {
+        let private = self.procs.iter().flat_map(|mm| {
+            let tables = mm.root.iter_ptps();
+            tables.filter(|&(pair, _)| !mm.root.entry(pair).need_copy())
+        });
+        let guarded = self.config.l1_write_protect;
+        let shared = self.registry.iter().filter(|_| !guarded);
+        for frame in private.map(|(_, f)| f).chain(shared.map(|(f, _)| f)) {
+            let table = self.ptps.get(frame).ok_or("level-1 entry names no PTP")?;
+            for (_, idx, slot) in table.iter() {
+                let mapcount = self.phys.mapcount(slot.hw.frame_for_slot(idx));
+                if slot.hw.perms.write() && !slot.sw.shared && mapcount > 1 {
+                    let what = "writable and private, its frame mapped";
+                    return Err(format!("{frame:?} slot {idx}: {what} {mapcount}x"));
+                }
+            }
         }
         Ok(())
     }
@@ -935,8 +972,7 @@ impl Kernel {
     /// parent, write-protected PTEs included; the lone sharer takes the
     /// last-sharer path at its next unshare.
     pub fn verify_share_accounting(&self) -> Result<(), String> {
-        let mut refs: std::collections::BTreeMap<sat_types::Pfn, u32> =
-            std::collections::BTreeMap::new();
+        let mut refs: BTreeMap<Pfn, u32> = BTreeMap::new();
         for mm in self.procs.iter() {
             for (idx, frame) in mm.root.iter_ptps() {
                 if mm.root.entry(idx).need_copy() {

@@ -5,7 +5,7 @@
 //! the processes forked from Android's zygote:
 //!
 //! 1. **Page-table-page (PTP) sharing** ([`Kernel::fork`],
-//!    [`unshare`]): at fork, level-1 entry pairs in the child are
+//!    [`Kernel::page_fault`]): at fork, level-1 entry pairs in the child are
 //!    pointed at the parent's PTPs instead of copying or refaulting
 //!    PTEs (`fork.rs` decides per 2MB chunk and copies as stock where
 //!    it cannot share). Shared PTPs are managed copy-on-write via a
@@ -57,7 +57,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod asid;
+mod asid;
 pub mod config;
 pub mod flush;
 mod fork;
@@ -67,7 +67,6 @@ pub mod reclaim;
 pub mod registry;
 pub mod share;
 
-pub use asid::AsidAllocator;
 pub use config::{CopyOnUnshare, KernelConfig, PromotePolicy, TlbProtection};
 pub use flush::{BatchOutcome, FlushBatch, FlushOp, FLUSH_CEILING_PAGES};
 pub use fork::ForkOutcome;
@@ -75,7 +74,7 @@ pub use kernel::{Kernel, KernelStats, ProcFaultOutcome};
 pub use promote::PromoteReport;
 pub use reclaim::ReclaimOutcome;
 pub use registry::{RegistryStats, SharedPtpEntry, SharedPtpRegistry};
-pub use share::{unshare, unshare_range, UnshareTrigger};
+pub use share::UnshareTrigger;
 
 /// TLB maintenance requests issued by kernel MM operations.
 ///

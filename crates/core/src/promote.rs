@@ -339,7 +339,7 @@ mod tests {
         let r2 = k.promote_scan(pid, &mut NoTlb).unwrap();
         assert_eq!(r2.promoted, 0);
         assert_eq!(k.stats.waste_frames, 10);
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
             k.pte(pid, VirtAddr::new(HEAP)).unwrap().unwrap().hw.size,
             PageSize::Small4K
         );
-        k.verify_share_accounting().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
             .filter(|e| matches!(e.payload, sat_obs::Payload::Promote { .. }))
             .count() as u64;
         assert_eq!(promotes, r.promoted + r.sections);
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -441,7 +441,7 @@ mod tests {
                 .expect("survivor unmapped");
             assert_eq!(slot.hw.size, PageSize::Small4K);
         }
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -482,7 +482,7 @@ mod tests {
             k.pte(child, VirtAddr::new(HEAP)).unwrap().unwrap().hw.size,
             PageSize::Large64K
         );
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -503,8 +503,7 @@ mod tests {
                 .unwrap()
                 .is_some());
         }
-        k.phys.rmap_verify().unwrap();
-        k.verify_share_accounting().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -529,6 +528,6 @@ mod tests {
         }
         let r = k.promote_scan(pid, &mut NoTlb).unwrap();
         assert!(r.promoted < 4, "64 frames cannot fill four groups");
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 }

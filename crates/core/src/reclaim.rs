@@ -286,8 +286,7 @@ mod tests {
         assert_eq!(k.phys.page_cache_len(), before - 3);
         assert_eq!(k.phys.stats().evictions, 3);
         assert_eq!(k.phys.still_evicted(), 3);
-        k.verify_share_accounting().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -309,8 +308,7 @@ mod tests {
         assert!(k.pte(c1, evicted_va).unwrap().is_none());
         assert!(k.pte(c2, evicted_va).unwrap().is_none());
         // The PTP stays shared: the registry is untouched.
-        k.verify_share_accounting().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -334,8 +332,7 @@ mod tests {
         assert_eq!(s.evictions, 2);
         assert_eq!(s.refaults, 1);
         assert_eq!(s.evictions, s.refaults + k.phys.still_evicted() as u64);
-        k.verify_share_accounting().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -368,8 +365,7 @@ mod tests {
         assert!(k.stats.reclaims > 0, "pressure never triggered reclaim");
         assert!(k.phys.stats().evictions > 0);
         assert!(k.phys.stats().low_watermark_hits > 0);
-        k.verify_share_accounting().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     const LIB: u32 = 0x4000_0000;
@@ -392,7 +388,7 @@ mod tests {
             .unwrap();
         let frame = k.pte(zygote, va).unwrap().expect("visible to all").hw.pfn;
         assert_eq!(k.phys.rmap_entries(frame), [(Pid::SHARED_TABLE, va)]);
-        k.verify_rmap_ownership().unwrap();
+        k.audit().unwrap();
         (k, zygote, child, frame)
     }
 
@@ -417,14 +413,12 @@ mod tests {
         assert!(!k.mm(zygote).unwrap().root.entry_for(va).need_copy());
         assert!(k.registry.is_empty());
         assert_eq!(k.phys.rmap_entries(frame), [(zygote, va)]);
-        k.verify_rmap_ownership().unwrap();
+        k.audit().unwrap();
         // Reclaim tears them as what they are: private PTEs.
         let out = k.reclaim(16, &mut NoTlb);
         assert_eq!((out.pages, out.pte_tears, out.shared_tears), (9, 9, 0));
         assert!(k.pte(zygote, va).unwrap().is_none());
-        k.verify_rmap_ownership().unwrap();
-        k.verify_share_accounting().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -441,8 +435,7 @@ mod tests {
         assert!(k.phys.rmap_is_empty());
         assert!(k.registry.is_empty() && k.ptps.is_empty());
         assert_eq!(k.phys.frames_in_use(), k.phys.page_cache_len() as u64);
-        k.verify_rmap_ownership().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -457,7 +450,7 @@ mod tests {
         let grandchild = k.fork(child).unwrap().child;
         assert_eq!(k.registry.len(), 2);
         assert_eq!(k.phys.rmap_entries(frame), [(Pid::SHARED_TABLE, va); 2]);
-        k.verify_rmap_ownership().unwrap();
+        k.audit().unwrap();
         let out = k.reclaim(16, &mut NoTlb);
         assert_eq!((out.pages, out.pte_tears, out.shared_tears), (9, 0, 18));
         for pid in [zygote, child, grandchild] {
@@ -467,9 +460,7 @@ mod tests {
             }
         }
         assert_eq!(k.registry.len(), 2, "both tables stay shared");
-        k.verify_rmap_ownership().unwrap();
-        k.verify_share_accounting().unwrap();
-        k.phys.rmap_verify().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]
@@ -477,7 +468,7 @@ mod tests {
         let (mut k, zygote) = boot(KernelConfig::stock());
         let va = VirtAddr::new(LIB);
         let frame = k.pte(zygote, va).unwrap().unwrap().hw.pfn;
-        k.verify_rmap_ownership().unwrap();
+        k.audit().unwrap();
         // Counts still reconcile, so `rmap_verify` cannot see it.
         k.phys.rmap_reown(frame, zygote, Pid::SHARED_TABLE, va);
         k.phys.rmap_verify().unwrap();
@@ -487,7 +478,7 @@ mod tests {
         );
         assert!(err.contains(&named), "{err}");
         k.phys.rmap_reown(frame, Pid::SHARED_TABLE, zygote, va);
-        k.verify_rmap_ownership().unwrap();
+        k.audit().unwrap();
     }
 
     #[test]

@@ -1,36 +1,41 @@
-//! The central registry of shared page-table pages.
-//!
-//! Before this registry existed, "is this PTP shared, and by how
-//! many?" was answered three different ways in three places: the
-//! `NEED_COPY` bit in each process's level-1 pair said *that* a PTP
-//! was shared, the frame's `mapcount` in `sat-phys` said *how many*
-//! processes reference it, and the Figure-6 cause attribution was
-//! reconstructed after the fact from [`KernelStats`] counters bumped
-//! at every call site. [`SharedPtpRegistry`] centralizes all three:
-//! one refcounted entry per shared PTP, keyed by the physical frame,
-//! owning the sharer count, the chunk it covers, and the by-cause
+//! The central registry of shared page-table pages: one refcounted
+//! entry per shared PTP, keyed by the physical frame, holding the
+//! sharer count and the chunk it covers, plus the Figure-6 by-cause
 //! unshare counters.
 //!
-//! `NEED_COPY` stays — it is the paper's *mechanism* (the spare bit
-//! the fault path tests without any lookup) — but it is now a cached
-//! hint whose truth lives here. The registry is what makes fork of a
-//! fully-shared image O(shared regions): a chunk whose parent pair
-//! already carries `NEED_COPY` has, by the eager-unshare invariant,
-//! been sharable since its first share (every region op unshares
-//! first), so fork attaches the child with one refcount bump — no VMA
-//! overlap scan, no write-protect pass, no aging walk.
+//! `NEED_COPY` is the paper's *mechanism* (the spare bit the fault path
+//! tests without any lookup); whether and by how many a table is shared
+//! is answered here. The registry is what makes fork of a fully-shared
+//! image O(shared regions): a chunk whose parent pair already carries
+//! `NEED_COPY` has, by the eager-unshare invariant, been sharable since
+//! its first share (every region op unshares first), so fork attaches
+//! the child with one refcount bump — no VMA overlap scan, no
+//! write-protect pass, no aging walk.
 //!
-//! Invariant (checked by the reconciliation proptest): for every
-//! entry, `sharers` equals the frame's `mapcount` in `sat-phys`, and
-//! an entry exists exactly while at least one process's level-1 pair
-//! carries `NEED_COPY` for the frame.
+//! Two facts are kept twice, each pair with one rule:
+//!
+//! - The sharer count is `SharedPtpEntry::sharers` and the table frame's
+//!   `mapcount`, bumped side by side. The mapcount is the paper's own
+//!   counter (Section 3.1): `sat-mmu` frees a table pair by it and
+//!   `sat_vm::smaps` divides a table's PSS by it. The entry's count is
+//!   what the public [`SharedPtpRegistry::iter`] reports, and the
+//!   benchmark's leak check reads it there. So both stay, and
+//!   [`Kernel::verify_share_accounting`] (run by [`Kernel::audit`])
+//!   checks that they agree and that an entry exists exactly while some
+//!   level-1 pair reaches the frame with `NEED_COPY`.
+//! - The Figure-6 counters are [`RegistryStats`] fields and
+//!   [`KernelStats`] fields, both public shapes.
+//!   [`SharedPtpRegistry::detach`] is the one writer of both.
 //!
 //! [`KernelStats`]: crate::kernel::KernelStats
+//! [`Kernel::verify_share_accounting`]: crate::Kernel::verify_share_accounting
+//! [`Kernel::audit`]: crate::Kernel::audit
 
 use std::collections::BTreeMap;
 
 use sat_types::{Domain, Pfn, VirtAddr};
 
+use crate::kernel::KernelStats;
 use crate::share::UnshareTrigger;
 
 /// One shared PTP's registry record.
@@ -43,12 +48,13 @@ pub struct SharedPtpEntry {
     /// Domain of the sharers' level-1 pairs.
     pub domain: Domain,
     /// Processes whose level-1 pair references the frame with
-    /// `NEED_COPY` set. Mirrors the frame's `mapcount` exactly.
+    /// `NEED_COPY` set: a copy of the frame's `mapcount`, which the
+    /// page-table code frees by (the module docs say why both stay).
     pub sharers: u32,
 }
 
 /// Share/unshare accounting owned by the registry — the Figure-6
-/// cause attribution, previously spread over `Kernel` call sites.
+/// cause attribution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Attach operations: one per (fork, shared chunk).
@@ -67,8 +73,7 @@ pub struct RegistryStats {
     /// Case 2: protection change inside a shared chunk.
     pub unshares_region_op: u64,
     /// Case 5: exit-time detaches. Exit dereferences without copying,
-    /// so these are deliberately *not* counted in `ptp_unshares`
-    /// (matching the pre-registry `KernelStats` semantics).
+    /// so these are deliberately *not* counted in `ptp_unshares`.
     pub exit_detaches: u64,
 }
 
@@ -120,20 +125,25 @@ impl SharedPtpRegistry {
     }
 
     /// Detaches one sharer from `frame` for an unshare with Figure-6
-    /// cause `trigger`. Returns `true` when the caller was the last
-    /// sharer (the entry is removed and the caller keeps the table
-    /// private — no copy needed).
-    pub fn detach(&mut self, frame: Pfn, trigger: UnshareTrigger) -> bool {
-        self.stats.ptp_unshares += 1;
-        match trigger {
-            UnshareTrigger::WriteFault => self.stats.unshares_write_fault += 1,
-            UnshareTrigger::NewRegion => self.stats.unshares_new_region += 1,
-            UnshareTrigger::RegionFree => self.stats.unshares_region_free += 1,
-            UnshareTrigger::RegionOp => self.stats.unshares_region_op += 1,
-            // Exit goes through `exit_detach`; an explicit unshare
-            // with the Exit trigger still detaches but is attributed
-            // as a region op was before the registry existed.
-            UnshareTrigger::Exit => self.stats.unshares_region_op += 1,
+    /// cause `trigger`, counting it in [`SharedPtpRegistry::stats`] and
+    /// in `k`'s twin fields — the one place either is written.
+    /// Returns `true` when the caller was the last sharer (the entry is
+    /// removed and the caller keeps the table private — no copy
+    /// needed).
+    pub fn detach(&mut self, frame: Pfn, trigger: UnshareTrigger, k: &mut KernelStats) -> bool {
+        use UnshareTrigger as T;
+        let r = &mut self.stats;
+        let by_cause = match trigger {
+            T::WriteFault => [&mut r.unshares_write_fault, &mut k.unshares_write_fault],
+            T::NewRegion => [&mut r.unshares_new_region, &mut k.unshares_new_region],
+            T::RegionFree => [&mut r.unshares_region_free, &mut k.unshares_region_free],
+            // Exit goes through `exit_detach`; an explicit unshare with
+            // the Exit trigger still detaches, as a region op.
+            T::RegionOp | T::Exit => [&mut r.unshares_region_op, &mut k.unshares_region_op],
+        };
+        let totals = [&mut r.ptp_unshares, &mut k.ptp_unshares];
+        for counter in by_cause.into_iter().chain(totals) {
+            *counter += 1;
         }
         self.detach_inner(frame)
     }
@@ -221,14 +231,18 @@ mod tests {
     #[test]
     fn detach_attributes_causes_and_removes_last_sharer() {
         let mut r = SharedPtpRegistry::new();
+        let mut k = KernelStats::default();
         r.share(frame(), chunk(), Domain::USER);
-        assert!(!r.detach(frame(), UnshareTrigger::WriteFault));
+        assert!(!r.detach(frame(), UnshareTrigger::WriteFault, &mut k));
         assert_eq!(r.sharers(frame()), Some(1));
-        assert!(r.detach(frame(), UnshareTrigger::RegionOp));
+        assert!(r.detach(frame(), UnshareTrigger::RegionOp, &mut k));
         assert!(r.is_empty());
         assert_eq!(r.stats.ptp_unshares, 2);
         assert_eq!(r.stats.unshares_write_fault, 1);
         assert_eq!(r.stats.unshares_region_op, 1);
+        // The kernel's twins, written in the same call.
+        let twins = (k.ptp_unshares, k.unshares_write_fault, k.unshares_region_op);
+        assert_eq!(twins, (2, 1, 1));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use sat_vm::{exit_mmap, Mm};
 
 use crate::config::{CopyOnUnshare, KernelConfig};
 use crate::flush::FlushBatch;
+use crate::kernel::KernelStats;
 use crate::registry::SharedPtpRegistry;
 
 /// Why an unshare was performed — the five cases of Section 3.1.2.
@@ -58,7 +59,8 @@ fn emit_unshare(mm: &Mm, chunk: VirtAddr, trigger: UnshareTrigger, report: &Unsh
     }
 }
 
-/// Result of one [`unshare`] call.
+/// Result of one unshare: the Figure 6 procedure a write fault or a
+/// region operation runs on a shared PTP.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnshareReport {
     /// The caller was the last sharer: only NEED_COPY was cleared.
@@ -204,7 +206,8 @@ fn reown_table(
 /// The last-sharer decision and the cause attribution both come from
 /// the registry: [`SharedPtpRegistry::sharers`] says whether the caller
 /// is the last sharer, and [`SharedPtpRegistry::detach`] decrements the
-/// entry's refcount and records the Figure-6 trigger. The last sharer
+/// entry's refcount and counts the Figure-6 trigger, in the registry's
+/// stats and in `stats` alike. The last sharer
 /// only has its `NEED_COPY` flag cleared. Otherwise: a new PTP is
 /// allocated, the level-1 pair is cleared, and the valid PTEs are
 /// copied into it (all of them, or only referenced ones, per
@@ -224,11 +227,12 @@ fn reown_table(
 /// escalates it to a per-ASID flush. Region-op triggers gather
 /// nothing here; the caller's own range op covers the operated pages.
 #[allow(clippy::too_many_arguments)]
-pub fn unshare(
+pub(crate) fn unshare(
     mm: &mut Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     registry: &mut SharedPtpRegistry,
+    stats: &mut KernelStats,
     va: VirtAddr,
     config: &KernelConfig,
     batch: &mut FlushBatch,
@@ -262,7 +266,7 @@ pub fn unshare(
     if !matches!(trigger, UnshareTrigger::WriteFault) {
         mm.counters.unshares_by_region_op += 1;
     }
-    registry.detach(shared_frame, trigger);
+    registry.detach(shared_frame, trigger, stats);
     let Some(new_frame) = new_frame else {
         // Last sharer: clear NEED_COPY in place. The table is private
         // from here on, so its PTEs' entries come back to this pid.
@@ -380,11 +384,12 @@ pub fn unshare(
 /// multi-PTP case of Section 3.1.2's system-call trigger). Returns the
 /// number of PTPs unshared.
 #[allow(clippy::too_many_arguments)]
-pub fn unshare_range(
+pub(crate) fn unshare_range(
     mm: &mut Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     registry: &mut SharedPtpRegistry,
+    stats: &mut KernelStats,
     range: VaRange,
     config: &KernelConfig,
     batch: &mut FlushBatch,
@@ -392,7 +397,10 @@ pub fn unshare_range(
 ) -> SatResult<usize> {
     let mut count = 0;
     for chunk in range.ptps() {
-        if unshare(mm, ptps, phys, registry, chunk, config, batch, trigger)?.is_some() {
+        let unshared = unshare(
+            mm, ptps, phys, registry, stats, chunk, config, batch, trigger,
+        )?;
+        if unshared.is_some() {
             count += 1;
         }
     }
@@ -425,7 +433,6 @@ fn protect_multiply_mapped(mm: &mut Mm, ptps: &mut PtpStore, phys: &mut PhysMem,
 mod tests {
     use super::*;
     use crate::fork::{dup_mm, ForkOutcome};
-    use crate::KernelStats;
     use sat_phys::FileId;
     use sat_types::{AccessType, Asid, Perms, RegionTag, PAGE_SIZE};
     use sat_vm::{handle_fault, FaultCtx, MmapRequest};
@@ -703,6 +710,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             VirtAddr::new(0x4000_1234),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -729,6 +737,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             VirtAddr::new(0x4000_2000),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -763,6 +772,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             VirtAddr::new(0x4000_0000),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -805,6 +815,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             VirtAddr::new(0x4000_0000),
             &config,
             &mut batch(),
@@ -848,6 +859,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             VaRange::from_len(VirtAddr::new(0x4000_0000), 0x40_0000),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -879,6 +891,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             va,
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -926,6 +939,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             va,
             &config,
             &mut batch(),
@@ -955,6 +969,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut KernelStats::default(),
             va,
             &config,
             &mut batch(),

@@ -344,7 +344,7 @@ fn fork_both_ways(
     prop_assert_eq!(kernel_child.counters, reference_child.counters);
     prop_assert_eq!(kernel_child.dacr, reference_child.dacr);
     prop_assert!(kernel_child.is_zygote_child && reference_child.is_zygote_child);
-    a.verify_share_accounting().unwrap();
+    a.audit().unwrap();
     prop_assert!(a.registry.is_empty());
     Ok(())
 }

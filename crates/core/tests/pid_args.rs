@@ -3,11 +3,14 @@
 //! child that has exited, and `u32::MAX`. Each call is refused with
 //! `NoSuchProcess` — no panic, no state changed, the same answer in both
 //! profiles (CI runs this file in release too) — on the stock kernel,
-//! the sharing kernel and a kernel with the promotion scanner on.
+//! the sharing kernel, a kernel with the promotion scanner on, and a
+//! kernel under a frame budget with page-cache pages to reclaim.
 //!
-//! One row found a bug: `promote_scan` returned an empty report for any
-//! pid while promotion was off, and `NoSuchProcess` only with it on,
-//! because it returned before it looked the pid up.
+//! Two kernels found bugs. `promote_scan` returned an empty report for
+//! any pid while promotion was off, and `NoSuchProcess` only with it on,
+//! because it returned before it looked the pid up. Under the budget,
+//! `page_fault` and `mmap` ran a reclaim pass before they looked the pid
+//! up, so a refused call still evicted page-cache pages.
 
 use sat_core::{Kernel, KernelConfig, KernelStats, NoTlb, PromotePolicy};
 use sat_types::{
@@ -16,6 +19,9 @@ use sat_types::{
 use sat_vm::MmapRequest;
 
 const HEAP: u32 = 0x0800_0000;
+const LIB: u32 = 0x4000_0000;
+/// Library pages the budgeted kernel keeps in the page cache.
+const LIB_PAGES: u32 = 64;
 
 fn heap() -> MmapRequest {
     MmapRequest::anon(16 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]").at(VirtAddr::new(HEAP))
@@ -87,14 +93,16 @@ fn state(k: &Kernel) -> State {
 #[test]
 fn calls_on_a_pid_that_is_not_live_change_nothing() {
     let kernels = [
-        ("stock", KernelConfig::stock()),
-        ("sharing", KernelConfig::shared_ptp_tlb()),
+        ("stock", KernelConfig::stock(), false),
+        ("sharing", KernelConfig::shared_ptp_tlb(), false),
         (
             "promoting",
             KernelConfig::stock().with_promote(PromotePolicy::aggressive()),
+            false,
         ),
+        ("budgeted", KernelConfig::stock(), true),
     ];
-    for (kernel, config) in kernels {
+    for (kernel, config, budgeted) in kernels {
         let mut k = Kernel::new(config, 4096);
         // A parent with a written heap and a live child, sharing its
         // chunk on the sharing kernel, and a child that has exited.
@@ -108,11 +116,28 @@ fn calls_on_a_pid_that_is_not_live_change_nothing() {
         k.fork(parent).unwrap();
         let exited = k.fork(parent).unwrap().child;
         k.exit(exited, &mut NoTlb).unwrap();
+        if budgeted {
+            // Library pages in the page cache, for a reclaim pass to
+            // evict.
+            let lib = k.files.register("libpressure.so", LIB_PAGES * PAGE_SIZE);
+            let tag = RegionTag::ZygoteNativeCode;
+            let code = MmapRequest::file(LIB_PAGES * PAGE_SIZE, Perms::RX, lib, 0, tag, "lib")
+                .at(VirtAddr::new(LIB));
+            k.mmap(parent, &code, &mut NoTlb).unwrap();
+            let span = VaRange::from_len(VirtAddr::new(LIB), LIB_PAGES * PAGE_SIZE);
+            k.populate(parent, span).unwrap();
+            assert_eq!(k.phys.page_cache_len(), LIB_PAGES as usize);
+        }
         k.audit().unwrap();
 
         for pid in [Pid::new(0), exited, Pid::new(u32::MAX)] {
             for (call, f) in CALLS {
                 let what = format!("{kernel}: {call}({pid:?})");
+                if budgeted {
+                    // A budget 8 frames under use, renewed before every
+                    // call: a reclaim pass would run and evict.
+                    k.set_frame_budget(Some(k.phys.frames_in_use() - 8));
+                }
                 let before = state(&k);
                 assert_eq!(f(&mut k, pid), Err(SatError::NoSuchProcess), "{what}");
                 assert_eq!(state(&k), before, "{what}");

@@ -240,14 +240,9 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
         for &pid in &live {
             compare(&a, &b, pid, op);
         }
-        a.verify_share_accounting()
-            .unwrap_or_else(|e| panic!("promoted kernel accounting after {op:?}: {e}"));
-        a.phys
-            .rmap_verify()
-            .unwrap_or_else(|e| panic!("promoted kernel rmap after {op:?}: {e}"));
-        for k in [&a, &b] {
-            k.verify_rmap_ownership()
-                .unwrap_or_else(|e| panic!("rmap ownership after {op:?}: {e}"));
+        for (k, which) in [(&a, "promoted"), (&b, "reference")] {
+            k.audit()
+                .unwrap_or_else(|e| panic!("{which} kernel after {op:?}: {e}"));
         }
     }
 

@@ -633,8 +633,7 @@ mod tests {
         // Every tear took the entry it was filed under, and what the
         // run left behind is still filed under its true owner.
         let kernel = &sim.sys.machine.kernel;
-        kernel.phys.rmap_verify().unwrap();
-        kernel.verify_rmap_ownership().unwrap();
+        kernel.audit().unwrap();
     }
 
     #[test]

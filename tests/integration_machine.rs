@@ -491,7 +491,7 @@ fn promotion_in_a_shared_chunk_unshares_before_installing_ptes() {
         .root
         .entry_for(VirtAddr::new(0x0800_0000))
         .need_copy());
-    kernel.verify_share_accounting().unwrap();
+    kernel.audit().unwrap();
 }
 
 #[test]

@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use sat_core::{Kernel, KernelConfig, NoTlb};
-use sat_mmu::TableHalf;
 use sat_types::{AccessType, Perms, Pid, RegionTag, VaRange, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
@@ -169,61 +168,6 @@ fn observe(k: &mut Kernel, live: &[Pid]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Kernel-wide invariants that must hold at any quiescent point.
-fn check_invariants(k: &Kernel, live: &[Pid]) {
-    k.audit().unwrap();
-    // Under the level-1 write-protect ablation, writable PTEs inside a
-    // NEED_COPY PTP are guarded by the (hypothetical) level-1
-    // protection rather than by per-PTE write protection.
-    let mut guarded: std::collections::BTreeSet<sat_types::Pfn> = std::collections::BTreeSet::new();
-    if k.config.l1_write_protect {
-        for &pid in live {
-            let mm = k.mm(pid).unwrap();
-            for idx in (0..sat_types::L1_ENTRIES).step_by(2) {
-                let e = mm.root.entry(idx);
-                if e.need_copy() {
-                    guarded.insert(e.ptp().unwrap());
-                }
-            }
-        }
-    }
-    for &pid in live {
-        let mm = k.mm(pid).unwrap();
-        for (_, frame) in mm.root.iter_ptps() {
-            // Every referenced PTP exists in the arena and its sharer
-            // count is at least 1.
-            let ptp = k.ptps.get(frame).unwrap_or_else(|| {
-                panic!("{pid:?} references PTP {frame:?} missing from the arena")
-            });
-            assert!(k.phys.mapcount(frame) >= 1);
-            if guarded.contains(&frame) {
-                continue;
-            }
-            // No PTE in any PTP maps a writable, non-shared page whose
-            // frame is multiply mapped (COW soundness).
-            for half in [TableHalf::Lower, TableHalf::Upper] {
-                for (_, slot) in ptp.iter_half(half) {
-                    if slot.hw.perms.write() && !slot.sw.shared {
-                        assert!(
-                            k.phys.mapcount(slot.hw.pfn) <= 1,
-                            "writable private frame {:?} mapped {} times",
-                            slot.hw.pfn,
-                            k.phys.mapcount(slot.hw.pfn)
-                        );
-                    }
-                }
-            }
-        }
-        // NEED_COPY implies at least one sharer reference.
-        for idx in (0..sat_types::L1_ENTRIES).step_by(2) {
-            let e = mm.root.entry(idx);
-            if e.need_copy() {
-                assert!(k.phys.mapcount(e.ptp().unwrap()) >= 1);
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -266,7 +210,7 @@ proptest! {
     fn invariants_and_no_leaks(ops in prop::collection::vec(op_strategy(), 1..40)) {
         let (mut k, zygote) = boot(KernelConfig::shared_ptp());
         let live = run_ops(&mut k, zygote, &ops);
-        check_invariants(&k, &live);
+        k.audit().unwrap();
         for pid in live {
             k.exit(pid, &mut NoTlb).unwrap();
         }
@@ -287,7 +231,7 @@ proptest! {
         ] {
             let (mut k, z2) = boot(config);
             let live2 = run_ops(&mut k, z2, &ops);
-            check_invariants(&k, &live2);
+            k.audit().unwrap();
             let obs2 = observe(&mut k, &live2);
             let flat = |o: &Vec<Vec<usize>>| -> Vec<usize> { o.iter().flatten().copied().collect() };
             let f1 = flat(&obs1);
