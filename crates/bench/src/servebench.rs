@@ -186,9 +186,8 @@ mod tests {
         assert!(summary.contains("p99"), "{summary}");
     }
 
-    /// (The name dates from the worker pool; it compares two runs.)
     #[test]
-    fn serve_cells_are_deterministic_across_pool_runs() {
+    fn serve_cells_are_deterministic_across_runs() {
         let (_, a) =
             serve_kernel(Scale::Quick, "Stock Android", KernelConfig::stock(), None).unwrap();
         let (_, b) =

@@ -634,9 +634,9 @@ mod tests {
 
     /// Host time is reported, never judged: `wall_ms` doctored past
     /// the threshold, up or down, on a record and on the total, is a
-    /// note and no verdict. (The name dates from when it gated.)
+    /// note and no verdict.
     #[test]
-    fn doctored_wall_time_regresses() {
+    fn doctored_wall_time_is_a_note_not_a_verdict() {
         let fast = suite(100.0, 150.0, 5000.0);
         let slow = suite(150.0, 210.0, 5000.0);
         for (old, new, lines) in [(&fast, &slow, 2), (&slow, &fast, 2), (&fast, &fast, 0)] {
@@ -657,9 +657,8 @@ mod tests {
 
     /// `wall_ms` has no floor because it has no verdict: a 20ms cell
     /// growing to 400ms is a host-time note like any other movement.
-    /// (The name dates from when it gated.)
     #[test]
-    fn sub_floor_wall_growing_past_the_floor_regresses() {
+    fn wall_time_has_no_floor_and_no_verdict() {
         let report = diff(
             &suite(20.0, 150.0, 5000.0),
             &suite(400.0, 150.0, 5000.0),
@@ -832,10 +831,8 @@ mod tests {
         assert_eq!(report.compared, 1);
     }
 
-    /// (The name dates from the worker pool, when the thread count was
-    /// a param too.)
     #[test]
-    fn scale_and_threads_decide_comparability_for_every_record() {
+    fn scale_decides_comparability_for_every_record() {
         // `scale` is written once per run, but every workload size
         // follows it: a snapshot at another scale compares nothing —
         // not the records, not the total — says why per record, and

@@ -460,9 +460,8 @@ fn run_gate_cases(family: &str) {
 
 /// Host time is reported, never judged: `wall_ms` moving past the
 /// threshold prints as a note marked as such and the diff exits 0.
-/// (The name dates from when it gated.)
 #[test]
-fn diff_gates_on_wall_time_regressions() {
+fn diff_reports_wall_time_without_gating() {
     run_gate_cases("wall_ms");
 
     let baseline = write_snapshot("diff-old.json", 100.0, 200.0);
@@ -499,10 +498,9 @@ fn diff_gates_on_wall_time_regressions() {
 /// `scale` is written once per run but decides what every record
 /// means (every workload size follows it): snapshots at different
 /// scales compare nothing, say why, and exit 0 — however far the
-/// numbers moved. (The name dates from the worker pool, when the thread
-/// count decided it too.)
+/// numbers moved.
 #[test]
-fn diff_compares_nothing_across_scales_or_thread_counts() {
+fn diff_compares_nothing_across_scales() {
     let old = write_snapshot_of(
         "scale-old.json",
         &[(
@@ -929,9 +927,9 @@ fn reach_snapshots_translation_and_check_covers_the_scanner() {
 
 /// The pressure grid derives its budgets from the uncapped wave, so
 /// the whole run is a pure function of the seed: byte-identical across
-/// repeats. (The name dates from the worker pool.)
+/// repeats.
 #[test]
-fn pressure_is_deterministic_across_runs_and_thread_counts() {
+fn pressure_is_deterministic_across_runs() {
     let run = |out_name: &str| -> String {
         let out_path = tmp(out_name);
         repro_ok(
@@ -956,10 +954,9 @@ fn pressure_is_deterministic_across_runs_and_thread_counts() {
 }
 
 /// The sat-sched experiment is a pure function of its seed: the same
-/// run repeated must produce byte-identical tables. (The name dates
-/// from the worker pool.)
+/// run repeated must produce byte-identical tables.
 #[test]
-fn timeshare_is_deterministic_across_runs_and_thread_counts() {
+fn timeshare_is_deterministic_across_runs() {
     let run = |out_name: &str| -> String {
         let out_path = tmp(out_name);
         repro_ok(

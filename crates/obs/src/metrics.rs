@@ -412,10 +412,8 @@ mod tests {
         assert_eq!(Histogram::bucket_of(u64::MAX), 63);
     }
 
-    /// (The name dates from `Histogram::merge`, deleted with the worker
-    /// pool.)
     #[test]
-    fn histogram_stats_and_merge() {
+    fn histogram_stats() {
         let mut a = Histogram::default();
         for v in [1u64, 2, 4, 100] {
             a.record(v);
