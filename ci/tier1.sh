@@ -61,22 +61,34 @@ cargo test -q
 # a release-only bug by accident. With them run the reverse map's
 # ownership rows (crates/core/src/reclaim.rs: the last-sharer collapse,
 # the lone-sharer exit, two sharing groups at one va) and its checker,
-# `Kernel::verify_rmap_ownership`, after every op of the core proptests
-# (inside `Kernel::audit`, whose COW clause — no private writable PTE
-# maps a frame mapped twice — fails them if a first share skips its
-# write-protect pass) and the promote differential — here the
-# exact-key `debug_assert!` in
-# `rmap_remove` is compiled out, so the checker is what vouches for the
-# owner — and the `mmap` boundary-argument table
+# `Kernel::verify_rmap_ownership` — here the exact-key `debug_assert!`
+# in `rmap_remove` is compiled out, so the checker is what vouches for
+# the owner. It runs inside `Kernel::audit` after every op of sat-core's
+# three kernel property targets, which share one harness
+# (crates/core/tests/common/mod.rs: one op grammar, one zygote, one
+# apply that runs `audit()` and the unshare and eviction ledgers after
+# every op on every kernel, one teardown that finds any leaked frame,
+# PTP, registry or rmap entry): the budgeted registry run (proptests.rs),
+# the promoted-vs-4KB differential, and the stock ≡ sharing
+# transparency properties (integration_properties.rs), which run at
+# release speed here, 2048 cases each, because they ride in sat-core.
+# `audit()`'s COW clause (no private writable PTE maps a frame mapped
+# twice) fails them if a first share skips its write-protect pass, and
+# its zygote-domain clause if a non-zygote process is granted the
+# domain or a global PTE sits outside it; only at this case count does
+# the promote differential reach a read-only 64KB group, and so a
+# collapse that adds the write bit. With them runs the `mmap`
+# boundary-argument table
 # (crates/core/tests/mmap_args.rs: a length that used to panic in debug
 # and wrap in release). The region list rides in the same packages:
 # crates/vm/tests/region_map.rs (the sorted list of shared regions vs
 # the `BTreeMap<u32, Vma>` map kept there as the specification, over a
 # family of forked maps — after every op each member equals its twin
 # and no other member has changed) and crates/core/tests/region_args.rs
-# (the refused `munmap` / `mprotect` table: an unaligned end inside a
-# region used to reach `Vma::split_at`'s assertion, every refusal on
-# the sharing kernel used to unshare the chunk first, and ranges
+# (the refused `munmap` / `mprotect` / write-fault table: an unaligned
+# end inside a region used to reach `Vma::split_at`'s assertion, every
+# refusal on the sharing kernel used to unshare the chunk first — a
+# write fault into a hole or a read-only region too — and ranges
 # reaching into kernel space used to be accepted), beside the
 # host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
 # region list, a stock child holding its parent's page-table groups,

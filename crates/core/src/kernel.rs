@@ -31,8 +31,8 @@ use sat_mmu::pte::PteSlot;
 use sat_mmu::{L1Entry, Mapper, PtpStore};
 use sat_phys::{FileRegistry, FrameKind, PhysMem};
 use sat_types::{
-    AccessType, Asid, Dacr, Domain, PageSize, Perms, Pfn, Pid, SatError, SatResult, VaRange,
-    VirtAddr, VpnRange, KERNEL_SPACE_START, L2_ENTRIES, PAGE_SIZE,
+    AccessType, Asid, Dacr, Domain, DomainAccess, PageSize, Perms, Pfn, Pid, SatError, SatResult,
+    VaRange, VirtAddr, VpnRange, KERNEL_SPACE_START, L2_ENTRIES, PAGE_SIZE,
 };
 use sat_vm::{
     check_region_op, demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect,
@@ -701,7 +701,13 @@ impl Kernel {
         let mut batch = FlushBatch::new(pid, mm.asid);
         let mut unshared = false;
         let mut unshare_ptes_copied = 0;
-        if access.is_write() && mm.root.entry_for(va).need_copy() {
+        // A write the region refuses (none there, or no write access)
+        // unshares nothing: the stock handler refuses it below, as
+        // Linux's access check does before any fault handling.
+        if access.is_write()
+            && mm.root.entry_for(va).need_copy()
+            && mm.vma_at(va).is_some_and(|vma| vma.perms.write())
+        {
             // An unshare that finds no frame has changed and gathered
             // nothing: `?` drops an empty batch.
             let r = unshare(
@@ -913,18 +919,21 @@ impl Kernel {
     /// ([`Kernel::verify_share_accounting`]), reverse-map ownership
     /// ([`Kernel::verify_rmap_ownership`]), the page-table arena
     /// ([`PtpStore::verify`]), COW soundness (no private writable PTE
-    /// maps a frame mapped more than once), and every live process's
-    /// root table ([`sat_mmu::RootTable::verify`]) and region list
-    /// (each region non-empty, page-aligned and below kernel space; the
-    /// list sorted and disjoint). Returns a description of the first
-    /// violation found. Tests call it after the operations they drive;
-    /// it reads and never changes anything.
+    /// maps a frame mapped more than once), the zygote domain (only a
+    /// zygote-like process is granted it, and every global mapping sits
+    /// in it), and every live process's root table
+    /// ([`sat_mmu::RootTable::verify`]) and region list (each region
+    /// non-empty, page-aligned and below kernel space; the list sorted
+    /// and disjoint). Returns a description of the first violation
+    /// found. Tests call it after the operations they drive; it reads
+    /// and never changes anything.
     pub fn audit(&self) -> Result<(), String> {
         self.phys.rmap_verify()?;
         self.verify_share_accounting()?;
         self.verify_rmap_ownership()?;
         self.ptps.verify()?;
         self.verify_cow()?;
+        self.verify_zygote_domain()?;
         for mm in self.procs.iter() {
             let root = mm.root.verify();
             root.map_err(|e| format!("root of {:?}: {e}", mm.pid))?;
@@ -952,6 +961,40 @@ impl Kernel {
                 if slot.hw.perms.write() && !slot.sw.shared && mapcount > 1 {
                     let what = "writable and private, its frame mapped";
                     return Err(format!("{frame:?} slot {idx}: {what} {mapcount}x"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The zygote domain, for [`Kernel::audit`] (Section 3.2.3): only a
+    /// zygote-like process's DACR grants [`Domain::ZYGOTE`], and every
+    /// global mapping — a global section, or a PTE with the global bit —
+    /// sits under a level-1 entry in that domain. Together they make a
+    /// global TLB entry usable by zygote-like processes alone: any other
+    /// process that matches one takes a domain fault.
+    fn verify_zygote_domain(&self) -> Result<(), String> {
+        for mm in self.procs.iter() {
+            let granted = mm.dacr.access(Domain::ZYGOTE) != DomainAccess::NoAccess;
+            if granted && !mm.is_zygote_like() {
+                let what = "is not zygote-like but its DACR grants the zygote domain";
+                return Err(format!("{:?} {what}", mm.pid));
+            }
+            let halves = mm.root.iter_ptps().flat_map(|(pair, _)| [pair, pair + 1]);
+            for l1 in mm.root.iter_sections().chain(halves) {
+                let global_outside = match mm.root.entry(l1) {
+                    L1Entry::Section { domain, global, .. } => global && domain != Domain::ZYGOTE,
+                    L1Entry::Table {
+                        ptp, half, domain, ..
+                    } if domain != Domain::ZYGOTE => {
+                        let table = self.ptps.get(ptp).ok_or("level-1 entry names no PTP")?;
+                        table.iter_half(half).any(|(_, slot)| slot.hw.global)
+                    }
+                    _ => false,
+                };
+                if global_outside {
+                    let what = "maps a global page outside the zygote domain";
+                    return Err(format!("{:?} level-1 entry {l1} {what}", mm.pid));
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! `munmap` / `mprotect` arguments that must be refused: an unaligned
 //! start or end, an empty range, and (for `mprotect`) a range over a
-//! hole. Each is a typed error — no panic, the same answer in both
-//! profiles (CI runs this file in release too) — and the refusal comes
-//! *before* the eager unshare: a forked child calling into a chunk it
-//! shares with its parent unshares nothing, copies nothing and flushes
-//! nothing.
+//! hole; and write faults the region refuses. Each is a typed error —
+//! no panic, the same answer in both profiles (CI runs this file in
+//! release too) — and the refusal comes *before* the eager unshare: a
+//! forked child calling into a chunk it shares with its parent
+//! unshares nothing, copies nothing and flushes nothing.
 //!
 //! Two rows found bugs: an aligned start with an unaligned end *inside*
 //! a region reached `Vma::split_at`'s alignment assertion — after the
@@ -14,7 +14,9 @@
 //! Three more found that a range reaching into kernel space was
 //! accepted — an `mprotect` from the top user region up, a `munmap` of
 //! kernel space alone and one straddling its start — where `mmap` has
-//! refused one since it checked its range.
+//! refused one since it checked its range. The two write-fault rows
+//! found that the fault path unshared a shared chunk before the handler
+//! refused a write into a hole or a read-only region.
 
 use sat_core::{Kernel, KernelConfig, TlbMaintenance};
 use sat_types::{
@@ -24,10 +26,12 @@ use sat_types::{
 use sat_vm::MmapRequest;
 
 /// Two regions in one 2MB chunk with a hole between them:
-/// `[HEAP, +8 pages)` and `[HEAP + 16 pages, +8 pages)`.
+/// `[HEAP, +8 pages)` and `[HEAP + 16 pages, +8 pages)`, and a
+/// read-only one after them, `[HEAP + 32 pages, +4 pages)`.
 const HEAP: u32 = 0x0800_0000;
 const HOLE: u32 = HEAP + 8 * PAGE_SIZE;
 const SECOND: u32 = HEAP + 16 * PAGE_SIZE;
+const READ_ONLY: u32 = HEAP + 32 * PAGE_SIZE;
 /// An unpopulated region ending where kernel space starts.
 const TOP: u32 = KERNEL_SPACE_START - 4 * PAGE_SIZE;
 
@@ -51,6 +55,8 @@ impl TlbMaintenance for CountingTlb {
 enum Call {
     Munmap,
     Mprotect,
+    /// A write fault at the range's start.
+    WriteFault,
 }
 
 fn range(start: u32, end: u32) -> VaRange {
@@ -62,9 +68,9 @@ fn range(start: u32, end: u32) -> VaRange {
 
 #[test]
 fn refused_region_calls_change_nothing() {
-    use Call::{Mprotect, Munmap};
+    use Call::{Mprotect, Munmap, WriteFault};
     let invalid = SatError::InvalidArgument;
-    let refused: [(&str, Call, VaRange, SatError); 13] = [
+    let refused: [(&str, Call, VaRange, SatError); 15] = [
         (
             "aligned start, unaligned end inside a region (panicked)",
             Munmap,
@@ -133,6 +139,18 @@ fn refused_region_calls_change_nothing() {
             range(TOP, KERNEL_SPACE_START + PTP_SPAN / 2),
             invalid,
         ),
+        (
+            "a hole between two regions of the shared chunk (unshared first)",
+            WriteFault,
+            range(HOLE, HOLE + PAGE_SIZE),
+            SatError::NotMapped(VirtAddr::new(HOLE)),
+        ),
+        (
+            "a read-only region of the shared chunk (unshared first)",
+            WriteFault,
+            range(READ_ONLY, READ_ONLY + PAGE_SIZE),
+            SatError::PermissionDenied(VirtAddr::new(READ_ONLY)),
+        ),
     ];
     for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
         let mut tlb = CountingTlb::default();
@@ -145,9 +163,11 @@ fn refused_region_calls_change_nothing() {
             k.page_fault(parent, VirtAddr::new(start), AccessType::Write, &mut tlb)
                 .unwrap();
         }
-        let top = MmapRequest::anon(4 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[top]")
-            .at(VirtAddr::new(TOP));
-        k.mmap(parent, &top, &mut tlb).unwrap();
+        for (at, perms, name) in [(TOP, Perms::RW, "[top]"), (READ_ONLY, Perms::R, "[ro]")] {
+            let req = MmapRequest::anon(4 * PAGE_SIZE, perms, RegionTag::Heap, name);
+            k.mmap(parent, &req.at(VirtAddr::new(at)), &mut tlb)
+                .unwrap();
+        }
         let child = k.fork_with_flush(parent, &mut tlb).unwrap().child;
         let shares = u64::from(config.share_ptp);
         assert_eq!(k.registry.len() as u64, shares);
@@ -170,6 +190,9 @@ fn refused_region_calls_change_nothing() {
             let got = match call {
                 Munmap => k.munmap(child, *range, &mut tlb).map(drop),
                 Mprotect => k.mprotect(child, *range, Perms::R, &mut tlb),
+                WriteFault => k
+                    .page_fault(child, range.start, AccessType::Write, &mut tlb)
+                    .map(drop),
             };
             assert_eq!(got, Err(*error), "{what}");
             assert_eq!(state(&k, &tlb), before, "{what}");
@@ -183,7 +206,7 @@ fn refused_region_calls_change_nothing() {
         assert_eq!(k.mprotect(child, page, Perms::R, &mut tlb), Ok(()));
         assert_eq!(k.stats.ptp_unshares, shares);
         assert_eq!(k.munmap(child, page, &mut tlb), Ok(1));
-        assert_eq!(k.mm(child).unwrap().vma_count(), 3);
+        assert_eq!(k.mm(child).unwrap().vma_count(), 4);
         k.audit().unwrap();
     }
 }
