@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 use sat_core::{Kernel, KernelConfig, NoTlb};
-use sat_types::{AccessType, Perms, Pid, RegionTag, SatResult, VaRange, VirtAddr, PAGE_SIZE};
+use sat_types::{
+    AccessType, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, PAGE_SIZE,
+};
 use sat_vm::MmapRequest;
 
 /// The zygote's library: 8 pre-faulted RX pages, the shared image.
@@ -140,10 +142,17 @@ impl Sim {
     }
 
     /// Runs `op` and returns its outcome, after checking the kernel it
-    /// left (panicking with the op on a violation).
+    /// left (panicking with the op on a violation). The grammar reaches
+    /// only live processes and never runs the kernel out of frames, so
+    /// the one legal refusal is a fault or range on a page that is not
+    /// mapped or does not allow the access.
     pub fn apply(&mut self, op: &Op) -> SatResult<()> {
         let outcome = self.run(op);
         check(&self.k).unwrap_or_else(|e| panic!("after {op:?}: {e}"));
+        if let Err(e) = &outcome {
+            let refusal = matches!(e, SatError::NotMapped(_) | SatError::PermissionDenied(_));
+            assert!(refusal, "{op:?} failed with {e:?}");
+        }
         outcome
     }
 
@@ -218,6 +227,14 @@ impl Sim {
         let slab = k.ptps.slab_stats();
         assert_eq!(slab.allocs, slab.frees, "slab allocs and frees diverge");
     }
+}
+
+/// Runs `op` on two kernels that must agree on it: the same outcome,
+/// and the same live processes after.
+pub fn lockstep(a: &mut Sim, b: &mut Sim, op: &Op) {
+    let (x, y) = (a.k.config, b.k.config);
+    assert_eq!(a.apply(op), b.apply(op), "{op:?} on {x:?} and {y:?}");
+    assert_eq!(a.live, b.live, "live pids after {op:?} on {x:?} and {y:?}");
 }
 
 /// What every kernel passes after every op: [`Kernel::audit`], the

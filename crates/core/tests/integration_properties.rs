@@ -7,28 +7,40 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use common::{op_strategy, Op, Sim};
+use common::{lockstep, op_strategy, Op, Sim};
 use proptest::prelude::*;
 use sat_core::{CopyOnUnshare, KernelConfig};
 
 /// The frame behind every tracked page of every live process, `None`
-/// where nothing observable is mapped. A never-written anon page reads
-/// as zeros whichever frame backs it, so it is `None` too: under PTP
-/// sharing a sibling's read fault fills the slot for every sharer,
-/// where stock gives each process a zero frame of its own.
+/// where nothing observable is mapped. A frame no one has written reads
+/// as zeros whichever frame it is, so a clean anon page on it is `None`
+/// too: under PTP sharing a sibling's read fault fills the slot for
+/// every sharer, where stock gives each process a zero frame of its
+/// own. A clean page on a frame some page has written is observed.
 fn observe(s: &mut Sim) -> Vec<Option<u32>> {
     let pages = s.pages();
-    let mut seen = Vec::with_capacity(s.live.len() * pages.len());
+    let mut slots = Vec::with_capacity(s.live.len() * pages.len());
     for &pid in &s.live {
         for &va in &pages {
-            let slot = s.k.pte(pid, va).unwrap();
-            let written = slot.filter(|slot| slot.sw.file_backed || slot.sw.dirty);
-            seen.push(written.map(|slot| slot.hw.pfn.raw()));
+            slots.push(s.k.pte(pid, va).unwrap());
         }
     }
-    seen
+    let dirty: HashSet<u32> = slots
+        .iter()
+        .flatten()
+        .filter(|slot| slot.sw.dirty)
+        .map(|slot| slot.hw.pfn.raw())
+        .collect();
+    slots
+        .into_iter()
+        .map(|slot| {
+            let slot = slot?;
+            let pfn = slot.hw.pfn.raw();
+            (slot.sw.file_backed || dirty.contains(&pfn)).then_some(pfn)
+        })
+        .collect()
 }
 
 /// Checks that two observations induce one relation: where both map a
@@ -79,11 +91,12 @@ proptest! {
     /// exiting everything releases all memory except the page cache.
     #[test]
     fn invariants_and_no_leaks(ops in prop::collection::vec(op_strategy(), 1..40)) {
-        let mut s = Sim::boot(KernelConfig::shared_ptp());
+        let (mut s, mut stock) = (Sim::boot(KernelConfig::shared_ptp()), Sim::boot(KernelConfig::stock()));
         for op in &ops {
-            let _ = s.apply(op);
+            lockstep(&mut s, &mut stock, op);
         }
         s.teardown();
+        stock.teardown();
     }
 
     /// The ablation configurations preserve the same semantics.

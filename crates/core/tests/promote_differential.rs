@@ -33,7 +33,7 @@
 
 mod common;
 
-use common::{op_strategy, Op, Sim};
+use common::{lockstep, op_strategy, Op, Sim};
 use proptest::prelude::*;
 use sat_core::{Kernel, KernelConfig, PromotePolicy};
 use sat_types::{Perms, Pid, VirtAddr};
@@ -94,8 +94,7 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
         if matches!(op, Op::Reclaim(_)) {
             continue;
         }
-        assert_eq!(a.apply(op), b.apply(op), "outcome diverged on {op:?}");
-        assert_eq!(a.live, b.live, "pid allocation diverged on {op:?}");
+        lockstep(&mut a, &mut b, op);
         for &pid in &a.live {
             compare(&a, &b, pid, op);
         }

@@ -15,24 +15,25 @@
 
 mod common;
 
-use common::{op_strategy, Op, Sim};
+use common::{lockstep, op_strategy, Op, Sim};
 use proptest::prelude::*;
 use sat_core::KernelConfig;
 
-/// Applies `ops` to one kernel under a budget just above its boot
-/// footprint, then tears it down. A lone kernel has no twin to compare
-/// an outcome with: an `Err` (a write to the library, a fault on an
-/// unmapped page) is a legal answer, and the kernel it left is checked
-/// all the same.
+/// Applies `ops` to a kernel under a budget just above its boot
+/// footprint and to an unbudgeted twin of the same configuration, then
+/// tears both down. The budget is soft: the reclaim it fires may not
+/// change any op's outcome, so a refault or fork that fails under
+/// pressure diverges from the twin.
 fn run_sequence(config: KernelConfig, ops: &[Op]) {
-    let mut s = Sim::boot(config);
+    let (mut s, mut twin) = (Sim::boot(config), Sim::boot(config));
     s.k.set_frame_budget(Some(s.k.phys.frames_in_use() + 32));
     for op in ops {
-        let _ = s.apply(op);
+        lockstep(&mut s, &mut twin, op);
         let empty = s.k.registry.is_empty();
         assert!(config.share_ptp || empty, "stock shared a PTP after {op:?}");
     }
     s.teardown();
+    twin.teardown();
 }
 
 proptest! {
