@@ -89,12 +89,15 @@ cargo test -q
 # (the refused `munmap` / `mprotect` / write-fault table: an unaligned
 # end inside a region used to reach `Vma::split_at`'s assertion, every
 # refusal on the sharing kernel used to unshare the chunk first — a
-# write fault into a hole or a read-only region too — and ranges
+# write fault into a hole or a read-only region too, which under a
+# spent frame budget also ran a reclaim pass first — and ranges
 # reaching into kernel space used to be accepted), beside the
 # host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
 # region list, a stock child holding its parent's page-table groups,
-# and a write fault into a populated table allocating nothing: the
-# reverse map's inline slot), and the dead-pid rows
+# a write fault into a populated table allocating nothing: the
+# reverse map's inline slot, and a booted 1 GiB kernel's `PhysMem`
+# holding under 64 KiB: no `struct page` for a frame never handed
+# out), and the dead-pid rows
 # crates/core/tests/pid_args.rs (every call naming pid 0, an exited pid
 # or u32::MAX is `NoSuchProcess` and changes nothing — on a budgeted
 # kernel too, whose `page_fault` and `mmap` rows used to run a reclaim

@@ -692,18 +692,24 @@ impl Kernel {
     ) -> SatResult<ProcFaultOutcome> {
         // The fault path is where frames are actually allocated;
         // crossing the low watermark triggers a reclaim pass first
-        // (no-op without a frame budget) — once the pid is known live,
-        // so a call on a dead one reclaims nothing.
-        self.mm(pid)?;
-        self.maybe_reclaim(tlb);
+        // (no-op without a frame budget) — for a fault the handler
+        // will serve: one on a dead pid, or an access the region
+        // refuses (none there, or one it does not allow), allocates
+        // nothing and so reclaims nothing.
+        let mm = self.mm(pid)?;
+        if self.phys.below_low_watermark()
+            && mm.vma_at(va).is_some_and(|vma| vma.perms.allows(access))
+        {
+            self.maybe_reclaim(tlb);
+        }
         let config = self.config;
         let mm = self.procs.get_mut(pid).expect("looked up above");
         let mut batch = FlushBatch::new(pid, mm.asid);
         let mut unshared = false;
         let mut unshare_ptes_copied = 0;
-        // A write the region refuses (none there, or no write access)
-        // unshares nothing: the stock handler refuses it below, as
-        // Linux's access check does before any fault handling.
+        // A write the region refuses unshares nothing either: the
+        // stock handler refuses it below, as Linux's access check does
+        // before any fault handling.
         if access.is_write()
             && mm.root.entry_for(va).need_copy()
             && mm.vma_at(va).is_some_and(|vma| vma.perms.write())

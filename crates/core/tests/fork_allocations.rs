@@ -20,6 +20,10 @@
 //! reverse map holds a frame's one entry inline, in a slot indexed by
 //! frame number, once the index has reached the frame.
 //!
+//! And a booted Nexus 7 holds no `struct page` for a frame it has not
+//! handed out: `PhysMem` keeps the pool's free bitmap (32 KiB for 1 GiB)
+//! and metadata for the frames used so far, not 6 MiB for the pool.
+//!
 //! A test binary of its own, because it installs a counting
 //! `#[global_allocator]`; the counts are per thread, so the test
 //! harness's own threads stay out of them.
@@ -28,6 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sat_core::{Kernel, KernelConfig, NoTlb};
+use sat_phys::PhysMem;
 use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
@@ -223,4 +228,21 @@ fn a_stock_child_holds_the_groups_its_copy_matched() {
     let (one, eight) = (later_fork_retains(64), later_fork_retains(512));
     assert!(one > 0, "the counter saw the fork's allocations");
     assert_eq!(one, eight, "bytes a child keeps for 64 and for 512 pages");
+}
+
+#[test]
+fn a_booted_nexus7_holds_no_metadata_for_frames_it_never_handed_out() {
+    for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
+        let mut k = Kernel::nexus7(config);
+        process_with_heap(&mut k, 1, 0..1);
+        assert!(k.phys.frames_in_use() > 0);
+        // An empty pool allocates nothing: what the swap frees is what
+        // the kernel's `PhysMem` held.
+        let held = -retained(|| drop(std::mem::replace(&mut k.phys, PhysMem::new(0))));
+        assert!(
+            held >= 32 << 10,
+            "the counter saw the free bitmap: {held} bytes"
+        );
+        assert!(held < 64 << 10, "{held} bytes held for a 1 GiB pool");
+    }
 }

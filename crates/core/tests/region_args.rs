@@ -16,7 +16,9 @@
 //! kernel space alone and one straddling its start — where `mmap` has
 //! refused one since it checked its range. The two write-fault rows
 //! found that the fault path unshared a shared chunk before the handler
-//! refused a write into a hole or a read-only region.
+//! refused a write into a hole or a read-only region; run again on a
+//! kernel under a frame budget it has already spent, they found that it
+//! ran a reclaim pass before that refusal too.
 
 use sat_core::{Kernel, KernelConfig, TlbMaintenance};
 use sat_types::{
@@ -152,7 +154,10 @@ fn refused_region_calls_change_nothing() {
             SatError::PermissionDenied(VirtAddr::new(READ_ONLY)),
         ),
     ];
-    for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
+    let kernels = [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()]
+        .into_iter()
+        .flat_map(|config| [(config, false), (config, true)]);
+    for (config, budgeted) in kernels {
         let mut tlb = CountingTlb::default();
         let mut k = Kernel::new(config, 4096);
         let parent = k.create_process().unwrap();
@@ -171,9 +176,15 @@ fn refused_region_calls_change_nothing() {
         let child = k.fork_with_flush(parent, &mut tlb).unwrap().child;
         let shares = u64::from(config.share_ptp);
         assert_eq!(k.registry.len() as u64, shares);
+        if budgeted {
+            // No frame left under the budget: a fault that allocates
+            // reclaims first.
+            k.set_frame_budget(Some(k.phys.frames_in_use()));
+            assert!(k.phys.below_low_watermark());
+        }
 
         for (what, call, range, error) in &refused {
-            let what = format!("{call:?}: {what}");
+            let what = format!("{call:?}: {what} (budgeted: {budgeted})");
             let state = |k: &Kernel, tlb: &CountingTlb| {
                 (
                     k.mm(child).unwrap().vma_count(),
@@ -183,6 +194,8 @@ fn refused_region_calls_change_nothing() {
                     k.registry.len(),
                     k.stats.ptp_unshares,
                     k.stats.demotions,
+                    k.stats.reclaims,
+                    k.phys.stats().evictions,
                     tlb.0,
                 )
             };

@@ -118,7 +118,7 @@ pub enum FrameKind {
         /// the head — the next frame [`PhysMem::alloc`] hands out).
         prev: u32,
         /// Raw PFN of the frame freed before this one (`u32::MAX` at
-        /// the tail).
+        /// the tail, which the pool's untouched frames follow).
         next: u32,
     },
     /// Anonymous memory (heap, stack, COW copies).
@@ -207,13 +207,21 @@ impl Watermarks {
 /// without reordering any other free frame.
 #[derive(Debug)]
 pub struct PhysMem {
+    /// Metadata of the frames below the frontier, `pages.len()`: every
+    /// frame ever handed out. The frames from the frontier to the end
+    /// of the pool are free and untouched; they are the free list's
+    /// implicit tail, in ascending order, so the table costs host
+    /// memory only as far up as the pool has been used.
     pages: Vec<PageInfo>,
+    /// Frames in the pool.
+    frames: u32,
     /// Head of the free list threaded through [`FrameKind::Free`]
-    /// (`NIL` when no frame is free).
+    /// (`NIL` when no frame below the frontier is free).
     free_head: u32,
-    /// One bit per frame, set while the frame is free: the index
-    /// [`PhysMem::alloc_run`] scans for a contiguous run. Derived from
-    /// `pages` — never consulted to decide whether a frame is free.
+    /// One bit per frame of the pool, set while the frame is free: the
+    /// index [`PhysMem::alloc_run`] scans for a contiguous run. Derived
+    /// from `pages` — never consulted to decide whether a frame is
+    /// free.
     free_bits: Vec<u64>,
     page_cache: HashMap<(FileId, u32), Pfn>,
     stats: PhysMemStats,
@@ -258,10 +266,6 @@ impl PhysMem {
             frames <= MAX_FRAMES,
             "{frames} frames exceed the {MAX_FRAMES} a 32-bit physical address reaches"
         );
-        // Allocate low frames first: link the free list in ascending
-        // PFN order, which makes tests and traces deterministic and
-        // readable.
-        let link = |f: u32| if f < frames { f } else { NIL };
         let words = frames.div_ceil(64) as usize;
         let mut free_bits = vec![u64::MAX; words];
         if let Some(last) = free_bits.last_mut() {
@@ -269,11 +273,13 @@ impl PhysMem {
             // into them.
             *last >>= words as u64 * 64 - u64::from(frames);
         }
+        // No frame has been handed out: the whole pool is the untouched
+        // tail, so low frames go first, which makes tests and traces
+        // deterministic and readable.
         PhysMem {
-            pages: (0..frames)
-                .map(|f| PageInfo::free(link(f.wrapping_sub(1)), link(f + 1)))
-                .collect(),
-            free_head: link(0),
+            pages: Vec::new(),
+            frames,
+            free_head: NIL,
             free_bits,
             page_cache: HashMap::new(),
             stats: PhysMemStats {
@@ -296,7 +302,7 @@ impl PhysMem {
 
     /// Total number of frames.
     pub fn frame_count(&self) -> usize {
-        self.pages.len()
+        self.frames as usize
     }
 
     /// Returns the allocator statistics.
@@ -304,9 +310,9 @@ impl PhysMem {
         self.stats
     }
 
-    /// The free-list links `(prev, next)` of free frame `f`, or `None`
-    /// when `f` is `NIL` — which, like any PFN past the pool, indexes
-    /// no frame.
+    /// The free-list links `(prev, next)` of listed free frame `f`, or
+    /// `None` when `f` is `NIL` — which, like any PFN past the
+    /// frontier, indexes no metadata.
     fn links_mut(&mut self, f: u32) -> Option<(&mut u32, &mut u32)> {
         match &mut self.pages.get_mut(f as usize)?.kind {
             FrameKind::Free { prev, next } => Some((prev, next)),
@@ -314,20 +320,25 @@ impl PhysMem {
         }
     }
 
-    /// Unlinks free frame `f` from wherever it sits on the free list
-    /// and hands it out as a `kind` frame with `refcount == 1`.
+    /// Hands out free frame `f` as a `kind` frame with
+    /// `refcount == 1`: unlinked from wherever it sits on the free
+    /// list, or, at the frontier, pushed onto the table.
     // Forced into `alloc`, which every workload's page faults go
     // through: left out of line, the call costs it ~0.8 ns of ~5.
     #[inline(always)]
     fn take(&mut self, f: u32, kind: FrameKind) {
-        let (&mut prev, &mut next) = self.links_mut(f).expect("a frame to take");
-        self.pages[f as usize] = PageInfo::new(kind);
-        match self.links_mut(prev) {
-            Some((_, after)) => *after = next,
-            None => self.free_head = next,
-        }
-        if let Some((before, _)) = self.links_mut(next) {
-            *before = prev;
+        if f as usize == self.pages.len() {
+            self.pages.push(PageInfo::new(kind));
+        } else {
+            let (&mut prev, &mut next) = self.links_mut(f).expect("a frame to take");
+            self.pages[f as usize] = PageInfo::new(kind);
+            match self.links_mut(prev) {
+                Some((_, after)) => *after = next,
+                None => self.free_head = next,
+            }
+            if let Some((before, _)) = self.links_mut(next) {
+                *before = prev;
+            }
         }
         self.free_bits[f as usize / 64] &= !(1 << (f % 64));
     }
@@ -345,15 +356,17 @@ impl PhysMem {
     }
 
     /// Allocates a frame of the given kind with `refcount == 1`: the
-    /// most recently freed one.
+    /// most recently freed one, or the lowest untouched one when the
+    /// list is empty. That may grow the frame table, amortised.
     pub fn alloc(&mut self, kind: FrameKind) -> SatResult<Pfn> {
         if matches!(kind, FrameKind::Free { .. }) {
             return Err(SatError::InvalidArgument);
         }
-        let f = self.free_head;
-        if f == NIL {
-            return Err(SatError::OutOfMemory);
-        }
+        let f = match self.free_head {
+            NIL if (self.pages.len() as u32) < self.frames => self.pages.len() as u32,
+            NIL => return Err(SatError::OutOfMemory),
+            head => head,
+        };
         self.take(f, kind);
         self.note_alloc(1);
         Ok(Pfn::new(f))
@@ -406,9 +419,14 @@ impl PhysMem {
         if n == 1 {
             return self.alloc(kind);
         }
-        if u64::from(n) > self.pages.len() as u64 - self.stats.in_use {
+        if u64::from(n) > u64::from(self.frames) - self.stats.in_use {
             return Err(SatError::OutOfMemory);
         }
+        // The run never starts past the frontier: the untouched frames
+        // from it to the pool's end are one free run, so a run above
+        // them would have been found there first. Its frames below the
+        // frontier are unlinked and the rest pushed, in order, so no
+        // untouched frame ever needs a place on the list.
         let base = self.find_free_run(n).ok_or(SatError::OutOfMemory)?;
         for f in base..base + n {
             self.take(f, kind);
@@ -421,7 +439,8 @@ impl PhysMem {
     ///
     /// # Panics
     ///
-    /// Panics if `pfn` is out of range.
+    /// Panics if `pfn` has never been handed out — it has no metadata
+    /// yet — as it does on a PFN past the pool.
     pub fn page(&self, pfn: Pfn) -> &PageInfo {
         &self.pages[pfn.raw() as usize]
     }
@@ -430,7 +449,8 @@ impl PhysMem {
     ///
     /// # Panics
     ///
-    /// Panics if `pfn` is out of range.
+    /// Panics if `pfn` has never been handed out — it has no metadata
+    /// yet — as it does on a PFN past the pool.
     pub fn page_mut(&mut self, pfn: Pfn) -> &mut PageInfo {
         &mut self.pages[pfn.raw() as usize]
     }
@@ -558,7 +578,7 @@ impl PhysMem {
     pub fn budget_free(&self) -> u64 {
         match self.budget {
             Some(b) => b.saturating_sub(self.stats.in_use),
-            None => self.pages.len() as u64 - self.stats.in_use,
+            None => u64::from(self.frames) - self.stats.in_use,
         }
     }
 
@@ -721,22 +741,33 @@ impl PhysMem {
     }
 
     /// Checks "frames in = frames out": walking the free list from its
-    /// head visits every free frame exactly once through consistent
-    /// links, `free_bits` marks exactly the free frames, and together
-    /// with `stats.in_use` they account for the whole pool.
+    /// head visits every free frame below the frontier exactly once
+    /// through consistent links, `free_bits` marks exactly the free
+    /// frames — the untouched ones past the frontier included — and
+    /// listed + untouched + in use is the whole pool.
     fn free_list_verify(&self) -> Result<(), String> {
-        let mut free = 0u64;
+        let bit = |raw: usize| self.free_bits[raw / 64] >> (raw % 64) & 1 == 1;
+        let mut listed = 0u64;
         for (raw, p) in self.pages.iter().enumerate() {
-            let bit = self.free_bits[raw / 64] >> (raw % 64) & 1 == 1;
-            if bit != p.is_free() {
+            let free = bit(raw);
+            if free != p.is_free() {
                 return Err(format!(
-                    "frame {:?}: free bit {bit} on a {:?} frame",
+                    "frame {:?}: free bit {free} on a {:?} frame",
                     Pfn::new(raw as u32),
                     p.kind
                 ));
             }
-            free += u64::from(bit);
+            listed += u64::from(free);
         }
+        let frontier = self.pages.len();
+        if let Some(raw) = (frontier..self.frames as usize).find(|&raw| !bit(raw)) {
+            return Err(format!(
+                "frame {:?}: free bit false on an untouched frame",
+                Pfn::new(raw as u32)
+            ));
+        }
+        let untouched = u64::from(self.frames) - frontier as u64;
+        let free = listed + untouched;
         let set_bits: u64 = self
             .free_bits
             .iter()
@@ -748,11 +779,10 @@ impl PhysMem {
                 set_bits - free
             ));
         }
-        if free + self.stats.in_use != self.pages.len() as u64 {
+        if free + self.stats.in_use != u64::from(self.frames) {
             return Err(format!(
                 "{free} free + {} in use != {} frames",
-                self.stats.in_use,
-                self.pages.len()
+                self.stats.in_use, self.frames
             ));
         }
         // Every link is checked against the frame the walk came from,
@@ -772,9 +802,9 @@ impl PhysMem {
                 }
             }
         }
-        if walked != free {
+        if walked != listed {
             return Err(format!(
-                "free list links {walked} frames but {free} are free"
+                "free list links {walked} frames but {listed} are listed"
             ));
         }
         Ok(())
@@ -793,12 +823,11 @@ impl PhysMem {
                 continue;
             }
             let pfn = Pfn::new(raw as u32);
-            let p = self.page(pfn);
-            if p.is_free() {
+            let Some(p) = self.pages.get(raw).filter(|p| !p.is_free()) else {
                 return Err(format!(
                     "rmap holds {entries} entries for free frame {pfn:?}"
                 ));
-            }
+            };
             if p.mapcount as usize != entries {
                 return Err(format!(
                     "frame {pfn:?}: mapcount {} != rmap entries {entries}",
@@ -823,7 +852,7 @@ impl PhysMem {
 
     /// Publishes allocator occupancy gauges to the installed obs sink.
     pub fn publish_gauges(&self) {
-        let total = self.pages.len() as u64;
+        let total = u64::from(self.frames);
         sat_obs::gauge_set("phys.frames.in_use", self.stats.in_use);
         sat_obs::gauge_set("phys.frames.free", total - self.stats.in_use);
         sat_obs::gauge_set("phys.page_cache.pages", self.page_cache.len() as u64);
@@ -1046,7 +1075,13 @@ mod tests {
     #[test]
     fn audit_reports_a_corrupted_free_list_link() {
         let mut pm = PhysMem::new(8);
-        pm.alloc(FrameKind::Anon).unwrap();
+        // Hand out all eight frames and free them top down, so each has
+        // metadata and the list runs 0, 1, …, 7; then take frame 0.
+        let held: Vec<Pfn> = (0..8).map(|_| pm.alloc(FrameKind::Anon).unwrap()).collect();
+        for &p in held.iter().rev() {
+            pm.put_page(p);
+        }
+        assert_eq!(pm.alloc(FrameKind::Anon).unwrap().raw(), 0);
         pm.rmap_verify().unwrap();
         // Free frame 3 sits between 2 and 4; point it back at 5.
         pm.page_mut(Pfn::new(3)).kind = FrameKind::Free { prev: 5, next: 4 };
@@ -1059,7 +1094,45 @@ mod tests {
             next: u32::MAX,
         };
         let err = pm.rmap_verify().unwrap_err();
-        assert!(err.contains("links 6 frames but 7 are free"), "{err}");
+        assert!(err.contains("links 6 frames but 7 are listed"), "{err}");
+        // A frame never handed out has no links to corrupt, only its
+        // free bit.
+        let mut pm = PhysMem::new(70);
+        pm.alloc(FrameKind::Anon).unwrap();
+        pm.free_bits[0] &= !(1 << 40);
+        let err = pm.rmap_verify().unwrap_err();
+        assert!(
+            err.contains("frame Pfn(0x28): free bit false on an untouched frame"),
+            "{err}"
+        );
+    }
+
+    /// The table holds metadata only up to the highest frame handed
+    /// out; `frame_count` and the free count still cover the pool.
+    #[test]
+    fn the_frame_table_grows_to_the_highest_frame_handed_out() {
+        let mut pm = PhysMem::new(MAX_FRAMES);
+        assert_eq!(pm.pages.capacity(), 0);
+        let a = pm.alloc(FrameKind::Anon).unwrap();
+        let run = pm.alloc_run(FrameKind::Anon, 16).unwrap();
+        assert_eq!((a.raw(), run.raw()), (0, 1));
+        assert_eq!(pm.pages.len(), 17);
+        assert_eq!(pm.frame_count(), MAX_FRAMES as usize);
+        assert_eq!(pm.budget_free(), u64::from(MAX_FRAMES) - 17);
+        // Freed frames keep their metadata and go first.
+        pm.put_page(a);
+        assert_eq!(pm.alloc(FrameKind::Anon).unwrap(), a);
+        assert_eq!(pm.alloc(FrameKind::Anon).unwrap().raw(), 17);
+        assert_eq!(pm.pages.len(), 18);
+        pm.rmap_verify().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_frame_never_handed_out_has_no_metadata() {
+        let mut pm = PhysMem::new(8);
+        pm.alloc(FrameKind::Anon).unwrap();
+        pm.page(Pfn::new(1));
     }
 
     #[test]

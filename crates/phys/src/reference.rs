@@ -358,6 +358,60 @@ mod tests {
         }
     }
 
+    /// A run that reaches past the frontier, frees around it, and the
+    /// single allocations after them hand out exactly the `Vec<Pfn>`
+    /// allocator's frames: freed frames first, newest first, then the
+    /// untouched ones from the frontier up.
+    #[test]
+    fn a_run_across_the_frontier_keeps_the_allocation_order() {
+        enum Op {
+            Alloc(u32),
+            Run(u32),
+            Free(&'static [u32]),
+        }
+        use Op::{Alloc, Free, Run};
+        let ops = [
+            Alloc(6),
+            Free(&[1, 5, 4]),
+            // Frames 4 and 5 are listed, 6 and up untouched.
+            Run(8),
+            Free(&[2, 8]),
+            Alloc(5),
+            Run(2),
+            Free(&[9, 10]),
+            // A run wholly below the frontier.
+            Run(2),
+            Alloc(1),
+        ];
+        let mut new = PhysMem::new(64);
+        let mut old = RefPhysMem::new(64);
+        let mut got = Vec::new();
+        for op in ops {
+            match op {
+                Alloc(k) => {
+                    for _ in 0..k {
+                        let pfn = new.alloc(FrameKind::Anon);
+                        assert_eq!(pfn, old.alloc(FrameKind::Anon));
+                        got.push(pfn.unwrap().raw());
+                    }
+                }
+                Run(n) => {
+                    let base = new.alloc_run(FrameKind::Anon, n);
+                    assert_eq!(base, old.alloc_run(FrameKind::Anon, n));
+                    got.push(base.unwrap().raw());
+                }
+                Free(frames) => {
+                    for &f in frames {
+                        assert_eq!(new.put_page(Pfn::new(f)), old.put_page(Pfn::new(f)));
+                    }
+                }
+            }
+            new.rmap_verify().unwrap();
+        }
+        assert_eq!(got, [0, 1, 2, 3, 4, 5, 4, 8, 2, 1, 12, 13, 14, 9, 16]);
+        assert_eq!(new.stats(), old.stats());
+    }
+
     /// One randomized reverse-map operation: `(opcode, frame, owner,
     /// va, position)`, decoded in [`apply_rmap`].
     type RmapOp = (u8, u32, u32, u32, u32);
