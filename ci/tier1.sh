@@ -32,11 +32,11 @@ cargo test -q
 # (crates/phys/src/reference.rs: adds, removes near either end or in
 # the middle, re-owns and drains, every answer compared after every op;
 # frame.rs pins its nearer-end search to `partition_point` and its
-# cost at either end to one or two comparisons), the flat cache vs the
-# nested-Option one, a run of lines against the same lines one at a
-# time included (crates/cache/src/reference.rs), kernel-text runs vs
-# the line-by-line loop on twin machines (machine.rs,
-# `run_vs_line_by_line`), the range walker vs the page-by-page
+# cost at either end to one or two comparisons), the recency-ordered
+# cache vs the stamped nested-Option model, a run of lines against the
+# same lines one at a time included (crates/cache/src/reference.rs),
+# kernel-text runs vs the line-by-line loop on twin machines
+# (machine.rs, `run_vs_line_by_line`), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the indexed main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs; it is what stands behind

@@ -1,12 +1,14 @@
 //! The nested-`Option` reference cache.
 //!
 //! This is the cache [`crate::Cache`] was before its lines moved into
-//! one flat array: a heap vector per set, `Option<Line>` ways, a
-//! 64-bit global tick that never wraps. It is kept as the executable
-//! specification of *which way every fill lands in and which line
-//! every eviction removes* — hit or miss per access is part of the
-//! simulated machine — and the differential proptest below drives both
-//! caches with identical operation sequences.
+//! one flat array: a heap vector per set, `Option<Line>` ways, each
+//! stamped from a 64-bit global tick that never wraps, the victim
+//! found by the smallest stamp. It is kept as the executable
+//! specification of *which line every eviction removes*: hit or miss
+//! per access is part of the simulated machine. Which way a line sits
+//! in is not; the production cache keeps each set in recency order and
+//! has no stamps. The differential proptest below drives both caches
+//! with identical operation sequences.
 //!
 //! Do not "optimise" this file; its value is being obviously correct.
 

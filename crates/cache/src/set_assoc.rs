@@ -57,37 +57,22 @@ impl CacheStats {
     }
 }
 
-/// One way of one set: 8 bytes, so an 8-way L2 set is one host cache
-/// line and a 4-way L1 set half of one.
-#[derive(Clone, Copy)]
-struct Line {
-    tag: u32,
-    /// The tick of the last use; 0 marks the way invalid (the tick is
-    /// incremented before it is ever stamped, so no use carries 0).
-    stamp: u32,
-}
-
-/// An empty way. Its tag is one no address has — a line is at least
-/// two bytes, so a tag has at most 31 bits — so a lookup compares tags
+/// An empty way. No address has this tag — a line is at least two
+/// bytes, so a tag has at most 31 bits — so a lookup compares tags
 /// only.
-const INVALID: Line = Line {
-    tag: u32::MAX,
-    stamp: 0,
-};
+const INVALID: u32 = u32::MAX;
 
 /// A set-associative cache with true-LRU replacement.
 ///
-/// All lines live in one flat array, set-major: set `s` is
-/// `lines[s * ways..][..ways]`. Recency is a 32-bit stamp from one
-/// cache-wide tick; only the order of stamps *within a set* ever
-/// decides anything, so when the tick is about to wrap every set's
-/// stamps are re-ranked to `1..=valid` (order kept) and the tick
-/// restarts above them.
+/// All tags live in one flat array, set-major: set `s` is
+/// `tags[s * ways..][..ways]`, most recently used first. A use moves
+/// its tag to way 0 and shifts the ways before it back by one, so the
+/// last way holds the LRU line; empty ways are never used, so they sit
+/// last and a miss drops an empty way before any valid one.
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    tags: Vec<u32>,
     ways: usize,
-    tick: u32,
     stats: CacheStats,
     line_shift: u32,
     set_bits: u32,
@@ -99,20 +84,20 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if line size or set count is not a power of two, or a
-    /// line is one byte.
+    /// Panics if there is no way, if the line size is not a power of
+    /// two or is one byte, or if the set count is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
+        assert!(config.ways >= 1, "a cache needs at least one way");
         assert!(
             config.line_bytes.is_power_of_two() && config.line_bytes > 1,
             "line size must be a power of two above one"
         );
+        let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             config,
-            lines: vec![INVALID; (sets * config.ways) as usize],
+            tags: vec![INVALID; (sets * config.ways) as usize],
             ways: config.ways as usize,
-            tick: 0,
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             set_bits: sets.trailing_zeros(),
@@ -135,7 +120,7 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Splits `pa` into (first index of its set in `lines`, tag).
+    /// Splits `pa` into (first index of its set in `tags`, tag).
     #[inline]
     fn locate(&self, pa: PhysAddr) -> (usize, u32) {
         let line_addr = pa.raw() >> self.line_shift;
@@ -147,10 +132,6 @@ impl Cache {
     /// Returns `true` on a hit.
     #[inline]
     pub fn access(&mut self, pa: PhysAddr) -> bool {
-        if self.tick == u32::MAX {
-            self.rerank();
-        }
-        self.tick += 1;
         let hit = self.touch(pa);
         if hit {
             self.stats.hits += 1;
@@ -168,10 +149,6 @@ impl Cache {
     pub(crate) fn access_run(&mut self, pa: PhysAddr, n: u32, mut on_miss: impl FnMut(PhysAddr)) {
         let mut hits = 0;
         for i in 0..n {
-            if self.tick == u32::MAX {
-                self.rerank();
-            }
-            self.tick += 1;
             let pa = PhysAddr::new(pa.raw() + i * self.config.line_bytes);
             if self.touch(pa) {
                 hits += 1;
@@ -183,69 +160,43 @@ impl Cache {
         self.stats.misses += u64::from(n - hits);
     }
 
-    /// Looks `pa`'s line up under the current tick: a hit re-stamps
-    /// it, a miss fills a way. Counts an eviction, not the hit or miss.
+    /// Uses `pa`'s line in one pass over its set: the tag goes into
+    /// way 0 and each way's tag moves back one, until the pass meets
+    /// the tag (a hit) or runs off the end (a miss, whose victim is
+    /// the tag pushed out of the last way). Counts an eviction, not
+    /// the hit or miss.
     #[inline(always)]
     fn touch(&mut self, pa: PhysAddr) -> bool {
         let (base, tag) = self.locate(pa);
-        let tick = self.tick;
-        let set = &mut self.lines[base..base + self.ways];
-
-        // An invalid way's tag matches no address (see `INVALID`).
-        for line in set.iter_mut() {
-            if line.tag == tag {
-                line.stamp = tick;
+        let mut carried = tag;
+        for way in &mut self.tags[base..base + self.ways] {
+            let held = std::mem::replace(way, carried);
+            if held == tag {
                 return true;
             }
+            carried = held;
         }
-
-        // Fill the way with the smallest stamp, the lowest such way on
-        // a tie: invalid ways (stamp 0) sort below every valid one, so
-        // this is "lowest empty way first, else the LRU way".
-        let victim = set
-            .iter_mut()
-            .min_by_key(|line| line.stamp)
-            .expect("a set has at least one way");
-        if victim.stamp != 0 {
+        if carried != INVALID {
             self.stats.evictions += 1;
         }
-        *victim = Line { tag, stamp: tick };
         false
-    }
-
-    /// Rewrites every set's stamps as ranks `1..=valid` in the same
-    /// order and restarts the tick at `ways`, above every rank.
-    #[cold]
-    fn rerank(&mut self) {
-        for set in self.lines.chunks_exact_mut(self.ways) {
-            // A line's new stamp is one more than the number of valid
-            // lines in its set older than it.
-            let old: Vec<u32> = set.iter().map(|l| l.stamp).collect();
-            for line in set.iter_mut().filter(|l| l.stamp != 0) {
-                let older = old.iter().filter(|&&s| s != 0 && s < line.stamp).count();
-                line.stamp = older as u32 + 1;
-            }
-        }
-        self.tick = self.ways as u32;
     }
 
     /// Probes whether `pa`'s line is resident without touching LRU
     /// state or statistics.
     pub fn probe(&self, pa: PhysAddr) -> bool {
         let (base, tag) = self.locate(pa);
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|l| l.tag == tag)
+        self.tags[base..base + self.ways].contains(&tag)
     }
 
     /// Invalidates everything.
     pub fn flush(&mut self) {
-        self.lines.fill(INVALID);
+        self.tags.fill(INVALID);
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.stamp != 0).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }
 
@@ -317,10 +268,52 @@ mod tests {
     }
 
     #[test]
-    fn rerank_keeps_the_victim_order() {
+    #[should_panic(expected = "a cache needs at least one way")]
+    fn zero_ways_is_refused_by_name() {
+        Cache::new(CacheConfig {
+            size_bytes: 128,
+            ways: 0,
+            line_bytes: 32,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two above one")]
+    fn zero_byte_lines_are_refused_by_name() {
+        Cache::new(CacheConfig {
+            size_bytes: 128,
+            ways: 2,
+            line_bytes: 0,
+        });
+    }
+
+    #[test]
+    fn a_set_reads_most_recent_first_with_empty_ways_last() {
+        // Two sets of four ways; `set0(i)` has tag `i` in set 0.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 256,
+            ways: 4,
+            line_bytes: 32,
+        });
+        let set0 = |i: u32| PhysAddr::new(i * 64);
+        for i in [0, 1, 2, 1] {
+            c.access(set0(i));
+        }
+        assert_eq!(c.tags[..4], [1, 2, 0, INVALID]);
+        assert_eq!(c.tags[4..], [INVALID; 4], "set 1 is untouched");
+        c.access(set0(3)); // fills the empty way
+        c.access(set0(4)); // drops the last way: 0
+        assert_eq!(c.tags[..4], [4, 3, 1, 2]);
+        assert_eq!(c.stats().evictions, 1);
+        c.access(set0(2)); // a hit on the last way
+        assert_eq!(c.tags[..4], [2, 4, 3, 1]);
+    }
+
+    #[test]
+    fn victims_leave_in_recency_order() {
         use crate::reference::RefCache;
         // One set of four ways, so every access contends; a second
-        // set holds one line and an empty way across the re-rank.
+        // set holds one line and an empty way throughout.
         let config = CacheConfig {
             size_bytes: 256,
             ways: 4,
@@ -336,15 +329,11 @@ mod tests {
         for i in [0, 1, 2, 1, 0] {
             both(&mut c, set0(i)); // recency: 2 < 1 < 0, way 3 empty
         }
-        // Two more uses land just under the wrap, the third re-ranks.
-        c.tick = u32::MAX - 2;
         both(&mut c, set0(2)); // recency: 1 < 0 < 2
         both(&mut c, set0(3)); // fills the empty way
-        assert_eq!(c.tick, u32::MAX);
-        both(&mut c, set0(4)); // re-rank, then evicts 1
-        assert_eq!(c.tick, config.ways + 1, "the tick restarted");
+        both(&mut c, set0(4)); // evicts 1
         assert!(!c.probe(set0(1)));
-        // The rest leave oldest first: 0, 2, 3 — the pre-wrap order.
+        // The rest leave oldest first: 0, 2, 3.
         for i in [5, 6, 7] {
             both(&mut c, set0(i));
         }
@@ -354,7 +343,7 @@ mod tests {
         for i in [4, 5, 6, 7] {
             both(&mut c, set0(i)); // all hits
         }
-        // Set 1 kept its line and still fills its lowest empty way.
+        // Set 1 kept its line and still fills an empty way.
         both(&mut c, PhysAddr::new(0x20));
         both(&mut c, PhysAddr::new(0x60));
         assert_eq!(c.occupancy(), 6);
@@ -362,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn a_run_across_the_wrap_re_ranks_at_the_same_line() {
+    fn a_run_that_laps_its_sets_matches_line_by_line() {
         use crate::reference::RefCache;
         // Two sets of four ways; a 12-line run laps both.
         let config = CacheConfig {
@@ -376,8 +365,6 @@ mod tests {
         for i in [0, 3, 1, 5, 2, 0, 7] {
             assert_eq!(c.access(line(i)), reference.access(line(i)));
         }
-        // The run's fourth line takes the last stamp, its fifth re-ranks.
-        c.tick = u32::MAX - 4;
         let mut misses = Vec::new();
         c.access_run(line(1), 12, |pa| misses.push(pa));
         let want: Vec<PhysAddr> = (1..13)
@@ -385,7 +372,6 @@ mod tests {
             .filter(|&pa| !reference.access(pa))
             .collect();
         assert_eq!(misses, want);
-        assert_eq!(c.tick, config.ways + 8, "re-ranked at the fifth line");
         // The order survived: a sweep agrees hit for hit.
         for i in 0..32 {
             assert_eq!(c.access(line(i)), reference.access(line(i)), "line {i}");

@@ -1,64 +1,12 @@
-//! Property-based tests for the cache model, checked against a naive
-//! reference implementation of set-associative LRU.
+//! Property-based tests of the cache model's invariants. Its LRU
+//! order is checked against the stamped reference cache, in
+//! `src/reference.rs`.
 
 use proptest::prelude::*;
 use sat_cache::{Cache, CacheConfig};
 use sat_types::PhysAddr;
-use std::collections::VecDeque;
-
-/// A trivially-correct reference model: per set, an LRU queue of tags.
-struct RefCache {
-    sets: Vec<VecDeque<u32>>,
-    ways: usize,
-    line_shift: u32,
-    set_mask: u32,
-}
-
-impl RefCache {
-    fn new(config: CacheConfig) -> RefCache {
-        RefCache {
-            sets: vec![VecDeque::new(); config.sets() as usize],
-            ways: config.ways as usize,
-            line_shift: config.line_bytes.trailing_zeros(),
-            set_mask: config.sets() - 1,
-        }
-    }
-
-    fn access(&mut self, pa: PhysAddr) -> bool {
-        let line = pa.raw() >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let q = &mut self.sets[set];
-        if let Some(pos) = q.iter().position(|&t| t == tag) {
-            q.remove(pos);
-            q.push_back(tag);
-            true
-        } else {
-            if q.len() == self.ways {
-                q.pop_front();
-            }
-            q.push_back(tag);
-            false
-        }
-    }
-}
 
 proptest! {
-    /// The production cache agrees with the reference LRU model on
-    /// every access of any address sequence.
-    #[test]
-    fn matches_reference_lru(addrs in prop::collection::vec(0u32..0x4000, 1..400)) {
-        let config = CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 32 };
-        let mut cache = Cache::new(config);
-        let mut reference = RefCache::new(config);
-        for (i, &a) in addrs.iter().enumerate() {
-            let pa = PhysAddr::new(a);
-            let got = cache.access(pa);
-            let want = reference.access(pa);
-            prop_assert_eq!(got, want, "divergence at access {} (addr {:#x})", i, a);
-        }
-    }
-
     /// Hits + misses always equals the access count, and occupancy is
     /// bounded by capacity.
     #[test]
