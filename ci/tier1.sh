@@ -38,11 +38,14 @@ cargo test -q
 # kernel-text runs vs the line-by-line loop on twin machines
 # (machine.rs, `run_vs_line_by_line`), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
-# `range_walker`), the indexed main TLB vs the linear scan
-# (crates/tlb/tests/differential.rs; it is what stands behind
-# `MainTlb::insert`'s duplicate rule, and runs `MainTlb::verify` after
-# every op), and the grouped page tables vs the dense `RefPtp` /
-# `RefRootTable` (crates/mmu/src/reference.rs, with `Ptp::verify` /
+# `range_walker`), the main TLB vs the linear scan
+# (crates/tlb/tests/differential.rs: lookups, by-address flushes and
+# the 4KB duplicate check through the VA index, tag flushes, large
+# inserts and fills one pass over the slots; it is what stands behind
+# `MainTlb::insert`'s duplicate rule and the first-empty-slot fill,
+# and runs `MainTlb::verify` after every op), and the grouped page
+# tables vs the dense `RefPtp` / `RefRootTable`
+# (crates/mmu/src/reference.rs, with `Ptp::verify` /
 # `RootTable::verify` after every op) — one table alone, and the
 # isolation differential: a family of tables sharing groups
 # copy-on-write, built from one another by clone, by word-by-word copy
@@ -122,6 +125,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # break its frozen surface unnoticed (includes `all --smoke`, < 10 s).
 step "benchmark package builds and passes its tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+# The four examples README advertises, run through the public API in
+# release (< 1 s together). `cargo test` only builds them, so without
+# this step a panic in one would go unnoticed; quickstart must also
+# print its COW-through-sharing line.
+step "examples run"
+for example in app_launch binder_ipc sparsity_analysis; do
+    cargo run --release --quiet --example "$example" > /dev/null
+done
+cargo run --release --quiet --example quickstart | grep -F 'unshared=true, resolution=Cow'
 
 # Traced smoke: every experiment + both observability exporters
 # end-to-end. The serve pair's flow charges push the full run to ~270k

@@ -179,7 +179,6 @@ pub fn ablation_tlb_protection(scale: Scale) -> SatResult<String> {
         .at(lib_base);
         sys.machine.syscall(|k, tlb| k.mmap(daemon, &dreq, tlb))?;
 
-        let stall0 = sys.machine.cores[0].stats.inst_main_tlb_stall_cycles;
         let mut app_stall = 0;
         for _ in 0..iterations {
             sys.machine.context_switch(0, app)?;
@@ -201,7 +200,6 @@ pub fn ablation_tlb_protection(scale: Scale) -> SatResult<String> {
                 )?;
             }
         }
-        let _ = stall0;
         let stats = sys.machine.cores[0].main_tlb.stats();
         t.row(vec![
             label.to_string(),

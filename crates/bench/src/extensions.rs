@@ -203,11 +203,9 @@ pub fn pte_pollution(scale: Scale) -> sat_types::SatResult<String> {
     }
     let mut out = t.render();
     out.push_str(&format!(
-        "With {procs} applications plus the zygote executing the same library, the stock
-         kernel holds one copy of each PTE line per process in the shared L2; sharing
-         PTPs collapses them to one.
-
-",
+        "With {procs} applications plus the zygote executing the same library, the stock\n\
+         kernel holds one copy of each PTE line per process in the shared L2; sharing\n\
+         PTPs collapses them to one.\n\n",
     ));
     Ok(out)
 }
@@ -247,10 +245,8 @@ pub fn memory_accounting(scale: Scale) -> sat_types::SatResult<String> {
     }
     let mut out = t.render();
     out.push_str(
-        "Data PSS is already split by COW in both kernels; the page-table column is the
-         per-process cost the paper's mechanism removes (charged 1/sharers per PTP).
-
-",
+        "Data PSS is already split by COW in both kernels; the page-table column is the\n\
+         per-process cost the paper's mechanism removes (charged 1/sharers per PTP).\n\n",
     );
     Ok(out)
 }

@@ -1,29 +1,23 @@
-//! Slot indexes that make the TLB hot paths sub-linear.
+//! The VA index that makes TLB lookups sub-linear.
 //!
 //! The TLB models keep their architectural state — a flat slot array
-//! with round-robin replacement — untouched, and layer pure
-//! acceleration structures next to it:
+//! with round-robin replacement — untouched, and keep one pure
+//! acceleration structure next to it: [`VaIndex`], per-page-size
+//! direct-mapped tables from a size-aligned VA base to the slots
+//! holding an entry for that page. `lookup`/`probe` and the
+//! by-address flushes visit only a handful of candidate slots (at most
+//! one table probe per page size) instead of scanning every slot. The
+//! main TLB's `insert` finds the duplicates of a 4KB entry the same
+//! way: every entry overlapping a 4KB page covers its base (the
+//! argument is in [`crate::main_tlb`]'s module docs). Everything else
+//! — the tag flushes, the duplicate check of a larger insert, the fill
+//! slot — is one pass over the slots.
 //!
-//! * [`VaIndex`]: per-page-size direct-mapped tables from a
-//!   size-aligned VA base to the slots holding an entry for that page,
-//!   so `lookup`/`probe` and the by-address flushes visit only a
-//!   handful of candidate slots (at most one table probe per page
-//!   size) instead of scanning every slot. The main TLB's `insert`
-//!   finds the duplicates of a 4KB entry the same way: every entry
-//!   overlapping a 4KB page covers its base (the argument is in
-//!   [`crate::main_tlb`]'s module docs).
-//! * [`TagIndex`]: a flat ASID-tag table chaining the slots that carry
-//!   each tag, bounding `flush_asid`, `flush_range`,
-//!   `flush_non_global`, and the duplicate scan of an insert larger
-//!   than 4KB to that tag's slots.
-//! * [`FreeSlots`]: a bitmask of invalid slots, so the "lowest free
-//!   slot" fill rule is a trailing-zeros scan over a couple of words.
+//! Three properties keep the index off the profile:
 //!
-//! Three properties keep the indexes off the profile:
-//!
-//! 1. **No steady-state allocation.** Same-bucket and same-tag slots
-//!    are chained through fixed `next`/`prev` arrays instead of
-//!    per-bucket vectors.
+//! 1. **No steady-state allocation.** Same-bucket slots are chained
+//!    through fixed `next`/`prev` arrays instead of per-bucket
+//!    vectors.
 //! 2. **O(1) full clear.** The simulated micro-TLBs are flushed on
 //!    *every* context switch, so `clear` must cost nothing: it bumps
 //!    an epoch instead of touching the tables, and readers ignore
@@ -37,13 +31,13 @@
 //! *candidate* slots: callers must confirm coverage against the entry
 //! itself (`TlbEntry::covers`), exactly as the linear scan did.
 //!
-//! Neither structure influences *which* entry wins: callers take the
+//! The index does not influence *which* entry wins: callers take the
 //! minimum slot number among candidates, which is exactly the entry a
 //! linear first-match scan would have returned, so hit/miss/eviction
 //! behaviour and statistics are bit-identical to the linear reference
 //! model (`crate::reference`, enforced by the differential proptests).
 
-use sat_types::{Asid, PageSize, VirtAddr};
+use sat_types::{PageSize, VirtAddr};
 
 use crate::entry::TlbEntry;
 
@@ -72,65 +66,6 @@ const NIL: usize = usize::MAX;
 
 /// 32-bit NIL used inside packed buckets.
 const NIL32: u32 = u32::MAX;
-
-/// The chain links of a slot index, as its `verify` walks them.
-struct Chains<'a> {
-    /// `"va index"` or `"tag index"`, for the messages.
-    index: &'static str,
-    next: &'a [u32],
-    prev: &'a [u32],
-    /// Slots met so far, across every chain of the index.
-    chained: Vec<bool>,
-}
-
-impl<'a> Chains<'a> {
-    fn new(index: &'static str, next: &'a [u32], prev: &'a [u32]) -> Self {
-        Chains {
-            index,
-            next,
-            prev,
-            chained: vec![false; next.len()],
-        }
-    }
-
-    /// Walks the chain hanging from `head`: every slot on it is in
-    /// bounds, on no chain walked before, linked back to its
-    /// predecessor, and accepted by `belongs` (whether this is the
-    /// chain the slot's entry should be on). Returns the chain length.
-    fn walk(
-        &mut self,
-        head: u32,
-        mut belongs: impl FnMut(usize) -> Result<(), String>,
-    ) -> Result<usize, String> {
-        let index = self.index;
-        let (mut back, mut at, mut len) = (NIL32, head, 0);
-        while at != NIL32 {
-            let slot = at as usize;
-            if slot >= self.chained.len() {
-                return Err(format!("{index}: a chain reaches slot {slot}"));
-            }
-            if std::mem::replace(&mut self.chained[slot], true) {
-                return Err(format!("{index}: slot {slot} is chained twice"));
-            }
-            belongs(slot).map_err(|why| format!("{index}: slot {slot} {why}"))?;
-            if self.prev[slot] != back {
-                return Err(format!("{index}: slot {slot} has a wrong back link"));
-            }
-            len += 1;
-            (back, at) = (at, self.next[slot]);
-        }
-        Ok(len)
-    }
-
-    /// After every chain was walked: no slot that `valid` holds an
-    /// entry for was left out.
-    fn cover(&self, valid: impl Fn(usize) -> bool) -> Result<(), String> {
-        match (0..self.chained.len()).find(|&s| valid(s) && !self.chained[s]) {
-            Some(slot) => Err(format!("{}: valid slot {slot} is not chained", self.index)),
-            None => Ok(()),
-        }
-    }
-}
 
 /// A direct-mapped, epoch-validated bucket table. Each bucket packs
 /// the epoch it was last written in (high 32 bits) and a chain head
@@ -311,26 +246,43 @@ impl VaIndex {
     /// `(size, base)`, with consistent back links; no invalid slot is
     /// chained; the per-size counts match. Returns the first violation.
     pub fn verify(&self, entry_at: impl Fn(usize) -> Option<TlbEntry>) -> Result<(), String> {
-        let mut chains = Chains::new("va index", &self.next, &self.prev);
+        let mut chained = vec![false; self.next.len()];
         let mut counts = [0usize; 4];
         for (i, map) in self.maps.iter().enumerate() {
             for (b, &bucket) in map.buckets.iter().enumerate() {
                 if (bucket >> 32) as u32 != self.epoch {
                     continue;
                 }
-                counts[i] += chains.walk(bucket as u32, |slot| match entry_at(slot) {
-                    None => Err("is invalid but chained".into()),
-                    Some(e) if size_idx(e.size) != i || map.idx(key(e.va_base, e.size)) != b => {
-                        Err(format!(
-                            "({:?} at {:?}) is chained in bucket {b} of size class {i}",
-                            e.size, e.va_base
-                        ))
+                let (mut back, mut at) = (NIL32, bucket as u32);
+                while at != NIL32 {
+                    let slot = at as usize;
+                    if slot >= chained.len() {
+                        return Err(format!("va index: a chain reaches slot {slot}"));
                     }
-                    Some(_) => Ok(()),
-                })?;
+                    if std::mem::replace(&mut chained[slot], true) {
+                        return Err(format!("va index: slot {slot} is chained twice"));
+                    }
+                    let Some(e) = entry_at(slot) else {
+                        return Err(format!("va index: slot {slot} is invalid but chained"));
+                    };
+                    if size_idx(e.size) != i || map.idx(key(e.va_base, e.size)) != b {
+                        return Err(format!(
+                            "va index: slot {slot} ({:?} at {:?}) is chained in bucket {b} \
+                             of size class {i}",
+                            e.size, e.va_base
+                        ));
+                    }
+                    if self.prev[slot] != back {
+                        return Err(format!("va index: slot {slot} has a wrong back link"));
+                    }
+                    counts[i] += 1;
+                    (back, at) = (at, self.next[slot]);
+                }
             }
         }
-        chains.cover(|slot| entry_at(slot).is_some())?;
+        if let Some(slot) = (0..chained.len()).find(|&s| entry_at(s).is_some() && !chained[s]) {
+            return Err(format!("va index: valid slot {slot} is not chained"));
+        }
         if counts != self.counts {
             return Err(format!(
                 "va index: per-size counts {:?}, chains hold {counts:?}",
@@ -341,214 +293,10 @@ impl VaIndex {
     }
 }
 
-/// Map from entry tag (`asid` field, `None` = global) to the slots
-/// carrying that tag, chained through fixed arrays like [`VaIndex`].
-///
-/// The tag space is tiny (256 ASIDs plus global), so the heads live in
-/// a flat array — no hashing, no allocation on any operation, and the
-/// same epoch trick makes `clear` O(1). Unlike [`VaIndex`], a tag
-/// chain has no false candidates.
-#[derive(Clone)]
-pub struct TagIndex {
-    /// Chain head per tag, packed like [`DirectMap`] buckets
-    /// (epoch high, head slot low); index 0–255 are the ASIDs, 256 is
-    /// global.
-    heads: Vec<u64>,
-    epoch: u32,
-    /// Chain links, u32 like [`VaIndex`]'s.
-    next: Vec<u32>,
-    prev: Vec<u32>,
-}
-
-const GLOBAL_TAG: usize = 256;
-
-fn tag_of(asid: Option<Asid>) -> usize {
-    asid.map_or(GLOBAL_TAG, |a| a.0 as usize)
-}
-
-impl TagIndex {
-    /// An empty index for a TLB with `capacity` slots.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity < NIL32 as usize);
-        TagIndex {
-            heads: vec![NIL32 as u64; GLOBAL_TAG + 1],
-            epoch: 0,
-            next: vec![NIL32; capacity],
-            prev: vec![NIL32; capacity],
-        }
-    }
-
-    fn head(&self, tag: usize) -> usize {
-        let b = self.heads[tag];
-        let head = b as u32;
-        if (b >> 32) as u32 == self.epoch && head != NIL32 {
-            head as usize
-        } else {
-            NIL
-        }
-    }
-
-    fn set_head(&mut self, tag: usize, head: usize) {
-        let packed = if head == NIL { NIL32 } else { head as u32 };
-        self.heads[tag] = ((self.epoch as u64) << 32) | packed as u64;
-    }
-
-    /// Registers `slot` as carrying tag `asid`.
-    pub fn add(&mut self, asid: Option<Asid>, slot: usize) {
-        let tag = tag_of(asid);
-        let head = self.head(tag);
-        self.prev[slot] = NIL32;
-        self.next[slot] = if head == NIL { NIL32 } else { head as u32 };
-        if head != NIL {
-            self.prev[head] = slot as u32;
-        }
-        self.set_head(tag, slot);
-    }
-
-    /// Unregisters `slot` (which carried tag `asid`).
-    pub fn remove(&mut self, asid: Option<Asid>, slot: usize) {
-        let (next, prev) = (self.next[slot], self.prev[slot]);
-        if next != NIL32 {
-            self.prev[next as usize] = prev;
-        }
-        if prev != NIL32 {
-            self.next[prev as usize] = next;
-        } else {
-            let head = if next == NIL32 { NIL } else { next as usize };
-            self.set_head(tag_of(asid), head);
-        }
-        self.next[slot] = NIL32;
-        self.prev[slot] = NIL32;
-    }
-
-    /// Drops tag `asid`'s whole chain in one head write. The caller
-    /// owns resetting each chained slot's links ([`TagIndex::detach`])
-    /// — cheaper than a per-slot [`TagIndex::remove`], which would
-    /// re-stitch a chain that is being discarded anyway.
-    pub fn drop_tag(&mut self, asid: Option<Asid>) {
-        self.set_head(tag_of(asid), NIL);
-    }
-
-    /// Resets `slot`'s links after its chain was dropped wholesale via
-    /// [`TagIndex::drop_tag`]. Write-only, no unlink reads.
-    pub fn detach(&mut self, slot: usize) {
-        self.next[slot] = NIL32;
-        self.prev[slot] = NIL32;
-    }
-
-    /// Calls `visit` with every slot carrying tag `asid`, in no
-    /// particular order. The index must not be mutated during the
-    /// walk.
-    pub fn for_tag(&self, asid: Option<Asid>, mut visit: impl FnMut(usize)) {
-        let mut slot = self.head(tag_of(asid));
-        while slot != NIL {
-            visit(slot);
-            let n = self.next[slot];
-            slot = if n == NIL32 { NIL } else { n as usize };
-        }
-    }
-
-    /// Calls `visit` with every slot carrying a non-global tag. 256
-    /// head probes bound the cost regardless of occupancy.
-    pub fn for_non_global(&self, mut visit: impl FnMut(usize)) {
-        for tag in 0..GLOBAL_TAG {
-            let mut slot = self.head(tag);
-            while slot != NIL {
-                visit(slot);
-                let n = self.next[slot];
-                slot = if n == NIL32 { NIL } else { n as usize };
-            }
-        }
-    }
-
-    /// Drops every registration in O(1) via the epoch.
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wraparound: buckets stamped in the previous epoch-0 era
-            // would read as live again.
-            self.heads.fill(NIL32 as u64);
-        }
-    }
-
-    /// Checks the index against the slot array (`tag_at(slot)` = the
-    /// `asid` field of the entry a valid slot holds): every valid slot
-    /// is chained exactly once, under its own tag, with consistent
-    /// back links, and no invalid slot is chained. Returns the first
-    /// violation.
-    pub fn verify(&self, tag_at: impl Fn(usize) -> Option<Option<Asid>>) -> Result<(), String> {
-        let mut chains = Chains::new("tag index", &self.next, &self.prev);
-        for tag in 0..=GLOBAL_TAG {
-            let head = self.head(tag);
-            let head = if head == NIL { NIL32 } else { head as u32 };
-            chains.walk(head, |slot| match tag_at(slot) {
-                None => Err("is invalid but chained".into()),
-                Some(asid) if tag_of(asid) != tag => {
-                    Err(format!("(tag {asid:?}) is chained under tag {tag}"))
-                }
-                Some(_) => Ok(()),
-            })?;
-        }
-        chains.cover(|slot| tag_at(slot).is_some())
-    }
-}
-
-/// The set of invalid slots as a bitmask, so that the architectural
-/// "fill the lowest invalid slot first" rule is a trailing-zeros scan
-/// and a full flush is a refill — no allocation on either path.
-#[derive(Clone)]
-pub struct FreeSlots {
-    words: Vec<u64>,
-    capacity: usize,
-}
-
-impl FreeSlots {
-    /// All of `0..capacity` free.
-    pub fn all(capacity: usize) -> FreeSlots {
-        let mut slots = FreeSlots {
-            words: vec![0; capacity.div_ceil(64)],
-            capacity,
-        };
-        slots.fill();
-        slots
-    }
-
-    /// Resets to all free.
-    pub fn fill(&mut self) {
-        self.words.fill(!0);
-        let tail = self.capacity % 64;
-        if tail != 0 {
-            *self.words.last_mut().expect("capacity > 0") = (1u64 << tail) - 1;
-        }
-    }
-
-    /// Marks `slot` free.
-    pub fn release(&mut self, slot: usize) {
-        self.words[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    /// Whether `slot` is marked free.
-    pub fn is_free(&self, slot: usize) -> bool {
-        self.words[slot / 64] & (1u64 << (slot % 64)) != 0
-    }
-
-    /// Claims the lowest free slot, if any.
-    pub fn claim_lowest(&mut self) -> Option<usize> {
-        for (i, word) in self.words.iter_mut().enumerate() {
-            if *word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                *word &= *word - 1; // clear lowest set bit
-                return Some(i * 64 + bit);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sat_types::{Domain, Perms, Pfn};
+    use sat_types::{Asid, Domain, Perms, Pfn};
 
     fn entry(va: u32, size: PageSize) -> TlbEntry {
         TlbEntry {
@@ -636,45 +384,5 @@ mod tests {
         index.remove(&a, 0);
         assert_eq!(covering(&index, &entries, 0x0000_1000), Vec::<usize>::new());
         assert_eq!(covering(&index, &entries, 0x7FFF_E000), vec![1]);
-    }
-
-    #[test]
-    fn tag_chains_track_slots_and_clear_in_o1() {
-        let mut tags = TagIndex::new(8);
-        tags.add(Some(Asid::new(5)), 1);
-        tags.add(Some(Asid::new(5)), 3);
-        tags.add(None, 2);
-        let mut seen = Vec::new();
-        tags.for_tag(Some(Asid::new(5)), |s| seen.push(s));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 3]);
-        seen.clear();
-        tags.for_non_global(|s| seen.push(s));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 3]);
-        tags.remove(Some(Asid::new(5)), 3);
-        seen.clear();
-        tags.for_tag(Some(Asid::new(5)), |s| seen.push(s));
-        assert_eq!(seen, vec![1]);
-        tags.clear();
-        seen.clear();
-        tags.for_tag(Some(Asid::new(5)), |s| seen.push(s));
-        tags.for_tag(None, |s| seen.push(s));
-        assert_eq!(seen, Vec::<usize>::new());
-    }
-
-    #[test]
-    fn free_slots_fill_lowest_first() {
-        let mut free = FreeSlots::all(130); // exercise the multi-word tail
-        assert_eq!(free.claim_lowest(), Some(0));
-        assert_eq!(free.claim_lowest(), Some(1));
-        free.release(0);
-        assert_eq!(free.claim_lowest(), Some(0));
-        for expected in 2..130 {
-            assert_eq!(free.claim_lowest(), Some(expected));
-        }
-        assert_eq!(free.claim_lowest(), None);
-        free.fill();
-        assert_eq!(free.claim_lowest(), Some(0));
     }
 }

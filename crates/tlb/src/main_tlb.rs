@@ -3,27 +3,23 @@
 //! Architecturally this is a flat array of tagged slots with
 //! round-robin replacement (see the [`MainTlb`] docs). Since every
 //! simulated fetch and data access funnels through [`MainTlb::lookup`],
-//! the model keeps acceleration indexes next to the slot array — a
-//! per-page-size VA map, per-tag slot lists, and a free-slot set — so
-//! lookups, fills and selective flushes touch only candidate slots
-//! instead of scanning the whole array. The indexes never change
-//! *which* slot wins: every path resolves ties by minimum slot number,
-//! which is the entry a linear first-match scan returns, so observable
-//! behaviour (hits, misses, evictions, flush counts, statistics) is
-//! identical to the linear reference model in [`crate::reference`].
-//! The differential proptests in `tests/differential.rs` enforce that
-//! equivalence, and check [`MainTlb::verify`] after every operation.
-//!
-//! Which index serves which operation:
-//!
-//! * the VA map: `lookup`/`probe`, the by-address flushes
-//!   (`flush_va`, `flush_va_all_asids`, `flush_page`), and the
-//!   duplicate check of a 4KB `insert` — one bucket probe per page
-//!   size in use, whatever the ASID's residency;
-//! * the tag chains: `flush_asid`, `flush_range`, `flush_non_global`,
-//!   and the duplicate check of an insert *larger* than 4KB (kernel
-//!   sections, promoted groups — rare);
-//! * the free set: the fill slot of an `insert` that replaced nothing.
+//! the model keeps one acceleration index next to the slot array — a
+//! per-page-size VA map ([`crate::index::VaIndex`]) — so the
+//! operations that name an address touch only candidate slots:
+//! `lookup`/`probe`, the by-address flushes (`flush_va`,
+//! `flush_va_all_asids`, `flush_page`), and the duplicate check of a
+//! 4KB `insert`, one bucket probe per page size in use. Everything
+//! else is one pass over the slots: `flush_asid`, `flush_range`,
+//! `flush_non_global`, the duplicate check of an insert *larger* than
+//! 4KB (kernel sections, promoted groups — rare), and the fill slot of
+//! an `insert` that replaced nothing (the first empty slot; no scan
+//! when the TLB is full). The index never changes *which* slot wins:
+//! every path resolves ties by minimum slot number, which is the entry
+//! a linear first-match scan returns, so observable behaviour (hits,
+//! misses, evictions, flush counts, statistics) is identical to the
+//! linear reference model in [`crate::reference`]. The differential
+//! proptests in `tests/differential.rs` enforce that equivalence, and
+//! check [`MainTlb::verify`] after every operation.
 //!
 //! **Why the 4KB duplicate check is exact.** `insert` must drop every
 //! same-tag entry `e` that overlaps the new entry `n`:
@@ -35,12 +31,12 @@
 //! masks both sides). "Covers `n.va_base`" is therefore the whole
 //! overlap set, and it is what the VA map enumerates. A larger `n` can
 //! also swallow small entries whose pages do not reach its base; only
-//! the tag chain finds those.
+//! the pass over the slots finds those.
 
 use sat_types::{Asid, Domain, PageSize, VirtAddr};
 
 use crate::entry::TlbEntry;
-use crate::index::{FreeSlots, TagIndex, VaIndex};
+use crate::index::VaIndex;
 
 /// Reports a flush to the observability layer. The *reason* (which
 /// kernel path issued the flush) comes from the caller's scoped
@@ -129,17 +125,8 @@ pub struct MainTlb {
     stats: TlbStats,
     /// Valid-entry count, maintained incrementally.
     valid: usize,
-    /// Valid *global* entry count, maintained incrementally.
-    global_valid: usize,
     /// VA page → candidate slots.
     va_index: VaIndex,
-    /// Entry tag (`asid` field, `None` = global) → slots. Bounds
-    /// `flush_asid`, `flush_range`, `flush_non_global`, and the
-    /// duplicate scan of an insert larger than 4KB to that tag's
-    /// slots.
-    tag_index: TagIndex,
-    /// Invalid slots, lowest first (the architectural fill order).
-    free: FreeSlots,
     /// Scratch buffer for candidate collection (avoids a per-lookup
     /// allocation on the hot path).
     scratch: Vec<usize>,
@@ -156,17 +143,18 @@ impl Default for MainTlb {
 
 impl MainTlb {
     /// Creates a TLB with `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0, "a TLB needs at least one slot");
         MainTlb {
             entries: vec![None; capacity],
             victim: 0,
             stats: TlbStats::default(),
             valid: 0,
-            global_valid: 0,
             va_index: VaIndex::new(capacity),
-            tag_index: TagIndex::new(capacity),
-            free: FreeSlots::all(capacity),
             scratch: Vec::new(),
         }
     }
@@ -193,9 +181,13 @@ impl MainTlb {
         self.valid
     }
 
-    /// Counts valid global entries.
+    /// Counts valid global entries (a recount: only reports read it).
     pub fn global_occupancy(&self) -> usize {
-        self.global_valid
+        self.entries
+            .iter()
+            .flatten()
+            .filter(|(e, _)| e.is_global())
+            .count()
     }
 
     /// Returns the lowest slot holding an entry that matches
@@ -250,70 +242,56 @@ impl MainTlb {
         // inside its range and vice versa. Only same-tag entries can
         // collide. For a 4KB entry every overlapping entry covers its
         // base (module docs), so the VA map's candidates are the whole
-        // set; a larger entry scans its tag's chain.
+        // set; a larger entry scans the slots.
         let mut overlaps = std::mem::take(&mut self.scratch);
         overlaps.clear();
-        {
+        if entry.size == PageSize::Small4K {
             let entries = &self.entries;
-            if entry.size == PageSize::Small4K {
-                self.va_index.for_covering(entry.va_base, |slot| {
-                    let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
-                    // Candidates may be hash-collision neighbours.
-                    if e.asid == entry.asid && e.covers(entry.va_base) {
-                        overlaps.push(slot);
-                    }
-                });
-            } else {
-                self.tag_index.for_tag(entry.asid, |slot| {
-                    let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
-                    if e.covers(entry.va_base) || entry.covers(e.va_base) {
-                        overlaps.push(slot);
-                    }
-                });
-            }
+            self.va_index.for_covering(entry.va_base, |slot| {
+                let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
+                // Candidates may be hash-collision neighbours.
+                if e.asid == entry.asid && e.covers(entry.va_base) {
+                    overlaps.push(slot);
+                }
+            });
+            overlaps.sort_unstable();
+        } else {
+            overlaps.extend(self.entries.iter().enumerate().filter_map(|(slot, s)| {
+                let (e, _) = s.as_ref()?;
+                let overlap =
+                    e.asid == entry.asid && (e.covers(entry.va_base) || entry.covers(e.va_base));
+                overlap.then_some(slot)
+            }));
         }
-        if !overlaps.is_empty() {
+        if let Some(&target) = overlaps.first() {
             // The linear scan replaces the first overlapping slot in
             // place and silently clears the rest.
-            overlaps.sort_unstable();
-            let target = overlaps[0];
-            for &slot in overlaps.iter().skip(1) {
+            for &slot in &overlaps[1..] {
                 self.clear_slot(slot);
             }
             let old = self.entries[target].expect("overlap slot is valid").0;
             self.va_index.remove(&old, target);
-            if old.is_global() {
-                self.global_valid -= 1;
-            }
-            // Same tag by construction, so the tag chain keeps its
-            // registration for `target`.
             self.entries[target] = Some((entry, loader));
             self.va_index.add(&entry, target);
-            if entry.is_global() {
-                self.global_valid += 1;
-            }
             self.scratch = overlaps;
             return;
         }
         self.scratch = overlaps;
-        let slot = match self.free.claim_lowest() {
-            Some(slot) => slot,
-            None => {
-                self.stats.evictions += 1;
-                let slot = self.victim;
-                self.victim = (self.victim + 1) % self.entries.len();
-                let (old, _) = self.entries[slot].expect("full TLB has no invalid slots");
-                self.detach(&old, slot);
-                slot
-            }
+        let slot = if self.valid < self.entries.len() {
+            self.entries
+                .iter()
+                .position(Option::is_none)
+                .expect("a TLB below capacity has an empty slot")
+        } else {
+            self.stats.evictions += 1;
+            let slot = self.victim;
+            self.victim = (self.victim + 1) % self.entries.len();
+            self.clear_slot(slot);
+            slot
         };
         self.entries[slot] = Some((entry, loader));
         self.va_index.add(&entry, slot);
-        self.tag_index.add(entry.asid, slot);
         self.valid += 1;
-        if entry.is_global() {
-            self.global_valid += 1;
-        }
     }
 
     /// Invalidates everything. Returns the number of entries dropped.
@@ -321,10 +299,7 @@ impl MainTlb {
         let n = self.valid;
         self.entries.iter_mut().for_each(|s| *s = None);
         self.va_index.clear();
-        self.tag_index.clear();
-        self.free.fill();
         self.valid = 0;
-        self.global_valid = 0;
         self.stats.entries_flushed += n as u64;
         self.stats.full_flushes += 1;
         emit_flush(sat_obs::FlushScope::All, None, n);
@@ -334,28 +309,7 @@ impl MainTlb {
     /// Invalidates all non-global entries tagged with `asid` (the
     /// `TLBIASID` operation Linux uses for `flush_tlb_mm`).
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
-        // Collect first: clearing a slot mutates the chain the walk
-        // is traversing.
-        let mut slots = std::mem::take(&mut self.scratch);
-        slots.clear();
-        self.tag_index.for_tag(Some(asid), |slot| slots.push(slot));
-        // The whole tag chain dies: drop its head once and reset each
-        // slot's links write-only, instead of per-slot unlink surgery
-        // on a chain that is being discarded anyway.
-        self.tag_index.drop_tag(Some(asid));
-        let n = slots.len();
-        for &slot in &slots {
-            let (entry, _) = self.entries[slot].take().expect("indexed slot is valid");
-            self.va_index.remove(&entry, slot);
-            self.tag_index.detach(slot);
-            self.free.release(slot);
-            self.valid -= 1;
-            // Entries carrying an ASID tag are by definition
-            // non-global, so `global_valid` is untouched.
-            debug_assert!(!entry.is_global());
-        }
-        self.scratch = slots;
-        self.stats.entries_flushed += n as u64;
+        let n = self.flush_where(|e| e.asid == Some(asid));
         emit_flush(sat_obs::FlushScope::Asid, Some(asid), n);
         n
     }
@@ -392,28 +346,9 @@ impl MainTlb {
 
     /// Invalidates the entries tagged `asid` overlapping the VPN range
     /// (back-to-back `TLBIMVA`s in hardware). Global entries survive.
-    /// Walks the ASID's tag chain, so the cost is bounded by that
-    /// ASID's residency, not the range width.
+    /// One pass over the slots, whatever the range width.
     pub fn flush_range(&mut self, asid: Asid, range: sat_types::VpnRange) -> usize {
-        // Collect first: clearing a slot mutates the chain the walk
-        // is traversing.
-        let mut slots = std::mem::take(&mut self.scratch);
-        slots.clear();
-        {
-            let entries = &self.entries;
-            self.tag_index.for_tag(Some(asid), |slot| {
-                let (e, _) = entries[slot].as_ref().expect("indexed slot is valid");
-                if e.overlaps_vpns(&range) {
-                    slots.push(slot);
-                }
-            });
-        }
-        let n = slots.len();
-        for &slot in &slots {
-            self.clear_slot(slot);
-        }
-        self.scratch = slots;
-        self.stats.entries_flushed += n as u64;
+        let n = self.flush_where(|e| e.asid == Some(asid) && e.overlaps_vpns(&range));
         emit_flush(sat_obs::FlushScope::Range, Some(asid), n);
         n
     }
@@ -421,16 +356,23 @@ impl MainTlb {
     /// Invalidates all non-global entries (used when ASIDs are
     /// recycled).
     pub fn flush_non_global(&mut self) -> usize {
-        let mut slots = std::mem::take(&mut self.scratch);
-        slots.clear();
-        self.tag_index.for_non_global(|slot| slots.push(slot));
-        let n = slots.len();
-        for &slot in &slots {
-            self.clear_slot(slot);
-        }
-        self.scratch = slots;
-        self.stats.entries_flushed += n as u64;
+        let n = self.flush_where(|e| !e.is_global());
         emit_flush(sat_obs::FlushScope::NonGlobal, None, n);
+        n
+    }
+
+    /// Invalidates every entry that satisfies `pred`, in one pass over
+    /// the slots.
+    fn flush_where(&mut self, pred: impl Fn(&TlbEntry) -> bool) -> usize {
+        let mut n = 0;
+        for (slot, s) in self.entries.iter_mut().enumerate() {
+            if let Some((entry, _)) = s.take_if(|(e, _)| pred(e)) {
+                self.va_index.remove(&entry, slot);
+                n += 1;
+            }
+        }
+        self.valid -= n;
+        self.stats.entries_flushed += n as u64;
         n
     }
 
@@ -456,37 +398,24 @@ impl MainTlb {
         n as usize
     }
 
-    /// Checks the acceleration state against the slot array, and the
-    /// slot array against the hardware invariant [`MainTlb::insert`]
-    /// exists to keep: every valid slot is registered exactly once in
-    /// the VA map (in the bucket of its own size and base) and in its
-    /// tag's chain, and nowhere else; the free set is exactly the
-    /// invalid slots; the occupancy counters equal a recount; no two
-    /// valid entries with the same tag overlap. Returns a description
-    /// of the first violation found. O(capacity²) — for tests and
-    /// audits, not for the access path.
+    /// Checks the VA map against the slot array, and the slot array
+    /// against the hardware invariant [`MainTlb::insert`] exists to
+    /// keep: every valid slot is registered exactly once in the VA map
+    /// (in the bucket of its own size and base) and nowhere else; the
+    /// occupancy counter equals a recount; no two valid entries with
+    /// the same tag overlap. Returns a description of the first
+    /// violation found. O(capacity²) — for tests and audits, not for
+    /// the access path.
     pub fn verify(&self) -> Result<(), String> {
         let entry_at = |slot: usize| self.entries[slot].map(|(e, _)| e);
         self.va_index.verify(entry_at)?;
-        self.tag_index
-            .verify(|slot| entry_at(slot).map(|e| e.asid))?;
-        if let Some(slot) =
-            (0..self.entries.len()).find(|&s| self.free.is_free(s) != self.entries[s].is_none())
-        {
-            return Err(format!(
-                "slot {slot}: the free set disagrees with the slot array (valid: {})",
-                self.entries[slot].is_some()
-            ));
-        }
         let valid: Vec<(usize, TlbEntry)> = (0..self.entries.len())
             .filter_map(|s| entry_at(s).map(|e| (s, e)))
             .collect();
-        let globals = valid.iter().filter(|(_, e)| e.is_global()).count();
-        if (self.valid, self.global_valid) != (valid.len(), globals) {
+        if self.valid != valid.len() {
             return Err(format!(
-                "occupancy counters say {} valid / {} global, a recount {} / {globals}",
+                "the occupancy counter says {} valid, a recount {}",
                 self.valid,
-                self.global_valid,
                 valid.len()
             ));
         }
@@ -504,23 +433,11 @@ impl MainTlb {
         Ok(())
     }
 
-    /// Invalidates `slot`, unregistering it everywhere.
+    /// Invalidates `slot`, unregistering it from the VA map.
     fn clear_slot(&mut self, slot: usize) {
         let (entry, _) = self.entries[slot].take().expect("cleared slot is valid");
-        self.detach(&entry, slot);
-        self.free.release(slot);
-    }
-
-    /// Removes `slot`'s registrations for `entry` from every index and
-    /// decrements the occupancy counters (slot array and free set are
-    /// the caller's responsibility).
-    fn detach(&mut self, entry: &TlbEntry, slot: usize) {
-        self.va_index.remove(entry, slot);
-        self.tag_index.remove(entry.asid, slot);
+        self.va_index.remove(&entry, slot);
         self.valid -= 1;
-        if entry.is_global() {
-            self.global_valid -= 1;
-        }
     }
 }
 
@@ -886,10 +803,6 @@ mod tests {
 
     #[test]
     fn verify_catches_a_corrupted_link() {
-        // A valid slot missing from its tag chain.
-        let mut tlb = populated();
-        tlb.tag_index.remove(Some(Asid::new(1)), 1);
-        assert!(tlb.verify().unwrap_err().contains("tag index"));
         // A valid slot chained in the VA map under another page.
         let mut tlb = populated();
         let held = tlb.entries[1].unwrap().0;
@@ -899,20 +812,13 @@ mod tests {
         // An invalid slot still chained.
         let mut tlb = populated();
         tlb.entries[2] = None;
-        assert!(tlb.verify().is_err());
-        // A valid slot the free set would hand out again.
-        let mut tlb = populated();
-        tlb.free.release(1);
-        assert!(tlb.verify().unwrap_err().contains("free set"));
+        assert!(tlb.verify().unwrap_err().contains("invalid but chained"));
     }
 
     #[test]
     fn verify_catches_a_drifted_counter() {
         let mut tlb = populated();
         tlb.valid += 1;
-        assert!(tlb.verify().unwrap_err().contains("recount"));
-        let mut tlb = populated();
-        tlb.global_valid -= 1;
         assert!(tlb.verify().unwrap_err().contains("recount"));
     }
 
@@ -922,10 +828,9 @@ mod tests {
         // registered: only the overlap clause can object.
         let mut tlb = populated();
         let dup = entry(0x0004_5000, Some(2));
-        let slot = tlb.free.claim_lowest().unwrap();
+        let slot = tlb.entries.iter().position(Option::is_none).unwrap();
         tlb.entries[slot] = Some((dup, Asid::new(2)));
         tlb.va_index.add(&dup, slot);
-        tlb.tag_index.add(dup.asid, slot);
         tlb.valid += 1;
         assert!(tlb.verify().unwrap_err().contains("overlapping"));
         // The same page under another tag is no duplicate.
@@ -933,5 +838,11 @@ mod tests {
         tlb.insert(entry(0x0004_5000, Some(3)), Asid::new(3));
         tlb.insert(entry(0x0004_5000, None), Asid::new(3));
         tlb.verify().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "a TLB needs at least one slot")]
+    fn zero_slots_is_refused_by_name() {
+        MainTlb::new(0);
     }
 }

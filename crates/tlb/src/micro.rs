@@ -8,12 +8,14 @@
 //! Like [`crate::main_tlb::MainTlb`], the model keeps a VA-page index
 //! next to the slot array so `lookup` and `flush_va` touch only
 //! candidate slots; ties resolve to the minimum slot number, matching
-//! a linear first-match scan (see [`crate::index`]).
+//! a linear first-match scan (see [`crate::index`]). A fill takes the
+//! first empty slot, found by a pass over the slots that is skipped
+//! when the TLB is full; `flush_range` is one pass too.
 
 use sat_types::VirtAddr;
 
 use crate::entry::TlbEntry;
-use crate::index::{FreeSlots, VaIndex};
+use crate::index::VaIndex;
 
 /// Reports a micro-TLB invalidation. Micro TLBs are untagged, so no
 /// pid/ASID rides on the event; the reason comes from the caller's
@@ -43,8 +45,6 @@ pub struct MicroTlb {
     valid: usize,
     /// VA page → candidate slots.
     va_index: VaIndex,
-    /// Invalid slots, lowest first (the architectural fill order).
-    free: FreeSlots,
     /// Scratch buffer for candidate collection (avoids a per-lookup
     /// allocation on the hot path).
     scratch: Vec<usize>,
@@ -61,8 +61,12 @@ impl Default for MicroTlb {
 
 impl MicroTlb {
     /// Creates a micro-TLB with `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0, "a TLB needs at least one slot");
         MicroTlb {
             entries: vec![None; capacity],
             victim: 0,
@@ -70,7 +74,6 @@ impl MicroTlb {
             misses: 0,
             valid: 0,
             va_index: VaIndex::new(capacity),
-            free: FreeSlots::all(capacity),
             scratch: Vec::new(),
         }
     }
@@ -114,16 +117,18 @@ impl MicroTlb {
     /// TLB, there is no duplicate scan: the micro-TLB only ever
     /// receives entries that just missed.
     pub fn insert(&mut self, entry: TlbEntry) {
-        let slot = match self.free.claim_lowest() {
-            Some(slot) => slot,
-            None => {
-                let slot = self.victim;
-                self.victim = (self.victim + 1) % self.entries.len();
-                let old = self.entries[slot].expect("full TLB has no invalid slots");
-                self.va_index.remove(&old, slot);
-                self.valid -= 1;
-                slot
-            }
+        let slot = if self.valid < self.entries.len() {
+            self.entries
+                .iter()
+                .position(Option::is_none)
+                .expect("a TLB below capacity has an empty slot")
+        } else {
+            let slot = self.victim;
+            self.victim = (self.victim + 1) % self.entries.len();
+            let old = self.entries[slot].expect("full TLB has no invalid slots");
+            self.va_index.remove(&old, slot);
+            self.valid -= 1;
+            slot
         };
         self.entries[slot] = Some(entry);
         self.va_index.add(&entry, slot);
@@ -135,7 +140,6 @@ impl MicroTlb {
         let n = self.valid;
         self.entries.iter_mut().for_each(|s| *s = None);
         self.va_index.clear();
-        self.free.fill();
         self.valid = 0;
         // Micro-TLB flushes fire on *every* context switch; only the
         // ones that actually invalidate something are worth a trace
@@ -164,7 +168,6 @@ impl MicroTlb {
             }
             let entry = self.entries[slot].take().expect("indexed slot is valid");
             self.va_index.remove(&entry, slot);
-            self.free.release(slot);
             self.valid -= 1;
         }
         self.scratch = candidates;
@@ -190,7 +193,6 @@ impl MicroTlb {
             }
             let entry = self.entries[slot].take().expect("slot is valid");
             self.va_index.remove(&entry, slot);
-            self.free.release(slot);
             self.valid -= 1;
         }
         let n = valid_before - self.valid;
@@ -275,5 +277,11 @@ mod tests {
         // flush_va removes every covering entry, not just the winner.
         utlb.flush_va(VirtAddr::new(0x1000));
         assert_eq!(utlb.occupancy(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a TLB needs at least one slot")]
+    fn zero_slots_is_refused_by_name() {
+        MicroTlb::new(0);
     }
 }

@@ -1,11 +1,12 @@
 //! Linear-scan reference TLB models.
 //!
-//! These are the original, index-free implementations of
-//! [`crate::MainTlb`] and [`crate::MicroTlb`]: every operation walks
-//! the whole slot array, exactly as the documentation of the
-//! architectural model reads. They are kept as the executable
-//! specification that the index-accelerated implementations must
-//! match bit-for-bit — the differential proptests in
+//! These are index-free implementations of [`crate::MainTlb`] and
+//! [`crate::MicroTlb`]: every operation walks the whole slot array,
+//! exactly as the documentation of the architectural model reads.
+//! They are kept as the executable specification that the models
+//! (which answer lookups, by-address flushes and 4KB duplicate checks
+//! through a VA index, [`crate::index::VaIndex`]) must match
+//! bit-for-bit: the differential proptests in
 //! `tests/differential.rs` drive both models with identical operation
 //! sequences and assert identical lookup results, statistics, and
 //! occupancy.

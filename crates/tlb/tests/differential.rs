@@ -1,17 +1,20 @@
-//! Differential tests: the index-accelerated TLB models vs the
-//! linear-scan reference models.
+//! Differential tests: the VA-indexed TLB models vs the linear-scan
+//! reference models.
 //!
-//! `MainTlb`/`MicroTlb` (crate::index-backed) and
-//! `RefMainTlb`/`RefMicroTlb` (the original linear scans, kept as the
-//! executable specification in `crate::reference`) are driven with
-//! identical randomized operation sequences. Every operation's return
-//! value must agree, and after the sequence the statistics, occupancy
-//! counters, and a full probe sweep must agree — i.e. the indexes are
+//! `MainTlb`/`MicroTlb` (lookups, by-address flushes and the 4KB
+//! duplicate check through `crate::index::VaIndex`, every other
+//! operation one pass over the slots) and `RefMainTlb`/`RefMicroTlb`
+//! (whole-array scans for every operation, kept as the executable
+//! specification in `crate::reference`) are driven with identical
+//! randomized operation sequences. Every operation's return value
+//! must agree, and after the sequence the statistics, occupancy
+//! counters, and a full probe sweep must agree — i.e. the index is
 //! pure acceleration with zero observable behaviour change, including
-//! round-robin victim choice and first-match (minimum-slot) winners.
-//! The main TLB's own consistency check (`MainTlb::verify`) runs after
-//! every operation too, so an index that drifts from the slot array is
-//! caught at the step that broke it, not when a lookup first notices.
+//! round-robin victim choice, the first-empty-slot fill and
+//! first-match (minimum-slot) winners. The main TLB's own consistency
+//! check (`MainTlb::verify`) runs after every operation too, so a VA
+//! index that drifts from the slot array is caught at the step that
+//! broke it, not when a lookup first notices.
 
 use proptest::prelude::*;
 use sat_tlb::{MainTlb, MicroTlb, RefMainTlb, RefMicroTlb, TlbEntry};
@@ -112,8 +115,8 @@ proptest! {
             }
             prop_assert_eq!(idx.occupancy(), reference.occupancy());
             prop_assert_eq!(idx.global_occupancy(), reference.global_occupancy());
-            // The indexes, the free set and the counters agree with
-            // the slot array, and no tag holds two overlapping entries.
+            // The VA index and the occupancy counter agree with the
+            // slot array, and no tag holds two overlapping entries.
             prop_assert_eq!(idx.verify(), Ok(()));
         }
         prop_assert_eq!(idx.stats(), reference.stats());
@@ -207,8 +210,8 @@ fn globals_survive_range_flush_in_both_models() {
 }
 
 /// Range and page flushes at full occupancy (every slot valid, the
-/// round-robin victim mid-array) stay in lockstep, including the
-/// free-slot bookkeeping the next inserts depend on.
+/// round-robin victim mid-array) stay in lockstep, including which
+/// emptied slots the next inserts fill.
 #[test]
 fn range_flush_at_capacity_matches_reference() {
     let mut idx = MainTlb::new(8);
