@@ -16,8 +16,11 @@ trap 'rm -rf "$out"' EXIT
 step() { printf '\n== %s\n' "$*"; }
 repro() { cargo run --release --quiet -p sat-bench --bin repro -- "$@"; }
 
+# benchmark/ is a workspace of its own, so the workspace check does not
+# see it: check it by its manifest too.
 step "format"
 cargo fmt --check
+cargo fmt --check --manifest-path benchmark/Cargo.toml
 
 step "build (release)"
 cargo build --release
@@ -40,10 +43,12 @@ cargo test -q
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs: lookups, by-address flushes and
-# the 4KB duplicate check through the VA index, tag flushes, large
-# inserts and fills one pass over the slots; it is what stands behind
-# `MainTlb::insert`'s duplicate rule and the first-empty-slot fill,
-# and runs `MainTlb::verify` after every op), and the grouped page
+# the 4KB duplicate check through the VA index, the full and tag
+# flushes, large inserts and fills one pass over the slots; it is what
+# stands behind `MainTlb::insert`'s duplicate rule and the
+# first-empty-slot fill, and runs `MainTlb::verify` after every op —
+# the micro-TLBs have no index and no twin, being the linear scan
+# themselves, and their unit rows run here too), and the grouped page
 # tables vs the dense `RefPtp` / `RefRootTable`
 # (crates/mmu/src/reference.rs, with `Ptp::verify` /
 # `RootTable::verify` after every op) — one table alone, and the
@@ -112,8 +117,11 @@ PROPTEST_CASES=2048 cargo test --release -q \
     -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core \
     -p sat-sched
 
+# The benchmark package (its own workspace) is linted like the rest, in
+# release as its test step builds it.
 step "clippy"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --release --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 # Intra-doc links are checked like code: a doc comment that links to a
 # deleted or private item fails here.

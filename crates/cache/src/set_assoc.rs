@@ -28,9 +28,10 @@ impl CacheConfig {
         line_bytes: 32,
     };
 
-    /// Number of sets implied by the geometry.
+    /// Number of sets implied by the geometry (rounded down; two
+    /// divisions, so no product of the fields can overflow).
     pub fn sets(&self) -> u32 {
-        self.size_bytes / (self.ways * self.line_bytes)
+        self.size_bytes / self.ways / self.line_bytes
     }
 }
 
@@ -85,7 +86,8 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if there is no way, if the line size is not a power of
-    /// two or is one byte, or if the set count is not a power of two.
+    /// two or is one byte, if the geometry holds less than one set, or
+    /// if the set count is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.ways >= 1, "a cache needs at least one way");
         assert!(
@@ -93,6 +95,7 @@ impl Cache {
             "line size must be a power of two above one"
         );
         let sets = config.sets();
+        assert!(sets >= 1, "a cache needs at least one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             config,
@@ -284,6 +287,28 @@ mod tests {
             size_bytes: 128,
             ways: 2,
             line_bytes: 0,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a cache needs at least one set")]
+    fn less_than_one_set_is_refused_by_name() {
+        Cache::new(CacheConfig {
+            size_bytes: 64,
+            ways: 4,
+            line_bytes: 32,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a cache needs at least one set")]
+    fn a_way_count_whose_product_overflows_is_refused_by_name() {
+        // ways × line_bytes is 2^32, past `u32`: the set count still
+        // comes out as zero, in debug and release alike.
+        Cache::new(CacheConfig {
+            size_bytes: 1 << 20,
+            ways: 1 << 27,
+            line_bytes: 32,
         });
     }
 

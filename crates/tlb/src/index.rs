@@ -1,28 +1,25 @@
-//! The VA index that makes TLB lookups sub-linear.
+//! The VA index that makes main-TLB lookups sub-linear.
 //!
-//! The TLB models keep their architectural state — a flat slot array
-//! with round-robin replacement — untouched, and keep one pure
+//! The main TLB keeps its architectural state — a flat slot array
+//! with round-robin replacement — untouched, and keeps one pure
 //! acceleration structure next to it: [`VaIndex`], per-page-size
 //! direct-mapped tables from a size-aligned VA base to the slots
 //! holding an entry for that page. `lookup`/`probe` and the
 //! by-address flushes visit only a handful of candidate slots (at most
-//! one table probe per page size) instead of scanning every slot. The
-//! main TLB's `insert` finds the duplicates of a 4KB entry the same
-//! way: every entry overlapping a 4KB page covers its base (the
-//! argument is in [`crate::main_tlb`]'s module docs). Everything else
-//! — the tag flushes, the duplicate check of a larger insert, the fill
-//! slot — is one pass over the slots.
+//! one table probe per page size) instead of scanning every slot.
+//! `insert` finds the duplicates of a 4KB entry the same way: every
+//! entry overlapping a 4KB page covers its base (the argument is in
+//! [`crate::main_tlb`]'s module docs). Everything else — the tag
+//! flushes, the full flush, the duplicate check of a larger insert,
+//! the fill slot — is one pass over the slots. The micro-TLBs have no
+//! index ([`crate::micro`] says why).
 //!
-//! Three properties keep the index off the profile:
+//! Two properties keep the index off the profile:
 //!
 //! 1. **No steady-state allocation.** Same-bucket slots are chained
 //!    through fixed `next`/`prev` arrays instead of per-bucket
 //!    vectors.
-//! 2. **O(1) full clear.** The simulated micro-TLBs are flushed on
-//!    *every* context switch, so `clear` must cost nothing: it bumps
-//!    an epoch instead of touching the tables, and readers ignore
-//!    buckets stamped with an older epoch.
-//! 3. **No general-purpose hash map.** The page tables are small
+//! 2. **No general-purpose hash map.** The page tables are small
 //!    fixed-size direct-mapped arrays (a TLB holds at most `capacity`
 //!    entries, so collisions are rare and merely lengthen a chain);
 //!    a probe is one multiply and one L1 load.
@@ -64,15 +61,14 @@ fn key(va: VirtAddr, size: PageSize) -> u32 {
 
 const NIL: usize = usize::MAX;
 
-/// 32-bit NIL used inside packed buckets.
+/// 32-bit NIL used inside buckets and chain links.
 const NIL32: u32 = u32::MAX;
 
-/// A direct-mapped, epoch-validated bucket table. Each bucket packs
-/// the epoch it was last written in (high 32 bits) and a chain head
-/// slot (low 32 bits); buckets from older epochs read as empty.
+/// A direct-mapped bucket table. Each bucket holds a chain head slot,
+/// or `NIL32`.
 #[derive(Clone)]
 struct DirectMap {
-    buckets: Vec<u64>,
+    buckets: Vec<u32>,
     /// Right-shift applied to the 64-bit product to select a bucket
     /// (multiply-shift hashing with the high bits).
     shift: u32,
@@ -82,7 +78,7 @@ impl DirectMap {
     fn new(buckets: usize) -> Self {
         let len = buckets.next_power_of_two();
         DirectMap {
-            buckets: vec![NIL32 as u64; len],
+            buckets: vec![NIL32; len],
             shift: 64 - len.trailing_zeros(),
         }
     }
@@ -94,32 +90,19 @@ impl DirectMap {
         ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Chain head for `key` at `epoch`, or `NIL`.
+    /// Chain head for `key`, or `NIL`.
     #[inline]
-    fn head(&self, key: u32, epoch: u32) -> usize {
-        let b = self.buckets[self.idx(key)];
-        if (b >> 32) as u32 == epoch {
-            let head = b as u32;
-            if head == NIL32 {
-                NIL
-            } else {
-                head as usize
-            }
-        } else {
-            NIL
+    fn head(&self, key: u32) -> usize {
+        match self.buckets[self.idx(key)] {
+            NIL32 => NIL,
+            head => head as usize,
         }
     }
 
     #[inline]
-    fn set_head(&mut self, key: u32, epoch: u32, head: usize) {
-        let packed = if head == NIL { NIL32 } else { head as u32 };
+    fn set_head(&mut self, key: u32, head: usize) {
         let idx = self.idx(key);
-        self.buckets[idx] = ((epoch as u64) << 32) | packed as u64;
-    }
-
-    /// Forgets everything, for epoch-counter wraparound.
-    fn reset(&mut self) {
-        self.buckets.fill(NIL32 as u64);
+        self.buckets[idx] = if head == NIL { NIL32 } else { head as u32 };
     }
 }
 
@@ -138,8 +121,6 @@ pub struct VaIndex {
     /// Live registrations per size class, to skip probing sizes with
     /// no entries at all.
     counts: [usize; 4],
-    /// Current epoch; buckets stamped with an older value are stale.
-    epoch: u32,
     /// Chain links, u32 to halve the footprint the flush paths drag
     /// through the cache (a TLB never has 4 billion slots).
     next: Vec<u32>,
@@ -165,7 +146,6 @@ impl VaIndex {
                 DirectMap::new(sparse),
             ],
             counts: [0; 4],
-            epoch: 0,
             next: vec![NIL32; capacity],
             prev: vec![NIL32; capacity],
         }
@@ -175,13 +155,13 @@ impl VaIndex {
     pub fn add(&mut self, entry: &TlbEntry, slot: usize) {
         let i = size_idx(entry.size);
         let k = key(entry.va_base, entry.size);
-        let head = self.maps[i].head(k, self.epoch);
+        let head = self.maps[i].head(k);
         self.prev[slot] = NIL32;
         self.next[slot] = if head == NIL { NIL32 } else { head as u32 };
         if head != NIL {
             self.prev[head] = slot as u32;
         }
-        self.maps[i].set_head(k, self.epoch, slot);
+        self.maps[i].set_head(k, slot);
         self.counts[i] += 1;
     }
 
@@ -198,7 +178,7 @@ impl VaIndex {
             // `slot` was the chain head.
             let k = key(entry.va_base, entry.size);
             let head = if next == NIL32 { NIL } else { next as usize };
-            self.maps[i].set_head(k, self.epoch, head);
+            self.maps[i].set_head(k, head);
         }
         self.next[slot] = NIL32;
         self.prev[slot] = NIL32;
@@ -216,28 +196,13 @@ impl VaIndex {
             if self.counts[i] == 0 {
                 continue;
             }
-            let mut slot = self.maps[i].head(key(va, *size), self.epoch);
+            let mut slot = self.maps[i].head(key(va, *size));
             while slot != NIL {
                 visit(slot);
                 let n = self.next[slot];
                 slot = if n == NIL32 { NIL } else { n as usize };
             }
         }
-    }
-
-    /// Drops every registration in O(1): readers ignore buckets from
-    /// older epochs. Cheap enough to call on every simulated context
-    /// switch.
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wraparound: stale buckets from the previous epoch 0
-            // would read as live again.
-            for map in &mut self.maps {
-                map.reset();
-            }
-        }
-        self.counts = [0; 4];
     }
 
     /// Checks the index against the slot array it accelerates
@@ -249,11 +214,8 @@ impl VaIndex {
         let mut chained = vec![false; self.next.len()];
         let mut counts = [0usize; 4];
         for (i, map) in self.maps.iter().enumerate() {
-            for (b, &bucket) in map.buckets.iter().enumerate() {
-                if (bucket >> 32) as u32 != self.epoch {
-                    continue;
-                }
-                let (mut back, mut at) = (NIL32, bucket as u32);
+            for (b, &head) in map.buckets.iter().enumerate() {
+                let (mut back, mut at) = (NIL32, head);
                 while at != NIL32 {
                     let slot = at as usize;
                     if slot >= chained.len() {
@@ -352,20 +314,6 @@ mod tests {
         assert_eq!(covering(&index, &entries, 0x0001_2345), vec![0, 1]);
         // 0x19999 lies only in the 64K page.
         assert_eq!(covering(&index, &entries, 0x0001_9999), vec![1]);
-    }
-
-    #[test]
-    fn clear_is_an_epoch_bump_that_hides_old_entries() {
-        let mut index = VaIndex::new(8);
-        let e = entry(0x1000, PageSize::Small4K);
-        let entries = vec![e; 8];
-        index.add(&e, 2);
-        index.clear();
-        assert_eq!(covering(&index, &entries, 0x1000), Vec::<usize>::new());
-        // Re-adding the same page after a clear resurrects the stale
-        // bucket rather than chaining onto it.
-        index.add(&e, 4);
-        assert_eq!(covering(&index, &entries, 0x1000), vec![4]);
     }
 
     #[test]

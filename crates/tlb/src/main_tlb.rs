@@ -9,17 +9,17 @@
 //! `lookup`/`probe`, the by-address flushes (`flush_va`,
 //! `flush_va_all_asids`, `flush_page`), and the duplicate check of a
 //! 4KB `insert`, one bucket probe per page size in use. Everything
-//! else is one pass over the slots: `flush_asid`, `flush_range`,
-//! `flush_non_global`, the duplicate check of an insert *larger* than
-//! 4KB (kernel sections, promoted groups — rare), and the fill slot of
-//! an `insert` that replaced nothing (the first empty slot; no scan
-//! when the TLB is full). The index never changes *which* slot wins:
-//! every path resolves ties by minimum slot number, which is the entry
-//! a linear first-match scan returns, so observable behaviour (hits,
-//! misses, evictions, flush counts, statistics) is identical to the
-//! linear reference model in [`crate::reference`]. The differential
-//! proptests in `tests/differential.rs` enforce that equivalence, and
-//! check [`MainTlb::verify`] after every operation.
+//! else is one pass over the slots: `flush_all`, `flush_asid`,
+//! `flush_range`, `flush_non_global`, the duplicate check of an insert
+//! *larger* than 4KB (kernel sections, promoted groups — rare), and the
+//! fill slot of an `insert` that replaced nothing (the first empty
+//! slot; no scan when the TLB is full). The index never changes
+//! *which* slot wins: every path resolves ties by minimum slot number,
+//! which is the entry a linear first-match scan returns, so observable
+//! behaviour (hits, misses, evictions, flush counts, statistics) is
+//! identical to the linear reference model in [`crate::reference`].
+//! The differential proptests in `tests/differential.rs` enforce that
+//! equivalence, and check [`MainTlb::verify`] after every operation.
 //!
 //! **Why the 4KB duplicate check is exact.** `insert` must drop every
 //! same-tag entry `e` that overlaps the new entry `n`:
@@ -296,11 +296,7 @@ impl MainTlb {
 
     /// Invalidates everything. Returns the number of entries dropped.
     pub fn flush_all(&mut self) -> usize {
-        let n = self.valid;
-        self.entries.iter_mut().for_each(|s| *s = None);
-        self.va_index.clear();
-        self.valid = 0;
-        self.stats.entries_flushed += n as u64;
+        let n = self.flush_where(|_| true);
         self.stats.full_flushes += 1;
         emit_flush(sat_obs::FlushScope::All, None, n);
         n

@@ -5,17 +5,20 @@
 //! flushed on every context switch — the reason the paper's
 //! TLB-sharing benefit accrues in the *main* TLB.
 //!
-//! Like [`crate::main_tlb::MainTlb`], the model keeps a VA-page index
-//! next to the slot array so `lookup` and `flush_va` touch only
-//! candidate slots; ties resolve to the minimum slot number, matching
-//! a linear first-match scan (see [`crate::index`]). A fill takes the
-//! first empty slot, found by a pass over the slots that is skipped
-//! when the TLB is full; `flush_range` is one pass too.
+//! The model is the slot array alone. `lookup` is a first-match pass
+//! over the slots that stops once it has seen every valid entry, so a
+//! micro-TLB that is not full — every one, just after a context switch
+//! — misses early. A fill takes the first empty slot, found by a pass
+//! that is skipped when the TLB is full, else the round-robin victim;
+//! the by-address flushes are one pass each. There is no VA index
+//! ([`crate::index`] serves the main TLB only): a hit in the first
+//! slots is cheaper as a pass, a miss in a full micro-TLB dearer, and
+//! a flush on every context switch would need the index to clear in
+//! O(1). DESIGN.md's TLB bullet has the measurements.
 
 use sat_types::VirtAddr;
 
 use crate::entry::TlbEntry;
-use crate::index::VaIndex;
 
 /// Reports a micro-TLB invalidation. Micro TLBs are untagged, so no
 /// pid/ASID rides on the event; the reason comes from the caller's
@@ -43,11 +46,6 @@ pub struct MicroTlb {
     misses: u64,
     /// Valid-entry count, maintained incrementally.
     valid: usize,
-    /// VA page → candidate slots.
-    va_index: VaIndex,
-    /// Scratch buffer for candidate collection (avoids a per-lookup
-    /// allocation on the hot path).
-    scratch: Vec<usize>,
 }
 
 /// Default micro-TLB capacity (Cortex-A9: 32 entries).
@@ -73,34 +71,27 @@ impl MicroTlb {
             hits: 0,
             misses: 0,
             valid: 0,
-            va_index: VaIndex::new(capacity),
-            scratch: Vec::new(),
         }
     }
 
     /// Looks up `va`. Micro-TLB entries are not ASID-tagged; the
     /// flush-on-context-switch discipline makes that safe.
     pub fn lookup(&mut self, va: VirtAddr) -> Option<TlbEntry> {
-        // The index yields candidates (hash collisions included), so
-        // coverage is re-checked; minimum slot = linear-scan winner.
-        let entries = &self.entries;
-        let mut best: Option<usize> = None;
-        self.va_index.for_covering(va, |slot| {
-            let entry = entries[slot].as_ref().expect("indexed slot is valid");
-            if entry.covers(va) && best.is_none_or(|b| slot < b) {
-                best = Some(slot);
-            }
-        });
-        match best {
-            Some(slot) => {
-                self.hits += 1;
-                Some(self.entries[slot].expect("indexed slot is valid"))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        // First match in slot order; no valid entry lies past the
+        // `valid`-th one.
+        let hit = self
+            .entries
+            .iter()
+            .flatten()
+            .take(self.valid)
+            .find(|e| e.covers(va))
+            .copied();
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        hit
     }
 
     /// Counts `n` lookups that hit without performing them. For a
@@ -118,63 +109,28 @@ impl MicroTlb {
     /// receives entries that just missed.
     pub fn insert(&mut self, entry: TlbEntry) {
         let slot = if self.valid < self.entries.len() {
+            self.valid += 1;
             self.entries
                 .iter()
                 .position(Option::is_none)
                 .expect("a TLB below capacity has an empty slot")
         } else {
             let slot = self.victim;
-            self.victim = (self.victim + 1) % self.entries.len();
-            let old = self.entries[slot].expect("full TLB has no invalid slots");
-            self.va_index.remove(&old, slot);
-            self.valid -= 1;
+            self.victim = (slot + 1) % self.entries.len();
             slot
         };
         self.entries[slot] = Some(entry);
-        self.va_index.add(&entry, slot);
-        self.valid += 1;
     }
 
     /// Flushes everything (performed on every context switch).
     pub fn flush(&mut self) {
-        let n = self.valid;
-        self.entries.iter_mut().for_each(|s| *s = None);
-        self.va_index.clear();
-        self.valid = 0;
-        // Micro-TLB flushes fire on *every* context switch; only the
-        // ones that actually invalidate something are worth a trace
-        // event. (Micro TLBs carry no `TlbStats`, so no conservation
-        // invariant depends on the empty ones.)
-        if n > 0 {
-            emit_micro_flush(sat_obs::FlushScope::MicroAll, n);
-        }
+        self.flush_where(sat_obs::FlushScope::MicroAll, |_| true);
     }
 
     /// Invalidates entries covering `va` (kept coherent with main-TLB
     /// maintenance operations).
     pub fn flush_va(&mut self, va: VirtAddr) {
-        // Collect first: clearing a slot mutates the chains the walk
-        // is traversing.
-        let mut candidates = std::mem::take(&mut self.scratch);
-        candidates.clear();
-        let valid_before = self.valid;
-        self.va_index.for_covering(va, |slot| candidates.push(slot));
-        for &slot in &candidates {
-            let entry = self.entries[slot].as_ref().expect("indexed slot is valid");
-            // Candidates may be hash-collision neighbours; only clear
-            // entries that actually cover `va`.
-            if !entry.covers(va) {
-                continue;
-            }
-            let entry = self.entries[slot].take().expect("indexed slot is valid");
-            self.va_index.remove(&entry, slot);
-            self.valid -= 1;
-        }
-        self.scratch = candidates;
-        let n = valid_before - self.valid;
-        if n > 0 {
-            emit_micro_flush(sat_obs::FlushScope::MicroVa, n);
-        }
+        self.flush_where(sat_obs::FlushScope::MicroVa, |e| e.covers(va));
     }
 
     /// Invalidates entries overlapping the VPN range (kept coherent
@@ -183,21 +139,24 @@ impl MicroTlb {
     /// reports `MicroVa` scope — architecturally this is a batch of
     /// per-VA micro invalidations, not a new primitive.
     pub fn flush_range(&mut self, range: sat_types::VpnRange) {
+        self.flush_where(sat_obs::FlushScope::MicroVa, |e| e.overlaps_vpns(&range));
+    }
+
+    /// Invalidates every entry that satisfies `pred`, in one pass over
+    /// the slots. Micro-TLB flushes fire on *every* context switch;
+    /// only the ones that actually invalidate something are worth a
+    /// trace event. (Micro TLBs carry no `TlbStats`, so no
+    /// conservation invariant depends on the empty ones.)
+    fn flush_where(&mut self, scope: sat_obs::FlushScope, pred: impl Fn(&TlbEntry) -> bool) {
         let valid_before = self.valid;
-        for slot in 0..self.entries.len() {
-            let covers = self.entries[slot]
-                .as_ref()
-                .is_some_and(|e| e.overlaps_vpns(&range));
-            if !covers {
-                continue;
+        for s in &mut self.entries {
+            if s.take_if(|e| pred(e)).is_some() {
+                self.valid -= 1;
             }
-            let entry = self.entries[slot].take().expect("slot is valid");
-            self.va_index.remove(&entry, slot);
-            self.valid -= 1;
         }
         let n = valid_before - self.valid;
         if n > 0 {
-            emit_micro_flush(sat_obs::FlushScope::MicroVa, n);
+            emit_micro_flush(scope, n);
         }
     }
 
@@ -277,6 +236,79 @@ mod tests {
         // flush_va removes every covering entry, not just the winner.
         utlb.flush_va(VirtAddr::new(0x1000));
         assert_eq!(utlb.occupancy(), 0);
+    }
+
+    #[test]
+    fn lookup_hits_the_last_valid_entry_past_holes() {
+        // Slots 0 and 1 emptied: the two valid entries sit in slots 2
+        // and 3, and the pass must reach the second of them.
+        let mut utlb = MicroTlb::new(8);
+        for va in [0x1000, 0x2000, 0x3000, 0x4000] {
+            utlb.insert(entry(va));
+        }
+        utlb.flush_va(VirtAddr::new(0x1000));
+        utlb.flush_va(VirtAddr::new(0x2000));
+        assert_eq!(utlb.occupancy(), 2);
+        assert_eq!(utlb.lookup(VirtAddr::new(0x4321)), Some(entry(0x4000)));
+        assert_eq!(utlb.lookup(VirtAddr::new(0x5000)), None);
+    }
+
+    #[test]
+    fn flush_range_drops_large_entries_it_only_touches() {
+        // A 64KB entry (vpns 0x10..0x20) and a 1MB one (0x100..0x200),
+        // each with a 4KB neighbour just outside it.
+        let sized = |va: u32, size: PageSize| TlbEntry { size, ..entry(va) };
+        let mut utlb = MicroTlb::new(8);
+        utlb.insert(entry(0x0000_F000));
+        utlb.insert(sized(0x0001_0000, PageSize::Large64K));
+        utlb.insert(sized(0x0010_0000, PageSize::Section1M));
+        utlb.insert(entry(0x0020_0000));
+        // Each range reaches only the last page of a large entry.
+        utlb.flush_range(sat_types::VpnRange::new(0x1F, 0x21));
+        utlb.flush_range(sat_types::VpnRange::new(0x1FF, 0x200));
+        assert_eq!(utlb.occupancy(), 2);
+        for (va, hit) in [
+            (0x0_F000, true),
+            (0x1_0000, false),
+            (0x10_0000, false),
+            (0x20_0000, true),
+        ] {
+            assert_eq!(utlb.lookup(VirtAddr::new(va)), hit.then(|| entry(va)));
+        }
+    }
+
+    #[test]
+    fn fill_after_flush_takes_the_lowest_hole() {
+        let mut utlb = MicroTlb::new(4);
+        for va in [0x1000, 0x2000, 0x3000, 0x4000, 0x5000] {
+            utlb.insert(entry(va));
+        }
+        // Full, slot 0 replaced by 0x5000; the victim is now slot 1.
+        utlb.flush_va(VirtAddr::new(0x4000));
+        utlb.flush_va(VirtAddr::new(0x3000));
+        utlb.insert(entry(0x6000));
+        assert_eq!(utlb.entries[1], Some(entry(0x2000)), "the victim survives");
+        assert_eq!(utlb.entries[2], Some(entry(0x6000)));
+        assert_eq!(utlb.entries[3], None);
+        assert_eq!(utlb.occupancy(), 3);
+    }
+
+    #[test]
+    fn counters_follow_a_mixed_sequence() {
+        let mut utlb = MicroTlb::new(2);
+        utlb.lookup(VirtAddr::new(0x1000)); // miss
+        utlb.insert(entry(0x1000));
+        utlb.lookup(VirtAddr::new(0x1000)); // hit
+        utlb.insert(entry(0x2000));
+        utlb.insert(entry(0x3000)); // evicts 0x1000
+        utlb.lookup(VirtAddr::new(0x1000)); // miss
+        utlb.lookup(VirtAddr::new(0x3FFF)); // hit
+        utlb.note_hits(3);
+        utlb.flush_va(VirtAddr::new(0x2000));
+        utlb.lookup(VirtAddr::new(0x2000)); // miss
+        utlb.flush();
+        utlb.lookup(VirtAddr::new(0x3000)); // miss
+        assert_eq!(utlb.stats(), (5, 4));
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Linear-scan reference TLB models.
+//! Linear-scan reference model of the main TLB.
 //!
-//! These are index-free implementations of [`crate::MainTlb`] and
-//! [`crate::MicroTlb`]: every operation walks the whole slot array,
-//! exactly as the documentation of the architectural model reads.
-//! They are kept as the executable specification that the models
-//! (which answer lookups, by-address flushes and 4KB duplicate checks
+//! [`RefMainTlb`] is an index-free implementation of
+//! [`crate::MainTlb`]: every operation walks the whole slot array,
+//! exactly as the documentation of the architectural model reads. It
+//! is kept as the executable specification that the model (which
+//! answers lookups, by-address flushes and 4KB duplicate checks
 //! through a VA index, [`crate::index::VaIndex`]) must match
-//! bit-for-bit: the differential proptests in
-//! `tests/differential.rs` drive both models with identical operation
-//! sequences and assert identical lookup results, statistics, and
-//! occupancy.
+//! bit-for-bit: the differential proptests in `tests/differential.rs`
+//! drive both with identical operation sequences and assert identical
+//! lookup results, statistics, and occupancy. The micro-TLB needs no
+//! such twin: [`crate::MicroTlb`] is itself the linear scan.
 //!
 //! Do not "optimise" this file; its value is being obviously correct.
 
@@ -179,87 +179,5 @@ impl RefMainTlb {
         }
         self.stats.entries_flushed += n as u64;
         n
-    }
-}
-
-/// Linear-scan reference model of [`crate::MicroTlb`].
-pub struct RefMicroTlb {
-    entries: Vec<Option<TlbEntry>>,
-    victim: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for RefMicroTlb {
-    fn default() -> Self {
-        RefMicroTlb::new(crate::micro::MICRO_TLB_ENTRIES)
-    }
-}
-
-impl RefMicroTlb {
-    /// Creates a micro-TLB with `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        RefMicroTlb {
-            entries: vec![None; capacity],
-            victim: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Looks up `va` (no ASID tag).
-    pub fn lookup(&mut self, va: VirtAddr) -> Option<TlbEntry> {
-        for e in self.entries.iter().flatten() {
-            if e.covers(va) {
-                self.hits += 1;
-                return Some(*e);
-            }
-        }
-        self.misses += 1;
-        None
-    }
-
-    /// Inserts an entry (lowest free slot, then round-robin).
-    pub fn insert(&mut self, entry: TlbEntry) {
-        if let Some(idx) = self.entries.iter().position(|s| s.is_none()) {
-            self.entries[idx] = Some(entry);
-            return;
-        }
-        self.entries[self.victim] = Some(entry);
-        self.victim = (self.victim + 1) % self.entries.len();
-    }
-
-    /// Flushes everything.
-    pub fn flush(&mut self) {
-        self.entries.iter_mut().for_each(|s| *s = None);
-    }
-
-    /// Invalidates entries covering `va`.
-    pub fn flush_va(&mut self, va: VirtAddr) {
-        for s in self.entries.iter_mut() {
-            if s.as_ref().is_some_and(|e| e.covers(va)) {
-                *s = None;
-            }
-        }
-    }
-
-    /// Invalidates entries overlapping the VPN range.
-    pub fn flush_range(&mut self, range: sat_types::VpnRange) {
-        for s in self.entries.iter_mut() {
-            if s.as_ref().is_some_and(|e| e.overlaps_vpns(&range)) {
-                *s = None;
-            }
-        }
-    }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of valid entries.
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
     }
 }

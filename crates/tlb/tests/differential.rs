@@ -1,23 +1,23 @@
-//! Differential tests: the VA-indexed TLB models vs the linear-scan
-//! reference models.
+//! Differential tests: the VA-indexed main TLB vs the linear-scan
+//! reference model.
 //!
-//! `MainTlb`/`MicroTlb` (lookups, by-address flushes and the 4KB
-//! duplicate check through `crate::index::VaIndex`, every other
-//! operation one pass over the slots) and `RefMainTlb`/`RefMicroTlb`
-//! (whole-array scans for every operation, kept as the executable
-//! specification in `crate::reference`) are driven with identical
-//! randomized operation sequences. Every operation's return value
-//! must agree, and after the sequence the statistics, occupancy
-//! counters, and a full probe sweep must agree — i.e. the index is
-//! pure acceleration with zero observable behaviour change, including
-//! round-robin victim choice, the first-empty-slot fill and
-//! first-match (minimum-slot) winners. The main TLB's own consistency
-//! check (`MainTlb::verify`) runs after every operation too, so a VA
-//! index that drifts from the slot array is caught at the step that
-//! broke it, not when a lookup first notices.
+//! `MainTlb` (lookups, by-address flushes and the 4KB duplicate check
+//! through `crate::index::VaIndex`, every other operation one pass
+//! over the slots) and `RefMainTlb` (whole-array scans for every
+//! operation, kept as the executable specification in
+//! `crate::reference`) are driven with identical randomized operation
+//! sequences. Every operation's return value must agree, and after the
+//! sequence the statistics, occupancy counters, and a full probe sweep
+//! must agree — i.e. the index is pure acceleration with zero
+//! observable behaviour change, including round-robin victim choice,
+//! the first-empty-slot fill and first-match (minimum-slot) winners.
+//! The main TLB's own consistency check (`MainTlb::verify`) runs after
+//! every operation too, so a VA index that drifts from the slot array
+//! is caught at the step that broke it, not when a lookup first
+//! notices.
 
 use proptest::prelude::*;
-use sat_tlb::{MainTlb, MicroTlb, RefMainTlb, RefMicroTlb, TlbEntry};
+use sat_tlb::{MainTlb, RefMainTlb, TlbEntry};
 use sat_types::{Asid, Domain, PageSize, Perms, Pfn, VirtAddr, VpnRange, PAGE_SIZE};
 
 /// Small page space so inserts collide, overlap across sizes, and
@@ -130,49 +130,6 @@ proptest! {
                 prop_assert_eq!(idx.probe(va, Asid::new(asid)), reference.probe(va, Asid::new(asid)));
             }
         }
-    }
-
-    /// The indexed micro-TLB is observably identical to the linear
-    /// reference under arbitrary operation sequences.
-    #[test]
-    fn micro_tlb_matches_linear_reference(ops in op_strategy()) {
-        let mut idx = MicroTlb::new(8);
-        let mut reference = RefMicroTlb::new(8);
-        for (op, page, easid, _asid, size_sel) in ops {
-            let va = VirtAddr::new(page * PAGE_SIZE + 0x123);
-            match op {
-                0..=2 => {
-                    prop_assert_eq!(idx.lookup(va), reference.lookup(va));
-                }
-                3..=5 => {
-                    let e = entry(page, easid, size_sel);
-                    idx.insert(e);
-                    reference.insert(e);
-                }
-                6 => {
-                    idx.flush();
-                    reference.flush();
-                }
-                7 => {
-                    idx.flush_va(va);
-                    reference.flush_va(va);
-                }
-                _ => {
-                    let range = op_range(page, size_sel);
-                    idx.flush_range(range);
-                    reference.flush_range(range);
-                }
-            }
-            prop_assert_eq!(idx.occupancy(), reference.occupancy());
-        }
-        prop_assert_eq!(idx.stats(), reference.stats());
-        // Lookup sweep (applied to both, so the stat counters stay in
-        // lockstep): the resident entry set and per-page winners agree.
-        for page in 0..PAGES {
-            let va = VirtAddr::new(page * PAGE_SIZE);
-            prop_assert_eq!(idx.lookup(va), reference.lookup(va));
-        }
-        prop_assert_eq!(idx.stats(), reference.stats());
     }
 }
 
