@@ -15,6 +15,12 @@ trap 'rm -rf "$out"' EXIT
 
 step() { printf '\n== %s\n' "$*"; }
 repro() { cargo run --release --quiet -p sat-bench --bin repro -- "$@"; }
+# `says FILE N TEXT`: FILE holds the line TEXT exactly N times (0 = never).
+says() {
+    local n
+    n="$(grep -cF -- "$3" "$1" || true)"
+    [ "$n" -eq "$2" ] || { echo "tier1: expected $2 line(s) saying '$3', got $n" >&2; exit 1; }
+}
 
 # benchmark/ is a workspace of its own, so the workspace check does not
 # see it: check it by its manifest too.
@@ -180,8 +186,10 @@ repro timeline "$out/fleet.json"
 # "attribution exact: 96 flows reconcile" for both kernels.
 step "repro serve --quick (traced, lossless), check, tails"
 SAT_OBS_RING=2097152 repro serve --quick --trace "$out/serve.json" --out "$out/BENCH_serve.json"
-repro check --trace "$out/serve.json" --out "$out/BENCH_serve.json"
-repro tails "$out/serve.json" --top 5
+repro check --trace "$out/serve.json" --out "$out/BENCH_serve.json" | tee "$out/serve_check.txt"
+says "$out/serve_check.txt" 0 "blame attribution is partial"
+repro tails "$out/serve.json" --top 5 | tee "$out/serve_tails.txt"
+says "$out/serve_tails.txt" 2 "attribution exact: 96 flows reconcile"
 
 # Pressure smoke: the serve pair under a tight frame budget (75% of the
 # measured 1,632-frame quick-scale peak) so the reclaim subsystem runs
@@ -192,7 +200,9 @@ repro tails "$out/serve.json" --top 5
 step "repro serve --quick --mem-frames 1224 (traced), check, tails"
 SAT_OBS_RING=2097152 repro serve --quick --mem-frames 1224 \
     --trace "$out/serve_mem.json" --out "$out/BENCH_serve_mem.json"
-repro check --trace "$out/serve_mem.json" --out "$out/BENCH_serve_mem.json"
+repro check --trace "$out/serve_mem.json" --out "$out/BENCH_serve_mem.json" \
+    | tee "$out/serve_mem_check.txt"
+says "$out/serve_mem_check.txt" 0 "the frame budget never bit"
 repro tails "$out/serve_mem.json" --top 3
 
 # Translation-reach smoke: the promotion engine collapses the Figure 4
@@ -203,19 +213,19 @@ repro tails "$out/serve_mem.json" --top 3
 # warning — when the promoted cell collapsed nothing).
 step "repro reach --quick (traced), check"
 repro reach --quick --trace "$out/reach.json" --out "$out/BENCH_reach.json"
-repro check --trace "$out/reach.json" --out "$out/BENCH_reach.json"
+repro check --trace "$out/reach.json" --out "$out/BENCH_reach.json" | tee "$out/reach_check.txt"
+says "$out/reach_check.txt" 0 "the promotion scanner never fired"
 
-# Regression gate over the simulated metrics: compare the fresh snapshot
-# against the committed baseline, record by record, metric by metric.
-# Any gauge.*, latency.*, reclaim.*, translation.* or run-wide counter.*
-# metric growing at all fails (exit 1) — they are deterministic, so the
-# threshold is 0; improvements and movement under the family's noise
-# floor do not fail. wall_ms is host time: printed as `note ... host
-# time, reported not judged`, never part of the verdict; a host-time
-# claim is a `satbench compare` under the pairs rule. Fleet records gate
-# per N (fleet_n64, fleet_n256, ... are separate experiments), so a
-# regression at one N is never masked by the rest.
+# Behaviour gate over the simulated numbers: compare the fresh snapshot
+# against the committed baseline for equality — every record's params,
+# metrics and events, and the run-wide params and counters. They are
+# deterministic, so any difference, up or down, a record or key on one
+# side only, prints as `record.key: old -> new` and fails (exit 1).
+# wall_ms is host time: recorded, never compared; a host-time claim is a
+# `satbench compare` under the pairs rule. Fleet records are per N
+# (fleet_n64, fleet_n256, ... are separate experiments), so a change at
+# one N is never masked by the rest.
 step "repro diff vs baseline"
-repro diff BENCH_baseline.json "$out/BENCH_repro.json" --threshold-pct 0
+repro diff BENCH_baseline.json "$out/BENCH_repro.json"
 
 step "tier-1 gate passed"

@@ -10,7 +10,7 @@
 //! repro report [--trace] <trace.json> [--format text|json|folded] [--experiment <name>]
 //! repro timeline [--trace] <trace.json> [--window N] [--experiment <name>]
 //! repro tails [--trace] <trace.json> [--top K] [--experiment <name>]
-//! repro diff <old.json> <new.json> [--threshold-pct N]
+//! repro diff <old.json> <new.json>
 //!
 //! experiments:
 //!   table1 fig2 fig3 table2 fig4   motivation study (Section 2.3)
@@ -68,12 +68,15 @@
 //! `Flow*`/`CycleCharge` stream of a traced serve run and prints the
 //! `--top K` slowest requests with their blame broken down by cause
 //! (exact on lossless traces: every request's charges sum to its
-//! wall). `repro diff` compares two snapshots metric by metric and
-//! exits non-zero when a simulated metric regressed past the threshold
-//! — the gate the verify skill runs against the committed
-//! `BENCH_baseline.json`. `wall_ms` is host time: recorded and
-//! reported, never judged (host-time claims go through `satbench
-//! compare`).
+//! wall). `repro diff` compares two snapshots for equality — every
+//! record's params, metrics and events, and the run-wide counters —
+//! prints one `record.key: old -> new` line per difference, and exits
+//! non-zero if there is any: the gate the verify skill runs against the
+//! committed `BENCH_baseline.json`. `wall_ms` is host time: recorded,
+//! never compared (host-time claims go through `satbench compare`).
+//!
+//! A flag given to a verb that does not read it is refused by name
+//! (see [`FLAGS`]).
 //!
 //! Every experiment runs on the calling thread, one cell after the
 //! other, so a record is a function of its verb and scale alone
@@ -108,11 +111,11 @@ use sat_types::SatResult;
 struct Record {
     name: String,
     /// What the metrics were measured under (`mem_frames` of a
-    /// budgeted cell); `repro diff` only compares equal params.
+    /// budgeted cell).
     params: BTreeMap<&'static str, u64>,
     /// Everything measured: `wall_ms` (host time — `repro diff`
-    /// reports it, never judges it) and what the diff gates:
-    /// `gauge.<name>` high-water marks over the experiment's sampling
+    /// never reads it) and what the diff compares: `gauge.<name>`
+    /// high-water marks over the experiment's sampling
     /// window (traced runs) and whatever the experiment itself
     /// reports (`latency.*`, `reclaim.*`, `translation.*` — simulated,
     /// hence deterministic).
@@ -139,7 +142,6 @@ struct Cli {
     trace: Option<String>,
     out: String,
     format: ReportFormat,
-    threshold_pct: f64,
     /// Timeline window width in ticks (0 = auto: span/20).
     window: u64,
     /// Restrict report/timeline to one experiment's bracket.
@@ -164,6 +166,27 @@ fn number<T: std::str::FromStr + PartialOrd>(
         .ok_or_else(|| format!("bad {flag} '{raw}' (want {want})"))
 }
 
+/// The verbs that are not experiments.
+const TOOLS: [&str; 5] = ["check", "report", "timeline", "tails", "diff"];
+
+/// Stands for every experiment verb (and `all`) in [`FLAGS`].
+const EXPERIMENTS: &str = "the experiments";
+
+/// Every flag and the verbs that read it; any other verb refuses it.
+const FLAGS: [(&str, &[&str]); 8] = [
+    ("--quick", &[EXPERIMENTS]),
+    (
+        "--trace",
+        &[EXPERIMENTS, "check", "report", "timeline", "tails"],
+    ),
+    ("--out", &[EXPERIMENTS, "check"]),
+    ("--format", &["report"]),
+    ("--window", &["timeline"]),
+    ("--experiment", &["report", "timeline", "tails"]),
+    ("--top", &["tails"]),
+    ("--mem-frames", &["serve"]),
+];
+
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         cmd: String::new(),
@@ -172,18 +195,21 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         trace: None,
         out: String::new(),
         format: ReportFormat::Text,
-        threshold_pct: 25.0,
         window: 0,
         experiment: None,
         top: 10,
         mem_frames: None,
     };
     let mut positionals = Vec::new();
+    let mut given = Vec::new();
     let mut out = None;
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         let mut value = |what: &str| rest.next().ok_or_else(|| format!("{arg} requires {what}"));
         const INT: &str = "an integer >= 1";
+        if arg.starts_with("--") {
+            given.push(arg.as_str());
+        }
         match arg.as_str() {
             "--quick" => cli.scale = Scale::Quick,
             "--trace" => cli.trace = Some(value("a path argument")?.clone()),
@@ -193,17 +219,15 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.format = ReportFormat::parse(name)
                     .ok_or_else(|| format!("unknown format '{name}' (want text|json|folded)"))?;
             }
-            "--threshold-pct" => {
-                cli.threshold_pct = number(arg, value("a number")?, 0.0, "a number >= 0")?
-            }
             "--window" => cli.window = number(arg, value("a tick count")?, 1, INT)?,
             "--experiment" => cli.experiment = Some(value("a name")?.clone()),
             "--top" => cli.top = number(arg, value("a count")?, 1, INT)?,
             "--mem-frames" => cli.mem_frames = Some(number(arg, value("a frame count")?, 1, INT)?),
             flag if flag.starts_with("--") => {
+                let known: Vec<&str> = FLAGS.iter().map(|f| f.0).collect();
                 return Err(format!(
-                    "unknown flag '{flag}' (known: --quick --trace --out --format \
-                     --threshold-pct --window --experiment --top --mem-frames)"
+                    "unknown flag '{flag}' (known: {})",
+                    known.join(" ")
                 ));
             }
             _ => positionals.push(arg.clone()),
@@ -229,11 +253,26 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
         _ => {}
     }
-    if cli.mem_frames.is_some() && cmd != "serve" {
-        return Err(format!(
-            "--mem-frames only applies to the serve experiment (got '{cmd}'; \
-             the pressure grid derives its own budgets)"
-        ));
+    let is_experiment = !TOOLS.contains(&cmd.as_str());
+    for flag in given {
+        let (_, readers) = FLAGS.iter().find(|f| f.0 == flag).expect("a known flag");
+        if !readers
+            .iter()
+            .any(|r| r == cmd || (*r == EXPERIMENTS && is_experiment))
+        {
+            let whom: Vec<String> = readers
+                .iter()
+                .map(|&r| match r {
+                    EXPERIMENTS => r.to_string(),
+                    r if TOOLS.contains(&r) => r.to_string(),
+                    verb => format!("the {verb} experiment"),
+                })
+                .collect();
+            return Err(format!(
+                "{flag} only applies to {} (got '{cmd}')",
+                whom.join(", ")
+            ));
+        }
     }
     cli.out = out.unwrap_or_else(|| "BENCH_repro.json".to_string());
     Ok(cli)
@@ -272,12 +311,14 @@ fn main() -> ExitCode {
         "diff" => (|| {
             let old = snapshot::Snapshot::load(&cli.rest[0])?;
             let new = snapshot::Snapshot::load(&cli.rest[1])?;
-            let report = snapshot::diff(&old, &new, cli.threshold_pct);
-            let gate = match report.regressions() {
-                0 => ExitCode::SUCCESS,
-                _ => ExitCode::FAILURE,
+            let lines = snapshot::diff(&old, &new);
+            let mut text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            text += &format!("repro diff: {} difference(s)\n", lines.len());
+            let gate = match lines.is_empty() {
+                true => ExitCode::SUCCESS,
+                false => ExitCode::FAILURE,
             };
-            Ok((report.render(cli.threshold_pct), gate))
+            Ok((text, gate))
         })(),
         _ => run_and_record(&cli).map(|text| (text, ExitCode::SUCCESS)),
     };
@@ -403,7 +444,7 @@ enum Runner {
     /// One timed record named after the verb.
     Single(fn(Scale) -> SatResult<String>),
     /// One timed record per grid cell (static names, so `repro diff`
-    /// gates each kernel / fleet size / budget on its own): the names
+    /// compares each kernel / fleet size / budget on its own): the names
     /// in run order, and the runner that times each cell and renders
     /// the combined tables.
     Grid {
@@ -811,7 +852,7 @@ mod tests {
                 assert!(seen.insert(*name), "verb '{name}' is in the table twice");
             }
         }
-        for tool in ["all", "check", "report", "timeline", "tails", "diff"] {
+        for tool in TOOLS.iter().chain(&["all"]) {
             assert!(!seen.contains(tool), "'{tool}' is not an experiment");
         }
     }

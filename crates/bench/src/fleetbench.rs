@@ -31,8 +31,8 @@ pub fn fleet_counts(scale: Scale) -> &'static [(usize, usize)] {
 
 /// The snapshot record name for one fleet size. Per-N names make
 /// every fleet size its own experiment in `BENCH_repro.json`, so the
-/// `repro diff` gate fires per N — a regression at N=4096 is not
-/// masked by an in-threshold aggregate.
+/// `repro diff` compares each N on its own — a change at N=4096 is
+/// not masked by the aggregate.
 pub fn record_name(apps: usize) -> String {
     format!("fleet_n{apps}")
 }

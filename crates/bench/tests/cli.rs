@@ -157,22 +157,10 @@ fn write_trace(name: &str, breakage: Option<&str>) -> PathBuf {
     path
 }
 
-/// One snapshot record of the fixture: name, `params` and `metrics` as
-/// JSON object literals.
-type Rec<'a> = (&'a str, &'a str, &'a str);
-
-/// The one snapshot fixture builder: a traced `all --quick` snapshot
-/// with the given records, run-wide `counters` (a JSON object literal)
-/// and total wall time.
-fn write_snapshot_of(name: &str, records: &[Rec], counters: &str, total_wall_ms: f64) -> PathBuf {
-    let records: Vec<String> = records
-        .iter()
-        .map(|(name, params, metrics)| {
-            format!(
-                r#"    {{"name": "{name}", "params": {params}, "metrics": {metrics}, "events": {{}}}}"#
-            )
-        })
-        .collect();
+/// The one snapshot fixture: a traced `all --quick` snapshot of two
+/// experiments, one gauge and one run-wide counter, with the given wall
+/// times.
+fn write_snapshot(name: &str, launch_wall_ms: f64, total_wall_ms: f64) -> PathBuf {
     let path = tmp(name);
     std::fs::write(
         &path,
@@ -182,31 +170,17 @@ fn write_snapshot_of(name: &str, records: &[Rec], counters: &str, total_wall_ms:
   "command": "all",
   "scale": "quick",
   "experiments": [
-{}
+    {{"name": "launch", "params": {{}}, "metrics": {{"wall_ms": {launch_wall_ms}, "gauge.phys.frames.in_use": 1000}}, "events": {{}}}},
+    {{"name": "steady", "params": {{}}, "metrics": {{"wall_ms": 64}}, "events": {{}}}}
   ],
   "total_wall_ms": {total_wall_ms:.3},
-  "obs": {{"enabled": true, "dropped_events": 0, "counters": {counters}, "histograms": {{}}}}
+  "obs": {{"enabled": true, "dropped_events": 0, "counters": {{"share.unshare": 400}}, "histograms": {{}}}}
 }}
-"#,
-            records.join(",\n")
+"#
         ),
     )
     .unwrap();
     path
-}
-
-/// The two-experiment suite most tests need.
-fn write_snapshot(name: &str, launch_wall_ms: f64, total_wall_ms: f64) -> PathBuf {
-    let launch = format!(r#"{{"wall_ms": {launch_wall_ms}, "gauge.phys.frames.in_use": 1000}}"#);
-    write_snapshot_of(
-        name,
-        &[
-            ("launch", "{}", &launch),
-            ("steady", "{}", r#"{"wall_ms": 64}"#),
-        ],
-        r#"{"share.unshare": 400}"#,
-        total_wall_ms,
-    )
 }
 
 /// Every experiment's stdout is byte-pinned: `all --quick` must print
@@ -391,189 +365,73 @@ fn experiment_filter_slices_report_and_timeline() {
     assert!(stderr.contains("launch"), "{stderr}");
 }
 
-/// One `repro diff` gate case: a metric (or, with the `counter.`
-/// prefix, a run-wide counter), the frame budget (0 = none) and value
-/// on each side, and whether the gate must fail.
-type GateCase = (&'static str, (u64, u64), (u64, u64), bool);
-
-/// One case per rule row of `snapshot::RULES`, plus host time moving
-/// (+50%, and a 20ms cell growing to 400ms) and reclaim volume under a
-/// changed budget — both a note, not a verdict.
-const GATE_CASES: [GateCase; 8] = [
-    ("wall_ms", (0, 0), (100, 150), false),
-    ("wall_ms", (0, 0), (20, 400), false),
-    ("counter.share.unshare", (0, 0), (400, 600), true),
-    ("gauge.phys.frames.in_use", (0, 0), (1000, 1500), true),
-    ("latency.p99", (0, 0), (120_000, 180_000), true),
-    ("reclaim.pages", (900, 900), (400, 600), true),
-    ("reclaim.pages", (900, 600), (400, 4000), false),
-    ("translation.waste_frames", (0, 0), (960, 1440), true),
-];
-
-fn run_gate_cases(family: &str) {
-    for (i, &(key, budgets, values, regresses)) in GATE_CASES
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.0.starts_with(family))
-    {
-        let write = |side: &str, budget: u64, value: u64| {
-            let params = match budget {
-                0 => "{}".to_string(),
-                n => format!(r#"{{"mem_frames": {n}}}"#),
-            };
-            let (metrics, counters) = match key.strip_prefix("counter.") {
-                Some(counter) => ("{}".to_string(), format!(r#"{{"{counter}": {value}}}"#)),
-                None => (format!(r#"{{"{key}": {value}}}"#), "{}".to_string()),
-            };
-            let path = write_snapshot_of(
-                &format!("gate-{i}-{side}.json"),
-                &[("cell", &params, &metrics)],
-                &counters,
-                100.0,
-            );
-            path.to_str().unwrap().to_string()
-        };
-        let old = write("old", budgets.0, values.0);
-        let new = write("new", budgets.1, values.1);
-
-        let out = repro(&["diff", &old, &old]);
-        assert!(out.status.success(), "{key}: identical must pass");
-
-        let out = repro(&["diff", &old, &new, "--threshold-pct", "25"]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(!out.status.success(), regresses, "{key}: {stdout}");
-        let expect = match (regresses, key.strip_prefix("counter.")) {
-            (false, _) if key == "wall_ms" => {
-                format!("note         cell.{key}: {} -> {} (", values.0, values.1)
-            }
-            (false, _) => "note         cell.params: ".to_string(),
-            (true, Some(_)) => format!("REGRESSION   total.{key}: {} -> {} (", values.0, values.1),
-            (true, None) => format!("REGRESSION   cell.{key}: {} -> {} (", values.0, values.1),
-        };
-        assert!(stdout.contains(&expect), "{key}: {stdout}");
-        assert_eq!(
-            stdout.contains("cell.reclaim"),
-            regresses && key.starts_with("reclaim")
-        );
-    }
-}
-
-/// Host time is reported, never judged: `wall_ms` moving past the
-/// threshold prints as a note marked as such and the diff exits 0.
+/// `repro diff` is an equality: identical snapshots exit 0, one
+/// counter moved exits 1 and names it, host time moving is no
+/// difference, and `--threshold-pct` is an unknown flag.
 #[test]
-fn diff_reports_wall_time_without_gating() {
-    run_gate_cases("wall_ms");
-
-    let baseline = write_snapshot("diff-old.json", 100.0, 200.0);
-    let slower = write_snapshot("diff-new.json", 150.0, 300.0);
-    let (baseline, slower) = (baseline.to_str().unwrap(), slower.to_str().unwrap());
-    for (old, new) in [(baseline, slower), (slower, baseline)] {
+fn diff_exits_one_on_any_simulated_difference_and_zero_otherwise() {
+    let old = write_snapshot("diff-old.json", 100.0, 200.0);
+    let slower = write_snapshot("diff-slower.json", 150.0, 300.0);
+    let moved = tmp("diff-moved.json");
+    let text = std::fs::read_to_string(&old).unwrap();
+    let counter = r#""share.unshare": 400"#;
+    assert!(text.contains(counter));
+    std::fs::write(&moved, text.replace(counter, r#""share.unshare": 399"#)).unwrap();
+    let (old, slower, moved) = (
+        old.to_str().unwrap(),
+        slower.to_str().unwrap(),
+        moved.to_str().unwrap(),
+    );
+    for (new, code, want) in [
+        (old, 0, "repro diff: 0 difference(s)\n"),
+        (slower, 0, "repro diff: 0 difference(s)\n"),
+        (
+            moved,
+            1,
+            "total.counter.share.unshare: 400 -> 399\nrepro diff: 1 difference(s)\n",
+        ),
+    ] {
         let out = repro(&["diff", old, new]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "wall_ms must not gate: {stdout}");
-        for record in ["launch", "total"] {
-            let note = stdout
-                .lines()
-                .find(|l| l.contains(&format!(" {record}.wall_ms: ")))
-                .unwrap_or_else(|| panic!("no {record}.wall_ms line: {stdout}"));
-            assert!(note.starts_with("note "), "{note}");
-            assert!(note.contains("host time"), "{note}");
-        }
-        assert!(!stdout.contains("REGRESSION"), "{stdout}");
-        assert!(!stdout.contains("improvement"), "{stdout}");
-        // launch: wall_ms + gauge; steady: wall_ms; total: wall_ms +
-        // one counter.
-        assert!(stdout.contains("5 metrics compared, 0 regression(s)"));
+        assert_eq!(out.status.code(), Some(code), "{new}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want);
     }
-    // A generous threshold silences the notes too.
-    let out = repro(&["diff", baseline, slower, "--threshold-pct", "80"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("repro diff: "), "{stdout}");
 
-    let out = repro(&["diff", baseline]);
+    let out = repro(&["diff", old, old, "--threshold-pct", "0"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag '--threshold-pct'"),
+        "{stderr}"
+    );
+    let out = repro(&["diff", old]);
     assert!(!out.status.success(), "diff requires two snapshots");
 }
 
-/// `scale` is written once per run but decides what every record
-/// means (every workload size follows it): snapshots at different
-/// scales compare nothing, say why, and exit 0 — however far the
-/// numbers moved.
+/// Every flag is refused, by name, by a verb that never reads it.
 #[test]
-fn diff_compares_nothing_across_scales() {
-    let old = write_snapshot_of(
-        "scale-old.json",
-        &[(
-            "serve_stock",
-            "{}",
-            r#"{"wall_ms": 50, "gauge.kernel.processes": 90, "latency.p99": 200000}"#,
-        )],
-        r#"{"share.unshare": 400}"#,
-        100.0,
-    );
-    let moved = write_snapshot_of(
-        "scale-moved.json",
-        &[(
-            "serve_stock",
-            "{}",
-            r#"{"wall_ms": 160, "gauge.kernel.processes": 901, "latency.p99": 900000}"#,
-        )],
-        r#"{"share.unshare": 4000}"#,
-        400.0,
-    );
-    let text = std::fs::read_to_string(&moved).unwrap();
-    let out = repro(&["diff", old.to_str().unwrap(), moved.to_str().unwrap()]);
-    assert!(!out.status.success(), "like for like, the doctoring gates");
-    let (quick, paper) = (r#""scale": "quick""#, r#""scale": "paper""#);
-    assert!(text.contains(quick));
-    let new = tmp("scale-new.json");
-    std::fs::write(&new, text.replace(quick, paper)).unwrap();
-    let out = repro(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    for record in ["serve_stock", "total"] {
-        let note = format!("note         {record}.params: ");
-        assert!(stdout.contains(&note), "{stdout}");
-    }
-    assert!(stdout.contains("params changed; metrics not compared"));
-    assert!(!stdout.contains("wall_ms: "), "{stdout}");
-    assert!(!stdout.contains("latency"), "{stdout}");
-    assert!(stdout.contains("repro diff: 0 metrics compared, 0 regression(s)"));
-}
-
-/// Inflated reclaim volume fails `repro diff` on the reclaim gate
-/// specifically — unless the budget changed, which is only a note.
-#[test]
-fn diff_gates_on_doctored_reclaim_totals() {
-    run_gate_cases("reclaim.");
-}
-
-/// The remaining rule rows, and the missing-metric note.
-#[test]
-fn diff_gates_on_every_other_rule_row() {
-    for family in ["counter.", "gauge.", "latency.", "translation."] {
-        run_gate_cases(family);
-    }
-    // A metric the new run lost is a note, never silent.
-    let old = write_snapshot("lost-old.json", 100.0, 200.0);
-    let new = write_snapshot_of(
-        "lost-new.json",
-        &[
-            ("launch", "{}", r#"{"wall_ms": 100}"#),
-            ("steady", "{}", r#"{"wall_ms": 64}"#),
-        ],
-        "{}",
-        200.0,
-    );
-    let out = repro(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in [
-        "launch.gauge.phys.frames.in_use: 1000",
-        "total.counter.share.unshare: 400",
+fn a_flag_is_refused_by_a_verb_that_never_reads_it() {
+    for (flag, args) in [
+        ("--quick", &["diff", "a.json", "b.json", "--quick"][..]),
+        (
+            "--trace",
+            &["diff", "a.json", "b.json", "--trace", "t.json"],
+        ),
+        ("--out", &["report", "t.json", "--out", "s.json"]),
+        ("--format", &["table1", "--quick", "--format", "json"]),
+        ("--window", &["table1", "--quick", "--window", "4"]),
+        ("--experiment", &["check", "--experiment", "x"]),
+        ("--top", &["timeline", "t.json", "--top", "2"]),
+        (
+            "--mem-frames",
+            &["pressure", "--quick", "--mem-frames", "900"],
+        ),
     ] {
-        let line = format!("note         {key} -> missing from the new snapshot");
-        assert!(stdout.contains(&line), "{stdout}");
+        let out = repro(args);
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("{flag} only applies to ");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("(got '{}')", args[0])), "{stderr}");
     }
 }
 
@@ -597,40 +455,6 @@ fn diff_rejects_an_old_schema_with_the_refresh_hint() {
     );
 }
 
-/// Malformed flag input must produce an error message and a nonzero
-/// exit, never a panic.
-#[test]
-fn malformed_threshold_pct_exits_nonzero_with_a_message() {
-    let baseline = write_snapshot("bad-flag-old.json", 100.0, 200.0);
-    let same = write_snapshot("bad-flag-new.json", 100.0, 200.0);
-    for bad in ["abc", "-5", "25%"] {
-        let out = repro(&[
-            "diff",
-            baseline.to_str().unwrap(),
-            same.to_str().unwrap(),
-            "--threshold-pct",
-            bad,
-        ]);
-        assert!(!out.status.success(), "--threshold-pct {bad} must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("bad --threshold-pct"), "{stderr}");
-        assert!(
-            !stderr.contains("panicked"),
-            "bad input must not panic: {stderr}"
-        );
-    }
-    // A flag with its value missing is an error too.
-    let out = repro(&[
-        "diff",
-        baseline.to_str().unwrap(),
-        same.to_str().unwrap(),
-        "--threshold-pct",
-    ]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("requires a number"), "{stderr}");
-}
-
 /// Runs `repro <verb> --quick` with a trace, returning stdout and the
 /// artifact paths.
 fn run_traced(verb: &str, tag: &str, ring: &str) -> (String, PathBuf, PathBuf) {
@@ -644,32 +468,39 @@ fn run_traced(verb: &str, tag: &str, ring: &str) -> (String, PathBuf, PathBuf) {
     (stdout, trace, snap)
 }
 
-/// A record is a function of its verb and scale: the serve records of
-/// a traced `serve --quick` equal the ones inside a traced `all
-/// --quick` — gauge peaks included, whatever machines the experiments
-/// before them left behind — but for host time. (The registry is exact
-/// under ring overflow, so the default ring will do.)
+/// A record is a function of its verb and scale: each grid verb run
+/// alone, traced at the default ring, writes the committed baseline's
+/// records — params, metrics and events equal, gauge peaks included,
+/// whatever machines the experiments before them in `all` left behind
+/// — but for host time. (The registry is exact under ring overflow.)
 #[test]
-fn serve_records_are_the_same_alone_and_inside_all() {
-    let records = |verb: &str| {
-        let (_, _, snap) = run_traced(verb, "alone-vs-all", "65536");
-        let mut snap = sat_bench::snapshot::Snapshot::load(snap.to_str().unwrap()).unwrap();
-        assert!(snap.traced());
-        ["serve_stock", "serve_shared"].map(|name| {
-            let mut rec = snap.experiments.remove(name).expect(name);
-            rec.metrics
-                .remove("wall_ms")
-                .expect("host time is recorded");
-            assert!(rec.metrics.contains_key("gauge.phys.frames.in_use"));
-            rec
-        })
-    };
-    assert_eq!(records("serve"), records("all"));
+fn a_verb_run_alone_writes_the_baseline_records() {
+    let baseline = sat_bench::snapshot::Snapshot::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_baseline.json"
+    ))
+    .unwrap();
+    std::thread::scope(|s| {
+        for verb in ["reach", "fleet", "serve", "timeshare"] {
+            let baseline = &baseline;
+            s.spawn(move || {
+                let (_, _, snap) = run_traced(verb, "alone", "65536");
+                let fresh = sat_bench::snapshot::Snapshot::load(snap.to_str().unwrap()).unwrap();
+                assert!(fresh.traced());
+                let mut expected = fresh.clone();
+                for (name, rec) in &mut expected.experiments {
+                    *rec = baseline.experiments[name].clone();
+                }
+                let lines = sat_bench::snapshot::diff(&expected, &fresh);
+                assert!(lines.is_empty(), "{verb}: {lines:#?}");
+            });
+        }
+    });
 }
 
 /// The serve workload is seeded and cycle-clocked: repeated runs must
 /// be byte-identical, and the snapshot must carry the latency
-/// percentiles `repro diff` gates on.
+/// percentiles `repro diff` compares.
 #[test]
 fn serve_is_deterministic_and_snapshots_latency() {
     let run = |out_name: &str| -> String {
@@ -818,7 +649,7 @@ fn mem_frames_flag_is_validated() {
 
 /// A budgeted serve run reclaims, renders the reclaim columns, stays
 /// deterministic, and snapshots `_mem`-suffixed records that diff
-/// cleanly against an uncapped baseline.
+/// clean against a second run.
 #[test]
 fn budgeted_serve_reclaims_and_snapshots_mem_records() {
     let budget = (quick_serve_peak_floor() * 3 / 4).to_string();
@@ -860,29 +691,14 @@ fn budgeted_serve_reclaims_and_snapshots_mem_records() {
     );
     assert!(!stdout.contains("never bit"), "{stdout}");
 
-    // Two runs of the same binary diff clean at a 0% gate, reclaim and
-    // latency rows included: every simulated metric is equal, and host
-    // time — under a parallel test run it swings past any threshold —
-    // is only ever a note.
+    // Two runs of the same binary diff clean, reclaim and latency rows
+    // included: every simulated number is equal, and host time is
+    // never read.
     let (a, b) = (tmp("serve-mem-a.json"), tmp("serve-mem-b.json"));
-    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
-    let out = repro(&["diff", a, b, "--threshold-pct", "0"]);
+    let out = repro(&["diff", a.to_str().unwrap(), b.to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert!(!stdout.contains("REGRESSION"), "{stdout}");
-    assert!(!stdout.contains("improvement"), "{stdout}");
-    for line in stdout.lines().filter(|l| !l.starts_with("repro diff:")) {
-        assert!(
-            line.starts_with("note ") && line.contains(".wall_ms: "),
-            "identical budgeted serve runs differ beyond wall time: {stdout}"
-        );
-    }
-    // Per kernel: wall_ms, three latency percentiles and five reclaim
-    // totals; run-wide: wall_ms (untraced, so no gauges or counters).
-    assert!(
-        stdout.contains("repro diff: 19 metrics compared, 0 regression(s)"),
-        "{stdout}"
-    );
+    assert_eq!(stdout, "repro diff: 0 difference(s)\n");
 }
 
 /// A budget far above the peak never reclaims; `repro check` says so.
@@ -944,7 +760,7 @@ fn pressure_is_deterministic_across_runs() {
     assert_eq!(first, second, "repeated run changed the pressure grid");
 
     // The snapshot carries every cell; finite cells carry budgets and
-    // reclaim totals for the diff gate.
+    // reclaim totals for the diff.
     let snap = std::fs::read_to_string(tmp("pr-a.json")).unwrap();
     for name in sat_bench::pressurebench::record_names() {
         assert!(snap.contains(&format!("\"name\": \"{name}\"")), "{snap}");
