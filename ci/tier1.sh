@@ -61,8 +61,12 @@ cargo test -q
 # isolation differential: a family of tables sharing groups
 # copy-on-write, built from one another by clone, by word-by-word copy
 # and by adopting equal groups, each member against its own dense twin
-# after every op, so no write is seen through a shared group — plus the
-# exhaustive round trips
+# after every op, so no write is seen through a shared group — with
+# the packed groups' own rows (crates/mmu/src/groups.rs: the seventh
+# word spilling out of the six inline slots and removals bringing it
+# back, groups reaching equal words by different orders adopted, a
+# word count its live set disagrees with refused by `verify`) — plus
+# the exhaustive round trips
 # of the packed level-1 and slot words, whose frame bound is a
 # `debug_assert!` resting on `PhysMem::new`'s `assert!`. sat-vm and
 # sat-core ride along for the fork differential
@@ -108,8 +112,12 @@ cargo test -q
 # reaching into kernel space used to be accepted), beside the
 # host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
 # region list, a stock child holding its parent's page-table groups,
-# a write fault into a populated table allocating nothing: the
-# reverse map's inline slot, and a booted 1 GiB kernel's `PhysMem`
+# write faults into a populated table allocating only what its group
+# grows by — nothing while the words fit the group's six inline slots
+# (the reverse map holds each frame's one entry inline), then the
+# spill vector's four steps, pinned call for call and byte for byte,
+# and one block of at most 64 bytes for a new group's first word —
+# and a booted 1 GiB kernel's `PhysMem`
 # holding under 64 KiB: no `struct page` for a frame never handed
 # out), and the dead-pid rows
 # crates/core/tests/pid_args.rs (every call naming pid 0, an exited pid

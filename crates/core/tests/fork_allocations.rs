@@ -16,9 +16,10 @@
 //! with 512 COW-protected pages in one chunk — one group and eight —
 //! leaves the same bytes allocated.
 //!
-//! And a write fault into a populated table allocates nothing: the
-//! reverse map holds a frame's one entry inline, in a slot indexed by
-//! frame number, once the index has reached the frame.
+//! And a write fault into a populated table allocates only what its
+//! table group grows by: the reverse map holds a frame's one entry
+//! inline, in a slot indexed by frame number, once the index has
+//! reached the frame, and a group holds its first six words inline.
 //!
 //! And a booted Nexus 7 holds no `struct page` for a frame it has not
 //! handed out: `PhysMem` keeps the pool's free bitmap (32 KiB for 1 GiB)
@@ -198,8 +199,17 @@ fn write_page(k: &mut Kernel, pid: Pid, page: u32) {
         .unwrap();
 }
 
+/// Write faults into a table whose group the first page allocated
+/// (`sat_mmu`'s `groups.rs`). A group holds six words inline, so pages
+/// 1..6 allocate nothing. The seventh word spills the group's words to
+/// a vector of 12 (48 bytes); the vector then doubles at the 13th word
+/// (24 words, 96 bytes) and the 25th (48 words, 192 bytes), and stops
+/// at a full group at the 49th (64 words, 256 bytes): 4 calls and
+/// 48 + 96 + 192 + 256 = 592 bytes for pages 6..64, and nothing else.
+/// The first page of the next group is one block, the group itself —
+/// 56 bytes on a 64-bit host, where a dense group took 280.
 #[test]
-fn a_write_fault_into_a_populated_table_allocates_nothing() {
+fn a_write_fault_into_a_populated_table_allocates_only_its_group() {
     let kernels = [
         ("stock", KernelConfig::stock()),
         ("sharing", KernelConfig::shared_ptp_tlb()),
@@ -211,13 +221,16 @@ fn a_write_fault_into_a_populated_table_allocates_nothing() {
         let warm = process_with_heap(&mut k, 256, 0..256);
         k.exit(warm, &mut NoTlb).unwrap();
         // Page 0 allocates the table group that pages 1..64 fall in.
-        let pid = process_with_heap(&mut k, 64, 0..1);
-        let faults = allocated(|| {
-            for page in 1..64 {
-                write_page(&mut k, pid, page);
-            }
-        });
-        assert_eq!(faults, (0, 0), "{name}: calls and bytes");
+        let pid = process_with_heap(&mut k, 128, 0..1);
+        let mut faults = |pages: std::ops::Range<u32>| {
+            allocated(|| pages.for_each(|page| write_page(&mut k, pid, page)))
+        };
+        assert_eq!(faults(1..6), (0, 0), "{name}: words 2..=6");
+        assert_eq!(faults(6..7), (1, 48), "{name}: the seventh word");
+        assert_eq!(faults(7..64), (3, 96 + 192 + 256), "{name}: words 8..=64");
+        let (calls, bytes) = faults(64..65);
+        assert_eq!(calls, 1, "{name}: the next group's first word");
+        assert!(bytes <= 64, "{name}: a group of one word is {bytes} bytes");
     }
 }
 

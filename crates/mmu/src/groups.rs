@@ -1,29 +1,36 @@
 //! Descriptor-word storage for both table levels, held by populated
-//! group, each group shared copy-on-write between the tables that hold
-//! the same words.
+//! group, each group holding only its non-zero words and shared
+//! copy-on-write between the tables that hold the same words.
 //!
 //! A zygote child's tables are sparse: at the stock kernel's
 //! `fleet_churn` peak a page-table page holds 4.3 of its 512 slots and
-//! a root table 77 of its 4,096 entries, in 1.14 and 5.2 groups of 64.
+//! a root table 77 of its 4,096 entries, in 1.14 and 5.2 groups of 64,
+//! and about 10,900 of the 15,095 live groups hold six words or fewer.
 //! [`Groups`] therefore stores a table as `N` groups of
 //! [`GROUP_WORDS`] words and keeps only the groups that hold a
 //! non-zero word: a group is allocated when its first non-zero word is
 //! written and released when its last is cleared, and an absent group
 //! reads as all zeroes — the all-fault encoding at both levels. A
+//! group in turn keeps its live set (bit `i` for word `i`) and only
+//! the non-zero words, in index order: word `i` is at the rank
+//! `popcount(live & (2^i - 1))`. Up to [`INLINE`] words sit in the
+//! group itself, beside where a larger group's spilled words are
+//! pointed at, so a group costs 56 bytes where a dense one cost 280. A
 //! table costs the host what it holds, not what it could.
 //!
 //! Most of what a stock fork copies it copies word for word: both
 //! sides of a COW-protected anonymous PTE end up with the same word.
 //! A group is therefore an `Arc`, and [`Groups::adopt_equal`] lets a
 //! table point at another table's group wherever the two hold the same
-//! 64 words — the paper's PTP sharing (§3.1), applied to the
-//! simulator's heap rather than to the simulated machine. Every write
-//! goes through `Arc::make_mut`, so no table ever sees a sibling's
-//! change; a write that leaves the word as it was changes nothing, and
-//! one that clears a group's last word drops the pointer without
-//! copying. Adoption is by equality, not by prediction: what a caller
-//! expects to be equal is compared, so no rule about which PTEs a fork
-//! copies has to hold for the tables to stay isolated.
+//! live words — the paper's PTP sharing (§3.1), applied to the
+//! simulator's heap rather than to the simulated machine. A write to a
+//! group no other table holds edits it in place; a write to a shared
+//! one copies it first (`Arc::make_mut`), so no table ever sees a
+//! sibling's change. A write that leaves the word as it was changes
+//! nothing, and one that clears a group's last word drops the pointer
+//! without copying. Adoption is by equality, not by prediction: what a
+//! caller expects to be equal is compared, so no rule about which PTEs
+//! a fork copies has to hold for the tables to stay isolated.
 //!
 //! This is the only representation; there is no dense or unshared form
 //! beside it.
@@ -37,13 +44,136 @@ use std::sync::Arc;
 /// One `u64` has a bit for each word.
 pub(crate) const GROUP_WORDS: usize = u64::BITS as usize;
 
-/// One populated group: its words, and the set of those that are
-/// non-zero (bit `i` for word `i`) — the group's live count, and what
-/// lets an iterator visit the words a group holds instead of all 64.
-#[derive(Clone, PartialEq, Eq)]
+/// Words a group holds without a heap block of their own: as many as
+/// fit in the room a spilled group's vector takes.
+const INLINE: usize = 6;
+
+/// One populated group: the set of its non-zero words (bit `i` for
+/// word `i`) and those words, in index order. Equality is of the live
+/// set and the live words; an inline slot past the live count is stale
+/// and never read.
+#[derive(Clone)]
 struct Group {
-    words: [u32; GROUP_WORDS],
     live: u64,
+    words: Words,
+}
+
+/// A group's non-zero words: inline while there are at most [`INLINE`]
+/// of them, spilled to the heap beyond.
+#[derive(Clone)]
+enum Words {
+    Inline([u32; INLINE]),
+    Spill(Vec<u32>),
+}
+
+const _: () = assert!(std::mem::size_of::<Group>() <= 40);
+
+impl Group {
+    /// A group holding `word` at `at` alone.
+    fn one(at: usize, word: u32) -> Group {
+        let mut words = [0; INLINE];
+        words[0] = word;
+        Group {
+            live: 1 << at,
+            words: Words::Inline(words),
+        }
+    }
+
+    /// Number of non-zero words.
+    fn len(&self) -> usize {
+        self.live.count_ones() as usize
+    }
+
+    /// Where word `at` is, or would be, among the stored words.
+    #[inline]
+    fn rank(&self, at: usize) -> usize {
+        (self.live & !(u64::MAX << at)).count_ones() as usize
+    }
+
+    /// The non-zero words, in index order.
+    fn words(&self) -> &[u32] {
+        &self.stored_from(0)[..self.len()]
+    }
+
+    /// The stored words from `rank` on, stale inline slots included.
+    fn stored_from(&self, rank: usize) -> &[u32] {
+        match &self.words {
+            Words::Inline(words) => &words[rank..],
+            Words::Spill(words) => &words[rank..],
+        }
+    }
+
+    /// The word at `at`.
+    #[inline]
+    fn get(&self, at: usize) -> u32 {
+        if self.live & 1 << at == 0 {
+            return 0;
+        }
+        self.stored(self.rank(at))
+    }
+
+    /// The stored word at `rank`.
+    #[inline]
+    fn stored(&self, rank: usize) -> u32 {
+        match &self.words {
+            Words::Inline(words) => words[rank],
+            Words::Spill(words) => words[rank],
+        }
+    }
+
+    /// Writes `word` at `at`, whose rank is `rank`, where the group
+    /// holds `prev`: the two differ, and the caller drops a group
+    /// instead of clearing its last word.
+    fn set(&mut self, at: usize, rank: usize, prev: u32, word: u32) {
+        if prev != 0 && word != 0 {
+            match &mut self.words {
+                Words::Inline(words) => words[rank] = word,
+                Words::Spill(words) => words[rank] = word,
+            }
+            return;
+        }
+        self.live ^= 1 << at;
+        match (&mut self.words, word) {
+            // The slot past the last word is left stale.
+            (Words::Inline(words), 0) => {
+                for i in rank..INLINE - 1 {
+                    words[i] = words[i + 1];
+                }
+            }
+            (Words::Spill(words), 0) => {
+                words.remove(rank);
+                if let Ok(inline) = <[u32; INLINE]>::try_from(&words[..]) {
+                    self.words = Words::Inline(inline);
+                }
+            }
+            (Words::Inline(words), _) if self.live.count_ones() as usize <= INLINE => {
+                for i in (rank + 1..INLINE).rev() {
+                    words[i] = words[i - 1];
+                }
+                words[rank] = word;
+            }
+            (Words::Inline(words), _) => {
+                let mut spill = Vec::with_capacity(2 * INLINE);
+                spill.extend_from_slice(&words[..rank]);
+                spill.push(word);
+                spill.extend_from_slice(&words[rank..]);
+                self.words = Words::Spill(spill);
+            }
+            (Words::Spill(words), _) => {
+                // Doubling, but never past a full group.
+                if words.len() == words.capacity() {
+                    words.reserve_exact(words.len().min(GROUP_WORDS - words.len()));
+                }
+                words.insert(rank, word);
+            }
+        }
+    }
+}
+
+impl PartialEq for Group {
+    fn eq(&self, other: &Group) -> bool {
+        self.live == other.live && self.words() == other.words()
+    }
 }
 
 /// `N * GROUP_WORDS` descriptor words, all zero when new. `Clone`
@@ -62,47 +192,44 @@ impl<const N: usize> Groups<N> {
         }
     }
 
-    /// The word at `idx`.
+    /// The word at `idx`: a test of the group's live set and, for a
+    /// word it holds, one popcount to find it.
+    #[inline]
     pub(crate) fn get(&self, idx: usize) -> u32 {
         match &self.groups[idx / GROUP_WORDS] {
-            Some(group) => group.words[idx % GROUP_WORDS],
+            Some(group) => group.get(idx % GROUP_WORDS),
             None => 0,
         }
     }
 
     /// Writes `word` at `idx` and returns the word it replaces. The
     /// group is allocated by its first non-zero word and released with
-    /// its last; a group other tables hold is copied before it is
-    /// changed, and not at all when the word is already `word`.
+    /// its last; a group only this table holds is edited in place, and
+    /// one other tables hold is copied before it is changed, and not at
+    /// all when the word is already `word`.
     pub(crate) fn set(&mut self, idx: usize, word: u32) -> u32 {
         let slot = &mut self.groups[idx / GROUP_WORDS];
-        let (at, bit) = (idx % GROUP_WORDS, 1 << (idx % GROUP_WORDS));
+        let at = idx % GROUP_WORDS;
         let Some(group) = slot else {
             if word != 0 {
-                let mut group = Group {
-                    words: [0; GROUP_WORDS],
-                    live: bit,
-                };
-                group.words[at] = word;
-                *slot = Some(Arc::new(group));
+                *slot = Some(Arc::new(Group::one(at, word)));
             }
             return 0;
         };
-        let prev = group.words[at];
+        let rank = group.rank(at);
+        let prev = if group.live & 1 << at != 0 {
+            group.stored(rank)
+        } else {
+            0
+        };
         if prev == word {
             return prev;
         }
-        if word == 0 && group.live == bit {
+        if word == 0 && group.live == 1 << at {
             *slot = None;
             return prev;
         }
-        let group = Arc::make_mut(group);
-        group.words[at] = word;
-        if word != 0 {
-            group.live |= bit;
-        } else {
-            group.live &= !bit;
-        }
+        Arc::make_mut(group).set(at, rank, prev, word);
         prev
     }
 
@@ -140,9 +267,7 @@ impl<const N: usize> Groups<N> {
     /// The number of non-zero words in the group-aligned `range`: a
     /// popcount of its groups' live sets.
     pub(crate) fn count(&self, range: Range<usize>) -> usize {
-        self.in_range(range)
-            .map(|group| group.live.count_ones() as usize)
-            .sum()
+        self.in_range(range).map(Group::len).sum()
     }
 
     /// The non-zero words among `range` as `(idx, word)`, in ascending
@@ -160,12 +285,14 @@ impl<const N: usize> Groups<N> {
             // Bits `lo..hi`; the group overlaps the range, so `hi > lo`.
             let in_range = u64::MAX >> (GROUP_WORDS - (hi - lo)) << lo;
             self.groups[g].iter().flat_map(move |group| {
+                // The words in range are stored in a run from `lo`'s rank.
                 let mut left = group.live & in_range;
-                std::iter::from_fn(move || {
+                let bits = std::iter::from_fn(move || {
                     let at = (left != 0).then(|| left.trailing_zeros() as usize)?;
                     left &= left - 1;
-                    Some((base + at, group.words[at]))
-                })
+                    Some(base + at)
+                });
+                bits.zip(group.stored_from(group.rank(lo)).iter().copied())
             })
         })
     }
@@ -182,22 +309,34 @@ impl<const N: usize> Groups<N> {
         self.groups.iter().flatten().filter(shared).count()
     }
 
-    /// Checks that every allocated group holds at least one non-zero
-    /// word and that its live set is exactly the non-zero words.
+    /// Checks that every allocated group holds at least one word, that
+    /// it stores one word for each member of its live set (inline
+    /// exactly when they fit), and that no stored word is zero.
     pub(crate) fn verify(&self) -> Result<(), String> {
         for (g, group) in self.groups.iter().enumerate() {
             let Some(group) = group else { continue };
-            let held = (0..GROUP_WORDS)
-                .filter(|&at| group.words[at] != 0)
-                .fold(0u64, |set, at| set | 1 << at);
-            if held == 0 {
+            let live = group.len();
+            if live == 0 {
                 return Err(format!("group {g} is allocated but holds no word"));
             }
-            if group.live != held {
+            let stored = match &group.words {
+                Words::Inline(_) if live > INLINE => {
+                    return Err(format!("group {g} holds {live} words inline"));
+                }
+                Words::Inline(_) => live,
+                Words::Spill(words) if words.len() <= INLINE => {
+                    return Err(format!("group {g} spills {} words", words.len()));
+                }
+                Words::Spill(words) => words.len(),
+            };
+            if stored != live {
                 return Err(format!(
-                    "group {g} records live words {:#018x} but holds {held:#018x}",
+                    "group {g} stores {stored} words for live set {:#018x}",
                     group.live
                 ));
+            }
+            if let Some(rank) = group.words().iter().position(|&word| word == 0) {
+                return Err(format!("group {g} stores a zero word at rank {rank}"));
             }
         }
         Ok(())
@@ -261,6 +400,100 @@ mod tests {
         b.adopt_equal(&a);
         b.adopt_equal(&Pair::new());
         assert_eq!((a.shared(), b.shared(), b.populated()), (1, 1, 2));
+    }
+
+    /// Every answer `a` gives, against a dense copy of its words.
+    fn assert_reads(a: &Pair, dense: &[u32; 128]) {
+        for (idx, &word) in dense.iter().enumerate() {
+            assert_eq!(a.get(idx), word, "word {idx}");
+        }
+        for range in [0..128, 3..61, 5..70, 64..65, 40..40] {
+            let held = range.clone().map(|idx| (idx, dense[idx]));
+            assert_eq!(
+                a.iter(range.clone()).collect::<Vec<_>>(),
+                held.filter(|&(_, word)| word != 0).collect::<Vec<_>>(),
+                "{range:?}"
+            );
+        }
+        a.verify().unwrap();
+    }
+
+    #[test]
+    fn the_seventh_word_spills_and_removals_bring_it_back_inline() {
+        let (mut a, mut dense) = (Pair::new(), [0u32; 128]);
+        // Out of index order, so each insert lands between held words.
+        let order = [40, 2, 63, 17, 0, 33, 9, 50, 25];
+        for (n, &idx) in order.iter().enumerate() {
+            let word = 0x100 + idx as u32;
+            assert_eq!(a.set(idx, word), 0);
+            dense[idx] = word;
+            let spilled = matches!(a.groups[0].as_deref().unwrap().words, Words::Spill(_));
+            assert_eq!(spilled, n + 1 > INLINE, "{} words", n + 1);
+            assert_reads(&a, &dense);
+        }
+        // A rewrite in a spilled group, then removals down to one word.
+        a.set(17, 7);
+        dense[17] = 7;
+        assert_reads(&a, &dense);
+        for &idx in &order[..order.len() - 1] {
+            assert_eq!(a.set(idx, 0), dense[idx]);
+            dense[idx] = 0;
+            assert_reads(&a, &dense);
+        }
+        assert_eq!(a.count(0..64), 1);
+        a.set(25, 0);
+        assert_eq!(a.populated(), 0);
+    }
+
+    #[test]
+    fn groups_reached_by_different_orders_are_equal_and_adopted() {
+        let (mut a, mut b) = (Pair::new(), Pair::new());
+        // `a` goes past the inline words and back; `b` never spills,
+        // and leaves a stale inline word behind a removal.
+        for idx in [1, 2, 3, 4, 5, 6, 7, 8] {
+            a.set(idx, 9);
+        }
+        for idx in [8, 7, 1] {
+            a.set(idx, 0);
+        }
+        for idx in [6, 5, 4, 3, 2] {
+            b.set(idx, 9);
+        }
+        b.set(60, 5);
+        b.set(60, 0);
+        assert_eq!(
+            a.iter(0..64).collect::<Vec<_>>(),
+            b.iter(0..64).collect::<Vec<_>>()
+        );
+        b.adopt_equal(&a);
+        assert_eq!((a.shared(), b.shared()), (1, 1));
+        // Different live sets over equal words are not equal.
+        let mut c = Pair::new();
+        for idx in [2, 3, 4, 5, 7] {
+            c.set(idx, 9);
+        }
+        c.adopt_equal(&a);
+        assert_eq!(c.shared(), 0);
+    }
+
+    #[test]
+    fn verify_rejects_a_word_count_the_live_set_disagrees_with() {
+        let mut a = Pair::new();
+        for idx in 0..8 {
+            a.set(idx, 1);
+        }
+        a.verify().unwrap();
+        let group = Arc::make_mut(a.groups[0].as_mut().unwrap());
+        group.live &= !1;
+        let err = a.verify().unwrap_err();
+        assert!(err.contains("stores 8 words"), "{err}");
+        // Inline words past the live count are stale, not counted; too
+        // many live words for the inline slots is an error.
+        let mut b = Pair::new();
+        b.set(70, 1);
+        Arc::make_mut(b.groups[1].as_mut().unwrap()).live = 0xFF;
+        let err = b.verify().unwrap_err();
+        assert!(err.contains("inline"), "{err}");
     }
 
     #[test]

@@ -121,6 +121,7 @@ impl L1Entry {
     }
 
     /// Unpacks a word written by [`L1Entry::pack`].
+    #[inline]
     pub(crate) fn unpack(word: u32) -> L1Entry {
         let frame = Pfn::new(word >> L1_FRAME_SHIFT);
         let domain = Domain::new((word >> L1_DOMAIN_SHIFT & 0xF) as u8);
@@ -193,12 +194,12 @@ fn is_table(word: u32) -> bool {
 /// addresses for the cache model. On the host it is one word per entry
 /// — of which [`L1Entry`] is the decoded view [`RootTable::entry`]
 /// returns and [`RootTable::set_entry`] takes — stored by populated
-/// 64-entry group (see `groups.rs`): a zygote child's 77 entries sit in
-/// five or six groups, so the table every live process carries costs
-/// ≈ 2 KiB, not 16. The groups are also the index: the PTPs and the
-/// sections a table references are found by scanning the populated
-/// groups, which is O(populated) where a scan of all 4096 words was
-/// not.
+/// 64-entry group, each holding only its non-zero words (see
+/// `groups.rs`): a zygote child's 77 entries sit in five or six groups,
+/// so the table every live process carries costs under 1 KiB, not 16.
+/// The groups are also the index: the PTPs and the sections a table
+/// references are found by scanning the populated groups, which is
+/// O(populated) where a scan of all 4096 words was not.
 pub struct RootTable {
     entries: Groups<ROOT_GROUPS>,
     frames: [Pfn; 4],
@@ -234,11 +235,13 @@ impl RootTable {
     }
 
     /// Returns the entry for index `idx`.
+    #[inline]
     pub fn entry(&self, idx: usize) -> L1Entry {
         L1Entry::unpack(self.entries.get(idx))
     }
 
     /// Returns the entry covering `va`.
+    #[inline]
     pub fn entry_for(&self, va: VirtAddr) -> L1Entry {
         self.entry(va.l1_index())
     }
@@ -278,9 +281,10 @@ impl RootTable {
     /// (if any).
     pub fn clear_table_pair(&mut self, va: VirtAddr) -> Option<Pfn> {
         let even = va.l1_index() & !1;
-        let ptp = self.entry(even).ptp().or(self.entry(even + 1).ptp());
+        let mut ptp = None;
         for idx in [even, even + 1] {
-            if self.entry(idx).ptp().is_some() {
+            if let Some(frame) = self.entry(idx).ptp() {
+                ptp = ptp.or(Some(frame));
                 self.set_entry(idx, L1Entry::Fault);
             }
         }
@@ -329,13 +333,16 @@ impl RootTable {
     ///
     /// Served from the populated groups: O(#entries), not O(4096).
     pub fn iter_ptps(&self) -> impl Iterator<Item = (usize, Pfn)> + '_ {
+        let mut last_table = None;
         self.entries
             .iter(0..L1_ENTRIES)
             .filter(|&(_, word)| is_table(word))
-            .filter_map(|(idx, word)| {
+            .filter_map(move |(idx, word)| {
                 // The odd half speaks for the pair only when the even
-                // half (just visited, if populated) holds no table.
-                let listed = idx % 2 == 1 && is_table(self.entries.get(idx - 1));
+                // half, the table entry visited just before it if any,
+                // holds no table.
+                let listed = idx % 2 == 1 && last_table == Some(idx - 1);
+                last_table = Some(idx);
                 (!listed).then(|| (idx & !1, Pfn::new(word >> L1_FRAME_SHIFT)))
             })
     }

@@ -52,8 +52,10 @@ impl TableHalf {
 /// descriptor and the five software flags (see `pack_slot`) — and the
 /// 512 words are stored by populated 64-slot group (four groups a
 /// half, see `groups.rs`): the struct that lives in the slab is
-/// 64 bytes, one pointer a group, and a table costs 280 more for each
-/// group that holds a PTE and that no other table holds word for word.
+/// 64 bytes, one pointer a group, and a table costs 56 more for each
+/// group that holds a PTE and that no other table holds word for word,
+/// plus a vector of 12 to 64 words (48 to 256 bytes) for a group that
+/// holds more than six.
 /// Fleet-scale fork churn keeps tens of thousands of tables live, most
 /// of them holding a handful of PTEs in one group, most of those the
 /// group their parent holds. `Clone` copies the pointers.
@@ -117,6 +119,7 @@ pub(crate) fn pack_slot(hw: HwPte, sw: SwPte) -> u32 {
 
 /// Unpacks a slot word written by [`pack_slot`]; 0 (and any word with
 /// the valid bit clear) is an empty slot.
+#[inline]
 pub(crate) fn unpack_slot(word: u32) -> Option<PteSlot> {
     if word & SLOT_VALID == 0 {
         return None;
@@ -163,6 +166,7 @@ impl Ptp {
     }
 
     /// Reads the slot at (`half`, `idx`); `None` if not present.
+    #[inline]
     pub fn get(&self, half: TableHalf, idx: usize) -> Option<PteSlot> {
         unpack_slot(self.slots.get(Ptp::at(half, idx)))
     }

@@ -380,10 +380,35 @@ pub fn active_flow(core: usize) -> u32 {
 /// no requests in flight. Disabled-path cost is the usual single
 /// thread-local branch; with a sink but [`flow_tracing`] off this is
 /// still a no-op (see [`set_flow_tracing`]).
+#[inline]
 pub fn charge(core: usize, cause: ChargeCause, cycles: u64) {
-    if !enabled() || !flow_tracing() || cycles == 0 {
-        return;
+    if charging(cycles) {
+        emit_charge(core, cause, cycles);
     }
+}
+
+/// [`charge`] under the scoped default cause — the aggregation point
+/// for kernel-line fetch loops. The cause is read only when a charge
+/// is recorded.
+#[inline]
+pub fn charge_scoped(core: usize, cycles: u64) {
+    if charging(cycles) {
+        emit_charge(core, current_charge_cause(), cycles);
+    }
+}
+
+/// Whether a charge of `cycles` is recorded: the check both charge
+/// entry points inline into every simulated access, before any other
+/// thread-local is read.
+#[inline]
+fn charging(cycles: u64) -> bool {
+    enabled() && flow_tracing() && cycles != 0
+}
+
+/// The recording half of [`charge`], out of line so the untraced
+/// callers carry only [`charging`].
+#[inline(never)]
+fn emit_charge(core: usize, cause: ChargeCause, cycles: u64) {
     let flow = active_flow(core);
     emit(
         Subsystem::Sim,
@@ -395,12 +420,6 @@ pub fn charge(core: usize, cause: ChargeCause, cycles: u64) {
             cycles,
         },
     );
-}
-
-/// [`charge`] under the scoped default cause — the aggregation point
-/// for kernel-line fetch loops.
-pub fn charge_scoped(core: usize, cycles: u64) {
-    charge(core, current_charge_cause(), cycles);
 }
 
 /// Runs `f` against the live metrics registry, if a recorder is

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use sat_types::{Pfn, Pid, SatError, SatResult, VirtAddr, MAX_FRAMES};
+use sat_types::{GrowGently, Pfn, Pid, SatError, SatResult, VirtAddr, MAX_FRAMES};
 
 use crate::file::FileId;
 use crate::page::PageInfo;
@@ -30,7 +30,9 @@ enum RmapSlot {
     /// buffer) where the nested `BTreeMap` this replaced paid one leaf
     /// for a frame's first entry; first entries far outnumber spills,
     /// so every benchmark workload makes fewer host allocations
-    /// (DESIGN.md §14).
+    /// (DESIGN.md §14). The deque grows by an eighth when full
+    /// ([`GrowGently`]), not double: a zygote page mapped by 1,025
+    /// processes holds 1,037 slots, not 2,048.
     #[allow(clippy::box_collection)]
     Many(Box<VecDeque<RmapKey>>),
 }
@@ -211,7 +213,8 @@ pub struct PhysMem {
     /// frame ever handed out. The frames from the frontier to the end
     /// of the pool are free and untouched; they are the free list's
     /// implicit tail, in ascending order, so the table costs host
-    /// memory only as far up as the pool has been used.
+    /// memory only as far up as the pool has been used — and, growing
+    /// by an eighth ([`GrowGently`]), at most an eighth more.
     pages: Vec<PageInfo>,
     /// Frames in the pool.
     frames: u32,
@@ -248,8 +251,8 @@ pub struct PhysMem {
     /// same va). A slot holds one entry inline and spills to a sorted
     /// deque, so reclaim reads entries in `(owner, va)` order. The
     /// vector reaches only the highest frame that has ever held an
-    /// entry: sized to the pool it would cost 16 bytes a frame up
-    /// front.
+    /// entry, growing by an eighth ([`GrowGently`]): sized to the pool
+    /// it would cost 16 bytes a frame up front.
     rmap: Vec<RmapSlot>,
 }
 
@@ -328,6 +331,7 @@ impl PhysMem {
     #[inline(always)]
     fn take(&mut self, f: u32, kind: FrameKind) {
         if f as usize == self.pages.len() {
+            self.pages.reserve_gently(1);
             self.pages.push(PageInfo::new(kind));
         } else {
             let (&mut prev, &mut next) = self.links_mut(f).expect("a frame to take");
@@ -665,6 +669,7 @@ impl PhysMem {
     pub fn rmap_add(&mut self, pfn: Pfn, owner: Pid, va: VirtAddr) {
         let idx = pfn.raw() as usize;
         if idx >= self.rmap.len() {
+            self.rmap.reserve_gently(idx + 1 - self.rmap.len());
             self.rmap.resize_with(idx + 1, RmapSlot::default);
         }
         let key = (owner, va);
@@ -675,7 +680,10 @@ impl PhysMem {
                 let pair = [key.min(*first), key.max(*first)];
                 *slot = RmapSlot::Many(Box::new(VecDeque::from(pair)));
             }
-            RmapSlot::Many(keys) => keys.insert(nearer_end_bound(keys, &key), key),
+            RmapSlot::Many(keys) => {
+                keys.reserve_gently(1);
+                keys.insert(nearer_end_bound(keys, &key), key);
+            }
         }
     }
 

@@ -16,6 +16,7 @@
 pub mod addr;
 pub mod dacr;
 pub mod error;
+pub mod grow;
 pub mod ids;
 pub mod page;
 pub mod perms;
@@ -24,6 +25,7 @@ pub mod region;
 pub use addr::{PhysAddr, VaRange, VirtAddr, VpnRange};
 pub use dacr::{Dacr, Domain, DomainAccess};
 pub use error::{SatError, SatResult};
+pub use grow::GrowGently;
 pub use ids::{Asid, Pfn, Pid};
 pub use page::PageSize;
 pub use perms::{AccessType, Perms};
