@@ -142,6 +142,21 @@ cargo clippy --release --offline --manifest-path benchmark/Cargo.toml --all-targ
 step "docs (no dangling links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# The hardware models are pure mechanism, instrumented by the machine
+# in sat-sim: it runs their primitives and reports them, every flush
+# reason and charge cause an argument. None of them may depend on
+# sat-obs (normal edges; the tree is captured first so a grep that
+# stops early cannot mask a failing `cargo tree`).
+step "hardware models do not depend on sat-obs"
+for crate in sat-types sat-cache sat-tlb; do
+    tree="$(cargo tree -e normal --offline -p "$crate")"
+    if grep -q 'sat-obs' <<<"$tree"; then
+        echo "tier1: $crate depends on sat-obs:" >&2
+        echo "$tree" >&2
+        exit 1
+    fi
+done
+
 # The benchmark package (benchmark/, its own workspace) compiles against
 # the crates' public API: build and test it so an API deletion cannot
 # break its frozen surface unnoticed (includes `all --smoke`, < 10 s).

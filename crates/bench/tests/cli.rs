@@ -294,6 +294,21 @@ fn report_renders_all_three_formats_from_a_trace() {
     assert!(!out.status.success(), "report without a trace must fail");
 }
 
+/// A trace nested past the JSON parser's depth limit is refused with
+/// the limit named and exit 1, not a stack overflow.
+#[test]
+fn report_refuses_a_trace_nested_past_the_depth_limit() {
+    let trace = tmp("deep-trace.json");
+    std::fs::write(&trace, "[".repeat(50_000)).unwrap();
+    let out = repro(&["report", trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nesting deeper than MAX_DEPTH (128)"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn timeline_renders_windows_and_gauge_series_from_a_trace() {
     let trace = write_trace("timeline-trace.json", None);

@@ -128,8 +128,7 @@ impl AsidAllocator {
 mod tests {
     use super::*;
     use crate::kernel::Kernel;
-    use crate::{KernelConfig, NoTlb, TlbMaintenance};
-    use sat_types::VirtAddr;
+    use crate::{FlushOp, KernelConfig, NoTlb, TlbMaintenance};
 
     /// A running process's value is skipped by the allocator for the
     /// whole of every generation it stays running through: each
@@ -160,21 +159,22 @@ mod tests {
     /// A [`TlbMaintenance`] sink counting maintenance operations.
     #[derive(Default)]
     struct CountingTlb {
+        /// Flushes scoped to one ASID: whole, page or range.
         asid_flushes: u64,
         non_global_flushes: u64,
         full_flushes: u64,
     }
 
     impl TlbMaintenance for CountingTlb {
-        fn flush_asid(&mut self, _asid: Asid) {
-            self.asid_flushes += 1;
-        }
-        fn flush_va_all_asids(&mut self, _va: VirtAddr) {}
-        fn flush_all(&mut self) {
-            self.full_flushes += 1;
-        }
-        fn flush_non_global(&mut self) {
-            self.non_global_flushes += 1;
+        fn flush(&mut self, op: FlushOp, _reason: sat_obs::FlushReason) {
+            match op {
+                FlushOp::Asid(_) | FlushOp::Page { .. } | FlushOp::Range { .. } => {
+                    self.asid_flushes += 1
+                }
+                FlushOp::NonGlobal => self.non_global_flushes += 1,
+                FlushOp::All => self.full_flushes += 1,
+                FlushOp::VaAllAsids(_) => {}
+            }
         }
     }
 

@@ -51,9 +51,13 @@ pub enum FlushOp {
     VaAllAsids(VirtAddr),
     /// Every non-global entry of one address space (`TLBIASID`).
     Asid(Asid),
+    /// Every non-global entry of every address space (`TLBIALL` with
+    /// globals held) — the ASID-rollover flush, issued directly and
+    /// never gathered.
+    NonGlobal,
     /// Everything, globals included (`TLBIALL`) — the escalation for
     /// operations that touch global (zygote library) mappings.
-    Global,
+    All,
 }
 
 /// What resolving a batch did — returned by [`FlushBatch::apply`] and
@@ -75,8 +79,8 @@ pub struct BatchOutcome {
 /// so one batch can serve an operation whose sub-steps attribute
 /// differently (a `munmap` gathers `Unshare`-reason ops from the PTPs
 /// it unshares and a `RegionOp`-reason range for the unmapped pages);
-/// `apply` resolves and issues each reason group under its own
-/// attribution scope.
+/// `apply` resolves each reason group on its own and issues its ops
+/// with that reason.
 pub struct FlushBatch {
     /// Process the batch acts for (event attribution only).
     pid: Pid,
@@ -127,22 +131,22 @@ impl FlushBatch {
     }
 
     /// Gathers a machine-wide invalidation (globals included).
-    pub fn global(&mut self, reason: FlushReason) {
-        self.ops.push((FlushOp::Global, reason));
+    pub fn all(&mut self, reason: FlushReason) {
+        self.ops.push((FlushOp::All, reason));
     }
 
     /// Resolves the gathered ops and issues the surviving maintenance
     /// against `tlb`, one reason group at a time:
     ///
-    /// 1. A [`FlushOp::Global`] in the group subsumes everything else
-    ///    in it: one `flush_all`.
+    /// 1. A [`FlushOp::All`] in the group subsumes everything else in
+    ///    it.
     /// 2. [`FlushOp::Asid`] ops are deduplicated and subsume the
     ///    group's page/range ops for the same ASID.
     /// 3. Remaining page/range ops are grouped per ASID, sorted, and
     ///    merged where overlapping or adjacent; a merged group whose
     ///    page total crosses the ceiling escalates to one
-    ///    `flush_asid`, otherwise each surviving range is issued as a
-    ///    `flush_page`/`flush_range`.
+    ///    [`FlushOp::Asid`], otherwise each surviving range is issued
+    ///    as a [`FlushOp::Page`] or [`FlushOp::Range`].
     ///
     /// Emits one [`sat_obs::Payload::FlushBatch`] event per non-empty
     /// batch.
@@ -167,10 +171,7 @@ impl FlushBatch {
                 .filter(|(_, r)| *r == reason)
                 .map(|(op, _)| *op)
                 .collect();
-            let ceiling = self.ceiling;
-            sat_obs::with_flush_reason(reason, || {
-                resolve_group(&group, ceiling, tlb, &mut outcome);
-            });
+            resolve_group(&group, reason, self.ceiling, tlb, &mut outcome);
         }
         if sat_obs::enabled() {
             sat_obs::emit(
@@ -191,13 +192,14 @@ impl FlushBatch {
 /// Resolves one reason group (see [`FlushBatch::apply`]).
 fn resolve_group(
     group: &[FlushOp],
+    reason: FlushReason,
     ceiling: u32,
     tlb: &mut dyn TlbMaintenance,
     outcome: &mut BatchOutcome,
 ) {
-    if group.iter().any(|op| matches!(op, FlushOp::Global)) {
+    if group.contains(&FlushOp::All) {
         outcome.coalesced += group.len() as u64 - 1;
-        tlb.flush_all();
+        tlb.flush(FlushOp::All, reason);
         return;
     }
     // Full-ASID ops, deduplicated; they subsume the group's narrower
@@ -229,7 +231,9 @@ fn resolve_group(
         let (asid, range) = match op {
             FlushOp::Page { asid, vpn } => (*asid, VpnRange::single(*vpn)),
             FlushOp::Range { asid, range } => (*asid, *range),
-            FlushOp::Asid(_) | FlushOp::VaAllAsids(_) | FlushOp::Global => continue,
+            FlushOp::Asid(_) | FlushOp::VaAllAsids(_) | FlushOp::NonGlobal | FlushOp::All => {
+                continue
+            }
         };
         if full.contains(&asid) {
             outcome.coalesced += 1;
@@ -240,11 +244,11 @@ fn resolve_group(
             None => by_asid.push((asid, vec![range])),
         }
     }
-    for asid in &full {
-        tlb.flush_asid(*asid);
+    for asid in full {
+        tlb.flush(FlushOp::Asid(asid), reason);
     }
-    for va in &vaa {
-        tlb.flush_va_all_asids(*va);
+    for va in vaa {
+        tlb.flush(FlushOp::VaAllAsids(va), reason);
     }
     for (asid, mut ranges) in by_asid {
         ranges.sort_by_key(|r| (r.start, r.end));
@@ -259,14 +263,18 @@ fn resolve_group(
         let pages: u64 = merged.iter().map(|r| u64::from(r.page_count())).sum();
         if pages > u64::from(ceiling) {
             outcome.escalated += 1;
-            tlb.flush_asid(asid);
+            tlb.flush(FlushOp::Asid(asid), reason);
         } else {
-            for r in merged {
-                if r.page_count() == 1 {
-                    tlb.flush_page(asid, r.start);
+            for range in merged {
+                let op = if range.page_count() == 1 {
+                    FlushOp::Page {
+                        asid,
+                        vpn: range.start,
+                    }
                 } else {
-                    tlb.flush_range(asid, r);
-                }
+                    FlushOp::Range { asid, range }
+                };
+                tlb.flush(op, reason);
             }
         }
     }
@@ -277,39 +285,16 @@ mod tests {
     use super::*;
     use sat_types::VirtAddr;
 
-    /// Records every maintenance call with the attribution reason in
-    /// effect when it was issued.
+    /// Records every maintenance call with the reason it was issued
+    /// under.
     #[derive(Default)]
     struct Recorder {
-        calls: Vec<(String, FlushReason)>,
-    }
-
-    impl Recorder {
-        fn log(&mut self, call: String) {
-            self.calls.push((call, sat_obs::current_flush_reason()));
-        }
+        calls: Vec<(FlushOp, FlushReason)>,
     }
 
     impl TlbMaintenance for Recorder {
-        fn flush_asid(&mut self, asid: Asid) {
-            self.log(format!("asid {}", asid.raw()));
-        }
-        fn flush_va_all_asids(&mut self, va: VirtAddr) {
-            self.log(format!("vaa {:#x}", va.raw()));
-        }
-        fn flush_all(&mut self) {
-            self.log("all".into());
-        }
-        fn flush_page(&mut self, asid: Asid, vpn: u32) {
-            self.log(format!("page {} {:#x}", asid.raw(), vpn));
-        }
-        fn flush_range(&mut self, asid: Asid, range: VpnRange) {
-            self.log(format!(
-                "range {} {:#x}..{:#x}",
-                asid.raw(),
-                range.start,
-                range.end
-            ));
+        fn flush(&mut self, op: FlushOp, reason: FlushReason) {
+            self.calls.push((op, reason));
         }
     }
 
@@ -317,14 +302,18 @@ mod tests {
         FlushBatch::new(Pid::new(1), Asid::new(1))
     }
 
-    /// Applies `b` with a thread-local trace sink installed, so the
-    /// reason scoping (`with_flush_reason` is a no-op when tracing is
-    /// off) is observable by the [`Recorder`].
-    fn apply_traced(b: FlushBatch, tlb: &mut Recorder) -> BatchOutcome {
-        sat_obs::install(4096);
-        let o = b.apply(tlb);
-        sat_obs::uninstall();
-        o
+    fn page(asid: u8, vpn: u32) -> FlushOp {
+        FlushOp::Page {
+            asid: Asid::new(asid),
+            vpn,
+        }
+    }
+
+    fn range(asid: u8, start: u32, end: u32) -> FlushOp {
+        FlushOp::Range {
+            asid: Asid::new(asid),
+            range: VpnRange::new(start, end),
+        }
     }
 
     #[test]
@@ -334,10 +323,10 @@ mod tests {
             b.page(Asid::new(3), vpn, FlushReason::RegionOp);
         }
         let mut tlb = Recorder::default();
-        let o = apply_traced(b, &mut tlb);
+        let o = b.apply(&mut tlb);
         assert_eq!(
             tlb.calls,
-            vec![("range 3 0x40000..0x40003".into(), FlushReason::RegionOp)]
+            vec![(range(3, 0x40000, 0x40003), FlushReason::RegionOp)]
         );
         assert_eq!(
             o,
@@ -359,12 +348,12 @@ mod tests {
         );
         b.page(Asid::new(2), 0x80, FlushReason::RegionOp);
         let mut tlb = Recorder::default();
-        let o = apply_traced(b, &mut tlb);
+        let o = b.apply(&mut tlb);
         assert_eq!(
             tlb.calls,
             vec![
-                ("range 2 0x10..0x14".into(), FlushReason::RegionOp),
-                ("page 2 0x80".into(), FlushReason::RegionOp),
+                (range(2, 0x10, 0x14), FlushReason::RegionOp),
+                (page(2, 0x80), FlushReason::RegionOp),
             ]
         );
         assert_eq!(o.coalesced, 0);
@@ -380,7 +369,7 @@ mod tests {
         );
         let mut tlb = Recorder::default();
         assert_eq!(
-            apply_traced(at, &mut tlb).escalated,
+            at.apply(&mut tlb).escalated,
             0,
             "at the ceiling stays ranged"
         );
@@ -392,8 +381,11 @@ mod tests {
             FlushReason::Exit,
         );
         let mut tlb = Recorder::default();
-        let o = apply_traced(over, &mut tlb);
-        assert_eq!(tlb.calls, vec![("asid 4".into(), FlushReason::Exit)]);
+        let o = over.apply(&mut tlb);
+        assert_eq!(
+            tlb.calls,
+            vec![(FlushOp::Asid(Asid::new(4)), FlushReason::Exit)]
+        );
         assert_eq!(o.escalated, 1);
     }
 
@@ -405,12 +397,12 @@ mod tests {
         b.asid(Asid::new(5), FlushReason::Unshare);
         b.page(Asid::new(6), 0x100, FlushReason::Unshare);
         let mut tlb = Recorder::default();
-        let o = apply_traced(b, &mut tlb);
+        let o = b.apply(&mut tlb);
         assert_eq!(
             tlb.calls,
             vec![
-                ("asid 5".into(), FlushReason::Unshare),
-                ("page 6 0x100".into(), FlushReason::Unshare),
+                (FlushOp::Asid(Asid::new(5)), FlushReason::Unshare),
+                (page(6, 0x100), FlushReason::Unshare),
             ]
         );
         assert_eq!(o.coalesced, 2);
@@ -420,11 +412,11 @@ mod tests {
     fn global_subsumes_the_whole_reason_group() {
         let mut b = batch();
         b.range(Asid::new(2), VpnRange::new(0, 8), FlushReason::RegionOp);
-        b.global(FlushReason::RegionOp);
+        b.all(FlushReason::RegionOp);
         b.page(Asid::new(3), 0x9, FlushReason::RegionOp);
         let mut tlb = Recorder::default();
-        let o = apply_traced(b, &mut tlb);
-        assert_eq!(tlb.calls, vec![("all".into(), FlushReason::RegionOp)]);
+        let o = b.apply(&mut tlb);
+        assert_eq!(tlb.calls, vec![(FlushOp::All, FlushReason::RegionOp)]);
         assert_eq!(o.coalesced, 2);
     }
 
@@ -438,12 +430,12 @@ mod tests {
             FlushReason::RegionOp,
         );
         let mut tlb = Recorder::default();
-        apply_traced(b, &mut tlb);
+        b.apply(&mut tlb);
         assert_eq!(
             tlb.calls,
             vec![
-                ("page 7 0x40".into(), FlushReason::Unshare),
-                ("range 7 0x50..0x52".into(), FlushReason::RegionOp),
+                (page(7, 0x40), FlushReason::Unshare),
+                (range(7, 0x50, 0x52), FlushReason::RegionOp),
             ]
         );
     }
@@ -459,31 +451,31 @@ mod tests {
         b.asid(Asid::new(3), FlushReason::Reclaim);
         b.page(Asid::new(4), 0x77, FlushReason::Reclaim);
         let mut tlb = Recorder::default();
-        let o = apply_traced(b, &mut tlb);
+        let o = b.apply(&mut tlb);
         assert_eq!(
             tlb.calls,
             vec![
-                ("asid 3".into(), FlushReason::Reclaim),
-                ("vaa 0x40002000".into(), FlushReason::Reclaim),
-                ("page 4 0x77".into(), FlushReason::Reclaim),
+                (FlushOp::Asid(Asid::new(3)), FlushReason::Reclaim),
+                (FlushOp::VaAllAsids(va), FlushReason::Reclaim),
+                (page(4, 0x77), FlushReason::Reclaim),
             ]
         );
         assert_eq!(o.coalesced, 1);
 
-        // Global still subsumes the whole group.
+        // `All` still subsumes the whole group.
         let mut g = batch();
         g.va_all_asids(va, FlushReason::Reclaim);
-        g.global(FlushReason::Reclaim);
+        g.all(FlushReason::Reclaim);
         let mut tlb = Recorder::default();
-        let o = apply_traced(g, &mut tlb);
-        assert_eq!(tlb.calls, vec![("all".into(), FlushReason::Reclaim)]);
+        let o = g.apply(&mut tlb);
+        assert_eq!(tlb.calls, vec![(FlushOp::All, FlushReason::Reclaim)]);
         assert_eq!(o.coalesced, 1);
     }
 
     #[test]
     fn empty_batch_issues_nothing() {
         let mut tlb = Recorder::default();
-        let o = apply_traced(batch(), &mut tlb);
+        let o = batch().apply(&mut tlb);
         assert!(tlb.calls.is_empty());
         assert_eq!(o, BatchOutcome::default());
     }

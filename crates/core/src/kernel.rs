@@ -41,7 +41,7 @@ use sat_vm::{
 
 use crate::asid::AsidAllocator;
 use crate::config::KernelConfig;
-use crate::flush::FlushBatch;
+use crate::flush::{FlushBatch, FlushOp};
 use crate::fork::{dup_mm, ForkOutcome};
 use crate::registry::SharedPtpRegistry;
 use crate::share::{teardown, unshare, unshare_range, UnshareTrigger};
@@ -421,9 +421,7 @@ impl Kernel {
             *asid_generation = generation;
         }
         if std::mem::take(&mut self.asids.flush_pending) {
-            sat_obs::with_flush_reason(sat_obs::FlushReason::AsidRecycle, || {
-                tlb.flush_non_global();
-            });
+            tlb.flush(FlushOp::NonGlobal, sat_obs::FlushReason::AsidRecycle);
         }
         self.mm(pid).map(|mm| mm.asid)
     }
@@ -666,7 +664,7 @@ impl Kernel {
                 // operation changed, so the flush is scoped to the
                 // operating ASID — except when the region was global.
                 if any_global {
-                    batch.global(sat_obs::FlushReason::RegionOp);
+                    batch.all(sat_obs::FlushReason::RegionOp);
                 } else {
                     batch.range(
                         asid,
@@ -885,9 +883,7 @@ impl Kernel {
     /// on return the process re-faults into a normal table walk.
     pub fn domain_fault(&mut self, va: VirtAddr, tlb: &mut dyn TlbMaintenance) {
         self.stats.domain_faults += 1;
-        sat_obs::with_flush_reason(sat_obs::FlushReason::DomainFault, || {
-            tlb.flush_va_all_asids(va);
-        });
+        tlb.flush(FlushOp::VaAllAsids(va), sat_obs::FlushReason::DomainFault);
         // The faulting process is not identified by the hardware (the
         // DACR check happens before translation completes), so the
         // event carries no pid/ASID.

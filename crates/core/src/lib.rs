@@ -80,38 +80,13 @@ pub use share::UnshareTrigger;
 ///
 /// The simulated hardware TLB lives in `sat-sim`; kernel paths that
 /// must invalidate entries (the Figure 6 unshare procedure, process
-/// exit, the domain-fault handler) call through this trait. Pure
-/// page-table experiments can pass [`NoTlb`].
+/// exit, the domain-fault handler) call through this trait with the
+/// [`FlushOp`] to perform and the [`sat_obs::FlushReason`] that names
+/// the kernel path asking for it. Pure page-table experiments can
+/// pass [`NoTlb`].
 pub trait TlbMaintenance {
-    /// Invalidate all non-global entries tagged with `asid`
-    /// (`TLBIASID`), as the unshare procedure does for the current
-    /// process.
-    fn flush_asid(&mut self, asid: sat_types::Asid);
-    /// Invalidate every entry covering `va` in any address space
-    /// (`TLBIMVAA`), as the domain-fault handler does.
-    fn flush_va_all_asids(&mut self, va: sat_types::VirtAddr);
-    /// Invalidate the entire TLB.
-    fn flush_all(&mut self);
-    /// Invalidate every non-global entry regardless of ASID
-    /// (`TLBIALL` with globals held), as the ASID-rollover path does.
-    /// Implementations without a global/non-global split may fall back
-    /// to a full flush.
-    fn flush_non_global(&mut self) {
-        self.flush_all();
-    }
-    /// Invalidate the entries for page `vpn` tagged with `asid`
-    /// (`TLBIMVA`); globals survive. Implementations without
-    /// page-granular maintenance may over-flush the whole ASID.
-    fn flush_page(&mut self, asid: sat_types::Asid, _vpn: u32) {
-        self.flush_asid(asid);
-    }
-    /// Invalidate the entries overlapping `range` tagged with `asid`
-    /// (back-to-back `TLBIMVA`s); globals survive. Implementations
-    /// without range-granular maintenance may over-flush the whole
-    /// ASID.
-    fn flush_range(&mut self, asid: sat_types::Asid, _range: sat_types::VpnRange) {
-        self.flush_asid(asid);
-    }
+    /// Performs `op`, attributed to `reason`.
+    fn flush(&mut self, op: FlushOp, reason: sat_obs::FlushReason);
 }
 
 /// A no-op [`TlbMaintenance`] sink for experiments that do not model
@@ -119,9 +94,5 @@ pub trait TlbMaintenance {
 pub struct NoTlb;
 
 impl TlbMaintenance for NoTlb {
-    fn flush_asid(&mut self, _asid: sat_types::Asid) {}
-    fn flush_va_all_asids(&mut self, _va: sat_types::VirtAddr) {}
-    fn flush_all(&mut self) {}
-    fn flush_page(&mut self, _asid: sat_types::Asid, _vpn: u32) {}
-    fn flush_range(&mut self, _asid: sat_types::Asid, _range: sat_types::VpnRange) {}
+    fn flush(&mut self, _op: FlushOp, _reason: sat_obs::FlushReason) {}
 }

@@ -20,9 +20,9 @@
 //! kernel under a frame budget it has already spent, they found that it
 //! ran a reclaim pass before that refusal too.
 
-use sat_core::{Kernel, KernelConfig, TlbMaintenance};
+use sat_core::{FlushOp, Kernel, KernelConfig, TlbMaintenance};
 use sat_types::{
-    AccessType, Asid, Perms, RegionTag, SatError, VaRange, VirtAddr, KERNEL_SPACE_START, PAGE_SIZE,
+    AccessType, Perms, RegionTag, SatError, VaRange, VirtAddr, KERNEL_SPACE_START, PAGE_SIZE,
     PTP_SPAN,
 };
 use sat_vm::MmapRequest;
@@ -42,13 +42,7 @@ const TOP: u32 = KERNEL_SPACE_START - 4 * PAGE_SIZE;
 struct CountingTlb(u32);
 
 impl TlbMaintenance for CountingTlb {
-    fn flush_asid(&mut self, _asid: Asid) {
-        self.0 += 1;
-    }
-    fn flush_va_all_asids(&mut self, _va: VirtAddr) {
-        self.0 += 1;
-    }
-    fn flush_all(&mut self) {
+    fn flush(&mut self, _op: FlushOp, _reason: sat_obs::FlushReason) {
         self.0 += 1;
     }
 }

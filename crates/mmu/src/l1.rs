@@ -2,7 +2,7 @@
 
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{
-    Dacr, Domain, PageSize, Perms, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES, MAX_FRAMES,
+    Domain, PageSize, Perms, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES, MAX_FRAMES,
 };
 
 use crate::groups::{Groups, GROUP_WORDS};
@@ -400,15 +400,6 @@ impl RootTable {
     pub(crate) fn adopt_equal(&mut self, other: &RootTable) {
         self.entries.adopt_equal(&other.entries);
     }
-}
-
-/// The per-process MMU context: the root table plus the process's
-/// domain access rights. Loaded into the "hardware" on context switch.
-pub struct MmuContext {
-    /// The first-level table.
-    pub root: RootTable,
-    /// The process's DACR value (lives in its task control block).
-    pub dacr: Dacr,
 }
 
 #[cfg(test)]

@@ -82,7 +82,8 @@ label_enum! {
         Share = "share",
         /// `sat-vm` page-fault handling.
         VmFault = "vm-fault",
-        /// `sat-tlb` flush primitives (main and micro TLBs).
+        /// `sat-tlb` flush primitives (main and micro TLBs), reported by
+        /// the machine that runs them.
         Tlb = "tlb",
         /// `sat-android` launch/IPC phases.
         Android = "android",
@@ -169,9 +170,8 @@ label_enum! {
 }
 
 label_enum! {
-    /// Which kernel path issued a TLB flush. Set as a scoped thread-local
-    /// by the caller (see [`crate::with_flush_reason`]) and read by the
-    /// flush primitives, so the TLB crate needs no signature changes.
+    /// Which kernel path issued a TLB flush: an argument of every
+    /// maintenance request, carried onto the machine's flush events.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     pub enum FlushReason {
         ContextSwitch = "context_switch",
@@ -196,9 +196,6 @@ label_enum! {
         /// large/section entry spans every page of the group, so the whole
         /// span is invalidated.
         Demote = "demote",
-        /// No kernel path claimed the flush (e.g. a unit test poking the
-        /// TLB directly).
-        Unattributed = "unattributed",
     }
     /// Per-reason flush-event counter.
     counter_key = "tlb.flush.reason.";
@@ -207,7 +204,8 @@ label_enum! {
 }
 
 label_enum! {
-    /// Which flush primitive fired.
+    /// Which flush primitive fired: the machine runs the TLB model's
+    /// primitive and reports it under this scope.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     pub enum FlushScope {
         /// `MainTlb::flush_all` — counted against `TlbStats::full_flushes`.
@@ -225,9 +223,10 @@ label_enum! {
         Range = "range",
         /// `MainTlb::flush_non_global`.
         NonGlobal = "non_global",
-        /// `MicroTlb::flush` (context-switch full clear).
+        /// `MicroTlb::flush`: every context switch, and the micro side
+        /// of every main flush wider than a range.
         MicroAll = "micro_all",
-        /// `MicroTlb::flush_va`.
+        /// `MicroTlb::flush_va` or `flush_range`.
         MicroVa = "micro_va",
     }
     /// Per-scope flush-event counter.

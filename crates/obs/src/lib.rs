@@ -5,7 +5,11 @@
 //! sim, sched) into a fixed-capacity ring ([`RingSink`]) alongside an exact
 //! [`MetricsRegistry`]. Two exporters serialize the harvest: Chrome
 //! trace-event JSON ([`chrome_trace_json`]) and a metrics snapshot
-//! ([`metrics_json`]) embedded in `BENCH_repro.json`.
+//! ([`metrics_json`]) embedded in `BENCH_repro.json`. The hardware
+//! models (`sat-types`, `sat-cache`, `sat-tlb`) do not depend on this
+//! crate: the machine in `sat-sim` reports what they do, and every
+//! cause (a flush's reason, a cycle charge's cause) is an argument
+//! of the call that records it.
 //!
 //! # Overhead contract
 //!
@@ -56,10 +60,6 @@ thread_local! {
     /// Mirror of `SINK.is_some()`: the cheap check on the disabled
     /// path.
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static FLUSH_REASON: Cell<FlushReason> = const { Cell::new(FlushReason::Unattributed) };
-    /// Scoped default cause for aggregate kernel-path charges (see
-    /// [`with_charge_cause`]).
-    static CHARGE_CAUSE: Cell<ChargeCause> = const { Cell::new(ChargeCause::Exec) };
     /// Request-flow context: pid → flow binding (survives preemption
     /// and core migration) and the flow currently executing per core
     /// (0 = unattributed). Thread-local like the recorder itself.
@@ -141,8 +141,6 @@ pub fn install(capacity: usize) {
 /// `None` if nothing was installed.
 pub fn uninstall() -> Option<Recording> {
     ENABLED.with(|e| e.set(false));
-    FLUSH_REASON.with(|r| r.set(FlushReason::Unattributed));
-    CHARGE_CAUSE.with(|c| c.set(ChargeCause::Exec));
     FLOW_BY_PID.with(|m| m.borrow_mut().clear());
     FLOW_BY_CORE.with(|v| v.borrow_mut().clear());
     FLOW_TRACING.with(|t| t.set(false));
@@ -248,46 +246,6 @@ impl Sampler {
     }
 }
 
-/// Runs `f` with the thread's flush-reason set to `reason`, restoring
-/// the previous reason afterwards. TLB flush primitives read this to
-/// attribute flushes to the kernel path that issued them, without any
-/// signature changes through `TlbMaintenance`.
-pub fn with_flush_reason<R>(reason: FlushReason, f: impl FnOnce() -> R) -> R {
-    if !enabled() {
-        return f();
-    }
-    let prev = FLUSH_REASON.with(|r| r.replace(reason));
-    let out = f();
-    FLUSH_REASON.with(|r| r.set(prev));
-    out
-}
-
-/// The flush reason currently in scope (see [`with_flush_reason`]).
-pub fn current_flush_reason() -> FlushReason {
-    FLUSH_REASON.with(|r| r.get())
-}
-
-/// Runs `f` with the thread's default charge cause set to `cause`,
-/// restoring the previous cause afterwards. Aggregate kernel-path
-/// charges (e.g. the machine's kernel-line fetch loops) read this so
-/// the path that *issued* the work — context switch, fault handler,
-/// binder ingress — owns the cycles, without signature changes.
-pub fn with_charge_cause<R>(cause: ChargeCause, f: impl FnOnce() -> R) -> R {
-    if !enabled() {
-        return f();
-    }
-    let prev = CHARGE_CAUSE.with(|c| c.replace(cause));
-    let out = f();
-    CHARGE_CAUSE.with(|c| c.set(prev));
-    out
-}
-
-/// The charge cause currently in scope (see [`with_charge_cause`]).
-/// [`ChargeCause::Exec`] when no path claimed the work.
-pub fn current_charge_cause() -> ChargeCause {
-    CHARGE_CAUSE.with(|c| c.get())
-}
-
 /// Turns cycle-charge attribution on or off for this thread. Off (the
 /// default), [`charge`] and the flow-binding calls are no-ops even
 /// with a sink installed, so workloads that never establish flows pay
@@ -382,31 +340,13 @@ pub fn active_flow(core: usize) -> u32 {
 /// still a no-op (see [`set_flow_tracing`]).
 #[inline]
 pub fn charge(core: usize, cause: ChargeCause, cycles: u64) {
-    if charging(cycles) {
+    if enabled() && flow_tracing() && cycles != 0 {
         emit_charge(core, cause, cycles);
     }
 }
 
-/// [`charge`] under the scoped default cause — the aggregation point
-/// for kernel-line fetch loops. The cause is read only when a charge
-/// is recorded.
-#[inline]
-pub fn charge_scoped(core: usize, cycles: u64) {
-    if charging(cycles) {
-        emit_charge(core, current_charge_cause(), cycles);
-    }
-}
-
-/// Whether a charge of `cycles` is recorded: the check both charge
-/// entry points inline into every simulated access, before any other
-/// thread-local is read.
-#[inline]
-fn charging(cycles: u64) -> bool {
-    enabled() && flow_tracing() && cycles != 0
-}
-
 /// The recording half of [`charge`], out of line so the untraced
-/// callers carry only [`charging`].
+/// callers carry only its test.
 #[inline(never)]
 fn emit_charge(core: usize, cause: ChargeCause, cycles: u64) {
     let flow = active_flow(core);
@@ -467,23 +407,6 @@ mod tests {
             1
         );
         assert!(uninstall().is_none());
-    }
-
-    #[test]
-    fn flush_reason_scopes_nest_and_restore() {
-        install(8);
-        assert_eq!(current_flush_reason(), FlushReason::Unattributed);
-        let reasons = with_flush_reason(FlushReason::Exit, || {
-            let outer = current_flush_reason();
-            let inner = with_flush_reason(FlushReason::Unshare, current_flush_reason);
-            (outer, current_flush_reason(), inner)
-        });
-        assert_eq!(
-            reasons,
-            (FlushReason::Exit, FlushReason::Exit, FlushReason::Unshare)
-        );
-        assert_eq!(current_flush_reason(), FlushReason::Unattributed);
-        uninstall();
     }
 
     #[test]
@@ -551,30 +474,6 @@ mod tests {
             assert!(err.contains("SAT_OBS_RING"), "{err}");
             assert!(err.contains(&DEFAULT_RING_CAPACITY.to_string()), "{err}");
         }
-    }
-
-    #[test]
-    fn uninstall_resets_flush_reason() {
-        install(8);
-        // A panicking scope can't unwind our Cell (no Drop guard), but
-        // uninstall always restores the default for the next run.
-        FLUSH_REASON.with(|r| r.set(FlushReason::Fork));
-        uninstall();
-        assert_eq!(current_flush_reason(), FlushReason::Unattributed);
-    }
-
-    #[test]
-    fn charge_cause_scopes_nest_and_restore() {
-        install(8);
-        assert_eq!(current_charge_cause(), ChargeCause::Exec);
-        let causes = with_charge_cause(ChargeCause::Fault, || {
-            let outer = current_charge_cause();
-            let inner = with_charge_cause(ChargeCause::Unshare, current_charge_cause);
-            (outer, inner)
-        });
-        assert_eq!(causes, (ChargeCause::Fault, ChargeCause::Unshare));
-        assert_eq!(current_charge_cause(), ChargeCause::Exec);
-        uninstall();
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The machine: cores, TLBs, caches, and the full access path.
 
 use sat_cache::{AccessKind, Cache, CacheConfig, CacheHierarchy};
-use sat_core::{Kernel, TlbMaintenance, TlbProtection};
+use sat_core::{FlushOp, Kernel, TlbMaintenance, TlbProtection};
 use sat_mmu::{walk, FaultRecord, FaultStatus, WalkOutcome};
+use sat_obs::{ChargeCause, FlushReason, FlushScope};
 use sat_tlb::{MainTlb, MicroTlb, TlbEntry, TlbLookup};
 use sat_types::{
     AccessType, Asid, Domain, DomainAccess, PageSize, Perms, Pfn, Pid, SatError, SatResult,
-    VirtAddr, KERNEL_SPACE_START,
+    VirtAddr, VpnRange, KERNEL_SPACE_START,
 };
 use sat_vm::{FaultKind, Mm};
 
@@ -54,7 +55,7 @@ pub struct CoreStats {
     pub inst_main_tlb_stall_cycles: u64,
     /// Stall cycles waiting on main-TLB misses for data accesses.
     pub data_main_tlb_stall_cycles: u64,
-    /// TLB-shootdown IPIs this core received (precise `flush_asid`
+    /// TLB-shootdown IPIs this core received (a precise shootdown
     /// targeted it because the ASID was resident here).
     pub tlb_shootdown_ipis: u64,
 }
@@ -111,13 +112,97 @@ impl Core {
     pub fn resident_asid_count(&self) -> u32 {
         self.resident_asids.iter().map(|w| w.count_ones()).sum()
     }
+
+    /// Runs `op` on this core's TLBs — the main-TLB primitive, then
+    /// the micro-TLB invalidation that keeps the untagged micro TLBs
+    /// coherent with it — and reports each as a
+    /// [`sat_obs::Payload::TlbFlush`] attributed to `reason`. A
+    /// main-TLB flush is reported even when it drops nothing: event
+    /// counts reconcile with `TlbStats::full_flushes`, not just entry
+    /// sums. A micro-TLB flush is reported only when it drops
+    /// something; micro TLBs fire on every context switch and carry no
+    /// `TlbStats`.
+    fn flush(&mut self, op: CoreFlush, reason: FlushReason) {
+        let report = |scope, asid: Option<Asid>, entries: usize| {
+            if sat_obs::enabled() {
+                sat_obs::emit(
+                    sat_obs::Subsystem::Tlb,
+                    0,
+                    asid.map_or(0, |a| a.raw()),
+                    sat_obs::Payload::TlbFlush {
+                        scope,
+                        reason,
+                        entries: entries as u64,
+                    },
+                );
+            }
+        };
+        let tlb = &mut self.main_tlb;
+        let main = match op {
+            CoreFlush::Micro => None,
+            CoreFlush::Va(va, asid) => Some((FlushScope::Va, Some(asid), tlb.flush_va(va, asid))),
+            CoreFlush::Op(op) => Some(match op {
+                FlushOp::Page { asid, vpn } => {
+                    (FlushScope::Page, Some(asid), tlb.flush_page(asid, vpn))
+                }
+                FlushOp::Range { asid, range } => {
+                    (FlushScope::Range, Some(asid), tlb.flush_range(asid, range))
+                }
+                FlushOp::VaAllAsids(va) => {
+                    (FlushScope::VaAllAsids, None, tlb.flush_va_all_asids(va))
+                }
+                FlushOp::Asid(asid) => (FlushScope::Asid, Some(asid), tlb.flush_asid(asid)),
+                FlushOp::NonGlobal => (FlushScope::NonGlobal, None, tlb.flush_non_global()),
+                FlushOp::All => (FlushScope::All, None, tlb.flush_all()),
+            }),
+        };
+        if let Some((scope, asid, entries)) = main {
+            report(scope, asid, entries);
+        }
+        // The untagged micro TLBs honour per-VA maintenance (ARM's
+        // `TLBIMVA` reaches them), so a narrow scope carries down; a
+        // wider one clears them.
+        for micro in [&mut self.micro_i, &mut self.micro_d] {
+            let (scope, entries) = match op {
+                CoreFlush::Va(va, _) | CoreFlush::Op(FlushOp::VaAllAsids(va)) => {
+                    (FlushScope::MicroVa, micro.flush_va(va))
+                }
+                CoreFlush::Op(FlushOp::Page { vpn, .. }) => (
+                    FlushScope::MicroVa,
+                    micro.flush_range(VpnRange::single(vpn)),
+                ),
+                CoreFlush::Op(FlushOp::Range { range, .. }) => {
+                    (FlushScope::MicroVa, micro.flush_range(range))
+                }
+                CoreFlush::Micro
+                | CoreFlush::Op(FlushOp::Asid(_) | FlushOp::NonGlobal | FlushOp::All) => {
+                    (FlushScope::MicroAll, micro.flush())
+                }
+            };
+            if entries > 0 {
+                report(scope, None, entries);
+            }
+        }
+    }
+}
+
+/// What one core's TLBs invalidate in one [`Core::flush`].
+#[derive(Clone, Copy)]
+enum CoreFlush {
+    /// This core's share of a kernel maintenance op.
+    Op(FlushOp),
+    /// The fault handler's repair of one address (`TLBIMVA`: the
+    /// ASID's entries and the globals covering it).
+    Va(VirtAddr, Asid),
+    /// The two micro TLBs alone (every context switch).
+    Micro,
 }
 
 /// A [`TlbMaintenance`] view over every core's TLBs: kernel flush
 /// operations behave as TLB shootdowns across the machine.
 ///
-/// `flush_asid`, `flush_page`, and `flush_range` are *precise*
-/// shootdowns: they consult each core's residency map and IPI
+/// [`FlushOp::Asid`], [`FlushOp::Page`] and [`FlushOp::Range`] are
+/// *precise* shootdowns: they consult each core's residency map and IPI
 /// (flush + charge `ipi_cost` to) only the cores where the target
 /// ASID may still hold non-global entries. Skipped cores pay nothing
 /// and bump `TlbStats::avoided_flushes`. When the view carries an
@@ -134,25 +219,26 @@ pub struct MachineTlbView<'a> {
 }
 
 impl MachineTlbView<'_> {
-    /// Resolves one precise shootdown: runs `invalidate` on every
-    /// core where `asid` may be resident, charges IPIs to all
-    /// targeted cores but the initiator, and emits the
+    /// Resolves one precise shootdown: runs `op` on every core where
+    /// `asid` may be resident, charges IPIs to all targeted cores but
+    /// the initiator, and emits the
     /// [`sat_obs::Payload::TlbShootdown`] accounting event.
     /// `clear_residency` is set for full-ASID invalidations only —
     /// page/range flushes may leave other entries of the ASID behind.
     fn shootdown(
         &mut self,
         asid: Asid,
-        scope: sat_obs::FlushScope,
+        scope: FlushScope,
         clear_residency: bool,
-        mut invalidate: impl FnMut(&mut Core),
+        op: FlushOp,
+        reason: FlushReason,
     ) {
         let mut targeted = 0u32;
         let mut local = 0u32;
         let mut skipped = 0u32;
         for (i, core) in self.cores.iter_mut().enumerate() {
             if core.asid_resident(asid) {
-                invalidate(core);
+                core.flush(CoreFlush::Op(op), reason);
                 if clear_residency {
                     core.clear_resident(asid);
                 }
@@ -166,7 +252,7 @@ impl MachineTlbView<'_> {
                     core.stats.tlb_shootdown_ipis += 1;
                     // The interrupted core pays the IPI, so whatever
                     // request is running *there* gets the blame.
-                    sat_obs::charge(i, sat_obs::ChargeCause::Ipi, self.ipi_cost);
+                    sat_obs::charge(i, ChargeCause::Ipi, self.ipi_cost);
                 }
             } else {
                 // The ASID never loaded a non-global entry here (and
@@ -194,56 +280,26 @@ impl MachineTlbView<'_> {
 }
 
 impl TlbMaintenance for MachineTlbView<'_> {
-    fn flush_asid(&mut self, asid: Asid) {
-        self.shootdown(asid, sat_obs::FlushScope::Asid, true, |core| {
-            core.main_tlb.flush_asid(asid);
-            core.micro_i.flush();
-            core.micro_d.flush();
-        });
-    }
-
-    fn flush_page(&mut self, asid: Asid, vpn: u32) {
-        // The untagged micro TLBs honour per-VA maintenance (ARM's
-        // `TLBIMVA` reaches them), so the narrow scope carries down.
-        let range = sat_types::VpnRange::single(vpn);
-        self.shootdown(asid, sat_obs::FlushScope::Page, false, |core| {
-            core.main_tlb.flush_page(asid, vpn);
-            core.micro_i.flush_range(range);
-            core.micro_d.flush_range(range);
-        });
-    }
-
-    fn flush_range(&mut self, asid: Asid, range: sat_types::VpnRange) {
-        self.shootdown(asid, sat_obs::FlushScope::Range, false, |core| {
-            core.main_tlb.flush_range(asid, range);
-            core.micro_i.flush_range(range);
-            core.micro_d.flush_range(range);
-        });
-    }
-
-    fn flush_va_all_asids(&mut self, va: VirtAddr) {
-        for core in self.cores.iter_mut() {
-            core.main_tlb.flush_va_all_asids(va);
-            core.micro_i.flush_va(va);
-            core.micro_d.flush_va(va);
-        }
-    }
-
-    fn flush_all(&mut self) {
-        for core in self.cores.iter_mut() {
-            core.main_tlb.flush_all();
-            core.micro_i.flush();
-            core.micro_d.flush();
-            core.clear_all_resident();
-        }
-    }
-
-    fn flush_non_global(&mut self) {
-        for core in self.cores.iter_mut() {
-            core.main_tlb.flush_non_global();
-            core.micro_i.flush();
-            core.micro_d.flush();
-            core.clear_all_resident();
+    fn flush(&mut self, op: FlushOp, reason: FlushReason) {
+        match op {
+            FlushOp::Asid(asid) => self.shootdown(asid, FlushScope::Asid, true, op, reason),
+            FlushOp::Page { asid, .. } => self.shootdown(asid, FlushScope::Page, false, op, reason),
+            FlushOp::Range { asid, .. } => {
+                self.shootdown(asid, FlushScope::Range, false, op, reason)
+            }
+            // Global entries carry no ASID to find by residency: every
+            // core flushes, with no IPI charged.
+            FlushOp::VaAllAsids(_) => {
+                for core in self.cores.iter_mut() {
+                    core.flush(CoreFlush::Op(op), reason);
+                }
+            }
+            FlushOp::NonGlobal | FlushOp::All => {
+                for core in self.cores.iter_mut() {
+                    core.flush(CoreFlush::Op(op), reason);
+                    core.clear_all_resident();
+                }
+            }
         }
     }
 }
@@ -355,7 +411,7 @@ impl Machine {
     fn charge_rollover_flush(&mut self, core: usize) {
         let cycles = self.model.asid_rollover;
         self.cores[core].stats.cycles += cycles;
-        sat_obs::charge(core, sat_obs::ChargeCause::RolloverFlush, cycles);
+        sat_obs::charge(core, ChargeCause::RolloverFlush, cycles);
     }
 
     /// Schedules `pid` on `core`, performing the architectural
@@ -394,11 +450,7 @@ impl Machine {
         }
         let prev = self.cores[core].current;
         let config = self.kernel.config;
-        let c = &mut self.cores[core];
-        sat_obs::with_flush_reason(sat_obs::FlushReason::ContextSwitch, || {
-            c.micro_i.flush();
-            c.micro_d.flush();
-        });
+        self.cores[core].flush(CoreFlush::Micro, FlushReason::ContextSwitch);
         let mut full_flush = !config.asid;
         if config.share_tlb && config.tlb_protection == TlbProtection::FlushOnSwitch {
             // Flush when switching from a zygote-like process to a
@@ -419,23 +471,16 @@ impl Machine {
         }
         let c = &mut self.cores[core];
         if full_flush {
-            sat_obs::with_flush_reason(sat_obs::FlushReason::ContextSwitch, || {
-                c.main_tlb.flush_all();
-            });
+            // The micro TLBs, cleared just above, drop nothing more.
+            c.flush(CoreFlush::Op(FlushOp::All), FlushReason::ContextSwitch);
             c.clear_all_resident();
         }
         c.current = Some(pid);
         c.stats.context_switches += 1;
         c.stats.cycles += self.model.context_switch;
-        sat_obs::charge(
-            core,
-            sat_obs::ChargeCause::ContextSwitch,
-            self.model.context_switch,
-        );
+        sat_obs::charge(core, ChargeCause::ContextSwitch, self.model.context_switch);
         // The scheduler itself executes kernel code.
-        sat_obs::with_charge_cause(sat_obs::ChargeCause::ContextSwitch, || {
-            self.run_kernel_lines(core, SCHED_PATH_PAGE, 80)
-        })?;
+        self.kernel_lines(core, SCHED_PATH_PAGE, 80, ChargeCause::ContextSwitch)?;
         Ok(())
     }
 
@@ -473,7 +518,7 @@ impl Machine {
                         TlbLookup::Hit(e) => {
                             self.fill_micro(core, access, e);
                             cycles += 1; // micro-miss, main-hit penalty
-                            sat_obs::charge_scoped(core, 1);
+                            sat_obs::charge(core, ChargeCause::Exec, 1);
                             e
                         }
                         TlbLookup::Miss => {
@@ -527,7 +572,7 @@ impl Machine {
             };
             let stall = self.cores[core].caches.access(kind, pa, &mut self.l2);
             cycles += self.model.cpi + stall;
-            sat_obs::charge_scoped(core, self.model.cpi + stall);
+            sat_obs::charge(core, ChargeCause::Exec, self.model.cpi + stall);
             let stats = &mut self.cores[core].stats;
             if access.is_fetch() {
                 stats.inst_fetches += 1;
@@ -563,7 +608,7 @@ impl Machine {
             outcome.write_protect_ops,
         );
         self.cores[core].stats.cycles += cycles;
-        sat_obs::charge(core, sat_obs::ChargeCause::Fork, cycles);
+        sat_obs::charge(core, ChargeCause::Fork, cycles);
         Ok((outcome, cycles))
     }
 
@@ -574,6 +619,19 @@ impl Machine {
     /// is refused with [`SatError::InvalidArgument`] before anything
     /// is fetched.
     pub fn run_kernel_lines(&mut self, core: usize, base_page: u32, lines: u32) -> SatResult<u64> {
+        self.kernel_lines(core, base_page, lines, ChargeCause::Exec)
+    }
+
+    /// [`Machine::run_kernel_lines`] with its cycles charged to
+    /// `cause`: the path that issued the kernel work (a context
+    /// switch, the domain-fault handler) claims it.
+    fn kernel_lines(
+        &mut self,
+        core: usize,
+        base_page: u32,
+        lines: u32,
+        cause: ChargeCause,
+    ) -> SatResult<u64> {
         let last_page = u64::from(base_page) + u64::from(lines.saturating_sub(1) / LINES_PER_PAGE);
         if last_page >= u64::from(KERNEL_PAGES) {
             return Err(SatError::InvalidArgument);
@@ -582,10 +640,8 @@ impl Machine {
         // A window of the run's own length never wraps.
         let cycles = self.kernel_run(core, base, 0, lines, lines);
         // One aggregate charge for the whole stretch of kernel text —
-        // per-line events would drown the ring. The scoped cause lets
-        // the issuing path (context switch, binder, fault handler)
-        // claim the cycles; untagged stretches default to `Exec`.
-        sat_obs::charge_scoped(core, cycles);
+        // per-line events would drown the ring.
+        sat_obs::charge(core, cause, cycles);
         Ok(cycles)
     }
 
@@ -771,7 +827,7 @@ impl Machine {
                 // The failed walk's descriptor fetches are part of the
                 // fault path, not TLB-stall time: `charge_tlb_stall`
                 // never sees them, so they blame the fault.
-                sat_obs::charge(core, sat_obs::ChargeCause::Fault, stall);
+                sat_obs::charge(core, ChargeCause::Fault, stall);
                 let fault_cycles = self.page_fault_path(core, pid, asid, access, abort)?;
                 Ok(WalkFill::Faulted(stall + fault_cycles))
             }
@@ -785,7 +841,7 @@ impl Machine {
         } else {
             stats.data_main_tlb_stall_cycles += stall;
         }
-        sat_obs::charge(core, sat_obs::ChargeCause::TlbStall, stall);
+        sat_obs::charge(core, ChargeCause::TlbStall, stall);
     }
 
     /// The software page-fault path for `abort`, taken by `pid`
@@ -813,23 +869,18 @@ impl Machine {
             FaultKind::WriteEnable => model.soft_fault,
             FaultKind::Spurious => model.exception,
         };
-        sat_obs::charge(core, sat_obs::ChargeCause::Fault, cycles);
+        sat_obs::charge(core, ChargeCause::Fault, cycles);
         if outcome.unshared {
             let unshare = model.unshare_base + outcome.unshare_ptes_copied * model.unshare_per_pte;
             cycles += unshare;
             // The unshare (break-COW-of-the-page-table) work is split
             // out from the plain fault cost: it is the price of shared
             // PTPs specifically, and the tail analysis wants it named.
-            sat_obs::charge(core, sat_obs::ChargeCause::Unshare, unshare);
+            sat_obs::charge(core, ChargeCause::Unshare, unshare);
         }
         // The PTE serving `va` changed: invalidate stale entries (the
         // handler reassigns no ASID, so `asid` still names `pid`).
-        let c = &mut self.cores[core];
-        sat_obs::with_flush_reason(sat_obs::FlushReason::FaultRepair, || {
-            c.main_tlb.flush_va(va, asid);
-            c.micro_i.flush_va(va);
-            c.micro_d.flush_va(va);
-        });
+        self.cores[core].flush(CoreFlush::Va(va, asid), FlushReason::FaultRepair);
         // The handler's kernel instructions run through the caches.
         // Each fault exercises a different slice of the handler's
         // 64KB of text (rotating start), so fault-heavy runs thrash
@@ -845,7 +896,7 @@ impl Machine {
         let handler_cycles = self.kernel_run(core, handler, start, lines, window);
         // The handler's instruction-fetch footprint is fault time too;
         // one aggregate charge (see `run_kernel_lines`).
-        sat_obs::charge(core, sat_obs::ChargeCause::Fault, handler_cycles);
+        sat_obs::charge(core, ChargeCause::Fault, handler_cycles);
         // `cycles` is returned to the access loop, which adds it to
         // the core's cycle count on the successful retry — do not add
         // it here too (the handler's kernel-line fetches have already
@@ -876,10 +927,8 @@ impl Machine {
         debug_assert!(record.status.is_domain_fault());
         self.syscall_on(core, |kernel, tlb| kernel.domain_fault(record.far, tlb));
         let cycles = self.model.exception;
-        sat_obs::charge(core, sat_obs::ChargeCause::DomainFault, cycles);
-        sat_obs::with_charge_cause(sat_obs::ChargeCause::DomainFault, || {
-            self.run_kernel_lines(core, FAULT_HANDLER_PAGE + 8, 40)
-        })?;
+        sat_obs::charge(core, ChargeCause::DomainFault, cycles);
+        self.kernel_lines(core, FAULT_HANDLER_PAGE + 8, 40, ChargeCause::DomainFault)?;
         // Returned to the access loop, which accounts it once.
         self.cores[core].stats.domain_faults += 1;
         Ok(cycles)
@@ -1187,7 +1236,44 @@ mod tests {
         assert!(!m.cores[1].asid_resident(asid));
         let ipi = m.model.ipi;
         let cycles_before: Vec<u64> = m.cores.iter().map(|c| c.stats.cycles).collect();
-        m.syscall(|_, tlb| tlb.flush_asid(asid));
+        let flushed_before = m.cores[0].main_tlb.stats().entries_flushed;
+        let micro = [
+            m.cores[0].micro_i.occupancy(),
+            m.cores[0].micro_d.occupancy(),
+        ];
+        sat_obs::install(64);
+        m.syscall(|_, tlb| tlb.flush(FlushOp::Asid(asid), FlushReason::Exit));
+        let rec = sat_obs::uninstall().expect("recorder installed above");
+        // The targeted core's main flush under the given reason (its
+        // ASID on the event), then that core's non-empty micro
+        // flushes, then one shootdown event.
+        let main = m.cores[0].main_tlb.stats().entries_flushed - flushed_before;
+        assert!(main >= 1, "the resident entry went");
+        let flush = |scope, entries| sat_obs::Payload::TlbFlush {
+            scope,
+            reason: FlushReason::Exit,
+            entries,
+        };
+        let mut expected = vec![(asid.raw(), flush(FlushScope::Asid, main))];
+        for n in micro.into_iter().filter(|&n| n > 0) {
+            expected.push((0, flush(FlushScope::MicroAll, n as u64)));
+        }
+        expected.push((
+            asid.raw(),
+            sat_obs::Payload::TlbShootdown {
+                asid: asid.raw(),
+                scope: FlushScope::Asid,
+                cores_targeted: 1,
+                cores_local: 0,
+                cores_skipped: 3,
+            },
+        ));
+        let events: Vec<_> = rec
+            .events
+            .into_iter()
+            .map(|e| (e.asid, e.payload))
+            .collect();
+        assert_eq!(events, expected);
         // Core 0 took the IPI and lost the entry...
         assert!(m.cores[0].main_tlb.probe(va, asid).is_none());
         assert!(!m.cores[0].asid_resident(asid));

@@ -38,28 +38,6 @@ use sat_types::{Asid, Domain, PageSize, VirtAddr};
 use crate::entry::TlbEntry;
 use crate::index::VaIndex;
 
-/// Reports a flush to the observability layer. The *reason* (which
-/// kernel path issued the flush) comes from the caller's scoped
-/// attribution ([`sat_obs::with_flush_reason`]); the TLB only knows
-/// the scope and the invalidation count. Zero-entry flushes are
-/// reported too: the conservation tests match event *counts* against
-/// `TlbStats::full_flushes`, not just entry sums. The `enabled` gate
-/// keeps the untraced path to a single predictable branch.
-fn emit_flush(scope: sat_obs::FlushScope, asid: Option<Asid>, entries: usize) {
-    if sat_obs::enabled() {
-        sat_obs::emit(
-            sat_obs::Subsystem::Tlb,
-            0,
-            asid.map_or(0, |a| a.raw()),
-            sat_obs::Payload::TlbFlush {
-                scope,
-                reason: sat_obs::current_flush_reason(),
-                entries: entries as u64,
-            },
-        );
-    }
-}
-
 /// Main-TLB statistics.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct TlbStats {
@@ -298,16 +276,13 @@ impl MainTlb {
     pub fn flush_all(&mut self) -> usize {
         let n = self.flush_where(|_| true);
         self.stats.full_flushes += 1;
-        emit_flush(sat_obs::FlushScope::All, None, n);
         n
     }
 
     /// Invalidates all non-global entries tagged with `asid` (the
     /// `TLBIASID` operation Linux uses for `flush_tlb_mm`).
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
-        let n = self.flush_where(|e| e.asid == Some(asid));
-        emit_flush(sat_obs::FlushScope::Asid, Some(asid), n);
-        n
+        self.flush_where(|e| e.asid == Some(asid))
     }
 
     /// Invalidates every entry that covers `va`, regardless of ASID or
@@ -315,17 +290,13 @@ impl MainTlb {
     /// domain-fault handler uses to evict shared global entries that a
     /// non-zygote process stumbled on.
     pub fn flush_va_all_asids(&mut self, va: VirtAddr) -> usize {
-        let n = self.flush_covering(va, |_| true);
-        emit_flush(sat_obs::FlushScope::VaAllAsids, None, n);
-        n
+        self.flush_covering(va, |_| true)
     }
 
     /// Invalidates entries covering `va` tagged `asid`, plus global
     /// entries covering `va` (the `TLBIMVA` operation).
     pub fn flush_va(&mut self, va: VirtAddr, asid: Asid) -> usize {
-        let n = self.flush_covering(va, |e| e.is_global() || e.asid == Some(asid));
-        emit_flush(sat_obs::FlushScope::Va, Some(asid), n);
-        n
+        self.flush_covering(va, |e| e.is_global() || e.asid == Some(asid))
     }
 
     /// Invalidates the entries tagged `asid` whose mapping contains
@@ -335,26 +306,20 @@ impl MainTlb {
     /// through the VA-page→slot direct map.
     pub fn flush_page(&mut self, asid: Asid, vpn: u32) -> usize {
         let va = VirtAddr::new(vpn << sat_types::PAGE_SHIFT);
-        let n = self.flush_covering(va, |e| e.asid == Some(asid));
-        emit_flush(sat_obs::FlushScope::Page, Some(asid), n);
-        n
+        self.flush_covering(va, |e| e.asid == Some(asid))
     }
 
     /// Invalidates the entries tagged `asid` overlapping the VPN range
     /// (back-to-back `TLBIMVA`s in hardware). Global entries survive.
     /// One pass over the slots, whatever the range width.
     pub fn flush_range(&mut self, asid: Asid, range: sat_types::VpnRange) -> usize {
-        let n = self.flush_where(|e| e.asid == Some(asid) && e.overlaps_vpns(&range));
-        emit_flush(sat_obs::FlushScope::Range, Some(asid), n);
-        n
+        self.flush_where(|e| e.asid == Some(asid) && e.overlaps_vpns(&range))
     }
 
     /// Invalidates all non-global entries (used when ASIDs are
     /// recycled).
     pub fn flush_non_global(&mut self) -> usize {
-        let n = self.flush_where(|e| !e.is_global());
-        emit_flush(sat_obs::FlushScope::NonGlobal, None, n);
-        n
+        self.flush_where(|e| !e.is_global())
     }
 
     /// Invalidates every entry that satisfies `pred`, in one pass over

@@ -20,24 +20,6 @@ use sat_types::VirtAddr;
 
 use crate::entry::TlbEntry;
 
-/// Reports a micro-TLB invalidation. Micro TLBs are untagged, so no
-/// pid/ASID rides on the event; the reason comes from the caller's
-/// scoped attribution, exactly as for the main TLB.
-fn emit_micro_flush(scope: sat_obs::FlushScope, entries: usize) {
-    if sat_obs::enabled() {
-        sat_obs::emit(
-            sat_obs::Subsystem::Tlb,
-            0,
-            0,
-            sat_obs::Payload::TlbFlush {
-                scope,
-                reason: sat_obs::current_flush_reason(),
-                entries: entries as u64,
-            },
-        );
-    }
-}
-
 /// A micro-TLB (instruction or data side).
 pub struct MicroTlb {
     entries: Vec<Option<TlbEntry>>,
@@ -123,41 +105,35 @@ impl MicroTlb {
     }
 
     /// Flushes everything (performed on every context switch).
-    pub fn flush(&mut self) {
-        self.flush_where(sat_obs::FlushScope::MicroAll, |_| true);
+    /// Returns the number of entries dropped.
+    pub fn flush(&mut self) -> usize {
+        self.flush_where(|_| true)
     }
 
     /// Invalidates entries covering `va` (kept coherent with main-TLB
-    /// maintenance operations).
-    pub fn flush_va(&mut self, va: VirtAddr) {
-        self.flush_where(sat_obs::FlushScope::MicroVa, |e| e.covers(va));
+    /// maintenance operations). Returns the number of entries dropped.
+    pub fn flush_va(&mut self, va: VirtAddr) -> usize {
+        self.flush_where(|e| e.covers(va))
     }
 
     /// Invalidates entries overlapping the VPN range (kept coherent
     /// with main-TLB range maintenance). Micro entries are untagged,
-    /// so every overlapping entry dies regardless of loader; the event
-    /// reports `MicroVa` scope — architecturally this is a batch of
-    /// per-VA micro invalidations, not a new primitive.
-    pub fn flush_range(&mut self, range: sat_types::VpnRange) {
-        self.flush_where(sat_obs::FlushScope::MicroVa, |e| e.overlaps_vpns(&range));
+    /// so every overlapping entry dies regardless of loader. Returns
+    /// the number of entries dropped.
+    pub fn flush_range(&mut self, range: sat_types::VpnRange) -> usize {
+        self.flush_where(|e| e.overlaps_vpns(&range))
     }
 
     /// Invalidates every entry that satisfies `pred`, in one pass over
-    /// the slots. Micro-TLB flushes fire on *every* context switch;
-    /// only the ones that actually invalidate something are worth a
-    /// trace event. (Micro TLBs carry no `TlbStats`, so no
-    /// conservation invariant depends on the empty ones.)
-    fn flush_where(&mut self, scope: sat_obs::FlushScope, pred: impl Fn(&TlbEntry) -> bool) {
+    /// the slots, and returns how many it dropped.
+    fn flush_where(&mut self, pred: impl Fn(&TlbEntry) -> bool) -> usize {
         let valid_before = self.valid;
         for s in &mut self.entries {
             if s.take_if(|e| pred(e)).is_some() {
                 self.valid -= 1;
             }
         }
-        let n = valid_before - self.valid;
-        if n > 0 {
-            emit_micro_flush(scope, n);
-        }
+        valid_before - self.valid
     }
 
     /// (hits, misses) counters.

@@ -568,10 +568,7 @@ fn partial_large_page_operations_demote_instead_of_failing() {
 /// Conservation (observability): every `TlbStats` flush increment has
 /// a matching `TlbFlush` event. Zero-entry full flushes are reported
 /// too, so event *counts* reconcile with `full_flushes` and event
-/// entry *sums* with `entries_flushed`, across every core — and each
-/// main-TLB flush carries an attributed reason (never
-/// `unattributed`), since every kernel/machine flush site runs under
-/// a `with_flush_reason` scope.
+/// entry *sums* with `entries_flushed`, across every core.
 #[test]
 fn obs_flush_events_reconcile_with_tlb_stats() {
     sat_obs::install(1 << 16);
@@ -622,21 +619,12 @@ fn obs_flush_events_reconcile_with_tlb_stats() {
 
     let mut full_flush_events = 0u64;
     let mut main_entries = 0u64;
-    let mut unattributed = 0u64;
     for event in &rec.events {
-        if let sat_obs::Payload::TlbFlush {
-            scope,
-            reason,
-            entries,
-        } = &event.payload
-        {
+        if let sat_obs::Payload::TlbFlush { scope, entries, .. } = &event.payload {
             if scope.is_main() {
                 main_entries += entries;
                 if *scope == sat_obs::FlushScope::All {
                     full_flush_events += 1;
-                }
-                if *reason == sat_obs::FlushReason::Unattributed {
-                    unattributed += 1;
                 }
             }
         }
@@ -655,7 +643,6 @@ fn obs_flush_events_reconcile_with_tlb_stats() {
     assert!(stats_entries > 0, "workload invalidated entries");
     assert_eq!(full_flush_events, stats_full);
     assert_eq!(main_entries, stats_entries);
-    assert_eq!(unattributed, 0, "every flush site carries a reason");
 
     // The registry agrees with the event stream (metrics are applied
     // before ring admission, so this holds even under overflow).
@@ -665,9 +652,8 @@ fn obs_flush_events_reconcile_with_tlb_stats() {
 
 /// Conservation for the page-size paths: promotion and demotion emit
 /// size-tagged flushes (`FlushReason::Promote` / `Demote`) that
-/// reconcile with `TlbStats` exactly like every other site, the TLB
-/// never serves a stale translation across a collapse or a split, and
-/// no flush in the whole workload is unattributed.
+/// reconcile with `TlbStats` exactly like every other site, and the
+/// TLB never serves a stale translation across a collapse or a split.
 #[test]
 fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
     sat_obs::install(1 << 16);
@@ -724,7 +710,6 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
     let mut promote_entries = 0u64;
     let mut demote_entries = 0u64;
     let mut main_entries = 0u64;
-    let mut unattributed = 0u64;
     for event in &rec.events {
         if let sat_obs::Payload::TlbFlush {
             scope,
@@ -737,7 +722,6 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
                 match reason {
                     sat_obs::FlushReason::Promote => promote_entries += entries,
                     sat_obs::FlushReason::Demote => demote_entries += entries,
-                    sat_obs::FlushReason::Unattributed => unattributed += 1,
                     _ => {}
                 }
             }
@@ -749,7 +733,6 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
         .map(|c| c.main_tlb.stats().entries_flushed)
         .sum();
     assert_eq!(main_entries, stats_entries, "flush events reconcile");
-    assert_eq!(unattributed, 0, "promote/demote sites carry reasons");
     // The promote flush invalidated the sixteen small entries the
     // faults loaded; the demote flush invalidated the wide entry.
     assert!(promote_entries > 0, "collapse evicted the 4KB entries");
