@@ -60,12 +60,16 @@ cargo test -q
 # `RootTable::verify` after every op) — one table alone, and the
 # isolation differential: a family of tables sharing groups
 # copy-on-write, built from one another by clone, by word-by-word copy
-# and by adopting equal groups, each member against its own dense twin
-# after every op, so no write is seen through a shared group — with
-# the packed groups' own rows (crates/mmu/src/groups.rs: the seventh
-# word spilling out of the six inline slots and removals bringing it
-# back, groups reaching equal words by different orders adopted, a
-# word count its live set disagrees with refused by `verify`) — plus
+# and through the install primitive a fork's copy uses (every group
+# installed anew with another member as the donor), each member against
+# its own dense twin after every op, so no write is seen through a
+# shared group — with the packed groups' own rows
+# (crates/mmu/src/groups.rs: the seventh word spilling out of the six
+# inline slots and removals bringing it back; the install rows — the
+# donor's group taken exactly when the live set and the words are
+# equal, donors that reached those words by different orders included,
+# inline to six words and an exact-size vector above, `verify` after
+# each; a word count its live set disagrees with refused by `verify`) — plus
 # the exhaustive round trips
 # of the packed level-1 and slot words, whose frame bound is a
 # `debug_assert!` resting on `PhysMem::new`'s `assert!`. sat-vm and
@@ -111,7 +115,10 @@ cargo test -q
 # spent frame budget also ran a reclaim pass first — and ranges
 # reaching into kernel space used to be accepted), beside the
 # host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
-# region list, a stock child holding its parent's page-table groups,
+# region list, a stock child holding its parent's page-table groups —
+# a fork of one matched group and of eight making the same allocation
+# calls and keeping the same bytes, so a matched group costs no
+# allocation —
 # write faults into a populated table allocating only what its group
 # grows by — nothing while the words fit the group's six inline slots
 # (the reverse map holds each frame's one entry inline), then the
@@ -130,6 +137,15 @@ step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"
 PROPTEST_CASES=2048 cargo test --release -q \
     -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core \
     -p sat-sched
+
+# The artifact readers against hostile files, at release speed, 2048
+# cases a target (a few seconds): truncated, byte-flipped and spliced
+# copies of the golden trace and BENCH_baseline.json through
+# `Json::parse` then `parse_chrome_trace`, and through `Snapshot::parse`
+# (crates/bench/tests/artifact_fuzz.rs). Each must come back `Ok` or an
+# error with a message; a panic or an abort fails the step.
+step "artifact fuzz (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test --release -q -p sat-bench --test artifact_fuzz
 
 # The benchmark package (its own workspace) is linted like the rest, in
 # release as its test step builds it.

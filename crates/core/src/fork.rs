@@ -10,11 +10,13 @@
 //!    refcount bump);
 //! 2. the chunk is sharable ([`chunk_sharable`], which needs
 //!    `config.share_ptp`) — [`first_share`], then attach;
-//! 3. otherwise — **copy as stock**: [`copy_vma_ptes_in_range`],
-//!    clamped to the chunk, for every region `config.fork_policy`
-//!    copies; then the child's table adopts the parent's host-side
-//!    groups wherever the two came out word for word
-//!    ([`PtpStore::adopt_equal`]), which nothing simulated can see.
+//! 3. otherwise — **copy as stock**: [`copy_vma_ptes_in_chunk`] for
+//!    every region `config.fork_policy` copies, clamped to the chunk,
+//!    into one [`ChunkCopy`] staged on the stack; the child's table is
+//!    allocated at the first PTE copied, and the chunk's groups are
+//!    installed once at the end, each as the parent's own wherever the
+//!    copy came out word for word — host memory only, which nothing
+//!    simulated can see.
 //!
 //! The stock and copied-PTEs kernels are the case where no chunk is
 //! sharable. Chunks and the regions inside them are both visited in
@@ -22,13 +24,13 @@
 //! per-region `copy_page_range` loop copies them —
 //! `tests/fork_differential.rs` keeps that loop as the specification.
 
-use sat_mmu::{Mapper, PtpStore};
+use sat_mmu::{ChunkCopy, Mapper, PtpStore};
 use sat_obs::FlushReason;
 use sat_phys::PhysMem;
 use sat_types::{
     Asid, Domain, PageSize, Pfn, Pid, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN,
 };
-use sat_vm::{copies_ptes, copy_vma_ptes_in_range, ForkReport, Mm};
+use sat_vm::{copies_ptes, copy_vma_ptes_in_chunk, ForkReport, Mm};
 
 use crate::config::KernelConfig;
 use crate::flush::FlushBatch;
@@ -56,7 +58,9 @@ pub struct ForkOutcome {
 /// Builds `child_pid`'s address space from `parent`'s: the chunk loop
 /// of the module docs, after the parent's sections — level-1 entries
 /// the loop would not see, so the child would silently lose them — have
-/// been split back to PTEs.
+/// been split back to PTEs. A copied chunk costs the host one staged
+/// word a PTE and, at the chunk's end, one allocation a group that
+/// did not come out as the parent's — none for one that did.
 ///
 /// Every parent translation the fork made *less permissive* is gathered
 /// into `batch` under [`FlushReason::Fork`] (Linux's `flush_tlb_mm` in
@@ -130,20 +134,22 @@ pub(crate) fn dup_mm(
             ptps_shared += 1;
             continue;
         }
+        let mut copy = ChunkCopy::new(chunk);
         while let Some(&vma) = regions.peek() {
             if vma.range.start >= span.end {
                 break;
             }
             if let Some(clamped) = vma.range.intersect(&span) {
                 let cow_before = copied.cow_protected;
-                walked = copy_vma_ptes_in_range(
+                walked = copy_vma_ptes_in_chunk(
                     parent,
                     &mut child,
                     ptps,
                     phys,
                     vma,
-                    span,
+                    clamped,
                     Domain::USER,
+                    &mut copy,
                     &mut copied,
                 );
                 // The copy COW-protected parent PTEs here (a failed one
@@ -164,12 +170,7 @@ pub(crate) fn dup_mm(
             }
             regions.next();
         }
-        // Host memory only: wherever the copy came out word for word,
-        // the child holds the parent's groups until either side writes
-        // them (`sat_mmu`'s `groups.rs`).
-        if let Some(copy) = child.root.entry(pair_idx).ptp() {
-            ptps.adopt_equal(copy, ptp_frame);
-        }
+        copy.install(ptps);
     }
     // The walk is over; its borrow of `inherited` ends here.
     drop(regions);

@@ -83,24 +83,22 @@ pub fn chunk_sharable(mm: &Mm, chunk: VirtAddr, config: &KernelConfig) -> bool {
         .all(|vma| config.share_stack || !vma.dont_share_ptp)
 }
 
-/// Tears `mm` down: its shared-PTP references leave the registry
-/// (case 5: an exiting address space dereferences without copying, so
-/// this is a detach, not an unshare), then its tables, their mappings
-/// and its root are released. This is what `exit` does to a process
-/// and what a fork that ran out of frames does to its half-built child.
+/// Tears `mm` down in one pass over its table pairs ([`exit_mmap`]):
+/// each shared-PTP reference leaves the registry as its pair is
+/// dropped (case 5: an exiting address space dereferences without
+/// copying, so this is a detach, not an unshare), the tables whose last
+/// reference it held go with their mappings, and the root is freed
+/// whole. This is what `exit` does to a process and what a fork that
+/// ran out of frames does to its half-built child.
 pub(crate) fn teardown(
-    mut mm: Mm,
+    mm: Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     registry: &mut SharedPtpRegistry,
 ) {
-    for (idx, frame) in mm.root.iter_ptps() {
-        if mm.root.entry(idx).need_copy() {
-            registry.exit_detach(frame);
-        }
-    }
-    exit_mmap(&mut mm, ptps, phys);
-    mm.free_root(phys);
+    exit_mmap(mm, ptps, phys, |frame| {
+        registry.exit_detach(frame);
+    });
 }
 
 /// The first share of the PTP at `ptp_frame`, which translates
@@ -696,11 +694,10 @@ mod tests {
         let chunk = VirtAddr::new(0x4000_0000);
         let ptp = child.root.entry_for(chunk).ptp().unwrap();
         {
-            let mut child = child;
-            sat_vm::exit_mmap(&mut child, &mut f.ptps, &mut f.phys);
-            child.free_root(&mut f.phys);
             // What Kernel::exit does for every NEED_COPY pair.
-            f.reg.exit_detach(ptp);
+            sat_vm::exit_mmap(child, &mut f.ptps, &mut f.phys, |frame| {
+                f.reg.exit_detach(frame);
+            });
         }
         assert_eq!(f.phys.mapcount(ptp), 1);
         assert_eq!(f.reg.sharers(ptp), Some(1));

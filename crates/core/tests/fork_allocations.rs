@@ -12,9 +12,10 @@
 //! fleet child maps its heap at once) does not reallocate it.
 //!
 //! A child also holds its parent's page-table groups until it writes
-//! them (`sat_mmu`'s `groups.rs`): a stock fork of a parent with 64 and
-//! with 512 COW-protected pages in one chunk — one group and eight —
-//! leaves the same bytes allocated.
+//! them (`sat_mmu`'s `groups.rs`), and a group its copy matched costs
+//! the fork no allocation: a stock fork of a parent with 64 and with
+//! 512 COW-protected pages in one chunk — one group and eight — makes
+//! the same allocation calls and leaves the same bytes allocated.
 //!
 //! And a write fault into a populated table allocates only what its
 //! table group grows by: the reverse map holds a frame's one entry
@@ -161,10 +162,10 @@ fn a_fork_allocates_one_pointer_a_region_and_an_exit_nothing() {
     }
 }
 
-/// What a stock fork of a parent with `pages` written anonymous pages
-/// from the start of one 2MB chunk leaves allocated, once an earlier
-/// fork has COW-protected them.
-fn later_fork_retains(pages: u32) -> i64 {
+/// The allocation calls a stock fork of a parent with `pages` written
+/// anonymous pages from the start of one 2MB chunk makes, and the bytes
+/// it leaves allocated, once an earlier fork has COW-protected them.
+fn later_fork(pages: u32) -> (u64, i64) {
     let mut k = Kernel::new(KernelConfig::stock(), 4096);
     let parent = process_with_heap(&mut k, pages, 0..pages);
     // The first fork COW-protects the parent's pages; its child lives
@@ -175,9 +176,14 @@ fn later_fork_retains(pages: u32) -> i64 {
     k.fork(parent).unwrap();
     let warm = k.fork(parent).unwrap().child;
     k.exit(warm, &mut NoTlb).unwrap();
-    retained(|| {
-        k.fork(parent).unwrap();
-    })
+    let mut calls = 0;
+    let kept = retained(|| {
+        calls = allocated(|| {
+            k.fork(parent).unwrap();
+        })
+        .0;
+    });
+    (calls, kept)
 }
 
 /// A fresh process with a `pages`-page anonymous heap at [`BASE`], of
@@ -236,10 +242,15 @@ fn a_write_fault_into_a_populated_table_allocates_only_its_group() {
 
 #[test]
 fn a_stock_child_holds_the_groups_its_copy_matched() {
-    // One group of PTEs and eight: without adoption the second would
-    // keep seven more groups.
-    let (one, eight) = (later_fork_retains(64), later_fork_retains(512));
+    // One group of PTEs and eight: a group the copy did not match would
+    // cost the second seven more allocations, and seven more groups
+    // kept.
+    let ((calls_one, one), (calls_eight, eight)) = (later_fork(64), later_fork(512));
     assert!(one > 0, "the counter saw the fork's allocations");
+    assert_eq!(
+        calls_one, calls_eight,
+        "calls a fork of 64 and of 512 pages makes"
+    );
     assert_eq!(one, eight, "bytes a child keeps for 64 and for 512 pages");
 }
 

@@ -72,8 +72,7 @@ fn fork_mm(
             child_domain,
             &mut report,
         ) {
-            exit_mmap(&mut child, ptps, phys);
-            child.free_root(phys);
+            exit_mmap(child, ptps, phys, |_| {});
             return Err(e);
         }
     }

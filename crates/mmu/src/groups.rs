@@ -20,17 +20,19 @@
 //!
 //! Most of what a stock fork copies it copies word for word: both
 //! sides of a COW-protected anonymous PTE end up with the same word.
-//! A group is therefore an `Arc`, and [`Groups::adopt_equal`] lets a
-//! table point at another table's group wherever the two hold the same
-//! live words — the paper's PTP sharing (§3.1), applied to the
-//! simulator's heap rather than to the simulated machine. A write to a
-//! group no other table holds edits it in place; a write to a shared
-//! one copies it first (`Arc::make_mut`), so no table ever sees a
-//! sibling's change. A write that leaves the word as it was changes
+//! A group is therefore an `Arc`, and a fork installs each group it
+//! copied once ([`Groups::install`]): as the parent's group wherever
+//! the live set and the words are the parent's, else as one allocation
+//! of exactly its words — the paper's PTP sharing (§3.1), applied to
+//! the simulator's heap rather than to the simulated machine. A write
+//! to a group no other table holds edits it in place; a write to a
+//! shared one copies it first (`Arc::make_mut`), so no table ever sees
+//! a sibling's change. A write that leaves the word as it was changes
 //! nothing, and one that clears a group's last word drops the pointer
-//! without copying. Adoption is by equality, not by prediction: what a
-//! caller expects to be equal is compared, so no rule about which PTEs
-//! a fork copies has to hold for the tables to stay isolated.
+//! without copying. Sharing is by equality, not by prediction: the
+//! words are compared before anything is allocated, so no rule about
+//! which PTEs a fork copies has to hold for the tables to stay
+//! isolated.
 //!
 //! This is the only representation; there is no dense or unshared form
 //! beside it.
@@ -49,9 +51,9 @@ pub(crate) const GROUP_WORDS: usize = u64::BITS as usize;
 const INLINE: usize = 6;
 
 /// One populated group: the set of its non-zero words (bit `i` for
-/// word `i`) and those words, in index order. Equality is of the live
-/// set and the live words; an inline slot past the live count is stale
-/// and never read.
+/// word `i`) and those words, in index order. What a group holds is
+/// its live set and its live words ([`Group::words`]); an inline slot
+/// past the live count is stale and never read.
 #[derive(Clone)]
 struct Group {
     live: u64,
@@ -77,6 +79,23 @@ impl Group {
             live: 1 << at,
             words: Words::Inline(words),
         }
+    }
+
+    /// A group holding `words`, in index order, at the members of
+    /// `live`: inline when they fit, else in a vector of exactly their
+    /// length.
+    fn of(live: u64, words: &[u32]) -> Group {
+        debug_assert_eq!(live.count_ones() as usize, words.len());
+        debug_assert!(!words.contains(&0), "a group stores no zero word");
+        let words = match words.len() {
+            n if n <= INLINE => {
+                let mut inline = [0; INLINE];
+                inline[..n].copy_from_slice(words);
+                Words::Inline(inline)
+            }
+            _ => Words::Spill(words.to_vec()),
+        };
+        Group { live, words }
     }
 
     /// Number of non-zero words.
@@ -170,12 +189,6 @@ impl Group {
     }
 }
 
-impl PartialEq for Group {
-    fn eq(&self, other: &Group) -> bool {
-        self.live == other.live && self.words() == other.words()
-    }
-}
-
 /// `N * GROUP_WORDS` descriptor words, all zero when new. `Clone`
 /// copies pointers: the clone shares every group until one side
 /// writes it.
@@ -233,16 +246,27 @@ impl<const N: usize> Groups<N> {
         prev
     }
 
-    /// Makes `self` hold `other`'s group wherever the two groups at
-    /// one index hold the same words, dropping its own: no word of
-    /// `self` changes.
-    pub(crate) fn adopt_equal(&mut self, other: &Groups<N>) {
-        for (mine, theirs) in self.groups.iter_mut().zip(&other.groups) {
-            if let (Some(group), Some(theirs)) = (mine.as_ref(), theirs) {
-                if !Arc::ptr_eq(group, theirs) && group == theirs {
-                    *mine = Some(Arc::clone(theirs));
-                }
+    /// Installs group `g` as the words `words`, in index order, at the
+    /// members of `live`, replacing what it held: `donor`'s group at
+    /// `g` itself when that holds the same live set and words, else
+    /// one allocation of exactly these (none when `live` is empty).
+    /// No word of `donor` changes, and a later write to either table
+    /// copies a shared group first.
+    pub(crate) fn install(&mut self, g: usize, live: u64, words: &[u32], donor: &Groups<N>) {
+        self.groups[g] = match &donor.groups[g] {
+            Some(theirs) if theirs.live == live && theirs.words() == words => {
+                Some(Arc::clone(theirs))
             }
+            _ if live == 0 => None,
+            _ => Some(Arc::new(Group::of(live, words))),
+        };
+    }
+
+    /// The live set of group `g` and its words, in index order.
+    pub(crate) fn group(&self, g: usize) -> (u64, &[u32]) {
+        match &self.groups[g] {
+            Some(group) => (group.live, group.words()),
+            None => (0, &[]),
         }
     }
 
@@ -270,31 +294,52 @@ impl<const N: usize> Groups<N> {
         self.in_range(range).map(Group::len).sum()
     }
 
-    /// The non-zero words among `range` as `(idx, word)`, in ascending
-    /// order: O(words held), not O(range).
-    pub(crate) fn iter(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u32)> + '_ {
+    /// The groups that overlap `range`, each as its index, the members
+    /// of its live set that lie in `range`, and its stored words from
+    /// the first of them on: one rank a group.
+    fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u64, &[u32])> {
         let groups = if range.is_empty() {
             0..0
         } else {
             range.start / GROUP_WORDS..range.end.div_ceil(GROUP_WORDS)
         };
-        groups.flat_map(move |g| {
+        groups.filter_map(move |g| {
+            let group = self.groups[g].as_deref()?;
             let base = g * GROUP_WORDS;
             let lo = range.start.max(base) - base;
             let hi = range.end.min(base + GROUP_WORDS) - base;
             // Bits `lo..hi`; the group overlaps the range, so `hi > lo`.
             let in_range = u64::MAX >> (GROUP_WORDS - (hi - lo)) << lo;
-            self.groups[g].iter().flat_map(move |group| {
-                // The words in range are stored in a run from `lo`'s rank.
-                let mut left = group.live & in_range;
-                let bits = std::iter::from_fn(move || {
-                    let at = (left != 0).then(|| left.trailing_zeros() as usize)?;
-                    left &= left - 1;
-                    Some(base + at)
-                });
-                bits.zip(group.stored_from(group.rank(lo)).iter().copied())
-            })
+            Some((g, group.live & in_range, group.stored_from(group.rank(lo))))
         })
+    }
+
+    /// The non-zero words among `range` as `(idx, word)`, in ascending
+    /// order: O(words held), not O(range).
+    pub(crate) fn iter(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.runs(range).flat_map(|(g, mut left, words)| {
+            let bits = std::iter::from_fn(move || {
+                let at = (left != 0).then(|| left.trailing_zeros() as usize)?;
+                left &= left - 1;
+                Some(g * GROUP_WORDS + at)
+            });
+            bits.zip(words.iter().copied())
+        })
+    }
+
+    /// Calls `f(idx, word)` for the non-zero words among `range`, in
+    /// ascending order: [`Groups::iter`] as one loop a group, the live
+    /// bits walked against the stored words.
+    pub(crate) fn for_each(&self, range: Range<usize>, mut f: impl FnMut(usize, u32)) {
+        for (g, mut left, words) in self.runs(range) {
+            for &word in words {
+                if left == 0 {
+                    break;
+                }
+                f(g * GROUP_WORDS + left.trailing_zeros() as usize, word);
+                left &= left - 1;
+            }
+        }
     }
 
     /// Number of groups currently allocated.
@@ -307,6 +352,18 @@ impl<const N: usize> Groups<N> {
     pub(crate) fn shared(&self) -> usize {
         let shared = |group: &&Arc<Group>| Arc::strong_count(group) > 1;
         self.groups.iter().flatten().filter(shared).count()
+    }
+
+    /// Installs every group of `self` anew with `donor` as the donor:
+    /// the isolation differential's way to build a table that holds
+    /// another's groups where they are equal.
+    #[cfg(test)]
+    pub(crate) fn reinstall_from(&mut self, donor: &Groups<N>) {
+        for g in 0..N {
+            let (live, words) = self.group(g);
+            let words = words.to_vec();
+            self.install(g, live, &words, donor);
+        }
     }
 
     /// Checks that every allocated group holds at least one word, that
@@ -381,25 +438,77 @@ mod tests {
         assert_eq!((b.shared(), b.populated()), (1, 1));
     }
 
-    #[test]
-    fn adoption_takes_only_the_groups_whose_words_are_equal() {
-        let (mut a, mut b) = (Pair::new(), Pair::new());
-        for idx in [1, 2, 65] {
-            a.set(idx, idx as u32);
-            b.set(idx, idx as u32);
+    /// Installs group `g` of `into` as `words` at `live` with `donor`
+    /// as the donor, checks `verify`, and says whether `into` now holds
+    /// the donor's group itself.
+    fn installs_donors(into: &mut Pair, g: usize, live: u64, words: &[u32], donor: &Pair) -> bool {
+        into.install(g, live, words, donor);
+        into.verify().unwrap();
+        assert_eq!(into.group(g), (live, words), "group {g} reads back");
+        match (&into.groups[g], &donor.groups[g]) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
+            _ => false,
         }
-        b.set(66, 1);
-        b.adopt_equal(&a);
-        assert_eq!((a.shared(), b.shared()), (1, 1));
-        assert_eq!(
-            b.iter(0..128).collect::<Vec<_>>(),
-            [(1, 1), (2, 2), (65, 65), (66, 1)]
-        );
-        // Adopting again, or from a table that holds less, changes
-        // nothing.
-        b.adopt_equal(&a);
-        b.adopt_equal(&Pair::new());
-        assert_eq!((a.shared(), b.shared(), b.populated()), (1, 1, 2));
+    }
+
+    #[test]
+    fn install_takes_the_donors_group_exactly_when_its_words_are_equal() {
+        let mut donor = Pair::new();
+        for idx in [1, 2, 65] {
+            donor.set(idx, idx as u32);
+        }
+        let before: Vec<_> = donor.iter(0..128).collect();
+        let mut a = Pair::new();
+        // The donor's live set and words: its group itself.
+        assert!(installs_donors(&mut a, 0, 0b110, &[1, 2], &donor));
+        assert!(installs_donors(&mut a, 1, 0b10, &[65], &donor));
+        assert_eq!((a.shared(), donor.shared()), (2, 2));
+        // One word different, the same words at other places, a word
+        // more and a word fewer: a group of its own.
+        for (live, words) in [
+            (0b110, &[1, 3][..]),
+            (0b1010, &[1, 2]),
+            (0b1110, &[1, 2, 3]),
+            (0b10, &[1]),
+        ] {
+            assert!(
+                !installs_donors(&mut a, 0, live, words, &donor),
+                "{live:#b}"
+            );
+        }
+        assert_eq!((a.shared(), donor.shared()), (1, 1));
+        // A group the donor does not hold; then none at all.
+        let mut empty = Pair::new();
+        assert!(!installs_donors(&mut empty, 1, 0b10, &[65], &Pair::new()));
+        assert!(!installs_donors(&mut a, 1, 0, &[], &donor));
+        assert_eq!((a.populated(), donor.shared()), (1, 0));
+        // No word of the donor moved.
+        assert_eq!(donor.iter(0..128).collect::<Vec<_>>(), before);
+    }
+
+    #[test]
+    fn an_installed_group_is_inline_to_six_words_and_exact_above() {
+        for n in [1, INLINE, INLINE + 1, 12, 13, GROUP_WORDS] {
+            let live = u64::MAX >> (GROUP_WORDS - n);
+            let words: Vec<u32> = (1..=n as u32).collect();
+            let mut a = Pair::new();
+            assert!(!installs_donors(&mut a, 1, live, &words, &Pair::new()));
+            match &a.groups[1].as_deref().unwrap().words {
+                Words::Inline(_) => assert!(n <= INLINE, "{n} words inline"),
+                Words::Spill(spilled) => {
+                    assert!(n > INLINE, "{n} words spilled");
+                    assert_eq!(spilled.capacity(), n, "{n} words");
+                }
+            }
+            // It takes writes as any group does.
+            let mut dense = [0u32; 128];
+            dense[64..64 + n].copy_from_slice(&words);
+            for (idx, word) in [(64, 0), (127, 5), (65, 9)] {
+                a.set(idx, word);
+                dense[idx] = word;
+            }
+            assert_reads(&a, &dense);
+        }
     }
 
     /// Every answer `a` gives, against a dense copy of its words.
@@ -446,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn groups_reached_by_different_orders_are_equal_and_adopted() {
+    fn groups_reached_by_different_orders_are_equal_and_installed_as_one() {
         let (mut a, mut b) = (Pair::new(), Pair::new());
         // `a` goes past the inline words and back; `b` never spills,
         // and leaves a stale inline word behind a removal.
@@ -465,15 +574,16 @@ mod tests {
             a.iter(0..64).collect::<Vec<_>>(),
             b.iter(0..64).collect::<Vec<_>>()
         );
-        b.adopt_equal(&a);
+        // A copy of those words installs as either one's group.
+        let (live, words) = (0b111_1100, [9; 5]);
+        let mut c = Pair::new();
+        assert!(installs_donors(&mut c, 0, live, &words, &a));
+        assert!(installs_donors(&mut c, 0, live, &words, &b));
+        // And either one, installed anew from the other, takes it.
+        b.reinstall_from(&a);
         assert_eq!((a.shared(), b.shared()), (1, 1));
         // Different live sets over equal words are not equal.
-        let mut c = Pair::new();
-        for idx in [2, 3, 4, 5, 7] {
-            c.set(idx, 9);
-        }
-        c.adopt_equal(&a);
-        assert_eq!(c.shared(), 0);
+        assert!(!installs_donors(&mut c, 0, 0b1011_1100, &words, &a));
     }
 
     #[test]

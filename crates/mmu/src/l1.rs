@@ -179,6 +179,20 @@ impl L1Entry {
     }
 }
 
+/// A level-1 pair that points at a page-table page, as
+/// [`RootTable::table_pairs`] lists it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TablePair {
+    /// The pair's even index.
+    pub idx: usize,
+    /// The table: the even half's frame if it holds a table entry, else
+    /// the odd half's.
+    pub ptp: Pfn,
+    /// Each half's `NEED_COPY` bit (`false` for a half that holds no
+    /// table entry).
+    pub need_copy: [bool; 2],
+}
+
 /// Groups in a root table's 4096 entry words.
 const ROOT_GROUPS: usize = L1_ENTRIES / GROUP_WORDS;
 
@@ -333,18 +347,34 @@ impl RootTable {
     ///
     /// Served from the populated groups: O(#entries), not O(4096).
     pub fn iter_ptps(&self) -> impl Iterator<Item = (usize, Pfn)> + '_ {
-        let mut last_table = None;
-        self.entries
+        self.table_pairs().map(|pair| (pair.idx, pair.ptp))
+    }
+
+    /// [`RootTable::iter_ptps`] with each pair's `NEED_COPY` bits, read
+    /// from the words it visits: one pass, no entry looked up.
+    pub fn table_pairs(&self) -> impl Iterator<Item = TablePair> + '_ {
+        let mut tables = self
+            .entries
             .iter(0..L1_ENTRIES)
             .filter(|&(_, word)| is_table(word))
-            .filter_map(move |(idx, word)| {
-                // The odd half speaks for the pair only when the even
-                // half, the table entry visited just before it if any,
-                // holds no table.
-                let listed = idx % 2 == 1 && last_table == Some(idx - 1);
-                last_table = Some(idx);
-                (!listed).then(|| (idx & !1, Pfn::new(word >> L1_FRAME_SHIFT)))
+            .peekable();
+        std::iter::from_fn(move || {
+            let (idx, word) = tables.next()?;
+            let mut need_copy = [false; 2];
+            need_copy[idx % 2] = word & L1_NEED_COPY_OR_GLOBAL != 0;
+            // The odd half of a pair whose even half is a table rides
+            // with it.
+            if idx % 2 == 0 {
+                if let Some((_, odd)) = tables.next_if(|&(next, _)| next == idx + 1) {
+                    need_copy[1] = odd & L1_NEED_COPY_OR_GLOBAL != 0;
+                }
+            }
+            Some(TablePair {
+                idx: idx & !1,
+                ptp: Pfn::new(word >> L1_FRAME_SHIFT),
+                need_copy,
             })
+        })
     }
 
     /// Counts distinct PTPs referenced by this table.
@@ -396,9 +426,10 @@ impl RootTable {
         self.entries = other.entries.clone();
     }
 
-    /// [`crate::Ptp`]'s `adopt_equal`, for root tables.
-    pub(crate) fn adopt_equal(&mut self, other: &RootTable) {
-        self.entries.adopt_equal(&other.entries);
+    /// Installs every group of this table's entries anew, `other`'s
+    /// group wherever the two hold the same words.
+    pub(crate) fn reinstall_from(&mut self, other: &RootTable) {
+        self.entries.reinstall_from(&other.entries);
     }
 }
 
@@ -663,6 +694,34 @@ mod tests {
         }
         let order: Vec<usize> = rt.iter_ptps().map(|(i, _)| i).collect();
         assert_eq!(order, vec![2, 0x400, 0x800]);
+    }
+
+    #[test]
+    fn table_pairs_carry_each_halfs_need_copy_bit() {
+        let (_p, mut rt) = root();
+        let table = |ptp, half, need_copy| L1Entry::Table {
+            ptp: Pfn::new(ptp),
+            half,
+            domain: Domain::USER,
+            need_copy,
+        };
+        rt.set_table_pair(VirtAddr::new(2 << 20), Pfn::new(1), Domain::USER, true);
+        // Halves that disagree, and an odd half alone beside a fault.
+        rt.set_entry(8, table(2, TableHalf::Lower, false));
+        rt.set_entry(9, table(2, TableHalf::Upper, true));
+        rt.set_entry(13, table(3, TableHalf::Upper, true));
+        let pairs: Vec<_> = rt
+            .table_pairs()
+            .map(|p| (p.idx, p.ptp.raw(), p.need_copy))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                (2, 1, [true, true]),
+                (8, 2, [false, true]),
+                (12, 3, [false, true])
+            ]
+        );
     }
 
     #[test]

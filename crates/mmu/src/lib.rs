@@ -44,8 +44,8 @@ mod reference;
 pub mod walk;
 
 pub use fsr::{FaultRecord, FaultStatus};
-pub use l1::{L1Entry, RootTable};
-pub use ops::Mapper;
+pub use l1::{L1Entry, RootTable, TablePair};
+pub use ops::{release_table, ChunkCopy, Mapper};
 pub use pte::{HwPte, PteSlot, SwPte};
 pub use ptp::{Ptp, PtpStore, TableHalf};
 pub use walk::{walk, Translation, WalkAccesses, WalkFault, WalkOutcome, WalkResult};

@@ -22,9 +22,10 @@ use sat_types::{
     PAGE_SHIFT, PAGE_SIZE,
 };
 
+use crate::groups::GROUP_WORDS;
 use crate::l1::{L1Entry, RootTable};
 use crate::pte::{HwPte, PteSlot, SwPte};
-use crate::ptp::{Ptp, PtpStore, TableHalf};
+use crate::ptp::{pack_slot, unpack_slot, Ptp, PtpStore, StagedPtp, TableHalf};
 
 /// Result of [`Mapper::set_pte`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,13 +215,7 @@ impl<'a> Mapper<'a> {
         );
         let (frame, allocated) = self.ensure_ptp(va, domain)?;
         let owner = self.owner(va);
-        // A 64KB slot references its own 4KB frame of the group.
-        let data_frame = hw.frame_for_slot(va.l2_index());
-        self.phys.get_page(data_frame);
-        self.phys.map_inc(data_frame);
-        if is_data_frame(self.phys, data_frame) {
-            self.phys.rmap_add(data_frame, owner, va);
-        }
+        take_frame_ref(self.phys, owner, hw, va);
         let half = TableHalf::of(va);
         let prev = self
             .ptps
@@ -328,11 +323,9 @@ impl<'a> Mapper<'a> {
         protected
     }
 
-    /// Drops one process's reference to the PTP pair covering `va`.
-    ///
-    /// If this was the last reference, the PTP's remaining PTEs are
-    /// torn down (dropping their frames' references) and the PTP frame
-    /// is freed. Returns `true` if the PTP was freed.
+    /// Drops one process's reference to the PTP pair covering `va`
+    /// and clears the pair ([`release_table`]). Returns `true` if the
+    /// PTP was freed.
     pub fn release_ptp_pair(&mut self, va: VirtAddr) -> bool {
         let chunk = va.ptp_base();
         // Read before the pair goes: a lone sharer that exits while
@@ -340,22 +333,10 @@ impl<'a> Mapper<'a> {
         // under the shared-table owner, not under its pid.
         let owners = [TableHalf::Lower, TableHalf::Upper]
             .map(|half| self.owner(Mapper::slot_va(chunk, half, 0)));
-        let Some(frame) = self.root.clear_table_pair(va) else {
-            return false;
-        };
-        if self.phys.map_dec(frame) > 0 {
-            return false; // other processes still reference it
+        match self.root.clear_table_pair(va) {
+            Some(frame) => release_table(self.ptps, self.phys, frame, chunk, owners),
+            None => false,
         }
-        // Torn down where it lies: read through a borrow, then the
-        // slot is freed — nothing moves out of the arena.
-        let table = self.ptps.get(frame).expect("PTP in store");
-        for (half, idx, slot) in table.iter() {
-            let slot_va = Mapper::slot_va(chunk, half, idx);
-            drop_frame_ref(self.phys, owners[half.index()], slot.hw, slot_va);
-        }
-        self.ptps.free(frame);
-        self.phys.put_page(frame);
-        true
     }
 
     /// The virtual address mapped by slot (`half`, `idx`) of the PTP
@@ -575,6 +556,177 @@ impl<'a> Mapper<'a> {
     }
 }
 
+/// Drops one reference to the PTP in `frame`, which translates the 2MB
+/// chunk at `chunk`. If it was the last, the PTP's PTEs are torn down
+/// where they lie — each dropping its frame's references, its
+/// reverse-map entry filed under `owners[half]` — and the PTP and its
+/// frame are freed. Returns `true` if the PTP was freed.
+///
+/// The level-1 entries pointing at it are the caller's: a pair being
+/// unmapped clears them first ([`Mapper::release_ptp_pair`]), and an
+/// exiting address space frees its whole root after.
+pub fn release_table(
+    ptps: &mut PtpStore,
+    phys: &mut PhysMem,
+    frame: Pfn,
+    chunk: VirtAddr,
+    owners: [Pid; 2],
+) -> bool {
+    if phys.map_dec(frame) > 0 {
+        return false; // other processes still reference it
+    }
+    let table = ptps.get(frame).expect("PTP in store");
+    table.for_each(|half, idx, slot| {
+        let slot_va = Mapper::slot_va(chunk, half, idx);
+        drop_frame_ref(phys, owners[half.index()], slot.hw, slot_va);
+    });
+    ptps.free(frame);
+    phys.put_page(frame);
+    true
+}
+
+/// One 2MB chunk of a fork's page-table copy, from the parent's table
+/// into a table of the child's, staged on the stack until the chunk is
+/// done ([`ChunkCopy::install`]).
+///
+/// Each PTE copied costs what it costs the simulated kernel — the
+/// parent's write-protect where the copy is COW, and the frame's
+/// reference, mapping count and reverse-map entry — but only a word
+/// written to the stage on the host. The child's table is found or
+/// allocated once, at the first PTE copied, where Linux's per-PTE
+/// `pte_alloc` would first allocate it; it is the only step that can
+/// fail.
+pub struct ChunkCopy {
+    chunk: VirtAddr,
+    /// The parent's table, once a range is copied from it.
+    parent: Option<Pfn>,
+    /// The child's table and whom its reverse-map entries are filed
+    /// under, once a PTE is copied.
+    child: Option<(Pfn, Pid)>,
+    staged: StagedPtp,
+    /// PTEs copied so far.
+    pub ptes: u64,
+    /// Parent PTEs write-protected so far.
+    pub protected: u64,
+    /// The child's table was allocated by this copy.
+    pub ptp_allocated: bool,
+}
+
+impl ChunkCopy {
+    /// A copy of the chunk at `chunk`, which must be 2MB-aligned, with
+    /// nothing copied yet.
+    pub fn new(chunk: VirtAddr) -> ChunkCopy {
+        debug_assert!(chunk.is_ptp_aligned());
+        ChunkCopy {
+            chunk,
+            parent: None,
+            child: None,
+            staged: StagedPtp::new(),
+            ptes: 0,
+            protected: 0,
+            ptp_allocated: false,
+        }
+    }
+
+    /// Copies the populated PTEs of `parent` in `range` — which lies in
+    /// the chunk, clear of every range copied into it before — to
+    /// `child`'s address space, in ascending address order. Where `cow`
+    /// is set every writable PTE is write-protected in the parent
+    /// first, and copied so. A copy that cannot allocate the child's
+    /// table stops there, with that one parent PTE protected, and
+    /// copies nothing: the chunk is abandoned, and
+    /// [`ChunkCopy::install`] does nothing.
+    pub fn copy(
+        &mut self,
+        parent: &RootTable,
+        child: &mut Mapper<'_>,
+        range: VaRange,
+        cow: bool,
+        domain: Domain,
+    ) -> SatResult<()> {
+        for span in half_spans(parent, range) {
+            debug_assert_eq!(
+                span.base.ptp_base(),
+                self.chunk,
+                "{range:?} leaves the chunk"
+            );
+            let Some(table) = child.ptps.get(span.ptp) else {
+                continue;
+            };
+            self.parent = Some(span.ptp);
+            let gathered = table.gather(span.half, span.slots.clone(), &mut self.staged);
+            for (g, mut left) in gathered.into_iter().enumerate() {
+                while left != 0 {
+                    let at = g * GROUP_WORDS + left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    self.copy_pte(child, &span, at, cow, domain)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The copy of the staged word `at`, which `span` translates.
+    fn copy_pte(
+        &mut self,
+        child: &mut Mapper<'_>,
+        span: &HalfSpan,
+        at: usize,
+        cow: bool,
+        domain: Domain,
+    ) -> SatResult<()> {
+        let idx = at % L2_ENTRIES;
+        let va = span.va(idx);
+        let PteSlot { mut hw, sw } =
+            unpack_slot(self.staged.words[at]).expect("every stored word is a PTE");
+        if cow && hw.perms.write() {
+            hw = hw.write_protected();
+            let parent = child.ptps.get_mut(span.ptp).expect("PTP in store");
+            parent.set(span.half, idx, hw, sw);
+            self.staged.words[at] = pack_slot(hw, sw);
+            self.protected += 1;
+        }
+        let owner = match self.child {
+            Some((_, owner)) => owner,
+            None => {
+                let (frame, allocated) = child.ensure_ptp(va, domain)?;
+                let owner = child.owner(va);
+                self.child = Some((frame, owner));
+                self.ptp_allocated = allocated;
+                owner
+            }
+        };
+        take_frame_ref(child.phys, owner, hw, va);
+        self.ptes += 1;
+        Ok(())
+    }
+
+    /// Writes the copied PTEs into the child's table, a group at a
+    /// time: a group that came out as the parent's group at that place
+    /// — the same live set, word for word — is installed as that group
+    /// itself, shared until either side writes it; any other as one
+    /// allocation of exactly its words (`groups.rs`). Host memory only:
+    /// nothing simulated can tell the two apart.
+    pub fn install(mut self, ptps: &mut PtpStore) {
+        if let (Some((child, _)), Some(parent)) = (self.child, self.parent) {
+            ptps.install(child, &mut self.staged, parent);
+        }
+    }
+}
+
+/// Takes the frame reference the PTE `hw` at `va` holds, its
+/// reverse-map entry filed under `owner`: the inverse of
+/// [`drop_frame_ref`]. A 64KB large-page slot references its own 4KB
+/// frame of the group.
+fn take_frame_ref(phys: &mut PhysMem, owner: Pid, hw: HwPte, va: VirtAddr) {
+    let frame = hw.frame_for_slot(va.l2_index());
+    phys.get_page(frame);
+    phys.map_inc(frame);
+    if is_data_frame(phys, frame) {
+        phys.rmap_add(frame, owner, va);
+    }
+}
+
 /// Drops the frame reference held by the PTE `hw` at `va`, whose
 /// reverse-map entry is filed under `owner`. A 64KB large-page slot
 /// references its own 4KB frame of the sixteen-frame group
@@ -748,6 +900,89 @@ mod tests {
         assert!(!m.release_ptp_pair(va));
         assert!(m.ptps.get(ptp).is_some());
         assert_eq!(m.phys.mapcount(ptp), 1);
+    }
+
+    /// Maps `pages` writable anonymous pages from `base` in `fx`'s
+    /// process.
+    fn map_anon(fx: &mut Fx, base: VirtAddr, pages: u32) {
+        for i in 0..pages {
+            let frame = fx.anon_frame();
+            let va = VirtAddr::new(base.raw() + i * PAGE_SIZE);
+            let hw = HwPte::small(frame, Perms::RW, false);
+            fx.mapper()
+                .set_pte(va, hw, SwPte::anon(true), Domain::USER)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_chunk_copied_range_by_range_is_installed_once_sharing_what_matched() {
+        let mut fx = Fx::new();
+        let base = VirtAddr::new(0x0200_0000);
+        // Group 0 full, two pages of group 1.
+        map_anon(&mut fx, base, 66);
+        let parent = fx.root.entry_for(base).ptp().unwrap();
+        let mut child = RootTable::alloc(&mut fx.phys).unwrap();
+        let mut copy = ChunkCopy::new(base);
+        let mut cm = Mapper::new(&mut child, &mut fx.ptps, &mut fx.phys, Pid::new(2));
+        // Two regions' worth: all of group 0 and the first page of
+        // group 1; the page after it is left to refault.
+        let page = |i: u32| VirtAddr::new(base.raw() + i * PAGE_SIZE);
+        for range in [
+            VaRange::new(page(0), page(64)),
+            VaRange::new(page(64), page(65)),
+        ] {
+            copy.copy(&fx.root, &mut cm, range, true, Domain::USER)
+                .unwrap();
+        }
+        assert_eq!(
+            (copy.ptes, copy.protected, copy.ptp_allocated),
+            (65, 65, true)
+        );
+        copy.install(&mut fx.ptps);
+        let table = child.entry_for(base).ptp().unwrap();
+        assert_ne!(table, parent);
+        // Group 0 came out as the parent's; group 1 holds one word of two.
+        let (mine, theirs) = (fx.ptps.get(table).unwrap(), fx.ptps.get(parent).unwrap());
+        assert_eq!((mine.shared_groups(), theirs.shared_groups()), (1, 1));
+        assert_eq!((mine.total_valid(), theirs.total_valid()), (65, 66));
+        fx.ptps.verify().unwrap();
+        let cm = Mapper::new(&mut child, &mut fx.ptps, &mut fx.phys, Pid::new(2));
+        for i in [0, 63, 64] {
+            let copied = cm.get_pte(page(i)).unwrap();
+            assert_eq!(copied.hw.perms, Perms::R, "page {i}");
+            assert_eq!(cm.phys.mapcount(copied.hw.pfn), 2, "page {i}");
+        }
+        assert_eq!(cm.get_pte(page(65)), None);
+        let m = fx.mapper();
+        assert_eq!(m.get_pte(page(63)).unwrap().hw.perms, Perms::R);
+        assert_eq!(m.get_pte(page(65)).unwrap().hw.perms, Perms::RW);
+    }
+
+    #[test]
+    fn a_chunk_copy_with_no_frame_for_its_table_protects_one_pte_and_installs_nothing() {
+        let mut fx = Fx::new();
+        let base = VirtAddr::new(0x0200_0000);
+        map_anon(&mut fx, base, 2);
+        let mut child = RootTable::alloc(&mut fx.phys).unwrap();
+        while fx.phys.alloc(FrameKind::Anon).is_ok() {}
+        let mut copy = ChunkCopy::new(base);
+        let mut cm = Mapper::new(&mut child, &mut fx.ptps, &mut fx.phys, Pid::new(2));
+        let range = VaRange::from_len(base, 2 * PAGE_SIZE);
+        let err = copy.copy(&fx.root, &mut cm, range, true, Domain::USER);
+        assert_eq!(err, Err(SatError::OutOfMemory));
+        assert_eq!(
+            (copy.ptes, copy.protected, copy.ptp_allocated),
+            (0, 1, false)
+        );
+        let ptps = fx.ptps.len();
+        copy.install(&mut fx.ptps);
+        assert_eq!((fx.ptps.len(), child.ptp_count()), (ptps, 0));
+        // The first PTE was protected before the table was asked for.
+        let m = fx.mapper();
+        assert_eq!(m.get_pte(base).unwrap().hw.perms, Perms::R);
+        let second = VirtAddr::new(base.raw() + PAGE_SIZE);
+        assert_eq!(m.get_pte(second).unwrap().hw.perms, Perms::RW);
     }
 
     #[test]

@@ -226,12 +226,39 @@ impl Ptp {
         self.slots.any(Ptp::words_of(half))
     }
 
-    /// Makes this table hold `other`'s group wherever the two tables'
-    /// groups at one place hold the same words, dropping its own:
-    /// nothing either table reads changes, and a later write to either
-    /// copies the group first (`groups.rs`).
-    pub(crate) fn adopt_equal(&mut self, other: &Ptp) {
-        self.slots.adopt_equal(&other.slots);
+    /// Stages the PTEs among `slots` of `half` in `staged` for a copy
+    /// ([`PtpStore::install`]), and returns the members of each group
+    /// it staged: one rank a group, the words read in order.
+    pub(crate) fn gather(
+        &self,
+        half: TableHalf,
+        slots: Range<usize>,
+        staged: &mut StagedPtp,
+    ) -> [u64; PTP_GROUPS] {
+        let first = Ptp::at(half, 0);
+        let mut gathered = [0; PTP_GROUPS];
+        self.slots
+            .for_each(first + slots.start..first + slots.end, |at, word| {
+                let (g, bit) = (at / GROUP_WORDS, 1 << (at % GROUP_WORDS));
+                gathered[g] |= bit;
+                staged.live[g] |= bit;
+                staged.words[at] = word;
+            });
+        gathered
+    }
+
+    /// Calls `f(half, idx, slot)` for every populated slot, in
+    /// [`Ptp::iter`]'s order: one loop a group, no iterator adapters.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(TableHalf, usize, PteSlot)) {
+        self.slots.for_each(0..2 * L2_ENTRIES, |at, word| {
+            let half = if at < L2_ENTRIES {
+                TableHalf::Lower
+            } else {
+                TableHalf::Upper
+            };
+            let slot = unpack_slot(word).expect("every stored word is a PTE");
+            f(half, at % L2_ENTRIES, slot);
+        });
     }
 
     /// Iterates over populated slots in `half` as `(idx, slot)`.
@@ -293,12 +320,47 @@ impl Ptp {
     }
 }
 
+/// Ways in for the isolation differential (`reference.rs`) and the
+/// copy's unit rows (`ops.rs`).
+#[cfg(test)]
+impl Ptp {
+    /// Installs every group of this table anew, `donor`'s group
+    /// wherever the two hold the same words.
+    pub(crate) fn reinstall_from(&mut self, donor: &Ptp) {
+        self.slots.reinstall_from(&donor.slots);
+    }
+
+    /// Number of this table's groups another table holds too.
+    pub(crate) fn shared_groups(&self) -> usize {
+        self.slots.shared()
+    }
+}
+
 impl SlabItem for Ptp {
     /// Empties the PTP so its slab slot can be recycled: every group
     /// goes back to the allocator, and the slot waits on the free list
     /// owning none.
     fn reset(&mut self) {
         *self = Ptp::new();
+    }
+}
+
+/// A table's words on their way in, for a fork that copies a chunk:
+/// each group's live set, and the words by slot (dense, so a stage
+/// fills in any order and reads back only where its live bits say).
+/// On the stack: 2 KiB of words and a bit a slot.
+pub(crate) struct StagedPtp {
+    pub(crate) live: [u64; PTP_GROUPS],
+    pub(crate) words: [u32; 2 * L2_ENTRIES],
+}
+
+impl StagedPtp {
+    /// Nothing staged.
+    pub(crate) fn new() -> StagedPtp {
+        StagedPtp {
+            live: [0; PTP_GROUPS],
+            words: [0; 2 * L2_ENTRIES],
+        }
     }
 }
 
@@ -318,10 +380,11 @@ const NO_SLOT: u32 = u32::MAX;
 /// place and grows a chunk at a time, and nothing ever moves a live
 /// header. What the global allocator sees is one allocation per
 /// populated group that no other table holds word for word
-/// ([`PtpStore::adopt_equal`]), released when the last table holding
-/// it empties it or is freed. Every table walk resolves its PTP frame
-/// here, so the `frame → slot` index is a flat array by frame number,
-/// grown only as far as the highest frame that has held a table.
+/// ([`crate::ChunkCopy::install`]), released when the last table
+/// holding it empties it or is freed. Every table walk resolves its
+/// PTP frame here, so the `frame → slot` index is a flat array by
+/// frame number, grown only as far as the highest frame that has held
+/// a table.
 #[derive(Default)]
 pub struct PtpStore {
     tables: Slab<Ptp>,
@@ -405,19 +468,50 @@ impl PtpStore {
         Some(self.tables.get_mut(slot))
     }
 
-    /// Lets the table in `frame` hold the groups of the table in `from`
-    /// wherever the two tables' words are equal (`groups.rs`): a host
-    /// memory saving that nothing reading either table can see. A fork
-    /// calls it once per copied chunk, child from parent. Does nothing
-    /// if either frame holds no table.
-    pub fn adopt_equal(&mut self, frame: Pfn, from: Pfn) {
-        let (Some(slot), Some(donor)) = (self.slot_of(frame), self.slot_of(from)) else {
-            return;
-        };
+    /// Writes what `staged` holds into the table in `frame`, one group
+    /// at a time: a group the table already holds words in (an earlier
+    /// region's, where a copy goes region by region) takes the staged
+    /// words beside them, and each group is then installed once — as
+    /// the group the table in `donor` holds at that place when the live
+    /// set and the words are the same, else as one allocation of
+    /// exactly its words (`groups.rs`). Nothing reading either table
+    /// can tell which.
+    pub(crate) fn install(&mut self, frame: Pfn, staged: &mut StagedPtp, donor: Pfn) {
+        let slot = self
+            .slot_of(frame)
+            .expect("the copy's table is in the store");
+        let donor = self
+            .slot_of(donor)
+            .expect("the copy's source is in the store");
         // Out of the slab for the moment both tables are borrowed; an
         // empty `Ptp` owns no group, so the swap allocates nothing.
         let mut table = std::mem::take(self.tables.get_mut(slot));
-        table.adopt_equal(self.tables.get(donor));
+        let donor = &self.tables.get(donor).slots;
+        for (g, &staged_live) in staged.live.iter().enumerate() {
+            if staged_live == 0 {
+                continue;
+            }
+            let dense = &mut staged.words[g * GROUP_WORDS..][..GROUP_WORDS];
+            let (held, words) = table.slots.group(g);
+            debug_assert_eq!(held & staged_live, 0, "a slot copied twice");
+            let mut left = held;
+            for &word in words {
+                dense[left.trailing_zeros() as usize] = word;
+                left &= left - 1;
+            }
+            let live = held | staged_live;
+            let mut packed = [0; GROUP_WORDS];
+            let mut left = live;
+            for word in &mut packed {
+                if left == 0 {
+                    break;
+                }
+                *word = dense[left.trailing_zeros() as usize];
+                left &= left - 1;
+            }
+            let len = live.count_ones() as usize;
+            table.slots.install(g, live, &packed[..len], donor);
+        }
         *self.tables.get_mut(slot) = table;
     }
 
@@ -617,33 +711,43 @@ mod tests {
         ptp.verify().unwrap();
     }
 
-    /// A child's table copied word for word from its parent's holds the
-    /// parent's groups once it adopts them, and each side's next write
+    /// A child's table installed from its parent's words holds the
+    /// parent's groups where the two match, and each side's next write
     /// to a group is its own.
     #[test]
-    fn an_adopted_table_shares_its_parents_groups_until_written() {
+    fn an_installed_table_shares_its_parents_groups_until_written() {
         let mut store = PtpStore::new();
         let (parent, child) = (Pfn::new(5), Pfn::new(6));
         let hw = HwPte::small(Pfn::new(9), Perms::R, false);
-        for frame in [parent, child] {
-            store.insert(frame);
-            for idx in [1, 70, 200] {
-                let table = store.get_mut(frame).unwrap();
-                table.set(TableHalf::Lower, idx, hw, SwPte::anon(true));
-            }
+        store.insert(parent);
+        store.insert(child);
+        for idx in [1, 70, 200] {
+            let table = store.get_mut(parent).unwrap();
+            table.set(TableHalf::Lower, idx, hw, SwPte::anon(true));
         }
-        // The child's private heap: a group the parent does not hold.
+        // Words the child holds already: its private heap, in a group
+        // the parent does not hold, and one beside slot 70, in a group
+        // the parent does.
         let table = store.get_mut(child).unwrap();
         table.set(TableHalf::Upper, 0, hw, SwPte::anon(true));
-        store.adopt_equal(child, parent);
+        table.set(TableHalf::Lower, 71, hw, SwPte::anon(true));
+        let mut staged = StagedPtp::new();
+        let gathered =
+            store
+                .get(parent)
+                .unwrap()
+                .gather(TableHalf::Lower, 0..L2_ENTRIES, &mut staged);
+        assert_eq!(gathered, [1 << 1, 1 << 6, 0, 1 << 8, 0, 0, 0, 0]);
+        store.install(child, &mut staged, parent);
         let shared = |store: &PtpStore, frame| store.get(frame).unwrap().slots.shared();
-        assert_eq!((shared(&store, parent), shared(&store, child)), (3, 3));
-        // Neither an unchanged rewrite nor an unknown frame moves a thing.
+        assert_eq!((shared(&store, parent), shared(&store, child)), (2, 2));
+        assert_eq!(store.get(child).unwrap().total_valid(), 5);
+        store.verify().unwrap();
+        // An unchanged rewrite moves nothing.
         let table = store.get_mut(child).unwrap();
         table.update_sw(TableHalf::Lower, 1, |sw| sw.young = false);
-        table.replace_hw(TableHalf::Lower, 70, hw);
-        store.adopt_equal(child, Pfn::new(7));
-        assert_eq!(shared(&store, child), 3);
+        table.replace_hw(TableHalf::Lower, 200, hw);
+        assert_eq!(shared(&store, child), 2);
         // The child references a page: its group is copied, the
         // parent's stays as it was.
         let table = store.get_mut(child).unwrap();
@@ -653,12 +757,11 @@ mod tests {
             slot.unwrap().sw.young
         };
         assert_eq!((young(&store, parent), young(&store, child)), (false, true));
-        assert_eq!((shared(&store, parent), shared(&store, child)), (2, 2));
-        assert_eq!(store.get(child).unwrap().total_valid(), 4);
+        assert_eq!((shared(&store, parent), shared(&store, child)), (1, 1));
         store.verify().unwrap();
         // Freeing the parent leaves the child every word it had.
         assert!(store.free(parent));
-        assert_eq!(store.get(child).unwrap().total_valid(), 4);
+        assert_eq!(store.get(child).unwrap().total_valid(), 5);
         assert_eq!(shared(&store, child), 0);
         store.verify().unwrap();
     }

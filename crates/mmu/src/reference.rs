@@ -13,8 +13,9 @@
 //!
 //! Two more drive *families* of grouped tables — members built from
 //! one another by `clone` (every group shared), by a word-by-word copy
-//! (fork's copy: every group fresh) and by adopting another member's
-//! equal groups — through the same operations on random members, each
+//! (every group fresh) and by installing every group anew with another
+//! member as the donor (fork's install: the donor's group wherever the
+//! words are equal, else an exact copy) — through the same operations on random members, each
 //! member beside its own dense twin. After every operation every member
 //! must equal its twin and pass `verify`: the member operated on reads
 //! what it wrote, and no other member's view has moved, so a group one
@@ -488,18 +489,19 @@ mod tests {
         /// Member `d` becomes a word-by-word copy of member `s`, as a
         /// fork copies: every group its own.
         Copy(usize, usize),
-        /// Member `d` adopts member `s`'s equal groups.
-        Adopt(usize, usize),
+        /// Member `d`'s groups are installed anew with member `s` as
+        /// the donor.
+        Install(usize, usize),
     }
 
     /// Mostly operations on members, so shared groups get written;
-    /// adoption after copies, so there is something to adopt.
+    /// installs after copies, so there are equal groups to take.
     fn kin<Op: Clone + Debug>(op: impl Strategy<Value = Op>) -> impl Strategy<Value = Kin<Op>> {
         (0u8..18, 0..FAMILY, 0..FAMILY, op).prop_map(|(kind, d, s, op)| match kind {
             0..=11 => Kin::On(d, op),
             12 => Kin::Clone(d, s),
             13..=14 => Kin::Copy(d, s),
-            _ => Kin::Adopt(d, s),
+            _ => Kin::Install(d, s),
         })
     }
 
@@ -542,9 +544,9 @@ mod tests {
                         new[d] = copy;
                         old[d] = old[s].clone();
                     }
-                    &Kin::Adopt(d, s) => {
+                    &Kin::Install(d, s) => {
                         if let Some((member, donor)) = pair_mut(&mut new, d, s) {
-                            member.adopt_equal(donor);
+                            member.reinstall_from(donor);
                         }
                     }
                 }
@@ -672,6 +674,10 @@ mod tests {
             new.iter_ptps().collect::<Vec<_>>(),
             old.iter_ptps().collect::<Vec<_>>()
         );
+        for pair in new.table_pairs() {
+            let need_copy = [pair.idx, pair.idx + 1].map(|i| old.entry(i).need_copy());
+            prop_assert_eq!(pair.need_copy, need_copy, "{:?}: pair {}", what, pair.idx);
+        }
         prop_assert_eq!(new.ptp_count(), old.ptp_count());
         prop_assert_eq!(
             new.iter_sections().collect::<Vec<_>>(),
@@ -724,9 +730,9 @@ mod tests {
                         }
                         old[d] = old[s].clone();
                     }
-                    &Kin::Adopt(d, s) => {
+                    &Kin::Install(d, s) => {
                         if let Some((member, donor)) = pair_mut(&mut new, d, s) {
-                            member.adopt_equal(donor);
+                            member.reinstall_from(donor);
                         }
                     }
                 }

@@ -13,13 +13,15 @@
 //!   launches but a 58.6% slower fork and more PTPs.
 //! - **Shared PTPs**: the paper's mechanism.
 //!
-//! The fork itself lives in `sat-core` (`fork.rs`): it calls
-//! [`copy_vma_ptes_in_range`], clamped to a 2MB chunk, for every chunk
-//! it does not share — under the first two kernels, every chunk.
+//! The fork itself lives in `sat-core` (`fork.rs`): for every chunk it
+//! does not share — under the first two kernels, every chunk — it calls
+//! [`copy_vma_ptes_in_chunk`] for each region it copies there, into one
+//! [`ChunkCopy`] installed once the chunk is done.
+//! [`copy_vma_ptes_in_range`] is the same copy a region at a time.
 
-use sat_mmu::{Mapper, PtpStore};
+use sat_mmu::{ChunkCopy, Mapper, PtpStore};
 use sat_phys::PhysMem;
-use sat_types::{Domain, SatResult, VaRange};
+use sat_types::{Domain, SatResult, VaRange, PTP_SPAN};
 
 use crate::mm::Mm;
 use crate::vma::{Backing, Vma};
@@ -67,7 +69,8 @@ pub fn copies_ptes(policy: ForkPtePolicy, vma: &Vma) -> bool {
 }
 
 /// Copies the populated PTEs of `vma` that fall within `clamp` from
-/// `parent` to `child`, COW-protecting private writable pages in both.
+/// `parent` to `child`, COW-protecting private writable pages in both:
+/// one [`ChunkCopy`] a 2MB chunk, each installed once its PTEs are in.
 ///
 /// A copy that runs out of frames part-way returns the error with the
 /// PTEs copied so far in place — and the parent PTEs behind them
@@ -87,32 +90,60 @@ pub fn copy_vma_ptes_in_range(
     let Some(range) = vma.range.intersect(&clamp) else {
         return Ok(());
     };
-    // Collect the parent's populated PTEs first (cannot hold a borrow
-    // of the parent's tables while mutating the child's).
-    let parent_ptes = {
-        let parent_mapper = Mapper::new(&mut parent.root, ptps, phys, parent.pid);
-        parent_mapper.iter_range(range)
-    };
-    let cow = vma.is_private_writable();
-    for (va, slot) in parent_ptes {
-        let mut hw = slot.hw;
-        if cow && hw.perms.write() {
-            // Write-protect in the parent...
-            let mut pm = Mapper::new(&mut parent.root, ptps, phys, parent.pid);
-            pm.update_pte(va, |hw, _| *hw = hw.write_protected());
-            report.cow_protected += 1;
-            // ...and copy the protected version into the child.
-            hw = hw.write_protected();
-        }
-        let mut cm = Mapper::new(&mut child.root, ptps, phys, child.pid);
-        let res = cm.set_pte(va, hw, slot.sw, child_domain)?;
-        report.ptes_copied += 1;
-        if matches!(vma.backing, Backing::File { .. }) {
-            report.ptes_copied_file += 1;
-        }
-        if res.ptp_allocated {
-            report.ptps_allocated += 1;
-        }
+    for chunk in range.ptps() {
+        let span = VaRange::from_len(chunk, PTP_SPAN);
+        let span = range
+            .intersect(&span)
+            .expect("the range touches its chunks");
+        let mut copy = ChunkCopy::new(chunk);
+        let copied = copy_vma_ptes_in_chunk(
+            parent,
+            child,
+            ptps,
+            phys,
+            vma,
+            span,
+            child_domain,
+            &mut copy,
+            report,
+        );
+        copy.install(ptps);
+        copied?;
     }
     Ok(())
+}
+
+/// Copies the populated PTEs of `vma` within `range`, which lies in
+/// `copy`'s chunk, into `copy` — [`copy_vma_ptes_in_range`] for one
+/// chunk, for a caller that copies several regions into one chunk
+/// before installing it — and adds what it did to `report`.
+#[allow(clippy::too_many_arguments)]
+pub fn copy_vma_ptes_in_chunk(
+    parent: &Mm,
+    child: &mut Mm,
+    ptps: &mut PtpStore,
+    phys: &mut PhysMem,
+    vma: &Vma,
+    range: VaRange,
+    child_domain: Domain,
+    copy: &mut ChunkCopy,
+    report: &mut ForkReport,
+) -> SatResult<()> {
+    let before = (copy.ptes, copy.protected, copy.ptp_allocated);
+    let mut cm = Mapper::new(&mut child.root, ptps, phys, child.pid);
+    let copied = copy.copy(
+        &parent.root,
+        &mut cm,
+        range,
+        vma.is_private_writable(),
+        child_domain,
+    );
+    let ptes = copy.ptes - before.0;
+    report.ptes_copied += ptes;
+    if matches!(vma.backing, Backing::File { .. }) {
+        report.ptes_copied_file += ptes;
+    }
+    report.cow_protected += copy.protected - before.1;
+    report.ptps_allocated += u64::from(copy.ptp_allocated && !before.2);
+    copied
 }

@@ -340,9 +340,9 @@ mod tests {
         let _ = m;
         // The established large page still translates end to end.
         assert_one_linear_large_page(&f, at);
-        // And tearing the space down leaks nothing.
-        crate::syscalls::exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
-        assert_eq!(f.phys.frames_in_use(), 4);
+        // And tearing the space down, root and all, leaks nothing.
+        crate::syscalls::exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
+        assert_eq!(f.phys.frames_in_use(), 0);
     }
 
     #[test]
@@ -393,7 +393,7 @@ mod tests {
         );
         let _ = m;
         // Teardown balances the books.
-        crate::syscalls::exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
+        crate::syscalls::exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
     }
 
     #[test]
@@ -438,11 +438,10 @@ mod tests {
     #[test]
     fn large_mapped_region_survives_exit_teardown() {
         let mut f = fx();
-        let baseline = f.phys.frames_in_use();
         let at = VirtAddr::new(0x5000_0000);
         promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 2, Perms::RW);
-        crate::syscalls::exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
-        assert_eq!(f.phys.frames_in_use(), baseline);
+        crate::syscalls::exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
+        assert_eq!(f.phys.frames_in_use(), 0);
         assert!(f.ptps.is_empty());
     }
 }

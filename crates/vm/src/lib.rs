@@ -27,7 +27,9 @@ pub mod syscalls;
 pub mod vma;
 
 pub use fault::{handle_fault, FaultCtx, FaultKind, FaultOutcome};
-pub use fork::{copies_ptes, copy_vma_ptes_in_range, ForkPtePolicy, ForkReport};
+pub use fork::{
+    copies_ptes, copy_vma_ptes_in_chunk, copy_vma_ptes_in_range, ForkPtePolicy, ForkReport,
+};
 pub use largepage::{collapse_group, CollapseOutcome, LARGE_PAGE_BYTES};
 pub use mm::{ForkRegions, Mm, MmCounters};
 pub use smaps::{smaps, smaps_rollup, SmapsEntry};

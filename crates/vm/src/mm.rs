@@ -269,12 +269,6 @@ impl Mm {
         Ok(VirtAddr::new(candidate))
     }
 
-    /// Releases the address space's root table. The caller must have
-    /// torn down mappings first (see [`crate::syscalls::exit_mmap`]).
-    pub fn free_root(self, phys: &mut PhysMem) {
-        self.root.free(phys);
-    }
-
     /// The regions a child of this address space inherits: one
     /// allocation of pointers to them, whatever they hold.
     pub fn fork_regions(&self) -> ForkRegions {
@@ -287,11 +281,6 @@ impl Mm {
     /// fork), replacing any held before.
     pub fn adopt_regions(&mut self, regions: ForkRegions) {
         self.vmas = regions.0;
-    }
-
-    /// Removes every region (used by exit).
-    pub(crate) fn clear_vmas(&mut self) {
-        self.vmas = Vec::new();
     }
 }
 

@@ -6,10 +6,10 @@
 //! `sat-core` wrapper unshares affected PTPs first and then calls
 //! these mechanics unchanged.
 
-use sat_mmu::{L1Entry, Mapper, PtpStore};
+use sat_mmu::{release_table, L1Entry, Mapper, PtpStore};
 use sat_phys::{FileId, PhysMem};
 use sat_types::{
-    AccessType, PageSize, Perms, RegionTag, SatError, SatResult, VaRange, VirtAddr,
+    AccessType, PageSize, Perms, Pfn, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr,
     KERNEL_SPACE_START, PAGE_SIZE, PTP_SPAN,
 };
 
@@ -306,30 +306,47 @@ pub fn mprotect(
 
 /// Tears down the whole address space at process exit: drops every
 /// PTP reference (freeing PTPs whose last reference this was, along
-/// with their mappings) and removes all regions.
+/// with their mappings), then frees the root and the regions with the
+/// address space. `shared` is called with the frame of each PTP the
+/// address space reaches through a `NEED_COPY` pair, as its reference
+/// is dropped (the kernel's registry detach).
+///
+/// One pass over the root's table pairs: each pair's frame and
+/// `NEED_COPY` bits come from the words the pass reads, and the pair is
+/// left as it is — the root goes whole.
 ///
 /// Returns the number of PTPs freed outright (as opposed to merely
 /// dereferenced because other processes still share them — the
 /// paper's Section 3.1.2 case 5).
-pub fn exit_mmap(mm: &mut Mm, ptps: &mut PtpStore, phys: &mut PhysMem) -> usize {
-    let chunks: Vec<usize> = mm.root.iter_ptps().map(|(idx, _)| idx).collect();
-    let sections: Vec<usize> = mm.root.iter_sections().collect();
+pub fn exit_mmap(
+    mm: Mm,
+    ptps: &mut PtpStore,
+    phys: &mut PhysMem,
+    mut shared: impl FnMut(Pfn),
+) -> usize {
+    let Mm { pid, mut root, .. } = mm;
+    // Sections are level-1 entries, invisible to the PTP sweep: drop
+    // their frame references directly.
+    let sections: Vec<usize> = root.iter_sections().collect();
+    for idx in sections {
+        Mapper::new(&mut root, ptps, phys, pid).clear_section(VirtAddr::new((idx as u32) << 20));
+    }
     let mut freed = 0;
-    {
-        let mut mapper = Mapper::new(&mut mm.root, ptps, phys, mm.pid);
-        // Sections are level-1 entries, invisible to the PTP sweep:
-        // drop their frame references directly.
-        for idx in sections {
-            mapper.clear_section(VirtAddr::new((idx as u32) << 20));
+    for pair in root.table_pairs() {
+        if pair.need_copy.contains(&true) {
+            shared(pair.ptp);
         }
-        for pair_idx in chunks {
-            let va = VirtAddr::new((pair_idx as u32) << 20);
-            if mapper.release_ptp_pair(va) {
-                freed += 1;
-            }
+        // A table a sharer still reaches through `NEED_COPY` files its
+        // PTEs under the shared-table owner, not under this pid.
+        let owners = pair
+            .need_copy
+            .map(|need_copy| if need_copy { Pid::SHARED_TABLE } else { pid });
+        let chunk = VirtAddr::new((pair.idx as u32) << 20);
+        if release_table(ptps, phys, pair.ptp, chunk, owners) {
+            freed += 1;
         }
     }
-    mm.clear_vmas();
+    root.free(phys);
     freed
 }
 
@@ -516,7 +533,7 @@ mod tests {
             assert_eq!(slot.hw.size, PageSize::Small4K);
         }
         let _ = m;
-        exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
+        exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
     }
 
     #[test]
@@ -621,9 +638,8 @@ mod tests {
         assert!(m.get_pte(VirtAddr::new(at.raw() + 0x8_0000)).is_none());
         assert!(m.get_pte(VirtAddr::new(at.raw() + 0x8_2000)).is_some());
         let _ = m;
-        let baseline = 4; // root table
-        exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
-        assert_eq!(f.phys.frames_in_use(), baseline);
+        exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
+        assert_eq!(f.phys.frames_in_use(), 0); // the root table too
         assert!(f.ptps.is_empty());
     }
 
@@ -636,9 +652,8 @@ mod tests {
         Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
             .collapse_section(at)
             .unwrap();
-        exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
-        assert_eq!(f.phys.frames_in_use(), 4); // just the root table
-        assert_eq!(f.mm.root.section_count(), 0);
+        exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
+        assert_eq!(f.phys.frames_in_use(), 0); // the root table too
         assert!(f.ptps.is_empty());
     }
 
@@ -655,10 +670,9 @@ mod tests {
             FaultCtx::default(),
         )
         .unwrap();
-        let freed = exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
+        let freed = exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
         assert_eq!(freed, 1);
-        assert_eq!(f.mm.vma_count(), 0);
-        assert_eq!(f.phys.frames_in_use(), baseline);
+        assert_eq!(f.phys.frames_in_use(), baseline - 4); // the root too
         assert!(f.ptps.is_empty());
     }
 }

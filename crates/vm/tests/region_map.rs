@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use sat_mmu::PtpStore;
 use sat_phys::{FileId, PhysMem};
 use sat_types::{
     Asid, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, KERNEL_SPACE_START,
@@ -387,7 +388,7 @@ proptest! {
             }
         }
         for member in family {
-            member.mm.free_root(&mut phys);
+            sat_vm::exit_mmap(member.mm, &mut PtpStore::new(), &mut phys, |_| {});
         }
     }
 }
