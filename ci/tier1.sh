@@ -103,11 +103,17 @@ cargo test -q
 # collapse that adds the write bit. With them runs the `mmap`
 # boundary-argument table
 # (crates/core/tests/mmap_args.rs: a length that used to panic in debug
-# and wrap in release). The region list rides in the same packages:
-# crates/vm/tests/region_map.rs (the sorted list of shared regions vs
+# and wrap in release, and an alignment that used to reach
+# `Mm::find_free`'s assertion). The region list rides in the same
+# packages: crates/vm/tests/region_map.rs (the sorted list of shared
+# regions, grouped by 32 and shared copy-on-write a group at a time, vs
 # the `BTreeMap<u32, Vma>` map kept there as the specification, over a
-# family of forked maps — after every op each member equals its twin
-# and no other member has changed) and crates/core/tests/region_args.rs
+# family of forked maps — after every op each member equals its twin,
+# passes `Mm::verify_regions` (the regions sorted and disjoint, each
+# group non-empty, at most 32 long, ascending) and no other member has
+# changed; runs of one-page regions across a wide window take at least
+# a quarter of the cases past 64 regions, three groups, or the test
+# fails) and crates/core/tests/region_args.rs
 # (the refused `munmap` / `mprotect` / write-fault table: an unaligned
 # end inside a region used to reach `Vma::split_at`'s assertion, every
 # refusal on the sharing kernel used to unshare the chunk first — a
@@ -115,7 +121,8 @@ cargo test -q
 # spent frame budget also ran a reclaim pass first — and ranges
 # reaching into kernel space used to be accepted), beside the
 # host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
-# region list, a stock child holding its parent's page-table groups —
+# region list, one pointer a group, and the child's first `mmap` copying
+# one group at its exact size, a stock child holding its parent's page-table groups —
 # a fork of one matched group and of eight making the same allocation
 # calls and keeping the same bytes, so a matched group costs no
 # allocation —
@@ -178,6 +185,26 @@ done
 # break its frozen surface unnoticed (includes `all --smoke`, < 10 s).
 step "benchmark package builds and passes its tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+# Same behaviour, without a hand run: satbench's `rep` (BENCHMARK.json's
+# command) on all five workloads — bench sizing at seeds 7 and 13,
+# smoke sizing at seed 7 — and each `sim_digest` compared with the
+# committed ci/sim_digests.txt (`workload sizing seed digest`, a line
+# each); any difference fails. About 3 s once the step above has built
+# the package. A change that moves simulated behaviour on purpose
+# regenerates the file from this step's output and lists the moved rows
+# in CHANGES.md, as it would for the golden.
+step "satbench sim_digest pins"
+for workload in suite_steady fleet_churn serve_pressure reach_promote binder_ipc; do
+    for run in "bench 7" "bench 13" "smoke 7"; do
+        read -r sizing seed <<<"$run"
+        digest="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            rep --workload "$workload" --sizing "$sizing" --seed "$seed" |
+            sed -n 's/.*, sim_digest //p')"
+        echo "$workload $sizing $seed $digest"
+    done
+done > "$out/sim_digests.txt"
+diff -u ci/sim_digests.txt "$out/sim_digests.txt"
 
 # The four examples README advertises, run through the public API in
 # release (< 1 s together). `cargo test` only builds them, so without

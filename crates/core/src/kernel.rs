@@ -32,7 +32,7 @@ use sat_mmu::{L1Entry, Mapper, PtpStore};
 use sat_phys::{FileRegistry, FrameKind, PhysMem};
 use sat_types::{
     AccessType, Asid, Dacr, Domain, DomainAccess, GrowGently, PageSize, Perms, Pfn, Pid, SatError,
-    SatResult, VaRange, VirtAddr, VpnRange, KERNEL_SPACE_START, L2_ENTRIES, PAGE_SIZE,
+    SatResult, VaRange, VirtAddr, VpnRange, L2_ENTRIES, PAGE_SIZE,
 };
 use sat_vm::{
     check_region_op, demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect,
@@ -151,31 +151,6 @@ fn fault_ctx(config: &KernelConfig, mm: &Mm) -> FaultCtx {
         mark_global: shared,
         domain: if shared { Domain::ZYGOTE } else { Domain::USER },
     }
-}
-
-/// Checks `mm`'s region list for [`Kernel::audit`]: every region
-/// non-empty, page-aligned and ending at or below kernel space, each
-/// starting at or above the end of the one before it — so the list is
-/// sorted and its regions pairwise disjoint.
-fn verify_regions(mm: &Mm) -> Result<(), String> {
-    let mut prev: Option<VaRange> = None;
-    for vma in mm.vmas() {
-        let r = vma.range;
-        if r.is_empty() {
-            return Err(format!("region {r:?} is empty"));
-        }
-        if !r.start.is_page_aligned() || !r.end.is_page_aligned() {
-            return Err(format!("region {r:?} is not page-aligned"));
-        }
-        if r.end.raw() > KERNEL_SPACE_START {
-            return Err(format!("region {r:?} reaches into kernel space"));
-        }
-        if let Some(p) = prev.filter(|p| r.start < p.end) {
-            return Err(format!("region {r:?} starts below the end of {p:?}"));
-        }
-        prev = Some(r);
-    }
-    Ok(())
 }
 
 /// Emits a region operation's [`sat_obs::Payload::RegionOp`] event.
@@ -930,11 +905,10 @@ impl Kernel {
     /// maps a frame mapped more than once), the zygote domain (only a
     /// zygote-like process is granted it, and every global mapping sits
     /// in it), and every live process's root table
-    /// ([`sat_mmu::RootTable::verify`]) and region list (each region
-    /// non-empty, page-aligned and below kernel space; the list sorted
-    /// and disjoint). Returns a description of the first violation
-    /// found. Tests call it after the operations they drive; it reads
-    /// and never changes anything.
+    /// ([`sat_mmu::RootTable::verify`]) and region list
+    /// ([`Mm::verify_regions`]). Returns a description of the first
+    /// violation found. Tests call it after the operations they drive;
+    /// it reads and never changes anything.
     pub fn audit(&self) -> Result<(), String> {
         self.phys.rmap_verify()?;
         self.verify_share_accounting()?;
@@ -945,7 +919,8 @@ impl Kernel {
         for mm in self.procs.iter() {
             let root = mm.root.verify();
             root.map_err(|e| format!("root of {:?}: {e}", mm.pid))?;
-            verify_regions(mm).map_err(|e| format!("regions of {:?}: {e}", mm.pid))?;
+            let regions = mm.verify_regions();
+            regions.map_err(|e| format!("regions of {:?}: {e}", mm.pid))?;
         }
         Ok(())
     }

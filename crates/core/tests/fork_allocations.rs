@@ -1,15 +1,18 @@
 //! A fork pays for the child's region list with one allocation of one
-//! pointer a region, whatever the regions hold; an exit pays nothing a
-//! region. And a stock fork keeps nothing for the page-table groups it
-//! copied word for word.
+//! pointer a group of regions, whatever the regions hold; an exit pays
+//! nothing a region; the child's first `mmap` copies the one group it
+//! lands in. And a stock fork keeps nothing for the page-table groups
+//! it copied word for word.
 //!
-//! A child holds pointers to its parent's regions, not copies
+//! A child holds pointers to its parent's region groups, not copies
 //! (DESIGN.md §17). Pinned here on the host allocator: forking a parent
-//! with 0, 16 and 256 unpopulated regions makes the same *number* of
-//! allocations, the bytes differ by exactly one pointer a region, and
-//! exiting the child makes the same number again. The list leaves the
-//! fork with a little headroom, so the first region the child maps (a
-//! fleet child maps its heap at once) does not reallocate it.
+//! with 16 and 256 unpopulated regions makes one call more than a fork
+//! of none (whose empty list allocates nothing), the bytes beyond it
+//! are one pointer a group, and exiting the child makes the same
+//! number of calls as exiting a child of none. The child's first
+//! region then costs one group, rebuilt one longer in one allocation,
+//! and the same calls and bytes whether the parent held 16 regions or
+//! 256.
 //!
 //! A child also holds its parent's page-table groups until it writes
 //! them (`sat_mmu`'s `groups.rs`), and a group its copy matched costs
@@ -139,25 +142,47 @@ fn fork_map_exit(config: KernelConfig, regions: u32) -> [(u64, u64); 3] {
 }
 
 #[test]
-fn a_fork_allocates_one_pointer_a_region_and_an_exit_nothing() {
+fn a_fork_allocates_one_pointer_a_group_and_an_exit_nothing() {
     let pointer = std::mem::size_of::<usize>() as u64;
+    // A group is held through a slice pointer: an address and a length.
+    let group_pointer = std::mem::size_of::<std::sync::Arc<[usize]>>() as u64;
+    // A child of no regions makes its list at its first `mmap`: a group
+    // of one (the two counts and a pointer) and an outer list of four
+    // group slots, a `Vec`'s first allocation.
+    let list_of_one = (2, (2 * pointer + pointer) + 4 * group_pointer);
     for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
         let [fork_0, map_0, exit_0] = fork_map_exit(config, 0);
         assert!(fork_0.0 > 0, "the counter saw the fork's allocations");
-        for regions in [16, 256] {
+        let [_, map_16, _] = fork_map_exit(config, 16);
+        // Inserted in address order, regions leave every group but the
+        // last at 16 (a split leaves 16 behind) and the last at 17 to
+        // 32: 16 regions are one group, 256 are 15.
+        for (regions, groups) in [(16, 1), (256, 15)] {
             let [fork, map, exit] = fork_map_exit(config, regions);
-            // The same calls as a fork of no regions at all; the bytes
-            // beyond it are the list's, one pointer a region.
-            assert_eq!(fork.0, fork_0.0, "{regions} regions: fork calls");
+            // One call more than a fork of no regions: the list, one
+            // pointer a group.
+            assert_eq!(fork.0, fork_0.0 + 1, "{regions} regions: fork calls");
             assert_eq!(
                 fork.1 - fork_0.1,
-                pointer * u64::from(regions),
+                group_pointer * groups,
                 "{regions} regions: fork bytes"
             );
             assert_eq!(exit.0, exit_0.0, "{regions} regions: exit calls");
-            // The child's first region fits the list as forked: growing
-            // it would have asked for the list's size again, and more.
-            assert_eq!(map, map_0, "{regions} regions: the first mmap");
+            // The child's first region lands in the first group and
+            // copies it one longer, at its exact size: one allocation of
+            // at most a full group and one more pointer, the list itself
+            // unchanged.
+            let group = (
+                map.0 + list_of_one.0 - map_0.0,
+                map.1 + list_of_one.1 - map_0.1,
+            );
+            assert_eq!(group.0, 1, "{regions} regions: the first mmap's calls");
+            assert!(
+                group.1 <= 2 * pointer + pointer * 33,
+                "{regions} regions: the first mmap copied {} bytes",
+                group.1
+            );
+            assert_eq!(map, map_16, "{regions} regions: the first mmap");
         }
     }
 }

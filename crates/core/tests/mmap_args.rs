@@ -1,9 +1,11 @@
 //! `mmap` boundary arguments: a length that rounds past 2³², a fixed
-//! range that wraps the address space, and a fixed range that reaches
-//! into kernel space are refused with `InvalidArgument` — no panic, the
-//! same answer in both profiles (CI runs this file in release too,
-//! where the overflow used to wrap instead of panicking), nothing
-//! inserted and no PTP unshared.
+//! range that wraps the address space, a fixed range that reaches
+//! into kernel space, and a placement alignment that is not a power of
+//! two of at least a page are refused with `InvalidArgument` — no
+//! panic, the same answer in both profiles (CI runs this file in
+//! release too, where the overflow used to wrap instead of panicking,
+//! and the alignment used to reach `Mm::find_free`'s assertion),
+//! nothing inserted and no PTP unshared.
 
 use sat_core::{Kernel, KernelConfig, NoTlb};
 use sat_types::{
@@ -19,7 +21,7 @@ fn anon(len: u32) -> MmapRequest {
 
 #[test]
 fn boundary_arguments_are_refused_and_leave_nothing_behind() {
-    let refused: [(&str, MmapRequest); 8] = [
+    let refused: [(&str, MmapRequest); 12] = [
         ("length rounds to 2^32", anon(0xFFFF_F001)),
         ("length rounds to 2^32", anon(u32::MAX)),
         (
@@ -45,6 +47,16 @@ fn boundary_arguments_are_refused_and_leave_nothing_behind() {
         (
             "no address, longer than user space",
             anon(KERNEL_SPACE_START + PAGE_SIZE),
+        ),
+        ("no address, aligned to 0", anon(PAGE_SIZE).aligned(0)),
+        ("no address, aligned to 1024", anon(PAGE_SIZE).aligned(1024)),
+        (
+            "no address, aligned to 3 pages",
+            anon(PAGE_SIZE).aligned(3 * PAGE_SIZE),
+        ),
+        (
+            "fixed, aligned to 3 pages, in a shared chunk",
+            (anon(PAGE_SIZE).aligned(3 * PAGE_SIZE)).at(VirtAddr::new(HEAP + PTP_SPAN / 2)),
         ),
     ];
     for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {

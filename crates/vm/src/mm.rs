@@ -1,10 +1,13 @@
 //! Per-process address spaces: the `mm_struct` analogue.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sat_mmu::RootTable;
 use sat_phys::PhysMem;
-use sat_types::{Asid, Dacr, Pid, SatError, SatResult, VaRange, VirtAddr, PAGE_SIZE};
+use sat_types::{
+    Asid, Dacr, Pid, SatError, SatResult, VaRange, VirtAddr, KERNEL_SPACE_START, PAGE_SIZE,
+};
 
 use crate::vma::Vma;
 
@@ -70,29 +73,40 @@ pub struct Mm {
     pub is_zygote_child: bool,
     /// Software counters.
     pub counters: MmCounters,
-    /// The regions, sorted by `range.start` and disjoint. A fork hands
-    /// the child pointers to the parent's regions ([`Mm::fork_regions`]),
-    /// so a region may be shared with any number of relatives: every
-    /// change to one goes through `Arc::make_mut` / `Arc::unwrap_or_clone`
-    /// and is seen by this address space alone (DESIGN.md §17).
-    vmas: Vec<Arc<Vma>>,
+    /// The regions, sorted by `range.start` and disjoint, in groups:
+    /// each group a sorted run of at most [`GROUP_MAX`] regions, none
+    /// empty, the groups ascending. A fork hands the child the
+    /// parent's groups ([`Mm::fork_regions`]), so a group — and each
+    /// region in it — may be shared with any number of relatives: a
+    /// change rebuilds the one group it lands in, and a region goes
+    /// through `Arc::make_mut` / `Arc::unwrap_or_clone`, so the change
+    /// is seen by this address space alone (DESIGN.md §17).
+    vmas: Vec<Group>,
 }
 
-/// Spare slots in the region list a fork builds for the child, so the
-/// first few regions the child maps (a fleet child maps its heap right
-/// after the fork) do not double the list.
-const FORK_HEADROOM: usize = 8;
+/// The most regions one group holds. An insert that would make a group
+/// one longer splits it into two halves.
+const GROUP_MAX: usize = 32;
+
+/// A run of consecutive regions in one allocation, shared
+/// copy-on-write between the relatives that hold it and rebuilt, at
+/// its exact new length, whenever its run changes.
+type Group = Arc<[Arc<Vma>]>;
 
 /// A parent's regions on their way to the child of a fork: taken with
 /// [`Mm::fork_regions`], walked by the page-table copy (which borrows
 /// both address spaces mutably), and installed with
-/// [`Mm::adopt_regions`]. Holds pointers, not copies.
-pub struct ForkRegions(Vec<Arc<Vma>>);
+/// [`Mm::adopt_regions`]. Holds pointers to the parent's groups, not
+/// copies.
+pub struct ForkRegions(Vec<Group>);
 
 impl ForkRegions {
     /// Iterates the regions in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Vma> {
-        self.0.iter().map(Arc::as_ref)
+        self.0
+            .iter()
+            .flat_map(|group| group.iter())
+            .map(Arc::as_ref)
     }
 }
 
@@ -119,10 +133,36 @@ impl Mm {
         self.is_zygote || self.is_zygote_child
     }
 
-    /// Index of the first region that ends above `va`: the region
-    /// containing `va` if there is one, else the next one up.
-    fn first_ending_above(&self, va: VirtAddr) -> usize {
-        self.vmas.partition_point(|v| v.range.end <= va)
+    /// Where the first region that ends above `va` is — the region
+    /// containing `va` if there is one, else the next one up: its group
+    /// (found by each group's last end) and its index in that group.
+    /// Past the last region it is `(groups, 0)`.
+    fn first_ending_above(&self, va: VirtAddr) -> (usize, usize) {
+        let g = self
+            .vmas
+            .partition_point(|group| group[group.len() - 1].range.end <= va);
+        let i = self
+            .vmas
+            .get(g)
+            .map_or(0, |group| group.partition_point(|v| v.range.end <= va));
+        (g, i)
+    }
+
+    /// The regions from position `(g, i)` on, in address order.
+    fn regions_from(&self, (g, i): (usize, usize)) -> impl Iterator<Item = &Arc<Vma>> {
+        self.vmas[g..].iter().flat_map(|group| group.iter()).skip(i)
+    }
+
+    /// Puts the `len` regions `run` yields, in order, in place of the
+    /// groups `at`: as one group in one allocation, as none if `len`
+    /// is 0, or — past [`GROUP_MAX`] — as two halves.
+    fn put(&mut self, at: Range<usize>, len: usize, mut run: impl Iterator<Item = Arc<Vma>>) {
+        debug_assert!(len <= 2 * GROUP_MAX);
+        let halves = len > GROUP_MAX;
+        let first = if halves { len / 2 } else { len };
+        let low: Option<Group> = (len > 0).then(|| run.by_ref().take(first).collect());
+        let high: Option<Group> = halves.then(|| run.collect());
+        self.vmas.splice(at, low.into_iter().chain(high));
     }
 
     /// Returns the region containing `va`, if any.
@@ -134,8 +174,10 @@ impl Mm {
     /// keeps the region across a mutable borrow of the address space
     /// clones, instead of the region.
     pub(crate) fn shared_vma_at(&self, va: VirtAddr) -> Option<&Arc<Vma>> {
+        let (g, i) = self.first_ending_above(va);
         self.vmas
-            .get(self.first_ending_above(va))
+            .get(g)
+            .map(|group| &group[i])
             .filter(|v| v.range.contains(va))
     }
 
@@ -143,11 +185,17 @@ impl Mm {
     /// paper's kernel marks the library code the zygote maps (Section
     /// 3.2.2). Returns `false` if no region contains `va`.
     pub fn mark_global(&mut self, va: VirtAddr) -> bool {
-        let at = self.first_ending_above(va);
-        let Some(vma) = self.vmas.get_mut(at).filter(|v| v.range.contains(va)) else {
+        let (g, i) = self.first_ending_above(va);
+        if !self
+            .vmas
+            .get(g)
+            .is_some_and(|group| group[i].range.contains(va))
+        {
             return false;
-        };
-        Arc::make_mut(vma).global = true;
+        }
+        // The group, then the region: each copied first if a relative
+        // holds it, each at its own size.
+        Arc::make_mut(&mut Arc::make_mut(&mut self.vmas[g])[i]).global = true;
         true
     }
 
@@ -158,8 +206,7 @@ impl Mm {
     /// that end above its start and start below its end — are
     /// consecutive from the first that ends above `range.start`.
     pub fn vmas_overlapping(&self, range: VaRange) -> impl Iterator<Item = &Vma> {
-        self.vmas[self.first_ending_above(range.start)..]
-            .iter()
+        self.regions_from(self.first_ending_above(range.start))
             .map(Arc::as_ref)
             .take_while(move |v| v.range.start < range.end)
     }
@@ -171,12 +218,12 @@ impl Mm {
 
     /// Iterates all regions in address order.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.iter().map(Arc::as_ref)
+        self.regions_from((0, 0)).map(Arc::as_ref)
     }
 
     /// Number of regions.
     pub fn vma_count(&self) -> usize {
-        self.vmas.len()
+        self.vmas.iter().map(|group| group.len()).sum()
     }
 
     /// Inserts a region; fails if it overlaps an existing one.
@@ -189,11 +236,31 @@ impl Mm {
         }
         // The new region goes before the first one that ends above its
         // start — which overlaps it unless it starts at or above its end.
-        let at = self.first_ending_above(vma.range.start);
-        if (self.vmas.get(at)).is_some_and(|next| next.range.start < vma.range.end) {
+        let (mut g, mut i) = self.first_ending_above(vma.range.start);
+        if self
+            .regions_from((g, i))
+            .next()
+            .is_some_and(|next| next.range.start < vma.range.end)
+        {
             return Err(SatError::MappingOverlap);
         }
-        self.vmas.insert(at, Arc::new(vma));
+        if g == self.vmas.len() && g > 0 {
+            // Above every region: the end of the last group.
+            g -= 1;
+            i = self.vmas[g].len();
+        }
+        // The group it lands in is rebuilt one longer in its place; the
+        // first region makes the first group.
+        let group = self.vmas.get(g).cloned();
+        let group = group.as_deref().unwrap_or_default();
+        let (below, above) = group.split_at(i);
+        let run = below
+            .iter()
+            .cloned()
+            .chain([Arc::new(vma)])
+            .chain(above.iter().cloned());
+        let replaced = g..g + usize::from(!self.vmas.is_empty());
+        self.put(replaced, group.len() + 1, run);
         Ok(())
     }
 
@@ -210,15 +277,30 @@ impl Mm {
         if range.is_empty() {
             return Vec::new();
         }
-        let lo = self.first_ending_above(range.start);
-        let overlapping = self.vmas[lo..]
-            .iter()
+        let (g, lo) = self.first_ending_above(range.start);
+        let overlapping = self
+            .regions_from((g, lo))
             .take_while(|v| v.range.start < range.end)
             .count();
+        if overlapping == 0 {
+            return Vec::new();
+        }
+        // The groups holding them, `g` to `h`, leave the list as one run
+        // of pointers: a group no relative holds is freed here, so each
+        // region's count says whether a relative holds the region.
+        let (mut h, mut past) = (g, lo + overlapping);
+        while past > self.vmas[h].len() {
+            past -= self.vmas[h].len();
+            h += 1;
+        }
+        let held: usize = self.vmas[g..=h].iter().map(|group| group.len()).sum();
+        let mut run = Vec::with_capacity(held + 1);
+        for group in self.vmas.drain(g..=h) {
+            run.extend_from_slice(&group);
+        }
         // The pieces leave as regions of their own: a region a relative
         // still points at is copied here, and only here.
-        let mut removed: Vec<Vma> = self
-            .vmas
+        let mut removed: Vec<Vma> = run
             .drain(lo..lo + overlapping)
             .map(Arc::unwrap_or_clone)
             .collect();
@@ -236,15 +318,24 @@ impl Mm {
                 tail = Some(Arc::new(last.split_at(range.end)));
             }
         }
-        self.vmas.splice(lo..lo, head.into_iter().chain(tail));
+        run.splice(lo..lo, head.into_iter().chain(tail));
+        self.put(g..g, run.len(), run.into_iter());
         removed
     }
 
     /// Finds a free, `align`-aligned address range of `len` bytes at
     /// or above [`MMAP_BASE`], in the user portion of the address
     /// space.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `align` is a power of two of at least a page
+    /// (`sat_vm::mmap` refuses any other alignment first).
     pub fn find_free(&self, len: u32, align: u32) -> SatResult<VirtAddr> {
-        assert!(align.is_power_of_two() && align >= PAGE_SIZE);
+        assert!(
+            align.is_power_of_two() && align >= PAGE_SIZE,
+            "find_free: alignment {align:#x} is not a power of two of at least a page"
+        );
         let align_up = |addr: u32| addr.checked_add(align - 1).map(|a| a & !(align - 1));
         let mut candidate = match align_up(MMAP_BASE.raw()) {
             Some(c) => c,
@@ -253,7 +344,7 @@ impl Mm {
         // From the first region that ends above the base. One that
         // ends at or below a later candidate re-derives that candidate
         // (the lowest aligned address above the region before it).
-        for vma in &self.vmas[self.first_ending_above(VirtAddr::new(candidate))..] {
+        for vma in self.regions_from(self.first_ending_above(VirtAddr::new(candidate))) {
             if vma.range.start.raw() >= candidate && vma.range.start.raw() - candidate >= len {
                 break;
             }
@@ -263,24 +354,55 @@ impl Mm {
             };
         }
         let end = candidate as u64 + len as u64;
-        if end > sat_types::KERNEL_SPACE_START as u64 {
+        if end > KERNEL_SPACE_START as u64 {
             return Err(SatError::OutOfMemory);
         }
         Ok(VirtAddr::new(candidate))
     }
 
     /// The regions a child of this address space inherits: one
-    /// allocation of pointers to them, whatever they hold.
+    /// allocation of pointers to its groups, whatever they hold.
     pub fn fork_regions(&self) -> ForkRegions {
-        let mut regions = Vec::with_capacity(self.vmas.len() + FORK_HEADROOM);
-        regions.extend_from_slice(&self.vmas);
-        ForkRegions(regions)
+        ForkRegions(self.vmas.clone())
     }
 
     /// Installs the regions inherited from the parent (the end of a
     /// fork), replacing any held before.
     pub fn adopt_regions(&mut self, regions: ForkRegions) {
         self.vmas = regions.0;
+    }
+
+    /// Checks the region list, for `Kernel::audit` and the region-list
+    /// differential: every region non-empty, page-aligned and ending at
+    /// or below kernel space, each starting at or above the end of the
+    /// one before it — so the list is sorted, its regions pairwise
+    /// disjoint and its groups ascending without overlap — and every
+    /// group non-empty and at most 32 (`GROUP_MAX`) long. Returns a
+    /// description of the first violation found.
+    pub fn verify_regions(&self) -> Result<(), String> {
+        for (g, group) in self.vmas.iter().enumerate() {
+            if group.is_empty() || group.len() > GROUP_MAX {
+                return Err(format!("group {g} holds {} regions", group.len()));
+            }
+        }
+        let mut prev: Option<VaRange> = None;
+        for vma in self.vmas() {
+            let r = vma.range;
+            if r.is_empty() {
+                return Err(format!("region {r:?} is empty"));
+            }
+            if !r.start.is_page_aligned() || !r.end.is_page_aligned() {
+                return Err(format!("region {r:?} is not page-aligned"));
+            }
+            if r.end.raw() > KERNEL_SPACE_START {
+                return Err(format!("region {r:?} reaches into kernel space"));
+            }
+            if let Some(p) = prev.filter(|p| r.start < p.end) {
+                return Err(format!("region {r:?} starts below the end of {p:?}"));
+            }
+            prev = Some(r);
+        }
+        Ok(())
     }
 }
 
@@ -394,6 +516,56 @@ mod tests {
             mm.find_free(2 * PAGE_SIZE, PAGE_SIZE).unwrap().raw(),
             0x4000_3000
         );
+    }
+
+    /// The lengths of `mm`'s groups.
+    fn groups(mm: &Mm) -> Vec<usize> {
+        mm.vmas.iter().map(|group| group.len()).collect()
+    }
+
+    #[test]
+    fn a_full_group_splits_in_halves_and_an_emptied_one_goes() {
+        let (_p, mut mm) = mm();
+        for i in 0..33 {
+            mm.insert_vma(anon(0x4000_0000 + 2 * i * PAGE_SIZE, 1))
+                .unwrap();
+        }
+        assert_eq!(groups(&mm), [16, 17]);
+        let first_group = VaRange::from_len(VirtAddr::new(0x4000_0000), 32 * PAGE_SIZE);
+        assert_eq!(mm.carve(first_group).len(), 16);
+        assert_eq!(groups(&mm), [17]);
+        mm.verify_regions().unwrap();
+    }
+
+    #[test]
+    fn a_child_copies_only_the_groups_it_changes() {
+        let (mut phys, mut parent) = mm();
+        for i in 0..64 {
+            parent
+                .insert_vma(anon(0x4000_0000 + 2 * i * PAGE_SIZE, 1))
+                .unwrap();
+        }
+        assert_eq!(groups(&parent), [16, 16, 32]);
+        let mut child = Mm::new(&mut phys, Pid::new(2), Asid::new(2)).unwrap();
+        child.adopt_regions(parent.fork_regions());
+        let held = |child: &Mm| -> Vec<bool> {
+            let pairs = parent.vmas.iter().zip(&child.vmas);
+            pairs.map(|(p, c)| Arc::ptr_eq(p, c)).collect()
+        };
+        assert_eq!(held(&child), [true, true, true]);
+        // Below every region: the first group, copied one longer.
+        child.insert_vma(anon(0x3FFF_F000, 1)).unwrap();
+        assert_eq!(
+            (groups(&child), held(&child)),
+            (vec![17, 16, 32], vec![false, true, true])
+        );
+        // The last group's region, marked: that group copied, the
+        // parent's region unmarked.
+        let last = VirtAddr::new(0x4000_0000 + 126 * PAGE_SIZE);
+        assert!(child.mark_global(last));
+        assert_eq!(held(&child), [false, true, false]);
+        assert!(!parent.vma_at(last).unwrap().global);
+        assert!(child.vma_at(last).unwrap().global);
     }
 
     #[test]

@@ -101,10 +101,14 @@ pub fn mmap(mm: &mut Mm, req: &MmapRequest) -> SatResult<VirtAddr> {
     // In u64: in u32, rounding up a length within a page of 2³² wraps,
     // and so does the end of a high fixed range. User space ends at
     // `KERNEL_SPACE_START` for a fixed address as it does for a chosen
-    // one ([`Mm::find_free`]).
+    // one ([`Mm::find_free`]). The alignment is part of the request
+    // whether or not it places it: a power of two of at least a page.
     let len = u64::from(req.len).div_ceil(u64::from(PAGE_SIZE)) * u64::from(PAGE_SIZE);
     let fixed = req.addr.map_or(0, |addr| u64::from(addr.raw()));
     if len == 0 || fixed + len > u64::from(KERNEL_SPACE_START) {
+        return Err(SatError::InvalidArgument);
+    }
+    if !req.align.is_power_of_two() || req.align < PAGE_SIZE {
         return Err(SatError::InvalidArgument);
     }
     let len = len as u32;
