@@ -229,7 +229,20 @@ SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace.json" --out "$out/BEN
 # lossless streams), monotone sample ticks + non-empty gauge names on
 # counter samples, obs section enabled. Exits 1 with a reason.
 step "repro check"
-repro check --trace "$out/trace.json" --out "$out/BENCH_repro.json"
+repro check --trace "$out/trace.json" --out "$out/BENCH_repro.json" | tee "$out/check.txt"
+
+# The same artifacts read end to end: `check` of the whole suite must
+# not warn that a frame budget never bit or that the promotion scanner
+# never fired (both key on what the snapshot's records carry, not on
+# the verb), and `report` renders the real run's rollup in all three
+# formats and sliced to one experiment's bracket. Each must exit 0.
+step "repro check says no warning; repro report text, json, folded, --experiment"
+says "$out/check.txt" 0 "the frame budget never bit"
+says "$out/check.txt" 0 "the promotion scanner never fired"
+for format in text json folded; do
+    repro report "$out/trace.json" --format "$format" > /dev/null
+done
+repro report "$out/trace.json" --experiment serve_shared > /dev/null
 
 # Time-series smoke: rebucket the traced run into windows and render the
 # gauge series (counter-track re-ingest + experiment filter).
@@ -257,19 +270,23 @@ says "$out/serve_check.txt" 0 "blame attribution is partial"
 repro tails "$out/serve.json" --top 5 | tee "$out/serve_tails.txt"
 says "$out/serve_tails.txt" 2 "attribution exact: 96 flows reconcile"
 
-# Pressure smoke: the serve pair under a tight frame budget (75% of the
-# measured 1,632-frame quick-scale peak) so the reclaim subsystem runs
-# end-to-end: clock-LRU eviction, rmap tears through shared PTPs,
-# refault repopulation. check validates the snapshot's reclaim totals
-# and must NOT print "the frame budget never bit" (it warns — like
-# partial attribution — when a budgeted run reclaimed nothing).
-step "repro serve --quick --mem-frames 1224 (traced), check, tails"
-SAT_OBS_RING=2097152 repro serve --quick --mem-frames 1224 \
-    --trace "$out/serve_mem.json" --out "$out/BENCH_serve_mem.json"
-repro check --trace "$out/serve_mem.json" --out "$out/BENCH_serve_mem.json" \
-    | tee "$out/serve_mem_check.txt"
-says "$out/serve_mem_check.txt" 0 "the frame budget never bit"
-repro tails "$out/serve_mem.json" --top 3
+# Pressure smoke: the serve pair under the budgets `repro pressure`
+# derives from the measured 1,632-frame quick-scale peak (inf, tight
+# 15/16, starved 3/4), so the reclaim subsystem runs end-to-end:
+# clock-LRU eviction, rmap tears through shared PTPs, refault
+# repopulation. The ~286k events need the raised ring to stay
+# lossless. check validates the snapshot's reclaim totals and must NOT
+# print "the frame budget never bit" (it warns — like partial
+# attribution — when no budgeted cell reclaimed), and tails must print
+# "attribution exact: 96 flows reconcile" for each of the six cells.
+step "repro pressure --quick (traced), check, tails"
+SAT_OBS_RING=2097152 repro pressure --quick \
+    --trace "$out/pressure.json" --out "$out/BENCH_pressure.json"
+repro check --trace "$out/pressure.json" --out "$out/BENCH_pressure.json" \
+    | tee "$out/pressure_check.txt"
+says "$out/pressure_check.txt" 0 "the frame budget never bit"
+repro tails "$out/pressure.json" --top 3 | tee "$out/pressure_tails.txt"
+says "$out/pressure_tails.txt" 6 "attribution exact: 96 flows reconcile"
 
 # Translation-reach smoke: the promotion engine collapses the Figure 4
 # working set into 64KB pages (stock vs shared vs promoted), two apps

@@ -1,15 +1,14 @@
 //! Ablations for the design choices discussed in Sections 3.1.3 and
 //! 3.2.3.
 
-use sat_android::{launch_app, AndroidSystem, LibraryLayout};
+use sat_android::{launch_app, LibraryLayout};
 use sat_core::{CopyOnUnshare, KernelConfig, TlbProtection};
 use sat_types::{AccessType, Perms, SatResult, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
 use crate::launchbench::launch_opts;
-use crate::motivation::SEED;
 use crate::render::Table;
-use crate::zygotebench::{boot_opts, profiles};
+use crate::zygotebench::profiles;
 use crate::Scale;
 
 /// Ablation 1 (Section 3.1.3, "Whether Page Table Entries Should Be
@@ -34,8 +33,7 @@ pub fn ablation_unshare(scale: Scale) -> SatResult<String> {
             copy_on_unshare: policy,
             ..KernelConfig::shared_ptp()
         };
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let p = profiles(&sys, scale).remove(0);
         let (pid, _) = launch_app(&mut sys, &launch_opts(scale))?;
         let slot = sys.attach_app(pid, p)?;
@@ -69,8 +67,7 @@ pub fn ablation_hw_assist(scale: Scale) -> SatResult<String> {
             l1_write_protect: l1_wp,
             ..KernelConfig::shared_ptp()
         };
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let (outcome, cycles) = sys.machine.fork(0, sys.zygote)?;
         t.row(vec![
             label.to_string(),
@@ -99,8 +96,7 @@ pub fn ablation_stack(scale: Scale) -> SatResult<String> {
             share_stack,
             ..KernelConfig::shared_ptp()
         };
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let (outcome, _) = sys.machine.fork(0, sys.zygote)?;
         sys.machine.context_switch(0, outcome.child)?;
         // The child touches its stack immediately.
@@ -142,8 +138,7 @@ pub fn ablation_tlb_protection(scale: Scale) -> SatResult<String> {
             tlb_protection: protection,
             ..KernelConfig::shared_ptp_tlb()
         };
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         // A zygote-child app alternating with a non-zygote daemon that
         // runs its own code at non-overlapping addresses.
         let (app_outcome, _) = sys.machine.fork(0, sys.zygote)?;
@@ -224,30 +219,21 @@ pub fn all(scale: Scale) -> SatResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::cell;
 
     #[test]
     fn hw_assist_removes_write_protect_pass() {
         let out = ablation_hw_assist(Scale::Quick).unwrap();
         // The assist row reports zero write-protect operations.
-        let assist_line = out
-            .lines()
-            .find(|l| l.contains("Hypothetical"))
-            .unwrap()
-            .to_string();
-        assert!(
-            assist_line.trim_end().ends_with("| 0 |") || assist_line.contains("| 0 "),
-            "{assist_line}"
-        );
+        assert_eq!(cell::<u64>(&out, &["Hypothetical L1 assist"], 3), 0);
     }
 
     #[test]
     fn sharing_stack_forces_immediate_unshare() {
         let out = ablation_stack(Scale::Quick).unwrap();
-        let share_line = out.lines().find(|l| l.contains("Share stack")).unwrap();
-        let cells: Vec<&str> = share_line.split('|').map(str::trim).collect();
         // PTEs copied at fork drops to 0, but the first write unshares.
-        let copied: u64 = cells[2].parse().unwrap();
-        let unshares: u64 = cells[4].parse().unwrap();
+        let copied: u64 = cell(&out, &["Share stack"], 2);
+        let unshares: u64 = cell(&out, &["Share stack"], 4);
         assert_eq!(copied, 0);
         assert!(unshares >= 1);
     }
@@ -255,19 +241,15 @@ mod tests {
     #[test]
     fn flush_on_switch_flushes_more() {
         let out = ablation_tlb_protection(Scale::Quick).unwrap();
-        let get = |label: &str, col: usize| -> u64 {
-            let line = out.lines().find(|l| l.contains(label)).unwrap();
-            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-            cells[col].parse().unwrap()
-        };
-        let domain_flushes = get("Domain faults", 4);
+        let get = |label, col| -> u64 { cell(&out, &[label], col) };
+        let domain_flushes = get("Domain faults (paper)", 4);
         let switch_flushes = get("Flush on switch", 4);
         assert!(switch_flushes > domain_flushes);
         // The precise scheme actually takes domain faults.
-        assert!(get("Domain faults", 3) > 0);
+        assert!(get("Domain faults (paper)", 3) > 0);
         assert_eq!(get("Flush on switch", 3), 0);
         // Domain-fault mode costs the app fewer TLB stalls.
-        let domain_stall = get("Domain faults", 2);
+        let domain_stall = get("Domain faults (paper)", 2);
         let switch_stall = get("Flush on switch", 2);
         assert!(
             domain_stall <= switch_stall,
@@ -278,13 +260,8 @@ mod tests {
     #[test]
     fn unshare_policy_tradeoff_visible() {
         let out = ablation_unshare(Scale::Quick).unwrap();
-        let get = |label: &str, col: usize| -> u64 {
-            let line = out.lines().find(|l| l.contains(label)).unwrap();
-            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-            cells[col].parse().unwrap()
-        };
-        let all_copied = get("Copy all", 2);
-        let ref_copied = get("Referenced only", 2);
+        let all_copied: u64 = cell(&out, &["Copy all (paper)"], 2);
+        let ref_copied: u64 = cell(&out, &["Referenced only"], 2);
         assert!(ref_copied <= all_copied);
     }
 }

@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! repro <experiment> [--quick] [--trace <path>] [--out <path>]
-//! repro serve [--mem-frames N] [--quick] [--trace <path>] [--out <path>]
 //! repro check [--trace <path>] [--out <path>]
 //! repro report [--trace] <trace.json> [--format text|json|folded] [--experiment <name>]
 //! repro timeline [--trace] <trace.json> [--window N] [--experiment <name>]
@@ -33,15 +32,14 @@
 //!
 //! `--quick` runs scaled-down workloads (seconds instead of minutes).
 //!
-//! `--mem-frames N` (serve only) installs a physical-frame budget of N
-//! frames before the servers fork: allocations that cross the low
-//! watermark trigger LRU reclaim, which evicts file page-cache frames
-//! and tears the PTEs mapping them — through the shared PTP when one
-//! exists — so the working set refaults under pressure. The serve
-//! table grows reclaim columns and the snapshot records carry a
-//! `"mem_frames"` param and `reclaim.*` metrics. The `pressure` experiment
-//! runs the whole stock-vs-shared grid over budgets it derives itself
-//! (`inf`/`tight`/`starved` from the uncapped peak footprint).
+//! `repro pressure` is the one way to serve under a physical-frame
+//! budget: it runs the stock-vs-shared serve pair over budgets it
+//! derives from the uncapped peak footprint (`inf`/`tight`/`starved`).
+//! Allocations that cross the low watermark trigger LRU reclaim, which
+//! evicts file page-cache frames and tears the PTEs mapping them —
+//! through the shared PTP when one exists — so the working set
+//! refaults under pressure; the finite cells' records carry a
+//! `"mem_frames"` param and `reclaim.*` metrics.
 //!
 //! `--trace <path>` installs the `sat-obs` recorder for the whole run
 //! and writes a Chrome trace-event JSON (load it at `chrome://tracing`
@@ -65,8 +63,9 @@
 //! plus per-gauge min/max/high-water — and `--experiment <name>`
 //! slices either verb to one experiment's `exp.<name>` bracket.
 //! `repro tails` rebuilds per-request critical paths from the
-//! `Flow*`/`CycleCharge` stream of a traced serve run and prints the
-//! `--top K` slowest requests with their blame broken down by cause
+//! `Flow*`/`CycleCharge` stream of a traced serve or pressure run and
+//! prints the `--top K` slowest requests with their blame broken down
+//! by cause, one section per `exp.<name>` bracket that carries flows
 //! (exact on lossless traces: every request's charges sum to its
 //! wall). `repro diff` compares two snapshots for equality — every
 //! record's params, metrics and events, and the run-wide counters —
@@ -148,8 +147,6 @@ struct Cli {
     experiment: Option<String>,
     /// Slowest requests `repro tails` breaks down.
     top: usize,
-    /// Physical-frame budget for `repro serve` (None = uncapped).
-    mem_frames: Option<u64>,
 }
 
 /// Parses a numeric flag value: `bad <flag> '<raw>' (want <want>)`
@@ -173,7 +170,7 @@ const TOOLS: [&str; 5] = ["check", "report", "timeline", "tails", "diff"];
 const EXPERIMENTS: &str = "the experiments";
 
 /// Every flag and the verbs that read it; any other verb refuses it.
-const FLAGS: [(&str, &[&str]); 8] = [
+const FLAGS: [(&str, &[&str]); 7] = [
     ("--quick", &[EXPERIMENTS]),
     (
         "--trace",
@@ -184,7 +181,6 @@ const FLAGS: [(&str, &[&str]); 8] = [
     ("--window", &["timeline"]),
     ("--experiment", &["report", "timeline", "tails"]),
     ("--top", &["tails"]),
-    ("--mem-frames", &["serve"]),
 ];
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -198,7 +194,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         window: 0,
         experiment: None,
         top: 10,
-        mem_frames: None,
     };
     let mut positionals = Vec::new();
     let mut given = Vec::new();
@@ -222,7 +217,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--window" => cli.window = number(arg, value("a tick count")?, 1, INT)?,
             "--experiment" => cli.experiment = Some(value("a name")?.clone()),
             "--top" => cli.top = number(arg, value("a count")?, 1, INT)?,
-            "--mem-frames" => cli.mem_frames = Some(number(arg, value("a frame count")?, 1, INT)?),
             flag if flag.starts_with("--") => {
                 let known: Vec<&str> = FLAGS.iter().map(|f| f.0).collect();
                 return Err(format!(
@@ -343,7 +337,7 @@ fn run_and_record(cli: &Cli) -> Fallible {
     }
     let mut records = Vec::new();
     let started = Instant::now();
-    let output = run(&cli.cmd, cli.scale, cli.mem_frames, &mut records)?;
+    let output = run(&cli.cmd, cli.scale, &mut records)?;
     let recording = cli.trace.as_ref().and_then(|_| sat_obs::uninstall());
     if let (Some(path), Some(rec)) = (&cli.trace, &recording) {
         if let Err(e) = std::fs::write(path, sat_obs::chrome_trace_json(rec)) {
@@ -421,8 +415,6 @@ fn timed<T>(
 /// one in run order.
 struct Cells<'a> {
     scale: Scale,
-    /// `--mem-frames` (`serve` only).
-    mem_frames: Option<u64>,
     names: std::vec::IntoIter<String>,
     records: &'a mut Vec<Record>,
 }
@@ -587,9 +579,9 @@ fn lookup(cmd: &str) -> Option<&'static Verb> {
 }
 
 impl Verb {
-    /// Snapshot record names of an unbudgeted run, in run order. The
-    /// table is their one source: `repro diff` keys on them, and the
-    /// grid runners are handed them, never spell them.
+    /// Snapshot record names, in run order. The table is their one
+    /// source: `repro diff` keys on them, and the grid runners are
+    /// handed them, never spell them.
     fn records(&self, scale: Scale) -> Vec<String> {
         match self.runner {
             Single(_) => vec![self.name.to_string()],
@@ -598,22 +590,14 @@ impl Verb {
     }
 
     /// Runs the verb, appending its records.
-    fn run(&self, records: &mut Vec<Record>, scale: Scale, mem_frames: Option<u64>) -> Fallible {
+    fn run(&self, records: &mut Vec<Record>, scale: Scale) -> Fallible {
         match self.runner {
             Single(body) => Ok(timed(records, self.name, |_| Ok((body(scale)?, ())))?.0),
-            Grid { run, .. } => {
-                // Budgeted runs get `_mem`-suffixed record names, so
-                // diffing against an uncapped baseline never pits
-                // capped tails against uncapped ones.
-                let suffix = mem_frames.map_or("", |_| "_mem");
-                let names = self.records(scale).into_iter().map(|n| n + suffix);
-                run(&mut Cells {
-                    scale,
-                    mem_frames,
-                    names: names.collect::<Vec<_>>().into_iter(),
-                    records,
-                })
-            }
+            Grid { run, .. } => run(&mut Cells {
+                scale,
+                names: self.records(scale).into_iter(),
+                records,
+            }),
         }
     }
 }
@@ -621,14 +605,13 @@ impl Verb {
 /// Runs both serve kernels as separate timed records, then the
 /// cross-kernel summary line.
 fn run_serve_pair(cells: &mut Cells) -> Fallible {
-    let (scale, budget) = (cells.scale, cells.mem_frames);
+    let scale = cells.scale;
     let mut s = String::new();
     let mut reports = Vec::new();
     for (_, label, config) in servebench::serve_kernels() {
         let (text, report) = cells.timed(|rec| {
-            let (text, r) = servebench::serve_kernel(scale, label, config, budget)?;
-            rec.params.extend(budget.map(|n| ("mem_frames", n)));
-            rec.add_metrics(servebench::snapshot_metrics(&r, budget.is_some()));
+            let (text, r) = servebench::serve_kernel(scale, label, config)?;
+            rec.add_metrics(servebench::snapshot_metrics(&r, false));
             Ok((text, r))
         })?;
         s.push_str(&text);
@@ -684,18 +667,18 @@ fn run_fleet_grid(cells: &mut Cells) -> Fallible {
     Ok(s)
 }
 
-fn run(cmd: &str, scale: Scale, mem_frames: Option<u64>, records: &mut Vec<Record>) -> Fallible {
+fn run(cmd: &str, scale: Scale, records: &mut Vec<Record>) -> Fallible {
     if cmd == "all" {
         let mut s = format!(
             "# Shared Address Translation Revisited — experiment suite ({scale:?} scale)\n\n"
         );
         for verb in VERBS.iter().filter(|v| v.in_all) {
-            s.push_str(&verb.run(records, scale, None)?);
+            s.push_str(&verb.run(records, scale)?);
         }
         return Ok(s);
     }
     match lookup(cmd) {
-        Some(verb) => verb.run(records, scale, mem_frames),
+        Some(verb) => verb.run(records, scale),
         None => {
             let verbs: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
             Err(format!("unknown experiment '{cmd}' (try: {} all)", verbs.join(" ")).into())
@@ -782,38 +765,48 @@ fn timeline(trace_path: &str, window: u64, experiment: Option<&str>) -> Fallible
     Ok(sat_obs::report::render_timeline(&tl))
 }
 
-/// Re-ingests a trace and renders per-request tail blame. Defaults to
-/// the serve experiments' `exp.serve_*` brackets when present (each
-/// gets its own section); `--experiment` narrows to one bracket, and a
-/// trace with flows but no brackets is read whole.
+/// Re-ingests a trace and renders per-request tail blame: one section
+/// per `exp.<name>` bracket that carries flows, in run order.
+/// `--experiment` narrows to one bracket, and a trace whose flows lie
+/// in no bracket is read whole.
 fn tails(trace_path: &str, top: usize, experiment: Option<&str>) -> Fallible {
+    use sat_obs::analyze::{filter_experiment, FlowTable};
     let (all_events, dropped) = load_trace(trace_path, None)?;
-    let slices: Vec<(String, Vec<sat_obs::Event>)> = match experiment {
-        Some(name) => vec![(
-            name.to_string(),
-            sat_obs::analyze::filter_experiment(&all_events, name)?,
-        )],
+    let flows = |events: &[sat_obs::Event]| {
+        Some(FlowTable::from_events(events)).filter(|t| t.completed() > 0 || t.charges > 0)
+    };
+    let mut tables: Vec<(String, FlowTable)> = Vec::new();
+    match experiment {
+        Some(name) => {
+            let events = filter_experiment(&all_events, name)?;
+            tables.extend(flows(&events).map(|t| (name.to_string(), t)));
+        }
         None => {
-            // Every bracket that can carry flows: the serve kernels,
-            // their budgeted `_mem` variants, and the pressure cells.
-            let mut candidates: Vec<String> = Vec::new();
-            for (name, _, _) in servebench::serve_kernels() {
-                candidates.push(name.to_string());
-                candidates.push(format!("{name}_mem"));
-            }
-            candidates.extend(pressurebench::record_names());
-            let mut v = Vec::new();
-            for name in &candidates {
-                if let Ok(events) = sat_obs::analyze::filter_experiment(&all_events, name) {
-                    v.push((name.clone(), events));
+            // The brackets by first begin, which is run order.
+            let mut brackets: Vec<&str> = Vec::new();
+            for event in &all_events {
+                if let sat_obs::Payload::SpanBegin { name } = &event.payload {
+                    match name.strip_prefix("exp.") {
+                        Some(exp) if !brackets.contains(&exp) => brackets.push(exp),
+                        _ => {}
+                    }
                 }
             }
-            if v.is_empty() {
-                v.push(("whole trace".to_string(), all_events));
+            for name in brackets {
+                let events = filter_experiment(&all_events, name)?;
+                tables.extend(flows(&events).map(|t| (name.to_string(), t)));
             }
-            v
+            if tables.is_empty() {
+                tables.extend(flows(&all_events).map(|t| ("whole trace".to_string(), t)));
+            }
         }
-    };
+    }
+    if tables.is_empty() {
+        return Err(
+            "no flow events in this trace (produce one with: repro serve --quick --trace <path>)"
+                .into(),
+        );
+    }
     let mut out = String::new();
     if dropped > 0 {
         out.push_str(&format!(
@@ -821,21 +814,9 @@ fn tails(trace_path: &str, top: usize, experiment: Option<&str>) -> Fallible {
              blame attribution is partial\n\n"
         ));
     }
-    let mut any = false;
-    for (label, events) in &slices {
-        let table = sat_obs::analyze::FlowTable::from_events(events);
-        if table.completed() == 0 && table.charges == 0 {
-            continue;
-        }
-        any = true;
-        out.push_str(&sat_obs::report::render_tails(label, &table, top));
+    for (label, table) in &tables {
+        out.push_str(&sat_obs::report::render_tails(label, table, top));
         out.push('\n');
-    }
-    if !any {
-        return Err(
-            "no flow events in this trace (produce one with: repro serve --quick --trace <path>)"
-                .into(),
-        );
     }
     Ok(out)
 }

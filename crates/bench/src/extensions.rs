@@ -4,13 +4,11 @@
 //! lives in [`crate::reachbench`] now, driven by the real promotion
 //! engine instead of an eager mapping loop.)
 
-use sat_android::{AndroidSystem, LibraryLayout};
+use sat_android::LibraryLayout;
 use sat_core::KernelConfig;
 use sat_types::{AccessType, VirtAddr, PAGE_SIZE};
 
-use crate::motivation::SEED;
 use crate::render::{count, pct, Table};
-use crate::zygotebench::boot_opts;
 use crate::Scale;
 
 /// Process counts of the scalability sweep per scale (the grid is one
@@ -43,8 +41,7 @@ pub fn scalability(scale: Scale) -> sat_types::SatResult<String> {
     );
     // Every (process count, kernel config) cell boots its own system.
     let cell = |n: usize, config: KernelConfig| -> sat_types::SatResult<usize> {
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let mut pids = Vec::new();
         for _ in 0..n {
             let (o, _) = sys.machine.fork(0, sys.zygote)?;
@@ -105,13 +102,7 @@ pub fn grouped_layout(scale: Scale) -> sat_types::SatResult<String> {
         ("2MB-aligned", LibraryLayout::Aligned2Mb),
         ("Grouped", LibraryLayout::Grouped),
     ] {
-        let mut sys = AndroidSystem::boot(
-            KernelConfig::shared_ptp(),
-            layout,
-            SEED,
-            11,
-            boot_opts(scale),
-        )?;
+        let mut sys = crate::boot(KernelConfig::shared_ptp(), layout, scale)?;
         let va_mb = (sys.map.end.raw() - sat_android::layout::LIB_BASE) as f64 / (1 << 20) as f64;
         let opts = crate::launchbench::launch_opts(scale);
         let (pid, _) = sat_android::launch_app(&mut sys, &opts)?;
@@ -154,8 +145,7 @@ pub fn pte_pollution(scale: Scale) -> sat_types::SatResult<String> {
         ("Stock Android", KernelConfig::stock()),
         ("Shared PTP", KernelConfig::shared_ptp()),
     ] {
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let mut pids = vec![sys.zygote];
         for _ in 0..procs {
             pids.push(sys.machine.fork(0, sys.zygote)?.0.child);
@@ -229,8 +219,7 @@ pub fn memory_accounting(scale: Scale) -> sat_types::SatResult<String> {
         ("Stock Android", KernelConfig::stock()),
         ("Shared PTP", KernelConfig::shared_ptp()),
     ] {
-        let mut sys =
-            AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let opts = crate::launchbench::launch_opts(scale);
         let (pid, _) = sat_android::launch_app(&mut sys, &opts)?;
         let mm = sys.machine.kernel.mm(pid)?;
@@ -264,18 +253,15 @@ pub fn all(scale: Scale) -> sat_types::SatResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::cell;
 
     #[test]
     fn scalability_shows_constant_shared_ptps() {
         let out = scalability(Scale::Quick).unwrap();
-        // Parse the duplication factors: they must grow with N.
-        let factors: Vec<f64> = out
-            .lines()
-            .filter(|l| l.starts_with('|') && !l.contains("processes") && !l.contains("--"))
-            .filter_map(|l| {
-                let cell = l.split('|').nth(6)?.trim();
-                cell.strip_suffix('x')?.parse().ok()
-            })
+        // The duplication factors must grow with N.
+        let factors: Vec<f64> = scalability_counts(Scale::Quick)
+            .iter()
+            .map(|n| cell(&out, &[&n.to_string()], 6))
             .collect();
         assert!(factors.len() >= 2);
         assert!(
@@ -287,16 +273,7 @@ mod tests {
     #[test]
     fn shared_ptps_collapse_duplicate_pte_lines() {
         let out = pte_pollution(Scale::Quick).unwrap();
-        let lines = |label: &str| -> u64 {
-            let line = out.lines().find(|l| l.contains(label)).unwrap();
-            line.split('|')
-                .nth(2)
-                .unwrap()
-                .trim()
-                .replace(',', "")
-                .parse()
-                .unwrap()
-        };
+        let lines = |label| -> u64 { cell(&out, &[label], 2) };
         assert!(
             lines("Stock Android") >= 2 * lines("Shared PTP"),
             "stock {} vs shared {}",
@@ -308,16 +285,7 @@ mod tests {
     #[test]
     fn shared_kernel_slashes_pagetable_pss() {
         let out = memory_accounting(Scale::Quick).unwrap();
-        let pt = |label: &str| -> u64 {
-            let line = out.lines().find(|l| l.contains(label)).unwrap();
-            line.split('|')
-                .nth(5)
-                .unwrap()
-                .trim()
-                .replace(',', "")
-                .parse()
-                .unwrap()
-        };
+        let pt = |label| -> u64 { cell(&out, &[label], 5) };
         assert!(
             pt("Shared PTP") < pt("Stock Android"),
             "shared {} vs stock {}",
@@ -329,10 +297,7 @@ mod tests {
     #[test]
     fn grouped_layout_compromise() {
         let out = grouped_layout(Scale::Quick).unwrap();
-        let va = |label: &str| -> f64 {
-            let line = out.lines().find(|l| l.contains(label)).unwrap();
-            line.split('|').nth(2).unwrap().trim().parse().unwrap()
-        };
+        let va = |label| -> f64 { cell(&out, &[label], 2) };
         assert!(va("Grouped") < va("2MB-aligned") / 2.0);
     }
 }

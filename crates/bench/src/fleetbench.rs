@@ -111,19 +111,7 @@ pub fn fleet_n(apps: usize, cores: usize) -> sat_types::SatResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cell_value(out: &str, kernel: &str, col: usize) -> u64 {
-        out.lines()
-            .find(|l| l.starts_with('|') && l.contains(kernel))
-            .unwrap_or_else(|| panic!("no row for {kernel}"))
-            .split('|')
-            .nth(col)
-            .unwrap()
-            .trim()
-            .replace(',', "")
-            .parse()
-            .unwrap()
-    }
+    use crate::render::cell;
 
     #[test]
     fn fleet_cell_is_deterministic_and_shared_forks_cheaper() {
@@ -131,17 +119,18 @@ mod tests {
         let a = fleet_n(apps, cores).unwrap();
         let b = fleet_n(apps, cores).unwrap();
         assert_eq!(a, b, "fleet table must be byte-identical across runs");
-        let stock_faults = cell_value(&a, "Stock Android", 4);
-        let shared_faults = cell_value(&a, "Shared PTP & TLB", 4);
+        let at = |kernel, col| -> u64 { cell(&a, &[kernel], col) };
+        let stock_faults = at("Stock Android", 4);
+        let shared_faults = at("Shared PTP & TLB", 4);
         assert!(
             shared_faults < stock_faults,
             "shared fleet faults {shared_faults} not below stock {stock_faults}"
         );
-        let share_forks = cell_value(&a, "Shared PTP & TLB", 2);
+        let share_forks = at("Shared PTP & TLB", 2);
         assert_eq!(share_forks, apps as u64, "every fork must share");
         // Stock never shares, and both kernels print a lone zygote.
-        assert_eq!(cell_value(&a, "Stock Android", 2), 0);
-        assert_eq!(cell_value(&a, "Stock Android", 7), 1);
-        assert_eq!(cell_value(&a, "Shared PTP & TLB", 7), 1);
+        assert_eq!(at("Stock Android", 2), 0);
+        assert_eq!(at("Stock Android", 7), 1);
+        assert_eq!(at("Shared PTP & TLB", 7), 1);
     }
 }

@@ -1,14 +1,10 @@
 //! The binder IPC experiment: Figure 13 (Section 4.2.4).
 
-use sat_android::{
-    run_binder_benchmark, AndroidSystem, BinderOptions, BinderReport, LibraryLayout,
-};
+use sat_android::{run_binder_benchmark, BinderOptions, BinderReport, LibraryLayout};
 use sat_core::KernelConfig;
 use sat_types::SatResult;
 
-use crate::motivation::SEED;
 use crate::render::Table;
-use crate::zygotebench::boot_opts;
 use crate::Scale;
 
 /// Binder sizing per scale.
@@ -21,7 +17,7 @@ pub fn binder_opts(scale: Scale) -> BinderOptions {
 
 /// Runs the microbenchmark under one configuration.
 pub fn run_config(config: KernelConfig, scale: Scale) -> SatResult<BinderReport> {
-    let mut sys = AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))?;
+    let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
     run_binder_benchmark(&mut sys, &binder_opts(scale))
 }
 

@@ -1,13 +1,11 @@
 //! Application-launch experiments: Figures 7, 8, and 9
 //! (Section 4.2.2).
 
-use sat_android::{launch_app, AndroidSystem, LaunchOptions, LaunchReport, LibraryLayout};
+use sat_android::{launch_app, LaunchOptions, LaunchReport, LibraryLayout};
 use sat_core::{KernelConfig, NoTlb};
 use sat_types::SatResult;
 
-use crate::motivation::SEED;
 use crate::render::{count, FiveNum, Table};
-use crate::zygotebench::boot_opts;
 use crate::Scale;
 
 /// The four launch configurations of Figures 7-9.
@@ -52,7 +50,7 @@ pub fn run_launches(
     scale: Scale,
     n: usize,
 ) -> SatResult<Vec<LaunchReport>> {
-    let mut sys = AndroidSystem::boot(config, layout, SEED, 11, boot_opts(scale))?;
+    let mut sys = crate::boot(config, layout, scale)?;
     let opts = launch_opts(scale);
     let mut reports = Vec::new();
     for _ in 0..n {
@@ -72,7 +70,8 @@ pub fn repetitions(scale: Scale) -> usize {
 }
 
 /// Figures 7-9 plus the per-launch fork cost, in one sweep: each of
-/// the four configuration cells boots its own system from [`SEED`].
+/// the four configuration cells boots its own system from
+/// [`crate::motivation::SEED`].
 pub fn launch_experiment(scale: Scale) -> SatResult<String> {
     let n = repetitions(scale);
     let mut all: Vec<(&str, Vec<LaunchReport>)> = Vec::new();

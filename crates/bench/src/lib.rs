@@ -9,6 +9,10 @@
 
 #![forbid(unsafe_code)]
 
+use sat_android::{AndroidSystem, BootOptions, LibraryLayout};
+use sat_core::KernelConfig;
+use sat_types::SatResult;
+
 pub mod ablation;
 pub mod extensions;
 pub mod fleetbench;
@@ -31,4 +35,19 @@ pub enum Scale {
     Paper,
     /// Scaled-down sizing for smoke tests and CI.
     Quick,
+}
+
+/// Boots the 11-app suite under `config` and `layout` from the
+/// harness's [`motivation::SEED`], sized for `scale`: the one boot of
+/// every experiment driver.
+pub(crate) fn boot(
+    config: KernelConfig,
+    layout: LibraryLayout,
+    scale: Scale,
+) -> SatResult<AndroidSystem> {
+    let opts = match scale {
+        Scale::Paper => BootOptions::paper(),
+        Scale::Quick => BootOptions::small(),
+    };
+    AndroidSystem::boot(config, layout, motivation::SEED, 11, opts)
 }

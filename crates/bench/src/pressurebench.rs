@@ -53,7 +53,7 @@ pub fn derive_budgets(peak: u64) -> Vec<(&'static str, u64)> {
 }
 
 /// Snapshot record names of every cell the grid produces, in run
-/// order (`repro tails` scans these for traced pressure brackets).
+/// order.
 pub fn record_names() -> Vec<String> {
     let mut names = Vec::new();
     for (kname, _, _) in serve_kernels() {

@@ -75,6 +75,29 @@ pub fn count(x: u64) -> String {
     out
 }
 
+/// Reads a number out of a rendered [`Table`], for unit tests: column
+/// `col` (counted from 1) of the first row whose leading cells are
+/// `key`, with thousands separators and a trailing `x` dropped. Panics
+/// when no row matches or the cell is not a number.
+#[cfg(test)]
+pub(crate) fn cell<T>(out: &str, key: &[&str], col: usize) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Debug,
+{
+    let row: Vec<&str> = out
+        .lines()
+        .filter_map(|l| l.strip_prefix('|'))
+        .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+        .find(|cells| cells.starts_with(key))
+        .unwrap_or_else(|| panic!("no table row starts with {key:?} in:\n{out}"));
+    let raw = row[col - 1].replace(',', "");
+    raw.strip_suffix('x')
+        .unwrap_or(&raw)
+        .parse()
+        .unwrap_or_else(|e| panic!("column {col} of {row:?}: {e:?}"))
+}
+
 /// Five-number summary for box-and-whisker output.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FiveNum {

@@ -59,53 +59,36 @@ pub fn serve_opts(servers: usize, scale: Scale) -> ServeOptions {
 /// Runs the serve sweep for one kernel (one cell per server count)
 /// and renders its table. Returns the report at the largest count
 /// alongside, so the caller can record latency percentiles and compare
-/// kernels.
-///
-/// With `mem_frames` set (`repro serve --mem-frames N`), every cell
-/// runs under that physical-frame budget and the table grows reclaim
-/// columns; without it the output is byte-identical to the budget-less
-/// serve table.
+/// kernels. Serving under a frame budget is `repro pressure`'s job
+/// ([`crate::pressurebench`]).
 pub fn serve_kernel(
     scale: Scale,
     label: &str,
     config: KernelConfig,
-    mem_frames: Option<u64>,
 ) -> sat_types::SatResult<(String, ServeReport)> {
-    let counts = serve_counts(scale);
-    let title = match mem_frames {
-        Some(budget) => format!(
-            "Extension: serving bursty requests, {label} ({} frame budget)",
-            count(budget)
-        ),
-        None => format!("Extension: serving bursty requests, {label} (sat-sched, open loop)"),
-    };
-    let mut header = vec![
-        "servers",
-        "requests",
-        "p50",
-        "p95",
-        "p99",
-        "max wall",
-        "preempted",
-        "faults",
-        "unshares",
-    ];
-    if mem_frames.is_some() {
-        header.extend(["reclaims", "evicted", "refaults"]);
-    }
-    let mut t = Table::new(&title, &header);
+    let mut t = Table::new(
+        &format!("Extension: serving bursty requests, {label} (sat-sched, open loop)"),
+        &[
+            "servers",
+            "requests",
+            "p50",
+            "p95",
+            "p99",
+            "max wall",
+            "preempted",
+            "faults",
+            "unshares",
+        ],
+    );
     let mut largest: Option<ServeReport> = None;
-    for &servers in counts {
-        let opts = ServeOptions {
-            mem_frames,
-            ..serve_opts(servers, scale)
-        };
+    for &servers in serve_counts(scale) {
+        let opts = serve_opts(servers, scale);
         let r = run_serve(config, opts)?;
         assert_eq!(
             r.requests, opts.requests as u64,
             "serve run must drain every request"
         );
-        let mut row = vec![
+        t.row(vec![
             servers.to_string(),
             count(r.requests),
             count(r.p50),
@@ -115,15 +98,7 @@ pub fn serve_kernel(
             count(r.preempted_quanta),
             count(r.page_faults),
             count(r.ptp_unshares),
-        ];
-        if mem_frames.is_some() {
-            row.extend([
-                count(r.reclaims),
-                count(r.reclaimed_pages),
-                count(r.refaults),
-            ]);
-        }
-        t.row(row);
+        ]);
         largest = Some(r);
     }
     Ok((t.render(), largest.expect("serve_counts is never empty")))
@@ -172,10 +147,8 @@ mod tests {
     #[test]
     fn serve_tables_render_and_reports_return() {
         let kernels = serve_kernels();
-        let (out_stock, stock) =
-            serve_kernel(Scale::Quick, kernels[0].1, kernels[0].2, None).unwrap();
-        let (out_shared, shared) =
-            serve_kernel(Scale::Quick, kernels[1].1, kernels[1].2, None).unwrap();
+        let (out_stock, stock) = serve_kernel(Scale::Quick, kernels[0].1, kernels[0].2).unwrap();
+        let (out_shared, shared) = serve_kernel(Scale::Quick, kernels[1].1, kernels[1].2).unwrap();
         assert!(out_stock.contains("Stock Android"), "{out_stock}");
         assert!(out_shared.contains("Shared PTP & TLB"), "{out_shared}");
         assert_eq!(stock.requests, 96);
@@ -188,33 +161,8 @@ mod tests {
 
     #[test]
     fn serve_cells_are_deterministic_across_runs() {
-        let (_, a) =
-            serve_kernel(Scale::Quick, "Stock Android", KernelConfig::stock(), None).unwrap();
-        let (_, b) =
-            serve_kernel(Scale::Quick, "Stock Android", KernelConfig::stock(), None).unwrap();
+        let (_, a) = serve_kernel(Scale::Quick, "Stock Android", KernelConfig::stock()).unwrap();
+        let (_, b) = serve_kernel(Scale::Quick, "Stock Android", KernelConfig::stock()).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn budgeted_serve_table_grows_reclaim_columns_and_unbudgeted_does_not() {
-        let (plain, r) =
-            serve_kernel(Scale::Quick, "Stock Android", KernelConfig::stock(), None).unwrap();
-        assert!(!plain.contains("reclaims"), "{plain}");
-        assert_eq!(r.reclaims, 0);
-
-        // A budget at 3/4 of the uncapped peak must bite and render.
-        let budget = r.frames_peak * 3 / 4;
-        let (capped, rc) = serve_kernel(
-            Scale::Quick,
-            "Stock Android",
-            KernelConfig::stock(),
-            Some(budget),
-        )
-        .unwrap();
-        assert!(capped.contains("frame budget"), "{capped}");
-        assert!(capped.contains("reclaims"), "{capped}");
-        assert!(capped.contains("refaults"), "{capped}");
-        assert!(rc.reclaims > 0, "the budget must force reclaim: {rc:?}");
-        assert!(rc.refaults > 0, "evicted pages must refault: {rc:?}");
     }
 }

@@ -238,44 +238,37 @@ pub fn check(
         snap.experiments.len(),
         if snap.traced() { "enabled" } else { "disabled" }
     );
-    let metric = |rec: &Record, key: &str| rec.metrics.get(key).copied().unwrap_or(0.0);
-
-    // A run under a frame budget that never reclaimed proves nothing
-    // about behaviour under pressure: the budget sat above the peak
-    // footprint the whole time. Warn, mirroring the partial-blame
-    // warning (works untraced — the totals live in the snapshot).
-    let budgeted: Vec<&Record> = snap
-        .experiments
-        .values()
-        .filter(|r| r.params.contains_key("mem_frames"))
-        .collect();
-    if !budgeted.is_empty() && budgeted.iter().all(|r| metric(r, "reclaim.pages") == 0.0) {
+    // How many records `carry` a mechanism, when some do and none of
+    // them shows it at work (`key` is zero in every one): the run
+    // measured nothing of that mechanism. These warnings work untraced
+    // — the totals live in the snapshot — and mirror the partial-blame
+    // one.
+    let idle = |carry: fn(&Record) -> bool, key: &str| -> Option<usize> {
+        let carriers: Vec<&Record> = snap.experiments.values().filter(|r| carry(r)).collect();
+        let zero = |r: &&Record| r.metrics.get(key).copied().unwrap_or(0.0) == 0.0;
+        (!carriers.is_empty() && carriers.iter().all(zero)).then_some(carriers.len())
+    };
+    // A budget that never reclaimed sat above the peak footprint the
+    // whole run.
+    let budgeted = |r: &Record| r.params.contains_key("mem_frames");
+    if let Some(n) = idle(budgeted, "reclaim.pages") {
         let _ = writeln!(
             report,
-            "repro check: warning: the frame budget never bit ({} budgeted \
-             experiment(s) reclaimed zero pages; lower --mem-frames below the \
-             uncapped peak for real pressure)",
-            budgeted.len()
+            "repro check: warning: the frame budget never bit ({n} budgeted \
+             experiment(s) reclaimed zero pages; a budget at or above the \
+             uncapped peak measures no pressure)"
         );
     }
-
-    // A reach run whose promoted cell collapsed nothing measured only
-    // 4KB paging three times: the waste-vs-reach trade the experiment
-    // exists for never happened. Warn, mirroring the budget warning
-    // (works untraced — the totals live in the snapshot).
-    if snap.command() == "reach" {
-        let promoted_fired = snap
-            .experiments
-            .get("reach_promoted")
-            .is_some_and(|r| metric(r, "translation.promotions") > 0.0);
-        if !promoted_fired {
-            let _ = writeln!(
-                report,
-                "repro check: warning: the promotion scanner never fired (the \
-                 reach_promoted cell reports zero promotions; every cell ran plain \
-                 4KB paging, so the reach-vs-waste trade was not measured)"
-            );
-        }
+    // Cells that count promotions but never promoted ran plain 4KB
+    // paging: the waste-vs-reach trade never happened.
+    let promotions = |r: &Record| r.metrics.contains_key("translation.promotions");
+    if let Some(n) = idle(promotions, "translation.promotions") {
+        let _ = writeln!(
+            report,
+            "repro check: warning: the promotion scanner never fired ({n} \
+             experiment(s) report zero promotions; every cell ran plain 4KB \
+             paging, so the reach-vs-waste trade was not measured)"
+        );
     }
 
     if let Some(trace_path) = trace {

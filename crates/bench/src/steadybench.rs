@@ -1,14 +1,13 @@
 //! Steady-state experiments over the whole application suite:
 //! Figures 10, 11, 12 and the PTEs-copied cost of Section 4.2.3.
 
-use sat_android::{launch_app, AndroidSystem, LibraryLayout, SteadyReport};
+use sat_android::{launch_app, LibraryLayout, SteadyReport};
 use sat_core::KernelConfig;
 use sat_types::SatResult;
 
 use crate::launchbench::launch_opts;
-use crate::motivation::SEED;
 use crate::render::{pct, Table};
-use crate::zygotebench::{boot_opts, profiles};
+use crate::zygotebench::profiles;
 use crate::Scale;
 
 /// Steady-state fetch events per application.
@@ -27,7 +26,7 @@ pub fn run_suite(
     layout: LibraryLayout,
     scale: Scale,
 ) -> SatResult<Vec<SteadyReport>> {
-    let mut sys = AndroidSystem::boot(config, layout, SEED, 11, boot_opts(scale))?;
+    let mut sys = crate::boot(config, layout, scale)?;
     let apps = profiles(&sys, scale);
     let events = steady_events(scale);
     let opts = launch_opts(scale);
@@ -70,7 +69,8 @@ fn suite_configs() -> [(&'static str, KernelConfig, LibraryLayout); 4] {
 }
 
 /// Figures 10-12 plus the Section 4.2.3 PTE-copy cost, in one sweep:
-/// each of the four suite cells boots its own system from [`SEED`].
+/// each of the four suite cells boots its own system from
+/// [`crate::motivation::SEED`].
 pub fn steady_experiment(scale: Scale) -> SatResult<String> {
     let names: Vec<&str> = sat_trace::APP_NAMES.to_vec();
     let mut results = Vec::new();

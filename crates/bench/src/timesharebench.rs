@@ -117,28 +117,18 @@ pub fn timeshare(scale: Scale) -> sat_types::SatResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::cell;
 
-    fn cell_value(out: &str, apps: &str, kernel: &str, col: usize) -> u64 {
-        out.lines()
-            .find(|l| {
-                let mut cells = l.split('|').map(str::trim);
-                cells.nth(1) == Some(apps) && l.contains(kernel)
-            })
-            .unwrap_or_else(|| panic!("no row for {apps}/{kernel}"))
-            .split('|')
-            .nth(col)
-            .unwrap()
-            .trim()
-            .replace(',', "")
-            .parse()
-            .unwrap()
+    /// Column `col` of the 16-app row of `kernel`.
+    fn at_sixteen(out: &str, kernel: &str, col: usize) -> u64 {
+        cell(out, &["16", kernel], col)
     }
 
     #[test]
     fn shared_beats_stock_at_sixteen_apps() {
         let out = timeshare(Scale::Quick).unwrap();
-        let stock = cell_value(&out, "16", "Stock Android", 3);
-        let shared = cell_value(&out, "16", "Shared PTP & TLB", 3);
+        let stock = at_sixteen(&out, "Stock Android", 3);
+        let shared = at_sixteen(&out, "Shared PTP & TLB", 3);
         assert!(
             shared < stock,
             "shared inst-TLB stalls {shared} not below stock {stock}"
@@ -148,9 +138,9 @@ mod tests {
     #[test]
     fn precise_shootdown_skips_cores_and_rollovers_happen() {
         let out = timeshare(Scale::Quick).unwrap();
-        let avoided = cell_value(&out, "16", "Shared PTP & TLB", 6);
-        let rollovers = cell_value(&out, "16", "Shared PTP & TLB", 7);
-        let procs = cell_value(&out, "16", "Shared PTP & TLB", 8);
+        let avoided = at_sixteen(&out, "Shared PTP & TLB", 6);
+        let rollovers = at_sixteen(&out, "Shared PTP & TLB", 7);
+        let procs = at_sixteen(&out, "Shared PTP & TLB", 8);
         assert!(avoided > 0, "no shootdown ever skipped a core");
         assert!(rollovers >= 1, "no rollover despite {procs} processes");
         assert!(procs > 255);

@@ -1,7 +1,7 @@
 //! Zygote-fork experiments: Table 3, Table 4, and the soft-fault
 //! latency anchor (Section 4.2.1).
 
-use sat_android::{AndroidSystem, BootOptions, LibraryLayout};
+use sat_android::{AndroidSystem, LibraryLayout};
 use sat_core::{KernelConfig, NoTlb};
 use sat_sim::measure_soft_fault_cycles;
 use sat_trace::{app_specs, AppProfile};
@@ -10,18 +10,6 @@ use sat_types::{AccessType, SatResult, VirtAddr};
 use crate::motivation::SEED;
 use crate::render::{count, Table};
 use crate::Scale;
-
-/// Boot sizing per scale.
-pub fn boot_opts(scale: Scale) -> BootOptions {
-    match scale {
-        Scale::Paper => BootOptions::paper(),
-        Scale::Quick => BootOptions::small(),
-    }
-}
-
-fn boot(config: KernelConfig, scale: Scale) -> SatResult<AndroidSystem> {
-    AndroidSystem::boot(config, LibraryLayout::Original, SEED, 11, boot_opts(scale))
-}
 
 /// Table 4: zygote fork performance under the three kernels.
 pub fn table4(scale: Scale) -> SatResult<String> {
@@ -42,7 +30,7 @@ pub fn table4(scale: Scale) -> SatResult<String> {
     ];
     let mut cycles_by_label = Vec::new();
     for (label, config) in configs {
-        let mut sys = boot(config, scale)?;
+        let mut sys = crate::boot(config, LibraryLayout::Original, scale)?;
         let (outcome, cycles) = sys.machine.fork(0, sys.zygote)?;
         cycles_by_label.push((label, cycles));
         t.row(vec![
@@ -104,7 +92,7 @@ fn inherited_ptes(
 /// PTPs, for a cold start (first run ever) and a warm start
 /// (reinvocation after the first instantiation).
 pub fn table3(scale: Scale) -> SatResult<String> {
-    let mut sys = boot(KernelConfig::shared_ptp(), scale)?;
+    let mut sys = crate::boot(KernelConfig::shared_ptp(), LibraryLayout::Original, scale)?;
     let profiles = profiles(&sys, scale);
 
     // Cold pass: fork, count, exit — before any application has run.
@@ -173,6 +161,7 @@ pub fn latfault(scale: Scale) -> SatResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::cell;
 
     #[test]
     fn table4_quick_has_expected_shape() {
@@ -201,21 +190,11 @@ mod tests {
     fn table3_quick_warm_exceeds_cold() {
         let out = table3(Scale::Quick).unwrap();
         assert!(out.contains("Cold start"));
-        // Parse rows: warm >= cold for every app.
-        for line in out
-            .lines()
-            .filter(|l| l.starts_with('|') && !l.contains("Benchmark") && !l.contains('-'))
-        {
-            let cells: Vec<&str> = line
-                .split('|')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            if cells.len() == 3 {
-                let cold: f64 = cells[1].parse().unwrap();
-                let warm: f64 = cells[2].parse().unwrap();
-                assert!(warm >= cold, "{line}");
-            }
+        // Warm >= cold for every app.
+        for app in sat_trace::APP_NAMES {
+            let cold: f64 = cell(&out, &[app], 2);
+            let warm: f64 = cell(&out, &[app], 3);
+            assert!(warm >= cold, "{app}: cold {cold}, warm {warm}");
         }
     }
 

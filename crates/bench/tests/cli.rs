@@ -436,10 +436,6 @@ fn a_flag_is_refused_by_a_verb_that_never_reads_it() {
         ("--window", &["table1", "--quick", "--window", "4"]),
         ("--experiment", &["check", "--experiment", "x"]),
         ("--top", &["timeline", "t.json", "--top", "2"]),
-        (
-            "--mem-frames",
-            &["pressure", "--quick", "--mem-frames", "900"],
-        ),
     ] {
         let out = repro(args);
         assert!(!out.status.success(), "{args:?}");
@@ -447,6 +443,13 @@ fn a_flag_is_refused_by_a_verb_that_never_reads_it() {
         let want = format!("{flag} only applies to ");
         assert!(stderr.contains(&want), "{args:?}: {stderr}");
         assert!(stderr.contains(&format!("(got '{}')", args[0])), "{stderr}");
+    }
+    // No verb takes a frame budget: `repro pressure` derives its own.
+    for verb in ["serve", "pressure", "all"] {
+        let out = repro(&[verb, "--quick", "--mem-frames", "1224"]);
+        assert!(!out.status.success(), "{verb}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag '--mem-frames'"), "{stderr}");
     }
 }
 
@@ -615,118 +618,30 @@ fn check_warns_on_partial_blame_attribution() {
     assert!(stdout.contains("blame attribution is partial"), "{stdout}");
 }
 
-/// The quick-scale uncapped serve peak, for sizing budgets that must
-/// bite on both kernels.
-fn quick_serve_peak_floor() -> u64 {
-    use sat_bench::servebench::{serve_kernel, serve_kernels};
-    use sat_bench::Scale;
-    serve_kernels()
-        .into_iter()
-        .map(|(_, label, config)| {
-            let (_, r) = serve_kernel(Scale::Quick, label, config, None).unwrap();
-            r.frames_peak
-        })
-        .min()
-        .expect("two serve kernels")
-}
-
-/// `--mem-frames` is validated like every other flag: bad values and
-/// wrong commands are errors with messages, never panics.
-#[test]
-fn mem_frames_flag_is_validated() {
-    for bad in ["0", "abc", "-5", "12.5"] {
-        let out = repro(&["serve", "--quick", "--mem-frames", bad]);
-        assert!(!out.status.success(), "--mem-frames {bad} must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("bad --mem-frames"), "{stderr}");
-        assert!(!stderr.contains("panicked"), "{stderr}");
-    }
-    // Value missing entirely.
-    let out = repro(&["serve", "--quick", "--mem-frames"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("requires a frame count"), "{stderr}");
-    // Only serve takes a budget; pressure derives its own.
-    for cmd in ["timeshare", "pressure", "all"] {
-        let out = repro(&[cmd, "--quick", "--mem-frames", "1000"]);
-        assert!(!out.status.success(), "{cmd} must reject --mem-frames");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("only applies to the serve experiment"),
-            "{stderr}"
-        );
-    }
-    // The unknown-flag hint advertises it.
-    let out = repro(&["serve", "--quick", "--bogus"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--mem-frames"), "{stderr}");
-}
-
-/// A budgeted serve run reclaims, renders the reclaim columns, stays
-/// deterministic, and snapshots `_mem`-suffixed records that diff
-/// clean against a second run.
-#[test]
-fn budgeted_serve_reclaims_and_snapshots_mem_records() {
-    let budget = (quick_serve_peak_floor() * 3 / 4).to_string();
-    let run = |out_name: &str| -> String {
-        let out_path = tmp(out_name);
-        let out_arg = out_path.to_str().unwrap();
-        repro_ok(
-            &[
-                "serve",
-                "--quick",
-                "--mem-frames",
-                &budget,
-                "--out",
-                out_arg,
-            ],
-            &[],
-        )
-    };
-    let first = run("serve-mem-a.json");
-    let second = run("serve-mem-b.json");
-    assert!(first.contains("frame budget"), "{first}");
-    assert!(first.contains("reclaims"), "{first}");
-    assert!(first.contains("refaults"), "{first}");
-    assert_eq!(first, second, "budgeted serve run changed the table");
-
-    let snap = std::fs::read_to_string(tmp("serve-mem-a.json")).unwrap();
-    assert!(snap.contains("\"name\": \"serve_stock_mem\""), "{snap}");
-    assert!(snap.contains("\"name\": \"serve_shared_mem\""), "{snap}");
-    assert!(
-        snap.contains(&format!("\"params\": {{\"mem_frames\": {budget}}}")),
-        "{snap}"
-    );
-    assert!(snap.contains("\"reclaim.passes\": "), "{snap}");
-
-    // The budget bit, so check must not warn about it.
-    let stdout = repro_ok(
-        &["check", "--out", tmp("serve-mem-a.json").to_str().unwrap()],
-        &[],
-    );
-    assert!(!stdout.contains("never bit"), "{stdout}");
-
-    // Two runs of the same binary diff clean, reclaim and latency rows
-    // included: every simulated number is equal, and host time is
-    // never read.
-    let (a, b) = (tmp("serve-mem-a.json"), tmp("serve-mem-b.json"));
-    let out = repro(&["diff", a.to_str().unwrap(), b.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert_eq!(stdout, "repro diff: 0 difference(s)\n");
-}
-
-/// A budget far above the peak never reclaims; `repro check` says so.
+/// A pressure snapshot whose budgets never reclaimed draws `repro
+/// check`'s warning: the budget sat above the peak the whole run.
 #[test]
 fn check_warns_when_the_frame_budget_never_bites() {
-    let snap = tmp("serve-slack.json");
-    let slack = ["serve", "--quick", "--mem-frames", "100000000"];
+    let snap = tmp("pressure-slack.json");
     repro_ok(
-        &[&slack[..], &["--out", snap.to_str().unwrap()]].concat(),
+        &["pressure", "--quick", "--out", snap.to_str().unwrap()],
         &[],
     );
+    let text = std::fs::read_to_string(&snap).unwrap();
+    // Doctor the snapshot: every budgeted cell reclaimed nothing.
+    const KEY: &str = "\"reclaim.pages\": ";
+    let mut parts = text.split(KEY);
+    let mut doctored = parts.next().unwrap().to_string();
+    for part in parts {
+        doctored += KEY;
+        doctored += "0";
+        doctored += part.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    assert_eq!(doctored.matches("\"reclaim.pages\": 0,").count(), 4);
+    std::fs::write(&snap, doctored).unwrap();
     let stdout = repro_ok(&["check", "--out", snap.to_str().unwrap()], &[]);
     assert!(stdout.contains("frame budget never bit"), "{stdout}");
+    assert!(stdout.contains("4 budgeted experiment(s)"), "{stdout}");
     assert!(stdout.contains("reclaimed zero pages"), "{stdout}");
 }
 
@@ -782,6 +697,37 @@ fn pressure_is_deterministic_across_runs() {
     }
     assert!(snap.contains("\"params\": {\"mem_frames\": "), "{snap}");
     assert!(snap.contains("\"reclaim.passes\": "), "{snap}");
+
+    // Every budget bit, so check does not warn; and two runs diff
+    // clean, reclaim and latency rows included: every simulated number
+    // is equal, and host time is never read.
+    let (a, b) = (tmp("pr-a.json"), tmp("pr-b.json"));
+    let stdout = repro_ok(&["check", "--out", a.to_str().unwrap()], &[]);
+    assert!(!stdout.contains("warning"), "{stdout}");
+    let out = repro(&["diff", a.to_str().unwrap(), b.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert_eq!(stdout, "repro diff: 0 difference(s)\n");
+}
+
+/// `repro tails` finds its flows in the trace: on a lossless pressure
+/// trace it breaks down every cell's bracket, in run order.
+#[test]
+fn tails_reads_every_pressure_bracket_in_run_order() {
+    let (_, trace, _) = run_traced("pressure", "tails", "2097152");
+    let text = repro_ok(&["tails", trace.to_str().unwrap(), "--top", "1"], &[]);
+    let sections: Vec<String> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# repro tails — "))
+        .map(|l| l.split(':').next().unwrap().to_string())
+        .collect();
+    assert_eq!(sections, sat_bench::pressurebench::record_names(), "{text}");
+    assert_eq!(
+        text.matches("attribution exact: 96 flows reconcile")
+            .count(),
+        6,
+        "{text}"
+    );
 }
 
 /// The sat-sched experiment is a pure function of its seed: the same
