@@ -43,7 +43,10 @@ cargo test -q
 # frame.rs pins its nearer-end search to `partition_point` and its
 # cost at either end to one or two comparisons), the recency-ordered
 # cache vs the stamped nested-Option model, a run of lines against the
-# same lines one at a time included (crates/cache/src/reference.rs),
+# same lines one at a time included, runs that lap every set up to a
+# little past three times among them, on 1-, 2- and 3-way caches, which
+# take the runtime-width instance, and on the 4-way L1 and the 8-way L2
+# (crates/cache/src/reference.rs),
 # kernel-text runs vs the line-by-line loop on twin machines
 # (machine.rs, `run_vs_line_by_line`), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
@@ -144,6 +147,13 @@ step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"
 PROPTEST_CASES=2048 cargo test --release -q \
     -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core \
     -p sat-sched
+
+# The cache's lap loop and its per-width instances again, at 8192 cases
+# (about 15 s on two cores, most of it building the 1MB L2 and its
+# nested twin anew each case): every instance, every lap and every
+# mid-line start against the reference cache (crates/cache/src/reference.rs).
+step "tests (release, 8192 cases: cache)"
+PROPTEST_CASES=8192 cargo test --release -q -p sat-cache
 
 # The artifact readers against hostile files, at release speed, 2048
 # cases a target (a few seconds): truncated, byte-flipped and spliced

@@ -109,22 +109,31 @@ mod tests {
     use super::*;
     use crate::Cache;
 
-    /// One randomized operation: `(opcode, address)`, decoded in
-    /// [`run`].
-    type Op = (u8, u32);
+    /// One randomized operation: `(opcode, address, run length)`,
+    /// decoded in [`run`].
+    type Op = (u8, u32, u32);
 
-    fn ops_strategy(addr_space: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
-        prop::collection::vec((0u8..64, 0..addr_space), 1..len)
+    /// Ops over `addr_space`, fewer than `len` of them, whose runs are
+    /// up to a little past three laps of `config`'s sets.
+    fn ops_strategy(
+        config: CacheConfig,
+        addr_space: u32,
+        len: usize,
+    ) -> impl Strategy<Value = Vec<Op>> {
+        let sets = config.sets();
+        let longest = 3 * sets + sets / 8 + 4;
+        prop::collection::vec((0u8..64, 0..addr_space, 0..longest + 1), 1..len)
     }
 
     /// Drives both caches with `ops` and checks that they answer alike
     /// after every step. Accesses dominate; probes are frequent; one op
-    /// in eight is a run of up to 63 lines against the same lines one
-    /// at a time; a flush comes up about once per 64 operations.
+    /// in eight is a run against the same lines one at a time, started
+    /// 0 to 7/8 of a line past the op's address, so most start
+    /// mid-line; a flush comes up about once per 64 operations.
     fn run(config: CacheConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
         let mut new = Cache::new(config);
         let mut old = RefCache::new(config);
-        for (i, (code, addr)) in ops.into_iter().enumerate() {
+        for (i, (code, addr, n)) in ops.into_iter().enumerate() {
             let pa = PhysAddr::new(addr);
             match code {
                 0 => {
@@ -133,11 +142,11 @@ mod tests {
                 }
                 1..=15 => prop_assert_eq!(new.probe(pa), old.probe(pa), "probe {}", i),
                 16..=23 => {
-                    let n = u32::from(code - 16) * 9;
+                    let start = addr + u32::from(code - 16) * config.line_bytes / 8;
                     let mut misses = Vec::new();
-                    new.access_run(pa, n, |pa| misses.push(pa));
+                    new.access_run(PhysAddr::new(start), n, |pa| misses.push(pa));
                     let want: Vec<PhysAddr> = (0..n)
-                        .map(|k| PhysAddr::new(addr + k * config.line_bytes))
+                        .map(|k| PhysAddr::new(start + k * config.line_bytes))
                         .filter(|&pa| !old.access(pa))
                         .collect();
                     prop_assert_eq!(misses, want, "run {}", i);
@@ -150,27 +159,82 @@ mod tests {
         Ok(())
     }
 
+    const TINY: CacheConfig = CacheConfig {
+        size_bytes: 128,
+        ways: 2,
+        line_bytes: 32,
+    };
+    const ONE_WAY: CacheConfig = CacheConfig {
+        size_bytes: 128,
+        ways: 1,
+        line_bytes: 32,
+    };
+    const THREE_WAY: CacheConfig = CacheConfig {
+        size_bytes: 384,
+        ways: 3,
+        line_bytes: 32,
+    };
+
     proptest! {
         /// 2 sets × 2 ways over 16 lines: every fill after the first
         /// few evicts, so victim choice decides each later hit.
         #[test]
-        fn tiny_cache_matches_the_nested_cache(ops in ops_strategy(0x200, 600)) {
-            run(CacheConfig { size_bytes: 128, ways: 2, line_bytes: 32 }, ops)?;
+        fn tiny_cache_matches_the_nested_cache(ops in ops_strategy(TINY, 0x200, 600)) {
+            run(TINY, ops)?;
+        }
+
+        /// 4 sets × 1 way over 32 lines, at the runtime width like the
+        /// 2-way cache: a miss always evicts the set's one line.
+        #[test]
+        fn one_way_cache_matches_the_nested_cache(ops in ops_strategy(ONE_WAY, 0x400, 600)) {
+            run(ONE_WAY, ops)?;
+        }
+
+        /// 4 sets × 3 ways over 32 lines, at the runtime width.
+        #[test]
+        fn three_way_cache_matches_the_nested_cache(ops in ops_strategy(THREE_WAY, 0x400, 600)) {
+            run(THREE_WAY, ops)?;
         }
 
         /// The L1 geometry with the traffic folded onto 16 of its 256
-        /// sets (256 tags each), so every set fills and evicts.
+        /// sets (256 tags each), so every set fills and evicts; its
+        /// runs are short, so the fold holds.
         #[test]
-        fn l1_matches_the_nested_cache(ops in ops_strategy(0x1000, 1500)) {
-            let ops = ops.into_iter().map(|(c, a)| (c, (a >> 4) * 8192 + (a & 15) * 32)).collect();
+        fn l1_matches_the_nested_cache(ops in ops_strategy(CacheConfig::L1_32K, 0x1000, 1500)) {
+            let ops = ops
+                .into_iter()
+                .map(|(c, a, n)| (c, (a >> 4) * 8192 + (a & 15) * 32, n % 64))
+                .collect();
+            run(CacheConfig::L1_32K, ops)?;
+        }
+
+        /// The unfolded L1 over 8 times its size: runs of up to 800
+        /// lines, a hard fault's, lap it three times between accesses
+        /// at any byte.
+        #[test]
+        fn l1_runs_that_lap_match_the_nested_cache(
+            ops in ops_strategy(CacheConfig::L1_32K, 0x4_0000, 200),
+        ) {
             run(CacheConfig::L1_32K, ops)?;
         }
 
         /// The L2 geometry at a page stride (the walk-descriptor
-        /// pattern): 32 sets take all the traffic and evict.
+        /// pattern): 32 sets take the traffic and evict; short runs.
         #[test]
-        fn l2_matches_the_nested_cache(ops in ops_strategy(0x800, 1500)) {
-            let ops = ops.into_iter().map(|(c, a)| (c, a * 4096)).collect();
+        fn l2_matches_the_nested_cache(ops in ops_strategy(CacheConfig::L2_1M, 0x800, 1500)) {
+            let ops = ops
+                .into_iter()
+                .map(|(c, a, n)| (c, a * 4096, n % 64))
+                .collect();
+            run(CacheConfig::L2_1M, ops)?;
+        }
+
+        /// The 8-way L2 over 8 times its size, a few ops a case: runs
+        /// lap its 4,096 sets a little over three times at most.
+        #[test]
+        fn l2_runs_that_lap_match_the_nested_cache(
+            ops in ops_strategy(CacheConfig::L2_1M, 0x80_0000, 40),
+        ) {
             run(CacheConfig::L2_1M, ops)?;
         }
     }

@@ -123,19 +123,25 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Splits `pa` into (first index of its set in `tags`, tag).
+    /// Splits `pa` into (set index, tag).
     #[inline]
     fn locate(&self, pa: PhysAddr) -> (usize, u32) {
         let line_addr = pa.raw() >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        (set * self.ways, line_addr >> self.set_bits)
+        (
+            (line_addr & self.set_mask) as usize,
+            line_addr >> self.set_bits,
+        )
     }
 
     /// Accesses the line containing `pa`, allocating it on a miss.
     /// Returns `true` on a hit.
     #[inline]
     pub fn access(&mut self, pa: PhysAddr) -> bool {
-        let hit = self.touch(pa);
+        let hit = match self.ways {
+            4 => self.access_w::<4>(pa),
+            8 => self.access_w::<8>(pa),
+            _ => self.access_w::<0>(pa),
+        };
         if hit {
             self.stats.hits += 1;
         } else {
@@ -144,52 +150,66 @@ impl Cache {
         hit
     }
 
+    /// [`Cache::access`] at `W` ways a set, known at compile time, or
+    /// at the geometry's count for `W = 0`.
+    #[inline(always)]
+    fn access_w<const W: usize>(&mut self, pa: PhysAddr) -> bool {
+        let w = if W == 0 { self.ways } else { W };
+        let (set, tag) = self.locate(pa);
+        touch(
+            &mut self.tags[set * w..][..w],
+            tag,
+            &mut self.stats.evictions,
+        )
+    }
+
     /// Accesses the `n` consecutive lines from the one holding `pa`
     /// exactly as `n` calls of [`Cache::access`] at `pa`, `pa + line`,
     /// … would, and calls `on_miss` with each of those addresses that
-    /// missed, in order. The hit/miss counters are updated once per run.
+    /// missed, in order. The counters are updated once per run; the
+    /// run must end below 4 GiB.
     #[inline]
-    pub(crate) fn access_run(&mut self, pa: PhysAddr, n: u32, mut on_miss: impl FnMut(PhysAddr)) {
-        let mut hits = 0;
-        for i in 0..n {
-            let pa = PhysAddr::new(pa.raw() + i * self.config.line_bytes);
-            if self.touch(pa) {
-                hits += 1;
-            } else {
-                on_miss(pa);
+    pub(crate) fn access_run(&mut self, pa: PhysAddr, n: u32, on_miss: impl FnMut(PhysAddr)) {
+        match self.ways {
+            4 => self.run_w::<4>(pa, n, on_miss),
+            8 => self.run_w::<8>(pa, n, on_miss),
+            _ => self.run_w::<0>(pa, n, on_miss),
+        }
+    }
+
+    /// [`Cache::access_run`] at `W` ways a set (as in
+    /// [`Cache::access_w`]), one lap of the sets at a time: consecutive
+    /// lines lie in consecutive sets under one tag, one higher after
+    /// each wrap back to set 0.
+    #[inline(always)]
+    fn run_w<const W: usize>(&mut self, pa: PhysAddr, n: u32, mut on_miss: impl FnMut(PhysAddr)) {
+        let w = if W == 0 { self.ways } else { W };
+        let (mut set, mut tag) = self.locate(pa);
+        let (mut addr, mut left) = (pa.raw(), n as usize);
+        let (mut hits, mut evictions) = (0, 0);
+        while left > 0 {
+            let lap = left.min(self.set_mask as usize + 1 - set);
+            for ways in self.tags[set * w..(set + lap) * w].chunks_exact_mut(w) {
+                if touch(ways, tag, &mut evictions) {
+                    hits += 1;
+                } else {
+                    on_miss(PhysAddr::new(addr));
+                }
+                addr = addr.wrapping_add(self.config.line_bytes);
             }
+            left -= lap;
+            (set, tag) = (0, tag + 1);
         }
         self.stats.hits += u64::from(hits);
         self.stats.misses += u64::from(n - hits);
-    }
-
-    /// Uses `pa`'s line in one pass over its set: the tag goes into
-    /// way 0 and each way's tag moves back one, until the pass meets
-    /// the tag (a hit) or runs off the end (a miss, whose victim is
-    /// the tag pushed out of the last way). Counts an eviction, not
-    /// the hit or miss.
-    #[inline(always)]
-    fn touch(&mut self, pa: PhysAddr) -> bool {
-        let (base, tag) = self.locate(pa);
-        let mut carried = tag;
-        for way in &mut self.tags[base..base + self.ways] {
-            let held = std::mem::replace(way, carried);
-            if held == tag {
-                return true;
-            }
-            carried = held;
-        }
-        if carried != INVALID {
-            self.stats.evictions += 1;
-        }
-        false
+        self.stats.evictions += evictions;
     }
 
     /// Probes whether `pa`'s line is resident without touching LRU
     /// state or statistics.
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let (base, tag) = self.locate(pa);
-        self.tags[base..base + self.ways].contains(&tag)
+        let (set, tag) = self.locate(pa);
+        self.tags[set * self.ways..][..self.ways].contains(&tag)
     }
 
     /// Invalidates everything.
@@ -201,6 +221,28 @@ impl Cache {
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID).count()
     }
+}
+
+/// Uses `tag` in `set`, whose ways hold tags most recent first, in
+/// one pass: the tag goes into way 0 and each way's tag moves back
+/// one, until the pass meets the tag (a hit) or runs off the end (a
+/// miss, whose victim is the tag pushed out of the last way, counted
+/// in `evictions` unless that way was empty). Returns `true` on a hit.
+/// Inlined into each width's instance, so the pass knows its length.
+#[inline(always)]
+fn touch(set: &mut [u32], tag: u32, evictions: &mut u64) -> bool {
+    let mut carried = tag;
+    for way in set {
+        let held = std::mem::replace(way, carried);
+        if held == tag {
+            return true;
+        }
+        carried = held;
+    }
+    if carried != INVALID {
+        *evictions += 1;
+    }
+    false
 }
 
 #[cfg(test)]

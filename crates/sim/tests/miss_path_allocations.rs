@@ -1,4 +1,5 @@
-//! The main-TLB miss path and the context switch allocate nothing.
+//! The main-TLB miss path, the context switch and kernel-text runs
+//! allocate nothing.
 //!
 //! A micro-TLB miss that also misses the main TLB costs the host a
 //! probe, a table walk and a fill; none of the three may touch the
@@ -12,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sat_core::{Kernel, KernelConfig, NoTlb};
+use sat_sim::machine::{FAULT_HANDLER_PAGE, SCHED_PATH_PAGE};
 use sat_sim::Machine;
 use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
@@ -138,4 +140,20 @@ fn main_tlb_misses_and_context_switches_allocate_nothing() {
     let in_switches = allocs() - before;
     assert_eq!(m.cores[0].stats.context_switches - switches, 1_000);
     assert_eq!(in_switches, 0, "allocations in context_switch");
+
+    // 1,000 kernel-text runs: a hard fault's 800 lines, which lap the
+    // 256-set L1-I three times, and a context switch's 80, in turn.
+    let runs = [(FAULT_HANDLER_PAGE, 800), (SCHED_PATH_PAGE, 80)];
+    for (page, lines) in runs {
+        m.run_kernel_lines(0, page, lines).unwrap();
+    }
+    let fetches = m.cores[0].stats.inst_fetches;
+    let before = allocs();
+    for turn in 0..1_000 {
+        let (page, lines) = runs[turn % 2];
+        m.run_kernel_lines(0, page, lines).unwrap();
+    }
+    let in_runs = allocs() - before;
+    assert_eq!(m.cores[0].stats.inst_fetches - fetches, 440_000);
+    assert_eq!(in_runs, 0, "allocations in kernel-text runs");
 }
