@@ -61,7 +61,7 @@ pub struct ReachCell {
     pub tlb_entries: u64,
     /// Instruction main-TLB stall cycles over the alternating sweeps.
     pub stalls: u64,
-    /// 64KB groups + 1MB sections the scanner collapsed.
+    /// 64KB groups the scanner collapsed.
     pub promotions: u64,
     /// Large mappings split back to 4KB (munmap/mprotect/COW/...).
     pub demotions: u64,
@@ -103,10 +103,7 @@ pub fn reach_kernels() -> [(&'static str, &'static str, KernelConfig); 3] {
             KernelConfig::stock().with_promote(PromotePolicy {
                 enabled: true,
                 min_populated: 1,
-                // Sections stay off here so smaps (which walks PTPs)
-                // keeps seeing every resident page; the section path
-                // is pinned by the sat-core tests.
-                sections: false,
+                ..PromotePolicy::off()
             }),
         ),
     ]
@@ -220,7 +217,7 @@ pub fn reach_cell(
             u64::from(touched)
         },
         stalls,
-        promotions: stats.promotions + stats.section_promotions,
+        promotions: stats.promotions,
         demotions: stats.demotions,
         splits: stats.split_ptes,
         waste_frames: stats.waste_frames,

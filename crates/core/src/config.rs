@@ -29,7 +29,8 @@ pub enum TlbProtection {
 }
 
 /// Policy knobs for the khugepaged-style large-page promotion
-/// scanner ([`crate::promote`]). Off by default: page size stays a
+/// scanner ([`crate::promote`]), which collapses 64KB groups — the one
+/// large page the kernel builds. Off by default: page size stays a
 /// pure 4KB world unless an experiment opts in, which keeps every
 /// promotion-free run byte-identical to a build without the engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,8 +44,10 @@ pub struct PromotePolicy {
     /// to `16 - min_populated` are filled with freshly allocated,
     /// never-touched frames; those are the measured memory waste.
     pub min_populated: u8,
-    /// Also collapse fully large-mapped, physically contiguous 1MB
-    /// spans into level-1 section entries.
+    /// Must be `false`: [`crate::Kernel::new`] refuses `true`, since 1MB
+    /// section promotion was removed. The field stays only because the
+    /// benchmark package spells it out in its policies; it goes when
+    /// the benchmark stops doing so.
     pub sections: bool,
 }
 
@@ -55,16 +58,6 @@ impl PromotePolicy {
             enabled: false,
             min_populated: 1,
             sections: false,
-        }
-    }
-
-    /// Promotion on with khugepaged-like defaults: collapse any group
-    /// with at least one populated slot, sections included.
-    pub fn aggressive() -> Self {
-        PromotePolicy {
-            enabled: true,
-            min_populated: 1,
-            sections: true,
         }
     }
 }
@@ -202,8 +195,8 @@ mod tests {
         ] {
             assert_eq!(config.promote, PromotePolicy::off());
         }
-        let on = KernelConfig::stock().with_promote(PromotePolicy::aggressive());
-        assert!(on.promote.enabled && on.promote.sections);
-        assert_eq!(on.promote.min_populated, 1);
+        let off = PromotePolicy::off();
+        assert!(!off.enabled && !off.sections);
+        assert_eq!(off.min_populated, 1);
     }
 }

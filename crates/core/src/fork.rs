@@ -24,17 +24,14 @@
 //! per-region `copy_page_range` loop copies them —
 //! `tests/fork_differential.rs` keeps that loop as the specification.
 
-use sat_mmu::{ChunkCopy, Mapper, PtpStore};
+use sat_mmu::{ChunkCopy, PtpStore};
 use sat_obs::FlushReason;
 use sat_phys::PhysMem;
-use sat_types::{
-    Asid, Domain, PageSize, Pfn, Pid, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN,
-};
+use sat_types::{Asid, Domain, Pfn, Pid, SatResult, VaRange, VirtAddr, VpnRange, PTP_SPAN};
 use sat_vm::{copies_ptes, copy_vma_ptes_in_chunk, ForkReport, Mm};
 
 use crate::config::KernelConfig;
 use crate::flush::FlushBatch;
-use crate::kernel::{note_demote, KernelStats};
 use crate::registry::SharedPtpRegistry;
 use crate::share::{chunk_sharable, first_share, teardown};
 
@@ -56,20 +53,16 @@ pub struct ForkOutcome {
 }
 
 /// Builds `child_pid`'s address space from `parent`'s: the chunk loop
-/// of the module docs, after the parent's sections — level-1 entries
-/// the loop would not see, so the child would silently lose them — have
-/// been split back to PTEs. A copied chunk costs the host one staged
-/// word a PTE and, at the chunk's end, one allocation a group that
-/// did not come out as the parent's — none for one that did.
+/// of the module docs. A copied chunk costs the host one staged word a
+/// PTE and, at the chunk's end, one allocation a group that did not
+/// come out as the parent's — none for one that did.
 ///
 /// Every parent translation the fork made *less permissive* is gathered
 /// into `batch` under [`FlushReason::Fork`] (Linux's `flush_tlb_mm` in
 /// `dup_mmap`, narrowed to what changed): the write-protected spans,
-/// the whole chunk where the `l1_write_protect` assist protects it, and
-/// each split section, whose cached 1MB entry cannot reflect the
-/// per-PTE protection that follows. A fork that protected nothing —
-/// every chunk already `NEED_COPY`, nothing writable populated —
-/// gathers nothing.
+/// and the whole chunk where the `l1_write_protect` assist protects it.
+/// A fork that protected nothing — every chunk already `NEED_COPY`,
+/// nothing writable populated — gathers nothing.
 ///
 /// A fork that runs out of frames takes the half-built child down as an
 /// exit would ([`teardown`]) and returns the error, with `batch`
@@ -84,20 +77,11 @@ pub(crate) fn dup_mm(
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     registry: &mut SharedPtpRegistry,
-    stats: &mut KernelStats,
     child_pid: Pid,
     child_asid: Asid,
     config: &KernelConfig,
     batch: &mut FlushBatch,
 ) -> SatResult<(Mm, ForkOutcome)> {
-    let sections: Vec<usize> = parent.root.iter_sections().collect();
-    for idx in sections {
-        let va = VirtAddr::new((idx as u32) << 20);
-        Mapper::new(&mut parent.root, ptps, phys, parent.pid).split_section(va)?;
-        let (size, cause) = (PageSize::Section1M, sat_obs::DemoteCause::Fork);
-        note_demote(stats, parent.pid, parent.asid, va, size, cause, batch);
-    }
-
     let mut child = Mm::new(phys, child_pid, child_asid)?;
     child.dacr = parent.dacr;
     child.is_zygote_child = parent.is_zygote_like();

@@ -32,7 +32,7 @@ use sat_mmu::{L1Entry, Mapper, PtpStore};
 use sat_phys::{FileRegistry, FrameKind, PhysMem};
 use sat_types::{
     AccessType, Asid, Dacr, Domain, DomainAccess, GrowGently, PageSize, Perms, Pfn, Pid, SatError,
-    SatResult, VaRange, VirtAddr, VpnRange, L2_ENTRIES, PAGE_SIZE,
+    SatResult, VaRange, VirtAddr, VpnRange, PAGE_SIZE,
 };
 use sat_vm::{
     check_region_op, demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect,
@@ -89,10 +89,12 @@ pub struct KernelStats {
     /// 64KB groups collapsed by the promotion scanner
     /// ([`crate::promote`]).
     pub promotions: u64,
-    /// 1MB spans collapsed to level-1 sections.
+    /// Always 0: the kernel builds no 1MB section. The field stays only
+    /// because the benchmark package adds it to `promotions`; it goes
+    /// when the benchmark stops reading it.
     pub section_promotions: u64,
-    /// Large mappings split back to 4KB PTEs (partial `munmap`/
-    /// `mprotect`, COW write faults, fork over sections, reclaim).
+    /// 64KB groups split back to 4KB PTEs (partial `munmap`/
+    /// `mprotect`, COW write faults, reclaim).
     pub demotions: u64,
     /// 4KB PTEs written by those splits.
     pub split_ptes: u64,
@@ -102,30 +104,25 @@ pub struct KernelStats {
     pub waste_frames: u64,
 }
 
-/// Records one large-mapping split: bumps the demotion counters,
-/// emits the [`sat_obs::Payload::Demote`] event, and gathers the
-/// span's invalidation into `batch` — one cached wide TLB entry
-/// served the whole span, so the whole span must be flushed, tagged
-/// [`sat_obs::FlushReason::Demote`] for blame attribution (a fork's
-/// split is part of the fork flush and is tagged as the rest of it).
+/// Records the split of the 64KB group at `va`: bumps the demotion
+/// counters, emits the [`sat_obs::Payload::Demote`] event, and gathers
+/// the group's invalidation into `batch` — one cached wide TLB entry
+/// served the whole group, so the whole group must be flushed, tagged
+/// [`sat_obs::FlushReason::Demote`] for blame attribution.
 pub(crate) fn note_demote(
     stats: &mut KernelStats,
     pid: Pid,
     asid: Asid,
     va: VirtAddr,
-    size: PageSize,
     cause: sat_obs::DemoteCause,
     batch: &mut FlushBatch,
 ) {
-    let bytes = size.bytes();
-    let pages = bytes / sat_types::PAGE_SIZE;
+    let bytes = PageSize::Large64K.bytes();
+    let pages = PageSize::Large64K.frames();
     stats.demotions += 1;
     stats.split_ptes += u64::from(pages);
     let span = VaRange::from_len(va, bytes);
-    let reason = match cause {
-        sat_obs::DemoteCause::Fork => sat_obs::FlushReason::Fork,
-        _ => sat_obs::FlushReason::Demote,
-    };
+    let reason = sat_obs::FlushReason::Demote;
     batch.range(asid, VpnRange::from_va_range(&span), reason);
     if sat_obs::enabled() {
         sat_obs::emit(
@@ -301,8 +298,15 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if `frames` exceeds [`sat_types::MAX_FRAMES`], like
-    /// [`PhysMem::new`].
+    /// [`PhysMem::new`], or if `config.promote.sections` is set: the
+    /// kernel builds no 1MB section (see
+    /// [`PromotePolicy::sections`](crate::PromotePolicy::sections)).
     pub fn new(config: KernelConfig, frames: u32) -> Kernel {
+        assert!(
+            !config.promote.sections,
+            "PromotePolicy::sections is refused: 1MB section promotion was removed; \
+             the 64KB group is the one large page"
+        );
         Kernel {
             config,
             phys: PhysMem::new(frames),
@@ -456,9 +460,7 @@ impl Kernel {
         // always have.
         if self.config.promote.enabled {
             let mut large_slots: u64 = 0;
-            let mut sections: u64 = 0;
             for mm in self.procs.iter() {
-                sections += mm.root.section_count() as u64;
                 for (_, frame) in mm.root.iter_ptps() {
                     if let Some(table) = self.ptps.get(frame) {
                         large_slots += table
@@ -469,7 +471,6 @@ impl Kernel {
                 }
             }
             sat_obs::gauge_set("mmu.pages.large", large_slots / 16);
-            sat_obs::gauge_set("mmu.pages.section", sections);
             sat_obs::gauge_set("mmu.waste.frames", self.stats.waste_frames);
         }
     }
@@ -615,15 +616,15 @@ impl Kernel {
             .unshare_region(pid, range, trigger, &mut batch)
             .and_then(|unshared| {
                 let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
-                // An operation over *part* of a large page or section
-                // must split it first (the vm layer repeats this
+                // An operation over *part* of a large page must split
+                // it first (the vm layer repeats this
                 // defensively, but splitting here attributes the event
                 // and the size-tagged flush). Wholly covered large
                 // mappings stay intact: an unmap releases them exactly,
                 // a protection change stays uniform and keeps the wide
                 // descriptor.
-                for (va, size) in demote_range(mm, &mut self.ptps, &mut self.phys, range)? {
-                    note_demote(&mut self.stats, pid, asid, va, size, cause, &mut batch);
+                for va in demote_range(mm, &mut self.ptps, &mut self.phys, range) {
+                    note_demote(&mut self.stats, pid, asid, va, cause, &mut batch);
                 }
                 let cleared = match change {
                     RegionChange::Unmap => vm_munmap(mm, &mut self.ptps, &mut self.phys, range)?,
@@ -718,15 +719,8 @@ impl Kernel {
         // (COW at 4KB granularity); attribute the demotion and flush
         // the group span the stale wide entry covered.
         if let Some(group) = vm.as_ref().ok().and_then(|outcome| outcome.demoted) {
-            note_demote(
-                &mut self.stats,
-                pid,
-                asid,
-                group,
-                PageSize::Large64K,
-                sat_obs::DemoteCause::Cow,
-                &mut batch,
-            );
+            let cause = sat_obs::DemoteCause::Cow;
+            note_demote(&mut self.stats, pid, asid, group, cause, &mut batch);
         }
         // Owed even when the handler found no frame: the unshare before
         // it may have dropped or write-stripped PTEs.
@@ -785,7 +779,6 @@ impl Kernel {
             &mut self.ptps,
             &mut self.phys,
             &mut self.registry,
-            &mut self.stats,
             child_pid,
             child_asid,
             &config,
@@ -952,8 +945,8 @@ impl Kernel {
 
     /// The zygote domain, for [`Kernel::audit`] (Section 3.2.3): only a
     /// zygote-like process's DACR grants [`Domain::ZYGOTE`], and every
-    /// global mapping — a global section, or a PTE with the global bit —
-    /// sits under a level-1 entry in that domain. Together they make a
+    /// PTE with the global bit sits under a level-1 entry in that
+    /// domain. Together they make a
     /// global TLB entry usable by zygote-like processes alone: any other
     /// process that matches one takes a domain fault.
     fn verify_zygote_domain(&self) -> Result<(), String> {
@@ -964,9 +957,8 @@ impl Kernel {
                 return Err(format!("{:?} {what}", mm.pid));
             }
             let halves = mm.root.iter_ptps().flat_map(|(pair, _)| [pair, pair + 1]);
-            for l1 in mm.root.iter_sections().chain(halves) {
+            for l1 in halves {
                 let global_outside = match mm.root.entry(l1) {
-                    L1Entry::Section { domain, global, .. } => global && domain != Domain::ZYGOTE,
                     L1Entry::Table {
                         ptp, half, domain, ..
                     } if domain != Domain::ZYGOTE => {
@@ -1045,7 +1037,7 @@ impl Kernel {
     /// (DESIGN.md §14): the entries filed for a frame are exactly the
     /// PTEs that map it, each under the owner the rule names — the pid
     /// of a process whose level-1 entry reaches the PTE *without*
-    /// `NEED_COPY` (a section is 256 such PTEs), or
+    /// `NEED_COPY`, or
     /// [`Pid::SHARED_TABLE`], with multiplicity, for a slot of a
     /// registry-listed table. Returns a description of the first frame
     /// whose entries and PTEs differ.
@@ -1059,15 +1051,6 @@ impl Kernel {
             }
         };
         for mm in self.procs.iter() {
-            for l1 in mm.root.iter_sections() {
-                let L1Entry::Section { base, .. } = mm.root.entry(l1) else {
-                    continue;
-                };
-                for i in 0..L2_ENTRIES as u32 {
-                    let va = VirtAddr::new(((l1 as u32) << 20) + i * PAGE_SIZE);
-                    hold(Pfn::new(base.raw() + i), mm.pid, va);
-                }
-            }
             let halves = mm.root.iter_ptps().flat_map(|(pair, _)| [pair, pair + 1]);
             for l1 in halves {
                 let L1Entry::Table {
@@ -1129,7 +1112,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoTlb;
+    use crate::{NoTlb, PromotePolicy};
     use sat_types::{RegionTag, PAGE_SIZE};
 
     fn code_req(file: sat_phys::FileId, pages: u32, at: u32) -> MmapRequest {
@@ -1148,6 +1131,16 @@ mod tests {
     #[should_panic(expected = "frames exceed")]
     fn a_kernel_past_the_32_bit_physical_space_is_refused() {
         Kernel::new(KernelConfig::stock(), sat_types::MAX_FRAMES + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "1MB section promotion was removed")]
+    fn a_kernel_asked_for_section_promotion_is_refused() {
+        let policy = PromotePolicy {
+            sections: true,
+            ..PromotePolicy::off()
+        };
+        Kernel::new(KernelConfig::stock().with_promote(policy), 1024);
     }
 
     #[test]

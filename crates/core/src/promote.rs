@@ -4,9 +4,9 @@
 //! module makes page size a policy outcome instead. A scan pass walks
 //! a process's regions looking for 64KB-aligned groups of sixteen
 //! settled 4KB PTEs and collapses each into one replicated large-page
-//! descriptor ([`sat_vm::collapse_group`]); optionally, a second pass
-//! collapses fully large-mapped 1MB spans into level-1 section entries
-//! ([`sat_mmu::Mapper::collapse_section`]). Like khugepaged, the
+//! descriptor ([`sat_vm::collapse_group`]) — the one large page the
+//! kernel builds; [`sat_mmu::Mapper::split_large`] is the way back.
+//! Like khugepaged, the
 //! scanner tolerates holes: a group only `min_populated`/16 full is
 //! still collapsed, the missing frames allocated fresh and never
 //! touched — which is exactly the memory waste Section 2 of the paper
@@ -29,28 +29,20 @@
 //! promotion into a [`FlushBatch`] tagged [`FlushReason::Promote`] and
 //! resolves it once at the end.
 
-use sat_mmu::{HwPte, Mapper, PtpStore};
+use sat_mmu::Mapper;
 use sat_obs::FlushReason;
-use sat_phys::{FrameKind, PhysMem};
-use sat_types::{
-    Domain, PageSize, Pfn, Pid, SatError, SatResult, VaRange, VirtAddr, VpnRange, PAGE_SIZE,
-};
-use sat_vm::{Mm, LARGE_PAGE_BYTES};
+use sat_types::{Domain, Pid, SatError, SatResult, VaRange, VirtAddr, VpnRange, PAGE_SIZE};
+use sat_vm::LARGE_PAGE_BYTES;
 
 use crate::flush::FlushBatch;
 use crate::kernel::Kernel;
 use crate::TlbMaintenance;
-
-/// Bytes covered by a level-1 section entry.
-const SECTION_BYTES: u32 = 1 << 20;
 
 /// What one [`Kernel::promote_scan`] pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PromoteReport {
     /// 64KB groups collapsed to large pages.
     pub promoted: u64,
-    /// 1MB spans collapsed to section entries.
-    pub sections: u64,
     /// Frames allocated for never-faulted holes across all promoted
     /// groups — the memory the reach experiment reports as waste.
     pub filled: u64,
@@ -67,10 +59,8 @@ impl Kernel {
     /// Every 64KB-aligned group lying wholly inside one region is
     /// offered for collapse when it has at least
     /// `config.promote.min_populated` settled 4KB PTEs and its PTP is
-    /// not shared. With `config.promote.sections`, a second pass
-    /// collapses 1MB spans that the first pass left fully
-    /// large-mapped and physically contiguous. Stops early (reporting
-    /// what it managed) if physical memory runs out mid-scan.
+    /// not shared. Stops early (reporting what it managed) if physical
+    /// memory runs out mid-scan.
     pub fn promote_scan(
         &mut self,
         pid: Pid,
@@ -147,124 +137,9 @@ impl Kernel {
                 }
             }
         }
-        if policy.sections {
-            'sections: for range in &vma_ranges {
-                let mut at = range.start.raw().next_multiple_of(SECTION_BYTES);
-                while at
-                    .checked_add(SECTION_BYTES)
-                    .is_some_and(|e| e <= range.end.raw())
-                {
-                    let va = VirtAddr::new(at);
-                    at += SECTION_BYTES;
-                    if mm.root.entry_for(va).need_copy() {
-                        report.skipped_shared += 1;
-                        continue;
-                    }
-                    match collapse_section_migrating(
-                        mm,
-                        &mut self.ptps,
-                        &mut self.phys,
-                        pid,
-                        va,
-                        domain,
-                    ) {
-                        Ok(true) => {
-                            report.sections += 1;
-                            self.stats.section_promotions += 1;
-                            let span = VaRange::from_len(va, SECTION_BYTES);
-                            batch.range(asid, VpnRange::from_va_range(&span), FlushReason::Promote);
-                            if sat_obs::enabled() {
-                                sat_obs::emit(
-                                    sat_obs::Subsystem::Kernel,
-                                    pid.raw(),
-                                    asid.raw(),
-                                    sat_obs::Payload::Promote {
-                                        va: va.raw(),
-                                        bytes: SECTION_BYTES,
-                                        pages: u64::from(SECTION_BYTES / PAGE_SIZE),
-                                        filled: 0,
-                                    },
-                                );
-                            }
-                        }
-                        // Not fully large-mapped or not uniform.
-                        Ok(false) => {}
-                        Err(SatError::OutOfMemory) => break 'sections,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
         batch.apply(tlb);
         Ok(report)
     }
-}
-
-/// Collapses the 1MB span at `va` into a level-1 section, migrating
-/// frames when necessary.
-///
-/// The fast path is [`Mapper::collapse_section`]: all 256 slots
-/// already reference one physically contiguous, ascending run (the
-/// refs transfer in place). When the span is fully large-mapped and
-/// uniform but the sixteen group runs are scattered — the common case,
-/// since each group's collapse allocated its run independently — the
-/// span is *compacted*: a fresh 256-frame run is allocated, every slot
-/// is rewritten onto its frame of the run, and the in-place collapse
-/// then succeeds. This is the section-sized analogue of khugepaged's
-/// copy-collapse, minus the data copy the simulator doesn't model.
-///
-/// Returns whether a section was installed; `Ok(false)` means the span
-/// is not eligible (partially mapped, mixed sizes or permissions, or
-/// unsettled slots). Out-of-memory aborts before any slot is touched.
-fn collapse_section_migrating(
-    mm: &mut Mm,
-    ptps: &mut PtpStore,
-    phys: &mut PhysMem,
-    pid: Pid,
-    va: VirtAddr,
-    domain: Domain,
-) -> SatResult<bool> {
-    {
-        let mut mapper = Mapper::new(&mut mm.root, ptps, phys, pid);
-        match mapper.collapse_section(va) {
-            Ok(_base) => return Ok(true),
-            Err(SatError::InvalidArgument) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let span = VaRange::from_len(va, SECTION_BYTES);
-    let entries = (SECTION_BYTES / PAGE_SIZE) as usize;
-    let slots = {
-        let mapper = Mapper::new(&mut mm.root, ptps, phys, pid);
-        mapper.iter_range(span)
-    };
-    if slots.len() != entries {
-        return Ok(false);
-    }
-    let (perms, global) = (slots[0].1.hw.perms, slots[0].1.hw.global);
-    let uniform = slots.iter().all(|(_, s)| {
-        s.hw.size == PageSize::Large64K
-            && s.hw.perms == perms
-            && s.hw.global == global
-            && !s.sw.shared
-            && !s.sw.file_backed
-            && s.sw.writable == perms.write()
-    });
-    if !uniform {
-        return Ok(false);
-    }
-    let base = phys.alloc_run(FrameKind::Anon, entries as u32)?;
-    for (i, (page, s)) in slots.iter().enumerate() {
-        let frame = Pfn::new(base.raw() + i as u32);
-        let mut mapper = Mapper::new(&mut mm.root, ptps, phys, pid);
-        mapper.clear_pte(*page);
-        mapper.set_pte(*page, HwPte::small(frame, perms, global), s.sw, domain)?;
-        // Drop the allocation reference; the PTE holds its own.
-        phys.put_page(frame);
-    }
-    let mut mapper = Mapper::new(&mut mm.root, ptps, phys, pid);
-    mapper.collapse_section(va)?;
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -277,11 +152,11 @@ mod tests {
 
     const HEAP: u32 = 0x0900_0000;
 
-    fn promoting(mut config: KernelConfig, min_populated: u8, sections: bool) -> KernelConfig {
+    fn promoting(mut config: KernelConfig, min_populated: u8) -> KernelConfig {
         config.promote = PromotePolicy {
             enabled: true,
             min_populated,
-            sections,
+            ..PromotePolicy::off()
         };
         config
     }
@@ -324,7 +199,7 @@ mod tests {
     fn scan_collapses_sparse_groups_and_accounts_waste() {
         // Two groups: the first 6/16 populated, the second untouched.
         let (mut k, pid) = boot(
-            promoting(KernelConfig::stock(), 1, false),
+            promoting(KernelConfig::stock(), 1),
             32,
             &[0, 2, 5, 7, 11, 13],
         );
@@ -345,7 +220,7 @@ mod tests {
     #[test]
     fn population_floor_blocks_sparse_groups() {
         let (mut k, pid) = boot(
-            promoting(KernelConfig::stock(), 8, false),
+            promoting(KernelConfig::stock(), 8),
             16,
             &[0, 2, 5, 7, 11, 13],
         );
@@ -359,11 +234,7 @@ mod tests {
 
     #[test]
     fn shared_ptps_are_never_promoted() {
-        let (mut k, pid) = boot(
-            promoting(KernelConfig::shared_ptp(), 1, false),
-            16,
-            &[0, 1, 2, 3],
-        );
+        let (mut k, pid) = boot(promoting(KernelConfig::shared_ptp(), 1), 16, &[0, 1, 2, 3]);
         let _child = k.fork(pid).unwrap().child;
         assert!(k
             .mm(pid)
@@ -382,37 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn sections_form_over_fully_promoted_spans() {
-        // A 1MB region, every page touched: 16 large groups form, and
-        // the section pass compacts their scattered runs onto one
-        // contiguous 256-frame run and installs a level-1 section.
-        let (mut k, pid) = boot(
-            promoting(KernelConfig::stock(), 1, true),
-            256,
-            &(0..256).collect::<Vec<u32>>(),
-        );
-        sat_obs::install(4096);
-        let r = k.promote_scan(pid, &mut NoTlb).unwrap();
-        let rec = sat_obs::uninstall().unwrap();
-        assert_eq!(r.promoted, 16);
-        assert_eq!(r.sections, 1);
-        assert_eq!(k.stats.section_promotions, 1);
-        assert_eq!(k.mm(pid).unwrap().root.section_count(), 1);
-        let t = k.mm(pid).unwrap().root.entry_for(VirtAddr::new(HEAP));
-        assert!(matches!(t, sat_mmu::L1Entry::Section { .. }));
-        let promotes = rec
-            .events
-            .iter()
-            .filter(|e| matches!(e.payload, sat_obs::Payload::Promote { .. }))
-            .count() as u64;
-        assert_eq!(promotes, r.promoted + r.sections);
-        k.audit().unwrap();
-    }
-
-    #[test]
     fn partial_munmap_demotes_with_event_and_counters() {
         let touched: Vec<u32> = (0..16).collect();
-        let (mut k, pid) = boot(promoting(KernelConfig::stock(), 1, false), 16, &touched);
+        let (mut k, pid) = boot(promoting(KernelConfig::stock(), 1), 16, &touched);
         assert_eq!(k.promote_scan(pid, &mut NoTlb).unwrap().promoted, 1);
         sat_obs::install(1024);
         k.munmap(
@@ -447,7 +290,7 @@ mod tests {
     #[test]
     fn cow_write_fault_splits_promoted_group() {
         let touched: Vec<u32> = (0..16).collect();
-        let (mut k, pid) = boot(promoting(KernelConfig::stock(), 1, false), 16, &touched);
+        let (mut k, pid) = boot(promoting(KernelConfig::stock(), 1), 16, &touched);
         assert_eq!(k.promote_scan(pid, &mut NoTlb).unwrap().promoted, 1);
         // Stock fork write-protects the group (COW) slot by slot; the
         // group stays large and uniform on both sides.
@@ -486,31 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn fork_splits_parent_sections_first() {
-        let touched: Vec<u32> = (0..256).collect();
-        let (mut k, pid) = boot(promoting(KernelConfig::stock(), 1, true), 256, &touched);
-        let r = k.promote_scan(pid, &mut NoTlb).unwrap();
-        assert_eq!(r.sections, 1);
-        assert_eq!(k.mm(pid).unwrap().root.section_count(), 1);
-        let child = k.fork(pid).unwrap().child;
-        // The section had to split (it is invisible to the fork walk);
-        // the child sees every page.
-        assert_eq!(k.mm(pid).unwrap().root.section_count(), 0);
-        assert!(k.stats.demotions >= 1);
-        for i in [0u32, 100, 255] {
-            assert!(k
-                .pte(child, VirtAddr::new(HEAP + i * PAGE_SIZE))
-                .unwrap()
-                .is_some());
-        }
-        k.audit().unwrap();
-    }
-
-    #[test]
     fn scan_survives_memory_exhaustion() {
         // Small machine: the scan runs out of frames for hole filling
         // and stops early instead of failing the caller.
-        let mut k = Kernel::new(promoting(KernelConfig::stock(), 1, false), 64);
+        let mut k = Kernel::new(promoting(KernelConfig::stock(), 1), 64);
         let pid = k.create_process().unwrap();
         let req = MmapRequest::anon(64 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
             .at(VirtAddr::new(HEAP));

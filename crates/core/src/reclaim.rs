@@ -185,10 +185,9 @@ impl Kernel {
             );
             if let Some(mm) = self.procs.get_mut(owner) {
                 Mapper::new(&mut mm.root, &mut self.ptps, &mut self.phys, owner).split_large(va);
-                let size = PageSize::Large64K;
-                let group = VirtAddr::new(va.raw() & !(size.bytes() - 1));
+                let group = VirtAddr::new(va.raw() & !(PageSize::Large64K.bytes() - 1));
                 let cause = sat_obs::DemoteCause::Reclaim;
-                note_demote(&mut self.stats, owner, mm.asid, group, size, cause, batch);
+                note_demote(&mut self.stats, owner, mm.asid, group, cause, batch);
             }
         }
         let table = self.ptps.get_mut(ptp).expect("looked up above");

@@ -520,7 +520,6 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
-            &mut KernelStats::default(),
             Pid::new(pid),
             Asid::new(pid as u8),
             config,

@@ -13,7 +13,7 @@
 //! Two kernels build the same random zygote image — anonymous,
 //! private-writable-file and read-only-file regions, some spanning
 //! several chunks and some sharing one, a stack, optionally a region
-//! promoted to a 1MB section — and fork it, one through
+//! promoted to 64KB large pages — and fork it, one through
 //! [`Kernel::fork`], the other by the reference. They must agree on
 //! everything a fork leaves behind: the child's tables PTE for PTE *and
 //! frame for frame* (so the tables were allocated in the same order),
@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 use sat_core::{Kernel, KernelConfig, NoTlb, PromotePolicy};
 use sat_mmu::pte::PteSlot;
-use sat_mmu::{Mapper, PtpStore, TableHalf};
+use sat_mmu::{PtpStore, TableHalf};
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{
     AccessType, Asid, Domain, Perms, Pfn, Pid, RegionTag, SatError, SatResult, VirtAddr, PAGE_SIZE,
@@ -82,43 +82,27 @@ fn fork_mm(
     Ok((child, report))
 }
 
-/// What the kernel did around `fork_mm`: the parent's sections split
-/// back to PTEs first, then the copy. The parent is lifted out of the
+/// `fork_mm` on a kernel's process. The parent is lifted out of the
 /// kernel for the call (a stand-in from a pool of its own keeps its
 /// slot) so the reference can borrow it beside the kernel's tables and
-/// frames. Returns the fork's result and the sections split.
-fn reference_fork(k: &mut Kernel, parent: Pid, child: Pid) -> (SatResult<(Mm, ForkReport)>, u64) {
+/// frames.
+fn reference_fork(k: &mut Kernel, parent: Pid, child: Pid) -> SatResult<(Mm, ForkReport)> {
     let policy = k.config.fork_policy;
     let mut elsewhere = PhysMem::new(8);
     let stand_in = Mm::new(&mut elsewhere, parent, Asid::new(0)).unwrap();
     let mut mm = std::mem::replace(k.mm_mut(parent).unwrap(), stand_in);
-    let sections: Vec<usize> = mm.root.iter_sections().collect();
-    let mut split = 0;
-    let mut forked = Ok(());
-    for idx in sections {
-        let va = VirtAddr::new((idx as u32) << 20);
-        forked = Mapper::new(&mut mm.root, &mut k.ptps, &mut k.phys, parent)
-            .split_section(va)
-            .map(drop);
-        if forked.is_err() {
-            break;
-        }
-        split += 1;
-    }
     let asid = Asid::new(child.raw() as u8);
-    let forked = forked.and_then(|()| {
-        fork_mm(
-            &mut mm,
-            &mut k.ptps,
-            &mut k.phys,
-            child,
-            asid,
-            policy,
-            Domain::USER,
-        )
-    });
+    let forked = fork_mm(
+        &mut mm,
+        &mut k.ptps,
+        &mut k.phys,
+        child,
+        asid,
+        policy,
+        Domain::USER,
+    );
     *k.mm_mut(parent).unwrap() = mm;
-    (forked, split)
+    forked
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -171,13 +155,15 @@ fn region_strategy() -> impl Strategy<Value = Region> {
 }
 
 const IMAGE_BASE: u32 = 0x1000_0000;
-/// A fully written, 1MB-aligned region the promotion scanner turns into
-/// a section (the fork must split it first).
-const SECTION_BASE: u32 = 0x0800_0000;
+/// A fully written region of [`PROMOTED_GROUPS`] 64KB groups, which a
+/// promoting kernel collapses to large pages before the image is built
+/// (the fork copies them as they are).
+const PROMOTED_BASE: u32 = 0x0800_0000;
+const PROMOTED_GROUPS: u32 = 4;
 
 /// Builds the image in a fresh kernel. Returns the kernel and the
 /// zygote.
-fn boot(config: KernelConfig, image: &[Region], section: bool) -> (Kernel, Pid) {
+fn boot(config: KernelConfig, image: &[Region]) -> (Kernel, Pid) {
     let mut k = Kernel::new(config, 1 << 14);
     let zygote = k.create_process().unwrap();
     k.exec_zygote(zygote).unwrap();
@@ -185,15 +171,16 @@ fn boot(config: KernelConfig, image: &[Region], section: bool) -> (Kernel, Pid) 
         k.page_fault(zygote, VirtAddr::new(va), access, &mut NoTlb)
             .unwrap();
     };
-    if section {
-        let req = MmapRequest::anon(256 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[huge]")
-            .at(VirtAddr::new(SECTION_BASE));
+    if config.promote.enabled {
+        let pages = PROMOTED_GROUPS * 16;
+        let req = MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[large]")
+            .at(VirtAddr::new(PROMOTED_BASE));
         k.mmap(zygote, &req, &mut NoTlb).unwrap();
-        for page in 0..256 {
-            touch(&mut k, SECTION_BASE + page * PAGE_SIZE, AccessType::Write);
+        for page in 0..pages {
+            touch(&mut k, PROMOTED_BASE + page * PAGE_SIZE, AccessType::Write);
         }
         let scanned = k.promote_scan(zygote, &mut NoTlb).unwrap();
-        assert_eq!(scanned.sections, 1);
+        assert_eq!(scanned.promoted, u64::from(PROMOTED_GROUPS));
     }
     let mut at = IMAGE_BASE;
     for (i, r) in image.iter().enumerate() {
@@ -241,19 +228,14 @@ fn boot(config: KernelConfig, image: &[Region], section: bool) -> (Kernel, Pid) 
 }
 
 /// Every table an address space references, by level-1 pair, with its
-/// frame and every populated slot — and the sections beside them.
-type Tables = (
-    Vec<usize>,
-    Vec<(usize, Pfn, Vec<(TableHalf, usize, PteSlot)>)>,
-);
+/// frame and every populated slot.
+type Tables = Vec<(usize, Pfn, Vec<(TableHalf, usize, PteSlot)>)>;
 
 fn tables(mm: &Mm, ptps: &PtpStore) -> Tables {
-    let tables = mm
-        .root
+    mm.root
         .iter_ptps()
         .map(|(idx, frame)| (idx, frame, ptps.get(frame).unwrap().iter().collect()))
-        .collect();
-    (mm.root.iter_sections().collect(), tables)
+        .collect()
 }
 
 /// What the two kernels must agree on apart from the tables.
@@ -267,28 +249,23 @@ fn promoting(config: KernelConfig) -> KernelConfig {
     config.with_promote(PromotePolicy {
         enabled: true,
         min_populated: 16,
-        sections: true,
+        ..PromotePolicy::off()
     })
 }
 
 /// Forks the image by the kernel and by the reference with `short`
 /// frames fewer free than the fork takes (modulo that count: 0 fits),
 /// and compares.
-fn fork_both_ways(
-    config: KernelConfig,
-    image: &[Region],
-    section: bool,
-    short: u64,
-) -> Result<(), TestCaseError> {
+fn fork_both_ways(config: KernelConfig, image: &[Region], short: u64) -> Result<(), TestCaseError> {
     // Measure what the fork takes.
-    let (mut k, zygote) = boot(config, image, section);
+    let (mut k, zygote) = boot(config, image);
     let booted = k.phys.frames_in_use();
     k.fork(zygote).unwrap();
     let fork_frames = k.phys.frames_in_use() - booted;
     let short = short % (fork_frames + 1);
 
-    let (mut a, zygote) = boot(config, image, section);
-    let (mut b, _) = boot(config, image, section);
+    let (mut a, zygote) = boot(config, image);
+    let (mut b, _) = boot(config, image);
     if short > 0 {
         // Take frames out of both pools until the fork is `short` short.
         for k in [&mut a, &mut b] {
@@ -302,10 +279,10 @@ fn fork_both_ways(
     let before = footprint(&a);
     let child = Pid::new(zygote.raw() + 1);
     let by_kernel = a.fork(zygote);
-    let (by_reference, sections_split) = reference_fork(&mut b, zygote, child);
+    let by_reference = reference_fork(&mut b, zygote, child);
 
-    prop_assert_eq!(a.stats.demotions, sections_split);
-    prop_assert_eq!(a.stats.split_ptes, sections_split * 256);
+    // A fork copies large pages as they are: it demotes nothing.
+    prop_assert_eq!(a.stats.demotions, 0);
     prop_assert_eq!(footprint(&a), footprint(&b), "{} short", short);
     // The same parent PTEs were write-protected, failed or not.
     let parents = [&a, &b].map(|k| tables(k.mm(zygote).unwrap(), &k.ptps));
@@ -314,11 +291,8 @@ fn fork_both_ways(
     if short > 0 {
         prop_assert_eq!(by_kernel.err(), Some(SatError::OutOfMemory));
         prop_assert_eq!(by_reference.err(), Some(SatError::OutOfMemory));
-        // A split section keeps the table it may have needed; nothing
-        // else stays.
-        let after = footprint(&a);
-        prop_assert_eq!(after.0 - before.0, (after.2 - before.2) as u64);
-        prop_assert!((after.2 - before.2) as u64 <= sections_split);
+        // Nothing of the half-built child stays.
+        prop_assert_eq!(footprint(&a), before);
         prop_assert_eq!(a.process_count(), 1);
         return Ok(());
     }
@@ -353,7 +327,7 @@ proptest! {
     fn chunk_loop_equals_the_per_region_loop(
         image in prop::collection::vec(region_strategy(), 0..6),
         copy_all in any::<bool>(),
-        section in any::<bool>(),
+        promoted in any::<bool>(),
         shorts in (any::<u64>(), any::<u64>()),
     ) {
         let config = if copy_all {
@@ -361,10 +335,10 @@ proptest! {
         } else {
             KernelConfig::stock()
         };
-        let config = if section { promoting(config) } else { config };
+        let config = if promoted { promoting(config) } else { config };
         // A fork that fits, then two that run out at different points.
-        fork_both_ways(config, &image, section, 0)?;
-        fork_both_ways(config, &image, section, 1 + shorts.0 % 4)?;
-        fork_both_ways(config, &image, section, 1 + shorts.1 % (1 << 20))?;
+        fork_both_ways(config, &image, 0)?;
+        fork_both_ways(config, &image, 1 + shorts.0 % 4)?;
+        fork_both_ways(config, &image, 1 + shorts.1 % (1 << 20))?;
     }
 }

@@ -97,7 +97,11 @@ fn calls_on_a_pid_that_is_not_live_change_nothing() {
         ("sharing", KernelConfig::shared_ptp_tlb(), false),
         (
             "promoting",
-            KernelConfig::stock().with_promote(PromotePolicy::aggressive()),
+            KernelConfig::stock().with_promote(PromotePolicy {
+                enabled: true,
+                min_populated: 1,
+                ..PromotePolicy::off()
+            }),
             false,
         ),
         ("budgeted", KernelConfig::stock(), true),

@@ -2,15 +2,14 @@
 //!
 //! Two kernels boot identically and replay the same random op sequence
 //! of the harness (`common/mod.rs`). Kernel `a` runs with the promotion
-//! scanner enabled (sections included); kernel `b` is the 4KB-only
+//! scanner enabled; kernel `b` is the 4KB-only
 //! reference — same configuration with promotion off, so its walk is
 //! the paper's unmodified world.
 //!
 //! After every op both return the same outcome and hold the same
 //! processes, and for every live process and tracked page the two
 //! address spaces are compared through the hardware walker
-//! ([`sat_mmu::walk`], which sees sections and large pages; the PTE
-//! lens does not):
+//! ([`sat_mmu::walk`], which sees large pages; the PTE lens does not):
 //!
 //! - every page the reference maps must translate in the promoted
 //!   kernel with the *same permissions and global bit* (frame numbers
@@ -27,8 +26,8 @@
 //!   never with permissions wider than the region's.
 //!
 //! At the end the `Promote`/`Demote` event streams must match the
-//! promoted kernel's counters exactly, and the reference must never
-//! have promoted. The harness's teardown then shows any refcount slip
+//! promoted kernel's counters exactly, no section was ever promoted,
+//! and the reference must never have promoted. The harness's teardown then shows any refcount slip
 //! in collapse/split/zap as a leaked frame, PTP or rmap entry.
 
 mod common;
@@ -84,7 +83,7 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
     let promoted_cfg = base.with_promote(PromotePolicy {
         enabled: true,
         min_populated: 1,
-        sections: true,
+        ..PromotePolicy::off()
     });
     sat_obs::install(1 << 16);
     let (mut a, mut b) = (Sim::boot(promoted_cfg), Sim::boot(base));
@@ -113,20 +112,16 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
     }
     let stats = &a.k.stats;
     assert_eq!(
-        promote_events,
-        stats.promotions + stats.section_promotions,
-        "Promote events do not reconcile with the promotion counters"
+        promote_events, stats.promotions,
+        "Promote events do not reconcile with the promotion counter"
     );
+    assert_eq!(stats.section_promotions, 0, "a section was promoted");
     assert_eq!(
         demote_events, stats.demotions,
         "Demote events do not reconcile with the demotion counter"
     );
     let stats = &b.k.stats;
-    assert_eq!(
-        stats.promotions + stats.section_promotions,
-        0,
-        "reference kernel promoted"
-    );
+    assert_eq!(stats.promotions, 0, "reference kernel promoted");
     a.teardown();
     b.teardown();
 }

@@ -1,9 +1,7 @@
 //! The first-level (root) translation table.
 
 use sat_phys::{FrameKind, PhysMem};
-use sat_types::{
-    Domain, PageSize, Perms, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES, MAX_FRAMES,
-};
+use sat_types::{Domain, Pfn, PhysAddr, SatResult, VirtAddr, L1_ENTRIES, MAX_FRAMES};
 
 use crate::groups::{Groups, GROUP_WORDS};
 use crate::ptp::TableHalf;
@@ -13,7 +11,8 @@ use crate::ptp::TableHalf;
 /// Level-1 entries are managed in pairs (even/odd) pointing at the two
 /// halves of one page-table page. The paper adds a `NEED_COPY` flag in
 /// a spare bit of the level-1 PTE to mark the referenced PTP as shared
-/// copy-on-write.
+/// copy-on-write. No user mapping is a level-1 leaf: the one large
+/// user page is the 64KB group, which lives in a second-level table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum L1Entry {
     /// Invalid: any access faults at the first level.
@@ -31,123 +30,64 @@ pub enum L1Entry {
         /// be copied before this process may modify it.
         need_copy: bool,
     },
-    /// A section (1MB) or supersection (16MB) mapping with no second
-    /// level.
-    Section {
-        /// First frame of the mapped region.
-        base: Pfn,
-        /// [`PageSize::Section1M`] or [`PageSize::Super16M`].
-        size: PageSize,
-        /// Access permissions.
-        perms: Perms,
-        /// Domain of the mapping. (Supersections are always domain 0
-        /// architecturally; the simulator does not enforce that.)
-        domain: Domain,
-        /// Global bit.
-        global: bool,
-    },
 }
 
-/// Entry word, bits 0-1: `L1_FAULT` (so a zeroed table is all
-/// faults), `L1_TABLE` or `L1_SECTION`.
+/// Entry word, bits 0-1: `L1_FAULT` (so a zeroed table is all faults)
+/// or `L1_TABLE`; the other two tags pack no entry.
 pub(crate) const L1_TAG_MASK: u32 = 0b11;
 pub(crate) const L1_FAULT: u32 = 0;
 pub(crate) const L1_TABLE: u32 = 1;
-const L1_SECTION: u32 = 2;
-/// Entry word, bit 2: the upper half of the PTP (table) or a 16MB
-/// supersection (section).
-const L1_UPPER_OR_SUPER: u32 = 1 << 2;
-/// Entry word, bit 3: NEED_COPY (table) or the global bit (section).
-pub(crate) const L1_NEED_COPY_OR_GLOBAL: u32 = 1 << 3;
+/// Entry word, bit 2: the upper half of the PTP.
+const L1_UPPER: u32 = 1 << 2;
+/// Entry word, bit 3: NEED_COPY.
+pub(crate) const L1_NEED_COPY: u32 = 1 << 3;
 /// Entry word, bits 4-7: the domain.
 const L1_DOMAIN_SHIFT: u32 = 4;
-/// Entry word, bits 8-10: [`Perms::bits`] (section only).
-const L1_PERMS_SHIFT: u32 = 8;
-/// Entry word, the top bits down to here: the PTP frame or the
-/// section's base frame, as wide as [`MAX_FRAMES`] needs (bits 12-31;
-/// bit 11 is spare).
+/// Entry word, the top bits down to here: the PTP frame, as wide as
+/// [`MAX_FRAMES`] needs (bits 12-31; bits 8-11 are spare).
 const L1_FRAME_SHIFT: u32 = 32 - MAX_FRAMES.trailing_zeros();
-
-const _: () = assert!(7 << L1_PERMS_SHIFT < 1 << L1_FRAME_SHIFT);
 
 impl L1Entry {
     /// Packs the entry into its word of the root table. Like the PTP's
-    /// slot word this is a private lossless encoding (the architectural
-    /// section descriptor has no room for an unaligned base), resting
-    /// on `PhysMem` holding no frame past [`MAX_FRAMES`].
+    /// slot word this is a private lossless encoding, resting on
+    /// `PhysMem` holding no frame past [`MAX_FRAMES`].
     pub(crate) fn pack(self) -> u32 {
-        let flag = |on: bool, bit: u32| if on { bit } else { 0 };
-        let (tag, frame, domain, rest) = match self {
-            L1Entry::Fault => return L1_FAULT,
-            L1Entry::Table {
-                ptp,
-                half,
-                domain,
-                need_copy,
-            } => (
-                L1_TABLE,
-                ptp,
-                domain,
-                flag(half == TableHalf::Upper, L1_UPPER_OR_SUPER)
-                    | flag(need_copy, L1_NEED_COPY_OR_GLOBAL),
-            ),
-            L1Entry::Section {
-                base,
-                size,
-                perms,
-                domain,
-                global,
-            } => {
-                let supersection = match size {
-                    PageSize::Section1M => false,
-                    PageSize::Super16M => true,
-                    _ => unreachable!("level-1 mappings are 1MB or 16MB"),
-                };
-                (
-                    L1_SECTION,
-                    base,
-                    domain,
-                    flag(supersection, L1_UPPER_OR_SUPER)
-                        | flag(global, L1_NEED_COPY_OR_GLOBAL)
-                        | u32::from(perms.bits()) << L1_PERMS_SHIFT,
-                )
-            }
+        let L1Entry::Table {
+            ptp,
+            half,
+            domain,
+            need_copy,
+        } = self
+        else {
+            return L1_FAULT;
         };
         debug_assert!(
-            frame.raw() < MAX_FRAMES,
-            "{frame:?} is past the entry word's frame field"
+            ptp.raw() < MAX_FRAMES,
+            "{ptp:?} is past the entry word's frame field"
         );
-        tag | rest | u32::from(domain.raw()) << L1_DOMAIN_SHIFT | frame.raw() << L1_FRAME_SHIFT
+        let flag = |on: bool, bit: u32| if on { bit } else { 0 };
+        L1_TABLE
+            | flag(half == TableHalf::Upper, L1_UPPER)
+            | flag(need_copy, L1_NEED_COPY)
+            | u32::from(domain.raw()) << L1_DOMAIN_SHIFT
+            | ptp.raw() << L1_FRAME_SHIFT
     }
 
     /// Unpacks a word written by [`L1Entry::pack`].
     #[inline]
     pub(crate) fn unpack(word: u32) -> L1Entry {
-        let frame = Pfn::new(word >> L1_FRAME_SHIFT);
-        let domain = Domain::new((word >> L1_DOMAIN_SHIFT & 0xF) as u8);
-        match word & L1_TAG_MASK {
-            L1_TABLE => L1Entry::Table {
-                ptp: frame,
-                half: if word & L1_UPPER_OR_SUPER != 0 {
-                    TableHalf::Upper
-                } else {
-                    TableHalf::Lower
-                },
-                domain,
-                need_copy: word & L1_NEED_COPY_OR_GLOBAL != 0,
+        if word & L1_TAG_MASK != L1_TABLE {
+            return L1Entry::Fault;
+        }
+        L1Entry::Table {
+            ptp: Pfn::new(word >> L1_FRAME_SHIFT),
+            half: if word & L1_UPPER != 0 {
+                TableHalf::Upper
+            } else {
+                TableHalf::Lower
             },
-            L1_SECTION => L1Entry::Section {
-                base: frame,
-                size: if word & L1_UPPER_OR_SUPER != 0 {
-                    PageSize::Super16M
-                } else {
-                    PageSize::Section1M
-                },
-                perms: Perms::from_bits((word >> L1_PERMS_SHIFT) as u8),
-                domain,
-                global: word & L1_NEED_COPY_OR_GLOBAL != 0,
-            },
-            _ => L1Entry::Fault,
+            domain: Domain::new((word >> L1_DOMAIN_SHIFT & 0xF) as u8),
+            need_copy: word & L1_NEED_COPY != 0,
         }
     }
 
@@ -155,7 +95,7 @@ impl L1Entry {
     pub fn ptp(&self) -> Option<Pfn> {
         match self {
             L1Entry::Table { ptp, .. } => Some(*ptp),
-            _ => None,
+            L1Entry::Fault => None,
         }
     }
 
@@ -174,7 +114,7 @@ impl L1Entry {
     pub fn domain(&self) -> Option<Domain> {
         match self {
             L1Entry::Fault => None,
-            L1Entry::Table { domain, .. } | L1Entry::Section { domain, .. } => Some(*domain),
+            L1Entry::Table { domain, .. } => Some(*domain),
         }
     }
 }
@@ -211,9 +151,9 @@ fn is_table(word: u32) -> bool {
 /// 64-entry group, each holding only its non-zero words (see
 /// `groups.rs`): a zygote child's 77 entries sit in five or six groups,
 /// so the table every live process carries costs under 1 KiB, not 16.
-/// The groups are also the index: the PTPs and the sections a table
-/// references are found by scanning the populated groups, which is
-/// O(populated) where a scan of all 4096 words was not.
+/// The groups are also the index: the PTPs a table references are
+/// found by scanning the populated groups, which is O(populated) where
+/// a scan of all 4096 words was not.
 pub struct RootTable {
     entries: Groups<ROOT_GROUPS>,
     frames: [Pfn; 4],
@@ -273,11 +213,6 @@ impl RootTable {
     pub fn set_table_pair(&mut self, va: VirtAddr, ptp: Pfn, domain: Domain, need_copy: bool) {
         let even = va.l1_index() & !1;
         for (idx, half) in [(even, TableHalf::Lower), (even + 1, TableHalf::Upper)] {
-            // A section in one half survives: its 1MB is a leaf here,
-            // the PTP only serves the other half.
-            if matches!(self.entry(idx), L1Entry::Section { .. }) {
-                continue;
-            }
             self.set_entry(
                 idx,
                 L1Entry::Table {
@@ -290,9 +225,8 @@ impl RootTable {
         }
     }
 
-    /// Clears the table entries of the pair covering `va` (sections in
-    /// either half survive), returning the PTP frame they referenced
-    /// (if any).
+    /// Clears the table entries of the pair covering `va`, returning
+    /// the PTP frame they referenced (if any).
     pub fn clear_table_pair(&mut self, va: VirtAddr) -> Option<Pfn> {
         let even = va.l1_index() & !1;
         let mut ptp = None;
@@ -323,9 +257,9 @@ impl RootTable {
             self.entries.set(
                 idx,
                 if value {
-                    word | L1_NEED_COPY_OR_GLOBAL
+                    word | L1_NEED_COPY
                 } else {
-                    word & !L1_NEED_COPY_OR_GLOBAL
+                    word & !L1_NEED_COPY
                 },
             );
         }
@@ -341,9 +275,7 @@ impl RootTable {
     /// Iterates over `(pair_base_index, ptp_frame)` for every distinct
     /// PTP referenced by this table, in ascending pair order. A pair is
     /// listed while *either* half holds a table entry — the even half's
-    /// frame if it holds one, else the odd half's — so a section
-    /// promoted into one half never hides the PTP still referenced by
-    /// the other.
+    /// frame if it holds one, else the odd half's.
     ///
     /// Served from the populated groups: O(#entries), not O(4096).
     pub fn iter_ptps(&self) -> impl Iterator<Item = (usize, Pfn)> + '_ {
@@ -361,12 +293,12 @@ impl RootTable {
         std::iter::from_fn(move || {
             let (idx, word) = tables.next()?;
             let mut need_copy = [false; 2];
-            need_copy[idx % 2] = word & L1_NEED_COPY_OR_GLOBAL != 0;
+            need_copy[idx % 2] = word & L1_NEED_COPY != 0;
             // The odd half of a pair whose even half is a table rides
             // with it.
             if idx % 2 == 0 {
                 if let Some((_, odd)) = tables.next_if(|&(next, _)| next == idx + 1) {
-                    need_copy[1] = odd & L1_NEED_COPY_OR_GLOBAL != 0;
+                    need_copy[1] = odd & L1_NEED_COPY != 0;
                 }
             }
             Some(TablePair {
@@ -380,20 +312,6 @@ impl RootTable {
     /// Counts distinct PTPs referenced by this table.
     pub fn ptp_count(&self) -> usize {
         self.iter_ptps().count()
-    }
-
-    /// Iterates over the L1 indices holding section entries, in
-    /// ascending order — O(#entries), not O(4096).
-    pub fn iter_sections(&self) -> impl Iterator<Item = usize> + '_ {
-        self.entries
-            .iter(0..L1_ENTRIES)
-            .filter(|&(_, word)| word & L1_TAG_MASK == L1_SECTION)
-            .map(|(idx, _)| idx)
-    }
-
-    /// Counts section entries in this table.
-    pub fn section_count(&self) -> usize {
-        self.iter_sections().count()
     }
 
     /// Consistency check of the host-side storage, for tests and the
@@ -493,9 +411,8 @@ mod tests {
         }
     }
 
-    /// Every variant × 16 domains × half or size × NEED_COPY or
-    /// global × all eight permission sets × frames at both ends of the
-    /// field and one that is not 16-aligned.
+    /// Both variants × 16 domains × half × NEED_COPY × frames at both
+    /// ends of the field and one that is not 16-aligned.
     #[test]
     fn entry_word_round_trips_every_entry() {
         assert_eq!(L1Entry::Fault.pack(), 0);
@@ -503,34 +420,21 @@ mod tests {
         let mut seen = 0;
         for frame in [0, 1, 0x5431, MAX_FRAMES - 1].map(Pfn::new) {
             for domain in (0..16).map(Domain::new) {
-                for flag in [false, true] {
+                for need_copy in [false, true] {
                     for half in [TableHalf::Lower, TableHalf::Upper] {
                         let e = L1Entry::Table {
                             ptp: frame,
                             half,
                             domain,
-                            need_copy: flag,
+                            need_copy,
                         };
                         assert_eq!(L1Entry::unpack(e.pack()), e, "{:#010x}", e.pack());
                         seen += 1;
                     }
-                    for size in [PageSize::Section1M, PageSize::Super16M] {
-                        for perms in (0..8).map(Perms::from_bits) {
-                            let e = L1Entry::Section {
-                                base: frame,
-                                size,
-                                perms,
-                                domain,
-                                global: flag,
-                            };
-                            assert_eq!(L1Entry::unpack(e.pack()), e, "{:#010x}", e.pack());
-                            seen += 1;
-                        }
-                    }
                 }
             }
         }
-        assert_eq!(seen, 4 * 16 * 2 * (2 + 16));
+        assert_eq!(seen, 4 * 16 * 2 * 2);
     }
 
     #[test]
@@ -563,18 +467,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "set_need_copy on non-table entry")]
-    fn set_need_copy_refuses_a_section() {
+    fn set_need_copy_refuses_a_fault_entry() {
         let (_p, mut rt) = root();
-        rt.set_entry(
-            6,
-            L1Entry::Section {
-                base: Pfn::new(0x100),
-                size: PageSize::Section1M,
-                perms: Perms::RW,
-                domain: Domain::USER,
-                global: false,
-            },
-        );
         rt.set_need_copy(VirtAddr::new(0x0060_0000), true);
     }
 
@@ -649,36 +543,27 @@ mod tests {
             },
         );
         assert_eq!(rt.iter_ptps().collect::<Vec<_>>(), vec![(4, Pfn::new(8))]);
-        // A section in the even half does NOT drop the pair while the
-        // odd half still references a PTP (promotion of one 1MB half
-        // must not hide the neighbour's table from teardown).
-        rt.set_entry(
-            4,
-            L1Entry::Section {
-                base: Pfn::new(0x100),
-                size: PageSize::Section1M,
-                perms: Perms::RX,
-                domain: Domain::USER,
-                global: false,
-            },
-        );
+        // A fault in the even half does NOT drop the pair while the
+        // odd half still references a PTP.
+        rt.set_entry(4, L1Entry::Fault);
         assert_eq!(rt.iter_ptps().collect::<Vec<_>>(), vec![(4, Pfn::new(7))]);
-        assert_eq!(rt.iter_sections().collect::<Vec<_>>(), vec![4]);
-        // Dropping the surviving table half delists the pair; the
-        // section stays.
+        // Dropping the surviving table half delists the pair.
         rt.set_entry(5, L1Entry::Fault);
         assert_eq!(rt.ptp_count(), 0);
-        assert_eq!(rt.section_count(), 1);
-        // set_table_pair over a mixed pair installs only the free half.
-        rt.set_table_pair(va, Pfn::new(9), Domain::USER, true);
-        assert!(matches!(rt.entry(4), L1Entry::Section { .. }));
-        assert_eq!(rt.entry(5).ptp(), Some(Pfn::new(9)));
-        // clear_table_pair clears the table half and spares the section.
+        // clear_table_pair over a lone half clears it and returns its
+        // frame.
+        rt.set_entry(
+            5,
+            L1Entry::Table {
+                ptp: Pfn::new(9),
+                half: TableHalf::Upper,
+                domain: Domain::USER,
+                need_copy: true,
+            },
+        );
         assert_eq!(rt.clear_table_pair(va), Some(Pfn::new(9)));
         assert_eq!(rt.ptp_count(), 0);
-        assert!(matches!(rt.entry(4), L1Entry::Section { .. }));
-        rt.set_entry(4, L1Entry::Fault);
-        assert_eq!(rt.section_count(), 0);
+        rt.verify().unwrap();
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! 4096 32-bit entries in the first (root) level — each mapping 1MB —
 //! and 256 entries in the second (leaf) level — each mapping a 4KB
 //! page. 64KB large pages occupy sixteen consecutive, aligned
-//! second-level entries; 1MB sections and 16MB supersections are
-//! mapped directly from the first level.
+//! second-level entries. The architecture can also map a 1MB section
+//! or a 16MB supersection straight from the first level; the model
+//! does not: a level-1 entry is a fault or a table, and the 64KB
+//! group is the one large user page.
 //!
 //! Because a second-level hardware table is only 1KB and ARM level-2
 //! PTEs have no "referenced" or "dirty" bits, Linux/ARM manages

@@ -18,7 +18,7 @@ use std::ops::Range;
 
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{
-    Domain, PageSize, Pfn, Pid, SatError, SatResult, VaRange, VirtAddr, L2_ENTRIES, L2_TABLE_SPAN,
+    Domain, PageSize, Pfn, Pid, SatResult, VaRange, VirtAddr, L2_ENTRIES, L2_TABLE_SPAN,
     PAGE_SHIFT, PAGE_SIZE,
 };
 
@@ -66,8 +66,7 @@ impl HalfSpan {
 /// The range walker: steps `range` one level-1 entry at a time, in
 /// ascending address order, and yields the slots it covers of every
 /// entry that points at a table — so a range operation costs its
-/// tables, not its pages. Sections and faults hold no slots and are
-/// stepped over.
+/// tables, not its pages. Faults hold no slots and are stepped over.
 ///
 /// The pages covered are those [`VaRange::pages`] visits: from the one
 /// holding `start` to the last whose base lies below `end`.
@@ -152,33 +151,17 @@ impl<'a> Mapper<'a> {
     ///
     /// Returns `(frame, allocated)`.
     pub fn ensure_ptp(&mut self, va: VirtAddr, domain: Domain) -> SatResult<(Pfn, bool)> {
-        match self.root.entry_for(va) {
-            L1Entry::Table { ptp, .. } => Ok((ptp, false)),
-            L1Entry::Fault => {
-                let idx = va.l1_index();
-                // A section split can leave one half of the pair with a
-                // table while ours is still Fault; the pair already owns
-                // a PTP (and this process its reference) — reuse it.
-                if let L1Entry::Table { ptp, need_copy, .. } = self.root.entry(idx ^ 1) {
-                    self.root.set_entry(
-                        idx,
-                        L1Entry::Table {
-                            ptp,
-                            half: TableHalf::of(va),
-                            domain,
-                            need_copy,
-                        },
-                    );
-                    return Ok((ptp, false));
-                }
-                let frame = self.phys.alloc(FrameKind::PageTable)?;
-                self.ptps.insert(frame);
-                self.phys.map_inc(frame); // one process references it
-                self.root.set_table_pair(va, frame, domain, false);
-                Ok((frame, true))
-            }
-            L1Entry::Section { .. } => Err(SatError::Internal("ensure_ptp over a section mapping")),
+        if let L1Entry::Table { ptp, .. } = self.root.entry_for(va) {
+            return Ok((ptp, false));
         }
+        // Pairs are installed and cleared whole: the mate half is a
+        // fault too.
+        debug_assert_eq!(self.root.entry(va.l1_index() ^ 1), L1Entry::Fault);
+        let frame = self.phys.alloc(FrameKind::PageTable)?;
+        self.ptps.insert(frame);
+        self.phys.map_inc(frame); // one process references it
+        self.root.set_table_pair(va, frame, domain, false);
+        Ok((frame, true))
     }
 
     /// Reads the PTE slot for `va`, if the mapping hierarchy exists.
@@ -389,153 +372,6 @@ impl<'a> Mapper<'a> {
             rewritten += 1;
         }
         Some(rewritten)
-    }
-
-    /// Collapses a fully-populated 1MB half into a section entry.
-    ///
-    /// Requires every one of the 256 slots to be present, reference
-    /// physically contiguous frames (`slot i` maps `base + i` — true
-    /// after large-group promotion placed them with the contiguous-run
-    /// allocator), and agree on permissions and the global bit; the L1
-    /// entry must be an unshared table. The slots are cleared *raw* —
-    /// their frame references and reverse-map entries transfer to the
-    /// section, which now owns exactly one reference per frame.
-    ///
-    /// Returns the section's base frame.
-    pub fn collapse_section(&mut self, va: VirtAddr) -> SatResult<Pfn> {
-        let idx = va.l1_index();
-        let (ptp, half, domain, need_copy) = match self.root.entry(idx) {
-            L1Entry::Table {
-                ptp,
-                half,
-                domain,
-                need_copy,
-            } => (ptp, half, domain, need_copy),
-            _ => return Err(SatError::InvalidArgument),
-        };
-        if need_copy {
-            return Err(SatError::InvalidArgument);
-        }
-        let entries = (PageSize::Section1M.bytes() / PAGE_SIZE) as usize;
-        let table = self
-            .ptps
-            .get(ptp)
-            .expect("L1 table entry references a PTP in the store");
-        let first = table.get(half, 0).ok_or(SatError::InvalidArgument)?;
-        let base = first.hw.frame_for_slot(0);
-        let (perms, global) = (first.hw.perms, first.hw.global);
-        for i in 0..entries {
-            let s = table.get(half, i).ok_or(SatError::InvalidArgument)?;
-            if s.hw.frame_for_slot(i) != Pfn::new(base.raw() + i as u32)
-                || s.hw.perms != perms
-                || s.hw.global != global
-            {
-                return Err(SatError::InvalidArgument);
-            }
-        }
-        let table = self.ptps.get_mut(ptp).expect("PTP in store");
-        for i in 0..entries {
-            table.clear(half, i); // refs transfer to the section
-        }
-        self.root.set_entry(
-            idx,
-            L1Entry::Section {
-                base,
-                size: PageSize::Section1M,
-                perms,
-                domain,
-                global,
-            },
-        );
-        Ok(base)
-    }
-
-    /// Splits the section covering `va` back into 256 4KB PTEs,
-    /// reusing the pair's PTP if the other half references one (else
-    /// allocating). Frame references transfer from the section to the
-    /// new slots; software flags are reconstructed conservatively
-    /// (young, dirty-if-writable) since the section kept none. The
-    /// caller owns the section-span TLB flush.
-    ///
-    /// Returns the number of PTEs installed.
-    pub fn split_section(&mut self, va: VirtAddr) -> SatResult<u32> {
-        let idx = va.l1_index();
-        let L1Entry::Section {
-            base,
-            size,
-            perms,
-            domain,
-            global,
-        } = self.root.entry(idx)
-        else {
-            return Err(SatError::InvalidArgument);
-        };
-        debug_assert_eq!(
-            size,
-            PageSize::Section1M,
-            "16MB supersections never promoted"
-        );
-        let ptp = match self.root.entry(idx ^ 1) {
-            L1Entry::Table { ptp, .. } => ptp,
-            _ => {
-                let frame = self.phys.alloc(FrameKind::PageTable)?;
-                self.ptps.insert(frame);
-                self.phys.map_inc(frame);
-                frame
-            }
-        };
-        let half = TableHalf::of(va);
-        let entries = PageSize::Section1M.bytes() / PAGE_SIZE;
-        let table = self.ptps.get_mut(ptp).expect("PTP in store");
-        for i in 0..entries {
-            let frame = Pfn::new(base.raw() + i);
-            let hw = HwPte::small(frame, perms, global);
-            let sw = SwPte {
-                young: true,
-                dirty: perms.write(),
-                writable: perms.write(),
-                shared: false,
-                file_backed: false,
-            };
-            let prev = table.set(half, i as usize, hw, sw);
-            debug_assert!(prev.is_none(), "section split over populated slots");
-        }
-        self.root.set_entry(
-            idx,
-            L1Entry::Table {
-                ptp,
-                half,
-                domain,
-                need_copy: false,
-            },
-        );
-        Ok(entries)
-    }
-
-    /// Tears down the section covering `va`, dropping one reference
-    /// per frame (and its reverse-map entry) — the section-mapping
-    /// analogue of [`Mapper::clear_range`] over the whole 1MB. Returns
-    /// the number of frames released, or `None` if `va` is not
-    /// section-mapped.
-    pub fn clear_section(&mut self, va: VirtAddr) -> Option<u32> {
-        let idx = va.l1_index();
-        let L1Entry::Section { base, size, .. } = self.root.entry(idx) else {
-            return None;
-        };
-        let sect = VirtAddr::new(va.raw() & !(size.bytes() - 1));
-        let pages = size.bytes() / PAGE_SIZE;
-        let owner = self.owner(sect);
-        for i in 0..pages {
-            let page_va = VirtAddr::new(sect.raw() + i * PAGE_SIZE);
-            let frame = Pfn::new(base.raw() + i);
-            if is_data_frame(self.phys, frame) {
-                self.phys.rmap_remove(frame, owner, page_va);
-            }
-            self.phys.map_dec(frame);
-            self.phys.put_page(frame);
-        }
-        self.root.set_entry(idx, L1Entry::Fault);
-        Some(pages)
     }
 
     /// Collects the populated PTEs in `range` as `(va, slot)`, in
@@ -752,7 +588,7 @@ fn is_data_frame(phys: &PhysMem, pfn: Pfn) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sat_types::Perms;
+    use sat_types::{Perms, SatError};
 
     struct Fx {
         phys: PhysMem,
@@ -1055,105 +891,6 @@ mod tests {
         assert_eq!(m.phys.mapcount(probe), 1);
         // Splitting a small mapping is a no-op.
         assert_eq!(m.split_large(group), None);
-    }
-
-    #[test]
-    fn section_collapse_and_split_round_trip() {
-        let mut fx = Fx::new();
-        // 1MB = 16 large groups filling the Lower half of pair (6, 7).
-        let mb = VirtAddr::new(0x0060_0000);
-        let mut bases = Vec::new();
-        for g in 0..16u32 {
-            bases.push(install_large_group(
-                &mut fx,
-                VirtAddr::new(mb.raw() + g * 0x1_0000),
-            ));
-        }
-        // alloc_run hands out ascending runs, so the 256 frames are
-        // contiguous from the first group's base.
-        let base = bases[0];
-        for (g, b) in bases.iter().enumerate() {
-            assert_eq!(b.raw(), base.raw() + 16 * g as u32);
-        }
-        let in_use = fx.phys.frames_in_use();
-        let mut m = fx.mapper();
-        assert_eq!(m.collapse_section(mb).unwrap(), base);
-        assert!(matches!(
-            m.root.entry_for(mb),
-            L1Entry::Section {
-                size: PageSize::Section1M,
-                ..
-            }
-        ));
-        // Refs transferred, not dropped: nothing was freed.
-        assert_eq!(m.phys.frames_in_use(), in_use);
-        assert_eq!(m.phys.page(Pfn::new(base.raw() + 200)).refcount, 1);
-        // Split back: PTP reused via the mate half (Fault here, so a
-        // fresh PTP) and 256 small PTEs restored over the same frames.
-        assert_eq!(m.split_section(mb).unwrap(), 256);
-        let slot = m
-            .get_pte(VirtAddr::new(mb.raw() + 200 * PAGE_SIZE))
-            .unwrap();
-        assert_eq!(slot.hw.size, PageSize::Small4K);
-        assert_eq!(slot.hw.pfn, Pfn::new(base.raw() + 200));
-        assert_eq!(m.phys.page(Pfn::new(base.raw() + 200)).refcount, 1);
-        // clear_section is gone; clear_range now tears the small PTEs.
-        assert_eq!(
-            m.clear_range(VaRange::from_len(mb, PageSize::Section1M.bytes())),
-            256
-        );
-    }
-
-    #[test]
-    fn clear_section_drops_frame_refs() {
-        let mut fx = Fx::new();
-        let mb = VirtAddr::new(0x0060_0000);
-        for g in 0..16u32 {
-            install_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
-        }
-        let before_ptes = fx.phys.frames_in_use();
-        let mut m = fx.mapper();
-        m.collapse_section(mb).unwrap();
-        assert_eq!(m.clear_section(mb), Some(256));
-        assert_eq!(m.clear_section(mb), None);
-        // All 256 data frames freed; only the (now empty) PTP remains.
-        assert_eq!(m.phys.frames_in_use(), before_ptes - 256);
-        assert_eq!(m.root.section_count(), 0);
-    }
-
-    #[test]
-    fn collapse_section_rejects_holes_and_torn_runs() {
-        let mut fx = Fx::new();
-        let mb = VirtAddr::new(0x0060_0000);
-        for g in 0..15u32 {
-            install_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
-        }
-        let mut m = fx.mapper();
-        // Last 64KB missing: not fully populated.
-        assert_eq!(m.collapse_section(mb), Err(SatError::InvalidArgument));
-    }
-
-    #[test]
-    fn ensure_ptp_reuses_mate_half_after_section_split() {
-        let mut fx = Fx::new();
-        // Section in the Lower half of pair (6, 7); Upper half Fault.
-        let mb = VirtAddr::new(0x0060_0000);
-        for g in 0..16u32 {
-            install_large_group(&mut fx, VirtAddr::new(mb.raw() + g * 0x1_0000));
-        }
-        let mut m = fx.mapper();
-        m.collapse_section(mb).unwrap();
-        // The old PTP (emptied by the collapse) still serves the pair;
-        // mapping in the Upper MB must reuse it, not allocate anew.
-        let ptps_before = m.ptps.len();
-        let upper = VirtAddr::new(0x0070_0000);
-        let (_, allocated) = m.ensure_ptp(upper, Domain::USER).unwrap();
-        assert!(!allocated);
-        assert_eq!(m.ptps.len(), ptps_before);
-        // And after a section split with *no* surviving table half the
-        // pair gets exactly one fresh PTP shared by both halves.
-        m.split_section(mb).unwrap();
-        assert_eq!(m.root.entry_for(mb).ptp(), m.root.entry_for(upper).ptp());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`crate::RootTable`] were before their words moved into populated
 //! groups (`groups.rs`): 512 and 4,096 words held inline whatever the
 //! table contains, and — for the root — a `BTreeMap` of populated
-//! pairs and a `BTreeSet` of sections kept honest by every mutator.
+//! pairs kept honest by every mutator.
 //! They are kept as the executable specification of what every
 //! accessor returns and in which order every iterator visits, and the
 //! two differential proptests below drive both forms with identical
@@ -25,12 +25,12 @@
 //! What is not storage is left out: the root's four frames and
 //! `l1_entry_addr` (frame arithmetic) and `Ptp::hw_pte_addr`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use sat_types::{Domain, Pfn, VirtAddr, L1_ENTRIES, L2_ENTRIES};
 
-use crate::l1::{L1Entry, L1_FAULT, L1_NEED_COPY_OR_GLOBAL, L1_TABLE, L1_TAG_MASK};
+use crate::l1::{L1Entry, L1_FAULT, L1_NEED_COPY, L1_TABLE, L1_TAG_MASK};
 use crate::pte::{HwPte, PteSlot, SwPte};
 use crate::ptp::{pack_slot, unpack_slot, TableHalf, SLOT_SW_MASK, SLOT_SW_SHIFT, SLOT_VALID};
 
@@ -172,19 +172,15 @@ impl RefPtp {
     }
 }
 
-/// The dense root table: 16 KiB of entry words and two side indices.
+/// The dense root table: 16 KiB of entry words and a side index.
 #[derive(Clone)]
 pub(crate) struct RefRootTable {
     entries: Box<[u32; L1_ENTRIES]>,
     /// Even indices of pairs holding table entries, mapped to their
     /// PTP frame. Kept in sync by the mutators so `iter_ptps`
     /// walks the populated pairs instead of scanning all 4096 entries.
-    /// A pair stays indexed while *either* half holds a table entry, so
-    /// a section promoted into one half never hides the PTP still
-    /// referenced by the other.
+    /// A pair stays indexed while *either* half holds a table entry.
     pairs: BTreeMap<u16, Pfn>,
-    /// Indices holding section entries.
-    sections: BTreeSet<u16>,
 }
 
 impl RefRootTable {
@@ -197,7 +193,6 @@ impl RefRootTable {
                 .try_into()
                 .expect("L1_ENTRIES words"),
             pairs: BTreeMap::new(),
-            sections: BTreeSet::new(),
         }
     }
 
@@ -206,16 +201,10 @@ impl RefRootTable {
         L1Entry::unpack(self.entries[idx])
     }
 
-    /// Sets the entry at index `idx`, keeping the pair and section
-    /// indices honest for any mix of table/section/fault entries in
-    /// the two halves.
+    /// Sets the entry at index `idx`, keeping the pair index honest
+    /// for any mix of table and fault entries in the two halves.
     pub(crate) fn set_entry(&mut self, idx: usize, e: L1Entry) {
         self.entries[idx] = e.pack();
-        if matches!(e, L1Entry::Section { .. }) {
-            self.sections.insert(idx as u16);
-        } else {
-            self.sections.remove(&(idx as u16));
-        }
         let even = idx & !1;
         match self.entry(even).ptp().or(self.entry(even + 1).ptp()) {
             Some(ptp) => {
@@ -241,11 +230,6 @@ impl RefRootTable {
     ) {
         let even = va.l1_index() & !1;
         for (idx, half) in [(even, TableHalf::Lower), (even + 1, TableHalf::Upper)] {
-            // A section in one half survives: its 1MB is a leaf here,
-            // the PTP only serves the other half.
-            if matches!(self.entry(idx), L1Entry::Section { .. }) {
-                continue;
-            }
             self.set_entry(
                 idx,
                 L1Entry::Table {
@@ -258,9 +242,8 @@ impl RefRootTable {
         }
     }
 
-    /// Clears the table entries of the pair covering `va` (sections in
-    /// either half survive), returning the PTP frame they referenced
-    /// (if any).
+    /// Clears the table entries of the pair covering `va`, returning
+    /// the PTP frame they referenced (if any).
     pub(crate) fn clear_table_pair(&mut self, va: VirtAddr) -> Option<Pfn> {
         let even = va.l1_index() & !1;
         let ptp = self.entry(even).ptp().or(self.entry(even + 1).ptp());
@@ -288,9 +271,9 @@ impl RefRootTable {
                 L1Entry::unpack(*word)
             );
             if value {
-                *word |= L1_NEED_COPY_OR_GLOBAL;
+                *word |= L1_NEED_COPY;
             } else {
-                *word &= !L1_NEED_COPY_OR_GLOBAL;
+                *word &= !L1_NEED_COPY;
             }
         }
     }
@@ -305,17 +288,6 @@ impl RefRootTable {
     pub(crate) fn ptp_count(&self) -> usize {
         self.pairs.len()
     }
-
-    /// Iterates over the L1 indices holding section entries, in
-    /// ascending order — O(#sections), not O(4096).
-    pub(crate) fn iter_sections(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sections.iter().map(|&i| i as usize)
-    }
-
-    /// Counts section entries in this table.
-    pub(crate) fn section_count(&self) -> usize {
-        self.sections.len()
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +299,7 @@ mod tests {
     use crate::ptp::Ptp;
     use proptest::prelude::*;
     use sat_phys::{PhysMem, SlabItem};
-    use sat_types::{PageSize, Perms, MAX_FRAMES};
+    use sat_types::{Perms, MAX_FRAMES};
 
     /// Indices either side of every 64-word group boundary, so sets
     /// and clears collide and groups fill, empty and fill again —
@@ -566,41 +538,17 @@ mod tests {
     }
 
     fn l1_entry() -> impl Strategy<Value = L1Entry> {
-        (
-            0u8..7,
-            0..MAX_FRAMES,
-            0u8..16,
-            any::<bool>(),
-            any::<bool>(),
-            0u8..8,
+        (0u8..5, 0..MAX_FRAMES, 0u8..16, half(), any::<bool>()).prop_map(
+            |(kind, frame, domain, half, need_copy)| match kind {
+                0..=1 => L1Entry::Fault,
+                _ => L1Entry::Table {
+                    ptp: Pfn::new(frame),
+                    half,
+                    domain: Domain::new(domain),
+                    need_copy,
+                },
+            },
         )
-            .prop_map(|(kind, frame, domain, upper_or_super, flag, perms)| {
-                let (frame, domain) = (Pfn::new(frame), Domain::new(domain));
-                match kind {
-                    0..=1 => L1Entry::Fault,
-                    2..=4 => L1Entry::Table {
-                        ptp: frame,
-                        half: if upper_or_super {
-                            TableHalf::Upper
-                        } else {
-                            TableHalf::Lower
-                        },
-                        domain,
-                        need_copy: flag,
-                    },
-                    _ => L1Entry::Section {
-                        base: frame,
-                        size: if upper_or_super {
-                            PageSize::Super16M
-                        } else {
-                            PageSize::Section1M
-                        },
-                        perms: Perms::from_bits(perms),
-                        domain,
-                        global: flag,
-                    },
-                }
-            })
     }
 
     fn root_op() -> impl Strategy<Value = RootOp> {
@@ -679,11 +627,6 @@ mod tests {
             prop_assert_eq!(pair.need_copy, need_copy, "{:?}: pair {}", what, pair.idx);
         }
         prop_assert_eq!(new.ptp_count(), old.ptp_count());
-        prop_assert_eq!(
-            new.iter_sections().collect::<Vec<_>>(),
-            old.iter_sections().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(new.section_count(), old.section_count());
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! The hardware page-table walker.
 //!
 //! A TLB miss triggers a walk: the MMU fetches the level-1 descriptor
-//! and, for page mappings, the level-2 descriptor. Both fetches are
+//! and, when it points at a table, the level-2 descriptor. Both fetches are
 //! ordinary cached memory reads on Cortex-A9 — they allocate into the
 //! L2 (and L1 data) cache. [`WalkResult::accesses`] reports the
 //! physical addresses fetched so the cache model can account for this
@@ -121,8 +121,8 @@ impl std::fmt::Debug for WalkAccesses {
 pub struct WalkResult {
     /// Translation or fault.
     pub outcome: WalkOutcome,
-    /// Descriptor fetches performed (1 for sections or level-1 faults,
-    /// 2 for page mappings and level-2 faults).
+    /// Descriptor fetches performed (1 for level-1 faults, 2 for page
+    /// mappings and level-2 faults).
     pub accesses: WalkAccesses,
 }
 
@@ -143,19 +143,6 @@ pub fn walk(root: &RootTable, ptps: &PtpStore, va: VirtAddr) -> WalkResult {
     let mut accesses = WalkAccesses::one(l1_addr);
     let outcome = match root.entry(l1_idx) {
         L1Entry::Fault => WalkOutcome::Fault(WalkFault::SectionTranslation),
-        L1Entry::Section {
-            base,
-            size,
-            perms,
-            domain,
-            global,
-        } => WalkOutcome::Translated(Translation {
-            pfn: base,
-            size,
-            perms,
-            domain,
-            global,
-        }),
         L1Entry::Table {
             ptp,
             half,
@@ -214,7 +201,6 @@ mod tests {
                 fx.root.set_table_pair(va, f, Domain::USER, false);
                 f
             }
-            e => panic!("unexpected {e:?}"),
         };
         fx.ptps.get_mut(ptp_frame).unwrap().set(
             TableHalf::of(va),
@@ -272,28 +258,6 @@ mod tests {
         let r = walk(&fx.root, &fx.ptps, hole);
         assert_eq!(r.outcome, WalkOutcome::Fault(WalkFault::PageTranslation));
         assert_eq!(*r.accesses, descriptor_addrs(&fx, hole));
-    }
-
-    #[test]
-    fn section_translates_without_second_fetch() {
-        let mut fx = fixture();
-        fx.root.set_entry(
-            0xC00,
-            L1Entry::Section {
-                base: Pfn::new(0x100),
-                size: PageSize::Section1M,
-                perms: Perms::RWX,
-                domain: Domain::KERNEL,
-                global: true,
-            },
-        );
-        let va = VirtAddr::new(0xC00A_BCDE);
-        let r = walk(&fx.root, &fx.ptps, va);
-        let t = r.translation().unwrap();
-        assert_eq!(*r.accesses, [fx.root.l1_entry_addr(0xC00)]);
-        assert_eq!(t.size, PageSize::Section1M);
-        // Section base 0x0010_0000 plus the 1MB offset from the VA.
-        assert_eq!(t.translate(va).raw(), 0x001A_BCDE);
     }
 
     #[test]

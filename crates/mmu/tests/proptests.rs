@@ -144,27 +144,21 @@ mod range_walker {
     const MBS: u32 = 8;
     const FIRST_VPN: u32 = (FIRST_MB - 1) << 8;
 
-    /// A random sparse table: which megabytes are sections, which
-    /// 64KB groups are large pages, which slots hold small pages (by
-    /// slot number across the eight megabytes) and with what rights.
+    /// A random sparse table: which 64KB groups are large pages, which
+    /// slots hold small pages (by slot number across the eight
+    /// megabytes) and with what rights.
     #[derive(Clone, Debug)]
     struct Layout {
-        sections: BTreeSet<u32>,
         groups: BTreeSet<u32>,
         smalls: Vec<(u32, Perms)>,
     }
 
     fn layout() -> impl Strategy<Value = Layout> {
         (
-            prop::collection::btree_set(0..MBS, 0..3),
             prop::collection::btree_set(0..MBS * 16, 0..12),
             prop::collection::vec((0..MBS * 256, perms_strategy()), 0..60),
         )
-            .prop_map(|(sections, groups, smalls)| Layout {
-                sections,
-                groups,
-                smalls,
-            })
+            .prop_map(|(groups, smalls)| Layout { groups, smalls })
     }
 
     fn mb_base(mb: u32) -> VirtAddr {
@@ -184,26 +178,9 @@ mod range_walker {
             let mut phys = PhysMem::new(8192);
             let mut root = RootTable::alloc(&mut phys).unwrap();
             let mut ptps = PtpStore::new();
-            // Sections first, while the pool still has 1MB runs.
-            for &mb in &layout.sections {
-                let base = phys.alloc_run(FrameKind::Anon, 256).unwrap();
-                root.set_entry(
-                    mb_base(mb).l1_index(),
-                    L1Entry::Section {
-                        base,
-                        size: PageSize::Section1M,
-                        perms: Perms::RW,
-                        domain: Domain::USER,
-                        global: false,
-                    },
-                );
-            }
             let mut m = Mapper::new(&mut root, &mut ptps, &mut phys, Pid::new(1));
             let mut taken = BTreeSet::new();
             for &group in &layout.groups {
-                if layout.sections.contains(&(group / 16)) {
-                    continue;
-                }
                 let at = VirtAddr::new(mb_base(0).raw() + group * 16 * PAGE_SIZE);
                 m.ensure_ptp(at, Domain::USER).unwrap();
                 let base = m.phys.alloc_run(FrameKind::Anon, 16).unwrap();
@@ -221,7 +198,7 @@ mod range_walker {
                 }
             }
             for &(slot, perms) in &layout.smalls {
-                if layout.sections.contains(&(slot / 256)) || !taken.insert(slot) {
+                if !taken.insert(slot) {
                     continue;
                 }
                 let va = VirtAddr::new(mb_base(0).raw() + slot * PAGE_SIZE);
@@ -285,7 +262,7 @@ mod range_walker {
                 VirtAddr::new(mb_base(1).raw() + 0xF_8000),
                 0x11_0000
             )),
-            // Covers whole megabytes (sections, when the layout has them).
+            // Covers whole megabytes.
             Just(VaRange::from_len(mb_base(0), MBS * (1 << 20))),
             // The last page: `0xFFFF_F000 + 4KB` wraps `u32`.
             Just(VaRange::from_len(top, PAGE_SIZE)),

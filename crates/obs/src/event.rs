@@ -148,7 +148,7 @@ label_enum! {
     /// (Figure-6-style cause attribution for the demotion side).
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     pub enum DemoteCause {
-        /// Partial `munmap` cut through a large group / section.
+        /// Partial `munmap` cut through a large group.
         Munmap = "munmap",
         /// `mprotect` changed permissions over part of a large mapping.
         Mprotect = "mprotect",
@@ -161,8 +161,8 @@ label_enum! {
         /// Memory-pressure reclaim needed to tear a single PTE inside a
         /// large group.
         Reclaim = "reclaim",
-        /// `fork` demotes parent sections so child page tables stay
-        /// two-level and the share path never sees an L1 leaf.
+        /// `fork` split a parent mapping. No kernel path raises it; the
+        /// label stays so that recorded traces carrying it still parse.
         Fork = "fork",
     }
     /// Per-cause demotion counter.
@@ -188,13 +188,13 @@ label_enum! {
         /// Memory-pressure reclaim tore PTEs and must evict their cached
         /// translations before the frame is reused.
         Reclaim = "reclaim",
-        /// Large-page/section promotion migrated pages to contiguous
-        /// frames; stale small-page translations must go before the old
-        /// frames are reused.
+        /// Large-page promotion migrated pages to contiguous frames;
+        /// stale small-page translations must go before the old frames
+        /// are reused.
         Promote = "promote",
         /// A large mapping was split back to 4KB PTEs; the cached
-        /// large/section entry spans every page of the group, so the whole
-        /// span is invalidated.
+        /// large entry spans every page of the group, so the whole span
+        /// is invalidated.
         Demote = "demote",
     }
     /// Per-reason flush-event counter.
@@ -542,8 +542,8 @@ payloads! {
         shared_tears: u64,
     },
     /// The promotion scanner collapsed one aligned run into a wider
-    /// translation: `bytes` is the new mapping size (64KB group or 1MB
-    /// section), `pages` the 4KB pages it now spans, and `filled` the
+    /// translation: `bytes` is the new mapping size (a 64KB group),
+    /// `pages` the 4KB pages it now spans, and `filled` the
     /// hole pages that had never been touched but got frames allocated
     /// so the run could go wide — the memory-waste numerator.
     Promote = "i" "promote" {
@@ -553,7 +553,7 @@ payloads! {
         filled: u64,
     },
     /// A large mapping at `va` split back to 4KB PTEs: `bytes` is the
-    /// span invalidated (the whole group/section, since one cached
+    /// span invalidated (the whole group, since one cached
     /// wide entry serves every page in it), `pages` the PTEs restored.
     Demote = "i" "demote" {
         va: u32,

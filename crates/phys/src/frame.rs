@@ -409,8 +409,8 @@ impl PhysMem {
 
     /// Allocates `n` physically contiguous frames of the given kind
     /// (each with `refcount == 1`) and returns the base PFN — the
-    /// backing store for large pages and sections, whose replicated
-    /// descriptors assume `base + i` really is the frame for page `i`.
+    /// backing store for large pages, whose replicated descriptors
+    /// assume `base + i` really is the frame for page `i`.
     ///
     /// Picks the lowest-addressed free run, so allocation stays
     /// deterministic, and fails with [`SatError::OutOfMemory`] when

@@ -38,20 +38,14 @@ use sat_types::{PageSize, VirtAddr};
 
 use crate::entry::TlbEntry;
 
-/// The four architectural page sizes, in probe order.
-const SIZES: [PageSize; 4] = [
-    PageSize::Small4K,
-    PageSize::Large64K,
-    PageSize::Section1M,
-    PageSize::Super16M,
-];
+/// The page sizes, in probe order.
+const SIZES: [PageSize; 3] = [PageSize::Small4K, PageSize::Large64K, PageSize::Section1M];
 
 fn size_idx(size: PageSize) -> usize {
     match size {
         PageSize::Small4K => 0,
         PageSize::Large64K => 1,
         PageSize::Section1M => 2,
-        PageSize::Super16M => 3,
     }
 }
 
@@ -117,10 +111,10 @@ impl DirectMap {
 /// handful at most.
 #[derive(Clone)]
 pub struct VaIndex {
-    maps: [DirectMap; 4],
+    maps: [DirectMap; SIZES.len()],
     /// Live registrations per size class, to skip probing sizes with
     /// no entries at all.
-    counts: [usize; 4],
+    counts: [usize; SIZES.len()],
     /// Chain links, u32 to halve the footprint the flush paths drag
     /// through the cache (a TLB never has 4 billion slots).
     next: Vec<u32>,
@@ -143,9 +137,8 @@ impl VaIndex {
                 DirectMap::new(buckets),
                 DirectMap::new(sparse),
                 DirectMap::new(sparse),
-                DirectMap::new(sparse),
             ],
-            counts: [0; 4],
+            counts: [0; SIZES.len()],
             next: vec![NIL32; capacity],
             prev: vec![NIL32; capacity],
         }
@@ -212,7 +205,7 @@ impl VaIndex {
     /// chained; the per-size counts match. Returns the first violation.
     pub fn verify(&self, entry_at: impl Fn(usize) -> Option<TlbEntry>) -> Result<(), String> {
         let mut chained = vec![false; self.next.len()];
-        let mut counts = [0usize; 4];
+        let mut counts = [0usize; SIZES.len()];
         for (i, map) in self.maps.iter().enumerate() {
             for (b, &head) in map.buckets.iter().enumerate() {
                 let (mut back, mut at) = (NIL32, head);

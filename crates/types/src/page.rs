@@ -2,23 +2,22 @@
 
 use crate::{PAGE_SHIFT, PAGE_SIZE};
 
-/// The four page/memory-region sizes supported by 32-bit ARM.
+/// The page sizes a translation can have.
 ///
 /// 4KB ("small") and 64KB ("large") pages are mapped by second-level
 /// entries: a large page occupies sixteen consecutive, aligned
-/// second-level entries. 1MB sections and 16MB supersections are
-/// mapped directly by first-level entries (sixteen consecutive ones
-/// for a supersection) with no second-level table at all.
+/// second-level entries, and is the one large user mapping the
+/// simulator builds. A 1MB section is the size of the kernel's global
+/// text mappings, which the machine synthesizes at TLB fill: no
+/// simulated page table holds a section entry.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum PageSize {
     /// 4KB small page (second level).
     Small4K,
     /// 64KB large page (sixteen consecutive second-level entries).
     Large64K,
-    /// 1MB section (first level).
+    /// 1MB section: the kernel's global text mappings.
     Section1M,
-    /// 16MB supersection (sixteen consecutive first-level entries).
-    Super16M,
 }
 
 impl PageSize {
@@ -28,7 +27,6 @@ impl PageSize {
             PageSize::Small4K => PAGE_SIZE,
             PageSize::Large64K => 64 * 1024,
             PageSize::Section1M => 1 << 20,
-            PageSize::Super16M => 16 << 20,
         }
     }
 
@@ -38,17 +36,16 @@ impl PageSize {
             PageSize::Small4K => PAGE_SHIFT,
             PageSize::Large64K => 16,
             PageSize::Section1M => 20,
-            PageSize::Super16M => 24,
         }
     }
 
     /// Number of second-level entries this mapping consumes, or 0 for
-    /// the first-level (section) sizes.
+    /// a section.
     pub const fn l2_entries(self) -> usize {
         match self {
             PageSize::Small4K => 1,
             PageSize::Large64K => 16,
-            PageSize::Section1M | PageSize::Super16M => 0,
+            PageSize::Section1M => 0,
         }
     }
 
@@ -64,12 +61,7 @@ mod tests {
 
     #[test]
     fn sizes_and_shifts_agree() {
-        for s in [
-            PageSize::Small4K,
-            PageSize::Large64K,
-            PageSize::Section1M,
-            PageSize::Super16M,
-        ] {
+        for s in [PageSize::Small4K, PageSize::Large64K, PageSize::Section1M] {
             assert_eq!(1u32 << s.shift(), s.bytes());
         }
     }

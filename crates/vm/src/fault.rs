@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use sat_mmu::{HwPte, L1Entry, Mapper, PtpStore, SwPte};
+use sat_mmu::{HwPte, Mapper, PtpStore, SwPte};
 use sat_phys::{FrameKind, PhysMem};
 use sat_types::{AccessType, Domain, PageSize, Perms, SatError, SatResult, VirtAddr};
 
@@ -127,24 +127,7 @@ pub fn handle_fault(
                 }
             }
         }
-        None => {
-            if let L1Entry::Section { perms, global, .. } = mapper.root.entry_for(page) {
-                // A 1MB section already serves the access: the
-                // promotion policy only builds sections from settled
-                // mappings (never mid-COW), so this is a stale-TLB
-                // spurious fault, not demand paging.
-                debug_assert!(!access.is_write() || perms.write());
-                FaultOutcome {
-                    kind: FaultKind::Spurious,
-                    ptp_allocated: false,
-                    file_backed,
-                    global,
-                    demoted: None,
-                }
-            } else {
-                resolve_not_present(&mut mapper, &vma, page, access, ctx)?
-            }
-        }
+        None => resolve_not_present(&mut mapper, &vma, page, access, ctx)?,
     };
 
     // Mirror the paper's software counters.

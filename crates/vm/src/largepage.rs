@@ -175,8 +175,7 @@ pub fn collapse_group(
 /// then collapsed — map, fault, promote, the way every large page
 /// comes to exist. Faulting and collapsing one group at a time hands
 /// consecutive groups consecutive frame runs (each collapse frees the
-/// sixteen frames the next group's faults reuse), so a 16-group region
-/// is also section-eligible.
+/// sixteen frames the next group's faults reuse).
 #[cfg(test)]
 pub(crate) fn promoted_region(
     mm: &mut Mm,

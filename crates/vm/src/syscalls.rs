@@ -6,7 +6,7 @@
 //! `sat-core` wrapper unshares affected PTPs first and then calls
 //! these mechanics unchanged.
 
-use sat_mmu::{release_table, L1Entry, Mapper, PtpStore};
+use sat_mmu::{release_table, Mapper, PtpStore};
 use sat_phys::{FileId, PhysMem};
 use sat_types::{
     AccessType, PageSize, Perms, Pfn, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr,
@@ -156,39 +156,28 @@ pub fn populate(
 }
 
 /// Demotes large mappings so `range` can be operated on at 4KB
-/// granularity (Linux's split-before-zap): a 1MB section overlapping
-/// `range` is split back to a table of small PTEs, and a 64KB large
-/// page cut by a range *boundary* is split back to sixteen small
-/// PTEs. Groups lying wholly inside the range stay large — clearing
-/// all sixteen replicated descriptors releases the group exactly, and
-/// a whole-group permission change keeps the descriptors uniform.
+/// granularity (Linux's split-before-zap): a 64KB large page cut by a
+/// range *boundary* is split back to sixteen small PTEs. Groups lying
+/// wholly inside the range stay large — clearing all sixteen
+/// replicated descriptors releases the group exactly, and a
+/// whole-group permission change keeps the descriptors uniform.
 ///
-/// Returns the demoted mappings as `(start_va, size)`; the `sat-core`
-/// wrapper calls this ahead of the mechanics below to turn each entry
-/// into a `Demote` event and a size-tagged TLB flush (the calls here
-/// then find nothing left to split).
+/// Returns the first address of each demoted group; the `sat-core`
+/// wrapper calls this ahead of the mechanics below to turn each into a
+/// `Demote` event and a group-span TLB flush (the calls here then find
+/// nothing left to split).
 pub fn demote_range(
     mm: &mut Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     range: VaRange,
-) -> SatResult<Vec<(VirtAddr, PageSize)>> {
-    if range.is_empty() {
-        return Ok(Vec::new());
-    }
+) -> Vec<VirtAddr> {
     let mut demoted = Vec::new();
-    // Sections first: splitting one leaves 64KB groups behind, which
-    // the boundary pass below may then need to split further.
-    for mb in (range.start.raw() >> 20)..=((range.end.raw() - 1) >> 20) {
-        let va = VirtAddr::new(mb << 20);
-        if matches!(mm.root.entry(mb as usize), L1Entry::Section { .. }) {
-            let mut mapper = Mapper::new(&mut mm.root, ptps, phys, mm.pid);
-            mapper.split_section(va)?;
-            demoted.push((va, PageSize::Section1M));
-        }
+    if range.is_empty() {
+        return demoted;
     }
-    // 64KB groups cut by a boundary. Large pages are installed at
-    // 64KB-aligned starts, so an aligned boundary never cuts one.
+    // Large pages are installed at 64KB-aligned starts, so an aligned
+    // boundary never cuts one.
     let large = PageSize::Large64K.bytes();
     for edge in [range.start.raw(), range.end.raw()] {
         if edge.is_multiple_of(large) {
@@ -202,13 +191,10 @@ pub fn demote_range(
         };
         let mut mapper = Mapper::new(&mut mm.root, ptps, phys, mm.pid);
         if mapper.split_large(probe).is_some() {
-            demoted.push((
-                VirtAddr::new(probe.raw() & !(large - 1)),
-                PageSize::Large64K,
-            ));
+            demoted.push(VirtAddr::new(probe.raw() & !(large - 1)));
         }
     }
-    Ok(demoted)
+    demoted
 }
 
 /// The argument check of [`munmap`] and [`mprotect`], which both start
@@ -243,7 +229,7 @@ pub fn munmap(
     range: VaRange,
 ) -> SatResult<usize> {
     check_region_op(mm, range, false)?;
-    demote_range(mm, ptps, phys, range)?;
+    demote_range(mm, ptps, phys, range);
     let removed = mm.carve(range);
     let mut cleared = 0;
     {
@@ -289,7 +275,7 @@ pub fn mprotect(
     // replicated descriptors disagreeing, and the TLB could serve the
     // stale permission from any of them — demote at the boundaries
     // first; whole-group changes below stay uniform and stay large.
-    demote_range(mm, ptps, phys, range)?;
+    demote_range(mm, ptps, phys, range);
     let pieces = mm.carve(range);
     for mut piece in pieces {
         piece.perms = perms;
@@ -328,13 +314,7 @@ pub fn exit_mmap(
     phys: &mut PhysMem,
     mut shared: impl FnMut(Pfn),
 ) -> usize {
-    let Mm { pid, mut root, .. } = mm;
-    // Sections are level-1 entries, invisible to the PTP sweep: drop
-    // their frame references directly.
-    let sections: Vec<usize> = root.iter_sections().collect();
-    for idx in sections {
-        Mapper::new(&mut root, ptps, phys, pid).clear_section(VirtAddr::new((idx as u32) << 20));
-    }
+    let Mm { pid, root, .. } = mm;
     let mut freed = 0;
     for pair in root.table_pairs() {
         if pair.need_copy.contains(&true) {
@@ -552,14 +532,8 @@ mod tests {
             at,
             VirtAddr::new(at.raw() + LARGE_PAGE_BYTES + 4 * PAGE_SIZE),
         );
-        let demoted = demote_range(&mut f.mm, &mut f.ptps, &mut f.phys, range).unwrap();
-        assert_eq!(
-            demoted,
-            vec![(
-                VirtAddr::new(at.raw() + LARGE_PAGE_BYTES),
-                PageSize::Large64K
-            )]
-        );
+        let demoted = demote_range(&mut f.mm, &mut f.ptps, &mut f.phys, range);
+        assert_eq!(demoted, vec![VirtAddr::new(at.raw() + LARGE_PAGE_BYTES)]);
         let m = Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid);
         assert_eq!(m.get_pte(at).unwrap().hw.size, PageSize::Large64K);
         assert_eq!(
@@ -571,9 +545,7 @@ mod tests {
         );
         let _ = m;
         // Idempotent: a second call finds nothing left to split.
-        assert!(demote_range(&mut f.mm, &mut f.ptps, &mut f.phys, range)
-            .unwrap()
-            .is_empty());
+        assert!(demote_range(&mut f.mm, &mut f.ptps, &mut f.phys, range).is_empty());
     }
 
     #[test]
@@ -617,45 +589,11 @@ mod tests {
     }
 
     #[test]
-    fn munmap_splits_section_at_boundary() {
-        use crate::largepage::promoted_region;
-        let mut f = fx();
-        // 1MB-aligned; sixteen groups promoted one after another land
-        // on one contiguous 256-frame run, which the section needs.
-        let at = VirtAddr::new(0x4000_0000);
-        promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 16, Perms::RW);
-        Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
-            .collapse_section(at)
-            .unwrap();
-        assert_eq!(f.mm.root.section_count(), 1);
-        // Unmapping 8KB out of the middle demotes the section (and
-        // the large group the boundary then cuts), clears two pages.
-        let range = VaRange::from_len(VirtAddr::new(at.raw() + 0x8_0000), 2 * PAGE_SIZE);
-        let demoted = demote_range(&mut f.mm, &mut f.ptps, &mut f.phys, range).unwrap();
-        assert_eq!(demoted[0], (at, PageSize::Section1M));
-        let cleared = munmap(&mut f.mm, &mut f.ptps, &mut f.phys, range).unwrap();
-        assert_eq!(cleared, 2);
-        assert_eq!(f.mm.root.section_count(), 0);
-        // Every page outside the hole still translates.
-        let m = Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid);
-        assert!(m.get_pte(at).is_some());
-        assert!(m.get_pte(VirtAddr::new(at.raw() + 0x8_0000)).is_none());
-        assert!(m.get_pte(VirtAddr::new(at.raw() + 0x8_2000)).is_some());
-        let _ = m;
-        exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
-        assert_eq!(f.phys.frames_in_use(), 0); // the root table too
-        assert!(f.ptps.is_empty());
-    }
-
-    #[test]
-    fn exit_mmap_tears_down_sections() {
+    fn exit_mmap_tears_down_promoted_groups() {
         use crate::largepage::promoted_region;
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
         promoted_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, 16, Perms::RW);
-        Mapper::new(&mut f.mm.root, &mut f.ptps, &mut f.phys, f.mm.pid)
-            .collapse_section(at)
-            .unwrap();
         exit_mmap(f.mm, &mut f.ptps, &mut f.phys, |_| {});
         assert_eq!(f.phys.frames_in_use(), 0); // the root table too
         assert!(f.ptps.is_empty());

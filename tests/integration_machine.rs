@@ -403,12 +403,12 @@ fn failed_fork_flushes_the_parent_like_a_successful_one() {
 }
 
 /// Kernel config `base` with the promotion scanner on (any populated
-/// group collapses; no sections).
+/// group collapses).
 fn promoting(base: KernelConfig) -> KernelConfig {
     base.with_promote(sat_core::PromotePolicy {
         enabled: true,
         min_populated: 1,
-        sections: false,
+        ..sat_core::PromotePolicy::off()
     })
 }
 
@@ -660,7 +660,7 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
     let policy = sat_core::PromotePolicy {
         enabled: true,
         min_populated: 1,
-        sections: false,
+        ..sat_core::PromotePolicy::off()
     };
     let (mut m, zygote) = machine(KernelConfig::shared_ptp().with_promote(policy));
     // A full 64KB anon group: touch half the pages, promote, then
