@@ -226,18 +226,20 @@ for example in app_launch binder_ipc sparsity_analysis; do
 done
 cargo run --release --quiet --example quickstart | grep -F 'unshared=true, resolution=Cow'
 
-# Traced smoke: every experiment + both observability exporters
+# Traced smoke: every experiment, the trace and the snapshot
 # end-to-end. The serve pair's flow charges push the full run to ~270k
 # events — raise the ring so the trace stays lossless. No other
 # environment variable matters: everything runs on one thread.
 step "repro all --quick (traced, lossless)"
 SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace.json" --out "$out/BENCH_repro.json"
 
-# Validate the artifacts: sat-bench/repro-v8 schema, non-empty
-# traceEvents, >=5 subsystems (kernel, share, vm-fault, tlb, android) in
-# the trace, per-thread tick monotonicity, span begin/end pairing (on
-# lossless streams), monotone sample ticks + non-empty gauge names on
-# counter samples, obs section enabled. Exits 1 with a reason.
+# Validate the artifacts: sat-bench/repro-v9 schema with every param a
+# string and every metric a count, non-empty traceEvents, >=5
+# subsystems (kernel, share, vm-fault, tlb, android) in the trace,
+# per-thread tick monotonicity, span begin/end pairing (on lossless
+# streams), monotone sample ticks + non-empty gauge names on counter
+# samples, and the run record's `traced` param true. Exits 1 with a
+# reason.
 step "repro check"
 repro check --trace "$out/trace.json" --out "$out/BENCH_repro.json" | tee "$out/check.txt"
 
@@ -310,14 +312,14 @@ repro check --trace "$out/reach.json" --out "$out/BENCH_reach.json" | tee "$out/
 says "$out/reach_check.txt" 0 "the promotion scanner never fired"
 
 # Behaviour gate over the simulated numbers: compare the fresh snapshot
-# against the committed baseline for equality — every record's params,
-# metrics and events, and the run-wide params and counters. They are
-# deterministic, so any difference, up or down, a record or key on one
-# side only, prints as `record.key: old -> new` and fails (exit 1).
-# wall_ms is host time: recorded, never compared; a host-time claim is a
-# `satbench compare` under the pairs rule. Fleet records are per N
-# (fleet_n64, fleet_n256, ... are separate experiments), so a change at
-# one N is never masked by the rest.
+# against the committed baseline for equality — every record's params
+# and metrics, the run-wide record's included. They are deterministic,
+# so any difference, up or down, a record or key on one side only,
+# prints as `record.key: old -> new` and fails (exit 1). The snapshot
+# holds no host time; a host-time claim is a `satbench compare` under
+# the pairs rule. Fleet records are per N (fleet_n64, fleet_n256, ...
+# are separate experiments), so a change at one N is never masked by
+# the rest.
 step "repro diff vs baseline"
 repro diff BENCH_baseline.json "$out/BENCH_repro.json"
 

@@ -47,13 +47,14 @@
 //! `SAT_OBS_RING` (default 65,536 events; overflow drops the oldest
 //! and is reported, never silent).
 //!
-//! `--out <path>` overrides where the metrics snapshot is written; the
-//! default remains `BENCH_repro.json` in the working directory.
+//! `--out <path>` overrides where the snapshot is written; the default
+//! remains `BENCH_repro.json` in the working directory.
 //!
-//! `repro check` re-opens both artifacts and validates them: schema
-//! string, non-empty event stream, subsystem coverage, per-thread
-//! tick monotonicity, and span begin/end pairing. The verify smoke
-//! test runs it after `repro all --quick --trace`.
+//! `repro check` re-opens both artifacts and validates them: the
+//! snapshot's schema and records, and the trace's non-empty event
+//! stream, subsystem coverage, per-thread tick monotonicity, and span
+//! begin/end pairing. The verify smoke test runs it after `repro all
+//! --quick --trace`.
 //!
 //! `repro report` re-ingests a trace and renders the analytics rollup
 //! (Figure-6 unshare causes, flush attribution, span latencies with
@@ -68,34 +69,34 @@
 //! by cause, one section per `exp.<name>` bracket that carries flows
 //! (exact on lossless traces: every request's charges sum to its
 //! wall). `repro diff` compares two snapshots for equality — every
-//! record's params, metrics and events, and the run-wide counters —
+//! record's params and metrics, the run-wide record's included —
 //! prints one `record.key: old -> new` line per difference, and exits
 //! non-zero if there is any: the gate the verify skill runs against the
-//! committed `BENCH_baseline.json`. `wall_ms` is host time: recorded,
-//! never compared (host-time claims go through `satbench compare`).
+//! committed `BENCH_baseline.json`. Host-time claims go through
+//! `satbench compare`.
 //!
 //! A flag given to a verb that does not read it is refused by name
 //! (see [`FLAGS`]).
 //!
 //! Every experiment runs on the calling thread, one cell after the
-//! other, so a record is a function of its verb and scale alone
-//! (`wall_ms` and the trace's timing fields are wall-clock and
-//! naturally vary).
+//! other, so a record is a function of its verb and scale alone: two
+//! runs write byte-identical snapshots (only the trace's bench-cell
+//! spans carry wall-clock microseconds).
 //!
 //! Besides the tables on stdout, every run writes the
-//! `sat-bench/repro-v8` snapshot (see `sat_bench::snapshot`): one
-//! record per timed experiment — a `params` object (the frame budget
-//! of a budgeted cell), one flat `metrics` map (`wall_ms`, `gauge.*`
-//! high-water marks, `latency.*`, `reclaim.*`, `translation.*`), and
-//! the observability counters the experiment moved — plus the run-wide
-//! counter/histogram/gauge registry.
+//! `sat-bench/repro-v9` snapshot (`sat_bench::snapshot`, the one module
+//! that knows its format): one record per timed experiment — `params`
+//! (the scale, the frame budget of a budgeted cell) and one flat
+//! `metrics` map (`latency.*`, `reclaim.*`, `translation.*` and, traced,
+//! `gauge.*` high-water marks and the `event.*` counters the experiment
+//! moved) — plus the run-wide record (`command`/`scale`/`traced`, and
+//! the recorder's `counter.*` totals).
 //!
 //! Every experiment is one row of [`VERBS`]: its record name, figure
 //! aliases, whether `all` runs it, its runner, and the subsystems its
 //! trace must cover. Dispatch, `all`, the unknown-verb hint and `repro
 //! check`'s coverage floor all read that table.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -105,32 +106,7 @@ use sat_bench::{
 };
 use sat_obs::report::ReportFormat;
 use sat_types::SatResult;
-
-/// One timed experiment, as the snapshot records it.
-struct Record {
-    name: String,
-    /// What the metrics were measured under (`mem_frames` of a
-    /// budgeted cell).
-    params: BTreeMap<&'static str, u64>,
-    /// Everything measured: `wall_ms` (host time — `repro diff`
-    /// never reads it) and what the diff compares: `gauge.<name>`
-    /// high-water marks over the experiment's sampling
-    /// window (traced runs) and whatever the experiment itself
-    /// reports (`latency.*`, `reclaim.*`, `translation.*` — simulated,
-    /// hence deterministic).
-    metrics: BTreeMap<String, f64>,
-    /// Observability counters the experiment moved (traced runs).
-    events: BTreeMap<String, u64>,
-}
-
-impl Record {
-    /// Adds what an experiment measured itself (simulated, integral).
-    fn add_metrics(&mut self, metrics: impl IntoIterator<Item = (&'static str, u64)>) {
-        for (key, v) in metrics {
-            self.metrics.insert(key.to_string(), v as f64);
-        }
-    }
-}
+use snapshot::{Record, Snapshot};
 
 /// Parsed command line.
 struct Cli {
@@ -303,8 +279,8 @@ fn main() -> ExitCode {
             }
         }
         "diff" => (|| {
-            let old = snapshot::Snapshot::load(&cli.rest[0])?;
-            let new = snapshot::Snapshot::load(&cli.rest[1])?;
+            let old = Snapshot::load(&cli.rest[0])?;
+            let new = Snapshot::load(&cli.rest[1])?;
             let lines = snapshot::diff(&old, &new);
             let mut text: String = lines.iter().map(|l| format!("{l}\n")).collect();
             text += &format!("repro diff: {} difference(s)\n", lines.len());
@@ -336,7 +312,6 @@ fn run_and_record(cli: &Cli) -> Fallible {
         sat_obs::install(sat_obs::env_ring_capacity());
     }
     let mut records = Vec::new();
-    let started = Instant::now();
     let output = run(&cli.cmd, cli.scale, &mut records)?;
     let recording = cli.trace.as_ref().and_then(|_| sat_obs::uninstall());
     if let (Some(path), Some(rec)) = (&cli.trace, &recording) {
@@ -344,14 +319,9 @@ fn run_and_record(cli: &Cli) -> Fallible {
             eprintln!("repro: could not write trace {path}: {e}");
         }
     }
-    let json = render_json(
-        &cli.cmd,
-        cli.scale,
-        &records,
-        started.elapsed().as_secs_f64() * 1e3,
-        recording.as_ref(),
-    );
-    if let Err(e) = std::fs::write(&cli.out, json) {
+    let counters = recording.as_ref().map(|rec| rec.metrics.counters_map());
+    let snap = Snapshot::new(&cli.cmd, cli.scale, records, counters);
+    if let Err(e) = std::fs::write(&cli.out, snap.render()) {
         eprintln!("repro: could not write {}: {e}", cli.out);
     }
     Ok(output)
@@ -362,20 +332,15 @@ type Fallible<T = String> = Result<T, Box<dyn std::error::Error>>;
 /// Runs `body` as one timed experiment, appending its record on
 /// success. `body` returns the rendered text plus whatever the caller
 /// wants back, and may add params and metrics of its own to the
-/// record. With a recorder installed, the record also carries the
-/// observability counters the experiment moved (snapshot delta), so
-/// the snapshot attributes event volume per experiment.
+/// record. With a recorder installed, the record also carries each
+/// gauge's peak over the experiment and the counters it moved, so the
+/// snapshot attributes event volume per experiment.
 fn timed<T>(
     records: &mut Vec<Record>,
     name: &str,
     body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
 ) -> Fallible<(String, T)> {
-    let mut rec = Record {
-        name: name.to_string(),
-        params: BTreeMap::new(),
-        metrics: BTreeMap::new(),
-        events: BTreeMap::new(),
-    };
+    let mut rec = Record::new(name);
     let before = sat_obs::counters_snapshot().unwrap_or_default();
     // Bracket the experiment with an `exp.<name>` span (machine-level:
     // pid 0) so `repro report/timeline --experiment <name>` can slice
@@ -387,25 +352,14 @@ fn timed<T>(
     bracket(sat_obs::Payload::SpanBegin { name: span.clone() });
     let t = Instant::now();
     let out = body(&mut rec)?;
-    // Millisecond wall with microsecond resolution, as it is printed.
-    let wall_ms = t.elapsed().as_micros() as f64 / 1e3;
     bracket(sat_obs::Payload::SpanEnd {
         name: span,
         value: t.elapsed().as_micros() as u64,
         unit: sat_obs::SpanUnit::Micros,
     });
-    rec.metrics.insert("wall_ms".to_string(), wall_ms);
-    for (gauge, high_water) in sat_obs::window_gauge_high_waters().unwrap_or_default() {
-        rec.metrics
-            .insert(format!("gauge.{gauge}"), high_water as f64);
-    }
     if let Some(after) = sat_obs::counters_snapshot() {
-        for (key, v) in after {
-            let delta = v - before.get(&key).copied().unwrap_or(0);
-            if delta > 0 {
-                rec.events.insert(key, delta);
-            }
-        }
+        let peaks = sat_obs::window_gauge_high_waters().unwrap_or_default();
+        rec.add_observed(peaks, &before, &after);
     }
     records.push(rec);
     Ok(out)
@@ -629,7 +583,9 @@ fn run_pressure_grid(cells: &mut Cells) -> Fallible {
         let budget = opts.mem_frames;
         let (_, report) = cells.timed(|rec| {
             let r = sat_sched::run_serve(config, opts)?;
-            rec.params.extend(budget.map(|n| ("mem_frames", n)));
+            if let Some(n) = budget {
+                rec.set_budget(n);
+            }
             rec.add_metrics(servebench::snapshot_metrics(&r, budget.is_some()));
             Ok((String::new(), r))
         })?;
@@ -684,54 +640,6 @@ fn run(cmd: &str, scale: Scale, records: &mut Vec<Record>) -> Fallible {
             Err(format!("unknown experiment '{cmd}' (try: {} all)", verbs.join(" ")).into())
         }
     }
-}
-
-/// Hand-rolled JSON (the workspace vendors no serializer): flat,
-/// stable key order, floats with fixed precision.
-fn render_json(
-    cmd: &str,
-    scale: Scale,
-    records: &[Record],
-    total_ms: f64,
-    recording: Option<&sat_obs::Recording>,
-) -> String {
-    // `{"k": v, ...}` — the one shape of every per-record map.
-    fn object<K: std::fmt::Display, V: std::fmt::Display>(
-        pairs: impl IntoIterator<Item = (K, V)>,
-    ) -> String {
-        let body: Vec<String> = pairs
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-    let experiments: Vec<String> = records
-        .iter()
-        .map(|rec| {
-            format!(
-                "    {{\"name\": \"{}\", \"params\": {}, \"metrics\": {}, \"events\": {}}}",
-                rec.name,
-                object(&rec.params),
-                object(&rec.metrics),
-                object(&rec.events),
-            )
-        })
-        .collect();
-    let empty = sat_obs::MetricsRegistry::default();
-    let obs = match recording {
-        Some(rec) => sat_obs::metrics_json(&rec.metrics, true, rec.dropped, "  "),
-        None => sat_obs::metrics_json(&empty, false, 0, "  "),
-    };
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"command\": \"{cmd}\",\n  \"scale\": \"{}\",\n  \
-         \"experiments\": [\n{}\n  ],\n  \"total_wall_ms\": {total_ms:.3},\n  \"obs\": {obs}\n}}\n",
-        snapshot::SCHEMA,
-        match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        },
-        experiments.join(",\n"),
-    )
 }
 
 /// Re-ingests a Chrome trace, optionally sliced to one experiment's
@@ -840,7 +748,7 @@ mod tests {
 
     #[test]
     fn all_writes_exactly_the_baseline_experiments() {
-        let baseline = snapshot::Snapshot::parse(
+        let baseline = Snapshot::parse(
             include_str!("../../../../BENCH_baseline.json"),
             "BENCH_baseline.json",
         )
@@ -852,7 +760,8 @@ mod tests {
             .flat_map(|v| v.records(Scale::Quick))
             .collect();
         in_all.sort();
-        let recorded: Vec<String> = baseline.experiments.keys().cloned().collect();
+        let mut recorded: Vec<String> = baseline.experiments.into_iter().map(|r| r.name).collect();
+        recorded.sort();
         assert_eq!(recorded, in_all);
     }
 }

@@ -1,72 +1,167 @@
-//! The `BENCH_repro.json` snapshot: schema, validation (`repro
-//! check`), and number-by-number comparison (`repro diff`).
+//! The `BENCH_repro.json` snapshot, and the one module that knows its
+//! format: `repro` fills [`Record`]s, [`Snapshot::render`] writes them,
+//! [`Snapshot::parse`] reads them back, [`check`] validates a run's
+//! artifacts (`repro check`) and [`diff`] compares two snapshots number
+//! by number (`repro diff`).
 //!
-//! A snapshot is a list of records, one per timed experiment, plus one
-//! run-wide record. Every record has the same shape: a `params` object
-//! (what the numbers were measured *under* — a frame budget, the run's
-//! scale) and one flat `metrics` map (what was measured — `wall_ms`,
+//! A snapshot is one run-wide record plus one record per timed
+//! experiment, all of one shape: a name, a `params` object of strings
+//! (what the numbers were measured *under* — the run's scale, a frame
+//! budget) and one flat `metrics` map of counts (what was measured —
 //! `latency.p99`, `reclaim.pages`, `translation.waste_frames`,
-//! `gauge.<name>`, `counter.<name>`, `event.<name>`, ...). A new
-//! metric family is one map insert where it is measured — never a
-//! schema bump.
+//! `gauge.<name>`, `event.<name>`, ...). The run-wide record's params
+//! are `command`/`scale`/`traced`, and its metrics one `counter.<name>`
+//! per event counter of a traced run. A new metric family is one map
+//! insert where it is measured — never a schema bump.
 //!
-//! `repro diff old.json new.json` is the gate for *simulated*
-//! behaviour: the verify smoke compares a fresh `repro all --quick`
-//! snapshot against the committed `BENCH_baseline.json`. Every number
-//! but `wall_ms` is a function of its experiment and scale, so the diff
-//! is an equality: any difference — a count up or down, a param, a
-//! record or key on one side only — means the simulator changed
-//! behaviour, which is either a bug or an intentional change that must
-//! refresh the baseline. `wall_ms` is host time: the snapshot records
-//! it and the diff never reads it — host-time claims go through
-//! `satbench compare` (`benchmark/`) and its pairs rule.
+//! Every number is a function of the verb and the scale, so two runs of
+//! one verb write byte-identical files, and `repro diff` is an
+//! equality. It is the gate for *simulated* behaviour: the verify smoke
+//! compares a fresh `repro all --quick` snapshot against the committed
+//! `BENCH_baseline.json`, and any difference — a count up or down, a
+//! param, a record or key on one side only — means the simulator
+//! changed behaviour, which is either a bug or an intentional change
+//! that must refresh the baseline. Host time is not in the snapshot:
+//! host-time claims go through `satbench compare` (`benchmark/`) and
+//! its pairs rule.
+//!
+//! ```text
+//! {
+//!   "schema": "sat-bench/repro-v9",
+//!   "run": {"name": "total", "params": {"command": "all", "scale": "quick", "traced": "true"},
+//!           "metrics": {"counter.kernel.fork": 1689, ...}},
+//!   "experiments": [
+//!     {"name": "table4", "params": {"scale": "quick"}, "metrics": {"event.kernel.fork": 3, ...}},
+//!     ...
+//!   ]
+//! }
+//! ```
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{Display, Write as _};
 
-use sat_obs::json::Json;
+use sat_obs::json::{escape_into, Json};
+
+use crate::Scale;
 
 /// The one snapshot schema this build writes and reads. Only the
 /// committed baseline is ever read back, so there is no compatibility
 /// code: an older file is refreshed, not parsed.
-pub const SCHEMA: &str = "sat-bench/repro-v8";
+pub const SCHEMA: &str = "sat-bench/repro-v9";
 
-/// Label of the run-wide record in diff output
-/// (`total.counter.tlb.flush`).
+/// Name of the run-wide record (`total.counter.tlb.flush` in diff
+/// output).
 const RUN: &str = "total";
 
-/// The one host-time metric: wall clock swings with the machine, not
-/// with the program, so the diff never reads it.
-const HOST_TIME: &str = "wall_ms";
+/// The param of a record measured under a physical-frame budget.
+const BUDGET: &str = "mem_frames";
 
-/// One parsed record: an experiment, or the run as a whole.
+/// One record: an experiment, or the run as a whole.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
+    pub name: String,
     /// What the metrics were measured under.
     pub params: BTreeMap<String, String>,
-    /// Every number measured: the record's metrics and, as
-    /// `event.<name>`, its counter deltas.
-    pub metrics: BTreeMap<String, f64>,
+    /// Every number measured: simulated, hence exact and repeatable.
+    pub metrics: BTreeMap<String, u64>,
 }
 
-/// A parsed snapshot.
-#[derive(Clone, Debug)]
+impl Record {
+    /// An experiment's record, before anything is measured.
+    pub fn new(name: &str) -> Record {
+        Record {
+            name: name.to_string(),
+            ..Record::default()
+        }
+    }
+
+    /// Adds what an experiment measured itself.
+    pub fn add_metrics(&mut self, metrics: impl IntoIterator<Item = (&'static str, u64)>) {
+        for (key, v) in metrics {
+            self.metrics.insert(key.to_string(), v);
+        }
+    }
+
+    /// Records the physical-frame budget the experiment ran under.
+    pub fn set_budget(&mut self, mem_frames: u64) {
+        self.params
+            .insert(BUDGET.to_string(), mem_frames.to_string());
+    }
+
+    /// Adds the recorder's view of the experiment: each gauge's peak
+    /// over the experiment's window as `gauge.<name>`, and each counter
+    /// it moved — `after` less `before` — as `event.<name>`.
+    pub fn add_observed(
+        &mut self,
+        gauge_peaks: BTreeMap<String, u64>,
+        before: &BTreeMap<String, u64>,
+        after: &BTreeMap<String, u64>,
+    ) {
+        for (gauge, peak) in gauge_peaks {
+            self.metrics.insert(format!("gauge.{gauge}"), peak);
+        }
+        for (key, v) in after {
+            let delta = v - before.get(key).copied().unwrap_or(0);
+            if delta > 0 {
+                self.metrics.insert(format!("event.{key}"), delta);
+            }
+        }
+    }
+}
+
+/// A snapshot: what one `repro` run measured.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
-    pub experiments: BTreeMap<String, Record>,
-    /// The run-wide record: params `command`/`scale`/`traced`,
-    /// metrics `wall_ms` (the total) and one `counter.<name>` per event
-    /// counter of a traced run.
+    /// The run-wide record: params `command`/`scale`/`traced`, metrics
+    /// one `counter.<name>` per event counter of a traced run.
     pub run: Record,
+    /// One record per timed experiment, in run order.
+    pub experiments: Vec<Record>,
 }
 
 impl Snapshot {
+    /// The snapshot of one `repro <command>` run: its experiment
+    /// records, each stamped with the run's scale (workload sizes
+    /// follow it, so it is part of what every number was measured
+    /// under), and the recorder's `counters` when the run was traced.
+    pub fn new(
+        command: &str,
+        scale: Scale,
+        mut experiments: Vec<Record>,
+        counters: Option<&BTreeMap<String, u64>>,
+    ) -> Snapshot {
+        let scale = match scale {
+            Scale::Paper => "paper",
+            Scale::Quick => "quick",
+        };
+        for rec in &mut experiments {
+            rec.params.insert("scale".to_string(), scale.to_string());
+        }
+        let traced = counters.is_some().to_string();
+        let run = Record {
+            name: RUN.to_string(),
+            params: [("command", command), ("scale", scale), ("traced", &traced)]
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .into(),
+            metrics: counters
+                .into_iter()
+                .flatten()
+                .map(|(k, &v)| (format!("counter.{k}"), v))
+                .collect(),
+        };
+        Snapshot { run, experiments }
+    }
+
     /// Reads and parses the snapshot file at `path`.
     pub fn load(path: &str) -> Result<Snapshot, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         Snapshot::parse(&text, path)
     }
 
-    /// Parses a snapshot document of the current schema.
+    /// Parses a snapshot document of the current schema. Strict: a
+    /// record without its params or metrics, a param that is not a
+    /// string, a metric that is not a count, or an experiment recorded
+    /// twice is an error naming the record (and key) — never a skip.
     pub fn parse(text: &str, label: &str) -> Result<Snapshot, String> {
         let doc = Json::parse(text).map_err(|e| format!("{label}: {e}"))?;
         let field = |key: &str| {
@@ -80,67 +175,42 @@ impl Snapshot {
                  file with: repro all --quick --trace <trace.json> --out {label})"
             ));
         }
-        // One loop reads every number there is: a record's metrics and
-        // the run's counters are the same kind of map.
-        let numbers = |map: Option<&Json>, prefix: &str| -> BTreeMap<String, f64> {
-            let mut out = BTreeMap::new();
-            for (key, v) in map.and_then(Json::as_object).into_iter().flatten() {
-                if let Some(n) = v.as_f64() {
-                    out.insert(format!("{prefix}{key}"), n);
-                }
-            }
-            out
-        };
-        let text_of = |v: &Json| match v {
-            Json::Str(s) => s.clone(),
-            Json::Num(n) => n.to_string(),
-            other => format!("{other:?}"),
-        };
-        // What every number of the run was measured under: workload
-        // sizes follow the scale, so it goes into each record's params.
-        // (The command does not: `table4` is the same experiment under
-        // `all` and on its own.)
-        let scale = ("scale".to_string(), text_of(field("scale")?));
-        let mut experiments = BTreeMap::new();
+        let run = read_record(field("run")?).map_err(|e| format!("{label}: {e}"))?;
+        let mut experiments: Vec<Record> = Vec::new();
         for exp in field("experiments")?
             .as_array()
             .ok_or_else(|| format!("{label}: \"experiments\" is not an array"))?
         {
-            let name = exp
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{label}: experiment without \"name\""))?;
-            let params = exp.get("params").and_then(Json::as_object);
-            experiments.insert(
-                name.to_string(),
-                Record {
-                    params: params
-                        .into_iter()
-                        .flatten()
-                        .map(|(k, v)| (k.clone(), text_of(v)))
-                        .chain([scale.clone()])
-                        .collect(),
-                    metrics: numbers(exp.get("metrics"), "")
-                        .into_iter()
-                        .chain(numbers(exp.get("events"), "event."))
-                        .collect(),
-                },
-            );
+            let rec = read_record(exp).map_err(|e| format!("{label}: {e}"))?;
+            if experiments.iter().any(|r| r.name == rec.name) {
+                return Err(format!(
+                    "{label}: experiment \"{}\" recorded twice",
+                    rec.name
+                ));
+            }
+            experiments.push(rec);
         }
-        let obs = field("obs")?;
-        let traced = obs.get("enabled").and_then(Json::as_bool).unwrap_or(false);
-        let mut run = Record {
-            params: BTreeMap::from([scale]),
-            metrics: numbers(obs.get("counters"), "counter."),
-        };
-        run.params.insert("traced".to_string(), traced.to_string());
-        run.params
-            .insert("command".to_string(), text_of(field("command")?));
-        run.metrics.insert(
-            "wall_ms".to_string(),
-            field("total_wall_ms")?.as_f64().unwrap_or(0.0),
-        );
-        Ok(Snapshot { experiments, run })
+        Ok(Snapshot { run, experiments })
+    }
+
+    /// The document [`Snapshot::parse`] reads back as `self`: one line
+    /// per record, keys in order.
+    pub fn render(&self) -> String {
+        let experiments: Vec<String> = self
+            .experiments
+            .iter()
+            .map(|rec| format!("    {}", record_json(rec)))
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"run\": {},\n  \"experiments\": [\n{}\n  ]\n}}\n",
+            record_json(&self.run),
+            experiments.join(",\n")
+        )
+    }
+
+    /// The experiment record called `name`.
+    pub fn experiment(&self, name: &str) -> Option<&Record> {
+        self.experiments.iter().find(|r| r.name == name)
     }
 
     fn param(&self, key: &str) -> &str {
@@ -158,21 +228,70 @@ impl Snapshot {
     }
 }
 
+/// One record as a JSON object on one line.
+fn record_json(rec: &Record) -> String {
+    fn quoted(s: &str) -> String {
+        let mut out = String::from("\"");
+        escape_into(&mut out, s);
+        out.push('"');
+        out
+    }
+    fn object<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> String) -> String {
+        let members: Vec<String> = map
+            .iter()
+            .map(|(k, v)| format!("{}: {}", quoted(k), value(v)))
+            .collect();
+        format!("{{{}}}", members.join(", "))
+    }
+    format!(
+        "{{\"name\": {}, \"params\": {}, \"metrics\": {}}}",
+        quoted(&rec.name),
+        object(&rec.params, |v| quoted(v)),
+        object(&rec.metrics, u64::to_string)
+    )
+}
+
+/// Reads one record of a snapshot document.
+fn read_record(json: &Json) -> Result<Record, String> {
+    let name = json
+        .get("name")
+        .and_then(Json::as_str)
+        .ok_or("a record without a \"name\"")?;
+    let members = |key: &str| {
+        json.get(key)
+            .and_then(Json::as_object)
+            .ok_or_else(|| format!("record \"{name}\" has no \"{key}\" object"))
+    };
+    let mut rec = Record::new(name);
+    for (key, v) in members("params")? {
+        let v = v
+            .as_str()
+            .ok_or_else(|| format!("{name}.params.{key} is not a string"))?;
+        rec.params.insert(key.clone(), v.to_string());
+    }
+    for (key, v) in members("metrics")? {
+        let v = v
+            .as_u64()
+            .ok_or_else(|| format!("{name}.{key} is not a count"))?;
+        rec.metrics.insert(key.clone(), v);
+    }
+    Ok(rec)
+}
+
 /// Compares two snapshots number by number: one `record.key: old ->
 /// new` line per difference, in record and key order; empty when the
-/// snapshots agree. Every record's params and numbers are compared,
-/// the run-wide record's included, all but `wall_ms`; a record or key
-/// on one side only is a difference (`missing` on the other).
+/// snapshots agree. Every record's params and metrics are compared,
+/// the run-wide record's included; a record or key on one side only is
+/// a difference (`missing` on the other).
 pub fn diff(old: &Snapshot, new: &Snapshot) -> Vec<String> {
-    let names: BTreeSet<&str> = old
-        .experiments
-        .keys()
-        .chain(new.experiments.keys())
-        .map(String::as_str)
-        .collect();
+    fn by_name(s: &Snapshot) -> BTreeMap<&str, &Record> {
+        s.experiments.iter().map(|r| (r.name.as_str(), r)).collect()
+    }
+    let (old_exps, new_exps) = (by_name(old), by_name(new));
+    let names: BTreeSet<&str> = old_exps.keys().chain(new_exps.keys()).copied().collect();
     let pairs = names
         .into_iter()
-        .map(|name| (name, old.experiments.get(name), new.experiments.get(name)))
+        .map(|n| (n, old_exps.get(n).copied(), new_exps.get(n).copied()))
         .chain([(RUN, Some(&old.run), Some(&new.run))]);
     let mut lines = Vec::new();
     for (name, old_rec, new_rec) in pairs {
@@ -191,7 +310,7 @@ pub fn diff(old: &Snapshot, new: &Snapshot) -> Vec<String> {
 }
 
 /// Appends a `label.key: old -> new` line per key whose values differ
-/// (or that one side lacks), `wall_ms` aside.
+/// (or that one side lacks).
 fn differences<V: PartialEq + Display>(
     lines: &mut Vec<String>,
     label: &str,
@@ -200,7 +319,7 @@ fn differences<V: PartialEq + Display>(
 ) {
     let shown = |v: Option<&V>| v.map_or("missing".to_string(), V::to_string);
     let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
-    for key in keys.into_iter().filter(|k| *k != HOST_TIME) {
+    for key in keys {
         let (a, b) = (old.get(key), new.get(key));
         if a != b {
             lines.push(format!("{label}.{key}: {} -> {}", shown(a), shown(b)));
@@ -244,13 +363,13 @@ pub fn check(
     // — the totals live in the snapshot — and mirror the partial-blame
     // one.
     let idle = |carry: fn(&Record) -> bool, key: &str| -> Option<usize> {
-        let carriers: Vec<&Record> = snap.experiments.values().filter(|r| carry(r)).collect();
-        let zero = |r: &&Record| r.metrics.get(key).copied().unwrap_or(0.0) == 0.0;
+        let carriers: Vec<&Record> = snap.experiments.iter().filter(|r| carry(r)).collect();
+        let zero = |r: &&Record| r.metrics.get(key).copied().unwrap_or(0) == 0;
         (!carriers.is_empty() && carriers.iter().all(zero)).then_some(carriers.len())
     };
     // A budget that never reclaimed sat above the peak footprint the
     // whole run.
-    let budgeted = |r: &Record| r.params.contains_key("mem_frames");
+    let budgeted = |r: &Record| r.params.contains_key(BUDGET);
     if let Some(n) = idle(budgeted, "reclaim.pages") {
         let _ = writeln!(
             report,
@@ -323,7 +442,7 @@ pub fn check(
         }
         if !snap.traced() {
             return Err(format!(
-                "{out}: obs section disabled although a trace was produced"
+                "{out}: an untraced run although a trace was produced"
             ));
         }
         let (samples, gauges) = {
@@ -354,19 +473,20 @@ mod tests {
     use super::*;
 
     /// A traced `all --quick` snapshot holding one number of every
-    /// family the diff reads, and host time on the record and the run.
-    fn base() -> String {
-        format!(
-            r#"{{"schema": "{SCHEMA}", "command": "all", "scale": "quick",
-            "experiments": [{{"name": "cell", "params": {{"mem_frames": 900}},
-                "metrics": {{"wall_ms": 12.5, "gauge.phys.slab.live": 1000,
-                    "latency.p99": 120000, "reclaim.pages": 400,
-                    "translation.waste_frames": 960}},
-                "events": {{"tlb.flush.main": 75771}}}}],
-            "total_wall_ms": 30.25,
-            "obs": {{"enabled": true, "dropped_events": 0,
-                "counters": {{"tlb.flush.reason.unshare": 973}}, "histograms": {{}}}}}}"#
-        )
+    /// family the diff reads.
+    fn base() -> Snapshot {
+        let mut cell = Record::new("cell");
+        cell.set_budget(900);
+        cell.add_metrics([
+            ("latency.p99", 120_000),
+            ("reclaim.pages", 400),
+            ("translation.waste_frames", 960),
+        ]);
+        let counters = BTreeMap::from([("tlb.flush.main".to_string(), 75771)]);
+        let gauges = BTreeMap::from([("phys.slab.live".to_string(), 1000)]);
+        cell.add_observed(gauges, &BTreeMap::new(), &counters);
+        let counters = BTreeMap::from([("tlb.flush.reason.unshare".to_string(), 973)]);
+        Snapshot::new("all", Scale::Quick, vec![cell], Some(&counters))
     }
 
     fn parse(text: &str) -> Snapshot {
@@ -377,7 +497,7 @@ mod tests {
     /// the label its diff line carries.
     const ROWS: [(&str, u64, &str); 7] = [
         (
-            "tlb.flush.reason.unshare",
+            "counter.tlb.flush.reason.unshare",
             973,
             "total.counter.tlb.flush.reason.unshare",
         ),
@@ -389,57 +509,97 @@ mod tests {
             960,
             "cell.translation.waste_frames",
         ),
-        ("tlb.flush.main", 75771, "cell.event.tlb.flush.main"),
+        ("event.tlb.flush.main", 75771, "cell.event.tlb.flush.main"),
         ("mem_frames", 900, "cell.params.mem_frames"),
     ];
 
+    /// Where `key` holds `v` in a rendered file (params are strings).
+    fn member(key: &str, v: u64) -> String {
+        match key {
+            BUDGET => format!("\"{key}\": \"{v}\""),
+            _ => format!("\"{key}\": {v}"),
+        }
+    }
+
     #[test]
     fn identical_snapshots_produce_no_regressions() {
-        assert_eq!(diff(&parse(&base()), &parse(&base())), Vec::<String>::new());
+        assert_eq!(diff(&base(), &base()), Vec::<String>::new());
+    }
+
+    /// What the writer renders, the parser reads back as it was, and
+    /// renders again byte for byte — the committed baseline included.
+    #[test]
+    fn the_writer_and_the_parser_round_trip() {
+        let text = base().render();
+        assert_eq!(parse(&text), base());
+        assert_eq!(parse(&text).render(), text);
+        let baseline = include_str!("../../../BENCH_baseline.json");
+        assert_eq!(parse(baseline).render(), baseline);
     }
 
     /// Every number is compared for equality: one unit up or down on
     /// any family is exactly one line naming it.
     #[test]
     fn every_family_moving_by_one_is_one_named_line() {
-        let old = parse(&base());
+        let text = base().render();
         for (key, v, label) in ROWS {
-            let at = format!("\"{key}\": {v}");
-            assert_eq!(base().matches(&at).count(), 1, "{key}");
+            let at = member(key, v);
+            assert_eq!(text.matches(&at).count(), 1, "{key}");
             for moved in [v + 1, v - 1] {
-                let new = parse(&base().replace(&at, &format!("\"{key}\": {moved}")));
-                assert_eq!(diff(&old, &new), [format!("{label}: {v} -> {moved}")]);
+                let new = parse(&text.replace(&at, &member(key, moved)));
+                assert_eq!(diff(&base(), &new), [format!("{label}: {v} -> {moved}")]);
             }
         }
     }
 
-    /// Host time is recorded and never read.
+    /// A param that is not a string, a metric or counter that is not a
+    /// count, and an experiment recorded twice are refused, by record
+    /// and key — never skipped, which would let `repro check` pass the
+    /// file and `repro diff` compare less than it holds.
     #[test]
-    fn wall_time_moving_is_no_difference() {
-        let slow = base()
-            .replace("\"wall_ms\": 12.5", "\"wall_ms\": 400")
-            .replace("\"total_wall_ms\": 30.25", "\"total_wall_ms\": 900");
-        assert_ne!(slow, base());
-        assert!(diff(&parse(&base()), &parse(&slow)).is_empty());
+    fn a_value_of_the_wrong_kind_is_refused_by_record_and_key() {
+        let text = base().render();
+        for (key, v, label) in ROWS {
+            for wrong in [
+                format!("\"{key}\": \"{v}\""),
+                format!("\"{key}\": {v}"),
+                format!("\"{key}\": -{v}"),
+                format!("\"{key}\": {v}.5"),
+                format!("\"{key}\": null"),
+            ] {
+                let bad = text.replace(&member(key, v), &wrong);
+                if bad == text {
+                    continue;
+                }
+                let err = Snapshot::parse(&bad, "snap.json").unwrap_err();
+                assert!(err.starts_with("snap.json: "), "{err}");
+                assert!(err.contains(label), "{wrong}: {err}");
+            }
+        }
+        let cell = text.lines().find(|l| l.contains("\"cell\"")).unwrap();
+        let twice = text.replace(cell, &format!("{cell},\n{cell}"));
+        let err = Snapshot::parse(&twice, "snap.json").unwrap_err();
+        assert_eq!(err, "snap.json: experiment \"cell\" recorded twice");
     }
 
     /// A record or key on one side only is a difference, either way,
     /// and so is a run at another scale (on every record).
     #[test]
     fn one_sided_records_keys_and_params_are_differences() {
-        let old = parse(&base());
+        let old = base();
         let mut lost = old.clone();
-        lost.experiments.remove("cell");
+        lost.experiments.clear();
         assert_eq!(diff(&old, &lost), ["cell: recorded -> missing"]);
         assert_eq!(diff(&lost, &old), ["cell: missing -> recorded"]);
 
         let mut lost = old.clone();
-        let cell = lost.experiments.get_mut("cell").unwrap();
-        cell.metrics.remove("latency.p99");
+        lost.experiments[0].metrics.remove("latency.p99");
         assert_eq!(diff(&old, &lost), ["cell.latency.p99: 120000 -> missing"]);
         assert_eq!(diff(&lost, &old), ["cell.latency.p99: missing -> 120000"]);
 
-        let paper = base().replace("\"scale\": \"quick\"", "\"scale\": \"paper\"");
+        let paper = old
+            .render()
+            .replace("\"scale\": \"quick\"", "\"scale\": \"paper\"");
         assert_eq!(
             diff(&old, &parse(&paper)),
             [
@@ -451,16 +611,16 @@ mod tests {
 
     #[test]
     fn v7_snapshots_are_rejected_with_the_refresh_hint() {
-        let v7 = r#"{"schema": "sat-bench/repro-v7", "command": "all", "scale": "quick",
-            "experiments": [], "total_wall_ms": 1.0,
-            "obs": {"enabled": false, "dropped_events": 0, "counters": {}, "histograms": {}}}"#;
-        let err = Snapshot::parse(v7, "BENCH_baseline.json").unwrap_err();
-        assert!(err.contains("repro-v7"), "{err}");
-        assert!(err.contains(SCHEMA), "{err}");
-        assert!(
-            err.contains("repro all --quick --trace <trace.json> --out BENCH_baseline.json"),
-            "{err}"
-        );
-        assert!(Snapshot::parse(&v7.replace("repro-v7", "repro-v8"), "ok").is_ok());
+        let current = base().render();
+        for old in ["sat-bench/repro-v7", "sat-bench/repro-v8"] {
+            let err =
+                Snapshot::parse(&current.replace(SCHEMA, old), "BENCH_baseline.json").unwrap_err();
+            assert!(err.contains(old), "{err}");
+            assert!(err.contains(SCHEMA), "{err}");
+            assert!(
+                err.contains("repro all --quick --trace <trace.json> --out BENCH_baseline.json"),
+                "{err}"
+            );
+        }
     }
 }

@@ -3,9 +3,12 @@
 //! `repro diff`: real artifacts on disk, the real binary, real exit
 //! codes.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use sat_bench::snapshot::{Record, Snapshot, SCHEMA};
+use sat_bench::Scale;
 use sat_obs::{FlushReason, FlushScope, Payload, SpanUnit, Subsystem, UnshareCause};
 
 fn repro(args: &[&str]) -> Output {
@@ -158,28 +161,16 @@ fn write_trace(name: &str, breakage: Option<&str>) -> PathBuf {
 }
 
 /// The one snapshot fixture: a traced `all --quick` snapshot of two
-/// experiments, one gauge and one run-wide counter, with the given wall
-/// times.
-fn write_snapshot(name: &str, launch_wall_ms: f64, total_wall_ms: f64) -> PathBuf {
+/// experiments, one gauge and one run-wide counter.
+fn write_snapshot(name: &str) -> PathBuf {
+    let mut launch = Record::new("launch");
+    let peaks = BTreeMap::from([("phys.frames.in_use".to_string(), 1000)]);
+    launch.add_observed(peaks, &BTreeMap::new(), &BTreeMap::new());
+    let counters = BTreeMap::from([("share.unshare".to_string(), 400)]);
+    let experiments = vec![launch, Record::new("steady")];
+    let snap = Snapshot::new("all", Scale::Quick, experiments, Some(&counters));
     let path = tmp(name);
-    std::fs::write(
-        &path,
-        format!(
-            r#"{{
-  "schema": "sat-bench/repro-v8",
-  "command": "all",
-  "scale": "quick",
-  "experiments": [
-    {{"name": "launch", "params": {{}}, "metrics": {{"wall_ms": {launch_wall_ms}, "gauge.phys.frames.in_use": 1000}}, "events": {{}}}},
-    {{"name": "steady", "params": {{}}, "metrics": {{"wall_ms": 64}}, "events": {{}}}}
-  ],
-  "total_wall_ms": {total_wall_ms:.3},
-  "obs": {{"enabled": true, "dropped_events": 0, "counters": {{"share.unshare": 400}}, "histograms": {{}}}}
-}}
-"#
-        ),
-    )
-    .unwrap();
+    std::fs::write(&path, snap.render()).unwrap();
     path
 }
 
@@ -225,7 +216,7 @@ fn unknown_verb_lists_the_verb_table() {
 
 #[test]
 fn check_passes_on_healthy_artifacts_and_fails_on_corruption() {
-    let snap = write_snapshot("check-snap.json", 100.0, 200.0);
+    let snap = write_snapshot("check-snap.json");
     let trace = write_trace("check-trace.json", None);
     let stdout = repro_ok(
         &[
@@ -381,25 +372,20 @@ fn experiment_filter_slices_report_and_timeline() {
 }
 
 /// `repro diff` is an equality: identical snapshots exit 0, one
-/// counter moved exits 1 and names it, host time moving is no
-/// difference, and `--threshold-pct` is an unknown flag.
+/// counter moved exits 1 and names it, and `--threshold-pct` is an
+/// unknown flag.
 #[test]
 fn diff_exits_one_on_any_simulated_difference_and_zero_otherwise() {
-    let old = write_snapshot("diff-old.json", 100.0, 200.0);
-    let slower = write_snapshot("diff-slower.json", 150.0, 300.0);
+    let old = write_snapshot("diff-old.json");
     let moved = tmp("diff-moved.json");
     let text = std::fs::read_to_string(&old).unwrap();
-    let counter = r#""share.unshare": 400"#;
+    let counter = r#""counter.share.unshare": 400"#;
     assert!(text.contains(counter));
-    std::fs::write(&moved, text.replace(counter, r#""share.unshare": 399"#)).unwrap();
-    let (old, slower, moved) = (
-        old.to_str().unwrap(),
-        slower.to_str().unwrap(),
-        moved.to_str().unwrap(),
-    );
+    let text = text.replace(counter, r#""counter.share.unshare": 399"#);
+    std::fs::write(&moved, text).unwrap();
+    let (old, moved) = (old.to_str().unwrap(), moved.to_str().unwrap());
     for (new, code, want) in [
         (old, 0, "repro diff: 0 difference(s)\n"),
-        (slower, 0, "repro diff: 0 difference(s)\n"),
         (
             moved,
             1,
@@ -457,16 +443,16 @@ fn a_flag_is_refused_by_a_verb_that_never_reads_it() {
 /// says how to refresh it.
 #[test]
 fn diff_rejects_an_old_schema_with_the_refresh_hint() {
-    let new = write_snapshot("schema-new.json", 100.0, 200.0);
-    let old = tmp("schema-v7.json");
-    let v7 = std::fs::read_to_string(&new)
+    let new = write_snapshot("schema-new.json");
+    let old = tmp("schema-v8.json");
+    let v8 = std::fs::read_to_string(&new)
         .unwrap()
-        .replace("repro-v8", "repro-v7");
-    std::fs::write(&old, v7).unwrap();
+        .replace(SCHEMA, "sat-bench/repro-v8");
+    std::fs::write(&old, v8).unwrap();
     let out = repro(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("repro-v7"), "{stderr}");
+    assert!(stderr.contains("repro-v8"), "{stderr}");
     assert!(
         stderr.contains("refresh the file with: repro all --quick"),
         "{stderr}"
@@ -489,11 +475,11 @@ fn run_traced(verb: &str, tag: &str, ring: &str) -> (String, PathBuf, PathBuf) {
 /// A record is a function of its verb and scale: each grid verb run
 /// alone, traced at the default ring, writes the committed baseline's
 /// records — params, metrics and events equal, gauge peaks included,
-/// whatever machines the experiments before them in `all` left behind
-/// — but for host time. (The registry is exact under ring overflow.)
+/// whatever machines the experiments before them in `all` left behind.
+/// (The registry is exact under ring overflow.)
 #[test]
 fn a_verb_run_alone_writes_the_baseline_records() {
-    let baseline = sat_bench::snapshot::Snapshot::load(concat!(
+    let baseline = Snapshot::load(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_baseline.json"
     ))
@@ -503,17 +489,27 @@ fn a_verb_run_alone_writes_the_baseline_records() {
             let baseline = &baseline;
             s.spawn(move || {
                 let (_, _, snap) = run_traced(verb, "alone", "65536");
-                let fresh = sat_bench::snapshot::Snapshot::load(snap.to_str().unwrap()).unwrap();
+                let fresh = Snapshot::load(snap.to_str().unwrap()).unwrap();
                 assert!(fresh.traced());
                 let mut expected = fresh.clone();
-                for (name, rec) in &mut expected.experiments {
-                    *rec = baseline.experiments[name].clone();
+                for rec in &mut expected.experiments {
+                    *rec = baseline.experiment(&rec.name).unwrap().clone();
                 }
                 let lines = sat_bench::snapshot::diff(&expected, &fresh);
                 assert!(lines.is_empty(), "{verb}: {lines:#?}");
             });
         }
     });
+}
+
+/// Every number in a snapshot is simulated, none is host time: two
+/// traced runs of one verb write byte-identical files.
+#[test]
+fn two_traced_runs_write_byte_identical_snapshots() {
+    let snapshot = |tag| std::fs::read_to_string(run_traced("timeshare", tag, "65536").2).unwrap();
+    let (first, second) = (snapshot("first"), snapshot("second"));
+    assert!(first.contains("\"gauge."), "{first}");
+    assert_eq!(first, second);
 }
 
 /// The serve workload is seeded and cycle-clocked: repeated runs must
@@ -534,17 +530,14 @@ fn serve_is_deterministic_and_snapshots_latency() {
     assert!(first.contains("p99"), "{first}");
     assert_eq!(first, second, "repeated serve run changed the table");
 
-    let snap = std::fs::read_to_string(tmp("serve-a.json")).unwrap();
-    assert!(
-        snap.contains("\"schema\": \"sat-bench/repro-v8\""),
-        "{snap}"
-    );
-    assert!(snap.contains("\"name\": \"serve_stock\""), "{snap}");
-    assert!(snap.contains("\"name\": \"serve_shared\""), "{snap}");
-    assert!(snap.contains("\"latency.p99\": "), "{snap}");
-    // Without a budget the records carry no reclaim metrics at all.
-    assert!(!snap.contains("\"mem_frames\""), "{snap}");
-    assert!(!snap.contains("\"reclaim."), "{snap}");
+    let snap = Snapshot::load(tmp("serve-a.json").to_str().unwrap()).unwrap();
+    for name in ["serve_stock", "serve_shared"] {
+        let rec = snap.experiment(name).unwrap();
+        assert!(rec.metrics.contains_key("latency.p99"), "{rec:?}");
+        // Without a budget the records carry no reclaim metrics at all.
+        assert_eq!(rec.params.keys().collect::<Vec<_>>(), ["scale"]);
+        assert!(!rec.metrics.keys().any(|k| k.starts_with("reclaim.")));
+    }
 }
 
 /// A losslessly traced serve run reconciles exactly, and `repro tails`

@@ -1,4 +1,4 @@
-//! Exporters: Chrome trace-event JSON and the metrics snapshot.
+//! The Chrome trace-event JSON exporter and its re-ingester.
 //!
 //! The trace format is the Trace Event Format's "JSON object" flavour
 //! (`{"traceEvents": [...], ...}`), loadable in `chrome://tracing` and
@@ -12,7 +12,6 @@
 
 use crate::event::{Event, Payload, Subsystem};
 use crate::json::{escape_into, Json};
-use crate::metrics::{Histogram, MetricsRegistry};
 use crate::sink::Recording;
 
 /// Starts member `key` of the object under construction in `out`.
@@ -81,25 +80,6 @@ pub fn chrome_trace_json(rec: &Recording) -> String {
     ));
     out.push('}');
     out
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    // Trailing zero buckets are trimmed; bucket i covers values with
-    // floor(log2(max(v,1))) == i.
-    let last = h.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-    let buckets: Vec<String> = h.buckets[..last].iter().map(|b| b.to_string()).collect();
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"log2_buckets\": [{}]}}",
-        h.count,
-        h.sum,
-        if h.count == 0 { 0 } else { h.min },
-        h.max,
-        h.mean(),
-        h.percentile(50.0),
-        h.percentile(95.0),
-        h.percentile(99.0),
-        buckets.join(", ")
-    )
 }
 
 /// A Chrome trace re-ingested into typed events (the inverse of
@@ -214,63 +194,4 @@ pub fn parse_chrome_trace(doc: &Json) -> Result<ParsedTrace, String> {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     Ok(ParsedTrace { events, dropped })
-}
-
-/// Serializes the metrics registry (plus the ring's drop counter) as a
-/// JSON object — the `obs` section of `BENCH_repro.json`. `indent`
-/// is the base indentation applied to every line after the first.
-pub fn metrics_json(
-    metrics: &MetricsRegistry,
-    enabled: bool,
-    dropped: u64,
-    indent: &str,
-) -> String {
-    let mut out = format!(
-        "{{\n{indent}  \"enabled\": {enabled},\n{indent}  \"dropped_events\": {dropped},\n"
-    );
-    // One `"name": {"key": value, ..}` member per metric kind, a row
-    // per key; `rows` carries each value already rendered as JSON.
-    let mut section = |name: &str, rows: Vec<(&str, String)>, sep: &str| {
-        out.push_str(&format!("{indent}  \"{name}\": {{\n"));
-        for (i, (key, value)) in rows.iter().enumerate() {
-            out.push_str(&format!("{indent}    \""));
-            escape_into(&mut out, key);
-            out.push_str(&format!("\": {value}"));
-            out.push_str(if i + 1 != rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str(&format!("{indent}  }}{sep}\n"));
-    };
-    section(
-        "counters",
-        metrics
-            .counters()
-            .map(|(k, v)| (k, v.to_string()))
-            .collect(),
-        ",",
-    );
-    section(
-        "histograms",
-        metrics
-            .histograms()
-            .map(|(k, h)| (k, histogram_json(h)))
-            .collect(),
-        ",",
-    );
-    section(
-        "gauges",
-        metrics
-            .gauges()
-            .map(|(k, g)| {
-                let value = format!(
-                    "{{\"value\": {}, \"high_water\": {}}}",
-                    g.value, g.high_water
-                );
-                (k, value)
-            })
-            .collect(),
-        "",
-    );
-    out.push_str(indent);
-    out.push('}');
-    out
 }

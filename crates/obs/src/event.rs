@@ -155,15 +155,9 @@ label_enum! {
         /// A write-protect (COW / write-enable) fault landed on one slot
         /// of a large group; the slot must diverge, so the group splits.
         Cow = "cow",
-        /// PTP unshare copied a large group; the copy is split so partial
-        /// copies can never leave a stale wide translation behind.
-        Unshare = "unshare",
         /// Memory-pressure reclaim needed to tear a single PTE inside a
         /// large group.
         Reclaim = "reclaim",
-        /// `fork` split a parent mapping. No kernel path raises it; the
-        /// label stays so that recorded traces carrying it still parse.
-        Fork = "fork",
     }
     /// Per-cause demotion counter.
     counter_key = "mmu.demote.cause.";

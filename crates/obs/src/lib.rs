@@ -3,9 +3,10 @@
 //! A thread-local recorder collects structured [`Event`]s from every
 //! mechanism layer (kernel, PTP share, vm fault, TLB, Android, bench,
 //! sim, sched) into a fixed-capacity ring ([`RingSink`]) alongside an exact
-//! [`MetricsRegistry`]. Two exporters serialize the harvest: Chrome
-//! trace-event JSON ([`chrome_trace_json`]) and a metrics snapshot
-//! ([`metrics_json`]) embedded in `BENCH_repro.json`. The hardware
+//! [`MetricsRegistry`]. The ring is exported as Chrome trace-event
+//! JSON ([`chrome_trace_json`]) and re-ingested by
+//! [`parse_chrome_trace`]; the registry's counters are read in process
+//! (`repro` writes them into its own snapshot). The hardware
 //! models (`sat-types`, `sat-cache`, `sat-tlb`) do not depend on this
 //! crate: the machine in `sat-sim` reports what they do, and every
 //! cause (a flush's reason, a cycle charge's cause) is an argument
@@ -44,7 +45,7 @@ mod metrics;
 pub mod report;
 mod sink;
 
-pub use chrome::{chrome_trace_json, metrics_json, parse_chrome_trace, ParsedTrace};
+pub use chrome::{chrome_trace_json, parse_chrome_trace, ParsedTrace};
 pub use event::{
     ChargeCause, DemoteCause, Event, FaultClass, FlushReason, FlushScope, Payload, RegionOpKind,
     SpanUnit, Subsystem, UnshareCause,
@@ -157,11 +158,6 @@ pub fn emit(subsystem: Subsystem, pid: u32, asid: u8, payload: Payload) {
         return;
     }
     with_sink(|s| s.record(pid, asid, subsystem, payload));
-}
-
-/// Records a histogram sample (e.g. one modeled fault's cycle cost).
-pub fn record_value(name: &str, value: u64) {
-    with_sink(|s| s.metrics.record(name, value));
 }
 
 /// Publishes a gauge's current value on this thread's recorder.
@@ -382,7 +378,6 @@ mod tests {
     fn disabled_by_default_and_emit_is_noop() {
         assert!(!enabled());
         emit(Subsystem::Kernel, 1, 1, Payload::Exit);
-        record_value("x", 1);
         assert!(uninstall().is_none());
         assert!(counters_snapshot().is_none());
     }
@@ -392,20 +387,13 @@ mod tests {
         install(8);
         assert!(enabled());
         emit(Subsystem::Kernel, 3, 2, Payload::Exit);
-        record_value("sim.soft_fault_cycles", 250);
         let snap = counters_snapshot().unwrap();
         assert_eq!(snap.get("kernel.exit"), Some(&1));
         let rec = uninstall().unwrap();
         assert!(!enabled());
         assert_eq!(rec.events.len(), 1);
         assert_eq!(rec.events[0].pid, 3);
-        assert_eq!(
-            rec.metrics
-                .histogram("sim.soft_fault_cycles")
-                .unwrap()
-                .count,
-            1
-        );
+        assert_eq!(rec.metrics.counter("kernel.exit"), 1);
         assert!(uninstall().is_none());
     }
 

@@ -1,4 +1,5 @@
-//! Counters and log2-bucket histograms.
+//! Counters and gauges, and the log2-bucket histogram the trace
+//! analytics aggregate span values into.
 //!
 //! The registry is updated on every recorded event *before* the event
 //! enters the ring, so counters stay exact even when the ring wraps and
@@ -118,7 +119,7 @@ impl Gauge {
     }
 }
 
-/// Named counters plus named histograms and gauges. Key taxonomy is
+/// Named counters and gauges. Key taxonomy is
 /// dotted and stable (documented in DESIGN.md §7 and §12):
 /// `kernel.*`, `share.unshare.*`, `vm.fault.*`, `tlb.flush.*`,
 /// `android.*`, `bench.*`, `sim.*`, and the gauge set rooted at
@@ -127,7 +128,6 @@ impl Gauge {
 #[derive(Default, Clone, PartialEq, Eq, Debug)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     gauges: BTreeMap<String, Gauge>,
 }
 
@@ -152,25 +152,6 @@ impl MetricsRegistry {
 
     pub fn counters_map(&self) -> &BTreeMap<String, u64> {
         &self.counters
-    }
-
-    /// Records a histogram sample.
-    pub fn record(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::default();
-            h.record(value);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Publishes a gauge's current value (creating it at zero first).
@@ -225,10 +206,10 @@ impl MetricsRegistry {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.gauges.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 
-    /// Derives the counter/histogram updates an event implies. Keys
+    /// Derives the counter and gauge updates an event implies. Keys
     /// are `&'static str` on the hot flush/fault paths — no per-event
     /// allocation there. Called by the sink before ring admission
     /// (exact under overflow) and by the trace analyzer when replaying
@@ -338,23 +319,18 @@ impl MetricsRegistry {
             // high-water marks. (At live-record time this re-set is
             // idempotent — the sampler reads the value it writes back.)
             Payload::Sample { gauge, value } => self.gauge_set(gauge, *value),
-            // Only the closing half of a span moves metrics; the
-            // opening half exists for trace structure.
+            // Only the closing half of a span is counted; the opening
+            // half exists for trace structure. Span values are
+            // aggregated by the trace analytics (`Rollup::spans`).
             Payload::SpanBegin { .. } => {}
-            Payload::SpanEnd { name, value, .. } => match subsystem {
-                Subsystem::Android => {
-                    self.inc("android.phase", 1);
-                    self.record(&format!("android.phase.{name}.cycles"), *value);
-                }
-                Subsystem::Bench => {
-                    self.inc("bench.cell", 1);
-                    self.record("bench.cell.us", *value);
-                }
-                other => {
-                    self.inc("span.end", 1);
-                    self.record(&format!("span.{}.{name}", other.as_str()), *value);
-                }
-            },
+            Payload::SpanEnd { .. } => self.inc(
+                match subsystem {
+                    Subsystem::Android => "android.phase",
+                    Subsystem::Bench => "bench.cell",
+                    _ => "span.end",
+                },
+                1,
+            ),
             Payload::CycleCharge {
                 flow,
                 cause,
@@ -368,10 +344,7 @@ impl MetricsRegistry {
             }
             Payload::FlowArrive { .. } => self.inc("flow.arrive", 1),
             Payload::FlowBegin { .. } => self.inc("flow.begin", 1),
-            Payload::FlowEnd { wall, .. } => {
-                self.inc("flow.end", 1);
-                self.record("flow.wall_cycles", *wall);
-            }
+            Payload::FlowEnd { .. } => self.inc("flow.end", 1),
             Payload::Reclaim {
                 pages,
                 pte_tears,

@@ -1,11 +1,11 @@
-//! JSON round-trip tests for both exporters: serialize → parse →
+//! JSON round-trip tests for the trace exporter: serialize → parse →
 //! field-level equality against the source recording, including the
 //! ring-overflow path (the dropped counter must survive export).
 
 use sat_obs::json::Json;
 use sat_obs::{
-    chrome_trace_json, metrics_json, parse_chrome_trace, ChargeCause, DemoteCause, FaultClass,
-    FlushReason, FlushScope, Payload, RegionOpKind, SpanUnit, Subsystem, UnshareCause,
+    chrome_trace_json, parse_chrome_trace, ChargeCause, DemoteCause, FaultClass, FlushReason,
+    FlushScope, Payload, RegionOpKind, SpanUnit, Subsystem, UnshareCause,
 };
 
 /// One event of every payload shape, exercising every arg type.
@@ -719,7 +719,7 @@ fn counter_tracks_round_trip_to_identical_samples() {
 }
 
 #[test]
-fn overflow_reports_dropped_in_both_exporters() {
+fn overflow_is_reported_in_the_trace_and_counters_stay_exact() {
     sat_obs::install(4);
     for i in 0..9u64 {
         sat_obs::emit(
@@ -754,79 +754,6 @@ fn overflow_reports_dropped_in_both_exporters() {
         .as_u64();
     assert_eq!(first_ts, Some(5));
 
-    // Metrics saw every event; the snapshot reports the drops too.
-    let snap = Json::parse(&metrics_json(&rec.metrics, true, rec.dropped, "")).unwrap();
-    assert_eq!(snap.get("enabled").unwrap().as_bool(), Some(true));
-    assert_eq!(snap.get("dropped_events").unwrap().as_u64(), Some(5));
-    assert_eq!(
-        snap.get("counters")
-            .and_then(|c| c.get("tlb.flush.scope.va"))
-            .unwrap()
-            .as_u64(),
-        Some(9)
-    );
-}
-
-#[test]
-fn metrics_snapshot_round_trips_field_by_field() {
-    sat_obs::install(64);
-    emit_one_of_each();
-    for v in [0u64, 1, 7, 250, 251, 4096] {
-        sat_obs::record_value("sim.soft_fault_cycles", v);
-    }
-    let rec = sat_obs::uninstall().unwrap();
-
-    let snap = Json::parse(&metrics_json(&rec.metrics, true, rec.dropped, "  ")).unwrap();
-    let counters = snap.get("counters").unwrap().as_object().unwrap();
-    let src_counters = rec.metrics.counters_map();
-    assert_eq!(counters.len(), src_counters.len());
-    for (k, v) in src_counters {
-        assert_eq!(
-            counters.get(k).and_then(Json::as_u64),
-            Some(*v),
-            "counter {k} mismatch"
-        );
-    }
-
-    let hists = snap.get("histograms").unwrap().as_object().unwrap();
-    assert_eq!(hists.len(), rec.metrics.histograms().count());
-    for (name, h) in rec.metrics.histograms() {
-        let j = hists.get(name).unwrap_or_else(|| panic!("missing {name}"));
-        assert_eq!(j.get("count").unwrap().as_u64(), Some(h.count));
-        assert_eq!(j.get("sum").unwrap().as_u64(), Some(h.sum));
-        assert_eq!(j.get("min").unwrap().as_u64(), Some(h.min));
-        assert_eq!(j.get("max").unwrap().as_u64(), Some(h.max));
-        let buckets = j.get("log2_buckets").unwrap().as_array().unwrap();
-        // Exported buckets are the source buckets with the zero tail
-        // trimmed.
-        for (i, b) in buckets.iter().enumerate() {
-            assert_eq!(b.as_u64(), Some(h.buckets[i]), "bucket {i} of {name}");
-        }
-        for (i, &b) in h.buckets.iter().enumerate().skip(buckets.len()) {
-            assert_eq!(b, 0, "trimmed bucket {i} of {name} was nonzero");
-        }
-    }
-    // Spot-check the log2 placement of the fault-cost samples.
-    let fault = hists.get("sim.soft_fault_cycles").unwrap();
-    let buckets = fault.get("log2_buckets").unwrap().as_array().unwrap();
-    assert_eq!(buckets[0].as_u64(), Some(2)); // 0 and 1
-    assert_eq!(buckets[2].as_u64(), Some(1)); // 7
-    assert_eq!(buckets[7].as_u64(), Some(2)); // 250, 251
-    assert_eq!(buckets[12].as_u64(), Some(1)); // 4096
-                                               // Histogram summaries carry the whole percentile ladder.
-    for pct in ["p50", "p95", "p99"] {
-        assert!(fault.get(pct).and_then(Json::as_u64).is_some(), "{pct}");
-    }
-
-    // The gauges section mirrors the registry's values and peaks.
-    let gauges = snap.get("gauges").unwrap().as_object().unwrap();
-    assert_eq!(gauges.len(), rec.metrics.gauges().count());
-    for (name, g) in rec.metrics.gauges() {
-        let j = gauges.get(name).unwrap_or_else(|| panic!("missing {name}"));
-        assert_eq!(j.get("value").unwrap().as_u64(), Some(g.value));
-        assert_eq!(j.get("high_water").unwrap().as_u64(), Some(g.high_water));
-    }
-    let frames = gauges.get("phys.frames.free").unwrap();
-    assert_eq!(frames.get("value").unwrap().as_u64(), Some(863));
-    assert_eq!(frames.get("high_water").unwrap().as_u64(), Some(1000));
+    // The registry saw every event, dropped ones included.
+    assert_eq!(rec.metrics.counter("tlb.flush.scope.va"), 9);
 }

@@ -47,19 +47,12 @@ pub fn measure_soft_fault_cycles(pages: u32) -> SatResult<(f64, u64)> {
     let addr2 = m.syscall(|k, tlb| k.mmap(pid, &req.clone().at(addr), tlb))?;
     debug_assert_eq!(addr2, addr);
 
-    // Pass 2: every touch is a soft fault; measure it. Per-fault
-    // cycle counts also feed the `sim.soft_fault_cycles` histogram
-    // when a recorder is installed.
+    // Pass 2: every touch is a soft fault; measure it.
     let faults_before = m.kernel.mm(pid)?.counters.faults_soft;
     let mut total_cycles = 0u64;
     for i in 0..pages {
-        let cycles = m.access(
-            0,
-            VirtAddr::new(addr.raw() + i * PAGE_SIZE),
-            AccessType::Read,
-        )?;
-        sat_obs::record_value("sim.soft_fault_cycles", cycles);
-        total_cycles += cycles;
+        let va = VirtAddr::new(addr.raw() + i * PAGE_SIZE);
+        total_cycles += m.access(0, va, AccessType::Read)?;
     }
     let faults = m.kernel.mm(pid)?.counters.faults_soft - faults_before;
     Ok((total_cycles as f64 / faults as f64, faults))
