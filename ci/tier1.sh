@@ -155,6 +155,19 @@ PROPTEST_CASES=2048 cargo test --release -q \
 step "tests (release, 8192 cases: cache)"
 PROPTEST_CASES=8192 cargo test --release -q -p sat-cache
 
+# vendor/rand, the offline stand-in every generated workload draws
+# from, is a workspace member only as a path dependency inside the
+# workspace directory: `cargo test -q` above runs its tests in debug.
+# This runs them in release, the profile the simulator runs in
+# (overflow wraps, `debug_assert!` compiled out). They pin every draw:
+# the golden sequences (vendor/rand/tests/golden.rs: `gen_range` over
+# u8/u32/u64/usize/i64 with spans past 2^63, f64 draws, `gen_bool`,
+# `shuffle`, `choose_multiple` at amount 0, = len and > len) and the
+# sparse `seq::index::sample` against the dense partial Fisher–Yates it
+# stands in for. A few seconds.
+step "rand stand-in (release)"
+cargo test --release --offline -q --manifest-path vendor/rand/Cargo.toml
+
 # The artifact readers against hostile files, at release speed, 2048
 # cases a target (a few seconds): truncated, byte-flipped and spliced
 # copies of the golden trace and BENCH_baseline.json through

@@ -11,10 +11,8 @@
 //! fault), writes library data (global initialization, the writes that
 //! cost shared PTPs), and touches fresh heap pages.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
+use rand::seq::{index, SliceRandom};
 use rand::SeedableRng;
 use sat_trace::{CodePage, LibId};
 use sat_types::{AccessType, Perms, SatResult, VirtAddr, PAGE_SIZE};
@@ -117,27 +115,84 @@ pub fn launch_page_set(sys: &AndroidSystem, opts: &LaunchOptions, seq: u64) -> V
     // every kernel (the paper's residual ~110 launch faults).
     let mut tail_rng = SmallRng::seed_from_u64(sys.seed ^ 0x7A11 ^ seq.wrapping_mul(0x9E37));
     let extra_needed = (opts.code_pages as usize).saturating_sub(set.len());
-    // The pool depends on neither `seq` nor `opts`: built by the
-    // system's first launch, in library then page order.
-    let pool = sys.launch_tail_pool.get_or_init(|| {
-        let preloaded: BTreeSet<CodePage> = preload.iter().copied().collect();
-        let libs = sys.catalog.zygote_preloaded();
-        let code_pages = |lib: LibId| sys.catalog.lib(lib).code_pages;
-        // Sized exactly: the pool lives as long as the system.
-        let total: usize = libs.iter().map(|&lib| code_pages(lib) as usize).sum();
-        let mut pool = Vec::with_capacity(total.saturating_sub(preloaded.len()));
-        for lib in libs {
-            pool.extend(
-                (0..code_pages(lib))
-                    .map(|page| CodePage::Lib { lib, page })
-                    .filter(|cp| !preloaded.contains(cp)),
-            );
-        }
-        pool
-    });
-    set.extend(pool.choose_multiple(&mut tail_rng, extra_needed.min(pool.len())));
+    let pool = TailPool::new(sys);
+    set.extend(
+        index::sample(&mut tail_rng, pool.len, extra_needed.min(pool.len))
+            .into_iter()
+            .map(|i| pool.page(i)),
+    );
     set.shuffle(&mut rng);
     set
+}
+
+/// What a launch's divergent tail is drawn from: every code page of
+/// the preloaded libraries outside the preload, numbered in library
+/// order, then page order — held as those libraries' pages laid end to
+/// end in one bitmap, a set bit for each preloaded page, so pool index
+/// `i` is the `i`-th clear bit.
+struct TailPool {
+    /// Each preloaded library with its first bit, ascending.
+    libs: Vec<(LibId, usize)>,
+    /// The bitmap; the last word's bits past the end are set.
+    taken: Vec<u64>,
+    /// Clear bits in the words before each word.
+    clear_before: Vec<usize>,
+    /// Clear bits in all.
+    len: usize,
+}
+
+impl TailPool {
+    fn new(sys: &AndroidSystem) -> TailPool {
+        let catalog = &sys.catalog;
+        let mut first = vec![usize::MAX; catalog.libs.len()];
+        let mut libs = Vec::new();
+        let mut bits = 0;
+        for lib in catalog.zygote_preloaded() {
+            first[lib.0 as usize] = bits;
+            libs.push((lib, bits));
+            bits += catalog.lib(lib).code_pages as usize;
+        }
+        let mut taken = vec![0u64; bits.div_ceil(64)];
+        if bits % 64 != 0 {
+            taken[bits / 64] = !0 << (bits % 64);
+        }
+        for &cp in &sys.preload {
+            if let CodePage::Lib { lib, page } = cp {
+                let bit = first[lib.0 as usize] + page as usize;
+                taken[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        let mut len = 0;
+        let clear_before = taken
+            .iter()
+            .map(|w| {
+                let before = len;
+                len += w.count_zeros() as usize;
+                before
+            })
+            .collect();
+        TailPool {
+            libs,
+            taken,
+            clear_before,
+            len,
+        }
+    }
+
+    /// Pool entry `i` (`i < len`).
+    fn page(&self, i: usize) -> CodePage {
+        let w = self.clear_before.partition_point(|&c| c <= i) - 1;
+        let mut clear = !self.taken[w];
+        for _ in 0..i - self.clear_before[w] {
+            clear &= clear - 1;
+        }
+        let bit = w * 64 + clear.trailing_zeros() as usize;
+        let (lib, first) = self.libs[self.libs.partition_point(|&(_, f)| f <= bit) - 1];
+        CodePage::Lib {
+            lib,
+            page: (bit - first) as u32,
+        }
+    }
 }
 
 /// Opens a launch/IPC phase span. Every begin must be closed by
@@ -343,14 +398,15 @@ mod tests {
     use crate::system::BootOptions;
     use sat_core::KernelConfig;
     use sat_trace::zygote_preload_pages;
+    use std::collections::BTreeSet;
 
     fn boot(config: KernelConfig, layout: LibraryLayout) -> AndroidSystem {
         AndroidSystem::boot(config, layout, 1, 1, BootOptions::small()).unwrap()
     }
 
     /// [`launch_page_set`] as it was when every launch rebuilt the
-    /// preload list, its set and the tail pool: the specification the
-    /// cached form must match element for element.
+    /// preload list, its set and the tail pool as a list: the
+    /// specification the bitmap form must match element for element.
     fn launch_page_set_uncached(
         sys: &AndroidSystem,
         opts: &LaunchOptions,
@@ -383,17 +439,22 @@ mod tests {
 
     #[test]
     fn cached_launch_set_matches_the_per_launch_rebuild() {
-        for seed in [1, 7] {
+        // The paper's boot too: its 5,900-page preload leaves far more
+        // of the pool's bitmap set.
+        for (seed, boot) in [
+            (1, BootOptions::small()),
+            (7, BootOptions::small()),
+            (13, BootOptions::paper()),
+        ] {
             let sys = AndroidSystem::boot(
                 KernelConfig::stock(),
                 LibraryLayout::Original,
                 seed,
                 3,
-                BootOptions::small(),
+                boot,
             )
             .unwrap();
-            // Both sizings, interleaved: the cached pool serves every
-            // `opts`, not just the first launch's.
+            // Both sizings, interleaved.
             for seq in 0..8 {
                 for opts in [LaunchOptions::small(), LaunchOptions::paper()] {
                     assert_eq!(

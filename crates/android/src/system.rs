@@ -1,7 +1,6 @@
 //! The simulated Android system: zygote boot, application spawning,
 //! and steady-state execution.
 
-use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
@@ -116,11 +115,6 @@ pub struct AndroidSystem {
     /// The code pages the zygote touched during preload, in touch
     /// order ([`zygote_preload_pages`] at `opts.preload_pages`).
     pub(crate) preload: Vec<CodePage>,
-    /// Every other code page of the preloaded libraries — what a
-    /// launch's divergent tail is drawn from. Filled by the first
-    /// launch: only a system that launches needs it, and it is most of
-    /// the catalog (≈0.5 MiB).
-    pub(crate) launch_tail_pool: OnceCell<Vec<CodePage>>,
 }
 
 /// Base address for anonymous zygote regions (ART heaps etc.).
@@ -180,7 +174,6 @@ impl AndroidSystem {
             opts,
             launch_seq: 0,
             preload,
-            launch_tail_pool: OnceCell::new(),
         };
 
         // Map every preloaded library's code and data segments.

@@ -566,6 +566,9 @@ mod tests {
                 format!("\"{key}\": -{v}"),
                 format!("\"{key}\": {v}.5"),
                 format!("\"{key}\": null"),
+                // Past u64: refused, not saturated to u64::MAX.
+                format!("\"{key}\": 1e30"),
+                format!("\"{key}\": 18446744073709551616"),
             ] {
                 let bad = text.replace(&member(key, v), &wrong);
                 if bad == text {

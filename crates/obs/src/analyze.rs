@@ -985,7 +985,13 @@ mod tests {
         assert_eq!(s.samples, 3);
         assert_eq!((s.first, s.last, s.min, s.max), (100, 70, 40, 100));
         // The replayed registry carries the same high-water mark.
-        assert_eq!(r.metrics.gauge("phys.frames.free").unwrap().high_water, 100);
+        assert_eq!(
+            r.metrics
+                .gauge("phys.frames.free")
+                .unwrap()
+                .window_high_water,
+            Some(100)
+        );
     }
 
     #[test]

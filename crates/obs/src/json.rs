@@ -27,6 +27,10 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// 2^64, the first whole number past `u64::MAX` (which an `f64`
+/// rounds up to it).
+const U64_END: f64 = 18_446_744_073_709_551_616.0;
+
 impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
@@ -66,9 +70,11 @@ impl Json {
         }
     }
 
+    /// The number, if it is a whole one that a `u64` holds: one of
+    /// 2^64 or more is refused, never saturated to `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < U64_END => Some(*n as u64),
             _ => None,
         }
     }
@@ -374,6 +380,20 @@ mod tests {
         escape_into(&mut doc, nasty);
         doc.push('"');
         assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn a_count_past_u64_is_refused_not_saturated() {
+        let num = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(num("1e30"), None);
+        assert_eq!(num("18446744073709551616"), None);
+        assert_eq!(num("18446744073709551615"), None); // rounds to 2^64
+                                                       // The largest double below 2^64 is a count a u64 holds.
+        assert_eq!(
+            num("18446744073709549568"),
+            Some(18_446_744_073_709_549_568)
+        );
+        assert_eq!(num("280"), Some(280));
     }
 
     #[test]

@@ -94,17 +94,15 @@ impl Histogram {
 }
 
 /// An instantaneous level (free frames, run-queue depth, TLB
-/// occupancy) with its tracked peaks. Unlike a counter, a gauge moves
+/// occupancy) with its tracked peak. Unlike a counter, a gauge moves
 /// both ways; unlike a histogram, it is a *state*, not a population of
-/// samples — so the registry keeps the current value plus two
-/// high-water marks: the run-wide peak and the peak since the last
-/// [`MetricsRegistry::begin_gauge_window`] (per-experiment gating).
+/// samples — so the registry keeps the current value plus the peak
+/// since the last [`MetricsRegistry::begin_gauge_window`]
+/// (per-experiment gating).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct Gauge {
     /// Most recently published value.
     pub value: u64,
-    /// Run-wide peak of every published value.
-    pub high_water: u64,
     /// Peak of the values published since the last window reset (the
     /// snapshot's per-experiment `gauge.*` metrics read this); `None`
     /// until the gauge is published in the window.
@@ -114,7 +112,6 @@ pub struct Gauge {
 impl Gauge {
     fn publish(&mut self, value: u64) {
         self.value = value;
-        self.high_water = self.high_water.max(value);
         self.window_high_water = Some(self.window_high_water.map_or(value, |w| w.max(value)));
     }
 }
@@ -170,15 +167,10 @@ impl MetricsRegistry {
         self.gauges.get(key).copied()
     }
 
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, Gauge)> {
-        self.gauges.iter().map(|(k, &g)| (k.as_str(), g))
-    }
-
     /// Starts a fresh per-experiment window, empty: a gauge joins it
     /// when it is next published. The level a gauge was left at
     /// belongs to whatever published it — an earlier experiment's
-    /// machines, dropped since — not to the window being opened. The
-    /// run-wide `high_water` is untouched.
+    /// machines, dropped since — not to the window being opened.
     pub fn begin_gauge_window(&mut self) {
         for g in self.gauges.values_mut() {
             g.window_high_water = None;
@@ -471,10 +463,13 @@ mod tests {
         m.gauge_set("phys.frames.free", 80);
         let g = m.gauge("phys.frames.free").unwrap();
         assert_eq!(g.value, 80);
-        assert_eq!(g.high_water, 100);
+        assert_eq!(g.window_high_water, Some(100));
         m.gauge_set("phys.frames.free", 0);
         assert_eq!(m.gauge("phys.frames.free").unwrap().value, 0);
-        assert_eq!(m.gauge("phys.frames.free").unwrap().high_water, 100);
+        assert_eq!(
+            m.gauge("phys.frames.free").unwrap().window_high_water,
+            Some(100)
+        );
         assert_eq!(m.gauge("missing"), None);
     }
 
@@ -509,10 +504,9 @@ mod tests {
             rec.metrics.window_gauge_high_waters(),
             BTreeMap::from([("phys.slab.live".to_string(), 30)])
         );
-        // Run-wide values and peaks are untouched by window resets.
-        assert_eq!(rec.metrics.gauge("phys.slab.live").unwrap().high_water, 50);
+        // A gauge left out of the window keeps its value, with no peak.
         let sharers = rec.metrics.gauge("registry.sharers").unwrap();
-        assert_eq!((sharers.value, sharers.high_water), (53, 53));
+        assert_eq!((sharers.value, sharers.window_high_water), (53, None));
     }
 
     #[test]
@@ -541,6 +535,9 @@ mod tests {
             live.gauge("registry.sharers"),
             replay.gauge("registry.sharers")
         );
-        assert_eq!(replay.gauge("registry.sharers").unwrap().high_water, 12);
+        assert_eq!(
+            replay.gauge("registry.sharers").unwrap().window_high_water,
+            Some(12)
+        );
     }
 }

@@ -163,8 +163,11 @@ mod tests {
         // Re-applying each Sample at record time left the gauges exact.
         assert_eq!(rec.metrics.gauge("phys.frames.free").unwrap().value, 800);
         assert_eq!(
-            rec.metrics.gauge("phys.frames.free").unwrap().high_water,
-            900
+            rec.metrics
+                .gauge("phys.frames.free")
+                .unwrap()
+                .window_high_water,
+            Some(900)
         );
     }
 }

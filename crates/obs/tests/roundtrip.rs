@@ -590,6 +590,11 @@ fn out_of_range_fields_fail_to_re_ingest_by_name() {
         assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
         assert!(err.contains("out of range"), "{field}: {err}");
     }
+    // A tick past u64 is refused, never saturated to u64::MAX.
+    for big in ["1e30", "18446744073709551616"] {
+        let err = reingest_edited("\"ts\": 1,", &format!("\"ts\": {big},"));
+        assert!(err.contains("\"ts\""), "{big}: {err}");
+    }
     // In range still re-ingests: the edges are the types' own.
     let doc = Json::parse(&trace.replacen("\"tid\": 2,", "\"tid\": 255,", 1)).unwrap();
     assert_eq!(parse_chrome_trace(&doc).unwrap().events[2].asid, 255);
@@ -711,8 +716,12 @@ fn counter_tracks_round_trip_to_identical_samples() {
         rec.metrics.gauge("phys.frames.free")
     );
     assert_eq!(
-        rollup.metrics.gauge("phys.frames.free").unwrap().high_water,
-        4096
+        rollup
+            .metrics
+            .gauge("phys.frames.free")
+            .unwrap()
+            .window_high_water,
+        Some(4096)
     );
     assert_eq!(rollup.gauges["sched.runq.c0"].max, 9);
     assert_eq!(rollup.gauges.values().map(|g| g.samples).sum::<u64>(), 8);

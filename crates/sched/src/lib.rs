@@ -952,8 +952,8 @@ mod tests {
         // The spawn ramp was sampled: the process-count high water
         // saw the whole fleet alive (130 apps + zygote), not just the
         // lone-zygote end state.
-        assert_eq!(procs.high_water, 130 + 1);
-        assert!(frames.high_water > frames.value);
+        assert_eq!(procs.window_high_water, Some(130 + 1));
+        assert!(frames.window_high_water.unwrap() > frames.value);
 
         // Samples landed in the ring with valid shape (monotone
         // per-gauge ticks, non-empty names).

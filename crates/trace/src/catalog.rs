@@ -8,9 +8,13 @@
 //! a handful of platform- or application-specific libraries that the
 //! zygote does not preload.
 
+use std::sync::OnceLock;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sat_types::RegionTag;
+
+use crate::profile::popularity_clusters;
 
 /// Index of a library in the catalog.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -67,7 +71,14 @@ pub struct Catalog {
     pub app_process: LibId,
     /// Per application: ids of its non-preloaded libraries.
     pub other_per_app: Vec<Vec<LibId>>,
+    /// Per library, its popularity order as cluster indices, each
+    /// built when profile generation first asks for it (the outer
+    /// table too, so a catalog no profile is drawn from holds none).
+    popularity: OnceLock<Box<[Clusters]>>,
 }
+
+/// One library's memoised cluster order ([`Catalog::popularity_clusters`]).
+type Clusters = OnceLock<Box<[u16]>>;
 
 impl Catalog {
     /// Builds the catalog deterministically from `seed` for `apps`
@@ -155,7 +166,19 @@ impl Catalog {
             zygote_java,
             app_process,
             other_per_app,
+            popularity: OnceLock::new(),
         }
+    }
+
+    /// Library `id`'s [`popularity_order`](crate::popularity_order) as
+    /// the order of its six-page clusters: cluster `c` is pages
+    /// `6c..6c + 6`, the last one cut at the library's end. Shuffled
+    /// once per catalog and library, on first use.
+    pub(crate) fn popularity_clusters(&self, id: LibId) -> &[u16] {
+        let table = self
+            .popularity
+            .get_or_init(|| self.libs.iter().map(|_| OnceLock::new()).collect());
+        table[id.0 as usize].get_or_init(|| popularity_clusters(id, self.lib(id).code_pages))
     }
 
     /// Borrows a library's spec.

@@ -1,7 +1,7 @@
 //! Per-application footprint generation.
 //!
 //! Every library has a deterministic *popularity order* over its code
-//! pages (a seeded shuffle in two-page clusters, so that the popular
+//! pages (a seeded shuffle in six-page clusters, so that the popular
 //! pages are scattered across the library's address range — the
 //! function-level locality that makes 64KB regions sparse, Figure 4).
 //! An application touches a prefix of each used library's popularity
@@ -48,13 +48,18 @@ const PREFIX_FRACTION: f64 = 0.75;
 /// pages.
 const POPULARITY_CLUSTER: u32 = 6;
 
+/// The generator of a library's popularity order, seeded only by the
+/// library id (so all applications agree on it).
+fn popularity_rng(lib: LibId) -> SmallRng {
+    SmallRng::seed_from_u64(0x9E3779B9_7F4A7C15 ^ (lib.0 as u64))
+}
+
 /// Returns the popularity order of a library's code pages:
 /// a deterministic permutation of `0..pages` in six-page clusters,
 /// seeded only by the library id (so all applications agree on it).
 pub fn popularity_order(lib: LibId, pages: u32) -> Vec<u32> {
     let mut clusters: Vec<u32> = (0..pages.div_ceil(POPULARITY_CLUSTER)).collect();
-    let mut rng = SmallRng::seed_from_u64(0x9E3779B9_7F4A7C15 ^ (lib.0 as u64));
-    clusters.shuffle(&mut rng);
+    clusters.shuffle(&mut popularity_rng(lib));
     let mut order = Vec::with_capacity(pages as usize);
     for c in clusters {
         for page in (c * POPULARITY_CLUSTER)..((c + 1) * POPULARITY_CLUSTER).min(pages) {
@@ -62,6 +67,17 @@ pub fn popularity_order(lib: LibId, pages: u32) -> Vec<u32> {
         }
     }
     order
+}
+
+/// [`popularity_order`]'s cluster permutation, as `u16` cluster
+/// indices: the same shuffle, since a shuffle's draws depend only on
+/// the length. What [`Catalog`] memoises for profile generation.
+pub(crate) fn popularity_clusters(lib: LibId, pages: u32) -> Box<[u16]> {
+    let n = pages.div_ceil(POPULARITY_CLUSTER);
+    assert!(n <= 1 << 16, "{pages} pages overflow u16 cluster indices");
+    let mut clusters: Box<[u16]> = (0..n).map(|c| c as u16).collect();
+    clusters.shuffle(&mut popularity_rng(lib));
+    clusters
 }
 
 /// The pages the zygote itself touches during preload: the most
@@ -165,6 +181,8 @@ impl AppProfile {
         for page in 0..private_target {
             pages.push((CodePage::Private { page }, RegionTag::AppCode));
         }
+        // The profile outlives generation: hold no growth slack.
+        pages.shrink_to_fit();
 
         AppProfile {
             spec: spec.clone(),
@@ -217,7 +235,7 @@ impl AppProfile {
 
 /// Selects ~`target` pages across `libs`, weighting big libraries
 /// more, taking each library's popularity prefix plus an app-specific
-/// scatter.
+/// scatter. Each library's pages are appended in ascending order.
 fn select_from_libs(
     catalog: &Catalog,
     libs: &[LibId],
@@ -234,37 +252,109 @@ fn select_from_libs(
         .map(|id| (catalog.lib(*id).code_pages as f64).powf(0.85))
         .collect();
     let wsum: f64 = weights.iter().sum();
+    // Per library, reused: the chosen pages as a bitmap, and the tail
+    // clusters by their rank beyond the prefix.
+    let mut chosen: Vec<u64> = Vec::new();
+    let mut tail_clusters: Vec<u32> = Vec::new();
     for (id, w) in libs.iter().zip(&weights) {
-        let lib = catalog.lib(*id);
-        let quota = (((target as f64) * w / wsum).round() as u32).min(lib.code_pages);
+        let pages = catalog.lib(*id).code_pages;
+        let quota = (((target as f64) * w / wsum).round() as u32).min(pages) as usize;
         if quota == 0 {
             continue;
         }
-        let order = popularity_order(*id, lib.code_pages);
+        let order = Order::new(catalog.popularity_clusters(*id), pages);
+        chosen.clear();
+        chosen.resize(pages.div_ceil(64) as usize, 0);
         let prefix = ((quota as f64) * PREFIX_FRACTION).round() as usize;
-        let mut chosen: BTreeSet<u32> = order.iter().take(prefix).copied().collect();
+        for pos in 0..prefix {
+            insert(&mut chosen, order.page(pos));
+        }
         // App-specific scatter from beyond the prefix, taken in whole
         // popularity clusters so the Figure 4 sparsity stays
-        // function-grained rather than page-grained.
-        let tail: Vec<u32> = order.iter().skip(prefix).copied().collect();
-        let mut tail_clusters: Vec<&[u32]> = tail.chunks(POPULARITY_CLUSTER as usize).collect();
+        // function-grained rather than page-grained: cluster `k` is
+        // positions `prefix + 6k..` of the order, six or up to its
+        // end. The prefix and these clusters are disjoint runs of one
+        // permutation, so each page they add is new.
+        let cluster = POPULARITY_CLUSTER as usize;
+        let mut count = prefix;
+        tail_clusters.clear();
+        tail_clusters.extend(0..(pages as usize - prefix).div_ceil(cluster) as u32);
         tail_clusters.shuffle(rng);
-        for cluster in tail_clusters {
-            if chosen.len() >= quota as usize {
+        for &k in &tail_clusters {
+            if count >= quota {
                 break;
             }
-            chosen.extend(cluster.iter().copied());
+            let first = prefix + k as usize * cluster;
+            let end = (first + cluster).min(pages as usize);
+            for pos in first..end {
+                insert(&mut chosen, order.page(pos));
+            }
+            count += end - first;
         }
-        // Defensive: if the tail was too small, top up from anywhere.
-        while chosen.len() < quota as usize && chosen.len() < lib.code_pages as usize {
-            chosen.insert(rng.gen_range(0..lib.code_pages));
+        // Defensive: if the tail was too small, top up from anywhere
+        // (a page drawn again does not count).
+        while count < quota && count < pages as usize {
+            if insert(&mut chosen, rng.gen_range(0..pages)) {
+                count += 1;
+            }
         }
-        out.extend(
-            chosen
-                .into_iter()
-                .map(|page| (CodePage::Lib { lib: *id, page }, tag)),
-        );
+        for (i, &word) in chosen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let page = i as u32 * 64 + bits.trailing_zeros();
+                out.push((CodePage::Lib { lib: *id, page }, tag));
+                bits &= bits - 1;
+            }
+        }
     }
+}
+
+/// A library's [`popularity_order`], read position by position off its
+/// memoised cluster order instead of expanded. Every cluster holds six
+/// pages but the library's last, which holds the rest: the positions
+/// past it sit `gap` earlier than six pages a cluster would put them.
+struct Order<'a> {
+    clusters: &'a [u16],
+    /// The position just past the short cluster's pages.
+    short_end: usize,
+    /// The pages the short cluster lacks.
+    gap: usize,
+}
+
+impl<'a> Order<'a> {
+    fn new(clusters: &'a [u16], pages: u32) -> Order<'a> {
+        let cluster = POPULARITY_CLUSTER as usize;
+        let last = clusters.len() - 1;
+        let short = pages as usize - last * cluster;
+        let at = clusters
+            .iter()
+            .position(|&c| c as usize == last)
+            .expect("a permutation holds its last cluster");
+        Order {
+            clusters,
+            short_end: at * cluster + short,
+            gap: cluster - short,
+        }
+    }
+
+    /// The page at position `pos` of the order.
+    fn page(&self, pos: usize) -> u32 {
+        let cluster = POPULARITY_CLUSTER as usize;
+        let pos = if pos >= self.short_end {
+            pos + self.gap
+        } else {
+            pos
+        };
+        (self.clusters[pos / cluster] as usize * cluster + pos % cluster) as u32
+    }
+}
+
+/// Sets `page`'s bit; `true` if it was clear.
+fn insert(bitmap: &mut [u64], page: u32) -> bool {
+    let (word, bit) = (&mut bitmap[page as usize / 64], 1u64 << (page % 64));
+    let new = *word & bit == 0;
+    *word |= bit;
+    new
 }
 
 #[cfg(test)]
@@ -332,6 +422,25 @@ mod tests {
         // And it scatters: the first 10 pages of the order are not the
         // first 10 pages of the library.
         assert_ne!(&order[..10], &(0..10).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn the_order_read_off_the_memo_is_the_popularity_order() {
+        for c in [Catalog::generate(1, 11), Catalog::generate(13, 11)] {
+            for (i, lib) in c.libs.iter().enumerate() {
+                let id = LibId(i as u32);
+                let order = Order::new(c.popularity_clusters(id), lib.code_pages);
+                let read: Vec<u32> = (0..lib.code_pages as usize)
+                    .map(|p| order.page(p))
+                    .collect();
+                assert_eq!(read, popularity_order(id, lib.code_pages), "{}", lib.name);
+                // Memoised: a second call hands back the same table.
+                assert!(std::ptr::eq(
+                    c.popularity_clusters(id),
+                    c.popularity_clusters(id)
+                ));
+            }
+        }
     }
 
     #[test]
