@@ -31,6 +31,17 @@ cargo fmt --check --manifest-path benchmark/Cargo.toml
 step "build (release)"
 cargo build --release
 
+# `satbench` (benchmark/) is the only stopwatch: nothing in `crates/`
+# reads the host clock, so every span in a trace carries a simulated
+# quantity and two traced runs write the same bytes (the traced smoke
+# below `cmp`s them). Keyed on the module path, not on `Instant`, which
+# also names Chrome's instant events.
+step "no host clock in crates/"
+if grep -rn 'std::time' crates/; then
+    echo "tier1: crates/ reads the host clock (above); satbench owns host time" >&2
+    exit 1
+fi
+
 step "tests"
 cargo test -q
 
@@ -239,12 +250,33 @@ for example in app_launch binder_ipc sparsity_analysis; do
 done
 cargo run --release --quiet --example quickstart | grep -F 'unshared=true, resolution=Cow'
 
+# The paper-scale stdout, pinned like the quick one
+# (crates/bench/tests/golden/all_quick.txt, a CLI test): a change that
+# moves a paper-scale number shows it in this diff and regenerates the
+# golden with `target/release/repro all >
+# crates/bench/tests/golden/all_paper.txt`. EXPERIMENTS.md prints the
+# same bytes between its two `all_paper.txt` marker lines (each fence
+# line inside them dropped), so the document cannot drift from the
+# code. `repro all` takes about 5.4 s in release on one core.
+step "repro all (paper scale) matches its golden and EXPERIMENTS.md"
+repro all --out "$out/BENCH_paper.json" > "$out/all_paper.txt"
+diff -u crates/bench/tests/golden/all_paper.txt "$out/all_paper.txt"
+awk '/^<!-- end all_paper.txt -->$/ { on = 0 } on && !/^```/; /^<!-- begin all_paper.txt -->$/ { on = 1 }' \
+    EXPERIMENTS.md > "$out/experiments_paper.txt"
+diff -u crates/bench/tests/golden/all_paper.txt "$out/experiments_paper.txt"
+
 # Traced smoke: every experiment, the trace and the snapshot
 # end-to-end. The serve pair's flow charges push the full run to ~270k
 # events — raise the ring so the trace stays lossless. No other
-# environment variable matters: everything runs on one thread.
-step "repro all --quick (traced, lossless)"
+# environment variable matters: everything runs on one thread. The run
+# is made twice and the two traces must be byte-identical (about 1 s
+# more): every span ends with simulated cycles or enclosed ticks, never
+# host time.
+step "repro all --quick (traced, lossless, twice)"
 SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace.json" --out "$out/BENCH_repro.json"
+SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace2.json" --out "$out/BENCH_repro2.json" \
+    > /dev/null
+cmp "$out/trace.json" "$out/trace2.json"
 
 # Validate the artifacts: sat-bench/repro-v9 schema with every param a
 # string and every metric a count, non-empty traceEvents, >=5
@@ -261,10 +293,17 @@ repro check --trace "$out/trace.json" --out "$out/BENCH_repro.json" | tee "$out/
 # never fired (both key on what the snapshot's records carry, not on
 # the verb), and `report` renders the real run's rollup in all three
 # formats and sliced to one experiment's bracket. Each must exit 0.
-step "repro check says no warning; repro report text, json, folded, --experiment"
+# The text report is gated data: it must equal
+# crates/bench/tests/golden/report_all_quick.txt line for line (every
+# event count, unshare cause, flush row, span total and percentile,
+# gauge series), and is regenerated with the command below only by a
+# change that means to move the trace.
+step "repro check says no warning; repro report matches its golden, json, folded, --experiment"
 says "$out/check.txt" 0 "the frame budget never bit"
 says "$out/check.txt" 0 "the promotion scanner never fired"
-for format in text json folded; do
+repro report "$out/trace.json" > "$out/report.txt"
+diff -u crates/bench/tests/golden/report_all_quick.txt "$out/report.txt"
+for format in json folded; do
     repro report "$out/trace.json" --format "$format" > /dev/null
 done
 repro report "$out/trace.json" --experiment serve_shared > /dev/null

@@ -79,13 +79,13 @@
 //! (see [`FLAGS`]).
 //!
 //! Every experiment runs on the calling thread, one cell after the
-//! other, so a record is a function of its verb and scale alone: two
-//! runs write byte-identical snapshots (only the trace's bench-cell
-//! spans carry wall-clock microseconds).
+//! other, and nothing in `repro` reads the host clock, so a record, the
+//! trace and the trace's report are functions of the verb and scale
+//! alone: two runs write byte-identical snapshots and traces.
 //!
 //! Besides the tables on stdout, every run writes the
 //! `sat-bench/repro-v9` snapshot (`sat_bench::snapshot`, the one module
-//! that knows its format): one record per timed experiment — `params`
+//! that knows its format): one record per experiment — `params`
 //! (the scale, the frame budget of a budgeted cell) and one flat
 //! `metrics` map (`latency.*`, `reclaim.*`, `translation.*` and, traced,
 //! `gauge.*` high-water marks and the `event.*` counters the experiment
@@ -98,7 +98,6 @@
 //! check`'s coverage floor all read that table.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use sat_bench::{
     ablation, extensions, fleetbench, ipcbench, launchbench, motivation, pressurebench, reachbench,
@@ -329,13 +328,13 @@ fn run_and_record(cli: &Cli) -> Fallible {
 
 type Fallible<T = String> = Result<T, Box<dyn std::error::Error>>;
 
-/// Runs `body` as one timed experiment, appending its record on
+/// Runs `body` as one recorded experiment, appending its record on
 /// success. `body` returns the rendered text plus whatever the caller
 /// wants back, and may add params and metrics of its own to the
 /// record. With a recorder installed, the record also carries each
 /// gauge's peak over the experiment and the counters it moved, so the
 /// snapshot attributes event volume per experiment.
-fn timed<T>(
+fn recorded<T>(
     records: &mut Vec<Record>,
     name: &str,
     body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
@@ -345,17 +344,19 @@ fn timed<T>(
     // Bracket the experiment with an `exp.<name>` span (machine-level:
     // pid 0) so `repro report/timeline --experiment <name>` can slice
     // the trace, and open a fresh gauge window so the snapshot carries
-    // this experiment's own high-water marks (all no-ops untraced).
+    // this experiment's own high-water marks (all no-ops untraced). An
+    // experiment spans many machines, so the bracket ends with the
+    // ticks it encloses rather than any one machine's cycles.
     let span = format!("exp.{name}");
     let bracket = |payload| sat_obs::emit(sat_obs::Subsystem::Bench, 0, 0, payload);
     sat_obs::begin_gauge_window();
     bracket(sat_obs::Payload::SpanBegin { name: span.clone() });
-    let t = Instant::now();
+    let first = sat_obs::next_tick().unwrap_or_default();
     let out = body(&mut rec)?;
     bracket(sat_obs::Payload::SpanEnd {
         name: span,
-        value: t.elapsed().as_micros() as u64,
-        unit: sat_obs::SpanUnit::Micros,
+        value: sat_obs::next_tick().unwrap_or_default() - first,
+        unit: sat_obs::SpanUnit::Ticks,
     });
     if let Some(after) = sat_obs::counters_snapshot() {
         let peaks = sat_obs::window_gauge_high_waters().unwrap_or_default();
@@ -365,8 +366,8 @@ fn timed<T>(
     Ok(out)
 }
 
-/// A grid verb's run: the records its table row names, timed one by
-/// one in run order.
+/// A grid verb's run: the records its table row names, recorded one
+/// by one in run order.
 struct Cells<'a> {
     scale: Scale,
     names: std::vec::IntoIter<String>,
@@ -374,24 +375,24 @@ struct Cells<'a> {
 }
 
 impl Cells<'_> {
-    /// Runs `body` as the grid's next timed record.
-    fn timed<T>(
+    /// Runs `body` as the grid's next recorded experiment.
+    fn recorded<T>(
         &mut self,
         body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
     ) -> Fallible<(String, T)> {
         let name = self.names.next();
         let name = name.ok_or("the grid runs more cells than its verb row names")?;
-        timed(self.records, &name, body)
+        recorded(self.records, &name, body)
     }
 }
 
 /// How a verb produces its snapshot records.
 enum Runner {
-    /// One timed record named after the verb.
+    /// One record named after the verb.
     Single(fn(Scale) -> SatResult<String>),
-    /// One timed record per grid cell (static names, so `repro diff`
+    /// One record per grid cell (static names, so `repro diff`
     /// compares each kernel / fleet size / budget on its own): the names
-    /// in run order, and the runner that times each cell and renders
+    /// in run order, and the runner that records each cell and renders
     /// the combined tables.
     Grid {
         records: fn(Scale) -> Vec<String>,
@@ -546,7 +547,7 @@ impl Verb {
     /// Runs the verb, appending its records.
     fn run(&self, records: &mut Vec<Record>, scale: Scale) -> Fallible {
         match self.runner {
-            Single(body) => Ok(timed(records, self.name, |_| Ok((body(scale)?, ())))?.0),
+            Single(body) => Ok(recorded(records, self.name, |_| Ok((body(scale)?, ())))?.0),
             Grid { run, .. } => run(&mut Cells {
                 scale,
                 names: self.records(scale).into_iter(),
@@ -556,14 +557,14 @@ impl Verb {
     }
 }
 
-/// Runs both serve kernels as separate timed records, then the
+/// Runs both serve kernels as separate records, then the
 /// cross-kernel summary line.
 fn run_serve_pair(cells: &mut Cells) -> Fallible {
     let scale = cells.scale;
     let mut s = String::new();
     let mut reports = Vec::new();
     for (_, label, config) in servebench::serve_kernels() {
-        let (text, report) = cells.timed(|rec| {
+        let (text, report) = cells.recorded(|rec| {
             let (text, r) = servebench::serve_kernel(scale, label, config)?;
             rec.add_metrics(servebench::snapshot_metrics(&r, false));
             Ok((text, r))
@@ -575,13 +576,13 @@ fn run_serve_pair(cells: &mut Cells) -> Fallible {
     Ok(s)
 }
 
-/// Runs the sharing-under-pressure grid: one timed record per cell,
+/// Runs the sharing-under-pressure grid: one record per cell,
 /// each carrying latency percentiles and — for the finite-budget
 /// cells — the frame budget and reclaim totals.
 fn run_pressure_grid(cells: &mut Cells) -> Fallible {
     let (text, _) = pressurebench::grid(cells.scale, |_, opts, config| {
         let budget = opts.mem_frames;
-        let (_, report) = cells.timed(|rec| {
+        let (_, report) = cells.recorded(|rec| {
             let r = sat_sched::run_serve(config, opts)?;
             if let Some(n) = budget {
                 rec.set_budget(n);
@@ -594,13 +595,13 @@ fn run_pressure_grid(cells: &mut Cells) -> Fallible {
     Ok(text)
 }
 
-/// Runs the three translation-reach strategies as separate timed
-/// records, then the combined table.
+/// Runs the three translation-reach strategies as separate records,
+/// then the combined table.
 fn run_reach(cells: &mut Cells) -> Fallible {
     let scale = cells.scale;
     let mut grid = Vec::new();
     for (_, label, config) in reachbench::reach_kernels() {
-        let (_, cell) = cells.timed(|rec| {
+        let (_, cell) = cells.recorded(|rec| {
             let cell = reachbench::reach_cell(label, config, scale)?;
             rec.add_metrics(cell.metrics());
             Ok((String::new(), cell))
@@ -610,13 +611,13 @@ fn run_reach(cells: &mut Cells) -> Fallible {
     Ok(reachbench::reach_render(scale, &grid))
 }
 
-/// Runs every fleet size of the scale's grid, one timed record per N.
+/// Runs every fleet size of the scale's grid, one record per N.
 fn run_fleet_grid(cells: &mut Cells) -> Fallible {
     let mut s = String::new();
     for &(apps, cores) in fleetbench::fleet_counts(cells.scale) {
         s.push_str(
             &cells
-                .timed(|_| Ok((fleetbench::fleet_n(apps, cores)?, ())))?
+                .recorded(|_| Ok((fleetbench::fleet_n(apps, cores)?, ())))?
                 .0,
         );
     }

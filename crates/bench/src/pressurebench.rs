@@ -77,7 +77,7 @@ fn short(record: &str) -> &str {
 pub type PressureCell = (String, Option<u64>, ServeReport);
 
 /// Runs the whole grid through `run_cell` (the `repro` binary wraps
-/// each call in a timed snapshot record; tests pass `run_serve`
+/// each call in a snapshot record; tests pass `run_serve`
 /// directly) and renders one table per kernel plus the cross-kernel
 /// summary. Returns the text and every cell as
 /// `(record_name, mem_frames, report)` in run order.

@@ -4,10 +4,10 @@
 //! artifacts (`repro check`) and [`diff`] compares two snapshots number
 //! by number (`repro diff`).
 //!
-//! A snapshot is one run-wide record plus one record per timed
-//! experiment, all of one shape: a name, a `params` object of strings
-//! (what the numbers were measured *under* — the run's scale, a frame
-//! budget) and one flat `metrics` map of counts (what was measured —
+//! A snapshot is one run-wide record plus one record per experiment,
+//! all of one shape: a name, a `params` object of strings (what the
+//! numbers were measured *under* — the run's scale, a frame budget)
+//! and one flat `metrics` map of counts (what was measured —
 //! `latency.p99`, `reclaim.pages`, `translation.waste_frames`,
 //! `gauge.<name>`, `event.<name>`, ...). The run-wide record's params
 //! are `command`/`scale`/`traced`, and its metrics one `counter.<name>`
@@ -115,7 +115,7 @@ pub struct Snapshot {
     /// The run-wide record: params `command`/`scale`/`traced`, metrics
     /// one `counter.<name>` per event counter of a traced run.
     pub run: Record,
-    /// One record per timed experiment, in run order.
+    /// One record per experiment, in run order.
     pub experiments: Vec<Record>,
 }
 

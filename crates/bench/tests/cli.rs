@@ -145,7 +145,7 @@ fn write_trace(name: &str, breakage: Option<&str>) -> PathBuf {
         Payload::SpanEnd {
             name: "exp.launch".to_string(),
             value: 1234,
-            unit: SpanUnit::Micros,
+            unit: SpanUnit::Ticks,
         },
     );
     let mut rec = sat_obs::uninstall().unwrap();
@@ -502,14 +502,25 @@ fn a_verb_run_alone_writes_the_baseline_records() {
     });
 }
 
-/// Every number in a snapshot is simulated, none is host time: two
-/// traced runs of one verb write byte-identical files.
+/// Every number in a snapshot and every span in a trace is simulated,
+/// none is host time: two traced runs of one verb write byte-identical
+/// files. (The fleet grid runs the fleet phases and experiment
+/// brackets, the two spans that once read the host clock.)
 #[test]
-fn two_traced_runs_write_byte_identical_snapshots() {
-    let snapshot = |tag| std::fs::read_to_string(run_traced("timeshare", tag, "65536").2).unwrap();
-    let (first, second) = (snapshot("first"), snapshot("second"));
-    assert!(first.contains("\"gauge."), "{first}");
-    assert_eq!(first, second);
+fn two_traced_runs_write_byte_identical_snapshots_and_traces() {
+    let read = |path: PathBuf| std::fs::read_to_string(path).unwrap();
+    let run = |tag| {
+        let (_, trace, snap) = run_traced("fleet", tag, "65536");
+        (read(snap), read(trace))
+    };
+    let ((snap1, trace1), (snap2, trace2)) = (run("first"), run("second"));
+    assert!(snap1.contains("\"gauge."), "{snap1}");
+    assert!(
+        trace1.contains("\"fleet.run\""),
+        "no fleet span in the trace"
+    );
+    assert_eq!(snap1, snap2);
+    assert!(trace1 == trace2, "two traced runs wrote different traces");
 }
 
 /// The serve workload is seeded and cycle-clocked: repeated runs must

@@ -33,7 +33,7 @@ const FOOTPRINT_PIDS: usize = 8;
 pub struct SpanAgg {
     pub count: u64,
     pub unit: SpanUnit,
-    /// Span values (cycles or µs) — p50/p95/max come from here.
+    /// Span values (cycles or ticks) — p50/p95/max come from here.
     pub hist: Histogram,
 }
 
@@ -1113,7 +1113,7 @@ mod tests {
                 Payload::SpanEnd {
                     name: name.to_string(),
                     value: 1,
-                    unit: SpanUnit::Micros,
+                    unit: SpanUnit::Ticks,
                 },
             )
         };

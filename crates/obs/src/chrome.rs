@@ -4,9 +4,9 @@
 //! (`{"traceEvents": [...], ...}`), loadable in `chrome://tracing` and
 //! Perfetto. `ts` carries the recorder tick (logical order — the
 //! simulator has no wall clock), `pid`/`tid` carry the simulated
-//! pid/ASID, and a span's measured quantity (modeled cycles for
-//! Android phases, wall-clock µs for bench cells) rides in its end
-//! event's `args`. What each payload is called on the wire and which
+//! pid/ASID, and a span's simulated quantity (modeled cycles for
+//! Android and fleet phases, enclosed ticks for experiment brackets)
+//! rides in its end event's `args`. What each payload is called on the wire and which
 //! `args` it carries is declared once, with the payload, in `event.rs`;
 //! this module owns the envelope and the value codecs.
 

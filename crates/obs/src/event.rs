@@ -261,13 +261,16 @@ label_enum! {
 }
 
 label_enum! {
-    /// The unit a duration span's `value` is measured in.
+    /// The unit a span's `value` is measured in. Both are simulated:
+    /// a span is a function of the run, never of the host.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     pub enum SpanUnit {
-        /// Modeled cycles (Android launch/IPC phases).
+        /// Modeled cycles (Android launch/IPC phases, fleet phases).
         Cycles = "cycles",
-        /// Wall-clock microseconds (bench cells).
-        Micros = "us",
+        /// Trace ticks: the events the span encloses (`exp.<name>`
+        /// brackets, which span many machines and so no one cycle
+        /// count).
+        Ticks = "ticks",
     }
 }
 
@@ -495,14 +498,14 @@ payloads! {
     /// Samples are stamped (pid 0, asid 0): gauges describe
     /// whole-machine state, not one process.
     Sample = "C" gauge: String { gauge: String, value: u64 },
-    /// A duration span opened (an Android phase, a bench cell). Must
+    /// A duration span opened (an Android phase, a fleet phase, an
+    /// experiment's bracket). Must
     /// be closed by a [`Payload::SpanEnd`] with the same name on the
     /// same (pid, asid) — `repro check` enforces the pairing. The
     /// viewer nests the events a span encloses under it.
     SpanBegin = "B" name: String { name: String },
-    /// A duration span closed, carrying the measured quantity (cycles
-    /// or wall-clock µs — logical ticks only order the span against
-    /// the events it contains).
+    /// A duration span closed, carrying its simulated quantity in
+    /// `unit`: modeled cycles, or for a bracket the ticks it encloses.
     SpanEnd = "E" name: String {
         name: String,
         value: u64,

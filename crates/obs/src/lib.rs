@@ -365,6 +365,12 @@ pub fn with_metrics<R>(f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
     with_sink(|s| f(&s.metrics))
 }
 
+/// The tick the next event will carry (the events recorded so far,
+/// dropped ones included), if a recorder is live.
+pub fn next_tick() -> Option<u64> {
+    with_sink(|s| s.seq)
+}
+
 /// Clones the current counter map, if a recorder is live.
 pub fn counters_snapshot() -> Option<BTreeMap<String, u64>> {
     with_metrics(|m| m.counters_map().clone())

@@ -27,7 +27,7 @@ pub struct RingSink {
     capacity: usize,
     events: VecDeque<Event>,
     /// Monotonic per-recorder tick; stamps every event.
-    seq: u64,
+    pub(crate) seq: u64,
     dropped: u64,
     pub(crate) metrics: MetricsRegistry,
 }

@@ -229,7 +229,7 @@ fn emit_one_of_each() {
         Payload::SpanEnd {
             name: "cell-0 \"quoted\"".to_string(),
             value: 900,
-            unit: SpanUnit::Micros,
+            unit: SpanUnit::Ticks,
         },
     );
     sat_obs::emit(Subsystem::Sched, 11, 0, Payload::FlowArrive { flow: 7 });

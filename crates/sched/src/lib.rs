@@ -512,6 +512,12 @@ impl TimeshareSim {
         Ok(())
     }
 
+    /// The machine's simulated cycles so far, summed over its cores
+    /// ([`TimeshareReport::total_cycles`] at the end of a run).
+    fn cycles(&self) -> u64 {
+        self.sys.machine.cores.iter().map(|c| c.stats.cycles).sum()
+    }
+
     /// Harvests the run's counters.
     pub fn report(&self) -> TimeshareReport {
         let m = &self.sys.machine;
@@ -632,34 +638,42 @@ pub struct FleetReport {
     pub live_processes_after: usize,
 }
 
-/// Brackets one fleet phase with a `sched` span (wall-clock µs), so
-/// `repro report --format folded` attributes fleet time to spawn,
-/// run, or reap. No-op without a recorder installed.
-fn fleet_span<T>(name: &str, body: impl FnOnce() -> T) -> T {
-    if !sat_obs::enabled() {
-        return body();
+/// One fleet phase's `sched` span, so `repro report --format folded`
+/// attributes the fleet's simulated cycles to spawn, run, or reap. It
+/// ends with the cycles the phase added to the fleet machine
+/// ([`TimeshareSim::cycles`]), so the three phases sum to
+/// [`FleetReport::total_cycles`]. No-op without a recorder installed.
+struct FleetSpan {
+    name: &'static str,
+    /// The machine's cycles when the phase began.
+    since: u64,
+}
+
+impl FleetSpan {
+    /// Opens phase `name` at the machine's cycle count `since`.
+    fn open(name: &'static str, since: u64) -> FleetSpan {
+        if sat_obs::enabled() {
+            let payload = sat_obs::Payload::SpanBegin {
+                name: name.to_string(),
+            };
+            sat_obs::emit(sat_obs::Subsystem::Sched, 0, 0, payload);
+        }
+        FleetSpan { name, since }
     }
-    sat_obs::emit(
-        sat_obs::Subsystem::Sched,
-        0,
-        0,
-        sat_obs::Payload::SpanBegin {
-            name: name.to_string(),
-        },
-    );
-    let t0 = std::time::Instant::now();
-    let out = body();
-    sat_obs::emit(
-        sat_obs::Subsystem::Sched,
-        0,
-        0,
-        sat_obs::Payload::SpanEnd {
-            name: name.to_string(),
-            value: t0.elapsed().as_micros() as u64,
-            unit: sat_obs::SpanUnit::Micros,
-        },
-    );
-    out
+
+    /// Closes the phase at the machine's cycle count `now`, returned
+    /// for the next phase to open at.
+    fn close(self, now: u64) -> u64 {
+        if sat_obs::enabled() {
+            let payload = sat_obs::Payload::SpanEnd {
+                name: self.name.to_string(),
+                value: now - self.since,
+                unit: sat_obs::SpanUnit::Cycles,
+            };
+            sat_obs::emit(sat_obs::Subsystem::Sched, 0, 0, payload);
+        }
+        now
+    }
 }
 
 /// Boots a fleet of `opts.apps` zygote children, timeshares them for
@@ -678,20 +692,22 @@ pub fn run_fleet(config: KernelConfig, opts: FleetOptions) -> SatResult<FleetRep
         ipc_every: 0,
         seed: opts.seed,
     };
-    let mut sim = fleet_span("fleet.spawn", || TimeshareSim::boot(config, topts))?;
-    fleet_span("fleet.run", || sim.run())?;
-    fleet_span("fleet.reap", || -> SatResult<()> {
-        let fleet: Vec<Pid> = sim.tasks.keys().copied().collect();
-        for (i, pid) in fleet.into_iter().enumerate() {
-            sim.reap(pid)?;
-            // Mirror the spawn ramp: sample the teardown drain so the
-            // trace shows frames/slab slots returning to the pool.
-            if (i + 1) % 64 == 0 {
-                sim.sample_now();
-            }
+    // The machine boots inside the spawn phase, from zero cycles.
+    let spawn = FleetSpan::open("fleet.spawn", 0);
+    let mut sim = TimeshareSim::boot(config, topts)?;
+    let run = FleetSpan::open("fleet.run", spawn.close(sim.cycles()));
+    sim.run()?;
+    let reap = FleetSpan::open("fleet.reap", run.close(sim.cycles()));
+    let fleet: Vec<Pid> = sim.tasks.keys().copied().collect();
+    for (i, pid) in fleet.into_iter().enumerate() {
+        sim.reap(pid)?;
+        // Mirror the spawn ramp: sample the teardown drain so the
+        // trace shows frames/slab slots returning to the pool.
+        if (i + 1) % 64 == 0 {
+            sim.sample_now();
         }
-        Ok(())
-    })?;
+    }
+    reap.close(sim.cycles());
     sim.sample_now();
     let t = sim.report();
     let k = &sim.sys.machine.kernel;
@@ -967,6 +983,38 @@ mod tests {
             samples > 0,
             "no Sample events survived in the ring (capacity too small?)"
         );
+    }
+
+    /// The fleet's phase spans carry simulated cycles, not host time:
+    /// spawn, run and reap each end with the cycles they added to the
+    /// machine, and together they are the report's total.
+    #[test]
+    fn traced_fleet_phases_sum_to_the_total_cycles() {
+        sat_obs::install(1 << 16);
+        let opts = FleetOptions {
+            rounds: 2,
+            quantum_events: 40,
+            ws_pages: 8,
+            ..FleetOptions::new(16, 2)
+        };
+        let r = run_fleet(KernelConfig::shared_ptp(), opts).unwrap();
+        let rec = sat_obs::uninstall().expect("recorder installed above");
+        let phases: Vec<(&str, u64)> = rec
+            .events
+            .iter()
+            .filter_map(|e| match &e.payload {
+                sat_obs::Payload::SpanEnd { name, value, unit } => {
+                    assert_eq!(*unit, sat_obs::SpanUnit::Cycles, "{name}");
+                    Some((name.as_str(), *value))
+                }
+                _ => None,
+            })
+            .collect();
+        let names: Vec<&str> = phases.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["fleet.spawn", "fleet.run", "fleet.reap"]);
+        assert!(phases[1].1 > 0, "the run phase executed no cycles");
+        let sum: u64 = phases.iter().map(|(_, value)| value).sum();
+        assert_eq!(sum, r.total_cycles);
     }
 
     #[test]
