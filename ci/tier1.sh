@@ -56,10 +56,14 @@ cargo test -q
 # cache vs the stamped nested-Option model, a run of lines against the
 # same lines one at a time included, runs that lap every set up to a
 # little past three times among them, on 1-, 2- and 3-way caches, which
-# take the runtime-width instance, and on the 4-way L1 and the 8-way L2
-# (crates/cache/src/reference.rs),
+# take the runtime-width instance, and on the 4-way L1 (its runs at the
+# runtime width too) and the 8-way L2,
+# and the L1-I's stretch cache vs the same model on 1-, 3-, 4- and
+# 8-way caches and the L1, its missed lines compared as the maximal runs
+# it hands the L2 (crates/cache/src/reference.rs),
 # kernel-text runs vs the line-by-line loop on twin machines
-# (machine.rs, `run_vs_line_by_line`), the range walker vs the page-by-page
+# (machine.rs, `run_vs_line_by_line`; it also holds the L1-I's stretch
+# walk to its single-access path, cuts included), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs: lookups, by-address flushes and
@@ -162,7 +166,13 @@ PROPTEST_CASES=2048 cargo test --release -q \
 # The cache's lap loop and its per-width instances again, at 8192 cases
 # (about 15 s on two cores, most of it building the 1MB L2 and its
 # nested twin anew each case): every instance, every lap and every
-# mid-line start against the reference cache (crates/cache/src/reference.rs).
+# mid-line start against the reference cache (crates/cache/src/reference.rs),
+# the `stretch_*` rows among them: the L1-I's stretch cache at 1, 3, 4
+# and 8 ways and as the L1, folded and lapped, where single accesses cut
+# stretches that runs join again. Each of four planted slips fails them:
+# a join that does not compare tags, a run that does not cut after its
+# lap's last set, a single access that does not cut the next set, and a
+# missing stretch that counts one eviction instead of its length.
 step "tests (release, 8192 cases: cache)"
 PROPTEST_CASES=8192 cargo test --release -q -p sat-cache
 
@@ -239,6 +249,16 @@ for workload in suite_steady fleet_churn serve_pressure reach_promote binder_ipc
     done
 done > "$out/sim_digests.txt"
 diff -u ci/sim_digests.txt "$out/sim_digests.txt"
+
+# ci/pairs.sh, the alternating before/after runs behind a host-time
+# claim, on one checkout against itself: one pair of timed runs of
+# `reach_promote` at `--seconds 1`, every end-to-end metric's row
+# printed, and the two sides' `sim_digest`s equal (the script exits 1
+# when they differ). A few seconds once the package is built.
+step "ci/pairs.sh (one checkout against itself)"
+ci/pairs.sh . . --workload reach_promote --seed 7 --pairs 1 --seconds 1 | tee "$out/pairs.txt"
+says "$out/pairs.txt" 0 "missing from a run"
+says "$out/pairs.txt" 1 "sim_digest: equal"
 
 # The four examples README advertises, run through the public API in
 # release (< 1 s together). `cargo test` only builds them, so without

@@ -3,6 +3,7 @@
 use sat_types::PhysAddr;
 
 use crate::set_assoc::{Cache, CacheConfig, CacheStats};
+use crate::stretch::StretchCache;
 
 /// What kind of access is being performed, for routing and accounting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,7 +61,7 @@ impl HierarchyStats {
 /// The L2 is passed in per access so several cores can share one
 /// [`Cache`] instance.
 pub struct CacheHierarchy {
-    l1i: Cache,
+    l1i: StretchCache,
     l1d: Cache,
     latency: LatencyModel,
     stats: HierarchyStats,
@@ -80,7 +81,7 @@ impl CacheHierarchy {
     /// Creates a hierarchy with the given L1 geometries.
     pub fn new(l1i: CacheConfig, l1d: CacheConfig, latency: LatencyModel) -> Self {
         CacheHierarchy {
-            l1i: Cache::new(l1i),
+            l1i: StretchCache::new(l1i),
             l1d: Cache::new(l1d),
             latency,
             stats: HierarchyStats::default(),
@@ -91,11 +92,11 @@ impl CacheHierarchy {
     /// `l2`, and the stall counters. Returns the stall cycles charged.
     #[inline]
     pub fn access(&mut self, kind: AccessKind, pa: PhysAddr, l2: &mut Cache) -> u64 {
-        let l1 = match kind {
-            AccessKind::Instruction => &mut self.l1i,
-            AccessKind::Data | AccessKind::PageWalk => &mut self.l1d,
+        let l1_hit = match kind {
+            AccessKind::Instruction => self.l1i.access(pa),
+            AccessKind::Data | AccessKind::PageWalk => self.l1d.access(pa),
         };
-        let stall = if l1.access(pa) {
+        let stall = if l1_hit {
             0
         } else if l2.access(pa) {
             self.latency.l2_hit
@@ -113,15 +114,20 @@ impl CacheHierarchy {
     /// Fetches the `n` consecutive L1-I lines from the one holding
     /// `pa`: the same fills, stall and statistics as `n` instruction
     /// [`CacheHierarchy::access`]es at `pa`, `pa + line`, …, with the
-    /// stall counter paid once per run. The L2 sees only the L1's
-    /// misses, in order — all it saw line by line, as the two levels
-    /// share no state. Returns the stall cycles charged.
+    /// stall counter paid once per run. The L1-I touches each stretch
+    /// of equal sets once ([`StretchCache::access_run`]), and each
+    /// maximal run of consecutive lines it missed goes to the L2 as one
+    /// run: the L2 sees the L1's misses, in order — all it saw line by
+    /// line, as the two levels share no state. Returns the stall cycles
+    /// charged.
     #[inline]
     pub fn access_text_run(&mut self, pa: PhysAddr, n: u32, l2: &mut Cache) -> u64 {
         let LatencyModel { l2_hit, memory } = self.latency;
         let mut stall = 0;
-        self.l1i.access_run(pa, n, |pa| {
-            stall += if l2.access(pa) { l2_hit } else { memory }
+        self.l1i.access_run(pa, n, |pa, n| {
+            let mut to_memory = 0;
+            l2.access_run(pa, n, |_| to_memory += 1);
+            stall += to_memory * memory + (u64::from(n) - to_memory) * l2_hit;
         });
         self.stats.inst_stall_cycles += stall;
         stall

@@ -4,6 +4,9 @@
 //! cores share a 1MB L2. The model is a classic set-associative LRU
 //! simulator over *physical* line addresses — no data is stored, only
 //! tags — plus a latency model that converts misses into stall cycles.
+//! The L1-I keeps its sets as stretches of equal sets
+//! ([`StretchCache`]), so a run of kernel text costs per stretch, not
+//! per line.
 //!
 //! Two behaviours matter to the paper:
 //!
@@ -24,6 +27,8 @@ pub mod hierarchy;
 #[cfg(test)]
 mod reference;
 pub mod set_assoc;
+pub mod stretch;
 
 pub use hierarchy::{AccessKind, CacheHierarchy, HierarchyStats, LatencyModel};
 pub use set_assoc::{Cache, CacheConfig, CacheStats};
+pub use stretch::StretchCache;

@@ -61,7 +61,7 @@ impl CacheStats {
 /// An empty way. No address has this tag — a line is at least two
 /// bytes, so a tag has at most 31 bits — so a lookup compares tags
 /// only.
-const INVALID: u32 = u32::MAX;
+pub(crate) const INVALID: u32 = u32::MAX;
 
 /// A set-associative cache with true-LRU replacement.
 ///
@@ -75,9 +75,52 @@ pub struct Cache {
     tags: Vec<u32>,
     ways: usize,
     stats: CacheStats,
+    sets: SetIndex,
+}
+
+/// Where a line's set and tag sit in a physical address, for a
+/// geometry [`SetIndex::new`] accepted.
+#[derive(Clone, Copy)]
+pub(crate) struct SetIndex {
     line_shift: u32,
     set_bits: u32,
     set_mask: u32,
+}
+
+impl SetIndex {
+    /// Checks `config`, refusing by name what [`Cache::new`] lists, and
+    /// derives its index.
+    pub(crate) fn new(config: CacheConfig) -> Self {
+        assert!(config.ways >= 1, "a cache needs at least one way");
+        assert!(
+            config.line_bytes.is_power_of_two() && config.line_bytes > 1,
+            "line size must be a power of two above one"
+        );
+        let sets = config.sets();
+        assert!(sets >= 1, "a cache needs at least one set");
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        SetIndex {
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets - 1,
+        }
+    }
+
+    /// The number of sets.
+    #[inline]
+    pub(crate) fn count(self) -> usize {
+        self.set_mask as usize + 1
+    }
+
+    /// Splits `pa` into (set index, tag).
+    #[inline]
+    pub(crate) fn locate(self, pa: PhysAddr) -> (usize, u32) {
+        let line_addr = pa.raw() >> self.line_shift;
+        (
+            (line_addr & self.set_mask) as usize,
+            line_addr >> self.set_bits,
+        )
+    }
 }
 
 impl Cache {
@@ -89,22 +132,13 @@ impl Cache {
     /// two or is one byte, if the geometry holds less than one set, or
     /// if the set count is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
-        assert!(config.ways >= 1, "a cache needs at least one way");
-        assert!(
-            config.line_bytes.is_power_of_two() && config.line_bytes > 1,
-            "line size must be a power of two above one"
-        );
-        let sets = config.sets();
-        assert!(sets >= 1, "a cache needs at least one set");
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let sets = SetIndex::new(config);
         Cache {
             config,
-            tags: vec![INVALID; (sets * config.ways) as usize],
+            tags: vec![INVALID; sets.count() * config.ways as usize],
             ways: config.ways as usize,
             stats: CacheStats::default(),
-            line_shift: config.line_bytes.trailing_zeros(),
-            set_bits: sets.trailing_zeros(),
-            set_mask: sets - 1,
+            sets,
         }
     }
 
@@ -121,16 +155,6 @@ impl Cache {
     /// Resets the statistics (not the contents).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// Splits `pa` into (set index, tag).
-    #[inline]
-    fn locate(&self, pa: PhysAddr) -> (usize, u32) {
-        let line_addr = pa.raw() >> self.line_shift;
-        (
-            (line_addr & self.set_mask) as usize,
-            line_addr >> self.set_bits,
-        )
     }
 
     /// Accesses the line containing `pa`, allocating it on a miss.
@@ -155,7 +179,7 @@ impl Cache {
     #[inline(always)]
     fn access_w<const W: usize>(&mut self, pa: PhysAddr) -> bool {
         let w = if W == 0 { self.ways } else { W };
-        let (set, tag) = self.locate(pa);
+        let (set, tag) = self.sets.locate(pa);
         touch(
             &mut self.tags[set * w..][..w],
             tag,
@@ -167,11 +191,11 @@ impl Cache {
     /// exactly as `n` calls of [`Cache::access`] at `pa`, `pa + line`,
     /// … would, and calls `on_miss` with each of those addresses that
     /// missed, in order. The counters are updated once per run; the
-    /// run must end below 4 GiB.
+    /// run must end below 4 GiB. The L2 takes the L1-I's misses this
+    /// way, so its 8 ways are the one width known at compile time.
     #[inline]
     pub(crate) fn access_run(&mut self, pa: PhysAddr, n: u32, on_miss: impl FnMut(PhysAddr)) {
         match self.ways {
-            4 => self.run_w::<4>(pa, n, on_miss),
             8 => self.run_w::<8>(pa, n, on_miss),
             _ => self.run_w::<0>(pa, n, on_miss),
         }
@@ -184,11 +208,11 @@ impl Cache {
     #[inline(always)]
     fn run_w<const W: usize>(&mut self, pa: PhysAddr, n: u32, mut on_miss: impl FnMut(PhysAddr)) {
         let w = if W == 0 { self.ways } else { W };
-        let (mut set, mut tag) = self.locate(pa);
+        let (mut set, mut tag) = self.sets.locate(pa);
         let (mut addr, mut left) = (pa.raw(), n as usize);
         let (mut hits, mut evictions) = (0, 0);
         while left > 0 {
-            let lap = left.min(self.set_mask as usize + 1 - set);
+            let lap = left.min(self.sets.count() - set);
             for ways in self.tags[set * w..(set + lap) * w].chunks_exact_mut(w) {
                 if touch(ways, tag, &mut evictions) {
                     hits += 1;
@@ -208,7 +232,7 @@ impl Cache {
     /// Probes whether `pa`'s line is resident without touching LRU
     /// state or statistics.
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.locate(pa);
+        let (set, tag) = self.sets.locate(pa);
         self.tags[set * self.ways..][..self.ways].contains(&tag)
     }
 
@@ -230,7 +254,7 @@ impl Cache {
 /// in `evictions` unless that way was empty). Returns `true` on a hit.
 /// Inlined into each width's instance, so the pass knows its length.
 #[inline(always)]
-fn touch(set: &mut [u32], tag: u32, evictions: &mut u64) -> bool {
+pub(crate) fn touch(set: &mut [u32], tag: u32, evictions: &mut u64) -> bool {
     let mut carried = tag;
     for way in set {
         let held = std::mem::replace(way, carried);

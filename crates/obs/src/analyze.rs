@@ -201,9 +201,12 @@ impl Rollup {
                     // Folded stack: everything currently open on this
                     // thread, outermost first. A corrupt stream (end
                     // without begin) degrades to a single frame; the
-                    // validator reports it separately.
+                    // validator reports it separately. Only cycles give
+                    // a frame width: a ticks-valued span (an `exp.*`
+                    // bracket) names its frame in the stacks it encloses
+                    // and stays in the span table, but adds none.
                     let stack = stacks.entry((event.pid, event.asid)).or_default();
-                    match stack.last() {
+                    let path = match stack.last() {
                         Some(top) if top == name => {
                             let path = format!(
                                 "pid{};{};{}",
@@ -211,14 +214,13 @@ impl Rollup {
                                 event.subsystem.as_str(),
                                 stack.join(";")
                             );
-                            *r.folded.entry(path).or_default() += value;
                             stack.pop();
+                            path
                         }
-                        _ => {
-                            let path =
-                                format!("pid{};{};{name}", event.pid, event.subsystem.as_str());
-                            *r.folded.entry(path).or_default() += value;
-                        }
+                        _ => format!("pid{};{};{name}", event.pid, event.subsystem.as_str()),
+                    };
+                    if *unit == SpanUnit::Cycles {
+                        *r.folded.entry(path).or_default() += value;
                     }
                 }
                 _ => {}
@@ -870,6 +872,34 @@ mod tests {
         assert_eq!(launch.hist.max, 1100);
         assert_eq!(r.folded["pid1;android;launch"], 2000);
         assert_eq!(r.folded["pid1;android;launch;launch.exec"], 100);
+    }
+
+    #[test]
+    fn a_ticks_bracket_folds_to_the_cycles_it_encloses_alone() {
+        let bracket = |tick, payload| ev(tick, 0, 0, Subsystem::Bench, payload);
+        let events = vec![
+            bracket(
+                0,
+                Payload::SpanBegin {
+                    name: "exp.launch".to_string(),
+                },
+            ),
+            begin(1, 0, "launch"),
+            end(2, 0, "launch", 700),
+            bracket(
+                3,
+                Payload::SpanEnd {
+                    name: "exp.launch".to_string(),
+                    value: 3,
+                    unit: SpanUnit::Ticks,
+                },
+            ),
+        ];
+        let r = Rollup::from_events(&events, 0);
+        let folded: Vec<(&str, u64)> = r.folded.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(folded, [("pid0;android;exp.launch;launch", 700)]);
+        // The bracket keeps its row in the span table.
+        assert_eq!(r.spans["bench.exp.launch"].count, 1);
     }
 
     #[test]

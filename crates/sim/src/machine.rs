@@ -639,7 +639,7 @@ impl Machine {
         let base = VirtAddr::new(KERNEL_SPACE_START + base_page * 4096);
         // A window of the run's own length never wraps.
         let cycles = self.kernel_run(core, base, 0, lines, lines);
-        // One aggregate charge for the whole stretch of kernel text —
+        // One aggregate charge for the whole run of kernel text —
         // per-line events would drown the ring.
         sat_obs::charge(core, cause, cycles);
         Ok(cycles)
@@ -650,9 +650,10 @@ impl Machine {
     /// aligned, `start < window`, the whole window inside kernel
     /// space). Returns the cycles, already added to the core's.
     ///
-    /// Only the first line of each stretch inside one 1MB section takes
-    /// the translation path; the rest count a micro-TLB hit, and the
-    /// stretch goes to the caches as one
+    /// Only the first line of each piece of the run that neither wraps
+    /// the window nor crosses a 1MB section takes the translation path;
+    /// the rest count a micro-TLB hit, and the piece goes to the caches
+    /// as one
     /// [`CacheHierarchy::access_text_run`] (an L1 line is `LINE_BYTES`, the
     /// stride of the text). That is exact: a cache access touches no
     /// TLB, so the section entry the first line hit or filled is still

@@ -1,5 +1,5 @@
-//! The main-TLB miss path, the context switch and kernel-text runs
-//! allocate nothing.
+//! The main-TLB miss path, the context switch, kernel-text runs and
+//! the single fetches that cut the L1-I's stretches allocate nothing.
 //!
 //! A micro-TLB miss that also misses the main TLB costs the host a
 //! probe, a table walk and a fill; none of the three may touch the
@@ -15,7 +15,7 @@ use std::cell::Cell;
 use sat_core::{Kernel, KernelConfig, NoTlb};
 use sat_sim::machine::{FAULT_HANDLER_PAGE, SCHED_PATH_PAGE};
 use sat_sim::Machine;
-use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
+use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, KERNEL_SPACE_START, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
 /// The system allocator, counting allocation calls (a `realloc` is
@@ -78,10 +78,9 @@ fn sweep(m: &mut Machine) {
     }
 }
 
-#[test]
-fn main_tlb_misses_and_context_switches_allocate_nothing() {
-    // Two unrelated processes mapping the same library under the
-    // stock kernel: private tables, ASID-tagged entries.
+/// Two unrelated processes mapping the same library under the stock
+/// kernel (private tables, ASID-tagged entries), on one core.
+fn two_processes() -> (Machine, [Pid; 2]) {
     let mut kernel = Kernel::new(KernelConfig::stock(), 65536);
     let lib = kernel.files.register("libtest.so", PAGES * PAGE_SIZE);
     let procs: [Pid; 2] = std::array::from_fn(|_| {
@@ -98,7 +97,12 @@ fn main_tlb_misses_and_context_switches_allocate_nothing() {
         kernel.mmap(pid, &code, &mut NoTlb).unwrap();
         pid
     });
-    let mut m = Machine::single_core(kernel);
+    (Machine::single_core(kernel), procs)
+}
+
+#[test]
+fn main_tlb_misses_and_context_switches_allocate_nothing() {
+    let (mut m, procs) = two_processes();
 
     // Warm-up: fault every page in, fill the TLB, and let every
     // scratch buffer reach its working size.
@@ -156,4 +160,45 @@ fn main_tlb_misses_and_context_switches_allocate_nothing() {
     let in_runs = allocs() - before;
     assert_eq!(m.cores[0].stats.inst_fetches - fetches, 440_000);
     assert_eq!(in_runs, 0, "allocations in kernel-text runs");
+}
+
+#[test]
+fn single_fetches_between_fault_handler_runs_allocate_nothing() {
+    let (mut m, procs) = two_processes();
+    m.context_switch(0, procs[0]).unwrap();
+    // The handler's last line, at way 0 of its set after each run.
+    let handler_tail =
+        VirtAddr::new(KERNEL_SPACE_START + FAULT_HANDLER_PAGE * PAGE_SIZE + 799 * 32);
+    // A hard fault's 800 lines lap the L1-I's 256 sets three times and
+    // leave them in long stretches of equal sets; 16 user fetches
+    // spread over the sets then cut their sets (and the sets after
+    // them) out of those stretches, a fetch of the handler's last line
+    // hits its head's most recent way, and the next run joins the
+    // pieces again.
+    let turn = |m: &mut Machine, turn: u32| {
+        m.run_kernel_lines(0, FAULT_HANDLER_PAGE, 800).unwrap();
+        for k in 0..16 {
+            let page = (turn * 16 + k) % PAGES;
+            let line = (turn + k * 37) % 128;
+            let va = VirtAddr::new(BASE + page * PAGE_SIZE + line * 32);
+            m.access(0, va, AccessType::Execute).unwrap();
+        }
+        m.access(0, handler_tail, AccessType::Execute).unwrap();
+    };
+    // Warm-up: fault every page in.
+    sweep(&mut m);
+    for t in 0..PAGES {
+        turn(&mut m, t);
+    }
+    let fetches = m.cores[0].stats.inst_fetches;
+    let before = allocs();
+    for t in 0..1_000 {
+        turn(&mut m, t);
+    }
+    let in_turns = allocs() - before;
+    assert_eq!(m.cores[0].stats.inst_fetches - fetches, 1_000 * 817);
+    assert_eq!(
+        in_turns, 0,
+        "allocations in fetches that cut and runs that join"
+    );
 }
