@@ -291,9 +291,13 @@ diff -u crates/bench/tests/golden/all_paper.txt "$out/experiments_paper.txt"
 # environment variable matters: everything runs on one thread. The run
 # is made twice and the two traces must be byte-identical (about 1 s
 # more): every span ends with simulated cycles or enclosed ticks, never
-# host time.
-step "repro all --quick (traced, lossless, twice)"
-SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace.json" --out "$out/BENCH_repro.json"
+# host time. Recording must not change what is simulated: the traced
+# run's stdout is diffed against the same golden that pins the
+# untraced stdout (`all_quick_stdout_matches_the_golden`).
+step "repro all --quick (traced, lossless, twice; stdout equals the untraced golden)"
+SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace.json" --out "$out/BENCH_repro.json" \
+    > "$out/all_quick_traced.txt"
+diff -u crates/bench/tests/golden/all_quick.txt "$out/all_quick_traced.txt"
 SAT_OBS_RING=2097152 repro all --quick --trace "$out/trace2.json" --out "$out/BENCH_repro2.json" \
     > /dev/null
 cmp "$out/trace.json" "$out/trace2.json"

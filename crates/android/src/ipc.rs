@@ -17,7 +17,7 @@
 use sat_types::{AccessType, Perms, Pid, SatResult, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
-use crate::launch::{core0_cycles, span_begin, span_end};
+use crate::launch::{core0_cycles, phase_span};
 use crate::system::AndroidSystem;
 
 /// Sizing for the microbenchmark.
@@ -118,7 +118,7 @@ pub fn run_binder_benchmark(
     // populates the binder PTEs that the client — under shared PTPs —
     // then inherits without faulting.
     let warmup0 = core0_cycles(sys);
-    span_begin(sys, client, "ipc.warmup");
+    let warmup_span = phase_span(sys, client, "ipc.warmup");
     sys.machine.context_switch(0, server)?;
     touch_range(sys, binder_base, opts.binder_pages)?;
     touch_range(sys, server_base, opts.server_pages)?;
@@ -126,15 +126,15 @@ pub fn run_binder_benchmark(
     touch_range(sys, binder_base, opts.binder_pages)?;
     touch_range(sys, client_base, opts.client_pages)?;
 
-    span_end(sys, client, "ipc.warmup", core0_cycles(sys) - warmup0);
+    warmup_span.close(core0_cycles(sys) - warmup0, sat_obs::SpanUnit::Cycles);
 
     let cross0 = sys.machine.cores[0].main_tlb.stats().cross_asid_hits;
     // One span per side summarizing the whole iteration loop (per-call
     // spans would dominate the ring at 100k iterations). Client and
     // server spans overlap but live on distinct pids, so each side's
     // begin/end stack still pairs cleanly.
-    span_begin(sys, client, "ipc.client");
-    span_begin(sys, server, "ipc.server");
+    let client_span = phase_span(sys, client, "ipc.client");
+    let server_span = phase_span(sys, server, "ipc.server");
 
     let mut client_cursor = 0u32;
     let mut server_cursor = 0u32;
@@ -193,8 +193,8 @@ pub fn run_binder_benchmark(
 
     report.client_file_faults = sys.machine.kernel.mm(client)?.counters.faults_file - faults0;
     report.cross_asid_hits = sys.machine.cores[0].main_tlb.stats().cross_asid_hits - cross0;
-    span_end(sys, server, "ipc.server", report.server_cycles);
-    span_end(sys, client, "ipc.client", report.client_cycles);
+    server_span.close(report.server_cycles, sat_obs::SpanUnit::Cycles);
+    client_span.close(report.client_cycles, sat_obs::SpanUnit::Cycles);
     Ok(report)
 }
 
@@ -223,7 +223,7 @@ pub fn request_ingress(
     pid: Pid,
     flow: u32,
 ) -> SatResult<u64> {
-    if sat_obs::enabled() && sat_obs::flow_tracing() {
+    if sat_obs::flow_tracing() {
         sat_obs::emit(
             sat_obs::Subsystem::Android,
             pid.raw(),
@@ -256,7 +256,7 @@ pub fn request_egress(
         REQUEST_EGRESS_LINES,
     )?;
     let wall = sys.machine.cores[core].stats.cycles - arrived_at;
-    if sat_obs::enabled() && sat_obs::flow_tracing() {
+    if sat_obs::flow_tracing() {
         sat_obs::emit(
             sat_obs::Subsystem::Android,
             pid.raw(),

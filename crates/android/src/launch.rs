@@ -195,49 +195,12 @@ impl TailPool {
     }
 }
 
-/// Opens a launch/IPC phase span. Every begin must be closed by
-/// [`span_end`] with the same name on the same pid — `repro check`
-/// validates the pairing in exported traces.
-pub(crate) fn span_begin(sys: &AndroidSystem, pid: sat_types::Pid, name: &'static str) {
-    if sat_obs::enabled() {
-        let asid = sys
-            .machine
-            .kernel
-            .mm(pid)
-            .map(|m| m.asid.raw())
-            .unwrap_or(0);
-        sat_obs::emit(
-            sat_obs::Subsystem::Android,
-            pid.raw(),
-            asid,
-            sat_obs::Payload::SpanBegin {
-                name: name.to_string(),
-            },
-        );
-    }
-}
-
-/// Closes a phase span, carrying the cycles the phase consumed on
-/// core 0.
-pub(crate) fn span_end(sys: &AndroidSystem, pid: sat_types::Pid, name: &'static str, cycles: u64) {
-    if sat_obs::enabled() {
-        let asid = sys
-            .machine
-            .kernel
-            .mm(pid)
-            .map(|m| m.asid.raw())
-            .unwrap_or(0);
-        sat_obs::emit(
-            sat_obs::Subsystem::Android,
-            pid.raw(),
-            asid,
-            sat_obs::Payload::SpanEnd {
-                name: name.to_string(),
-                value: cycles,
-                unit: sat_obs::SpanUnit::Cycles,
-            },
-        );
-    }
+/// Opens a launch/IPC phase span on `pid`'s track; its close carries
+/// the cycles the phase consumed on core 0. The ASID is looked up only
+/// when a recorder is installed.
+pub(crate) fn phase_span(sys: &AndroidSystem, pid: sat_types::Pid, name: &str) -> sat_obs::Span {
+    let asid = || sys.machine.kernel.mm(pid).map_or(0, |m| m.asid.raw());
+    sat_obs::Span::open(sat_obs::Subsystem::Android, pid.raw(), asid, name)
 }
 
 /// Cycles accumulated so far on core 0 (phase-delta bookkeeping).
@@ -289,7 +252,7 @@ pub fn launch_app_seq(
 
     // 1. Binder IPCs to establish the application (system services).
     let phase0 = core0_cycles(sys);
-    span_begin(sys, pid, "launch.ipc");
+    let ipc_span = phase_span(sys, pid, "launch.ipc");
     let binder_lib = *sys
         .catalog
         .zygote_native
@@ -310,7 +273,7 @@ pub fn launch_app_seq(
             .run_kernel_lines(0, sat_sim::machine::BINDER_PATH_PAGE, 160)?;
     }
 
-    span_end(sys, pid, "launch.ipc", core0_cycles(sys) - phase0);
+    ipc_span.close(core0_cycles(sys) - phase0, sat_obs::SpanUnit::Cycles);
 
     // 2. Execute the launch code: `exec_passes` sweeps over the
     // launch working set. The first sweep demand-faults the pages;
@@ -318,7 +281,7 @@ pub fn launch_app_seq(
     // instruction fetches contend with the fault handler's kernel
     // code in the L1-I (Figure 8).
     let phase0 = core0_cycles(sys);
-    span_begin(sys, pid, "launch.exec");
+    let exec_span = phase_span(sys, pid, "launch.exec");
     let pages = launch_page_set(sys, opts, seq);
     for pass in 0..opts.exec_passes.max(1) {
         for cp in &pages {
@@ -335,22 +298,22 @@ pub fn launch_app_seq(
         }
     }
 
-    span_end(sys, pid, "launch.exec", core0_cycles(sys) - phase0);
+    exec_span.close(core0_cycles(sys) - phase0, sat_obs::SpanUnit::Cycles);
 
     // 3. Library data writes (global initialization).
     let phase0 = core0_cycles(sys);
-    span_begin(sys, pid, "launch.data");
+    let data_span = phase_span(sys, pid, "launch.data");
     for lib in launch_data_libs(sys, opts) {
         let base = sys.map.data_base(lib).expect("preloaded lib mapped");
         sys.machine.access(0, base, AccessType::Write)?;
     }
-    span_end(sys, pid, "launch.data", core0_cycles(sys) - phase0);
+    data_span.close(core0_cycles(sys) - phase0, sat_obs::SpanUnit::Cycles);
 
     // 4. Fresh heap pages.
     // 4MB stride keeps even a 64-app suite inside [0x3800_0000,
     // 0x4000_0000) without touching the library region.
     let phase0 = core0_cycles(sys);
-    span_begin(sys, pid, "launch.heap");
+    let heap_span = phase_span(sys, pid, "launch.heap");
     let heap_base = VirtAddr::new(0x3800_0000 + (sys.apps.len() as u32 % 32) * 0x0040_0000);
     let heap = MmapRequest::anon(
         opts.heap_pages * PAGE_SIZE,
@@ -368,7 +331,7 @@ pub fn launch_app_seq(
         )?;
     }
 
-    span_end(sys, pid, "launch.heap", core0_cycles(sys) - phase0);
+    heap_span.close(core0_cycles(sys) - phase0, sat_obs::SpanUnit::Cycles);
 
     // Window end: harvest.
     let stats1 = sys.machine.cores[0].stats;

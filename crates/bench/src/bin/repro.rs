@@ -340,27 +340,29 @@ fn recorded<T>(
     body: impl FnOnce(&mut Record) -> Fallible<(String, T)>,
 ) -> Fallible<(String, T)> {
     let mut rec = Record::new(name);
-    let before = sat_obs::counters_snapshot().unwrap_or_default();
-    // Bracket the experiment with an `exp.<name>` span (machine-level:
-    // pid 0) so `repro report/timeline --experiment <name>` can slice
-    // the trace, and open a fresh gauge window so the snapshot carries
-    // this experiment's own high-water marks (all no-ops untraced). An
-    // experiment spans many machines, so the bracket ends with the
-    // ticks it encloses rather than any one machine's cycles.
-    let span = format!("exp.{name}");
-    let bracket = |payload| sat_obs::emit(sat_obs::Subsystem::Bench, 0, 0, payload);
-    sat_obs::begin_gauge_window();
-    bracket(sat_obs::Payload::SpanBegin { name: span.clone() });
-    let first = sat_obs::next_tick().unwrap_or_default();
+    let counters = || sat_obs::with_recorder(|r| r.metrics().counters_map().clone());
+    let before = counters().unwrap_or_default();
+    // Open a fresh gauge window so the snapshot carries this
+    // experiment's own high-water marks, and bracket the experiment
+    // with an `exp.<name>` span (machine-level: pid 0) so `repro
+    // report/timeline --experiment <name>` can slice the trace (all
+    // no-ops untraced). An experiment spans many machines, so the
+    // bracket ends with the ticks it encloses rather than any one
+    // machine's cycles.
+    sat_obs::with_recorder(|r| r.begin_gauge_window());
+    let bracket = sat_obs::Span::open(
+        sat_obs::Subsystem::Bench,
+        0,
+        || 0,
+        format_args!("exp.{name}"),
+    );
+    let tick = || sat_obs::with_recorder(|r| r.tick()).unwrap_or_default();
+    let first = tick();
     let out = body(&mut rec)?;
-    bracket(sat_obs::Payload::SpanEnd {
-        name: span,
-        value: sat_obs::next_tick().unwrap_or_default() - first,
-        unit: sat_obs::SpanUnit::Ticks,
-    });
-    if let Some(after) = sat_obs::counters_snapshot() {
-        let peaks = sat_obs::window_gauge_high_waters().unwrap_or_default();
-        rec.add_observed(peaks, &before, &after);
+    bracket.close(tick() - first, sat_obs::SpanUnit::Ticks);
+    if let Some(after) = counters() {
+        let peaks = sat_obs::with_recorder(|r| r.metrics().window_gauge_high_waters());
+        rec.add_observed(peaks.unwrap_or_default(), &before, &after);
     }
     records.push(rec);
     Ok(out)

@@ -434,8 +434,17 @@ pub fn check(
             .copied()
             .collect();
         if !missing.is_empty() {
+            // A ring too small for the run keeps only its last events,
+            // so the missing layers may have recorded and been dropped.
+            let overflow = match parsed.dropped {
+                0 => String::new(),
+                n => format!(
+                    "; the ring overflowed and dropped {n} events (raise SAT_OBS_RING, \
+                     e.g. SAT_OBS_RING=2097152, and trace again)"
+                ),
+            };
             return Err(format!(
-                "{trace_path}: no events from subsystem(s) {} (saw: {})",
+                "{trace_path}: no events from subsystem(s) {} (saw: {}){overflow}",
                 missing.join(", "),
                 cats.into_iter().collect::<Vec<_>>().join(", ")
             ));

@@ -54,9 +54,10 @@ fn write_trace(name: &str, breakage: Option<&str>) -> PathBuf {
             name: "exp.launch".to_string(),
         },
     );
-    sat_obs::gauge_set("phys.frames.free", 1000);
-    sat_obs::gauge_set("phys.slab.live", 80);
-    sat_obs::sample_gauges();
+    sat_obs::sample(|| {
+        sat_obs::gauge_set("phys.frames.free", 1000);
+        sat_obs::gauge_set("phys.slab.live", 80);
+    });
     sat_obs::emit(
         Subsystem::Kernel,
         1,
@@ -135,9 +136,10 @@ fn write_trace(name: &str, breakage: Option<&str>) -> PathBuf {
             },
         );
     }
-    sat_obs::gauge_set("phys.frames.free", 850);
-    sat_obs::gauge_set("phys.slab.live", 120);
-    sat_obs::sample_gauges();
+    sat_obs::sample(|| {
+        sat_obs::gauge_set("phys.frames.free", 850);
+        sat_obs::gauge_set("phys.slab.live", 120);
+    });
     sat_obs::emit(
         Subsystem::Bench,
         0,
@@ -620,6 +622,30 @@ fn check_warns_on_partial_blame_attribution() {
         &[],
     );
     assert!(stdout.contains("blame attribution is partial"), "{stdout}");
+}
+
+/// A one-event ring (`SAT_OBS_RING=1`) fails cleanly: the traced run
+/// still exits 0 with no panic, and `repro check` refuses the trace
+/// for its coverage, naming the drop count and the remedy.
+#[test]
+fn check_names_the_overflow_when_a_tiny_ring_loses_coverage() {
+    let (_, trace, snap) = run_traced("fig13", "ring1", "1");
+    let out = repro(&[
+        "check",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--out",
+        snap.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no events from subsystem(s)"), "{stderr}");
+    assert!(
+        stderr.contains("the ring overflowed and dropped"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("raise SAT_OBS_RING"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// A pressure snapshot whose budgets never reclaimed draws `repro

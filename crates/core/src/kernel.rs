@@ -440,7 +440,7 @@ impl Kernel {
 
     /// Publishes kernel-owned occupancy gauges (frame allocator, PTP
     /// slab, shared-PTP registry, process table, ASID generation) to
-    /// the installed obs sink. Pure reads of existing bookkeeping —
+    /// the installed recorder. Pure reads of existing bookkeeping —
     /// safe to call at any sampling point without perturbing the sim.
     pub fn publish_gauges(&self) {
         self.phys.publish_gauges();

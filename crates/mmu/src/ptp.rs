@@ -574,7 +574,7 @@ impl PtpStore {
         Ok(())
     }
 
-    /// Publishes slab occupancy gauges to the installed obs sink.
+    /// Publishes slab occupancy gauges to the installed recorder.
     pub fn publish_gauges(&self) {
         sat_obs::gauge_set("phys.slab.live", self.tables.live() as u64);
         sat_obs::gauge_set("phys.slab.capacity", self.tables.capacity() as u64);

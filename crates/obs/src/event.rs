@@ -492,7 +492,7 @@ payloads! {
     /// (end of timeslice).
     Preempt = "i" "preempt" { core: u32, next: u32 },
     /// One gauge's value at a sample point, snapshotted by
-    /// [`crate::sample_gauges`]. Exported as a Chrome counter-track
+    /// [`crate::sample`]. Exported as a Chrome counter-track
     /// point named after the gauge, so Perfetto renders the gauge as a
     /// live timeline (it plots `args.value`) next to the event spans.
     /// Samples are stamped (pid 0, asid 0): gauges describe

@@ -1,16 +1,22 @@
 //! `sat-obs`: cross-layer event tracing and metrics.
 //!
-//! A thread-local recorder collects structured [`Event`]s from every
-//! mechanism layer (kernel, PTP share, vm fault, TLB, Android, bench,
-//! sim, sched) into a fixed-capacity ring ([`RingSink`]) alongside an exact
-//! [`MetricsRegistry`]. The ring is exported as Chrome trace-event
-//! JSON ([`chrome_trace_json`]) and re-ingested by
+//! One [`Recorder`] per thread collects structured [`Event`]s from
+//! every mechanism layer (kernel, PTP share, vm fault, TLB, Android,
+//! bench, sim, sched) into a fixed-capacity ring alongside an exact
+//! [`MetricsRegistry`], and holds the request-flow context that cycle
+//! charges are attributed to. The ring is exported as Chrome
+//! trace-event JSON ([`chrome_trace_json`]) and re-ingested by
 //! [`parse_chrome_trace`]; the registry's counters are read in process
-//! (`repro` writes them into its own snapshot). The hardware
-//! models (`sat-types`, `sat-cache`, `sat-tlb`) do not depend on this
-//! crate: the machine in `sat-sim` reports what they do, and every
-//! cause (a flush's reason, a cycle charge's cause) is an argument
-//! of the call that records it.
+//! (`repro` writes them into its own snapshot). The hardware models
+//! (`sat-types`, `sat-cache`, `sat-tlb`) do not depend on this crate:
+//! the machine in `sat-sim` reports what they do, and every cause (a
+//! flush's reason, a cycle charge's cause) is an argument of the call
+//! that records it.
+//!
+//! Each recording job has one way in: [`emit`] for an event,
+//! [`gauge_set`] and [`sample`] for gauges, [`Span`] for a begin/end
+//! pair, [`charge`] and the `flow_*` calls for attribution, and
+//! [`with_recorder`] for anything that reads the recorder itself.
 //!
 //! # Overhead contract
 //!
@@ -23,10 +29,12 @@
 //! ```
 //!
 //! With no recorder installed — the default on every thread —
-//! [`enabled`] is a single thread-local `Cell<bool>` read: one
+//! [`enabled`] is a single thread-local `Cell` read: one
 //! branch-predictable test, no allocation, no payload construction.
-//! `satbench`'s probes time instrumented code with no recorder
-//! installed, and `probe.obs.emit_disabled_ns` prices the test alone.
+//! [`charge`] and [`flow_tracing`] read the same cell, which also
+//! carries the flow gate. `satbench`'s probes time instrumented code
+//! with no recorder installed, and `probe.obs.emit_disabled_ns` prices
+//! the test alone.
 //!
 //! # Threads
 //!
@@ -51,26 +59,26 @@ pub use event::{
     SpanUnit, Subsystem, UnshareCause,
 };
 pub use metrics::{Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
-pub use sink::{Recording, RingSink};
+pub use sink::{Recorder, Recording};
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::fmt::Display;
+
+/// What this thread's slot holds, readable without borrowing it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// No recorder installed.
+    Off,
+    Recording,
+    /// Recording, with cycle charges and flow bindings on.
+    Flows,
+}
 
 thread_local! {
-    static SINK: RefCell<Option<RingSink>> = const { RefCell::new(None) };
-    /// Mirror of `SINK.is_some()`: the cheap check on the disabled
-    /// path.
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    /// Request-flow context: pid → flow binding (survives preemption
-    /// and core migration) and the flow currently executing per core
-    /// (0 = unattributed). Thread-local like the recorder itself.
-    static FLOW_BY_PID: RefCell<BTreeMap<u32, u32>> = const { RefCell::new(BTreeMap::new()) };
-    static FLOW_BY_CORE: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// Whether cycle-charge attribution is on. Off by default even
-    /// with a sink installed: per-access `CycleCharge` events would
-    /// swamp the ring on workloads that never look at flows. The
-    /// serve driver (and flow tests) opt in via [`set_flow_tracing`].
-    static FLOW_TRACING: Cell<bool> = const { Cell::new(false) };
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// Mirror of the slot plus the flow gate: the one cheap read on
+    /// the untraced path.
+    static MODE: Cell<Mode> = const { Cell::new(Mode::Off) };
 }
 
 /// Default ring capacity (overridable via `SAT_OBS_RING`).
@@ -110,7 +118,7 @@ pub fn env_ring_capacity() -> usize {
 /// payload construction on this.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get())
+    MODE.get() != Mode::Off
 }
 
 /// Runs `f` on this thread's recorder; `None` (and `f` never runs)
@@ -118,143 +126,139 @@ pub fn enabled() -> bool {
 /// plus one call, so the disabled path is always the single
 /// [`enabled`] branch.
 #[inline]
-fn with_sink<R>(f: impl FnOnce(&mut RingSink) -> R) -> Option<R> {
+pub fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
     if !enabled() {
         return None;
     }
     // Spelled as a `match`: `Option::map` moves a payload-owning
     // closure once more, ~5 ns of the ~28 ns a recorded `emit` costs.
     #[allow(clippy::manual_map)]
-    SINK.with(|s| match s.borrow_mut().as_mut() {
-        Some(sink) => Some(f(sink)),
+    RECORDER.with(|s| match s.borrow_mut().as_mut() {
+        Some(recorder) => Some(f(recorder)),
         None => None,
     })
 }
 
-/// Installs a fresh [`RingSink`] with `capacity` on this thread,
-/// replacing (and discarding) any previous one.
+/// Installs a fresh [`Recorder`] with `capacity` on this thread,
+/// replacing (and discarding) any previous one. It starts with no flow
+/// bindings and flow tracing off.
 pub fn install(capacity: usize) {
-    SINK.with(|s| *s.borrow_mut() = Some(RingSink::new(capacity)));
-    ENABLED.with(|e| e.set(true));
+    RECORDER.set(Some(Recorder::new(capacity)));
+    MODE.set(Mode::Recording);
 }
 
 /// Removes this thread's recorder and returns everything it captured.
-/// `None` if nothing was installed.
+/// `None` if nothing was installed. The flow context leaves with it.
 pub fn uninstall() -> Option<Recording> {
-    ENABLED.with(|e| e.set(false));
-    FLOW_BY_PID.with(|m| m.borrow_mut().clear());
-    FLOW_BY_CORE.with(|v| v.borrow_mut().clear());
-    FLOW_TRACING.with(|t| t.set(false));
-    SINK.with(|s| s.borrow_mut().take()).map(RingSink::finish)
+    MODE.set(Mode::Off);
+    RECORDER.take().map(Recorder::finish)
 }
 
 /// Records one event on this thread's recorder (no-op when disabled —
 /// but prefer gating on [`enabled`] so the payload is never built).
 pub fn emit(subsystem: Subsystem, pid: u32, asid: u8, payload: Payload) {
     // Tested before the closure takes ownership of `payload`: left to
-    // `with_sink`, the disabled path pays for moving the payload in
-    // and dropping it again (4 ns becomes 11 ns on an ungated site).
+    // `with_recorder`, the disabled path pays for moving the payload
+    // in and dropping it again (4 ns becomes 11 ns on an ungated site).
     if !enabled() {
         return;
     }
-    with_sink(|s| s.record(pid, asid, subsystem, payload));
+    with_recorder(|r| r.record(pid, asid, subsystem, payload));
 }
 
 /// Publishes a gauge's current value on this thread's recorder.
 ///
 /// Gauges are *polled*, not pushed: the layers owning the state
 /// (sat-phys, sat-core, sat-sim, sat-sched) expose `publish_gauges`
-/// methods that read their existing bookkeeping and call this, and the
-/// driver loop invokes them only at sample points. The hot paths
-/// therefore pay nothing for the time-series layer — the disabled
-/// check is the same single thread-local branch as [`emit`].
+/// methods that read their existing bookkeeping and call this inside
+/// [`sample`]. The hot paths therefore pay nothing for the time-series
+/// layer.
 pub fn gauge_set(key: &str, value: u64) {
-    with_sink(|s| s.metrics.gauge_set(key, value));
+    with_recorder(|r| r.metrics.gauge_set(key, value));
 }
 
-/// Snapshots every gauge published in the current gauge window into
-/// the event ring as [`Payload::Sample`] events — one consistent cut
-/// across the window's gauge set. Drive this from a [`Sampler`] rather
-/// than calling it directly, so the cadence is explicit.
-pub fn sample_gauges() {
-    with_sink(RingSink::sample_gauges);
-}
-
-/// Starts a fresh per-experiment gauge window on this thread's
-/// recorder (see [`MetricsRegistry::begin_gauge_window`]).
-pub fn begin_gauge_window() {
-    with_sink(|s| s.metrics.begin_gauge_window());
-}
-
-/// Clones the per-gauge window high-water marks, if a recorder is
-/// live (the per-experiment `gauges` snapshot section).
-pub fn window_gauge_high_waters() -> Option<BTreeMap<String, u64>> {
-    with_metrics(|m| m.window_gauge_high_waters())
-}
-
-/// The sample clock: the loop that owns simulated time (scheduler
-/// rounds, fleet spawn batches) calls [`Sampler::tick`] once per
-/// logical step, and every `every`-th step the sampler runs the
-/// caller's publish closure and snapshots the gauge set into the ring.
-///
-/// The publish closure is only invoked when a sample is actually due
-/// *and* a sink is enabled, so an untraced run never polls the layers
-/// at all.
-#[derive(Clone, Copy, Debug)]
-pub struct Sampler {
-    every: u64,
-    ticks: u64,
-}
-
-impl Sampler {
-    /// A sampler firing every `every` ticks (`every` is clamped to at
-    /// least 1).
-    pub fn new(every: u64) -> Sampler {
-        Sampler {
-            every: every.max(1),
-            ticks: 0,
-        }
+/// Cuts one gauge sample: with a recorder installed, runs `publish`
+/// (which calls [`gauge_set`]) and then snapshots every gauge of the
+/// current window into the ring ([`Recorder::sample_gauges`]). The
+/// loop that owns simulated time calls this once per logical step; an
+/// untraced run never polls the layers at all.
+pub fn sample(publish: impl FnOnce()) {
+    if !enabled() {
+        return;
     }
+    publish();
+    with_recorder(Recorder::sample_gauges);
+}
 
-    /// Ticks this sampler's clock forward. Fires first on tick
-    /// `every`, then every `every` ticks after. Returns whether a
-    /// sample was cut.
-    pub fn tick(&mut self, publish: impl FnOnce()) -> bool {
-        self.ticks += 1;
-        if !enabled() || !self.ticks.is_multiple_of(self.every) {
-            return false;
-        }
-        publish();
-        sample_gauges();
-        true
-    }
+/// One begin/end pair on the trace, the protocol `repro check`
+/// validates: the end closes the begin with the same name on the same
+/// (pid, asid) track, and carries the value the span measured.
+/// Opened with no recorder installed, it builds nothing and its close
+/// records nothing.
+#[must_use = "a span's end is recorded by `close`"]
+pub struct Span {
+    subsystem: Subsystem,
+    pid: u32,
+    asid: u8,
+    name: Option<String>,
+}
 
-    /// Cuts a sample immediately, off the clock (the final
-    /// state-of-the-machine snapshot after a reap phase). The clock
-    /// position is unchanged.
-    pub fn sample_now(&mut self, publish: impl FnOnce()) -> bool {
+impl Span {
+    /// Records the begin of span `name`. `asid` is called only when a
+    /// recorder is installed, so a lookup behind it costs an untraced
+    /// run nothing.
+    pub fn open(
+        subsystem: Subsystem,
+        pid: u32,
+        asid: impl FnOnce() -> u8,
+        name: impl Display,
+    ) -> Span {
         if !enabled() {
-            return false;
+            return Span {
+                subsystem,
+                pid,
+                asid: 0,
+                name: None,
+            };
         }
-        publish();
-        sample_gauges();
-        true
+        let (asid, name) = (asid(), name.to_string());
+        let begin = Payload::SpanBegin { name: name.clone() };
+        emit(subsystem, pid, asid, begin);
+        Span {
+            subsystem,
+            pid,
+            asid,
+            name: Some(name),
+        }
+    }
+
+    /// Records the end, carrying `value` in `unit`: simulated cycles,
+    /// or the ticks a bracket encloses.
+    pub fn close(self, value: u64, unit: SpanUnit) {
+        if let Some(name) = self.name {
+            let end = Payload::SpanEnd { name, value, unit };
+            emit(self.subsystem, self.pid, self.asid, end);
+        }
     }
 }
 
-/// Turns cycle-charge attribution on or off for this thread. Off (the
-/// default), [`charge`] and the flow-binding calls are no-ops even
-/// with a sink installed, so workloads that never establish flows pay
-/// nothing and emit nothing — per-access `CycleCharge` events would
-/// otherwise swamp the ring on every traced experiment.
+/// Turns cycle-charge attribution on or off for this thread's
+/// recorder (a no-op without one). Off — how every recorder starts —
+/// [`charge`] and the flow-binding calls record nothing, so workloads
+/// that never establish flows pay nothing and emit nothing: per-access
+/// `CycleCharge` events would otherwise swamp the ring on every traced
+/// experiment.
 pub fn set_flow_tracing(on: bool) {
-    FLOW_TRACING.with(|t| t.set(on));
+    if enabled() {
+        MODE.set(if on { Mode::Flows } else { Mode::Recording });
+    }
 }
 
-/// Whether cycle-charge attribution is on for this thread.
+/// Whether cycle-charge attribution is on for this thread (false with
+/// no recorder installed).
 #[inline]
 pub fn flow_tracing() -> bool {
-    FLOW_TRACING.with(|t| t.get())
+    MODE.get() == Mode::Flows
 }
 
 /// Binds request `flow` to `pid` and marks it the active flow on
@@ -262,28 +266,16 @@ pub fn flow_tracing() -> bool {
 /// [`flow_note_scheduled`] re-establishes the core slot whenever the
 /// pid is switched back in, wherever that happens.
 pub fn flow_bind(core: usize, pid: u32, flow: u32) {
-    if !enabled() || !flow_tracing() {
-        return;
+    if flow_tracing() {
+        with_recorder(|r| r.bind_flow(core, pid, flow));
     }
-    FLOW_BY_PID.with(|m| m.borrow_mut().insert(pid, flow));
-    set_core_flow(core, flow);
 }
 
 /// Drops `pid`'s flow binding (request complete) and clears any core
 /// slot still holding its flow.
 pub fn flow_unbind(pid: u32) {
-    if !enabled() || !flow_tracing() {
-        return;
-    }
-    let flow = FLOW_BY_PID.with(|m| m.borrow_mut().remove(&pid));
-    if let Some(flow) = flow {
-        FLOW_BY_CORE.with(|v| {
-            for slot in v.borrow_mut().iter_mut() {
-                if *slot == flow {
-                    *slot = 0;
-                }
-            }
-        });
+    if flow_tracing() {
+        with_recorder(|r| r.unbind_flow(pid));
     }
 }
 
@@ -292,11 +284,9 @@ pub fn flow_unbind(pid: u32) {
 /// machine's context-switch path calls this, so attribution follows a
 /// request through preemption and migration with no scheduler help.
 pub fn flow_note_scheduled(core: usize, pid: u32) {
-    if !enabled() || !flow_tracing() {
-        return;
+    if flow_tracing() {
+        with_recorder(|r| r.note_scheduled(core, pid));
     }
-    let flow = FLOW_BY_PID.with(|m| m.borrow().get(&pid).copied().unwrap_or(0));
-    set_core_flow(core, flow);
 }
 
 /// Clears `core`'s active flow without touching the pid binding: the
@@ -306,37 +296,20 @@ pub fn flow_note_scheduled(core: usize, pid: u32) {
 /// is covered by the driver's explicit run-queue-wait charge instead,
 /// so nothing is counted twice.
 pub fn flow_park(core: usize) {
-    if !enabled() || !flow_tracing() {
-        return;
+    if flow_tracing() {
+        with_recorder(|r| r.set_core_flow(core, 0));
     }
-    set_core_flow(core, 0);
-}
-
-fn set_core_flow(core: usize, flow: u32) {
-    FLOW_BY_CORE.with(|v| {
-        let mut v = v.borrow_mut();
-        if v.len() <= core {
-            v.resize(core + 1, 0);
-        }
-        v[core] = flow;
-    });
-}
-
-/// The flow currently active on `core` (0 = unattributed).
-pub fn active_flow(core: usize) -> u32 {
-    FLOW_BY_CORE.with(|v| v.borrow().get(core).copied().unwrap_or(0))
 }
 
 /// Charges `cycles` to the flow active on `core` under `cause`,
 /// emitting a [`Payload::CycleCharge`]. Flow 0 (no active request) is
 /// recorded too: the unattributed bucket is what lets per-cause global
 /// totals reconcile against `TlbStats`/`KernelStats` even on runs with
-/// no requests in flight. Disabled-path cost is the usual single
-/// thread-local branch; with a sink but [`flow_tracing`] off this is
-/// still a no-op (see [`set_flow_tracing`]).
+/// no requests in flight. The untraced path, and a recorder with
+/// [`flow_tracing`] off, pay the one [`enabled`]-style cell read.
 #[inline]
 pub fn charge(core: usize, cause: ChargeCause, cycles: u64) {
-    if enabled() && flow_tracing() && cycles != 0 {
+    if flow_tracing() && cycles != 0 {
         emit_charge(core, cause, cycles);
     }
 }
@@ -345,35 +318,7 @@ pub fn charge(core: usize, cause: ChargeCause, cycles: u64) {
 /// callers carry only its test.
 #[inline(never)]
 fn emit_charge(core: usize, cause: ChargeCause, cycles: u64) {
-    let flow = active_flow(core);
-    emit(
-        Subsystem::Sim,
-        0,
-        0,
-        Payload::CycleCharge {
-            flow,
-            cause,
-            cycles,
-        },
-    );
-}
-
-/// Runs `f` against the live metrics registry, if a recorder is
-/// installed. Used by conservation tests and `repro`'s per-experiment
-/// deltas without tearing the recorder down.
-pub fn with_metrics<R>(f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
-    with_sink(|s| f(&s.metrics))
-}
-
-/// The tick the next event will carry (the events recorded so far,
-/// dropped ones included), if a recorder is live.
-pub fn next_tick() -> Option<u64> {
-    with_sink(|s| s.seq)
-}
-
-/// Clones the current counter map, if a recorder is live.
-pub fn counters_snapshot() -> Option<BTreeMap<String, u64>> {
-    with_metrics(|m| m.counters_map().clone())
+    with_recorder(|r| r.charge(core, cause, cycles));
 }
 
 #[cfg(test)]
@@ -385,7 +330,7 @@ mod tests {
         assert!(!enabled());
         emit(Subsystem::Kernel, 1, 1, Payload::Exit);
         assert!(uninstall().is_none());
-        assert!(counters_snapshot().is_none());
+        assert!(with_recorder(|r| r.metrics().counters_map().clone()).is_none());
     }
 
     #[test]
@@ -393,7 +338,7 @@ mod tests {
         install(8);
         assert!(enabled());
         emit(Subsystem::Kernel, 3, 2, Payload::Exit);
-        let snap = counters_snapshot().unwrap();
+        let snap = with_recorder(|r| r.metrics().counters_map().clone()).unwrap();
         assert_eq!(snap.get("kernel.exit"), Some(&1));
         let rec = uninstall().unwrap();
         assert!(!enabled());
@@ -404,58 +349,97 @@ mod tests {
     }
 
     #[test]
-    fn sampler_fires_every_k_ticks_and_skips_when_disabled() {
-        // Disabled: the publish closure must never run.
-        let mut sampler = Sampler::new(2);
+    fn sample_skips_publish_without_a_recorder() {
         let mut published = 0;
-        assert!(!sampler.tick(|| published += 1));
-        assert!(!sampler.tick(|| published += 1));
+        sample(|| published += 1);
+        sample(|| published += 1);
         assert_eq!(published, 0);
-
-        install(64);
-        let mut sampler = Sampler::new(3);
-        let mut fired = Vec::new();
-        for i in 1..=9u64 {
-            if sampler.tick(|| gauge_set("sim.x", i)) {
-                fired.push(i);
-            }
-        }
-        assert_eq!(fired, vec![3, 6, 9]);
-        let rec = uninstall().unwrap();
-        let samples: Vec<u64> = rec
-            .events
-            .iter()
-            .filter_map(|e| match &e.payload {
-                Payload::Sample { value, .. } => Some(*value),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(samples, vec![3, 6, 9]);
     }
 
     #[test]
-    fn sample_now_cuts_an_off_clock_snapshot() {
+    fn sample_cuts_one_sample_per_published_gauge_in_key_order() {
         install(64);
-        let mut sampler = Sampler::new(100);
-        assert!(sampler.sample_now(|| gauge_set("sim.final", 42)));
+        for i in 1..=3u64 {
+            sample(|| {
+                gauge_set("sim.y", 10 * i);
+                gauge_set("sim.x", i);
+            });
+        }
         let rec = uninstall().unwrap();
-        assert_eq!(rec.events.len(), 1);
+        let samples: Vec<(&str, u64)> = rec
+            .events
+            .iter()
+            .filter_map(|e| match &e.payload {
+                Payload::Sample { gauge, value } => Some((gauge.as_str(), *value)),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            rec.events[0].payload,
-            Payload::Sample {
-                gauge: "sim.final".to_string(),
-                value: 42
-            }
+            samples,
+            vec![
+                ("sim.x", 1),
+                ("sim.y", 10),
+                ("sim.x", 2),
+                ("sim.y", 20),
+                ("sim.x", 3),
+                ("sim.y", 30),
+            ]
         );
+        assert_eq!(rec.events.len(), samples.len());
     }
 
     #[test]
     fn gauge_free_functions_are_noops_when_disabled() {
         assert!(!enabled());
         gauge_set("x", 1);
-        sample_gauges();
-        begin_gauge_window();
-        assert!(window_gauge_high_waters().is_none());
+        sample(|| gauge_set("x", 2));
+        assert!(with_recorder(|r| r.begin_gauge_window()).is_none());
+        assert!(with_recorder(|r| r.metrics().window_gauge_high_waters()).is_none());
+    }
+
+    #[test]
+    fn a_span_without_a_recorder_builds_and_emits_nothing() {
+        let mut looked_up = false;
+        let span = Span::open(
+            Subsystem::Android,
+            4,
+            || {
+                looked_up = true;
+                4
+            },
+            "launch.exec",
+        );
+        assert!(span.name.is_none(), "no name is built untraced");
+        span.close(100, SpanUnit::Cycles);
+        assert!(!looked_up, "the asid lookup must stay behind the gate");
+        assert!(uninstall().is_none());
+    }
+
+    #[test]
+    fn a_cycles_span_and_a_ticks_bracket_validate_and_fold() {
+        install(64);
+        let bracket = Span::open(Subsystem::Bench, 0, || 0, format_args!("exp.{}", "launch"));
+        let first = with_recorder(|r| r.tick()).unwrap();
+        let phase = Span::open(Subsystem::Android, 0, || 0, "launch.exec");
+        phase.close(700, SpanUnit::Cycles);
+        let ticks = with_recorder(|r| r.tick()).unwrap() - first;
+        bracket.close(ticks, SpanUnit::Ticks);
+        let rec = uninstall().unwrap();
+        assert_eq!(rec.events.len(), 4);
+        analyze::validate_spans(&rec.events).unwrap();
+        assert_eq!(
+            rec.events[3].payload,
+            Payload::SpanEnd {
+                name: "exp.launch".to_string(),
+                value: 2,
+                unit: SpanUnit::Ticks,
+            }
+        );
+        let r = analyze::Rollup::from_events(&rec.events, rec.dropped);
+        let folded: Vec<(&str, u64)> = r.folded.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(folded, [("pid0;android;exp.launch;launch.exec", 700)]);
+        assert_eq!(r.spans["bench.exp.launch"].count, 1);
+        assert_eq!(r.spans["android.launch.exec"].hist.max, 700);
     }
 
     #[test]
@@ -470,22 +454,27 @@ mod tests {
         }
     }
 
+    /// The flow active on `core`, 0 with no recorder installed.
+    fn flow_on(core: usize) -> u32 {
+        with_recorder(|r| r.active_flow(core)).unwrap_or(0)
+    }
+
     #[test]
     fn flow_binding_follows_pid_through_reschedule() {
         install(64);
         set_flow_tracing(true);
         flow_bind(0, 7, 42);
-        assert_eq!(active_flow(0), 42);
+        assert_eq!(flow_on(0), 42);
         // Preemption: another pid (no flow) takes core 0.
         flow_note_scheduled(0, 9);
-        assert_eq!(active_flow(0), 0);
+        assert_eq!(flow_on(0), 0);
         // The request's pid migrates to core 2: the binding follows.
         flow_note_scheduled(2, 7);
-        assert_eq!(active_flow(2), 42);
+        assert_eq!(flow_on(2), 42);
         charge(2, ChargeCause::TlbStall, 8);
         charge(0, ChargeCause::Ipi, 2000);
         flow_unbind(7);
-        assert_eq!(active_flow(2), 0);
+        assert_eq!(flow_on(2), 0);
         let rec = uninstall().unwrap();
         let charges: Vec<(u32, ChargeCause, u64)> = rec
             .events
@@ -510,12 +499,12 @@ mod tests {
         assert!(!enabled());
         flow_bind(0, 1, 5);
         charge(0, ChargeCause::Exec, 10);
-        assert_eq!(active_flow(0), 0);
+        assert_eq!(flow_on(0), 0);
         install(8);
         // Sink up, but flow tracing not opted into: still silent.
         charge(0, ChargeCause::Exec, 10);
         flow_bind(0, 1, 5);
-        assert_eq!(active_flow(0), 0);
+        assert_eq!(flow_on(0), 0);
         set_flow_tracing(true);
         charge(0, ChargeCause::Exec, 0); // zero-cycle charges are noise
         let rec = uninstall().unwrap();
@@ -531,9 +520,40 @@ mod tests {
         assert!(!flow_tracing(), "tracing opt-in must not leak across runs");
         install(8);
         set_flow_tracing(true);
-        assert_eq!(active_flow(1), 0);
+        assert_eq!(flow_on(1), 0);
         flow_note_scheduled(1, 3);
-        assert_eq!(active_flow(1), 0, "pid binding must not leak across runs");
+        assert_eq!(flow_on(1), 0, "pid binding must not leak across runs");
         uninstall();
+    }
+
+    #[test]
+    fn a_fresh_install_starts_with_no_bindings_and_the_gate_off() {
+        // After an uninstall, and over a live recorder alike.
+        for uninstall_first in [true, false] {
+            install(8);
+            set_flow_tracing(true);
+            flow_bind(0, 3, 9);
+            assert_eq!(flow_on(0), 9);
+            if uninstall_first {
+                uninstall();
+            }
+            install(8);
+            assert!(enabled());
+            assert!(!flow_tracing(), "a fresh recorder starts with the gate off");
+            charge(0, ChargeCause::Exec, 10);
+            set_flow_tracing(true);
+            assert_eq!(flow_on(0), 0, "no core slot survives the old recorder");
+            flow_note_scheduled(0, 3);
+            assert_eq!(flow_on(0), 0, "no pid binding survives the old recorder");
+            let rec = uninstall().unwrap();
+            assert!(rec.events.is_empty());
+        }
+    }
+
+    #[test]
+    fn set_flow_tracing_without_a_recorder_changes_nothing() {
+        set_flow_tracing(true);
+        assert!(!flow_tracing());
+        assert!(!enabled());
     }
 }

@@ -475,7 +475,7 @@ mod tests {
 
     #[test]
     fn gauge_window_forgets_levels_not_published_in_it() {
-        let mut sink = crate::RingSink::new(16);
+        let mut sink = crate::Recorder::new(16);
         let m = &mut sink.metrics;
         m.gauge_set("phys.slab.live", 50);
         m.gauge_set("phys.slab.live", 10);

@@ -191,11 +191,13 @@ fn emit_one_of_each() {
     );
     // Counter-track points: published gauges snapshotted twice, so
     // the parsed trace must reproduce a moving series, not one value.
-    sat_obs::gauge_set("phys.frames.free", 1000);
-    sat_obs::gauge_set("sched.runq.c1", 3);
-    sat_obs::sample_gauges();
-    sat_obs::gauge_set("phys.frames.free", 863);
-    sat_obs::sample_gauges();
+    sat_obs::sample(|| {
+        sat_obs::gauge_set("phys.frames.free", 1000);
+        sat_obs::gauge_set("sched.runq.c1", 3);
+    });
+    sat_obs::sample(|| {
+        sat_obs::gauge_set("phys.frames.free", 863);
+    });
     sat_obs::emit(
         Subsystem::Android,
         4,
@@ -688,9 +690,10 @@ fn renderers_match_the_goldens() {
 fn counter_tracks_round_trip_to_identical_samples() {
     sat_obs::install(256);
     for (free, runq) in [(4096u64, 0u64), (2048, 5), (3072, 2), (512, 9)] {
-        sat_obs::gauge_set("phys.frames.free", free);
-        sat_obs::gauge_set("sched.runq.c0", runq);
-        sat_obs::sample_gauges();
+        sat_obs::sample(|| {
+            sat_obs::gauge_set("phys.frames.free", free);
+            sat_obs::gauge_set("sched.runq.c0", runq);
+        });
     }
     let rec = sat_obs::uninstall().unwrap();
 

@@ -858,7 +858,7 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Publishes allocator occupancy gauges to the installed obs sink.
+    /// Publishes allocator occupancy gauges to the installed recorder.
     pub fn publish_gauges(&self) {
         let total = u64::from(self.frames);
         sat_obs::gauge_set("phys.frames.in_use", self.stats.in_use);

@@ -167,8 +167,8 @@ impl Scheduler {
         self.queues[core].len()
     }
 
-    /// Publishes per-core run-queue depth gauges to the installed obs
-    /// sink.
+    /// Publishes per-core run-queue depth gauges to the installed
+    /// recorder.
     pub fn publish_gauges(&self) {
         for (i, q) in self.queues.iter().enumerate() {
             sat_obs::gauge_set(&format!("sched.runq.c{i}"), q.len() as u64);
@@ -324,18 +324,6 @@ pub struct TimeshareSim {
     pub processes_created: u64,
     /// Timeslices run so far (drives the IPC cadence).
     slices: u64,
-    /// Gauge sampling clock: one sample per scheduling round, plus
-    /// off-clock samples at boot/teardown edges.
-    sampler: sat_obs::Sampler,
-}
-
-/// A [`TimeshareSim`]'s gauges: the machine's (kernel frame allocator,
-/// PTP slab, shared-PTP registry, per-core TLBs) plus the scheduler's
-/// run-queue depths. A function of the two fields, so the sampler can
-/// be borrowed beside them.
-fn publish_gauges(sys: &AndroidSystem, sched: &Scheduler) {
-    sys.machine.publish_gauges();
-    sched.publish_gauges();
 }
 
 impl TimeshareSim {
@@ -361,7 +349,6 @@ impl TimeshareSim {
             opts,
             processes_created: 0,
             slices: 0,
-            sampler: sat_obs::Sampler::new(1),
         };
         for i in 0..opts.apps {
             sim.spawn()?;
@@ -376,11 +363,15 @@ impl TimeshareSim {
         Ok(sim)
     }
 
-    /// Emits one off-clock gauge sample (boot/teardown edges) without
-    /// advancing the per-round sampling clock.
-    pub fn sample_now(&mut self) {
-        self.sampler
-            .sample_now(|| publish_gauges(&self.sys, &self.sched));
+    /// Cuts one gauge sample of the machine (kernel frame allocator,
+    /// PTP slab, shared-PTP registry, per-core TLBs) and the
+    /// scheduler's run-queue depths: once per scheduling round, and at
+    /// the spawn-ramp and teardown edges.
+    pub fn sample_now(&self) {
+        sat_obs::sample(|| {
+            self.sys.machine.publish_gauges();
+            self.sched.publish_gauges();
+        });
     }
 
     /// Forks one process from the zygote, builds its working set, and
@@ -433,8 +424,7 @@ impl TimeshareSim {
             }
             self.sched.requeue(core, pid, events);
         }
-        // One tick of the sampling clock per round.
-        self.sampler.tick(|| publish_gauges(&self.sys, &self.sched));
+        self.sample_now();
         Ok(())
     }
 
@@ -638,44 +628,6 @@ pub struct FleetReport {
     pub live_processes_after: usize,
 }
 
-/// One fleet phase's `sched` span, so `repro report --format folded`
-/// attributes the fleet's simulated cycles to spawn, run, or reap. It
-/// ends with the cycles the phase added to the fleet machine
-/// ([`TimeshareSim::cycles`]), so the three phases sum to
-/// [`FleetReport::total_cycles`]. No-op without a recorder installed.
-struct FleetSpan {
-    name: &'static str,
-    /// The machine's cycles when the phase began.
-    since: u64,
-}
-
-impl FleetSpan {
-    /// Opens phase `name` at the machine's cycle count `since`.
-    fn open(name: &'static str, since: u64) -> FleetSpan {
-        if sat_obs::enabled() {
-            let payload = sat_obs::Payload::SpanBegin {
-                name: name.to_string(),
-            };
-            sat_obs::emit(sat_obs::Subsystem::Sched, 0, 0, payload);
-        }
-        FleetSpan { name, since }
-    }
-
-    /// Closes the phase at the machine's cycle count `now`, returned
-    /// for the next phase to open at.
-    fn close(self, now: u64) -> u64 {
-        if sat_obs::enabled() {
-            let payload = sat_obs::Payload::SpanEnd {
-                name: self.name.to_string(),
-                value: now - self.since,
-                unit: sat_obs::SpanUnit::Cycles,
-            };
-            sat_obs::emit(sat_obs::Subsystem::Sched, 0, 0, payload);
-        }
-        now
-    }
-}
-
 /// Boots a fleet of `opts.apps` zygote children, timeshares them for
 /// `opts.rounds` rounds, then reaps every one (lowest pid first) —
 /// the `repro fleet` cell body. Teardown is part of the measured
@@ -692,12 +644,23 @@ pub fn run_fleet(config: KernelConfig, opts: FleetOptions) -> SatResult<FleetRep
         ipc_every: 0,
         seed: opts.seed,
     };
-    // The machine boots inside the spawn phase, from zero cycles.
-    let spawn = FleetSpan::open("fleet.spawn", 0);
+    // One `sched` span per phase, ending with the cycles the phase
+    // added to the fleet machine ([`TimeshareSim::cycles`]), so `repro
+    // report --format folded` splits the fleet's simulated cycles into
+    // spawn, run and reap, and the three sum to
+    // [`FleetReport::total_cycles`]. The machine boots inside the
+    // spawn phase, from zero cycles.
+    let phase = |name| sat_obs::Span::open(sat_obs::Subsystem::Sched, 0, || 0, name);
+    let cycles = sat_obs::SpanUnit::Cycles;
+    let spawn = phase("fleet.spawn");
     let mut sim = TimeshareSim::boot(config, topts)?;
-    let run = FleetSpan::open("fleet.run", spawn.close(sim.cycles()));
+    let booted = sim.cycles();
+    spawn.close(booted, cycles);
+    let run = phase("fleet.run");
     sim.run()?;
-    let reap = FleetSpan::open("fleet.reap", run.close(sim.cycles()));
+    let ran = sim.cycles();
+    run.close(ran - booted, cycles);
+    let reap = phase("fleet.reap");
     let fleet: Vec<Pid> = sim.tasks.keys().copied().collect();
     for (i, pid) in fleet.into_iter().enumerate() {
         sim.reap(pid)?;
@@ -707,7 +670,7 @@ pub fn run_fleet(config: KernelConfig, opts: FleetOptions) -> SatResult<FleetRep
             sim.sample_now();
         }
     }
-    reap.close(sim.cycles());
+    reap.close(sim.cycles() - ran, cycles);
     sim.sample_now();
     let t = sim.report();
     let k = &sim.sys.machine.kernel;

@@ -186,17 +186,6 @@ pub struct ServeSim {
     walls: Vec<u64>,
     preempted_quanta: u64,
     churned: usize,
-    sampler: sat_obs::Sampler,
-}
-
-/// A [`ServeSim`]'s gauges: every layer's plus per-slot queue depths.
-/// A function of the two fields, so the sampler can be borrowed beside
-/// them.
-fn publish_gauges(sys: &AndroidSystem, slots: &[Slot]) {
-    sys.machine.publish_gauges();
-    for (i, slot) in slots.iter().enumerate() {
-        sat_obs::gauge_set(&format!("serve.queue.s{i}"), slot.queue.len() as u64);
-    }
 }
 
 impl ServeSim {
@@ -233,7 +222,6 @@ impl ServeSim {
             walls: Vec::new(),
             preempted_quanta: 0,
             churned: 0,
-            sampler: sat_obs::Sampler::new(1),
         };
         for i in 0..opts.servers {
             let core = i % opts.cores;
@@ -274,10 +262,15 @@ impl ServeSim {
         Ok((pid, task, data))
     }
 
-    /// Emits one off-clock gauge sample.
-    pub fn sample_now(&mut self) {
-        self.sampler
-            .sample_now(|| publish_gauges(&self.sys, &self.slots));
+    /// Cuts one gauge sample: every layer's gauges plus per-slot queue
+    /// depths. Once per round, and at the boot and drain edges.
+    pub fn sample_now(&self) {
+        sat_obs::sample(|| {
+            self.sys.machine.publish_gauges();
+            for (i, slot) in self.slots.iter().enumerate() {
+                sat_obs::gauge_set(&format!("serve.queue.s{i}"), slot.queue.len() as u64);
+            }
+        });
     }
 
     /// Issues this round's burst, if one is due: requests are assigned
@@ -302,7 +295,7 @@ impl ServeSim {
             let work =
                 self.opts.work_min + self.rng.below(self.opts.work_spread.max(1) as u64) as usize;
             let arrived_at = self.sys.machine.cores[slot.core].stats.cycles;
-            if sat_obs::enabled() && sat_obs::flow_tracing() {
+            if sat_obs::flow_tracing() {
                 sat_obs::emit(
                     sat_obs::Subsystem::Sched,
                     slot.pid.raw(),
@@ -472,7 +465,7 @@ impl ServeSim {
             if self.opts.churn > self.churned && round.is_multiple_of(3) {
                 self.churn_once()?;
             }
-            self.sampler.tick(|| publish_gauges(&self.sys, &self.slots));
+            self.sample_now();
             round += 1;
             let drained = self.arrivals_issued >= self.opts.requests
                 && self.slots.iter().all(|s| s.queue.is_empty());
@@ -550,9 +543,7 @@ pub fn run_serve(config: KernelConfig, opts: ServeOptions) -> SatResult<ServeRep
     let mut sim = ServeSim::boot(config, opts)?;
     sim.sys.machine.reset_hw_stats();
     let was_tracing = sat_obs::flow_tracing();
-    if sat_obs::enabled() {
-        sat_obs::set_flow_tracing(true);
-    }
+    sat_obs::set_flow_tracing(true);
     let out = sim.run();
     sim.sample_now();
     sat_obs::set_flow_tracing(was_tracing);

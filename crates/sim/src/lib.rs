@@ -25,10 +25,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod faultcost;
 pub mod machine;
 pub mod model;
 
-pub use faultcost::measure_soft_fault_cycles;
 pub use machine::{Core, CoreStats, Machine, MachineTlbView};
 pub use model::CycleModel;

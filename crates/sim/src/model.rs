@@ -158,7 +158,8 @@ mod tests {
     fn soft_fault_near_lmbench_anchor() {
         // The fixed part plus the handler's simulated instruction
         // footprint lands near the paper's 2,700-cycle soft fault;
-        // `sat_sim::measure_soft_fault_cycles` verifies the total.
+        // `repro latfault` (`sat-bench`'s `measure_soft_fault_cycles`)
+        // verifies the total.
         let m = CycleModel::default();
         assert!(m.soft_fault >= 1_000 && m.soft_fault <= 2_700);
     }
