@@ -63,16 +63,29 @@ cargo test -q
 # it hands the L2 (crates/cache/src/reference.rs),
 # kernel-text runs vs the line-by-line loop on twin machines
 # (machine.rs, `run_vs_line_by_line`; it also holds the L1-I's stretch
-# walk to its single-access path, cuts included), the range walker vs the page-by-page
+# walk to its single-access path, cuts included, and runs
+# `Machine::audit` after every step), the machine's TLBs against the
+# kernel's tables after every op of a two-core workload
+# (crates/sim/tests/machine_audit.rs: `Machine::audit` — every live
+# micro-TLB entry what a fresh walk of the running process fills, every
+# tagged main-TLB entry's ASID resident on its core, the running
+# process's tagged entries what its walk fills; each fails on a planted
+# slip: a range flush that skips the micro-TLBs, a fill that skips
+# `note_resident`, a range flush that skips the main TLB), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs: lookups, by-address flushes and
 # the 4KB duplicate check through the VA index, the full and tag
 # flushes, large inserts and fills one pass over the slots; it is what
-# stands behind `MainTlb::insert`'s duplicate rule and the
-# first-empty-slot fill, and runs `MainTlb::verify` after every op —
-# the micro-TLBs have no index and no twin, being the linear scan
-# themselves, and their unit rows run here too), and the grouped page
+# stands behind `MainTlb::insert`'s duplicate rule, the fill after a
+# miss that skips it, and the first-empty-slot fill, and runs
+# `MainTlb::verify` after every op), the packed-lane micro-TLB vs the
+# linear pass it replaced (`micro_tlb_matches_linear_reference`, same
+# file, at capacities 1, 7, 8, 9, 32 and 64: every answer, the counters,
+# the live entries and a lookup sweep after every op; it fails on each
+# of three planted slips — the highest matching slot wins, a fill below
+# capacity takes the round-robin victim, `flush_va` leaves a covering
+# slot live — and the micro-TLB's unit rows run here too), and the grouped page
 # tables vs the dense `RefPtp` / `RefRootTable`
 # (crates/mmu/src/reference.rs, with `Ptp::verify` /
 # `RootTable::verify` after every op) — one table alone, and the

@@ -2,7 +2,7 @@
 
 use sat_cache::{AccessKind, Cache, CacheConfig, CacheHierarchy};
 use sat_core::{FlushOp, Kernel, TlbMaintenance, TlbProtection};
-use sat_mmu::{walk, FaultRecord, FaultStatus, WalkOutcome};
+use sat_mmu::{walk, FaultRecord, FaultStatus, Translation, WalkOutcome};
 use sat_obs::{ChargeCause, FlushReason, FlushScope};
 use sat_tlb::{MainTlb, MicroTlb, TlbEntry, TlbLookup};
 use sat_types::{
@@ -716,7 +716,7 @@ impl Machine {
             TlbLookup::Miss => {
                 let e = kernel_section_entry(va);
                 let walk = self.kernel_section_walk(core, va);
-                self.cores[core].main_tlb.insert(e, asid);
+                self.cores[core].main_tlb.insert_after_miss(e, asid);
                 self.cores[core].micro_i.insert(e);
                 (e, walk)
             }
@@ -763,7 +763,9 @@ impl Machine {
 
     /// Walks the page table for a user access by `pid` (whose ASID is
     /// `asid`), filling the TLBs on success or invoking the kernel's
-    /// fault handler.
+    /// fault handler. Called right after the main-TLB lookup of `va`
+    /// under `asid` missed, which is what lets the fill skip its
+    /// duplicate probe ([`MainTlb::insert_after_miss`]).
     fn walk_and_fill(
         &mut self,
         core: usize,
@@ -776,7 +778,7 @@ impl Machine {
             // Kernel space: synthetic global section mapping.
             let e = kernel_section_entry(va);
             let walk = self.kernel_section_walk(core, va);
-            self.cores[core].main_tlb.insert(e, asid);
+            self.cores[core].main_tlb.insert_after_miss(e, asid);
             self.fill_micro(core, access, e);
             self.charge_tlb_stall(core, access, walk);
             return Ok(WalkFill::Entry(e, walk));
@@ -793,27 +795,8 @@ impl Machine {
         }
         match result.outcome {
             WalkOutcome::Translated(t) => {
-                // The hypothetical level-1 write-protect assist
-                // (Section 3.1.3 "Hardware Support"): a NEED_COPY
-                // level-1 entry denies write access to its whole
-                // range, standing in for the per-PTE write-protect
-                // pass the paper performs on ARM.
-                let l1_wp =
-                    self.kernel.config.l1_write_protect && mm.root.entry_for(va).need_copy();
-                let perms = if l1_wp {
-                    t.perms.without_write()
-                } else {
-                    t.perms
-                };
-                let e = TlbEntry {
-                    va_base: VirtAddr::new(va.raw() & !(t.size.bytes() - 1)),
-                    size: t.size,
-                    asid: if t.global { None } else { Some(asid) },
-                    pfn: t.pfn,
-                    perms,
-                    domain: t.domain,
-                };
-                self.cores[core].main_tlb.insert(e, asid);
+                let e = walked_entry(self.kernel.config.l1_write_protect, mm, asid, va, t);
+                self.cores[core].main_tlb.insert_after_miss(e, asid);
                 if e.asid.is_some() {
                     self.cores[core].note_resident(asid);
                 }
@@ -935,6 +918,109 @@ impl Machine {
         Ok(cycles)
     }
 
+    /// [`Kernel::audit`], then what each core's TLBs must agree on with
+    /// the kernel's tables. Returns the first violation found.
+    ///
+    /// 1. On a core with a current process, every live micro-TLB entry
+    ///    is the one a fresh walk of that process's tables would fill
+    ///    (frame, size, permissions after the level-1 write-protect
+    ///    assist, domain, global bit) or, for a kernel address, the
+    ///    kernel section entry; no two live entries of one micro-TLB
+    ///    overlap.
+    /// 2. Every non-global main-TLB entry's ASID is resident on its
+    ///    core, so a precise shootdown that skips the core skips
+    ///    nothing.
+    /// 3. Every main-TLB entry tagged with the current process's ASID
+    ///    is what a fresh walk of it would fill, and every global user
+    ///    entry lies in [`Domain::ZYGOTE`].
+    ///
+    /// Clauses 1 and 3 let a read-only entry differ from the walk, and
+    /// a global entry stand over a page the walk finds unmapped; the
+    /// body says why. A walk per TLB entry, plus the whole kernel's:
+    /// for tests.
+    pub fn audit(&self) -> Result<(), String> {
+        self.kernel.audit()?;
+        for (i, core) in self.cores.iter().enumerate() {
+            self.audit_core(core)
+                .map_err(|e| format!("core {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// The TLB clauses of [`Machine::audit`] on one core.
+    fn audit_core(&self, core: &Core) -> Result<(), String> {
+        for e in core.main_tlb.entries() {
+            if let Some(asid) = e.asid.filter(|&a| !core.asid_resident(a)) {
+                return Err(format!("main-TLB entry {e:?}: {asid:?} is not resident"));
+            }
+        }
+        let Some(pid) = core.current else {
+            return Ok(());
+        };
+        let mm = self
+            .kernel
+            .mm(pid)
+            .map_err(|e| format!("current {pid:?}: {e:?}"))?;
+        // What a walk of the current process fills at `e`'s base.
+        let fresh = |e: &TlbEntry| {
+            if e.va_base.is_kernel() {
+                return Some(kernel_section_entry(e.va_base));
+            }
+            match walk(&mm.root, &self.kernel.ptps, e.va_base).outcome {
+                WalkOutcome::Translated(t) => Some(walked_entry(
+                    self.kernel.config.l1_write_protect,
+                    mm,
+                    mm.asid,
+                    e.va_base,
+                    t,
+                )),
+                WalkOutcome::Fault(_) => None,
+            }
+        };
+        // Two departures are let through. A read-only entry may differ
+        // from the tables: the fault path repairs only the faulting
+        // core's TLB, so a write-enable fault leaves a read-only copy on
+        // the cores the process ran on before (it takes a spurious
+        // fault there), and a copy-on-write break leaves the old frame
+        // readable on them. A zygote child may go on using a global
+        // entry for a page its own tables do not map.
+        let stale = |what: &str, e: &TlbEntry| {
+            let walked = fresh(e);
+            let agrees = match walked {
+                Some(w) => w == *e || !e.perms.write(),
+                None => e.is_global(),
+            };
+            (!agrees).then(|| format!("{what} entry {e:?}, but {pid:?}'s tables give {walked:?}"))
+        };
+        for (side, micro) in [("instruction", &core.micro_i), ("data", &core.micro_d)] {
+            let live: Vec<&TlbEntry> = micro.entries().collect();
+            for (n, e) in live.iter().enumerate() {
+                if let Some(err) = stale(&format!("{side} micro-TLB"), e) {
+                    return Err(err);
+                }
+                if let Some(o) = live[n + 1..]
+                    .iter()
+                    .find(|o| e.covers(o.va_base) || o.covers(e.va_base))
+                {
+                    return Err(format!(
+                        "{side} micro-TLB holds {e:?} and {o:?}, overlapping"
+                    ));
+                }
+            }
+        }
+        for e in core.main_tlb.entries() {
+            if e.asid == Some(mm.asid) {
+                if let Some(err) = stale("main-TLB", e) {
+                    return Err(err);
+                }
+            }
+            if e.is_global() && !e.va_base.is_kernel() && e.domain != Domain::ZYGOTE {
+                return Err(format!("global user entry {e:?} outside the zygote domain"));
+            }
+        }
+        Ok(())
+    }
+
     /// Resets the per-core hardware statistics (counters only, not the
     /// cache/TLB contents) — the start of a measurement window.
     pub fn reset_hw_stats(&mut self) {
@@ -949,6 +1035,34 @@ impl Machine {
 enum WalkFill {
     Entry(TlbEntry, u64),
     Faulted(u64),
+}
+
+/// The entry a table walk of `mm`, under `asid`, fills for `va` on
+/// translating it to `t`.
+fn walked_entry(
+    l1_write_protect: bool,
+    mm: &Mm,
+    asid: Asid,
+    va: VirtAddr,
+    t: Translation,
+) -> TlbEntry {
+    // The hypothetical level-1 write-protect assist (Section 3.1.3
+    // "Hardware Support"): a NEED_COPY level-1 entry denies write
+    // access to its whole range, standing in for the per-PTE
+    // write-protect pass the paper performs on ARM.
+    let perms = if l1_write_protect && mm.root.entry_for(va).need_copy() {
+        t.perms.without_write()
+    } else {
+        t.perms
+    };
+    TlbEntry {
+        va_base: VirtAddr::new(va.raw() & !(t.size.bytes() - 1)),
+        size: t.size,
+        asid: if t.global { None } else { Some(asid) },
+        pfn: t.pfn,
+        perms,
+        domain: t.domain,
+    }
 }
 
 /// The FSR/FAR contents for a page abort of class `status` taken by an
@@ -1509,7 +1623,8 @@ mod tests {
             }
         }
 
-        /// Runs `ops` on one twin with a recorder installed.
+        /// Runs `ops` on one twin with a recorder installed, auditing
+        /// the machine after every step.
         fn drive(
             config: KernelConfig,
             line_by_line: bool,
@@ -1521,6 +1636,8 @@ mod tests {
                 .iter()
                 .map(|&op| {
                     let returned = step(&mut m, &pids, op);
+                    m.audit()
+                        .unwrap_or_else(|e| panic!("after {op:?} on {config:?}: {e}"));
                     snapshot(&m, returned)
                 })
                 .collect();

@@ -9,10 +9,12 @@
 //! one table probe per page size) instead of scanning every slot.
 //! `insert` finds the duplicates of a 4KB entry the same way: every
 //! entry overlapping a 4KB page covers its base (the argument is in
-//! [`crate::main_tlb`]'s module docs). Everything else — the tag
-//! flushes, the full flush, the duplicate check of a larger insert,
-//! the fill slot — is one pass over the slots. The micro-TLBs have no
-//! index ([`crate::micro`] says why).
+//! [`crate::main_tlb`]'s module docs); the fill that follows a lookup
+//! miss (`insert_after_miss`) skips even that probe. Everything else —
+//! the tag flushes, the full flush, the duplicate check of a larger
+//! insert, the fill slot — is one pass over the slots. The micro-TLBs
+//! need no index: they match through packed lanes under a live-slot
+//! mask ([`crate::micro`]).
 //!
 //! Two properties keep the index off the profile:
 //!

@@ -50,4 +50,4 @@ pub mod reference;
 pub use entry::TlbEntry;
 pub use main_tlb::{MainTlb, TlbLookup, TlbStats};
 pub use micro::MicroTlb;
-pub use reference::RefMainTlb;
+pub use reference::{RefMainTlb, RefMicroTlb};

@@ -8,7 +8,9 @@
 //! operations that name an address touch only candidate slots:
 //! `lookup`/`probe`, the by-address flushes (`flush_va`,
 //! `flush_va_all_asids`, `flush_page`), and the duplicate check of a
-//! 4KB `insert`, one bucket probe per page size in use. Everything
+//! 4KB `insert`, one bucket probe per page size in use — a probe that
+//! [`MainTlb::insert_after_miss`], the fill of a 4KB entry after a
+//! lookup miss, skips: the miss proved there is no duplicate. Everything
 //! else is one pass over the slots: `flush_all`, `flush_asid`,
 //! `flush_range`, `flush_non_global`, the duplicate check of an insert
 //! *larger* than 4KB (kernel sections, promoted groups — rare), and the
@@ -159,6 +161,11 @@ impl MainTlb {
         self.valid
     }
 
+    /// The valid entries in slot order (read-only; for audits).
+    pub fn entries(&self) -> impl Iterator<Item = &TlbEntry> {
+        self.entries.iter().flatten().map(|(e, _)| e)
+    }
+
     /// Counts valid global entries (a recount: only reports read it).
     pub fn global_occupancy(&self) -> usize {
         self.entries
@@ -255,6 +262,30 @@ impl MainTlb {
             return;
         }
         self.scratch = overlaps;
+        self.fill(entry, loader);
+    }
+
+    /// [`MainTlb::insert`] for the fill that follows a miss: `entry`,
+    /// tagged `loader` or global, translates the address of the
+    /// [`MainTlb::lookup`] under `loader` that just missed, and nothing
+    /// has touched this TLB since. Same effect as `insert`, but a 4KB
+    /// entry skips the duplicate probe: a same-tag entry covering its
+    /// page would have matched that lookup (it covers the address, and
+    /// its tag is `loader` or global), so there is none to replace. A
+    /// larger entry may overlap small ones away from the address, and
+    /// goes through `insert`.
+    pub fn insert_after_miss(&mut self, entry: TlbEntry, loader: Asid) {
+        debug_assert!(entry.asid.is_none_or(|a| a == loader));
+        if entry.size != PageSize::Small4K {
+            return self.insert(entry, loader);
+        }
+        debug_assert_eq!(self.probe(entry.va_base, loader), None, "the lookup missed");
+        self.fill(entry, loader);
+    }
+
+    /// Puts `entry`, which overlaps no same-tag entry, into the first
+    /// empty slot, or over the round-robin victim in a full TLB.
+    fn fill(&mut self, entry: TlbEntry, loader: Asid) {
         let slot = if self.valid < self.entries.len() {
             self.entries
                 .iter()
@@ -263,7 +294,11 @@ impl MainTlb {
         } else {
             self.stats.evictions += 1;
             let slot = self.victim;
-            self.victim = (self.victim + 1) % self.entries.len();
+            self.victim = if slot + 1 == self.entries.len() {
+                0
+            } else {
+                slot + 1
+            };
             self.clear_slot(slot);
             slot
         };

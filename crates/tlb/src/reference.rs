@@ -1,4 +1,4 @@
-//! Linear-scan reference model of the main TLB.
+//! Linear-scan reference models of the two TLBs.
 //!
 //! [`RefMainTlb`] is an index-free implementation of
 //! [`crate::MainTlb`]: every operation walks the whole slot array,
@@ -6,10 +6,12 @@
 //! is kept as the executable specification that the model (which
 //! answers lookups, by-address flushes and 4KB duplicate checks
 //! through a VA index, [`crate::index::VaIndex`]) must match
-//! bit-for-bit: the differential proptests in `tests/differential.rs`
-//! drive both with identical operation sequences and assert identical
-//! lookup results, statistics, and occupancy. The micro-TLB needs no
-//! such twin: [`crate::MicroTlb`] is itself the linear scan.
+//! bit-for-bit. [`RefMicroTlb`] is the same for [`crate::MicroTlb`]
+//! (which matches through packed lanes under a live-slot mask): an
+//! array of optional entries, a first-match pass for every lookup and
+//! flush. The differential proptests in `tests/differential.rs` drive
+//! each model and its twin with identical operation sequences and
+//! assert identical answers, statistics, and occupancy.
 //!
 //! Do not "optimise" this file; its value is being obviously correct.
 
@@ -179,5 +181,128 @@ impl RefMainTlb {
         }
         self.stats.entries_flushed += n as u64;
         n
+    }
+}
+
+/// Linear-scan reference model of [`crate::MicroTlb`].
+pub struct RefMicroTlb {
+    entries: Vec<Option<TlbEntry>>,
+    victim: usize,
+    hits: u64,
+    misses: u64,
+    /// Valid-entry count, maintained incrementally.
+    valid: usize,
+}
+
+impl RefMicroTlb {
+    /// Creates a micro-TLB with `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a TLB needs at least one slot");
+        RefMicroTlb {
+            entries: vec![None; capacity],
+            victim: 0,
+            hits: 0,
+            misses: 0,
+            valid: 0,
+        }
+    }
+
+    /// Looks up `va`. Micro-TLB entries are not ASID-tagged; the
+    /// flush-on-context-switch discipline makes that safe.
+    pub fn lookup(&mut self, va: VirtAddr) -> Option<TlbEntry> {
+        // First match in slot order; no valid entry lies past the
+        // `valid`-th one.
+        let hit = self
+            .entries
+            .iter()
+            .flatten()
+            .take(self.valid)
+            .find(|e| e.covers(va))
+            .copied();
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Counts `n` lookups that hit without performing them. For a
+    /// caller that knows the outcome — the entry its previous lookup
+    /// hit or its previous insert filled still covers the address,
+    /// nothing having touched this TLB in between — this is all a hit
+    /// does: replacement is round-robin on fills, so a hit moves no
+    /// state but the counter.
+    pub fn note_hits(&mut self, n: u64) {
+        self.hits += n;
+    }
+
+    /// Inserts an entry (round-robin replacement). Unlike the main
+    /// TLB, there is no duplicate scan: the micro-TLB only ever
+    /// receives entries that just missed.
+    pub fn insert(&mut self, entry: TlbEntry) {
+        let slot = if self.valid < self.entries.len() {
+            self.valid += 1;
+            self.entries
+                .iter()
+                .position(Option::is_none)
+                .expect("a TLB below capacity has an empty slot")
+        } else {
+            let slot = self.victim;
+            self.victim = (slot + 1) % self.entries.len();
+            slot
+        };
+        self.entries[slot] = Some(entry);
+    }
+
+    /// Flushes everything (performed on every context switch).
+    /// Returns the number of entries dropped.
+    pub fn flush(&mut self) -> usize {
+        self.flush_where(|_| true)
+    }
+
+    /// Invalidates entries covering `va` (kept coherent with main-TLB
+    /// maintenance operations). Returns the number of entries dropped.
+    pub fn flush_va(&mut self, va: VirtAddr) -> usize {
+        self.flush_where(|e| e.covers(va))
+    }
+
+    /// Invalidates entries overlapping the VPN range (kept coherent
+    /// with main-TLB range maintenance). Micro entries are untagged,
+    /// so every overlapping entry dies regardless of loader. Returns
+    /// the number of entries dropped.
+    pub fn flush_range(&mut self, range: sat_types::VpnRange) -> usize {
+        self.flush_where(|e| e.overlaps_vpns(&range))
+    }
+
+    /// Invalidates every entry that satisfies `pred`, in one pass over
+    /// the slots, and returns how many it dropped.
+    fn flush_where(&mut self, pred: impl Fn(&TlbEntry) -> bool) -> usize {
+        let valid_before = self.valid;
+        for s in &mut self.entries {
+            if s.take_if(|e| pred(e)).is_some() {
+                self.valid -= 1;
+            }
+        }
+        valid_before - self.valid
+    }
+
+    /// (hits, misses) counters.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// Number of valid entries.
+    pub fn occupancy(&self) -> usize {
+        self.valid
+    }
+
+    /// The valid entries in slot order.
+    pub fn entries(&self) -> impl Iterator<Item = &TlbEntry> {
+        self.entries.iter().flatten()
     }
 }

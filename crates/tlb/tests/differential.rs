@@ -1,5 +1,5 @@
-//! Differential tests: the VA-indexed main TLB vs the linear-scan
-//! reference model.
+//! Differential tests: the VA-indexed main TLB and the packed-lane
+//! micro-TLB vs their linear-scan reference models.
 //!
 //! `MainTlb` (lookups, by-address flushes and the 4KB duplicate check
 //! through `crate::index::VaIndex`, every other operation one pass
@@ -14,10 +14,19 @@
 //! The main TLB's own consistency check (`MainTlb::verify`) runs after
 //! every operation too, so a VA index that drifts from the slot array
 //! is caught at the step that broke it, not when a lookup first
-//! notices.
+//! notices. The main TLB's fill after a miss (`insert_after_miss`,
+//! which skips the 4KB duplicate probe) runs against the reference's
+//! plain `insert`.
+//!
+//! `MicroTlb` (match lanes under a live-slot mask) and `RefMicroTlb`
+//! (an array of optional entries, a first-match pass) are driven the
+//! same way at capacities on either side of a lane group's and of the
+//! mask word's edges; after every operation its answer, the counters,
+//! the occupancy, the live entries in slot order and a lookup sweep
+//! over the whole page space must agree.
 
 use proptest::prelude::*;
-use sat_tlb::{MainTlb, RefMainTlb, TlbEntry};
+use sat_tlb::{MainTlb, MicroTlb, RefMainTlb, RefMicroTlb, TlbEntry, TlbLookup};
 use sat_types::{Asid, Domain, PageSize, Perms, Pfn, VirtAddr, VpnRange, PAGE_SIZE};
 
 /// Small page space so inserts collide, overlap across sizes, and
@@ -54,7 +63,7 @@ type Op = (u8, u32, Option<u8>, u8, u8);
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         (
-            0u8..10,
+            0u8..11,
             0u32..PAGES,
             prop::option::of(1u8..6),
             1u8..6,
@@ -109,6 +118,17 @@ proptest! {
                         reference.flush_range(acting, range)
                     );
                 }
+                // The machine's fill: a lookup that misses, then the
+                // walked entry, tagged with the acting ASID or global.
+                10 => {
+                    let hit = idx.lookup(va, acting);
+                    prop_assert_eq!(hit, reference.lookup(va, acting));
+                    if hit == TlbLookup::Miss {
+                        let e = entry(page, easid.map(|_| asid), size_sel);
+                        idx.insert_after_miss(e, acting);
+                        reference.insert(e, acting);
+                    }
+                }
                 _ => {
                     prop_assert_eq!(idx.probe(va, acting), reference.probe(va, acting));
                 }
@@ -128,6 +148,69 @@ proptest! {
             for asid in 1..6u8 {
                 let va = VirtAddr::new(page * PAGE_SIZE);
                 prop_assert_eq!(idx.probe(va, Asid::new(asid)), reference.probe(va, Asid::new(asid)));
+            }
+        }
+    }
+}
+
+/// Micro-TLB pages: two 1MB sections' first `MICRO_PAGES / 2` pages
+/// each, so a section entry covers half the space and a 64KB entry
+/// sixteen of its pages.
+const MICRO_PAGES: u32 = 96;
+
+/// The VA of micro page `page`.
+fn micro_va(page: u32) -> u32 {
+    ((page / (MICRO_PAGES / 2)) << 20) + (page % (MICRO_PAGES / 2)) * PAGE_SIZE
+}
+
+/// One micro-TLB operation: (opcode, page, page-size selector, count).
+type MicroOp = (u8, u32, u8, u8);
+
+fn micro_op_strategy() -> impl Strategy<Value = Vec<MicroOp>> {
+    prop::collection::vec((0u8..20, 0u32..MICRO_PAGES, 0u8..10, 0u8..8), 1..400)
+}
+
+proptest! {
+    /// The packed-lane micro-TLB is observably identical to the linear
+    /// reference at capacities 1, 7, 8, 9, 32 and 64.
+    #[test]
+    fn micro_tlb_matches_linear_reference(ops in micro_op_strategy()) {
+        for capacity in [1, 7, 8, 9, 32, 64] {
+            let mut lanes = MicroTlb::new(capacity);
+            let mut reference = RefMicroTlb::new(capacity);
+            for &(op, page, size_sel, n) in &ops {
+                let va = VirtAddr::new(micro_va(page) + 0x123);
+                match op {
+                    0..=4 => prop_assert_eq!(lanes.lookup(va), reference.lookup(va)),
+                    // Inserts outnumber flushes, so the larger
+                    // capacities fill up and replace round-robin;
+                    // duplicates and overlaps across sizes come free.
+                    5..=12 => {
+                        let mut e = entry(0, Some(1), size_sel);
+                        e.va_base = VirtAddr::new(micro_va(page));
+                        e.perms = if n % 2 == 0 { Perms::RX } else { Perms::R };
+                        lanes.insert(e);
+                        reference.insert(e);
+                    }
+                    13 => {
+                        lanes.note_hits(u64::from(n));
+                        reference.note_hits(u64::from(n));
+                    }
+                    14..=16 => prop_assert_eq!(lanes.flush_va(va), reference.flush_va(va)),
+                    17 | 18 => {
+                        let first = micro_va(page) >> sat_types::PAGE_SHIFT;
+                        let range = VpnRange::new(first, first + 1 + u32::from(n) * 5);
+                        prop_assert_eq!(lanes.flush_range(range), reference.flush_range(range));
+                    }
+                    _ => prop_assert_eq!(lanes.flush(), reference.flush()),
+                }
+                prop_assert_eq!(lanes.stats(), reference.stats(), "capacity {}", capacity);
+                prop_assert_eq!(lanes.occupancy(), reference.occupancy());
+                prop_assert!(lanes.entries().eq(reference.entries()), "capacity {}", capacity);
+                for page in 0..MICRO_PAGES {
+                    let va = VirtAddr::new(micro_va(page));
+                    prop_assert_eq!(lanes.lookup(va), reference.lookup(va), "page {}", page);
+                }
             }
         }
     }
