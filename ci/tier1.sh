@@ -69,9 +69,12 @@ cargo test -q
 # (crates/sim/tests/machine_audit.rs: `Machine::audit` — every live
 # micro-TLB entry what a fresh walk of the running process fills, every
 # tagged main-TLB entry's ASID resident on its core, the running
-# process's tagged entries what its walk fills; each fails on a planted
-# slip: a range flush that skips the micro-TLBs, a fill that skips
-# `note_resident`, a range flush that skips the main TLB), the range walker vs the page-by-page
+# process's tagged entries what its walk fills, and every main TLB's own
+# `verify`; it fails on each planted slip: a range flush that skips the
+# micro-TLBs, a fill that skips `note_resident`, a range flush that
+# skips the main TLB, a copy-on-write fault that gathers no repair, a
+# write-enable fault that gathers none — the last two fail the file's
+# cross-core rows too), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs: lookups, by-address flushes and

@@ -36,7 +36,7 @@ use sat_types::{
 };
 use sat_vm::{
     check_region_op, demote_range, handle_fault, mmap as vm_mmap, mprotect as vm_mprotect,
-    munmap as vm_munmap, populate, Backing, FaultCtx, FaultOutcome, Mm, MmapRequest,
+    munmap as vm_munmap, populate, Backing, FaultCtx, FaultKind, FaultOutcome, Mm, MmapRequest,
 };
 
 use crate::asid::AsidAllocator;
@@ -722,6 +722,19 @@ impl Kernel {
             let cause = sat_obs::DemoteCause::Cow;
             note_demote(&mut self.stats, pid, asid, group, cause, &mut batch);
         }
+        // A fault that found the PTE present (COW, write-enable,
+        // spurious) changed or re-checked a translation any core may
+        // cache: shoot the page down where the ASID may be resident,
+        // or everywhere when the entries are global. A fault over an
+        // invalid PTE owes nothing: no TLB caches an invalid entry.
+        if let Ok(o) = &vm {
+            let reason = sat_obs::FlushReason::FaultRepair;
+            match o.kind {
+                FaultKind::Minor | FaultKind::Major => {}
+                _ if o.global => batch.va_all_asids(va.page_base(), reason),
+                _ => batch.page(asid, va.vpn(), reason),
+            }
+        }
         // Owed even when the handler found no frame: the unshare before
         // it may have dropped or write-stripped PTEs.
         batch.apply(tlb);
@@ -1268,6 +1281,43 @@ mod tests {
             .pte(f.child, VirtAddr::new(0x4000_0000))
             .unwrap()
             .is_some());
+    }
+
+    /// Records the maintenance a fault gathered under `FaultRepair`.
+    #[derive(Default)]
+    struct Repairs(Vec<FlushOp>);
+
+    impl TlbMaintenance for Repairs {
+        fn flush(&mut self, op: FlushOp, reason: sat_obs::FlushReason) {
+            if reason == sat_obs::FlushReason::FaultRepair {
+                self.0.push(op);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_shoots_down_only_what_a_present_pte_left_cached() {
+        let repairs = |k: &mut Kernel, pid, va, access| {
+            let mut tlb = Repairs::default();
+            k.page_fault(pid, VirtAddr::new(va), access, &mut tlb)
+                .unwrap();
+            tlb.0
+        };
+        let (mut k, zygote) = boot(KernelConfig::shared_ptp_tlb());
+        // No TLB caches an invalid PTE.
+        assert_eq!(repairs(&mut k, zygote, 0x0900_1000, AccessType::Read), []);
+        // A copy-on-write break: the page, in the child's ASID.
+        let child = k.fork(zygote).unwrap().child;
+        let asid = k.mm(child).unwrap().asid;
+        let vpn = 0x0900_0000 >> 12;
+        let cow = repairs(&mut k, child, 0x0900_0000, AccessType::Write);
+        assert_eq!(cow, [FlushOp::Page { asid, vpn }]);
+        // A break of a global PTE: the page, in every ASID.
+        let code = VirtAddr::new(0x4000_0000);
+        let range = VaRange::from_len(code, PAGE_SIZE);
+        k.mprotect(zygote, range, Perms::RWX, &mut NoTlb).unwrap();
+        let global = repairs(&mut k, zygote, code.raw(), AccessType::Write);
+        assert_eq!(global, [FlushOp::VaAllAsids(code)]);
     }
 
     #[test]

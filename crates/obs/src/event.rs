@@ -208,8 +208,6 @@ label_enum! {
         Asid = "asid",
         /// `MainTlb::flush_va_all_asids`.
         VaAllAsids = "va_all_asids",
-        /// `MainTlb::flush_va`.
-        Va = "va",
         /// `MainTlb::flush_page` — one ASID-tagged page, globals survive.
         Page = "page",
         /// `MainTlb::flush_range` — a VPN range within one ASID, globals

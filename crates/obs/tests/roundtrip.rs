@@ -739,7 +739,7 @@ fn overflow_is_reported_in_the_trace_and_counters_stay_exact() {
             0,
             1,
             Payload::TlbFlush {
-                scope: FlushScope::Va,
+                scope: FlushScope::Page,
                 reason: FlushReason::FaultRepair,
                 entries: i,
             },
@@ -767,5 +767,5 @@ fn overflow_is_reported_in_the_trace_and_counters_stay_exact() {
     assert_eq!(first_ts, Some(5));
 
     // The registry saw every event, dropped ones included.
-    assert_eq!(rec.metrics.counter("tlb.flush.scope.va"), 9);
+    assert_eq!(rec.metrics.counter("tlb.flush.scope.page"), 9);
 }

@@ -120,82 +120,70 @@ impl Core {
     /// main-TLB flush is reported even when it drops nothing: event
     /// counts reconcile with `TlbStats::full_flushes`, not just entry
     /// sums. A micro-TLB flush is reported only when it drops
-    /// something; micro TLBs fire on every context switch and carry no
-    /// `TlbStats`.
-    fn flush(&mut self, op: CoreFlush, reason: FlushReason) {
-        let report = |scope, asid: Option<Asid>, entries: usize| {
-            if sat_obs::enabled() {
-                sat_obs::emit(
-                    sat_obs::Subsystem::Tlb,
-                    0,
-                    asid.map_or(0, |a| a.raw()),
-                    sat_obs::Payload::TlbFlush {
-                        scope,
-                        reason,
-                        entries: entries as u64,
-                    },
-                );
-            }
-        };
+    /// something.
+    fn flush(&mut self, op: FlushOp, reason: FlushReason) {
         let tlb = &mut self.main_tlb;
-        let main = match op {
-            CoreFlush::Micro => None,
-            CoreFlush::Va(va, asid) => Some((FlushScope::Va, Some(asid), tlb.flush_va(va, asid))),
-            CoreFlush::Op(op) => Some(match op {
-                FlushOp::Page { asid, vpn } => {
-                    (FlushScope::Page, Some(asid), tlb.flush_page(asid, vpn))
-                }
-                FlushOp::Range { asid, range } => {
-                    (FlushScope::Range, Some(asid), tlb.flush_range(asid, range))
-                }
-                FlushOp::VaAllAsids(va) => {
-                    (FlushScope::VaAllAsids, None, tlb.flush_va_all_asids(va))
-                }
-                FlushOp::Asid(asid) => (FlushScope::Asid, Some(asid), tlb.flush_asid(asid)),
-                FlushOp::NonGlobal => (FlushScope::NonGlobal, None, tlb.flush_non_global()),
-                FlushOp::All => (FlushScope::All, None, tlb.flush_all()),
-            }),
+        let (scope, asid, entries) = match op {
+            FlushOp::Page { asid, vpn } => {
+                (FlushScope::Page, Some(asid), tlb.flush_page(asid, vpn))
+            }
+            FlushOp::Range { asid, range } => {
+                (FlushScope::Range, Some(asid), tlb.flush_range(asid, range))
+            }
+            FlushOp::VaAllAsids(va) => (FlushScope::VaAllAsids, None, tlb.flush_va_all_asids(va)),
+            FlushOp::Asid(asid) => (FlushScope::Asid, Some(asid), tlb.flush_asid(asid)),
+            FlushOp::NonGlobal => (FlushScope::NonGlobal, None, tlb.flush_non_global()),
+            FlushOp::All => (FlushScope::All, None, tlb.flush_all()),
         };
-        if let Some((scope, asid, entries)) = main {
-            report(scope, asid, entries);
-        }
+        report_flush(scope, reason, asid, entries);
         // The untagged micro TLBs honour per-VA maintenance (ARM's
         // `TLBIMVA` reaches them), so a narrow scope carries down; a
         // wider one clears them.
         for micro in [&mut self.micro_i, &mut self.micro_d] {
             let (scope, entries) = match op {
-                CoreFlush::Va(va, _) | CoreFlush::Op(FlushOp::VaAllAsids(va)) => {
-                    (FlushScope::MicroVa, micro.flush_va(va))
-                }
-                CoreFlush::Op(FlushOp::Page { vpn, .. }) => (
+                FlushOp::Page { vpn, .. } => (
                     FlushScope::MicroVa,
                     micro.flush_range(VpnRange::single(vpn)),
                 ),
-                CoreFlush::Op(FlushOp::Range { range, .. }) => {
-                    (FlushScope::MicroVa, micro.flush_range(range))
-                }
-                CoreFlush::Micro
-                | CoreFlush::Op(FlushOp::Asid(_) | FlushOp::NonGlobal | FlushOp::All) => {
+                FlushOp::Range { range, .. } => (FlushScope::MicroVa, micro.flush_range(range)),
+                FlushOp::VaAllAsids(va) => (FlushScope::MicroVa, micro.flush_va(va)),
+                FlushOp::Asid(_) | FlushOp::NonGlobal | FlushOp::All => {
                     (FlushScope::MicroAll, micro.flush())
                 }
             };
             if entries > 0 {
-                report(scope, None, entries);
+                report_flush(scope, reason, None, entries);
+            }
+        }
+    }
+
+    /// Clears both micro TLBs on a context switch. Reported only when
+    /// it drops something, as every micro-TLB flush: micro TLBs fire on
+    /// every switch and carry no `TlbStats`.
+    fn flush_micro(&mut self, reason: FlushReason) {
+        for micro in [&mut self.micro_i, &mut self.micro_d] {
+            let entries = micro.flush();
+            if entries > 0 {
+                report_flush(FlushScope::MicroAll, reason, None, entries);
             }
         }
     }
 }
 
-/// What one core's TLBs invalidate in one [`Core::flush`].
-#[derive(Clone, Copy)]
-enum CoreFlush {
-    /// This core's share of a kernel maintenance op.
-    Op(FlushOp),
-    /// The fault handler's repair of one address (`TLBIMVA`: the
-    /// ASID's entries and the globals covering it).
-    Va(VirtAddr, Asid),
-    /// The two micro TLBs alone (every context switch).
-    Micro,
+/// Reports one TLB flush as a [`sat_obs::Payload::TlbFlush`].
+fn report_flush(scope: FlushScope, reason: FlushReason, asid: Option<Asid>, entries: usize) {
+    if sat_obs::enabled() {
+        sat_obs::emit(
+            sat_obs::Subsystem::Tlb,
+            0,
+            asid.map_or(0, |a| a.raw()),
+            sat_obs::Payload::TlbFlush {
+                scope,
+                reason,
+                entries: entries as u64,
+            },
+        );
+    }
 }
 
 /// A [`TlbMaintenance`] view over every core's TLBs: kernel flush
@@ -238,7 +226,7 @@ impl MachineTlbView<'_> {
         let mut skipped = 0u32;
         for (i, core) in self.cores.iter_mut().enumerate() {
             if core.asid_resident(asid) {
-                core.flush(CoreFlush::Op(op), reason);
+                core.flush(op, reason);
                 if clear_residency {
                     core.clear_resident(asid);
                 }
@@ -291,12 +279,12 @@ impl TlbMaintenance for MachineTlbView<'_> {
             // core flushes, with no IPI charged.
             FlushOp::VaAllAsids(_) => {
                 for core in self.cores.iter_mut() {
-                    core.flush(CoreFlush::Op(op), reason);
+                    core.flush(op, reason);
                 }
             }
             FlushOp::NonGlobal | FlushOp::All => {
                 for core in self.cores.iter_mut() {
-                    core.flush(CoreFlush::Op(op), reason);
+                    core.flush(op, reason);
                     core.clear_all_resident();
                 }
             }
@@ -450,7 +438,7 @@ impl Machine {
         }
         let prev = self.cores[core].current;
         let config = self.kernel.config;
-        self.cores[core].flush(CoreFlush::Micro, FlushReason::ContextSwitch);
+        self.cores[core].flush_micro(FlushReason::ContextSwitch);
         let mut full_flush = !config.asid;
         if config.share_tlb && config.tlb_protection == TlbProtection::FlushOnSwitch {
             // Flush when switching from a zygote-like process to a
@@ -472,7 +460,7 @@ impl Machine {
         let c = &mut self.cores[core];
         if full_flush {
             // The micro TLBs, cleared just above, drop nothing more.
-            c.flush(CoreFlush::Op(FlushOp::All), FlushReason::ContextSwitch);
+            c.flush(FlushOp::All, FlushReason::ContextSwitch);
             c.clear_all_resident();
         }
         c.current = Some(pid);
@@ -556,7 +544,7 @@ impl Machine {
                             WalkOutcome::Translated(_) => FaultStatus::PermissionPage,
                         };
                         let abort = page_abort(mm, status, va, access);
-                        cycles += self.page_fault_path(core, pid, asid, access, abort)?;
+                        cycles += self.page_fault_path(core, pid, access, abort)?;
                         continue; // retry with the repaired PTE
                     }
                 }
@@ -812,7 +800,7 @@ impl Machine {
                 // fault path, not TLB-stall time: `charge_tlb_stall`
                 // never sees them, so they blame the fault.
                 sat_obs::charge(core, ChargeCause::Fault, stall);
-                let fault_cycles = self.page_fault_path(core, pid, asid, access, abort)?;
+                let fault_cycles = self.page_fault_path(core, pid, access, abort)?;
                 Ok(WalkFill::Faulted(stall + fault_cycles))
             }
         }
@@ -828,15 +816,13 @@ impl Machine {
         sat_obs::charge(core, ChargeCause::TlbStall, stall);
     }
 
-    /// The software page-fault path for `abort`, taken by `pid`
-    /// (running under `asid`): kernel handler plus its
-    /// instruction-cache footprint, PTE repair, and TLB maintenance
-    /// for the repaired address.
+    /// The software page-fault path for `abort`, taken by `pid`: the
+    /// kernel handler — the PTE repair and the shootdown it owes
+    /// ([`Kernel::page_fault`]) — plus its instruction-cache footprint.
     fn page_fault_path(
         &mut self,
         core: usize,
         pid: Pid,
-        asid: Asid,
         access: AccessType,
         abort: FaultRecord,
     ) -> SatResult<u64> {
@@ -862,9 +848,6 @@ impl Machine {
             // PTPs specifically, and the tail analysis wants it named.
             sat_obs::charge(core, ChargeCause::Unshare, unshare);
         }
-        // The PTE serving `va` changed: invalidate stale entries (the
-        // handler reassigns no ASID, so `asid` still names `pid`).
-        self.cores[core].flush(CoreFlush::Va(va, asid), FlushReason::FaultRepair);
         // The handler's kernel instructions run through the caches.
         // Each fault exercises a different slice of the handler's
         // 64KB of text (rotating start), so fault-heavy runs thrash
@@ -933,11 +916,11 @@ impl Machine {
     /// 3. Every main-TLB entry tagged with the current process's ASID
     ///    is what a fresh walk of it would fill, and every global user
     ///    entry lies in [`Domain::ZYGOTE`].
+    /// 4. Every main TLB passes [`MainTlb::verify`].
     ///
-    /// Clauses 1 and 3 let a read-only entry differ from the walk, and
-    /// a global entry stand over a page the walk finds unmapped; the
-    /// body says why. A walk per TLB entry, plus the whole kernel's:
-    /// for tests.
+    /// Clauses 1 and 3 let a global entry stand over a page the walk
+    /// finds unmapped; the body says why. A walk per TLB entry, plus
+    /// the whole kernel's: for tests.
     pub fn audit(&self) -> Result<(), String> {
         self.kernel.audit()?;
         for (i, core) in self.cores.iter().enumerate() {
@@ -949,6 +932,9 @@ impl Machine {
 
     /// The TLB clauses of [`Machine::audit`] on one core.
     fn audit_core(&self, core: &Core) -> Result<(), String> {
+        core.main_tlb
+            .verify()
+            .map_err(|e| format!("main TLB: {e}"))?;
         for e in core.main_tlb.entries() {
             if let Some(asid) = e.asid.filter(|&a| !core.asid_resident(a)) {
                 return Err(format!("main-TLB entry {e:?}: {asid:?} is not resident"));
@@ -977,17 +963,13 @@ impl Machine {
                 WalkOutcome::Fault(_) => None,
             }
         };
-        // Two departures are let through. A read-only entry may differ
-        // from the tables: the fault path repairs only the faulting
-        // core's TLB, so a write-enable fault leaves a read-only copy on
-        // the cores the process ran on before (it takes a spurious
-        // fault there), and a copy-on-write break leaves the old frame
-        // readable on them. A zygote child may go on using a global
-        // entry for a page its own tables do not map.
+        // One departure is let through, and it is an open fault: a
+        // zygote child may go on using a global entry for a page its
+        // own tables do not map, even one it has munmapped.
         let stale = |what: &str, e: &TlbEntry| {
             let walked = fresh(e);
             let agrees = match walked {
-                Some(w) => w == *e || !e.perms.write(),
+                Some(w) => w == *e,
                 None => e.is_global(),
             };
             (!agrees).then(|| format!("{what} entry {e:?}, but {pid:?}'s tables give {walked:?}"))

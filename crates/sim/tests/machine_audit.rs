@@ -6,12 +6,17 @@
 //! protection changes and exits, accesses that walk, fill and take
 //! page and domain faults, and context switches. After each one the
 //! kernel passes its own audit and every core's TLBs agree with the
-//! tables of the process it runs (`Machine::audit`'s three clauses).
+//! tables of the process it runs (`Machine::audit`'s TLB clauses).
+//!
+//! Two rows pin the fault repair's reach on every kernel configuration:
+//! a copy-on-write break or a write-enable on one core leaves no stale
+//! entry of the page on the core the process ran on before.
 
 use proptest::prelude::*;
 use sat_core::{Kernel, KernelConfig, NoTlb};
 use sat_sim::Machine;
-use sat_types::{AccessType, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr};
+use sat_types::VirtAddr;
+use sat_types::{AccessType, Asid, Perms, Pfn, Pid, RegionTag, SatError, SatResult, VaRange};
 use sat_types::{KERNEL_SPACE_START, PAGE_SIZE};
 use sat_vm::MmapRequest;
 
@@ -273,5 +278,101 @@ proptest! {
         for op in &ops {
             world.apply(op);
         }
+    }
+}
+
+/// The frames `core`'s main TLB holds for `asid` at `va`.
+fn frames_at(m: &Machine, core: usize, asid: Asid, va: VirtAddr) -> Vec<Pfn> {
+    let entries = m.cores[core].main_tlb.entries();
+    entries
+        .filter(|e| e.asid == Some(asid) && e.covers(va))
+        .map(|e| e.pfn)
+        .collect()
+}
+
+/// Runs a write of `va` on `core` and returns the page faults it took.
+fn write_faults(m: &mut Machine, core: usize, va: VirtAddr) -> u64 {
+    let before = m.cores[core].stats.page_faults;
+    m.access(core, va, AccessType::Write).unwrap();
+    m.cores[core].stats.page_faults - before
+}
+
+/// A zygote child reads a written heap page on core 0, then writes it
+/// on core 1. The copy-on-write break gives the child a new frame, and
+/// core 0 — where the child read the old one — must not keep it. The
+/// repair reaches core 1 too: the write takes one fault, not a second,
+/// spurious one on its own stale entry (whose repair would mask a
+/// missing one).
+#[test]
+fn cow_break_on_one_core_leaves_no_stale_entry_on_another() {
+    let heap = VirtAddr::new(HEAP);
+    for preset in 0..5 {
+        let mut w = World::boot(config(preset));
+        let [zygote, outsider] = [w.live[0], w.live[1]];
+        let m = &mut w.m;
+        let child = m.fork(0, zygote).unwrap().0.child;
+        let asid = m.kernel.mm(child).unwrap().asid;
+        m.context_switch(0, child).unwrap();
+        m.access(0, heap, AccessType::Read).unwrap();
+        m.context_switch(0, zygote).unwrap();
+        m.context_switch(1, child).unwrap();
+        assert_eq!(write_faults(m, 1, heap), 1, "{:?}", config(preset));
+        let new = frames_at(m, 1, asid, heap);
+        assert_eq!(
+            new.len(),
+            1,
+            "{:?}: core 1 caches the write",
+            config(preset)
+        );
+        let stale = frames_at(m, 0, asid, heap);
+        assert!(
+            stale.iter().all(|pfn| *pfn == new[0]),
+            "{:?}: core 0 keeps {stale:?}, the child's frame is {:?}",
+            config(preset),
+            new[0]
+        );
+        m.context_switch(1, outsider).unwrap();
+        m.context_switch(0, child).unwrap();
+        m.audit().unwrap();
+    }
+}
+
+/// The zygote reads a heap page on core 0 after a fork made it
+/// read-only, and the child exits. The zygote, the page's sole mapper
+/// again, write-enables it on core 1 in one fault; back on core 0 a
+/// write must not fault on the read-only entry left there. (Under the
+/// level-1 write-protect assist the fork left the PTE writable, so the
+/// fault on core 1 is spurious; it owes the same repair.)
+#[test]
+fn write_enable_on_one_core_leaves_no_read_only_entry_on_another() {
+    let heap = VirtAddr::new(HEAP);
+    for preset in 0..5 {
+        let mut w = World::boot(config(preset));
+        let [zygote, outsider] = [w.live[0], w.live[1]];
+        let m = &mut w.m;
+        let child = m.fork(0, zygote).unwrap().0.child;
+        m.access(0, heap, AccessType::Read).unwrap();
+        m.syscall_on(0, |k, tlb| k.exit(child, tlb)).unwrap();
+        // A process of the outsider's parks core 0 while the zygote
+        // runs on core 1.
+        let parked = m.fork(1, outsider).unwrap().0.child;
+        m.context_switch(0, parked).unwrap();
+        m.context_switch(1, zygote).unwrap();
+        let enables = |m: &Machine| {
+            let c = m.kernel.mm(zygote).unwrap().counters;
+            c.faults_write_enable + c.faults_spurious
+        };
+        let before = enables(m);
+        assert_eq!(write_faults(m, 1, heap), 1, "{:?}", config(preset));
+        assert_eq!(enables(m), before + 1, "{:?}", config(preset));
+        m.context_switch(1, outsider).unwrap();
+        m.context_switch(0, zygote).unwrap();
+        assert_eq!(
+            write_faults(m, 0, heap),
+            0,
+            "{:?}: the write on core 0 faulted on a stale read-only entry",
+            config(preset)
+        );
+        m.audit().unwrap();
     }
 }

@@ -6,8 +6,8 @@
 //! the model keeps one acceleration index next to the slot array — a
 //! per-page-size VA map ([`crate::index::VaIndex`]) — so the
 //! operations that name an address touch only candidate slots:
-//! `lookup`/`probe`, the by-address flushes (`flush_va`,
-//! `flush_va_all_asids`, `flush_page`), and the duplicate check of a
+//! `lookup`/`probe`, the by-address flushes (`flush_va_all_asids`,
+//! `flush_page`), and the duplicate check of a
 //! 4KB `insert`, one bucket probe per page size in use — a probe that
 //! [`MainTlb::insert_after_miss`], the fill of a 4KB entry after a
 //! lookup miss, skips: the miss proved there is no duplicate. Everything
@@ -326,12 +326,6 @@ impl MainTlb {
     /// non-zygote process stumbled on.
     pub fn flush_va_all_asids(&mut self, va: VirtAddr) -> usize {
         self.flush_covering(va, |_| true)
-    }
-
-    /// Invalidates entries covering `va` tagged `asid`, plus global
-    /// entries covering `va` (the `TLBIMVA` operation).
-    pub fn flush_va(&mut self, va: VirtAddr, asid: Asid) -> usize {
-        self.flush_covering(va, |e| e.is_global() || e.asid == Some(asid))
     }
 
     /// Invalidates the entries tagged `asid` whose mapping contains

@@ -145,12 +145,6 @@ impl RefMainTlb {
         self.flush_where(|e| e.covers(va))
     }
 
-    /// Invalidates entries covering `va` tagged `asid`, plus global
-    /// entries covering `va`.
-    pub fn flush_va(&mut self, va: VirtAddr, asid: Asid) -> usize {
-        self.flush_where(|e| e.covers(va) && (e.is_global() || e.asid == Some(asid)))
-    }
-
     /// Invalidates the entries tagged `asid` whose mapping contains
     /// page `vpn` (globals survive).
     pub fn flush_page(&mut self, asid: Asid, vpn: u32) -> usize {

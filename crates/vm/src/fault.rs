@@ -45,7 +45,9 @@ pub struct FaultOutcome {
     /// The faulting region is file-backed (the class counted by the
     /// paper's "page faults for file-based mappings" metric).
     pub file_backed: bool,
-    /// The PTE that now serves the access carries the global bit.
+    /// The global bit of the PTE the fault found present (a COW break,
+    /// write-enable or spurious fault: the bit TLBs cache it under), or
+    /// else of the PTE it installed.
     pub global: bool,
     /// Resolving the fault split a 64KB large page back to 4KB PTEs
     /// (write-protect fault on a replicated descriptor); holds the
@@ -218,7 +220,7 @@ fn resolve_write_protect_fault(
         kind: FaultKind::Cow,
         ptp_allocated: res.ptp_allocated,
         file_backed: sw.file_backed,
-        global: false,
+        global: hw.global,
         demoted: None,
     })
 }
