@@ -73,6 +73,18 @@ pub struct BatchOutcome {
     pub escalated: u64,
 }
 
+/// The page ceiling above which a `reason` group's ranges escalate to
+/// a full per-ASID flush. A fork has none: its spans are exactly the
+/// write-protected pages, and widening to a full ASID flush would also
+/// discard the parent's read-only translations — the zygote code
+/// entries sharing exists to keep warm.
+fn ceiling(reason: FlushReason) -> u32 {
+    match reason {
+        FlushReason::Fork => u32::MAX,
+        _ => FLUSH_CEILING_PAGES,
+    }
+}
+
 /// An accumulator for the TLB maintenance one kernel operation owes.
 ///
 /// Ops carry the [`FlushReason`] of the call site that gathered them,
@@ -80,13 +92,13 @@ pub struct BatchOutcome {
 /// differently (a `munmap` gathers `Unshare`-reason ops from the PTPs
 /// it unshares and a `RegionOp`-reason range for the unmapped pages);
 /// `apply` resolves each reason group on its own and issues its ops
-/// with that reason.
+/// with that reason. The ops list is the batch's one allocation:
+/// resolving reorders it in place.
 pub struct FlushBatch {
     /// Process the batch acts for (event attribution only).
     pid: Pid,
     /// Its ASID at gather time (event attribution only).
     asid: Asid,
-    ceiling: u32,
     ops: Vec<(FlushOp, FlushReason)>,
 }
 
@@ -96,15 +108,8 @@ impl FlushBatch {
         FlushBatch {
             pid,
             asid,
-            ceiling: FLUSH_CEILING_PAGES,
             ops: Vec::new(),
         }
-    }
-
-    /// Overrides the escalation ceiling (the fork flush has none).
-    pub(crate) fn with_ceiling(mut self, pages: u32) -> FlushBatch {
-        self.ceiling = pages;
-        self
     }
 
     /// Gathers a single-page invalidation.
@@ -136,7 +141,8 @@ impl FlushBatch {
     }
 
     /// Resolves the gathered ops and issues the surviving maintenance
-    /// against `tlb`, one reason group at a time:
+    /// against `tlb`, one reason group at a time in the order the
+    /// reasons were first gathered:
     ///
     /// 1. A [`FlushOp::All`] in the group subsumes everything else in
     ///    it.
@@ -144,13 +150,13 @@ impl FlushBatch {
     ///    group's page/range ops for the same ASID.
     /// 3. Remaining page/range ops are grouped per ASID, sorted, and
     ///    merged where overlapping or adjacent; a merged group whose
-    ///    page total crosses the ceiling escalates to one
+    ///    page total crosses the reason's ceiling escalates to one
     ///    [`FlushOp::Asid`], otherwise each surviving range is issued
     ///    as a [`FlushOp::Page`] or [`FlushOp::Range`].
     ///
     /// Emits one [`sat_obs::Payload::FlushBatch`] event per non-empty
     /// batch.
-    pub fn apply(self, tlb: &mut dyn TlbMaintenance) -> BatchOutcome {
+    pub fn apply(mut self, tlb: &mut dyn TlbMaintenance) -> BatchOutcome {
         if self.ops.is_empty() {
             return BatchOutcome::default();
         }
@@ -158,20 +164,12 @@ impl FlushBatch {
             ops: self.ops.len() as u64,
             ..BatchOutcome::default()
         };
-        let mut reasons: Vec<FlushReason> = Vec::new();
-        for (_, r) in &self.ops {
-            if !reasons.contains(r) {
-                reasons.push(*r);
-            }
-        }
-        for reason in reasons {
-            let group: Vec<FlushOp> = self
-                .ops
-                .iter()
-                .filter(|(_, r)| *r == reason)
-                .map(|(op, _)| *op)
-                .collect();
-            resolve_group(&group, reason, self.ceiling, tlb, &mut outcome);
+        let mut rest = &mut self.ops[..];
+        while let Some(&(_, reason)) = rest.first() {
+            let n = gather_front(rest, |&(_, r)| r == reason);
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            resolve_group(group, reason, tlb, &mut outcome);
+            rest = tail;
         }
         if sat_obs::enabled() {
             sat_obs::emit(
@@ -189,83 +187,81 @@ impl FlushBatch {
     }
 }
 
-/// Resolves one reason group (see [`FlushBatch::apply`]).
+/// Moves the items `keep` accepts to the front of `items`, keeping the
+/// order within both parts, and returns how many it moved.
+fn gather_front<T>(items: &mut [T], keep: impl Fn(&T) -> bool) -> usize {
+    let mut n = 0;
+    for i in 0..items.len() {
+        if keep(&items[i]) {
+            items[n..=i].rotate_right(1);
+            n += 1;
+        }
+    }
+    n
+}
+
+/// The ASID and pages of a page or range op.
+fn span(op: FlushOp) -> Option<(Asid, VpnRange)> {
+    match op {
+        FlushOp::Page { asid, vpn } => Some((asid, VpnRange::single(vpn))),
+        FlushOp::Range { asid, range } => Some((asid, range)),
+        FlushOp::Asid(_) | FlushOp::VaAllAsids(_) | FlushOp::NonGlobal | FlushOp::All => None,
+    }
+}
+
+/// Resolves one reason group (see [`FlushBatch::apply`]), reordering
+/// it in place: its full-ASID ops first, then its all-ASIDs page ops,
+/// then its page/range ops, each kind in gather order.
 fn resolve_group(
-    group: &[FlushOp],
+    group: &mut [(FlushOp, FlushReason)],
     reason: FlushReason,
-    ceiling: u32,
     tlb: &mut dyn TlbMaintenance,
     outcome: &mut BatchOutcome,
 ) {
-    if group.contains(&FlushOp::All) {
+    if group.iter().any(|&(op, _)| op == FlushOp::All) {
         outcome.coalesced += group.len() as u64 - 1;
         tlb.flush(FlushOp::All, reason);
         return;
     }
-    // Full-ASID ops, deduplicated; they subsume the group's narrower
-    // ops for the same ASID.
-    let mut full: Vec<Asid> = Vec::new();
-    for op in group {
-        if let FlushOp::Asid(a) = op {
-            if full.contains(a) {
+    let asids = gather_front(group, |(op, _)| matches!(op, FlushOp::Asid(_)));
+    let (full, rest) = group.split_at_mut(asids);
+    let vaas = gather_front(rest, |(op, _)| matches!(op, FlushOp::VaAllAsids(_)));
+    let (vaa, ranged) = rest.split_at_mut(vaas);
+    // Full-ASID ops and one-page-all-ASIDs ops, each deduplicated. A
+    // full-ASID op does *not* subsume the latter: globals survive
+    // `TLBIASID` but not `TLBIMVAA`.
+    for ops in [&*full, &*vaa] {
+        for (i, &(op, _)) in ops.iter().enumerate() {
+            if ops[..i].iter().any(|&(o, _)| o == op) {
                 outcome.coalesced += 1;
             } else {
-                full.push(*a);
+                tlb.flush(op, reason);
             }
         }
     }
-    // One-page-all-ASIDs ops, deduplicated. A full-ASID op does *not*
-    // subsume them: globals survive `TLBIASID` but not `TLBIMVAA`.
-    let mut vaa: Vec<VirtAddr> = Vec::new();
-    for op in group {
-        if let FlushOp::VaAllAsids(va) = op {
-            if vaa.contains(va) {
-                outcome.coalesced += 1;
-            } else {
-                vaa.push(*va);
-            }
-        }
-    }
-    let mut by_asid: Vec<(Asid, Vec<VpnRange>)> = Vec::new();
-    for op in group {
-        let (asid, range) = match op {
-            FlushOp::Page { asid, vpn } => (*asid, VpnRange::single(*vpn)),
-            FlushOp::Range { asid, range } => (*asid, *range),
-            FlushOp::Asid(_) | FlushOp::VaAllAsids(_) | FlushOp::NonGlobal | FlushOp::All => {
-                continue
-            }
-        };
-        if full.contains(&asid) {
-            outcome.coalesced += 1;
+    // Page/range ops, one ASID at a time in gather order; a full-ASID
+    // op subsumes its ASID's.
+    let mut rest = ranged;
+    while let Some(&(op, _)) = rest.first() {
+        let asid = span(op).expect("only page/range ops are left").0;
+        let n = gather_front(rest, |&(o, _)| span(o).is_some_and(|(a, _)| a == asid));
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        if full.iter().any(|&(o, _)| o == FlushOp::Asid(asid)) {
+            outcome.coalesced += n as u64;
             continue;
         }
-        match by_asid.iter_mut().find(|(a, _)| *a == asid) {
-            Some((_, ranges)) => ranges.push(range),
-            None => by_asid.push((asid, vec![range])),
-        }
-    }
-    for asid in full {
-        tlb.flush(FlushOp::Asid(asid), reason);
-    }
-    for va in vaa {
-        tlb.flush(FlushOp::VaAllAsids(va), reason);
-    }
-    for (asid, mut ranges) in by_asid {
-        ranges.sort_by_key(|r| (r.start, r.end));
-        let mut merged: Vec<VpnRange> = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            if merged.last_mut().is_some_and(|last| last.try_merge(&r)) {
-                outcome.coalesced += 1;
-            } else {
-                merged.push(r);
-            }
-        }
-        let pages: u64 = merged.iter().map(|r| u64::from(r.page_count())).sum();
-        if pages > u64::from(ceiling) {
+        mine.sort_unstable_by_key(|&(o, _)| span(o).map(|(_, r)| r));
+        let merged = || merge_sorted(mine.iter().filter_map(|&(o, _)| span(o).map(|(_, r)| r)));
+        let (runs, pages) = merged().fold((0u64, 0u64), |(runs, pages), r| {
+            (runs + 1, pages + u64::from(r.page_count()))
+        });
+        outcome.coalesced += n as u64 - runs;
+        if pages > u64::from(ceiling(reason)) {
             outcome.escalated += 1;
             tlb.flush(FlushOp::Asid(asid), reason);
         } else {
-            for range in merged {
+            for range in merged() {
                 let op = if range.page_count() == 1 {
                     FlushOp::Page {
                         asid,
@@ -278,6 +274,23 @@ fn resolve_group(
             }
         }
     }
+}
+
+/// The maximal runs of sorted `ranges`, where overlapping or adjacent
+/// ranges join.
+fn merge_sorted(mut ranges: impl Iterator<Item = VpnRange>) -> impl Iterator<Item = VpnRange> {
+    let mut run = ranges.next();
+    std::iter::from_fn(move || {
+        let mut cur = run?;
+        run = None;
+        for r in ranges.by_ref() {
+            if !cur.try_merge(&r) {
+                run = Some(r);
+                break;
+            }
+        }
+        Some(cur)
+    })
 }
 
 #[cfg(test)]

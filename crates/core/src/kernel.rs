@@ -782,11 +782,8 @@ impl Kernel {
         self.next_pid += 1;
         let child_asid = self.alloc_asid();
         let parent_mm = self.procs.get_mut(parent).expect("looked up above");
-        // No escalation ceiling: the spans are exactly the
-        // write-protected pages, and widening to a full ASID flush
-        // would also discard the parent's read-only translations — the
-        // zygote code entries sharing exists to keep warm.
-        let mut batch = FlushBatch::new(parent, parent_asid).with_ceiling(u32::MAX);
+        // Gathers only `FlushReason::Fork` ops, which never escalate.
+        let mut batch = FlushBatch::new(parent, parent_asid);
         let forked = dup_mm(
             parent_mm,
             &mut self.ptps,
