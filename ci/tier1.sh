@@ -45,6 +45,20 @@ fi
 step "tests"
 cargo test -q
 
+# One way to run a kernel operation on the machine: the typed calls on a
+# named core (`Machine::fork`, `exit`, `mmap`, `munmap`, `mprotect`,
+# `promote_scan`), which pick the TLB sink and the initiating core in
+# crates/sim/src/machine.rs alone. Outside that file nothing under
+# crates/*/src calls `.syscall(` or `.syscall_on(`, or reaches past the
+# machine to its kernel's operations; a `Kernel` that no machine owns
+# (reachbench's bare-kernel phases) does not match.
+step "kernel operations go through the machine's typed calls"
+if grep -rnE '\.syscall(_on)?\(|\.kernel\.(mmap|munmap|mprotect|exit|fork|fork_with_flush|promote_scan|page_fault|reclaim)\(' \
+    crates/*/src | grep -v '^crates/sim/src/machine\.rs:'; then
+    echo "tier1: a kernel operation bypasses the machine's typed calls (above)" >&2
+    exit 1
+fi
+
 # The differential proptests against the kept reference models at
 # release speed (`debug_assert!` compiled out, overflow wraps; 2048
 # cases, about a minute in all): the frame allocator vs the Vec<Pfn>
@@ -68,13 +82,14 @@ cargo test -q
 # kernel's tables after every op of a two-core workload
 # (crates/sim/tests/machine_audit.rs: `Machine::audit` — every live
 # micro-TLB entry what a fresh walk of the running process fills, every
-# tagged main-TLB entry's ASID resident on its core, the running
+# tagged main-TLB entry's ASID resident on its core and, with no
+# rollover flush pending, held by a live process, the running
 # process's tagged entries what its walk fills, and every main TLB's own
 # `verify`; it fails on each planted slip: a range flush that skips the
 # micro-TLBs, a fill that skips `note_resident`, a range flush that
 # skips the main TLB, a copy-on-write fault that gathers no repair, a
 # write-enable fault that gathers none — the last two fail the file's
-# cross-core rows too), the range walker vs the page-by-page
+# cross-core rows too — and an exit that passes `NoTlb`), the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs: lookups, by-address flushes and

@@ -288,7 +288,7 @@ fn map_private(
         name,
     )
     .at(VirtAddr::new(at));
-    sys.machine.syscall(|k, tlb| k.mmap(pid, &req, tlb))
+    sys.machine.mmap(0, pid, &req)
 }
 
 fn touch_range(sys: &mut AndroidSystem, base: VirtAddr, pages: u32) -> SatResult<()> {

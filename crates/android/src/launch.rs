@@ -322,7 +322,7 @@ pub fn launch_app_seq(
         "[anon:launch-heap]",
     )
     .at(heap_base);
-    sys.machine.syscall(|k, tlb| k.mmap(pid, &heap, tlb))?;
+    sys.machine.mmap(0, pid, &heap)?;
     for p in 0..opts.heap_pages {
         sys.machine.access(
             0,

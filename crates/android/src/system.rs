@@ -219,7 +219,7 @@ impl AndroidSystem {
                 &format!("[anon:dalvik-{r}]"),
             )
             .at(base);
-            sys.machine.syscall(|k, tlb| k.mmap(zygote, &req, tlb))?;
+            sys.machine.mmap(0, zygote, &req)?;
             for p in 0..opts.anon_pages_each {
                 sys.machine.access(
                     0,
@@ -237,7 +237,7 @@ impl AndroidSystem {
             "[stack]",
         )
         .at(VirtAddr::new(STACK_BASE));
-        sys.machine.syscall(|k, tlb| k.mmap(zygote, &stack, tlb))?;
+        sys.machine.mmap(0, zygote, &stack)?;
         for p in 0..7 {
             sys.machine.access(
                 0,
@@ -273,7 +273,7 @@ impl AndroidSystem {
             &spec.name,
         )
         .at(code_base);
-        self.machine.syscall(|k, tlb| k.mmap(pid, &code, tlb))?;
+        self.machine.mmap(0, pid, &code)?;
         let data = MmapRequest::file(
             spec.data_pages * PAGE_SIZE,
             Perms::RW,
@@ -283,7 +283,7 @@ impl AndroidSystem {
             &spec.name,
         )
         .at(data_base);
-        self.machine.syscall(|k, tlb| k.mmap(pid, &data, tlb))?;
+        self.machine.mmap(0, pid, &data)?;
         Ok(code_base)
     }
 
@@ -343,7 +343,7 @@ impl AndroidSystem {
             &format!("app{app_index}.oat"),
         )
         .at(private_base);
-        self.machine.syscall(|k, tlb| k.mmap(pid, &own, tlb))?;
+        self.machine.mmap(0, pid, &own)?;
 
         self.apps.push(RunningApp {
             pid,
@@ -395,7 +395,7 @@ impl AndroidSystem {
             "[anon:app-heap]",
         )
         .at(heap_base);
-        self.machine.syscall(|k, tlb| k.mmap(pid, &req, tlb))?;
+        self.machine.mmap(0, pid, &req)?;
 
         // A content file the app reads through mmap (web cache, PDF,
         // video, audio, documents — never shared with anyone). I/O
@@ -416,8 +416,7 @@ impl AndroidSystem {
             &format!("content-{app_index}.dat"),
         )
         .at(content_base);
-        self.machine
-            .syscall(|k, tlb| k.mmap(pid, &content_req, tlb))?;
+        self.machine.mmap(0, pid, &content_req)?;
         let kernel_pct = self.apps[slot].profile.spec.kernel_fetch_pct;
         let content_every = (28.0 - kernel_pct / 2.0).max(4.0) as usize;
         let mut content_cursor = 0u32;

@@ -172,7 +172,7 @@ pub fn ablation_tlb_protection(scale: Scale) -> SatResult<String> {
             "daemon",
         )
         .at(lib_base);
-        sys.machine.syscall(|k, tlb| k.mmap(daemon, &dreq, tlb))?;
+        sys.machine.mmap(0, daemon, &dreq)?;
 
         let mut app_stall = 0;
         for _ in 0..iterations {

@@ -2,7 +2,7 @@
 //! (Section 4.2.2).
 
 use sat_android::{launch_app, LaunchOptions, LaunchReport, LibraryLayout};
-use sat_core::{KernelConfig, NoTlb};
+use sat_core::KernelConfig;
 use sat_types::SatResult;
 
 use crate::render::{count, FiveNum, Table};
@@ -56,7 +56,7 @@ pub fn run_launches(
     for _ in 0..n {
         let (pid, report) = launch_app(&mut sys, &opts)?;
         reports.push(report);
-        sys.machine.syscall(|k, _tlb| k.exit(pid, &mut NoTlb))?;
+        sys.machine.exit(0, pid)?;
     }
     Ok(reports)
 }

@@ -175,8 +175,8 @@ pub fn reach_cell(
     // collapse (and its own waste — private large pages cannot be
     // shared, which is the paper's point). Inert when promotion is
     // off, so every cell runs the identical call sequence.
-    m.syscall(|k, tlb| k.promote_scan(a, tlb))?;
-    m.syscall(|k, tlb| k.promote_scan(b, tlb))?;
+    m.promote_scan(0, a)?;
+    m.promote_scan(0, b)?;
     m.reset_hw_stats();
     for _ in 0..SWEEPS {
         for &pid in &[a, b] {
@@ -191,21 +191,9 @@ pub fn reach_cell(
     // Demotion: partial region ops on large mappings must split them
     // (no-ops under 4KB paging — the same calls run in every cell so
     // the workloads stay identical).
-    m.syscall(|k, tlb| {
-        k.munmap(
-            a,
-            VaRange::from_len(VirtAddr::new(IMAGE_BASE), PAGE_SIZE),
-            tlb,
-        )
-    })?;
-    m.syscall(|k, tlb| {
-        k.mprotect(
-            b,
-            VaRange::from_len(VirtAddr::new(IMAGE_BASE + 16 * PAGE_SIZE), PAGE_SIZE),
-            Perms::R,
-            tlb,
-        )
-    })?;
+    let image_page = |i| VaRange::from_len(VirtAddr::new(IMAGE_BASE + i * PAGE_SIZE), PAGE_SIZE);
+    m.munmap(0, a, image_page(0))?;
+    m.mprotect(0, b, image_page(16), Perms::R)?;
 
     let stats = &m.kernel.stats;
     Ok(ReachCell {

@@ -2,7 +2,7 @@
 //! latency anchor (Section 4.2.1).
 
 use sat_android::{AndroidSystem, LibraryLayout};
-use sat_core::{Kernel, KernelConfig, NoTlb};
+use sat_core::{Kernel, KernelConfig};
 use sat_sim::Machine;
 use sat_trace::{app_specs, AppProfile};
 use sat_types::{AccessType, Perms, RegionTag, SatResult, VaRange, VirtAddr, PAGE_SIZE};
@@ -101,8 +101,7 @@ pub fn table3(scale: Scale) -> SatResult<String> {
     for p in &profiles {
         let (outcome, _) = sys.machine.fork(0, sys.zygote)?;
         cold.push(inherited_ptes(&mut sys, outcome.child, p)?);
-        sys.machine
-            .syscall(|k, _tlb| k.exit(outcome.child, &mut NoTlb))?;
+        sys.machine.exit(0, outcome.child)?;
     }
 
     // Warm pass: run each application once (touch its preloaded
@@ -119,13 +118,11 @@ pub fn table3(scale: Scale) -> SatResult<String> {
                 .expect("mapped");
             sys.machine.access(0, va, AccessType::Execute)?;
         }
-        sys.machine
-            .syscall(|k, _tlb| k.exit(outcome.child, &mut NoTlb))?;
+        sys.machine.exit(0, outcome.child)?;
         // Relaunch.
         let (outcome2, _) = sys.machine.fork(0, sys.zygote)?;
         warm.push(inherited_ptes(&mut sys, outcome2.child, p)?);
-        sys.machine
-            .syscall(|k, _tlb| k.exit(outcome2.child, &mut NoTlb))?;
+        sys.machine.exit(0, outcome2.child)?;
     }
 
     let mut t = Table::new(
@@ -184,7 +181,7 @@ pub fn measure_soft_fault_cycles(pages: u32) -> SatResult<(f64, u64)> {
         RegionTag::AppData,
         "lat_pagefault.dat",
     );
-    let addr = m.syscall(|k, tlb| k.mmap(pid, &req, tlb))?;
+    let addr = m.mmap(0, pid, &req)?;
 
     // Pass 1: hard faults warm the page cache.
     for i in 0..pages {
@@ -196,8 +193,8 @@ pub fn measure_soft_fault_cycles(pages: u32) -> SatResult<(f64, u64)> {
     }
     // Unmap and remap: the PTEs are gone, the page cache is warm.
     let range = VaRange::from_len(addr, pages * PAGE_SIZE);
-    m.syscall(|k, tlb| k.munmap(pid, range, tlb))?;
-    let addr2 = m.syscall(|k, tlb| k.mmap(pid, &req.clone().at(addr), tlb))?;
+    m.munmap(0, pid, range)?;
+    let addr2 = m.mmap(0, pid, &req.clone().at(addr))?;
     debug_assert_eq!(addr2, addr);
 
     // Pass 2: every touch is a soft fault; measure it.

@@ -300,7 +300,7 @@ fn spawn_zygote_child(
         heap_name,
     )
     .at(heap);
-    sys.machine.syscall(|k, tlb| k.mmap(pid, &req, tlb))?;
+    sys.machine.mmap(core, pid, &req)?;
 
     let task = Task {
         code,
@@ -396,17 +396,12 @@ impl TimeshareSim {
     /// invalidates that core's TLB locally and IPIs only the *other*
     /// cores where the ASID is resident.
     pub fn reap(&mut self, pid: Pid) -> SatResult<()> {
-        let home = self.sched.core_of(pid);
+        // A pid never admitted runs nowhere: core 0 holds none of
+        // its entries.
+        let home = self.sched.core_of(pid).unwrap_or(0);
         self.sched.remove(pid);
         self.tasks.remove(&pid);
-        match home {
-            Some(core) => self
-                .sys
-                .machine
-                .syscall_on(core, |k, tlb| k.exit(pid, tlb))?,
-            None => self.sys.machine.syscall(|k, tlb| k.exit(pid, tlb))?,
-        };
-        Ok(())
+        self.sys.machine.exit(home, pid)
     }
 
     /// Runs one scheduling round: every core runs one timeslice of
@@ -425,6 +420,11 @@ impl TimeshareSim {
             self.sched.requeue(core, pid, events);
         }
         self.sample_now();
+        #[cfg(test)]
+        self.sys
+            .machine
+            .audit()
+            .expect("the machine audit holds after a round");
         Ok(())
     }
 

@@ -422,9 +422,7 @@ impl ServeSim {
             return Ok(false);
         };
         let (victim, core) = (self.slots[idx].pid, self.slots[idx].core);
-        self.sys
-            .machine
-            .syscall_on(core, |k, tlb| k.exit(victim, tlb))?;
+        self.sys.machine.exit(core, victim)?;
         let (pid, task, data) = self.spawn_server(core)?;
         self.slots[idx].pid = pid;
         self.slots[idx].task = task;
@@ -466,6 +464,11 @@ impl ServeSim {
                 self.churn_once()?;
             }
             self.sample_now();
+            #[cfg(test)]
+            self.sys
+                .machine
+                .audit()
+                .expect("the machine audit holds after a round");
             round += 1;
             let drained = self.arrivals_issued >= self.opts.requests
                 && self.slots.iter().all(|s| s.queue.is_empty());

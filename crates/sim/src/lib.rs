@@ -28,5 +28,5 @@
 pub mod machine;
 pub mod model;
 
-pub use machine::{Core, CoreStats, Machine, MachineTlbView};
+pub use machine::{Core, CoreStats, Machine};
 pub use model::CycleModel;

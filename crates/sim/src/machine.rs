@@ -1,15 +1,15 @@
 //! The machine: cores, TLBs, caches, and the full access path.
 
 use sat_cache::{AccessKind, Cache, CacheConfig, CacheHierarchy};
-use sat_core::{FlushOp, Kernel, TlbMaintenance, TlbProtection};
+use sat_core::{FlushOp, ForkOutcome, Kernel, PromoteReport, TlbMaintenance, TlbProtection};
 use sat_mmu::{walk, FaultRecord, FaultStatus, Translation, WalkOutcome};
 use sat_obs::{ChargeCause, FlushReason, FlushScope};
 use sat_tlb::{MainTlb, MicroTlb, TlbEntry, TlbLookup};
 use sat_types::{
     AccessType, Asid, Domain, DomainAccess, PageSize, Perms, Pfn, Pid, SatError, SatResult,
-    VirtAddr, VpnRange, KERNEL_SPACE_START,
+    VaRange, VirtAddr, VpnRange, KERNEL_SPACE_START,
 };
-use sat_vm::{FaultKind, Mm};
+use sat_vm::{FaultKind, Mm, MmapRequest};
 
 use crate::model::CycleModel;
 
@@ -197,7 +197,7 @@ fn report_flush(scope: FlushScope, reason: FlushReason, asid: Option<Asid>, entr
 /// `initiator`, that core invalidates with a local `TLBI` instead of
 /// an IPI — Linux's `flush_tlb_*` issue the local invalidation
 /// inline and IPI only the *other* CPUs in `mm_cpumask`.
-pub struct MachineTlbView<'a> {
+struct MachineTlbView<'a> {
     cores: &'a mut [Core],
     /// Cycles charged to each *targeted* core (`CycleModel::ipi`).
     ipi_cost: u64,
@@ -363,12 +363,13 @@ impl Machine {
         }
     }
 
-    /// Runs a kernel operation with a TLB-shootdown view over this
-    /// machine's cores, splitting the borrow so the closure can use
-    /// both the kernel and the TLBs. No initiating core is known, so
-    /// every targeted core — including the caller's, if any — pays an
-    /// IPI; prefer [`Machine::syscall_on`] when the operation runs on
-    /// a specific core.
+    /// Runs `f` on the kernel with a TLB-shootdown view over this
+    /// machine's cores and no initiating core, so every targeted core
+    /// pays an IPI. It serves `benchmark/` and the test steps that must
+    /// run beneath the machine; a kernel operation on the machine is
+    /// one of the typed calls on a named core ([`Machine::fork`],
+    /// [`Machine::exit`], [`Machine::mmap`], [`Machine::munmap`],
+    /// [`Machine::mprotect`], [`Machine::promote_scan`]).
     pub fn syscall<R>(&mut self, f: impl FnOnce(&mut Kernel, &mut dyn TlbMaintenance) -> R) -> R {
         let mut view = MachineTlbView {
             cores: &mut self.cores,
@@ -380,8 +381,9 @@ impl Machine {
 
     /// Like [`Machine::syscall`], but the operation runs on `core`:
     /// shootdowns it triggers invalidate that core's TLB locally
-    /// instead of paying an IPI there.
-    pub fn syscall_on<R>(
+    /// instead of paying an IPI there. Every kernel operation on the
+    /// machine goes through here.
+    fn syscall_on<R>(
         &mut self,
         core: usize,
         f: impl FnOnce(&mut Kernel, &mut dyn TlbMaintenance) -> R,
@@ -392,6 +394,47 @@ impl Machine {
             initiator: Some(core),
         };
         f(&mut self.kernel, &mut view)
+    }
+
+    /// `exit(2)` of `pid`, run on `core` ([`Kernel::exit`]): its ASID
+    /// is shot down, and no core keeps it as its current process.
+    pub fn exit(&mut self, core: usize, pid: Pid) -> SatResult<()> {
+        self.syscall_on(core, |kernel, tlb| kernel.exit(pid, tlb))?;
+        for c in &mut self.cores {
+            if c.current == Some(pid) {
+                c.current = None;
+            }
+        }
+        Ok(())
+    }
+
+    /// `mmap(2)` into `pid`, run on `core` ([`Kernel::mmap`]).
+    pub fn mmap(&mut self, core: usize, pid: Pid, req: &MmapRequest) -> SatResult<VirtAddr> {
+        self.syscall_on(core, |kernel, tlb| kernel.mmap(pid, req, tlb))
+    }
+
+    /// `munmap(2)` of `range` in `pid`, run on `core`
+    /// ([`Kernel::munmap`]).
+    pub fn munmap(&mut self, core: usize, pid: Pid, range: VaRange) -> SatResult<usize> {
+        self.syscall_on(core, |kernel, tlb| kernel.munmap(pid, range, tlb))
+    }
+
+    /// `mprotect(2)` of `range` in `pid` to `perms`, run on `core`
+    /// ([`Kernel::mprotect`]).
+    pub fn mprotect(
+        &mut self,
+        core: usize,
+        pid: Pid,
+        range: VaRange,
+        perms: Perms,
+    ) -> SatResult<()> {
+        self.syscall_on(core, |kernel, tlb| kernel.mprotect(pid, range, perms, tlb))
+    }
+
+    /// One large-page promotion pass over `pid`, run on `core`
+    /// ([`Kernel::promote_scan`]).
+    pub fn promote_scan(&mut self, core: usize, pid: Pid) -> SatResult<PromoteReport> {
+        self.syscall_on(core, |kernel, tlb| kernel.promote_scan(pid, tlb))
     }
 
     /// Charges `core` for the machine-wide non-global flush an ASID
@@ -577,7 +620,7 @@ impl Machine {
     /// stale ([`Kernel::fork_with_flush`]) — charges the fork to the
     /// core and returns the kernel's outcome plus the cycles consumed
     /// (the Table 4 measurement).
-    pub fn fork(&mut self, core: usize, parent: Pid) -> SatResult<(sat_core::ForkOutcome, u64)> {
+    pub fn fork(&mut self, core: usize, parent: Pid) -> SatResult<(ForkOutcome, u64)> {
         let outcome = self.syscall_on(core, |kernel, tlb| kernel.fork_with_flush(parent, tlb))?;
         // The child's allocation may have exhausted the ASID space:
         // apply the deferred rollover flush now (and refresh the
@@ -912,7 +955,8 @@ impl Machine {
     ///    overlap.
     /// 2. Every non-global main-TLB entry's ASID is resident on its
     ///    core, so a precise shootdown that skips the core skips
-    ///    nothing.
+    ///    nothing; and, when no rollover flush is pending, a live
+    ///    process holds it: no entry outlives its process.
     /// 3. Every main-TLB entry tagged with the current process's ASID
     ///    is what a fresh walk of it would fill, and every global user
     ///    entry lies in [`Domain::ZYGOTE`].
@@ -923,21 +967,34 @@ impl Machine {
     /// the whole kernel's: for tests.
     pub fn audit(&self) -> Result<(), String> {
         self.kernel.audit()?;
+        // The ASIDs live processes hold; until a pending rollover flush
+        // fires, an exit of a stale generation leaves its entries to it.
+        let mut live = [self.kernel.rollover_flush_pending(); 256];
+        for (_, mm) in self.kernel.processes() {
+            live[usize::from(mm.asid.raw())] = true;
+        }
         for (i, core) in self.cores.iter().enumerate() {
-            self.audit_core(core)
+            self.audit_core(core, &live)
                 .map_err(|e| format!("core {i}: {e}"))?;
         }
         Ok(())
     }
 
-    /// The TLB clauses of [`Machine::audit`] on one core.
-    fn audit_core(&self, core: &Core) -> Result<(), String> {
+    /// The TLB clauses of [`Machine::audit`] on one core, `live[a]`
+    /// saying whether ASID `a` may have entries.
+    fn audit_core(&self, core: &Core, live: &[bool; 256]) -> Result<(), String> {
         core.main_tlb
             .verify()
             .map_err(|e| format!("main TLB: {e}"))?;
         for e in core.main_tlb.entries() {
-            if let Some(asid) = e.asid.filter(|&a| !core.asid_resident(a)) {
+            let Some(asid) = e.asid else { continue };
+            if !core.asid_resident(asid) {
                 return Err(format!("main-TLB entry {e:?}: {asid:?} is not resident"));
+            }
+            if !live[usize::from(asid.raw())] {
+                return Err(format!(
+                    "main-TLB entry {e:?}: no live process holds {asid:?}"
+                ));
             }
         }
         let Some(pid) = core.current else {
@@ -1236,7 +1293,7 @@ mod tests {
             "other.so",
         )
         .at(va);
-        m.syscall(|k, tlb| k.mmap(outsider, &req, tlb)).unwrap();
+        m.mmap(0, outsider, &req).unwrap();
         m.context_switch(0, outsider).unwrap();
         m.access(0, va, AccessType::Execute).unwrap();
         assert_eq!(m.cores[0].stats.domain_faults, 1);
@@ -1408,7 +1465,7 @@ mod tests {
                     "recycled value collided with the on-core zygote"
                 );
             }
-            m.syscall(|k, tlb| k.exit(child, tlb)).unwrap();
+            m.exit(0, child).unwrap();
         }
         assert!(m.kernel.stats.asid_rollovers >= 1);
         // Running at the rollover: value kept, generation current.
@@ -1540,7 +1597,7 @@ mod tests {
                 "other.so",
             )
             .at(VirtAddr::new(0x4000_0000));
-            m.syscall(|k, tlb| k.mmap(outsider, &req, tlb)).unwrap();
+            m.mmap(0, outsider, &req).unwrap();
             m.context_switch(1, child).unwrap();
             (m, [zygote, child, outsider])
         }

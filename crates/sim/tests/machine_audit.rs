@@ -38,8 +38,9 @@ const CORES: usize = 2;
 enum Op {
     /// Fork the `n`-th live process on core `c`.
     Fork(u8, usize),
-    /// Fault tracked page `p` of the `n`-th live process on core `c`.
-    Fault(u8, usize, u8, AccessType),
+    /// Fault tracked page `p` of the `n`-th live process, beneath the
+    /// machine: no core takes the fault.
+    Fault(usize, u8, AccessType),
     /// Map a fresh private page into the `n`-th live process and write
     /// it.
     Mmap(u8, usize),
@@ -48,7 +49,7 @@ enum Op {
     /// `mprotect` `1 + l % HEAP_PAGES` heap pages from heap page `p`
     /// (clipped at the heap's end) to R or RW.
     Mprotect(u8, usize, u8, u8, bool),
-    /// Exit the `n`-th live child that runs on no core.
+    /// Exit the `n`-th live child on core `c`, running or not.
     Exit(u8, usize),
     /// Run the `n`-th live process on core `c` (unless the other core
     /// runs it) and access tracked page `p`, or a kernel address.
@@ -69,8 +70,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // invalidate.
     prop_oneof![
         (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::Fork(c, n)),
-        (any::<u8>(), 0usize..64, any::<u8>(), 0usize..3)
-            .prop_map(|(c, n, p, a)| Op::Fault(c, n, p, ACCESS[a])),
+        (0usize..64, any::<u8>(), 0usize..3).prop_map(|(n, p, a)| Op::Fault(n, p, ACCESS[a])),
         (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::Mmap(c, n)),
         (any::<u8>(), 0usize..64, any::<u8>()).prop_map(|(c, n, p)| Op::Munmap(c, n, p)),
         (
@@ -199,25 +199,23 @@ impl World {
                 let child = self.m.fork(core(c), self.pid(n))?.0.child;
                 self.live.push(child);
             }
-            Op::Fault(c, n, p, access) => {
+            Op::Fault(n, p, access) => {
                 let (pid, va) = (self.pid(n), self.page(p));
                 self.m
-                    .syscall_on(core(c), |k, tlb| k.page_fault(pid, va, access, tlb))?;
+                    .syscall(|k, tlb| k.page_fault(pid, va, access, tlb))?;
             }
             Op::Mmap(c, n) => {
                 let pid = self.pid(n);
                 let va = VirtAddr::new(MMAP_BASE + self.slots * PAGE_SIZE);
                 self.slots += 1;
                 let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Unknown, "[anon]");
-                self.m.syscall_on(core(c), |k, tlb| {
-                    k.mmap(pid, &req.at(va), tlb)?;
-                    k.page_fault(pid, va, AccessType::Write, tlb).map(|_| ())
-                })?;
+                self.m.mmap(core(c), pid, &req.at(va))?;
+                self.m
+                    .syscall(|k, tlb| k.page_fault(pid, va, AccessType::Write, tlb))?;
             }
             Op::Munmap(c, n, p) => {
                 let (pid, range) = (self.pid(n), VaRange::from_len(self.page(p), PAGE_SIZE));
-                self.m
-                    .syscall_on(core(c), |k, tlb| k.munmap(pid, range, tlb))?;
+                self.m.munmap(core(c), pid, range)?;
             }
             Op::Mprotect(c, n, p, l, rw) => {
                 let pid = self.pid(n);
@@ -226,16 +224,12 @@ impl World {
                 let range =
                     VaRange::from_len(VirtAddr::new(HEAP + start * PAGE_SIZE), len * PAGE_SIZE);
                 let perms = if rw { Perms::RW } else { Perms::R };
-                self.m
-                    .syscall_on(core(c), |k, tlb| k.mprotect(pid, range, perms, tlb))?;
+                self.m.mprotect(core(c), pid, range, perms)?;
             }
             Op::Exit(c, n) => {
-                let idle: Vec<usize> = (2..self.live.len())
-                    .filter(|&i| self.m.cores.iter().all(|k| k.current != Some(self.live[i])))
-                    .collect();
-                if !idle.is_empty() {
-                    let pid = self.live.remove(idle[n % idle.len()]);
-                    self.m.syscall_on(core(c), |k, tlb| k.exit(pid, tlb))?;
+                if self.live.len() > 2 {
+                    let pid = self.live.remove(2 + n % (self.live.len() - 2));
+                    self.m.exit(core(c), pid)?;
                 }
             }
             Op::Access(c, n, p, access) => {
@@ -352,7 +346,7 @@ fn write_enable_on_one_core_leaves_no_read_only_entry_on_another() {
         let m = &mut w.m;
         let child = m.fork(0, zygote).unwrap().0.child;
         m.access(0, heap, AccessType::Read).unwrap();
-        m.syscall_on(0, |k, tlb| k.exit(child, tlb)).unwrap();
+        m.exit(0, child).unwrap();
         // A process of the outsider's parks core 0 while the zygote
         // runs on core 1.
         let parked = m.fork(1, outsider).unwrap().0.child;

@@ -13,30 +13,26 @@ fn machine(config: KernelConfig) -> (Machine, Pid) {
     kernel.exec_zygote(zygote).unwrap();
     let lib = kernel.files.register("lib.so", 32 * PAGE_SIZE);
     let mut m = Machine::single_core(kernel);
-    m.syscall(|k, tlb| {
-        k.mmap(
-            zygote,
-            &MmapRequest::file(
-                32 * PAGE_SIZE,
-                Perms::RX,
-                lib,
-                0,
-                RegionTag::ZygoteNativeCode,
-                "lib.so",
-            )
-            .at(VirtAddr::new(0x4000_0000)),
-            tlb,
+    m.mmap(
+        0,
+        zygote,
+        &MmapRequest::file(
+            32 * PAGE_SIZE,
+            Perms::RX,
+            lib,
+            0,
+            RegionTag::ZygoteNativeCode,
+            "lib.so",
         )
-    })
+        .at(VirtAddr::new(0x4000_0000)),
+    )
     .unwrap();
-    m.syscall(|k, tlb| {
-        k.mmap(
-            zygote,
-            &MmapRequest::anon(8 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
-                .at(VirtAddr::new(0x0800_0000)),
-            tlb,
-        )
-    })
+    m.mmap(
+        0,
+        zygote,
+        &MmapRequest::anon(8 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
+            .at(VirtAddr::new(0x0800_0000)),
+    )
     .unwrap();
     m.context_switch(0, zygote).unwrap();
     (m, zygote)
@@ -87,21 +83,19 @@ fn domain_protection_isolates_non_zygote_processes() {
 
     let daemon = m.kernel.create_process().unwrap();
     let other = m.kernel.files.register("other.so", 4 * PAGE_SIZE);
-    m.syscall(|k, tlb| {
-        k.mmap(
-            daemon,
-            &MmapRequest::file(
-                4 * PAGE_SIZE,
-                Perms::RX,
-                other,
-                0,
-                RegionTag::OtherLibCode,
-                "other.so",
-            )
-            .at(va),
-            tlb,
+    m.mmap(
+        0,
+        daemon,
+        &MmapRequest::file(
+            4 * PAGE_SIZE,
+            Perms::RX,
+            other,
+            0,
+            RegionTag::OtherLibCode,
+            "other.so",
         )
-    })
+        .at(va),
+    )
     .unwrap();
     m.context_switch(0, daemon).unwrap();
     m.access(0, va, AccessType::Execute).unwrap();
@@ -155,6 +149,25 @@ fn full_launch_is_reproducible_per_config() {
     }
 }
 
+/// An app just launched on a booted system exits through the machine
+/// while it runs on core 0: no core keeps the dead pid as current, and
+/// no TLB entry outlives it (`Machine::audit`).
+#[test]
+fn exit_of_a_running_app_leaves_nothing_behind() {
+    for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
+        let mut sys =
+            AndroidSystem::boot(config, LibraryLayout::Original, 7, 1, BootOptions::small())
+                .unwrap();
+        let (pid, _) = launch_app_seq(&mut sys, &LaunchOptions::small(), 0).unwrap();
+        assert_eq!(sys.machine.cores[0].current, Some(pid));
+        sys.machine.exit(0, pid).unwrap();
+        assert_eq!(sys.machine.cores[0].current, None);
+        sys.machine
+            .audit()
+            .unwrap_or_else(|e| panic!("{config:?}: {e}"));
+    }
+}
+
 #[test]
 fn shared_tlb_requires_both_flags() {
     // share_tlb without the zygote path produces no global entries;
@@ -200,21 +213,19 @@ fn two_cores_private_tlbs_shared_l2() {
     kernel.exec_zygote(zygote).unwrap();
     let lib = kernel.files.register("lib.so", 16 * PAGE_SIZE);
     let mut m = Machine::new(kernel, 2);
-    m.syscall(|k, tlb| {
-        k.mmap(
-            zygote,
-            &MmapRequest::file(
-                16 * PAGE_SIZE,
-                Perms::RX,
-                lib,
-                0,
-                RegionTag::ZygoteNativeCode,
-                "lib.so",
-            )
-            .at(VirtAddr::new(0x4000_0000)),
-            tlb,
+    m.mmap(
+        0,
+        zygote,
+        &MmapRequest::file(
+            16 * PAGE_SIZE,
+            Perms::RX,
+            lib,
+            0,
+            RegionTag::ZygoteNativeCode,
+            "lib.so",
         )
-    })
+        .at(VirtAddr::new(0x4000_0000)),
+    )
     .unwrap();
     // The zygote pre-faults the code, so the fork shares a populated
     // PTP with the child.
@@ -260,14 +271,12 @@ fn tlb_shootdown_reaches_all_cores() {
     let zygote = kernel.create_process().unwrap();
     kernel.exec_zygote(zygote).unwrap();
     let mut m = Machine::new(kernel, 2);
-    m.syscall(|k, tlb| {
-        k.mmap(
-            zygote,
-            &MmapRequest::anon(8 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
-                .at(VirtAddr::new(0x0800_0000)),
-            tlb,
-        )
-    })
+    m.mmap(
+        0,
+        zygote,
+        &MmapRequest::anon(8 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
+            .at(VirtAddr::new(0x0800_0000)),
+    )
     .unwrap();
     m.context_switch(0, zygote).unwrap();
     m.context_switch(1, zygote).unwrap();
@@ -281,7 +290,7 @@ fn tlb_shootdown_reaches_all_cores() {
     // A munmap through the kernel flushes the ASID on EVERY core
     // (shootdown semantics) — here via the unshare-free stock path,
     // exercised through exit which flushes by ASID.
-    m.syscall(|k, tlb| k.munmap(zygote, sat_types::VaRange::from_len(va, 8 * PAGE_SIZE), tlb))
+    m.munmap(0, zygote, sat_types::VaRange::from_len(va, 8 * PAGE_SIZE))
         .unwrap();
     // The mapping is gone; a fresh access on either core must fault,
     // not silently hit a stale entry.
@@ -352,14 +361,14 @@ fn failed_fork_flushes_the_parent_like_a_successful_one() {
             "libc.so",
         )
         .at(code);
-        m.syscall(|k, tlb| k.mmap(zygote, &text, tlb)).unwrap();
+        m.mmap(0, zygote, &text).unwrap();
         for (pid, pages, tag, at) in [
             (zygote, 1, RegionTag::Heap, heap),
             (zygote, 1, RegionTag::Stack, stack),
             (filler, 4, RegionTag::Heap, heap),
         ] {
             let req = MmapRequest::anon(pages * PAGE_SIZE, Perms::RW, tag, "[anon]").at(at);
-            m.syscall(|k, tlb| k.mmap(pid, &req, tlb)).unwrap();
+            m.mmap(0, pid, &req).unwrap();
         }
         m.context_switch(0, filler).unwrap();
         for page in 0..4 {
@@ -385,7 +394,7 @@ fn failed_fork_flushes_the_parent_like_a_successful_one() {
         assert!(m.cores[0].main_tlb.probe(heap, asid).is_none());
         assert!(m.cores[0].main_tlb.probe(code, asid).is_some());
 
-        m.syscall(|k, tlb| k.exit(filler, tlb)).unwrap();
+        m.exit(0, filler).unwrap();
         let (fork, _) = m.fork(0, zygote).unwrap();
         let child_frame_before = m.kernel.pte(fork.child, heap).unwrap().unwrap().hw.pfn;
         assert_eq!(child_frame_before, parent_pte.hw.pfn);
@@ -595,25 +604,17 @@ fn obs_flush_events_reconcile_with_tlb_stats() {
     let child = fork.child;
     m.context_switch(0, child).unwrap();
     m.access(0, heap, AccessType::Write).unwrap();
-    m.syscall(|k, tlb| {
-        k.mprotect(
-            child,
-            sat_types::VaRange::from_len(VirtAddr::new(0x4000_0000), 32 * PAGE_SIZE),
-            Perms::R,
-            tlb,
-        )
-    })
+    m.mprotect(
+        0,
+        child,
+        sat_types::VaRange::from_len(VirtAddr::new(0x4000_0000), 32 * PAGE_SIZE),
+        Perms::R,
+    )
     .unwrap();
-    m.syscall(|k, tlb| {
-        k.munmap(
-            child,
-            sat_types::VaRange::from_len(heap, 8 * PAGE_SIZE),
-            tlb,
-        )
-    })
-    .unwrap();
+    m.munmap(0, child, sat_types::VaRange::from_len(heap, 8 * PAGE_SIZE))
+        .unwrap();
     m.context_switch(0, zygote).unwrap();
-    m.syscall(|k, tlb| k.exit(child, tlb)).unwrap();
+    m.exit(0, child).unwrap();
     let rec = sat_obs::uninstall().expect("recorder installed above");
     assert_eq!(rec.dropped, 0, "scenario fits the ring");
 
@@ -666,13 +667,11 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
     // A full 64KB anon group: touch half the pages, promote, then
     // demote by unmapping one page.
     let group = VirtAddr::new(0x0900_0000);
-    m.syscall(|k, tlb| {
-        k.mmap(
-            zygote,
-            &MmapRequest::anon(16 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[anon:big]").at(group),
-            tlb,
-        )
-    })
+    m.mmap(
+        0,
+        zygote,
+        &MmapRequest::anon(16 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[anon:big]").at(group),
+    )
     .unwrap();
     for i in 0..8u32 {
         m.access(
@@ -682,7 +681,7 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
         )
         .unwrap();
     }
-    let report = m.syscall(|k, tlb| k.promote_scan(zygote, tlb)).unwrap();
+    let report = m.promote_scan(0, zygote).unwrap();
     assert_eq!(report.promoted, 1, "the touched group collapses");
     // Accesses after the collapse translate through the large entry —
     // including a hole the scan filled (page 12 was never touched).
@@ -694,7 +693,7 @@ fn obs_promote_demote_flushes_reconcile_and_stay_attributed() {
     .unwrap();
     // Partial munmap splits the group; the demote flush must evict
     // the wide entry so later accesses fault precisely.
-    m.syscall(|k, tlb| k.munmap(zygote, sat_types::VaRange::from_len(group, PAGE_SIZE), tlb))
+    m.munmap(0, zygote, sat_types::VaRange::from_len(group, PAGE_SIZE))
         .unwrap();
     assert!(
         m.access(0, group, AccessType::Read).is_err(),
