@@ -78,18 +78,36 @@ fi
 # kernel-text runs vs the line-by-line loop on twin machines
 # (machine.rs, `run_vs_line_by_line`; it also holds the L1-I's stretch
 # walk to its single-access path, cuts included, and runs
-# `Machine::audit` after every step), the machine's TLBs against the
-# kernel's tables after every op of a two-core workload
-# (crates/sim/tests/machine_audit.rs: `Machine::audit` — every live
-# micro-TLB entry what a fresh walk of the running process fills, every
-# tagged main-TLB entry's ASID resident on its core and, with no
-# rollover flush pending, held by a live process, the running
-# process's tagged entries what its walk fills, and every main TLB's own
-# `verify`; it fails on each planted slip: a range flush that skips the
-# micro-TLBs, a fill that skips `note_resident`, a range flush that
-# skips the main TLB, a copy-on-write fault that gathers no repair, a
-# write-enable fault that gathers none — the last two fail the file's
-# cross-core rows too — and an exit that passes `NoTlb`), the range walker vs the page-by-page
+# `Machine::audit` after every step), the property targets on their one
+# harness over a two-core machine (crates/sim/tests/common/mod.rs: one
+# op grammar — forks, maps, unmaps, protection changes, exits and
+# promotion scans through the machine's typed calls on a named core,
+# faults and reclaim beneath the machine, accesses and context
+# switches — one zygote beside an outsider, one apply that runs
+# `Machine::audit` after every op on every machine, one lockstep, one
+# teardown that finds any leaked frame, PTP, registry or rmap entry):
+# the TLBs against the kernel's tables on five kernels
+# (crates/sim/tests/machine_audit.rs: `Machine::audit` — `Kernel::audit`
+# with its unshare and eviction ledgers, every live micro-TLB entry what
+# a fresh walk of the running process fills, every tagged main-TLB
+# entry's ASID resident on its core and, with no rollover flush pending,
+# held by a live process of the current generation whose walk fills the
+# entry, and every main TLB's own `verify`), the budgeted registry run
+# (proptests.rs), the promoted-vs-4KB differential and the stock ≡
+# sharing transparency properties (integration_properties.rs). The
+# slips they must catch are kept as patches (ci/mutants/, each naming
+# the tests that fail): a range flush that skips the micro-TLBs, a fill
+# that skips `note_resident`, a range flush that skips the main TLB, a
+# copy-on-write fault that gathers no repair, a write-enable fault that
+# gathers none — the last two fail machine_audit.rs's cross-core rows
+# too — an exit that passes `NoTlb`, a range shootdown that skips the
+# other cores, a first share that skips its write-protect pass (the
+# COW clause), a process granted the zygote domain at creation (the
+# zygote-domain clause), a refault that fails under the frame budget, a
+# detach that counts only in the registry's stats (the unshare ledger),
+# and a collapse that adds the write bit, which only at this case count
+# does the promote differential reach with a read-only 64KB group.
+# Then the range walker vs the page-by-page
 # get_pte/clear_pte loops on twin tables (crates/mmu/tests/proptests.rs,
 # `range_walker`), the main TLB vs the linear scan
 # (crates/tlb/tests/differential.rs: lookups, by-address flushes and
@@ -135,21 +153,9 @@ fi
 # the lone-sharer exit, two sharing groups at one va) and its checker,
 # `Kernel::verify_rmap_ownership` — here the exact-key `debug_assert!`
 # in `rmap_remove` is compiled out, so the checker is what vouches for
-# the owner. It runs inside `Kernel::audit` after every op of sat-core's
-# three kernel property targets, which share one harness
-# (crates/core/tests/common/mod.rs: one op grammar, one zygote, one
-# apply that runs `audit()` and the unshare and eviction ledgers after
-# every op on every kernel, one teardown that finds any leaked frame,
-# PTP, registry or rmap entry): the budgeted registry run (proptests.rs),
-# the promoted-vs-4KB differential, and the stock ≡ sharing
-# transparency properties (integration_properties.rs), which run at
-# release speed here, 2048 cases each, because they ride in sat-core.
-# `audit()`'s COW clause (no private writable PTE maps a frame mapped
-# twice) fails them if a first share skips its write-protect pass, and
-# its zygote-domain clause if a non-zygote process is granted the
-# domain or a global PTE sits outside it; only at this case count does
-# the promote differential reach a read-only 64KB group, and so a
-# collapse that adds the write bit. With them runs the `mmap`
+# the owner. It runs inside `Kernel::audit`, and so after every op of
+# the property targets on the machine harness above. With them runs the
+# `mmap`
 # boundary-argument table
 # (crates/core/tests/mmap_args.rs: a length that used to panic in debug
 # and wrap in release, and an alignment that used to reach
@@ -189,6 +195,16 @@ fi
 # pass before the lookup). sat-sched
 # rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on
 # `Kernel::audit`.
+# The kept mutations (ci/mutants/NNN-<name>.patch, run by
+# `ci/mutants.sh [pattern]`, which is not a tier-1 step: each patch
+# applied to a copy of the tree, the tests its header names run in
+# release and required to fail) must still apply, so a change that
+# edits a mutated line refreshes its patch or deletes it.
+step "mutation patches apply"
+for p in ci/mutants/*.patch; do
+    git apply --check "$p" || { echo "tier1: $p no longer applies (above)" >&2; exit 1; }
+done
+
 step "tests (release, 2048 cases: phys, mmu, tlb, cache, sim, vm, core, sched)"
 PROPTEST_CASES=2048 cargo test --release -q \
     -p sat-phys -p sat-mmu -p sat-tlb -p sat-cache -p sat-sim -p sat-vm -p sat-core \

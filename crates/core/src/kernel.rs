@@ -909,12 +909,28 @@ impl Kernel {
     /// zygote-like process is granted it, and every global mapping sits
     /// in it), and every live process's root table
     /// ([`sat_mmu::RootTable::verify`]) and region list
-    /// ([`Mm::verify_regions`]). Returns a description of the first
-    /// violation found. Tests call it after the operations they drive;
-    /// it reads and never changes anything.
+    /// ([`Mm::verify_regions`]), and two ledgers that nothing resets:
+    /// [`KernelStats`] counts as many Figure-6 unshares as the
+    /// registry's stats, and every eviction is refaulted or still
+    /// evicted. Returns a description of the first violation found.
+    /// Tests call it after the operations they drive; it reads and
+    /// never changes anything.
     pub fn audit(&self) -> Result<(), String> {
         self.phys.rmap_verify()?;
         self.verify_share_accounting()?;
+        let (stats, registry) = (self.stats.ptp_unshares, self.registry.stats.ptp_unshares);
+        if stats != registry {
+            return Err(format!(
+                "KernelStats counts {stats} unshares, the registry {registry}"
+            ));
+        }
+        let (phys, still) = (self.phys.stats(), self.phys.still_evicted() as u64);
+        if phys.evictions != phys.refaults + still {
+            let (e, r) = (phys.evictions, phys.refaults);
+            return Err(format!(
+                "{e} evictions but {r} refaults and {still} still evicted"
+            ));
+        }
         self.verify_rmap_ownership()?;
         self.ptps.verify()?;
         self.verify_cow()?;

@@ -955,46 +955,61 @@ impl Machine {
     ///    overlap.
     /// 2. Every non-global main-TLB entry's ASID is resident on its
     ///    core, so a precise shootdown that skips the core skips
-    ///    nothing; and, when no rollover flush is pending, a live
-    ///    process holds it: no entry outlives its process.
-    /// 3. Every main-TLB entry tagged with the current process's ASID
-    ///    is what a fresh walk of it would fill, and every global user
-    ///    entry lies in [`Domain::ZYGOTE`].
+    ///    nothing.
+    /// 3. When no rollover flush is pending, every non-global main-TLB
+    ///    entry's ASID is held by a live process of the current
+    ///    generation, its owner, and the entry is what a fresh walk of
+    ///    the owner's tables would fill: no entry outlives its process
+    ///    or its PTE, whether or not the owner runs. (Until a pending
+    ///    rollover flush fires, a stale holder may share the raw value,
+    ///    and its entries are the flush's.) Every global user entry
+    ///    lies in [`Domain::ZYGOTE`].
     /// 4. Every main TLB passes [`MainTlb::verify`].
     ///
-    /// Clauses 1 and 3 let a global entry stand over a page the walk
-    /// finds unmapped; the body says why. A walk per TLB entry, plus
-    /// the whole kernel's: for tests.
+    /// Clause 1 lets a global entry stand over a page the walk finds
+    /// unmapped, an open fault. A walk per TLB entry, plus the whole
+    /// kernel's: for tests.
     pub fn audit(&self) -> Result<(), String> {
         self.kernel.audit()?;
-        // The ASIDs live processes hold; until a pending rollover flush
-        // fires, an exit of a stale generation leaves its entries to it.
-        let mut live = [self.kernel.rollover_flush_pending(); 256];
-        for (_, mm) in self.kernel.processes() {
-            live[usize::from(mm.asid.raw())] = true;
-        }
+        let owners = (!self.kernel.rollover_flush_pending()).then(|| {
+            let mut owners: [Option<&Mm>; 256] = [None; 256];
+            for (&pid, mm) in self.kernel.processes() {
+                if !self.kernel.asid_is_stale(pid) {
+                    owners[usize::from(mm.asid.raw())] = Some(mm);
+                }
+            }
+            owners
+        });
         for (i, core) in self.cores.iter().enumerate() {
-            self.audit_core(core, &live)
+            self.audit_core(core, owners.as_ref())
                 .map_err(|e| format!("core {i}: {e}"))?;
         }
         Ok(())
     }
 
-    /// The TLB clauses of [`Machine::audit`] on one core, `live[a]`
-    /// saying whether ASID `a` may have entries.
-    fn audit_core(&self, core: &Core, live: &[bool; 256]) -> Result<(), String> {
+    /// The TLB clauses of [`Machine::audit`] on one core, `owners[a]`
+    /// the process whose walk an entry tagged `a` must match (`None`
+    /// while a rollover flush is pending).
+    fn audit_core(&self, core: &Core, owners: Option<&[Option<&Mm>; 256]>) -> Result<(), String> {
         core.main_tlb
             .verify()
             .map_err(|e| format!("main TLB: {e}"))?;
         for e in core.main_tlb.entries() {
+            if e.is_global() && !e.va_base.is_kernel() && e.domain != Domain::ZYGOTE {
+                return Err(format!("global user entry {e:?} outside the zygote domain"));
+            }
             let Some(asid) = e.asid else { continue };
             if !core.asid_resident(asid) {
                 return Err(format!("main-TLB entry {e:?}: {asid:?} is not resident"));
             }
-            if !live[usize::from(asid.raw())] {
+            let Some(owners) = owners else { continue };
+            let Some(owner) = owners[usize::from(asid.raw())] else {
                 return Err(format!(
                     "main-TLB entry {e:?}: no live process holds {asid:?}"
                 ));
+            };
+            if let Some(err) = self.stale(owner, "main-TLB", e) {
+                return Err(err);
             }
         }
         let Some(pid) = core.current else {
@@ -1004,37 +1019,10 @@ impl Machine {
             .kernel
             .mm(pid)
             .map_err(|e| format!("current {pid:?}: {e:?}"))?;
-        // What a walk of the current process fills at `e`'s base.
-        let fresh = |e: &TlbEntry| {
-            if e.va_base.is_kernel() {
-                return Some(kernel_section_entry(e.va_base));
-            }
-            match walk(&mm.root, &self.kernel.ptps, e.va_base).outcome {
-                WalkOutcome::Translated(t) => Some(walked_entry(
-                    self.kernel.config.l1_write_protect,
-                    mm,
-                    mm.asid,
-                    e.va_base,
-                    t,
-                )),
-                WalkOutcome::Fault(_) => None,
-            }
-        };
-        // One departure is let through, and it is an open fault: a
-        // zygote child may go on using a global entry for a page its
-        // own tables do not map, even one it has munmapped.
-        let stale = |what: &str, e: &TlbEntry| {
-            let walked = fresh(e);
-            let agrees = match walked {
-                Some(w) => w == *e,
-                None => e.is_global(),
-            };
-            (!agrees).then(|| format!("{what} entry {e:?}, but {pid:?}'s tables give {walked:?}"))
-        };
         for (side, micro) in [("instruction", &core.micro_i), ("data", &core.micro_d)] {
             let live: Vec<&TlbEntry> = micro.entries().collect();
             for (n, e) in live.iter().enumerate() {
-                if let Some(err) = stale(&format!("{side} micro-TLB"), e) {
+                if let Some(err) = self.stale(mm, &format!("{side} micro-TLB"), e) {
                     return Err(err);
                 }
                 if let Some(o) = live[n + 1..]
@@ -1047,17 +1035,35 @@ impl Machine {
                 }
             }
         }
-        for e in core.main_tlb.entries() {
-            if e.asid == Some(mm.asid) {
-                if let Some(err) = stale("main-TLB", e) {
-                    return Err(err);
-                }
-            }
-            if e.is_global() && !e.va_base.is_kernel() && e.domain != Domain::ZYGOTE {
-                return Err(format!("global user entry {e:?} outside the zygote domain"));
-            }
-        }
         Ok(())
+    }
+
+    /// Why `e`, a `what` entry, is not what a fresh walk of `mm` (or,
+    /// at a kernel address, the kernel section) fills at its base;
+    /// `None` when it is. One departure is let through, and it is an
+    /// open fault: a zygote child may go on using a global entry for a
+    /// page its own tables do not map, even one it has munmapped.
+    fn stale(&self, mm: &Mm, what: &str, e: &TlbEntry) -> Option<String> {
+        let walked = if e.va_base.is_kernel() {
+            Some(kernel_section_entry(e.va_base))
+        } else {
+            match walk(&mm.root, &self.kernel.ptps, e.va_base).outcome {
+                WalkOutcome::Translated(t) => Some(walked_entry(
+                    self.kernel.config.l1_write_protect,
+                    mm,
+                    mm.asid,
+                    e.va_base,
+                    t,
+                )),
+                WalkOutcome::Fault(_) => None,
+            }
+        };
+        let agrees = match walked {
+            Some(w) => w == *e,
+            None => e.is_global(),
+        };
+        let pid = mm.pid;
+        (!agrees).then(|| format!("{what} entry {e:?}, but {pid:?}'s tables give {walked:?}"))
     }
 
     /// Resets the per-core hardware statistics (counters only, not the

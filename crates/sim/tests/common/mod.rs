@@ -1,0 +1,322 @@
+//! The property tests' one harness, over a two-core [`Machine`]: one op
+//! grammar ([`Op`], [`op_strategy`]), one zygote ([`Sim::boot`]), one
+//! apply ([`Sim::apply`], which runs [`Machine::audit`] after every op),
+//! one [`lockstep`] and one [`Sim::teardown`] closing every run. The
+//! properties decide only which machines run side by side and what
+//! they compare: `integration_properties.rs` stock against sharing,
+//! `proptests.rs` one budgeted machine, `promote_differential.rs`
+//! promoted pages against 4KB ones, `machine_audit.rs` every preset
+//! alone.
+//!
+//! Kernel operations reach the kernel through the machine's typed
+//! calls, so their flushes go through the shootdown view, the named
+//! core invalidating locally; `Op::Fault` and `Op::Reclaim` run beneath
+//! the machine, through [`Machine::syscall`].
+
+// Each target uses a different part of the harness.
+#![allow(dead_code)]
+
+use proptest::prelude::*;
+use sat_core::{Kernel, KernelConfig};
+use sat_sim::Machine;
+use sat_types::{
+    AccessType, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, KERNEL_SPACE_START,
+    PAGE_SIZE,
+};
+use sat_vm::MmapRequest;
+
+/// The zygote's library: 8 pre-faulted RX pages, the shared image. The
+/// outsider maps a library of its own over the first `CODE_PAGES / 2`.
+const CODE: u32 = 0x4000_0000;
+const CODE_PAGES: u32 = 8;
+/// The zygote's heap, 64KB-aligned: two whole large-page groups and a
+/// spare page, so the promotion scanner has groups to collapse.
+pub const HEAP: u32 = 0x0900_0000;
+const HEAP_PAGES: u32 = 33;
+/// Heap pages the zygote writes at boot.
+const HEAP_WRITTEN: u32 = 4;
+/// `Op::Mmap` maps fresh pages from here up, in the upper half of the
+/// library's chunk, so under sharing each lands in a shared PTP
+/// (Figure 6 case 3). Slots advance per run: two never collide.
+const MMAP_BASE: u32 = 0x4010_0000;
+const CORES: usize = 2;
+
+/// One step of a random workload. Processes are picked `n % live`,
+/// tracked pages `p % tracked` ([`Sim::page`]), cores `c % CORES`.
+#[derive(Clone, Copy, Debug)]
+pub enum Op {
+    /// Fork the `n`-th live process (the zygote is the 0th, the
+    /// outsider the 1st) on core `c`.
+    Fork(u8, usize),
+    /// Fault tracked page `p` of the `n`-th live process, beneath the
+    /// machine: no core takes the fault.
+    Fault(usize, u8, AccessType),
+    /// Map a fresh private page into the `n`-th live process on core
+    /// `c` and write it (beneath the machine).
+    Mmap(u8, usize),
+    /// Unmap tracked page `p` of the `n`-th live process.
+    Munmap(u8, usize, u8),
+    /// `mprotect` `1 + l % HEAP_PAGES` heap pages from heap page `p`
+    /// of the `n`-th live process (clipped at the heap's end) to R
+    /// (`rw` false) or RW.
+    Mprotect(u8, usize, u8, u8, bool),
+    /// Exit the `n`-th live child on core `c`, running or not (the
+    /// zygote and the outsider outlive the ops).
+    Exit(u8, usize),
+    /// Force a reclaim pass evicting up to `1 + k % 4` file pages.
+    Reclaim(u8),
+    /// Run the promotion scanner on the `n`-th live process (a no-op
+    /// with promotion off).
+    Scan(u8, usize),
+    /// Run the `n`-th live process on core `c` (unless the other core
+    /// runs it) and access tracked page `p`, or a kernel address.
+    Access(u8, usize, u8, AccessType),
+    /// Switch core `c` to the `n`-th live process (unless the other
+    /// core runs it).
+    ContextSwitch(u8, usize),
+}
+
+pub fn op_strategy() -> impl Strategy<Value = Op> {
+    const ACCESS: [AccessType; 3] = [AccessType::Read, AccessType::Write, AccessType::Execute];
+    let access = || {
+        (any::<u8>(), 0usize..64, any::<u8>(), 0usize..3)
+            .prop_map(|(c, n, p, a)| Op::Access(c, n, p, ACCESS[a]))
+    };
+    // The vendored proptest picks arms uniformly: accesses are listed
+    // four times, so processes run, populate and fill TLBs between the
+    // ops that invalidate.
+    prop_oneof![
+        (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::Fork(c, n)),
+        (0usize..64, any::<u8>(), 0usize..3).prop_map(|(n, p, a)| Op::Fault(n, p, ACCESS[a])),
+        (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::Mmap(c, n)),
+        (any::<u8>(), 0usize..64, any::<u8>()).prop_map(|(c, n, p)| Op::Munmap(c, n, p)),
+        (
+            any::<u8>(),
+            0usize..64,
+            any::<u8>(),
+            any::<u8>(),
+            any::<bool>()
+        )
+            .prop_map(|(c, n, p, l, rw)| Op::Mprotect(c, n, p, l, rw)),
+        (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::Exit(c, n)),
+        any::<u8>().prop_map(Op::Reclaim),
+        (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::Scan(c, n)),
+        access(),
+        access(),
+        access(),
+        access(),
+        (any::<u8>(), 0usize..64).prop_map(|(c, n)| Op::ContextSwitch(c, n)),
+    ]
+}
+
+/// One machine under test, with the processes and pages the ops reach.
+pub struct Sim {
+    pub m: Machine,
+    /// Live processes: the zygote, the outsider, then forked children.
+    pub live: Vec<Pid>,
+    /// `Op::Mmap` slots handed out so far.
+    slots: u32,
+    /// What a teardown must come back to: the libraries' page-cache
+    /// residency at boot (the cache keeps file pages past the last
+    /// unmap, as Linux does).
+    floor: u64,
+}
+
+impl Sim {
+    /// Boots the zygote (library pre-faulted, heap partly written) and
+    /// an outsider — no zygote child — with a pre-faulted library of
+    /// its own over the zygote's, then puts the zygote on core 0 and
+    /// the outsider on core 1.
+    pub fn boot(config: KernelConfig) -> Sim {
+        let mut k = Kernel::new(config, 4096);
+        let lib = k.files.register("libtest.so", CODE_PAGES * PAGE_SIZE);
+        let other = k.files.register("other.so", CODE_PAGES / 2 * PAGE_SIZE);
+        let zygote = k.create_process().unwrap();
+        k.exec_zygote(zygote).unwrap();
+        let outsider = k.create_process().unwrap();
+        let mut m = Machine::new(k, CORES);
+        let (code, heap) = (VirtAddr::new(CODE), VirtAddr::new(HEAP));
+        let (size, tag) = (CODE_PAGES * PAGE_SIZE, RegionTag::ZygoteNativeCode);
+        let req = MmapRequest::file(size, Perms::RX, lib, 0, tag, "libtest.so");
+        m.mmap(0, zygote, &req.at(code)).unwrap();
+        m.kernel
+            .populate(zygote, VaRange::from_len(code, size))
+            .unwrap();
+        let req = MmapRequest::anon(HEAP_PAGES * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]");
+        m.mmap(0, zygote, &req.at(heap)).unwrap();
+        m.context_switch(0, zygote).unwrap();
+        for va in VaRange::from_len(heap, HEAP_WRITTEN * PAGE_SIZE).pages() {
+            m.access(0, va, AccessType::Write).unwrap();
+        }
+        let (size, tag) = (CODE_PAGES / 2 * PAGE_SIZE, RegionTag::OtherLibCode);
+        let req = MmapRequest::file(size, Perms::RX, other, 0, tag, "other.so");
+        m.mmap(1, outsider, &req.at(code)).unwrap();
+        m.kernel
+            .populate(outsider, VaRange::from_len(code, size))
+            .unwrap();
+        m.context_switch(1, outsider).unwrap();
+        let floor = m.kernel.phys.page_cache_len() as u64;
+        Sim {
+            m,
+            live: vec![zygote, outsider],
+            slots: 0,
+            floor,
+        }
+    }
+
+    /// Tracked page `p`: the library's pages, then the heap's, then the
+    /// `Op::Mmap` slots handed out so far, wrapping.
+    pub fn page(&self, p: u32) -> VirtAddr {
+        let p = p % (CODE_PAGES + HEAP_PAGES + self.slots);
+        VirtAddr::new(match p.checked_sub(CODE_PAGES) {
+            None => CODE + p * PAGE_SIZE,
+            Some(h) if h < HEAP_PAGES => HEAP + h * PAGE_SIZE,
+            Some(h) => MMAP_BASE + (h - HEAP_PAGES) * PAGE_SIZE,
+        })
+    }
+
+    /// Every tracked page, in [`Sim::page`] order.
+    pub fn pages(&self) -> Vec<VirtAddr> {
+        (0..CODE_PAGES + HEAP_PAGES + self.slots)
+            .map(|p| self.page(p))
+            .collect()
+    }
+
+    fn pid(&self, n: usize) -> Pid {
+        self.live[n % self.live.len()]
+    }
+
+    /// Whether a core other than `core` runs `pid`.
+    fn runs_elsewhere(&self, core: usize, pid: Pid) -> bool {
+        let mut others = self.m.cores.iter().enumerate().filter(|&(i, _)| i != core);
+        others.any(|(_, c)| c.current == Some(pid))
+    }
+
+    /// Runs `op` and returns its outcome (an access's cycles dropped),
+    /// after auditing the machine it left (panicking with the op on a
+    /// violation). The grammar reaches only live processes and never
+    /// runs the kernel out of frames, so the one legal refusal is a
+    /// fault, access or range on a page that is not mapped or does not
+    /// allow it.
+    pub fn apply(&mut self, op: &Op) -> SatResult<()> {
+        let outcome = self.run(op);
+        let config = self.m.kernel.config;
+        self.m
+            .audit()
+            .unwrap_or_else(|e| panic!("after {op:?} on {config:?}: {e}"));
+        if let Err(e) = &outcome {
+            let refusal = matches!(e, SatError::NotMapped(_) | SatError::PermissionDenied(_));
+            assert!(refusal, "{op:?} on {config:?} failed with {e:?}");
+        }
+        outcome
+    }
+
+    fn run(&mut self, op: &Op) -> SatResult<()> {
+        let core = |c: u8| usize::from(c) % CORES;
+        match *op {
+            Op::Fork(c, n) => {
+                let child = self.m.fork(core(c), self.pid(n))?.0.child;
+                self.live.push(child);
+            }
+            Op::Fault(n, p, access) => self.fault(self.pid(n), self.page(p.into()), access)?,
+            Op::Mmap(c, n) => {
+                let pid = self.pid(n);
+                let va = VirtAddr::new(MMAP_BASE + self.slots * PAGE_SIZE);
+                self.slots += 1;
+                let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Unknown, "[anon]");
+                self.m.mmap(core(c), pid, &req.at(va))?;
+                self.fault(pid, va, AccessType::Write)?;
+            }
+            Op::Munmap(c, n, p) => {
+                let range = VaRange::from_len(self.page(p.into()), PAGE_SIZE);
+                self.m.munmap(core(c), self.pid(n), range)?;
+            }
+            Op::Mprotect(c, n, p, l, rw) => {
+                let start = u32::from(p) % HEAP_PAGES;
+                let len = (1 + u32::from(l) % HEAP_PAGES).min(HEAP_PAGES - start);
+                let range =
+                    VaRange::from_len(VirtAddr::new(HEAP + start * PAGE_SIZE), len * PAGE_SIZE);
+                let perms = if rw { Perms::RW } else { Perms::R };
+                self.m.mprotect(core(c), self.pid(n), range, perms)?;
+            }
+            Op::Exit(c, n) => {
+                if self.live.len() > 2 {
+                    let pid = self.live.remove(2 + n % (self.live.len() - 2));
+                    self.m.exit(core(c), pid)?;
+                }
+            }
+            Op::Reclaim(k) => {
+                self.m
+                    .syscall(|kernel, tlb| kernel.reclaim(1 + u64::from(k) % 4, tlb));
+            }
+            Op::Scan(c, n) => {
+                self.m.promote_scan(core(c), self.pid(n))?;
+            }
+            Op::Access(c, n, p, access) => {
+                let (core, pid) = (core(c), self.pid(n));
+                if self.runs_elsewhere(core, pid) {
+                    return Ok(());
+                }
+                self.m.context_switch(core, pid)?;
+                // One page in eight is a kernel address: the section
+                // entries enter through the user path's walk too.
+                let va = if p % 8 == 7 {
+                    VirtAddr::new(KERNEL_SPACE_START + u32::from(p) * 0x1_0000)
+                } else {
+                    self.page(p.into())
+                };
+                let va = VirtAddr::new(va.raw() + u32::from(p) * 4);
+                self.m.access(core, va, access)?;
+            }
+            Op::ContextSwitch(c, n) => {
+                let (core, pid) = (core(c), self.pid(n));
+                if !self.runs_elsewhere(core, pid) {
+                    self.m.context_switch(core, pid)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A page fault of `pid` at `va`, beneath the machine.
+    fn fault(&mut self, pid: Pid, va: VirtAddr, access: AccessType) -> SatResult<()> {
+        let fault = self.m.syscall(|k, tlb| k.page_fault(pid, va, access, tlb));
+        fault.map(drop)
+    }
+
+    /// Exits every process, the zygote last, auditing the machine after
+    /// each exit. Then nothing may be left: no registry entry, PTP or
+    /// rmap entry; no frame outside the page cache; the boot floor made
+    /// up exactly by the frames still held and the pages still evicted;
+    /// as many slab frees as allocations (a double free or a leak
+    /// shows here).
+    pub fn teardown(mut self) {
+        while let Some(pid) = self.live.pop() {
+            self.m.exit(0, pid).unwrap();
+            let audit = self.m.audit();
+            audit.unwrap_or_else(|e| panic!("after the exit of {pid:?}: {e}"));
+        }
+        let k = &self.m.kernel;
+        let frames = k.phys.frames_in_use();
+        assert!(k.registry.is_empty(), "registry entries leaked");
+        assert!(k.ptps.is_empty(), "PTPs leaked");
+        assert!(k.phys.rmap_is_empty(), "rmap entries leaked");
+        assert_eq!(
+            frames,
+            k.phys.page_cache_len() as u64,
+            "non-cache frames leaked"
+        );
+        let evicted = k.phys.still_evicted() as u64;
+        assert_eq!(frames + evicted, self.floor, "frames leaked");
+        let slab = k.ptps.slab_stats();
+        assert_eq!(slab.allocs, slab.frees, "slab allocs and frees diverge");
+    }
+}
+
+/// Runs `op` on two machines that must agree on it: the same outcome,
+/// and the same live processes after.
+pub fn lockstep(a: &mut Sim, b: &mut Sim, op: &Op) {
+    let (x, y) = (a.m.kernel.config, b.m.kernel.config);
+    assert_eq!(a.apply(op), b.apply(op), "{op:?} on {x:?} and {y:?}");
+    assert_eq!(a.live, b.live, "live pids after {op:?} on {x:?} and {y:?}");
+}

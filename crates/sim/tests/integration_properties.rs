@@ -24,7 +24,7 @@ fn observe(s: &mut Sim) -> Vec<Option<u32>> {
     let mut slots = Vec::with_capacity(s.live.len() * pages.len());
     for &pid in &s.live {
         for &va in &pages {
-            slots.push(s.k.pte(pid, va).unwrap());
+            slots.push(s.m.kernel.pte(pid, va).unwrap());
         }
     }
     let dirty: HashSet<u32> = slots
@@ -68,7 +68,7 @@ fn transparent(configs: &[KernelConfig], ops: &[Op]) {
         let outcome = stock.apply(op);
         let seen = observe(&mut stock);
         for twin in &mut twins {
-            let config = twin.k.config;
+            let config = twin.m.kernel.config;
             assert_eq!(twin.apply(op), outcome, "{op:?} on {config:?}");
             assert_eq!(twin.live, stock.live, "{op:?} on {config:?}");
             same_relation(&seen, &observe(twin))

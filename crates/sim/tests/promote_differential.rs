@@ -47,11 +47,11 @@ fn view(k: &Kernel, pid: Pid, va: VirtAddr) -> Option<(Perms, bool)> {
 
 /// Compares one process's tracked pages across the two kernels.
 fn compare(a: &Sim, b: &Sim, pid: Pid, op: &Op) {
-    let mm = b.k.mm(pid).unwrap();
+    let mm = b.m.kernel.mm(pid).unwrap();
     for va in a.pages() {
         let region = mm.vma_at(va).map(|vma| vma.perms);
         let at = || format!("{pid:?} {va:?} (region {region:?}) after {op:?}");
-        match (view(&a.k, pid, va), view(&b.k, pid, va)) {
+        match (view(&a.m.kernel, pid, va), view(&b.m.kernel, pid, va)) {
             (Some((gperms, gglobal)), Some((eperms, eglobal))) => {
                 assert_eq!(gglobal, eglobal, "{}: global bit diverged", at());
                 // Exact match, or the promoted side holds the region's
@@ -110,7 +110,7 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
             _ => {}
         }
     }
-    let stats = &a.k.stats;
+    let stats = &a.m.kernel.stats;
     assert_eq!(
         promote_events, stats.promotions,
         "Promote events do not reconcile with the promotion counter"
@@ -120,7 +120,7 @@ fn run_sequence(base: KernelConfig, ops: &[Op]) {
         demote_events, stats.demotions,
         "Demote events do not reconcile with the demotion counter"
     );
-    let stats = &b.k.stats;
+    let stats = &b.m.kernel.stats;
     assert_eq!(stats.promotions, 0, "reference kernel promoted");
     a.teardown();
     b.teardown();

@@ -5,7 +5,7 @@
 //! number of live level-1 pairs referencing the frame with
 //! `NEED_COPY`, and the four Figure-6 by-cause unshare counters sum to
 //! `ptp_unshares`. These tests drive the harness's random op sequences
-//! (`common/mod.rs`) against one kernel, which the harness checks after
+//! (`common/mod.rs`) against one machine, which the harness audits after
 //! every op and tears down at the end.
 //!
 //! Reclaim rides along: every sequence runs under a tight frame budget,
@@ -26,10 +26,11 @@ use sat_core::KernelConfig;
 /// pressure diverges from the twin.
 fn run_sequence(config: KernelConfig, ops: &[Op]) {
     let (mut s, mut twin) = (Sim::boot(config), Sim::boot(config));
-    s.k.set_frame_budget(Some(s.k.phys.frames_in_use() + 32));
+    s.m.kernel
+        .set_frame_budget(Some(s.m.kernel.phys.frames_in_use() + 32));
     for op in ops {
         lockstep(&mut s, &mut twin, op);
-        let empty = s.k.registry.is_empty();
+        let empty = s.m.kernel.registry.is_empty();
         assert!(config.share_ptp || empty, "stock shared a PTP after {op:?}");
     }
     s.teardown();
