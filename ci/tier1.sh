@@ -155,28 +155,21 @@ fi
 # in `rmap_remove` is compiled out, so the checker is what vouches for
 # the owner. It runs inside `Kernel::audit`, and so after every op of
 # the property targets on the machine harness above. With them runs the
-# `mmap`
-# boundary-argument table
-# (crates/core/tests/mmap_args.rs: a length that used to panic in debug
-# and wrap in release, and an alignment that used to reach
-# `Mm::find_free`'s assertion). The region list rides in the same
-# packages: crates/vm/tests/region_map.rs (the sorted list of shared
-# regions, grouped by 32 and shared copy-on-write a group at a time, vs
-# the `BTreeMap<u32, Vma>` map kept there as the specification, over a
+# boundary table (crates/sim/tests/boundary.rs: refused `mmap`,
+# `munmap`, `mprotect`, write-fault and dead-pid calls on five kernels,
+# two under a frame budget, each a typed error that changes nothing —
+# rows found panics, wraps, unshares and reclaim passes before a
+# refusal). The region list rides in the same packages:
+# crates/vm/tests/region_map.rs (the sorted list of shared regions,
+# grouped by 32 and shared copy-on-write a group at a time, vs the
+# `BTreeMap<u32, Vma>` map kept there as the specification, over a
 # family of forked maps — after every op each member equals its twin,
 # passes `Mm::verify_regions` (the regions sorted and disjoint, each
 # group non-empty, at most 32 long, ascending) and no other member has
 # changed; runs of one-page regions across a wide window take at least
 # a quarter of the cases past 64 regions, three groups, or the test
-# fails) and crates/core/tests/region_args.rs
-# (the refused `munmap` / `mprotect` / write-fault table: an unaligned
-# end inside a region used to reach `Vma::split_at`'s assertion, every
-# refusal on the sharing kernel used to unshare the chunk first — a
-# write fault into a hole or a read-only region too, which under a
-# spent frame budget also ran a reclaim pass first — and ranges
-# reaching into kernel space used to be accepted), beside the
-# host-allocation pins crates/core/tests/fork_allocations.rs (a fork's
-# region list, one pointer a group, and the child's first `mmap` copying
+# fails), beside the host-allocation pins
+# crates/core/tests/fork_allocations.rs (a fork's region list, one pointer a group, and the child's first `mmap` copying
 # one group at its exact size, a stock child holding its parent's page-table groups —
 # a fork of one matched group and of eight making the same allocation
 # calls and keeping the same bytes, so a matched group costs no
@@ -188,11 +181,7 @@ fi
 # and one block of at most 64 bytes for a new group's first word —
 # and a booted 1 GiB kernel's `PhysMem`
 # holding under 64 KiB: no `struct page` for a frame never handed
-# out), and the dead-pid rows
-# crates/core/tests/pid_args.rs (every call naming pid 0, an exited pid
-# or u32::MAX is `NoSuchProcess` and changes nothing — on a budgeted
-# kernel too, whose `page_fault` and `mmap` rows used to run a reclaim
-# pass before the lookup). sat-sched
+# out). sat-sched
 # rides along for the budgeted-serve reclaim tests (crates/sched/src/serve.rs), which end on
 # `Kernel::audit`.
 # The kept mutations (ci/mutants/NNN-<name>.patch, run by

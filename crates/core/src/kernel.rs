@@ -485,15 +485,14 @@ impl Kernel {
         req: &MmapRequest,
         tlb: &mut dyn TlbMaintenance,
     ) -> SatResult<VirtAddr> {
-        // Looked up first: a call on a dead pid reclaims nothing. Then
-        // the allocation pressure check, before the map materializes
-        // anything (no-op without a frame budget).
-        self.mm(pid)?;
-        self.maybe_reclaim(tlb);
-        let mm = self.procs.get_mut(pid).expect("looked up above");
+        let mm = self.procs.get_mut(pid).ok_or(SatError::NoSuchProcess)?;
         let asid = mm.asid;
         let addr = vm_mmap(mm, req)?;
         let range = mm.vma_at(addr).expect("just inserted").range;
+        // The allocation pressure check once the request is valid and
+        // before the map materializes anything (no-op without a frame
+        // budget): a refused call reclaims nothing.
+        self.maybe_reclaim(tlb);
         // Gather the operation's TLB maintenance (the freshly mapped
         // pages held no translations, so only unsharing contributes)
         // and resolve it once at the end.

@@ -1,12 +1,12 @@
-//! The property tests' one harness, over a two-core [`Machine`]: one op
+//! The machine tests' one harness, over a two-core [`Machine`]: one op
 //! grammar ([`Op`], [`op_strategy`]), one zygote ([`Sim::boot`]), one
 //! apply ([`Sim::apply`], which runs [`Machine::audit`] after every op),
-//! one [`lockstep`] and one [`Sim::teardown`] closing every run. The
-//! properties decide only which machines run side by side and what
-//! they compare: `integration_properties.rs` stock against sharing,
-//! `proptests.rs` one budgeted machine, `promote_differential.rs`
-//! promoted pages against 4KB ones, `machine_audit.rs` every preset
-//! alone.
+//! one [`lockstep`] and one [`Sim::teardown`] closing every run. The targets decide only which
+//! machines run side by side and what they compare:
+//! `integration_properties.rs` stock against sharing, `proptests.rs` one
+//! budgeted machine, `promote_differential.rs` promoted pages against 4KB
+//! ones, `machine_audit.rs` every preset alone, `boundary.rs` refused
+//! calls on five kernels and `sharing.rs` the sharing lifecycle.
 //!
 //! Kernel operations reach the kernel through the machine's typed
 //! calls, so their flushes go through the shootdown view, the named
@@ -17,7 +17,7 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
-use sat_core::{Kernel, KernelConfig};
+use sat_core::{ForkOutcome, Kernel, KernelConfig};
 use sat_sim::Machine;
 use sat_types::{
     AccessType, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, KERNEL_SPACE_START,
@@ -27,8 +27,8 @@ use sat_vm::MmapRequest;
 
 /// The zygote's library: 8 pre-faulted RX pages, the shared image. The
 /// outsider maps a library of its own over the first `CODE_PAGES / 2`.
-const CODE: u32 = 0x4000_0000;
-const CODE_PAGES: u32 = 8;
+pub const CODE: u32 = 0x4000_0000;
+pub const CODE_PAGES: u32 = 8;
 /// The zygote's heap, 64KB-aligned: two whole large-page groups and a
 /// spare page, so the promotion scanner has groups to collapse.
 pub const HEAP: u32 = 0x0900_0000;
@@ -215,8 +215,7 @@ impl Sim {
         let core = |c: u8| usize::from(c) % CORES;
         match *op {
             Op::Fork(c, n) => {
-                let child = self.m.fork(core(c), self.pid(n))?.0.child;
-                self.live.push(child);
+                self.fork(core(c), self.pid(n))?;
             }
             Op::Fault(n, p, access) => self.fault(self.pid(n), self.page(p.into()), access)?,
             Op::Mmap(c, n) => {
@@ -241,8 +240,7 @@ impl Sim {
             }
             Op::Exit(c, n) => {
                 if self.live.len() > 2 {
-                    let pid = self.live.remove(2 + n % (self.live.len() - 2));
-                    self.m.exit(core(c), pid)?;
+                    self.exit(core(c), self.live[2 + n % (self.live.len() - 2)])?;
                 }
             }
             Op::Reclaim(k) => {
@@ -278,8 +276,22 @@ impl Sim {
         Ok(())
     }
 
+    /// Forks `parent` on `core`; the child joins the live processes.
+    pub fn fork(&mut self, core: usize, parent: Pid) -> SatResult<ForkOutcome> {
+        let fork = self.m.fork(core, parent)?.0;
+        self.live.push(fork.child);
+        Ok(fork)
+    }
+
+    /// Exits `pid` on `core`; it leaves the live processes.
+    pub fn exit(&mut self, core: usize, pid: Pid) -> SatResult<()> {
+        self.m.exit(core, pid)?;
+        self.live.retain(|&p| p != pid);
+        Ok(())
+    }
+
     /// A page fault of `pid` at `va`, beneath the machine.
-    fn fault(&mut self, pid: Pid, va: VirtAddr, access: AccessType) -> SatResult<()> {
+    pub fn fault(&mut self, pid: Pid, va: VirtAddr, access: AccessType) -> SatResult<()> {
         let fault = self.m.syscall(|k, tlb| k.page_fault(pid, va, access, tlb));
         fault.map(drop)
     }

@@ -11,7 +11,9 @@
 //!
 //! Two rows pin the fault repair's reach on every kernel configuration:
 //! a copy-on-write break or a write-enable on one core leaves no stale
-//! entry of the page on the core the process ran on before.
+//! entry of the page on the core the process ran on before. A third pins
+//! the fork's: a page it write-protects in a chunk it copies keeps no
+//! writable entry.
 
 mod common;
 
@@ -19,7 +21,8 @@ use common::{op_strategy, Sim, HEAP};
 use proptest::prelude::*;
 use sat_core::KernelConfig;
 use sat_sim::Machine;
-use sat_types::{AccessType, Asid, Pfn, VirtAddr};
+use sat_types::{AccessType, Asid, Perms, Pfn, RegionTag, VirtAddr, PAGE_SIZE};
+use sat_vm::MmapRequest;
 
 /// The kernels run: stock, both sharing presets, sharing with the
 /// level-1 write-protect assist, and stock without ASIDs.
@@ -148,5 +151,26 @@ fn write_enable_on_one_core_leaves_no_read_only_entry_on_another() {
             config(preset)
         );
         m.audit().unwrap();
+    }
+}
+
+/// The zygote writes a stack page on core 0 — a chunk no kernel shares,
+/// so every kernel copies it — and forks there. The fork write-protects
+/// the page for copy-on-write, and the writable entry core 0 cached for
+/// it must go: the zygote's next write faults.
+#[test]
+fn fork_leaves_no_writable_entry_of_a_page_it_protected() {
+    let stack = VirtAddr::new(0x0B00_0000);
+    for preset in 0..5 {
+        let mut w = Sim::boot(config(preset));
+        let zygote = w.live[0];
+        let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Stack, "[stack]");
+        w.m.mmap(0, zygote, &req.at(stack)).unwrap();
+        w.m.access(0, stack, AccessType::Write).unwrap();
+        w.fork(0, zygote).unwrap();
+        w.m.audit()
+            .unwrap_or_else(|e| panic!("{:?}: {e}", config(preset)));
+        assert_eq!(write_faults(&mut w.m, 0, stack), 1, "{:?}", config(preset));
+        w.teardown();
     }
 }

@@ -411,169 +411,6 @@ fn failed_fork_flushes_the_parent_like_a_successful_one() {
     }
 }
 
-/// Kernel config `base` with the promotion scanner on (any populated
-/// group collapses).
-fn promoting(base: KernelConfig) -> KernelConfig {
-    base.with_promote(sat_core::PromotePolicy {
-        enabled: true,
-        min_populated: 1,
-        ..sat_core::PromotePolicy::off()
-    })
-}
-
-/// Maps an anonymous RW heap of `groups` 64KB groups at `at` in `pid`,
-/// write-faults every page, and runs the promotion scanner over the
-/// process: map, fault, promote — every group must end up large.
-fn promoted_heap(kernel: &mut Kernel, pid: Pid, at: u32, groups: u32) {
-    use sat_core::NoTlb;
-    let len = groups * 64 * 1024;
-    kernel
-        .mmap(
-            pid,
-            &MmapRequest::anon(len, Perms::RW, RegionTag::Heap, "huge").at(VirtAddr::new(at)),
-            &mut NoTlb,
-        )
-        .unwrap();
-    for page in 0..len / PAGE_SIZE {
-        kernel
-            .page_fault(
-                pid,
-                VirtAddr::new(at + page * PAGE_SIZE),
-                AccessType::Write,
-                &mut NoTlb,
-            )
-            .unwrap();
-    }
-    kernel.promote_scan(pid, &mut NoTlb).unwrap();
-    for group in 0..groups {
-        let slot = kernel
-            .pte(pid, VirtAddr::new(at + group * 64 * 1024))
-            .unwrap()
-            .unwrap();
-        assert_eq!(slot.hw.size, sat_types::PageSize::Large64K);
-    }
-}
-
-#[test]
-fn promotion_in_a_shared_chunk_unshares_before_installing_ptes() {
-    // Regression: large-page installs must not land in a PTP still
-    // shared with other processes.
-    use sat_core::NoTlb;
-    let mut kernel = Kernel::new(promoting(KernelConfig::shared_ptp()), 65_536);
-    let zygote = kernel.create_process().unwrap();
-    kernel.exec_zygote(zygote).unwrap();
-    // A touched heap page so the chunk has a PTP to share.
-    kernel
-        .mmap(
-            zygote,
-            &MmapRequest::anon(4 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
-                .at(VirtAddr::new(0x0800_0000)),
-            &mut NoTlb,
-        )
-        .unwrap();
-    kernel
-        .page_fault(
-            zygote,
-            VirtAddr::new(0x0800_0000),
-            AccessType::Write,
-            &mut NoTlb,
-        )
-        .unwrap();
-    let child = kernel.fork(zygote).unwrap().child;
-    assert!(kernel
-        .mm(child)
-        .unwrap()
-        .root
-        .entry_for(VirtAddr::new(0x0800_0000))
-        .need_copy());
-    // Child maps, touches and promotes a 64KB large page in a free hole
-    // of the shared chunk.
-    promoted_heap(&mut kernel, child, 0x0810_0000, 1);
-    // The chunk was unshared first: the zygote must NOT see the PTEs.
-    assert!(kernel
-        .pte(zygote, VirtAddr::new(0x0810_0000))
-        .unwrap()
-        .is_none());
-    assert!(!kernel
-        .mm(child)
-        .unwrap()
-        .root
-        .entry_for(VirtAddr::new(0x0800_0000))
-        .need_copy());
-    kernel.audit().unwrap();
-}
-
-#[test]
-fn unshare_of_large_page_chunk_balances_refcounts() {
-    // Regression: unshare's PTE-copy pass must reference each 64KB
-    // slot's own 4KB frame, matching teardown accounting.
-    use sat_core::NoTlb;
-    let mut kernel = Kernel::new(promoting(KernelConfig::shared_ptp()), 65_536);
-    let zygote = kernel.create_process().unwrap();
-    kernel.exec_zygote(zygote).unwrap();
-    promoted_heap(&mut kernel, zygote, 0x0900_0000, 2);
-    let baseline = kernel.phys.frames_in_use();
-    let child = kernel.fork(zygote).unwrap().child;
-    assert!(kernel
-        .mm(child)
-        .unwrap()
-        .root
-        .entry_for(VirtAddr::new(0x0900_0000))
-        .need_copy());
-    // The child's write fault unshares the chunk (copying the 32
-    // large-page slots into a private PTP).
-    kernel
-        .page_fault(
-            child,
-            VirtAddr::new(0x0900_0000),
-            AccessType::Write,
-            &mut NoTlb,
-        )
-        .unwrap();
-    // Tear everything down: every frame must come back.
-    kernel.exit(child, &mut NoTlb).unwrap();
-    assert_eq!(kernel.phys.frames_in_use(), baseline, "refcount imbalance");
-    kernel.exit(zygote, &mut NoTlb).unwrap();
-    assert_eq!(kernel.phys.frames_in_use(), 0);
-}
-
-#[test]
-fn partial_large_page_operations_demote_instead_of_failing() {
-    use sat_core::NoTlb;
-    let mut kernel = Kernel::new(promoting(KernelConfig::stock()), 65_536);
-    let pid = kernel.create_process().unwrap();
-    promoted_heap(&mut kernel, pid, 0x0900_0000, 1);
-    // Partial munmap (16KB of a 64KB page) splits the page back to
-    // sixteen 4KB PTEs first (Linux's split-before-zap)...
-    let partial = sat_types::VaRange::from_len(VirtAddr::new(0x0900_0000), 4 * PAGE_SIZE);
-    kernel.munmap(pid, partial, &mut NoTlb).unwrap();
-    assert_eq!(kernel.stats.demotions, 1);
-    assert_eq!(kernel.stats.split_ptes, 16);
-    assert!(kernel
-        .pte(pid, VirtAddr::new(0x0900_0000))
-        .unwrap()
-        .is_none());
-    // ...leaving the tail resident at 4KB granularity.
-    assert!(kernel
-        .pte(pid, VirtAddr::new(0x0900_0000 + 4 * PAGE_SIZE))
-        .unwrap()
-        .is_some());
-    // Partial mprotect demotes symmetrically.
-    promoted_heap(&mut kernel, pid, 0x0910_0000, 1);
-    let cut = sat_types::VaRange::from_len(VirtAddr::new(0x0910_0000), 4 * PAGE_SIZE);
-    kernel.mprotect(pid, cut, Perms::R, &mut NoTlb).unwrap();
-    assert_eq!(kernel.stats.demotions, 2);
-    // Whole-page operations never split.
-    promoted_heap(&mut kernel, pid, 0x0920_0000, 1);
-    let whole = sat_types::VaRange::from_len(VirtAddr::new(0x0920_0000), 64 * 1024);
-    kernel.munmap(pid, whole, &mut NoTlb).unwrap();
-    assert_eq!(kernel.stats.demotions, 2);
-    assert!(kernel
-        .pte(pid, VirtAddr::new(0x0920_0000))
-        .unwrap()
-        .is_none());
-}
-
 /// Conservation (observability): every `TlbStats` flush increment has
 /// a matching `TlbFlush` event. Zero-entry full flushes are reported
 /// too, so event *counts* reconcile with `full_flushes` and event
