@@ -476,6 +476,35 @@ mod tests {
     }
 
     #[test]
+    fn full_launch_is_reproducible_per_config() {
+        for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
+            let run = || {
+                let mut sys = boot(config, LibraryLayout::Original);
+                let (_, r) = launch_app_seq(&mut sys, &LaunchOptions::small(), 0).unwrap();
+                sys.machine.audit().unwrap();
+                (r.window_cycles, r.file_faults, r.ptps_allocated)
+            };
+            assert_eq!(run(), run(), "nondeterministic launch under {config:?}");
+        }
+    }
+
+    /// An app just launched exits through the machine while it runs on
+    /// core 0: no core keeps the dead pid as current, and no TLB entry
+    /// outlives it (`Machine::audit`).
+    #[test]
+    fn exit_of_a_running_app_leaves_nothing_behind() {
+        for config in [KernelConfig::stock(), KernelConfig::shared_ptp_tlb()] {
+            let mut sys = boot(config, LibraryLayout::Original);
+            let (pid, _) = launch_app_seq(&mut sys, &LaunchOptions::small(), 0).unwrap();
+            assert_eq!(sys.machine.cores[0].current, Some(pid));
+            sys.machine.exit(0, pid).unwrap();
+            assert_eq!(sys.machine.cores[0].current, None);
+            let audit = sys.machine.audit();
+            audit.unwrap_or_else(|e| panic!("{config:?}: {e}"));
+        }
+    }
+
+    #[test]
     fn aligned_layout_keeps_more_ptps_shared_through_launch() {
         let mut orig = boot(KernelConfig::shared_ptp(), LibraryLayout::Original);
         let mut aligned = boot(KernelConfig::shared_ptp(), LibraryLayout::Aligned2Mb);

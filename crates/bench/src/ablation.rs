@@ -222,6 +222,19 @@ mod tests {
     use crate::render::cell;
 
     #[test]
+    fn ablations_quick() {
+        let out = all(Scale::Quick).unwrap();
+        for section in [
+            "copy-on-unshare",
+            "write-protect hardware assist",
+            "sharing the stack",
+            "protection scheme",
+        ] {
+            assert!(out.contains(section), "missing ablation {section}");
+        }
+    }
+
+    #[test]
     fn hw_assist_removes_write_protect_pass() {
         let out = ablation_hw_assist(Scale::Quick).unwrap();
         // The assist row reports zero write-protect operations.

@@ -186,6 +186,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn steady_experiment_quick() {
+        let out = steady_experiment(Scale::Quick).unwrap();
+        for fig in ["Figure 10", "Figure 11", "Figure 12", "PTEs copied"] {
+            assert!(out.contains(fig), "missing {fig}");
+        }
+    }
+
+    #[test]
     fn steady_suite_quick_directional_checks() {
         let stock =
             run_suite(KernelConfig::stock(), LibraryLayout::Original, Scale::Quick).unwrap();

@@ -216,8 +216,9 @@ mod tests {
     #[test]
     fn table4_quick_has_expected_shape() {
         let out = table4(Scale::Quick).unwrap();
-        assert!(out.contains("Shared PTPs"));
-        assert!(out.contains("Fork speedup"));
+        for text in ["Shared PTPs", "Fork speedup", "Copied PTEs"] {
+            assert!(out.contains(text), "missing {text}");
+        }
         // Extract the speedup and check it beats 1.5x even at quick
         // scale.
         let speedup: f64 = out
@@ -239,7 +240,7 @@ mod tests {
     #[test]
     fn table3_quick_warm_exceeds_cold() {
         let out = table3(Scale::Quick).unwrap();
-        assert!(out.contains("Cold start"));
+        assert!(out.contains("Cold start") && out.contains("Warm start"));
         // Warm >= cold for every app.
         for app in sat_trace::APP_NAMES {
             let cold: f64 = cell(&out, &[app], 2);

@@ -1140,397 +1140,9 @@ fn kernel_section_entry(va: VirtAddr) -> TlbEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sat_core::{KernelConfig, NoTlb};
+    use sat_core::KernelConfig;
     use sat_types::{RegionTag, PAGE_SIZE};
     use sat_vm::MmapRequest;
-
-    fn machine(config: KernelConfig) -> (Machine, Pid) {
-        let mut kernel = Kernel::new(config, 65536);
-        let lib = kernel.files.register("libtest.so", 64 * PAGE_SIZE);
-        let zygote = kernel.create_process().unwrap();
-        kernel.exec_zygote(zygote).unwrap();
-        let req = MmapRequest::file(
-            64 * PAGE_SIZE,
-            Perms::RX,
-            lib,
-            0,
-            RegionTag::ZygoteNativeCode,
-            "libtest.so",
-        )
-        .at(VirtAddr::new(0x4000_0000));
-        kernel.mmap(zygote, &req, &mut NoTlb).unwrap();
-        let heap = MmapRequest::anon(8 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]")
-            .at(VirtAddr::new(0x0900_0000));
-        kernel.mmap(zygote, &heap, &mut NoTlb).unwrap();
-        let mut m = Machine::single_core(kernel);
-        m.context_switch(0, zygote).unwrap();
-        (m, zygote)
-    }
-
-    #[test]
-    fn first_access_faults_then_hits() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        let va = VirtAddr::new(0x4000_0000);
-        let cold = m.access(0, va, AccessType::Execute).unwrap();
-        assert!(cold > m.model.hard_fault, "cold access {cold}");
-        assert_eq!(m.cores[0].stats.page_faults, 1);
-        let warm = m.access(0, va, AccessType::Execute).unwrap();
-        assert!(warm <= 2, "warm access {warm} cycles");
-    }
-
-    #[test]
-    fn anon_write_then_read_no_extra_fault() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        let va = VirtAddr::new(0x0900_0000);
-        m.access(0, va, AccessType::Write).unwrap();
-        let faults = m.cores[0].stats.page_faults;
-        m.access(0, va, AccessType::Read).unwrap();
-        m.access(0, va, AccessType::Write).unwrap();
-        assert_eq!(m.cores[0].stats.page_faults, faults);
-    }
-
-    #[test]
-    fn kernel_fetches_do_not_fault() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        let va = VirtAddr::new(KERNEL_SPACE_START + 0x0001_2340);
-        let c = m.access(0, va, AccessType::Execute).unwrap();
-        assert!(c < 1000, "kernel fetch cost {c}");
-        assert_eq!(m.cores[0].stats.page_faults, 0);
-    }
-
-    #[test]
-    fn context_switch_flushes_micro_but_keeps_main_with_asid() {
-        let (mut m, zygote) = machine(KernelConfig::stock());
-        let other = m.kernel.create_process().unwrap();
-        let va = VirtAddr::new(0x4000_0000);
-        m.access(0, va, AccessType::Execute).unwrap();
-        let occupancy = m.cores[0].main_tlb.occupancy();
-        assert!(occupancy > 0);
-        m.context_switch(0, other).unwrap();
-        // Main TLB content survives (ASIDs enabled).
-        assert!(m.cores[0].main_tlb.occupancy() >= occupancy);
-        m.context_switch(0, zygote).unwrap();
-        let misses_before = m.cores[0].main_tlb.stats().misses;
-        m.access(0, va, AccessType::Execute).unwrap();
-        // Micro missed but main hit: no new main-TLB miss.
-        assert_eq!(m.cores[0].main_tlb.stats().misses, misses_before);
-    }
-
-    #[test]
-    fn disabled_asid_flushes_main_tlb_on_switch() {
-        let (mut m, zygote) = machine(KernelConfig::stock().without_asid());
-        let other = m.kernel.create_process().unwrap();
-        m.access(0, VirtAddr::new(0x4000_0000), AccessType::Execute)
-            .unwrap();
-        let asid = m.kernel.mm(zygote).unwrap().asid;
-        assert!(m.cores[0]
-            .main_tlb
-            .probe(VirtAddr::new(0x4000_0000), asid)
-            .is_some());
-        m.context_switch(0, other).unwrap();
-        // The switch flushed everything; only the scheduler's kernel
-        // entry may have been reloaded afterwards.
-        assert!(m.cores[0]
-            .main_tlb
-            .probe(VirtAddr::new(0x4000_0000), asid)
-            .is_none());
-        assert!(m.cores[0].main_tlb.stats().full_flushes >= 1);
-    }
-
-    #[test]
-    fn global_entries_shared_across_zygote_children() {
-        let (mut m, zygote) = machine(KernelConfig::shared_ptp_tlb());
-        let va = VirtAddr::new(0x4000_0000);
-        m.access(0, va, AccessType::Execute).unwrap();
-        let (child, _) = {
-            let (o, c) = m.fork(0, zygote).unwrap();
-            (o.child, c)
-        };
-        m.context_switch(0, child).unwrap();
-        m.cores[0].main_tlb.reset_stats();
-        m.access(0, va, AccessType::Execute).unwrap();
-        let stats = m.cores[0].main_tlb.stats();
-        assert_eq!(stats.misses, 0, "child reused the global entry");
-        assert_eq!(stats.cross_asid_hits, 1);
-    }
-
-    #[test]
-    fn stock_kernel_duplicates_tlb_entries_per_process() {
-        let (mut m, zygote) = machine(KernelConfig::stock());
-        let va = VirtAddr::new(0x4000_0000);
-        m.access(0, va, AccessType::Execute).unwrap();
-        let (o, _) = m.fork(0, zygote).unwrap();
-        m.context_switch(0, o.child).unwrap();
-        m.cores[0].main_tlb.reset_stats();
-        let faults_before = m.cores[0].stats.page_faults;
-        m.access(0, va, AccessType::Execute).unwrap();
-        // The child missed (its ASID does not match the parent's
-        // non-global entry), faulted its own PTE in, and walked again.
-        let stats = m.cores[0].main_tlb.stats();
-        assert!(stats.misses >= 1);
-        assert_eq!(stats.cross_asid_hits, 0);
-        assert_eq!(m.cores[0].stats.page_faults, faults_before + 1);
-        // The parent's RX entry survived the fork (the ranged fork
-        // flush touches only write-protected spans): both processes
-        // hold separate entries for the same page — the duplication
-        // the paper eliminates.
-        m.context_switch(0, zygote).unwrap();
-        m.access(0, va, AccessType::Execute).unwrap();
-        let child_asid = m.kernel.mm(o.child).unwrap().asid;
-        let parent_asid = m.kernel.mm(zygote).unwrap().asid;
-        assert!(m.cores[0].main_tlb.probe(va, child_asid).is_some());
-        assert!(m.cores[0].main_tlb.probe(va, parent_asid).is_some());
-    }
-
-    #[test]
-    fn non_zygote_process_takes_domain_fault_on_global_entry() {
-        let (mut m, zygote) = machine(KernelConfig::shared_ptp_tlb());
-        let va = VirtAddr::new(0x4000_0000);
-        m.access(0, va, AccessType::Execute).unwrap();
-        // A non-zygote process with its own mapping at the same VA.
-        let outsider = m.kernel.create_process().unwrap();
-        let lib2 = m.kernel.files.register("other.so", 4 * PAGE_SIZE);
-        let req = MmapRequest::file(
-            4 * PAGE_SIZE,
-            Perms::RX,
-            lib2,
-            0,
-            RegionTag::OtherLibCode,
-            "other.so",
-        )
-        .at(va);
-        m.mmap(0, outsider, &req).unwrap();
-        m.context_switch(0, outsider).unwrap();
-        m.access(0, va, AccessType::Execute).unwrap();
-        assert_eq!(m.cores[0].stats.domain_faults, 1);
-        assert_eq!(m.kernel.stats.domain_faults, 1);
-        // The outsider ends up with its own (correct) translation.
-        let pte = m.kernel.pte(outsider, va).unwrap().unwrap();
-        let entry = m.cores[0]
-            .main_tlb
-            .probe(va, m.kernel.mm(outsider).unwrap().asid)
-            .unwrap();
-        assert_eq!(entry.pfn, pte.hw.pfn);
-        assert_eq!(entry.domain, Domain::USER);
-        // Re-access: no further fault.
-        m.access(0, va, AccessType::Execute).unwrap();
-        assert_eq!(m.cores[0].stats.domain_faults, 1);
-        let _ = zygote;
-    }
-
-    #[test]
-    fn fork_cycles_differ_by_config() {
-        let (mut m_stock, z1) = machine(KernelConfig::stock());
-        let (mut m_share, z2) = machine(KernelConfig::shared_ptp());
-        // Touch the same pages in both.
-        for i in 0..8u32 {
-            m_stock
-                .access(
-                    0,
-                    VirtAddr::new(0x0900_0000 + i * PAGE_SIZE),
-                    AccessType::Write,
-                )
-                .unwrap();
-            m_share
-                .access(
-                    0,
-                    VirtAddr::new(0x0900_0000 + i * PAGE_SIZE),
-                    AccessType::Write,
-                )
-                .unwrap();
-        }
-        let (_, stock_cycles) = m_stock.fork(0, z1).unwrap();
-        let (_, share_cycles) = m_share.fork(0, z2).unwrap();
-        assert!(
-            share_cycles < stock_cycles,
-            "{share_cycles} vs {stock_cycles}"
-        );
-    }
-
-    #[test]
-    fn fsr_far_latch_fault_classes() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        // Demand-paging fault: translation class, FAR = address.
-        let va = VirtAddr::new(0x4000_3000);
-        m.access(0, va, AccessType::Execute).unwrap();
-        let rec = m.last_fault.expect("fault latched");
-        assert!(rec.status.is_translation_fault());
-        assert_eq!(rec.far, va);
-        assert!(!rec.write);
-        // The register encoding round-trips.
-        assert_eq!(sat_mmu::FaultRecord::decode(rec.fsr(), rec.far), Some(rec));
-    }
-
-    #[test]
-    fn page_fault_pollutes_icache() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        let before = m.cores[0].stats.inst_fetches;
-        m.access(0, VirtAddr::new(0x4000_0000), AccessType::Execute)
-            .unwrap();
-        // The fault handler executed hundreds of kernel lines.
-        assert!(m.cores[0].stats.inst_fetches > before + 100);
-    }
-
-    #[test]
-    fn walks_put_pte_lines_in_the_l2() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        m.access(0, VirtAddr::new(0x4000_0000), AccessType::Execute)
-            .unwrap();
-        let (_, l1d) = m.cores[0].caches.l1_stats();
-        // The walker allocated into L1-D (PageWalk routes there).
-        assert!(l1d.misses > 0);
-    }
-
-    #[test]
-    fn precise_shootdown_ipis_only_resident_cores() {
-        let (mut m, zygote) = machine(KernelConfig::stock());
-        for _ in 0..3 {
-            m.cores.push(Core::default());
-        }
-        // The zygote runs — and loads a non-global entry — on core 0
-        // only.
-        let va = VirtAddr::new(0x0900_0000);
-        m.access(0, va, AccessType::Write).unwrap();
-        let asid = m.kernel.mm(zygote).unwrap().asid;
-        assert!(m.cores[0].asid_resident(asid));
-        assert!(!m.cores[1].asid_resident(asid));
-        let ipi = m.model.ipi;
-        let cycles_before: Vec<u64> = m.cores.iter().map(|c| c.stats.cycles).collect();
-        let flushed_before = m.cores[0].main_tlb.stats().entries_flushed;
-        let micro = [
-            m.cores[0].micro_i.occupancy(),
-            m.cores[0].micro_d.occupancy(),
-        ];
-        sat_obs::install(64);
-        m.syscall(|_, tlb| tlb.flush(FlushOp::Asid(asid), FlushReason::Exit));
-        let rec = sat_obs::uninstall().expect("recorder installed above");
-        // The targeted core's main flush under the given reason (its
-        // ASID on the event), then that core's non-empty micro
-        // flushes, then one shootdown event.
-        let main = m.cores[0].main_tlb.stats().entries_flushed - flushed_before;
-        assert!(main >= 1, "the resident entry went");
-        let flush = |scope, entries| sat_obs::Payload::TlbFlush {
-            scope,
-            reason: FlushReason::Exit,
-            entries,
-        };
-        let mut expected = vec![(asid.raw(), flush(FlushScope::Asid, main))];
-        for n in micro.into_iter().filter(|&n| n > 0) {
-            expected.push((0, flush(FlushScope::MicroAll, n as u64)));
-        }
-        expected.push((
-            asid.raw(),
-            sat_obs::Payload::TlbShootdown {
-                asid: asid.raw(),
-                scope: FlushScope::Asid,
-                cores_targeted: 1,
-                cores_local: 0,
-                cores_skipped: 3,
-            },
-        ));
-        let events: Vec<_> = rec
-            .events
-            .into_iter()
-            .map(|e| (e.asid, e.payload))
-            .collect();
-        assert_eq!(events, expected);
-        // Core 0 took the IPI and lost the entry...
-        assert!(m.cores[0].main_tlb.probe(va, asid).is_none());
-        assert!(!m.cores[0].asid_resident(asid));
-        assert_eq!(m.cores[0].stats.cycles, cycles_before[0] + ipi);
-        assert_eq!(m.cores[0].main_tlb.stats().avoided_flushes, 0);
-        // ...while the cores that never held it were left alone: no
-        // flush work, no IPI cost, one avoided flush each.
-        for (core, &before) in m.cores.iter().zip(&cycles_before).skip(1) {
-            assert_eq!(core.stats.cycles, before);
-            assert_eq!(core.main_tlb.stats().avoided_flushes, 1);
-            assert_eq!(core.main_tlb.stats().entries_flushed, 0);
-        }
-    }
-
-    /// The rollover-aliasing regression: a process left current on a
-    /// core across a generation rollover keeps running with its ASID,
-    /// so that value must be reserved (never reissued), and
-    /// re-scheduling the same pid must still fire the deferred flush.
-    #[test]
-    fn current_process_survives_rollover_without_aliasing() {
-        let (mut m, zygote) = machine(KernelConfig::stock());
-        // The zygote is current on core 0 and holds a non-global heap
-        // entry there.
-        let heap = VirtAddr::new(0x0900_0000);
-        m.access(0, heap, AccessType::Write).unwrap();
-        let asid_before = m.kernel.mm(zygote).unwrap().asid;
-        // Burn through the ASID space behind its back (syscall-level
-        // fork/exit never passes through context_switch).
-        for _ in 0..300 {
-            let child = m.syscall(|k, _| k.fork(zygote)).unwrap().child;
-            if m.kernel.asid_generation() > 1 {
-                assert_ne!(
-                    m.kernel.mm(child).unwrap().asid,
-                    asid_before,
-                    "recycled value collided with the on-core zygote"
-                );
-            }
-            m.exit(0, child).unwrap();
-        }
-        assert!(m.kernel.stats.asid_rollovers >= 1);
-        // Running at the rollover: value kept, generation current.
-        assert_eq!(m.kernel.mm(zygote).unwrap().asid, asid_before);
-        assert!(!m.kernel.asid_is_stale(zygote));
-        // Re-scheduling the already-current pid fires the pending
-        // flush (the early-return path must not skip it).
-        assert!(m.kernel.rollover_flush_pending());
-        m.context_switch(0, zygote).unwrap();
-        assert!(!m.kernel.rollover_flush_pending());
-        // And a fresh process can never be issued the reserved value.
-        let fresh = m.syscall(|k, _| k.create_process()).unwrap();
-        assert_ne!(m.kernel.mm(fresh).unwrap().asid, asid_before);
-    }
-
-    #[test]
-    fn kernel_run_past_the_end_of_kernel_space_is_refused() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        let before = m.cores[0].stats;
-        // The last page of kernel space holds 128 lines; one more
-        // would wrap the 32-bit VA into user space.
-        for (base_page, lines) in [
-            (KERNEL_PAGES - 1, LINES_PER_PAGE + 1),
-            (KERNEL_PAGES - 2, 3 * LINES_PER_PAGE),
-            (KERNEL_PAGES, 1),
-            (KERNEL_PAGES, 0),
-            (u32::MAX, 80),
-            (0, u32::MAX),
-        ] {
-            assert_eq!(
-                m.run_kernel_lines(0, base_page, lines),
-                Err(SatError::InvalidArgument),
-                "{base_page:#x} + {lines} lines"
-            );
-        }
-        assert_eq!(m.cores[0].stats, before, "nothing was fetched");
-        // Right up to the end is fine.
-        m.run_kernel_lines(0, KERNEL_PAGES - 1, LINES_PER_PAGE)
-            .unwrap();
-        assert_eq!(
-            m.cores[0].stats.inst_fetches,
-            before.inst_fetches + u64::from(LINES_PER_PAGE)
-        );
-    }
-
-    #[test]
-    fn main_tlb_stall_cycles_accumulate_on_fetch_misses() {
-        let (mut m, _z) = machine(KernelConfig::stock());
-        for i in 0..16u32 {
-            m.access(
-                0,
-                VirtAddr::new(0x4000_0000 + i * PAGE_SIZE),
-                AccessType::Execute,
-            )
-            .unwrap();
-        }
-        assert!(m.cores[0].stats.inst_main_tlb_stall_cycles > 0);
-        assert_eq!(m.cores[0].stats.data_main_tlb_stall_cycles, 0);
-    }
 
     /// The run routine against the line-by-line loop it replaced, on
     /// twin machines.
@@ -1584,26 +1196,31 @@ mod tests {
             }
         }
 
-        /// Two cores; the zygote, a child of it, and an outsider with
-        /// a mapping of its own over the zygote's library (under TLB
-        /// sharing it takes domain faults on the global entries).
+        /// Two cores; the zygote (a 64-page library and an 8-page
+        /// heap), a child of it, and an outsider with a mapping of its
+        /// own over the zygote's library (under TLB sharing it takes
+        /// domain faults on the global entries).
         fn twin(config: KernelConfig, line_by_line: bool) -> (Machine, [Pid; 3]) {
-            let (mut m, zygote) = machine(config);
-            m.cores.push(Core::default());
+            let mut kernel = Kernel::new(config, 65536);
+            let lib = kernel.files.register("libtest.so", 64 * PAGE_SIZE);
+            let other = kernel.files.register("other.so", 16 * PAGE_SIZE);
+            let zygote = kernel.create_process().unwrap();
+            kernel.exec_zygote(zygote).unwrap();
+            let outsider = kernel.create_process().unwrap();
+            let mut m = Machine::new(kernel, CORES);
             m.line_by_line = line_by_line;
+            for (pid, pages, file, tag, name) in [
+                (zygote, 64, lib, RegionTag::ZygoteNativeCode, "libtest.so"),
+                (outsider, 16, other, RegionTag::OtherLibCode, "other.so"),
+            ] {
+                let req = MmapRequest::file(pages * PAGE_SIZE, Perms::RX, file, 0, tag, name);
+                m.mmap(0, pid, &req.at(VirtAddr::new(0x4000_0000))).unwrap();
+            }
+            let heap = MmapRequest::anon(8 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[heap]");
+            m.mmap(0, zygote, &heap.at(VirtAddr::new(0x0900_0000)))
+                .unwrap();
+            m.context_switch(0, zygote).unwrap();
             let child = m.fork(0, zygote).unwrap().0.child;
-            let outsider = m.kernel.create_process().unwrap();
-            let lib = m.kernel.files.register("other.so", 16 * PAGE_SIZE);
-            let req = MmapRequest::file(
-                16 * PAGE_SIZE,
-                Perms::RX,
-                lib,
-                0,
-                RegionTag::OtherLibCode,
-                "other.so",
-            )
-            .at(VirtAddr::new(0x4000_0000));
-            m.mmap(0, outsider, &req).unwrap();
             m.context_switch(1, child).unwrap();
             (m, [zygote, child, outsider])
         }

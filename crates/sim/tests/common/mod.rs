@@ -6,7 +6,8 @@
 //! `integration_properties.rs` stock against sharing, `proptests.rs` one
 //! budgeted machine, `promote_differential.rs` promoted pages against 4KB
 //! ones, `machine_audit.rs` every preset alone, `boundary.rs` refused
-//! calls on five kernels and `sharing.rs` the sharing lifecycle.
+//! calls on five kernels, `sharing.rs` the sharing lifecycle and
+//! `machine.rs` the hardware paths.
 //!
 //! Kernel operations reach the kernel through the machine's typed
 //! calls, so their flushes go through the shootdown view, the named
@@ -20,8 +21,8 @@ use proptest::prelude::*;
 use sat_core::{ForkOutcome, Kernel, KernelConfig};
 use sat_sim::Machine;
 use sat_types::{
-    AccessType, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, KERNEL_SPACE_START,
-    PAGE_SIZE,
+    AccessType, Perms, Pfn, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr,
+    KERNEL_SPACE_START, PAGE_SIZE,
 };
 use sat_vm::MmapRequest;
 
@@ -288,6 +289,11 @@ impl Sim {
         self.m.exit(core, pid)?;
         self.live.retain(|&p| p != pid);
         Ok(())
+    }
+
+    /// The frame `pid` maps at `va`, which must be mapped.
+    pub fn pfn(&mut self, pid: Pid, va: VirtAddr) -> Pfn {
+        self.m.kernel.pte(pid, va).unwrap().unwrap().hw.pfn
     }
 
     /// A page fault of `pid` at `va`, beneath the machine.

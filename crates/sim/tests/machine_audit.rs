@@ -11,18 +11,22 @@
 //!
 //! Two rows pin the fault repair's reach on every kernel configuration:
 //! a copy-on-write break or a write-enable on one core leaves no stale
-//! entry of the page on the core the process ran on before. A third pins
-//! the fork's: a page it write-protects in a chunk it copies keeps no
-//! writable entry.
+//! entry of the page on the core the process ran on before. Two more pin
+//! the fork's: a page it write-protects, in a chunk it shares or one it
+//! copies, keeps no writable entry, and a fork that runs out of frames
+//! flushes what it protected like one that does not.
 
 mod common;
 
-use common::{op_strategy, Sim, HEAP};
+use common::{op_strategy, Sim, CODE, HEAP};
 use proptest::prelude::*;
 use sat_core::KernelConfig;
 use sat_sim::Machine;
-use sat_types::{AccessType, Asid, Perms, Pfn, RegionTag, VirtAddr, PAGE_SIZE};
+use sat_types::{AccessType, Asid, Perms, Pfn, RegionTag, SatError, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
+
+/// A stack page's address: a chunk no kernel shares.
+const STACK: u32 = 0x0B00_0000;
 
 /// The kernels run: stock, both sharing presets, sharing with the
 /// level-1 write-protect assist, and stock without ASIDs.
@@ -154,23 +158,96 @@ fn write_enable_on_one_core_leaves_no_read_only_entry_on_another() {
     }
 }
 
-/// The zygote writes a stack page on core 0 — a chunk no kernel shares,
-/// so every kernel copies it — and forks there. The fork write-protects
-/// the page for copy-on-write, and the writable entry core 0 cached for
-/// it must go: the zygote's next write faults.
+/// The zygote writes a heap page on core 0 — in a chunk the sharing
+/// kernels share, so their first-share pass protects it — and a stack
+/// page, in a chunk every kernel copies, and forks there. The fork
+/// write-protects both for copy-on-write, and the writable entries core
+/// 0 cached for them must go: the zygote's next write to each faults
+/// once and takes a frame of its own, the child keeping the one it was
+/// forked with.
 #[test]
-fn fork_leaves_no_writable_entry_of_a_page_it_protected() {
-    let stack = VirtAddr::new(0x0B00_0000);
+fn fork_flushes_stale_writable_parent_entries() {
+    let (heap, stack) = (VirtAddr::new(HEAP), VirtAddr::new(STACK));
     for preset in 0..5 {
         let mut w = Sim::boot(config(preset));
         let zygote = w.live[0];
         let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Stack, "[stack]");
         w.m.mmap(0, zygote, &req.at(stack)).unwrap();
         w.m.access(0, stack, AccessType::Write).unwrap();
-        w.fork(0, zygote).unwrap();
+        w.m.access(0, heap, AccessType::Write).unwrap();
+        let child = w.fork(0, zygote).unwrap().child;
         w.m.audit()
             .unwrap_or_else(|e| panic!("{:?}: {e}", config(preset)));
-        assert_eq!(write_faults(&mut w.m, 0, stack), 1, "{:?}", config(preset));
+        for va in [heap, stack] {
+            let forked = w.pfn(child, va);
+            let faults = write_faults(&mut w.m, 0, va);
+            assert_eq!(faults, 1, "{:?}: {va:?}", config(preset));
+            assert_eq!(w.pfn(child, va), forked, "{:?}", config(preset));
+            assert_ne!(w.pfn(zygote, va), forked, "{:?}", config(preset));
+        }
+        w.teardown();
+    }
+}
+
+/// A fork that runs out of frames after it has write-protected the
+/// zygote's heap leaves that protection in place. The writable entry
+/// cached before it must go too: the next fork finds nothing left to
+/// protect, reports no span to flush, and its child would see every
+/// write the parent makes through the stale entry. Ballast — pages a
+/// child of the outsider writes, freed by its exit — leaves free just
+/// the frames the fork gets through.
+#[test]
+fn failed_fork_flushes_the_parent_like_a_successful_one() {
+    let (heap, stack, code) = (
+        VirtAddr::new(HEAP),
+        VirtAddr::new(STACK),
+        VirtAddr::new(CODE),
+    );
+    for (config, frames_that_fit) in [
+        // Root and the heap's table fit; the stack's table does not.
+        (KernelConfig::stock(), 5),
+        // Root fits and the heap's table is shared; the stack's, which
+        // is never shared, does not fit.
+        (KernelConfig::shared_ptp(), 4),
+    ] {
+        let mut w = Sim::boot(config);
+        let [zygote, outsider] = [w.live[0], w.live[1]];
+        let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Stack, "[stack]");
+        w.m.mmap(0, zygote, &req.at(stack)).unwrap();
+        w.m.access(0, code, AccessType::Execute).unwrap(); // a warm read-only entry
+        w.m.access(0, stack, AccessType::Write).unwrap();
+        w.m.access(0, heap, AccessType::Write).unwrap(); // a writable entry
+        let ballast = w.fork(1, outsider).unwrap().child;
+        let req = MmapRequest::anon(4096 * PAGE_SIZE, Perms::RW, RegionTag::Heap, "[ballast]");
+        let base = w.m.mmap(1, ballast, &req).unwrap().raw();
+        for page in (0..).map(|n| VirtAddr::new(base + n * PAGE_SIZE)) {
+            if w.m.kernel.phys.budget_free() == frames_that_fit {
+                break;
+            }
+            w.fault(ballast, page, AccessType::Write).unwrap();
+        }
+        let in_use = w.m.kernel.phys.frames_in_use();
+        let asid = w.m.kernel.mm(zygote).unwrap().asid;
+        assert!(w.m.cores[0].main_tlb.probe(heap, asid).is_some());
+
+        assert_eq!(w.fork(0, zygote).err(), Some(SatError::OutOfMemory));
+        assert_eq!(w.m.kernel.phys.frames_in_use(), in_use);
+        let parent_pte = w.m.kernel.pte(zygote, heap).unwrap().unwrap();
+        assert!(!parent_pte.hw.perms.write(), "the fork got as far as COW");
+        // The flush is the spans the fork write-protected, not the
+        // parent's ASID: the stale writable entry is gone, the code
+        // entry stays warm.
+        assert!(w.m.cores[0].main_tlb.probe(heap, asid).is_none());
+        assert!(w.m.cores[0].main_tlb.probe(code, asid).is_some());
+        w.m.audit().unwrap_or_else(|e| panic!("{config:?}: {e}"));
+
+        w.exit(1, ballast).unwrap();
+        let child = w.fork(0, zygote).unwrap().child;
+        let forked = w.pfn(child, heap);
+        assert_eq!(forked, parent_pte.hw.pfn);
+        assert_eq!(write_faults(&mut w.m, 0, heap), 1, "{config:?}");
+        assert_eq!(w.pfn(child, heap), forked);
+        assert_ne!(w.pfn(zygote, heap), forked, "COW isolation broken");
         w.teardown();
     }
 }

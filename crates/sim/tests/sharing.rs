@@ -15,11 +15,6 @@ fn va(raw: u32) -> VirtAddr {
     VirtAddr::new(raw)
 }
 
-/// A page of `pid` that must be mapped.
-fn pfn(s: &mut Sim, pid: Pid, at: u32) -> sat_types::Pfn {
-    s.m.kernel.pte(pid, va(at)).unwrap().unwrap().hw.pfn
-}
-
 #[test]
 fn ten_generations_of_sharing_and_exit_leak_nothing() {
     let mut s = Sim::boot(KernelConfig::shared_ptp());
@@ -48,22 +43,22 @@ fn ten_generations_of_sharing_and_exit_leak_nothing() {
 fn cow_isolation_across_five_sharers() {
     let mut s = Sim::boot(KernelConfig::shared_ptp());
     let zygote = s.live[0];
-    let original = pfn(&mut s, zygote, HEAP);
+    let original = s.pfn(zygote, va(HEAP));
     let children: Vec<Pid> = (0..5).map(|_| s.fork(0, zygote).unwrap().child).collect();
     // Each child writes the same heap page; every one must get its own
     // frame, and the zygote must keep the original.
     let mut frames = std::collections::BTreeSet::new();
     for &c in &children {
         s.fault(c, va(HEAP), AccessType::Write).unwrap();
-        let f = pfn(&mut s, c, HEAP);
+        let f = s.pfn(c, va(HEAP));
         assert!(frames.insert(f), "duplicate COW frame {f:?}");
     }
     assert!(!frames.contains(&original));
-    assert_eq!(pfn(&mut s, zygote, HEAP), original);
+    assert_eq!(s.pfn(zygote, va(HEAP)), original);
     // All children still share the untouched code frame.
-    let code_frame = pfn(&mut s, zygote, CODE);
+    let code_frame = s.pfn(zygote, va(CODE));
     for &c in &children {
-        assert_eq!(pfn(&mut s, c, CODE), code_frame);
+        assert_eq!(s.pfn(c, va(CODE)), code_frame);
     }
     s.teardown();
 }
@@ -109,7 +104,7 @@ fn stock_and_shared_kernels_agree_on_final_frame_topology() {
         let mut topo = Vec::new();
         for &(p1, va1) in touched {
             for &(p2, va2) in touched {
-                topo.push(va1 == va2 && pfn(&mut s, p1, va1) == pfn(&mut s, p2, va2));
+                topo.push(va1 == va2 && s.pfn(p1, va(va1)) == s.pfn(p2, va(va2)));
             }
         }
         s.teardown();
