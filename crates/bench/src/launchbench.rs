@@ -167,10 +167,22 @@ pub fn launch_experiment(scale: Scale) -> SatResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
+
+    // The quick experiment runs once per test binary; both rows check
+    // its output.
+    static LAUNCH: LazyLock<String> = LazyLock::new(|| launch_experiment(Scale::Quick).unwrap());
+
+    #[test]
+    fn launch_experiment_quick() {
+        for fig in ["Figure 7", "Figure 8", "Figure 9"] {
+            assert!(LAUNCH.contains(fig), "missing {fig}");
+        }
+    }
 
     #[test]
     fn launch_experiment_quick_shapes() {
-        let out = launch_experiment(Scale::Quick).unwrap();
+        let out = &*LAUNCH;
         assert!(out.contains("Figure 7"));
         assert!(out.contains("Figure 8"));
         assert!(out.contains("Figure 9"));

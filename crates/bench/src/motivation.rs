@@ -234,6 +234,13 @@ mod tests {
     }
 
     #[test]
+    fn motivation_suite_renders() {
+        for out in [table1(), fig2(), fig3(), table2(), fig4()] {
+            assert!(out.contains('|'), "not a table:\n{out}");
+        }
+    }
+
+    #[test]
     fn table2_quotes_suite_averages_in_paper_range() {
         let s = table2();
         assert!(s.contains("Suite average"));

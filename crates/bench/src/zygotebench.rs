@@ -212,13 +212,26 @@ pub fn measure_soft_fault_cycles(pages: u32) -> SatResult<(f64, u64)> {
 mod tests {
     use super::*;
     use crate::render::cell;
+    use std::sync::LazyLock;
+
+    // Each quick experiment runs once per test binary; the rows that
+    // check its output share it.
+    static TABLE3: LazyLock<String> = LazyLock::new(|| table3(Scale::Quick).unwrap());
+    static TABLE4: LazyLock<String> = LazyLock::new(|| table4(Scale::Quick).unwrap());
+    static LATFAULT: LazyLock<String> = LazyLock::new(|| latfault(Scale::Quick).unwrap());
+
+    #[test]
+    fn fork_experiments_quick() {
+        assert!(TABLE3.contains("Warm start"));
+        assert!(TABLE4.contains("Copied PTEs"));
+        assert!(LATFAULT.contains("soft faults"));
+    }
 
     #[test]
     fn table4_quick_has_expected_shape() {
-        let out = table4(Scale::Quick).unwrap();
-        for text in ["Shared PTPs", "Fork speedup", "Copied PTEs"] {
-            assert!(out.contains(text), "missing {text}");
-        }
+        let out = &*TABLE4;
+        assert!(out.contains("Shared PTPs"));
+        assert!(out.contains("Fork speedup"));
         // Extract the speedup and check it beats 1.5x even at quick
         // scale.
         let speedup: f64 = out
@@ -239,20 +252,19 @@ mod tests {
 
     #[test]
     fn table3_quick_warm_exceeds_cold() {
-        let out = table3(Scale::Quick).unwrap();
-        assert!(out.contains("Cold start") && out.contains("Warm start"));
+        let out = &*TABLE3;
+        assert!(out.contains("Cold start"));
         // Warm >= cold for every app.
         for app in sat_trace::APP_NAMES {
-            let cold: f64 = cell(&out, &[app], 2);
-            let warm: f64 = cell(&out, &[app], 3);
+            let cold: f64 = cell(out, &[app], 2);
+            let warm: f64 = cell(out, &[app], 3);
             assert!(warm >= cold, "{app}: cold {cold}, warm {warm}");
         }
     }
 
     #[test]
     fn latfault_quick_reports_mean() {
-        let out = latfault(Scale::Quick).unwrap();
-        assert!(out.contains("soft faults"));
+        assert!(LATFAULT.contains("soft faults"));
     }
 
     #[test]

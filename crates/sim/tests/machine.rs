@@ -179,34 +179,57 @@ fn stock_kernel_duplicates_tlb_entries_per_process() {
     s.teardown();
 }
 
-/// The outsider maps `other.so` over the zygote's library. On a core
-/// holding the library's global entry, its first fetch there takes a
-/// domain fault, and it then translates to its own library's frame in
-/// its own domain, with no further fault.
-#[test]
-fn domain_protection_isolates_non_zygote_processes() {
+/// The outsider maps `other.so` over the zygote's library. A zygote
+/// child loads the library's global entry on the outsider's core, and
+/// the outsider then fetches there.
+fn outsider_fetch_over_global_entry() -> Sim {
     let mut s = Sim::boot(KernelConfig::shared_ptp_tlb());
     let [zygote, outsider] = [s.live[0], s.live[1]];
-    let code = va(CODE);
-    // A zygote child loads the global entry on the outsider's core.
     let child = s.fork(0, zygote).unwrap().child;
     let m = &mut s.m;
     m.context_switch(1, child).unwrap();
-    m.access(1, code, Execute).unwrap();
+    m.access(1, va(CODE), Execute).unwrap();
     assert!(m.cores[1].main_tlb.global_occupancy() > 0);
     m.context_switch(1, outsider).unwrap();
-    m.access(1, code, Execute).unwrap();
+    m.access(1, va(CODE), Execute).unwrap();
+    s
+}
+
+/// A process outside the zygote, mapping different code at the same
+/// VA, never reads through the zygote's global entry: it translates to
+/// its own library's frame.
+#[test]
+fn domain_protection_isolates_non_zygote_processes() {
+    let mut s = outsider_fetch_over_global_entry();
+    let [zygote, outsider] = [s.live[0], s.live[1]];
+    let (m, code) = (&mut s.m, va(CODE));
     assert_eq!(m.cores[1].stats.domain_faults, 1);
-    assert_eq!(m.kernel.stats.domain_faults, 1);
     let frame = m.kernel.pte(outsider, code).unwrap().unwrap().hw.pfn;
     let zygote_frame = m.kernel.pte(zygote, code).unwrap().unwrap().hw.pfn;
     assert_ne!(frame, zygote_frame);
     let asid = m.kernel.mm(outsider).unwrap().asid;
-    let entry = m.cores[1].main_tlb.probe(code, asid).unwrap();
     assert_eq!(
-        entry.pfn, frame,
+        m.cores[1].main_tlb.probe(code, asid).unwrap().pfn,
+        frame,
         "the outsider translates to its own library"
     );
+    s.teardown();
+}
+
+/// The outsider's first fetch over the global entry takes one domain
+/// fault, which leaves it an entry of its own PTE in the user domain:
+/// its next fetch takes none.
+#[test]
+fn non_zygote_process_takes_domain_fault_on_global_entry() {
+    let mut s = outsider_fetch_over_global_entry();
+    let outsider = s.live[1];
+    let (m, code) = (&mut s.m, va(CODE));
+    assert_eq!(m.cores[1].stats.domain_faults, 1);
+    assert_eq!(m.kernel.stats.domain_faults, 1);
+    let pte = m.kernel.pte(outsider, code).unwrap().unwrap();
+    let asid = m.kernel.mm(outsider).unwrap().asid;
+    let entry = m.cores[1].main_tlb.probe(code, asid).unwrap();
+    assert_eq!(entry.pfn, pte.hw.pfn);
     assert_eq!(entry.domain, Domain::USER);
     m.access(1, code, Execute).unwrap();
     assert_eq!(m.cores[1].stats.domain_faults, 1);

@@ -11,10 +11,10 @@
 //!
 //! Two rows pin the fault repair's reach on every kernel configuration:
 //! a copy-on-write break or a write-enable on one core leaves no stale
-//! entry of the page on the core the process ran on before. Two more pin
-//! the fork's: a page it write-protects, in a chunk it shares or one it
-//! copies, keeps no writable entry, and a fork that runs out of frames
-//! flushes what it protected like one that does not.
+//! entry of the page on the core the process ran on before. Three more
+//! pin the fork's: a page it write-protects in a chunk it copies keeps
+//! no writable entry, nor does one in a chunk it shares, and a fork that
+//! runs out of frames flushes what it protected like one that does not.
 
 mod common;
 
@@ -155,6 +155,27 @@ fn write_enable_on_one_core_leaves_no_read_only_entry_on_another() {
             config(preset)
         );
         m.audit().unwrap();
+    }
+}
+
+/// The zygote writes a stack page on core 0 — a chunk no kernel shares,
+/// so every kernel copies it — and forks there. The fork write-protects
+/// the page for copy-on-write, and the writable entry core 0 cached for
+/// it must go: the zygote's next write faults.
+#[test]
+fn fork_leaves_no_writable_entry_of_a_page_it_protected() {
+    let stack = VirtAddr::new(STACK);
+    for preset in 0..5 {
+        let mut w = Sim::boot(config(preset));
+        let zygote = w.live[0];
+        let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::Stack, "[stack]");
+        w.m.mmap(0, zygote, &req.at(stack)).unwrap();
+        w.m.access(0, stack, AccessType::Write).unwrap();
+        w.fork(0, zygote).unwrap();
+        w.m.audit()
+            .unwrap_or_else(|e| panic!("{:?}: {e}", config(preset)));
+        assert_eq!(write_faults(&mut w.m, 0, stack), 1, "{:?}", config(preset));
+        w.teardown();
     }
 }
 
