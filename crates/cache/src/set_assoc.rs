@@ -46,18 +46,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Miss rate over all accesses, in [0, 1].
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// An empty way. No address has this tag — a line is at least two
 /// bytes, so a tag has at most 31 bits — so a lookup compares tags
 /// only.

@@ -33,7 +33,7 @@
 
 mod common;
 
-use common::Sim;
+use common::{Footprint, Sim};
 use sat_core::{KernelConfig, KernelStats, PromotePolicy};
 use sat_types::{
     AccessType, Perms, Pid, RegionTag, SatError, SatResult, VaRange, VirtAddr, KERNEL_SPACE_START,
@@ -57,13 +57,8 @@ const TOP: u32 = KERNEL_SPACE_START - 4 * PAGE_SIZE;
 struct State<P> {
     kernel: KernelStats,
     phys: P,
-    frames: u64,
-    rmap: usize,
-    ptps: usize,
-    shared: usize,
-    processes: usize,
+    footprint: Footprint,
     asid_generation: u64,
-    vmas: Vec<usize>,
     /// The recorder's `tlb.*` counters: the machine reports every
     /// main-TLB flush, even an empty one, every shootdown and every
     /// batch.
@@ -123,13 +118,8 @@ impl World {
         State {
             kernel: k.stats,
             phys: k.phys.stats(),
-            frames: k.phys.frames_in_use(),
-            rmap: k.phys.rmap_total(),
-            ptps: k.ptps.len(),
-            shared: k.registry.len(),
-            processes: k.process_count(),
+            footprint: Footprint::of(k),
             asid_generation: k.asid_generation(),
-            vmas: k.processes().map(|(_, mm)| mm.vma_count()).collect(),
             tlb: tlb.expect("recorder installed"),
         }
     }

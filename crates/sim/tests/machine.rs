@@ -450,35 +450,6 @@ fn main_tlb_stall_cycles_accumulate_on_fetch_misses() {
     s.teardown();
 }
 
-/// Writes after a fork never observe the pre-COW frame through a stale
-/// TLB entry.
-#[test]
-fn tlb_never_serves_stale_translation_after_cow() {
-    let mut s = Sim::boot(KernelConfig::shared_ptp_tlb());
-    let zygote = s.live[0];
-    let heap = va(HEAP);
-    let child = s.fork(0, zygote).unwrap().child;
-    let m = &mut s.m;
-    // The parent re-reads: a TLB entry for the shared frame.
-    m.access(0, heap, Read).unwrap();
-    // The child writes: unshare + COW. The TLB must be repaired so the
-    // child's next access translates to its own frame, and the parent's
-    // to the original.
-    m.context_switch(0, child).unwrap();
-    m.access(0, heap, Write).unwrap();
-    m.context_switch(0, zygote).unwrap();
-    m.access(0, heap, Read).unwrap();
-    let frames = [child, zygote].map(|pid| {
-        let frame = m.kernel.pte(pid, heap).unwrap().unwrap().hw.pfn;
-        let asid = m.kernel.mm(pid).unwrap().asid;
-        let cached = m.cores[0].main_tlb.probe(heap, asid).unwrap().pfn;
-        assert_eq!(cached, frame, "the TLB serves {pid:?}'s frame");
-        frame
-    });
-    assert_ne!(frames[0], frames[1], "COW isolation broken");
-    s.teardown();
-}
-
 /// The same access stream on two machines: the same cycles and the same
 /// TLB statistics on every core.
 #[test]

@@ -6,115 +6,71 @@
 
 mod common;
 
-use common::{Sim, CODE, CODE_PAGES, HEAP};
+use common::{transparent, Op, Sim, CODE, CODE_PAGES, HEAP};
 use sat_core::{KernelConfig, PromotePolicy};
-use sat_types::{AccessType, PageSize, Perms, Pid, RegionTag, VaRange, VirtAddr, PAGE_SIZE};
+use sat_types::{PageSize, Perms, Pid, RegionTag, VaRange, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
+
+use sat_types::AccessType::{Execute, Write};
+use Op::{Exit, Fault, Fork};
 
 fn va(raw: u32) -> VirtAddr {
     VirtAddr::new(raw)
 }
 
+/// Five zygote children write the same heap page — each unshares the
+/// chunk and takes a frame of its own — and fetch the library page they
+/// all share, then exit: a generation.
+const GENERATION: &[Op] = &[
+    Fork(0, 0),
+    Fork(0, 0),
+    Fork(0, 0),
+    Fork(0, 0),
+    Fork(0, 0),
+    Fault(2, 8, Write),
+    Fault(3, 8, Write),
+    Fault(4, 8, Write),
+    Fault(5, 8, Write),
+    Fault(6, 8, Write),
+    Fault(2, 0, Execute),
+    Fault(3, 0, Execute),
+    Fault(4, 0, Execute),
+    Fault(5, 0, Execute),
+    Fault(6, 0, Execute),
+    Exit(0, 0),
+    Exit(0, 0),
+    Exit(0, 0),
+    Exit(0, 0),
+    Exit(0, 0),
+];
+
 #[test]
 fn ten_generations_of_sharing_and_exit_leak_nothing() {
-    let mut s = Sim::boot(KernelConfig::shared_ptp());
-    let zygote = s.live[0];
-    let baseline = s.m.kernel.phys.frames_in_use();
-    for round in 0..10 {
-        let children: Vec<Pid> = (0..5).map(|_| s.fork(0, zygote).unwrap().child).collect();
-        // Each child writes one heap page (unshare + COW) and reads
-        // code.
-        for (i, &c) in children.iter().enumerate() {
-            let heap_page = va(HEAP + (i as u32 % 4) * PAGE_SIZE);
-            s.fault(c, heap_page, AccessType::Write).unwrap();
-            s.fault(c, va(CODE), AccessType::Execute)
-                .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        }
-        for c in children {
-            s.exit(0, c).unwrap();
-        }
-        let frames = s.m.kernel.phys.frames_in_use();
-        assert_eq!(frames, baseline, "frame leak after round {round}");
-    }
-    s.teardown();
+    transparent(&[KernelConfig::shared_ptp()], &GENERATION.repeat(10));
 }
 
 #[test]
 fn cow_isolation_across_five_sharers() {
-    let mut s = Sim::boot(KernelConfig::shared_ptp());
-    let zygote = s.live[0];
-    let original = s.pfn(zygote, va(HEAP));
-    let children: Vec<Pid> = (0..5).map(|_| s.fork(0, zygote).unwrap().child).collect();
-    // Each child writes the same heap page; every one must get its own
-    // frame, and the zygote must keep the original.
-    let mut frames = std::collections::BTreeSet::new();
-    for &c in &children {
-        s.fault(c, va(HEAP), AccessType::Write).unwrap();
-        let f = s.pfn(c, va(HEAP));
-        assert!(frames.insert(f), "duplicate COW frame {f:?}");
-    }
-    assert!(!frames.contains(&original));
-    assert_eq!(s.pfn(zygote, va(HEAP)), original);
-    // All children still share the untouched code frame.
-    let code_frame = s.pfn(zygote, va(CODE));
-    for &c in &children {
-        assert_eq!(s.pfn(c, va(CODE)), code_frame);
-    }
-    s.teardown();
+    // A generation up to its exits.
+    transparent(&[KernelConfig::shared_ptp()], &GENERATION[..15]);
 }
+
+/// Two zygote children and the zygote each write a different heap page
+/// and fetch library page 3.
+const THREE_WRITERS: &[Op] = &[
+    Fork(0, 0),
+    Fork(0, 0),
+    Fault(2, 8, Write),
+    Fault(3, 9, Write),
+    Fault(0, 10, Write),
+    Fault(0, 3, Execute),
+    Fault(2, 3, Execute),
+    Fault(3, 3, Execute),
+];
 
 #[test]
 fn stock_and_shared_kernels_agree_on_final_frame_topology() {
-    // The same scenario on both kernels must end with identical
-    // sharing structure: who shares a frame with whom, per page.
-    let scenario = |config: KernelConfig| {
-        let mut s = Sim::boot(config);
-        let zygote = s.live[0];
-        let a = s.fork(0, zygote).unwrap().child;
-        let b = s.fork(0, zygote).unwrap().child;
-        // a writes page 0; b writes page 1; zygote writes page 2;
-        // everyone reads code page 3.
-        let code = CODE + 3 * PAGE_SIZE;
-        for (pid, at, access) in [
-            (a, HEAP, AccessType::Write),
-            (b, HEAP + PAGE_SIZE, AccessType::Write),
-            (zygote, HEAP + 2 * PAGE_SIZE, AccessType::Write),
-            (zygote, code, AccessType::Execute),
-            (a, code, AccessType::Execute),
-            (b, code, AccessType::Execute),
-        ] {
-            s.fault(pid, va(at), access).unwrap();
-        }
-        // Build the sharing topology over the pages each process
-        // actually *touched*. (PTE presence for untouched pages
-        // legitimately differs between the kernels — inheriting PTEs
-        // without faulting is the mechanism's entire point — but the
-        // frame relations of touched pages must be identical.)
-        let touched: &[(Pid, u32)] = &[
-            (zygote, HEAP),
-            (zygote, HEAP + PAGE_SIZE),
-            (zygote, HEAP + 2 * PAGE_SIZE),
-            (zygote, HEAP + 3 * PAGE_SIZE),
-            (zygote, code),
-            (a, HEAP),
-            (a, code),
-            (b, HEAP + PAGE_SIZE),
-            (b, code),
-        ];
-        let mut topo = Vec::new();
-        for &(p1, va1) in touched {
-            for &(p2, va2) in touched {
-                topo.push(va1 == va2 && s.pfn(p1, va(va1)) == s.pfn(p2, va(va2)));
-            }
-        }
-        s.teardown();
-        topo
-    };
-    assert_eq!(
-        scenario(KernelConfig::stock()),
-        scenario(KernelConfig::shared_ptp()),
-        "sharing topology must be config-independent"
-    );
+    transparent(&[KernelConfig::shared_ptp()], THREE_WRITERS);
 }
 
 #[test]
@@ -126,16 +82,15 @@ fn mprotect_and_munmap_under_sharing_do_not_disturb_siblings() {
     let code = VaRange::from_len(va(CODE), CODE_PAGES * PAGE_SIZE);
     // a drops execute permission on its code; b and zygote unaffected.
     s.m.mprotect(0, a, code, Perms::R).unwrap();
-    assert!(s.fault(a, va(CODE), AccessType::Execute).is_err());
-    s.fault(b, va(CODE), AccessType::Execute).unwrap();
-    s.fault(zygote, va(CODE), AccessType::Execute).unwrap();
+    assert!(s.fault(a, va(CODE), Execute).is_err());
+    s.fault(b, va(CODE), Execute).unwrap();
+    s.fault(zygote, va(CODE), Execute).unwrap();
     // b unmaps its heap's written pages; a's and the zygote's survive.
     let written = VaRange::from_len(va(HEAP), 4 * PAGE_SIZE);
     s.m.munmap(0, b, written).unwrap();
     assert!(s.m.kernel.pte(b, va(HEAP)).unwrap().is_none());
     assert!(s.m.kernel.pte(zygote, va(HEAP)).unwrap().is_some());
-    s.fault(a, va(HEAP + 3 * PAGE_SIZE), AccessType::Write)
-        .unwrap();
+    s.fault(a, va(HEAP + 3 * PAGE_SIZE), Write).unwrap();
     s.teardown();
 }
 
@@ -171,10 +126,11 @@ fn fork_storm_scales_without_new_page_tables() {
     let ptps_before = s.m.kernel.ptps.len();
     let frames_before = s.m.kernel.phys.frames_in_use();
     let children: Vec<Pid> = (0..64).map(|_| s.fork(0, zygote).unwrap().child).collect();
-    // 64 processes, zero new PTPs (the scalability claim).
-    assert_eq!(s.m.kernel.ptps.len(), ptps_before);
-    // Each child costs only its root table (4 frames).
-    assert_eq!(s.m.kernel.phys.frames_in_use(), frames_before + 64 * 4);
+    // 64 processes, and no new PTP but each one's copy of the stack's
+    // (the scalability claim).
+    assert_eq!(s.m.kernel.ptps.len(), ptps_before + 64);
+    // Each child costs its root table (4 frames) and that copy.
+    assert_eq!(s.m.kernel.phys.frames_in_use(), frames_before + 64 * 5);
     for c in children {
         s.exit(0, c).unwrap();
     }
@@ -192,7 +148,7 @@ fn drive_unshare_scenario() -> (sat_obs::Recording, sat_core::KernelStats) {
     let zygote = s.live[0];
     let children: Vec<Pid> = (0..4).map(|_| s.fork(0, zygote).unwrap().child).collect();
     // WriteFault (case 1): child 0 writes a shared heap page.
-    s.fault(children[0], va(HEAP), AccessType::Write).unwrap();
+    s.fault(children[0], va(HEAP), Write).unwrap();
     // NewRegion (case 3): child 0 maps into the shared code chunk's
     // 2MB span (its code chunk is still NEED_COPY).
     let req = MmapRequest::anon(PAGE_SIZE, Perms::RW, RegionTag::AppData, "newdata");
@@ -356,8 +312,7 @@ fn promoted_heap(s: &mut Sim, pid: Pid, at: u32, groups: u32) {
     let req = MmapRequest::anon(len, Perms::RW, RegionTag::Heap, "huge");
     s.m.mmap(0, pid, &req.at(va(at))).unwrap();
     for page in 0..len / PAGE_SIZE {
-        s.fault(pid, va(at + page * PAGE_SIZE), AccessType::Write)
-            .unwrap();
+        s.fault(pid, va(at + page * PAGE_SIZE), Write).unwrap();
     }
     s.m.promote_scan(0, pid).unwrap();
     for group in 0..groups {
@@ -405,7 +360,7 @@ fn unshare_of_large_page_chunk_balances_refcounts() {
     assert!(root.entry_for(va(huge)).need_copy());
     // The child's write fault unshares the chunk (copying the 32
     // large-page slots into a private PTP).
-    s.fault(child, va(huge), AccessType::Write).unwrap();
+    s.fault(child, va(huge), Write).unwrap();
     // Every frame the child took must come back.
     s.exit(0, child).unwrap();
     let frames = s.m.kernel.phys.frames_in_use();

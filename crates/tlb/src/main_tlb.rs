@@ -66,18 +66,6 @@ pub struct TlbStats {
     pub avoided_flushes: u64,
 }
 
-impl TlbStats {
-    /// Miss rate over all lookups, in [0, 1].
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// Result of a main-TLB lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TlbLookup {

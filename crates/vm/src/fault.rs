@@ -254,8 +254,11 @@ fn resolve_not_present(
                 sw.dirty = true;
                 sw.young = true;
                 let res =
-                    mapper.set_pte(page, HwPte::small(copy, vma.perms, false), sw, ctx.domain)?;
+                    mapper.set_pte(page, HwPte::small(copy, vma.perms, false), sw, ctx.domain);
+                // The PTE holds the only reference, or none if its
+                // table could not be allocated.
                 mapper.phys.put_page(copy);
+                let res = res?;
                 return Ok(FaultOutcome {
                     kind,
                     ptp_allocated: res.ptp_allocated,
@@ -306,8 +309,10 @@ fn resolve_not_present(
             sw.young = true;
             sw.dirty = access.is_write();
             sw.shared = vma.shared;
-            let res = mapper.set_pte(page, HwPte::small(frame, hw_perms, false), sw, ctx.domain)?;
+            let res = mapper.set_pte(page, HwPte::small(frame, hw_perms, false), sw, ctx.domain);
+            // As above: the frame must not outlive a failed install.
             mapper.phys.put_page(frame);
+            let res = res?;
             Ok(FaultOutcome {
                 kind: FaultKind::Minor,
                 ptp_allocated: res.ptp_allocated,
@@ -333,7 +338,11 @@ mod tests {
     }
 
     fn fx() -> Fx {
-        let mut phys = PhysMem::new(4096);
+        pool(4096)
+    }
+
+    fn pool(frames: u32) -> Fx {
+        let mut phys = PhysMem::new(frames);
         let mm = Mm::new(&mut phys, Pid::new(1), Asid::new(1)).unwrap();
         Fx {
             phys,
@@ -430,6 +439,18 @@ mod tests {
             .unwrap();
         assert!(slot.hw.perms.write());
         assert!(slot.sw.dirty);
+    }
+
+    #[test]
+    fn anon_fault_that_finds_no_frame_for_its_table_leaks_no_frame() {
+        // The root takes four frames; the fifth goes to the page, and
+        // the chunk's table finds none.
+        let mut f = pool(5);
+        add_anon_vma(&mut f, 0x0800_0000, 4);
+        let before = f.phys.frames_in_use();
+        let fault = fault(&mut f, 0x0800_0000, AccessType::Write);
+        assert_eq!(fault.unwrap_err(), SatError::OutOfMemory);
+        assert_eq!(f.phys.frames_in_use(), before);
     }
 
     #[test]
